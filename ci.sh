@@ -96,14 +96,14 @@ echo "== wire-codec fuzz smoke =="
 dune exec --no-build bin/proxykit.exe -- fuzz --smoke
 
 echo "== bench smoke (logical metrics vs committed baseline) =="
-# Reduced-iteration F1/F4/F6/S1/R1/L1/X1 regenerate BENCH_*.json into a
+# Reduced-iteration F1/F4/F6/S1/R1/L1/X1/A1 regenerate BENCH_*.json into a
 # scratch dir;
 # bench-check validates the JSON schema and compares every integer metric
 # (ops, bytes, crypto-op counts) exactly against the committed baseline.
 # Wall-times are recorded in the artifacts but never gated.
 BENCH_SMOKE_DIR=$(mktemp -d)
 BENCH_FAST=1 BENCH_DIR="$BENCH_SMOKE_DIR" \
-    dune exec --no-build bin/proxykit.exe -- bench f1 f4 f6 s1 r1 l1 x1
+    dune exec --no-build bin/proxykit.exe -- bench f1 f4 f6 s1 r1 l1 x1 a1
 dune exec --no-build bin/proxykit.exe -- bench-check \
     bench/BENCH_F1.json "$BENCH_SMOKE_DIR/BENCH_F1.json"
 dune exec --no-build bin/proxykit.exe -- bench-check \
@@ -118,6 +118,16 @@ dune exec --no-build bin/proxykit.exe -- bench-check \
     bench/BENCH_L1.json "$BENCH_SMOKE_DIR/BENCH_L1.json"
 dune exec --no-build bin/proxykit.exe -- bench-check \
     bench/BENCH_X1.json "$BENCH_SMOKE_DIR/BENCH_X1.json"
+# A1 pins the expiring tables' eviction rule: the flood row's eviction
+# count and, under capacity pressure, exactly one eviction per insert past
+# capacity at every table size.
+dune exec --no-build bin/proxykit.exe -- bench-check \
+    bench/BENCH_A1.json "$BENCH_SMOKE_DIR/BENCH_A1.json"
 rm -rf "$BENCH_SMOKE_DIR"
+
+echo "== repository benchmark self-test =="
+# perfbench's own tests: its output checks, and its guards that the
+# authz workloads evict exactly once per op while bank never evicts.
+dune build @perfbench/perfbench-test
 
 echo "== OK =="

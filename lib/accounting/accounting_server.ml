@@ -404,10 +404,10 @@ let handle t ctx payload =
          of distribution. Replays and stale bulletins are ignored, not
          errors, so a duplicated push is harmless. *)
       let* bw = field payload 1 in
-      let* b = Revocation.bulletin_of_wire bw in
+      let* b = Revocation.of_wire bw in
       let* advanced = Guard.apply_bulletin t.guard b in
       if advanced then
-        trace t "revocation bulletin epoch %d applied (pushed by %s)" b.Revocation.b_epoch
+        trace t "revocation bulletin epoch %d applied (pushed by %s)" b.Revocation.epoch
           (Principal.to_string client);
       Ok (Wire.I (if advanced then 1 else 0))
   | other -> Error (Printf.sprintf "accounting: unknown operation %S" other)
@@ -579,7 +579,7 @@ let seq_advance ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_fail
 let push_bulletin ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts net ~creds b =
   match
     Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts
-      (Wire.L [ Wire.S "apply-bulletin"; Revocation.bulletin_to_wire b ])
+      (Wire.L [ Wire.S "apply-bulletin"; Revocation.to_wire b ])
   with
   | Error e -> Error e
   | Ok reply -> Result.map (fun n -> n = 1) (Wire.to_int reply)

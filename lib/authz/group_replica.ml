@@ -24,7 +24,7 @@ let create net ~me ~my_key ~kdc ~origin ~origin_pub ?staleness_bound_us
           proxy_lifetime_us;
           origin;
           replica =
-            Membership.create ~server:origin ~server_pub:origin_pub ?staleness_bound_us
+            Membership.create ~issuer:origin ~issuer_pub:origin_pub ?staleness_bound_us
               ~now:(Sim.Net.now net) ();
         }
 
@@ -45,7 +45,7 @@ let apply_snapshot t s =
           Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
             ~actor:(Principal.to_string t.me)
             (Printf.sprintf "membership snapshot applied: origin=%s epoch=%d fresh=%d"
-               (Principal.to_string t.origin) s.Membership.s_epoch fresh)
+               (Principal.to_string t.origin) s.Membership.epoch fresh)
       | Membership.Ignored -> ());
       Ok r
 

@@ -60,7 +60,7 @@ let publish t =
       t.publish_epoch <- t.publish_epoch + 1;
       Sim.Metrics.incr (Sim.Net.metrics t.net) "membership.published";
       Ok
-        (Membership.sign ~key ~server:t.me ~epoch:t.publish_epoch
+        (Membership.sign ~key ~issuer:t.me ~epoch:t.publish_epoch
            ~issued_at:(Sim.Net.now t.net) (table t))
 
 let map_result f l =
@@ -75,7 +75,7 @@ let handle t ctx payload =
     (* Any authenticated principal may pull the signed table: the snapshot
        is self-authenticating, so possession discloses nothing a replica
        could not already learn by asserting memberships one by one. *)
-    Result.map Membership.snapshot_to_wire (publish t)
+    Result.map Membership.to_wire (publish t)
   else if tag <> "assert" then Error (Printf.sprintf "group: unknown operation %S" tag)
   else
     let* group = Result.bind (field payload 1) to_string in
@@ -131,4 +131,4 @@ let request_membership_proxy net ~creds ~group ~end_server ?(evidence = []) () =
 let fetch_snapshot net ~creds () =
   match Secure_rpc.call net ~creds (Wire.L [ Wire.S "snapshot" ]) with
   | Error e -> Error e
-  | Ok reply -> Membership.snapshot_of_wire reply
+  | Ok reply -> Membership.of_wire reply

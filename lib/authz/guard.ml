@@ -186,31 +186,25 @@ let apply_bulletin t bulletin =
                fresh post-revocation grant) must not collide with the dead
                grant's entry. Entries recorded for grantors that stay valid
                (or are re-recorded after re-issue) are untouched; only the
-               grantors newly covered by THIS bulletin are swept. *)
-            let shed =
-              List.fold_left
-                (fun n -> function
+               grantors newly covered by THIS bulletin are swept. Sequence
+               progress is keyed like the accept-once records and dies with
+               its grantor for the same reason: a fresh post-revocation
+               grant of the same sequence must restart at step one. *)
+            let killed =
+              List.filter_map
+                (function
                   | Revocation.By_grantor_epoch { grantor; _ } ->
-                      n + Replay_cache.shed t.replay ~tag:(Principal.to_string grantor)
-                  | Revocation.By_serial _ -> n)
-                0 fresh_entries
+                      Some (Principal.to_string grantor)
+                  | Revocation.By_serial _ -> None)
+                fresh_entries
             in
-            if shed > 0 then
-              Sim.Metrics.add (Sim.Net.metrics t.net) "replay_cache.shed" shed;
-            (* Sequence progress is keyed like the accept-once records and
-               dies with its grantor for the same reason: a fresh
-               post-revocation grant of the same sequence must restart at
-               step one, not inherit the dead grant's progress. *)
-            let seq_shed =
-              List.fold_left
-                (fun n -> function
-                  | Revocation.By_grantor_epoch { grantor; _ } ->
-                      n + Seq_tracker.shed t.seq ~tag:(Principal.to_string grantor)
-                  | Revocation.By_serial _ -> n)
-                0 fresh_entries
+            let shed_killed counter shed =
+              let n = List.fold_left (fun n tag -> n + shed ~tag) 0 killed in
+              if n > 0 then Sim.Metrics.add (Sim.Net.metrics t.net) counter n;
+              n
             in
-            if seq_shed > 0 then
-              Sim.Metrics.add (Sim.Net.metrics t.net) "seq_tracker.shed" seq_shed;
+            let shed = shed_killed "replay_cache.shed" (Replay_cache.shed t.replay) in
+            ignore (shed_killed "seq_tracker.shed" (Seq_tracker.shed t.seq));
             Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
               ~actor:(Principal.to_string t.me)
               (Printf.sprintf

@@ -13,7 +13,7 @@ let ( let* ) = Result.bind
 
 let sign_current t =
   t.current <-
-    Revocation.sign ~key:t.signing_key ~authority:t.me ~epoch:t.epoch
+    Revocation.sign ~key:t.signing_key ~issuer:t.me ~epoch:t.epoch
       ~issued_at:(Sim.Net.now t.net) t.entries;
   t.current
 
@@ -27,7 +27,7 @@ let create net ~me ~my_key ~signing_key ?(lookup = fun _ -> None) () =
     epoch = 1;
     entries = [];
     current =
-      Revocation.sign ~key:signing_key ~authority:me ~epoch:1 ~issued_at:(Sim.Net.now net) [];
+      Revocation.sign ~key:signing_key ~issuer:me ~epoch:1 ~issued_at:(Sim.Net.now net) [];
   }
 
 let me t = t.me
@@ -83,7 +83,7 @@ let handle t ctx payload =
   match tag with
   | "fetch" ->
       Sim.Metrics.incr (Sim.Net.metrics t.net) "revocation.fetches";
-      Ok (Revocation.bulletin_to_wire t.current)
+      Ok (Revocation.to_wire t.current)
   | "revoke-cert" ->
       let* cw = field payload 1 in
       let* cert = Proxy_cert.pk_cert_of_wire cw in
@@ -107,7 +107,7 @@ let handle t ctx payload =
           | Some pub -> Proxy_cert.verify_pk_signature pub cert
         in
         let b = revoke_serial t body.Proxy_cert.serial in
-        Ok (Wire.I b.Revocation.b_epoch)
+        Ok (Wire.I b.Revocation.epoch)
       end
   | "revoke-grantor" ->
       let not_before =
@@ -116,7 +116,7 @@ let handle t ctx payload =
         | Error _ -> Sim.Net.now t.net
       in
       let b = revoke_grantor_epoch t ~grantor:caller ~not_before () in
-      Ok (Wire.I b.Revocation.b_epoch)
+      Ok (Wire.I b.Revocation.epoch)
   | other -> Error (Printf.sprintf "revocation-authority: unknown operation %S" other)
 
 let install t =
@@ -128,7 +128,7 @@ let fetch net ~creds ?(retries = 0) ?timeout_us ?backoff ?dst () =
   let* reply =
     Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst (Wire.L [ Wire.S "fetch" ])
   in
-  Revocation.bulletin_of_wire reply
+  Revocation.of_wire reply
 
 let sync net ~creds ?(retries = 0) ?timeout_us ?backoff ?dst guard =
   let* b = fetch net ~creds ~retries ?timeout_us ?backoff ?dst () in

@@ -1124,6 +1124,55 @@ let a1 () =
         string_of_int !evictions;
         string_of_int (Replay_cache.size bounded) ] ];
 
+  (* Capacity pressure: fill a table with live identifiers, then insert
+     1000 more — each must evict exactly one. insert_ns times a further
+     insert at capacity. The response cache ticks no hook outside [serve],
+     so its evictions are the seeded replies no longer cached. *)
+  let pressure name capacity insert ~evictions ~size =
+    let n = capacity + 1_000 in
+    for i = 1 to n do
+      insert i
+    done;
+    let ints = [ ("capacity", capacity); ("evictions", evictions n); ("final_size", size n) ] in
+    let next = ref n in
+    let insert_ns =
+      ns_per_op (Printf.sprintf "%s-insert/%d" name capacity) (fun () ->
+          incr next;
+          insert !next)
+    in
+    { Benchout.label = Printf.sprintf "pressure %s capacity=%d" name capacity; ints;
+      floats = [ ("insert_ns", insert_ns) ] }
+  in
+  let replay_pressure capacity =
+    let evicted = ref 0 in
+    let c = Replay_cache.create ~capacity ~on_evict:(fun () -> incr evicted) () in
+    pressure "replay-cache" capacity
+      (fun i -> ignore (Replay_cache.record c ~now:0 ~expires:max_int (string_of_int i)))
+      ~evictions:(fun _ -> !evicted) ~size:(fun _ -> Replay_cache.size c)
+  in
+  let response_pressure () =
+    let c = Secure_rpc.create_cache () in
+    let kept n =
+      List.length
+        (List.filter (fun i -> Secure_rpc.cached c ~auth_id:(string_of_int i)) (List.init n succ))
+    in
+    pressure "response-cache" 4096
+      (fun i ->
+        Secure_rpc.seed_response c ~now:0 ~auth_id:(string_of_int i) ~expires:max_int ~reply:"")
+      ~evictions:(fun n -> n - kept n) ~size:kept
+  in
+  let pressured =
+    List.map replay_pressure [ 1 lsl 10; 1 lsl 12; 1 lsl 14; 1 lsl 17 ] @ [ response_pressure () ]
+  in
+  print_table "A1c: insert cost at capacity (fill, then 1000 more live inserts)"
+    [ "table"; "evictions"; "final size"; "insert CPU" ]
+    (List.map
+       (fun r ->
+         let int k = string_of_int (List.assoc k r.Benchout.ints) in
+         [ r.Benchout.label; int "evictions"; int "final_size";
+           fmt_ns (List.assoc "insert_ns" r.Benchout.floats) ])
+       pressured);
+
   Benchout.write ~id:"a1" ~title:"ablation: accept-once replay cache"
     (List.map
        (fun (size, probe_ns, caught) ->
@@ -1141,7 +1190,8 @@ let a1 () =
               ("evictions", !evictions);
               ("final_size", Replay_cache.size bounded) ];
           floats = [];
-        } ])
+        } ]
+    @ pressured)
 
 (* ------------------------------------------------------------------ *)
 (* A3: TGS proxies (Sec 6.3) vs per-server capabilities               *)
@@ -1438,7 +1488,7 @@ let r1 () =
   let measured =
     List.map
       (fun rate ->
-        let sub = Revocation.create ~authority ~authority_pub:ra_kp.Crypto.Rsa.pub ~now:0 () in
+        let sub = Revocation.create ~issuer:authority ~issuer_pub:ra_kp.Crypto.Rsa.pub ~now:0 () in
         let cache = Verify_cache.create () in
         let epoch = ref 1 in
         let entries = ref [] in
@@ -1457,7 +1507,7 @@ let r1 () =
                   incr revoked;
                   incr epoch;
                   let b =
-                    Revocation.sign ~key:ra_kp ~authority ~epoch:!epoch ~issued_at:0 !entries
+                    Revocation.sign ~key:ra_kp ~issuer:authority ~epoch:!epoch ~issued_at:0 !entries
                   in
                   match Revocation.apply sub b with
                   | Ok (Revocation.Applied { fresh; _ }) when fresh > 0 ->

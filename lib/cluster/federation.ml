@@ -449,7 +449,7 @@ let snapshot_message st snap =
        [
          Principal.to_wire st.f_gs_p;
          Wire.S st.f_gs_pub;
-         Membership.snapshot_to_wire snap;
+         Membership.to_wire snap;
        ])
 
 let apply_message st payload =
@@ -458,7 +458,7 @@ let apply_message st payload =
     let* v = Wire.decode payload in
     let* origin = Result.bind (field v 0) Principal.of_wire in
     let* pub_bytes = Result.bind (field v 1) to_string in
-    let* snap = Result.bind (field v 2) Membership.snapshot_of_wire in
+    let* snap = Result.bind (field v 2) Membership.of_wire in
     Ok (origin, pub_bytes, snap)
   in
   match parsed with
@@ -474,7 +474,7 @@ let apply_message st payload =
               | None -> failwith "Cluster.Federation lanes: bad public key bytes"
             in
             let sub =
-              Membership.create ~server:origin ~server_pub:pub
+              Membership.create ~issuer:origin ~issuer_pub:pub
                 ~now:(Sim.Net.now st.f_world.World.net) ()
             in
             st.f_sub <- Some sub;
@@ -482,7 +482,7 @@ let apply_message st payload =
       in
       match Membership.apply sub snap with
       | Error e -> logf st "snapshot apply failed: %s" e
-      | Ok Membership.Ignored -> logf st "snapshot ignored (epoch %d)" snap.Membership.s_epoch
+      | Ok Membership.Ignored -> logf st "snapshot ignored (epoch %d)" snap.Membership.epoch
       | Ok (Membership.Applied { fresh }) ->
           st.f_applied <- st.f_applied + 1;
           st.f_fresh_total <- st.f_fresh_total + fresh;
@@ -491,11 +491,11 @@ let apply_message st payload =
           let all_in =
             List.for_all
               (fun (g, ms) -> List.for_all (fun p -> Membership.member sub ~group:g p) ms)
-              snap.Membership.s_groups
+              snap.Membership.items
           in
           let outsider_out = not (Membership.member sub ~group:"eng" st.f_outsider) in
           st.f_member_checks_ok <- all_in && outsider_out;
-          logf st "snapshot applied: epoch=%d fresh=%d checks=%b" snap.Membership.s_epoch fresh
+          logf st "snapshot applied: epoch=%d fresh=%d checks=%b" snap.Membership.epoch fresh
             st.f_member_checks_ok)
 
 let run_lanes ?(lanes = 3) ~domains cfg =

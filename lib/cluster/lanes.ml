@@ -320,7 +320,7 @@ let on_advice st number paid =
 
 let on_bulletin st blob =
   let m = Sim.Net.metrics st.cl_world.World.net in
-  match Revocation.bulletin_of_wire blob with
+  match Revocation.of_wire blob with
   | Error _ -> Sim.Metrics.incr m "lanes.malformed"
   | Ok b -> (
       match Shard.apply_bulletin st.cl_bank b with
@@ -337,11 +337,11 @@ let publish_bulletin st ~emit ~lanes =
   | Some (auth_p, auth_rsa) ->
       let now = Sim.Net.now st.cl_world.World.net in
       let b =
-        Revocation.sign ~key:auth_rsa ~authority:auth_p ~epoch:1 ~issued_at:now
+        Revocation.sign ~key:auth_rsa ~issuer:auth_p ~epoch:1 ~issued_at:now
           [ Revocation.By_grantor_epoch { grantor = st.cl_revoked_payor; not_before = now } ]
       in
-      on_bulletin st (Revocation.bulletin_to_wire b);
-      let wire = Wire.L [ Wire.S "x-bulletin"; Revocation.bulletin_to_wire b ] in
+      on_bulletin st (Revocation.to_wire b);
+      let wire = Wire.L [ Wire.S "x-bulletin"; Revocation.to_wire b ] in
       for dst = 0 to lanes - 1 do
         if dst <> st.cl_id then emit dst wire
       done

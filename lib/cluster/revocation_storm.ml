@@ -81,7 +81,7 @@ let run cfg =
   let carol, _, carol_rsa = World.enrol_pk w "carol" in
   let dave, _ = World.enrol w "dave" in
   let subscriber () =
-    Revocation.create ~authority:ra_p ~authority_pub:ra_rsa.Crypto.Rsa.pub
+    Revocation.create ~issuer:ra_p ~issuer_pub:ra_rsa.Crypto.Rsa.pub
       ~staleness_bound_us:cfg.staleness_bound_us ~now:(World.now w) ()
   in
   (* --- the revocation authority --- *)

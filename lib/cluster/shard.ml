@@ -66,7 +66,7 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
     let revocation =
       Option.map
         (fun (authority, authority_pub) ->
-          Revocation.create ~authority ~authority_pub ?staleness_bound_us
+          Revocation.create ~issuer:authority ~issuer_pub:authority_pub ?staleness_bound_us
             ~now:(Sim.Net.now net) ())
         revocation_authority
     in
@@ -230,34 +230,16 @@ let apply_replication t ctx v =
     let* ops_w = Result.bind (field v 2) to_list in
     let* redeems_w = Result.bind (field v 3) to_list in
     let* triples =
-      List.fold_left
-        (fun acc w ->
-          let* acc = acc in
+      map_all
+        (fun w ->
           let* auth_id = Result.bind (field w 0) to_string in
           let* expires = Result.bind (field w 1) to_int in
           let* reply = Result.bind (field w 2) to_string in
-          Ok ((auth_id, expires, reply) :: acc))
-        (Ok []) triples_w
-      |> Result.map List.rev
+          Ok (auth_id, expires, reply))
+        triples_w
     in
-    let* ops =
-      List.fold_left
-        (fun acc w ->
-          let* acc = acc in
-          let* op = Ledger.op_of_wire w in
-          Ok (op :: acc))
-        (Ok []) ops_w
-      |> Result.map List.rev
-    in
-    let* redeemed =
-      List.fold_left
-        (fun acc w ->
-          let* acc = acc in
-          let* n = to_string w in
-          Ok (n :: acc))
-        (Ok []) redeems_w
-      |> Result.map List.rev
-    in
+    let* ops = map_all Ledger.op_of_wire ops_w in
+    let* redeemed = map_all to_string redeems_w in
     (* Optional trailing field: bulks from runs without sequence traffic
        (and from older primaries) simply omit it. *)
     let* seq =
@@ -265,16 +247,14 @@ let apply_replication t ctx v =
       | Error _ -> Ok []
       | Ok w ->
           let* seq_w = to_list w in
-          List.fold_left
-            (fun acc sw ->
-              let* acc = acc in
+          map_all
+            (fun sw ->
               let* key = Result.bind (field sw 0) to_string in
               let* progress = Result.bind (field sw 1) to_int in
               let* expires = Result.bind (field sw 2) to_int in
               let* tag = Result.bind (field sw 3) to_string in
-              Ok ((key, progress, expires, tag) :: acc))
-            (Ok []) seq_w
-          |> Result.map List.rev
+              Ok (key, progress, expires, tag))
+            seq_w
     in
     let* () = Accounting_server.apply_replicated t.standby.server ~seq ~ops ~redeemed () in
     let now = Sim.Net.now t.net in

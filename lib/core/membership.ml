@@ -1,10 +1,4 @@
-type snapshot = {
-  s_server : Principal.t;
-  s_epoch : int;
-  s_issued_at : int;
-  s_groups : (string * Principal.t list) list;
-  s_signature : string;
-}
+type group = string * Principal.t list
 
 (* Canonical order: groups by name, members by principal string. Signing
    and replication both depend on the same bytes coming out for the same
@@ -27,164 +21,62 @@ let group_of_wire v =
   let open Wire in
   let* g = Result.bind (field v 0) to_string in
   let* mw = Result.bind (field v 1) to_list in
-  let* members =
-    List.fold_left
-      (fun acc w ->
-        let* acc = acc in
-        let* p = Principal.of_wire w in
-        Ok (p :: acc))
-      (Ok []) mw
-    |> Result.map List.rev
-  in
+  let* members = map_all Principal.of_wire mw in
   Ok (g, members)
 
-(* As with revocation bulletins, the signature covers this exact encoding
-   so a snapshot re-serialized by a relay realm still verifies. *)
-let signed_bytes ~server ~epoch ~issued_at groups =
-  Wire.encode
-    (Wire.L
-       [
-         Wire.S "membership-snapshot";
-         Principal.to_wire server;
-         Wire.I epoch;
-         Wire.I issued_at;
-         Wire.L (List.map group_to_wire groups);
-       ])
+type view = (string, (string, unit) Hashtbl.t) Hashtbl.t (* group -> member set *)
+type report = { fresh : int }
 
-let sign ~key ~server ~epoch ~issued_at groups =
-  let groups = canonicalize groups in
-  {
-    s_server = server;
-    s_epoch = epoch;
-    s_issued_at = issued_at;
-    s_groups = groups;
-    s_signature = Crypto.Rsa.sign key (signed_bytes ~server ~epoch ~issued_at groups);
-  }
+include Signed_epoch.Make (struct
+  type item = group
+  type nonrec view = view
+  type nonrec report = report
 
-let verify_snapshot pub s =
-  let msg =
-    signed_bytes ~server:s.s_server ~epoch:s.s_epoch ~issued_at:s.s_issued_at s.s_groups
-  in
-  if Crypto.Rsa.verify pub ~msg ~signature:s.s_signature then Ok ()
-  else Error "membership snapshot: bad signature"
+  let tag = "membership-snapshot"
+  let owner = __MODULE__
+  let issuer_role = "group server"
+  let subscriber = "membership replica"
+  let item_to_wire = group_to_wire
+  let item_of_wire = group_of_wire
+  let empty () = Hashtbl.create 8
 
-let snapshot_to_wire s =
-  Wire.L
-    [
-      Wire.S "membership-snapshot";
-      Principal.to_wire s.s_server;
-      Wire.I s.s_epoch;
-      Wire.I s.s_issued_at;
-      Wire.L (List.map group_to_wire s.s_groups);
-      Wire.S s.s_signature;
-    ]
+  (* Count the (group, member) pairs that extend the previous coverage. *)
+  let rebuild prev groups =
+    let fresh = ref 0 in
+    let tables = Hashtbl.create (max 8 (List.length groups)) in
+    List.iter
+      (fun (g, members) ->
+        let set = Hashtbl.create (max 4 (List.length members)) in
+        let prev = Hashtbl.find_opt prev g in
+        List.iter
+          (fun p ->
+            let key = Principal.to_string p in
+            let known = match prev with Some set -> Hashtbl.mem set key | None -> false in
+            if (not known) && not (Hashtbl.mem set key) then incr fresh;
+            Hashtbl.replace set key ())
+          members;
+        Hashtbl.replace tables g set)
+      groups;
+    (tables, { fresh = !fresh })
+end)
 
-let snapshot_of_wire v =
-  let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  if tag <> "membership-snapshot" then Error "not a membership snapshot"
-  else
-    let* s_server = Result.bind (field v 1) Principal.of_wire in
-    let* s_epoch = Result.bind (field v 2) to_int in
-    let* s_issued_at = Result.bind (field v 3) to_int in
-    let* gw = Result.bind (field v 4) to_list in
-    let* s_groups =
-      List.fold_left
-        (fun acc w ->
-          let* acc = acc in
-          let* g = group_of_wire w in
-          Ok (g :: acc))
-        (Ok []) gw
-      |> Result.map List.rev
-    in
-    let* s_signature = Result.bind (field v 5) to_string in
-    if s_epoch < 1 then Error "membership snapshot: epoch must be positive"
-    else Ok { s_server; s_epoch; s_issued_at; s_groups; s_signature }
+type snapshot = artifact
 
-(* --- replica state --- *)
+let sign ~key ~issuer ~epoch ~issued_at groups =
+  sign ~key ~issuer ~epoch ~issued_at (canonicalize groups)
 
-type t = {
-  t_server : Principal.t;
-  server_pub : Crypto.Rsa.public;
-  t_staleness_bound_us : int;
-  mutable t_epoch : int;
-  mutable t_as_of : int;
-  tables : (string, (string, unit) Hashtbl.t) Hashtbl.t; (* group -> member set *)
-}
-
-let default_staleness_bound_us = 30 * 60 * 1_000_000
-
-let create ~server ~server_pub ?(staleness_bound_us = default_staleness_bound_us) ~now () =
-  if staleness_bound_us < 1 then invalid_arg "Membership.create: bound must be positive";
-  {
-    t_server = server;
-    server_pub;
-    t_staleness_bound_us = staleness_bound_us;
-    t_epoch = 0;
-    t_as_of = now;
-    tables = Hashtbl.create 8;
-  }
-
-type applied = Applied of { fresh : int } | Ignored
-
-let apply t s =
-  if not (Principal.equal s.s_server t.t_server) then
-    Error
-      (Printf.sprintf "snapshot from %s, expected group server %s"
-         (Principal.to_string s.s_server)
-         (Principal.to_string t.t_server))
-  else
-    match verify_snapshot t.server_pub s with
-    | Error _ as e -> e
-    | Ok () ->
-        if s.s_epoch <= t.t_epoch then Ok Ignored
-        else begin
-          (* Snapshots carry the full membership: rebuild, counting the
-             (group, member) pairs that extend the previous coverage. *)
-          let fresh = ref 0 in
-          let tables = Hashtbl.create (max 8 (List.length s.s_groups)) in
-          List.iter
-            (fun (g, members) ->
-              let set = Hashtbl.create (max 4 (List.length members)) in
-              let prev = Hashtbl.find_opt t.tables g in
-              List.iter
-                (fun p ->
-                  let key = Principal.to_string p in
-                  let known =
-                    match prev with Some set -> Hashtbl.mem set key | None -> false
-                  in
-                  if (not known) && not (Hashtbl.mem set key) then incr fresh;
-                  Hashtbl.replace set key ())
-                members;
-              Hashtbl.replace tables g set)
-            s.s_groups;
-          Hashtbl.reset t.tables;
-          Hashtbl.iter (Hashtbl.replace t.tables) tables;
-          t.t_epoch <- s.s_epoch;
-          t.t_as_of <- max t.t_as_of s.s_issued_at;
-          Ok (Applied { fresh = !fresh })
-        end
-
-let server t = t.t_server
-let epoch t = t.t_epoch
-let as_of t = t.t_as_of
-let staleness_bound_us t = t.t_staleness_bound_us
-let stale t ~now = now - t.t_as_of > t.t_staleness_bound_us
-
-let groups t = List.sort compare (Hashtbl.fold (fun g _ acc -> g :: acc) t.tables [])
+let groups t = List.sort compare (Hashtbl.fold (fun g _ acc -> g :: acc) (view t) [])
 
 let member t ~group p =
-  match Hashtbl.find_opt t.tables group with
+  match Hashtbl.find_opt (view t) group with
   | None -> false
   | Some set -> Hashtbl.mem set (Principal.to_string p)
 
 let check t ~now ~group p =
-  if stale t ~now then
-    Error
-      (Printf.sprintf "membership replica stale (as of %d, bound %dus): failing closed"
-         t.t_as_of t.t_staleness_bound_us)
-  else if member t ~group p then Ok ()
+  let open Wire in
+  let* () = gate t ~now in
+  if member t ~group p then Ok ()
   else
     Error
       (Printf.sprintf "%s is not a member of %s (replica epoch %d)"
-         (Principal.to_string p) group t.t_epoch)
+         (Principal.to_string p) group (epoch t))

@@ -5,8 +5,8 @@
     unreachable. The authoritative group server periodically publishes its
     {e full} membership table as a signed, monotonically-numbered
     {b snapshot}; a replica in another realm holds the latest applied
-    snapshot plus a staleness bound, exactly mirroring the revocation
-    bulletin design ({!Revocation}):
+    snapshot plus a staleness bound — the same {!Signed_epoch} design as
+    revocation bulletins ({!Revocation}):
 
     - {b bounded inconsistency}: within the staleness bound the replica
       answers membership queries from the last snapshot — a membership
@@ -19,74 +19,28 @@
     and be applied in any order: only a signature-valid snapshot with a
     strictly higher epoch advances the state. *)
 
-type snapshot = {
-  s_server : Principal.t;  (** the authoritative group server *)
-  s_epoch : int;  (** strictly increasing across publications *)
-  s_issued_at : int;  (** freshness anchor for the staleness bound *)
-  s_groups : (string * Principal.t list) list;
-      (** full table: group name -> direct principal members, canonical
-          order (groups sorted by name, members by principal string) *)
-  s_signature : string;  (** group server's RSA signature over the body *)
+type group = string * Principal.t list
+(** A group name and its direct principal members. *)
+
+type report = {
+  fresh : int;
+      (** (group, member) pairs not covered by the previous snapshot (0
+          for a heartbeat re-publication) *)
 }
 
-val sign :
-  key:Crypto.Rsa.private_ ->
-  server:Principal.t ->
-  epoch:int ->
-  issued_at:int ->
-  (string * Principal.t list) list ->
-  snapshot
-(** Canonicalizes (sorts and dedups) the table before signing, so the same
-    membership yields the same bytes whatever order the publisher's tables
-    iterate in. *)
+(** Snapshots are {!Signed_epoch} artifacts tagged ["membership-snapshot"],
+    signed by the authoritative group server; their items are the full
+    table in canonical order (groups sorted by name, members by principal
+    string). The replica state {!t} holds the latest applied one.
+    [sign] canonicalizes (sorts and dedups) the table before signing, so
+    the same membership yields the same bytes whatever order the
+    publisher's tables iterate in. *)
+include Signed_epoch.S with type item := group and type report := report
 
-val verify_snapshot : Crypto.Rsa.public -> snapshot -> (unit, string) result
-(** Signature check only; epoch ordering is {!apply}'s business. *)
-
-val snapshot_to_wire : snapshot -> Wire.t
-val snapshot_of_wire : Wire.t -> (snapshot, string) result
-
-(** {2 Replica state} *)
-
-type t
-
-val default_staleness_bound_us : int
-(** 30 simulated minutes. *)
-
-val create :
-  server:Principal.t ->
-  server_pub:Crypto.Rsa.public ->
-  ?staleness_bound_us:int ->
-  now:int ->
-  unit ->
-  t
-(** Fresh state at epoch 0 with [as_of = now]: a just-created replica is
-    considered fresh for one staleness window, giving it time to fetch its
-    first snapshot before failing closed. *)
-
-type applied =
-  | Applied of { fresh : int }
-      (** the epoch advanced; [fresh] counts (group, member) pairs not
-          covered by the previous snapshot (0 for a heartbeat
-          re-publication) *)
-  | Ignored  (** valid signature but epoch not newer than what is held *)
-
-val apply : t -> snapshot -> (applied, string) result
-(** Verify publisher identity and signature, then advance if the epoch is
-    strictly newer. [Error] means the snapshot is not authentic (wrong
-    server or bad signature); replays and reordered old snapshots are
-    [Ok Ignored]. *)
-
-val server : t -> Principal.t
-val epoch : t -> int
-val as_of : t -> int
-val staleness_bound_us : t -> int
+type snapshot = artifact
 
 val groups : t -> string list
 (** Group names held, sorted. *)
-
-val stale : t -> now:int -> bool
-(** [now - as_of > staleness_bound_us]. *)
 
 val member : t -> group:string -> Principal.t -> bool
 (** Raw table lookup; does {e not} consider staleness. *)

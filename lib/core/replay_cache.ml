@@ -1,86 +1,25 @@
-type t = {
-  entries : (string, int * int * string option) Hashtbl.t;
-      (* identifier -> (expiry, insertion seq, tag) *)
-  capacity : int;
-  on_evict : unit -> unit;
-  mutable next_seq : int;
-      (* monotonic insertion counter — the eviction tie-break. Hashtbl fold
-         order depends on resize history, so two caches holding the same
-         entries can disagree about which of several equal-expiry entries
-         "comes first"; the seq makes the soonest-expiry pick total. *)
-}
+(* Record-if-absent over {!Expiring}: capacity pressure drops the
+   identifier whose replay window closes soonest — forgetting it early
+   reopens the smallest window. *)
+type t = unit Expiring.t
 
-let default_capacity = 1 lsl 17
-let no_evict () = ()
-
-let create ?(capacity = default_capacity) ?(on_evict = no_evict) () =
+let create ?(capacity = 1 lsl 17) ?on_evict () =
   if capacity < 1 then invalid_arg "Replay_cache.create: capacity must be positive";
-  { entries = Hashtbl.create 64; capacity; on_evict; next_seq = 0 }
+  Expiring.create ?on_evict ~capacity ()
 
-let seen t ~now id =
-  match Hashtbl.find_opt t.entries id with
-  | None -> false
-  | Some (expires, _, _) ->
-      if expires > now then true
-      else begin
-        Hashtbl.remove t.entries id;
-        false
-      end
-
-let purge t ~now =
-  let stale =
-    Hashtbl.fold
-      (fun id (expires, _, _) acc -> if expires <= now then id :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) stale
-
-(* Capacity pressure: purge the dead first; if the cache is genuinely full
-   of live identifiers, drop the one closest to its natural expiry — it is
-   the one whose replay window closes soonest, so forgetting it early
-   reopens the smallest window. Expiry ties break by insertion seq (oldest
-   first), never by hash iteration order. *)
-let evict_soonest t =
-  match
-    Hashtbl.fold
-      (fun id (expires, seq, _) best ->
-        match best with
-        | Some (_, e, s) when (e, s) <= (expires, seq) -> best
-        | _ -> Some (id, expires, seq))
-      t.entries None
-  with
-  | None -> ()
-  | Some (id, _, _) ->
-      Hashtbl.remove t.entries id;
-      t.on_evict ()
+let seen t ~now id = Option.is_some (Expiring.find t ~now id)
 
 let record t ~now ~expires ?tag id =
   if seen t ~now id then Error (Printf.sprintf "accept-once identifier %S already recorded" id)
-  else begin
-    if Hashtbl.length t.entries >= t.capacity then begin
-      purge t ~now;
-      if Hashtbl.length t.entries >= t.capacity then evict_soonest t
-    end;
-    Hashtbl.replace t.entries id (expires, t.next_seq, tag);
-    t.next_seq <- t.next_seq + 1;
-    Ok ()
-  end
+  else Ok (Expiring.add t ~now ~expires ?tag id ())
 
 (* Revocation cleanup: a bulletin that kills a grantor makes every
    accept-once identifier recorded under that grantor's authority moot —
    the credential that carried it can no longer verify, so keeping the
    record only burns capacity and, worse, collides with a legitimately
    re-issued credential that reuses the identifier (a re-drawn check
-   number). One O(size) fold per freshly revoked tag; bounded by the
-   capacity and far rarer than record/seen traffic. *)
-let shed t ~tag =
-  let doomed =
-    Hashtbl.fold
-      (fun id (_, _, tg) acc -> if tg = Some tag then id :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) doomed;
-  List.length doomed
-
-let size t = Hashtbl.length t.entries
-let capacity t = t.capacity
+   number). *)
+let shed = Expiring.shed
+let size = Expiring.size
+let capacity = Expiring.capacity
+let purge = Expiring.purge

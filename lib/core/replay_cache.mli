@@ -5,9 +5,10 @@
     another check with the same number is seen, it is rejected." Entries
     expire with the proxy that carried them; an explicit capacity bound
     caps memory even if an adversary floods the server with long-lived
-    identifiers. When full, expired entries are purged first; if all are
-    live, the identifier with the {e soonest} expiry is dropped (the
-    smallest replay window is reopened) and [on_evict] fires. *)
+    identifiers. An {!Expiring} table: expired entries are purged first;
+    if all are live, the identifier with the {e soonest} expiry is
+    dropped (the smallest replay window is reopened) and [on_evict]
+    fires. *)
 
 type t
 

@@ -2,14 +2,6 @@ type entry =
   | By_serial of string
   | By_grantor_epoch of { grantor : Principal.t; not_before : int }
 
-type bulletin = {
-  b_authority : Principal.t;
-  b_epoch : int;
-  b_issued_at : int;
-  b_entries : entry list;
-  b_signature : string;
-}
-
 let entry_to_wire = function
   | By_serial s -> Wire.L [ Wire.S "serial"; Wire.S s ]
   | By_grantor_epoch { grantor; not_before } ->
@@ -28,158 +20,72 @@ let entry_of_wire v =
       Ok (By_grantor_epoch { grantor; not_before })
   | other -> Error (Printf.sprintf "revocation entry: unknown kind %S" other)
 
-(* The signature covers this exact encoding; keeping it separate from the
-   full wire form means a bulletin re-serialized by a relay still verifies. *)
-let signed_bytes ~authority ~epoch ~issued_at entries =
-  Wire.encode
-    (Wire.L
-       [
-         Wire.S "revocation-bulletin";
-         Principal.to_wire authority;
-         Wire.I epoch;
-         Wire.I issued_at;
-         Wire.L (List.map entry_to_wire entries);
-       ])
-
-let sign ~key ~authority ~epoch ~issued_at entries =
-  {
-    b_authority = authority;
-    b_epoch = epoch;
-    b_issued_at = issued_at;
-    b_entries = entries;
-    b_signature = Crypto.Rsa.sign key (signed_bytes ~authority ~epoch ~issued_at entries);
-  }
-
-let verify_bulletin pub b =
-  let msg =
-    signed_bytes ~authority:b.b_authority ~epoch:b.b_epoch ~issued_at:b.b_issued_at b.b_entries
-  in
-  if Crypto.Rsa.verify pub ~msg ~signature:b.b_signature then Ok ()
-  else Error "revocation bulletin: bad signature"
-
-let bulletin_to_wire b =
-  Wire.L
-    [
-      Wire.S "revocation-bulletin";
-      Principal.to_wire b.b_authority;
-      Wire.I b.b_epoch;
-      Wire.I b.b_issued_at;
-      Wire.L (List.map entry_to_wire b.b_entries);
-      Wire.S b.b_signature;
-    ]
-
-let bulletin_of_wire v =
-  let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  if tag <> "revocation-bulletin" then Error "not a revocation bulletin"
-  else
-    let* b_authority = Result.bind (field v 1) Principal.of_wire in
-    let* b_epoch = Result.bind (field v 2) to_int in
-    let* b_issued_at = Result.bind (field v 3) to_int in
-    let* entries_w = Result.bind (field v 4) to_list in
-    let* b_entries =
-      List.fold_left
-        (fun acc w ->
-          let* acc = acc in
-          let* e = entry_of_wire w in
-          Ok (e :: acc))
-        (Ok []) entries_w
-      |> Result.map List.rev
-    in
-    let* b_signature = Result.bind (field v 5) to_string in
-    if b_epoch < 1 then Error "revocation bulletin: epoch must be positive"
-    else Ok { b_authority; b_epoch; b_issued_at; b_entries; b_signature }
-
-(* --- subscriber state --- *)
-
-type t = {
-  t_authority : Principal.t;
-  authority_pub : Crypto.Rsa.public;
-  t_staleness_bound_us : int;
-  mutable t_epoch : int;
-  mutable t_as_of : int;
+type view = {
   serials : (string, unit) Hashtbl.t;
   grantor_epochs : (string, int) Hashtbl.t;  (* grantor -> latest not_before *)
 }
 
-let default_staleness_bound_us = 30 * 60 * 1_000_000
+type report = { fresh : int; fresh_entries : entry list }
 
-let create ~authority ~authority_pub ?(staleness_bound_us = default_staleness_bound_us) ~now
-    () =
-  if staleness_bound_us < 1 then invalid_arg "Revocation.create: bound must be positive";
-  {
-    t_authority = authority;
-    authority_pub;
-    t_staleness_bound_us = staleness_bound_us;
-    t_epoch = 0;
-    t_as_of = now;
-    serials = Hashtbl.create 16;
-    grantor_epochs = Hashtbl.create 8;
-  }
+include Signed_epoch.Make (struct
+  type item = entry
+  type nonrec view = view
+  type nonrec report = report
 
-type applied = Applied of { fresh : int; fresh_entries : entry list } | Ignored
+  let tag = "revocation-bulletin"
+  let owner = __MODULE__
+  let issuer_role = "authority"
+  let subscriber = "revocation bulletin"
+  let item_to_wire = entry_to_wire
+  let item_of_wire = entry_of_wire
+  let empty () = { serials = Hashtbl.create 16; grantor_epochs = Hashtbl.create 8 }
 
-let apply t b =
-  if not (Principal.equal b.b_authority t.t_authority) then
-    Error
-      (Printf.sprintf "bulletin from %s, expected authority %s"
-         (Principal.to_string b.b_authority)
-         (Principal.to_string t.t_authority))
-  else
-    match verify_bulletin t.authority_pub b with
-    | Error _ as e -> e
-    | Ok () ->
-        if b.b_epoch <= t.t_epoch then Ok Ignored
-        else begin
-          (* Bulletins are cumulative: rebuild the lookup tables from
-             scratch, counting how many entries extend the previous
-             coverage (those are what warrant a cache invalidation). *)
-          let fresh = ref 0 in
-          let fresh_entries = ref [] in
-          let note e =
-            incr fresh;
-            fresh_entries := e :: !fresh_entries
-          in
-          let serials = Hashtbl.create (max 16 (List.length b.b_entries)) in
-          let grantor_epochs = Hashtbl.create 8 in
-          List.iter
-            (fun e ->
-              match e with
-              | By_serial s ->
-                  if not (Hashtbl.mem t.serials s) then note e;
-                  Hashtbl.replace serials s ()
-              | By_grantor_epoch { grantor; not_before } ->
-                  let g = Principal.to_string grantor in
-                  let prev = Option.value (Hashtbl.find_opt t.grantor_epochs g) ~default:min_int in
-                  if not_before > prev then note e;
-                  let cur = Option.value (Hashtbl.find_opt grantor_epochs g) ~default:min_int in
-                  if not_before > cur then Hashtbl.replace grantor_epochs g not_before)
-            b.b_entries;
-          Hashtbl.reset t.serials;
-          Hashtbl.reset t.grantor_epochs;
-          Hashtbl.iter (Hashtbl.replace t.serials) serials;
-          Hashtbl.iter (Hashtbl.replace t.grantor_epochs) grantor_epochs;
-          t.t_epoch <- b.b_epoch;
-          t.t_as_of <- max t.t_as_of b.b_issued_at;
-          Ok (Applied { fresh = !fresh; fresh_entries = List.rev !fresh_entries })
-        end
+  (* The fresh entries are those that extend the previous coverage: they
+     are what warrant a cache invalidation. *)
+  let rebuild prev entries =
+    let latest tbl grantor =
+      Option.value (Hashtbl.find_opt tbl (Principal.to_string grantor)) ~default:min_int
+    in
+    let next =
+      {
+        serials = Hashtbl.create (max 16 (List.length entries));
+        grantor_epochs = Hashtbl.create 8;
+      }
+    in
+    List.iter
+      (function
+        | By_serial s -> Hashtbl.replace next.serials s ()
+        | By_grantor_epoch { grantor; not_before } ->
+            if not_before > latest next.grantor_epochs grantor then
+              Hashtbl.replace next.grantor_epochs (Principal.to_string grantor) not_before)
+      entries;
+    let fresh_entries =
+      List.filter
+        (function
+          | By_serial s -> not (Hashtbl.mem prev.serials s)
+          | By_grantor_epoch { grantor; not_before } ->
+              not_before > latest prev.grantor_epochs grantor)
+        entries
+    in
+    (next, { fresh = List.length fresh_entries; fresh_entries })
+end)
 
-let authority t = t.t_authority
-let epoch t = t.t_epoch
-let as_of t = t.t_as_of
-let staleness_bound_us t = t.t_staleness_bound_us
-let entry_count t = Hashtbl.length t.serials + Hashtbl.length t.grantor_epochs
-let stale t ~now = now - t.t_as_of > t.t_staleness_bound_us
+type bulletin = artifact
+
+let entry_count t =
+  let v = view t in
+  Hashtbl.length v.serials + Hashtbl.length v.grantor_epochs
 
 let short_serial s =
   let n = min 8 (String.length s) in
   String.sub s 0 n
 
 let revoked t (body : Proxy_cert.body) =
-  if Hashtbl.mem t.serials body.Proxy_cert.serial then
+  let v = view t in
+  if Hashtbl.mem v.serials body.Proxy_cert.serial then
     Error (Printf.sprintf "certificate %s.. is revoked" (short_serial body.Proxy_cert.serial))
   else
-    match Hashtbl.find_opt t.grantor_epochs (Principal.to_string body.Proxy_cert.grantor) with
+    match Hashtbl.find_opt v.grantor_epochs (Principal.to_string body.Proxy_cert.grantor) with
     | Some not_before when body.Proxy_cert.issued_at < not_before ->
         Error
           (Printf.sprintf "grantor %s revoked certificates issued before %d"
@@ -187,9 +93,4 @@ let revoked t (body : Proxy_cert.body) =
              not_before)
     | Some _ | None -> Ok ()
 
-let check t ~now body =
-  if stale t ~now then
-    Error
-      (Printf.sprintf "revocation bulletin stale (as of %d, bound %dus): failing closed"
-         t.t_as_of t.t_staleness_bound_us)
-  else revoked t body
+let check t ~now body = Result.bind (gate t ~now) (fun () -> revoked t body)

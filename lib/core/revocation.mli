@@ -31,71 +31,26 @@ type entry =
           [not_before]; re-issued (refreshed) certificates carry a later
           [issued_at] and survive *)
 
-type bulletin = {
-  b_authority : Principal.t;
-  b_epoch : int;  (** strictly increasing across publications *)
-  b_issued_at : int;  (** freshness anchor for the staleness bound *)
-  b_entries : entry list;  (** the {e full} cumulative revocation list *)
-  b_signature : string;  (** authority's RSA signature over the body *)
+type report = {
+  fresh : int;  (** entries not already covered by the previous state *)
+  fresh_entries : entry list;
+      (** those entries in bulletin order — the hook for targeted cleanup,
+          e.g. shedding a freshly revoked grantor's accept-once replay
+          records ([Authz.Guard]); empty for a pure heartbeat
+          re-publication *)
 }
-
-val sign :
-  key:Crypto.Rsa.private_ ->
-  authority:Principal.t ->
-  epoch:int ->
-  issued_at:int ->
-  entry list ->
-  bulletin
-
-val verify_bulletin : Crypto.Rsa.public -> bulletin -> (unit, string) result
-(** Signature check only; epoch ordering is {!apply}'s business. *)
 
 val entry_to_wire : entry -> Wire.t
 val entry_of_wire : Wire.t -> (entry, string) result
-val bulletin_to_wire : bulletin -> Wire.t
-val bulletin_of_wire : Wire.t -> (bulletin, string) result
 
-(** {2 Subscriber state} *)
+(** Bulletins are {!Signed_epoch} artifacts tagged ["revocation-bulletin"],
+    signed by the revocation authority; the subscriber state {!t} holds
+    the latest applied one. *)
+include Signed_epoch.S with type item := entry and type report := report
 
-type t
+type bulletin = artifact
 
-val default_staleness_bound_us : int
-(** 30 simulated minutes. *)
-
-val create :
-  authority:Principal.t ->
-  authority_pub:Crypto.Rsa.public ->
-  ?staleness_bound_us:int ->
-  now:int ->
-  unit ->
-  t
-(** Fresh state at epoch 0 with [as_of = now]: a just-created server is
-    considered fresh for one staleness window, giving it time to fetch its
-    first bulletin before failing closed. *)
-
-type applied =
-  | Applied of { fresh : int; fresh_entries : entry list }
-      (** the epoch advanced; [fresh] counts entries not already covered by
-          the previous state (0 for a pure heartbeat re-publication) and
-          [fresh_entries] lists them in bulletin order — the hook for
-          targeted cleanup, e.g. shedding a freshly revoked grantor's
-          accept-once replay records ([Authz.Guard]) *)
-  | Ignored  (** valid signature but epoch not newer than what is held *)
-
-val apply : t -> bulletin -> (applied, string) result
-(** Verify authority identity and signature, then advance if the epoch is
-    strictly newer. [Error] means the bulletin is not authentic (wrong
-    authority or bad signature); replays and reordered old bulletins are
-    [Ok Ignored]. *)
-
-val authority : t -> Principal.t
-val epoch : t -> int
-val as_of : t -> int
-val staleness_bound_us : t -> int
 val entry_count : t -> int
-
-val stale : t -> now:int -> bool
-(** [now - as_of > staleness_bound_us]. *)
 
 val revoked : t -> Proxy_cert.body -> (unit, string) result
 (** Is this certificate body on the list? [Error] names the matching entry

@@ -1,102 +1,31 @@
-type t = {
-  entries : (string, int * int * int * string option) Hashtbl.t;
-      (* key -> (progress, expiry, insertion seq, tag) *)
-  capacity : int;
-  on_evict : unit -> unit;
-  mutable next_seq : int;
-      (* monotonic insertion counter — the eviction tie-break, mirroring
-         {!Replay_cache}: Hashtbl fold order depends on resize history, so
-         equal-expiry entries need a total order of their own. *)
-}
+(* Max-monotone progress over {!Expiring}: losing an entry to capacity
+   pressure resets that sequence to its first step, which only ever
+   narrows what the proxy can do. *)
+type t = int Expiring.t
 
-let default_capacity = 1 lsl 17
-let no_evict () = ()
-
-let create ?(capacity = default_capacity) ?(on_evict = no_evict) () =
+let create ?(capacity = 1 lsl 17) ?on_evict () =
   if capacity < 1 then invalid_arg "Seq_tracker.create: capacity must be positive";
-  { entries = Hashtbl.create 64; capacity; on_evict; next_seq = 0 }
+  Expiring.create ?on_evict ~capacity ()
 
-let progress t ~now key =
-  match Hashtbl.find_opt t.entries key with
-  | None -> 0
-  | Some (k, expires, _, _) ->
-      if expires > now then k
-      else begin
-        Hashtbl.remove t.entries key;
-        0
-      end
-
-let purge t ~now =
-  let stale =
-    Hashtbl.fold
-      (fun key (_, expires, _, _) acc -> if expires <= now then key :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) stale
-
-(* Capacity pressure mirrors {!Replay_cache}: purge the dead first; if the
-   tracker is genuinely full of live entries, forget the one whose window
-   closes soonest — losing it resets that sequence to its first step, which
-   only ever narrows what the proxy can do. Expiry ties break by insertion
-   seq (oldest first), never by hash iteration order. *)
-let evict_soonest t =
-  match
-    Hashtbl.fold
-      (fun key (_, expires, seq, _) best ->
-        match best with
-        | Some (_, e, s) when (e, s) <= (expires, seq) -> best
-        | _ -> Some (key, expires, seq))
-      t.entries None
-  with
-  | None -> ()
-  | Some (key, _, _) ->
-      Hashtbl.remove t.entries key;
-      t.on_evict ()
-
-let make_room t ~now =
-  if Hashtbl.length t.entries >= t.capacity then begin
-    purge t ~now;
-    if Hashtbl.length t.entries >= t.capacity then evict_soonest t
-  end
+let progress t ~now key = Option.value (Expiring.find t ~now key) ~default:0
 
 (* Progress is max-monotone: concurrent advancement, replicated imports and
    retransmitted forwards can only move a sequence forward, never rewind
-   it — rewinding would re-open already-consumed steps. Re-advancing an
-   existing key keeps its original insertion seq (it is the same logical
-   sequence, not a fresh one). *)
+   it — rewinding would re-open already-consumed steps. Re-advancing a
+   live key updates it in place (it is the same logical sequence, not a
+   fresh one). *)
 let set_progress t ~now ~expires ?tag key k =
-  let current = progress t ~now key in
-  if k > current then begin
-    let seq =
-      match Hashtbl.find_opt t.entries key with
-      | Some (_, _, s, _) -> s
-      | None ->
-          make_room t ~now;
-          let s = t.next_seq in
-          t.next_seq <- t.next_seq + 1;
-          s
-    in
-    Hashtbl.replace t.entries key (k, expires, seq, tag)
-  end
+  if k > progress t ~now key then Expiring.add t ~now ~expires ?tag key k
 
 let advance t ~now ~expires ?tag key =
   let k = progress t ~now key + 1 in
   set_progress t ~now ~expires ?tag key k;
   k
 
-(* Revocation cleanup, same contract as {!Replay_cache.shed}: a bulletin
-   that kills a grantor makes every progress line recorded under that
-   grantor moot — the chains that fed it can no longer verify, and a fresh
+(* Revocation cleanup, same contract as {!Replay_cache.shed}: a fresh
    post-revocation grant must start its sequence from the first step. *)
-let shed t ~tag =
-  let doomed =
-    Hashtbl.fold
-      (fun key (_, _, _, tg) acc -> if tg = Some tag then key :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) doomed;
-  List.length doomed
-
-let clear t = Hashtbl.reset t.entries
-let size t = Hashtbl.length t.entries
-let capacity t = t.capacity
+let shed = Expiring.shed
+let clear = Expiring.clear
+let size = Expiring.size
+let capacity = Expiring.capacity
+let purge = Expiring.purge

@@ -2,8 +2,8 @@
 
     A sequence restriction is stateful: the server must remember how many
     steps of each presented sequence have already been granted. This
-    tracker holds that state, keyed exactly like {!Replay_cache}
-    accept-once records — per presented chain head
+    tracker holds that state in an {!Expiring} table, keyed exactly like
+    {!Replay_cache} accept-once records — per presented chain head
     ({!Restriction.seq_key}) — so the surrounding machinery composes
     unchanged: revocation bulletins shed a dead grantor's progress by tag,
     chains derived from one grant share one progress line, and entries

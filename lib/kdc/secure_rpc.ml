@@ -12,7 +12,7 @@ let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
    redemption, and ledger mutations fire exactly once under at-least-once
    delivery. The duplicate gets the original sealed response back: useless
    to an eavesdropping replayer (sealed under the session key), and
-   exactly what a retrying legitimate client needs. Capacity-bounded:
+   exactly what a retrying legitimate client needs. An {!Expiring} table:
    when full, expired entries are purged; if every entry is still live,
    the soonest-to-expire response is dropped (its retransmission window
    closes first) and "rpc.cache_evictions" ticks.
@@ -21,63 +21,25 @@ let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
    have it seeded by replication: a client that fails over after the
    primary executed its request but died before answering gets the
    original sealed reply from the standby instead of a second execution. *)
-type cache = {
-  capacity : int;
-  seen_auths : (string, int * int * string) Hashtbl.t;
-      (* digest -> (expiry, insertion seq, sealed reply) *)
-  mutable next_seq : int;
-      (* monotonic insertion counter — the eviction tie-break. Hashtbl fold
-         order depends on resize history, so two replicas holding the same
-         entries (primary vs replication-seeded standby) could otherwise
-         evict different equal-expiry responses and diverge. *)
-}
+type cache = string Expiring.t
 
 let create_cache ?(capacity = 4096) () =
   if capacity < 1 then invalid_arg "Secure_rpc.create_cache: capacity must be positive";
-  { capacity; seen_auths = Hashtbl.create 64; next_seq = 0 }
+  Expiring.create ~capacity ()
 
-let cache_insert ?metrics cache ~now auth_id ~expires ~reply =
-  let { capacity; seen_auths; _ } = cache in
-  if Hashtbl.length seen_auths >= capacity then begin
-    let stale =
-      Hashtbl.fold
-        (fun k (expiry, _, _) acc -> if expiry <= now then k :: acc else acc)
-        seen_auths []
-    in
-    List.iter (Hashtbl.remove seen_auths) stale;
-    if Hashtbl.length seen_auths >= capacity then begin
-      match
-        Hashtbl.fold
-          (fun k (expiry, seq, _) best ->
-            match best with
-            | Some (_, e, s) when (e, s) <= (expiry, seq) -> best
-            | _ -> Some (k, expiry, seq))
-          seen_auths None
-      with
-      | None -> ()
-      | Some (k, _, _) ->
-          Hashtbl.remove seen_auths k;
-          (match metrics with
-          | Some m -> Sim.Metrics.incr m "rpc.cache_evictions"
-          | None -> ())
-    end
-  end;
-  Hashtbl.replace seen_auths auth_id (expires, cache.next_seq, reply);
-  cache.next_seq <- cache.next_seq + 1
-
+(* Seeding never ticks "rpc.cache_evictions": that counter is the served
+   traffic's. *)
 let seed_response cache ~now ~auth_id ~expires ~reply =
-  cache_insert cache ~now auth_id ~expires ~reply
+  Expiring.add cache ~now ~expires auth_id reply
 
-let cached cache ~auth_id = Hashtbl.mem cache.seen_auths auth_id
+let cached cache ~auth_id = Expiring.mem cache auth_id
 
-let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000)
-    ?(response_cache_capacity = 4096) ?cache ?on_handled handler =
+let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_handled
+    handler =
   let metrics = Sim.Net.metrics net in
   let node = Option.value node ~default:(Principal.to_string me) in
-  let cache =
-    match cache with Some c -> c | None -> create_cache ~capacity:response_cache_capacity ()
-  in
-  let seen_auths = cache.seen_auths in
+  let cache = match cache with Some c -> c | None -> create_cache () in
+  let count_eviction () = Sim.Metrics.incr metrics "rpc.cache_evictions" in
   let handle request =
     let now = Sim.Net.now net in
     let open Wire in
@@ -124,8 +86,8 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000)
                     err "authenticator outside freshness window"
                   else begin
                     let auth_id = Crypto.Sha256.digest auth_blob in
-                    match Hashtbl.find_opt seen_auths auth_id with
-                    | Some (_, _, cached_reply) ->
+                    match Expiring.find cache ~now auth_id with
+                    | Some cached_reply ->
                         Sim.Metrics.incr metrics "rpc.dedup";
                         cached_reply
                     | None ->
@@ -177,8 +139,11 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000)
                                ~nonce:(Sim.Net.fresh_nonce net) (Wire.encode body))
                         in
                         let reply = Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ]) in
-                        let expires = now + max_skew_us in
-                        cache_insert ~metrics cache ~now auth_id ~expires ~reply;
+                        (* Cache for as long as the authenticator passes
+                           the freshness check: a client clock ahead of
+                           ours stays fresh until timestamp + skew. *)
+                        let expires = max now (auth.Ticket.timestamp + 1) + max_skew_us in
+                        Expiring.add ~on_evict:count_eviction cache ~now ~expires auth_id reply;
                         (* The handler really ran (not a cache hit): feed the
                            replication hook, reply bytes included, so a
                            standby can answer this client's retransmissions

@@ -15,17 +15,20 @@ type server_context = {
 }
 
 type cache
-(** A response cache (authenticator digest -> expiry * sealed reply) as a
-    first-class value, so shard replicas can share or seed one another's:
-    replication ships each handled request's [auth_id]/reply pair to the
-    standby, whose seeded cache then answers a failed-over client's
-    retransmission without executing the request a second time. *)
+(** A response cache (authenticator digest -> sealed reply, an
+    {!Expiring} table) as a first-class value, so shard replicas can share
+    or seed one another's: replication ships each handled request's
+    [auth_id]/reply pair to the standby, whose seeded cache then answers a
+    failed-over client's retransmission without executing the request a
+    second time. *)
 
 val create_cache : ?capacity:int -> unit -> cache
 (** Default capacity 4096; at capacity, expired entries are purged, then
     the soonest-to-expire live entry is evicted. *)
 
 val seed_response : cache -> now:int -> auth_id:string -> expires:int -> reply:string -> unit
+(** Re-seeding a live [auth_id] updates it in place and evicts nothing, so
+    a re-shipped replication batch cannot push out another live reply. *)
 
 val cached : cache -> auth_id:string -> bool
 (** Is a response recorded under this authenticator digest? Replication
@@ -38,7 +41,6 @@ val serve :
   my_key:string ->
   ?node:string ->
   ?max_skew_us:int ->
-  ?response_cache_capacity:int ->
   ?cache:cache ->
   ?on_handled:(auth_id:string -> expires:int -> reply:string -> unit) ->
   (server_context -> Wire.t -> (Wire.t, string) result) ->
@@ -58,10 +60,13 @@ val serve :
     honoured by either replica.
 
     [cache] supplies an externally owned response cache (a standby's,
-    seeded by replication); otherwise an internal one holding at most
-    [response_cache_capacity] entries (default 4096) is used. At capacity,
-    expired entries are purged; if all are live, the soonest-to-expire one
-    is evicted and the net's ["rpc.cache_evictions"] metric ticks.
+    seeded by replication, or one of another capacity); otherwise an
+    internal {!create_cache} one is used. A reply is cached until the
+    authenticator could no longer pass the freshness check — [max_skew_us]
+    past the later of now and its timestamp — so a client clock running
+    ahead cannot outlive its cache entry. At capacity, expired entries are
+    purged; if all are live, the soonest-to-expire one is evicted and the
+    net's ["rpc.cache_evictions"] metric ticks.
 
     [on_handled] fires after each request the handler {e actually ran}
     (cache hits excluded) with the authenticator digest, the cache expiry,

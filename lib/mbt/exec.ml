@@ -109,7 +109,7 @@ let build ~cache ~seed =
      revocation *ordering* (revoke-vs-present races), not partition
      staleness — that path is the revocation-storm scenario's business. *)
   let revocation =
-    Revocation.create ~authority ~authority_pub:kp.pk_authority.Crypto.Rsa.pub
+    Revocation.create ~issuer:authority ~issuer_pub:kp.pk_authority.Crypto.Rsa.pub
       ~staleness_bound_us:max_int ~now:(Sim.Net.now net) ()
   in
   let fs =
@@ -320,7 +320,7 @@ let run ?mutation ~cache ~seed (prog : Program.t) : Program.run =
                heartbeat. *)
             incr rev_epoch;
             let bulletin =
-              Revocation.sign ~key:kp.pk_authority ~authority:u.authority
+              Revocation.sign ~key:kp.pk_authority ~issuer:u.authority
                 ~epoch:!rev_epoch ~issued_at:(Sim.Net.now u.net)
                 (List.map (fun s -> Revocation.By_serial s) !revoked_serials)
             in

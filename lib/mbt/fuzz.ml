@@ -91,11 +91,16 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
     Guard.present ~proxy:pk2 ~time:now ~server:fs ~operation:"read" ~target:"u0.dat" ()
   in
   let bulletin =
-    Revocation.sign ~key:kp.Exec.pk_authority ~authority:(Principal.make ~realm "revoker")
+    Revocation.sign ~key:kp.Exec.pk_authority ~issuer:(Principal.make ~realm "revoker")
       ~epoch:3 ~issued_at:now
       [ Revocation.By_serial "serial-1";
         Revocation.By_serial "serial-2";
         Revocation.By_grantor_epoch { grantor = u0; not_before = now } ]
+  in
+  let snapshot =
+    Membership.sign ~key:kp.Exec.pk_authority ~issuer:(Principal.make ~realm "groups")
+      ~epoch:2 ~issued_at:now
+      [ ("eng", [ u0; u1 ]); ("ops", [ fs ]) ]
   in
   let head_pk_cert =
     match pk.Proxy.flavor with
@@ -133,12 +138,13 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
     ( "rev-entry",
       Revocation.entry_to_wire (Revocation.By_serial "serial-1"),
       ign Revocation.entry_of_wire );
-    ("rev-bulletin", Revocation.bulletin_to_wire bulletin, ign Revocation.bulletin_of_wire);
+    ("rev-bulletin", Revocation.to_wire bulletin, ign Revocation.of_wire);
     (* Appended last so earlier seeds keep their indices in the corpus file
        names. *)
     ( "restriction-seq",
       Restriction.to_wire (Restriction.Sequence (sample_seq_steps fs)),
       ign Restriction.of_wire );
+    ("membership-snapshot", Membership.to_wire snapshot, ign Membership.of_wire);
   ]
 
 (* --- mutations --- *)
@@ -300,6 +306,21 @@ let corpus_decoder seeds fname =
       if fl >= sl && String.sub fname (fl - sl) sl = suffix then Some re else None)
     seeds
 
+(* Wire encoding is compositional, so an encoded list is a substring of
+   the encoded value holding it, its u32 count right after the list tag:
+   overwrite that count with 0xff bytes. *)
+let length_bomb bytes ~sub =
+  let n = String.length bytes and m = String.length sub in
+  let rec find i =
+    if i + m > n then failwith "fuzz corpus: list not a substring"
+    else if String.sub bytes i m = sub then i
+    else find (i + 1)
+  in
+  let off = find 0 in
+  let bomb = Bytes.of_string bytes in
+  Bytes.fill bomb (off + 1) 4 '\xff';
+  Bytes.to_string bomb
+
 let save_corpus ~dir =
   let seeds = seeds () in
   let write path contents =
@@ -329,43 +350,32 @@ let save_corpus ~dir =
     (fun (name, text) ->
       write (Filename.concat dir (name ^ ".hex")) (Program.to_hex text))
     json_crashers;
-  (* Explicit bulletin negatives beyond the random mutants: a mid-structure
-     truncation, and a length bomb on the entries list's u32 count (wire
-     encoding is compositional, so the encoded entries list is a substring
-     of the encoded bulletin and its count sits right after the list tag).
-     Both must be refused without crashing or allocating per the claimed
-     length — the suffix-matched typed decoder runs on them in replay. *)
-  let bulletin_v =
-    match List.find_opt (fun (name, _, _) -> name = "rev-bulletin") seeds with
-    | Some (_, v, _) -> v
-    | None -> failwith "fuzz corpus: no rev-bulletin seed"
-  in
-  let bytes = Wire.encode bulletin_v in
-  write
-    (Filename.concat dir "neg-truncated-rev-bulletin.hex")
-    (Program.to_hex (String.sub bytes 0 (String.length bytes / 2)));
-  let entries_v =
-    match bulletin_v with
-    | Wire.L [ _; _; _; _; (Wire.L _ as entries); _ ] -> entries
-    | _ -> failwith "fuzz corpus: unexpected bulletin shape"
-  in
-  let sub = Wire.encode entries_v in
-  let off =
-    let n = String.length bytes and m = String.length sub in
-    let rec find i =
-      if i + m > n then failwith "fuzz corpus: entries not a substring"
-      else if String.sub bytes i m = sub then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let bomb = Bytes.of_string bytes in
-  for j = off + 1 to off + 4 do
-    Bytes.set bomb j '\xff'
-  done;
-  write
-    (Filename.concat dir "neg-lenbomb-rev-bulletin.hex")
-    (Program.to_hex (Bytes.to_string bomb));
+  (* Explicit negatives for the signed-epoch artifacts (revocation
+     bulletins, membership snapshots) beyond the random mutants: a
+     mid-structure truncation, and a length bomb on the items list's u32
+     count. Both must be refused without crashing or allocating per the
+     claimed length — the suffix-matched typed decoder runs on them in
+     replay. *)
+  List.iter
+    (fun name ->
+      let v =
+        match List.find_opt (fun (n, _, _) -> n = name) seeds with
+        | Some (_, v, _) -> v
+        | None -> failwith ("fuzz corpus: no seed " ^ name)
+      in
+      let bytes = Wire.encode v in
+      write
+        (Filename.concat dir ("neg-truncated-" ^ name ^ ".hex"))
+        (Program.to_hex (String.sub bytes 0 (String.length bytes / 2)));
+      let items =
+        match v with
+        | Wire.L [ _; _; _; _; (Wire.L _ as items); _ ] -> items
+        | _ -> failwith ("fuzz corpus: unexpected shape for " ^ name)
+      in
+      write
+        (Filename.concat dir ("neg-lenbomb-" ^ name ^ ".hex"))
+        (Program.to_hex (length_bomb bytes ~sub:(Wire.encode items))))
+    [ "rev-bulletin"; "membership-snapshot" ];
   (* Sequence-restriction negatives: a truncation, a length bomb on the
      steps list's u32 count, a duplicate-step list and an empty list.  The
      first two must be refused at the wire layer; the last two decode as
@@ -383,22 +393,9 @@ let save_corpus ~dir =
     | Wire.L [ _; (Wire.L _ as steps) ] -> Wire.encode steps
     | _ -> failwith "fuzz corpus: unexpected sequence shape"
   in
-  let soff =
-    let n = String.length seq_bytes and m = String.length steps_sub in
-    let rec find i =
-      if i + m > n then failwith "fuzz corpus: steps not a substring"
-      else if String.sub seq_bytes i m = steps_sub then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let sbomb = Bytes.of_string seq_bytes in
-  for j = soff + 1 to soff + 4 do
-    Bytes.set sbomb j '\xff'
-  done;
   write
     (Filename.concat dir "neg-lenbomb-restriction-seq.hex")
-    (Program.to_hex (Bytes.to_string sbomb));
+    (Program.to_hex (length_bomb seq_bytes ~sub:steps_sub));
   let dup = List.hd (sample_seq_steps fs) in
   write
     (Filename.concat dir "neg-dupstep-restriction-seq.hex")
@@ -406,7 +403,7 @@ let save_corpus ~dir =
   write
     (Filename.concat dir "neg-empty-restriction-seq.hex")
     (Program.to_hex (Wire.encode (Restriction.to_wire (Restriction.Sequence []))));
-  (4 * List.length seeds) + List.length json_crashers + 2 + 4
+  (4 * List.length seeds) + List.length json_crashers + 4 + 4
 
 type corpus_result = { files : int; failures : (string * string) list }
 

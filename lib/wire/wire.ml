@@ -112,3 +112,12 @@ let field v i =
   | I _ | S _ -> Error "expected list"
 
 let ( let* ) = Result.bind
+
+let map_all f items =
+  List.fold_left
+    (fun acc w ->
+      let* acc = acc in
+      let* x = f w in
+      Ok (x :: acc))
+    (Ok []) items
+  |> Result.map List.rev

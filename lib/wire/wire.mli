@@ -33,3 +33,6 @@ val field : t -> int -> (t, string) result
 (** [field v i] is the [i]th element when [v] is a list. *)
 
 val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+
+val map_all : (t -> ('a, string) result) -> t list -> ('a list, string) result
+(** Decode every element, in order; the first failure is the result. *)

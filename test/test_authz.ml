@@ -82,7 +82,9 @@ let test_secure_rpc_cache_eviction () =
   let hits = ref 0 in
   (* A deliberately tiny response cache: the third distinct request must
      evict the first (soonest-to-expire) entry and tick the metric. *)
-  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~response_cache_capacity:2 (fun _ _ ->
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key
+    ~cache:(Secure_rpc.create_cache ~capacity:2 ())
+    (fun _ _ ->
       incr hits;
       Ok (Wire.I !hits));
   let tgt = W.login w alice in
@@ -110,6 +112,55 @@ let test_secure_rpc_cache_eviction () =
       | Error e -> Alcotest.fail e));
   Alcotest.(check int) "second eviction from the re-insert" 2 (evictions ());
   Alcotest.(check int) "no dedup hits" 0 (Sim.Metrics.get (Sim.Net.metrics w.W.net) "rpc.dedup")
+
+(* A client clock running ahead of the server's: the authenticator stays
+   fresh until its own timestamp + skew, so its cached reply must live that
+   long too — otherwise a replay after now + skew, once a later insert has
+   purged the entry, runs the handler a second time. *)
+let test_secure_rpc_future_stamp_replay () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let svc, svc_key = W.enrol w "svc" in
+  let skew = 1_000_000 in
+  let hits = ref 0 in
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~max_skew_us:skew
+    ~cache:(Secure_rpc.create_cache ~capacity:2 ())
+    (fun _ _ ->
+      incr hits;
+      Ok (Wire.I !hits));
+  let tgt = W.login w alice in
+  let creds = W.credentials_for w ~tgt svc in
+  let ahead =
+    Ticket.seal_authenticator ~session_key:creds.Ticket.session_key
+      ~nonce:(Sim.Net.fresh_nonce w.W.net)
+      { Ticket.auth_client = alice;
+        timestamp = Sim.Net.now w.W.net + (skew / 2);
+        subkey = None;
+        auth_data = [] }
+  in
+  let raw =
+    Wire.encode
+      (Wire.L [ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S ahead; Wire.I 0 ])
+  in
+  let send () =
+    match Sim.Net.rpc w.W.net ~src:"alice" ~dst:(Principal.to_string svc) raw with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  let call i =
+    match Secure_rpc.call w.W.net ~creds (Wire.I i) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  send ();
+  call 1;
+  (* Past the server's now + skew, still within skew of the stamp. *)
+  Sim.Clock.advance (Sim.Net.clock w.W.net) (skew + 10_000);
+  call 2 (* the cache is full: this insert purges what has expired *);
+  send ();
+  Alcotest.(check int) "handler ran once per distinct request" 3 !hits;
+  Alcotest.(check int) "the replay was served from the cache" 1
+    (Sim.Metrics.get (Sim.Net.metrics w.W.net) "rpc.dedup")
 
 (* --- guard + capabilities --- *)
 
@@ -635,7 +686,9 @@ let () =
         [ ("roundtrip", `Quick, test_secure_rpc_roundtrip);
           ("wrong service", `Quick, test_secure_rpc_wrong_service);
           ("replay absorbed, handler once", `Quick, test_secure_rpc_replay_absorbed);
-          ("response cache bounded", `Quick, test_secure_rpc_cache_eviction) ] );
+          ("response cache bounded", `Quick, test_secure_rpc_cache_eviction);
+          ("future-stamped replay answered from cache", `Quick,
+           test_secure_rpc_future_stamp_replay) ] );
       ( "guard+capabilities",
         [ ("direct identity", `Quick, test_guard_direct_identity);
           ("capability flow", `Quick, test_capability_flow);

@@ -534,27 +534,27 @@ let member_fixture () =
 let test_snapshot_sign_verify_wire () =
   let rsa, gs, p = member_fixture () in
   let groups = [ ("eng", [ p "carol"; p "alice"; p "bob"; p "alice" ]) ] in
-  let snap = Membership.sign ~key:rsa ~server:gs ~epoch:1 ~issued_at:1_000 groups in
+  let snap = Membership.sign ~key:rsa ~issuer:gs ~epoch:1 ~issued_at:1_000 groups in
   (* Canonicalized: sorted, deduped. *)
-  Alcotest.(check int) "deduped" 3 (List.length (List.assoc "eng" snap.Membership.s_groups));
-  (match Membership.verify_snapshot rsa.Crypto.Rsa.pub snap with
+  Alcotest.(check int) "deduped" 3 (List.length (List.assoc "eng" snap.Membership.items));
+  (match Membership.verify rsa.Crypto.Rsa.pub snap with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* Any field change invalidates the signature. *)
-  (match Membership.verify_snapshot rsa.Crypto.Rsa.pub { snap with Membership.s_epoch = 9 } with
+  (match Membership.verify rsa.Crypto.Rsa.pub { snap with Membership.epoch = 9 } with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "tampered snapshot verified");
-  (match Membership.snapshot_of_wire (Membership.snapshot_to_wire snap) with
+  (match Membership.of_wire (Membership.to_wire snap) with
   | Ok snap' -> Alcotest.(check bool) "wire round-trip" true (snap = snap')
   | Error e -> Alcotest.fail e);
-  match Membership.snapshot_of_wire (Membership.snapshot_to_wire { snap with Membership.s_epoch = 0 }) with
+  match Membership.of_wire (Membership.to_wire { snap with Membership.epoch = 0 }) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "epoch 0 snapshot decoded"
 
 let test_snapshot_apply_ordering () =
   let rsa, gs, p = member_fixture () in
-  let sub = Membership.create ~server:gs ~server_pub:rsa.Crypto.Rsa.pub ~now:0 () in
-  let snap1 = Membership.sign ~key:rsa ~server:gs ~epoch:1 ~issued_at:1_000 [ ("eng", [ p "alice"; p "bob" ]) ] in
+  let sub = Membership.create ~issuer:gs ~issuer_pub:rsa.Crypto.Rsa.pub ~now:0 () in
+  let snap1 = Membership.sign ~key:rsa ~issuer:gs ~epoch:1 ~issued_at:1_000 [ ("eng", [ p "alice"; p "bob" ]) ] in
   (match Membership.apply sub snap1 with
   | Ok (Membership.Applied { fresh }) -> Alcotest.(check int) "full table fresh" 2 fresh
   | Ok Membership.Ignored -> Alcotest.fail "first snapshot ignored"
@@ -564,7 +564,7 @@ let test_snapshot_apply_ordering () =
   | Ok Membership.Ignored -> ()
   | _ -> Alcotest.fail "replayed snapshot not ignored");
   let snap2 =
-    Membership.sign ~key:rsa ~server:gs ~epoch:2 ~issued_at:2_000
+    Membership.sign ~key:rsa ~issuer:gs ~epoch:2 ~issued_at:2_000
       [ ("eng", [ p "alice"; p "bob"; p "carol" ]) ]
   in
   (match Membership.apply sub snap2 with
@@ -573,12 +573,12 @@ let test_snapshot_apply_ordering () =
   Alcotest.(check bool) "carol now a member" true (Membership.member sub ~group:"eng" (p "carol"));
   (* Wrong signer and wrong server identity are refused outright. *)
   let other = Crypto.Rsa.generate (Crypto.Drbg.create ~seed:"other key") ~bits:512 in
-  let forged = Membership.sign ~key:other ~server:gs ~epoch:3 ~issued_at:3_000 [] in
+  let forged = Membership.sign ~key:other ~issuer:gs ~epoch:3 ~issued_at:3_000 [] in
   (match Membership.apply sub forged with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "snapshot with a wrong signature applied");
   let wrong_server =
-    Membership.sign ~key:rsa ~server:(p "not-groups") ~epoch:3 ~issued_at:3_000 []
+    Membership.sign ~key:rsa ~issuer:(p "not-groups") ~epoch:3 ~issued_at:3_000 []
   in
   match Membership.apply sub wrong_server with
   | Error _ -> ()
@@ -587,8 +587,8 @@ let test_snapshot_apply_ordering () =
 let test_membership_fail_closed_when_stale () =
   let rsa, gs, p = member_fixture () in
   let bound = 1_000_000 in
-  let sub = Membership.create ~server:gs ~server_pub:rsa.Crypto.Rsa.pub ~staleness_bound_us:bound ~now:0 () in
-  let snap1 = Membership.sign ~key:rsa ~server:gs ~epoch:1 ~issued_at:500 [ ("eng", [ p "alice" ]) ] in
+  let sub = Membership.create ~issuer:gs ~issuer_pub:rsa.Crypto.Rsa.pub ~staleness_bound_us:bound ~now:0 () in
+  let snap1 = Membership.sign ~key:rsa ~issuer:gs ~epoch:1 ~issued_at:500 [ ("eng", [ p "alice" ]) ] in
   ignore (Result.get_ok (Membership.apply sub snap1));
   (match Membership.check sub ~now:1_000 ~group:"eng" (p "alice") with
   | Ok () -> ()
@@ -603,7 +603,7 @@ let test_membership_fail_closed_when_stale () =
   | Ok () -> Alcotest.fail "stale replica kept serving");
   (* A fresh snapshot restores service. *)
   let snap2 =
-    Membership.sign ~key:rsa ~server:gs ~epoch:2 ~issued_at:(500 + bound + 1)
+    Membership.sign ~key:rsa ~issuer:gs ~epoch:2 ~issued_at:(500 + bound + 1)
       [ ("eng", [ p "alice" ]) ]
   in
   ignore (Result.get_ok (Membership.apply sub snap2));

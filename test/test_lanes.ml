@@ -147,6 +147,23 @@ let test_rpc_cache_evicts_oldest_on_tie () =
       Alcotest.(check bool) (id ^ " survives") true (Secure_rpc.cached c ~auth_id:id))
     [ "b"; "c"; "d" ]
 
+(* A failed replication ship is re-queued whole, so the standby can be
+   seeded with a reply it already holds. Re-seeding must update it in
+   place: evicting another live reply would let that client's failed-over
+   retransmission execute twice. *)
+let test_rpc_cache_reseed_evicts_nothing () =
+  let c = Secure_rpc.create_cache ~capacity:2 () in
+  let seed auth_id =
+    Secure_rpc.seed_response c ~now:0 ~auth_id ~expires:100 ~reply:("r-" ^ auth_id)
+  in
+  seed "a";
+  seed "b";
+  seed "b";
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " still cached") true (Secure_rpc.cached c ~auth_id:id))
+    [ "a"; "b" ]
+
 (* --- the accounting lanes: determinism across domain counts --- *)
 
 let strip_wall o = { o with Lanes.wall_s = 0. }
@@ -207,7 +224,9 @@ let () =
         [ ("replay cache ties break by insertion", `Quick, test_replay_cache_evicts_oldest_on_tie);
           ("seq tracker ties break by insertion", `Quick, test_seq_tracker_evicts_oldest_on_tie);
           ("rpc response cache ties break by insertion", `Quick,
-           test_rpc_cache_evicts_oldest_on_tie) ] );
+           test_rpc_cache_evicts_oldest_on_tie);
+          ("rpc response cache re-seed evicts nothing", `Quick,
+           test_rpc_cache_reseed_evicts_nothing) ] );
       ( "determinism",
         [ ("seq flavor gates hold on 2 domains", `Slow, test_seq_gates_hold) ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_lanes_domains_agnostic ]) ]

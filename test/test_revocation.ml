@@ -31,10 +31,10 @@ let certs_of proxy =
 let head_body proxy = (List.hd (certs_of proxy)).Proxy_cert.pk_body
 
 let sign ?(epoch = 2) ?(issued_at = 0) entries =
-  Revocation.sign ~key:ra_kp ~authority ~epoch ~issued_at entries
+  Revocation.sign ~key:ra_kp ~issuer:authority ~epoch ~issued_at entries
 
 let subscriber ?staleness_bound_us ?(now = 0) () =
-  Revocation.create ~authority ~authority_pub:ra_kp.Crypto.Rsa.pub ?staleness_bound_us ~now ()
+  Revocation.create ~issuer:authority ~issuer_pub:ra_kp.Crypto.Rsa.pub ?staleness_bound_us ~now ()
 
 (* --- bulletins --- *)
 
@@ -45,26 +45,26 @@ let test_bulletin_roundtrip () =
         Revocation.By_grantor_epoch { grantor = gina; not_before = 42 } ]
   in
   Alcotest.(check bool) "authentic" true
-    (Result.is_ok (Revocation.verify_bulletin ra_kp.Crypto.Rsa.pub b));
-  let b' = Result.get_ok (Revocation.bulletin_of_wire (Revocation.bulletin_to_wire b)) in
+    (Result.is_ok (Revocation.verify ra_kp.Crypto.Rsa.pub b));
+  let b' = Result.get_ok (Revocation.of_wire (Revocation.to_wire b)) in
   Alcotest.(check bool) "wire roundtrip preserves authenticity" true
-    (Result.is_ok (Revocation.verify_bulletin ra_kp.Crypto.Rsa.pub b'));
-  Alcotest.(check int) "epoch" b.Revocation.b_epoch b'.Revocation.b_epoch;
-  Alcotest.(check int) "entries" 2 (List.length b'.Revocation.b_entries)
+    (Result.is_ok (Revocation.verify ra_kp.Crypto.Rsa.pub b'));
+  Alcotest.(check int) "epoch" b.Revocation.epoch b'.Revocation.epoch;
+  Alcotest.(check int) "entries" 2 (List.length b'.Revocation.items)
 
 let test_bulletin_forgery_refused () =
   let b = sign [ Revocation.By_serial "abc123" ] in
   (* Wrong key. *)
   Alcotest.(check bool) "wrong authority key" true
-    (Result.is_error (Revocation.verify_bulletin other_kp.Crypto.Rsa.pub b));
+    (Result.is_error (Revocation.verify other_kp.Crypto.Rsa.pub b));
   (* Tampered content: an attacker cannot strip an entry. *)
-  let stripped = { b with Revocation.b_entries = [] } in
+  let stripped = { b with Revocation.items = [] } in
   Alcotest.(check bool) "stripped entries refused" true
-    (Result.is_error (Revocation.verify_bulletin ra_kp.Crypto.Rsa.pub stripped));
+    (Result.is_error (Revocation.verify ra_kp.Crypto.Rsa.pub stripped));
   (* Nor replay the signature onto a higher epoch. *)
-  let bumped = { b with Revocation.b_epoch = 99 } in
+  let bumped = { b with Revocation.epoch = 99 } in
   Alcotest.(check bool) "epoch splice refused" true
-    (Result.is_error (Revocation.verify_bulletin ra_kp.Crypto.Rsa.pub bumped))
+    (Result.is_error (Revocation.verify ra_kp.Crypto.Rsa.pub bumped))
 
 let test_apply_is_monotonic () =
   let t = subscriber () in
@@ -89,7 +89,7 @@ let test_apply_is_monotonic () =
   Alcotest.(check int) "as_of advanced by heartbeat" 300 (Revocation.as_of t);
   (* A bulletin signed by the wrong key never applies. *)
   let forged =
-    Revocation.sign ~key:other_kp ~authority ~epoch:9 ~issued_at:900
+    Revocation.sign ~key:other_kp ~issuer:authority ~epoch:9 ~issued_at:900
       [ Revocation.By_serial "s2" ]
   in
   Alcotest.(check bool) "forged refused" true (Result.is_error (Revocation.apply t forged));

@@ -309,15 +309,19 @@ let mod_pow_mont b e m =
   (* One scratch buffer shared by every multiplication in this call. *)
   let t = Array.make (n + 2) 0 in
   (* dst <- MontRedc(x * y); x, y, dst are n-limb arrays and dst may alias
-     either input (the product accumulates in [t] and is copied out last). *)
+     either input (the product accumulates in [t] and is copied out last).
+     With the widths checked once, the inner loops' indices stay below n,
+     so they skip the bounds checks. *)
   let mmul x y dst =
+    if Array.length x <> n || Array.length y <> n || Array.length dst <> n then
+      invalid_arg "Nat.mod_pow: Montgomery operand width";
     Array.fill t 0 (n + 2) 0;
     for i = 0 to n - 1 do
       let xi = x.(i) in
       let c = ref 0 in
       for j = 0 to n - 1 do
-        let s = t.(j) + (xi * y.(j)) + !c in
-        t.(j) <- s land limb_mask;
+        let s = Array.unsafe_get t j + (xi * Array.unsafe_get y j) + !c in
+        Array.unsafe_set t j (s land limb_mask);
         c := s lsr limb_bits
       done;
       let s = t.(n) + !c in
@@ -326,8 +330,8 @@ let mod_pow_mont b e m =
       let mv = t.(0) * m' land limb_mask in
       let c = ref ((t.(0) + (mv * m.(0))) lsr limb_bits) in
       for j = 1 to n - 1 do
-        let s = t.(j) + (mv * m.(j)) + !c in
-        t.(j - 1) <- s land limb_mask;
+        let s = Array.unsafe_get t j + (mv * Array.unsafe_get m j) + !c in
+        Array.unsafe_set t (j - 1) (s land limb_mask);
         c := s lsr limb_bits
       done;
       let s = t.(n) + !c in
@@ -439,24 +443,40 @@ let mod_inv a m =
     end
   end
 
+(* Bytes and limbs convert in one pass through an accumulator that holds
+   fewer than limb_bits + 8 bits. *)
 let of_bytes_be s =
   let n = String.length s in
-  let r = ref zero in
-  for i = 0 to n - 1 do
-    r := add (shift_left !r 8) (of_int (Char.code s.[i]))
+  let r = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and j = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (Char.code s.[i] lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      r.(!j) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits;
+      incr j
+    end
   done;
-  !r
+  if !bits > 0 then r.(!j) <- !acc;
+  normalize r
 
 let to_bytes_be a =
   let nbytes = (bit_length a + 7) / 8 in
   let b = Bytes.create nbytes in
-  let cur = ref a in
+  let acc = ref 0 and bits = ref 0 and j = ref 0 in
   for i = nbytes - 1 downto 0 do
-    let low = if is_zero !cur then 0 else !cur.(0) land 0xff in
-    Bytes.set b i (Char.chr low);
-    cur := shift_right !cur 8
+    if !bits < 8 then begin
+      if !j < Array.length a then acc := !acc lor (a.(!j) lsl !bits);
+      bits := !bits + limb_bits;
+      incr j
+    end;
+    Bytes.set b i (Char.chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    bits := !bits - 8
   done;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 let to_bytes_be_padded len a =
   let s = to_bytes_be a in

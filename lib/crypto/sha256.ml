@@ -1,92 +1,95 @@
-(* FIPS 180-4 SHA-256 over Int32 words. The message is processed in 64-byte
-   blocks buffered in [ctx.buf]. *)
+(* FIPS 180-4 SHA-256. Words are 32-bit values held in native ints: a
+   63-bit int takes the sum of five words without overflow, so additions
+   mask once at the end, and a compression allocates nothing. Full blocks
+   are compressed straight from the input; only a partial block is
+   buffered in [ctx.buf]. *)
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+     0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+     0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+     0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+     0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+     0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+     0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+     0xc67178f2 |]
 
 type ctx = {
-  h : int32 array; (* 8 chaining words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
+  h : int array; (* 8 chaining words *)
+  w : int array; (* 64-word message schedule, scratch for [compress] *)
+  buf : Bytes.t; (* partial 64-byte block *)
   mutable buf_len : int;
-  mutable total : int64; (* bytes processed *)
+  mutable total : int; (* bytes processed *)
 }
 
 let init () =
   {
     h =
-      [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-         0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+         0x5be0cd19 |];
+    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
+    total = 0;
   }
 
-let ( +% ) = Int32.add
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+let copy ctx = { ctx with h = Array.copy ctx.h; w = Array.make 64 0; buf = Bytes.copy ctx.buf }
 
-let compress h block off =
-  let w = Array.make 64 0l in
+let mask = 0xffffffff
+
+(* [x lor (x lsl 32)] puts a second copy of the word above the first, so a
+   right shift by n < 32 followed by the mask is a right rotation. The copy
+   loses the word's top bit past bit 62, which no rotation here reads. *)
+let[@inline] dup x = x lor (x lsl 32)
+
+(* Compress the 64-byte block at [off] in [block] into [ctx.h]. The
+   schedule [w] and the table [k] both hold 64 words, so the loops index
+   them unchecked. *)
+let compress ctx block off =
+  let h = ctx.h and w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      Int32.logor
-        (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (off + (4 * i))))) 24)
-        (Int32.logor
-           (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (off + (4 * i) + 1)))) 16)
-           (Int32.logor
-              (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (off + (4 * i) + 2)))) 8)
-              (Int32.of_int (Char.code (Bytes.get block (off + (4 * i) + 3))))))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 =
-      Int32.logxor (rotr w.(i - 15) 7) (Int32.logxor (rotr w.(i - 15) 18) (Int32.shift_right_logical w.(i - 15) 3))
-    in
-    let s1 =
-      Int32.logxor (rotr w.(i - 2) 17) (Int32.logxor (rotr w.(i - 2) 19) (Int32.shift_right_logical w.(i - 2) 10))
-    in
-    w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = dup x and yy = dup y in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land mask in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10)) land mask in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = Int32.logxor (rotr !e 6) (Int32.logxor (rotr !e 11) (rotr !e 25)) in
-    let ch = Int32.logxor (Int32.logand !e !f) (Int32.logand (Int32.lognot !e) !g) in
-    let t1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
-    let s0 = Int32.logxor (rotr !a 2) (Int32.logxor (rotr !a 13) (rotr !a 22)) in
-    let maj = Int32.logxor (Int32.logand !a !b) (Int32.logxor (Int32.logand !a !c) (Int32.logand !b !c)) in
-    let t2 = s0 +% maj in
+    let ee = dup !e and aa = dup !a in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
-    e := !d +% t1;
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
     b := !a;
-    a := t1 +% t2
+    a := (t1 + s0 + maj) land mask
   done;
-  h.(0) <- h.(0) +% !a;
-  h.(1) <- h.(1) +% !b;
-  h.(2) <- h.(2) +% !c;
-  h.(3) <- h.(3) +% !d;
-  h.(4) <- h.(4) +% !e;
-  h.(5) <- h.(5) +% !f;
-  h.(6) <- h.(6) +% !g;
-  h.(7) <- h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let update ctx s =
   let len = String.length s in
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref 0 in
   (* Fill a partial buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -96,13 +99,14 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx.h ctx.buf 0;
+      compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
+  (* [compress] only reads the block, so the input needs no copy. *)
+  let src = Bytes.unsafe_of_string s in
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx.h ctx.buf 0;
+    compress ctx src !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
@@ -111,33 +115,22 @@ let update ctx s =
   end
 
 let finalize ctx =
-  let bitlen = Int64.mul ctx.total 8L in
-  (* Append 0x80, zero padding, then the 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.buf_len + 1 + 8) mod 64 in
-    if rem = 0 then 0 else 64 - rem
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail
-      (1 + pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen (8 * (7 - i))) 0xffL)))
-  done;
-  (* Bypass the total-length bookkeeping: we are appending padding. *)
-  let save_total = ctx.total in
-  update ctx (Bytes.to_string tail);
-  ctx.total <- save_total;
-  assert (ctx.buf_len = 0);
+  (* Append 0x80, zero padding, then the 64-bit big-endian bit length. *)
+  let buf = ctx.buf and n = ctx.buf_len + 1 in
+  Bytes.set buf ctx.buf_len '\x80';
+  if n > 56 then begin
+    Bytes.fill buf n (64 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf n (56 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.shift_left (Int64.of_int ctx.total) 3);
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let w = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr (Int32.to_int (Int32.shift_right_logical w 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical w 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical w 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int w land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in

@@ -71,6 +71,25 @@ let test_bits () =
   Alcotest.(check bool) "bit 2 of 5" true N.(bit (of_int 5) 2);
   Alcotest.(check bool) "bit out of range" false (N.bit big_a 10_000)
 
+(* The byte conversions as they were before the one-pass packing: one
+   shift and add (or one shift) per byte. *)
+let fold_of_bytes_be s =
+  String.fold_left (fun r c -> N.add (N.shift_left r 8) (N.of_int (Char.code c))) N.zero s
+
+let fold_to_bytes_be a =
+  let nbytes = (N.bit_length a + 7) / 8 in
+  let b = Bytes.create nbytes in
+  let cur = ref a in
+  for i = nbytes - 1 downto 0 do
+    let low = ref 0 in
+    for k = 7 downto 0 do
+      low := (!low lsl 1) lor if N.bit !cur k then 1 else 0
+    done;
+    Bytes.set b i (Char.chr !low);
+    cur := N.shift_right !cur 8
+  done;
+  Bytes.to_string b
+
 let test_bytes_roundtrip () =
   Alcotest.check nat "bytes roundtrip" big_a (N.of_bytes_be (N.to_bytes_be big_a));
   Alcotest.(check string) "zero is empty" "" N.(to_bytes_be zero);
@@ -78,6 +97,13 @@ let test_bytes_roundtrip () =
   let padded = N.to_bytes_be_padded 32 big_b in
   Alcotest.(check int) "padded length" 32 (String.length padded);
   Alcotest.check nat "padded value" big_b (N.of_bytes_be padded);
+  List.iter
+    (fun s ->
+      let a = fold_of_bytes_be s in
+      Alcotest.check nat (Printf.sprintf "of_bytes_be %S" s) a (N.of_bytes_be s);
+      Alcotest.(check string) (Printf.sprintf "to_bytes_be %S" s) (fold_to_bytes_be a) (N.to_bytes_be a))
+    [ ""; "\000"; "\000\000\000"; "\000\001"; "\001\000"; "\255"; "\000\000\128\000\000\000";
+      String.make 13 '\255'; String.make 300 '\255'; "\001" ^ String.make 299 '\000' ];
   Alcotest.(check_raises "too small" (Invalid_argument "Nat.to_bytes_be_padded: does not fit")
       (fun () -> ignore (N.to_bytes_be_padded 2 big_a)))
 
@@ -178,6 +204,21 @@ let prop_matches_int =
 let prop_bytes_roundtrip =
   QCheck.Test.make ~name:"bytes roundtrip" ~count:300 arb_big (fun a ->
       N.equal a (N.of_bytes_be (N.to_bytes_be a)))
+
+(* Lengths 0-300, often behind a run of leading zero bytes. *)
+let bytes_gen =
+  QCheck.Gen.(
+    map2
+      (fun zeros body -> String.make zeros '\000' ^ body)
+      (frequency [ (2, return 0); (1, int_range 1 9) ])
+      (string_size ~gen:char (int_range 0 300)))
+
+let prop_bytes_vs_fold =
+  QCheck.Test.make ~name:"byte conversions = per-byte fold" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") bytes_gen)
+    (fun s ->
+      let a = fold_of_bytes_be s in
+      N.equal (N.of_bytes_be s) a && N.to_bytes_be a = fold_to_bytes_be a)
 
 let prop_string_roundtrip =
   QCheck.Test.make ~name:"decimal roundtrip" ~count:200 arb_big (fun a ->
@@ -287,7 +328,7 @@ let test_fast_path_edges () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_add_commutative; prop_mul_commutative; prop_mul_distributes;
-      prop_divmod_invariant; prop_matches_int; prop_bytes_roundtrip;
+      prop_divmod_invariant; prop_matches_int; prop_bytes_roundtrip; prop_bytes_vs_fold;
       prop_string_roundtrip; prop_shift_mul; prop_modinv; prop_modpow_small;
       prop_karatsuba_vs_schoolbook; prop_montgomery_vs_naive; prop_divmod_huge ]
 

@@ -31,6 +31,282 @@ let hex s =
     s;
   Buffer.contents buf
 
+(* --- Reference implementations ---
+
+   SHA-256 and ChaCha20 as they were on Int32 words, with HMAC and AEAD
+   composed over them by concatenation, kept as the oracle for the
+   native-int kernels: every output byte must agree. *)
+
+module Ref_sha256 = struct
+  let k =
+    [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
+       0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
+       0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
+       0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
+       0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
+       0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
+       0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
+       0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
+       0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
+       0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
+       0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
+       0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
+       0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+
+  type ctx = {
+    h : int32 array; (* 8 chaining words *)
+    buf : Bytes.t; (* 64-byte block buffer *)
+    mutable buf_len : int;
+    mutable total : int64; (* bytes processed *)
+  }
+
+  let init () =
+    {
+      h =
+        [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
+           0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
+      buf = Bytes.create 64;
+      buf_len = 0;
+      total = 0L;
+    }
+
+  let ( +% ) = Int32.add
+  let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+
+  let compress h block off =
+    let w = Array.make 64 0l in
+    for i = 0 to 15 do
+      w.(i) <-
+        Int32.logor
+          (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (off + (4 * i))))) 24)
+          (Int32.logor
+             (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (off + (4 * i) + 1)))) 16)
+             (Int32.logor
+                (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (off + (4 * i) + 2)))) 8)
+                (Int32.of_int (Char.code (Bytes.get block (off + (4 * i) + 3))))))
+    done;
+    for i = 16 to 63 do
+      let s0 =
+        Int32.logxor (rotr w.(i - 15) 7) (Int32.logxor (rotr w.(i - 15) 18) (Int32.shift_right_logical w.(i - 15) 3))
+      in
+      let s1 =
+        Int32.logxor (rotr w.(i - 2) 17) (Int32.logxor (rotr w.(i - 2) 19) (Int32.shift_right_logical w.(i - 2) 10))
+      in
+      w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let s1 = Int32.logxor (rotr !e 6) (Int32.logxor (rotr !e 11) (rotr !e 25)) in
+      let ch = Int32.logxor (Int32.logand !e !f) (Int32.logand (Int32.lognot !e) !g) in
+      let t1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
+      let s0 = Int32.logxor (rotr !a 2) (Int32.logxor (rotr !a 13) (rotr !a 22)) in
+      let maj = Int32.logxor (Int32.logand !a !b) (Int32.logxor (Int32.logand !a !c) (Int32.logand !b !c)) in
+      let t2 = s0 +% maj in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := !d +% t1;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := t1 +% t2
+    done;
+    h.(0) <- h.(0) +% !a;
+    h.(1) <- h.(1) +% !b;
+    h.(2) <- h.(2) +% !c;
+    h.(3) <- h.(3) +% !d;
+    h.(4) <- h.(4) +% !e;
+    h.(5) <- h.(5) +% !f;
+    h.(6) <- h.(6) +% !g;
+    h.(7) <- h.(7) +% !hh
+
+  let update ctx s =
+    let len = String.length s in
+    ctx.total <- Int64.add ctx.total (Int64.of_int len);
+    let pos = ref 0 in
+    (* Fill a partial buffer first. *)
+    if ctx.buf_len > 0 then begin
+      let need = 64 - ctx.buf_len in
+      let take = min need len in
+      Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+      ctx.buf_len <- ctx.buf_len + take;
+      pos := take;
+      if ctx.buf_len = 64 then begin
+        compress ctx.h ctx.buf 0;
+        ctx.buf_len <- 0
+      end
+    end;
+    while len - !pos >= 64 do
+      Bytes.blit_string s !pos ctx.buf 0 64;
+      compress ctx.h ctx.buf 0;
+      pos := !pos + 64
+    done;
+    if !pos < len then begin
+      Bytes.blit_string s !pos ctx.buf ctx.buf_len (len - !pos);
+      ctx.buf_len <- ctx.buf_len + (len - !pos)
+    end
+
+  let finalize ctx =
+    let bitlen = Int64.mul ctx.total 8L in
+    (* Append 0x80, zero padding, then the 64-bit big-endian length. *)
+    let pad_len =
+      let rem = (ctx.buf_len + 1 + 8) mod 64 in
+      if rem = 0 then 0 else 64 - rem
+    in
+    let tail = Bytes.make (1 + pad_len + 8) '\000' in
+    Bytes.set tail 0 '\x80';
+    for i = 0 to 7 do
+      Bytes.set tail
+        (1 + pad_len + i)
+        (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen (8 * (7 - i))) 0xffL)))
+    done;
+    (* Bypass the total-length bookkeeping: we are appending padding. *)
+    let save_total = ctx.total in
+    update ctx (Bytes.to_string tail);
+    ctx.total <- save_total;
+    assert (ctx.buf_len = 0);
+    let out = Bytes.create 32 in
+    for i = 0 to 7 do
+      let w = ctx.h.(i) in
+      Bytes.set out (4 * i) (Char.chr (Int32.to_int (Int32.shift_right_logical w 24) land 0xff));
+      Bytes.set out ((4 * i) + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical w 16) land 0xff));
+      Bytes.set out ((4 * i) + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical w 8) land 0xff));
+      Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int w land 0xff))
+    done;
+    Bytes.to_string out
+
+  let digest s =
+    let ctx = init () in
+    update ctx s;
+    finalize ctx
+end
+
+module Ref_chacha20 = struct
+  let ( +% ) = Int32.add
+  let ( ^% ) = Int32.logxor
+  let rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+
+  let quarter st a b c d =
+    st.(a) <- st.(a) +% st.(b);
+    st.(d) <- rotl (st.(d) ^% st.(a)) 16;
+    st.(c) <- st.(c) +% st.(d);
+    st.(b) <- rotl (st.(b) ^% st.(c)) 12;
+    st.(a) <- st.(a) +% st.(b);
+    st.(d) <- rotl (st.(d) ^% st.(a)) 8;
+    st.(c) <- st.(c) +% st.(d);
+    st.(b) <- rotl (st.(b) ^% st.(c)) 7
+
+  let word_le s off =
+    Int32.logor
+      (Int32.of_int (Char.code s.[off]))
+      (Int32.logor
+         (Int32.shift_left (Int32.of_int (Char.code s.[off + 1])) 8)
+         (Int32.logor
+            (Int32.shift_left (Int32.of_int (Char.code s.[off + 2])) 16)
+            (Int32.shift_left (Int32.of_int (Char.code s.[off + 3])) 24)))
+
+  let block ~key ~nonce ~counter =
+    if String.length key <> 32 then invalid_arg "Chacha20.block: key must be 32 bytes";
+    if String.length nonce <> 12 then invalid_arg "Chacha20.block: nonce must be 12 bytes";
+    let st = Array.make 16 0l in
+    st.(0) <- 0x61707865l;
+    st.(1) <- 0x3320646el;
+    st.(2) <- 0x79622d32l;
+    st.(3) <- 0x6b206574l;
+    for i = 0 to 7 do
+      st.(4 + i) <- word_le key (4 * i)
+    done;
+    st.(12) <- Int32.of_int counter;
+    for i = 0 to 2 do
+      st.(13 + i) <- word_le nonce (4 * i)
+    done;
+    let working = Array.copy st in
+    for _ = 1 to 10 do
+      quarter working 0 4 8 12;
+      quarter working 1 5 9 13;
+      quarter working 2 6 10 14;
+      quarter working 3 7 11 15;
+      quarter working 0 5 10 15;
+      quarter working 1 6 11 12;
+      quarter working 2 7 8 13;
+      quarter working 3 4 9 14
+    done;
+    let out = Bytes.create 64 in
+    for i = 0 to 15 do
+      let w = working.(i) +% st.(i) in
+      Bytes.set out (4 * i) (Char.chr (Int32.to_int w land 0xff));
+      Bytes.set out ((4 * i) + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical w 8) land 0xff));
+      Bytes.set out ((4 * i) + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical w 16) land 0xff));
+      Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int (Int32.shift_right_logical w 24) land 0xff))
+    done;
+    Bytes.to_string out
+
+  let encrypt ~key ~nonce ?(counter = 1) msg =
+    let len = String.length msg in
+    let out = Bytes.create len in
+    let nblocks = (len + 63) / 64 in
+    for b = 0 to nblocks - 1 do
+      let ks = block ~key ~nonce ~counter:(counter + b) in
+      let off = 64 * b in
+      let n = min 64 (len - off) in
+      for i = 0 to n - 1 do
+        Bytes.set out (off + i) (Char.chr (Char.code msg.[off + i] lxor Char.code ks.[i]))
+      done
+    done;
+    Bytes.to_string out
+end
+
+module Ref_hmac = struct
+  module Sha256 = Ref_sha256
+
+  let block_size = 64
+
+  let mac ~key msg =
+    let key = if String.length key > block_size then Sha256.digest key else key in
+    let pad c =
+      String.init block_size (fun i ->
+          let k = if i < String.length key then Char.code key.[i] else 0 in
+          Char.chr (k lxor c))
+    in
+    let inner = Sha256.digest (pad 0x36 ^ msg) in
+    Sha256.digest (pad 0x5c ^ inner)
+end
+
+module Ref_aead = struct
+  module Hmac = Ref_hmac
+  module Chacha20 = Ref_chacha20
+
+  type sealed = Aead.sealed = { nonce : string; ciphertext : string; tag : string }
+
+  (* Domain-separated subkeys so the same 32-byte key can drive both the
+     cipher and the MAC. *)
+  let enc_key key = Hmac.mac ~key "aead-encrypt"
+  let mac_key key = Hmac.mac ~key "aead-mac"
+
+  let tag_input ~nonce ~ad ~ciphertext =
+    let len_be n =
+      String.init 8 (fun i -> Char.chr ((n lsr (8 * (7 - i))) land 0xff))
+    in
+    String.concat "" [ len_be (String.length ad); ad; len_be (String.length ciphertext); ciphertext; nonce ]
+
+  let seal ~key ?(ad = "") ~nonce plaintext =
+    if String.length key <> 32 then invalid_arg "Aead.seal: key must be 32 bytes";
+    if String.length nonce <> 12 then invalid_arg "Aead.seal: nonce must be 12 bytes";
+    let ciphertext = Chacha20.encrypt ~key:(enc_key key) ~nonce plaintext in
+    let tag = Hmac.mac ~key:(mac_key key) (tag_input ~nonce ~ad ~ciphertext) in
+    { nonce; ciphertext; tag }
+
+  let open_ ~key ?(ad = "") box =
+    if String.length key <> 32 || String.length box.nonce <> 12 then None
+    else begin
+      let expected = Hmac.mac ~key:(mac_key key) (tag_input ~nonce:box.nonce ~ad ~ciphertext:box.ciphertext) in
+      if Ct.equal_string expected box.tag then
+        Some (Chacha20.encrypt ~key:(enc_key key) ~nonce:box.nonce box.ciphertext)
+      else None
+    end
+end
+
 (* --- SHA-256: FIPS 180-4 / NIST CAVS vectors --- *)
 
 let test_sha256_vectors () =
@@ -76,7 +352,11 @@ let test_hmac_vectors () =
         "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
       ( String.make 131 '\xaa',
         "Test Using Larger Than Block-Size Key - Hash Key First",
-        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" ) ]
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( String.make 131 '\xaa',
+        "This is a test using a larger than block-size key and a larger than block-size data. \
+         The key needs to be hashed before being used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" ) ]
   in
   List.iter
     (fun (key, msg, want) ->
@@ -93,10 +373,14 @@ let test_hmac_verify () =
   Alcotest.(check bool) "rejects truncated" false
     (Hmac.verify ~key ~msg ~tag:(String.sub tag 0 16))
 
-(* --- ChaCha20: RFC 8439 section 2.4.2 vector --- *)
+(* --- ChaCha20: RFC 8439 section 2.3.2 and 2.4.2 vectors --- *)
 
 let test_chacha20_vector () =
   let key = hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
+  Alcotest.(check string) "rfc8439 block"
+    "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
+     d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+    (Sha256.to_hex (Chacha20.block ~key ~nonce:(hex "000000090000004a00000000") ~counter:1));
   let nonce = hex "000000000000004a00000000" in
   let plaintext =
     "Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it."
@@ -238,6 +522,23 @@ let test_rsa_pub_encoding () =
         (Rsa.verify pub ~msg:"check encoding" ~signature);
       Alcotest.(check bool) "truncated fails" true (Rsa.public_of_bytes "\x00\x00" = None)
 
+let test_rsa_pub_encoding_linear () =
+  (* Key bytes arrive from the wire before any signature is checked, so
+     decoding and re-encoding them must allocate in proportion to their
+     length. *)
+  let n = 32 * 1024 in
+  let be32 k = String.init 4 (fun i -> Char.chr ((k lsr (8 * (3 - i))) land 0xff)) in
+  let modulus = "\x80" ^ String.init (n - 1) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  let wire = String.concat "" [ be32 n; modulus; be32 3; "\x01\x00\x01" ] in
+  let before = Gc.allocated_bytes () in
+  let back = Option.map Rsa.public_to_bytes (Rsa.public_of_bytes wire) in
+  let used = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "roundtrip" true (back = Some wire);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated for a %d-byte modulus" used n)
+    true
+    (used < 32. *. float n)
+
 (* --- RSA-CRT compatibility ---
 
    The CRT fast path must be a pure optimisation: for any key the signature
@@ -340,9 +641,121 @@ let prop_ct_equal_iff =
     (QCheck.pair QCheck.small_string QCheck.small_string)
     (fun (a, b) -> Ct.equal_string a b = (a = b))
 
+(* Against the reference implementations. Message lengths lean on the
+   padding edges: at 55 bytes the length still fits the last block, at 56
+   it does not; 63, 64, 119, 120 and 128 sit at block boundaries. *)
+
+let msg_gen =
+  QCheck.Gen.(
+    frequency [ (1, oneofl [ 55; 56; 63; 64; 119; 120; 128 ]); (2, int_range 0 300) ] >>= fun n ->
+    string_size ~gen:char (return n))
+
+let arb_msg =
+  QCheck.make ~print:(fun s -> Printf.sprintf "%d bytes %s" (String.length s) (Sha256.to_hex s)) msg_gen
+
+let arb_key32 = QCheck.make ~print:Sha256.to_hex QCheck.Gen.(string_size ~gen:char (return 32))
+
+let prop_sha_vs_ref =
+  QCheck.Test.make ~name:"sha256 = int32 reference" ~count:500 arb_msg (fun m ->
+      Sha256.digest m = Ref_sha256.digest m)
+
+let prop_sha_split =
+  QCheck.Test.make ~name:"sha256 update at random split points, and copy" ~count:300
+    (QCheck.pair arb_msg QCheck.(small_list small_nat))
+    (fun (m, cuts) ->
+      let len = String.length m in
+      let cuts = List.sort compare (List.map (fun c -> c mod (len + 1)) cuts) in
+      let ctx = Sha256.init () in
+      let pos =
+        List.fold_left
+          (fun pos c ->
+            Sha256.update ctx (String.sub m pos (c - pos));
+            c)
+          0 cuts
+      in
+      let twin = Sha256.copy ctx and rest = String.sub m pos (len - pos) in
+      Sha256.update ctx rest;
+      Sha256.update twin rest;
+      let want = Ref_sha256.digest m in
+      Sha256.finalize ctx = want && Sha256.finalize twin = want)
+
+let prop_hmac_vs_ref =
+  QCheck.Test.make ~name:"hmac = reference, keys 0-200 bytes" ~count:300
+    (QCheck.pair
+       (QCheck.make ~print:Sha256.to_hex
+          QCheck.Gen.(
+            string_size ~gen:char (frequency [ (1, oneofl [ 63; 64; 65 ]); (3, int_range 0 200) ])))
+       arb_msg)
+    (fun (key, m) ->
+      let want = Ref_hmac.mac ~key m and k = Hmac.prepare key in
+      Hmac.mac ~key m = want && Hmac.mac_prepared k m = want && Hmac.mac_prepared k m = want)
+
+let prop_chacha_vs_ref =
+  QCheck.Test.make ~name:"chacha20 = int32 reference, counters to 0xffffffff" ~count:300
+    (QCheck.triple arb_key32
+       (QCheck.make ~print:string_of_int
+          QCheck.Gen.(
+            frequency [ (1, oneofl [ 0; 1; 0xfffffffe; 0xffffffff ]); (2, int_bound 0xffffffff) ]))
+       arb_msg)
+    (fun (key, counter, m) ->
+      let nonce = String.sub (Sha256.digest key) 0 12 in
+      Chacha20.encrypt ~key ~nonce ~counter m = Ref_chacha20.encrypt ~key ~nonce ~counter m
+      && Chacha20.block ~key ~nonce ~counter = Ref_chacha20.block ~key ~nonce ~counter)
+
+let prop_aead_vs_ref =
+  QCheck.Test.make ~name:"aead seal/open = reference" ~count:200
+    (QCheck.quad arb_key32 QCheck.small_string arb_msg QCheck.(option small_nat))
+    (fun (key, ad, pt, flip) ->
+      let nonce = String.sub (Sha256.digest pt) 0 12 in
+      let box = Aead.seal ~key ~ad ~nonce pt in
+      let received =
+        match flip with
+        | None -> box
+        | Some i ->
+            let b = Bytes.of_string (Aead.encode box) in
+            let i = i mod Bytes.length b in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
+            Option.get (Aead.decode (Bytes.to_string b))
+      in
+      box = Ref_aead.seal ~key ~ad ~nonce pt
+      && Aead.open_ ~key ~ad received = Ref_aead.open_ ~key ~ad received)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_sha_distinct; prop_aead_roundtrip; prop_chacha_involution; prop_ct_equal_iff ]
+    [ prop_sha_distinct; prop_aead_roundtrip; prop_chacha_involution; prop_ct_equal_iff;
+      prop_sha_vs_ref; prop_sha_split; prop_hmac_vs_ref; prop_chacha_vs_ref; prop_aead_vs_ref ]
+
+(* --- Allocation gate ---
+
+   The kernels hold their words in native ints, so a SHA-256 compression or
+   a ChaCha20 block allocates nothing. Each bound sits several times above
+   what the call allocates now and several times below what boxed Int32
+   words cost (per call: 38.7 KB, 259 KB, 10.3 KB and 329 KB). Bytecode
+   boxes regardless, so the gate runs on native code only. *)
+
+let minor_bytes_per_call f =
+  ignore (f ());
+  let calls = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) *. float (Sys.word_size / 8) /. float calls
+
+let test_allocation_gate () =
+  if Sys.backend_type = Sys.Native then begin
+    let kb = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
+    let key = String.make 32 'k' and nonce = String.make 12 'n' in
+    List.iter
+      (fun (name, bound, f) ->
+        let used = minor_bytes_per_call f in
+        Alcotest.(check bool) (Printf.sprintf "%s: %.0f B per call <= %d" name used bound) true
+          (used <= float bound))
+      [ ("Sha256.digest 1 KB", 4096, fun () -> Sha256.digest kb);
+        ("Chacha20.encrypt 1 KB", 8192, fun () -> Chacha20.encrypt ~key ~nonce kb);
+        ("Hmac.mac", 4096, fun () -> Hmac.mac ~key "aead-mac");
+        ("Aead.seal 1 KB", 32768, fun () -> (Aead.seal ~key ~nonce kb).Aead.tag) ]
+  end
 
 let () =
   Alcotest.run "crypto"
@@ -356,6 +769,7 @@ let () =
         [ ("rfc8439 vector", `Quick, test_chacha20_vector);
           ("argument validation", `Quick, test_chacha20_args) ] );
       ("ct", [ ("constant-time compare", `Quick, test_ct) ]);
+      ("allocation", [ ("kernels allocate no words", `Quick, test_allocation_gate) ]);
       ( "drbg",
         [ ("deterministic", `Quick, test_drbg_deterministic);
           ("reseed", `Quick, test_drbg_reseed);
@@ -369,6 +783,7 @@ let () =
           ("cross key", `Slow, test_rsa_cross_key);
           ("encrypt/decrypt", `Slow, test_rsa_encrypt);
           ("public key encoding", `Slow, test_rsa_pub_encoding);
+          ("public key encoding is linear", `Quick, test_rsa_pub_encoding_linear);
           ("crt byte-identical", `Slow, test_rsa_crt_byte_identical);
           ("crt fault guard", `Slow, test_rsa_crt_fault_guard);
           ("crt unguarded fault rejected", `Slow, test_rsa_crt_unguarded_fault_rejected) ] );

@@ -254,6 +254,15 @@ let divmod_knuth u v =
   let r = normalize (Array.sub u 0 n) in
   (normalize q, shift_right r s)
 
+(* [r < d <= 2^36] keeps [(r lsl 26) lor limb] below 2^62. *)
+let rem_int a d =
+  if d <= 0 || d > 1 lsl 36 then invalid_arg "Nat.rem_int: divisor out of range";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor a.(i)) mod d
+  done;
+  !r
+
 let divmod a b =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
@@ -281,12 +290,22 @@ let mod_pow_naive b e m =
 
 (* --- Montgomery arithmetic (odd moduli) ---------------------------------
 
-   Operands live as fixed-width arrays of exactly [n = len m] limbs; the
-   multiplier is CIOS (coarsely integrated operand scanning), which
-   interleaves the partial product with the reduction so the working array
-   never exceeds [n + 2] limbs and the hot loop does no allocation at all.
-   Limb products stay below 2^52, so every intermediate sum fits a native
-   63-bit int with room for carries. *)
+   Operands live as fixed-width arrays of exactly [n = len m] limbs. The
+   multiplier scans products column by column, in the finely integrated
+   product-scanning order of Koç, Acar and Kaliski (1996): column k sums
+   every x_j*y_(k-j) and q_j*m_(k-j) in one native int before it takes the
+   low limb and carries the rest into column k+1. Columns 0..n-1 each fix
+   the quotient limb q_k that clears their low limb; columns n..2n-1 are
+   the limbs of the result, which is below 2m.
+
+   Headroom: a limb product is at most (2^26-1)^2 and a column holds at
+   most 2n of them. If every column sum is at most B = 2n(2^26-1)2^26, a
+   carry is at most B/2^26 = 2n(2^26-1), so the next sum is at most
+   2n(2^26-1) + 2n(2^26-1)^2 = B again. B <= max_int = 2^62-1 exactly when
+   n <= 512 (at n = 512, B = 2^62 - 2^36); wider moduli (above 13312 bits)
+   take [mod_pow_naive]. *)
+
+let mont_max_limbs = 512
 
 (* -m^{-1} mod 2^26 by Newton lifting: for odd m0, x = m0 is an inverse
    mod 8; each step doubles the number of correct low bits. *)
@@ -298,6 +317,60 @@ let mont_neg_inv m0 =
   done;
   (base - !x) land limb_mask
 
+(* dst <- x * y / R mod m, with R = 2^(26n) and m' = -m^{-1} mod 2^26.
+   x, y, dst and the quotient scratch q are n-limb arrays; dst may alias x
+   or y, because column n+k writes limb k and later columns read only
+   limbs above k. With the widths checked once, every inner index stays
+   below n, so the inner loops skip the bounds checks. *)
+let mont_mul m m' q x y dst =
+  let n = Array.length m in
+  if Array.length x <> n || Array.length y <> n || Array.length dst <> n || Array.length q <> n
+  then invalid_arg "Nat.mod_pow: Montgomery operand width";
+  let c = ref 0 in
+  for k = 0 to n - 1 do
+    let s = ref (!c + (x.(k) * y.(0))) in
+    for j = 0 to k - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get x j * Array.unsafe_get y (k - j))
+        + (Array.unsafe_get q j * Array.unsafe_get m (k - j))
+    done;
+    let qk = !s * m' land limb_mask in
+    q.(k) <- qk;
+    c := (!s + (qk * m.(0))) lsr limb_bits
+  done;
+  for k = n to (2 * n) - 2 do
+    let s = ref !c in
+    for j = k - n + 1 to n - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get x j * Array.unsafe_get y (k - j))
+        + (Array.unsafe_get q j * Array.unsafe_get m (k - j))
+    done;
+    dst.(k - n) <- !s land limb_mask;
+    c := !s lsr limb_bits
+  done;
+  dst.(n - 1) <- !c land limb_mask;
+  (* One conditional subtraction brings the result below m. *)
+  let i = ref (n - 1) in
+  while !i >= 0 && dst.(!i) = m.(!i) do
+    decr i
+  done;
+  if !c > limb_mask || !i < 0 || dst.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = dst.(j) - m.(j) - !borrow in
+      if d < 0 then begin
+        dst.(j) <- d + base;
+        borrow := 1
+      end
+      else begin
+        dst.(j) <- d;
+        borrow := 0
+      end
+    done
+  end
+
 let mod_pow_mont b e m =
   let n = Array.length m in
   let m' = mont_neg_inv m.(0) in
@@ -306,64 +379,9 @@ let mod_pow_mont b e m =
     Array.blit x 0 r 0 (Array.length x);
     r
   in
-  (* One scratch buffer shared by every multiplication in this call. *)
-  let t = Array.make (n + 2) 0 in
-  (* dst <- MontRedc(x * y); x, y, dst are n-limb arrays and dst may alias
-     either input (the product accumulates in [t] and is copied out last).
-     With the widths checked once, the inner loops' indices stay below n,
-     so they skip the bounds checks. *)
-  let mmul x y dst =
-    if Array.length x <> n || Array.length y <> n || Array.length dst <> n then
-      invalid_arg "Nat.mod_pow: Montgomery operand width";
-    Array.fill t 0 (n + 2) 0;
-    for i = 0 to n - 1 do
-      let xi = x.(i) in
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        let s = Array.unsafe_get t j + (xi * Array.unsafe_get y j) + !c in
-        Array.unsafe_set t j (s land limb_mask);
-        c := s lsr limb_bits
-      done;
-      let s = t.(n) + !c in
-      t.(n) <- s land limb_mask;
-      t.(n + 1) <- t.(n + 1) + (s lsr limb_bits);
-      let mv = t.(0) * m' land limb_mask in
-      let c = ref ((t.(0) + (mv * m.(0))) lsr limb_bits) in
-      for j = 1 to n - 1 do
-        let s = Array.unsafe_get t j + (mv * Array.unsafe_get m j) + !c in
-        Array.unsafe_set t (j - 1) (s land limb_mask);
-        c := s lsr limb_bits
-      done;
-      let s = t.(n) + !c in
-      t.(n - 1) <- s land limb_mask;
-      t.(n) <- t.(n + 1) + (s lsr limb_bits);
-      t.(n + 1) <- 0
-    done;
-    (* CIOS leaves t < 2m; one conditional subtraction normalizes. *)
-    let ge =
-      t.(n) <> 0
-      ||
-      let rec cmp i =
-        if i < 0 then true else if t.(i) <> m.(i) then t.(i) > m.(i) else cmp (i - 1)
-      in
-      cmp (n - 1)
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for j = 0 to n - 1 do
-        let d = t.(j) - m.(j) - !borrow in
-        if d < 0 then begin
-          dst.(j) <- d + base;
-          borrow := 1
-        end
-        else begin
-          dst.(j) <- d;
-          borrow := 0
-        end
-      done
-    end
-    else Array.blit t 0 dst 0 n
-  in
+  (* One quotient scratch shared by every multiplication in this call. *)
+  let q = Array.make n 0 in
+  let mmul x y dst = mont_mul m m' q x y dst in
   (* R^2 mod m converts into the Montgomery domain; R = base^n. *)
   let r2 = pad (rem (shift_left one (2 * n * limb_bits)) m) in
   let nbits = bit_length e in
@@ -410,7 +428,7 @@ let mod_pow_mont b e m =
 let mod_pow b e m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
-  else if is_even m then mod_pow_naive b e m
+  else if is_even m || Array.length m > mont_max_limbs then mod_pow_naive b e m
   else if is_zero e then one
   else begin
     let b = rem b m in

@@ -52,6 +52,10 @@ val divmod : t -> t -> t * t
 val div : t -> t -> t
 val rem : t -> t -> t
 
+val rem_int : t -> int -> int
+(** [rem_int a d] is [a mod d] as a native int, computed without
+    allocating. Raises [Invalid_argument] unless [0 < d <= 2^36]. *)
+
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
@@ -63,9 +67,13 @@ val bit_length : t -> int
 
 val mod_pow : t -> t -> t -> t
 (** [mod_pow base exp m] is [base^exp mod m]. Raises [Division_by_zero] if
-    [m] is zero. Odd moduli take the Montgomery/sliding-window fast path
-    (CIOS multiplication, no division in the loop); even moduli fall back
-    to {!mod_pow_naive}. *)
+    [m] is zero. Odd moduli of up to 512 limbs (13312 bits) take the
+    Montgomery/sliding-window fast path: each Montgomery product scans its
+    columns in the finely integrated product-scanning order, summing every
+    limb product of a column in one native int and carrying once per
+    column, with no division in the loop. 512 limbs is the widest modulus
+    whose column sums stay below [max_int]. Even moduli and wider ones
+    fall back to {!mod_pow_naive}. *)
 
 val mod_pow_naive : t -> t -> t -> t
 (** The reference square-and-multiply with a full division per step —

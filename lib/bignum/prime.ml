@@ -6,6 +6,23 @@ let small_primes =
     149; 151; 157; 163; 167; 173; 179; 181; 191; 193; 197; 199; 211; 223;
     227; 229; 233; 239; 241; 251 ]
 
+(* The small primes in groups whose product is at most 2^36, so
+   [Nat.rem_int] reduces a candidate once per group and each prime then
+   divides a native int. *)
+let prime_groups =
+  let rec go groups prod group = function
+    | [] -> List.rev ((prod, group) :: groups)
+    | p :: ps when prod * p <= 1 lsl 36 -> go groups (prod * p) (p :: group) ps
+    | p :: ps -> go ((prod, group) :: groups) p [ p ] ps
+  in
+  go [] 1 [] small_primes
+
+let rec divides_any r = function [] -> false | p :: ps -> r mod p = 0 || divides_any r ps
+
+let rec has_small_factor n = function
+  | [] -> false
+  | (prod, ps) :: groups -> divides_any (Nat.rem_int n prod) ps || has_small_factor n groups
+
 let random_nat_bits rand k =
   if k <= 0 then Nat.zero
   else begin
@@ -46,23 +63,10 @@ let mr_round n n1 d s a =
 let is_probably_prime ?(rounds = 24) rand n =
   match Nat.to_int_opt n with
   | Some i when i < 2 -> false
+  | Some i when List.mem i small_primes -> true
   | _ ->
-      let divisible_by_small =
-        List.exists
-          (fun p ->
-            let pn = Nat.of_int p in
-            if Nat.compare n pn = 0 then false
-            else Nat.is_zero (Nat.rem n pn))
-          small_primes
-      in
-      if divisible_by_small then
-        (* n is composite unless it IS one of the small primes. *)
-        List.exists (fun p -> Nat.equal n (Nat.of_int p)) small_primes
-      else if
-        (match Nat.to_int_opt n with
-        | Some i -> List.mem i small_primes
-        | None -> false)
-      then true
+      (* n is not a small prime, so a small prime factor makes it composite. *)
+      if has_small_factor n prime_groups then false
       else begin
         let n1 = Nat.sub n Nat.one in
         let rec split d s = if Nat.is_even d then split (Nat.shift_right d 1) (s + 1) else (d, s) in

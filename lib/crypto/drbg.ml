@@ -2,13 +2,26 @@
 
 type t = { mutable key : string; mutable v : string }
 
-let update t provided =
-  t.key <- Hmac.mac ~key:t.key (t.v ^ "\x00" ^ provided);
-  t.v <- Hmac.mac ~key:t.key t.v;
+(* HMAC under the prepared key [k] of [v ‖ sep ‖ provided], streamed. *)
+let mac_v k v sep provided =
+  let inner = Hmac.start k in
+  Sha256.update inner v;
+  Sha256.update inner sep;
+  Sha256.update inner provided;
+  Hmac.finish k inner
+
+(* [k] is [t.key] prepared; each new key is prepared once for both of its
+   MACs. *)
+let update_prepared t k provided =
+  t.key <- mac_v k t.v "\x00" provided;
+  let k = Hmac.prepare t.key in
+  t.v <- Hmac.mac_prepared k t.v;
   if provided <> "" then begin
-    t.key <- Hmac.mac ~key:t.key (t.v ^ "\x01" ^ provided);
+    t.key <- mac_v k t.v "\x01" provided;
     t.v <- Hmac.mac ~key:t.key t.v
   end
+
+let update t provided = update_prepared t (Hmac.prepare t.key) provided
 
 let create ~seed =
   let t = { key = String.make 32 '\x00'; v = String.make 32 '\x01' } in
@@ -17,14 +30,17 @@ let create ~seed =
 
 let reseed t entropy = update t entropy
 
+(* One prepared key serves every output MAC and the first MAC of the
+   trailing update. *)
 let generate t n =
+  let k = Hmac.prepare t.key in
   let buf = Buffer.create n in
   while Buffer.length buf < n do
-    t.v <- Hmac.mac ~key:t.key t.v;
+    t.v <- Hmac.mac_prepared k t.v;
     Buffer.add_string buf t.v
   done;
-  update t "";
-  String.sub (Buffer.contents buf) 0 n
+  update_prepared t k "";
+  Buffer.sub buf 0 n
 
 let rand t n = generate t n
 

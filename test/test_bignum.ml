@@ -158,6 +158,38 @@ let test_random_below () =
     Alcotest.(check bool) "below bound" true (N.compare x bound < 0)
   done
 
+(* Trial division as it was before the grouped residues: one [N.rem] per
+   small prime. With zero Miller-Rabin rounds, [is_probably_prime] must
+   decide exactly this, and draw nothing. *)
+let small_primes =
+  [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53; 59; 61; 67;
+    71; 73; 79; 83; 89; 97; 101; 103; 107; 109; 113; 127; 131; 137; 139;
+    149; 151; 157; 163; 167; 173; 179; 181; 191; 193; 197; 199; 211; 223;
+    227; 229; 233; 239; 241; 251 ]
+
+let list_trial_division n =
+  match N.to_int_opt n with
+  | Some i when i < 2 -> false
+  | _ ->
+      let divisible_by_small =
+        List.exists
+          (fun p ->
+            let pn = N.of_int p in
+            if N.compare n pn = 0 then false else N.is_zero (N.rem n pn))
+          small_primes
+      in
+      if divisible_by_small then List.exists (fun p -> N.equal n (N.of_int p)) small_primes
+      else true
+
+let no_rand _ = failwith "zero rounds must draw no bytes"
+
+let test_trial_division_small () =
+  for i = 0 to (1 lsl 16) - 1 do
+    let n = N.of_int i in
+    if Bignum.Prime.is_probably_prime ~rounds:0 no_rand n <> list_trial_division n then
+      Alcotest.failf "trial division disagrees at %d" i
+  done
+
 (* Property tests. *)
 
 let small_nat_gen = QCheck.Gen.(map N.of_int (int_bound 1_000_000_000))
@@ -289,6 +321,32 @@ let prop_divmod_huge =
       let q, r = N.divmod a b in
       N.equal a (N.add (N.mul q b) r) && N.compare r b < 0)
 
+(* 2-600 bits with the top bit set; half are odd, and a quarter carry a
+   random small prime factor, so every residue group decides some cases. *)
+let trial_gen =
+  QCheck.Gen.(
+    int_range 2 600 >>= fun bits ->
+    string_size ~gen:char (return ((bits + 7) / 8)) >>= fun s ->
+    bool >>= fun odd ->
+    oneofl small_primes >>= fun p ->
+    frequency [ (3, return false); (1, return true) ] >|= fun times_p ->
+    let n = N.shift_right (N.of_bytes_be s) ((8 * String.length s) - bits) in
+    let n = N.add (N.shift_left N.one (bits - 1)) (N.rem n (N.shift_left N.one (bits - 1))) in
+    let n = if odd && N.is_even n then N.add n N.one else n in
+    if times_p then N.mul n (N.of_int p) else n)
+
+let prop_trial_division =
+  QCheck.Test.make ~name:"trial division = per-prime rem, 2-600 bits" ~count:500
+    (QCheck.make ~print:N.to_string trial_gen)
+    (fun n -> Bignum.Prime.is_probably_prime ~rounds:0 no_rand n = list_trial_division n)
+
+let prop_rem_int =
+  QCheck.Test.make ~name:"rem_int = rem, divisors to 2^36" ~count:300
+    (QCheck.pair arb_huge
+       (QCheck.make ~print:string_of_int
+          QCheck.Gen.(frequency [ (1, oneofl [ 1; 2; 1 lsl 26; 1 lsl 36 ]); (3, int_range 1 (1 lsl 36)) ])))
+    (fun (a, d) -> N.to_int_opt (N.rem a (N.of_int d)) = Some (N.rem_int a d))
+
 let test_fast_path_edges () =
   let huge = N.of_string (String.concat "" (List.init 9 (fun _ -> "123456789876543212345678987")) ) in
   let odd_m = N.add (N.shift_left N.one 521) N.one in
@@ -314,6 +372,22 @@ let test_fast_path_edges () =
   let odd_huge = if N.is_even huge then N.add huge N.one else huge in
   Alcotest.check nat "mod_pow all-aliased" (N.mod_pow_naive odd_huge odd_huge odd_huge)
     (N.mod_pow odd_huge odd_huge odd_huge);
+  (* All-ones moduli m = 2^(26k) - 1 with base m - 2: the limbs sit at or
+     next to their maximum, so the Montgomery columns sum near-maximal
+     products. 512 limbs is the widest modulus the kernel takes; 513 falls
+     back to the reference path. *)
+  let e = N.sub (N.shift_left N.one 64) N.one in
+  List.iter
+    (fun k ->
+      let m = N.sub (N.shift_left N.one (26 * k)) N.one in
+      let b = N.sub m N.two in
+      Alcotest.check nat
+        (Printf.sprintf "all-ones modulus, %d limbs" k)
+        (N.mod_pow_naive b e m) (N.mod_pow b e m))
+    [ 1; 2; 10; 20; 40; 79; 512; 513 ];
+  Alcotest.(check_raises "rem_int divisor above 2^36"
+      (Invalid_argument "Nat.rem_int: divisor out of range")
+      (fun () -> ignore (N.rem_int big_a ((1 lsl 36) + 1))));
   (* Karatsuba exercises operands just around the split point *)
   let around = [ 26; 27; 28; 53; 54; 55 ] in
   List.iter
@@ -330,7 +404,8 @@ let props =
     [ prop_add_commutative; prop_mul_commutative; prop_mul_distributes;
       prop_divmod_invariant; prop_matches_int; prop_bytes_roundtrip; prop_bytes_vs_fold;
       prop_string_roundtrip; prop_shift_mul; prop_modinv; prop_modpow_small;
-      prop_karatsuba_vs_schoolbook; prop_montgomery_vs_naive; prop_divmod_huge ]
+      prop_karatsuba_vs_schoolbook; prop_montgomery_vs_naive; prop_divmod_huge;
+      prop_trial_division; prop_rem_int ]
 
 let suite =
   [ ("int conversion", `Quick, test_of_to_int);
@@ -345,6 +420,7 @@ let suite =
     ("gcd/modinv", `Quick, test_gcd_modinv);
     ("fast-path edges", `Quick, test_fast_path_edges);
     ("known primes", `Quick, test_primes_known);
+    ("trial division below 2^16", `Quick, test_trial_division_small);
     ("prime generation", `Slow, test_prime_generation);
     ("random below", `Quick, test_random_below) ]
   @ List.map (fun (n, s, f) -> (n, s, f)) props

@@ -307,6 +307,36 @@ module Ref_aead = struct
     end
 end
 
+(* HMAC-DRBG as it was before [generate] prepared its key: every MAC a
+   fresh [Hmac.mac] over concatenated input. *)
+module Ref_drbg = struct
+  type t = { mutable key : string; mutable v : string }
+
+  let update t provided =
+    t.key <- Hmac.mac ~key:t.key (t.v ^ "\x00" ^ provided);
+    t.v <- Hmac.mac ~key:t.key t.v;
+    if provided <> "" then begin
+      t.key <- Hmac.mac ~key:t.key (t.v ^ "\x01" ^ provided);
+      t.v <- Hmac.mac ~key:t.key t.v
+    end
+
+  let create ~seed =
+    let t = { key = String.make 32 '\x00'; v = String.make 32 '\x01' } in
+    update t seed;
+    t
+
+  let reseed t entropy = update t entropy
+
+  let generate t n =
+    let buf = Buffer.create n in
+    while Buffer.length buf < n do
+      t.v <- Hmac.mac ~key:t.key t.v;
+      Buffer.add_string buf t.v
+    done;
+    update t "";
+    String.sub (Buffer.contents buf) 0 n
+end
+
 (* --- SHA-256: FIPS 180-4 / NIST CAVS vectors --- *)
 
 let test_sha256_vectors () =
@@ -615,6 +645,38 @@ let test_rsa_crt_unguarded_fault_rejected () =
   Alcotest.(check bool) "faulty CRT signature rejected" false
     (Rsa.verify key.Rsa.pub ~msg ~signature:faulty_sig)
 
+(* --- Keygen known answers ---
+
+   SHA-256 of the public key bytes, of d, of one signature and of the next
+   32 DRBG bytes after a key is made from a fixed seed. The hex was
+   computed before the product-scanning Montgomery kernel, the grouped
+   trial division and the prepared DRBG key, none of which may move a
+   byte: a shifted prime, a changed witness or an extra draw fails here.
+   A performance change never regenerates these. *)
+
+let test_rsa_keygen_kat () =
+  List.iter
+    (fun (bits, want) ->
+      let d = Drbg.create ~seed:(Printf.sprintf "keygen kat %d" bits) in
+      let key = Rsa.generate d ~bits in
+      let got =
+        List.map
+          (fun s -> Sha256.to_hex (Sha256.digest s))
+          [ Rsa.public_to_bytes key.Rsa.pub; N.to_bytes_be key.Rsa.d;
+            Rsa.sign key "keygen known answer"; Drbg.generate d 32 ]
+      in
+      Alcotest.(check (list string)) (Printf.sprintf "%d-bit key" bits) want got)
+    [ ( 512,
+        [ "ce45a64d5f8b4e9e3a256674dbd5c3a71ac6789afad13ce79565d840cc690aee";
+          "d669bbc3c84f8b65e3be8e167eaca43c15ce0a7f77c168d088f26b85e49234ea";
+          "aec19e96b8ebc9ba57e272f02b3a2a77bd8f478ca00d2431c837f4537e6e8aaa";
+          "d7b5361d8cb8f8e1c330a110e3502e3e82694522d5b66b8eabdfcb324958b801" ] );
+      ( 768,
+        [ "85909babbf430b2406ae68e1a1eb24886444fb4a710f9f3870794ccad72b5fb2";
+          "7d04d2ff053b9e26b02732ca25e0f5abbe02d3eea6dd92603cfd3a73f3ffba38";
+          "3d36b68c2370a5d34822edef1dd79479d9a3fde0c3b0b20d491654f5e641b0de";
+          "aa7952a38e41193a7b6d7e2e2ef0779369133bd6165a926e11e9373e80d3047e" ] ) ]
+
 (* --- Properties --- *)
 
 let prop_sha_distinct =
@@ -720,18 +782,50 @@ let prop_aead_vs_ref =
       box = Ref_aead.seal ~key ~ad ~nonce pt
       && Aead.open_ ~key ~ad received = Ref_aead.open_ ~key ~ad received)
 
+(* Draw lengths 0-100, leaning on 32, 33 and 64 (one output block, one
+   byte past it, two blocks), between reseeds that may be empty. *)
+let drbg_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun n -> `Draw n) (frequency [ (1, oneofl [ 0; 32; 33; 64 ]); (2, int_range 0 100) ]));
+        (1, map (fun e -> `Reseed e) (string_size ~gen:char (int_range 0 40))) ])
+
+let prop_drbg_vs_ref =
+  QCheck.Test.make ~name:"drbg = per-MAC reference over draws and reseeds" ~count:200
+    (QCheck.pair QCheck.small_string
+       (QCheck.make
+          ~print:(fun ops ->
+            String.concat " "
+              (List.map (function `Draw n -> string_of_int n | `Reseed e -> Printf.sprintf "%S" e) ops))
+          QCheck.Gen.(list_size (int_range 0 12) drbg_op_gen)))
+    (fun (seed, ops) ->
+      let d = Drbg.create ~seed and r = Ref_drbg.create ~seed in
+      List.for_all
+        (function
+          | `Draw n -> Drbg.generate d n = Ref_drbg.generate r n
+          | `Reseed e ->
+              Drbg.reseed d e;
+              Ref_drbg.reseed r e;
+              true)
+        ops
+      && Drbg.generate d 32 = Ref_drbg.generate r 32)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sha_distinct; prop_aead_roundtrip; prop_chacha_involution; prop_ct_equal_iff;
-      prop_sha_vs_ref; prop_sha_split; prop_hmac_vs_ref; prop_chacha_vs_ref; prop_aead_vs_ref ]
+      prop_sha_vs_ref; prop_sha_split; prop_hmac_vs_ref; prop_chacha_vs_ref; prop_aead_vs_ref;
+      prop_drbg_vs_ref ]
 
 (* --- Allocation gate ---
 
    The kernels hold their words in native ints, so a SHA-256 compression or
    a ChaCha20 block allocates nothing. Each bound sits several times above
    what the call allocates now and several times below what boxed Int32
-   words cost (per call: 38.7 KB, 259 KB, 10.3 KB and 329 KB). Bytecode
-   boxes regardless, so the gate runs on native code only. *)
+   words cost (per call: 38.7 KB, 259 KB, 10.3 KB and 329 KB). A 512-bit
+   RSA signature runs about 660 Montgomery multiplications and allocates
+   about 19 KB (45 KB while each multiply built a closure), so a multiply
+   that allocates even its scratch per call fails the 64 KB bound.
+   Bytecode boxes regardless, so the gate runs on native code only. *)
 
 let minor_bytes_per_call f =
   ignore (f ());
@@ -744,6 +838,7 @@ let minor_bytes_per_call f =
 
 let test_allocation_gate () =
   if Sys.backend_type = Sys.Native then begin
+    let rsa_key = key in
     let kb = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
     let key = String.make 32 'k' and nonce = String.make 12 'n' in
     List.iter
@@ -754,7 +849,8 @@ let test_allocation_gate () =
       [ ("Sha256.digest 1 KB", 4096, fun () -> Sha256.digest kb);
         ("Chacha20.encrypt 1 KB", 8192, fun () -> Chacha20.encrypt ~key ~nonce kb);
         ("Hmac.mac", 4096, fun () -> Hmac.mac ~key "aead-mac");
-        ("Aead.seal 1 KB", 32768, fun () -> (Aead.seal ~key ~nonce kb).Aead.tag) ]
+        ("Aead.seal 1 KB", 32768, fun () -> (Aead.seal ~key ~nonce kb).Aead.tag);
+        ("Rsa.sign 512-bit", 65536, fun () -> Rsa.sign rsa_key "allocation gate") ]
   end
 
 let () =
@@ -786,5 +882,6 @@ let () =
           ("public key encoding is linear", `Quick, test_rsa_pub_encoding_linear);
           ("crt byte-identical", `Slow, test_rsa_crt_byte_identical);
           ("crt fault guard", `Slow, test_rsa_crt_fault_guard);
-          ("crt unguarded fault rejected", `Slow, test_rsa_crt_unguarded_fault_rejected) ] );
+          ("crt unguarded fault rejected", `Slow, test_rsa_crt_unguarded_fault_rejected);
+          ("keygen known answers", `Quick, test_rsa_keygen_kat) ] );
       ("properties", props) ]

@@ -50,6 +50,9 @@ echo "== permission-sequence smoke =="
 # to the standby and survives a mid-sequence primary crash (the post-failover
 # debit succeeds without re-opening), and a same-seed rerun is byte-identical.
 dune exec --no-build bin/proxykit.exe -- seq --smoke
+# Lane-parallel variant: each lane pair runs the sequence across a lane
+# boundary; the 2-domain digest must match the single-domain schedule.
+dune exec --no-build bin/proxykit.exe -- seq --smoke --domains 2
 
 echo "== revocation storm smoke =="
 # Seeded revocation-under-churn scenario: bulletins revoke live chains while
@@ -81,6 +84,9 @@ echo "== open-loop load smoke =="
 # and same-seed reruns must be byte-identical — metrics, trace, and span
 # JSONL — with batching on and off.
 dune exec --no-build bin/proxykit.exe -- load --smoke
+# Lane-parallel variant: the skewed, read-heavy lane mix on 4 domains must
+# match the single-domain schedule byte for byte.
+dune exec --no-build bin/proxykit.exe -- load --smoke --domains 4
 
 echo "== causal tracing smoke =="
 # A traced cascaded-authorization run must show >= 4 causally nested spans

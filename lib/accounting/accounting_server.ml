@@ -16,9 +16,10 @@ type t = {
   drawn : (string, int) Hashtbl.t;
       (* cumulative draw per standing authority: key is the proxy chain's
          serial path plus the currency *)
-  mutable on_redeem : (string -> unit) option;
-      (* replication feed: fires with the check number whenever a check is
-         paid here, so a standby can mirror the accept-once record *)
+  mutable on_redeem : (string -> unit) list;
+      (* fired in order with the check number whenever a check is paid
+         here: the replication feed a standby mirrors accept-once records
+         from, plus any counters added after it *)
 }
 
 let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cache ?revocation
@@ -45,7 +46,7 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cach
           collect_retry;
           proxy_lifetime_us;
           drawn = Hashtbl.create 16;
-          on_redeem = None;
+          on_redeem = [];
         }
       in
       (* The escrow account backs cashier's checks. *)
@@ -68,8 +69,8 @@ let set_route t ~drawee ?(via = []) ~next_hop () =
 let next_hop t drawee =
   Option.value (Hashtbl.find_opt t.routes (Principal.to_string drawee)) ~default:(drawee, [])
 
-let set_redemption_observer t f = t.on_redeem <- f
-let redeemed t number = match t.on_redeem with None -> () | Some f -> f number
+let add_redemption_observer t f = t.on_redeem <- t.on_redeem @ [ f ]
+let redeemed t number = List.iter (fun f -> f number) t.on_redeem
 
 let warm t ~drawee =
   let hop, _ = next_hop t drawee in

@@ -83,9 +83,11 @@ val settle : t -> presenter:Principal.t -> Check.t -> (int, string) result
     leg at an epoch boundary, where the presenting bank lives in another
     lane and the RPC transport cannot span lanes. Returns the amount paid. *)
 
-val set_redemption_observer : t -> (string -> unit) option -> unit
-(** Observer fired with the check number each time a check is paid here —
-    the replication feed for mirroring accept-once records to a standby. *)
+val add_redemption_observer : t -> (string -> unit) -> unit
+(** Add an observer fired with the check number each time a check is paid
+    here, after those added before it. Observers compose: a counter added
+    later never displaces the replication feed that mirrors accept-once
+    records to a standby. *)
 
 val apply_replicated :
   t ->

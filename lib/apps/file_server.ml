@@ -20,20 +20,15 @@ let guard t = t.guard
 let put_direct t ~path content = Hashtbl.replace t.files path content
 let get_direct t ~path = Hashtbl.find_opt t.files path
 
-let map_result f l =
-  List.fold_right
-    (fun x acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (f x)))
-    l (Ok [])
-
 let handle t ctx payload =
   let open Wire in
   let* op = Result.bind (field payload 0) to_string in
   let* path = Result.bind (field payload 1) to_string in
   let* data = Result.bind (field payload 2) to_string in
   let* pw = Result.bind (field payload 3) to_list in
-  let* proxies = map_result Guard.presented_of_wire pw in
+  let* proxies = Wire.map_all Guard.presented_of_wire pw in
   let* gw = Result.bind (field payload 4) to_list in
-  let* group_proxies = map_result Guard.presented_of_wire gw in
+  let* group_proxies = Wire.map_all Guard.presented_of_wire gw in
   (* Restrictions riding on the caller's own ticket bind first (a
      restricted TGS proxy reaches us as ordinary credentials). *)
   let* () =

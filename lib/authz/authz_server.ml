@@ -16,11 +16,6 @@ let create net ~me ~my_key ~kdc ~database ?lookup_pub
       let guard = Guard.create net ~me ~my_key ?lookup_pub ~acl:database () in
       Ok { net; me; my_key; database; guard; granter; proxy_lifetime_us }
 
-let map_result f l =
-  List.fold_right
-    (fun x acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (f x)))
-    l (Ok [])
-
 let handle t ctx payload =
   let open Wire in
   let* tag = Result.bind (field payload 0) to_string in
@@ -31,7 +26,7 @@ let handle t ctx payload =
     let* operation = Result.bind (field payload 3) to_string in
     let* delegate = Result.bind (field payload 4) to_int in
     let* ew = Result.bind (field payload 5) to_list in
-    let* evidence = map_result Guard.presented_of_wire ew in
+    let* evidence = Wire.map_all Guard.presented_of_wire ew in
     let client = ctx.Secure_rpc.rpc_client in
     match
       Guard.decide t.guard ~operation ~target ~presenter:client ~group_proxies:evidence ()

@@ -63,11 +63,6 @@ let publish t =
         (Membership.sign ~key ~issuer:t.me ~epoch:t.publish_epoch
            ~issued_at:(Sim.Net.now t.net) (table t))
 
-let map_result f l =
-  List.fold_right
-    (fun x acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (f x)))
-    l (Ok [])
-
 let handle t ctx payload =
   let open Wire in
   let* tag = Result.bind (field payload 0) to_string in
@@ -81,7 +76,7 @@ let handle t ctx payload =
     let* group = Result.bind (field payload 1) to_string in
     let* end_server = Result.bind (field payload 2) Principal.of_wire in
     let* ew = Result.bind (field payload 3) to_list in
-    let* evidence = map_result Guard.presented_of_wire ew in
+    let* evidence = Wire.map_all Guard.presented_of_wire ew in
     let client = ctx.Secure_rpc.rpc_client in
     (* Membership is an ordinary guard decision: a direct Principal_is
        entry, or a nested Group entry proven by the attached evidence. *)

@@ -646,7 +646,7 @@ let fig4 () =
   let attributed = Sim.Span.cost_total tspans in
   let attr name = Option.value (List.assoc_opt name attributed) ~default:0 in
   let rerun = Tracing.run_f4 ~seed:"bench-f4" ~requests:4 ~depth:5 () in
-  let deterministic = Sim.Span.to_jsonl tspans = Sim.Span.to_jsonl rerun.Tracing.spans in
+  let deterministic = String.equal traced.Tracing.digest rerun.Tracing.digest in
   let costs_match = attributed = traced.Tracing.delta in
   print_table "F4c: traced cascade (requests=4, depth=5) — spans and attributed costs"
     [ "quantity"; "value" ]
@@ -1353,8 +1353,8 @@ let s1 () =
   (* The domains axis: the same seeded lane workload (4 shards, one fully
      isolated world per shard, cross-shard checks cleared at epoch
      barriers) scheduled over 1, 2, and 4 OCaml domains. Every count and
-     the merged metrics/trace/span output must be byte-identical to the
-     domains=1 schedule — those are the gated integers; wall-clock and the
+     the digest (each lane's metrics, trace and spans) must be byte-identical
+     to the domains=1 schedule — those are the gated integers; wall-clock and the
      derived speedup are machine-dependent floats and never gated. *)
   let lane_cfg domains =
     { Cluster.Lanes.default with Cluster.Lanes.seed = "s1-lanes"; shards = 4; domains }
@@ -1364,14 +1364,7 @@ let s1 () =
     List.map
       (fun domains ->
         let o = if domains = 1 then lane_base else Cluster.Lanes.run (lane_cfg domains) in
-        let same =
-          o.Cluster.Lanes.metrics = lane_base.Cluster.Lanes.metrics
-          && o.Cluster.Lanes.trace = lane_base.Cluster.Lanes.trace
-          && o.Cluster.Lanes.span_jsonl = lane_base.Cluster.Lanes.span_jsonl
-          && o.Cluster.Lanes.epochs_run = lane_base.Cluster.Lanes.epochs_run
-          && o.Cluster.Lanes.delivered = lane_base.Cluster.Lanes.delivered
-          && o.Cluster.Lanes.succeeded = lane_base.Cluster.Lanes.succeeded
-        in
+        let same = String.equal o.Cluster.Lanes.digest lane_base.Cluster.Lanes.digest in
         (domains, o, same))
       [ 1; 2; 4 ]
   in
@@ -1602,7 +1595,7 @@ let l1 () =
       timed "unbatched"
         { base with Load.Driver.link_cache = false; Load.Driver.pipeline = false } ]
   in
-  let met o k = Option.value (List.assoc_opt k o.Load.Driver.metrics) ~default:0 in
+  let met = Load.Driver.metric in
   print_table "L1b: open-loop goodput/latency, batched hot path on vs off"
     [ "config"; "goodput"; "touched"; "keygens"; "reused"; "rsa vfy"; "link hits";
       "batch items"; "repl ships"; "read skips"; "p50"; "p99" ]

@@ -36,34 +36,16 @@ let minute = 60_000_000
 let default = { seed = "federation"; members = 3; staleness_bound_us = 10 * minute }
 
 type outcome = {
-  forged_refused : bool;  (** foreign-client forgery bounced at B's TGS *)
-  forged_error : string;  (** the pinned realm-mismatch error *)
-  forged_local_refused : bool;  (** peer minting B's own users also bounced *)
-  subkey_server_error : string;  (** wire-level bad subkey, refused in-band *)
-  subkey_client_error : string;  (** client-side validation before sending *)
-  cascade_ok : bool;  (** A-grantor -> C-intermediate -> B-presenter chain served *)
-  granter_retry_ok : bool;  (** post-rekey derive recovered via evict + retry *)
-  cross_tgs : int;  (** cross-realm TGTs accepted at remote TGSs *)
-  warm_asserts : int;  (** replica membership proxies before the partition *)
-  membership_read_ok : bool;  (** group-ACL read at the end-server succeeded *)
-  non_member_refused : bool;
-  refresh_partitioned_failed : bool;  (** pull across the cut failed *)
-  partitioned_asserts : int;  (** still served from the replica during the cut *)
-  stale_denied : bool;  (** fail closed past the staleness bound *)
+  forged_error : string;
   stale_error : string;
-  healed_refresh_ok : bool;
-  healed_asserts : int;
+  cross_tgs : int;
   replica_epoch : int;
   replica_hits : int;
   replica_stale_denials : int;
   snapshots_applied : int;
-  metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;
+  digest : string;
 }
-
-let ok_or ctx = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "Cluster.Federation.run setup (%s): %s" ctx e)
 
 let parse_err reply =
   match Wire.decode reply with
@@ -113,14 +95,14 @@ let run cfg =
   in
   (* --- realm A's group server and realm B's replica of it --- *)
   let gs =
-    ok_or "group server"
+    Drive.ok_or "group server"
       (Group_server.create net ~me:gs_p ~my_key:gs_key ~kdc:wa.World.kdc_name
          ~signing_key:gs_rsa ())
   in
   Group_server.install gs;
   Array.iter (fun m -> Group_server.add_member gs ~group:"eng" m) members;
   let replica =
-    ok_or "replica"
+    Drive.ok_or "replica"
       (Group_replica.create net ~me:rep_p ~my_key:rep_key ~kdc:wb.World.kdc_name ~origin:gs_p
          ~origin_pub:gs_rsa.Crypto.Rsa.pub ~staleness_bound_us:cfg.staleness_bound_us ())
   in
@@ -234,10 +216,11 @@ let run cfg =
   let cross_creds whome who ~remote ~target =
     let tgt = World.login whome who in
     let cross =
-      ok_or "cross TGT"
+      Drive.ok_or "cross TGT"
         (Kdc.Client.derive net ~kdc:whome.World.kdc_name ~tgt ~target:remote.World.kdc_name ())
     in
-    ok_or "remote derive" (Kdc.Client.derive net ~kdc:remote.World.kdc_name ~tgt:cross ~target ())
+    Drive.ok_or "remote derive"
+      (Kdc.Client.derive net ~kdc:remote.World.kdc_name ~tgt:cross ~target ())
   in
   let cascade_ok =
     let drbg = Sim.Net.drbg net in
@@ -253,7 +236,7 @@ let run cfg =
         ()
     in
     let to_dana =
-      ok_or "delegate"
+      Drive.ok_or "delegate"
         (Proxy.delegate_pk ~drbg ~now ~expires:(now + (4 * World.hour)) ~intermediate:bob
            ~intermediate_key:bob_rsa
            ~restrictions:[ Restriction.Grantee ([ dana ], 1) ]
@@ -268,7 +251,10 @@ let run cfg =
   in
   (* --- granter recovery after the C<->B link is rekeyed --- *)
   let granter_retry_ok =
-    let g = ok_or "dave granter" (Granter.create net ~me:dave ~my_key:dave_key ~kdc:wc.World.kdc_name) in
+    let g =
+      Drive.ok_or "dave granter"
+        (Granter.create net ~me:dave ~my_key:dave_key ~kdc:wc.World.kdc_name)
+    in
     let first = Granter.credentials_for g fs_p in
     (* Rekey the link: the cached cross-realm TGT is now sealed under a key
        B no longer holds, so the next remote derive fails until the granter
@@ -278,7 +264,7 @@ let run cfg =
     Result.is_ok first && Result.is_ok second
   in
   (* --- membership replication: warm phase --- *)
-  ignore (ok_or "initial refresh" (Group_replica.refresh replica));
+  ignore (Drive.ok_or "initial refresh" (Group_replica.refresh replica));
   let member_creds =
     Array.map (fun m -> cross_creds wa m ~remote:wb ~target:rep_p) members
   in
@@ -290,7 +276,7 @@ let run cfg =
   in
   let warm_asserts = count_asserts () in
   let membership_read_ok =
-    let proxy = ok_or "u0 membership" (assert_eng member_creds.(0)) in
+    let proxy = Drive.ok_or "u0 membership" (assert_eng member_creds.(0)) in
     let u0_fs = cross_creds wa u0 ~remote:wb ~target:fs_p in
     let presented =
       Guard.present ~proxy ~time:(Sim.Net.now net) ~server:fs_p ~operation:"assert-membership"
@@ -329,35 +315,47 @@ let run cfg =
   let healed_asserts = count_asserts () in
   Sim.Net.clear_fault_plan net;
   let m = Sim.Net.metrics net in
+  let cross_tgs = Sim.Metrics.get m "kdc.tgs_cross" in
+  let replica_epoch = Group_replica.epoch replica in
+  let replica_stale_denials = Sim.Metrics.get m "membership.replica_stale_denials" in
+  let snapshots_applied = Sim.Metrics.get m "membership.snapshots_applied" in
   {
-    forged_refused;
     forged_error;
-    forged_local_refused;
-    subkey_server_error;
-    subkey_client_error;
-    cascade_ok;
-    granter_retry_ok;
-    cross_tgs = Sim.Metrics.get m "kdc.tgs_cross";
-    warm_asserts;
-    membership_read_ok;
-    non_member_refused;
-    refresh_partitioned_failed;
-    partitioned_asserts;
-    stale_denied;
     stale_error;
-    healed_refresh_ok;
-    healed_asserts;
-    replica_epoch = Group_replica.epoch replica;
+    cross_tgs;
+    replica_epoch;
     replica_hits = Sim.Metrics.get m "membership.replica_hits";
-    replica_stale_denials = Sim.Metrics.get m "membership.replica_stale_denials";
-    snapshots_applied = Sim.Metrics.get m "membership.snapshots_applied";
-    metrics = Sim.Metrics.snapshot m;
-    trace =
-      List.map
-        (fun (e : Sim.Trace.entry) ->
-          Printf.sprintf "%d %s %s" e.Sim.Trace.time e.Sim.Trace.actor e.Sim.Trace.event)
-        (Sim.Trace.entries (Sim.Net.trace net));
+    replica_stale_denials;
+    snapshots_applied;
+    gates =
+      [ ("forged foreign-client TGT refused", forged_refused);
+        ("forged local-client TGT refused", forged_local_refused);
+        ( "malformed subkey refused by the TGS",
+          subkey_server_error = "tgs: subkey must be 32 bytes" );
+        ( "malformed subkey refused by the client",
+          subkey_client_error = "derive: subkey must be 32 bytes" );
+        ("three-realm cascade served", cascade_ok);
+        ("granter recovers from an inter-realm rekey", granter_retry_ok);
+        ("cross-realm TGTs accepted", cross_tgs > 0);
+        ("replica asserts every member", warm_asserts = cfg.members);
+        ("group-ACL read served", membership_read_ok);
+        ("non-member refused", non_member_refused);
+        ("refresh across the partition fails", refresh_partitioned_failed);
+        ("replica serves every member through the partition", partitioned_asserts = cfg.members);
+        ("replica fails closed past its staleness bound", stale_denied);
+        ( "stale denial says it is failing closed",
+          Sim.Span.contains_substring ~needle:"failing closed" stale_error );
+        ("refresh succeeds on heal", healed_refresh_ok);
+        ("replica asserts every member after heal", healed_asserts = cfg.members);
+        ("replica reaches epoch 2", replica_epoch >= 2);
+        ("replica counts its stale denials", replica_stale_denials > 0);
+        ("two snapshots applied", snapshots_applied >= 2) ];
+    digest = Drive.digest net;
   }
+
+let entry cfg =
+  Drive.entry ~label:"federate" ~gates:(fun o -> o.gates) ~digest:(fun o -> o.digest) (fun () ->
+      run cfg)
 
 (* ------------------------------------------------------------------ *)
 (* Lane-parallel variant: one realm per lane                          *)
@@ -515,7 +513,7 @@ let run_lanes ?(lanes = 3) ~domains cfg =
         let outsider, _ = World.enrol w (Printf.sprintf "outsider-%d" i) in
         let gs_p, gs_key, gs_rsa = World.enrol_pk w "groups" in
         let gs =
-          ok_or "lane group server"
+          Drive.ok_or "lane group server"
             (Group_server.create w.World.net ~me:gs_p ~my_key:gs_key ~kdc:w.World.kdc_name
                ~signing_key:gs_rsa ())
         in
@@ -545,13 +543,13 @@ let run_lanes ?(lanes = 3) ~domains cfg =
     match epoch with
     | 0 ->
         forged_probe_lane st;
-        let snap = ok_or "publish 1" (Group_server.publish st.f_gs) in
+        let snap = Drive.ok_or "publish 1" (Group_server.publish st.f_gs) in
         [ (next, snapshot_message st snap) ]
     | 1 ->
         (* The origin's table grows; the next publication must carry
            exactly one fresh pair to the replica downstream. *)
         Group_server.add_member st.f_gs ~group:"eng" st.f_late;
-        let snap = ok_or "publish 2" (Group_server.publish st.f_gs) in
+        let snap = Drive.ok_or "publish 2" (Group_server.publish st.f_gs) in
         [ (next, snapshot_message st snap) ]
     | 2 ->
         (* Nothing more arrives: push the replica past its bound and pin
@@ -573,21 +571,15 @@ let run_lanes ?(lanes = 3) ~domains cfg =
   in
   let o = Sim.Lane.run ~domains ~lanes ~min_epochs:3 ~step () in
   let all f = Array.for_all f states in
-  let digest = Buffer.create 1024 in
-  Array.iteri
-    (fun i st ->
-      Buffer.add_string digest (Printf.sprintf "== lane %d ==\n" i);
-      Buffer.add_buffer digest st.f_log;
-      List.iter
-        (fun (k, v) -> Buffer.add_string digest (Printf.sprintf "%s=%d\n" k v))
-        (Sim.Metrics.snapshot (Sim.Net.metrics st.f_world.World.net));
-      List.iter
-        (fun (e : Sim.Trace.entry) ->
-          Buffer.add_string digest
-            (Printf.sprintf "lane-%d|%d %s %s\n" i e.Sim.Trace.time e.Sim.Trace.actor
-               e.Sim.Trace.event))
-        (Sim.Trace.entries (Sim.Net.trace st.f_world.World.net)))
-    states;
+  let digest =
+    String.concat ""
+      (List.concat
+         (List.mapi
+            (fun i st ->
+              [ Printf.sprintf "== lane %d ==\n" i; Buffer.contents st.f_log;
+                Drive.digest ~lane:i st.f_world.World.net ])
+            (Array.to_list states)))
+  in
   {
     l_epochs_run = o.Sim.Lane.epochs_run;
     l_delivered = o.Sim.Lane.delivered;
@@ -601,5 +593,10 @@ let run_lanes ?(lanes = 3) ~domains cfg =
         ("stale replicas fail closed", all (fun st -> st.f_stale_denied));
         ("all snapshots delivered", o.Sim.Lane.delivered = 2 * lanes && o.Sim.Lane.stranded = 0);
       ];
-    l_digest = Buffer.contents digest;
+    l_digest = digest;
   }
+
+let lanes_entry ~domains cfg =
+  Drive.entry ~label:"federate" ~gates:(fun o -> o.l_gates) ~digest:(fun o -> o.l_digest)
+    ~reference:("--domains 1", fun () -> run_lanes ~domains:1 cfg)
+    (fun () -> run_lanes ~domains cfg)

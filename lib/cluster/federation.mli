@@ -10,7 +10,7 @@
     evicting its cached cross TGT; and a Grapevine-style membership
     replica serves realm A's group through a partition, fails closed
     past its staleness bound, and recovers on heal. Same-config reruns
-    are byte-identical (metrics and trace). *)
+    have a byte-identical digest (metrics and trace). *)
 
 type config = {
   seed : string;
@@ -21,34 +21,30 @@ type config = {
 val default : config
 
 type outcome = {
-  forged_refused : bool;  (** foreign-client forgery bounced at B's TGS *)
   forged_error : string;  (** the pinned realm-mismatch error *)
-  forged_local_refused : bool;  (** peer minting B's own users also bounced *)
-  subkey_server_error : string;  (** wire-level bad subkey, refused in-band *)
-  subkey_client_error : string;  (** client-side validation before sending *)
-  cascade_ok : bool;  (** A-grantor -> C-intermediate -> B-presenter chain served *)
-  granter_retry_ok : bool;  (** post-rekey derive recovered via evict + retry *)
+  stale_error : string;  (** the replica's fail-closed denial *)
   cross_tgs : int;  (** cross-realm TGTs accepted at remote TGSs *)
-  warm_asserts : int;  (** replica membership proxies before the partition *)
-  membership_read_ok : bool;  (** group-ACL read at the end-server succeeded *)
-  non_member_refused : bool;
-  refresh_partitioned_failed : bool;  (** pull across the cut failed *)
-  partitioned_asserts : int;  (** still served from the replica during the cut *)
-  stale_denied : bool;  (** fail closed past the staleness bound *)
-  stale_error : string;
-  healed_refresh_ok : bool;
-  healed_asserts : int;
   replica_epoch : int;
   replica_hits : int;
   replica_stale_denials : int;
   snapshots_applied : int;
-  metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;
+      (** both forged TGTs refused; malformed subkeys refused with the
+          pinned errors on both sides; the three-realm cascade served; the
+          granter recovered from the rekey; cross-realm TGTs accepted; the
+          replica asserted every member warm, through the partition (whose
+          refresh failed) and after heal, served the group-ACL read and
+          refused the non-member; past its bound it failed closed, saying
+          so; it reached epoch 2 from 2+ snapshots and counted its stale
+          denials *)
+  digest : string;  (** metrics snapshot and audit trail *)
 }
 
 val run : config -> outcome
 (** Raises [Failure] only on scaffolding errors (setup steps that the
     scenario itself never gates on). *)
+
+val entry : config -> outcome Drive.entry
 
 (** {2 Lane-parallel variant: one realm per lane}
 
@@ -68,3 +64,7 @@ type lanes_outcome = {
 val run_lanes : ?lanes:int -> domains:int -> config -> lanes_outcome
 (** [lanes] defaults to 3 and must be at least 2 (snapshots travel to the
     next lane in the ring). *)
+
+val lanes_entry : domains:int -> config -> lanes_outcome Drive.entry
+(** Its smoke compares the digest against the same config at
+    [domains = 1]. *)

@@ -42,13 +42,17 @@ type outcome = {
   double_redemptions : int;  (** must be 0: a check paid twice at a drawee *)
   bulletins_applied : int;  (** must equal [shards] for [Checks]/[Load] *)
   conserved : (unit, string) result;
-  seq_gates : (string * bool) list;
-      (** [Seq] flavor acceptance gates (attack_denied, open_ok,
-          reopen_denied, import_ok, debit_ok, repeat_denied), each true iff
+  gates : Drive.gate list;
+      (** value conserved and each check redeemed at most once; then for
+          [Checks]/[Load] some operation succeeded and, with 2+ shards,
+          remote checks cleared and the bulletin landed on every lane; for
+          [Seq] six gates (out-of-order debit denied, in-order open
+          granted, reopen denied, progress imported on both replicas, debit
+          granted after the handover, repeat debit denied), each true iff
           it held on {e every} lane *)
-  metrics : (string * int) list;  (** per-lane metrics merged in lane order *)
-  trace : string list;  (** ["lane-<i>|time actor event"], lane-major *)
-  span_jsonl : string;  (** per-lane span JSONL concatenated in lane order *)
+  digest : string;
+      (** [epochs_run], [delivered], the gates, then each lane's metrics,
+          ["lane-<i>|time actor event"] trace and span JSONL in lane order *)
   wall_s : float;
 }
 
@@ -56,5 +60,8 @@ val run : config -> outcome
 (** Raises [Invalid_argument] on nonsensical configs (no shards, no
     domains, [Seq] with fewer than 2 shards) and [Failure] on setup
     errors. Determinism contract: for a fixed config modulo [domains],
-    [metrics], [trace], [span_jsonl], and every count above except
-    [wall_s] are byte-identical. *)
+    the digest and every count above except [wall_s] are byte-identical. *)
+
+val entry : config -> outcome Drive.entry
+(** Labelled by flavor ("cluster lane", "seq lane", "load lane"); its
+    smoke compares the digest against the same config at [domains = 1]. *)

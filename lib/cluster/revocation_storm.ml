@@ -59,14 +59,11 @@ type outcome = {
   check_bounced : bool;  (** post-bulletin check from the revoked grantor bounced *)
   conserved : (unit, string) result;
   metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;
+  digest : string;
 }
 
 let usd = "usd"
-
-let ok_or ctx = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "Revocation_storm.run setup (%s): %s" ctx e)
 
 let run cfg =
   let w = World.create ~seed:cfg.seed () in
@@ -128,7 +125,7 @@ let run cfg =
   (* --- the bank shard --- *)
   let bank, bank_key, bank_rsa = World.enrol_pk w "coast-bank" in
   let shard =
-    ok_or "shard"
+    Drive.ok_or "shard"
       (Shard.create net ~me:bank ~my_key:bank_key ~kdc:w.World.kdc_name ~signing_key:bank_rsa
          ~lookup ~revocation_authority:(ra_p, ra_rsa.Crypto.Rsa.pub)
          ~staleness_bound_us:cfg.staleness_bound_us ~primary_node:"coast-bank-1"
@@ -152,13 +149,13 @@ let run cfg =
   let fresh_auth = creds_of fresh_p ra_p in
   let stale_auth = creds_of stale_p ra_p in
   (* --- bank accounts and a pre-storm check --- *)
-  ok_or "gina account"
+  Drive.ok_or "gina account"
     (bank_dsts (fun ~dst ~fallback_dsts ->
          Accounting_server.open_account ~dst ~fallback_dsts net ~creds:gina_bank ~name:"gina"));
-  ok_or "carol account"
+  Drive.ok_or "carol account"
     (bank_dsts (fun ~dst ~fallback_dsts ->
          Accounting_server.open_account ~dst ~fallback_dsts net ~creds:carol_bank ~name:"carol"));
-  ok_or "mint" (Shard.mint shard ~name:"gina" ~currency:usd 1_000);
+  Drive.ok_or "mint" (Shard.mint shard ~name:"gina" ~currency:usd 1_000);
   let write_check amount =
     let now = World.now w in
     Check.write ~drbg ~now ~expires:(now + (24 * World.hour)) ~payor:gina ~payor_key:gina_rsa
@@ -213,8 +210,8 @@ let run cfg =
   let sync_fs creds fs =
     Revocation_authority.sync net ~creds (File_server.guard fs)
   in
-  ignore (ok_or "initial sync archive" (sync_fs fresh_auth fresh_fs));
-  ignore (ok_or "initial sync backup" (sync_fs stale_auth stale_fs));
+  ignore (Drive.ok_or "initial sync archive" (sync_fs fresh_auth fresh_fs));
+  ignore (Drive.ok_or "initial sync backup" (sync_fs stale_auth stale_fs));
   (* --- warm phase: everything is served everywhere, twice (the second
      pass runs on the verify cache, so the storm has hits to retire) --- *)
   let warm_reads = ref 0 in
@@ -257,12 +254,15 @@ let run cfg =
     (fun (p : Proxy.t) ->
       match p.Proxy.flavor with
       | Proxy.Public_key (head :: _) ->
-          ignore (ok_or "revoke-cert" (Revocation_authority.revoke_cert net ~creds:gina_auth head))
+          ignore
+            (Drive.ok_or "revoke-cert"
+               (Revocation_authority.revoke_cert net ~creds:gina_auth head))
       | _ -> failwith "Revocation_storm.run: expected a public-key proxy")
     gina_proxies;
-  ignore (ok_or "revoke-grantor" (Revocation_authority.revoke_grantor net ~creds:gina_auth ()));
+  ignore
+    (Drive.ok_or "revoke-grantor" (Revocation_authority.revoke_grantor net ~creds:gina_auth ()));
   (* The connected server syncs and the epoch jump retires its cache. *)
-  ignore (ok_or "storm sync archive" (sync_fs fresh_auth fresh_fs));
+  ignore (Drive.ok_or "storm sync archive" (sync_fs fresh_auth fresh_fs));
   let fresh_denials = ref 0 in
   List.iteri
     (fun i p ->
@@ -301,8 +301,9 @@ let run cfg =
      revoked grantor refuses. Heartbeats keep the refreshers fresh. --- *)
   ignore (Revocation_authority.publish authority);
   let sync_refresher creds r =
-    let b = ok_or "refresher fetch" (Revocation_authority.fetch net ~creds ()) in
-    ignore (ok_or "refresher apply" (Revocation.apply (Option.get (Refresher.revocation r)) b))
+    let b = Drive.ok_or "refresher fetch" (Revocation_authority.fetch net ~creds ()) in
+    ignore
+      (Drive.ok_or "refresher apply" (Revocation.apply (Option.get (Refresher.revocation r)) b))
   in
   sync_refresher hugh_auth hugh_refresher;
   sync_refresher gina_auth gina_refresher;
@@ -321,7 +322,7 @@ let run cfg =
   (* --- heal: the partition lifts, the laggard syncs and recovers --- *)
   advance (5 * minute);
   ignore (Revocation_authority.publish authority);
-  ignore (ok_or "heal sync backup" (sync_fs stale_auth stale_fs));
+  ignore (Drive.ok_or "heal sync backup" (sync_fs stale_auth stale_fs));
   let healed_denials = ref 0 in
   List.iteri
     (fun i p ->
@@ -348,6 +349,7 @@ let run cfg =
   Sim.Net.clear_fault_plan net;
   ignore stale_sync_failed;
   let m = Sim.Net.metrics net in
+  let generation_bumps = Sim.Metrics.get m "verify_cache.generation_bumps" in
   {
     warm_reads = !warm_reads;
     revocations = Sim.Metrics.get m "revocation.revocations";
@@ -362,15 +364,29 @@ let run cfg =
     healed_denials = !healed_denials;
     healed_serves;
     invalidations = Sim.Metrics.get m "verify_cache.invalidations";
-    generation_bumps = Sim.Metrics.get m "verify_cache.generation_bumps";
+    generation_bumps;
     bulletin_on_standby;
     check_cleared;
     check_bounced;
     conserved;
     metrics = Sim.Metrics.snapshot m;
-    trace =
-      List.map
-        (fun (e : Sim.Trace.entry) ->
-          Printf.sprintf "%d %s %s" e.Sim.Trace.time e.Sim.Trace.actor e.Sim.Trace.event)
-        (Sim.Trace.entries (Sim.Net.trace net));
+    gates =
+      [ ("fresh servers deny every revoked chain", !fresh_denials = cfg.grants);
+        ("stale server fails closed", !stale_denials > 0);
+        ("direct ACL still served while stale", !direct_reads_while_stale > 0);
+        ("short-TTL refresh succeeds", refresh_ok);
+        ("revoked grantor's refresh refused", refresh_refused_revoked);
+        ("replay refused after heal", replay_refused);
+        ("healed server denies every revoked chain", !healed_denials = cfg.grants);
+        ("healed server serves the refreshed chain", healed_serves);
+        ("bulletin on both bank replicas", bulletin_on_standby);
+        ("pre-storm check cleared", check_cleared);
+        ("post-storm check bounced", check_bounced);
+        ("verify cache generation bumped", generation_bumps > 0);
+        Drive.conserved conserved ];
+    digest = Drive.digest net;
   }
+
+let entry cfg =
+  Drive.entry ~label:"revoke" ~gates:(fun o -> o.gates) ~digest:(fun o -> o.digest) (fun () ->
+      run cfg)

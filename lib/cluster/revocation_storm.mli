@@ -11,8 +11,8 @@
     replicas of a bank shard and a bounced post-revocation check with
     conservation intact.
 
-    Same config (same seed) must produce byte-identical [metrics] and
-    [trace] — the harness gate relies on it. *)
+    Same config (same seed) must produce a byte-identical digest — the
+    smoke gate relies on it. *)
 
 type config = {
   seed : string;
@@ -45,7 +45,16 @@ type outcome = {
   check_bounced : bool;
   conserved : (unit, string) result;
   metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;
+      (** fresh and healed servers deny all [grants] revoked chains; the
+          stale server fails closed yet serves direct ACLs; refresh works
+          for the healthy grantor only; replay refused; healthy chain
+          served on heal; bulletin on both replicas; the pre-storm check
+          clears and the post-storm one bounces; the cache generation
+          bumped; value conserved *)
+  digest : string;  (** metrics snapshot and audit trail *)
 }
 
 val run : config -> outcome
+
+val entry : config -> outcome Drive.entry

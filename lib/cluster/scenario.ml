@@ -57,42 +57,13 @@ type outcome = {
   p50_us : int;
   p99_us : int;
   crashed_node : string option;
-  metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;
+  digest : string;
 }
 
 let usd = "usd"
 
 type actor = { name : string; principal : Principal.t; rsa : Crypto.Rsa.private_ }
-
-let ok_or ctx = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "Scenario.run setup (%s): %s" ctx e)
-
-(* "paid check N: ..." / "paid certified check N: ..." -> Some N *)
-let paid_check_number event =
-  let prefixed p =
-    if String.length event > String.length p && String.sub event 0 (String.length p) = p
-    then Some (String.length p)
-    else None
-  in
-  match
-    (match prefixed "paid check " with
-    | Some i -> Some i
-    | None -> prefixed "paid certified check ")
-  with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt event start ':' with
-      | None -> None
-      | Some stop -> Some (String.sub event start (stop - start)))
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
 
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Scenario.run: at least one shard";
@@ -104,12 +75,13 @@ let run cfg =
   let repl_retry = Sim.Retry.policy ~retries:12 ~timeout_us:cfg.timeout_us () in
   (* -- shards -- *)
   let shard_ids = List.init cfg.shards (Printf.sprintf "bank-%d") in
+  let paid = Drive.tally () in
   let shards =
     List.map
       (fun id ->
         let p, key, rsa = World.enrol_pk w id in
         let s =
-          ok_or id
+          Drive.ok_or id
             (Shard.create net ~me:p ~my_key:key ~kdc:w.World.kdc_name
                ~signing_key:rsa
                ~lookup:(fun q -> Directory.public w.World.dir q)
@@ -117,6 +89,8 @@ let run cfg =
                ~standby_node:(id ^ "-b") ())
         in
         Shard.install s;
+        Drive.watch paid (Shard.primary_server s);
+        Drive.watch paid (Shard.standby_server s);
         (id, s))
       shard_ids
   in
@@ -134,7 +108,7 @@ let run cfg =
             Shard.set_route s1 ~drawee:(Shard.logical s2)
               ~via:[ Shard.primary_node s2; Shard.standby_node s2 ]
               ~next_hop:(Shard.logical s2) ();
-            ok_or "warm" (Shard.warm s1 ~drawee:(Shard.logical s2))
+            Drive.ok_or "warm" (Shard.warm s1 ~drawee:(Shard.logical s2))
           end)
         shards)
     shards;
@@ -177,10 +151,11 @@ let run cfg =
      router's shard credentials are cached); funds mint on both replicas. *)
   List.iter
     (fun (b, r) ->
-      ok_or b.name (Router.open_account r ~name:b.name);
-      ok_or b.name (Shard.mint (shard (Router.shard_of r b.name)) ~name:b.name ~currency:usd 1_000))
+      Drive.ok_or b.name (Router.open_account r ~name:b.name);
+      Drive.ok_or b.name
+        (Shard.mint (shard (Router.shard_of r b.name)) ~name:b.name ~currency:usd 1_000))
     buyers;
-  ok_or shop.name (Router.open_account shop_router ~name:shop.name);
+  Drive.ok_or shop.name (Router.open_account shop_router ~name:shop.name);
   let write_check (buyer : actor) amount =
     let buyer_shard = shard (Ring.lookup ring buyer.name) in
     let now = World.now w in
@@ -194,7 +169,7 @@ let run cfg =
   List.iter
     (fun (b, _) ->
       ignore
-        (ok_or "warm-up deposit"
+        (Drive.ok_or "warm-up deposit"
            (Router.deposit shop_router ~endorser_key:shop.rsa ~check:(write_check b 1)
               ~to_account:shop.name)))
     buyers;
@@ -280,17 +255,7 @@ let run cfg =
     Invariant.check before
       (List.map (fun (_, s) -> Accounting_server.ledger (Shard.authoritative s)) shards)
   in
-  let redemptions =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (e : Sim.Trace.entry) ->
-        match paid_check_number e.Sim.Trace.event with
-        | Some n ->
-            Hashtbl.replace tbl n (1 + Option.value (Hashtbl.find_opt tbl n) ~default:0)
-        | None -> ())
-      (Sim.Trace.entries (Sim.Net.trace net));
-    Hashtbl.fold (fun n c acc -> (n, c) :: acc) tbl [] |> List.sort compare
-  in
+  let double_redemptions = Drive.double_redemptions paid in
   Array.sort compare samples;
   let m = Sim.Net.metrics net in
   {
@@ -299,8 +264,8 @@ let run cfg =
     succeeded = !succeeded;
     failed = cfg.ops - !succeeded;
     conserved;
-    redemptions;
-    double_redemptions = List.length (List.filter (fun (_, c) -> c > 1) redemptions);
+    redemptions = Drive.redemptions paid;
+    double_redemptions;
     failovers = Sim.Metrics.get m "cluster.failovers";
     promotions = Sim.Metrics.get m "cluster.promotions";
     repl_shipped = Sim.Metrics.get m "cluster.repl_shipped";
@@ -309,13 +274,15 @@ let run cfg =
     retries_used = Sim.Metrics.get m "rpc.retries";
     gave_up = Sim.Metrics.get m "rpc.gave_up";
     messages = Sim.Metrics.get m "net.messages";
-    p50_us = percentile samples 50.;
-    p99_us = percentile samples 99.;
+    p50_us = Drive.percentile samples 50.;
+    p99_us = Drive.percentile samples 99.;
     crashed_node;
-    metrics = Sim.Metrics.snapshot m;
-    trace =
-      List.map
-        (fun (e : Sim.Trace.entry) ->
-          Printf.sprintf "%d %s %s" e.Sim.Trace.time e.Sim.Trace.actor e.Sim.Trace.event)
-        (Sim.Trace.entries (Sim.Net.trace net));
+    gates = [ Drive.conserved conserved; Drive.redeemed_once double_redemptions ];
+    digest = Drive.digest net;
   }
+
+(* A smoke forces a crash (see the CLI), so it also asks for the failover. *)
+let entry cfg =
+  Drive.entry ~label:"cluster" ~gates:(fun o -> o.gates) ~digest:(fun o -> o.digest)
+    ~smoke_gates:(fun o -> [ ("forced crash failed over", o.promotions >= 1 && o.failovers >= 1) ])
+    (fun () -> run cfg)

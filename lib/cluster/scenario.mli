@@ -3,8 +3,8 @@
     crash.
 
     Deterministic end to end: the same [config] (seed included) produces
-    byte-identical metrics snapshots and traces, crash, failover, and
-    promotion included. *)
+    a byte-identical digest (metrics snapshot and trace), crash, failover,
+    and promotion included. *)
 
 type crash_target =
   | No_crash
@@ -36,7 +36,7 @@ type outcome = {
   conserved : (unit, string) result;
       (** per-currency conservation across the {e authoritative} replica of
           every shard — the promoted standby where the primary died *)
-  redemptions : (string * int) list;  (** check number -> times paid *)
+  redemptions : (string * int) list;  (** check number -> times paid, any replica *)
   double_redemptions : int;  (** must be 0: exactly-once across failover *)
   failovers : int;
   promotions : int;
@@ -49,8 +49,12 @@ type outcome = {
   p50_us : int;  (** per-op virtual latency percentiles *)
   p99_us : int;
   crashed_node : string option;
-  metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;  (** value conserved; each check redeemed at most once *)
+  digest : string;  (** metrics snapshot and audit trail *)
 }
 
 val run : config -> outcome
+
+val entry : config -> outcome Drive.entry
+(** Its smoke also gates on the crash having failed over (promotion and
+    client failover), so a smoke's config must crash a primary. *)

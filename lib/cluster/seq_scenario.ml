@@ -36,30 +36,18 @@ let default =
   }
 
 type outcome = {
-  attack_denied : bool;  (** the pre-open debit attempt bounced *)
-  open_ok : bool;  (** the in-order fs open was granted *)
-  reopen_denied : bool;  (** a second open bounced (step consumed) *)
-  standby_progress_before_crash : int;
-      (** the standby tracker's view of the sequence right after the open
-          — 1 proves the journal path carried the handover pre-crash *)
   crashed_node : string;
-  failover_debit_ok : bool;  (** the debit succeeded on the standby *)
-  second_debit_denied : bool;  (** sequence exhausted after completion *)
   promotions : int;
   seq_advances : int;
   seq_imports : int;
   alice_available : int;
   bob_available : int;
-  metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;
+  digest : string;
 }
 
 let usd = "usd"
 let amount = 100
-
-let ok_or ctx = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "Seq_scenario.run setup (%s): %s" ctx e)
 
 let run cfg =
   let w = World.create ~seed:cfg.seed () in
@@ -82,7 +70,7 @@ let run cfg =
   File_server.install fs;
   File_server.put_direct fs ~path:"/contract" "in consideration of services rendered";
   let bank =
-    ok_or "bank"
+    Drive.ok_or "bank"
       (Shard.create net ~me:bank_p ~my_key:bank_key ~kdc:w.World.kdc_name
          ~signing_key:bank_rsa ~lookup:(World.lookup w) ~repl_retry
          ~primary_node:"seq-bank-a" ~standby_node:"seq-bank-b" ())
@@ -99,15 +87,15 @@ let run cfg =
   let alice_bank = creds_for alice bank_p in
   let bob_bank = creds_for bob bank_p in
   let bob_fs = creds_for bob fs_p in
-  ok_or "alice account"
+  Drive.ok_or "alice account"
     (call_bank (fun ~dst ~fallback_dsts ~on_failover ->
          Accounting_server.open_account ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
            ~fallback_dsts ~on_failover net ~creds:alice_bank ~name:"alice"));
-  ok_or "bob account"
+  Drive.ok_or "bob account"
     (call_bank (fun ~dst ~fallback_dsts ~on_failover ->
          Accounting_server.open_account ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
            ~fallback_dsts ~on_failover net ~creds:bob_bank ~name:"bob"));
-  ok_or "mint" (Shard.mint bank ~name:"alice" ~currency:usd 1_000);
+  Drive.ok_or "mint" (Shard.mint bank ~name:"alice" ~currency:usd 1_000);
   (* -- the sequence-restricted delegate proxy -- *)
   let steps =
     [
@@ -201,23 +189,27 @@ let run cfg =
   let balance_of name =
     Ledger.balance (Accounting_server.ledger authoritative) ~name ~currency:usd
   in
+  let promotions = Sim.Metrics.get m "cluster.promotions" in
   {
-    attack_denied;
-    open_ok;
-    reopen_denied;
-    standby_progress_before_crash;
     crashed_node;
-    failover_debit_ok;
-    second_debit_denied;
-    promotions = Sim.Metrics.get m "cluster.promotions";
+    promotions;
     seq_advances = Sim.Metrics.get m "seq_tracker.advances";
     seq_imports = Sim.Metrics.get m "seq_tracker.imports";
     alice_available = balance_of "alice";
     bob_available = balance_of "bob";
-    metrics = Sim.Metrics.snapshot m;
-    trace =
-      List.map
-        (fun (e : Sim.Trace.entry) ->
-          Printf.sprintf "%d %s %s" e.Sim.Trace.time e.Sim.Trace.actor e.Sim.Trace.event)
-        (Sim.Trace.entries (Sim.Net.trace net));
+    gates =
+      [ ("out-of-order debit denied", attack_denied);
+        ("in-order open granted", open_ok);
+        ("reopen denied: step consumed", reopen_denied);
+        (* the standby tracker's view right after the open: 1 proves the
+           journal carried the handover before the crash *)
+        ("standby held the progress before the crash", standby_progress_before_crash = 1);
+        ("debit granted once after failover", failover_debit_ok);
+        ("repeat debit denied: sequence exhausted", second_debit_denied);
+        ("standby promoted", promotions >= 1) ];
+    digest = Drive.digest net;
   }
+
+let entry cfg =
+  Drive.entry ~label:"seq" ~gates:(fun o -> o.gates) ~digest:(fun o -> o.digest) (fun () ->
+      run cfg)

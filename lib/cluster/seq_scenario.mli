@@ -7,7 +7,7 @@
     ["seq-advance"] verb; the bank primary journals it to the standby
     before releasing the reply (the PR-5 replication path), so the
     sequence completes exactly once across the failover. A same-seed
-    rerun is byte-identical (metrics and trace). *)
+    rerun has a byte-identical digest (metrics and trace). *)
 
 type config = {
   seed : string;
@@ -21,23 +21,21 @@ type config = {
 val default : config
 
 type outcome = {
-  attack_denied : bool;  (** the pre-open debit attempt bounced *)
-  open_ok : bool;  (** the in-order fs open was granted *)
-  reopen_denied : bool;  (** a second open bounced (step consumed) *)
-  standby_progress_before_crash : int;
-      (** the standby tracker's view of the sequence right after the open
-          — 1 proves the journal path carried the handover pre-crash *)
   crashed_node : string;
-  failover_debit_ok : bool;  (** the debit succeeded on the standby *)
-  second_debit_denied : bool;  (** sequence exhausted after completion *)
   promotions : int;
   seq_advances : int;
   seq_imports : int;
   alice_available : int;
   bob_available : int;
-  metrics : (string * int) list;
-  trace : string list;
+  gates : Drive.gate list;
+      (** the pre-open debit bounced; the in-order open was granted and a
+          second open bounced; the standby held the progress right after
+          the open; after the crash the debit succeeded once and a repeat
+          bounced; the standby was promoted *)
+  digest : string;  (** metrics snapshot and audit trail *)
 }
 
 val run : config -> outcome
 (** Raises [Failure] only on setup errors (before any fault goes in). *)
+
+val entry : config -> outcome Drive.entry

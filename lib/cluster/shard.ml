@@ -101,8 +101,8 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
     }
   in
   Ledger.set_journal (Accounting_server.ledger primary_server) (Some (journal_fn t));
-  Accounting_server.set_redemption_observer primary_server
-    (Some (fun n -> t.pending_redeems := n :: !(t.pending_redeems)));
+  Accounting_server.add_redemption_observer primary_server (fun n ->
+      t.pending_redeems := n :: !(t.pending_redeems));
   (* Sequence progress is server-side authorization state just like the
      accept-once records: every movement on the primary — a granted
      sequence step or an imported cross-server handover — journals here so

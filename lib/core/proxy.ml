@@ -135,11 +135,6 @@ let presentation_to_wire = function
           Proxy_cert.hybrid_cert_to_wire head;
           Wire.L (List.map (fun b -> Wire.S b) blobs) ]
 
-let map_result f l =
-  List.fold_right
-    (fun x acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (f x)))
-    l (Ok [])
-
 let presentation_of_wire v =
   let open Wire in
   let* tag = Result.bind (field v 0) to_string in
@@ -147,17 +142,17 @@ let presentation_of_wire v =
   | "conventional" ->
       let* base = Result.bind (field v 1) to_string in
       let* blobs = Result.bind (field v 2) to_list in
-      let* cert_blobs = map_result to_string blobs in
+      let* cert_blobs = Wire.map_all to_string blobs in
       Ok (Conventional { base; cert_blobs })
   | "public-key" ->
       let* certs = Result.bind (field v 1) to_list in
-      let* certs = map_result Proxy_cert.pk_cert_of_wire certs in
+      let* certs = Wire.map_all Proxy_cert.pk_cert_of_wire certs in
       Ok (Public_key certs)
   | "hybrid" ->
       let* hw = field v 1 in
       let* head = Proxy_cert.hybrid_cert_of_wire hw in
       let* bw = Result.bind (field v 2) to_list in
-      let* blobs = map_result to_string bw in
+      let* blobs = Wire.map_all to_string bw in
       Ok (Hybrid (head, blobs))
   | other -> Error (Printf.sprintf "presentation: unknown flavor %S" other)
 

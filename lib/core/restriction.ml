@@ -126,29 +126,24 @@ let rec to_wire = function
           Wire.L (List.map to_wire rs) ]
   | Unknown tag -> Wire.L [ Wire.S tag ]
 
-let map_result f l =
-  List.fold_right
-    (fun x acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (f x)))
-    l (Ok [])
-
 let rec of_wire v =
   let open Wire in
   let* tag = Result.bind (field v 0) to_string in
   match tag with
   | "grantee" ->
       let* ps = Result.bind (field v 1) to_list in
-      let* ps = map_result Principal.of_wire ps in
+      let* ps = Wire.map_all Principal.of_wire ps in
       let* q = Result.bind (field v 2) to_int in
       if q < 1 then Error "grantee: quorum must be at least 1" else Ok (Grantee (ps, q))
   | "for-use-by-group" ->
       let* gs = Result.bind (field v 1) to_list in
-      let* gs = map_result Principal.Group.of_wire gs in
+      let* gs = Wire.map_all Principal.Group.of_wire gs in
       let* q = Result.bind (field v 2) to_int in
       if q < 1 then Error "for-use-by-group: quorum must be at least 1"
       else Ok (For_use_by_group (gs, q))
   | "issued-for" ->
       let* ss = Result.bind (field v 1) to_list in
-      let* ss = map_result Principal.of_wire ss in
+      let* ss = Wire.map_all Principal.of_wire ss in
       Ok (Issued_for ss)
   | "quota" ->
       let* c = Result.bind (field v 1) to_string in
@@ -159,14 +154,14 @@ let rec of_wire v =
       let entry e =
         let* target = Result.bind (field e 0) to_string in
         let* ops = Result.bind (field e 1) to_list in
-        let* ops = map_result to_string ops in
+        let* ops = Wire.map_all to_string ops in
         Ok { target; ops }
       in
-      let* es = map_result entry es in
+      let* es = Wire.map_all entry es in
       Ok (Authorized es)
   | "group-membership" ->
       let* gs = Result.bind (field v 1) to_list in
-      let* gs = map_result to_string gs in
+      let* gs = Wire.map_all to_string gs in
       Ok (Group_membership gs)
   | "accept-once" ->
       let* id = Result.bind (field v 1) to_string in
@@ -191,19 +186,19 @@ let rec of_wire v =
         in
         Ok { step_op; step_server; step_target }
       in
-      let* steps = map_result step steps_w in
+      let* steps = Wire.map_all step steps_w in
       let* () = seq_validate steps in
       Ok (Sequence steps)
   | "limit-restriction" ->
       let* ss = Result.bind (field v 1) to_list in
-      let* ss = map_result Principal.of_wire ss in
+      let* ss = Wire.map_all Principal.of_wire ss in
       let* rs = Result.bind (field v 2) to_list in
-      let* rs = map_result of_wire rs in
+      let* rs = Wire.map_all of_wire rs in
       Ok (Limit_restriction (ss, rs))
   | other -> Ok (Unknown other)
 
 let list_to_wire rs = Wire.L (List.map to_wire rs)
-let list_of_wire v = Result.bind (Wire.to_list v) (map_result of_wire)
+let list_of_wire v = Result.bind (Wire.to_list v) (Wire.map_all of_wire)
 
 type request = {
   server : Principal.t;

@@ -58,22 +58,11 @@ type outcome = {
   max_us : int;
   span_count : int;
   metrics : (string * int) list;
-  trace : string list;
-  jsonl : string;
+  gates : Drive.gate list;
+  digest : string;
 }
 
 let usd = "usd"
-
-let ok_or ctx = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "Driver.run setup (%s): %s" ctx e)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
 
 type actor = {
   a_principal : Principal.t;
@@ -103,7 +92,7 @@ let run cfg =
       (fun id ->
         let p, key, rsa = World.enrol_pk w id in
         let s =
-          ok_or id
+          Drive.ok_or id
             (Shard.create net ~me:p ~my_key:key ~kdc:w.World.kdc_name ~signing_key:rsa
                ~lookup:(fun q -> Directory.public w.World.dir q)
                ~collect_retry ~repl_retry ~primary_node:(id ^ "-a")
@@ -123,7 +112,7 @@ let run cfg =
             Shard.set_route s1 ~drawee:(Shard.logical s2)
               ~via:[ Shard.primary_node s2; Shard.standby_node s2 ]
               ~next_hop:(Shard.logical s2) ();
-            ok_or "warm" (Shard.warm s1 ~drawee:(Shard.logical s2))
+            Drive.ok_or "warm" (Shard.warm s1 ~drawee:(Shard.logical s2))
           end)
         shards)
     shards;
@@ -178,8 +167,8 @@ let run cfg =
   in
   List.iter
     (fun name ->
-      ok_or name (Router.open_account auditor_router ~name);
-      ok_or name (Shard.mint (shard sweep_shard) ~name ~currency:usd 100))
+      Drive.ok_or name (Router.open_account auditor_router ~name);
+      Drive.ok_or name (Shard.mint (shard sweep_shard) ~name ~currency:usd 100))
     sweep_accounts;
   let sweep_creds =
     World.credentials_for w ~tgt:(World.login w auditor)
@@ -209,8 +198,8 @@ let run cfg =
         if not (Hashtbl.mem provisioned idx) then begin
           Hashtbl.add provisioned idx ();
           incr touched;
-          ok_or name (Router.open_account a.a_router ~name);
-          ok_or name
+          Drive.ok_or name (Router.open_account a.a_router ~name);
+          Drive.ok_or name
             (Shard.mint (shard (Router.shard_of a.a_router name)) ~name ~currency:usd 2_000);
           if idx < cfg.objects then begin
             File_server.put_direct fs ~path:(obj_of idx)
@@ -403,18 +392,39 @@ let run cfg =
     debits = !debits;
     clears = !clears;
     sweeps = !sweeps;
-    p50_us = percentile samples 50.;
-    p99_us = percentile samples 99.;
+    p50_us = Drive.percentile samples 50.;
+    p99_us = Drive.percentile samples 99.;
     max_us = samples.(n_arrivals - 1);
     span_count = List.length spans;
     metrics = Sim.Metrics.snapshot (Sim.Net.metrics net);
-    trace =
-      List.map
-        (fun (e : Sim.Trace.entry) ->
-          Printf.sprintf "%d %s %s" e.Sim.Trace.time e.Sim.Trace.actor e.Sim.Trace.event)
-        (Sim.Trace.entries (Sim.Net.trace net));
-    jsonl = Sim.Span.to_jsonl spans;
+    gates = [ ("arrivals succeed", !succeeded > 0) ];
+    digest = Drive.digest net;
   }
+
+let metric o k = Option.value (List.assoc_opt k o.metrics) ~default:0
+
+(* What a smoke asks besides progress: every op class ran, churn recycled
+   keys, and the batched hot path engaged — and the unbatched path, run
+   twice, stays off it and replays byte for byte. *)
+let smoke_gates cfg o =
+  let off = { cfg with link_cache = false; pipeline = false } in
+  [ ("every op class exercised", o.grants > 0 && o.presents > 0 && o.debits > 0 && o.sweeps > 0);
+    ("population churned and keys reused", o.retired > 0 && o.keys_reused > 0);
+    ("keygens bounded by materializations", o.keys_generated <= o.materializations);
+    ("link cache engaged", metric o "link_cache.hits" > 0);
+    ( "sweeps coalesced",
+      metric o "rpc.batch.calls" > 0 && metric o "rpc.batch.items" >= cfg.sweep_width );
+    ("replication read-skips", metric o "cluster.repl_read_skips" > 0);
+    ("spans captured", o.span_count > 0);
+    ( "same-seed rerun byte-identical (unbatched)",
+      let a = run off in
+      metric a "link_cache.hits" = 0
+      && metric a "rpc.batch.calls" = 0
+      && String.equal a.digest (run off).digest ) ]
+
+let entry cfg =
+  Drive.entry ~label:"load" ~gates:(fun o -> o.gates) ~digest:(fun o -> o.digest)
+    ~smoke_gates:(smoke_gates cfg) (fun () -> run cfg)
 
 (* ------------------------------------------------------------------ *)
 (* The cascade study                                                   *)

@@ -22,7 +22,7 @@
     cache), intra-shard {e debits}/balances, cross-shard check
     {e clearing}, and pipelined balance {e sweeps} (exercising
     {!Secure_rpc.call_batch}). Every random choice draws from seeded
-    DRBGs: same seed, same bytes — metrics, trace, and span JSONL. *)
+    DRBGs: same seed, same digest — metrics, trace, and span JSONL. *)
 
 type config = {
   seed : string;
@@ -62,11 +62,21 @@ type outcome = {
   max_us : int;
   span_count : int;
   metrics : (string * int) list;
-  trace : string list;
-  jsonl : string;  (** span export; byte-identical across same-seed runs *)
+  gates : Drive.gate list;  (** some arrival succeeded *)
+  digest : string;  (** metrics snapshot, audit trail and span JSONL *)
 }
 
 val run : config -> outcome
+
+val metric : outcome -> string -> int
+(** A counter of the run's metrics snapshot; 0 when absent. *)
+
+val entry : config -> outcome Drive.entry
+(** Its smoke also gates on every op class running, churn reusing pooled
+    keys, keygens bounded by materializations, the link cache, coalesced
+    sweeps, replication read-skips and spans all engaging, and on the
+    same config unbatched (no link cache, no pipelining) staying off the
+    hot path and replaying byte for byte. *)
 
 (** {1 The cascade study}
 

@@ -198,22 +198,17 @@ let rec rspec_to_wire = function
           Wire.L (List.map (fun (op, t) -> Wire.L [ Wire.S op; target_to_wire t ]) steps) ]
   | R_unknown -> Wire.L [ Wire.S "u" ]
 
-let map_result f l =
-  List.fold_right
-    (fun x acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (f x)))
-    l (Ok [])
-
 let rec rspec_of_wire v =
   let open Wire in
   let* tag = Result.bind (field v 0) to_string in
   match tag with
   | "g" ->
       let* us = Result.bind (field v 1) to_list in
-      let* us = map_result to_int us in
+      let* us = Wire.map_all to_int us in
       Ok (R_grantee us)
   | "i" ->
       let* ss = Result.bind (field v 1) to_list in
-      let* ss = map_result server_of_wire ss in
+      let* ss = Wire.map_all server_of_wire ss in
       Ok (R_issued_for ss)
   | "q" -> Result.map (fun n -> R_quota n) (Result.bind (field v 1) to_int)
   | "a" ->
@@ -221,16 +216,16 @@ let rec rspec_of_wire v =
       let entry e =
         let* t = Result.bind (field e 0) target_of_wire in
         let* ops = Result.bind (field e 1) to_list in
-        let* ops = map_result to_string ops in
+        let* ops = Wire.map_all to_string ops in
         Ok (t, ops)
       in
-      let* es = map_result entry es in
+      let* es = Wire.map_all entry es in
       Ok (R_authorized es)
   | "o" -> Result.map (fun n -> R_accept_once n) (Result.bind (field v 1) to_int)
   | "l" ->
       let* s = Result.bind (field v 1) server_of_wire in
       let* rs = Result.bind (field v 2) to_list in
-      let* rs = map_result rspec_of_wire rs in
+      let* rs = Wire.map_all rspec_of_wire rs in
       Ok (R_limit (s, rs))
   | "s" ->
       let* steps = Result.bind (field v 1) to_list in
@@ -239,13 +234,13 @@ let rec rspec_of_wire v =
         let* t = Result.bind (field s 1) target_of_wire in
         Ok (op, t)
       in
-      let* steps = map_result step steps in
+      let* steps = Wire.map_all step steps in
       Ok (R_sequence steps)
   | "u" -> Ok R_unknown
   | other -> Error (Printf.sprintf "mbt: bad rspec tag %S" other)
 
 let rs_to_wire rs = Wire.L (List.map rspec_to_wire rs)
-let rs_of_wire v = Result.bind (Wire.to_list v) (map_result rspec_of_wire)
+let rs_of_wire v = Result.bind (Wire.to_list v) (Wire.map_all rspec_of_wire)
 
 let op_to_wire = function
   | Grant { grantor; flavor; expired; rs } ->
@@ -344,7 +339,7 @@ let of_wire v : (t, string) result =
     if ver <> version then Error (Printf.sprintf "mbt: unsupported program version %d" ver)
     else
       let* ops = Result.bind (field v 2) to_list in
-      map_result op_of_wire ops
+      Wire.map_all op_of_wire ops
 
 (* --- hex helpers (repro files are hex so they survive editors and diffs) --- *)
 

@@ -182,11 +182,7 @@ let lanes_cfg ~seed ~shards ~flavor =
 
 let test_seq_gates_hold () =
   let o = Lanes.run { (lanes_cfg ~seed:"lane-test-seq" ~shards:2 ~flavor:Lanes.Seq) with Lanes.domains = 2 } in
-  List.iter
-    (fun (name, ok) -> Alcotest.(check bool) ("gate " ^ name) true ok)
-    o.Lanes.seq_gates;
-  Alcotest.(check bool) "conserved" true (o.Lanes.conserved = Ok ());
-  Alcotest.(check int) "no double redemptions" 0 o.Lanes.double_redemptions
+  List.iter (fun (name, ok) -> Alcotest.(check bool) ("gate " ^ name) true ok) o.Lanes.gates
 
 let prop_lanes_domains_agnostic =
   let print (s, shards, f) = Printf.sprintf "seed=%d shards=%d flavor=%d" s shards f in

@@ -138,15 +138,14 @@ let small cfg_seed ~batched =
     churn_every = 8;
   }
 
-let metric o k = Option.value (List.assoc_opt k o.Driver.metrics) ~default:0
+let metric = Driver.metric
 
 let test_driver_deterministic_replay () =
   let cfg = small "driver-det" ~batched:true in
   let o = Driver.run cfg and o2 = Driver.run cfg in
   Alcotest.(check bool) "some arrivals succeed" true (o.Driver.succeeded > 0);
-  Alcotest.(check bool) "metrics replay byte-identical" true (o.Driver.metrics = o2.Driver.metrics);
-  Alcotest.(check bool) "trace replays byte-identical" true (o.Driver.trace = o2.Driver.trace);
-  Alcotest.(check bool) "span JSONL replays byte-identical" true (o.Driver.jsonl = o2.Driver.jsonl);
+  (* The digest holds metrics, trace and span JSONL. *)
+  Alcotest.(check string) "digest replays byte-identical" o.Driver.digest o2.Driver.digest;
   (* The batched hot path engaged. *)
   Alcotest.(check bool) "sweeps coalesced" true (metric o "rpc.batch.calls" > 0);
   Alcotest.(check bool) "replication read-skips" true (metric o "cluster.repl_read_skips" > 0);

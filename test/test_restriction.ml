@@ -229,6 +229,19 @@ let test_wire_rejects_garbage () =
   Alcotest.(check bool) "negative quota" true
     (Result.is_error (R.of_wire (Wire.L [ Wire.S "quota"; Wire.S "c"; Wire.I (-1) ])))
 
+(* A list with several malformed entries reports the first one's error. *)
+let test_wire_list_first_error_wins () =
+  let bad_quota = Wire.L [ Wire.S "quota"; Wire.S "c"; Wire.I (-1) ] in
+  let bad_grantee = Wire.L [ Wire.S "grantee"; Wire.L []; Wire.I 0 ] in
+  let err w = match R.of_wire w with Error e -> e | Ok _ -> Alcotest.fail "decoded garbage" in
+  Alcotest.(check bool) "the two errors differ" true (err bad_quota <> err bad_grantee);
+  List.iter
+    (fun (first, second) ->
+      Alcotest.(check (result reject string))
+        "first malformed entry's error" (Error (err first))
+        (R.list_of_wire (Wire.L [ R.to_wire (R.Quota ("pages", 1)); first; second ])))
+    [ (bad_quota, bad_grantee); (bad_grantee, bad_quota) ]
+
 let test_propagate_keeps_everything () =
   let rs = [ R.Quota ("pages", 5); R.Accept_once "x" ] in
   let out = R.propagate ~issued_for:[ server ] rs in
@@ -431,7 +444,8 @@ let () =
           ("unknown tag pinned", `Quick, test_unknown_wire_form);
           ("sequence form pinned, pre-tag fails closed", `Quick, test_sequence_wire_form_pinned);
           ("sequence rejects degenerate", `Quick, test_sequence_wire_rejects_degenerate);
-          ("rejects garbage", `Quick, test_wire_rejects_garbage) ] );
+          ("rejects garbage", `Quick, test_wire_rejects_garbage);
+          ("first malformed entry's error wins", `Quick, test_wire_list_first_error_wins) ] );
       ( "propagate",
         [ ("keeps everything", `Quick, test_propagate_keeps_everything);
           ("elides unreachable limits", `Quick, test_propagate_elides_unreachable_limit);

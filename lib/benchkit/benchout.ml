@@ -4,9 +4,8 @@
    (floats: wall-clock nanoseconds). Logical quantities are deterministic
    functions of the protocol and the fixed seeds, so CI compares them
    exactly against a committed baseline; wall-times vary with the machine
-   and are reported, never gated. No JSON library is available in this
-   environment, so the emitter/parser below handle exactly the subset the
-   emitter produces. *)
+   and are reported, never gated. The emitter below writes the subset that
+   [Sim.Json] reads back. *)
 
 type row = {
   label : string;
@@ -81,166 +80,10 @@ let write ~id ~title rows =
   close_out oc;
   Printf.printf "[bench] wrote %s (%d rows, mode %s)\n%!" path (List.length rows) mode
 
-(* ---------------- parse ---------------- *)
-
-(* Tiny recursive-descent parser for the emitted subset: objects, arrays,
-   strings, integers, floats, null. *)
-
-exception Parse of string
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Null
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'
-          | Some '\\' -> Buffer.add_char buf '\\'
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'u' ->
-              (* Exactly four hex digits, validated by hand: int_of_string
-                 would raise (escaping as an exception, not a parse error)
-                 and accepts underscores. *)
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let hex_digit c =
-                match c with
-                | '0' .. '9' -> Char.code c - Char.code '0'
-                | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-                | _ -> fail "bad \\u escape"
-              in
-              let code = ref 0 in
-              for i = 0 to 3 do
-                code := (!code * 16) + hex_digit s.[!pos + i]
-              done;
-              pos := !pos + 3;
-              Buffer.add_char buf (Char.chr (!code land 0xff))
-          | _ -> fail "bad escape");
-          advance ();
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    if start = !pos then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
-          pos := !pos + 4;
-          Null
-        end
-        else fail "expected null"
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let valid_json s =
-  match parse_json s with _ -> Ok () | exception Parse e -> Error e
+(* ---------------- read back ---------------- *)
 
 let doc_of_json j =
+  let open Sim.Json in
   let field name = function
     | Obj members -> (
         match List.assoc_opt name members with
@@ -304,7 +147,7 @@ let load path =
     s
   with
   | exception Sys_error e -> Error e
-  | s -> ( try doc_of_json (parse_json s) with Parse e -> Error e)
+  | s -> Result.bind (Sim.Json.parse s) doc_of_json
 
 (* ---------------- compare ---------------- *)
 

@@ -39,11 +39,6 @@ val write : id:string -> title:string -> row list -> unit
 val load : string -> (doc, string) result
 (** Parse an artifact; [Error] doubles as schema validation. *)
 
-val valid_json : string -> (unit, string) result
-(** Syntax-check a string against the JSON subset this module handles
-    (objects, arrays, strings, numbers, null) — used by tests to validate
-    emitted artifacts such as Chrome trace exports. *)
-
 val check : baseline:doc -> current:doc -> (unit, string list) result
 (** Exact comparison of ids, row labels, and integer metrics; floats are
     never compared. *)

@@ -282,9 +282,9 @@ let run ~seed ~iters =
    at the wire layer and through their typed decoder; [mutant-*.hex] only
    must not crash anything.  The typed decoder is recovered from the file
    name: valid-<seedname>.hex / mutant-<k>-<seedname>.hex.  [json-*.hex]
-   entries are raw JSON text (hex-encoded like the rest) fed to the bench
-   artifact parser instead of the wire codec — each is an input that once
-   crashed [Benchout]'s \u escape handling, pinned so the parser keeps
+   entries are raw JSON text (hex-encoded like the rest) fed to [Sim.Json]
+   instead of the wire codec — each is an input that once crashed the bench
+   artifact parser's \u escape handling, pinned so the parser keeps
    failing closed. *)
 
 (* Hostile \u escapes: non-hex digit, truncation mid-escape, and the
@@ -423,7 +423,7 @@ let replay_corpus ~dir =
       | Error e -> fail fname ("bad hex: " ^ e)
       | Ok bytes when String.length fname >= 5 && String.sub fname 0 5 = "json-" -> (
           (* Bench-artifact JSON: the parser must fail closed, never raise. *)
-          match no_crash "json-parse" fname bytes (fun () -> Benchout.valid_json bytes) with
+          match no_crash "json-parse" fname bytes (fun () -> Sim.Json.valid bytes) with
           | Error c -> fail fname ("json parser raised: " ^ c.c_exn)
           | Ok `Ok | Ok `Err -> ())
       | Ok bytes -> (

@@ -1,16 +1,16 @@
-(* Regression pins for the bench-output JSON validator, in particular the
-   \u escape parser that used to walk past the end of the buffer (or accept
-   junk) on truncated and non-hex escapes. *)
+(* Regression pins for the JSON validator that reads bench output back
+   ([Sim.Json]), in particular the \u escape parser that used to walk past
+   the end of the buffer (or accept junk) on truncated and non-hex escapes. *)
 
 let ok name s =
-  match Benchout.valid_json s with
+  match Sim.Json.valid s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: rejected valid json: %s" name e
 
 let rejected name s =
   (* The bug was a crash (out-of-bounds raise); the fix must turn each of
      these into a clean Error, never an exception. *)
-  match Benchout.valid_json s with
+  match Sim.Json.valid s with
   | Ok () -> Alcotest.failf "%s: accepted malformed json" name
   | Error _ -> ()
   | exception e -> Alcotest.failf "%s: parser raised %s" name (Printexc.to_string e)

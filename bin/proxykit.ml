@@ -534,10 +534,6 @@ let load_cmd =
          & info [ "churn-every" ] ~docv:"N"
              ~doc:"Retire the oldest materialized principal every N arrivals (0 = never)")
   in
-  let no_link_cache =
-    Arg.(value & flag
-         & info [ "no-link-cache" ] ~doc:"Disable the guard's chain-prefix verification cache")
-  in
   let no_pipeline =
     Arg.(value & flag
          & info [ "no-pipeline" ] ~doc:"Issue sweep balance queries as N serial calls")
@@ -553,8 +549,8 @@ let load_cmd =
     Printf.printf "  key pool:       %d generated, %d reused\n" o.keys_generated o.keys_reused;
     Printf.printf "  mix:            %d grants, %d presents, %d debits, %d clears, %d sweeps\n"
       o.grants o.presents o.debits o.clears o.sweeps;
-    Printf.printf "  verification:   %d rsa verifies; link cache %d hit(s) / %d miss(es)\n"
-      (m "crypto.rsa_verify") (m "link_cache.hits") (m "link_cache.misses");
+    Printf.printf "  verification:   %d rsa verifies; verify cache %d hit(s) / %d miss(es)\n"
+      (m "crypto.rsa_verify") (m "verify_cache.hits") (m "verify_cache.misses");
     Printf.printf "  pipelining:     %d batch call(s), %d coalesced, %d item(s)\n"
       (m "rpc.batch.calls") (m "rpc.batch.coalesced") (m "rpc.batch.items");
     Printf.printf "  replication:    %d ship(s) (%d replies, %d ops), %d read skip(s)\n"
@@ -562,8 +558,8 @@ let load_cmd =
       (m "cluster.repl_read_skips");
     Printf.printf "  spans:          %d\n" o.span_count
   in
-  let load seed population objects shards sweep_width churn_every no_link_cache no_pipeline
-      retries timeout domains smoke =
+  let load seed population objects shards sweep_width churn_every no_pipeline retries timeout
+      domains smoke =
     if domains > 0 then
       lanes ~smoke
         {
@@ -589,17 +585,14 @@ let load_cmd =
           shards;
           sweep_width;
           churn_every;
-          link_cache = smoke || not no_link_cache;
           pipeline = smoke || not no_pipeline;
           retries;
           timeout_us = timeout;
         }
       in
       Printf.printf
-        "load run: seed %S, %d principals (lazy), %d objects, %d shard(s), link cache %s, \
-         pipelining %s\n%!"
+        "load run: seed %S, %d principals (lazy), %d objects, %d shard(s), pipelining %s\n%!"
         seed population objects shards
-        (if cfg.link_cache then "on" else "off")
         (if cfg.pipeline then "on" else "off");
       Drive.main ~smoke ~report (Load.Driver.entry cfg)
     end
@@ -611,11 +604,11 @@ let load_cmd =
           check clearing, audit sweeps) from a lazily-materialized Zipf population against \
           the full stack, and report goodput and latency percentiles")
     Term.(const load $ seed_t "l1" $ population $ objects $ shards $ sweep_width $ churn_every
-          $ no_link_cache $ no_pipeline $ retries_t 4 $ timeout_t $ domains_t ()
+          $ no_pipeline $ retries_t 4 $ timeout_t $ domains_t ()
           $ smoke_t
-              "Run the acceptance gates: batched hot path engaged (link-cache hits, coalesced \
-               sweeps, replication read-skips) and byte-identical same-seed reruns with \
-               batching on and off; exit non-zero on violation")
+              "Run the acceptance gates: batched hot path engaged (coalesced sweeps, \
+               replication read-skips) and byte-identical same-seed reruns with batching on \
+               and off; exit non-zero on violation")
 
 let revoke_cmd =
   let grants =

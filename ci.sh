@@ -80,9 +80,9 @@ dune exec --no-build bin/proxykit.exe -- federate --smoke --domains 2
 echo "== open-loop load smoke =="
 # Deterministic open-loop mixed workload from a lazily-materialized 100k
 # Zipf population against the full stack. Gates: the batched hot path must
-# engage (link-cache hits, coalesced sweep batches, replication read-skips)
-# and same-seed reruns must be byte-identical — metrics, trace, and span
-# JSONL — with batching on and off.
+# engage (coalesced sweep batches, replication read-skips) and same-seed
+# reruns must be byte-identical — metrics, trace, and span JSONL — with
+# batching on and off.
 dune exec --no-build bin/proxykit.exe -- load --smoke
 # Lane-parallel variant: the skewed, read-heavy lane mix on 4 domains must
 # match the single-domain schedule byte for byte.

@@ -6,12 +6,8 @@ type t = {
   files : (string, string) Hashtbl.t;
 }
 
-let create net ~me ~my_key ?lookup_pub ?my_rsa ?verify_cache ?link_cache ?revocation ~acl
-    () =
-  let guard =
-    Guard.create net ~me ~my_key ?lookup_pub ?my_rsa ?verify_cache ?link_cache ?revocation
-      ~acl ()
-  in
+let create net ~me ~my_key ?lookup_pub ?my_rsa ?verify_cache ?revocation ~acl () =
+  let guard = Guard.create net ~me ~my_key ?lookup_pub ?my_rsa ?verify_cache ?revocation ~acl () in
   { net; me; my_key; guard; files = Hashtbl.create 16 }
 
 let me t = t.me

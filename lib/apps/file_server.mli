@@ -15,7 +15,6 @@ val create :
   ?lookup_pub:(Principal.t -> Crypto.Rsa.public option) ->
   ?my_rsa:Crypto.Rsa.private_ ->
   ?verify_cache:Verify_cache.t ->
-  ?link_cache:Link_cache.t ->
   ?revocation:Revocation.t ->
   acl:Acl.t ->
   unit ->
@@ -23,10 +22,8 @@ val create :
 (** [my_rsa] lets the guard accept hybrid proxies (their symmetric proxy
     key is sealed to this server's public key); [verify_cache] overrides
     the guard's signature-verification memo cache (pass a capacity-0 cache
-    to disable caching, e.g. for differential testing); [link_cache]
-    additionally memoizes verified public-key chain prefixes
-    ({!Link_cache}, off by default); [revocation] attaches local bulletin
-    state (see {!Guard.create}). *)
+    to disable caching, e.g. for differential testing); [revocation]
+    attaches local bulletin state (see {!Guard.create}). *)
 
 val install : t -> unit
 val me : t -> Principal.t

@@ -13,7 +13,6 @@ type t = {
   replay : Replay_cache.t;
   seq : Seq_tracker.t;
   verify_cache : Verify_cache.t;
-  link_cache : Link_cache.t option;
   mutable revocation : Revocation.t option;
   mutable seq_observer :
     (key:string -> progress:int -> expires:int -> tag:string -> unit) option;
@@ -23,7 +22,7 @@ type t = {
 }
 
 let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa
-    ?(max_skew_us = 5 * 60 * 1_000_000) ?verify_cache ?link_cache ?revocation ~acl () =
+    ?(max_skew_us = 5 * 60 * 1_000_000) ?verify_cache ?revocation ~acl () =
   let decrypt =
     match my_rsa with None -> fun _ -> None | Some key -> Crypto.Rsa.decrypt key
   in
@@ -48,7 +47,6 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa
     replay = Replay_cache.create ~on_evict:(incr "replay_cache.evictions") ();
     seq = Seq_tracker.create ~on_evict:(incr "seq_tracker.evictions") ();
     verify_cache;
-    link_cache;
     revocation;
     seq_observer = None;
     seq_forward = None;
@@ -61,7 +59,6 @@ let seq_tracker t = t.seq
 let set_seq_observer t f = t.seq_observer <- f
 let set_seq_forward t f = t.seq_forward <- f
 let verify_cache t = t.verify_cache
-let link_cache t = t.link_cache
 let revocation t = t.revocation
 let set_revocation t r = t.revocation <- Some r
 
@@ -157,9 +154,9 @@ let span_hook t =
               Sim.Span.with_span sp ~actor:(Principal.to_string t.me) ~kind:name ~attrs f);
         }
 
-(* A bulletin that actually extends revocation coverage retires the whole
-   verify-cache generation: the cache keys are one-way hashes, so the chains
-   depending on a freshly revoked link cannot be enumerated — everything is
+(* A bulletin that actually extends revocation coverage clears the whole
+   verify cache: the cache keys are one-way hashes, so the chains depending
+   on a freshly revoked link cannot be enumerated — everything is
    invalidated in one bump and honest traffic re-verifies. A heartbeat
    bulletin (same entries, newer epoch) only refreshes the staleness
    anchor and leaves the cache warm. *)
@@ -175,11 +172,6 @@ let apply_bulletin t bulletin =
           if fresh > 0 then begin
             let retired = Verify_cache.bump_generation t.verify_cache in
             Sim.Metrics.incr (Sim.Net.metrics t.net) "verify_cache.generation_bumps";
-            (match t.link_cache with
-            | Some lc ->
-                ignore (Link_cache.bump_generation lc);
-                Sim.Metrics.incr (Sim.Net.metrics t.net) "link_cache.generation_bumps"
-            | None -> ());
             (* Shed the freshly killed grantors' accept-once records: their
                credentials can no longer verify, so the records only burn
                capacity — and a re-issued credential (same check number,
@@ -219,8 +211,8 @@ let apply_bulletin t bulletin =
 let evaluate t ~req (p : presented) =
   match
     Verifier.verify ~open_base:(open_base t) ~lookup:t.lookup_pub ~decrypt:t.decrypt ~me:t.me
-      ~tally:(tally t) ~cache:t.verify_cache ?link_cache:t.link_cache
-      ?revocation:t.revocation ?hook:(span_hook t) ~now:req.Restriction.time p.pres
+      ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation ?hook:(span_hook t)
+      ~now:req.Restriction.time p.pres
   with
   | Error e -> Error e
   | Ok verified -> (

@@ -27,7 +27,6 @@ val create :
   ?my_rsa:Crypto.Rsa.private_ ->
   ?max_skew_us:int ->
   ?verify_cache:Verify_cache.t ->
-  ?link_cache:Link_cache.t ->
   ?revocation:Revocation.t ->
   acl:Acl.t ->
   unit ->
@@ -38,18 +37,18 @@ val create :
     signature-verification memo cache; by default each guard gets its own,
     wired to the net's metrics ("verify_cache.hits"/"misses"/"evictions"/
     "invalidations", and "replay_cache.evictions" for the accept-once
-    cache). [link_cache] additionally memoizes verified chain {e prefixes}
-    for public-key cascades ({!Link_cache} — tallying "link_cache.hits"/
-    "misses"); off by default. [revocation] attaches local bulletin state:
-    every verification then consults it ({!Verifier.verify}), and
-    {!apply_bulletin} keeps it current. Without it the guard never revokes
-    (the pre-bulletin behavior). *)
+    cache). The cache memoizes RSA checks only: every presentation still
+    resolves each signer's key through [lookup_pub], so rebinding a
+    principal to a new key denies chains signed under the old one.
+    [revocation] attaches local bulletin state: every verification then
+    consults it ({!Verifier.verify}), and {!apply_bulletin} keeps it
+    current. Without it the guard never revokes (the pre-bulletin
+    behavior). *)
 
 val me : t -> Principal.t
 val acl : t -> Acl.t
 val replay_cache : t -> Replay_cache.t
 val verify_cache : t -> Verify_cache.t
-val link_cache : t -> Link_cache.t option
 val revocation : t -> Revocation.t option
 val set_revocation : t -> Revocation.t -> unit
 
@@ -96,9 +95,8 @@ val import_seq_progress :
 val apply_bulletin : t -> Revocation.bulletin -> (bool, string) result
 (** Feed one signed bulletin to the guard's revocation state. [Ok true]
     means the epoch advanced; if the bulletin added coverage, the whole
-    verify-cache generation is retired ({!Verify_cache.bump_generation},
-    and likewise the link cache's when one is attached) so no cached chain
-    sharing a revoked link can be re-hit, and the accept-once replay
+    verify cache is cleared ({!Verify_cache.bump_generation}) so no cached
+    signature on a revoked link can be re-hit, and the accept-once replay
     records of every grantor newly killed by a [By_grantor_epoch] entry
     are shed ({!Replay_cache.shed}) — their credentials can no longer
     verify, and a re-issued credential reusing an identifier must not
@@ -106,8 +104,7 @@ val apply_bulletin : t -> Revocation.bulletin -> (bool, string) result
     out-of-order old bulletin was ignored. [Error] means the bulletin
     failed authentication, or no revocation state is configured. Metrics:
     ["revocation.bulletins_applied"], ["verify_cache.generation_bumps"],
-    ["link_cache.generation_bumps"], ["verify_cache.invalidations"],
-    ["replay_cache.shed"]. *)
+    ["verify_cache.invalidations"], ["replay_cache.shed"]. *)
 
 (** A proxy as it arrives at the server: certificates plus (for bearer
     proxies) a proof of possession bound to this request. *)

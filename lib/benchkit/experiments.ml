@@ -1557,20 +1557,20 @@ let r1 () =
 (* L1: open-loop load harness + batched hot path                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Two halves. The cascade study isolates the link cache's O(k+M) claim:
-   M holders sharing one depth-k prefix, verified under four strategies,
-   with exact deterministic RSA totals. The load runs drive the full
-   stack (KDC, guarded file server, sharded cluster) open-loop from a
+(* Two halves. The cascade study isolates the per-signature cache's
+   O(k+M) claim: M holders sharing one depth-k prefix, verified under three
+   strategies, with exact deterministic RSA totals. The load runs drive the
+   full stack (KDC, guarded file server, sharded cluster) open-loop from a
    100k-principal lazy Zipf population, once with the batched hot path
-   (link cache + RPC pipelining) and once without. All integer metrics
-   are CI-gated; wall-clock goes in floats. *)
+   (RPC pipelining) and once without. All integer metrics are CI-gated;
+   wall-clock goes in floats. *)
 
 let l1 () =
   section "L1: open-loop load harness + batched hot path";
   Printf.printf
-    "Cascade study: %d holders share one depth-%d chain prefix. The link cache\n\
-     verifies k+M signatures (the floor); whole-presentation memoization pays\n\
-     (k+1)*M because no holder's chain matches another's as a unit.\n"
+    "Cascade study: %d holders share one depth-%d chain prefix. The per-signature\n\
+     cache verifies k+M signatures (the floor); whole-presentation memoization\n\
+     pays (k+1)*M because no holder's chain matches another's as a unit.\n"
     16 8;
   let c = Load.Driver.cascade_study ~seed:"l1-cascade" () in
   print_table "L1a: RSA verifies, depth-8 prefix x 16 holders x 3 repeats"
@@ -1578,9 +1578,7 @@ let l1 () =
     [ [ "uncached"; string_of_int c.Load.Driver.c_rsa_uncached; "-"; "-" ];
       [ "whole-presentation memo"; string_of_int c.Load.Driver.c_rsa_whole_chain; "-"; "-" ];
       [ "per-signature cache"; string_of_int c.Load.Driver.c_rsa_per_signature;
-        string_of_int c.Load.Driver.c_sig_hits; string_of_int c.Load.Driver.c_sig_misses ];
-      [ "link (chain-prefix) cache"; string_of_int c.Load.Driver.c_rsa_link;
-        string_of_int c.Load.Driver.c_link_hits; string_of_int c.Load.Driver.c_link_misses ] ];
+        string_of_int c.Load.Driver.c_sig_hits; string_of_int c.Load.Driver.c_sig_misses ] ];
   Printf.printf
     "Open-loop load: steady/burst/steady arrival profile against the full stack;\n\
      lateness under the burst lands in p99, not in a throttled offered load.\n";
@@ -1592,13 +1590,12 @@ let l1 () =
   in
   let runs =
     [ timed "batched" base;
-      timed "unbatched"
-        { base with Load.Driver.link_cache = false; Load.Driver.pipeline = false } ]
+      timed "unbatched" { base with Load.Driver.pipeline = false } ]
   in
   let met = Load.Driver.metric in
   print_table "L1b: open-loop goodput/latency, batched hot path on vs off"
-    [ "config"; "goodput"; "touched"; "keygens"; "reused"; "rsa vfy"; "link hits";
-      "batch items"; "repl ships"; "read skips"; "p50"; "p99" ]
+    [ "config"; "goodput"; "touched"; "keygens"; "reused"; "rsa vfy"; "batch items";
+      "repl ships"; "read skips"; "p50"; "p99" ]
     (List.map
        (fun (label, o, _) ->
          [ label;
@@ -1607,7 +1604,6 @@ let l1 () =
            string_of_int o.Load.Driver.keys_generated;
            string_of_int o.Load.Driver.keys_reused;
            string_of_int (met o "crypto.rsa_verify");
-           string_of_int (met o "link_cache.hits");
            string_of_int (met o "rpc.batch.items");
            string_of_int (met o "cluster.repl_shipped");
            string_of_int (met o "cluster.repl_read_skips");
@@ -1624,13 +1620,8 @@ let l1 () =
            ("rsa_uncached", c.Load.Driver.c_rsa_uncached);
            ("rsa_whole_chain", c.Load.Driver.c_rsa_whole_chain);
            ("rsa_per_signature", c.Load.Driver.c_rsa_per_signature);
-           ("rsa_link", c.Load.Driver.c_rsa_link);
-           ("link_hits", c.Load.Driver.c_link_hits);
-           ("link_misses", c.Load.Driver.c_link_misses);
            ("sig_hits", c.Load.Driver.c_sig_hits);
-           ("sig_misses", c.Load.Driver.c_sig_misses);
-           ("link_cheaper_than_whole_chain",
-            if c.Load.Driver.c_rsa_link < c.Load.Driver.c_rsa_whole_chain then 1 else 0) ];
+           ("sig_misses", c.Load.Driver.c_sig_misses) ];
        floats = [];
      }
     :: List.map
@@ -1653,8 +1644,6 @@ let l1 () =
                  ("sweeps", o.Load.Driver.sweeps);
                  ("span_count", o.Load.Driver.span_count);
                  ("rsa_verify", met o "crypto.rsa_verify");
-                 ("link_hits", met o "link_cache.hits");
-                 ("link_misses", met o "link_cache.misses");
                  ("batch_calls", met o "rpc.batch.calls");
                  ("batch_coalesced", met o "rpc.batch.coalesced");
                  ("batch_items", met o "rpc.batch.items");

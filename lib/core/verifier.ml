@@ -142,10 +142,7 @@ let verify_conventional ~open_base ?(tally = no_tally) ?revocation ?(hook = no_h
       chain.Proxy.cert_blobs
   end
 
-let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
-let verify_pk ~lookup ?(tally = no_tally) ?cache ?link_cache ?revocation ?(hook = no_hook)
-    ~now certs =
+let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~now certs =
   let open Wire in
   let* () = stale_gate ?revocation ~tally ~now () in
   match certs with
@@ -192,15 +189,7 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?link_cache ?revocation ?(hook 
          discharges them (the delegation is the exercise); any other
          continuation re-imposes them on the final presenters. *)
       let is_grantee = function Restriction.Grantee _ -> true | _ -> false in
-      let chain_length = List.length certs in
-      (* Rolling prefix digests, computed once per presentation when the
-         link cache is attached: element idx covers certificates 0..idx and
-         keys both the probe and the states recorded along the walk. *)
-      let prefix_digests =
-        match link_cache with None -> [||] | Some _ -> Link_cache.digests certs
-      in
-      let rec walk prev bodies_rev acc_restrictions pending_grantees acc_serials expires idx
-          = function
+      let rec walk prev acc_restrictions pending_grantees acc_serials expires idx = function
         | [] ->
             let last = Option.get prev in
             Ok
@@ -209,7 +198,7 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?link_cache ?revocation ?(hook 
                 restrictions = acc_restrictions @ pending_grantees;
                 expires;
                 commitment = Presentation.Pk_commit last.Proxy_cert.proxy_pub;
-                chain_length;
+                chain_length = List.length certs;
                 serials = List.rev acc_serials;
               }
         | (cert : Proxy_cert.pk_cert) :: rest ->
@@ -244,61 +233,14 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?link_cache ?revocation ?(hook 
             let grantee_rs, other_rs =
               List.partition is_grantee cert.Proxy_cert.pk_body.Proxy_cert.restrictions
             in
-            let bodies_rev = cert.Proxy_cert.pk_body :: bodies_rev in
-            let acc = acc_restrictions @ discharged @ other_rs in
-            let serials = cert.Proxy_cert.pk_body.Proxy_cert.serial :: acc_serials in
-            let expires = min expires cert.Proxy_cert.pk_body.Proxy_cert.expires in
-            (* Every verified prefix becomes a resume point: recording each
-               length (not just the full chain) is what lets two chains that
-               fork after link i share the work of links 0..i. Recording
-               happens only after this certificate's own signature, window
-               and revocation checks passed. *)
-            (match link_cache with
-            | Some lc ->
-                Link_cache.record lc ~now ~key:prefix_digests.(idx)
-                  {
-                    Link_cache.s_last = cert;
-                    s_bodies = List.rev bodies_rev;
-                    s_restrictions = acc;
-                    s_pending = grantee_rs;
-                    s_serials_rev = serials;
-                    s_expires = expires;
-                    s_len = idx + 1;
-                  }
-            | None -> ());
-            walk (Some cert) bodies_rev acc grantee_rs serials expires (idx + 1) rest
+            walk (Some cert)
+              (acc_restrictions @ discharged @ other_rs)
+              grantee_rs
+              (cert.Proxy_cert.pk_body.Proxy_cert.serial :: acc_serials)
+              (min expires cert.Proxy_cert.pk_body.Proxy_cert.expires)
+              (idx + 1) rest
       in
-      let cold () = walk None [] [] [] [] max_int 0 certs in
-      (match link_cache with
-      | None -> cold ()
-      | Some lc -> (
-          match Link_cache.find_longest lc ~now prefix_digests with
-          | None ->
-              tally "link_cache.misses";
-              cold ()
-          | Some (len, st) ->
-              (* Resume after the longest verified prefix. The prefix's RSA
-                 walk is skipped; its time windows and revocation status are
-                 NOT — every link is re-checked against the current clock
-                 and bulletin state before any cached authority is trusted. *)
-              tally "link_cache.hits";
-              let* () =
-                hook.wrap ~name:"verify.prefix"
-                  ~attrs:[ ("flavor", "pk"); ("len", string_of_int len) ]
-                  (fun () ->
-                    let rec recheck = function
-                      | [] -> Ok ()
-                      | body :: rest ->
-                          let* () = check_window ~now body in
-                          let* () = check_revocation ?revocation ~tally body in
-                          recheck rest
-                    in
-                    recheck st.Link_cache.s_bodies)
-              in
-              walk (Some st.Link_cache.s_last)
-                (List.rev st.Link_cache.s_bodies)
-                st.Link_cache.s_restrictions st.Link_cache.s_pending
-                st.Link_cache.s_serials_rev st.Link_cache.s_expires len (drop len certs)))
+      walk None [] [] [] max_int 0 certs
 
 (* Walk conventionally-sealed cascade certificates from a known starting
    key, accumulating restrictions; shared by the conventional walk above in
@@ -383,12 +325,11 @@ let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
 
 let no_decrypt _ = None
 
-let verify ~open_base ~lookup ?(decrypt = no_decrypt) ?me ?tally ?cache ?link_cache
-    ?revocation ?hook ~now = function
+let verify ~open_base ~lookup ?(decrypt = no_decrypt) ?me ?tally ?cache ?revocation ?hook
+    ~now = function
   | Proxy.Conventional chain ->
       verify_conventional ~open_base ?tally ?revocation ?hook ~now chain
-  | Proxy.Public_key certs ->
-      verify_pk ~lookup ?tally ?cache ?link_cache ?revocation ?hook ~now certs
+  | Proxy.Public_key certs -> verify_pk ~lookup ?tally ?cache ?revocation ?hook ~now certs
   | Proxy.Hybrid (head, blobs) ->
       verify_hybrid ~lookup ~decrypt ?me ?tally ?cache ?revocation ?hook ~now (head, blobs)
 

@@ -53,7 +53,6 @@ val verify_pk :
   lookup:(Principal.t -> Crypto.Rsa.public option) ->
   ?tally:(string -> unit) ->
   ?cache:Verify_cache.t ->
-  ?link_cache:Link_cache.t ->
   ?revocation:Revocation.t ->
   ?hook:span_hook ->
   now:int ->
@@ -66,17 +65,9 @@ val verify_pk :
     paper's audit-trail discipline). A delegate-cascade signature
     {e discharges} the Grantee restriction it exercised: a check endorsed
     from payee to bank no longer requires the payee among the final
-    presenters, only the endorsement target.
-
-    When [link_cache] is given, the walk first probes for the longest
-    already-verified chain {e prefix} ({!Link_cache}): a hit (tallied
-    ["link_cache.hits"]) skips the prefix's signature verifications
-    entirely — re-checking each cached link's time window and revocation
-    status against the current clock first — and resumes the walk at the
-    first unverified certificate, recording every newly verified prefix
-    as a future resume point. A miss tallies ["link_cache.misses"] and
-    walks from the head. [cache] and [link_cache] compose: the per-
-    signature memo still serves certificates beyond the cached prefix. *)
+    presenters, only the endorsement target. Every link's signer key is
+    resolved through [lookup] on every presentation, cached or not, so a
+    chain signed by a key the directory no longer binds is refused. *)
 
 val verify_hybrid :
   lookup:(Principal.t -> Crypto.Rsa.public option) ->
@@ -101,7 +92,6 @@ val verify :
   ?me:Principal.t ->
   ?tally:(string -> unit) ->
   ?cache:Verify_cache.t ->
-  ?link_cache:Link_cache.t ->
   ?revocation:Revocation.t ->
   ?hook:span_hook ->
   now:int ->
@@ -113,7 +103,9 @@ val verify :
     tallies ["verify_cache.hits"] instead of ["crypto.rsa_verify"], a miss
     tallies both ["verify_cache.misses"] and the usual crypto counters —
     so the cache-miss metering is exactly the uncached metering. Time
-    windows, restrictions and proofs are never cached.
+    windows, restrictions, proofs and signer-key lookups are never cached:
+    the memo is keyed by the key [lookup] returns now, so a chain signed
+    by a key its principal no longer holds misses and fails its RSA check.
 
     When [revocation] is given, every certificate body on the walk is
     checked against the local bulletin state (tallying

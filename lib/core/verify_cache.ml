@@ -1,29 +1,14 @@
+(* A successful verification is a [unit] entry in one [Expiring] table,
+   living [ttl_us] from when it was recorded; the table owns purging and
+   eviction, and this module keeps the counts. *)
+
 type t = {
-  capacity : int;
+  table : unit Expiring.t option;  (* [None]: capacity 0, caching off *)
   ttl_us : int;
-  on_evict : unit -> unit;
   on_invalidate : unit -> unit;
-  table : (string, int * int * int) Hashtbl.t;
-      (* key -> (recorded_at, seq, generation). An entry whose generation
-         predates [t.generation] was retired by a bump and is dead: it was
-         already counted as an invalidation when the bump happened, so the
-         lazy sweep that finds it later just drops it without touching any
-         counter. *)
-  order : (string * int) Queue.t;
-      (* (key, seq) in recording order; an entry whose seq no longer matches
-         the table was re-recorded later and is skipped. The seq (not the
-         timestamp) carries eviction rank: the virtual clock may not advance
-         between two records, but the sequence always does. *)
-  mutable seq : int;
-  mutable generation : int;
-  mutable live : int;
-      (* number of table entries carrying the current generation — the
-         cache's logical size, and the exact count a bump must charge to
-         [invalidations]. Maintained incrementally so {!bump_generation}
-         never walks the table. *)
+  evictions : int ref;  (* bumped by the table's eviction hook *)
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   mutable invalidations : int;
 }
 
@@ -31,27 +16,23 @@ type stats = { hits : int; misses : int; evictions : int; invalidations : int; s
 
 let default_capacity = 1024
 let default_ttl_us = 3_600_000_000 (* matches Pki.Resolver's default TTL *)
-let no_evict () = ()
 
-let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us)
-    ?(on_evict = no_evict) ?(on_invalidate = no_evict) () =
+let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us) ?(on_evict = ignore)
+    ?(on_invalidate = ignore) () =
   if capacity < 0 then invalid_arg "Verify_cache.create: capacity must be non-negative";
   if ttl_us < 1 then invalid_arg "Verify_cache.create: ttl must be positive";
-  {
-    capacity;
-    ttl_us;
-    on_evict;
-    on_invalidate;
-    table = Hashtbl.create (min capacity 64);
-    order = Queue.create ();
-    seq = 0;
-    generation = 0;
-    live = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    invalidations = 0;
-  }
+  let evictions = ref 0 in
+  let table =
+    if capacity = 0 then None
+    else
+      Some
+        (Expiring.create ~capacity
+           ~on_evict:(fun () ->
+             incr evictions;
+             on_evict ())
+           ())
+  in
+  { table; ttl_us; on_invalidate; evictions; hits = 0; misses = 0; invalidations = 0 }
 
 (* Length-framed concatenation, so ("ab","c") and ("a","bc") cannot key the
    same entry. *)
@@ -62,152 +43,40 @@ let key ~signed_bytes ~signature ~signer =
   in
   Crypto.Sha256.digest (frame signed_bytes ^ frame signature ^ frame signer)
 
-let fresh t ~now inserted_at = inserted_at + t.ttl_us > now
-
 let check t ~now k =
-  if t.capacity = 0 then begin
-    (* Disabled cache: every lookup misses, nothing is remembered.  Used by
-       differential tests to run the identical guard wiring with caching
-       switched off. *)
-    t.misses <- t.misses + 1;
-    false
-  end
-  else
-  match Hashtbl.find_opt t.table k with
-  | Some (_, _, g) when g <> t.generation ->
-      (* Dead generation: retired (and counted) by an earlier bump; drop the
-         husk now that the lookup has found it. *)
-      Hashtbl.remove t.table k;
-      t.misses <- t.misses + 1;
-      false
-  | Some (recorded_at, _, _) when fresh t ~now recorded_at ->
+  match t.table with
+  | Some table when Option.is_some (Expiring.find table ~now k) ->
       t.hits <- t.hits + 1;
       true
-  | Some _ ->
-      (* TTL expired: the signer binding may have been revoked since we
-         verified — forget the entry and force a re-verification. *)
-      Hashtbl.remove t.table k;
-      t.live <- t.live - 1;
+  | Some _ | None ->
       t.misses <- t.misses + 1;
       false
-  | None ->
-      t.misses <- t.misses + 1;
-      false
-
-let evict_one t =
-  let rec pop () =
-    match Queue.take_opt t.order with
-    | None -> ()
-    | Some (k, seq) -> (
-        (* Evict only when this queue entry is the key's *latest* record: a
-           mismatched seq means the entry was refreshed (re-pushed) later,
-           so this one is stale and the key's turn comes with the newer
-           entry. Dead-generation entries are dropped in passing without
-           counting an eviction — their retirement was already charged to
-           [invalidations] when the generation bumped. *)
-        match Hashtbl.find_opt t.table k with
-        | Some (_, s, g) when s = seq && g = t.generation ->
-            Hashtbl.remove t.table k;
-            t.live <- t.live - 1;
-            t.evictions <- t.evictions + 1;
-            t.on_evict ()
-        | Some (_, s, g) when s = seq && g <> t.generation ->
-            Hashtbl.remove t.table k;
-            pop ()
-        | _ -> pop () (* expired, evicted, or re-recorded since; skip *))
-  in
-  pop ()
-
-(* Refreshes and generation bumps leave dead entries behind; when they
-   dominate, drop them in one O(queue) sweep so both the queue and the
-   table stay within a constant factor of capacity. *)
-let compact t =
-  if Queue.length t.order > 2 * t.capacity then begin
-    let live = Queue.create () in
-    Queue.iter
-      (fun (k, seq) ->
-        match Hashtbl.find_opt t.table k with
-        | Some (_, s, g) when s = seq ->
-            if g = t.generation then Queue.push (k, seq) live
-            else Hashtbl.remove t.table k
-        | _ -> ())
-      t.order;
-    Queue.clear t.order;
-    Queue.transfer live t.order
-  end
 
 let record t ~now k =
-  if t.capacity = 0 then ()
-  else begin
-    let refresh =
-      match Hashtbl.find_opt t.table k with
-      | Some (_, _, g) when g = t.generation -> true
-      | Some _ ->
-          (* A dead-generation husk under the same key: replaced below, and
-             the replacement is a fresh insertion, not a refresh. *)
-          Hashtbl.remove t.table k;
-          false
-      | None -> false
-    in
-    if (not refresh) && t.live >= t.capacity then evict_one t;
-    t.seq <- t.seq + 1;
-    Hashtbl.replace t.table k (now, t.seq, t.generation);
-    Queue.push (k, t.seq) t.order;
-    if not refresh then t.live <- t.live + 1;
-    compact t
-  end
-
-let flush t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.live <- 0
-
-(* Explicit invalidation: unlike TTL expiry (a passive freshness bound) and
-   capacity eviction (a space bound), these are {e correctness} events — a
-   revocation arrived and the memoized verdicts are no longer trustworthy.
-   They are counted separately so the invalidation storm is observable. *)
-
-let invalidate t k =
-  match Hashtbl.find_opt t.table k with
-  | Some (_, _, g) ->
-      Hashtbl.remove t.table k;
-      if g = t.generation then begin
-        t.live <- t.live - 1;
-        t.invalidations <- t.invalidations + 1;
-        t.on_invalidate ()
-      end
+  match t.table with
+  | Some table -> Expiring.add table ~now ~expires:(now + t.ttl_us) k ()
   | None -> ()
 
-(* One bump retires the whole current generation: every cached chain that
-   shares the revoked link (and every other entry — the cache cannot map a
-   serial back to the hashed keys that depend on it) is dropped, and
-   re-presentations pay the full RSA walk again. The drop is *lazy*: the
-   bump only advances the generation counter and charges the maintained
-   live count to [invalidations]; dead entries are reaped as lookups,
-   evictions and compactions stumble over them. A bulletin storm that
-   bumps k times in a row therefore costs O(live-at-first-bump), not
-   O(k * table), which is what keeps the verifier responsive under the
-   L1 revocation-churn load. *)
+let size t = match t.table with Some table -> Expiring.size table | None -> 0
+
+(* A revocation, unlike TTL expiry (a freshness bound) or eviction (a space
+   bound), is a correctness event: the memoized verdicts are no longer
+   trusted. Each dropped entry counts as an invalidation, so a storm of
+   bumps is observable. *)
 let bump_generation t =
-  let n = t.live in
-  t.generation <- t.generation + 1;
-  t.live <- 0;
+  let n = size t in
+  Option.iter Expiring.clear t.table;
   t.invalidations <- t.invalidations + n;
   for _ = 1 to n do
     t.on_invalidate ()
   done;
   n
 
-let generation t = t.generation
-
 let stats (t : t) =
   {
     hits = t.hits;
     misses = t.misses;
-    evictions = t.evictions;
+    evictions = !(t.evictions);
     invalidations = t.invalidations;
-    size = t.live;
+    size = size t;
   }
-
-let size t = t.live
-let capacity t = t.capacity

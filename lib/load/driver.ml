@@ -13,7 +13,6 @@ type config = {
   objects : int;
   shards : int;
   phases : Population.phase list;
-  link_cache : bool;
   pipeline : bool;
   sweep_width : int;
   churn_every : int;
@@ -31,7 +30,6 @@ let default =
       [ { Population.rate_per_s = 150; duration_us = 400_000 };
         { Population.rate_per_s = 800; duration_us = 100_000 };
         { Population.rate_per_s = 150; duration_us = 300_000 } ];
-    link_cache = true;
     pipeline = true;
     sweep_width = 6;
     churn_every = 16;
@@ -139,11 +137,10 @@ let run cfg =
   in
   (* -- the guarded file server -- *)
   let fs_name, fs_key = World.enrol w "files" in
-  let link_cache = if cfg.link_cache then Some (Link_cache.create ()) else None in
   let fs =
     File_server.create net ~me:fs_name ~my_key:fs_key
       ~lookup_pub:(fun q -> Directory.public w.World.dir q)
-      ?link_cache ~acl:(Acl.create ()) ()
+      ~acl:(Acl.create ()) ()
   in
   File_server.install fs;
   (* The fixed presenter: holders of bearer proxies authenticate as this
@@ -251,8 +248,8 @@ let run cfg =
     in
     match extend with
     | Some (p, depth) ->
-        (* Cascade: re-delegate the newest chain one link deeper — the
-           byte-shared prefix the link cache exists for. *)
+        (* Cascade: re-delegate the newest chain one link deeper; its
+           shared prefix re-presents as verify-cache hits. *)
         Result.map
           (fun p' -> record_proxy o p' (depth + 1))
           (Proxy.restrict_pk ~drbg ~now ~expires ~restrictions:[] p)
@@ -407,19 +404,17 @@ let metric o k = Option.value (List.assoc_opt k o.metrics) ~default:0
    keys, and the batched hot path engaged — and the unbatched path, run
    twice, stays off it and replays byte for byte. *)
 let smoke_gates cfg o =
-  let off = { cfg with link_cache = false; pipeline = false } in
+  let off = { cfg with pipeline = false } in
   [ ("every op class exercised", o.grants > 0 && o.presents > 0 && o.debits > 0 && o.sweeps > 0);
     ("population churned and keys reused", o.retired > 0 && o.keys_reused > 0);
     ("keygens bounded by materializations", o.keys_generated <= o.materializations);
-    ("link cache engaged", metric o "link_cache.hits" > 0);
     ( "sweeps coalesced",
       metric o "rpc.batch.calls" > 0 && metric o "rpc.batch.items" >= cfg.sweep_width );
     ("replication read-skips", metric o "cluster.repl_read_skips" > 0);
     ("spans captured", o.span_count > 0);
     ( "same-seed rerun byte-identical (unbatched)",
       let a = run off in
-      metric a "link_cache.hits" = 0
-      && metric a "rpc.batch.calls" = 0
+      metric a "rpc.batch.calls" = 0
       && String.equal a.digest (run off).digest ) ]
 
 let entry cfg =
@@ -437,9 +432,6 @@ type cascade = {
   c_rsa_uncached : int;
   c_rsa_whole_chain : int;
   c_rsa_per_signature : int;
-  c_rsa_link : int;
-  c_link_hits : int;
-  c_link_misses : int;
   c_sig_hits : int;
   c_sig_misses : int;
 }
@@ -478,8 +470,8 @@ let cascade_study ?(depth = 8) ?(holders = 16) ?(repeats = 3) ~seed () =
     f tally;
     tbl
   in
-  let verify ?cache ?link_cache tally certs =
-    match Verifier.verify_pk ~lookup ~tally ?cache ?link_cache ~now:1 certs with
+  let verify ?cache tally certs =
+    match Verifier.verify_pk ~lookup ~tally ?cache ~now:1 certs with
     | Ok _ -> ()
     | Error e -> failwith ("Driver.cascade_study: verify failed: " ^ e)
   in
@@ -505,11 +497,6 @@ let cascade_study ?(depth = 8) ?(holders = 16) ?(repeats = 3) ~seed () =
         let cache = Verify_cache.create () in
         each (verify ~cache t))
   in
-  let link =
-    with_counts (fun t ->
-        let lc = Link_cache.create () in
-        each (verify ~link_cache:lc t))
-  in
   {
     c_depth = depth;
     c_holders = holders;
@@ -517,9 +504,6 @@ let cascade_study ?(depth = 8) ?(holders = 16) ?(repeats = 3) ~seed () =
     c_rsa_uncached = count uncached "crypto.rsa_verify";
     c_rsa_whole_chain = count whole "crypto.rsa_verify";
     c_rsa_per_signature = count per_sig "crypto.rsa_verify";
-    c_rsa_link = count link "crypto.rsa_verify";
-    c_link_hits = count link "link_cache.hits";
-    c_link_misses = count link "link_cache.misses";
     c_sig_hits = count per_sig "verify_cache.hits";
     c_sig_misses = count per_sig "verify_cache.misses";
   }

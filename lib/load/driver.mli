@@ -18,7 +18,7 @@
     deterministically fail verification from then on.
 
     Workload mix per arrival: proxy {e grants} (fresh or cascaded),
-    {e presentations} to the file-server guard (exercising the link
+    {e presentations} to the file-server guard (exercising its verify
     cache), intra-shard {e debits}/balances, cross-shard check
     {e clearing}, and pipelined balance {e sweeps} (exercising
     {!Secure_rpc.call_batch}). Every random choice draws from seeded
@@ -30,7 +30,6 @@ type config = {
   objects : int;  (** guarded files; object [o] is owned by principal [o] *)
   shards : int;  (** accounting shards, each a primary/standby pair *)
   phases : Population.phase list;  (** the open-loop arrival-rate profile *)
-  link_cache : bool;  (** chain-prefix verification cache on the guard *)
   pipeline : bool;  (** sweeps use {!Secure_rpc.call_batch} (else N calls) *)
   sweep_width : int;  (** balance queries per audit sweep *)
   churn_every : int;  (** retire the oldest principal every N arrivals; 0 = never *)
@@ -40,8 +39,7 @@ type config = {
 
 val default : config
 (** 100k principals, 512 objects, 4 shards, a steady/burst/steady rate
-    profile (~185 arrivals), link cache and pipelining on, churn every 16
-    arrivals. *)
+    profile (~185 arrivals), pipelining on, churn every 16 arrivals. *)
 
 type outcome = {
   arrivals : int;
@@ -73,27 +71,26 @@ val metric : outcome -> string -> int
 
 val entry : config -> outcome Drive.entry
 (** Its smoke also gates on every op class running, churn reusing pooled
-    keys, keygens bounded by materializations, the link cache, coalesced
-    sweeps, replication read-skips and spans all engaging, and on the
-    same config unbatched (no link cache, no pipelining) staying off the
-    hot path and replaying byte for byte. *)
+    keys, keygens bounded by materializations, coalesced sweeps,
+    replication read-skips and spans all engaging, and on the same config
+    unbatched (no pipelining) staying off the hot path and replaying byte
+    for byte. *)
 
 (** {1 The cascade study}
 
-    The controlled experiment behind the link cache: [holders] chains
-    sharing one depth-[depth] prefix (a cascaded grant re-delegated to M
-    holders), each verified [repeats] times, under four strategies. RSA
-    totals are exact and deterministic:
+    The controlled experiment behind the per-signature cache: [holders]
+    chains sharing one depth-[depth] prefix (a cascaded grant re-delegated
+    to M holders), each verified [repeats] times, under three strategies.
+    RSA totals are exact and deterministic:
 
     - uncached: [(depth+1) * holders * repeats];
     - whole-chain memoization (one memo entry per full presentation —
       the naive "signature cache" that caches at the wrong granularity):
       [(depth+1) * holders], because no holder's chain ever matches
       another's as a unit;
-    - per-signature cache and link cache: [depth + holders] — each
+    - per-signature cache ({!Verify_cache}): [depth + holders] — each
       distinct signature checked exactly once (the information-theoretic
-      floor). The link cache gets there with O(1) probes per
-      presentation instead of O(depth). *)
+      floor). *)
 
 type cascade = {
   c_depth : int;
@@ -102,9 +99,6 @@ type cascade = {
   c_rsa_uncached : int;
   c_rsa_whole_chain : int;
   c_rsa_per_signature : int;
-  c_rsa_link : int;
-  c_link_hits : int;
-  c_link_misses : int;
   c_sig_hits : int;
   c_sig_misses : int;
 }

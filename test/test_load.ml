@@ -107,21 +107,13 @@ let test_cascade_exact_rsa_accounting () =
   (* depth-8 prefix shared by 16 holders, presented 3 times each. *)
   Alcotest.(check int) "uncached: (depth+1)*M*repeats" 432 c.Driver.c_rsa_uncached;
   Alcotest.(check int) "whole-chain memo: (depth+1)*M" 144 c.Driver.c_rsa_whole_chain;
-  Alcotest.(check int) "per-signature: depth+M" 24 c.Driver.c_rsa_per_signature;
-  Alcotest.(check int) "link cache hits the same floor" 24 c.Driver.c_rsa_link;
-  Alcotest.(check bool) "link beats whole-chain memoization" true
-    (c.Driver.c_rsa_link < c.Driver.c_rsa_whole_chain);
-  (* First holder misses once; its recorded prefix then serves every other
-     holder's shared prefix and every re-presentation. *)
-  Alcotest.(check int) "one cold miss" 1 c.Driver.c_link_misses;
-  Alcotest.(check int) "47 prefix hits" 47 c.Driver.c_link_hits
+  Alcotest.(check int) "per-signature: depth+M" 24 c.Driver.c_rsa_per_signature
 
 let test_cascade_scales_with_shape () =
   let c = Driver.cascade_study ~depth:4 ~holders:3 ~repeats:2 ~seed:"test-cascade-small" () in
   Alcotest.(check int) "uncached 5*3*2" 30 c.Driver.c_rsa_uncached;
   Alcotest.(check int) "whole-chain 5*3" 15 c.Driver.c_rsa_whole_chain;
-  Alcotest.(check int) "per-signature 4+3" 7 c.Driver.c_rsa_per_signature;
-  Alcotest.(check int) "link 4+3" 7 c.Driver.c_rsa_link
+  Alcotest.(check int) "per-signature 4+3" 7 c.Driver.c_rsa_per_signature
 
 (* --- The driver: small end-to-end runs --- *)
 
@@ -133,7 +125,6 @@ let small cfg_seed ~batched =
     objects = 64;
     shards = 2;
     phases = [ { Population.rate_per_s = 400; duration_us = 100_000 } ];
-    link_cache = batched;
     pipeline = batched;
     churn_every = 8;
   }
@@ -159,7 +150,6 @@ let test_driver_unbatched_path () =
   let cfg = small "driver-unbatched" ~batched:false in
   let o = Driver.run cfg in
   Alcotest.(check bool) "still makes progress" true (o.Driver.succeeded > 0);
-  Alcotest.(check int) "no link cache" 0 (metric o "link_cache.hits");
   Alcotest.(check int) "no batches" 0 (metric o "rpc.batch.calls");
   Alcotest.(check bool) "sweeps still ran, serially" true (o.Driver.sweeps > 0)
 

@@ -149,7 +149,6 @@ let test_cache_explicit_invalidation () =
   let n = Verify_cache.bump_generation cache in
   Alcotest.(check int) "bump retires every entry" 1 n;
   Alcotest.(check int) "observer fired per entry" 1 !invalidated;
-  Alcotest.(check int) "generation advanced" 1 (Verify_cache.generation cache);
   let s = Verify_cache.stats cache in
   Alcotest.(check int) "empty" 0 s.Verify_cache.size;
   Alcotest.(check int) "invalidations counted" 1 s.Verify_cache.invalidations;
@@ -157,14 +156,7 @@ let test_cache_explicit_invalidation () =
   Alcotest.(check bool) "re-verifies" true
     (Result.is_ok (Verifier.verify_pk ~lookup ~cache ~now:100 certs));
   let s = Verify_cache.stats cache in
-  Alcotest.(check int) "no hit after bump" 0 s.Verify_cache.hits;
-  (* Per-key invalidation: only the named entry goes. *)
-  let certs2 = certs_of (grant ()) in
-  Alcotest.(check bool) "second chain verifies" true
-    (Result.is_ok (Verifier.verify_pk ~lookup ~cache ~now:100 certs2));
-  Alcotest.(check int) "two cached" 2 (Verify_cache.stats cache).Verify_cache.size;
-  Verify_cache.invalidate cache "no-such-key";
-  Alcotest.(check int) "missing key is a no-op" 2 (Verify_cache.stats cache).Verify_cache.size
+  Alcotest.(check int) "no hit after bump" 0 s.Verify_cache.hits
 
 let test_revoked_link_never_served_from_cache () =
   (* The storm path in miniature: a chain is verified and cached, then a

@@ -1,7 +1,8 @@
 (* Verification memo-cache: repeated presentations of an immutable
    certificate chain must hit the cache instead of redoing RSA, while
-   tampered certificates, TTL-expired entries, and out-of-window
-   certificates must never be served from it. *)
+   tampered certificates, TTL-expired entries, out-of-window certificates
+   and signatures under a key the directory no longer binds must never be
+   served from it. *)
 
 module R = Restriction
 
@@ -147,14 +148,23 @@ let test_capacity_bound_and_evictions () =
   Alcotest.(check int) "size = capacity" cap (Verify_cache.size cache);
   Alcotest.(check int) "evictions counted" (25 - cap) !evictions;
   Alcotest.(check int) "stats agree" (25 - cap) (Verify_cache.stats cache).Verify_cache.evictions;
-  (* FIFO: the oldest surviving entries are the newest four. *)
+  (* One TTL for every entry, so soonest-expiring is oldest-recorded: the
+     survivors are the newest four. *)
   let k i =
     Verify_cache.key ~signed_bytes:(Printf.sprintf "cert-%d" i) ~signature:"sig" ~signer:"key"
   in
   Alcotest.(check bool) "oldest evicted" false (Verify_cache.check cache ~now:26 (k 1));
   Alcotest.(check bool) "newest retained" true (Verify_cache.check cache ~now:26 (k 25));
-  Verify_cache.flush cache;
-  Alcotest.(check int) "flush empties" 0 (Verify_cache.size cache)
+  (* At capacity with one entry past its TTL, a new record purges the
+     expired entry and evicts nothing live. *)
+  let small = Verify_cache.create ~capacity:2 ~ttl_us:100 () in
+  Verify_cache.record small ~now:0 (k 1);
+  Verify_cache.record small ~now:50 (k 2);
+  Verify_cache.record small ~now:120 (k 3);
+  Alcotest.(check int) "purge, no eviction" 0 (Verify_cache.stats small).Verify_cache.evictions;
+  Alcotest.(check int) "still at capacity" 2 (Verify_cache.size small);
+  Alcotest.(check bool) "live entry kept" true (Verify_cache.check small ~now:120 (k 2));
+  Alcotest.(check bool) "new entry kept" true (Verify_cache.check small ~now:120 (k 3))
 
 (* --- Replay_cache bounds (satellite: audit the long-lived caches) --- *)
 
@@ -184,9 +194,9 @@ let test_replay_cache_bound () =
   Alcotest.(check int) "no eviction when purge suffices" before !evictions;
   Alcotest.(check bool) "live entry kept" true (Replay_cache.seen rc2 ~now:500 "live")
 
-(* --- Lazy generation retirement (amortized bump_generation) --- *)
+(* --- Retirement on revocation (bump_generation) --- *)
 
-let test_bump_generation_lazy_amortized () =
+let test_bump_generation_exact () =
   let invalidated = ref 0 in
   let cache = Verify_cache.create ~on_invalidate:(fun () -> incr invalidated) () in
   let k i = Verify_cache.key ~signed_bytes:(Printf.sprintf "c%d" i) ~signature:"s" ~signer:"k" in
@@ -199,19 +209,17 @@ let test_bump_generation_lazy_amortized () =
   Alcotest.(check int) "size reflects retirement immediately" 0 (Verify_cache.size cache);
   Alcotest.(check int) "invalidations exact" 5
     (Verify_cache.stats cache).Verify_cache.invalidations;
-  (* The dead generation is unreachable: lookups miss, and the miss does
-     not resurrect anything. *)
-  Alcotest.(check bool) "dead entry misses" false (Verify_cache.check cache ~now:1 (k 1));
-  (* A storm of consecutive bumps costs nothing further: each retires the
-     (empty) current generation, not the whole table again. *)
+  (* Retired entries are gone: lookups miss, and the miss does not
+     resurrect anything. *)
+  Alcotest.(check bool) "retired entry misses" false (Verify_cache.check cache ~now:1 (k 1));
+  (* Bumping an empty cache retires and charges nothing. *)
   for _ = 1 to 100 do
-    Alcotest.(check int) "empty generation bump is free" 0 (Verify_cache.bump_generation cache)
+    Alcotest.(check int) "empty bump is free" 0 (Verify_cache.bump_generation cache)
   done;
   Alcotest.(check int) "storm charged no phantom invalidations" 5
     (Verify_cache.stats cache).Verify_cache.invalidations;
-  Alcotest.(check int) "generation counter advanced" 101 (Verify_cache.generation cache);
-  (* New-generation entries live normally and are charged exactly on the
-     next bump. *)
+  (* Entries recorded after a bump live normally and are charged exactly
+     on the next one. *)
   Verify_cache.record cache ~now:2 (k 9);
   Alcotest.(check bool) "new entry hits" true (Verify_cache.check cache ~now:2 (k 9));
   Alcotest.(check int) "next bump retires exactly the new entry" 1
@@ -219,120 +227,106 @@ let test_bump_generation_lazy_amortized () =
   Alcotest.(check int) "total invalidations exact" 6
     (Verify_cache.stats cache).Verify_cache.invalidations
 
-(* --- Link-level (chain-prefix) cache --- *)
+(* --- Key rebinding: a warm cache never outlives the signer's key --- *)
 
-(* A shared cascade re-delegated to several holders: grantor -> depth-k
-   prefix, then each holder extends it by one certificate. This is the
-   fan-out where per-presentation caching is O(k*M) and the link cache
-   must be O(k+M). *)
-let fanout ~prefix_len ~holders =
-  let base =
+(* A key directory whose bindings can change between presentations. *)
+let directory bindings =
+  let keys = Hashtbl.create 4 in
+  let rebind q kp = Hashtbl.replace keys (Principal.to_string q) kp.Crypto.Rsa.pub in
+  List.iter (fun (q, kp) -> rebind q kp) bindings;
+  ((fun q -> Hashtbl.find_opt keys (Principal.to_string q)), rebind)
+
+(* After the rebinding, the first certificate under the old key must miss,
+   pay its RSA check, fail it, and stop the walk. *)
+let check_rebound_denied label ~lookup ~cache ~want_hits certs =
+  let (r, count) =
+    with_tally (fun tally -> Verifier.verify_pk ~lookup ~tally ~cache ~now:200 certs)
+  in
+  (match r with
+  | Ok _ -> Alcotest.failf "%s: chain signed under a rebound key granted" label
+  | Error e -> Alcotest.(check string) (label ^ ": denial") "pk proxy-cert: bad signature" e);
+  Alcotest.(check int) (label ^ ": hits") want_hits (count "verify_cache.hits");
+  Alcotest.(check int) (label ^ ": one miss") 1 (count "verify_cache.misses");
+  Alcotest.(check int) (label ^ ": one RSA verify") 1 (count "crypto.rsa_verify")
+
+let test_rebind_bearer_head () =
+  let lookup, rebind = directory [ (alice, alice_kp) ] in
+  let certs = grant_chain ~depth:2 () in
+  let cache = Verify_cache.create () in
+  Alcotest.(check bool) "warm" true
+    (Result.is_ok (Verifier.verify_pk ~lookup ~cache ~now:100 certs));
+  rebind alice (Crypto.Rsa.generate drbg ~bits:512);
+  check_rebound_denied "bearer head" ~lookup ~cache ~want_hits:0 certs
+
+let test_rebind_delegate_intermediate () =
+  (* alice -> bob (named grantee, signs By_principal) -> bearer tail. *)
+  let bob = p "bob" in
+  let bob_kp = Crypto.Rsa.generate drbg ~bits:512 in
+  let lookup, rebind = directory [ (alice, alice_kp); (bob, bob_kp) ] in
+  let proxy =
+    Proxy.grant_pk ~drbg ~now:0 ~expires:t_exp ~grantor:alice ~grantor_key:alice_kp
+      ~proxy_bits:512
+      ~restrictions:
+        [ R.Grantee ([ bob ], 1); R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] ]
+      ()
+  in
+  let proxy =
+    Result.get_ok
+      (Proxy.delegate_pk ~drbg ~now:0 ~expires:t_exp ~intermediate:bob ~intermediate_key:bob_kp
+         ~proxy_bits:512 ~restrictions:[] proxy)
+  in
+  let proxy =
+    Result.get_ok
+      (Proxy.restrict_pk ~drbg ~now:0 ~expires:t_exp ~proxy_bits:512 ~restrictions:[] proxy)
+  in
+  let certs =
+    match proxy.Proxy.flavor with
+    | Proxy.Public_key certs -> certs
+    | _ -> Alcotest.fail "expected public-key chain"
+  in
+  let cache = Verify_cache.create () in
+  Alcotest.(check bool) "warm" true
+    (Result.is_ok (Verifier.verify_pk ~lookup ~cache ~now:100 certs));
+  rebind bob (Crypto.Rsa.generate drbg ~bits:512);
+  (* alice's head still hits; bob's certificate is the one that misses. *)
+  check_rebound_denied "delegate intermediate" ~lookup ~cache ~want_hits:1 certs
+
+let test_rebind_guard_default_cache () =
+  let net = Sim.Net.create ~seed:"verify-cache-rebind" () in
+  let fs = p "fileserver" in
+  let lookup, rebind = directory [ (alice, alice_kp) ] in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"file1"
+    { Acl.subject = Acl.Principal_is alice; rights = [ "read" ]; restrictions = [] };
+  let guard = Guard.create net ~me:fs ~my_key:"k" ~lookup_pub:lookup ~acl () in
+  let proxy =
     Proxy.grant_pk ~drbg ~now:0 ~expires:t_exp ~grantor:alice ~grantor_key:alice_kp
       ~proxy_bits:512
       ~restrictions:[ R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] ]
       ()
   in
-  let rec extend proxy = function
-    | 0 -> proxy
-    | n ->
-        extend
-          (Result.get_ok
-             (Proxy.restrict_pk ~drbg ~now:0 ~expires:t_exp ~proxy_bits:512 ~restrictions:[]
-                proxy))
-          (n - 1)
+  let decide () =
+    let presented =
+      Guard.present ~proxy ~time:(Sim.Net.now net) ~server:fs ~operation:"read" ~target:"file1" ()
+    in
+    Guard.decide guard ~operation:"read" ~target:"file1" ~presenter:(p "carol")
+      ~proxies:[ presented ] ()
   in
-  let shared = extend base (prefix_len - 1) in
-  List.init holders (fun _ ->
-      match (extend shared 1).Proxy.flavor with
-      | Proxy.Public_key certs -> certs
-      | _ -> Alcotest.fail "expected public-key chain")
-
-let link_stats label (want_hits, want_misses) lc =
-  let s = Link_cache.stats lc in
-  Alcotest.(check int) (label ^ ": hits") want_hits s.Link_cache.hits;
-  Alcotest.(check int) (label ^ ": misses") want_misses s.Link_cache.misses
-
-let test_link_cache_shared_prefix_fanout () =
-  let prefix_len = 3 and holders = 4 in
-  let chains = fanout ~prefix_len ~holders in
-  let lc = Link_cache.create () in
-  let rsa = ref 0 in
-  List.iter
-    (fun certs ->
-      let (r, count) =
-        with_tally (fun tally -> Verifier.verify_pk ~lookup ~tally ~link_cache:lc ~now:100 certs)
-      in
-      Alcotest.(check bool) "holder chain verifies" true (Result.is_ok r);
-      rsa := !rsa + count "crypto.rsa_verify")
-    chains;
-  (* First holder walks prefix + tail cold; every later holder resumes
-     after the shared prefix and pays only its own tail. *)
-  Alcotest.(check int) "O(k+M) RSA total" (prefix_len + holders) !rsa;
-  link_stats "after fan-out" (holders - 1, 1) lc;
-  (* A full re-presentation is one prefix hit and zero RSA. *)
-  let (r, count) =
-    with_tally (fun tally ->
-        Verifier.verify_pk ~lookup ~tally ~link_cache:lc ~now:200 (List.hd chains))
-  in
-  Alcotest.(check bool) "re-presentation verifies" true (Result.is_ok r);
-  Alcotest.(check int) "re-presentation pays no RSA" 0 (count "crypto.rsa_verify");
-  link_stats "after re-presentation" (holders, 1) lc
-
-let test_link_cache_bump_generation () =
-  let certs = List.hd (fanout ~prefix_len:3 ~holders:1) in
-  let lc = Link_cache.create () in
-  Alcotest.(check bool) "cold chain verifies" true
-    (Result.is_ok (Verifier.verify_pk ~lookup ~link_cache:lc ~now:100 certs));
-  let live = Link_cache.size lc in
-  Alcotest.(check bool) "walk recorded resume points" true (live > 0);
-  Alcotest.(check int) "bump retires every prefix" live (Link_cache.bump_generation lc);
-  Alcotest.(check int) "invalidations exact" live
-    (Link_cache.stats lc).Link_cache.invalidations;
-  Alcotest.(check int) "immediate re-bump is free" 0 (Link_cache.bump_generation lc);
-  (* The next presentation re-pays the full RSA walk. *)
-  let (r, count) =
-    with_tally (fun tally -> Verifier.verify_pk ~lookup ~tally ~link_cache:lc ~now:200 certs)
-  in
-  Alcotest.(check bool) "re-verifies after bump" true (Result.is_ok r);
-  Alcotest.(check int) "full RSA walk re-paid" (List.length certs) (count "crypto.rsa_verify")
-
-let test_link_cache_tamper_and_expiry () =
-  (* Tampering: a re-signed certificate changes the rolling digest, so a
-     warm prefix can never vouch for altered bytes. *)
-  let certs = List.hd (fanout ~prefix_len:2 ~holders:1) in
-  let lc = Link_cache.create () in
-  Alcotest.(check bool) "honest chain verifies" true
-    (Result.is_ok (Verifier.verify_pk ~lookup ~link_cache:lc ~now:100 certs));
-  let tamper cert =
-    let b = Bytes.of_string cert.Proxy_cert.signature in
-    Bytes.set b 3 (Char.chr (Char.code (Bytes.get b 3) lxor 0x40));
-    { cert with Proxy_cert.signature = Bytes.to_string b }
-  in
-  let tampered = tamper (List.hd certs) :: List.tl certs in
-  (match Verifier.verify_pk ~lookup ~link_cache:lc ~now:100 tampered with
-  | Ok _ -> Alcotest.fail "tampered chain served from warm prefix"
-  | Error _ -> ());
-  Alcotest.(check bool) "honest chain still hits" true
-    (Result.is_ok (Verifier.verify_pk ~lookup ~link_cache:lc ~now:100 certs));
-  (* Expiry: a cached prefix re-checks every link's time window, so an
-     expired certificate is refused even on a prefix hit. *)
-  let short =
-    match
-      (Proxy.grant_pk ~drbg ~now:0 ~expires:1000 ~grantor:alice ~grantor_key:alice_kp
-         ~proxy_bits:512
-         ~restrictions:[ R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] ]
-         ())
-        .Proxy.flavor
-    with
-    | Proxy.Public_key certs -> certs
-    | _ -> Alcotest.fail "expected public-key chain"
-  in
-  let lc2 = Link_cache.create () in
-  Alcotest.(check bool) "within window ok" true
-    (Result.is_ok (Verifier.verify_pk ~lookup ~link_cache:lc2 ~now:100 short));
-  match Verifier.verify_pk ~lookup ~link_cache:lc2 ~now:2000 short with
-  | Ok _ -> Alcotest.fail "expired certificate served from cached prefix"
-  | Error _ -> ()
+  let metric name = Sim.Metrics.get (Sim.Net.metrics net) name in
+  Alcotest.(check bool) "granted under the bound key" true (Result.is_ok (decide ()));
+  Alcotest.(check bool) "re-presentation hits" true
+    (Result.is_ok (decide ()) && metric "verify_cache.hits" = 1);
+  rebind alice (Crypto.Rsa.generate drbg ~bits:512);
+  let rsa = metric "crypto.rsa_verify" in
+  (match decide () with
+  | Ok _ -> Alcotest.fail "guard granted a chain signed under a rebound key"
+  | Error e ->
+      Alcotest.(check string) "denial"
+        "access denied: no ACL entry permits read on \"file1\" (no presented proxy was usable: \
+         pk proxy-cert: bad signature)"
+        e);
+  Alcotest.(check int) "no hit after rebinding" 1 (metric "verify_cache.hits");
+  Alcotest.(check int) "one RSA verify" (rsa + 1) (metric "crypto.rsa_verify")
 
 let () =
   Alcotest.run "verify_cache"
@@ -343,9 +337,9 @@ let () =
           ("expired cert refused despite warm cache", `Quick,
            test_expired_cert_refused_despite_warm_cache);
           ("capacity bound + evictions", `Quick, test_capacity_bound_and_evictions);
-          ("bump_generation is lazy and exact", `Quick, test_bump_generation_lazy_amortized) ] );
-      ( "link cache",
-        [ ("shared prefix fan-out is O(k+M)", `Quick, test_link_cache_shared_prefix_fanout);
-          ("bump_generation retires prefixes", `Quick, test_link_cache_bump_generation);
-          ("tamper and expiry never served", `Quick, test_link_cache_tamper_and_expiry) ] );
+          ("bump_generation is exact", `Quick, test_bump_generation_exact) ] );
+      ( "key rebinding",
+        [ ("bearer head denied", `Quick, test_rebind_bearer_head);
+          ("delegate intermediate denied", `Quick, test_rebind_delegate_intermediate);
+          ("guard default cache denies", `Quick, test_rebind_guard_default_cache) ] );
       ("replay cache", [ ("bounded under flood", `Quick, test_replay_cache_bound) ]) ]

@@ -109,7 +109,7 @@ echo "== bench smoke (logical metrics vs committed baseline) =="
 # Wall-times are recorded in the artifacts but never gated.
 BENCH_SMOKE_DIR=$(mktemp -d)
 BENCH_FAST=1 BENCH_DIR="$BENCH_SMOKE_DIR" \
-    dune exec --no-build bin/proxykit.exe -- bench f1 f4 f6 s1 r1 l1 x1 a1
+    dune exec --no-build bin/proxykit.exe -- bench f1 f4 f6 s1 r1 l1 x1 a1 f5
 dune exec --no-build bin/proxykit.exe -- bench-check \
     bench/BENCH_F1.json "$BENCH_SMOKE_DIR/BENCH_F1.json"
 dune exec --no-build bin/proxykit.exe -- bench-check \
@@ -129,6 +129,8 @@ dune exec --no-build bin/proxykit.exe -- bench-check \
 # capacity at every table size.
 dune exec --no-build bin/proxykit.exe -- bench-check \
     bench/BENCH_A1.json "$BENCH_SMOKE_DIR/BENCH_A1.json"
+dune exec --no-build bin/proxykit.exe -- bench-check \
+    bench/BENCH_F5.json "$BENCH_SMOKE_DIR/BENCH_F5.json"
 rm -rf "$BENCH_SMOKE_DIR"
 
 echo "== repository benchmark self-test =="

@@ -7,26 +7,27 @@ type t = {
   proxy : Proxy.t;
 }
 
-let write ~drbg ~now ~expires ~payor ~payor_key ~account ~payee ~currency ~amount
-    ?(proxy_bits = 512) () =
+let terms ~drbg ~account ~payee ~currency ~amount =
   let number = Crypto.Sha256.to_hex (Crypto.Drbg.generate drbg 12) in
-  let restrictions =
+  ( number,
     [ Restriction.Grantee ([ payee ], 1);
       Restriction.Accept_once number;
       Restriction.Quota (currency, amount);
       Restriction.Issued_for [ account.Principal.Account.server ];
       Restriction.Authorized
-        [ { Restriction.target = account.Principal.Account.account; ops = [ "debit" ] } ] ]
-  in
+        [ { Restriction.target = account.Principal.Account.account; ops = [ "debit" ] } ] ] )
+
+let write ~drbg ~now ~expires ~payor ~payor_key ~account ~payee ~currency ~amount () =
+  let number, restrictions = terms ~drbg ~account ~payee ~currency ~amount in
   let proxy =
-    Proxy.grant_pk ~drbg ~now ~expires ~grantor:payor ~grantor_key:payor_key ~proxy_bits
-      ~restrictions ()
+    Proxy.grant_keyless ~drbg ~now ~expires ~grantor:payor ~grantor_key:payor_key ~restrictions ()
   in
   { number; currency; amount; payee; drawn_on = account; proxy }
 
 let endorse ~drbg ~now ~expires ~endorser ~endorser_key ~next check =
   match
-    Proxy.delegate_pk ~drbg ~now ~expires ~intermediate:endorser ~intermediate_key:endorser_key
+    Proxy.delegate_keyless ~drbg ~now ~expires ~intermediate:endorser
+      ~intermediate_key:endorser_key
       ~restrictions:[ Restriction.Grantee ([ next ], 1) ]
       check.proxy
   with

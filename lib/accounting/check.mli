@@ -7,7 +7,10 @@
     (currency, face amount — "the payee transfers up to that limit");
     issued-for [$2]; authorized to debit [A]. An endorsement is a delegate
     cascade step: the current holder signs an extension naming the next
-    holder, leaving the paper's audit trail. *)
+    holder, leaving the paper's audit trail. Every holder exercises the
+    check by authenticating as itself, so each certificate is key-less
+    ({!Proxy.grant_keyless}, {!Proxy.delegate_keyless}) and a check in
+    transit carries no private key. *)
 
 type t = {
   number : string;  (** globally unique check number *)
@@ -17,6 +20,16 @@ type t = {
   drawn_on : Principal.Account.t;
   proxy : Proxy.t;  (** the signed delegate-proxy chain *)
 }
+
+val terms :
+  drbg:Crypto.Drbg.t ->
+  account:Principal.Account.t ->
+  payee:Principal.t ->
+  currency:string ->
+  amount:int ->
+  string * Restriction.t list
+(** A fresh check number (random hex drawn from [drbg]) and the
+    restrictions {!write} signs for it. *)
 
 val write :
   drbg:Crypto.Drbg.t ->
@@ -28,10 +41,9 @@ val write :
   payee:Principal.t ->
   currency:string ->
   amount:int ->
-  ?proxy_bits:int ->
   unit ->
   t
-(** Draw a check. The check number is fresh random hex. *)
+(** Draw a check: {!terms}, signed key-less by the payor. *)
 
 val endorse :
   drbg:Crypto.Drbg.t ->

@@ -6,8 +6,7 @@ type t = {
   authority : Proxy.t;
 }
 
-let grant ~drbg ~now ~expires ~owner ~owner_key ~account ~holder ~currency ~limit
-    ?(proxy_bits = 512) () =
+let grant ~drbg ~now ~expires ~owner ~owner_key ~account ~holder ~currency ~limit () =
   let restrictions =
     [ Restriction.Grantee ([ holder ], 1);
       Restriction.Quota (currency, limit);
@@ -16,8 +15,7 @@ let grant ~drbg ~now ~expires ~owner ~owner_key ~account ~holder ~currency ~limi
         [ { Restriction.target = account.Principal.Account.account; ops = [ "debit" ] } ] ]
   in
   let authority =
-    Proxy.grant_pk ~drbg ~now ~expires ~grantor:owner ~grantor_key:owner_key ~proxy_bits
-      ~restrictions ()
+    Proxy.grant_keyless ~drbg ~now ~expires ~grantor:owner ~grantor_key:owner_key ~restrictions ()
   in
   { currency; limit; holder; drawn_from = account; authority }
 

@@ -28,9 +28,10 @@ val grant :
   holder:Principal.t ->
   currency:string ->
   limit:int ->
-  ?proxy_bits:int ->
   unit ->
   t
+(** Sign the authority key-less: the holder draws on it by authenticating
+    as itself. *)
 
 val to_wire : t -> Wire.t
 val of_wire : Wire.t -> (t, string) result

@@ -83,11 +83,12 @@ let presented_of_wire v =
 
 let present ~proxy ~time ~server ~operation ?(target = "") ?spend () =
   let req = Restriction.request ~server ~time ~operation ~target ?spend () in
-  let proof =
-    Presentation.prove ~key:proxy.Proxy.key ~time
-      ~request_digest:(Presentation.digest_request req)
-  in
-  { pres = Proxy.presentation proxy; pres_proof = Some proof }
+  {
+    pres = Proxy.presentation proxy;
+    pres_proof =
+      Presentation.prove ~key:proxy.Proxy.key ~time
+        ~request_digest:(Presentation.digest_request req);
+  }
 
 let restrictions_of_auth_data auth_data =
   List.map

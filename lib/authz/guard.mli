@@ -124,7 +124,7 @@ val present :
   presented
 (** Client side: build the presentation for a specific request. The proof
     binds server/operation/target/spend, so it cannot be replayed for
-    anything else. *)
+    anything else. A key-less proxy gets no proof: it has no proxy key. *)
 
 type decision = {
   granted_by : Acl.subject;  (** the ACL entry that matched *)

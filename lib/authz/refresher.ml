@@ -88,10 +88,12 @@ let refresh net ~creds ?(retries = 0) ?timeout_us ?backoff (proxy : Proxy.t) =
              [ Wire.S "refresh"; Proxy.presentation_to_wire (Proxy.presentation proxy) ])
       in
       let* head = Proxy_cert.pk_cert_of_wire reply in
-      (* The proxy key pair is unchanged — splicing in a head bound to a
-         different key would orphan both the held secret and the cascade. *)
-      if
-        Crypto.Rsa.public_to_bytes head.Proxy_cert.proxy_pub
-        <> Crypto.Rsa.public_to_bytes old_head.Proxy_cert.proxy_pub
-      then Error "refresh: returned head is bound to a different proxy key"
+      (* The proxy key is unchanged, present or absent — splicing in a head
+         bound to a different key, or adding or dropping one, would orphan
+         the held secret or the cascade. *)
+      let key_bytes (c : Proxy_cert.pk_cert) =
+        Option.map Crypto.Rsa.public_to_bytes c.Proxy_cert.proxy_pub
+      in
+      if key_bytes head <> key_bytes old_head then
+        Error "refresh: returned head is bound to a different proxy key"
       else Ok { proxy with Proxy.flavor = Proxy.Public_key (head :: tail) }

@@ -4,10 +4,11 @@
     survives them by {e refreshing}: the grantee re-presents its chain to
     the grantor's refresh service shortly before expiry and receives a
     re-signed head certificate — same grantor, same restrictions, same
-    proxy public key, but a fresh serial, [issued_at = now], and a new
-    short expiry. Because cascade certificates are signed with (and chain
-    off) the {e proxy} keys, the rest of the chain stays valid untouched,
-    and the grantee's secret key material never moves.
+    proxy public key (or none, for a key-less head), but a fresh serial,
+    [issued_at = now], and a new short expiry. Because cascade
+    certificates are signed with (and chain off) the {e proxy} keys, the
+    rest of the chain stays valid untouched, and the grantee's secret key
+    material never moves.
 
     Refresh is where revocation bites the honest path: the service runs
     the full chain verification {e including} its own revocation state, so
@@ -55,4 +56,6 @@ val refresh :
 (** Grantee side: present a public-key proxy chain to the grantor's
     refresh service ([creds] names the grantor as the service) and splice
     the re-signed head into the held proxy. Fails on non-public-key
-    proxies, expired or revoked chains, and stale-bulletin refusal. *)
+    proxies, expired or revoked chains, stale-bulletin refusal, and a
+    returned head whose proxy key differs from the held head's, in its
+    bytes or in whether there is one at all. *)

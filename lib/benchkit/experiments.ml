@@ -769,20 +769,32 @@ let fig5 () =
             (Accounting_server.deposit w.World.net ~creds:creds_sb ~endorser_key:shop_rsa ~check
                ~to_account:"shop"))
     in
-    [ (if certified then Printf.sprintf "%d (certified)" k else string_of_int k);
-      string_of_int (delta "net.messages" deltas);
-      string_of_int (delta "net.bytes" deltas);
-      string_of_int (delta "accounting.endorsements" deltas);
-      string_of_int (crypto_ops deltas);
-      Printf.sprintf "%d us" lat ]
+    ( (if certified then Printf.sprintf "%d (certified)" k else string_of_int k),
+      {
+        Benchout.label =
+          Printf.sprintf "intermediaries=%d%s" k (if certified then " certified" else "");
+        ints =
+          [ ("intermediaries", k);
+            ("messages", delta "net.messages" deltas);
+            ("bytes", delta "net.bytes" deltas);
+            ("endorsements", delta "accounting.endorsements" deltas);
+            ("crypto_ops", crypto_ops deltas);
+            ("sim_latency_us", lat) ];
+        floats = [];
+      } )
   in
   let rows =
     List.map (fun k -> clear_with_intermediaries k false) [ 0; 1; 2; 4; 8 ]
     @ [ clear_with_intermediaries 0 true ]
   in
+  let cell (r : Benchout.row) name = string_of_int (List.assoc name r.Benchout.ints) in
   print_table "F5: clearing one 100-usd check"
     [ "intermediaries"; "messages"; "bytes"; "endorsements"; "crypto ops"; "sim latency" ]
-    rows;
+    (List.map
+       (fun (shown, r) ->
+         [ shown; cell r "messages"; cell r "bytes"; cell r "endorsements"; cell r "crypto_ops";
+           cell r "sim_latency_us" ^ " us" ])
+       rows);
 
   (* Amoeba pre-pay baseline: one purchase = prepay + server balance check +
      withdraw. *)
@@ -806,12 +818,22 @@ let fig5 () =
           (Amoeba_bank.withdraw net ~bank:bank_p ~caller:"server" ~account:"server" ~currency:usd
              ~amount:100))
   in
+  let amoeba =
+    {
+      Benchout.label = "amoeba pre-pay";
+      ints =
+        [ ("messages", delta "net.messages" deltas);
+          ("bytes", delta "net.bytes" deltas);
+          ("sim_latency_us", lat) ];
+      floats = [];
+    }
+  in
   print_table "F5 baseline: Amoeba pre-paid transfer (one purchase)"
     [ "scheme"; "messages"; "bytes"; "sim latency" ]
-    [ [ "Amoeba pre-pay (pay before service)";
-        string_of_int (delta "net.messages" deltas);
-        string_of_int (delta "net.bytes" deltas);
-        Printf.sprintf "%d us" lat ] ]
+    [ [ "Amoeba pre-pay (pay before service)"; cell amoeba "messages"; cell amoeba "bytes";
+        cell amoeba "sim_latency_us" ^ " us" ] ];
+  Benchout.write ~id:"f5" ~title:"Fig 5: check clearing vs intermediary accounting servers"
+    (List.map snd rows @ [ amoeba ])
 
 (* ------------------------------------------------------------------ *)
 (* F6: public-key proxies (Figure 6) vs conventional                  *)

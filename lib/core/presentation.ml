@@ -5,26 +5,23 @@ let signed_bytes ~time ~request_digest =
 
 let prove ~key ~time ~request_digest =
   let msg = signed_bytes ~time ~request_digest in
-  let pop_sig =
-    match (key : Proxy.material) with
-    | Proxy.Sym k -> Crypto.Hmac.mac ~key:k msg
-    | Proxy.Keypair kp -> Crypto.Rsa.sign kp msg
-  in
-  { pop_time = time; pop_sig }
+  let proof pop_sig = Some { pop_time = time; pop_sig } in
+  match (key : Proxy.material) with
+  | Proxy.Sym k -> proof (Crypto.Hmac.mac ~key:k msg)
+  | Proxy.Keypair kp -> proof (Crypto.Rsa.sign kp msg)
+  | Proxy.No_key -> None
 
-type commitment = Sym_commit of string | Pk_commit of Crypto.Rsa.public
+type commitment = Sym_commit of string | Pk_commit of Crypto.Rsa.public | No_commit
 
 let check commitment proof ~now ~max_skew ~request_digest =
-  if abs (proof.pop_time - now) > max_skew then Error "proof of possession: stale timestamp"
-  else begin
-    let msg = signed_bytes ~time:proof.pop_time ~request_digest in
-    let valid =
-      match commitment with
-      | Sym_commit k -> Crypto.Hmac.verify ~key:k ~msg ~tag:proof.pop_sig
-      | Pk_commit pub -> Crypto.Rsa.verify pub ~msg ~signature:proof.pop_sig
-    in
-    if valid then Ok () else Error "proof of possession: invalid"
-  end
+  let msg () = signed_bytes ~time:proof.pop_time ~request_digest in
+  let verdict valid = if valid then Ok () else Error "proof of possession: invalid" in
+  match commitment with
+  | No_commit -> Error "proof of possession: a key-less proxy has no proxy key"
+  | Sym_commit _ | Pk_commit _ when abs (proof.pop_time - now) > max_skew ->
+      Error "proof of possession: stale timestamp"
+  | Sym_commit k -> verdict (Crypto.Hmac.verify ~key:k ~msg:(msg ()) ~tag:proof.pop_sig)
+  | Pk_commit pub -> verdict (Crypto.Rsa.verify pub ~msg:(msg ()) ~signature:proof.pop_sig)
 
 let proof_to_wire p = Wire.L [ Wire.I p.pop_time; Wire.S p.pop_sig ]
 

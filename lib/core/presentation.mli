@@ -9,14 +9,16 @@
 
 type proof = { pop_time : int; pop_sig : string }
 
-val prove : key:Proxy.material -> time:int -> request_digest:string -> proof
+val prove : key:Proxy.material -> time:int -> request_digest:string -> proof option
 (** HMAC under a symmetric proxy key, or an RSA signature under a private
-    proxy key. *)
+    proxy key; [None] for a key-less proxy, which has nothing to prove
+    possession of. *)
 
 (** What the verifier knows about the proxy key after validating the chain. *)
 type commitment =
   | Sym_commit of string  (** recovered from the sealed certificate *)
   | Pk_commit of Crypto.Rsa.public  (** from the signed certificate *)
+  | No_commit  (** the chain ends in a key-less certificate *)
 
 val check :
   commitment ->
@@ -25,6 +27,7 @@ val check :
   max_skew:int ->
   request_digest:string ->
   (unit, string) result
+(** Refuses every proof against [No_commit]. *)
 
 val proof_to_wire : proof -> Wire.t
 val proof_of_wire : Wire.t -> (proof, string) result

@@ -1,4 +1,4 @@
-type material = Sym of string | Keypair of Crypto.Rsa.private_
+type material = Sym of string | Keypair of Crypto.Rsa.private_ | No_key
 
 type conventional_chain = { base : string; cert_blobs : string list }
 
@@ -10,12 +10,7 @@ type flavor =
 type t = { flavor : flavor; key : material }
 
 let classify restrictions =
-  let rec grantees acc = function
-    | [] -> acc
-    | Restriction.Grantee (ps, _) :: rest -> grantees (acc @ ps) rest
-    | _ :: rest -> grantees acc rest
-  in
-  match grantees [] restrictions with [] -> `Bearer | ps -> `Delegate ps
+  match Restriction.grantees restrictions with [] -> `Bearer | ps -> `Delegate ps
 
 let fresh_serial drbg = Crypto.Sha256.to_hex (Crypto.Drbg.generate drbg 16)
 
@@ -56,7 +51,8 @@ let restrict_conventional ~drbg ~now ~expires ?(grantor = anonymous_intermediate
           key = Sym proxy_key;
         }
   | (Public_key _ | Hybrid _), _ -> Error "restrict_conventional: not a conventional proxy"
-  | Conventional _, Keypair _ -> Error "restrict_conventional: inconsistent key material"
+  | Conventional _, (Keypair _ | No_key) ->
+      Error "restrict_conventional: inconsistent key material"
 
 let grant_hybrid ~drbg ~now ~expires ~grantor ~grantor_key ~end_server ~end_server_pub
     ~restrictions () =
@@ -76,46 +72,71 @@ let restrict_hybrid ~drbg ~now ~expires ?(grantor = anonymous_intermediate) ~res
       in
       Ok { flavor = Hybrid (head, blobs @ [ blob ]); key = Sym proxy_key }
   | (Conventional _ | Public_key _), _ -> Error "restrict_hybrid: not a hybrid proxy"
-  | Hybrid _, Keypair _ -> Error "restrict_hybrid: inconsistent key material"
+  | Hybrid _, (Keypair _ | No_key) -> Error "restrict_hybrid: inconsistent key material"
 
 let default_proxy_bits = 512
 
+(* Sign one more public-key certificate onto [certs]. [Some bits] binds a
+   fresh proxy key pair, drawn before the body as the keyed constructors
+   always drew it, so keyed certificates keep their bytes; [None] binds no
+   key, and the certificate must then name its grantee. *)
+let extend_pk ~drbg ~now ~expires ~grantor ~signing_key ~signer ~proxy_bits ~restrictions certs =
+  let proxy_pub, key =
+    match proxy_bits with
+    | None -> (None, No_key)
+    | Some bits ->
+        let kp = Crypto.Rsa.generate drbg ~bits in
+        (Some kp.Crypto.Rsa.pub, Keypair kp)
+  in
+  let body = make_body drbg ~now ~expires ~grantor ~restrictions in
+  let cert = Proxy_cert.sign_pk ~key:signing_key ~signer ~proxy_pub body in
+  Result.map
+    (fun () -> { flavor = Public_key (certs @ [ cert ]); key })
+    (Proxy_cert.keyless_names_grantee cert)
+
+let grant_with ~name ~drbg ~now ~expires ~grantor ~grantor_key ~proxy_bits ~restrictions =
+  match
+    extend_pk ~drbg ~now ~expires ~grantor ~signing_key:grantor_key
+      ~signer:Proxy_cert.By_grantor_key ~proxy_bits ~restrictions []
+  with
+  | Ok t -> t
+  | Error e -> invalid_arg (Printf.sprintf "Proxy.%s: %s" name e)
+
 let grant_pk ~drbg ~now ~expires ~grantor ~grantor_key ?(proxy_bits = default_proxy_bits)
     ~restrictions () =
-  let proxy_keypair = Crypto.Rsa.generate drbg ~bits:proxy_bits in
-  let body = make_body drbg ~now ~expires ~grantor ~restrictions in
-  let cert =
-    Proxy_cert.sign_pk ~key:grantor_key ~signer:Proxy_cert.By_grantor_key
-      ~proxy_pub:proxy_keypair.Crypto.Rsa.pub body
-  in
-  { flavor = Public_key [ cert ]; key = Keypair proxy_keypair }
+  grant_with ~name:"grant_pk" ~drbg ~now ~expires ~grantor ~grantor_key
+    ~proxy_bits:(Some proxy_bits) ~restrictions
 
-let extend_pk ~drbg ~now ~expires ~grantor ~signing_key ~signer ?(proxy_bits = default_proxy_bits)
-    ~restrictions certs =
-  let proxy_keypair = Crypto.Rsa.generate drbg ~bits:proxy_bits in
-  let body = make_body drbg ~now ~expires ~grantor ~restrictions in
-  let cert =
-    Proxy_cert.sign_pk ~key:signing_key ~signer ~proxy_pub:proxy_keypair.Crypto.Rsa.pub body
-  in
-  { flavor = Public_key (certs @ [ cert ]); key = Keypair proxy_keypair }
+let grant_keyless ~drbg ~now ~expires ~grantor ~grantor_key ~restrictions () =
+  grant_with ~name:"grant_keyless" ~drbg ~now ~expires ~grantor ~grantor_key ~proxy_bits:None
+    ~restrictions
 
-let restrict_pk ~drbg ~now ~expires ?(grantor = anonymous_intermediate) ?proxy_bits ~restrictions
-    t =
+let restrict_pk ~drbg ~now ~expires ?(grantor = anonymous_intermediate)
+    ?(proxy_bits = default_proxy_bits) ~restrictions t =
   match (t.flavor, t.key) with
   | Public_key certs, Keypair current ->
-      Ok
-        (extend_pk ~drbg ~now ~expires ~grantor ~signing_key:current
-           ~signer:Proxy_cert.By_proxy_key ?proxy_bits ~restrictions certs)
+      extend_pk ~drbg ~now ~expires ~grantor ~signing_key:current ~signer:Proxy_cert.By_proxy_key
+        ~proxy_bits:(Some proxy_bits) ~restrictions certs
+  | Public_key _, No_key -> Error "restrict_pk: a key-less proxy has no proxy key to sign with"
   | (Conventional _ | Hybrid _), _ -> Error "restrict_pk: not a public-key proxy"
   | Public_key _, Sym _ -> Error "restrict_pk: inconsistent key material"
 
-let delegate_pk ~drbg ~now ~expires ~intermediate ~intermediate_key ?proxy_bits ~restrictions t =
+let delegate_with ~name ~drbg ~now ~expires ~intermediate ~intermediate_key ~proxy_bits
+    ~restrictions t =
   match t.flavor with
   | Public_key certs ->
-      Ok
-        (extend_pk ~drbg ~now ~expires ~grantor:intermediate ~signing_key:intermediate_key
-           ~signer:(Proxy_cert.By_principal intermediate) ?proxy_bits ~restrictions certs)
-  | Conventional _ | Hybrid _ -> Error "delegate_pk: not a public-key proxy"
+      extend_pk ~drbg ~now ~expires ~grantor:intermediate ~signing_key:intermediate_key
+        ~signer:(Proxy_cert.By_principal intermediate) ~proxy_bits ~restrictions certs
+  | Conventional _ | Hybrid _ -> Error (name ^ ": not a public-key proxy")
+
+let delegate_pk ~drbg ~now ~expires ~intermediate ~intermediate_key
+    ?(proxy_bits = default_proxy_bits) ~restrictions t =
+  delegate_with ~name:"delegate_pk" ~drbg ~now ~expires ~intermediate ~intermediate_key
+    ~proxy_bits:(Some proxy_bits) ~restrictions t
+
+let delegate_keyless ~drbg ~now ~expires ~intermediate ~intermediate_key ~restrictions t =
+  delegate_with ~name:"delegate_keyless" ~drbg ~now ~expires ~intermediate ~intermediate_key
+    ~proxy_bits:None ~restrictions t
 
 type presentation = flavor
 
@@ -156,9 +177,11 @@ let presentation_of_wire v =
       Ok (Hybrid (head, blobs))
   | other -> Error (Printf.sprintf "presentation: unknown flavor %S" other)
 
-(* The RSA private key transfers as (n, e, d). *)
+(* The RSA private key transfers as (n, e, d); a key-less proxy transfers
+   no key at all. *)
 let material_to_wire = function
   | Sym k -> Wire.L [ Wire.S "sym"; Wire.S k ]
+  | No_key -> Wire.L [ Wire.S "no-key" ]
   | Keypair kp ->
       Wire.L
         [ Wire.S "keypair";
@@ -172,6 +195,7 @@ let material_of_wire v =
   | "sym" ->
       let* k = Result.bind (field v 1) to_string in
       Ok (Sym k)
+  | "no-key" -> Ok No_key
   | "keypair" -> (
       let* pub_bytes = Result.bind (field v 1) to_string in
       let* d_bytes = Result.bind (field v 2) to_string in

@@ -11,6 +11,10 @@
 type material =
   | Sym of string  (** 32-byte key (conventional realization) *)
   | Keypair of Crypto.Rsa.private_  (** private half (public-key realization) *)
+  | No_key
+      (** a key-less public-key proxy: the newest certificate binds no
+          proxy key and names its grantee, who exercises it by
+          authenticating as itself *)
 
 type conventional_chain = {
   base : string;
@@ -79,6 +83,22 @@ val grant_pk :
 (** Figure 6: generate a proxy key pair, sign the certificate with the
     grantor's long-term key. [proxy_bits] defaults to 512. *)
 
+val grant_keyless :
+  drbg:Crypto.Drbg.t ->
+  now:int ->
+  expires:int ->
+  grantor:Principal.t ->
+  grantor_key:Crypto.Rsa.private_ ->
+  restrictions:Restriction.t list ->
+  unit ->
+  t
+(** A key-less delegate grant: {!grant_pk} without the proxy key pair. The
+    certificate binds no proxy key and the material is [No_key], so the
+    grantee can present it by name (its [Grantee] restriction) but can
+    neither prove possession nor {!restrict_pk} it; it can still extend it
+    by {!delegate_pk} or {!delegate_keyless}.
+    @raise Invalid_argument when [restrictions] name no grantee. *)
+
 val restrict_pk :
   drbg:Crypto.Drbg.t ->
   now:int ->
@@ -89,7 +109,8 @@ val restrict_pk :
   t ->
   (t, string) result
 (** Bearer cascade: the new certificate is signed with the current {e proxy}
-    key, so no intermediate identity is revealed. *)
+    key, so no intermediate identity is revealed. Fails on a key-less
+    proxy, which holds no key to sign with. *)
 
 val delegate_pk :
   drbg:Crypto.Drbg.t ->
@@ -103,6 +124,19 @@ val delegate_pk :
   (t, string) result
 (** Delegate cascade: the new certificate is signed by the named
     intermediate's long-term key, leaving an audit trail (Section 3.4). *)
+
+val delegate_keyless :
+  drbg:Crypto.Drbg.t ->
+  now:int ->
+  expires:int ->
+  intermediate:Principal.t ->
+  intermediate_key:Crypto.Rsa.private_ ->
+  restrictions:Restriction.t list ->
+  t ->
+  (t, string) result
+(** {!delegate_pk} without a fresh proxy key pair: the new certificate is
+    key-less, so [restrictions] must name the next grantee (refused
+    otherwise). An endorsement is one. *)
 
 (** {2 Granting (hybrid, Section 6.1)} *)
 

@@ -62,17 +62,39 @@ let pk_signer_of_wire v =
 
 type pk_cert = {
   pk_body : body;
-  proxy_pub : Crypto.Rsa.public;
+  proxy_pub : Crypto.Rsa.public option;
   pk_signer : pk_signer;
   signature : string;
 }
+
+(* The key slot: a keyed certificate carries the public key's bytes, a
+   key-less one the empty list, so the signature covers the key's presence
+   as well as its value. *)
+let proxy_pub_to_wire = function
+  | Some pub -> Wire.S (Crypto.Rsa.public_to_bytes pub)
+  | None -> Wire.L []
+
+let proxy_pub_of_wire = function
+  | Wire.L [] -> Ok None
+  | Wire.S bytes -> (
+      match Crypto.Rsa.public_of_bytes bytes with
+      | Some pub -> Ok (Some pub)
+      | None -> Error "pk proxy-cert: malformed proxy key")
+  | _ -> Error "pk proxy-cert: malformed proxy key"
+
+let keyless_names_grantee c =
+  match c.proxy_pub with
+  | Some _ -> Ok ()
+  | None ->
+      if Restriction.grantees c.pk_body.restrictions <> [] then Ok ()
+      else Error "pk proxy-cert: key-less certificate names no grantee"
 
 let pk_signed_bytes c =
   Wire.encode
     (Wire.L
        [ Wire.S "pk-proxy-cert";
          body_to_wire c.pk_body;
-         Wire.S (Crypto.Rsa.public_to_bytes c.proxy_pub);
+         proxy_pub_to_wire c.proxy_pub;
          pk_signer_to_wire c.pk_signer ])
 
 let sign_pk ~key ~signer ~proxy_pub body =
@@ -86,7 +108,7 @@ let verify_pk_signature pub c =
 let pk_cert_to_wire c =
   Wire.L
     [ body_to_wire c.pk_body;
-      Wire.S (Crypto.Rsa.public_to_bytes c.proxy_pub);
+      proxy_pub_to_wire c.proxy_pub;
       pk_signer_to_wire c.pk_signer;
       Wire.S c.signature ]
 
@@ -94,13 +116,13 @@ let pk_cert_of_wire v =
   let open Wire in
   let* bw = field v 0 in
   let* pk_body = body_of_wire bw in
-  let* pub_bytes = Result.bind (field v 1) to_string in
+  let* proxy_pub = Result.bind (field v 1) proxy_pub_of_wire in
   let* sw = field v 2 in
   let* pk_signer = pk_signer_of_wire sw in
   let* signature = Result.bind (field v 3) to_string in
-  match Crypto.Rsa.public_of_bytes pub_bytes with
-  | None -> Error "pk proxy-cert: malformed proxy key"
-  | Some proxy_pub -> Ok { pk_body; proxy_pub; pk_signer; signature }
+  let c = { pk_body; proxy_pub; pk_signer; signature } in
+  let* () = keyless_names_grantee c in
+  Ok c
 
 type hybrid_cert = {
   h_body : body;

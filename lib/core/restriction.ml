@@ -335,6 +335,8 @@ let rec check r req =
 and check_all rs req =
   List.fold_left (fun acc r -> Result.bind acc (fun () -> check r req)) (Ok ()) rs
 
+let grantees rs = List.concat_map (function Grantee (ps, _) -> ps | _ -> []) rs
+
 let propagate ~issued_for rs =
   if issued_for = [] then invalid_arg "Restriction.propagate: issued_for must be non-empty";
   let reaches servers = List.exists (fun s -> List.exists (Principal.equal s) issued_for) servers in

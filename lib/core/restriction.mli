@@ -133,6 +133,10 @@ val check : t -> request -> (unit, string) result
 val check_all : t list -> request -> (unit, string) result
 (** All restrictions must pass (first failure reported). *)
 
+val grantees : t list -> Principal.t list
+(** The union, in order, of every top-level [Grantee] list: non-empty
+    exactly when the restrictions make a proxy a delegate proxy. *)
+
 val propagate : issued_for:Principal.t list -> t list -> t list
 (** Restrictions to copy into a proxy derived from one carrying these
     restrictions (Section 7.9). Everything is kept, except that a

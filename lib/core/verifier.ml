@@ -159,8 +159,10 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~
                      (Principal.to_string cert.Proxy_cert.pk_body.Proxy_cert.grantor)))
         | Proxy_cert.By_grantor_key, Some _ ->
             Error "only the head certificate may be signed by the grantor key"
-        | Proxy_cert.By_proxy_key, Some (prev_cert : Proxy_cert.pk_cert) ->
-            Ok prev_cert.Proxy_cert.proxy_pub
+        | Proxy_cert.By_proxy_key, Some (prev_cert : Proxy_cert.pk_cert) -> (
+            match prev_cert.Proxy_cert.proxy_pub with
+            | Some pub -> Ok pub
+            | None -> Error "proxy-key signature after a key-less certificate")
         | Proxy_cert.By_proxy_key, None ->
             Error "head certificate cannot be signed by a proxy key"
         | Proxy_cert.By_principal p, Some prev_cert -> (
@@ -197,7 +199,10 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~
                 grantor = head.Proxy_cert.pk_body.Proxy_cert.grantor;
                 restrictions = acc_restrictions @ pending_grantees;
                 expires;
-                commitment = Presentation.Pk_commit last.Proxy_cert.proxy_pub;
+                commitment =
+                  (match last.Proxy_cert.proxy_pub with
+                  | Some pub -> Presentation.Pk_commit pub
+                  | None -> Presentation.No_commit);
                 chain_length = List.length certs;
                 serials = List.rev acc_serials;
               }
@@ -215,6 +220,7 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~
                     ("serial", short_serial cert.Proxy_cert.pk_body.Proxy_cert.serial);
                   ]
                 (fun () ->
+                  let* () = Proxy_cert.keyless_names_grantee cert in
                   let* pub = signer_key ~prev cert in
                   let* () =
                     verify_signature ?cache ~tally ~now ~pub

@@ -67,7 +67,14 @@ val verify_pk :
     from payee to bank no longer requires the payee among the final
     presenters, only the endorsement target. Every link's signer key is
     resolved through [lookup] on every presentation, cached or not, so a
-    chain signed by a key the directory no longer binds is refused. *)
+    chain signed by a key the directory no longer binds is refused.
+
+    Key-less certificates ({!Proxy_cert.keyless_names_grantee}): one that
+    names no grantee is refused, and so is a proxy-key signature on the
+    certificate after one (there is no key to verify it with). A chain
+    ending in a key-less certificate commits to no proxy key
+    ([Presentation.No_commit]); its final restrictions carry that
+    certificate's grantees, so it authorizes only as a delegate proxy. *)
 
 val verify_hybrid :
   lookup:(Principal.t -> Crypto.Rsa.public option) ->

@@ -74,15 +74,38 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
       ~session_key:(Crypto.Drbg.generate drbg 32) ~base:(Crypto.Drbg.generate drbg 80)
       ~restrictions
   in
+  (* The committed check seeds predate key-less checks: they are built
+     from the keyed constructors, with the same DRBG draws, so their
+     corpus bytes hold. The key-less ones are appended below. *)
+  let account = Principal.Account.make ~server:bank "u0" in
   let check =
-    Check.write ~drbg ~now ~expires ~payor:u0 ~payor_key:kp.Exec.pk_users.(0)
-      ~account:(Principal.Account.make ~server:bank "u0") ~payee:u1 ~currency:"usd"
-      ~amount:25 ()
+    let number, restrictions =
+      Check.terms ~drbg ~account ~payee:u1 ~currency:"usd" ~amount:25
+    in
+    let proxy =
+      Proxy.grant_pk ~drbg ~now ~expires ~grantor:u0 ~grantor_key:kp.Exec.pk_users.(0)
+        ~restrictions ()
+    in
+    { Check.number; currency = "usd"; amount = 25; payee = u1; drawn_on = account; proxy }
   in
   let endorsed =
     match
+      Proxy.delegate_pk ~drbg ~now ~expires ~intermediate:u1
+        ~intermediate_key:kp.Exec.pk_users.(1)
+        ~restrictions:[ Restriction.Grantee ([ bank ], 1) ]
+        check.Check.proxy
+    with
+    | Ok proxy -> { check with Check.proxy }
+    | Error e -> failwith ("fuzz seeds: delegate_pk: " ^ e)
+  in
+  let keyless =
+    Check.write ~drbg ~now ~expires ~payor:u0 ~payor_key:kp.Exec.pk_users.(0) ~account
+      ~payee:u1 ~currency:"usd" ~amount:25 ()
+  in
+  let keyless_endorsed =
+    match
       Check.endorse ~drbg ~now ~expires ~endorser:u1 ~endorser_key:kp.Exec.pk_users.(1)
-        ~next:bank check
+        ~next:bank keyless
     with
     | Ok c -> c
     | Error e -> failwith ("fuzz seeds: endorse: " ^ e)
@@ -102,8 +125,8 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
       ~epoch:2 ~issued_at:now
       [ ("eng", [ u0; u1 ]); ("ops", [ fs ]) ]
   in
-  let head_pk_cert =
-    match pk.Proxy.flavor with
+  let head_cert (p : Proxy.t) =
+    match p.Proxy.flavor with
     | Proxy.Public_key (c :: _) -> c
     | _ -> assert false
   in
@@ -121,7 +144,7 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
       Proxy_cert.body_to_wire
         { Proxy_cert.grantor = u0; serial = "serial-1"; issued_at = now; expires; restrictions },
       ign Proxy_cert.body_of_wire );
-    ("pk-cert", Proxy_cert.pk_cert_to_wire head_pk_cert, ign Proxy_cert.pk_cert_of_wire);
+    ("pk-cert", Proxy_cert.pk_cert_to_wire (head_cert pk), ign Proxy_cert.pk_cert_of_wire);
     ("hybrid-cert", Proxy_cert.hybrid_cert_to_wire hybrid_cert, ign Proxy_cert.hybrid_cert_of_wire);
     ( "presentation-pk",
       Proxy.presentation_to_wire (Proxy.presentation pk2),
@@ -145,6 +168,11 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
       Restriction.to_wire (Restriction.Sequence (sample_seq_steps fs)),
       ign Restriction.of_wire );
     ("membership-snapshot", Membership.to_wire snapshot, ign Membership.of_wire);
+    ( "pk-cert-keyless",
+      Proxy_cert.pk_cert_to_wire (head_cert keyless.Check.proxy),
+      ign Proxy_cert.pk_cert_of_wire );
+    ("check-keyless", Check.to_wire keyless, ign Check.of_wire);
+    ("check-keyless-endorsed", Check.to_wire keyless_endorsed, ign Check.of_wire);
   ]
 
 (* --- mutations --- *)
@@ -403,7 +431,20 @@ let save_corpus ~dir =
   write
     (Filename.concat dir "neg-empty-restriction-seq.hex")
     (Program.to_hex (Wire.encode (Restriction.to_wire (Restriction.Sequence []))));
-  (4 * List.length seeds) + List.length json_crashers + 4 + 4
+  (* A well-signed key-less certificate that names no grantee: nobody could
+     exercise it, so [Proxy_cert.pk_cert_of_wire] must refuse it. *)
+  let kp = Lazy.force Exec.pool in
+  let u0 = Principal.make ~realm "u0" in
+  let no_grantee =
+    Proxy_cert.sign_pk ~key:kp.Exec.pk_users.(0) ~signer:Proxy_cert.By_grantor_key
+      ~proxy_pub:None
+      { Proxy_cert.grantor = u0; serial = "serial-1"; issued_at = 1_000_000;
+        expires = 3_600_000_000; restrictions = [ Restriction.Quota ("usd", 25) ] }
+  in
+  write
+    (Filename.concat dir "neg-keyless-no-grantee-pk-cert.hex")
+    (Program.to_hex (Wire.encode (Proxy_cert.pk_cert_to_wire no_grantee)));
+  (4 * List.length seeds) + List.length json_crashers + 4 + 4 + 1
 
 type corpus_result = { files : int; failures : (string * string) list }
 

@@ -39,9 +39,8 @@ let req ?(operation = "read") ?(target = "obj") () =
   R.request ~server ~time:100 ~operation ~target ()
 
 let prove proxy r =
-  Some
-    (Presentation.prove ~key:proxy.Proxy.key ~time:100
-       ~request_digest:(Presentation.digest_request r))
+  Presentation.prove ~key:proxy.Proxy.key ~time:100
+    ~request_digest:(Presentation.digest_request r)
 
 let test_grant_verify () =
   let proxy = grant () in
@@ -88,7 +87,7 @@ let test_third_party_verifiable () =
         at 0
       in
       Alcotest.(check bool) "proxy key not in clear" false (contains bytes k)
-  | Proxy.Keypair _ -> Alcotest.fail "sym expected")
+  | Proxy.Keypair _ | Proxy.No_key -> Alcotest.fail "sym expected")
 
 let test_forged_signature () =
   let mallory = Crypto.Rsa.generate drbg ~bits:512 in
@@ -130,7 +129,7 @@ let test_cascade () =
       in
       Alcotest.(check bool) "old key refused" true
         (Result.is_error
-           (Verifier.authorize v ~req:r ~proof:(Some stale_proof) ~max_skew:1_000_000));
+           (Verifier.authorize v ~req:r ~proof:stale_proof ~max_skew:1_000_000));
       (* Cross-flavor cascading is refused. *)
       Alcotest.(check bool) "restrict_conventional refuses hybrid" true
         (Result.is_error

@@ -264,6 +264,27 @@ let test_fuzz_corpus () =
   Alcotest.(check bool) "corpus committed" true (r.Mbt.Fuzz.files >= 40);
   Alcotest.(check int) "corpus replays clean" 0 (List.length r.Mbt.Fuzz.failures)
 
+let test_fuzz_corpus_regenerates () =
+  (* The corpus is append-only: regenerating it from the seeds reproduces
+     every committed file byte for byte and writes no file that is not
+     committed. *)
+  let dir = Filename.temp_dir "fuzz-corpus" "" in
+  let written = Mbt.Fuzz.save_corpus ~dir in
+  let hex_files d =
+    Sys.readdir d |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".hex")
+    |> List.sort compare
+  in
+  let read d f = In_channel.with_open_bin (Filename.concat d f) In_channel.input_all in
+  let fresh = hex_files dir in
+  Alcotest.(check int) "every file counted" written (List.length fresh);
+  Alcotest.(check (list string)) "same file names" (hex_files "fuzz_corpus") fresh;
+  List.iter
+    (fun f -> Alcotest.(check string) f (read "fuzz_corpus" f) (read dir f))
+    fresh;
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "mbt"
     [ ( "model scenarios",
@@ -291,4 +312,5 @@ let () =
         [ ("program wire roundtrip", `Quick, test_program_roundtrip);
           ("committed repros replay", `Slow, test_repro_corpus);
           ("fuzz smoke", `Quick, test_fuzz_smoke);
-          ("fuzz corpus replays", `Quick, test_fuzz_corpus) ] ) ]
+          ("fuzz corpus replays", `Quick, test_fuzz_corpus);
+          ("fuzz corpus regenerates", `Quick, test_fuzz_corpus_regenerates) ] ) ]

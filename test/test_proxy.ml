@@ -46,9 +46,8 @@ let verify_c ?base_restrictions proxy =
     | Proxy.Public_key _ | Proxy.Hybrid _ -> Alcotest.fail "expected conventional")
 
 let prove proxy request =
-  Some
-    (Presentation.prove ~key:proxy.Proxy.key ~time:100
-       ~request_digest:(Presentation.digest_request request))
+  Presentation.prove ~key:proxy.Proxy.key ~time:100
+    ~request_digest:(Presentation.digest_request request)
 
 let authorize ?(max_skew = 300_000_000) verified ~req:r ~proof =
   Verifier.authorize verified ~req:r ~proof ~max_skew
@@ -79,7 +78,7 @@ let test_bearer_requires_possession () =
   let wrong = Proxy.Sym (Crypto.Drbg.generate drbg 32) in
   let bad = Presentation.prove ~key:wrong ~time:100 ~request_digest:(Presentation.digest_request r) in
   Alcotest.(check bool) "wrong key rejected" true
-    (Result.is_error (authorize v ~req:r ~proof:(Some bad)))
+    (Result.is_error (authorize v ~req:r ~proof:bad))
 
 let test_proof_binds_request () =
   (* A proof captured for one request cannot authorize a different one. *)
@@ -99,7 +98,7 @@ let test_proof_freshness () =
     Presentation.prove ~key:proxy.Proxy.key ~time:(-hour)
       ~request_digest:(Presentation.digest_request r)
   in
-  match authorize v ~req:r ~proof:(Some stale) with
+  match authorize v ~req:r ~proof:stale with
   | Error e -> Alcotest.(check string) "stale" "proof of possession: stale timestamp" e
   | Ok () -> Alcotest.fail "stale proof accepted"
 
@@ -149,7 +148,7 @@ let test_cascade_accumulates () =
           ~request_digest:(Presentation.digest_request r)
       in
       Alcotest.(check bool) "head key no longer proves" true
-        (Result.is_error (authorize v ~req:r ~proof:(Some old_proof)))
+        (Result.is_error (authorize v ~req:r ~proof:old_proof))
 
 let test_cascade_cannot_remove () =
   (* Deriving can only add restrictions: the original Authorized stays in
@@ -222,7 +221,7 @@ let test_presentation_excludes_key () =
         at 0
       in
       Alcotest.(check bool) "proxy key not on the wire" false (contains bytes k)
-  | Proxy.Keypair _ -> Alcotest.fail "conventional expected");
+  | Proxy.Keypair _ | Proxy.No_key -> Alcotest.fail "conventional expected");
   match Proxy.presentation_of_wire wire with
   | Ok pres ->
       Alcotest.(check bool) "roundtrip verifies" true
@@ -307,7 +306,7 @@ let test_pk_bearer_cascade () =
           ~request_digest:(Presentation.digest_request r)
       in
       Alcotest.(check bool) "old key refused" true
-        (Result.is_error (authorize v ~req:r ~proof:(Some old_proof)))
+        (Result.is_error (authorize v ~req:r ~proof:old_proof))
 
 let test_pk_delegate_cascade () =
   (* Alice grants to bob as a named delegate; bob extends the chain signing
@@ -370,6 +369,159 @@ let test_pk_cert_wire_roundtrip () =
             (Result.is_ok (Verifier.verify_pk ~lookup ~now:100 [ cert' ]))
       | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "single pk cert expected"
+
+(* --- key-less delegate certificates --- *)
+
+let keyless_no_grantee = "pk proxy-cert: key-less certificate names no grantee"
+
+let grant_keyless ?(restrictions = [ R.Grantee ([ bob ], 1); read_file1 ]) () =
+  Proxy.grant_keyless ~drbg ~now:t0 ~expires:t_exp ~grantor:alice ~grantor_key:alice_kp
+    ~restrictions ()
+
+let pk_certs proxy =
+  match proxy.Proxy.flavor with
+  | Proxy.Public_key certs -> certs
+  | Proxy.Conventional _ | Proxy.Hybrid _ -> Alcotest.fail "expected public-key"
+
+let test_keyless_needs_grantee () =
+  (* Well signed, but with no proxy key and no grantee nobody could
+     exercise it: the decoder, the verifier and both key-less constructors
+     refuse it with one error. *)
+  let body =
+    { Proxy_cert.grantor = alice; serial = "s-1"; issued_at = t0; expires = t_exp;
+      restrictions = [ read_file1 ] }
+  in
+  let cert =
+    Proxy_cert.sign_pk ~key:alice_kp ~signer:Proxy_cert.By_grantor_key ~proxy_pub:None body
+  in
+  Alcotest.(check (result unit string)) "verifier refuses" (Error keyless_no_grantee)
+    (Result.map ignore (Verifier.verify_pk ~lookup ~now:100 [ cert ]));
+  Alcotest.(check (result unit string)) "decoder refuses" (Error keyless_no_grantee)
+    (Result.map ignore (Proxy_cert.pk_cert_of_wire (Proxy_cert.pk_cert_to_wire cert)));
+  Alcotest.check_raises "grant_keyless refuses"
+    (Invalid_argument ("Proxy.grant_keyless: " ^ keyless_no_grantee)) (fun () ->
+      ignore (grant_keyless ~restrictions:[ read_file1 ] ()));
+  Alcotest.(check (result unit string)) "delegate_keyless refuses" (Error keyless_no_grantee)
+    (Result.map ignore
+       (Proxy.delegate_keyless ~drbg ~now:t0 ~expires:t_exp ~intermediate:bob
+          ~intermediate_key:bob_kp ~restrictions:[] (grant_keyless ())))
+
+let test_keyless_then_proxy_key () =
+  (* A proxy-key signature needs the previous certificate's proxy key; after
+     a key-less certificate there is none, whoever signed the link. *)
+  let head = grant_keyless () in
+  let body =
+    { Proxy_cert.grantor = bob; serial = "s-2"; issued_at = t0; expires = t_exp;
+      restrictions = [] }
+  in
+  let link =
+    Proxy_cert.sign_pk ~key:alice_kp ~signer:Proxy_cert.By_proxy_key
+      ~proxy_pub:(Some bob_kp.Crypto.Rsa.pub) body
+  in
+  Alcotest.(check (result unit string)) "refused"
+    (Error "proxy-key signature after a key-less certificate")
+    (Result.map ignore (Verifier.verify_pk ~lookup ~now:100 (pk_certs head @ [ link ])))
+
+let test_keyless_key_slot_signed () =
+  (* The signature covers the key slot: stripping the key from a keyed
+     delegate certificate, or adding one to a key-less one, breaks it. *)
+  let keyed = List.hd (pk_certs (grant_pk ~restrictions:[ R.Grantee ([ bob ], 1) ] ())) in
+  let keyless = List.hd (pk_certs (grant_keyless ())) in
+  let verify c = Result.map ignore (Verifier.verify_pk ~lookup ~now:100 [ c ]) in
+  Alcotest.(check (result unit string)) "both verify as signed" (Ok ())
+    (Result.bind (verify keyed) (fun () -> verify keyless));
+  let bad = Error "pk proxy-cert: bad signature" in
+  Alcotest.(check (result unit string)) "key removed" bad
+    (verify { keyed with Proxy_cert.proxy_pub = None });
+  Alcotest.(check (result unit string)) "key added" bad
+    (verify { keyless with Proxy_cert.proxy_pub = keyed.Proxy_cert.proxy_pub })
+
+let test_keyless_cannot_restrict () =
+  Alcotest.(check (result unit string)) "restrict_pk refuses"
+    (Error "restrict_pk: a key-less proxy has no proxy key to sign with")
+    (Result.map ignore
+       (Proxy.restrict_pk ~drbg ~now:t0 ~expires:t_exp ~restrictions:[] (grant_keyless ())))
+
+let test_refresh_keeps_key_presence () =
+  (* A grantor service that answers every refresh with the head of
+     [!answer]: the grantee splices in only a head whose proxy key matches
+     its own, present or absent. *)
+  let w = World.create ~seed:"key-less refresh" () in
+  let gina, gina_key, gina_rsa = World.enrol_pk w "gina" in
+  let hugh, _ = World.enrol w "hugh" in
+  let now = World.now w in
+  let restrictions = [ R.Grantee ([ hugh ], 1); read_file1 ] in
+  let keyed =
+    Proxy.grant_pk ~drbg ~now ~expires:(now + hour) ~grantor:gina ~grantor_key:gina_rsa
+      ~restrictions ()
+  in
+  let keyless =
+    Proxy.grant_keyless ~drbg ~now ~expires:(now + hour) ~grantor:gina ~grantor_key:gina_rsa
+      ~restrictions ()
+  in
+  let answer = ref keyless in
+  Secure_rpc.serve w.World.net ~me:gina ~my_key:gina_key (fun _ _ ->
+      Ok (Proxy_cert.pk_cert_to_wire (List.hd (pk_certs !answer))));
+  let creds = World.credentials_for w ~tgt:(World.login w hugh) gina in
+  let refresh proxy = Result.map ignore (Refresher.refresh w.World.net ~creds proxy) in
+  let different = Error "refresh: returned head is bound to a different proxy key" in
+  Alcotest.(check (result unit string)) "same head splices" (Ok ()) (refresh keyless);
+  Alcotest.(check (result unit string)) "key dropped" different (refresh keyed);
+  answer := keyed;
+  Alcotest.(check (result unit string)) "key added" different (refresh keyless)
+
+let test_keyless_check_clears () =
+  (* A check written and endorsed twice carries no key material anywhere,
+     gets no proof of possession, and still clears at the drawee, which
+     verifies all three signatures. *)
+  let payee_bank = p "payee-bank" in
+  let bank_kp = Crypto.Rsa.generate drbg ~bits:512 in
+  let lookup q = if Principal.equal q payee_bank then Some bank_kp.Crypto.Rsa.pub else lookup q in
+  let endorse ~endorser ~endorser_key ~next check =
+    Result.get_ok
+      (Check.endorse ~drbg ~now:t0 ~expires:t_exp ~endorser ~endorser_key ~next check)
+  in
+  let check =
+    Check.write ~drbg ~now:t0 ~expires:t_exp ~payor:alice ~payor_key:alice_kp
+      ~account:(Principal.Account.make ~server "alice") ~payee:bob ~currency:"usd" ~amount:25
+      ()
+    |> endorse ~endorser:bob ~endorser_key:bob_kp ~next:payee_bank
+    |> endorse ~endorser:payee_bank ~endorser_key:bank_kp ~next:server
+  in
+  let check = Result.get_ok (Check.of_wire (Check.to_wire check)) in
+  let proxy = check.Check.proxy in
+  Alcotest.(check int) "three certificates" 3 (List.length (pk_certs proxy));
+  Alcotest.(check bool) "no certificate binds a key" true
+    (List.for_all (fun c -> c.Proxy_cert.proxy_pub = None) (pk_certs proxy));
+  Alcotest.(check bool) "no key material held" true (proxy.Proxy.key = Proxy.No_key);
+  Alcotest.(check bool) "transfer encodes no key" true
+    (Wire.field (Proxy.transfer_to_wire proxy) 1 = Ok (Wire.L [ Wire.S "no-key" ]));
+  let presented =
+    Guard.present ~proxy ~time:100 ~server ~operation:"debit" ~target:"alice"
+      ~spend:("usd", 25) ()
+  in
+  Alcotest.(check bool) "no proof of possession" true (presented.Guard.pres_proof = None);
+  let v = Result.get_ok (Verifier.verify_pk ~lookup ~now:100 (pk_certs proxy)) in
+  Alcotest.(check bool) "no commitment" true (v.Verifier.commitment = Presentation.No_commit);
+  let forged = { Presentation.pop_time = 100; pop_sig = "" } in
+  Alcotest.(check (result unit string)) "no proof accepted"
+    (Error "proof of possession: a key-less proxy has no proxy key")
+    (Presentation.check v.Verifier.commitment forged ~now:100 ~max_skew:1
+       ~request_digest:"");
+  let net = Sim.Net.create ~seed:"key-less check" () in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"alice"
+    { Acl.subject = Acl.Principal_is alice; rights = [ "debit" ]; restrictions = [] };
+  let guard =
+    Guard.create net ~me:server ~my_key:(Crypto.Drbg.generate drbg 32) ~lookup_pub:lookup ~acl
+      ()
+  in
+  let debit () =
+    Guard.decide guard ~operation:"debit" ~target:"alice" ~presenter:payee_bank
+      ~extra_presenters:[ server ] ~proxies:[ presented ] ~spend:("usd", 25) ()
+  in
+  Alcotest.(check bool) "clears at the drawee" true (Result.is_ok (debit ()));
+  Alcotest.(check bool) "and only once" true (Result.is_error (debit ()))
 
 let test_classify () =
   Alcotest.(check bool) "bearer" true (Proxy.classify [ read_file1 ] = `Bearer);
@@ -539,6 +691,13 @@ let () =
           ("delegate cascade", `Slow, test_pk_delegate_cascade);
           ("delegate must be named", `Slow, test_pk_delegate_cascade_requires_naming);
           ("cert wire roundtrip", `Slow, test_pk_cert_wire_roundtrip) ] );
+      ( "key-less",
+        [ ("needs a grantee", `Quick, test_keyless_needs_grantee);
+          ("key slot is signed", `Quick, test_keyless_key_slot_signed);
+          ("no proxy-key signature after", `Quick, test_keyless_then_proxy_key);
+          ("restrict_pk refuses", `Quick, test_keyless_cannot_restrict);
+          ("refresh keeps key presence", `Quick, test_refresh_keeps_key_presence);
+          ("check ships no key and clears", `Quick, test_keyless_check_clears) ] );
       ("classify", [ ("bearer vs delegate", `Quick, test_classify) ]);
       ("replay-cache", [ ("accept-once", `Quick, test_replay_cache) ]);
       ("properties", props) ]

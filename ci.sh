@@ -102,7 +102,7 @@ echo "== wire-codec fuzz smoke =="
 dune exec --no-build bin/proxykit.exe -- fuzz --smoke
 
 echo "== bench smoke (logical metrics vs committed baseline) =="
-# Reduced-iteration F1/F4/F6/S1/R1/L1/X1/A1 regenerate BENCH_*.json into a
+# Reduced-iteration F1/F4/F6/S1/R1/L1/X1/A1/F5 regenerate BENCH_*.json into a
 # scratch dir;
 # bench-check validates the JSON schema and compares every integer metric
 # (ops, bytes, crypto-op counts) exactly against the committed baseline.

@@ -164,18 +164,10 @@ let forward_collect t (check : Check.t) =
              collect fire exactly once. A routed hop may name physical
              replicas ([via]): the endorsement targets the logical bank,
              the transport fails over between its replicas. *)
-          let dst, fallback_dsts =
-            match via with [] -> (None, []) | d :: rest -> (Some d, rest)
-          in
-          let call payload =
-            match t.collect_retry with
-            | None -> Secure_rpc.call t.net ~creds ?dst ~fallback_dsts payload
-            | Some p ->
-                Secure_rpc.call t.net ~creds ~retries:p.Sim.Retry.retries
-                  ~timeout_us:p.Sim.Retry.timeout_us ~backoff:p.Sim.Retry.bo ?dst
-                  ~fallback_dsts payload
-          in
-          match call (Wire.L [ Wire.S "collect"; Check.to_wire endorsed ]) with
+          match
+            Secure_rpc.call t.net ~creds ?retry:t.collect_retry ~via
+              (Wire.L [ Wire.S "collect"; Check.to_wire endorsed ])
+          with
           | Error e -> Error e
           | Ok reply -> Result.bind (Wire.to_int reply) (fun amount -> Ok amount)))
 
@@ -457,24 +449,23 @@ let apply_replicated t ?(seq = []) ~ops ~redeemed () =
 
 (* --- client side --- *)
 
-(* All client operations accept a retry policy: a retransmission reuses the
-   same authenticator, so the server's response cache guarantees the ledger
-   mutation happens exactly once however often the message is re-sent. *)
+(* The operations that take [?retry] stay exactly-once under it: a
+   retransmission reuses the same authenticator, so the server's response
+   cache guarantees the ledger mutation happens exactly once however often
+   the message is re-sent. *)
 
-let open_account ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover net
-    ~creds ~name =
+let open_account ?retry ?via ?on_failover net ~creds ~name =
   match
-    Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover
+    Secure_rpc.call net ~creds ?retry ?via ?on_failover
       (Wire.L [ Wire.S "open-account"; Wire.S name ])
   with
   | Ok _ -> Ok ()
   | Error e -> Error e
 
-let balance ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover net ~creds
-    ~name ~currency =
+let balance ?retry ?via ?on_failover net ~creds ~name ~currency =
   let open Wire in
   match
-    Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover
+    Secure_rpc.call net ~creds ?retry ?via ?on_failover
       (Wire.L [ Wire.S "balance"; Wire.S name; Wire.S currency ])
   with
   | Error e -> Error e
@@ -483,17 +474,15 @@ let balance ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover
       let* held = Result.bind (field reply 1) to_int in
       Ok (available, held)
 
-let transfer ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover net ~creds
-    ~from_ ~to_ ~currency ~amount =
+let transfer ?retry ?via ?on_failover net ~creds ~from_ ~to_ ~currency ~amount =
   match
-    Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover
+    Secure_rpc.call net ~creds ?retry ?via ?on_failover
       (Wire.L [ Wire.S "transfer"; Wire.S from_; Wire.S to_; Wire.S currency; Wire.I amount ])
   with
   | Ok _ -> Ok ()
   | Error e -> Error e
 
-let deposit ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover net ~creds
-    ~endorser_key ~check ~to_account =
+let deposit ?retry ?via ?on_failover net ~creds ~endorser_key ~check ~to_account =
   let now = Sim.Net.now net in
   let bank = creds.Ticket.cred_service in
   match
@@ -503,8 +492,7 @@ let deposit ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover
   | Error e -> Error e
   | Ok endorsed -> (
       match
-        Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts
-          ?on_failover
+        Secure_rpc.call net ~creds ?retry ?via ?on_failover
           (Wire.L [ Wire.S "deposit"; Check.to_wire endorsed; Wire.S to_account ])
       with
       | Error e -> Error e
@@ -552,8 +540,8 @@ let standing_release net ~creds ~authority ~from_account ~amount =
   in
   Result.bind (Secure_rpc.call net ~creds payload) Wire.to_int
 
-let proxy_transfer ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover net
-    ~creds ~presented ~payor_account ~to_account ~currency ~amount =
+let proxy_transfer ?retry ?via net ~creds ~presented ~payor_account ~to_account ~currency
+    ~amount =
   let payload =
     Wire.L
       [ Wire.S "proxy-transfer";
@@ -563,24 +551,19 @@ let proxy_transfer ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_f
         Wire.S currency;
         Wire.I amount ]
   in
-  Result.bind
-    (Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover
-       payload)
-    Wire.to_int
+  Result.bind (Secure_rpc.call net ~creds ?retry ?via payload) Wire.to_int
 
-let seq_advance ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover net
-    ~creds ~key ~progress ~expires ~tag =
+let seq_advance ?retry ?via net ~creds ~key ~progress ~expires ~tag =
   match
-    Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts ?on_failover
+    Secure_rpc.call net ~creds ?retry ?via
       (Wire.L [ Wire.S "seq-advance"; Wire.S key; Wire.I progress; Wire.I expires; Wire.S tag ])
   with
   | Ok _ -> Ok ()
   | Error e -> Error e
 
-let push_bulletin ?(retries = 0) ?timeout_us ?backoff ?dst ?fallback_dsts net ~creds b =
+let push_bulletin ?via net ~creds b =
   match
-    Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst ?fallback_dsts
-      (Wire.L [ Wire.S "apply-bulletin"; Revocation.to_wire b ])
+    Secure_rpc.call net ~creds ?via (Wire.L [ Wire.S "apply-bulletin"; Revocation.to_wire b ])
   with
   | Error e -> Error e
   | Ok reply -> Result.map (fun n -> n = 1) (Wire.to_int reply)

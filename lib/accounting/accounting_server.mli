@@ -105,22 +105,21 @@ val apply_replicated :
     Standing-authority cumulative draws are not replicated. *)
 
 (** {2 Client operations} — each an authenticated exchange. [creds] are the
-    caller's credentials for the accounting server. Every operation accepts
-    [?retries]/[?timeout_us]/[?backoff] (see {!Secure_rpc.call}): a
+    caller's credentials for the accounting server. [?retry] and [?via],
+    where an operation takes them, are {!Secure_rpc.call}'s retry policy
+    and ordered replica list; [?on_failover] is its fail-over callback. A
     retransmission reuses the same authenticator, so the server's response
     cache makes the ledger mutation exactly-once however often the message
     is re-sent. *)
 
 val open_account :
-  ?retries:int -> ?timeout_us:int -> ?backoff:Sim.Retry.backoff ->
-  ?dst:string -> ?fallback_dsts:string list ->
+  ?retry:Sim.Retry.policy -> ?via:string list ->
   ?on_failover:(from_:string -> to_:string -> unit) ->
   Sim.Net.t -> creds:Ticket.credentials ->
   name:string -> (unit, string) result
 
 val balance :
-  ?retries:int -> ?timeout_us:int -> ?backoff:Sim.Retry.backoff ->
-  ?dst:string -> ?fallback_dsts:string list ->
+  ?retry:Sim.Retry.policy -> ?via:string list ->
   ?on_failover:(from_:string -> to_:string -> unit) ->
   Sim.Net.t -> creds:Ticket.credentials ->
   name:string -> currency:string ->
@@ -128,8 +127,7 @@ val balance :
 (** Owner only; returns (available, held). *)
 
 val transfer :
-  ?retries:int -> ?timeout_us:int -> ?backoff:Sim.Retry.backoff ->
-  ?dst:string -> ?fallback_dsts:string list ->
+  ?retry:Sim.Retry.policy -> ?via:string list ->
   ?on_failover:(from_:string -> to_:string -> unit) ->
   Sim.Net.t ->
   creds:Ticket.credentials ->
@@ -142,8 +140,7 @@ val transfer :
     movement travels by check). *)
 
 val deposit :
-  ?retries:int -> ?timeout_us:int -> ?backoff:Sim.Retry.backoff ->
-  ?dst:string -> ?fallback_dsts:string list ->
+  ?retry:Sim.Retry.policy -> ?via:string list ->
   ?on_failover:(from_:string -> to_:string -> unit) ->
   Sim.Net.t ->
   creds:Ticket.credentials ->
@@ -200,9 +197,7 @@ val standing_release :
     lower the cumulative draw. Returns the new cumulative total. *)
 
 val proxy_transfer :
-  ?retries:int -> ?timeout_us:int -> ?backoff:Sim.Retry.backoff ->
-  ?dst:string -> ?fallback_dsts:string list ->
-  ?on_failover:(from_:string -> to_:string -> unit) ->
+  ?retry:Sim.Retry.policy -> ?via:string list ->
   Sim.Net.t ->
   creds:Ticket.credentials ->
   presented:Guard.presented ->
@@ -220,9 +215,7 @@ val proxy_transfer :
     moved. *)
 
 val seq_advance :
-  ?retries:int -> ?timeout_us:int -> ?backoff:Sim.Retry.backoff ->
-  ?dst:string -> ?fallback_dsts:string list ->
-  ?on_failover:(from_:string -> to_:string -> unit) ->
+  ?retry:Sim.Retry.policy -> ?via:string list ->
   Sim.Net.t ->
   creds:Ticket.credentials ->
   key:string ->
@@ -237,8 +230,7 @@ val seq_advance :
     the attested step. *)
 
 val push_bulletin :
-  ?retries:int -> ?timeout_us:int -> ?backoff:Sim.Retry.backoff ->
-  ?dst:string -> ?fallback_dsts:string list ->
+  ?via:string list ->
   Sim.Net.t ->
   creds:Ticket.credentials ->
   Revocation.bulletin ->

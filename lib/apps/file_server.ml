@@ -61,8 +61,7 @@ let install t =
 let attach net ~proxy ~server ~operation ~path =
   Guard.present ~proxy ~time:(Sim.Net.now net) ~server ~operation ~target:path ()
 
-let request net ~creds ?(retries = 0) ?timeout_us ?backoff ~proxies ~group_proxies ~op ~path
-    ~data () =
+let request net ~creds ?retry ~proxies ~group_proxies ~op ~path ~data () =
   let payload =
     Wire.L
       [ Wire.S op;
@@ -71,30 +70,21 @@ let request net ~creds ?(retries = 0) ?timeout_us ?backoff ~proxies ~group_proxi
         Wire.L (List.map Guard.presented_to_wire proxies);
         Wire.L (List.map Guard.presented_to_wire group_proxies) ]
   in
-  Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff payload
+  Secure_rpc.call net ~creds ?retry payload
 
-let read net ~creds ?(retries = 0) ?timeout_us ?backoff ?(proxies = []) ?(group_proxies = [])
-    ~path () =
+let read net ~creds ?retry ?(proxies = []) ?(group_proxies = []) ~path () =
   Result.bind
-    (request net ~creds ~retries ?timeout_us ?backoff ~proxies ~group_proxies ~op:"read" ~path
-       ~data:"" ())
+    (request net ~creds ?retry ~proxies ~group_proxies ~op:"read" ~path ~data:"" ())
     Wire.to_string
 
-let write net ~creds ?(retries = 0) ?timeout_us ?backoff ?(proxies = []) ?(group_proxies = [])
-    ~path data =
-  Result.map ignore
-    (request net ~creds ~retries ?timeout_us ?backoff ~proxies ~group_proxies ~op:"write" ~path
-       ~data ())
+let write net ~creds ?(proxies = []) ?(group_proxies = []) ~path data =
+  Result.map ignore (request net ~creds ~proxies ~group_proxies ~op:"write" ~path ~data ())
 
-let stat net ~creds ?(retries = 0) ?timeout_us ?backoff ?(proxies = []) ?(group_proxies = [])
-    ~path () =
+let stat net ~creds ?(proxies = []) ?(group_proxies = []) ~path () =
   Result.bind
-    (request net ~creds ~retries ?timeout_us ?backoff ~proxies ~group_proxies ~op:"stat" ~path
-       ~data:"" ())
+    (request net ~creds ~proxies ~group_proxies ~op:"stat" ~path ~data:"" ())
     Wire.to_int
 
-let open_ net ~creds ?(retries = 0) ?timeout_us ?backoff ?(proxies = []) ?(group_proxies = [])
-    ~path () =
+let open_ net ~creds ?retry ?(proxies = []) ?(group_proxies = []) ~path () =
   Result.map ignore
-    (request net ~creds ~retries ?timeout_us ?backoff ~proxies ~group_proxies ~op:"open" ~path
-       ~data:"" ())
+    (request net ~creds ?retry ~proxies ~group_proxies ~op:"open" ~path ~data:"" ())

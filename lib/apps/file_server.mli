@@ -40,16 +40,15 @@ val get_direct : t -> path:string -> string option
 
 (** {2 Client operations}
 
-    All take an optional retry policy, forwarded to {!Secure_rpc.call}:
-    retransmissions reuse the same authenticator bytes, so the server's
-    response cache keeps retried operations exactly-once. *)
+    [read] and [open_] take an optional retry policy, forwarded to
+    {!Secure_rpc.call}: retransmissions reuse the same authenticator bytes,
+    so the server's response cache keeps retried operations exactly-once.
+    [write] and [stat] make one attempt. *)
 
 val read :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
+  ?retry:Sim.Retry.policy ->
   ?proxies:Guard.presented list ->
   ?group_proxies:Guard.presented list ->
   path:string ->
@@ -59,9 +58,6 @@ val read :
 val write :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
   ?proxies:Guard.presented list ->
   ?group_proxies:Guard.presented list ->
   path:string ->
@@ -71,9 +67,6 @@ val write :
 val stat :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
   ?proxies:Guard.presented list ->
   ?group_proxies:Guard.presented list ->
   path:string ->
@@ -84,9 +77,7 @@ val stat :
 val open_ :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
+  ?retry:Sim.Retry.policy ->
   ?proxies:Guard.presented list ->
   ?group_proxies:Guard.presented list ->
   path:string ->

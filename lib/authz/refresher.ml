@@ -76,14 +76,14 @@ let handle t ctx payload =
 let install t =
   Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
 
-let refresh net ~creds ?(retries = 0) ?timeout_us ?backoff (proxy : Proxy.t) =
+let refresh net ~creds (proxy : Proxy.t) =
   match proxy.Proxy.flavor with
   | Proxy.Conventional _ | Proxy.Hybrid _ ->
       Error "refresh: only public-key chains can be refreshed"
   | Proxy.Public_key [] -> Error "refresh: empty certificate chain"
   | Proxy.Public_key (old_head :: tail) ->
       let* reply =
-        Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff
+        Secure_rpc.call net ~creds
           (Wire.L
              [ Wire.S "refresh"; Proxy.presentation_to_wire (Proxy.presentation proxy) ])
       in

@@ -48,9 +48,6 @@ val revocation : t -> Revocation.t option
 val refresh :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
   Proxy.t ->
   (Proxy.t, string) result
 (** Grantee side: present a public-key proxy chain to the grantor's

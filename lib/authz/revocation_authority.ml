@@ -124,14 +124,12 @@ let install t =
 
 (* --- client side --- *)
 
-let fetch net ~creds ?(retries = 0) ?timeout_us ?backoff ?dst () =
-  let* reply =
-    Secure_rpc.call net ~creds ~retries ?timeout_us ?backoff ?dst (Wire.L [ Wire.S "fetch" ])
-  in
+let fetch net ~creds =
+  let* reply = Secure_rpc.call net ~creds (Wire.L [ Wire.S "fetch" ]) in
   Revocation.of_wire reply
 
-let sync net ~creds ?(retries = 0) ?timeout_us ?backoff ?dst guard =
-  let* b = fetch net ~creds ~retries ?timeout_us ?backoff ?dst () in
+let sync net ~creds guard =
+  let* b = fetch net ~creds in
   Guard.apply_bulletin guard b
 
 let revoke_cert net ~creds cert =

@@ -47,23 +47,11 @@ val revoke_grantor_epoch :
 
 (** {2 Client operations} *)
 
-val fetch :
-  Sim.Net.t ->
-  creds:Ticket.credentials ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
-  ?dst:string ->
-  unit ->
-  (Revocation.bulletin, string) result
+val fetch : Sim.Net.t -> creds:Ticket.credentials -> (Revocation.bulletin, string) result
 
 val sync :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
-  ?dst:string ->
   Guard.t ->
   (bool, string) result
 (** Fetch the current bulletin and {!Guard.apply_bulletin} it. [Ok true]

@@ -123,7 +123,8 @@ type chk_lane = {
   cl_revoked_payor : Principal.t;  (** the bulletin's sacrificial grantor *)
 }
 
-let bank_dsts st = (Shard.primary_node st.cl_bank, [ Shard.standby_node st.cl_bank ])
+let retry cfg = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us ()
+let bank_via st = [ Shard.primary_node st.cl_bank; Shard.standby_node st.cl_bank ]
 
 let setup_checks cfg =
   let n = cfg.shards in
@@ -196,12 +197,11 @@ let setup_checks cfg =
              ())
       in
       Shard.install bank;
-      let dst = Shard.primary_node bank and fallback_dsts = [ Shard.standby_node bank ] in
+      let via = [ Shard.primary_node bank; Shard.standby_node bank ] in
       let creds_for who = World.credentials_for w ~tgt:(World.login w who) bank_p in
       let open_acct creds name =
         Drive.ok_or ("account " ^ name)
-          (Accounting_server.open_account ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-             ~fallback_dsts net ~creds ~name)
+          (Accounting_server.open_account ~retry:(retry cfg) ~via net ~creds ~name)
       in
       let shop_account = Printf.sprintf "shop-%d" i in
       let shop_creds = creds_for shop_p in
@@ -372,7 +372,7 @@ let one_op cfg lanes_arr st ~emit =
     let bi = pick_idx () in
     let b = st.cl_buyers.(bi) in
     let amount = 1 + Crypto.Drbg.uniform_int st.cl_wl 5 in
-    let dst, fallback_dsts = bank_dsts st in
+    let retry = retry cfg and via = bank_via st in
     let tally r =
       Sim.Metrics.incr m "lanes.ops";
       match r with
@@ -381,8 +381,8 @@ let one_op cfg lanes_arr st ~emit =
     in
     let balance_read () =
       tally
-        (Accounting_server.balance ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-           ~fallback_dsts net ~creds:b.b_creds ~name:b.b_name ~currency:usd)
+        (Accounting_server.balance ~retry ~via net ~creds:b.b_creds ~name:b.b_name
+           ~currency:usd)
     in
     let other_buyer () = st.cl_buyers.((bi + 1 + Crypto.Drbg.uniform_int st.cl_wl (nb - 1)) mod nb) in
     let roll = Crypto.Drbg.uniform_int st.cl_wl 100 in
@@ -395,9 +395,8 @@ let one_op cfg lanes_arr st ~emit =
       else
         let b2 = other_buyer () in
         tally
-          (Accounting_server.transfer ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-             ~fallback_dsts net ~creds:b.b_creds ~from_:b.b_name ~to_:b2.b_name ~currency:usd
-             ~amount)
+          (Accounting_server.transfer ~retry ~via net ~creds:b.b_creds ~from_:b.b_name
+             ~to_:b2.b_name ~currency:usd ~amount)
     else if roll < deposit_cut then
       if nb < 2 then balance_read ()
       else begin
@@ -405,9 +404,8 @@ let one_op cfg lanes_arr st ~emit =
         let b2 = other_buyer () in
         let check = write_check st b ~payee:b2.b_p ~amount in
         tally
-          (Accounting_server.deposit ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-             ~fallback_dsts net ~creds:b2.b_creds ~endorser_key:b2.b_rsa ~check
-             ~to_account:b2.b_name)
+          (Accounting_server.deposit ~retry ~via net ~creds:b2.b_creds ~endorser_key:b2.b_rsa
+             ~check ~to_account:b2.b_name)
       end
     else if cfg.shards < 2 then balance_read ()
     else begin
@@ -427,12 +425,10 @@ let one_op cfg lanes_arr st ~emit =
    {!Secure_rpc.call_batch} exercising the hot path inside a lane. *)
 let shop_sweep cfg st =
   let net = st.cl_world.World.net in
-  let dst, fallback_dsts = bank_dsts st in
   let creds = st.cl_shop_creds in
   let item = Wire.L [ Wire.S "balance"; Wire.S st.cl_shop_account; Wire.S usd ] in
   ignore
-    (Secure_rpc.call_batch net ~creds ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-       ~fallback_dsts
+    (Secure_rpc.call_batch net ~creds ~retry:(retry cfg) ~via:(bank_via st)
        [ item; item; item; item ])
 
 let chk_step cfg lanes_arr ~epoch ~lane ~inbox =
@@ -555,14 +551,13 @@ let setup_seq cfg =
              ())
       in
       Shard.install bank;
-      let dst = Shard.primary_node bank and fallback_dsts = [ Shard.standby_node bank ] in
+      let via = [ Shard.primary_node bank; Shard.standby_node bank ] in
       let creds_for who = World.credentials_for w ~tgt:(World.login w who) bank_p in
       let alice_account = Printf.sprintf "alice-%d" p in
       let bob_account = Printf.sprintf "bob-%d" p in
       let open_acct creds name =
         Drive.ok_or ("account " ^ name)
-          (Accounting_server.open_account ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-             ~fallback_dsts net ~creds ~name)
+          (Accounting_server.open_account ~retry:(retry cfg) ~via net ~creds ~name)
       in
       open_acct (creds_for alice_p_of_pair) alice_account;
       open_acct (creds_for bob_p) bob_account;
@@ -647,13 +642,12 @@ let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
               gate st "progress imported on both replicas" ok
           | _ -> Sim.Metrics.incr m "lanes.malformed")
         inbox;
-      let dst = Shard.primary_node st.sl_bank
-      and fallback_dsts = [ Shard.standby_node st.sl_bank ] in
+      let retry = retry cfg
+      and via = [ Shard.primary_node st.sl_bank; Shard.standby_node st.sl_bank ] in
       let transfer () =
-        Accounting_server.proxy_transfer ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-          ~fallback_dsts net ~creds:st.sl_bob_bank_creds ~presented:st.sl_presented_bank
-          ~payor_account:st.sl_alice_account ~to_account:st.sl_bob_account ~currency:usd
-          ~amount:seq_amount
+        Accounting_server.proxy_transfer ~retry ~via net ~creds:st.sl_bob_bank_creds
+          ~presented:st.sl_presented_bank ~payor_account:st.sl_alice_account
+          ~to_account:st.sl_bob_account ~currency:usd ~amount:seq_amount
       in
       (match epoch with
       | 0 ->
@@ -662,14 +656,14 @@ let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
           (* In-order open at the fs; the hook captures the handover. *)
           let open_ok =
             Result.is_ok
-              (File_server.open_ net ~creds:st.sl_bob_fs_creds ~retries:cfg.retries
-                 ~timeout_us:cfg.timeout_us ~proxies:[ st.sl_presented_fs ] ~path:"/contract" ())
+              (File_server.open_ net ~creds:st.sl_bob_fs_creds ~retry
+                 ~proxies:[ st.sl_presented_fs ] ~path:"/contract" ())
           in
           gate st "in-order open granted" open_ok;
           gate st "reopen denied: step consumed"
             (Result.is_error
-               (File_server.open_ net ~creds:st.sl_bob_fs_creds ~retries:cfg.retries
-                  ~timeout_us:cfg.timeout_us ~proxies:[ st.sl_presented_fs ] ~path:"/contract" ()));
+               (File_server.open_ net ~creds:st.sl_bob_fs_creds ~retry
+                  ~proxies:[ st.sl_presented_fs ] ~path:"/contract" ()));
           List.iter
             (fun (key, progress, expires, tag) ->
               emit ((lane + 1) mod n)

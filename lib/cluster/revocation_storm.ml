@@ -132,7 +132,7 @@ let run cfg =
          ~standby_node:"coast-bank-2" ())
   in
   Shard.install shard;
-  let bank_dsts c = c ~dst:(Shard.primary_node shard) ~fallback_dsts:[ Shard.standby_node shard ] in
+  let via = [ Shard.primary_node shard; Shard.standby_node shard ] in
   (* --- credentials (all minted before any fault goes in) --- *)
   let creds_of who service =
     let tgt = World.login w who in
@@ -150,11 +150,9 @@ let run cfg =
   let stale_auth = creds_of stale_p ra_p in
   (* --- bank accounts and a pre-storm check --- *)
   Drive.ok_or "gina account"
-    (bank_dsts (fun ~dst ~fallback_dsts ->
-         Accounting_server.open_account ~dst ~fallback_dsts net ~creds:gina_bank ~name:"gina"));
+    (Accounting_server.open_account ~via net ~creds:gina_bank ~name:"gina");
   Drive.ok_or "carol account"
-    (bank_dsts (fun ~dst ~fallback_dsts ->
-         Accounting_server.open_account ~dst ~fallback_dsts net ~creds:carol_bank ~name:"carol"));
+    (Accounting_server.open_account ~via net ~creds:carol_bank ~name:"carol");
   Drive.ok_or "mint" (Shard.mint shard ~name:"gina" ~currency:usd 1_000);
   let write_check amount =
     let now = World.now w in
@@ -165,9 +163,8 @@ let run cfg =
   let check_before = write_check 100 in
   let check_after = write_check 75 in
   let deposit check =
-    bank_dsts (fun ~dst ~fallback_dsts ->
-        Accounting_server.deposit ~dst ~fallback_dsts net ~creds:carol_bank
-          ~endorser_key:carol_rsa ~check ~to_account:"carol")
+    Accounting_server.deposit ~via net ~creds:carol_bank ~endorser_key:carol_rsa ~check
+      ~to_account:"carol"
   in
   let conservation_before =
     Invariant.capture [ Accounting_server.ledger (Shard.primary_server shard) ]
@@ -301,7 +298,7 @@ let run cfg =
      revoked grantor refuses. Heartbeats keep the refreshers fresh. --- *)
   ignore (Revocation_authority.publish authority);
   let sync_refresher creds r =
-    let b = Drive.ok_or "refresher fetch" (Revocation_authority.fetch net ~creds ()) in
+    let b = Drive.ok_or "refresher fetch" (Revocation_authority.fetch net ~creds) in
     ignore
       (Drive.ok_or "refresher apply" (Revocation.apply (Option.get (Refresher.revocation r)) b))
   in
@@ -335,8 +332,8 @@ let run cfg =
   (* --- the bulletin reaches both bank replicas; the revoked grantor's
      check bounces; money is conserved --- *)
   let final_bulletin = Revocation_authority.bulletin authority in
-  let push dst =
-    Accounting_server.push_bulletin ~dst net ~creds:carol_bank final_bulletin
+  let push node =
+    Accounting_server.push_bulletin ~via:[ node ] net ~creds:carol_bank final_bulletin
   in
   let on_primary = push (Shard.primary_node shard) in
   let on_standby = push (Shard.standby_node shard) in

@@ -21,15 +21,13 @@ type t = {
   endpoints : (string, endpoint) Hashtbl.t;
   creds_for : Principal.t -> (Ticket.credentials, string) result;
   creds : (string, Ticket.credentials) Hashtbl.t;
-  retries : int;
-  timeout_us : int option;
-  backoff : Sim.Retry.backoff option;
+  retry : Sim.Retry.policy option;
   failed_over : (string, unit) Hashtbl.t;
 }
 
 let ( let* ) = Result.bind
 
-let create net ~ring ~endpoints ~creds_for ?(retries = 0) ?timeout_us ?backoff () =
+let create net ~ring ~endpoints ~creds_for ?retry () =
   let tbl = Hashtbl.create 8 in
   List.iter (fun (sid, ep) -> Hashtbl.replace tbl sid ep) endpoints;
   {
@@ -38,9 +36,7 @@ let create net ~ring ~endpoints ~creds_for ?(retries = 0) ?timeout_us ?backoff (
     endpoints = tbl;
     creds_for;
     creds = Hashtbl.create 8;
-    retries;
-    timeout_us;
-    backoff;
+    retry;
     failed_over = Hashtbl.create 4;
   }
 
@@ -62,9 +58,9 @@ let route t account f =
   | None -> Error (Printf.sprintf "no endpoint for shard %S" sid)
   | Some ep ->
       let* c = creds t sid ep in
-      let dst, fallback_dsts =
-        if Hashtbl.mem t.failed_over sid then (ep.ep_standby, [ ep.ep_primary ])
-        else (ep.ep_primary, [ ep.ep_standby ])
+      let via =
+        if Hashtbl.mem t.failed_over sid then [ ep.ep_standby; ep.ep_primary ]
+        else [ ep.ep_primary; ep.ep_standby ]
       in
       let on_failover ~from_:_ ~to_ =
         if to_ = ep.ep_standby then Hashtbl.replace t.failed_over sid ()
@@ -73,17 +69,15 @@ let route t account f =
         ~actor:(Principal.to_string c.Ticket.cred_client)
         ~kind:"cluster.route"
         ~attrs:[ ("account", account); ("shard", sid) ]
-        (fun () -> f ~creds:c ~dst ~fallback_dsts ~on_failover)
+        (fun () -> f ~creds:c ~via ~on_failover)
 
 let open_account t ~name =
-  route t name (fun ~creds ~dst ~fallback_dsts ~on_failover ->
-      Accounting_server.open_account ~retries:t.retries ?timeout_us:t.timeout_us
-        ?backoff:t.backoff ~dst ~fallback_dsts ~on_failover t.net ~creds ~name)
+  route t name (fun ~creds ~via ~on_failover ->
+      Accounting_server.open_account ?retry:t.retry ~via ~on_failover t.net ~creds ~name)
 
 let balance t ~name ~currency =
-  route t name (fun ~creds ~dst ~fallback_dsts ~on_failover ->
-      Accounting_server.balance ~retries:t.retries ?timeout_us:t.timeout_us
-        ?backoff:t.backoff ~dst ~fallback_dsts ~on_failover t.net ~creds ~name ~currency)
+  route t name (fun ~creds ~via ~on_failover ->
+      Accounting_server.balance ?retry:t.retry ~via ~on_failover t.net ~creds ~name ~currency)
 
 let transfer t ~from_ ~to_ ~currency ~amount =
   let s1 = shard_of t from_ and s2 = shard_of t to_ in
@@ -91,18 +85,11 @@ let transfer t ~from_ ~to_ ~currency ~amount =
     Error
       (Printf.sprintf "cross-shard transfer %S -> %S: move money by check" from_ to_)
   else
-    route t from_ (fun ~creds ~dst ~fallback_dsts ~on_failover ->
-        Accounting_server.transfer ~retries:t.retries ?timeout_us:t.timeout_us
-          ?backoff:t.backoff ~dst ~fallback_dsts ~on_failover t.net ~creds ~from_ ~to_
+    route t from_ (fun ~creds ~via ~on_failover ->
+        Accounting_server.transfer ?retry:t.retry ~via ~on_failover t.net ~creds ~from_ ~to_
           ~currency ~amount)
 
 let deposit t ~endorser_key ~check ~to_account =
-  route t to_account (fun ~creds ~dst ~fallback_dsts ~on_failover ->
-      Accounting_server.deposit ~retries:t.retries ?timeout_us:t.timeout_us
-        ?backoff:t.backoff ~dst ~fallback_dsts ~on_failover t.net ~creds ~endorser_key
+  route t to_account (fun ~creds ~via ~on_failover ->
+      Accounting_server.deposit ?retry:t.retry ~via ~on_failover t.net ~creds ~endorser_key
         ~check ~to_account)
-
-let logical_for t account =
-  match Hashtbl.find_opt t.endpoints (shard_of t account) with
-  | None -> None
-  | Some ep -> Some ep.ep_logical

@@ -19,21 +19,16 @@ val create :
   ring:Ring.t ->
   endpoints:(string * endpoint) list ->
   creds_for:(Principal.t -> (Ticket.credentials, string) result) ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
+  ?retry:Sim.Retry.policy ->
   unit ->
   t
 (** One router per client. [creds_for] obtains that client's credentials
-    for a shard's logical identity (cached per shard thereafter).
-    [retries]/[timeout_us]/[backoff] apply to every routed operation. *)
+    for a shard's logical identity (cached per shard thereafter). [retry]
+    is the {!Secure_rpc.call} policy of every routed operation (none: one
+    attempt per replica). *)
 
 val shard_of : t -> string -> string
 (** Owning shard id for an account name. *)
-
-val logical_for : t -> string -> Principal.t option
-(** Logical identity of the shard owning an account — the drawee a check
-    against that account must name. *)
 
 val open_account : t -> name:string -> (unit, string) result
 val balance : t -> name:string -> currency:string -> (int * int, string) result

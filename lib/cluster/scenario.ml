@@ -71,7 +71,7 @@ let run cfg =
   let w = World.create ~seed:cfg.seed () in
   let net = w.World.net in
   let drbg = Sim.Net.drbg net in
-  let collect_retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
+  let retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
   let repl_retry = Sim.Retry.policy ~retries:12 ~timeout_us:cfg.timeout_us () in
   (* -- shards -- *)
   let shard_ids = List.init cfg.shards (Printf.sprintf "bank-%d") in
@@ -85,7 +85,7 @@ let run cfg =
             (Shard.create net ~me:p ~my_key:key ~kdc:w.World.kdc_name
                ~signing_key:rsa
                ~lookup:(fun q -> Directory.public w.World.dir q)
-               ~collect_retry ~repl_retry ~primary_node:(id ^ "-a")
+               ~collect_retry:retry ~repl_retry ~primary_node:(id ^ "-a")
                ~standby_node:(id ^ "-b") ())
         in
         Shard.install s;
@@ -137,8 +137,7 @@ let run cfg =
         Ok (World.credentials_for w ~tgt logical)
       with Failure e -> Error e
     in
-    Router.create net ~ring ~endpoints ~creds_for ~retries:cfg.retries
-      ~timeout_us:cfg.timeout_us ()
+    Router.create net ~ring ~endpoints ~creds_for ~retry ()
   in
   let buyers =
     List.init cfg.buyers (fun i ->

@@ -54,6 +54,7 @@ let run cfg =
   let net = w.World.net in
   let drbg = Sim.Net.drbg net in
   let m = Sim.Net.metrics net in
+  let retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
   let repl_retry = Sim.Retry.policy ~retries:12 ~timeout_us:cfg.timeout_us () in
   (* -- principals -- *)
   let alice, _, alice_rsa = World.enrol_pk w "alice" in
@@ -76,25 +77,16 @@ let run cfg =
          ~primary_node:"seq-bank-a" ~standby_node:"seq-bank-b" ())
   in
   Shard.install bank;
-  let bank_dsts = (Shard.primary_node bank, [ Shard.standby_node bank ]) in
-  let call_bank f =
-    let dst, fallback_dsts = bank_dsts in
-    f ~dst ~fallback_dsts
-      ~on_failover:(fun ~from_:_ ~to_:_ -> Sim.Metrics.incr m "cluster.failovers")
-  in
+  let via = [ Shard.primary_node bank; Shard.standby_node bank ] in
   (* -- accounts and funds (before any fault plan) -- *)
   let creds_for who target = World.credentials_for w ~tgt:(World.login w who) target in
   let alice_bank = creds_for alice bank_p in
   let bob_bank = creds_for bob bank_p in
   let bob_fs = creds_for bob fs_p in
   Drive.ok_or "alice account"
-    (call_bank (fun ~dst ~fallback_dsts ~on_failover ->
-         Accounting_server.open_account ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-           ~fallback_dsts ~on_failover net ~creds:alice_bank ~name:"alice"));
+    (Accounting_server.open_account ~retry ~via net ~creds:alice_bank ~name:"alice");
   Drive.ok_or "bob account"
-    (call_bank (fun ~dst ~fallback_dsts ~on_failover ->
-         Accounting_server.open_account ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-           ~fallback_dsts ~on_failover net ~creds:bob_bank ~name:"bob"));
+    (Accounting_server.open_account ~retry ~via net ~creds:bob_bank ~name:"bob");
   Drive.ok_or "mint" (Shard.mint bank ~name:"alice" ~currency:usd 1_000);
   (* -- the sequence-restricted delegate proxy -- *)
   let steps =
@@ -120,10 +112,8 @@ let run cfg =
     (Some
        (fun ~server:_ ~key ~progress ~expires ~tag ->
          match
-           call_bank (fun ~dst ~fallback_dsts ~on_failover ->
-               Accounting_server.seq_advance ~retries:cfg.retries ~timeout_us:cfg.timeout_us
-                 ~dst ~fallback_dsts ~on_failover net ~creds:fs_bank ~key ~progress ~expires
-                 ~tag)
+           Accounting_server.seq_advance ~retry ~via net ~creds:fs_bank ~key ~progress
+             ~expires ~tag
          with
          | Ok () -> ()
          | Error _ -> Sim.Metrics.incr m "seq_tracker.forward_failures"));
@@ -139,10 +129,8 @@ let run cfg =
          Sim.Fault.crash crashed_node ~at:crash_at ();
        ]);
   let transfer () =
-    call_bank (fun ~dst ~fallback_dsts ~on_failover ->
-        Accounting_server.proxy_transfer ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-          ~fallback_dsts ~on_failover net ~creds:bob_bank ~presented ~payor_account:"alice"
-          ~to_account:"bob" ~currency:usd ~amount)
+    Accounting_server.proxy_transfer ~retry ~via net ~creds:bob_bank ~presented
+      ~payor_account:"alice" ~to_account:"bob" ~currency:usd ~amount
   in
   (* 1. Out-of-order attack: debit before open must bounce. *)
   let attack_denied = Result.is_error (transfer ()) in
@@ -152,14 +140,12 @@ let run cfg =
         is released. *)
   let open_ok =
     Result.is_ok
-      (File_server.open_ net ~creds:bob_fs ~retries:cfg.retries ~timeout_us:cfg.timeout_us
-         ~proxies:[ presented ] ~path:"/contract" ())
+      (File_server.open_ net ~creds:bob_fs ~retry ~proxies:[ presented ] ~path:"/contract" ())
   in
   (* 3. The open step is consumed: presenting it again must bounce. *)
   let reopen_denied =
     Result.is_error
-      (File_server.open_ net ~creds:bob_fs ~retries:cfg.retries ~timeout_us:cfg.timeout_us
-         ~proxies:[ presented ] ~path:"/contract" ())
+      (File_server.open_ net ~creds:bob_fs ~retry ~proxies:[ presented ] ~path:"/contract" ())
   in
   let standby_progress_before_crash =
     match !advanced_key with
@@ -174,10 +160,7 @@ let run cfg =
   let spins = ref 0 in
   while Sim.Net.now net < crash_at && !spins < 10_000 do
     incr spins;
-    ignore
-      (call_bank (fun ~dst ~fallback_dsts ~on_failover ->
-           Accounting_server.balance ~retries:cfg.retries ~timeout_us:cfg.timeout_us ~dst
-             ~fallback_dsts ~on_failover net ~creds:bob_bank ~name:"bob" ~currency:usd))
+    ignore (Accounting_server.balance ~retry ~via net ~creds:bob_bank ~name:"bob" ~currency:usd)
   done;
   (* 5. Mid-sequence failover: the debit must succeed exactly once on the
         promoted standby, which learned the progress from replication. *)

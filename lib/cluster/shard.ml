@@ -164,15 +164,10 @@ let ship_now t =
                  seq) ])
   in
   let metrics = Sim.Net.metrics t.net in
-  let result =
-    match t.repl_retry with
-    | None -> Secure_rpc.call t.net ~creds:t.repl_creds ~dst:t.standby.node payload
-    | Some p ->
-        Secure_rpc.call t.net ~creds:t.repl_creds ~dst:t.standby.node
-          ~retries:p.Sim.Retry.retries ~timeout_us:p.Sim.Retry.timeout_us
-          ~backoff:p.Sim.Retry.bo payload
-  in
-  match result with
+  match
+    Secure_rpc.call t.net ~creds:t.repl_creds ?retry:t.repl_retry ~via:[ t.standby.node ]
+      payload
+  with
   | Ok _ ->
       Sim.Metrics.incr metrics "cluster.repl_shipped";
       Sim.Metrics.add metrics "cluster.repl_ops_shipped" (List.length ops);

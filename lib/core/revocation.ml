@@ -72,10 +72,6 @@ end)
 
 type bulletin = artifact
 
-let entry_count t =
-  let v = view t in
-  Hashtbl.length v.serials + Hashtbl.length v.grantor_epochs
-
 let short_serial s =
   let n = min 8 (String.length s) in
   String.sub s 0 n

@@ -50,8 +50,6 @@ include Signed_epoch.S with type item := entry and type report := report
 
 type bulletin = artifact
 
-val entry_count : t -> int
-
 val revoked : t -> Proxy_cert.body -> (unit, string) result
 (** Is this certificate body on the list? [Error] names the matching entry
     kind. Does {e not} consider staleness. *)

@@ -53,7 +53,7 @@ let run cfg =
     Directory.add_public w.World.dir principal rsa.Crypto.Rsa.pub;
     { name; principal; rsa }
   in
-  let collect_retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
+  let retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
   let paid = Drive.tally () in
   let mk_bank name =
     let p, key = World.enrol w name in
@@ -64,7 +64,7 @@ let run cfg =
         (Accounting_server.create net ~me:p ~my_key:key ~kdc:w.World.kdc_name
            ~signing_key:rsa
            ~lookup:(fun q -> Directory.public w.World.dir q)
-           ~collect_retry ())
+           ~collect_retry:retry ())
     in
     Accounting_server.install b;
     Drive.watch paid b;
@@ -135,17 +135,16 @@ let run cfg =
         let buyer, _ = List.nth buyer_creds (Crypto.Drbg.uniform_int wl 2) in
         let amount = 1 + Crypto.Drbg.uniform_int wl 30 in
         Result.map ignore
-          (Accounting_server.deposit ~retries:cfg.retries ~timeout_us:cfg.timeout_us net
-             ~creds:shop_creds ~endorser_key:shop.rsa ~check:(write_check buyer amount)
-             ~to_account:shop.name)
+          (Accounting_server.deposit ~retry net ~creds:shop_creds ~endorser_key:shop.rsa
+             ~check:(write_check buyer amount) ~to_account:shop.name)
       end
       else begin
         let i = Crypto.Drbg.uniform_int wl 2 in
         let from_, creds = List.nth buyer_creds i in
         let to_, _ = List.nth buyer_creds (1 - i) in
         let amount = 1 + Crypto.Drbg.uniform_int wl 20 in
-        Accounting_server.transfer ~retries:cfg.retries ~timeout_us:cfg.timeout_us net
-          ~creds ~from_:from_.name ~to_:to_.name ~currency:usd ~amount
+        Accounting_server.transfer ~retry net ~creds ~from_:from_.name ~to_:to_.name
+          ~currency:usd ~amount
       end
     in
     match outcome with Ok () -> incr succeeded | Error _ -> ()

@@ -111,7 +111,8 @@ let run_f4 ?(seed = "trace-f4") ?(requests = 3) ?(depth = 3) ?capacity ?plan () 
           File_server.attach net ~proxy ~server:fs_name ~operation:"read" ~path:"report.txt"
         in
         match
-          File_server.read net ~creds ~retries:3 ~proxies:[ p ] ~path:"report.txt" ()
+          File_server.read net ~creds ~retry:(Sim.Retry.policy ~retries:3 ())
+            ~proxies:[ p ] ~path:"report.txt" ()
         with
         | Ok _ -> true
         | Error _ -> false)

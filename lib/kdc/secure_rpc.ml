@@ -157,11 +157,15 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
   in
   Sim.Net.register net ~name:node handle
 
-let call net ~creds ?subkey ?(retries = 0) ?timeout_us ?backoff ?dst ?(fallback_dsts = [])
-    ?on_failover payload =
+let call net ~creds ?subkey ?retry ?(via = []) ?on_failover payload =
   let open Wire in
   let src = Principal.to_string creds.Ticket.cred_client in
-  let dst = Option.value dst ~default:(Principal.to_string creds.Ticket.cred_service) in
+  let targets =
+    match via with
+    | [] -> [| Principal.to_string creds.Ticket.cred_service |]
+    | _ -> Array.of_list via
+  in
+  let dst = targets.(0) in
   let sp = Sim.Net.spans net in
   Sim.Span.with_span sp ~actor:src ~kind:"rpc.call" ~attrs:[ ("dst", dst) ] @@ fun () ->
   let metrics = Sim.Net.metrics net in
@@ -201,14 +205,13 @@ let call net ~creds ?subkey ?(retries = 0) ?timeout_us ?backoff ?dst ?(fallback_
      replay). Only transient transport failures retry; in-band service
      errors return immediately.
 
-     [fallback_dsts] are alternative physical destinations for the same
-     logical service (shard replicas sharing the ticket's service identity):
-     when the current target is observably down, or the whole retry budget
-     against it is exhausted with a transient error, the call moves to the
-     next target — still the same request bytes, so a standby whose response
-     cache was seeded by replication answers an already-executed request
-     instead of running it twice. *)
-  let targets = Array.of_list (dst :: fallback_dsts) in
+     [via] lists physical destinations for the same logical service (shard
+     replicas sharing the ticket's service identity): when the current
+     target is observably down, or the whole retry budget against it is
+     exhausted with a transient error, the call moves to the next target —
+     still the same request bytes, so a standby whose response cache was
+     seeded by replication answers an already-executed request instead of
+     running it twice. *)
   let target = ref 0 in
   let fail_over () =
     if !target + 1 >= Array.length targets then false
@@ -235,13 +238,11 @@ let call net ~creds ?subkey ?(retries = 0) ?timeout_us ?backoff ?dst ?(fallback_
       (fun () -> Sim.Net.rpc net ~src ~dst:d request)
   in
   let exchange =
-    if retries = 0 && timeout_us = None && backoff = None then send
-    else begin
-      let p = Sim.Retry.policy ~retries ?timeout_us ?backoff () in
-      fun () ->
-        Sim.Retry.run ~clock:(Sim.Net.clock net) ~drbg:(Sim.Net.drbg net)
-          ~metrics:(Sim.Net.metrics net) p send
-    end
+    match retry with
+    | None -> send
+    | Some p ->
+        fun () ->
+          Sim.Retry.run ~clock:(Sim.Net.clock net) ~drbg:(Sim.Net.drbg net) ~metrics p send
   in
   let rec exchange_all () =
     match exchange () with
@@ -280,13 +281,12 @@ let call net ~creds ?subkey ?(retries = 0) ?timeout_us ?backoff ?dst ?(fallback_
 (* Pipelining: N payloads ride one ticket/authenticator exchange — one
    client seal, one server open+seal, one round trip — instead of N. The
    wrapper payload and coalesced reply reuse [call]'s transport verbatim,
-   so retry, timeout, backoff and replica failover semantics are exactly
-   the single-call ones; the server caches the whole coalesced reply under
-   the single authenticator, preserving exactly-once execution per item. A
+   so retry and replica failover semantics are exactly the single-call
+   ones; the server caches the whole coalesced reply under the single
+   authenticator, preserving exactly-once execution per item. A
    transport-level failure (or an authentication refusal) fails the batch
    as a whole; per-item handler errors come back in-order inside [Ok]. *)
-let call_batch net ~creds ?subkey ?retries ?timeout_us ?backoff ?dst ?fallback_dsts
-    ?on_failover payloads =
+let call_batch net ~creds ?retry ?via payloads =
   let open Wire in
   match payloads with
   | [] -> Ok []
@@ -296,9 +296,7 @@ let call_batch net ~creds ?subkey ?retries ?timeout_us ?backoff ?dst ?fallback_d
       Sim.Metrics.incr metrics "rpc.batch.calls";
       Sim.Metrics.add metrics "rpc.batch.coalesced" n;
       match
-        call net ~creds ?subkey ?retries ?timeout_us ?backoff ?dst ?fallback_dsts
-          ?on_failover
-          (Wire.L [ Wire.S "x-batch"; Wire.L payloads ])
+        call net ~creds ?retry ?via (Wire.L [ Wire.S "x-batch"; Wire.L payloads ])
       with
       | Error e -> Error e
       | Ok (Wire.L [ Wire.S "x-batch-resp"; Wire.L results ]) when List.length results = n ->

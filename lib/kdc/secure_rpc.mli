@@ -76,11 +76,8 @@ val call :
   Sim.Net.t ->
   creds:Ticket.credentials ->
   ?subkey:string ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
-  ?dst:string ->
-  ?fallback_dsts:string list ->
+  ?retry:Sim.Retry.policy ->
+  ?via:string list ->
   ?on_failover:(from_:string -> to_:string -> unit) ->
   Wire.t ->
   (Wire.t, string) result
@@ -88,45 +85,40 @@ val call :
     [creds.cred_service]. The response is decrypted and authenticated; a
     tampered or substituted response surfaces as [Error].
 
-    With [retries > 0] (or an explicit [timeout_us]/[backoff]), transient
-    transport failures are retried under {!Sim.Retry}: each retransmission
-    reuses the {e same} request bytes, so the server's response cache
-    answers duplicates without re-running the handler. Defaults ([retries
-    = 0], no timeout) preserve the single-shot behaviour.
+    Without [retry] the call makes at most one attempt per destination and
+    does not go through {!Sim.Retry.run}. With it, transient transport
+    failures are retried under that policy: each retransmission reuses the
+    {e same} request bytes, so the server's response cache answers
+    duplicates without re-running the handler.
 
-    [dst] overrides the physical destination (default: the service
-    principal's name). [fallback_dsts] are further replicas of the same
-    logical service, tried in order — before an attempt if the current
-    target is observably down, or after the retry budget against it is
-    exhausted with a transient error. Fail-over reuses the same request
-    bytes, ticks ["cluster.failovers"], opens a ["cluster.failover"] span,
-    and calls [on_failover]. *)
+    [via] lists the physical destinations of the same logical service in
+    order (absent or [[]]: the service principal's own node). The call
+    moves to the next one before an attempt if the current target is
+    observably down, or after the retry budget against it is exhausted
+    with a transient error. Each move reuses the same request bytes, ticks
+    ["cluster.failovers"] once, opens one ["cluster.failover"] span, and
+    calls [on_failover] once. *)
 
 val call_batch :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?subkey:string ->
-  ?retries:int ->
-  ?timeout_us:int ->
-  ?backoff:Sim.Retry.backoff ->
-  ?dst:string ->
-  ?fallback_dsts:string list ->
-  ?on_failover:(from_:string -> to_:string -> unit) ->
+  ?retry:Sim.Retry.policy ->
+  ?via:string list ->
   Wire.t list ->
   ((Wire.t, string) result list, string) result
 (** Request pipelining: N payloads under {e one} ticket/authenticator
     exchange — one client seal, one round trip, one server open + sealed
     coalesced reply — instead of N full exchanges. Transport semantics
-    (retries, timeout, backoff, replica fail-over, same-bytes
-    retransmission) are exactly {!call}'s, applied to the batch as a
-    whole; the server runs its ordinary handler once per item, in order,
-    and caches the coalesced reply under the single authenticator, so
-    however often the batch is retransmitted or fails over each item
-    executes exactly once. The outer [Error] is a transport or
-    authentication failure (no item is known to have executed... or the
-    whole batch was already executed and the cached reply was lost to the
-    skew window — the same at-least-once caveat as [call]); the inner
-    results are the per-item handler outcomes, positionally matching the
-    payloads. An empty payload list returns [Ok []] without touching the
-    network. Metrics: ["rpc.batch.calls"]/["rpc.batch.coalesced"] client
-    side, ["rpc.batch.requests"]/["rpc.batch.items"] server side. *)
+    ([retry], [via] fail-over, same-bytes retransmission) are exactly
+    {!call}'s, applied to the batch as a whole; the server runs its
+    ordinary handler once per item, in order, and caches the coalesced
+    reply under the single authenticator, so however often the batch is
+    retransmitted or fails over each item executes exactly once. The outer
+    [Error] is a transport or authentication failure (no item is known to
+    have executed... or the whole batch was already executed and the
+    cached reply was lost to the skew window — the same at-least-once
+    caveat as [call]); the inner results are the per-item handler
+    outcomes, positionally matching the payloads. An empty payload list
+    returns [Ok []] without touching the network. Metrics:
+    ["rpc.batch.calls"]/["rpc.batch.coalesced"] client side,
+    ["rpc.batch.requests"]/["rpc.batch.items"] server side. *)

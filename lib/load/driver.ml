@@ -81,7 +81,7 @@ let run cfg =
   let net = w.World.net in
   Sim.Net.enable_tracing ~capacity:((64 * n_arrivals) + 1024) net;
   let drbg = Sim.Net.drbg net in
-  let collect_retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
+  let retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
   let repl_retry = Sim.Retry.policy ~retries:8 ~timeout_us:cfg.timeout_us () in
   (* -- the accounting cluster -- *)
   let shard_ids = List.init cfg.shards (Printf.sprintf "bank-%d") in
@@ -93,7 +93,7 @@ let run cfg =
           Drive.ok_or id
             (Shard.create net ~me:p ~my_key:key ~kdc:w.World.kdc_name ~signing_key:rsa
                ~lookup:(fun q -> Directory.public w.World.dir q)
-               ~collect_retry ~repl_retry ~primary_node:(id ^ "-a")
+               ~collect_retry:retry ~repl_retry ~primary_node:(id ^ "-a")
                ~standby_node:(id ^ "-b") ())
         in
         Shard.install s;
@@ -132,8 +132,7 @@ let run cfg =
         Ok (World.credentials_for w ~tgt logical)
       with Failure e -> Error e
     in
-    Router.create net ~ring ~endpoints ~creds_for ~retries:cfg.retries
-      ~timeout_us:cfg.timeout_us ()
+    Router.create net ~ring ~endpoints ~creds_for ~retry ()
   in
   (* -- the guarded file server -- *)
   let fs_name, fs_key = World.enrol w "files" in
@@ -273,8 +272,8 @@ let run cfg =
             ~path:(obj_of o)
         in
         Result.map ignore
-          (File_server.read net ~creds:worker_creds ~retries:cfg.retries
-             ~timeout_us:cfg.timeout_us ~proxies:[ presented ] ~path:(obj_of o) ())
+          (File_server.read net ~creds:worker_creds ~retry ~proxies:[ presented ]
+             ~path:(obj_of o) ())
     | _ -> do_grant ()
   in
   let do_debit () =
@@ -335,9 +334,8 @@ let run cfg =
       in
       let sh = shard sweep_shard in
       match
-        Secure_rpc.call_batch net ~creds:sweep_creds ~retries:cfg.retries
-          ~timeout_us:cfg.timeout_us ~dst:(Shard.primary_node sh)
-          ~fallback_dsts:[ Shard.standby_node sh ] payloads
+        Secure_rpc.call_batch net ~creds:sweep_creds ~retry
+          ~via:[ Shard.primary_node sh; Shard.standby_node sh ] payloads
       with
       | Ok items ->
           if List.for_all Result.is_ok items then Ok ()

@@ -47,7 +47,6 @@ let spans t = t.spans
 let enable_tracing ?capacity t =
   t.spans <- Some (Span.create ?capacity ~seed:("span:" ^ t.seed) ~clock:t.clock ~metrics:t.metrics ())
 
-let disable_tracing t = t.spans <- None
 let now t = Clock.now t.clock
 let fresh_key t = Crypto.Drbg.generate t.drbg 32
 let fresh_nonce t = Crypto.Drbg.generate t.drbg 12

@@ -33,8 +33,6 @@ val enable_tracing : ?capacity:int -> t -> unit
     nonces, or fault decisions; two traced runs of one seed produce
     byte-identical span trees. [capacity] bounds the completed-span ring. *)
 
-val disable_tracing : t -> unit
-
 val now : t -> int
 (** Shorthand for [Clock.now (clock t)]. *)
 

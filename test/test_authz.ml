@@ -25,6 +25,35 @@ let test_secure_rpc_roundtrip () =
       Alcotest.(check (result string string)) "payload echoed" (Ok "ping")
         (Result.bind (Wire.field reply 1) Wire.to_string)
 
+(* One logical service registered on two nodes, the first of them down:
+   the call moves along [via] to the second, and that one move is counted
+   once and reported once. *)
+let test_secure_rpc_via_failover () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let svc, svc_key = W.enrol w "replicated" in
+  List.iter
+    (fun node ->
+      Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~node (fun _ _ -> Ok (Wire.S node)))
+    [ "replica-a"; "replica-b" ];
+  let tgt = W.login w alice in
+  let creds = W.credentials_for w ~tgt svc in
+  Sim.Net.set_down w.W.net ~name:"replica-a";
+  let moves = ref [] in
+  let on_failover ~from_ ~to_ = moves := (from_, to_) :: !moves in
+  (match
+     Secure_rpc.call w.W.net ~creds ~via:[ "replica-a"; "replica-b" ] ~on_failover
+       (Wire.S "ping")
+   with
+  | Ok reply ->
+      Alcotest.(check (result string string)) "answered by the second replica"
+        (Ok "replica-b") (Wire.to_string reply)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "one failover counted" 1
+    (Sim.Metrics.get (Sim.Net.metrics w.W.net) "cluster.failovers");
+  Alcotest.(check (list (pair string string))) "callback fired once, a -> b"
+    [ ("replica-a", "replica-b") ] !moves
+
 let test_secure_rpc_wrong_service () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
@@ -685,6 +714,7 @@ let () =
     [ ( "secure-rpc",
         [ ("roundtrip", `Quick, test_secure_rpc_roundtrip);
           ("wrong service", `Quick, test_secure_rpc_wrong_service);
+          ("via fails over once to the next replica", `Quick, test_secure_rpc_via_failover);
           ("replay absorbed, handler once", `Quick, test_secure_rpc_replay_absorbed);
           ("response cache bounded", `Quick, test_secure_rpc_cache_eviction);
           ("future-stamped replay answered from cache", `Quick,

@@ -79,14 +79,18 @@ let test_lost_response_exactly_once () =
           dropped := true;
           Sim.Net.Drop
       | _ -> Sim.Net.Deliver);
-  (match Secure_rpc.call w.World.net ~creds ~retries:2 (Wire.S "ping") with
+  (match
+     Secure_rpc.call w.World.net ~creds ~retry:(Sim.Retry.policy ~retries:2 ()) (Wire.S "ping")
+   with
   | Ok (Wire.S "ping") -> ()
   | Ok _ -> Alcotest.fail "wrong echo"
   | Error e -> Alcotest.failf "call failed: %s" e);
   check "the response really was lost once" true !dropped;
   check_int "handler ran exactly once" 1 !handler_runs;
   check_int "retransmission served from the response cache" 1
-    (Sim.Metrics.get (Sim.Net.metrics w.World.net) "rpc.dedup")
+    (Sim.Metrics.get (Sim.Net.metrics w.World.net) "rpc.dedup");
+  check_int "one logical call under the retry policy" 1
+    (Sim.Metrics.get (Sim.Net.metrics w.World.net) "rpc.calls")
 
 (* Without a retry budget the same loss is a hard failure — the hazard the
    cache+retry combination exists to fix. *)
@@ -105,7 +109,9 @@ let test_lost_response_without_retries () =
   (match Secure_rpc.call w.World.net ~creds (Wire.S "ping") with
   | Ok _ -> Alcotest.fail "should have failed"
   | Error e -> check "transient error" true (Sim.Net.transient_error e));
-  check_int "handler ran anyway — the side effect happened" 1 !handler_runs
+  check_int "handler ran anyway — the side effect happened" 1 !handler_runs;
+  check_int "no retry policy: the call bypasses Sim.Retry" 0
+    (Sim.Metrics.get (Sim.Net.metrics w.World.net) "rpc.calls")
 
 (* --- replay cache boundary: an entry is dead at exactly its expiry --- *)
 

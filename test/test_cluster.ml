@@ -115,8 +115,8 @@ let mk_router cw actor =
       Ok (World.credentials_for cw.w ~tgt logical)
     with Failure e -> Error e
   in
-  Router.create cw.net ~ring:cw.ring ~endpoints:cw.endpoints ~creds_for ~retries:8
-    ~timeout_us:10_000 ()
+  Router.create cw.net ~ring:cw.ring ~endpoints:cw.endpoints ~creds_for
+    ~retry:(Sim.Retry.policy ~retries:8 ~timeout_us:10_000 ()) ()
 
 let write_check cw (buyer : actor) ~payee ~amount =
   let _, shard = List.find (fun (id, _) -> id = Ring.lookup cw.ring buyer.name) cw.shards in
@@ -409,6 +409,18 @@ let test_random_ops_through_shard () =
   done;
   List.iter check_replicas_agree cw.shards
 
+(* Secure_rpc counts each replica move once, so a scenario's own
+   [on_failover] must not count it again: the seq scenario fails over three
+   times at its default config. *)
+let test_seq_failovers_counted_once () =
+  let o = Seq_scenario.run Seq_scenario.default in
+  let line =
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:"cluster.failovers=" l)
+      (String.split_on_char '\n' o.Seq_scenario.digest)
+  in
+  Alcotest.(check (option string)) "failovers in the digest" (Some "cluster.failovers=3") line
+
 let () =
   Alcotest.run "cluster"
     [ ( "ring",
@@ -421,7 +433,8 @@ let () =
       ( "failover",
         [ ("exactly-once across a mid-reply crash", `Slow, test_failover_exactly_once);
           ("a counting observer keeps replication", `Quick,
-           test_counting_observer_keeps_replication) ] );
+           test_counting_observer_keeps_replication);
+          ("seq counts each failover once", `Quick, test_seq_failovers_counted_once) ] );
       ( "scenario",
         [ ("conservation + determinism under crash", `Slow,
            test_scenario_conservation_and_determinism) ] );

@@ -176,7 +176,8 @@ let test_call_batch_exactly_once () =
       end
       else Net.Deliver);
   let r =
-    Secure_rpc.call_batch w.World.net ~creds ~retries:4 ~timeout_us:10_000 payloads
+    Secure_rpc.call_batch w.World.net ~creds
+      ~retry:(Sim.Retry.policy ~retries:4 ~timeout_us:10_000 ()) payloads
   in
   Net.clear_tap w.World.net;
   Alcotest.(check bool) "request was dropped once" true !dropped;
@@ -196,7 +197,8 @@ let test_call_batch_exactly_once () =
   (* A verbatim replay of the whole exchange is served from the response
      cache: same reply, zero additional handler executions. *)
   let r2 =
-    Secure_rpc.call_batch w.World.net ~creds ~retries:4 ~timeout_us:10_000 payloads
+    Secure_rpc.call_batch w.World.net ~creds
+      ~retry:(Sim.Retry.policy ~retries:4 ~timeout_us:10_000 ()) payloads
   in
   Alcotest.(check bool) "second batch round succeeds" true (Result.is_ok r2);
   Alcotest.(check int) "fresh authenticator, fresh execution" 8 !executions;

@@ -13,6 +13,16 @@ dune build
 echo "== tests =="
 dune runtest
 
+echo "== examples =="
+# Each example walks one scenario from the paper; an outcome other than
+# the one it narrates raises (Demo.expect_ok / expect_err), so the run
+# exits non-zero.
+for ex in quickstart ecommerce_checks cascaded_printing groups_and_delegation \
+          disk_quota federated_delegation hybrid_and_audit; do
+    echo "-- examples/$ex.exe"
+    dune exec --no-build "examples/$ex.exe"
+done
+
 echo "== chaos smoke matrix =="
 run_chaos () {
     echo "-- proxykit chaos $*"

@@ -5,7 +5,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type t = {
   net : Sim.Net.t;
   me : Principal.t;
-  my_key : string;
+  my_key : Crypto.Aead.key;
   lookup_pub : Principal.t -> Crypto.Rsa.public option;
   decrypt : string -> string option;
   max_skew_us : int;
@@ -39,7 +39,7 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa
   {
     net;
     me;
-    my_key;
+    my_key = Crypto.Aead.prepare my_key;
     lookup_pub;
     decrypt;
     max_skew_us;

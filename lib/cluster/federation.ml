@@ -140,12 +140,16 @@ let run cfg =
         authorization_data = [];
       }
     in
-    let blob = Ticket.seal ~service_key:key_bc ~nonce:(Sim.Net.fresh_nonce net) body in
+    let blob =
+      Ticket.seal ~service_key:(Crypto.Aead.prepare key_bc) ~nonce:(Sim.Net.fresh_nonce net)
+        body
+    in
     let auth =
       { Ticket.auth_client = mallory; timestamp = now; subkey = None; auth_data = [] }
     in
     let auth_blob =
-      Ticket.seal_authenticator ~session_key ~nonce:(Sim.Net.fresh_nonce net) auth
+      Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare session_key)
+        ~nonce:(Sim.Net.fresh_nonce net) auth
     in
     let request =
       Wire.encode
@@ -183,7 +187,7 @@ let run cfg =
       }
     in
     let auth_blob =
-      Ticket.seal_authenticator ~session_key:tgt_dana.Ticket.session_key
+      Ticket.seal_authenticator ~session_key:tgt_dana.Ticket.cred_session
         ~nonce:(Sim.Net.fresh_nonce net) auth
     in
     let request =
@@ -418,9 +422,14 @@ let forged_probe_lane st =
       authorization_data = [];
     }
   in
-  let blob = Ticket.seal ~service_key:key_y ~nonce:(Sim.Net.fresh_nonce net) body in
+  let blob =
+    Ticket.seal ~service_key:(Crypto.Aead.prepare key_y) ~nonce:(Sim.Net.fresh_nonce net) body
+  in
   let auth = { Ticket.auth_client = mallory; timestamp = now; subkey = None; auth_data = [] } in
-  let auth_blob = Ticket.seal_authenticator ~session_key ~nonce:(Sim.Net.fresh_nonce net) auth in
+  let auth_blob =
+    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare session_key)
+      ~nonce:(Sim.Net.fresh_nonce net) auth
+  in
   let request =
     Wire.encode
       (Wire.L

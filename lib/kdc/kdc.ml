@@ -56,7 +56,7 @@ let open_tgt t blob =
     | None -> assert false (* checked in [create] *)
   in
   metrics_incr t "crypto.open";
-  match Ticket.open_ ~service_key:own_key blob with
+  match Ticket.open_ ~service_key:(Crypto.Aead.prepare own_key) blob with
   | Ok tgt -> Ok (tgt, `Local)
   | Error _ ->
       let peers =
@@ -66,7 +66,7 @@ let open_tgt t blob =
         | [] -> Error "cannot open presented ticket"
         | (peer_realm, key) :: rest -> (
             metrics_incr t "crypto.open";
-            match Ticket.open_ ~service_key:key blob with
+            match Ticket.open_ ~service_key:(Crypto.Aead.prepare key) blob with
             | Error _ -> trial rest
             | Ok tgt ->
                 (* The sealing key is authenticated, so this key's owner is
@@ -103,7 +103,10 @@ let issue t ~client ~service ~auth_data ~expires ~nonce ~reply_key ~reply_ad =
         }
       in
       metrics_incr t "crypto.seal";
-      let blob = Ticket.seal ~service_key ~nonce:(Sim.Net.fresh_nonce t.net) body in
+      let blob =
+        Ticket.seal ~service_key:(Crypto.Aead.prepare service_key)
+          ~nonce:(Sim.Net.fresh_nonce t.net) body
+      in
       let enc_part =
         Wire.encode
           (Wire.L
@@ -199,7 +202,10 @@ let handle_tgs t fields =
           else if tgt.Ticket.expires <= now then err "tgs: TGT expired"
           else begin
             metrics_incr t "crypto.open";
-            match Ticket.open_authenticator ~session_key:tgt.Ticket.session_key auth_blob with
+            match
+              Ticket.open_authenticator
+                ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key) auth_blob
+            with
             | Error e -> err ("tgs: " ^ e)
             | Ok auth ->
                 if not (Principal.equal auth.Ticket.auth_client tgt.Ticket.client) then
@@ -260,7 +266,7 @@ module Client = struct
       match Crypto.Aead.decode sealed with
       | None -> Error "reply: malformed encrypted part"
       | Some box -> (
-          match Crypto.Aead.open_ ~key:reply_key ~ad:reply_ad box with
+          match Crypto.Aead.open_prepared reply_key ~ad:reply_ad box with
           | None -> Error "reply: cannot decrypt (wrong key?)"
           | Some plaintext ->
               let* part = Wire.decode plaintext in
@@ -275,6 +281,7 @@ module Client = struct
                   {
                     Ticket.ticket_blob;
                     session_key;
+                    cred_session = Crypto.Aead.prepare session_key;
                     cred_client = client;
                     cred_service = service;
                     cred_expires = expires;
@@ -312,7 +319,8 @@ module Client = struct
     match Sim.Net.rpc net ~src:(Principal.to_string client) ~dst:(Principal.to_string kdc) request with
     | Error e -> Error e
     | Ok reply ->
-        parse_reply ~reply_key:client_key ~reply_ad:"as-rep" ~expected_nonce:nonce ~client reply
+        parse_reply ~reply_key:(Crypto.Aead.prepare client_key) ~reply_ad:"as-rep"
+          ~expected_nonce:nonce ~client reply
 
   let derive net ~kdc ~tgt ~target ?subkey ?(auth_data = []) () =
     Sim.Span.with_span (Sim.Net.spans net)
@@ -336,7 +344,7 @@ module Client = struct
       }
     in
     let auth_blob =
-      Ticket.seal_authenticator ~session_key:tgt.Ticket.session_key
+      Ticket.seal_authenticator ~session_key:tgt.Ticket.cred_session
         ~nonce:(Sim.Net.fresh_nonce net) authenticator
     in
     let request =
@@ -352,7 +360,11 @@ module Client = struct
     match Sim.Net.rpc net ~src ~dst:(Principal.to_string kdc) request with
     | Error e -> Error e
     | Ok reply ->
-        let reply_key = Option.value subkey ~default:tgt.Ticket.session_key in
+        let reply_key =
+          match subkey with
+          | Some k -> Crypto.Aead.prepare k
+          | None -> tgt.Ticket.cred_session
+        in
         parse_reply ~reply_key ~reply_ad:"tgs-rep" ~expected_nonce:nonce
           ~client:tgt.Ticket.cred_client reply
 end

@@ -1,8 +1,4 @@
-type server_context = {
-  rpc_client : Principal.t;
-  rpc_session_key : string;
-  rpc_auth_data : Wire.t list;
-}
+type server_context = { rpc_client : Principal.t; rpc_auth_data : Wire.t list }
 
 let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
 
@@ -38,6 +34,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
     handler =
   let metrics = Sim.Net.metrics net in
   let node = Option.value node ~default:(Principal.to_string me) in
+  let my_key = Crypto.Aead.prepare my_key in
   let cache = match cache with Some c -> c | None -> create_cache () in
   let count_eviction () = Sim.Metrics.incr metrics "rpc.cache_evictions" in
   let handle request =
@@ -74,10 +71,11 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
               err "ticket is for a different service"
             else if ticket.Ticket.expires <= now then err "ticket expired"
             else begin
+              (* One preparation serves the authenticator open and the
+                 reply seal. *)
+              let session = Crypto.Aead.prepare ticket.Ticket.session_key in
               Sim.Metrics.incr metrics "crypto.open";
-              match
-                Ticket.open_authenticator ~session_key:ticket.Ticket.session_key auth_blob
-              with
+              match Ticket.open_authenticator ~session_key:session auth_blob with
               | Error e -> err e
               | Ok auth ->
                   if not (Principal.equal auth.Ticket.auth_client ticket.Ticket.client) then
@@ -94,15 +92,14 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                         let ctx =
                           {
                             rpc_client = ticket.Ticket.client;
-                            rpc_session_key = ticket.Ticket.session_key;
                             rpc_auth_data =
                               ticket.Ticket.authorization_data @ auth.Ticket.auth_data;
                           }
                         in
                         let reply_key =
                           match auth.Ticket.subkey with
-                          | Some k when String.length k = 32 -> k
-                          | Some _ | None -> ticket.Ticket.session_key
+                          | Some k when String.length k = 32 -> Crypto.Aead.prepare k
+                          | Some _ | None -> session
                         in
                         let run_one item =
                           match handler ctx item with
@@ -135,7 +132,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                         Sim.Metrics.incr metrics "crypto.seal";
                         let sealed =
                           Crypto.Aead.encode
-                            (Crypto.Aead.seal ~key:reply_key ~ad:"secure-rpc-resp"
+                            (Crypto.Aead.seal_prepared reply_key ~ad:"secure-rpc-resp"
                                ~nonce:(Sim.Net.fresh_nonce net) (Wire.encode body))
                         in
                         let reply = Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ]) in
@@ -157,7 +154,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
   in
   Sim.Net.register net ~name:node handle
 
-let call net ~creds ?subkey ?retry ?(via = []) ?on_failover payload =
+let call net ~creds ?retry ?(via = []) ?on_failover payload =
   let open Wire in
   let src = Principal.to_string creds.Ticket.cred_client in
   let targets =
@@ -174,12 +171,12 @@ let call net ~creds ?subkey ?retry ?(via = []) ?on_failover payload =
     {
       Ticket.auth_client = creds.Ticket.cred_client;
       timestamp = Sim.Net.now net;
-      subkey;
+      subkey = None;
       auth_data = [];
     }
   in
   let auth_blob =
-    Ticket.seal_authenticator ~session_key:creds.Ticket.session_key
+    Ticket.seal_authenticator ~session_key:creds.Ticket.cred_session
       ~nonce:(Sim.Net.fresh_nonce net) authenticator
   in
   (* When this call runs inside a span, the envelope grows a fifth field
@@ -260,12 +257,13 @@ let call net ~creds ?subkey ?retry ?(via = []) ?on_failover payload =
           Error msg
       | "sealed" -> (
           let* sealed = Result.bind (field v 1) to_string in
-          let reply_key = Option.value subkey ~default:creds.Ticket.session_key in
           Sim.Metrics.incr metrics "crypto.open";
           match Crypto.Aead.decode sealed with
           | None -> Error "response: malformed seal"
           | Some box -> (
-              match Crypto.Aead.open_ ~key:reply_key ~ad:"secure-rpc-resp" box with
+              match
+                Crypto.Aead.open_prepared creds.Ticket.cred_session ~ad:"secure-rpc-resp" box
+              with
               | None -> Error "response: seal verification failed"
               | Some plaintext -> (
                   let* body = Wire.decode plaintext in

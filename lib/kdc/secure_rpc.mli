@@ -9,7 +9,6 @@
 
 type server_context = {
   rpc_client : Principal.t;  (** authenticated identity of the caller *)
-  rpc_session_key : string;
   rpc_auth_data : Wire.t list;
       (** restrictions carried by the caller's ticket + authenticator *)
 }
@@ -54,6 +53,13 @@ val serve :
     at-least-once delivery. (A replayer gains nothing: the cached response
     is sealed under the session key.)
 
+    [my_key] is prepared ({!Crypto.Aead.prepare}) once per [serve] and
+    opens every ticket. Each request's session key is prepared once and
+    serves both the authenticator open and the reply seal; an
+    authenticator carrying a 32-byte subkey gets its reply sealed under
+    that subkey instead. A [my_key] that is not 32 bytes opens nothing:
+    every request is answered ["ticket: seal verification failed"].
+
     [node] is the network registration name (default: the service
     principal). Shard replicas register the {e same} logical identity [me]
     (and key) under distinct physical nodes, so a ticket for the shard is
@@ -75,15 +81,16 @@ val serve :
 val call :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?subkey:string ->
   ?retry:Sim.Retry.policy ->
   ?via:string list ->
   ?on_failover:(from_:string -> to_:string -> unit) ->
   Wire.t ->
   (Wire.t, string) result
 (** One authenticated exchange with the service named by
-    [creds.cred_service]. The response is decrypted and authenticated; a
-    tampered or substituted response surfaces as [Error].
+    [creds.cred_service]. The authenticator is sealed, and the response
+    decrypted and authenticated, under [creds.cred_session], the session
+    key prepared when the credentials were built; a tampered or
+    substituted response surfaces as [Error].
 
     Without [retry] the call makes at most one attempt per destination and
     does not go through {!Sim.Retry.run}. With it, transient transport

@@ -28,13 +28,13 @@ let body_of_wire v =
 
 let seal ~service_key ~nonce body =
   let plaintext = Wire.encode (body_to_wire body) in
-  Crypto.Aead.encode (Crypto.Aead.seal ~key:service_key ~ad:"ticket" ~nonce plaintext)
+  Crypto.Aead.encode (Crypto.Aead.seal_prepared service_key ~ad:"ticket" ~nonce plaintext)
 
 let open_ ~service_key blob =
   match Crypto.Aead.decode blob with
   | None -> Error "ticket: malformed blob"
   | Some box -> (
-      match Crypto.Aead.open_ ~key:service_key ~ad:"ticket" box with
+      match Crypto.Aead.open_prepared service_key ~ad:"ticket" box with
       | None -> Error "ticket: seal verification failed"
       | Some plaintext -> Result.bind (Wire.decode plaintext) body_of_wire)
 
@@ -63,19 +63,20 @@ let authenticator_of_wire v =
 
 let seal_authenticator ~session_key ~nonce a =
   let plaintext = Wire.encode (authenticator_to_wire a) in
-  Crypto.Aead.encode (Crypto.Aead.seal ~key:session_key ~ad:"authenticator" ~nonce plaintext)
+  Crypto.Aead.encode (Crypto.Aead.seal_prepared session_key ~ad:"authenticator" ~nonce plaintext)
 
 let open_authenticator ~session_key blob =
   match Crypto.Aead.decode blob with
   | None -> Error "authenticator: malformed blob"
   | Some box -> (
-      match Crypto.Aead.open_ ~key:session_key ~ad:"authenticator" box with
+      match Crypto.Aead.open_prepared session_key ~ad:"authenticator" box with
       | None -> Error "authenticator: seal verification failed"
       | Some plaintext -> Result.bind (Wire.decode plaintext) authenticator_of_wire)
 
 type credentials = {
   ticket_blob : string;
   session_key : string;
+  cred_session : Crypto.Aead.key;
   cred_client : Principal.t;
   cred_service : Principal.t;
   cred_expires : int;
@@ -99,4 +100,13 @@ let credentials_of_wire v =
   let* cred_service = Result.bind (field v 3) Principal.of_wire in
   let* cred_expires = Result.bind (field v 4) to_int in
   let* cred_auth_data = Result.bind (field v 5) to_list in
-  Ok { ticket_blob; session_key; cred_client; cred_service; cred_expires; cred_auth_data }
+  Ok
+    {
+      ticket_blob;
+      session_key;
+      cred_session = Crypto.Aead.prepare session_key;
+      cred_client;
+      cred_service;
+      cred_expires;
+      cred_auth_data;
+    }

@@ -17,10 +17,13 @@ type body = {
       (** typed restriction subfields; only ever appended to, never removed *)
 }
 
-val seal : service_key:string -> nonce:string -> body -> string
+(** The four seal and open functions take a prepared key
+    ({!Crypto.Aead.prepare}): its holder derives the subkeys once. *)
+
+val seal : service_key:Crypto.Aead.key -> nonce:string -> body -> string
 (** Encode and AEAD-seal the ticket into an opaque blob. *)
 
-val open_ : service_key:string -> string -> (body, string) result
+val open_ : service_key:Crypto.Aead.key -> string -> (body, string) result
 (** Unseal and decode; fails on tampering or a wrong key. *)
 
 type authenticator = {
@@ -31,13 +34,20 @@ type authenticator = {
   auth_data : Wire.t list;  (** restrictions to add *)
 }
 
-val seal_authenticator : session_key:string -> nonce:string -> authenticator -> string
-val open_authenticator : session_key:string -> string -> (authenticator, string) result
+val seal_authenticator :
+  session_key:Crypto.Aead.key -> nonce:string -> authenticator -> string
+
+val open_authenticator :
+  session_key:Crypto.Aead.key -> string -> (authenticator, string) result
 
 (** Client-held credentials: the sealed ticket plus the session key. *)
 type credentials = {
   ticket_blob : string;
   session_key : string;
+  cred_session : Crypto.Aead.key;
+      (** [session_key] prepared, once, where the credentials are built
+          ([Kdc.Client] replies, {!credentials_of_wire}); it seals every
+          authenticator and opens every reply made under them *)
   cred_client : Principal.t;
   cred_service : Principal.t;
   cred_expires : int;

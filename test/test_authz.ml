@@ -70,6 +70,22 @@ let test_secure_rpc_wrong_service () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "ticket accepted by the wrong service"
 
+(* A service key that is not 32 bytes opens no ticket: every call is
+   answered in-band and the handler never runs. *)
+let test_secure_rpc_short_key () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let svc, svc_key = W.enrol w "short-keyed" in
+  let ran = ref false in
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:(String.sub svc_key 0 31) (fun _ _ ->
+      ran := true;
+      Ok (Wire.S "ran"));
+  let creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+  (match Secure_rpc.call w.W.net ~creds (Wire.S "ping") with
+  | Error e -> Alcotest.(check string) "refused at the ticket" "ticket: seal verification failed" e
+  | Ok _ -> Alcotest.fail "a 31-byte service key opened a ticket");
+  Alcotest.(check bool) "handler never ran" false !ran
+
 let test_secure_rpc_replay_absorbed () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
@@ -160,7 +176,7 @@ let test_secure_rpc_future_stamp_replay () =
   let tgt = W.login w alice in
   let creds = W.credentials_for w ~tgt svc in
   let ahead =
-    Ticket.seal_authenticator ~session_key:creds.Ticket.session_key
+    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare creds.Ticket.session_key)
       ~nonce:(Sim.Net.fresh_nonce w.W.net)
       { Ticket.auth_client = alice;
         timestamp = Sim.Net.now w.W.net + (skew / 2);
@@ -263,6 +279,28 @@ let test_capability_flow () =
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "capability leaked to another object"
+
+(* A guard given a key that is not 32 bytes is built all the same, and
+   refuses a conventional capability at its base ticket. *)
+let test_guard_short_key () =
+  let fw = fileserver_world () in
+  let guard = Guard.create fw.w.W.net ~me:fw.fileserver ~my_key:"k" ~acl:(Guard.acl fw.guard) () in
+  let cap =
+    Result.get_ok
+      (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt:(W.login fw.w fw.alice)
+         ~end_server:fw.fileserver ~target:"file1" ~ops:[ "read" ] ())
+  in
+  let presented =
+    Guard.present ~proxy:cap ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
+      ~target:"file1" ()
+  in
+  match Guard.decide guard ~operation:"read" ~target:"file1" ~proxies:[ presented ] () with
+  | Error e ->
+      Alcotest.(check string) "refused at the base ticket"
+        "access denied: no ACL entry permits read on \"file1\" (no presented proxy was usable: \
+         ticket: seal verification failed)"
+        e
+  | Ok _ -> Alcotest.fail "a guard keyed with 1 byte opened a base ticket"
 
 let test_capability_anonymous_bearer () =
   (* A bearer capability works with no presenter at all: possession is
@@ -715,6 +753,7 @@ let () =
         [ ("roundtrip", `Quick, test_secure_rpc_roundtrip);
           ("wrong service", `Quick, test_secure_rpc_wrong_service);
           ("via fails over once to the next replica", `Quick, test_secure_rpc_via_failover);
+          ("short service key refused at the ticket", `Quick, test_secure_rpc_short_key);
           ("replay absorbed, handler once", `Quick, test_secure_rpc_replay_absorbed);
           ("response cache bounded", `Quick, test_secure_rpc_cache_eviction);
           ("future-stamped replay answered from cache", `Quick,
@@ -723,6 +762,7 @@ let () =
         [ ("direct identity", `Quick, test_guard_direct_identity);
           ("capability flow", `Quick, test_capability_flow);
           ("anonymous bearer", `Quick, test_capability_anonymous_bearer);
+          ("short guard key refuses the base ticket", `Quick, test_guard_short_key);
           ("narrowing", `Quick, test_capability_narrowing);
           ("stolen presentation useless", `Quick, test_stolen_presentation_useless);
           ("revocation via grantor", `Quick, test_revocation_via_grantor);

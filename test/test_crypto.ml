@@ -506,6 +506,45 @@ let test_aead_encode () =
   | None -> Alcotest.fail "decode");
   Alcotest.(check bool) "short decode fails" true (Aead.decode "short" = None)
 
+(* A prepared key is read-only: sealing and opening under it never change
+   it, so reusing it over several messages gives the bytes a fresh
+   preparation gives each time. *)
+let test_aead_prepared_reuse () =
+  let k = Aead.prepare aead_key in
+  let messages =
+    [ (String.make 12 '\x03', "header", "first message");
+      (String.make 12 '\x04', "", String.init 200 (fun i -> Char.chr i)) ]
+  in
+  let fresh (nonce, ad, pt) = Aead.seal_prepared (Aead.prepare aead_key) ~ad ~nonce pt in
+  for round = 1 to 2 do
+    List.iter
+      (fun ((nonce, ad, pt) as m) ->
+        let box = fresh m in
+        let name = Printf.sprintf "round %d, %d bytes" round (String.length pt) in
+        Alcotest.(check bool) (name ^ ": seal") true (Aead.seal_prepared k ~ad ~nonce pt = box);
+        Alcotest.(check (option string)) (name ^ ": open") (Some pt) (Aead.open_prepared k ~ad box))
+      messages
+  done
+
+(* Preparing never raises. Under a key prepared from any length but 32
+   bytes nothing opens and sealing raises, exactly as the raw-key calls
+   behave with that key. *)
+let test_aead_wrong_length () =
+  let nonce = String.make 12 '\x05' in
+  let box = Aead.seal ~key:aead_key ~nonce "payload" in
+  let refused = Invalid_argument "Aead.seal: key must be 32 bytes" in
+  List.iter
+    (fun raw ->
+      let name = Printf.sprintf "%d-byte key" (String.length raw) in
+      let k = Aead.prepare raw in
+      Alcotest.(check (option string)) (name ^ ": open_prepared") None (Aead.open_prepared k box);
+      Alcotest.(check (option string)) (name ^ ": open_") None (Aead.open_ ~key:raw box);
+      Alcotest.check_raises (name ^ ": seal_prepared") refused (fun () ->
+          ignore (Aead.seal_prepared k ~nonce "payload"));
+      Alcotest.check_raises (name ^ ": seal") refused (fun () ->
+          ignore (Aead.seal ~key:raw ~nonce "payload")))
+    [ ""; "k"; String.sub aead_key 0 31; aead_key ^ "x" ]
+
 (* --- RSA --- *)
 
 let drbg = Drbg.create ~seed:"rsa tests"
@@ -769,7 +808,7 @@ let prop_aead_vs_ref =
     (QCheck.quad arb_key32 QCheck.small_string arb_msg QCheck.(option small_nat))
     (fun (key, ad, pt, flip) ->
       let nonce = String.sub (Sha256.digest pt) 0 12 in
-      let box = Aead.seal ~key ~ad ~nonce pt in
+      let box = Aead.seal ~key ~ad ~nonce pt and k = Aead.prepare key in
       let received =
         match flip with
         | None -> box
@@ -779,8 +818,11 @@ let prop_aead_vs_ref =
             Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
             Option.get (Aead.decode (Bytes.to_string b))
       in
-      box = Ref_aead.seal ~key ~ad ~nonce pt
-      && Aead.open_ ~key ~ad received = Ref_aead.open_ ~key ~ad received)
+      let want = Ref_aead.seal ~key ~ad ~nonce pt and opened = Ref_aead.open_ ~key ~ad received in
+      box = want
+      && Aead.seal_prepared k ~ad ~nonce pt = want
+      && Aead.open_ ~key ~ad received = opened
+      && Aead.open_prepared k ~ad received = opened)
 
 (* Draw lengths 0-100, leaning on 32, 33 and 64 (one output block, one
    byte past it, two blocks), between reseeds that may be empty. *)
@@ -824,8 +866,10 @@ let props =
    words cost (per call: 38.7 KB, 259 KB, 10.3 KB and 329 KB). A 512-bit
    RSA signature runs about 660 Montgomery multiplications and allocates
    about 19 KB (45 KB while each multiply built a closure), so a multiply
-   that allocates even its scratch per call fails the 64 KB bound.
-   Bytecode boxes regardless, so the gate runs on native code only. *)
+   that allocates even its scratch per call fails the 64 KB bound. A seal
+   of 1 KB under a prepared AEAD key allocates about 3 KB; deriving the
+   two subkeys adds about 6.4 KB, so a derivation per call fails its 4 KB
+   bound. Bytecode boxes regardless, so the gate runs on native code only. *)
 
 let minor_bytes_per_call f =
   ignore (f ());
@@ -841,6 +885,7 @@ let test_allocation_gate () =
     let rsa_key = key in
     let kb = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
     let key = String.make 32 'k' and nonce = String.make 12 'n' in
+    let prepared = Aead.prepare key in
     List.iter
       (fun (name, bound, f) ->
         let used = minor_bytes_per_call f in
@@ -850,6 +895,8 @@ let test_allocation_gate () =
         ("Chacha20.encrypt 1 KB", 8192, fun () -> Chacha20.encrypt ~key ~nonce kb);
         ("Hmac.mac", 4096, fun () -> Hmac.mac ~key "aead-mac");
         ("Aead.seal 1 KB", 32768, fun () -> (Aead.seal ~key ~nonce kb).Aead.tag);
+        ("Aead.seal_prepared 1 KB", 4096,
+         fun () -> (Aead.seal_prepared prepared ~nonce kb).Aead.tag);
         ("Rsa.sign 512-bit", 65536, fun () -> Rsa.sign rsa_key "allocation gate") ]
   end
 
@@ -873,7 +920,9 @@ let () =
       ( "aead",
         [ ("roundtrip", `Quick, test_aead_roundtrip);
           ("tamper detection", `Quick, test_aead_tamper);
-          ("wire encode", `Quick, test_aead_encode) ] );
+          ("wire encode", `Quick, test_aead_encode);
+          ("prepared key reused", `Quick, test_aead_prepared_reuse);
+          ("wrong-length keys", `Quick, test_aead_wrong_length) ] );
       ( "rsa",
         [ ("sign/verify", `Slow, test_rsa_sign_verify);
           ("cross key", `Slow, test_rsa_cross_key);

@@ -351,9 +351,14 @@ let forged_tgs_error net ~key ~client ~kdc ~target =
       authorization_data = [];
     }
   in
-  let blob = Ticket.seal ~service_key:key ~nonce:(Sim.Net.fresh_nonce net) body in
+  let blob =
+    Ticket.seal ~service_key:(Crypto.Aead.prepare key) ~nonce:(Sim.Net.fresh_nonce net) body
+  in
   let auth = { Ticket.auth_client = client; timestamp = now; subkey = None; auth_data = [] } in
-  let auth_blob = Ticket.seal_authenticator ~session_key ~nonce:(Sim.Net.fresh_nonce net) auth in
+  let auth_blob =
+    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare session_key)
+      ~nonce:(Sim.Net.fresh_nonce net) auth
+  in
   let request =
     Wire.encode
       (Wire.L [ Wire.S "tgs"; Wire.S blob; Wire.S auth_blob; Principal.to_wire target; Wire.I 3 ])
@@ -451,7 +456,7 @@ let test_subkey_server_refuses_wire () =
     { Ticket.auth_client = alice; timestamp = now; subkey = Some "short"; auth_data = [] }
   in
   let auth_blob =
-    Ticket.seal_authenticator ~session_key:tgt.Ticket.session_key
+    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key)
       ~nonce:(Sim.Net.fresh_nonce w.W.net) auth
   in
   let request =

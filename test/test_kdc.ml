@@ -46,16 +46,19 @@ let test_ticket_seal_roundtrip () =
       authorization_data = [ Wire.S "r1" ];
     }
   in
-  let blob = Ticket.seal ~service_key:key ~nonce:(Net.fresh_nonce w.net) body in
-  (match Ticket.open_ ~service_key:key blob with
+  let blob =
+    Ticket.seal ~service_key:(Crypto.Aead.prepare key) ~nonce:(Net.fresh_nonce w.net) body
+  in
+  (match Ticket.open_ ~service_key:(Crypto.Aead.prepare key) blob with
   | Ok b ->
       Alcotest.(check bool) "client" true (Principal.equal b.Ticket.client w.alice);
       Alcotest.(check string) "session key" body.Ticket.session_key b.Ticket.session_key;
       Alcotest.(check int) "auth data" 1 (List.length b.Ticket.authorization_data)
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "wrong key" true
-    (Result.is_error (Ticket.open_ ~service_key:(Net.fresh_key w.net) blob));
-  Alcotest.(check bool) "garbage" true (Result.is_error (Ticket.open_ ~service_key:key "junk"))
+    (Result.is_error (Ticket.open_ ~service_key:(Crypto.Aead.prepare (Net.fresh_key w.net)) blob));
+  Alcotest.(check bool) "garbage" true
+    (Result.is_error (Ticket.open_ ~service_key:(Crypto.Aead.prepare key) "junk"))
 
 let test_authenticator_roundtrip () =
   let w = setup () in
@@ -64,15 +67,20 @@ let test_authenticator_roundtrip () =
     { Ticket.auth_client = w.alice; timestamp = 42; subkey = Some (Net.fresh_key w.net);
       auth_data = [ Wire.I 1 ] }
   in
-  let blob = Ticket.seal_authenticator ~session_key:sk ~nonce:(Net.fresh_nonce w.net) a in
-  (match Ticket.open_authenticator ~session_key:sk blob with
+  let blob =
+    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare sk) ~nonce:(Net.fresh_nonce w.net) a
+  in
+  (match Ticket.open_authenticator ~session_key:(Crypto.Aead.prepare sk) blob with
   | Ok a' ->
       Alcotest.(check int) "timestamp" 42 a'.Ticket.timestamp;
       Alcotest.(check bool) "subkey" true (a'.Ticket.subkey = a.Ticket.subkey)
   | Error e -> Alcotest.fail e);
   let no_sub = { a with Ticket.subkey = None } in
-  let blob2 = Ticket.seal_authenticator ~session_key:sk ~nonce:(Net.fresh_nonce w.net) no_sub in
-  match Ticket.open_authenticator ~session_key:sk blob2 with
+  let blob2 =
+    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare sk) ~nonce:(Net.fresh_nonce w.net)
+      no_sub
+  in
+  match Ticket.open_authenticator ~session_key:(Crypto.Aead.prepare sk) blob2 with
   | Ok a' -> Alcotest.(check bool) "no subkey" true (a'.Ticket.subkey = None)
   | Error e -> Alcotest.fail e
 
@@ -85,7 +93,7 @@ let test_as_exchange () =
       Alcotest.(check bool) "expires in future" true (creds.Ticket.cred_expires > Net.now w.net);
       (* The ticket itself opens under the file server's key. *)
       let fs_key = Option.get (Directory.symmetric w.dir w.fileserver) in
-      (match Ticket.open_ ~service_key:fs_key creds.Ticket.ticket_blob with
+      (match Ticket.open_ ~service_key:(Crypto.Aead.prepare fs_key) creds.Ticket.ticket_blob with
       | Ok body ->
           Alcotest.(check string) "session key matches" creds.Ticket.session_key
             body.Ticket.session_key;
@@ -114,7 +122,10 @@ let test_as_restrictions_carried () =
   | Ok creds ->
       Alcotest.(check int) "client copy" 1 (List.length creds.Ticket.cred_auth_data);
       let fs_key = Option.get (Directory.symmetric w.dir w.fileserver) in
-      let body = Result.get_ok (Ticket.open_ ~service_key:fs_key creds.Ticket.ticket_blob) in
+      let body =
+        Result.get_ok
+          (Ticket.open_ ~service_key:(Crypto.Aead.prepare fs_key) creds.Ticket.ticket_blob)
+      in
       Alcotest.(check int) "in ticket" 1 (List.length body.Ticket.authorization_data)
 
 let test_tgs_derivation () =
@@ -131,7 +142,10 @@ let test_tgs_derivation () =
         (Principal.equal creds.Ticket.cred_service w.fileserver);
       Alcotest.(check int) "restriction added" 1 (List.length creds.Ticket.cred_auth_data);
       let fs_key = Option.get (Directory.symmetric w.dir w.fileserver) in
-      let body = Result.get_ok (Ticket.open_ ~service_key:fs_key creds.Ticket.ticket_blob) in
+      let body =
+        Result.get_ok
+          (Ticket.open_ ~service_key:(Crypto.Aead.prepare fs_key) creds.Ticket.ticket_blob)
+      in
       Alcotest.(check bool) "still alice" true (Principal.equal body.Ticket.client w.alice);
       Alcotest.(check bool) "fresh session key" true
         (body.Ticket.session_key <> tgt.Ticket.session_key)
@@ -147,7 +161,9 @@ let test_tgs_restrictions_additive () =
       (Kdc.Client.derive w.net ~kdc:w.kdc_name ~tgt ~target:w.fileserver ~auth_data:added ())
   in
   let fs_key = Option.get (Directory.symmetric w.dir w.fileserver) in
-  let body = Result.get_ok (Ticket.open_ ~service_key:fs_key creds.Ticket.ticket_blob) in
+  let body =
+    Result.get_ok (Ticket.open_ ~service_key:(Crypto.Aead.prepare fs_key) creds.Ticket.ticket_blob)
+  in
   Alcotest.(check int) "union of restrictions" 2 (List.length body.Ticket.authorization_data)
 
 let test_tgs_rejects_non_tgt () =
@@ -291,7 +307,10 @@ let prop_derivation_monotone =
         Result.get_ok (Kdc.Client.derive w.net ~kdc:w.kdc_name ~tgt:!tgt ~target:w.fileserver ())
       in
       let fs_key = Option.get (Directory.symmetric w.dir w.fileserver) in
-      let body = Result.get_ok (Ticket.open_ ~service_key:fs_key creds.Ticket.ticket_blob) in
+      let body =
+        Result.get_ok
+          (Ticket.open_ ~service_key:(Crypto.Aead.prepare fs_key) creds.Ticket.ticket_blob)
+      in
       List.length body.Ticket.authorization_data = List.length steps
       && List.for_all
            (fun marker ->

@@ -112,35 +112,22 @@ echo "== wire-codec fuzz smoke =="
 dune exec --no-build bin/proxykit.exe -- fuzz --smoke
 
 echo "== bench smoke (logical metrics vs committed baseline) =="
-# Reduced-iteration F1/F4/F6/S1/R1/L1/X1/A1/F5 regenerate BENCH_*.json into a
-# scratch dir;
+# Reduced-iteration runs regenerate BENCH_*.json into a scratch dir;
 # bench-check validates the JSON schema and compares every integer metric
 # (ops, bytes, crypto-op counts) exactly against the committed baseline.
-# Wall-times are recorded in the artifacts but never gated.
-BENCH_SMOKE_DIR=$(mktemp -d)
-BENCH_FAST=1 BENCH_DIR="$BENCH_SMOKE_DIR" \
-    dune exec --no-build bin/proxykit.exe -- bench f1 f4 f6 s1 r1 l1 x1 a1 f5
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_F1.json "$BENCH_SMOKE_DIR/BENCH_F1.json"
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_F4.json "$BENCH_SMOKE_DIR/BENCH_F4.json"
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_F6.json "$BENCH_SMOKE_DIR/BENCH_F6.json"
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_S1.json "$BENCH_SMOKE_DIR/BENCH_S1.json"
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_R1.json "$BENCH_SMOKE_DIR/BENCH_R1.json"
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_L1.json "$BENCH_SMOKE_DIR/BENCH_L1.json"
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_X1.json "$BENCH_SMOKE_DIR/BENCH_X1.json"
+# Wall-times are recorded in the artifacts but never gated. One list drives
+# both steps, so no experiment runs without being checked.
 # A1 pins the expiring tables' eviction rule: the flood row's eviction
 # count and, under capacity pressure, exactly one eviction per insert past
 # capacity at every table size.
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_A1.json "$BENCH_SMOKE_DIR/BENCH_A1.json"
-dune exec --no-build bin/proxykit.exe -- bench-check \
-    bench/BENCH_F5.json "$BENCH_SMOKE_DIR/BENCH_F5.json"
+BENCH_IDS="F1 F4 F6 S1 R1 L1 X1 A1 F5"
+BENCH_SMOKE_DIR=$(mktemp -d)
+BENCH_FAST=1 BENCH_DIR="$BENCH_SMOKE_DIR" \
+    dune exec --no-build bin/proxykit.exe -- bench $(echo "$BENCH_IDS" | tr 'A-Z' 'a-z')
+for id in $BENCH_IDS; do
+    dune exec --no-build bin/proxykit.exe -- bench-check \
+        "bench/BENCH_$id.json" "$BENCH_SMOKE_DIR/BENCH_$id.json"
+done
 rm -rf "$BENCH_SMOKE_DIR"
 
 echo "== repository benchmark self-test =="

@@ -56,7 +56,13 @@ let keystream st x ks =
     Bytes.set_int32_le ks (4 * i) (Int32.of_int (Array.unsafe_get x i + Array.unsafe_get st i))
   done
 
+(* Each call adds its block count to the domain's {!Cost} tally. *)
+let count_blocks n =
+  let kern = Kernel.get () in
+  kern.Kernel.blocks <- kern.Kernel.blocks + n
+
 let block ~key ~nonce ~counter =
+  count_blocks 1;
   let ks = Bytes.create 64 in
   keystream (state ~key ~nonce ~counter) (Array.make 16 0) ks;
   Bytes.unsafe_to_string ks
@@ -66,7 +72,9 @@ let encrypt ~key ~nonce ?(counter = 1) msg =
   let out = Bytes.create len in
   if len > 0 then begin
     let st = state ~key ~nonce ~counter and x = Array.make 16 0 and ks = Bytes.create 64 in
-    for b = 0 to ((len + 63) / 64) - 1 do
+    let blocks = (len + 63) / 64 in
+    count_blocks blocks;
+    for b = 0 to blocks - 1 do
       st.(12) <- (counter + b) land mask;
       keystream st x ks;
       let off = 64 * b in

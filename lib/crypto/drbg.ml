@@ -33,6 +33,8 @@ let reseed t entropy = update t entropy
 (* One prepared key serves every output MAC and the first MAC of the
    trailing update. *)
 let generate t n =
+  let kern = Kernel.get () in
+  kern.Kernel.draws <- kern.Kernel.draws + 1;
   let k = Hmac.prepare t.key in
   let buf = Buffer.create n in
   while Buffer.length buf < n do

@@ -1,8 +1,13 @@
 (** Deterministic random bit generator (HMAC-DRBG, NIST SP 800-90A).
 
-    Every source of randomness in the system — session keys, proxy keys,
-    nonces, RSA primes, simulated jitter — draws from a seeded DRBG so whole
-    experiment runs are reproducible bit-for-bit. *)
+    Every source of randomness in the system — session and proxy keys,
+    proxy-cert seal nonces, Kerberos request nonces, check numbers, RSA
+    primes, retry jitter, fault decisions — draws from a seeded DRBG, so
+    whole experiment runs are reproducible bit-for-bit. AEAD seal nonces
+    inside a simulated net are counted, not drawn
+    ([Sim.Net.fresh_nonce]): they only have to be unique per key. A draw of
+    1 to 32 bytes costs 10 SHA-256 compressions and counts as one draw in
+    {!Cost}. *)
 
 type t
 

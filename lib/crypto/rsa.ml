@@ -8,6 +8,8 @@ let e65537 = N.of_int 65537
 
 let generate drbg ~bits =
   if bits < 128 then invalid_arg "Rsa.generate: modulus must be at least 128 bits";
+  let kern = Kernel.get () in
+  kern.Kernel.keygens <- kern.Kernel.keygens + 1;
   let half = bits / 2 in
   let rand = Drbg.rand drbg in
   let rec keypair () =
@@ -74,6 +76,8 @@ let emsa_encode pub msg =
   else Some ("\x00\x01" ^ String.make pad_len '\xff' ^ "\x00" ^ digest_info)
 
 let sign key msg =
+  let kern = Kernel.get () in
+  kern.Kernel.signs <- kern.Kernel.signs + 1;
   match emsa_encode key.pub msg with
   | None -> invalid_arg "Rsa.sign: modulus too small for SHA-256 signature"
   | Some em ->
@@ -90,6 +94,8 @@ let sign_reference key msg =
       N.to_bytes_be_padded (modulus_bytes key.pub) s
 
 let verify pub ~msg ~signature =
+  let kern = Kernel.get () in
+  kern.Kernel.verifies <- kern.Kernel.verifies + 1;
   String.length signature = modulus_bytes pub
   && begin
        let s = N.of_bytes_be signature in

@@ -2,7 +2,10 @@
    63-bit int takes the sum of five words without overflow, so additions
    mask once at the end, and a compression allocates nothing. Full blocks
    are compressed straight from the input; only a partial block is
-   buffered in [ctx.buf]. *)
+   buffered in [ctx.buf]. The 64-word message schedule is not part of a
+   context: every compression on a domain uses that domain's one schedule
+   in {!Kernel}, so [init] and [copy] allocate only the chaining words and
+   the block buffer. *)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
@@ -18,7 +21,6 @@ let k =
 
 type ctx = {
   h : int array; (* 8 chaining words *)
-  w : int array; (* 64-word message schedule, scratch for [compress] *)
   buf : Bytes.t; (* partial 64-byte block *)
   mutable buf_len : int;
   mutable total : int; (* bytes processed *)
@@ -29,13 +31,12 @@ let init () =
     h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
          0x5be0cd19 |];
-    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
   }
 
-let copy ctx = { ctx with h = Array.copy ctx.h; w = Array.make 64 0; buf = Bytes.copy ctx.buf }
+let copy ctx = { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf }
 
 let mask = 0xffffffff
 
@@ -44,11 +45,13 @@ let mask = 0xffffffff
    loses the word's top bit past bit 62, which no rotation here reads. *)
 let[@inline] dup x = x lor (x lsl 32)
 
-(* Compress the 64-byte block at [off] in [block] into [ctx.h]. The
-   schedule [w] and the table [k] both hold 64 words, so the loops index
+(* Compress the 64-byte block at [off] in [block] into [ctx.h], using the
+   domain's schedule in [kern] (see {!Kernel} for why sharing it is safe).
+   The schedule and the table [k] both hold 64 words, so the loops index
    them unchecked. *)
-let compress ctx block off =
-  let h = ctx.h and w = ctx.w in
+let compress kern ctx block off =
+  kern.Kernel.compressions <- kern.Kernel.compressions + 1;
+  let h = ctx.h and w = kern.Kernel.schedule in
   for i = 0 to 15 do
     Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
@@ -89,6 +92,7 @@ let compress ctx block off =
 
 let update ctx s =
   let len = String.length s in
+  let kern = Kernel.get () in
   ctx.total <- ctx.total + len;
   let pos = ref 0 in
   (* Fill a partial buffer first. *)
@@ -99,14 +103,14 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress kern ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   (* [compress] only reads the block, so the input needs no copy. *)
   let src = Bytes.unsafe_of_string s in
   while len - !pos >= 64 do
-    compress ctx src !pos;
+    compress kern ctx src !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
@@ -116,16 +120,16 @@ let update ctx s =
 
 let finalize ctx =
   (* Append 0x80, zero padding, then the 64-bit big-endian bit length. *)
-  let buf = ctx.buf and n = ctx.buf_len + 1 in
+  let buf = ctx.buf and n = ctx.buf_len + 1 and kern = Kernel.get () in
   Bytes.set buf ctx.buf_len '\x80';
   if n > 56 then begin
     Bytes.fill buf n (64 - n) '\000';
-    compress ctx buf 0;
+    compress kern ctx buf 0;
     Bytes.fill buf 0 56 '\000'
   end
   else Bytes.fill buf n (56 - n) '\000';
   Bytes.set_int64_be buf 56 (Int64.shift_left (Int64.of_int ctx.total) 3);
-  compress ctx buf 0;
+  compress kern ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))

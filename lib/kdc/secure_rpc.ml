@@ -239,7 +239,8 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
     | None -> send
     | Some p ->
         fun () ->
-          Sim.Retry.run ~clock:(Sim.Net.clock net) ~drbg:(Sim.Net.drbg net) ~metrics p send
+          Sim.Retry.run ~clock:(Sim.Net.clock net) ~drbg:(Sim.Net.retry_drbg net) ~metrics p
+            send
   in
   let rec exchange_all () =
     match exchange () with

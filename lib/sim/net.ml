@@ -8,6 +8,9 @@ type t = {
   seed : string;
   clock : Clock.t;
   drbg : Crypto.Drbg.t;
+  retry_drbg : Crypto.Drbg.t;
+  nonce_prefix : string;
+  mutable nonces : int;
   metrics : Metrics.t;
   trace : Trace.t;
   mutable spans : Span.t option;
@@ -24,6 +27,9 @@ let create ?(seed = "proxykit") ?(default_latency_us = 500) () =
     seed;
     clock = Clock.create ();
     drbg = Crypto.Drbg.create ~seed;
+    retry_drbg = Crypto.Drbg.create ~seed:("retry:" ^ seed);
+    nonce_prefix = String.sub (Crypto.Sha256.digest ("nonce-prefix:" ^ seed)) 0 4;
+    nonces = 0;
     metrics = Metrics.create ();
     trace = Trace.create ();
     spans = None;
@@ -37,6 +43,7 @@ let create ?(seed = "proxykit") ?(default_latency_us = 500) () =
 
 let clock t = t.clock
 let drbg t = t.drbg
+let retry_drbg t = t.retry_drbg
 let metrics t = t.metrics
 let trace t = t.trace
 let spans t = t.spans
@@ -49,7 +56,17 @@ let enable_tracing ?capacity t =
 
 let now t = Clock.now t.clock
 let fresh_key t = Crypto.Drbg.generate t.drbg 32
-let fresh_nonce t = Crypto.Drbg.generate t.drbg 12
+
+(* The net's 4-byte prefix, then a 64-bit big-endian count of the nonces
+   it has handed out. Unique per key because every key is drawn inside
+   one net and sealed under only there (DESIGN.md §9, "Counted seal
+   nonces"). *)
+let fresh_nonce t =
+  let b = Bytes.create 12 in
+  Bytes.blit_string t.nonce_prefix 0 b 0 4;
+  Bytes.set_int64_be b 4 (Int64.of_int t.nonces);
+  t.nonces <- t.nonces + 1;
+  Bytes.unsafe_to_string b
 
 let register t ~name handler = Hashtbl.replace t.nodes name handler
 let unregister t ~name = Hashtbl.remove t.nodes name

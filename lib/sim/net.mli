@@ -11,7 +11,9 @@
     partitions. Tap and plan compose — the tap runs first.
 
     The environment bundle (clock, DRBG, metrics, trace) lives here too,
-    since every service needs all four. *)
+    since every service needs all four. So do two per-net streams that
+    must not move with the DRBG: seal nonces ({!fresh_nonce}) and retry
+    back-off jitter ({!retry_drbg}). *)
 
 type t
 
@@ -20,6 +22,13 @@ val create : ?seed:string -> ?default_latency_us:int -> unit -> t
 
 val clock : t -> Clock.t
 val drbg : t -> Crypto.Drbg.t
+
+val retry_drbg : t -> Crypto.Drbg.t
+(** The DRBG that {!Retry} back-off jitter draws from, seeded
+    ["retry:" ^ seed] like the span collector's: a change in how many keys
+    or other values a run draws from {!drbg} never moves a virtual retry
+    delay. *)
+
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t
 
@@ -40,7 +49,12 @@ val fresh_key : t -> string
 (** 32 fresh DRBG bytes — the standard symmetric key / proxy key source. *)
 
 val fresh_nonce : t -> string
-(** 12 fresh DRBG bytes. *)
+(** A 12-byte AEAD nonce: a 4-byte prefix, the first 4 bytes of a
+    domain-separated SHA-256 of the net's seed, then a 64-bit big-endian
+    counter that starts at 0 and counts this net's nonces. It draws nothing
+    from {!drbg}. Unique per key as long as a key is sealed under in one
+    net only, which holds because keys come from {!fresh_key} and never
+    cross between nets. *)
 
 val register : t -> name:string -> (string -> string) -> unit
 (** Install (or replace) the handler for a node. The handler receives the

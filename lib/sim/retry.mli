@@ -8,7 +8,9 @@
     honest latency numbers that include waiting.
 
     Determinism: backoff jitter draws from the DRBG handed in, so a whole
-    retried workload is reproducible from the environment seed. *)
+    retried workload is reproducible from the environment seed.
+    [Secure_rpc.call] hands in {!Net.retry_drbg}, a stream of its own, so
+    draws of keys and other values never move a retry delay. *)
 
 type backoff = {
   base_us : int;  (** delay before the first retransmission *)

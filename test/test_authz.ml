@@ -25,6 +25,31 @@ let test_secure_rpc_roundtrip () =
       Alcotest.(check (result string string)) "payload echoed" (Ok "ping")
         (Result.bind (Wire.field reply 1) Wire.to_string)
 
+(* Exact kernel cost of one warm call (credentials in hand, server up):
+   the client seals an authenticator and opens the reply; the server opens
+   the ticket, prepares the session key (8 compressions), opens the
+   authenticator, digests it for the response cache and seals the reply.
+   Seal nonces are counted per net, so the call draws nothing from a DRBG;
+   drawing its two nonces cost 2 draws and 20 compressions more. *)
+let test_secure_rpc_warm_cost () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let echo, echo_key = W.enrol w "echo" in
+  Secure_rpc.serve w.W.net ~me:echo ~my_key:echo_key (fun _ payload -> Ok payload);
+  let creds = W.credentials_for w ~tgt:(W.login w alice) echo in
+  let call () =
+    match Secure_rpc.call w.W.net ~creds (Wire.S "ping") with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  call ();
+  let before = Crypto.Cost.read () in
+  call ();
+  let c = Crypto.Cost.diff ~before ~after:(Crypto.Cost.read ()) in
+  Alcotest.(check (list int)) "compressions, blocks, draws, rsa" [ 26; 6; 0; 0; 0; 0 ]
+    [ c.Crypto.Cost.sha256_compressions; c.chacha20_blocks; c.drbg_draws; c.rsa_sign;
+      c.rsa_verify; c.rsa_keygen ]
+
 (* One logical service registered on two nodes, the first of them down:
    the call moves along [via] to the second, and that one move is counted
    once and reported once. *)
@@ -753,6 +778,7 @@ let () =
         [ ("roundtrip", `Quick, test_secure_rpc_roundtrip);
           ("wrong service", `Quick, test_secure_rpc_wrong_service);
           ("via fails over once to the next replica", `Quick, test_secure_rpc_via_failover);
+          ("warm call kernel cost", `Quick, test_secure_rpc_warm_cost);
           ("short service key refused at the ticket", `Quick, test_secure_rpc_short_key);
           ("replay absorbed, handler once", `Quick, test_secure_rpc_replay_absorbed);
           ("response cache bounded", `Quick, test_secure_rpc_cache_eviction);

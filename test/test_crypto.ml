@@ -8,6 +8,7 @@ module Drbg = Crypto.Drbg
 module Aead = Crypto.Aead
 module Rsa = Crypto.Rsa
 module Ct = Crypto.Ct
+module Cost = Crypto.Cost
 
 let hex s =
   (* Parse "ab cd" or "abcd" hex into raw bytes. *)
@@ -858,6 +859,65 @@ let props =
       prop_sha_vs_ref; prop_sha_split; prop_hmac_vs_ref; prop_chacha_vs_ref; prop_aead_vs_ref;
       prop_drbg_vs_ref ]
 
+(* --- Cost tally ---
+
+   Exact kernel counts of single calls. Preparing an HMAC key and a MAC of
+   a short message under it are two compressions each: [Aead.prepare] is
+   a preparation, two MACs and a second preparation; a DRBG draw of up to
+   32 bytes is a preparation, one output MAC and a trailing update of
+   two MACs and a preparation. *)
+
+let cost_of f =
+  let before = Cost.read () in
+  ignore (Sys.opaque_identity (f ()));
+  Cost.diff ~before ~after:(Cost.read ())
+
+let test_cost_pins () =
+  let rsa_key = key in
+  let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let kb = String.make 1024 'x' in
+  let c = cost_of (fun () -> Aead.prepare key) in
+  Alcotest.(check int) "Aead.prepare: 8 compressions" 8 c.Cost.sha256_compressions;
+  Alcotest.(check int) "Aead.prepare: no blocks" 0 c.Cost.chacha20_blocks;
+  let d = Drbg.create ~seed:"cost" in
+  List.iter
+    (fun n ->
+      let c = cost_of (fun () -> Drbg.generate d n) in
+      Alcotest.(check int) (Printf.sprintf "generate %d: 10 compressions" n) 10
+        c.Cost.sha256_compressions;
+      Alcotest.(check int) (Printf.sprintf "generate %d: one draw" n) 1 c.Cost.drbg_draws)
+    [ 1; 12; 32 ];
+  let c = cost_of (fun () -> Chacha20.encrypt ~key ~nonce kb) in
+  Alcotest.(check int) "Chacha20.encrypt 1 KB: 16 blocks" 16 c.Cost.chacha20_blocks;
+  Alcotest.(check int) "Chacha20.encrypt: no compressions" 0 c.Cost.sha256_compressions;
+  let c = cost_of (fun () -> Sha256.digest kb) in
+  Alcotest.(check int) "Sha256.digest 1 KB: 17 compressions" 17 c.Cost.sha256_compressions;
+  let c = cost_of (fun () -> Rsa.generate (Drbg.create ~seed:"cost rsa") ~bits:128) in
+  Alcotest.(check (list int)) "Rsa.generate: sign, verify, keygen" [ 0; 0; 1 ]
+    [ c.Cost.rsa_sign; c.Cost.rsa_verify; c.Cost.rsa_keygen ];
+  let signature = Rsa.sign rsa_key "cost" in
+  let c = cost_of (fun () -> Rsa.sign rsa_key "cost") in
+  Alcotest.(check (list int)) "Rsa.sign: sign, verify, keygen" [ 1; 0; 0 ]
+    [ c.Cost.rsa_sign; c.Cost.rsa_verify; c.Cost.rsa_keygen ];
+  let c = cost_of (fun () -> Rsa.verify rsa_key.Rsa.pub ~msg:"cost" ~signature) in
+  Alcotest.(check (list int)) "Rsa.verify: sign, verify, keygen" [ 0; 1; 0 ]
+    [ c.Cost.rsa_sign; c.Cost.rsa_verify; c.Cost.rsa_keygen ]
+
+(* Each domain keeps its own tally: work on another domain never shows in
+   this one's reads. *)
+let test_cost_domain_local () =
+  let before = Cost.read () in
+  let theirs =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let b = Cost.read () in
+           ignore (Sha256.digest "other domain");
+           Cost.diff ~before:b ~after:(Cost.read ())))
+  in
+  Alcotest.(check int) "spawned domain counted its compression" 1 theirs.Cost.sha256_compressions;
+  Alcotest.(check int) "this domain counted none" 0
+    (Cost.diff ~before ~after:(Cost.read ())).Cost.sha256_compressions
+
 (* --- Allocation gate ---
 
    The kernels hold their words in native ints, so a SHA-256 compression or
@@ -869,7 +929,10 @@ let props =
    that allocates even its scratch per call fails the 64 KB bound. A seal
    of 1 KB under a prepared AEAD key allocates about 3 KB; deriving the
    two subkeys adds about 6.4 KB, so a derivation per call fails its 4 KB
-   bound. Bytecode boxes regardless, so the gate runs on native code only. *)
+   bound. A MAC of 100 B under a prepared HMAC key copies two SHA-256
+   contexts and allocates about 480 B; a context that carried its own
+   64-word schedule made that 1536 B, past the 1 KB bound. Bytecode boxes
+   regardless, so the gate runs on native code only. *)
 
 let minor_bytes_per_call f =
   ignore (f ());
@@ -885,7 +948,8 @@ let test_allocation_gate () =
     let rsa_key = key in
     let kb = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
     let key = String.make 32 'k' and nonce = String.make 12 'n' in
-    let prepared = Aead.prepare key in
+    let prepared = Aead.prepare key and mac_key = Hmac.prepare key in
+    let msg100 = String.sub kb 0 100 in
     List.iter
       (fun (name, bound, f) ->
         let used = minor_bytes_per_call f in
@@ -894,6 +958,7 @@ let test_allocation_gate () =
       [ ("Sha256.digest 1 KB", 4096, fun () -> Sha256.digest kb);
         ("Chacha20.encrypt 1 KB", 8192, fun () -> Chacha20.encrypt ~key ~nonce kb);
         ("Hmac.mac", 4096, fun () -> Hmac.mac ~key "aead-mac");
+        ("Hmac.mac_prepared 100 B", 1024, fun () -> Hmac.mac_prepared mac_key msg100);
         ("Aead.seal 1 KB", 32768, fun () -> (Aead.seal ~key ~nonce kb).Aead.tag);
         ("Aead.seal_prepared 1 KB", 4096,
          fun () -> (Aead.seal_prepared prepared ~nonce kb).Aead.tag);
@@ -913,6 +978,9 @@ let () =
           ("argument validation", `Quick, test_chacha20_args) ] );
       ("ct", [ ("constant-time compare", `Quick, test_ct) ]);
       ("allocation", [ ("kernels allocate no words", `Quick, test_allocation_gate) ]);
+      ( "cost",
+        [ ("exact kernel counts", `Quick, test_cost_pins);
+          ("tally is per domain", `Quick, test_cost_domain_local) ] );
       ( "drbg",
         [ ("deterministic", `Quick, test_drbg_deterministic);
           ("reseed", `Quick, test_drbg_reseed);

@@ -104,6 +104,131 @@ let test_fresh_material () =
   let net' = Net.create ~seed:"a" () in
   Alcotest.(check string) "seeded reproducibility" k1 (Net.fresh_key net')
 
+(* --- seal nonces --- *)
+
+let test_nonce_counter () =
+  let net = Net.create ~seed:"nonces" () in
+  let nonces = List.init 10_000 (fun _ -> Net.fresh_nonce net) in
+  Alcotest.(check bool) "all 12 bytes" true (List.for_all (fun n -> String.length n = 12) nonces);
+  let seen = Hashtbl.create 10_000 in
+  List.iter (fun n -> Hashtbl.replace seen n ()) nonces;
+  Alcotest.(check int) "pairwise distinct" 10_000 (Hashtbl.length seen);
+  let prefix n = String.sub n 0 4 and count n = String.sub n 4 8 in
+  Alcotest.(check string) "counter starts at 0" "\000\000\000\000\000\000\000\000"
+    (count (List.hd nonces));
+  Alcotest.(check string) "second nonce counts 1" "\000\000\000\000\000\000\000\001"
+    (count (List.nth nonces 1));
+  Alcotest.(check bool) "one prefix per net" true
+    (List.for_all (fun n -> prefix n = prefix (List.hd nonces)) nonces);
+  let again = Net.create ~seed:"nonces" () in
+  Alcotest.(check bool) "same seed, same sequence" true
+    (List.for_all (fun n -> Net.fresh_nonce again = n) nonces);
+  let other = Net.create ~seed:"other nonces" () in
+  Alcotest.(check bool) "different seed, different prefix" true
+    (prefix (Net.fresh_nonce other) <> prefix (List.hd nonces))
+
+(* Nonces are counted, not drawn: the key drawn after three nonces is the
+   one a net that made none draws first. *)
+let test_nonce_draws_nothing () =
+  let a = Net.create ~seed:"no draw" () and b = Net.create ~seed:"no draw" () in
+  for _ = 1 to 3 do
+    ignore (Net.fresh_nonce a)
+  done;
+  Alcotest.(check string) "key unaffected by nonces" (Net.fresh_key b) (Net.fresh_key a)
+
+(* Under drops, duplicates and retries, every nonce on the wire names
+   exactly one sealed byte string: a retransmitted request and a cached
+   reply are the same bytes, never a second seal under a reused nonce. The
+   authenticator and the reply of one exchange carry different nonces. *)
+let test_nonce_unique_on_wire () =
+  let w = Testkit.create ~seed:"wire nonces" () in
+  let net = w.Testkit.net in
+  let servers =
+    List.map
+      (fun name ->
+        let svc, key = Testkit.enrol w name in
+        Secure_rpc.serve net ~me:svc ~my_key:key (fun _ payload -> Ok payload);
+        svc)
+      [ "svc-a"; "svc-b" ]
+  in
+  let creds =
+    List.concat_map
+      (fun name ->
+        let client, _ = Testkit.enrol w name in
+        let tgt = Testkit.login w client in
+        List.map (fun svc -> Testkit.credentials_for w ~tgt svc) servers)
+      [ "alice"; "bob" ]
+  in
+  let owner = Hashtbl.create 1024 and clashes = ref 0 and same_exchange = ref 0 in
+  let record blob =
+    let nonce = String.sub blob 0 12 in
+    match Hashtbl.find_opt owner nonce with
+    | None -> Hashtbl.replace owner nonce blob
+    | Some b -> if b <> blob then incr clashes
+  in
+  let pending_auth = ref None and replies = ref 0 in
+  Net.set_tap net (fun ~dir ~src:_ ~dst:_ msg ->
+      (match (dir, Wire.decode msg) with
+      | `Request, Ok (Wire.L (Wire.S "secure" :: Wire.S ticket :: Wire.S auth :: _)) ->
+          record ticket;
+          record auth;
+          pending_auth := Some (String.sub auth 0 12)
+      | `Response, Ok (Wire.L [ Wire.S "sealed"; Wire.S sealed ]) -> (
+          record sealed;
+          incr replies;
+          match !pending_auth with
+          | Some a when a = String.sub sealed 0 12 -> incr same_exchange
+          | _ -> ())
+      | _ -> ());
+      Net.Deliver);
+  Net.install_fault_plan net
+    (Sim.Fault.plan ~seed:"wire nonces"
+       [ Sim.Fault.drop ~dir:`Both 0.2; Sim.Fault.duplicate ~dir:`Both 0.2 ]);
+  let retry = Sim.Retry.policy ~retries:6 () in
+  let calls = 240 in
+  for i = 1 to calls do
+    let c = List.nth creds (i mod List.length creds) in
+    ignore (Secure_rpc.call net ~creds:c ~retry (Wire.I i))
+  done;
+  let m = Net.metrics net in
+  Alcotest.(check bool) "retries happened" true (Metrics.get m "rpc.retries" > 0);
+  Alcotest.(check bool) "duplicates happened" true (Metrics.get m "fault.duplicated" > 0);
+  Alcotest.(check bool) "cached replies served" true (Metrics.get m "rpc.dedup" > 0);
+  Alcotest.(check bool) "a sealed reply per call at least" true (!replies >= calls / 2);
+  Alcotest.(check int) "each nonce names one byte string" 0 !clashes;
+  Alcotest.(check int) "authenticator and reply nonces differ" 0 !same_exchange
+
+(* Retry back-off jitter has its own stream: a net that drew three extra
+   keys before a retried call waits exactly as long as one that drew
+   none. *)
+let test_retry_jitter_stream () =
+  let elapsed ~extra_keys =
+    let w = Testkit.create ~seed:"jitter stream" () in
+    let net = w.Testkit.net in
+    let svc, key = Testkit.enrol w "svc" in
+    Secure_rpc.serve net ~me:svc ~my_key:key (fun _ payload -> Ok payload);
+    let client, _ = Testkit.enrol w "client" in
+    let creds = Testkit.credentials_for w ~tgt:(Testkit.login w client) svc in
+    for _ = 1 to extra_keys do
+      ignore (Net.fresh_key net)
+    done;
+    let drops = ref 2 in
+    Net.set_tap net (fun ~dir ~src:_ ~dst:_ _ ->
+        match dir with
+        | `Request when !drops > 0 ->
+            decr drops;
+            Net.Drop
+        | _ -> Net.Deliver);
+    let t0 = Net.now net in
+    (match Secure_rpc.call net ~creds ~retry:(Sim.Retry.policy ()) (Wire.S "x") with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    Alcotest.(check int) "two retransmissions" 2 (Metrics.get (Net.metrics net) "rpc.retries");
+    Net.now net - t0
+  in
+  Alcotest.(check int) "same virtual elapsed time" (elapsed ~extra_keys:0)
+    (elapsed ~extra_keys:3)
+
 let test_unregister () =
   let net = echo_net () in
   Net.unregister net ~name:"server";
@@ -331,12 +456,16 @@ let () =
           ("adversary drop/tamper", `Quick, test_tap_drop_and_tamper);
           ("adversary eavesdrop", `Quick, test_tap_eavesdrop);
           ("fresh material", `Quick, test_fresh_material);
+          ("nonces count per net", `Quick, test_nonce_counter);
+          ("nonces draw nothing", `Quick, test_nonce_draws_nothing);
+          ("nonces unique on the wire", `Quick, test_nonce_unique_on_wire);
           ("unregister", `Quick, test_unregister);
           ("dropped response after handler ran", `Quick, test_dropped_response_after_handler_ran) ] );
       ( "retry",
         [ ("give-up charges no timeout", `Quick, test_retry_gave_up_elapsed);
           ("success after retries", `Quick, test_retry_success_elapsed);
-          ("first-try success waits nothing", `Quick, test_retry_first_try_elapsed) ] );
+          ("first-try success waits nothing", `Quick, test_retry_first_try_elapsed);
+          ("jitter has its own stream", `Quick, test_retry_jitter_stream) ] );
       ( "faults",
         [ ("drop and duplicate", `Quick, test_fault_drop_and_duplicate);
           ("seeded determinism", `Quick, test_fault_determinism);

@@ -235,7 +235,7 @@ let bench_cmd =
   let list_only = Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit") in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Regenerate the paper's experiment tables (f1..f6, c3, c4, a1..a3, s1)")
+       ~doc:"Regenerate the paper's experiment tables and their BENCH_<ID>.json artifacts")
     Term.(const bench $ list_only $ ids)
 
 let bench_check baseline current =
@@ -270,7 +270,7 @@ let bench_check_cmd =
     (Cmd.info "bench-check"
        ~doc:
          "Validate two BENCH_*.json artifacts and compare their logical (integer) metrics — \
-          ops, bytes, crypto-op counts — exactly; wall-times are never compared. Exits non-zero \
+          ops, bytes, crypto-op counts — exactly; timings are never compared. Exits non-zero \
           on schema errors or divergence.")
     Term.(const bench_check $ baseline $ current)
 
@@ -367,8 +367,7 @@ let lanes ~smoke (cfg : Cluster.Lanes.config) =
     Printf.printf "  goodput:            %d/%d operations succeeded\n" o.succeeded o.attempted;
     if o.remote_sent > 0 || o.remote_cleared > 0 then
       Printf.printf "  remote clearing:    %d check(s) mailed, %d cleared, %d bounced\n"
-        o.remote_sent o.remote_cleared o.remote_bounced;
-    Printf.printf "  wall:               %.3f s\n" o.wall_s
+        o.remote_sent o.remote_cleared o.remote_bounced
   in
   Drive.main ~smoke ~report e
 

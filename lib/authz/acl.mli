@@ -47,8 +47,6 @@ type facts = {
   groups : Principal.Group.t list;  (** memberships proven by group proxies *)
 }
 
-val subject_satisfied : subject -> facts -> bool
-
 val find_permitting : t -> target:string -> operation:string -> facts -> entry option
 (** First entry whose subject is satisfied and whose rights cover
     [operation]. *)

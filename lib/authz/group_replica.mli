@@ -48,10 +48,6 @@ val epoch : t -> int
 val stale : t -> bool
 (** Is the replica past its staleness bound right now? *)
 
-val apply_snapshot : t -> Membership.snapshot -> (Membership.applied, string) result
-(** Apply a pushed snapshot (signature-checked; old epochs are
-    [Ok Ignored]). *)
-
 val refresh : t -> (Membership.applied, string) result
 (** Pull the origin's current snapshot across the realm boundary and apply
     it. *)

@@ -13,7 +13,7 @@ type t = {
   replay : Replay_cache.t;
   seq : Seq_tracker.t;
   verify_cache : Verify_cache.t;
-  mutable revocation : Revocation.t option;
+  revocation : Revocation.t option;
   mutable seq_observer :
     (key:string -> progress:int -> expires:int -> tag:string -> unit) option;
   mutable seq_forward :
@@ -60,7 +60,6 @@ let set_seq_observer t f = t.seq_observer <- f
 let set_seq_forward t f = t.seq_forward <- f
 let verify_cache t = t.verify_cache
 let revocation t = t.revocation
-let set_revocation t r = t.revocation <- Some r
 
 type presented = { pres : Proxy.presentation; pres_proof : Presentation.proof option }
 

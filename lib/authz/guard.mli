@@ -50,7 +50,6 @@ val acl : t -> Acl.t
 val replay_cache : t -> Replay_cache.t
 val verify_cache : t -> Verify_cache.t
 val revocation : t -> Revocation.t option
-val set_revocation : t -> Revocation.t -> unit
 
 val seq_tracker : t -> Seq_tracker.t
 (** The guard's {!Restriction.Sequence} progress state, keyed per presented

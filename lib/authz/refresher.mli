@@ -21,9 +21,6 @@
 
 type t
 
-val default_lifetime_us : int
-(** 15 simulated minutes. *)
-
 val create :
   Sim.Net.t ->
   me:Principal.t ->
@@ -39,7 +36,7 @@ val create :
     grantor's local bulletin state (keep it synced via
     {!Revocation_authority.sync} semantics — fetch and
     {!Revocation.apply}); without it, refresh never refuses on revocation
-    grounds. *)
+    grounds. [lifetime_us] defaults to 15 simulated minutes. *)
 
 val install : t -> unit
 

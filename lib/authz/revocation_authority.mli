@@ -39,12 +39,6 @@ val publish : t -> Revocation.bulletin
 (** Heartbeat: advance the epoch and re-sign the current entries at the
     current time, without adding anything. *)
 
-(** {2 Server-side administration} (tests, benches, local setup) *)
-
-val revoke_serial : t -> string -> Revocation.bulletin
-val revoke_grantor_epoch :
-  t -> grantor:Principal.t -> ?not_before:int -> unit -> Revocation.bulletin
-
 (** {2 Client operations} *)
 
 val fetch : Sim.Net.t -> creds:Ticket.credentials -> (Revocation.bulletin, string) result

@@ -1,16 +1,16 @@
 (* Machine-readable bench artifacts: BENCH_<ID>.json files recording, per
    experiment row, the *logical* quantities (integers: ops, bytes, crypto-op
    counters, virtual-time latency) separately from the *physical* ones
-   (floats: wall-clock nanoseconds). Logical quantities are deterministic
+   (floats: sampled nanoseconds). Logical quantities are deterministic
    functions of the protocol and the fixed seeds, so CI compares them
-   exactly against a committed baseline; wall-times vary with the machine
-   and are reported, never gated. The emitter below writes the subset that
+   exactly against a committed baseline; timings vary with the machine and
+   are reported, never gated. The emitter below writes the subset that
    [Sim.Json] reads back. *)
 
 type row = {
   label : string;
   ints : (string * int) list; (* logical metrics: compared exactly *)
-  floats : (string * float) list; (* wall-times etc.: reported only *)
+  floats : (string * float) list; (* sampled timings: reported only *)
 }
 
 type doc = { id : string; title : string; mode : string; rows : row list }
@@ -26,6 +26,82 @@ let mode = if fast then "fast" else "full"
 let dir () = Option.value (Sys.getenv_opt "BENCH_DIR") ~default:"bench"
 
 let path_for id = Filename.concat (dir ()) ("BENCH_" ^ String.uppercase_ascii id ^ ".json")
+
+(* ---------------- the sampler ---------------- *)
+
+(* Fast mode takes no samples, so its floats are NaN: CI gates only the
+   integers, and even one sample of a whole run (L1's load runs, S1's lane
+   runs) would add a third to its time. A batch lasts at least 1 ms, far
+   above the monotonic clock's resolution and the cost of reading it. *)
+let samples = if fast then 0 else 5
+let batch_ns = 1_000_000
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
+let summary ~per batches =
+  match batches with
+  | [] -> (nan, nan)
+  | _ ->
+      let sorted = Array.of_list batches in
+      Array.sort compare sorted;
+      let q p = float_of_int (Drive.percentile sorted p) /. float_of_int per in
+      (q 50., q 75. -. q 25.)
+
+let floats key (median, iqr) = [ (key, median); (key ^ "_iqr", iqr) ]
+
+let time key f =
+  let batch k =
+    let t0 = now_ns () in
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    now_ns () - t0
+  in
+  (* Doubling the batch until it fills [batch_ns] also warms [f] up. *)
+  let rec size k = if batch k >= batch_ns then k else size (2 * k) in
+  let k = if samples = 0 then 1 else size 1 in
+  floats key (summary ~per:k (List.init samples (fun _ -> batch k)))
+
+let time_each ?(per = 1) key ~setup f =
+  let sample _ =
+    let s = setup () in
+    let t0 = now_ns () in
+    ignore (Sys.opaque_identity (f s));
+    now_ns () - t0
+  in
+  floats key (summary ~per (List.init samples sample))
+
+(* ---------------- tables ---------------- *)
+
+let keys r = List.map fst r.ints @ List.map fst r.floats
+
+let cells r =
+  (r.label :: List.map (fun (_, v) -> string_of_int v) r.ints)
+  @ List.map (fun (_, f) -> if Float.is_nan f then "n/a" else Printf.sprintf "%.1f" f) r.floats
+
+let tables rows =
+  let step acc r =
+    let header = "label" :: keys r in
+    match acc with
+    | (h, body) :: older when h = header -> (h, cells r :: body) :: older
+    | _ -> (header, [ cells r ]) :: acc
+  in
+  List.rev_map (fun (header, body) -> (header, List.rev body)) (List.fold_left step [] rows)
+
+let print_table (header, body) =
+  let widths =
+    List.mapi
+      (fun i c ->
+        List.fold_left (fun w r -> max w (String.length (List.nth r i))) (String.length c) body)
+      header
+  in
+  let line cells =
+    Printf.printf "| %s |\n"
+      (String.concat " | " (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths cells))
+  in
+  line header;
+  Printf.printf "|%s|\n" (String.concat "|" (List.map (fun w -> String.make (w + 2) '-') widths));
+  List.iter line body;
+  print_newline ()
 
 (* ---------------- emit ---------------- *)
 
@@ -70,13 +146,14 @@ let render doc =
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
-let write ~id ~title rows =
-  let doc = { id; title; mode; rows } in
+let emit ~id ~title rows =
+  Printf.printf "\n### %s: %s\n\n" (String.uppercase_ascii id) title;
+  List.iter print_table (tables rows);
   let d = dir () in
   (if not (Sys.file_exists d) then try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ());
   let path = path_for id in
   let oc = open_out path in
-  output_string oc (render doc);
+  output_string oc (render { id; title; mode; rows });
   close_out oc;
   Printf.printf "[bench] wrote %s (%d rows, mode %s)\n%!" path (List.length rows) mode
 

@@ -1,40 +1,66 @@
-(** Machine-readable bench artifacts.
+(** Bench rows: their sampler, their tables, and their artifacts.
 
-    Each instrumented experiment writes [BENCH_<ID>.json] next to its human
-    table, so every PR leaves a perf trajectory to regress against. A row
-    separates {e logical} metrics — integers: ops, bytes, crypto-op
-    counters, virtual-time latency, all deterministic under the fixed
-    seeds — from {e physical} ones — floats: wall-clock nanoseconds, which
-    vary by machine. {!check} compares the logical metrics exactly and
-    ignores the physical ones; that is the CI gating rule.
+    Every experiment returns rows; {!emit} prints them as tables and writes
+    [BENCH_<ID>.json], so every PR leaves a perf trajectory to regress
+    against. A row separates {e logical} metrics — integers: ops, bytes,
+    crypto-op counters, virtual-time latency, all deterministic under the
+    fixed seeds — from {e physical} ones — floats: sampled nanoseconds,
+    which vary by machine. {!check} compares the logical metrics exactly
+    and ignores the physical ones; that is the CI gating rule.
 
     Environment: [BENCH_DIR] overrides the output directory (default
-    [bench]); [BENCH_FAST=1] asks experiments to cut wall-time sampling —
-    logical metrics are unaffected, so a fast run still checks cleanly
+    [bench]); [BENCH_FAST=1] skips the sampling — every float is NaN and
+    the logical metrics are unaffected, so a fast run still checks cleanly
     against a full-run baseline. *)
 
 type row = {
   label : string;
   ints : (string * int) list;  (** logical metrics: compared exactly *)
-  floats : (string * float) list;  (** wall-times etc.: reported only *)
+  floats : (string * float) list;  (** sampled timings: reported only *)
 }
 
 type doc = { id : string; title : string; mode : string; rows : row list }
 
-val schema_version : int
-
 val fast : bool
-(** [BENCH_FAST] is set: reduce measurement iterations, keep logical work. *)
+(** [BENCH_FAST] is set: take no timing samples, keep logical work. *)
 
-val mode : string
-(** ["fast"] or ["full"]; recorded in the artifact. *)
+(** {2 The sampler}
 
-val path_for : string -> string
-(** [path_for id] is [<BENCH_DIR>/BENCH_<ID>.json]. *)
+    One monotonic nanosecond clock times every float. A timed key [k] is
+    written as two floats: [k], the median time per op over a fixed
+    number of samples (5 in full mode, none in fast mode, where both are
+    NaN), and [k_iqr], the distance between the samples' quartiles in the
+    same unit. *)
 
-val write : id:string -> title:string -> row list -> unit
-(** Write the artifact (creating the directory if needed) and print the
-    path. *)
+val summary : per:int -> int list -> float * float
+(** [summary ~per batches] is the (median, interquartile range) of the
+    batch times divided by [per], the ops in one batch; quartiles are
+    {!Drive.percentile}'s nearest ranks. [(nan, nan)] when empty. *)
+
+val time : string -> (unit -> 'a) -> (string * float) list
+(** [time key f] samples a repeatable call: the batch of calls to [f]
+    doubles, untimed, until one lasts at least 1 ms; each sample times one
+    such batch. *)
+
+val time_each :
+  ?per:int -> string -> setup:(unit -> 'a) -> ('a -> 'b) -> (string * float) list
+(** [time_each key ~setup f] times one call of [f] per sample, on a fresh
+    [setup ()] made outside the timed region: for calls that consume their
+    state or run for long. [per] (default 1) is the ops in one call.
+    Callers run [f] once untimed first (for their integers), which also
+    warms it. *)
+
+(** {2 Tables and artifacts} *)
+
+val tables : row list -> (string list * string list list) list
+(** (header, cells) per table. Consecutive rows with the same metric keys
+    share a table; its columns are the label, then the integers, then the
+    floats ([n/a] for NaN). *)
+
+val emit : id:string -> title:string -> row list -> unit
+(** Print the tables under the title, then write the artifact
+    [<BENCH_DIR>/BENCH_<ID>.json] (creating the directory if needed) and
+    print its path. *)
 
 val load : string -> (doc, string) result
 (** Parse an artifact; [Error] doubles as schema validation. *)

@@ -10,9 +10,6 @@ val is_probably_prime : ?rounds:int -> rand -> Nat.t -> bool
 (** Miller–Rabin with [rounds] random witnesses (default 24), preceded by
     trial division by small primes. *)
 
-val random_nat_bits : rand -> int -> Nat.t
-(** [random_nat_bits r k] is a uniformly random natural below [2^k]. *)
-
 val random_nat_below : rand -> Nat.t -> Nat.t
 (** [random_nat_below r n] is uniform in [[0, n)]. Raises
     [Invalid_argument] when [n] is zero. *)

@@ -61,10 +61,6 @@ type lanes_outcome = {
   l_digest : string;  (** per-lane logs + metrics + traces, lane order *)
 }
 
-val run_lanes : ?lanes:int -> domains:int -> config -> lanes_outcome
-(** [lanes] defaults to 3 and must be at least 2 (snapshots travel to the
-    next lane in the ring). *)
-
 val lanes_entry : domains:int -> config -> lanes_outcome Drive.entry
 (** Its smoke compares the digest against the same config at
     [domains = 1]. *)

@@ -68,7 +68,6 @@ type outcome = {
   conserved : (unit, string) result;
   gates : Drive.gate list;
   digest : string;
-  wall_s : float;
 }
 
 let usd = "usd"
@@ -688,7 +687,7 @@ let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
 (* Merge per-lane results in lane order. The flavor gates read the merged
    counters; the digest holds the schedule's shape, every gate, and each
    lane's metrics, trace and spans. *)
-let finish ~t0 ~nets ~(sched : Sim.Lane.outcome) ~conserved ~double_redemptions
+let finish ~nets ~(sched : Sim.Lane.outcome) ~conserved ~double_redemptions
     ~flavor_gates =
   let merged = Sim.Metrics.create () in
   List.iter (fun net -> Sim.Metrics.merge_into ~into:merged (Sim.Net.metrics net)) nets;
@@ -716,11 +715,9 @@ let finish ~t0 ~nets ~(sched : Sim.Lane.outcome) ~conserved ~double_redemptions
     conserved;
     gates;
     digest;
-    wall_s = Unix.gettimeofday () -. t0;
   }
 
 let run_checks cfg =
-  let t0 = Unix.gettimeofday () in
   let lanes_arr = setup_checks cfg in
   let ledgers () =
     Array.to_list lanes_arr
@@ -732,7 +729,7 @@ let run_checks cfg =
       ~step:(chk_step cfg lanes_arr) ()
   in
   let multi = cfg.shards >= 2 in
-  finish ~t0 ~sched
+  finish ~sched
     ~nets:(Array.to_list lanes_arr |> List.map (fun st -> st.cl_world.World.net))
     ~conserved:(Invariant.check before (ledgers ()))
     ~double_redemptions:
@@ -751,7 +748,6 @@ let seq_gate_names =
     "repeat debit denied: sequence exhausted" ]
 
 let run_seq cfg =
-  let t0 = Unix.gettimeofday () in
   let lanes_arr = fixup_seq_presentations (setup_seq cfg) in
   let ledgers () =
     Array.to_list lanes_arr
@@ -762,7 +758,7 @@ let run_seq cfg =
     Sim.Lane.run ~domains:cfg.domains ~lanes:cfg.shards ~min_epochs:3
       ~step:(seq_step cfg lanes_arr) ()
   in
-  finish ~t0 ~sched
+  finish ~sched
     ~nets:(Array.to_list lanes_arr |> List.map (fun st -> st.sl_world.World.net))
     ~conserved:(Invariant.check before (ledgers ()))
     ~double_redemptions:0

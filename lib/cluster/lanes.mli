@@ -53,14 +53,13 @@ type outcome = {
   digest : string;
       (** [epochs_run], [delivered], the gates, then each lane's metrics,
           ["lane-<i>|time actor event"] trace and span JSONL in lane order *)
-  wall_s : float;
 }
 
 val run : config -> outcome
 (** Raises [Invalid_argument] on nonsensical configs (no shards, no
     domains, [Seq] with fewer than 2 shards) and [Failure] on setup
     errors. Determinism contract: for a fixed config modulo [domains],
-    the digest and every count above except [wall_s] are byte-identical. *)
+    the digest and every count above are byte-identical. *)
 
 val entry : config -> outcome Drive.entry
 (** Labelled by flavor ("cluster lane", "seq lane", "load lane"); its

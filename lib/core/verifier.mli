@@ -8,7 +8,7 @@
 
     Verification is offline — no message to any authentication server — in
     contrast to Sollins's cascaded authentication, which is the comparison
-    the paper draws in Section 3.4 and that [bench/main.ml] measures. *)
+    the paper draws in Section 3.4 and that [proxykit bench f4] measures. *)
 
 (** What the verifier learns from the opaque base credentials (the
     grantor's ticket for this server); supplied by the server glue since the
@@ -36,9 +36,6 @@ type span_hook = { wrap : 'a. name:string -> attrs:(string * string) list -> (un
     carry the flavor, chain index, and serial). The core has no simulation
     dependency; [Authz.Guard] passes a wrapper that opens a [Sim.Span]
     child so each certificate's RSA/cache cost lands on its own span. *)
-
-val no_hook : span_hook
-(** Runs the wrapped function bare (the default). *)
 
 val verify_conventional :
   open_base:(string -> (base_info, string) result) ->

@@ -22,12 +22,6 @@ type backoff = {
 val backoff : ?base_us:int -> ?factor:float -> ?cap_us:int -> ?jitter:float -> unit -> backoff
 (** Defaults: 1000us base, doubling, 60ms cap, 0.25 jitter. *)
 
-val default_backoff : backoff
-
-val delay_us : backoff -> drbg:Crypto.Drbg.t -> attempt:int -> int
-(** Backoff delay before retransmission [attempt] (1-based):
-    [min cap (base * factor^(attempt-1))] plus jittered extra. *)
-
 type policy = {
   retries : int;  (** retransmissions after the first attempt *)
   timeout_us : int;  (** how long the client waits out a silent failure *)
@@ -35,7 +29,7 @@ type policy = {
 }
 
 val policy : ?retries:int -> ?timeout_us:int -> ?backoff:backoff -> unit -> policy
-(** Defaults: 4 retries, 10ms timeout, {!default_backoff}. *)
+(** Defaults: 4 retries, 10ms timeout, [backoff ()]. *)
 
 val run :
   clock:Clock.t ->

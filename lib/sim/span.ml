@@ -194,13 +194,6 @@ let contains_substring ~needle hay =
     !found
   end
 
-let matches ~needle s =
-  contains_substring ~needle s.sp_kind
-  || contains_substring ~needle s.sp_name
-  || List.exists (fun (_, v) -> contains_substring ~needle v) s.sp_attrs
-
-let find_attr t ~needle = List.filter (matches ~needle) (spans t)
-
 (* ------------------------------------------------------------------ *)
 (* Aggregation helpers                                                 *)
 
@@ -340,6 +333,3 @@ let to_jsonl spans =
       Buffer.add_string b "}}\n")
     spans;
   Buffer.contents b
-
-let pp_span fmt s =
-  Format.fprintf fmt "[%8d..%8dus] %-20s %s" s.sp_start s.sp_end s.sp_actor (label s)

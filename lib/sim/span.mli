@@ -73,10 +73,6 @@ val contains_substring : needle:string -> string -> bool
 (** Iterative scan — safe on multi-MB strings (the recursive predecessor
     overflowed the stack at a few hundred KB). *)
 
-val find_attr : t -> needle:string -> span list
-(** Completed spans whose kind, name, or any attribute value contains
-    [needle]. *)
-
 (** {2 Aggregation} *)
 
 val cost_total : span list -> (string * int) list
@@ -99,5 +95,3 @@ val to_chrome_trace : span list -> string
 val to_jsonl : span list -> string
 (** One JSON object per line, fixed key order — byte-identical across
     same-seed runs. *)
-
-val pp_span : Format.formatter -> span -> unit

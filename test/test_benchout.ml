@@ -82,10 +82,48 @@ let test_check_compares_ints_only () =
   | Ok () -> Alcotest.fail "integer drift passed the gate"
   | Error _ -> ()
 
+let test_tables_group_consecutive_keys () =
+  let r label ints floats = { Benchout.label; ints; floats } in
+  let rows =
+    [ r "a" [ ("x", 1) ] [ ("t", 1.5) ];
+      r "b" [ ("x", 2) ] [ ("t", nan) ];
+      r "c" [ ("y", 3) ] [];
+      r "d" [ ("x", 4) ] [ ("t", 2.) ] ]
+  in
+  Alcotest.(check (list (pair (list string) (list (list string)))))
+    "equal key lists share a table; a changed list starts one; NaN prints n/a"
+    [ ([ "label"; "x"; "t" ], [ [ "a"; "1"; "1.5" ]; [ "b"; "2"; "n/a" ] ]);
+      ([ "label"; "y" ], [ [ "c"; "3" ] ]);
+      ([ "label"; "x"; "t" ], [ [ "d"; "4"; "2.0" ] ]) ]
+    (Benchout.tables rows)
+
+let test_summary_median_iqr () =
+  let check name expected got =
+    Alcotest.(check (pair (float 1e-9) (float 1e-9))) name expected got
+  in
+  (* Nearest rank: of 5 sorted samples the median is the 3rd and the
+     quartiles the 2nd and 4th; of 4, the 2nd, then the 1st and 3rd. *)
+  check "odd n" (30., 20.) (Benchout.summary ~per:1 [ 50; 10; 40; 20; 30 ]);
+  check "even n, per op" (2., 2.) (Benchout.summary ~per:10 [ 40; 10; 30; 20 ]);
+  let m, iqr = Benchout.summary ~per:1 [] in
+  Alcotest.(check bool) "no samples (fast mode): NaN" true (Float.is_nan m && Float.is_nan iqr)
+
+let test_time_writes_median_and_iqr () =
+  let floats = Benchout.time "op_ns" (fun () -> Sys.opaque_identity (ref 0)) in
+  Alcotest.(check (list string)) "keys" [ "op_ns"; "op_ns_iqr" ] (List.map fst floats);
+  let m = List.assoc "op_ns" floats and iqr = List.assoc "op_ns_iqr" floats in
+  if Benchout.fast then Alcotest.(check bool) "fast mode: NaN" true (Float.is_nan m)
+  else Alcotest.(check bool) "positive median, non-negative spread" true (m > 0. && iqr >= 0.)
+
 let () =
   Alcotest.run "benchout"
     [ ( "json",
         [ ("unicode escapes accepted", `Quick, test_unicode_escapes_valid);
           ("malformed escapes rejected without raising", `Quick, test_unicode_escapes_malformed);
           ("fuzz corpus json crashers stay fixed", `Quick, test_corpus_files_covered) ] );
-      ("check", [ ("ints gate, floats do not", `Quick, test_check_compares_ints_only) ]) ]
+      ("check", [ ("ints gate, floats do not", `Quick, test_check_compares_ints_only) ]);
+      ( "render",
+        [ ("tables group consecutive rows by keys", `Quick, test_tables_group_consecutive_keys) ] );
+      ( "sampler",
+        [ ("median and IQR of fixed samples", `Quick, test_summary_median_iqr);
+          ("time writes a median and its IQR", `Quick, test_time_writes_median_and_iqr) ] ) ]

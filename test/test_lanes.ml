@@ -166,8 +166,6 @@ let test_rpc_cache_reseed_evicts_nothing () =
 
 (* --- the accounting lanes: determinism across domain counts --- *)
 
-let strip_wall o = { o with Lanes.wall_s = 0. }
-
 let lanes_cfg ~seed ~shards ~flavor =
   {
     Lanes.default with
@@ -195,7 +193,7 @@ let prop_lanes_domains_agnostic =
       let cfg = lanes_cfg ~seed:(Printf.sprintf "prop-%d" s) ~shards ~flavor in
       let a = Lanes.run cfg in
       let b = Lanes.run { cfg with Lanes.domains = shards } in
-      if strip_wall a <> strip_wall b then
+      if a <> b then
         QCheck.Test.fail_reportf "run diverged across domain counts (%s)"
           (print (s, shards, f));
       if a.Lanes.conserved <> Ok () then

@@ -911,8 +911,8 @@ let replay_repro_dir dir =
     List.for_all replay_one (List.map (Filename.concat dir) files)
   end
 
-let run_campaign ?mutation ?(require_seq = false) ~seed_base ~n_seeds ~per_seed ~shrink_budget
-    ~save () =
+let run_campaign ?mutation ?(require_coverage = false) ~seed_base ~n_seeds ~per_seed
+    ~shrink_budget ~save () =
   let seeds = List.init n_seeds (fun i -> Printf.sprintf "%s-%d" seed_base i) in
   let t0 = Unix.gettimeofday () in
   let finding, stats =
@@ -927,18 +927,26 @@ let run_campaign ?mutation ?(require_seq = false) ~seed_base ~n_seeds ~per_seed 
     | Some m -> Printf.sprintf " [mutation: %s]" (Mbt.Exec.mutation_name m)
     | None -> "")
     rate;
-  let seq_ok =
-    if require_seq && stats.Mbt.Runner.seq_ops = 0 then begin
-      Printf.printf "mbt: FAIL — the campaign exercised no sequence restrictions\n";
-      false
-    end
-    else true
+  (* The clean smoke must reach what it claims to check: sequence
+     restrictions, and conventional-link opens answered by the verify
+     cache, so the cache differential covers link memoization. *)
+  if require_coverage then
+    Printf.printf "mbt: %d conventional-link open(s) answered by the verify caches (cache on)\n"
+      stats.Mbt.Runner.link_hits;
+  let gate ok what =
+    if require_coverage && not ok then Printf.printf "mbt: FAIL — the campaign %s\n" what;
+    ok || not require_coverage
   in
+  let seq_ok = gate (stats.Mbt.Runner.seq_ops > 0) "exercised no sequence restrictions" in
+  let links_ok =
+    gate (stats.Mbt.Runner.link_hits > 0) "served no conventional link from the verify cache"
+  in
+  let covered = seq_ok && links_ok in
   match (finding, mutation) with
   | None, None ->
-      if seq_ok then
+      if covered then
         Printf.printf "mbt: conformance OK — stack, cache differential and model agree\n";
-      seq_ok
+      covered
   | None, Some m ->
       Printf.printf "mbt: FAIL — injected mutation %s survived %d program(s)\n"
         (Mbt.Exec.mutation_name m) stats.Mbt.Runner.programs;
@@ -981,8 +989,8 @@ let mbt smoke replay repros mutation_name seed_base n_seeds per_seed shrink_budg
       (* CI budget: a clean mini-campaign, one kill check per mutation, and a
          replay of the committed repro corpus. *)
       let clean =
-        run_campaign ~require_seq:true ~seed_base:"smoke" ~n_seeds:2 ~per_seed:20 ~shrink_budget
-          ~save:None ()
+        run_campaign ~require_coverage:true ~seed_base:"smoke" ~n_seeds:2 ~per_seed:20
+          ~shrink_budget ~save:None ()
       in
       let kills =
         (* Seed chosen (deterministically probed) so every mutation is

@@ -5,7 +5,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type t = {
   net : Sim.Net.t;
   me : Principal.t;
-  my_key : Crypto.Aead.key;
+  tickets : Ticket.holder;
   lookup_pub : Principal.t -> Crypto.Rsa.public option;
   decrypt : string -> string option;
   max_skew_us : int;
@@ -39,7 +39,7 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa
   {
     net;
     me;
-    my_key = Crypto.Aead.prepare my_key;
+    tickets = Ticket.holder my_key;
     lookup_pub;
     decrypt;
     max_skew_us;
@@ -123,10 +123,12 @@ type usable = {
   u_serials : string list;
 }
 
-let open_base t blob =
-  match Ticket.open_ ~service_key:t.my_key blob with
+let tally t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
+
+let open_base t ~now blob =
+  match Ticket.open_held t.tickets ~now ~tally:(tally t) blob with
   | Error e -> Error e
-  | Ok ticket ->
+  | Ok { Ticket.ticket; _ } ->
       if not (Principal.equal ticket.Ticket.service t.me) then
         Error "base ticket is for a different service"
       else
@@ -137,8 +139,6 @@ let open_base t blob =
             base_expires = ticket.Ticket.expires;
             base_restrictions = restrictions_of_auth_data ticket.Ticket.authorization_data;
           }
-
-let tally t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
 
 (* When the net is traced, hand the verifier a wrapper that opens one child
    span per certificate of the chain — each link's RSA / cache-hit cost
@@ -155,11 +155,14 @@ let span_hook t =
         }
 
 (* A bulletin that actually extends revocation coverage clears the whole
-   verify cache: the cache keys are one-way hashes, so the chains depending
-   on a freshly revoked link cannot be enumerated — everything is
-   invalidated in one bump and honest traffic re-verifies. A heartbeat
-   bulletin (same entries, newer epoch) only refreshes the staleness
-   anchor and leaves the cache warm. *)
+   verify cache: an entry does not say which serials its chains carry (a
+   sealed link names none until it is opened), so the chains depending on
+   a freshly revoked link cannot be enumerated — everything is invalidated
+   in one bump and honest traffic re-verifies. A heartbeat bulletin (same
+   entries, newer epoch) only refreshes the staleness anchor and leaves
+   the cache warm. The table of opened base tickets is kept: a bulletin
+   revokes certificates, not tickets, and a ticket's expiry is checked on
+   every presentation. *)
 let apply_bulletin t bulletin =
   match t.revocation with
   | None -> Error "guard has no revocation state configured"
@@ -210,9 +213,10 @@ let apply_bulletin t bulletin =
    contributes its grantor's authority to the request. *)
 let evaluate t ~req (p : presented) =
   match
-    Verifier.verify ~open_base:(open_base t) ~lookup:t.lookup_pub ~decrypt:t.decrypt ~me:t.me
-      ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation ?hook:(span_hook t)
-      ~now:req.Restriction.time p.pres
+    let now = req.Restriction.time in
+    Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
+      ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
+      ?hook:(span_hook t) ~now p.pres
   with
   | Error e -> Error e
   | Ok verified -> (

@@ -31,15 +31,23 @@ val create :
   acl:Acl.t ->
   unit ->
   t
-(** [my_rsa] enables accepting hybrid proxies (their symmetric proxy key is
+(** [my_key] opens the base tickets of conventional capabilities. It is
+    held as a {!Ticket.holder}: each base ticket is opened once and then
+    answered from the holder's table (["ticket_cache.hits"]) until it
+    expires; its service is checked on every presentation, and the
+    verifier checks its expiry.
+
+    [my_rsa] enables accepting hybrid proxies (their symmetric proxy key is
     encrypted to this server's public key). [verify_cache] lets several
     guards (or a guard and a bare {!Verifier} call site) share one
-    signature-verification memo cache; by default each guard gets its own,
+    verification memo cache; by default each guard gets its own,
     wired to the net's metrics ("verify_cache.hits"/"misses"/"evictions"/
     "invalidations", and "replay_cache.evictions" for the accept-once
-    cache). The cache memoizes RSA checks only: every presentation still
-    resolves each signer's key through [lookup_pub], so rebinding a
-    principal to a new key denies chains signed under the old one.
+    cache). The cache memoizes RSA checks and conventional-link opens
+    only: every presentation still resolves each signer's key through
+    [lookup_pub], so rebinding a principal to a new key denies chains
+    signed under the old one, and still checks every window, revocation
+    and restriction.
     [revocation] attaches local bulletin state: every verification then
     consults it ({!Verifier.verify}), and {!apply_bulletin} keeps it
     current. Without it the guard never revokes (the pre-bulletin
@@ -95,7 +103,8 @@ val apply_bulletin : t -> Revocation.bulletin -> (bool, string) result
 (** Feed one signed bulletin to the guard's revocation state. [Ok true]
     means the epoch advanced; if the bulletin added coverage, the whole
     verify cache is cleared ({!Verify_cache.bump_generation}) so no cached
-    signature on a revoked link can be re-hit, and the accept-once replay
+    signature or opened link of a revoked chain can be re-hit, and the
+    accept-once replay
     records of every grantor newly killed by a [By_grantor_epoch] entry
     are shed ({!Replay_cache.shed}) — their credentials can no longer
     verify, and a re-issued credential reusing an identifier must not

@@ -229,12 +229,16 @@ let load path =
 (* ---------------- compare ---------------- *)
 
 (* Logical comparison: ids, row labels, and every integer metric must match
-   exactly. Floats (wall-times) are never compared — that is the point of
-   the int/float split. *)
+   exactly, against a baseline written by a full-mode run. Floats
+   (wall-times) are never compared — that is the point of the int/float
+   split. *)
 let check ~baseline ~current =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   if baseline.id <> current.id then err "id mismatch: baseline %S, current %S" baseline.id current.id;
+  if baseline.mode <> "full" then
+    err "baseline %s is a %s-mode run: baselines are regenerated in full mode" baseline.id
+      baseline.mode;
   let blabels = List.map (fun r -> r.label) baseline.rows in
   let clabels = List.map (fun r -> r.label) current.rows in
   if blabels <> clabels then

@@ -67,4 +67,6 @@ val load : string -> (doc, string) result
 
 val check : baseline:doc -> current:doc -> (unit, string list) result
 (** Exact comparison of ids, row labels, and integer metrics; floats are
-    never compared. *)
+    never compared. A [baseline] whose [mode] is not ["full"] is refused:
+    committed baselines come from full-mode runs, while [current] may be
+    of either mode. *)

@@ -49,6 +49,22 @@ let crypto_ops deltas =
 
 let row ?(floats = []) label ints = { Benchout.label; ints; floats }
 
+(* A server's base-ticket open, stood in for where an experiment verifies
+   conventional chains without a server: the blob "base" names [client]
+   under [session_key], and every open tallies one "crypto.open", as a
+   server's real open does. *)
+let stand_in_base ~client ~session_key tally blob =
+  tally "crypto.open";
+  if blob = "base" then
+    Ok
+      {
+        Verifier.base_client = client;
+        base_session_key = session_key;
+        base_expires = max_int;
+        base_restrictions = [];
+      }
+  else Error "unknown base"
+
 (* Rollup of one traced phase: per span kind, count / messages / bytes /
    crypto ops summed over span self costs. Clears the collector so the next
    phase starts empty. *)
@@ -97,18 +113,7 @@ let fig1 () =
   let drbg = Crypto.Drbg.create ~seed:"f1" in
   let alice = Principal.make ~realm:"r" "alice" in
   let session_key = Crypto.Drbg.generate drbg 32 in
-  let base_blob = "base" in
-  let open_base blob =
-    if blob = base_blob then
-      Ok
-        {
-          Verifier.base_client = alice;
-          base_session_key = session_key;
-          base_expires = max_int;
-          base_restrictions = [];
-        }
-    else Error "unknown base"
-  in
+  let open_base = stand_in_base ~client:alice ~session_key in
   List.map
     (fun n ->
       let restrictions =
@@ -117,13 +122,14 @@ let fig1 () =
       in
       let grant () =
         Proxy.grant_conventional ~drbg ~now:0 ~expires:max_int ~grantor:alice ~session_key
-          ~base:base_blob ~restrictions
+          ~base:"base" ~restrictions
       in
       let proxy = grant () in
       let chain = match proxy.Proxy.flavor with Proxy.Conventional c -> c | _ -> assert false in
       let bytes = presentation_bytes proxy in
       let verified, crypto =
-        with_tally (fun tally -> Verifier.verify_conventional ~open_base ~tally ~now:1 chain)
+        with_tally (fun tally ->
+            Verifier.verify_conventional ~open_base:(open_base tally) ~tally ~now:1 chain)
       in
       (match verified with
       | Ok v -> assert (List.length v.Verifier.restrictions = n)
@@ -134,7 +140,7 @@ let fig1 () =
         ~floats:
           (Benchout.time "grant_ns" grant
           @ Benchout.time "verify_ns" (fun () ->
-                Verifier.verify_conventional ~open_base ~now:1 chain)))
+                Verifier.verify_conventional ~open_base:(open_base ignore) ~now:1 chain)))
     [ 0; 1; 2; 4; 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
@@ -142,19 +148,25 @@ let fig1 () =
 (* ------------------------------------------------------------------ *)
 
 (* One request at each service layer, then a span rollup per layer: which
-   protocol step each message, byte and crypto op lands in. *)
+   protocol step each message, byte and crypto op lands in. The kernel
+   columns are the SHA-256 compressions and ChaCha20 blocks the same
+   request cost ([Crypto.Cost]), so per-layer kernel work is gated. *)
 let fig2 () =
   let usd = "usd" in
   let layers = ref [] and phases = ref [] in
   let layer ~name ~phase net f =
     Option.iter Sim.Span.clear (Sim.Net.spans net);
+    let before = Crypto.Cost.read () in
     let _, deltas, lat = metered net f in
+    let kernels = Crypto.Cost.diff ~before ~after:(Crypto.Cost.read ()) in
     layers :=
       row name
         [ ("messages", delta "net.messages" deltas);
           ("bytes", delta "net.bytes" deltas);
           ("crypto_ops", crypto_ops deltas);
-          ("sim_latency_us", lat) ]
+          ("sim_latency_us", lat);
+          ("sha256_compressions", kernels.Crypto.Cost.sha256_compressions);
+          ("chacha20_blocks", kernels.Crypto.Cost.chacha20_blocks) ]
       :: !layers;
     phases := !phases @ span_phase_rows ~layer:phase net
   in
@@ -368,17 +380,7 @@ let fig4 () =
   let drbg = Crypto.Drbg.create ~seed:"f4" in
   let alice = Principal.make ~realm:"r" "alice" in
   let session_key = Crypto.Drbg.generate drbg 32 in
-  let open_base blob =
-    if blob = "base" then
-      Ok
-        {
-          Verifier.base_client = alice;
-          base_session_key = session_key;
-          base_expires = max_int;
-          base_restrictions = [];
-        }
-    else Error "unknown"
-  in
+  let open_base = stand_in_base ~client:alice ~session_key in
   let alice_rsa = Crypto.Rsa.generate drbg ~bits:512 in
   let lookup p = if Principal.equal p alice then Some alice_rsa.Crypto.Rsa.pub else None in
 
@@ -450,11 +452,13 @@ let fig4 () =
         in
         let _, conv_crypto =
           with_tally (fun tally ->
-              expect_ok (Verifier.verify_conventional ~open_base ~tally ~now:1 conv_chain))
+              expect_ok
+                (Verifier.verify_conventional ~open_base:(open_base tally) ~tally ~now:1
+                   conv_chain))
         in
         let conv_ns =
           Benchout.time "conv_verify_ns" (fun () ->
-              Verifier.verify_conventional ~open_base ~now:1 conv_chain)
+              Verifier.verify_conventional ~open_base:(open_base ignore) ~now:1 conv_chain)
         in
         (* public-key chain *)
         let pk_certs = build_pk_chain depth in
@@ -640,17 +644,7 @@ let fig6 () =
   let drbg = Crypto.Drbg.create ~seed:"f6" in
   let alice = Principal.make ~realm:"r" "alice" in
   let session_key = Crypto.Drbg.generate drbg 32 in
-  let open_base blob =
-    if blob = "base" then
-      Ok
-        {
-          Verifier.base_client = alice;
-          base_session_key = session_key;
-          base_expires = max_int;
-          base_restrictions = [];
-        }
-    else Error "unknown"
-  in
+  let open_base = stand_in_base ~client:alice ~session_key in
   let restrictions = [ R.Authorized [ { R.target = "obj"; ops = [ "read" ] } ] ] in
   (* [realization label ints grant verify]: [verify ?tally] checks [grant]'s
      first proxy; the crypto tally joins [ints]. *)
@@ -668,7 +662,10 @@ let fig6 () =
           ~base:"base" ~restrictions)
       (fun ?tally p ->
         match p.Proxy.flavor with
-        | Proxy.Conventional c -> Verifier.verify_conventional ~open_base ?tally ~now:1 c
+        | Proxy.Conventional c ->
+            Verifier.verify_conventional
+              ~open_base:(open_base (Option.value tally ~default:ignore))
+              ?tally ~now:1 c
         | _ -> assert false)
   in
   let hybrid =

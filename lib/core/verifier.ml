@@ -31,34 +31,46 @@ let short_serial s =
   done;
   Buffer.contents b
 
-(* Signature verification with an optional memo cache. The cache only
-   short-circuits the RSA operation itself; time windows, restrictions and
-   proofs of possession are re-checked by the callers on every
-   presentation. Failures are never recorded, so a tampered certificate
-   (different bytes, hence a different key) misses and fails verification
-   every time. *)
-let verify_signature ?cache ~tally ~now ~pub ~signed_bytes ~signature verify =
+(* One memo rule for both kinds of entry ({!Verify_cache}). Without a
+   cache, [compute] runs and tallies [cost]. With one, a hit tallies
+   "verify_cache.hits" and nothing else; a miss tallies
+   "verify_cache.misses" plus exactly what the uncached path tallies, and
+   only a success is recorded. So a tampered certificate (different bytes,
+   hence a different key) misses and fails every time. The cache only
+   short-circuits the RSA operation or the AEAD open: time windows,
+   revocation, restrictions and proofs of possession are re-checked by the
+   callers on every presentation. *)
+let memoized ?cache ~tally ~cost ~find ~record compute =
   match cache with
   | None ->
-      tally "crypto.rsa_verify";
-      verify ()
-  | Some c ->
-      let key =
-        Verify_cache.key ~signed_bytes ~signature ~signer:(Crypto.Rsa.public_to_bytes pub)
-      in
-      if Verify_cache.check c ~now key then begin
-        tally "verify_cache.hits";
-        Ok ()
-      end
-      else begin
-        tally "verify_cache.misses";
-        tally "crypto.rsa_verify";
-        match verify () with
-        | Ok () ->
-            Verify_cache.record c ~now key;
-            Ok ()
-        | Error _ as e -> e
-      end
+      tally cost;
+      compute ()
+  | Some c -> (
+      match find c with
+      | Some v ->
+          tally "verify_cache.hits";
+          Ok v
+      | None ->
+          tally "verify_cache.misses";
+          tally cost;
+          let r = compute () in
+          Result.iter (record c) r;
+          r)
+
+let verify_signature ?cache ~tally ~now ~pub ~signed_bytes ~signature verify =
+  let key () =
+    Verify_cache.key ~signed_bytes ~signature ~signer:(Crypto.Rsa.public_to_bytes pub)
+  in
+  memoized ?cache ~tally ~cost:"crypto.rsa_verify"
+    ~find:(fun c -> if Verify_cache.check c ~now (key ()) then Some () else None)
+    ~record:(fun c () -> Verify_cache.record c ~now (key ()))
+    verify
+
+let open_link ?cache ~tally ~now ~sealing_key blob =
+  memoized ?cache ~tally ~cost:"crypto.open"
+    ~find:(fun c -> Verify_cache.find_link c ~now ~sealing_key blob)
+    ~record:(fun c opened -> Verify_cache.record_link c ~now ~sealing_key blob opened)
+    (fun () -> Proxy_cert.open_conventional ~sealing_key blob)
 
 let check_window ~now (body : Proxy_cert.body) =
   if body.Proxy_cert.issued_at > now then Error "proxy-cert: issued in the future"
@@ -93,54 +105,61 @@ let check_revocation ?revocation ~tally (body : Proxy_cert.body) =
           tally "revocation.denials";
           e)
 
-let verify_conventional ~open_base ?(tally = no_tally) ?revocation ?(hook = no_hook) ~now
+(* Walk conventionally sealed certificates from [start_key]: each is sealed
+   under the previous proxy key (the base session key, or a hybrid head's
+   recovered key) and carries the next. Links are numbered from
+   [first_idx], and [check_head] vets the first body. *)
+let walk_links ?cache ~tally ?revocation ~hook ~now ~flavor ~first_idx
+    ?(check_head = fun _ -> Ok ()) ~start_key ~acc ~serials ~expires blobs =
+  let open Wire in
+  let rec go key acc serials expires idx = function
+    | [] -> Ok (key, acc, List.rev serials, expires)
+    | blob :: rest ->
+        let* body, proxy_key =
+          hook.wrap ~name:"verify.cert"
+            ~attrs:[ ("flavor", flavor); ("index", string_of_int idx) ]
+            (fun () ->
+              let* body, proxy_key = open_link ?cache ~tally ~now ~sealing_key:key blob in
+              let* () = check_window ~now body in
+              let* () = check_revocation ?revocation ~tally body in
+              let* () = if idx = first_idx then check_head body else Ok () in
+              Ok (body, proxy_key))
+        in
+        go proxy_key
+          (acc @ body.Proxy_cert.restrictions)
+          (body.Proxy_cert.serial :: serials)
+          (min expires body.Proxy_cert.expires)
+          (idx + 1) rest
+  in
+  go start_key acc (List.rev serials) expires first_idx blobs
+
+let verify_conventional ~open_base ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~now
     (chain : Proxy.conventional_chain) =
   let open Wire in
   let* () = stale_gate ?revocation ~tally ~now () in
-  tally "crypto.open";
   let* base = open_base chain.Proxy.base in
   if base.base_expires <= now then Error "base credentials expired"
   else if chain.Proxy.cert_blobs = [] then
     Error "a bare ticket is not a proxy: no certificates presented"
-  else begin
-    (* Walk the chain: each certificate is sealed under the previous key,
-       starting from the base session key, and embeds the next proxy key. *)
-    let rec walk key acc_restrictions acc_serials expires idx = function
-      | [] ->
-          Ok
-            {
-              grantor = base.base_client;
-              restrictions = acc_restrictions;
-              expires;
-              commitment = Presentation.Sym_commit key;
-              chain_length = List.length chain.Proxy.cert_blobs;
-              serials = List.rev acc_serials;
-            }
-      | blob :: rest ->
-          let* body, proxy_key =
-            hook.wrap ~name:"verify.cert"
-              ~attrs:[ ("flavor", "conventional"); ("index", string_of_int idx) ]
-              (fun () ->
-                tally "crypto.open";
-                let* body, proxy_key = Proxy_cert.open_conventional ~sealing_key:key blob in
-                let* () = check_window ~now body in
-                let* () = check_revocation ?revocation ~tally body in
-                let* () =
-                  if idx = 0 && not (Principal.equal body.Proxy_cert.grantor base.base_client)
-                  then Error "head certificate grantor does not match base credentials"
-                  else Ok ()
-                in
-                Ok (body, proxy_key))
-          in
-          walk proxy_key
-            (acc_restrictions @ body.Proxy_cert.restrictions)
-            (body.Proxy_cert.serial :: acc_serials)
-            (min expires body.Proxy_cert.expires)
-            (idx + 1) rest
+  else
+    let check_head (body : Proxy_cert.body) =
+      if Principal.equal body.Proxy_cert.grantor base.base_client then Ok ()
+      else Error "head certificate grantor does not match base credentials"
     in
-    walk base.base_session_key base.base_restrictions [] base.base_expires 0
-      chain.Proxy.cert_blobs
-  end
+    let* key, restrictions, serials, expires =
+      walk_links ?cache ~tally ?revocation ~hook ~now ~flavor:"conventional" ~first_idx:0
+        ~check_head ~start_key:base.base_session_key ~acc:base.base_restrictions ~serials:[]
+        ~expires:base.base_expires chain.Proxy.cert_blobs
+    in
+    Ok
+      {
+        grantor = base.base_client;
+        restrictions;
+        expires;
+        commitment = Presentation.Sym_commit key;
+        chain_length = List.length chain.Proxy.cert_blobs;
+        serials;
+      }
 
 let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~now certs =
   let open Wire in
@@ -248,32 +267,6 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~
       in
       walk None [] [] [] max_int 0 certs
 
-(* Walk conventionally-sealed cascade certificates from a known starting
-   key, accumulating restrictions; shared by the conventional walk above in
-   spirit, specialized here for the hybrid tail. *)
-let walk_cascade ~tally ?revocation ~hook ~now ~start_key ~acc ~serials ~expires blobs =
-  let open Wire in
-  let rec go key acc serials expires idx = function
-    | [] -> Ok (key, acc, List.rev serials, expires)
-    | blob :: rest ->
-        let* body, proxy_key =
-          hook.wrap ~name:"verify.cert"
-            ~attrs:[ ("flavor", "hybrid-cascade"); ("index", string_of_int idx) ]
-            (fun () ->
-              tally "crypto.open";
-              let* body, proxy_key = Proxy_cert.open_conventional ~sealing_key:key blob in
-              let* () = check_window ~now body in
-              let* () = check_revocation ?revocation ~tally body in
-              Ok (body, proxy_key))
-        in
-        go proxy_key
-          (acc @ body.Proxy_cert.restrictions)
-          (body.Proxy_cert.serial :: serials)
-          (min expires body.Proxy_cert.expires)
-          (idx + 1) rest
-  in
-  go start_key acc (List.rev serials) expires 1 blobs
-
 let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
     ?(hook = no_hook) ~now ((head, blobs) : Proxy_cert.hybrid_cert * string list) =
   let open Wire in
@@ -314,7 +307,8 @@ let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
         Proxy_cert.open_hybrid_key ~decrypt head)
   in
   let* final_key, restrictions, serials, expires =
-    walk_cascade ~tally ?revocation ~hook ~now ~start_key:head_key
+    walk_links ?cache ~tally ?revocation ~hook ~now ~flavor:"hybrid-cascade" ~first_idx:1
+      ~start_key:head_key
       ~acc:head.Proxy_cert.h_body.Proxy_cert.restrictions
       ~serials:[ head.Proxy_cert.h_body.Proxy_cert.serial ]
       ~expires:head.Proxy_cert.h_body.Proxy_cert.expires blobs
@@ -334,7 +328,7 @@ let no_decrypt _ = None
 let verify ~open_base ~lookup ?(decrypt = no_decrypt) ?me ?tally ?cache ?revocation ?hook
     ~now = function
   | Proxy.Conventional chain ->
-      verify_conventional ~open_base ?tally ?revocation ?hook ~now chain
+      verify_conventional ~open_base ?tally ?cache ?revocation ?hook ~now chain
   | Proxy.Public_key certs -> verify_pk ~lookup ?tally ?cache ?revocation ?hook ~now certs
   | Proxy.Hybrid (head, blobs) ->
       verify_hybrid ~lookup ~decrypt ?me ?tally ?cache ?revocation ?hook ~now (head, blobs)

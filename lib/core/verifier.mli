@@ -40,11 +40,21 @@ type span_hook = { wrap : 'a. name:string -> attrs:(string * string) list -> (un
 val verify_conventional :
   open_base:(string -> (base_info, string) result) ->
   ?tally:(string -> unit) ->
+  ?cache:Verify_cache.t ->
   ?revocation:Revocation.t ->
   ?hook:span_hook ->
   now:int ->
   Proxy.conventional_chain ->
   (verified, string) result
+(** [open_base] opens the base ticket and meters that open itself: a
+    server's open may be answered from its table of opened tickets
+    ({!Ticket.open_held} in [Authz.Guard]). Each certificate is opened
+    under the previous key, from the base session key, and each open
+    tallies ["crypto.open"]; with [cache], an open remembered for this
+    exact blob under this exact key tallies ["verify_cache.hits"] instead
+    ({!Verify_cache.find_link}). Windows, revocation and the head-grantor
+    check run on every link of every presentation, and the base ticket's
+    expiry once per presentation. *)
 
 val verify_pk :
   lookup:(Principal.t -> Crypto.Rsa.public option) ->
@@ -103,13 +113,17 @@ val verify :
   (verified, string) result
 (** Dispatch on the presentation's flavor. Hybrid presentations require
     [decrypt] (the default refuses them). When [cache] is given, successful
-    RSA signature verifications are memoized ({!Verify_cache}): a cache hit
-    tallies ["verify_cache.hits"] instead of ["crypto.rsa_verify"], a miss
-    tallies both ["verify_cache.misses"] and the usual crypto counters —
-    so the cache-miss metering is exactly the uncached metering. Time
-    windows, restrictions, proofs and signer-key lookups are never cached:
-    the memo is keyed by the key [lookup] returns now, so a chain signed
-    by a key its principal no longer holds misses and fails its RSA check.
+    RSA signature verifications and conventional-link opens (the
+    conventional chain and a hybrid's cascade tail) are memoized
+    ({!Verify_cache}): a cache hit tallies ["verify_cache.hits"] instead of
+    ["crypto.rsa_verify"] or ["crypto.open"], a miss tallies both
+    ["verify_cache.misses"] and the usual crypto counter — so the
+    cache-miss metering is exactly the uncached metering. Time windows,
+    restrictions, proofs and signer-key lookups are never cached: a
+    signature verdict is keyed by the key [lookup] returns now, so a chain
+    signed by a key its principal no longer holds misses and fails its RSA
+    check, and a link by the key it is sealed under, so blobs moved under
+    another base ticket miss and fail their open.
 
     When [revocation] is given, every certificate body on the walk is
     checked against the local bulletin state (tallying

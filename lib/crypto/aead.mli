@@ -12,11 +12,13 @@ type sealed = { nonce : string; ciphertext : string; tag : string }
     A 32-byte key drives two subkeys, one for the cipher and one for the
     MAC; deriving them costs 8 SHA-256 compressions. A prepared key holds
     both, so whoever keeps a key for many messages derives them once: a
-    server its long-term key ([Secure_rpc.serve], [Guard.create]),
-    client credentials their session key ([Ticket.credentials]). A
-    prepared key is read-only after {!prepare} — no memo, no shared
-    state — so one key serves any number of messages, from several
-    domains at once. *)
+    server its long-term key and, per ticket it has opened, that ticket's
+    session key ([Ticket.holder], held by [Secure_rpc.serve] and
+    [Guard.create]), client credentials their session key
+    ([Ticket.credentials]). Remembering is the holder's business, never
+    this module's: a prepared key is read-only after {!prepare} — no
+    memo, no shared state — so one key serves any number of messages,
+    from several domains at once. *)
 
 type key
 

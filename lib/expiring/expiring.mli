@@ -3,8 +3,9 @@
     The one implementation behind every piece of server state the paper
     keeps "until the expiration time": accept-once identifiers
     ([Replay_cache]), sequence progress ([Seq_tracker]), the
-    authenticator-keyed response cache ([Secure_rpc]) and memoized
-    signature checks ([Verify_cache]). Entries are ordered
+    authenticator-keyed response cache ([Secure_rpc]), memoized
+    signature checks and link opens ([Verify_cache]) and the tickets a
+    service has opened ([Ticket.holder]). Entries are ordered
     by (expiry, insertion seq): the expired entries come first, and so
     does "who goes first under capacity pressure" — both are popped in
     O(log n). The seq makes the order total: two tables fed the same

@@ -34,7 +34,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
     handler =
   let metrics = Sim.Net.metrics net in
   let node = Option.value node ~default:(Principal.to_string me) in
-  let my_key = Crypto.Aead.prepare my_key in
+  let tickets = Ticket.holder my_key in
   let cache = match cache with Some c -> c | None -> create_cache () in
   let count_eviction () = Sim.Metrics.incr metrics "rpc.cache_evictions" in
   let handle request =
@@ -63,17 +63,18 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
         Sim.Span.with_span (Sim.Net.spans net) ~actor:(Principal.to_string me)
           ~kind:"rpc.serve" ?parent:remote
           (fun () ->
-        Sim.Metrics.incr metrics "crypto.open";
-        match Ticket.open_ ~service_key:my_key ticket_blob with
+        match
+          Ticket.open_held tickets ~now ~tally:(Sim.Metrics.incr metrics) ticket_blob
+        with
         | Error e -> err e
-        | Ok ticket ->
+        | Ok { Ticket.ticket; session } ->
             if not (Principal.equal ticket.Ticket.service me) then
               err "ticket is for a different service"
             else if ticket.Ticket.expires <= now then err "ticket expired"
             else begin
-              (* One preparation serves the authenticator open and the
-                 reply seal. *)
-              let session = Crypto.Aead.prepare ticket.Ticket.session_key in
+              (* One preparation per held ticket serves every
+                 authenticator open and reply seal under it. *)
+              let session = Lazy.force session in
               Sim.Metrics.incr metrics "crypto.open";
               match Ticket.open_authenticator ~session_key:session auth_blob with
               | Error e -> err e

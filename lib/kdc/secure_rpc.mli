@@ -53,9 +53,14 @@ val serve :
     at-least-once delivery. (A replayer gains nothing: the cached response
     is sealed under the session key.)
 
-    [my_key] is prepared ({!Crypto.Aead.prepare}) once per [serve] and
-    opens every ticket. Each request's session key is prepared once and
-    serves both the authenticator open and the reply seal; an
+    [my_key] is held as a {!Ticket.holder}, once per [serve]: the key is
+    prepared once, and each ticket blob is opened and its session key
+    prepared once, for every request presenting that ticket until it
+    expires (["ticket_cache.hits"] counts the requests the table
+    answered, which tally no ["crypto.open"] for the ticket). The
+    ticket's service and expiry are still checked on every request, so a
+    misaddressed or expired ticket is refused as if opened afresh. The
+    session key serves both the authenticator open and the reply seal; an
     authenticator carrying a 32-byte subkey gets its reply sealed under
     that subkey instead. A [my_key] that is not 32 bytes opens nothing:
     every request is answered ["ticket: seal verification failed"].

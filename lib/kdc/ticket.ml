@@ -38,6 +38,28 @@ let open_ ~service_key blob =
       | None -> Error "ticket: seal verification failed"
       | Some plaintext -> Result.bind (Wire.decode plaintext) body_of_wire)
 
+type opened = { ticket : body; session : Crypto.Aead.key Lazy.t }
+type holder = { service_key : Crypto.Aead.key; opened : opened Expiring.t }
+
+let held_tickets = 1024
+
+let holder key =
+  { service_key = Crypto.Aead.prepare key; opened = Expiring.create ~capacity:held_tickets () }
+
+let open_held h ~now ~tally blob =
+  match Expiring.find h.opened ~now blob with
+  | Some o ->
+      tally "ticket_cache.hits";
+      Ok o
+  | None ->
+      tally "crypto.open";
+      Result.map
+        (fun ticket ->
+          let o = { ticket; session = lazy (Crypto.Aead.prepare ticket.session_key) } in
+          if ticket.expires > now then Expiring.add h.opened ~now ~expires:ticket.expires blob o;
+          o)
+        (open_ ~service_key:h.service_key blob)
+
 type authenticator = {
   auth_client : Principal.t;
   timestamp : int;

@@ -5,7 +5,8 @@
     service shares with the KDC. An authenticator proves possession of the
     session key and may carry a subkey plus further authorization-data —
     exactly the mechanism the paper uses to turn credentials into restricted
-    proxies. *)
+    proxies. A service opens tickets through a {!holder}, which opens each
+    ticket blob once and remembers it until the ticket expires. *)
 
 type body = {
   client : Principal.t;
@@ -25,6 +26,41 @@ val seal : service_key:Crypto.Aead.key -> nonce:string -> body -> string
 
 val open_ : service_key:Crypto.Aead.key -> string -> (body, string) result
 (** Unseal and decode; fails on tampering or a wrong key. *)
+
+(** {2 Held service keys}
+
+    A client presents the same ticket with every request, and what opening
+    it yields depends only on the service key and the exact blob. So a
+    service holds its key as a {!holder}: the key prepared once, plus a
+    table from each ticket blob it has opened to what opening it gave.
+    [Secure_rpc.serve] and [Guard.create] each hold one; the KDC opens
+    every ticket it is shown, so a rekey takes effect at once. *)
+
+type opened = {
+  ticket : body;
+  session : Crypto.Aead.key Lazy.t;
+      (** [ticket.session_key] prepared on first use: a server that seals
+          and opens under it prepares it once per ticket, one that never
+          does prepares nothing *)
+}
+
+type holder
+
+val holder : string -> holder
+(** Prepare a service's long-term key, with an empty table of opened
+    tickets. The table holds 1024 tickets, a constant: it is a memo, so an
+    eviction only costs one re-open. *)
+
+val open_held :
+  holder -> now:int -> tally:(string -> unit) -> string -> (opened, string) result
+(** {!open_} under the held key, answered from the table when this exact
+    blob opened before and its ticket has not expired at [now]. A table
+    hit tallies ["ticket_cache.hits"]; anything else tallies
+    ["crypto.open"] and opens, with {!open_}'s errors. A ticket that opens
+    and expires after [now] joins the table until its expiry; failures
+    are never stored, so a blob with one byte changed misses and fails.
+    The caller still checks the ticket's service and expiry on every
+    request, hit or miss. *)
 
 type authenticator = {
   auth_client : Principal.t;

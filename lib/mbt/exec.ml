@@ -79,6 +79,7 @@ type univ = {
   bank_name : Principal.t;
   team : Principal.Group.t;
   authority : Principal.t;  (** the revocation authority the fs subscribes to *)
+  caches : Verify_cache.t list;  (** the three servers' verify caches *)
 }
 
 let build ~cache ~seed =
@@ -95,6 +96,7 @@ let build ~cache ~seed =
   let bank_name, bank_key = World.enrol w "bank" in
   Directory.add_public w.World.dir bank_name kp.pk_bank.Crypto.Rsa.pub;
   let vcache () = Verify_cache.create ~capacity:(if cache then 1024 else 0) () in
+  let fs_cache = vcache () and gs_cache = vcache () and bank_cache = vcache () in
   let lookup_pub = Directory.public w.World.dir in
   let team = Principal.Group.make ~server:gs_name group in
   let acl = Acl.create () in
@@ -114,7 +116,7 @@ let build ~cache ~seed =
   in
   let fs =
     File_server.create net ~me:fs_name ~my_key:fs_key ~lookup_pub ~my_rsa:kp.pk_fs
-      ~verify_cache:(vcache ()) ~revocation ~acl ()
+      ~verify_cache:fs_cache ~revocation ~acl ()
   in
   File_server.install fs;
   for i = 0 to n_users - 1 do
@@ -124,7 +126,7 @@ let build ~cache ~seed =
   let gs =
     match
       Group_server.create net ~me:gs_name ~my_key:gs_key ~kdc:w.World.kdc_name ~lookup_pub
-        ~verify_cache:(vcache ()) ()
+        ~verify_cache:gs_cache ()
     with
     | Ok gs -> gs
     | Error e -> failwith ("mbt: group server: " ^ e)
@@ -133,7 +135,7 @@ let build ~cache ~seed =
   let bank =
     match
       Accounting_server.create net ~me:bank_name ~my_key:bank_key ~kdc:w.World.kdc_name
-        ~signing_key:kp.pk_bank ~lookup:lookup_pub ~verify_cache:(vcache ()) ()
+        ~signing_key:kp.pk_bank ~lookup:lookup_pub ~verify_cache:bank_cache ()
     with
     | Ok b -> b
     | Error e -> failwith ("mbt: accounting server: " ^ e)
@@ -160,7 +162,7 @@ let build ~cache ~seed =
     | Error e -> failwith ("mbt: mint: " ^ e)
   done;
   { net; users; fs_creds; bank_creds; gs_creds; fs; fs_name; gs; bank; bank_name; team;
-    authority }
+    authority; caches = [ fs_cache; gs_cache; bank_cache ] }
 
 (* --- lowering restriction specs to real restrictions --- *)
 
@@ -217,7 +219,9 @@ let head_serial u ~grantor (proxy : Proxy.t) =
           | Ok (body, _) -> body.Proxy_cert.serial
           | Error e -> failwith ("mbt: open conventional head: " ^ e)))
 
-let run ?mutation ~cache ~seed (prog : Program.t) : Program.run =
+(* The run, and how many conventional-link opens its verify caches
+   answered. *)
+let run ?mutation ~cache ~seed (prog : Program.t) : Program.run * int =
   let kp = Lazy.force pool in
   let u = build ~cache ~seed in
   let drbg = Sim.Net.drbg u.net in
@@ -375,4 +379,7 @@ let run ?mutation ~cache ~seed (prog : Program.t) : Program.run =
   let balances =
     Array.init n_users (fun i -> Ledger.balance ledger ~name:(uname i) ~currency)
   in
-  { outcomes; balances }
+  let link_hits =
+    List.fold_left (fun n c -> n + (Verify_cache.stats c).Verify_cache.link_hits) 0 u.caches
+  in
+  ({ outcomes; balances }, link_hits)

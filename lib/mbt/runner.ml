@@ -21,33 +21,41 @@ type finding = {
 (* The full conformance check for one program:
    1. cached and uncached executions must agree bit for bit (the
       cache-coherence differential of the PR 2 caching layer);
-   2. the uncached execution must agree with the pure reference model. *)
-let check ?mutation ~seed prog =
-  let cached = Exec.run ?mutation ~cache:true ~seed prog in
-  let uncached = Exec.run ?mutation ~cache:false ~seed prog in
-  match first_divergence cached uncached with
-  | Some (_, d) ->
-      Some
-        {
-          f_kind = Cache_divergence;
-          f_seed = seed;
-          f_program = prog;
-          f_detail = "cached vs uncached: " ^ d;
-        }
-  | None -> (
-      let model = Model.run prog in
-      match first_divergence uncached model with
-      | Some (_, d) ->
-          Some
-            {
-              f_kind = Oracle_mismatch;
-              f_seed = seed;
-              f_program = prog;
-              f_detail = "stack vs model: " ^ d;
-            }
-      | None -> None)
+   2. the uncached execution must agree with the pure reference model.
+   Also returns how many conventional-link opens the cached execution's
+   verify caches answered, the evidence that the differential reached
+   them. *)
+let check_counted ?mutation ~seed prog =
+  let cached, link_hits = Exec.run ?mutation ~cache:true ~seed prog in
+  let uncached, _ = Exec.run ?mutation ~cache:false ~seed prog in
+  let finding =
+    match first_divergence cached uncached with
+    | Some (_, d) ->
+        Some
+          {
+            f_kind = Cache_divergence;
+            f_seed = seed;
+            f_program = prog;
+            f_detail = "cached vs uncached: " ^ d;
+          }
+    | None -> (
+        let model = Model.run prog in
+        match first_divergence uncached model with
+        | Some (_, d) ->
+            Some
+              {
+                f_kind = Oracle_mismatch;
+                f_seed = seed;
+                f_program = prog;
+                f_detail = "stack vs model: " ^ d;
+              }
+        | None -> None)
+  in
+  (finding, link_hits)
 
-type stats = { programs : int; ops : int; seq_ops : int }
+let check ?mutation ~seed prog = fst (check_counted ?mutation ~seed prog)
+
+type stats = { programs : int; ops : int; seq_ops : int; link_hits : int }
 
 (* Operations carrying a sequence spec anywhere in their restrictions —
    the campaign coverage counter the smoke gate insists is nonzero. *)
@@ -64,7 +72,7 @@ let op_has_seq = function
    finding.  The world seed of program [i] under campaign seed [s] is
    ["s/i"], so any finding replays in isolation. *)
 let campaign ?mutation ?(progress = fun _ -> ()) ~seeds ~per_seed () =
-  let programs = ref 0 and ops = ref 0 and seq_ops = ref 0 in
+  let programs = ref 0 and ops = ref 0 and seq_ops = ref 0 and link_hits = ref 0 in
   let finding = ref None in
   (try
      List.iter
@@ -77,7 +85,9 @@ let campaign ?mutation ?(progress = fun _ -> ()) ~seeds ~per_seed () =
            ops := !ops + List.length prog;
            seq_ops := !seq_ops + List.length (List.filter op_has_seq prog);
            progress !programs;
-           match check ?mutation ~seed:world_seed prog with
+           let found, hits = check_counted ?mutation ~seed:world_seed prog in
+           link_hits := !link_hits + hits;
+           match found with
            | Some f ->
                finding := Some f;
                raise Exit
@@ -85,7 +95,7 @@ let campaign ?mutation ?(progress = fun _ -> ()) ~seeds ~per_seed () =
          done)
        seeds
    with Exit -> ());
-  (!finding, { programs = !programs; ops = !ops; seq_ops = !seq_ops })
+  (!finding, { programs = !programs; ops = !ops; seq_ops = !seq_ops; link_hits = !link_hits })
 
 (* Shrink a finding to a (locally) minimal program that still disagrees —
    under the same world seed and the same injected mutation. *)

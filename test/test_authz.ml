@@ -25,12 +25,22 @@ let test_secure_rpc_roundtrip () =
       Alcotest.(check (result string string)) "payload echoed" (Ok "ping")
         (Result.bind (Wire.field reply 1) Wire.to_string)
 
-(* Exact kernel cost of one warm call (credentials in hand, server up):
-   the client seals an authenticator and opens the reply; the server opens
-   the ticket, prepares the session key (8 compressions), opens the
-   authenticator, digests it for the response cache and seals the reply.
-   Seal nonces are counted per net, so the call draws nothing from a DRBG;
-   drawing its two nonces cost 2 draws and 20 compressions more. *)
+let kernel_cost f =
+  let before = Crypto.Cost.read () in
+  f ();
+  let c = Crypto.Cost.diff ~before ~after:(Crypto.Cost.read ()) in
+  [ c.Crypto.Cost.sha256_compressions; c.chacha20_blocks; c.drbg_draws; c.rsa_sign;
+    c.rsa_verify; c.rsa_keygen ]
+
+(* Exact kernel cost of a call, credentials in hand and server up. In
+   the first call the client seals an authenticator and opens the reply;
+   the server opens the ticket, prepares its session key (8
+   compressions), opens the authenticator, digests it for the response
+   cache and seals the reply. The server keeps the opened ticket and the
+   prepared key, so every later call skips the ticket open and the
+   preparation. Seal nonces are counted per net, so no call draws from a
+   DRBG; drawing its two nonces would cost 2 draws and 20 compressions
+   more. *)
 let test_secure_rpc_warm_cost () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
@@ -42,13 +52,44 @@ let test_secure_rpc_warm_cost () =
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   in
-  call ();
-  let before = Crypto.Cost.read () in
-  call ();
-  let c = Crypto.Cost.diff ~before ~after:(Crypto.Cost.read ()) in
-  Alcotest.(check (list int)) "compressions, blocks, draws, rsa" [ 26; 6; 0; 0; 0; 0 ]
-    [ c.Crypto.Cost.sha256_compressions; c.chacha20_blocks; c.drbg_draws; c.rsa_sign;
-      c.rsa_verify; c.rsa_keygen ]
+  Alcotest.(check (list int)) "cold: compressions, blocks, draws, rsa" [ 26; 6; 0; 0; 0; 0 ]
+    (kernel_cost call);
+  Alcotest.(check (list int)) "warm: compressions, blocks, draws, rsa" [ 14; 4; 0; 0; 0; 0 ]
+    (kernel_cost call);
+  Alcotest.(check int) "the warm call's ticket came from the table" 1
+    (Sim.Metrics.get (Sim.Net.metrics w.W.net) "ticket_cache.hits")
+
+(* The ticket table answers only the exact bytes it opened, and only until
+   the ticket expires: after a hit, a blob with one byte flipped, and then
+   the remembered ticket past its expiry, are refused with the strings an
+   unremembered ticket gets, before the handler runs. *)
+let test_secure_rpc_ticket_table_refusals () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let echo, echo_key = W.enrol w "echo" in
+  let runs = ref 0 in
+  Secure_rpc.serve w.W.net ~me:echo ~my_key:echo_key (fun _ payload ->
+      incr runs;
+      Ok payload);
+  let creds = W.credentials_for w ~tgt:(W.login w alice) echo in
+  let call creds = Secure_rpc.call w.W.net ~creds (Wire.S "ping") in
+  let refused label want creds =
+    match call creds with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e -> Alcotest.(check string) label want e
+  in
+  Alcotest.(check bool) "cold call" true (Result.is_ok (call creds));
+  Alcotest.(check bool) "warm call" true (Result.is_ok (call creds));
+  Alcotest.(check int) "one table hit" 1
+    (Sim.Metrics.get (Sim.Net.metrics w.W.net) "ticket_cache.hits");
+  let blob = Bytes.of_string creds.Ticket.ticket_blob in
+  let last = Bytes.length blob - 1 in
+  Bytes.set blob last (Char.chr (Char.code (Bytes.get blob last) lxor 1));
+  refused "one byte flipped" "ticket: seal verification failed"
+    { creds with Ticket.ticket_blob = Bytes.to_string blob };
+  Sim.Clock.advance (Sim.Net.clock w.W.net) (creds.Ticket.cred_expires - W.now w);
+  refused "remembered ticket past its expiry" "ticket expired" creds;
+  Alcotest.(check int) "the handler ran for the two good calls only" 2 !runs
 
 (* One logical service registered on two nodes, the first of them down:
    the call moves along [via] to the second, and that one move is counted
@@ -707,6 +748,52 @@ let test_cascade_through_guard () =
   | Ok d -> Alcotest.(check int) "two serials in audit" 2 (List.length d.Guard.serials_used)
   | Error e -> Alcotest.fail e
 
+(* Exact kernel cost of presenting a depth-2 capability through a file
+   server, attach and read, twice. The first presentation opens bob's
+   ticket at the server, alice's base ticket at the guard and both
+   certificates; the server keeps all four opens, so the second one
+   redoes none of them (two ticket-table hits, two link hits) and still
+   checks every window, the head grantor and the proof of possession. *)
+let test_capability_presentation_cost () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let bob, _ = W.enrol w "bob" in
+  let fs_name, fs_key = W.enrol w "fileserver" in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"file1"
+    { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+  let fs = File_server.create w.W.net ~me:fs_name ~my_key:fs_key ~acl () in
+  File_server.install fs;
+  File_server.put_direct fs ~path:"file1" "contents";
+  let cap =
+    Result.get_ok
+      (Capability.mint_via_kdc w.W.net ~kdc:w.W.kdc_name ~tgt:(W.login w alice)
+         ~end_server:fs_name ~target:"file1" ~ops:[ "read"; "stat" ] ())
+  in
+  let now = W.now w in
+  let narrowed =
+    Result.get_ok
+      (Capability.narrow ~drbg:(Sim.Net.drbg w.W.net) ~now ~expires:(now + W.hour)
+         ~target:"file1" ~ops:[ "read" ] cap)
+  in
+  let creds = W.credentials_for w ~tgt:(W.login w bob) fs_name in
+  let present () =
+    let p =
+      File_server.attach w.W.net ~proxy:narrowed ~server:fs_name ~operation:"read" ~path:"file1"
+    in
+    match File_server.read w.W.net ~creds ~proxies:[ p ] ~path:"file1" () with
+    | Ok "contents" -> ()
+    | Ok other -> Alcotest.failf "read %S" other
+    | Error e -> Alcotest.fail e
+  in
+  let metric name = Sim.Metrics.get (Sim.Net.metrics w.W.net) name in
+  Alcotest.(check (list int)) "first: compressions, blocks, draws, rsa" [ 70; 18; 0; 0; 0; 0 ]
+    (kernel_cost present);
+  Alcotest.(check (list int)) "second: compressions, blocks, draws, rsa" [ 28; 4; 0; 0; 0; 0 ]
+    (kernel_cost present);
+  Alcotest.(check (list int)) "ticket-table hits, link hits, link misses" [ 2; 2; 2 ]
+    [ metric "ticket_cache.hits"; metric "verify_cache.hits"; metric "verify_cache.misses" ]
+
 (* --- accept-once through the guard --- *)
 
 let test_accept_once_consumed () =
@@ -779,6 +866,8 @@ let () =
           ("wrong service", `Quick, test_secure_rpc_wrong_service);
           ("via fails over once to the next replica", `Quick, test_secure_rpc_via_failover);
           ("warm call kernel cost", `Quick, test_secure_rpc_warm_cost);
+          ("ticket table: tampered or expired refused", `Quick,
+           test_secure_rpc_ticket_table_refusals);
           ("short service key refused at the ticket", `Quick, test_secure_rpc_short_key);
           ("replay absorbed, handler once", `Quick, test_secure_rpc_replay_absorbed);
           ("response cache bounded", `Quick, test_secure_rpc_cache_eviction);
@@ -794,6 +883,7 @@ let () =
           ("revocation via grantor", `Quick, test_revocation_via_grantor);
           ("expiry", `Quick, test_expired_capability);
           ("cascade through guard", `Quick, test_cascade_through_guard);
+          ("depth-2 presentation kernel cost", `Quick, test_capability_presentation_cost);
           ("accept-once consumed", `Quick, test_accept_once_consumed);
           ("unused accept-once not consumed", `Quick, test_accept_once_unused_not_consumed) ] );
       ( "authorization-server",

@@ -82,6 +82,21 @@ let test_check_compares_ints_only () =
   | Ok () -> Alcotest.fail "integer drift passed the gate"
   | Error _ -> ()
 
+(* A fast-mode artifact never serves as a baseline, even when its
+   integers match; a fast-mode current run still checks against a full
+   baseline. *)
+let test_check_refuses_fast_baseline () =
+  let full = doc [ row "n=1" 10 1.5 ] in
+  let fast = { full with Benchout.mode = "fast" } in
+  (match Benchout.check ~baseline:fast ~current:full with
+  | Ok () -> Alcotest.fail "a fast-mode baseline passed the gate"
+  | Error es ->
+      Alcotest.(check (list string)) "one refusal"
+        [ "baseline t9 is a fast-mode run: baselines are regenerated in full mode" ] es);
+  match Benchout.check ~baseline:full ~current:fast with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "fast current refused: %s" (String.concat "; " es)
+
 let test_tables_group_consecutive_keys () =
   let r label ints floats = { Benchout.label; ints; floats } in
   let rows =
@@ -121,7 +136,9 @@ let () =
         [ ("unicode escapes accepted", `Quick, test_unicode_escapes_valid);
           ("malformed escapes rejected without raising", `Quick, test_unicode_escapes_malformed);
           ("fuzz corpus json crashers stay fixed", `Quick, test_corpus_files_covered) ] );
-      ("check", [ ("ints gate, floats do not", `Quick, test_check_compares_ints_only) ]);
+      ( "check",
+        [ ("ints gate, floats do not", `Quick, test_check_compares_ints_only);
+          ("fast-mode baseline refused", `Quick, test_check_refuses_fast_baseline) ] );
       ( "render",
         [ ("tables group consecutive rows by keys", `Quick, test_tables_group_consecutive_keys) ] );
       ( "sampler",

@@ -328,6 +328,107 @@ let test_rebind_guard_default_cache () =
   Alcotest.(check int) "no hit after rebinding" 1 (metric "verify_cache.hits");
   Alcotest.(check int) "one RSA verify" (rsa + 1) (metric "crypto.rsa_verify")
 
+(* --- Conventional links: the open is remembered, never the checks --- *)
+
+let session_key = Crypto.Drbg.generate drbg 32
+let other_session_key = Crypto.Drbg.generate drbg 32
+
+(* Two base tickets of alice's, under different session keys. *)
+let open_base blob =
+  let base key =
+    Ok
+      {
+        Verifier.base_client = alice;
+        base_session_key = key;
+        base_expires = max_int;
+        base_restrictions = [];
+      }
+  in
+  match blob with
+  | "base" -> base session_key
+  | "other base" -> base other_session_key
+  | _ -> Error "unknown base"
+
+(* A depth-2 conventional chain on "base"; its second certificate's window
+   ends at [expires]. *)
+let conventional_chain ~expires =
+  let head =
+    Proxy.grant_conventional ~drbg ~now:0 ~expires:t_exp ~grantor:alice ~session_key ~base:"base"
+      ~restrictions:[ R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] ]
+  in
+  match
+    Proxy.restrict_conventional ~drbg ~now:0 ~expires ~restrictions:[ R.Quota ("pages", 2) ] head
+  with
+  | Ok { Proxy.flavor = Proxy.Conventional chain; _ } -> chain
+  | Ok _ -> Alcotest.fail "expected a conventional chain"
+  | Error e -> Alcotest.fail e
+
+let verify_conv ?revocation ~cache ~now chain =
+  with_tally (fun tally ->
+      Verifier.verify_conventional ~open_base ~tally ~cache ?revocation ~now chain)
+
+(* Warm the cache with one presentation, check the second is all hits and
+   no opens, and return the chain's serials. *)
+let warm ~cache chain =
+  let r1, count1 = verify_conv ~cache ~now:100 chain in
+  let serials = match r1 with Ok v -> v.Verifier.serials | Error e -> Alcotest.fail e in
+  Alcotest.(check (list int)) "cold: opens, misses, hits" [ 2; 2; 0 ]
+    [ count1 "crypto.open"; count1 "verify_cache.misses"; count1 "verify_cache.hits" ];
+  let r2, count2 = verify_conv ~cache ~now:200 chain in
+  Alcotest.(check bool) "warm presentation verifies" true (Result.is_ok r2);
+  Alcotest.(check (list int)) "warm: opens, misses, hits" [ 0; 0; 2 ]
+    [ count2 "crypto.open"; count2 "verify_cache.misses"; count2 "verify_cache.hits" ];
+  Alcotest.(check int) "both hits were link hits" 2
+    (Verify_cache.stats cache).Verify_cache.link_hits;
+  serials
+
+(* A refusal that comes after the walk's links were answered from the
+   cache: the check that refuses runs on every presentation. *)
+let refused_on_hits label want ~hits (r, count) =
+  (match r with
+  | Ok _ -> Alcotest.failf "%s: granted from a warm cache" label
+  | Error e -> Alcotest.(check string) label want e);
+  Alcotest.(check (list int)) (label ^ ": opens, hits") [ 0; hits ]
+    [ count "crypto.open"; count "verify_cache.hits" ]
+
+let test_link_revoked_after_hit () =
+  let chain = conventional_chain ~expires:t_exp in
+  let cache = Verify_cache.create () in
+  let serials = warm ~cache chain in
+  let authority = p "bulletin-board" in
+  let ra_kp = Crypto.Rsa.generate drbg ~bits:512 in
+  let revocation = Revocation.create ~issuer:authority ~issuer_pub:ra_kp.Crypto.Rsa.pub ~now:0 () in
+  let bulletin =
+    Revocation.sign ~key:ra_kp ~issuer:authority ~epoch:2 ~issued_at:0
+      [ Revocation.By_serial (List.nth serials 1) ]
+  in
+  Alcotest.(check bool) "bulletin applies" true
+    (Result.is_ok (Revocation.apply revocation bulletin));
+  (* No generation bump here, so both opens are still remembered. *)
+  refused_on_hits "revoked serial"
+    (Printf.sprintf "certificate %s.. is revoked" (String.sub (List.nth serials 1) 0 8))
+    ~hits:2
+    (verify_conv ~revocation ~cache ~now:300 chain)
+
+let test_link_window_after_hit () =
+  let chain = conventional_chain ~expires:1000 in
+  let cache = Verify_cache.create () in
+  ignore (warm ~cache chain);
+  refused_on_hits "window ended" "proxy-cert: expired" ~hits:2
+    (verify_conv ~cache ~now:1000 chain)
+
+let test_link_other_base_misses () =
+  let chain = conventional_chain ~expires:t_exp in
+  let cache = Verify_cache.create () in
+  ignore (warm ~cache chain);
+  let r, count = verify_conv ~cache ~now:300 { chain with Proxy.base = "other base" } in
+  (match r with
+  | Ok _ -> Alcotest.fail "certificates granted under another base ticket"
+  | Error e ->
+      Alcotest.(check string) "refused at the head" "proxy-cert: seal verification failed" e);
+  Alcotest.(check (list int)) "one miss, one open, no hit" [ 1; 1; 0 ]
+    [ count "verify_cache.misses"; count "crypto.open"; count "verify_cache.hits" ]
+
 let () =
   Alcotest.run "verify_cache"
     [ ( "memoized verification",
@@ -342,4 +443,8 @@ let () =
         [ ("bearer head denied", `Quick, test_rebind_bearer_head);
           ("delegate intermediate denied", `Quick, test_rebind_delegate_intermediate);
           ("guard default cache denies", `Quick, test_rebind_guard_default_cache) ] );
+      ( "conventional links",
+        [ ("revoked serial refused after a hit", `Quick, test_link_revoked_after_hit);
+          ("ended window refused after a hit", `Quick, test_link_window_after_hit);
+          ("another base ticket misses", `Quick, test_link_other_base_misses) ] );
       ("replay cache", [ ("bounded under flood", `Quick, test_replay_cache_bound) ]) ]

@@ -858,40 +858,23 @@ let trace_cmd =
 (* A repro file optionally records the mutation it was found under; replaying
    it with that mutation re-applied must still produce a finding (the mutant
    stays killed), while replaying without any mutation must find agreement. *)
-let repro_mutation path =
-  let prefix = "# found with injected mutation: " in
-  let ic = open_in path in
-  let found = ref None in
-  (try
-     while !found = None do
-       let line = input_line ic in
-       let pl = String.length prefix in
-       if String.length line > pl && String.sub line 0 pl = prefix then
-         found := Mbt.Exec.mutation_of_name (String.sub line pl (String.length line - pl))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  !found
-
 let replay_one path =
-  let mutation = repro_mutation path in
-  let expect_finding = mutation <> None in
-  match Mbt.Runner.replay ?mutation path with
+  match Mbt.Runner.replay path with
   | Error e ->
       Printf.printf "  %-40s FAIL (%s)\n" (Filename.basename path) e;
       false
-  | Ok (Some f) when expect_finding ->
+  | Ok (Some _, Some f) ->
       Printf.printf "  %-40s OK (mutant still killed: %s)\n" (Filename.basename path)
         (Mbt.Runner.kind_name f.Mbt.Runner.f_kind);
       true
-  | Ok None when not expect_finding ->
+  | Ok (None, None) ->
       Printf.printf "  %-40s OK (stack, cache and model agree)\n" (Filename.basename path);
       true
-  | Ok (Some f) ->
+  | Ok (None, Some f) ->
       Printf.printf "  %-40s FAIL (unexpected disagreement: %s)\n" (Filename.basename path)
         f.Mbt.Runner.f_detail;
       false
-  | Ok None ->
+  | Ok (Some _, None) ->
       Printf.printf "  %-40s FAIL (injected mutation no longer detected)\n"
         (Filename.basename path);
       false

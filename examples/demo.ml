@@ -1,53 +1,5 @@
-(* Shared scaffolding for the example programs: a simulated world with a
-   KDC, plus narration helpers. *)
-
-type world = {
-  net : Sim.Net.t;
-  dir : Directory.t;
-  kdc_name : Principal.t;
-  realm : string;
-}
-
-let create_world ?(seed = "example") ?(realm = "example.org") () =
-  let net = Sim.Net.create ~seed () in
-  let dir = Directory.create () in
-  let kdc_name = Principal.make ~realm "kdc" in
-  Directory.add_symmetric dir kdc_name (Sim.Net.fresh_key net);
-  let kdc = Kdc.create net ~name:kdc_name ~directory:dir () in
-  Kdc.install kdc;
-  { net; dir; kdc_name; realm }
-
-let enrol w name =
-  let p = Principal.make ~realm:w.realm name in
-  let key = Sim.Net.fresh_key w.net in
-  Directory.add_symmetric w.dir p key;
-  (p, key)
-
-let enrol_pk w name =
-  let p, key = enrol w name in
-  let rsa = Crypto.Rsa.generate (Sim.Net.drbg w.net) ~bits:512 in
-  Directory.add_public w.dir p rsa.Crypto.Rsa.pub;
-  (p, key, rsa)
-
-let lookup w p = Directory.public w.dir p
-
-let login w p =
-  match
-    Kdc.Client.authenticate w.net ~kdc:w.kdc_name ~client:p
-      ~client_key:(Option.get (Directory.symmetric w.dir p))
-      ~service:w.kdc_name ()
-  with
-  | Ok tgt -> tgt
-  | Error e -> failwith ("login failed: " ^ e)
-
-let credentials_for w ~tgt service =
-  match Kdc.Client.derive w.net ~kdc:w.kdc_name ~tgt ~target:service () with
-  | Ok creds -> creds
-  | Error e -> failwith ("derive failed: " ^ e)
-
-let hour = 3_600_000_000
-
-(* --- narration --- *)
+(* Narration helpers shared by the example programs; each example builds
+   its simulated world (a network with a KDC) with [World]. *)
 
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
@@ -69,13 +21,13 @@ let expect_err label = function
   | Error e -> Printf.printf "  [deny] %s: %s\n%!" label e
 
 let show_metrics w keys =
-  let m = Sim.Net.metrics w.net in
+  let m = Sim.Net.metrics w.World.net in
   Printf.printf "  -- metrics: %s\n%!"
     (String.concat ", "
        (List.map (fun k -> Printf.sprintf "%s=%d" k (Sim.Metrics.get m k)) keys))
 
 let show_trace ?(last = 8) w =
-  let entries = Sim.Trace.entries (Sim.Net.trace w.net) in
+  let entries = Sim.Trace.entries (Sim.Net.trace w.World.net) in
   let n = List.length entries in
   let tail = if n <= last then entries else List.filteri (fun i _ -> i >= n - last) entries in
   Printf.printf "  -- audit trail (last %d of %d):\n" (List.length tail) n;

@@ -15,24 +15,24 @@ let usd = "usd"
 
 let () =
   Demo.section "Setup: two banks, a shopper, a shop";
-  let w = Demo.create_world ~seed:"ecommerce" () in
-  let carol, _, carol_rsa = Demo.enrol_pk w "carol" in
-  let shop, _, shop_rsa = Demo.enrol_pk w "shop" in
-  let first_bank_p, first_key, first_rsa = Demo.enrol_pk w "first-bank" in
-  let shore_bank_p, shore_key, shore_rsa = Demo.enrol_pk w "shore-bank" in
-  let lookup = Demo.lookup w in
+  let w = World.create ~seed:"ecommerce" () in
+  let carol, _, carol_rsa = World.enrol_pk w "carol" in
+  let shop, _, shop_rsa = World.enrol_pk w "shop" in
+  let first_bank_p, first_key, first_rsa = World.enrol_pk w "first-bank" in
+  let shore_bank_p, shore_key, shore_rsa = World.enrol_pk w "shore-bank" in
+  let lookup = World.lookup w in
   let first_bank =
     match
-      Accounting_server.create w.Demo.net ~me:first_bank_p ~my_key:first_key
-        ~kdc:w.Demo.kdc_name ~signing_key:first_rsa ~lookup ()
+      Accounting_server.create w.World.net ~me:first_bank_p ~my_key:first_key
+        ~kdc:w.World.kdc_name ~signing_key:first_rsa ~lookup ()
     with
     | Ok b -> b
     | Error e -> failwith e
   in
   let shore_bank =
     match
-      Accounting_server.create w.Demo.net ~me:shore_bank_p ~my_key:shore_key
-        ~kdc:w.Demo.kdc_name ~signing_key:shore_rsa ~lookup ()
+      Accounting_server.create w.World.net ~me:shore_bank_p ~my_key:shore_key
+        ~kdc:w.World.kdc_name ~signing_key:shore_rsa ~lookup ()
     with
     | Ok b -> b
     | Error e -> failwith e
@@ -40,18 +40,18 @@ let () =
   Accounting_server.install first_bank;
   Accounting_server.install shore_bank;
 
-  let tgt_c = Demo.login w carol in
-  let creds_c_first = Demo.credentials_for w ~tgt:tgt_c first_bank_p in
+  let tgt_c = World.login w carol in
+  let creds_c_first = World.credentials_for w ~tgt:tgt_c first_bank_p in
   ignore
     (Demo.expect_ok "carol opens an account at First Bank"
-       (Accounting_server.open_account w.Demo.net ~creds:creds_c_first ~name:"carol"));
+       (Accounting_server.open_account w.World.net ~creds:creds_c_first ~name:"carol"));
   ignore (Ledger.mint (Accounting_server.ledger first_bank) ~name:"carol" ~currency:usd 500);
   Demo.step "carol's account funded with 500 usd";
-  let tgt_s = Demo.login w shop in
-  let creds_s_shore = Demo.credentials_for w ~tgt:tgt_s shore_bank_p in
+  let tgt_s = World.login w shop in
+  let creds_s_shore = World.credentials_for w ~tgt:tgt_s shore_bank_p in
   ignore
     (Demo.expect_ok "shop opens an account at Shore Bank"
-       (Accounting_server.open_account w.Demo.net ~creds:creds_s_shore ~name:"shop"));
+       (Accounting_server.open_account w.World.net ~creds:creds_s_shore ~name:"shop"));
 
   let balances label =
     Demo.step "%s: carol=%d usd (held %d), shop=%d usd" label
@@ -61,9 +61,9 @@ let () =
   in
 
   Demo.section "An ordinary check clears across banks (Fig. 5)";
-  let now = Sim.Net.now w.Demo.net in
+  let now = Sim.Net.now w.World.net in
   let check =
-    Check.write ~drbg:(Sim.Net.drbg w.Demo.net) ~now ~expires:(now + (24 * Demo.hour))
+    Check.write ~drbg:(Sim.Net.drbg w.World.net) ~now ~expires:(now + (24 * World.hour))
       ~payor:carol ~payor_key:carol_rsa
       ~account:(Accounting_server.account first_bank "carol") ~payee:shop ~currency:usd
       ~amount:120 ()
@@ -73,7 +73,7 @@ let () =
   balances "before";
   let amount =
     Demo.expect_ok "shop endorses to Shore Bank and deposits"
-      (Accounting_server.deposit w.Demo.net ~creds:creds_s_shore ~endorser_key:shop_rsa ~check
+      (Accounting_server.deposit w.World.net ~creds:creds_s_shore ~endorser_key:shop_rsa ~check
          ~to_account:"shop")
   in
   Demo.step "cleared %d usd through the endorsement chain carol -> shop -> shore-bank" amount;
@@ -81,55 +81,55 @@ let () =
 
   Demo.section "Replay: depositing the same check twice";
   Demo.expect_err "second deposit of the same check number"
-    (Accounting_server.deposit w.Demo.net ~creds:creds_s_shore ~endorser_key:shop_rsa ~check
+    (Accounting_server.deposit w.World.net ~creds:creds_s_shore ~endorser_key:shop_rsa ~check
        ~to_account:"shop");
 
   Demo.section "Forgery: eve signs a check against carol's account";
-  let eve, _, eve_rsa = Demo.enrol_pk w "eve" in
+  let eve, _, eve_rsa = World.enrol_pk w "eve" in
   ignore eve;
   let forged =
-    Check.write ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(Sim.Net.now w.Demo.net)
-      ~expires:(Sim.Net.now w.Demo.net + Demo.hour) ~payor:carol ~payor_key:eve_rsa
+    Check.write ~drbg:(Sim.Net.drbg w.World.net) ~now:(Sim.Net.now w.World.net)
+      ~expires:(Sim.Net.now w.World.net + World.hour) ~payor:carol ~payor_key:eve_rsa
       ~account:(Accounting_server.account first_bank "carol") ~payee:shop ~currency:usd
       ~amount:99 ()
   in
   Demo.expect_err "forged check"
-    (Accounting_server.deposit w.Demo.net ~creds:creds_s_shore ~endorser_key:shop_rsa
+    (Accounting_server.deposit w.World.net ~creds:creds_s_shore ~endorser_key:shop_rsa
        ~check:forged ~to_account:"shop");
 
   Demo.section "A certified check: guaranteed funds before the goods ship";
-  let now = Sim.Net.now w.Demo.net in
+  let now = Sim.Net.now w.World.net in
   let big_order =
-    Check.write ~drbg:(Sim.Net.drbg w.Demo.net) ~now ~expires:(now + (24 * Demo.hour))
+    Check.write ~drbg:(Sim.Net.drbg w.World.net) ~now ~expires:(now + (24 * World.hour))
       ~payor:carol ~payor_key:carol_rsa
       ~account:(Accounting_server.account first_bank "carol") ~payee:shop ~currency:usd
       ~amount:300 ()
   in
   let certification =
     Demo.expect_ok "first bank certifies (places a hold)"
-      (Accounting_server.certify w.Demo.net ~creds:creds_c_first ~check:big_order)
+      (Accounting_server.certify w.World.net ~creds:creds_c_first ~check:big_order)
   in
   balances "hold placed";
   let verdict =
-    Accounting_server.verify_certification ~lookup ~now:(Sim.Net.now w.Demo.net)
+    Accounting_server.verify_certification ~lookup ~now:(Sim.Net.now w.World.net)
       ~server:first_bank_p ~check_number:big_order.Check.number certification
   in
   Demo.outcome "shop verifies the certification OFFLINE (no bank round-trip)" verdict;
   ignore
     (Demo.expect_ok "shop ships, then deposits the certified check"
-       (Accounting_server.deposit w.Demo.net ~creds:creds_s_shore ~endorser_key:shop_rsa
+       (Accounting_server.deposit w.World.net ~creds:creds_s_shore ~endorser_key:shop_rsa
           ~check:big_order ~to_account:"shop"));
   balances "after certified clearing";
 
   Demo.section "A cashier's check: the bank is its own drawee";
   let cashier =
     Demo.expect_ok "carol buys a cashier's check for 50 usd"
-      (Accounting_server.cashier_check w.Demo.net ~creds:creds_c_first ~from_account:"carol"
+      (Accounting_server.cashier_check w.World.net ~creds:creds_c_first ~from_account:"carol"
          ~payee:shop ~currency:usd ~amount:50)
   in
   ignore
     (Demo.expect_ok "shop deposits the cashier's check"
-       (Accounting_server.deposit w.Demo.net ~creds:creds_s_shore ~endorser_key:shop_rsa
+       (Accounting_server.deposit w.World.net ~creds:creds_s_shore ~endorser_key:shop_rsa
           ~check:cashier ~to_account:"shop"));
   balances "final";
 

@@ -10,15 +10,15 @@
 
 let () =
   Demo.section "Setup";
-  let w = Demo.create_world ~seed:"groups" () in
-  let carol, _ = Demo.enrol w "carol" in
-  let dave, _ = Demo.enrol w "dave" in
-  let hr_rep, _ = Demo.enrol w "hr-rep" in
-  let authz_p, authz_key = Demo.enrol w "authz-server" in
-  let groups_p, groups_key = Demo.enrol w "group-server" in
-  let farm_p, farm_key = Demo.enrol w "buildfarm" in
-  let door_p, door_key = Demo.enrol w "door" in
-  let payroll_p, payroll_key = Demo.enrol w "payroll" in
+  let w = World.create ~seed:"groups" () in
+  let carol, _ = World.enrol w "carol" in
+  let dave, _ = World.enrol w "dave" in
+  let hr_rep, _ = World.enrol w "hr-rep" in
+  let authz_p, authz_key = World.enrol w "authz-server" in
+  let groups_p, groups_key = World.enrol w "group-server" in
+  let farm_p, farm_key = World.enrol w "buildfarm" in
+  let door_p, door_key = World.enrol w "door" in
+  let payroll_p, payroll_key = World.enrol w "payroll" in
 
   (* Authorization server: its database says carol may run jobs, capped at
      100 cpu-minutes (the restriction is copied into every proxy it
@@ -32,7 +32,7 @@ let () =
     };
   let authz =
     match
-      Authz_server.create w.Demo.net ~me:authz_p ~my_key:authz_key ~kdc:w.Demo.kdc_name
+      Authz_server.create w.World.net ~me:authz_p ~my_key:authz_key ~kdc:w.World.kdc_name
         ~database:db ()
     with
     | Ok s -> s
@@ -45,12 +45,12 @@ let () =
   let farm_acl = Acl.create () in
   Acl.add farm_acl ~target:"*"
     { Acl.subject = Acl.Principal_is authz_p; rights = []; restrictions = [] };
-  let farm = Guard.create w.Demo.net ~me:farm_p ~my_key:farm_key ~acl:farm_acl () in
+  let farm = Guard.create w.World.net ~me:farm_p ~my_key:farm_key ~acl:farm_acl () in
 
   (* Group server with an "operators" group; the door trusts it. *)
   let gsrv =
     match
-      Group_server.create w.Demo.net ~me:groups_p ~my_key:groups_key ~kdc:w.Demo.kdc_name ()
+      Group_server.create w.World.net ~me:groups_p ~my_key:groups_key ~kdc:w.World.kdc_name ()
     with
     | Ok s -> s
     | Error e -> failwith e
@@ -64,7 +64,7 @@ let () =
       rights = [ "open" ];
       restrictions = [];
     };
-  let door = Guard.create w.Demo.net ~me:door_p ~my_key:door_key ~acl:door_acl () in
+  let door = Guard.create w.World.net ~me:door_p ~my_key:door_key ~acl:door_acl () in
 
   (* Payroll requires a compound principal: manager AND hr. *)
   let payroll_acl = Acl.create () in
@@ -74,18 +74,18 @@ let () =
       rights = [ "execute" ];
       restrictions = [];
     };
-  let payroll = Guard.create w.Demo.net ~me:payroll_p ~my_key:payroll_key ~acl:payroll_acl () in
+  let payroll = Guard.create w.World.net ~me:payroll_p ~my_key:payroll_key ~acl:payroll_acl () in
 
   Demo.section "Figure 3: carol obtains an authorization proxy and uses it at the farm";
-  let tgt_c = Demo.login w carol in
-  let creds_authz = Demo.credentials_for w ~tgt:tgt_c authz_p in
+  let tgt_c = World.login w carol in
+  let creds_authz = World.credentials_for w ~tgt:tgt_c authz_p in
   let proxy =
     Demo.expect_ok "authorization server grants [run build-job only + cpu quota]"
-      (Authz_server.request_authorization w.Demo.net ~creds:creds_authz ~end_server:farm_p
+      (Authz_server.request_authorization w.World.net ~creds:creds_authz ~end_server:farm_p
          ~target:"build-job" ~operation:"run" ())
   in
   let present op ?spend () =
-    Guard.present ~proxy ~time:(Sim.Net.now w.Demo.net) ~server:farm_p ~operation:op
+    Guard.present ~proxy ~time:(Sim.Net.now w.World.net) ~server:farm_p ~operation:op
       ~target:"build-job" ?spend ()
   in
   Demo.outcome "farm accepts: run build-job (20 cpu-minutes)"
@@ -100,15 +100,15 @@ let () =
     (Guard.decide farm ~operation:"run" ~target:"build-job" ~presenter:dave ());
 
   Demo.section "Section 3.3: dave proves group membership at the door";
-  let tgt_d = Demo.login w dave in
-  let creds_groups = Demo.credentials_for w ~tgt:tgt_d groups_p in
+  let tgt_d = World.login w dave in
+  let creds_groups = World.credentials_for w ~tgt:tgt_d groups_p in
   let gproxy =
     Demo.expect_ok "group server issues a membership proxy (delegate, names dave)"
-      (Group_server.request_membership_proxy w.Demo.net ~creds:creds_groups ~group:"operators"
+      (Group_server.request_membership_proxy w.World.net ~creds:creds_groups ~group:"operators"
          ~end_server:door_p ())
   in
   let gpresented =
-    Guard.present ~proxy:gproxy ~time:(Sim.Net.now w.Demo.net) ~server:door_p
+    Guard.present ~proxy:gproxy ~time:(Sim.Net.now w.World.net) ~server:door_p
       ~operation:"assert-membership" ~target:"operators" ()
   in
   Demo.outcome "door opens for dave"
@@ -122,14 +122,14 @@ let () =
   Demo.expect_err "carol alone cannot run the layoff script"
     (Guard.decide payroll ~operation:"execute" ~target:"layoff-script" ~presenter:carol ());
   (* HR concurs by granting carol a proxy for exactly this operation. *)
-  let tgt_hr = Demo.login w hr_rep in
+  let tgt_hr = World.login w hr_rep in
   let hr_proxy =
     Demo.expect_ok "hr-rep grants a concurrence proxy"
-      (Capability.mint_via_kdc w.Demo.net ~kdc:w.Demo.kdc_name ~tgt:tgt_hr ~end_server:payroll_p
+      (Capability.mint_via_kdc w.World.net ~kdc:w.World.kdc_name ~tgt:tgt_hr ~end_server:payroll_p
          ~target:"layoff-script" ~ops:[ "execute" ] ())
   in
   let hr_presented =
-    Guard.present ~proxy:hr_proxy ~time:(Sim.Net.now w.Demo.net) ~server:payroll_p
+    Guard.present ~proxy:hr_proxy ~time:(Sim.Net.now w.World.net) ~server:payroll_p
       ~operation:"execute" ~target:"layoff-script" ()
   in
   Demo.outcome "carol + hr concurrence executes"

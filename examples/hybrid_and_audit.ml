@@ -13,21 +13,21 @@ module R = Restriction
 
 let () =
   Demo.section "Setup";
-  let w = Demo.create_world ~seed:"hybrid audit" () in
-  let alice, _, alice_rsa = Demo.enrol_pk w "alice" in
-  let bob, _, bob_rsa = Demo.enrol_pk w "bob" in
-  let courier, _, courier_rsa = Demo.enrol_pk w "courier" in
-  let fs_name, fs_key = Demo.enrol w "fileserver" in
-  let fs_rsa = Crypto.Rsa.generate (Sim.Net.drbg w.Demo.net) ~bits:512 in
-  Directory.add_public w.Demo.dir fs_name fs_rsa.Crypto.Rsa.pub;
+  let w = World.create ~seed:"hybrid audit" () in
+  let alice, _, alice_rsa = World.enrol_pk w "alice" in
+  let bob, _, bob_rsa = World.enrol_pk w "bob" in
+  let courier, _, courier_rsa = World.enrol_pk w "courier" in
+  let fs_name, fs_key = World.enrol w "fileserver" in
+  let fs_rsa = Crypto.Rsa.generate (Sim.Net.drbg w.World.net) ~bits:512 in
+  Directory.add_public w.World.dir fs_name fs_rsa.Crypto.Rsa.pub;
   let acl = Acl.create () in
   Acl.add acl ~target:"report.txt"
     { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
   let guard =
-    Guard.create w.Demo.net ~me:fs_name ~my_key:fs_key ~lookup_pub:(Demo.lookup w)
+    Guard.create w.World.net ~me:fs_name ~my_key:fs_key ~lookup_pub:(World.lookup w)
       ~my_rsa:fs_rsa ~acl ()
   in
-  let now () = Sim.Net.now w.Demo.net in
+  let now () = Sim.Net.now w.World.net in
   let try_read proxy label =
     let presented =
       Guard.present ~proxy ~time:(now ()) ~server:fs_name ~operation:"read" ~target:"report.txt"
@@ -39,18 +39,18 @@ let () =
 
   Demo.section "One model, three realizations";
   (* Conventional: rooted in alice's ticket for the file server. *)
-  let tgt = Demo.login w alice in
-  let creds = Demo.credentials_for w ~tgt fs_name in
+  let tgt = World.login w alice in
+  let creds = World.credentials_for w ~tgt fs_name in
   let conventional =
-    Proxy.grant_conventional ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(now ())
-      ~expires:(now () + Demo.hour) ~grantor:alice ~session_key:creds.Ticket.session_key
+    Proxy.grant_conventional ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ())
+      ~expires:(now () + World.hour) ~grantor:alice ~session_key:creds.Ticket.session_key
       ~base:creds.Ticket.ticket_blob
       ~restrictions:[ R.Authorized [ { R.target = "report.txt"; ops = [ "read" ] } ] ]
   in
   try_read conventional "conventional (AEAD-sealed, HMAC possession)";
   (* Public-key: RSA chain, verifiable by anyone who knows alice's key. *)
   let pk =
-    Proxy.grant_pk ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(now ()) ~expires:(now () + Demo.hour)
+    Proxy.grant_pk ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ()) ~expires:(now () + World.hour)
       ~grantor:alice ~grantor_key:alice_rsa
       ~restrictions:[ R.Authorized [ { R.target = "report.txt"; ops = [ "read" ] } ] ]
       ()
@@ -60,8 +60,8 @@ let () =
      server by encryption. *)
   let hybrid =
     match
-      Proxy.grant_hybrid ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(now ())
-        ~expires:(now () + Demo.hour) ~grantor:alice ~grantor_key:alice_rsa ~end_server:fs_name
+      Proxy.grant_hybrid ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ())
+        ~expires:(now () + World.hour) ~grantor:alice ~grantor_key:alice_rsa ~end_server:fs_name
         ~end_server_pub:fs_rsa.Crypto.Rsa.pub
         ~restrictions:[ R.Authorized [ { R.target = "report.txt"; ops = [ "read" ] } ] ]
         ()
@@ -73,7 +73,7 @@ let () =
 
   Demo.section "Audit: delegate cascades identify every intermediate";
   let delegated =
-    Proxy.grant_pk ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(now ()) ~expires:(now () + Demo.hour)
+    Proxy.grant_pk ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ()) ~expires:(now () + World.hour)
       ~grantor:alice ~grantor_key:alice_rsa
       ~restrictions:
         [ R.Grantee ([ bob ], 1);
@@ -82,8 +82,8 @@ let () =
   in
   let via_bob =
     match
-      Proxy.delegate_pk ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(now ())
-        ~expires:(now () + Demo.hour) ~intermediate:bob ~intermediate_key:bob_rsa
+      Proxy.delegate_pk ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ())
+        ~expires:(now () + World.hour) ~intermediate:bob ~intermediate_key:bob_rsa
         ~restrictions:[ R.Grantee ([ courier ], 1) ]
         delegated
     with
@@ -92,8 +92,8 @@ let () =
   in
   let via_courier =
     match
-      Proxy.delegate_pk ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(now ())
-        ~expires:(now () + Demo.hour) ~intermediate:courier ~intermediate_key:courier_rsa
+      Proxy.delegate_pk ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ())
+        ~expires:(now () + World.hour) ~intermediate:courier ~intermediate_key:courier_rsa
         ~restrictions:[] via_bob
     with
     | Ok p -> p
@@ -110,8 +110,8 @@ let () =
   Demo.section "Bearer cascades stay anonymous (the other side of the trade)";
   let bearer =
     match
-      Proxy.restrict_pk ~drbg:(Sim.Net.drbg w.Demo.net) ~now:(now ())
-        ~expires:(now () + Demo.hour) ~restrictions:[ R.Quota ("pages", 1) ] pk
+      Proxy.restrict_pk ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ())
+        ~expires:(now () + World.hour) ~restrictions:[ R.Quota ("pages", 1) ] pk
     with
     | Ok p -> p
     | Error e -> failwith e

@@ -10,51 +10,51 @@
 
 let () =
   Demo.section "Setup: a realm with a KDC, a file server, and two users";
-  let w = Demo.create_world ~seed:"quickstart" () in
-  let alice, _ = Demo.enrol w "alice" in
-  let bob, _ = Demo.enrol w "bob" in
-  let fs_name, fs_key = Demo.enrol w "fileserver" in
+  let w = World.create ~seed:"quickstart" () in
+  let alice, _ = World.enrol w "alice" in
+  let bob, _ = World.enrol w "bob" in
+  let fs_name, fs_key = World.enrol w "fileserver" in
   let acl = Acl.create () in
   Acl.add acl ~target:"report.txt"
     { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
-  let fs = File_server.create w.Demo.net ~me:fs_name ~my_key:fs_key ~acl () in
+  let fs = File_server.create w.World.net ~me:fs_name ~my_key:fs_key ~acl () in
   File_server.install fs;
   File_server.put_direct fs ~path:"report.txt" "quarterly numbers: all fine";
   Demo.step "file server ACL: only %s may touch report.txt" (Principal.to_string alice);
 
   Demo.section "Alice reads her own file (plain Kerberos-authenticated RPC)";
-  let tgt_a = Demo.login w alice in
-  let creds_a = Demo.credentials_for w ~tgt:tgt_a fs_name in
+  let tgt_a = World.login w alice in
+  let creds_a = World.credentials_for w ~tgt:tgt_a fs_name in
   let content =
     Demo.expect_ok "alice reads report.txt"
-      (File_server.read w.Demo.net ~creds:creds_a ~path:"report.txt" ())
+      (File_server.read w.World.net ~creds:creds_a ~path:"report.txt" ())
   in
   Demo.step "content: %S" content;
 
   Demo.section "Bob alone is refused";
-  let tgt_b = Demo.login w bob in
-  let creds_b = Demo.credentials_for w ~tgt:tgt_b fs_name in
+  let tgt_b = World.login w bob in
+  let creds_b = World.credentials_for w ~tgt:tgt_b fs_name in
   Demo.expect_err "bob reads without a capability"
-    (File_server.read w.Demo.net ~creds:creds_b ~path:"report.txt" ());
+    (File_server.read w.World.net ~creds:creds_b ~path:"report.txt" ());
 
   Demo.section "Alice mints a read capability and passes it to Bob";
   let cap =
     Demo.expect_ok "mint capability (restricted bearer proxy)"
-      (Capability.mint_via_kdc w.Demo.net ~kdc:w.Demo.kdc_name ~tgt:tgt_a ~end_server:fs_name
+      (Capability.mint_via_kdc w.World.net ~kdc:w.World.kdc_name ~tgt:tgt_a ~end_server:fs_name
          ~target:"report.txt" ~ops:[ "read" ] ())
   in
   Demo.step "the capability's certificate chain crosses the network; its proxy key never does";
   let attach op =
-    File_server.attach w.Demo.net ~proxy:cap ~server:fs_name ~operation:op ~path:"report.txt"
+    File_server.attach w.World.net ~proxy:cap ~server:fs_name ~operation:op ~path:"report.txt"
   in
   let via_cap =
     Demo.expect_ok "bob reads with the capability"
-      (File_server.read w.Demo.net ~creds:creds_b ~proxies:[ attach "read" ] ~path:"report.txt"
+      (File_server.read w.World.net ~creds:creds_b ~proxies:[ attach "read" ] ~path:"report.txt"
          ())
   in
   Demo.step "bob got: %S" via_cap;
   Demo.expect_err "bob tries to WRITE with the read capability"
-    (File_server.write w.Demo.net ~creds:creds_b ~proxies:[ attach "write" ] ~path:"report.txt"
+    (File_server.write w.World.net ~creds:creds_b ~proxies:[ attach "write" ] ~path:"report.txt"
        "defaced");
 
   Demo.section "An eavesdropper captures a presentation and replays it for another operation";
@@ -63,12 +63,12 @@ let () =
      re-purposed. *)
   let stolen = attach "read" in
   Demo.expect_err "mallory replays the capture to delete the file"
-    (File_server.write w.Demo.net ~creds:creds_b ~proxies:[ stolen ] ~path:"report.txt" "");
+    (File_server.write w.World.net ~creds:creds_b ~proxies:[ stolen ] ~path:"report.txt" "");
 
   Demo.section "Revocation: removing the grantor revokes every capability she issued";
   Acl.remove_subject (File_server.acl fs) ~target:"report.txt" (Acl.Principal_is alice);
   Demo.expect_err "bob's capability after revocation"
-    (File_server.read w.Demo.net ~creds:creds_b ~proxies:[ attach "read" ] ~path:"report.txt" ());
+    (File_server.read w.World.net ~creds:creds_b ~proxies:[ attach "read" ] ~path:"report.txt" ());
 
   Demo.section "Summary";
   Demo.show_metrics w [ "net.messages"; "net.bytes"; "kdc.as_req"; "kdc.tgs_req" ];

@@ -1,5 +1,10 @@
 let escrow_account = "cashier-escrow"
 
+(* Lifetime of what this server signs: endorsements, certification
+   proxies, cashier's checks, and the accept-once records mirrored on a
+   standby. *)
+let proxy_lifetime_us = 24 * 3600 * 1_000_000
+
 type t = {
   net : Sim.Net.t;
   me : Principal.t;
@@ -12,18 +17,15 @@ type t = {
   routes : (string, Principal.t * string list) Hashtbl.t;
       (* drawee -> next hop + physical destinations for it (replicas) *)
   collect_retry : Sim.Retry.policy option;
-  proxy_lifetime_us : int;
   drawn : (string, int) Hashtbl.t;
-      (* cumulative draw per standing authority: key is the proxy chain's
-         serial path plus the currency *)
+      (* running total drawn on each grant, keyed by [grant_key] *)
   mutable on_redeem : (string -> unit) list;
       (* fired in order with the check number whenever a check is paid
          here: the replication feed a standby mirrors accept-once records
          from, plus any counters added after it *)
 }
 
-let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cache ?revocation
-    ?(proxy_lifetime_us = 24 * 3600 * 1_000_000) () =
+let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cache ?revocation () =
   match Granter.create net ~me ~my_key ~kdc with
   | Error e -> Error e
   | Ok granter ->
@@ -44,7 +46,6 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cach
           guard;
           routes = Hashtbl.create 4;
           collect_retry;
-          proxy_lifetime_us;
           drawn = Hashtbl.create 16;
           on_redeem = [];
         }
@@ -148,7 +149,7 @@ let forward_collect t (check : Check.t) =
   @@ fun () ->
   let now = Sim.Net.now t.net in
   match
-    Check.endorse ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + t.proxy_lifetime_us)
+    Check.endorse ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + proxy_lifetime_us)
       ~endorser:t.me ~endorser_key:t.signing_key ~next:hop check
   with
   | Error e -> Error e
@@ -175,6 +176,24 @@ let settle t ~presenter (check : Check.t) =
   if Principal.equal check.Check.drawn_on.Principal.Account.server t.me then
     validate_and_debit t ~presenter check
   else forward_collect t check
+
+(* The running total of presented-proxy draws is kept per grant, so every
+   chain derived from one grant draws on one budget. A grant is named by
+   its head certificate: grantor and serial for public-key and hybrid
+   chains (a serial is unique only per grantor), the first sealed
+   certificate for conventional ones, whose serials are sealed. The key is
+   read from the presentation before the decision, which then verifies the
+   head it names. *)
+let grant_key (presented : Guard.presented) ~currency =
+  let head =
+    match presented.Guard.pres with
+    | Proxy.Public_key ({ Proxy_cert.pk_body = b; _ } :: _)
+    | Proxy.Hybrid ({ Proxy_cert.h_body = b; _ }, _) ->
+        [ Principal.to_wire b.Proxy_cert.grantor; Wire.S b.Proxy_cert.serial ]
+    | Proxy.Conventional { Proxy.cert_blobs = blob :: _; _ } -> [ Wire.S blob ]
+    | Proxy.Public_key [] | Proxy.Conventional _ -> []
+  in
+  Wire.encode (Wire.L (Wire.S currency :: head))
 
 let handle t ctx payload =
   let open Wire in
@@ -262,7 +281,7 @@ let handle t ctx payload =
             in
             let now = Sim.Net.now t.net in
             let proxy =
-              Proxy.grant_pk ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + t.proxy_lifetime_us)
+              Proxy.grant_pk ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + proxy_lifetime_us)
                 ~grantor:t.me ~grantor_key:t.signing_key
                 ~restrictions:
                   [ Restriction.Authorized
@@ -285,37 +304,13 @@ let handle t ctx payload =
           in
           let now = Sim.Net.now t.net in
           let check =
-            Check.write ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + t.proxy_lifetime_us)
+            Check.write ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + proxy_lifetime_us)
               ~payor:t.me ~payor_key:t.signing_key ~account:(account t escrow_account) ~payee
               ~currency ~amount ()
           in
           trace t "cashier's check %s: %d %s for %s" check.Check.number amount currency
             (Principal.to_string payee);
           Ok (Check.to_wire check))
-  | "proxy-transfer" ->
-      (* Single-decision presented-proxy transfer: unlike "proxy-debit"
-         (whose probe pass runs the guard twice per request), exactly one
-         [Guard.decide] evaluates — and therefore advances — any stateful
-         Sequence restriction the chain carries exactly once per grant. *)
-      let* pw = field payload 1 in
-      let* presented = Guard.presented_of_wire pw in
-      let* payor_account = Result.bind (field payload 2) to_string in
-      let* to_account = Result.bind (field payload 3) to_string in
-      let* currency = Result.bind (field payload 4) to_string in
-      let* amount = Result.bind (field payload 5) to_int in
-      if amount <= 0 then Error "proxy-transfer: amount must be positive"
-      else
-        owner_only to_account (fun () ->
-            let* _decision =
-              Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter:client
-                ~proxies:[ presented ]
-                ~spend:(currency, amount) ()
-            in
-            let* () = Ledger.debit t.ledger ~name:payor_account ~currency amount in
-            let* () = Ledger.credit t.ledger ~name:to_account ~currency amount in
-            trace t "proxy transfer: %d %s from %S to %S" amount currency payor_account
-              to_account;
-            Ok (Wire.I amount))
   | "seq-advance" ->
       (* Cross-server sequence progress handover: the guard re-derives the
          sequence from the self-describing key and only accepts the push
@@ -330,67 +325,52 @@ let handle t ctx payload =
       in
       trace t "sequence progress %d imported from %s" progress (Principal.to_string client);
       Ok (Wire.L [])
-  | "proxy-debit" ->
-      (* Standing-authority draw (quota allocation, Section 4): cumulative
-         spending against one delegate proxy is tracked and capped by its
-         Quota restriction. *)
-      let* pw = field payload 1 in
-      let* presented = Guard.presented_of_wire pw in
+  | ("proxy-debit" | "proxy-release") as verb ->
+      (* A draw on a presented delegate proxy (quota allocation, Section 4)
+         or its release. The grant's running total is read before the one
+         decision, so a draw's spend is the cumulative total and every
+         Quota on the chain caps it. *)
+      let* presented = Result.bind (field payload 1) Guard.presented_of_wire in
       let* payor_account = Result.bind (field payload 2) to_string in
-      let* to_account = Result.bind (field payload 3) to_string in
+      let* account = Result.bind (field payload 3) to_string in
       let* currency = Result.bind (field payload 4) to_string in
       let* amount = Result.bind (field payload 5) to_int in
-      if amount <= 0 then Error "proxy-debit: amount must be positive"
+      if amount <= 0 then Error (verb ^ ": amount must be positive")
       else
-        owner_only to_account (fun () ->
-            (* Probe pass: identify the authority's serial path. *)
-            let* probe =
-              Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter:client
-                ~proxies:[ presented ] ()
-            in
-            let key = String.concat "/" probe.Guard.serials_used ^ "#" ^ currency in
+        owner_only account (fun () ->
+            let key = grant_key presented ~currency in
             let already = Option.value (Hashtbl.find_opt t.drawn key) ~default:0 in
-            (* Real pass: the cumulative total must fit every quota the
-               chain carries. *)
-            let* _decision =
-              Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter:client
-                ~proxies:[ presented ]
-                ~spend:(currency, already + amount) ()
-            in
-            let* () = Ledger.debit t.ledger ~name:payor_account ~currency amount in
-            let* () = Ledger.credit t.ledger ~name:to_account ~currency amount in
-            Hashtbl.replace t.drawn key (already + amount);
-            trace t "standing draw: %d %s from %S to %S (cumulative %d)" amount currency
-              payor_account to_account (already + amount);
-            Ok (Wire.I (already + amount)))
-  | "proxy-release" ->
-      (* Return previously drawn resources (quota release). *)
-      let* pw = field payload 1 in
-      let* presented = Guard.presented_of_wire pw in
-      let* payor_account = Result.bind (field payload 2) to_string in
-      let* from_account = Result.bind (field payload 3) to_string in
-      let* currency = Result.bind (field payload 4) to_string in
-      let* amount = Result.bind (field payload 5) to_int in
-      if amount <= 0 then Error "proxy-release: amount must be positive"
-      else
-        owner_only from_account (fun () ->
+            let draw = verb = "proxy-debit" in
+            let total = if draw then already + amount else already - amount in
             let* decision =
               Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter:client
-                ~proxies:[ presented ] ()
+                ~proxies:[ presented ]
+                ?spend:(if draw then Some (currency, total) else None)
+                ()
             in
-            let key = String.concat "/" decision.Guard.serials_used ^ "#" ^ currency in
-            let already = Option.value (Hashtbl.find_opt t.drawn key) ~default:0 in
-            if already < amount then
+            (* The caller's own rights may grant the decision without the
+               proxy; such a request must not move the total of a grant
+               whose certificates anyone can copy. *)
+            if decision.Guard.acting_for = [] then
+              Error (verb ^ ": the presented proxy did not authorize the request")
+            else if total < 0 then
               Error
                 (Printf.sprintf "proxy-release: only %d %s drawn, cannot release %d" already
                    currency amount)
             else
-              let* () = Ledger.debit t.ledger ~name:from_account ~currency amount in
-              let* () = Ledger.credit t.ledger ~name:payor_account ~currency amount in
-              Hashtbl.replace t.drawn key (already - amount);
-              trace t "standing release: %d %s back to %S (cumulative %d)" amount currency
-                payor_account (already - amount);
-              Ok (Wire.I (already - amount)))
+              let from_, to_ =
+                if draw then (payor_account, account) else (account, payor_account)
+              in
+              let* () = Ledger.debit t.ledger ~name:from_ ~currency amount in
+              let* () = Ledger.credit t.ledger ~name:to_ ~currency amount in
+              Hashtbl.replace t.drawn key total;
+              if draw then
+                trace t "standing draw: %d %s from %S to %S (cumulative %d)" amount currency
+                  from_ to_ total
+              else
+                trace t "standing release: %d %s back to %S (cumulative %d)" amount currency
+                  to_ total;
+              Ok (Wire.I total))
   | "apply-bulletin" ->
       (* Bulletins are self-authenticating (authority-signed, monotonic
          epoch), so any authenticated caller may deliver one — the push leg
@@ -435,7 +415,7 @@ let apply_replicated t ?(seq = []) ~ops ~redeemed () =
         (fun number ->
           ignore
             (Replay_cache.record (Guard.replay_cache t.guard) ~now
-               ~expires:(now + t.proxy_lifetime_us) number))
+               ~expires:(now + proxy_lifetime_us) number))
         redeemed;
       (* Mirrored sequence progress lands directly in the tracker: the
          replication channel already authenticated the primary, and the
@@ -486,7 +466,7 @@ let deposit ?retry ?via ?on_failover net ~creds ~endorser_key ~check ~to_account
   let now = Sim.Net.now net in
   let bank = creds.Ticket.cred_service in
   match
-    Check.endorse ~drbg:(Sim.Net.drbg net) ~now ~expires:(now + 24 * 3600 * 1_000_000)
+    Check.endorse ~drbg:(Sim.Net.drbg net) ~now ~expires:(now + proxy_lifetime_us)
       ~endorser:creds.Ticket.cred_client ~endorser_key ~next:bank check
   with
   | Error e -> Error e
@@ -513,45 +493,31 @@ let cashier_check net ~creds ~from_account ~payee ~currency ~amount =
   | Error e -> Error e
   | Ok reply -> Check.of_wire reply
 
-let presented_of_authority (auth : Standing.t) =
-  { Guard.pres = Proxy.presentation auth.Standing.authority; pres_proof = None }
+let proxy_call verb ?retry ?via net ~creds ~presented ~payor_account ~account ~currency
+    ~amount =
+  Result.bind
+    (Secure_rpc.call net ~creds ?retry ?via
+       (Wire.L
+          [ Wire.S verb; Guard.presented_to_wire presented; Wire.S payor_account;
+            Wire.S account; Wire.S currency; Wire.I amount ]))
+    Wire.to_int
+
+let proxy_debit ?retry ?via net ~creds ~presented ~payor_account ~to_account ~currency
+    ~amount =
+  proxy_call "proxy-debit" ?retry ?via net ~creds ~presented ~payor_account
+    ~account:to_account ~currency ~amount
+
+let standing_call verb net ~creds ~(authority : Standing.t) ~account ~amount =
+  proxy_call verb net ~creds
+    ~presented:{ Guard.pres = Proxy.presentation authority.Standing.authority; pres_proof = None }
+    ~payor_account:authority.Standing.drawn_from.Principal.Account.account ~account
+    ~currency:authority.Standing.currency ~amount
 
 let standing_debit net ~creds ~authority ~to_account ~amount =
-  let payload =
-    Wire.L
-      [ Wire.S "proxy-debit";
-        Guard.presented_to_wire (presented_of_authority authority);
-        Wire.S authority.Standing.drawn_from.Principal.Account.account;
-        Wire.S to_account;
-        Wire.S authority.Standing.currency;
-        Wire.I amount ]
-  in
-  Result.bind (Secure_rpc.call net ~creds payload) Wire.to_int
+  standing_call "proxy-debit" net ~creds ~authority ~account:to_account ~amount
 
 let standing_release net ~creds ~authority ~from_account ~amount =
-  let payload =
-    Wire.L
-      [ Wire.S "proxy-release";
-        Guard.presented_to_wire (presented_of_authority authority);
-        Wire.S authority.Standing.drawn_from.Principal.Account.account;
-        Wire.S from_account;
-        Wire.S authority.Standing.currency;
-        Wire.I amount ]
-  in
-  Result.bind (Secure_rpc.call net ~creds payload) Wire.to_int
-
-let proxy_transfer ?retry ?via net ~creds ~presented ~payor_account ~to_account ~currency
-    ~amount =
-  let payload =
-    Wire.L
-      [ Wire.S "proxy-transfer";
-        Guard.presented_to_wire presented;
-        Wire.S payor_account;
-        Wire.S to_account;
-        Wire.S currency;
-        Wire.I amount ]
-  in
-  Result.bind (Secure_rpc.call net ~creds ?retry ?via payload) Wire.to_int
+  standing_call "proxy-release" net ~creds ~authority ~account:from_account ~amount
 
 let seq_advance ?retry ?via net ~creds ~key ~progress ~expires ~tag =
   match

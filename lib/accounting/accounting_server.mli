@@ -27,7 +27,6 @@ val create :
   ?collect_retry:Sim.Retry.policy ->
   ?verify_cache:Verify_cache.t ->
   ?revocation:Revocation.t ->
-  ?proxy_lifetime_us:int ->
   unit ->
   (t, string) result
 (** [signing_key] signs endorsements, certification proxies, and cashier's
@@ -37,7 +36,9 @@ val create :
     debited at the drawee; with it the hop retransmits (same authenticator,
     so the remote response cache fires the collect exactly once).
     [revocation] attaches local bulletin state to the guard, so checks
-    drawn by revoked grantors bounce (see {!Guard.create}). *)
+    drawn by revoked grantors bounce (see {!Guard.create}). What the server
+    signs (endorsements, certification proxies, cashier's checks) lives 24
+    hours. *)
 
 val install : t -> unit
 val me : t -> Principal.t
@@ -173,30 +174,25 @@ val cashier_check :
 (** Pay now, receive a check drawn by the server itself on its escrow
     account — trusted because the server is its own drawee. *)
 
-val standing_debit :
-  Sim.Net.t ->
-  creds:Ticket.credentials ->
-  authority:Standing.t ->
-  to_account:string ->
-  amount:int ->
-  (int, string) result
-(** Resource-server side of quota allocation: draw [amount] of the
-    authority's currency from the grantor's account into [to_account]
-    (owned by the caller). The accounting server tracks the cumulative draw
-    per authority and refuses to exceed its quota. Returns the new
-    cumulative total. *)
+(** {3 Presented-proxy draws}
 
-val standing_release :
-  Sim.Net.t ->
-  creds:Ticket.credentials ->
-  authority:Standing.t ->
-  from_account:string ->
-  amount:int ->
-  (int, string) result
-(** Quota release: return funds from [from_account] to the grantor and
-    lower the cumulative draw. Returns the new cumulative total. *)
+    A delegate proxy whose chain authorizes ["debit"] on an account here
+    (a standing authority, {!Standing}) is drawn on by two verbs:
+    ["proxy-debit"] moves funds out of the account into one the caller
+    owns, and ["proxy-release"] moves them back. Each request runs exactly
+    one {!Guard.decide}. The server keeps a running total per grant and
+    currency: the grant is the chain's head certificate (its grantor and
+    serial for public-key and hybrid chains, its first sealed certificate
+    for conventional ones), so every chain derived from one grant, its
+    holder's re-delegations included, shares one budget. A draw's decision
+    spends the running total plus the amount, so each Quota on the chain
+    caps the cumulative draw; a release may not return more than is drawn.
+    A request the decision grants without the presented proxy (on the
+    caller's own rights) is refused, so nobody moves a grant's total by
+    presenting copied certificates. The totals live on this server only
+    ({!apply_replicated}). *)
 
-val proxy_transfer :
+val proxy_debit :
   ?retry:Sim.Retry.policy -> ?via:string list ->
   Sim.Net.t ->
   creds:Ticket.credentials ->
@@ -206,13 +202,33 @@ val proxy_transfer :
   currency:string ->
   amount:int ->
   (int, string) result
-(** Move [amount] from [payor_account] (authorized by the presented
-    delegate-proxy chain — the guard checks "debit" on it) into
-    [to_account], owned by the caller. Exactly one guard decision runs per
-    executed request, so a stateful {!Restriction.Sequence} on the chain
-    advances exactly once per grant — use this, not the double-decision
-    ["proxy-debit"] probe, for sequence-gated draws. Returns the amount
-    moved. *)
+(** Draw [amount] of [currency] from [payor_account], authorized by
+    [presented], into [to_account], owned by the caller (the
+    ["proxy-debit"] verb). Returns the grant's new running total. A
+    stateful {!Restriction.Sequence} on the chain advances once per granted
+    draw. *)
+
+val standing_debit :
+  Sim.Net.t ->
+  creds:Ticket.credentials ->
+  authority:Standing.t ->
+  to_account:string ->
+  amount:int ->
+  (int, string) result
+(** {!proxy_debit} on a standing authority: the resource server (the
+    caller) draws [amount] of the authority's currency from the grantor's
+    account into [to_account]. Returns the new running total. *)
+
+val standing_release :
+  Sim.Net.t ->
+  creds:Ticket.credentials ->
+  authority:Standing.t ->
+  from_account:string ->
+  amount:int ->
+  (int, string) result
+(** Quota release (the ["proxy-release"] verb): return [amount] from
+    [from_account], owned by the caller, to the grantor and lower the
+    running total. Returns the new running total. *)
 
 val seq_advance :
   ?retry:Sim.Retry.policy -> ?via:string list ->

@@ -7,7 +7,8 @@
     A standing authority is a delegate proxy — like a check, but without the
     accept-once number — that lets a named resource server debit the
     grantor's account repeatedly, up to a {e cumulative} ceiling the
-    accounting server tracks per proxy chain. Releases return funds and
+    accounting server tracks per grant, shared by every chain derived from
+    it (see {!Accounting_server.proxy_debit}). Releases return funds and
     replenish the remaining quota. *)
 
 type t = {

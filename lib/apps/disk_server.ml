@@ -8,26 +8,27 @@ type t = {
   my_key : string;
   bank : Principal.t;
   escrow_account : string;
-  block_bytes : int;
   granter : Granter.t;
   files : (string, file) Hashtbl.t;
   authorities : (string, Standing.t) Hashtbl.t; (* owner -> standing authority *)
 }
 
-let create net ~me ~my_key ~kdc ~bank ~escrow_account ?(block_bytes = 512) () =
+let block_bytes = 512
+
+let create net ~me ~my_key ~kdc ~bank ~escrow_account =
   match Granter.create net ~me ~my_key ~kdc with
   | Error e -> Error e
   | Ok granter ->
       Ok
         {
-          net; me; my_key; bank; escrow_account; block_bytes; granter;
+          net; me; my_key; bank; escrow_account; granter;
           files = Hashtbl.create 16;
           authorities = Hashtbl.create 8;
         }
 
 let me t = t.me
 
-let blocks_of t content = max 1 ((String.length content + t.block_bytes - 1) / t.block_bytes)
+let blocks_of content = max 1 ((String.length content + block_bytes - 1) / block_bytes)
 
 let bank_creds t = Granter.credentials_for t.granter t.bank
 
@@ -81,7 +82,7 @@ let handle t ctx payload =
   | "write" -> (
       let* path = Result.bind (field payload 1) to_string in
       let* content = Result.bind (field payload 2) to_string in
-      let blocks = blocks_of t content in
+      let blocks = blocks_of content in
       let* () = release_existing t ~client ~path in
       match charge t ~owner:client ~blocks with
       | Error e -> Error (Printf.sprintf "quota refused: %s" e)

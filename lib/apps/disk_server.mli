@@ -17,11 +17,9 @@ val create :
   kdc:Principal.t ->
   bank:Principal.t ->
   escrow_account:string ->
-  ?block_bytes:int ->
-  unit ->
   (t, string) result
 (** [escrow_account] at [bank] must exist and be owned by [me]; blocks
-    drawn from users accumulate there. Default block size: 512 bytes. *)
+    drawn from users accumulate there. A block is 512 bytes. *)
 
 val install : t -> unit
 val me : t -> Principal.t

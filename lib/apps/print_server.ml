@@ -7,26 +7,22 @@ type t = {
   signing_key : Crypto.Rsa.private_;
   lookup : Principal.t -> Crypto.Rsa.public option;
   granter : Granter.t;
-  price_per_page : int;
-  page_bytes : int;
   mutable pages_printed : int;
 }
 
-let create net ~me ~my_key ~kdc ~bank ~account ~signing_key ~lookup ?(price_per_page = 2)
-    ?(page_bytes = 1000) () =
+let price_per_page = 2
+let page_bytes = 1000
+
+let create net ~me ~my_key ~kdc ~bank ~account ~signing_key ~lookup =
   match Granter.create net ~me ~my_key ~kdc with
   | Error e -> Error e
   | Ok granter ->
-      Ok
-        {
-          net; me; my_key; bank; account; signing_key; lookup; granter;
-          price_per_page; page_bytes; pages_printed = 0;
-        }
+      Ok { net; me; my_key; bank; account; signing_key; lookup; granter; pages_printed = 0 }
 
 let me t = t.me
 let pages_printed t = t.pages_printed
 
-let pages_of t content = max 1 ((String.length content + t.page_bytes - 1) / t.page_bytes)
+let pages_of_length len = max 1 ((len + page_bytes - 1) / page_bytes)
 
 let trace t fmt =
   Printf.ksprintf
@@ -48,16 +44,15 @@ let handle t ctx payload =
   match op with
   | "price" ->
       let* len = Result.bind (field payload 1) to_int in
-      let pages = max 1 ((len + t.page_bytes - 1) / t.page_bytes) in
-      Ok (Wire.I (pages * t.price_per_page))
+      Ok (Wire.I (pages_of_length len * price_per_page))
   | "print" -> (
       let* document = Result.bind (field payload 1) to_string in
       let* content = Result.bind (field payload 2) to_string in
       let* cw = field payload 3 in
       let* check = Check.of_wire cw in
       let* cert_w = field payload 4 in
-      let pages = pages_of t content in
-      let cost = pages * t.price_per_page in
+      let pages = pages_of_length (String.length content) in
+      let cost = pages * price_per_page in
       if check.Check.amount < cost then
         Error (Printf.sprintf "payment %d below cost %d" check.Check.amount cost)
       else if not (Principal.equal check.Check.payee t.me) then

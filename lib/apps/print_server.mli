@@ -22,12 +22,9 @@ val create :
   account:string ->
   signing_key:Crypto.Rsa.private_ ->
   lookup:(Principal.t -> Crypto.Rsa.public option) ->
-  ?price_per_page:int ->
-  ?page_bytes:int ->
-  unit ->
   (t, string) result
-(** [account] must already exist at [bank] and be owned by [me].
-    Defaults: 2 usd per page, 1000 bytes per page. *)
+(** [account] must already exist at [bank] and be owned by [me]. A page
+    is 1000 bytes and costs 2 usd. *)
 
 val install : t -> unit
 val me : t -> Principal.t

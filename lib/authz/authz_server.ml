@@ -5,16 +5,16 @@ type t = {
   database : Acl.t;
   guard : Guard.t; (* decision engine over [database] *)
   granter : Granter.t;
-  proxy_lifetime_us : int;
 }
 
-let create net ~me ~my_key ~kdc ~database ?lookup_pub
-    ?(proxy_lifetime_us = 2 * 3600 * 1_000_000) () =
+let proxy_lifetime_us = 2 * 3600 * 1_000_000
+
+let create net ~me ~my_key ~kdc ~database ?lookup_pub () =
   match Granter.create net ~me ~my_key ~kdc with
   | Error e -> Error e
   | Ok granter ->
       let guard = Guard.create net ~me ~my_key ?lookup_pub ~acl:database () in
-      Ok { net; me; my_key; database; guard; granter; proxy_lifetime_us }
+      Ok { net; me; my_key; database; guard; granter }
 
 let handle t ctx payload =
   let open Wire in
@@ -62,7 +62,7 @@ let handle t ctx payload =
           if delegate <> 0 then Restriction.Grantee ([ client ], 1) :: restrictions
           else restrictions
         in
-        let expires = Sim.Net.now t.net + t.proxy_lifetime_us in
+        let expires = Sim.Net.now t.net + proxy_lifetime_us in
         let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in
         Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
           ~actor:(Principal.to_string t.me)

@@ -22,9 +22,9 @@ val create :
   kdc:Principal.t ->
   database:Acl.t ->
   ?lookup_pub:(Principal.t -> Crypto.Rsa.public option) ->
-  ?proxy_lifetime_us:int ->
   unit ->
   (t, string) result
+(** The proxies it grants live 2 hours. *)
 
 val install : t -> unit
 (** Serve authorization requests (secure-RPC). *)

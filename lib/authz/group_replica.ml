@@ -3,15 +3,15 @@ type t = {
   me : Principal.t;
   my_key : string;
   granter : Granter.t;
-  proxy_lifetime_us : int;
   origin : Principal.t;
   replica : Membership.t;
 }
 
 let membership_right = "member"
 
-let create net ~me ~my_key ~kdc ~origin ~origin_pub ?staleness_bound_us
-    ?(proxy_lifetime_us = 2 * 3600 * 1_000_000) () =
+let proxy_lifetime_us = 2 * 3600 * 1_000_000
+
+let create net ~me ~my_key ~kdc ~origin ~origin_pub ?staleness_bound_us () =
   match Granter.create net ~me ~my_key ~kdc with
   | Error e -> Error e
   | Ok granter ->
@@ -21,7 +21,6 @@ let create net ~me ~my_key ~kdc ~origin ~origin_pub ?staleness_bound_us
           me;
           my_key;
           granter;
-          proxy_lifetime_us;
           origin;
           replica =
             Membership.create ~issuer:origin ~issuer_pub:origin_pub ?staleness_bound_us
@@ -95,7 +94,7 @@ let handle t ctx payload =
           :: Restriction.Grantee ([ client ], 1)
           :: inherited
         in
-        let expires = Sim.Net.now t.net + t.proxy_lifetime_us in
+        let expires = Sim.Net.now t.net + proxy_lifetime_us in
         let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in
         Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
           ~actor:(Principal.to_string t.me)

@@ -26,12 +26,12 @@ val create :
   origin:Principal.t ->
   origin_pub:Crypto.Rsa.public ->
   ?staleness_bound_us:int ->
-  ?proxy_lifetime_us:int ->
   unit ->
   (t, string) result
 (** [origin] is the authoritative group server (typically in another
     realm); [origin_pub] its snapshot-signing key. [kdc] is the {e local}
-    realm's KDC — the replica reaches the origin through the federation. *)
+    realm's KDC — the replica reaches the origin through the federation.
+    The membership proxies it grants live 2 hours. *)
 
 val install : t -> unit
 (** Serve the same ["assert"] verb as {!Group_server} (clients use

@@ -8,7 +8,6 @@ type t = {
   tickets : Ticket.holder;
   lookup_pub : Principal.t -> Crypto.Rsa.public option;
   decrypt : string -> string option;
-  max_skew_us : int;
   acl : Acl.t;
   replay : Replay_cache.t;
   seq : Seq_tracker.t;
@@ -21,8 +20,11 @@ type t = {
     option;
 }
 
-let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa
-    ?(max_skew_us = 5 * 60 * 1_000_000) ?verify_cache ?revocation ~acl () =
+(* Clock skew tolerated on a possession proof's timestamp. *)
+let max_skew_us = 5 * 60 * 1_000_000
+
+let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa ?verify_cache ?revocation
+    ~acl () =
   let decrypt =
     match my_rsa with None -> fun _ -> None | Some key -> Crypto.Rsa.decrypt key
   in
@@ -42,7 +44,6 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa
     tickets = Ticket.holder my_key;
     lookup_pub;
     decrypt;
-    max_skew_us;
     acl;
     replay = Replay_cache.create ~on_evict:(incr "replay_cache.evictions") ();
     seq = Seq_tracker.create ~on_evict:(incr "seq_tracker.evictions") ();
@@ -111,7 +112,6 @@ type decision = {
   acting_for : Principal.t list;
   via_groups : Principal.Group.t list;
   serials_used : string list;
-  restrictions_used : Restriction.t list;
 }
 
 (* Everything the guard learned about one successfully verified and
@@ -221,7 +221,7 @@ let evaluate t ~req (p : presented) =
   | Error e -> Error e
   | Ok verified -> (
       match
-        Verifier.authorize verified ~req ~proof:p.pres_proof ~max_skew:t.max_skew_us
+        Verifier.authorize verified ~req ~proof:p.pres_proof ~max_skew:max_skew_us
       with
       | Error e -> Error e
       | Ok () ->
@@ -431,7 +431,6 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(pro
               acting_for = List.map (fun u -> u.u_grantor) used;
               via_groups;
               serials_used = List.concat_map (fun u -> u.u_serials) used;
-              restrictions_used = List.concat_map (fun u -> u.u_restrictions) used;
             }
           in
           Log.debug (fun m ->

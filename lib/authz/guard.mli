@@ -25,7 +25,6 @@ val create :
   my_key:string ->
   ?lookup_pub:(Principal.t -> Crypto.Rsa.public option) ->
   ?my_rsa:Crypto.Rsa.private_ ->
-  ?max_skew_us:int ->
   ?verify_cache:Verify_cache.t ->
   ?revocation:Revocation.t ->
   acl:Acl.t ->
@@ -140,9 +139,6 @@ type decision = {
       (** proxy grantors whose authority contributed *)
   via_groups : Principal.Group.t list;  (** memberships that contributed *)
   serials_used : string list;  (** certificate serials (audit trail) *)
-  restrictions_used : Restriction.t list;
-      (** full restriction set of the proxies that contributed (e.g. for
-          cumulative quota tracking by accounting servers) *)
 }
 
 val decide :

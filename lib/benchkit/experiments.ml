@@ -269,7 +269,7 @@ let fig2 () =
   let printer =
     expect_ok
       (Print_server.create w.World.net ~me:printer_p ~my_key:printer_key ~kdc:w.World.kdc_name
-         ~bank:bank1_p ~account:"printer" ~signing_key:printer_rsa ~lookup ())
+         ~bank:bank1_p ~account:"printer" ~signing_key:printer_rsa ~lookup)
   in
   Print_server.install printer;
   let creds_cp = World.credentials_for w ~tgt:tgt_c printer_p in

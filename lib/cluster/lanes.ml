@@ -643,15 +643,15 @@ let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
         inbox;
       let retry = retry cfg
       and via = [ Shard.primary_node st.sl_bank; Shard.standby_node st.sl_bank ] in
-      let transfer () =
-        Accounting_server.proxy_transfer ~retry ~via net ~creds:st.sl_bob_bank_creds
+      let debit () =
+        Accounting_server.proxy_debit ~retry ~via net ~creds:st.sl_bob_bank_creds
           ~presented:st.sl_presented_bank ~payor_account:st.sl_alice_account
           ~to_account:st.sl_bob_account ~currency:usd ~amount:seq_amount
       in
       (match epoch with
       | 0 ->
           (* Out-of-order attack at the bank: no open has happened. *)
-          gate st "out-of-order debit denied" (Result.is_error (transfer ()));
+          gate st "out-of-order debit denied" (Result.is_error (debit ()));
           (* In-order open at the fs; the hook captures the handover. *)
           let open_ok =
             Result.is_ok
@@ -673,10 +673,10 @@ let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
       | 1 ->
           (* Progress imported above; the gated debit must now clear. *)
           gate st "debit granted after the handover"
-            (match transfer () with Ok a -> a = seq_amount | Error _ -> false);
+            (match debit () with Ok a -> a = seq_amount | Error _ -> false);
           Sim.Metrics.incr m "lanes.ops";
           Sim.Metrics.incr m "lanes.ok"
-      | 2 -> gate st "repeat debit denied: sequence exhausted" (Result.is_error (transfer ()))
+      | 2 -> gate st "repeat debit denied: sequence exhausted" (Result.is_error (debit ()))
       | _ -> ());
       List.rev !out)
 

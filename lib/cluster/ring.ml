@@ -13,9 +13,11 @@ type t = {
 
 let point id k = Crypto.Sha256.digest (id ^ "#" ^ string_of_int k)
 
-let create ?(vnodes = 32) shards =
+(* Virtual points per shard: enough to smooth the key distribution. *)
+let vnodes = 32
+
+let create shards =
   if shards = [] then invalid_arg "Ring.create: no shards";
-  if vnodes < 1 then invalid_arg "Ring.create: vnodes must be positive";
   let shards = List.sort_uniq String.compare shards in
   let points =
     List.concat_map (fun id -> List.init vnodes (fun k -> (point id k, id))) shards

@@ -128,12 +128,12 @@ let run cfg =
          Sim.Fault.duplicate cfg.duplicate;
          Sim.Fault.crash crashed_node ~at:crash_at ();
        ]);
-  let transfer () =
-    Accounting_server.proxy_transfer ~retry ~via net ~creds:bob_bank ~presented
+  let debit () =
+    Accounting_server.proxy_debit ~retry ~via net ~creds:bob_bank ~presented
       ~payor_account:"alice" ~to_account:"bob" ~currency:usd ~amount
   in
   (* 1. Out-of-order attack: debit before open must bounce. *)
-  let attack_denied = Result.is_error (transfer ()) in
+  let attack_denied = Result.is_error (debit ()) in
   (* 2. In-order: open the contract at the fs. The granted decision
         advances the fs tracker and hands progress to the bank primary,
         whose journal ships it to the standby before the seq-advance reply
@@ -164,9 +164,9 @@ let run cfg =
   done;
   (* 5. Mid-sequence failover: the debit must succeed exactly once on the
         promoted standby, which learned the progress from replication. *)
-  let failover_debit_ok = match transfer () with Ok n -> n = amount | Error _ -> false in
+  let failover_debit_ok = match debit () with Ok n -> n = amount | Error _ -> false in
   (* 6. The sequence is exhausted: a repeat debit must bounce. *)
-  let second_debit_denied = Result.is_error (transfer ()) in
+  let second_debit_denied = Result.is_error (debit ()) in
   Sim.Net.clear_fault_plan net;
   let authoritative = Shard.authoritative bank in
   let balance_of name =

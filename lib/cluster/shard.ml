@@ -37,7 +37,6 @@ type t = {
   standby : replica;
   repl_creds : Ticket.credentials;
   repl_retry : Sim.Retry.policy option;
-  bulk_every : int;
   pending_ops : Ledger.op list ref;  (* newest first *)
   pending_redeems : string list ref;  (* newest first *)
   pending_seq : (string * int * int * string) list ref;
@@ -45,7 +44,6 @@ type t = {
          grantor tag), newest first *)
   pending_triples : (string * int * string) list ref;
       (* unshipped (auth_id, expires, sealed reply) triples, newest first *)
-  mutable handled_since_ship : int;
   mutable promoted : bool;
 }
 
@@ -54,11 +52,9 @@ let ( let* ) = Result.bind
 let journal_fn t op = t.pending_ops := op :: !(t.pending_ops)
 
 let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
-    ?(bulk_every = 1) ?revocation_authority ?staleness_bound_us ~primary_node ~standby_node
-    () =
+    ?revocation_authority ?staleness_bound_us ~primary_node ~standby_node () =
   if primary_node = standby_node then
     invalid_arg "Shard.create: replicas need distinct node names";
-  if bulk_every < 1 then invalid_arg "Shard.create: bulk_every must be positive";
   let mk () =
     (* Each replica subscribes to bulletins with its *own* state: a
        partition that isolates one physical node must age that replica
@@ -91,12 +87,10 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
                   cache = Secure_rpc.create_cache () };
       repl_creds;
       repl_retry;
-      bulk_every;
       pending_ops = ref [];
       pending_redeems = ref [];
       pending_seq = ref [];
       pending_triples = ref [];
-      handled_since_ship = 0;
       promoted = false;
     }
   in
@@ -141,7 +135,6 @@ let ship_now t =
   t.pending_redeems := [];
   t.pending_seq := [];
   t.pending_triples := [];
-  t.handled_since_ship <- 0;
   let payload =
     Wire.L
       ([
@@ -177,43 +170,29 @@ let ship_now t =
       t.pending_ops := !(t.pending_ops) @ List.rev ops;
       t.pending_redeems := !(t.pending_redeems) @ List.rev redeems;
       t.pending_seq := !(t.pending_seq) @ List.rev seq;
-      t.pending_triples := !(t.pending_triples) @ List.rev triples;
-      (* Force the next handled request to re-ship whatever its position in
-         the bulk window. *)
-      t.handled_since_ship <- t.bulk_every
+      t.pending_triples := !(t.pending_triples) @ List.rev triples
 
-(* Per-handled-request replication policy, fired by [on_handled] after the
-   handler ran and the reply is cached but before it is transmitted.
+(* Per-handled-request replication, fired by [on_handled] after the
+   handler ran and the reply is cached but before it is transmitted, so
+   every reply a client saw is already at the standby. Two kinds of
+   request ship less:
 
-   Coalescing happens at three levels:
-
-   - a request that journalled nothing (a balance read) ships nothing and
-     seeds nothing: re-executing it on a failed-over retransmission is
-     idempotent, so replicating its reply bought nothing
-     ("cluster.repl_read_skips");
+   - a request that journalled nothing (a balance read), with no failed
+     ship pending, ships nothing and seeds nothing: re-executing it on a
+     failed-over retransmission is idempotent, so replicating its reply
+     bought nothing ("cluster.repl_read_skips");
    - a pipelined [Secure_rpc.call_batch] request journals all its items'
      ops under ONE authenticator/reply, so they ride one ship instead of
-     one per op — with the strict reply-after-ship ordering fully intact;
-   - with [bulk_every = k > 1], mutating requests accumulate and every
-     k-th one ships the combined backlog ("cluster.repl_deferred" counts
-     the deferrals). The k-th request's own reply still ships before it is
-     released; replies released *between* bulk ships trade the strict
-     "reply seen => replicated" ordering for fewer replication round
-     trips — a client must both lose its reply AND see the primary die
-     before the next ship for a duplicate execution window to open. The
-     default k = 1 keeps the strict ordering everywhere. *)
+     one per op. *)
 let ship t ~auth_id ~expires ~reply =
-  let metrics = Sim.Net.metrics t.net in
   let mutating =
     !(t.pending_ops) <> [] || !(t.pending_redeems) <> [] || !(t.pending_seq) <> []
   in
   if (not mutating) && !(t.pending_triples) = [] then
-    Sim.Metrics.incr metrics "cluster.repl_read_skips"
+    Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_read_skips"
   else begin
     t.pending_triples := (auth_id, expires, reply) :: !(t.pending_triples);
-    t.handled_since_ship <- t.handled_since_ship + 1;
-    if t.handled_since_ship >= t.bulk_every then ship_now t
-    else Sim.Metrics.incr metrics "cluster.repl_deferred"
+    ship_now t
   end
 
 let apply_replication t ctx v =

@@ -21,7 +21,6 @@ val create :
   lookup:(Principal.t -> Crypto.Rsa.public option) ->
   ?collect_retry:Sim.Retry.policy ->
   ?repl_retry:Sim.Retry.policy ->
-  ?bulk_every:int ->
   ?revocation_authority:Principal.t * Crypto.Rsa.public ->
   ?staleness_bound_us:int ->
   primary_node:string ->
@@ -32,19 +31,14 @@ val create :
     and [standby_node] are their distinct physical network names.
     [repl_retry] governs the primary->standby replication exchange.
 
-    Replication is coalesced three ways. Requests that journalled nothing
-    (reads) skip shipping entirely — re-executing one on a failed-over
-    retransmission is idempotent (["cluster.repl_read_skips"]). Pipelined
-    batches ({!Secure_rpc.call_batch}) journal all their items under one
-    authenticator and thus one ship. And [bulk_every = k] (default [1])
-    ships only every k-th mutating request, carrying the whole backlog of
-    journal entries and sealed replies in one ["x-replicate-bulk"]
-    exchange ([k > 1] trades the strict "reply seen => replicated"
-    ordering for fewer replication round trips: replies released between
-    ships are vulnerable to duplicate execution only if the client loses
-    the reply {e and} the primary dies before the next ship; the default
-    keeps the strict ordering). A failed ship re-rides the next handled
-    request.
+    Every mutating request ships its journal entries and sealed reply in
+    one ["x-replicate-bulk"] exchange before the reply is released.
+    Requests that journalled nothing (reads) skip shipping entirely —
+    re-executing one on a failed-over retransmission is idempotent
+    (["cluster.repl_read_skips"]). Pipelined batches
+    ({!Secure_rpc.call_batch}) journal all their items under one
+    authenticator and thus one ship. A failed ship re-rides the next
+    handled request.
     [revocation_authority] subscribes {e each replica independently} to
     that authority's bulletins (its own {!Revocation.t}, aged by its own
     deliveries), so a partition isolating one physical node drives only

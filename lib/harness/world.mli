@@ -1,5 +1,5 @@
 (** Experiment worlds: a simulated network with a KDC and enrolment
-    helpers, shared by the benches (and mirrored by the examples).
+    helpers, shared by the benches and the examples.
 
     All functions that contact the KDC raise [Failure] on error — worlds are
     experiment scaffolding, not adversarial surface. *)

@@ -2,19 +2,18 @@ type t = {
   net : Sim.Net.t;
   name : Principal.t;
   directory : Directory.t;
-  lifetime_us : int;
-  max_skew_us : int;
   require_preauth : bool;
   cross_keys : (string, string) Hashtbl.t; (* peer realm -> inter-realm key *)
 }
 
-let create net ~name ~directory ?(lifetime_us = 8 * 3600 * 1_000_000)
-    ?(max_skew_us = 5 * 60 * 1_000_000) ?(require_preauth = false) () =
+let lifetime_us = 8 * 3600 * 1_000_000
+let max_skew_us = 5 * 60 * 1_000_000
+
+let create net ~name ~directory ?(require_preauth = false) () =
   (match Directory.symmetric directory name with
   | Some _ -> ()
   | None -> invalid_arg "Kdc.create: KDC key not registered in directory");
-  { net; name; directory; lifetime_us; max_skew_us; require_preauth;
-    cross_keys = Hashtbl.create 4 }
+  { net; name; directory; require_preauth; cross_keys = Hashtbl.create 4 }
 
 let name t = t.name
 
@@ -143,7 +142,7 @@ let check_preauth t ~client_key blob =
             match Result.bind (Wire.decode plaintext) Wire.to_int with
             | Error _ -> Error "as: malformed pre-authentication timestamp"
             | Ok ts ->
-                if abs (ts - Sim.Net.now t.net) > t.max_skew_us then
+                if abs (ts - Sim.Net.now t.net) > max_skew_us then
                   Error "as: pre-authentication timestamp outside window"
                 else Ok ()))
 
@@ -169,7 +168,7 @@ let handle_as t fields =
           match check_preauth t ~client_key preauth with
           | Error e -> err e
           | Ok () ->
-              let expires = Sim.Net.now t.net + t.lifetime_us in
+              let expires = Sim.Net.now t.net + lifetime_us in
               issue t ~client ~service ~auth_data ~expires ~nonce ~reply_key:client_key
                 ~reply_ad:"as-rep"))
 
@@ -210,13 +209,13 @@ let handle_tgs t fields =
             | Ok auth ->
                 if not (Principal.equal auth.Ticket.auth_client tgt.Ticket.client) then
                   err "tgs: authenticator client mismatch"
-                else if abs (auth.Ticket.timestamp - now) > t.max_skew_us then
+                else if abs (auth.Ticket.timestamp - now) > max_skew_us then
                   err "tgs: authenticator too old"
                 else begin
                   (* Restrictions are additive: union of TGT's and the
                      authenticator's, never fewer. *)
                   let auth_data = tgt.Ticket.authorization_data @ auth.Ticket.auth_data in
-                  let expires = min tgt.Ticket.expires (now + t.lifetime_us) in
+                  let expires = min tgt.Ticket.expires (now + lifetime_us) in
                   (* The client decrypts the reply under the subkey it sent,
                      so silently falling back to the session key here would
                      surface as an opaque decrypt failure on its side.

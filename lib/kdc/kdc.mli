@@ -22,14 +22,12 @@ val create :
   Sim.Net.t ->
   name:Principal.t ->
   directory:Directory.t ->
-  ?lifetime_us:int ->
-  ?max_skew_us:int ->
   ?require_preauth:bool ->
   unit ->
   t
 (** The KDC's own long-term key must already be registered in [directory]
-    under [name]; raises [Invalid_argument] otherwise. Default ticket
-    lifetime is 8 simulated hours; default clock skew tolerance 5 minutes.
+    under [name]; raises [Invalid_argument] otherwise. Tickets live 8
+    simulated hours; the clock skew tolerance is 5 minutes.
     With [require_preauth] the AS refuses requests that do not prove
     knowledge of the client key with a fresh sealed timestamp (stops the
     offline-guessing oracle); the bundled client always pre-authenticates. *)

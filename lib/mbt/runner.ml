@@ -107,37 +107,50 @@ let shrink ?mutation ?budget (f : finding) =
 
 (* --- repro files ---
 
-   A repro is a short text file: '#' comment lines carrying the world seed
-   and a human-readable transcript, then one hex line holding the
-   wire-encoded program.  [replay] re-runs the full conformance check. *)
+   A repro is a short text file: '#' comment lines carrying the world seed,
+   the injected mutation it was found under (if any) and a human-readable
+   transcript, then one hex line holding the wire-encoded program.
+   [replay] re-runs the full conformance check under that mutation. *)
+
+let seed_header = "# seed: "
+let mutation_header = "# found with injected mutation: "
 
 let save_repro ~path ?mutation (f : finding) =
   let oc = open_out path in
   Printf.fprintf oc "# proxykit mbt repro\n";
   Printf.fprintf oc "# kind: %s\n" (kind_name f.f_kind);
   (match mutation with
-  | Some m -> Printf.fprintf oc "# found with injected mutation: %s\n" (Exec.mutation_name m)
+  | Some m -> Printf.fprintf oc "%s%s\n" mutation_header (Exec.mutation_name m)
   | None -> ());
   Printf.fprintf oc "# detail: %s\n" f.f_detail;
-  Printf.fprintf oc "# seed: %s\n" f.f_seed;
+  Printf.fprintf oc "%s%s\n" seed_header f.f_seed;
   List.iteri
     (fun i op -> Printf.fprintf oc "# op %d: %s\n" i (Format.asprintf "%a" pp_op op))
     f.f_program;
   Printf.fprintf oc "%s\n" (to_hex (Wire.encode (to_wire f.f_program)));
   close_out oc
 
+(* The value of a [header] line, if [line] is one with a non-empty value. *)
+let header_value header line =
+  let hl = String.length header in
+  if String.length line > hl && String.sub line 0 hl = header then
+    Some (String.sub line hl (String.length line - hl))
+  else None
+
+(* [Ok (seed, mutation, program)]; a mutation name the stack no longer
+   knows reads as none. *)
 let load_repro path =
   let ic = open_in path in
-  let seed = ref None and hex = Buffer.create 64 in
+  let seed = ref None and mutation = ref None and hex = Buffer.create 64 in
   (try
      while true do
        let line = String.trim (input_line ic) in
        if line = "" then ()
-       else if String.length line > 0 && line.[0] = '#' then begin
-         let prefix = "# seed: " in
-         let pl = String.length prefix in
-         if String.length line > pl && String.sub line 0 pl = prefix then
-           seed := Some (String.sub line pl (String.length line - pl))
+       else if line.[0] = '#' then begin
+         Option.iter (fun s -> seed := Some s) (header_value seed_header line);
+         Option.iter
+           (fun m -> mutation := Exec.mutation_of_name m)
+           (header_value mutation_header line)
        end
        else Buffer.add_string hex line
      done
@@ -153,12 +166,13 @@ let load_repro path =
           | Ok w -> (
               match of_wire w with
               | Error e -> Error (path ^ ": " ^ e)
-              | Ok prog -> Ok (seed, prog))))
+              | Ok prog -> Ok (seed, !mutation, prog))))
 
-(* Replay a repro file: [Ok None] when the stack, the cache differential and
-   the model all agree (the bug it recorded is fixed and stays fixed);
-   [Ok (Some f)] when it still disagrees. *)
-let replay ?mutation path =
+(* Replay a repro file under the mutation it records, returned beside the
+   result: [None] when the stack, the cache differential and the model all
+   agree (the bug it recorded is fixed and stays fixed); [Some f] when it
+   still disagrees (a recorded mutant stays killed). *)
+let replay path =
   match load_repro path with
   | Error e -> Error e
-  | Ok (seed, prog) -> Ok (check ?mutation ~seed prog)
+  | Ok (seed, mutation, prog) -> Ok (mutation, check ?mutation ~seed prog)

@@ -150,7 +150,7 @@ let print_world ?(seed = "print tests") () =
   let printer =
     Result.get_ok
       (Print_server.create pw.W.net ~me:printer_p ~my_key:printer_key ~kdc:pw.W.kdc_name
-         ~bank:bank_p ~account:"printer" ~signing_key:printer_rsa ~lookup ())
+         ~bank:bank_p ~account:"printer" ~signing_key:printer_rsa ~lookup)
   in
   Print_server.install printer;
   { pw; carol; carol_rsa; bank; bank_name = bank_p; printer; printer_name = printer_p }

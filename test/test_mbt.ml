@@ -214,21 +214,6 @@ let test_program_roundtrip () =
 
 (* --- committed corpora --- *)
 
-let repro_mutation path =
-  let prefix = "# found with injected mutation: " in
-  let ic = open_in path in
-  let found = ref None in
-  (try
-     while !found = None do
-       let line = input_line ic in
-       let pl = String.length prefix in
-       if String.length line > pl && String.sub line 0 pl = prefix then
-         found := Mbt.Exec.mutation_of_name (String.sub line pl (String.length line - pl))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  !found
-
 let test_repro_corpus () =
   let dir = "repros" in
   let files =
@@ -239,13 +224,11 @@ let test_repro_corpus () =
   Alcotest.(check bool) "repros committed" true (List.length files >= 3);
   List.iter
     (fun f ->
-      let path = Filename.concat dir f in
-      let mutation = repro_mutation path in
-      Alcotest.(check bool) (f ^ ": records its mutation") true (mutation <> None);
-      match Mbt.Runner.replay ?mutation path with
+      match Mbt.Runner.replay (Filename.concat dir f) with
       | Error e -> Alcotest.failf "%s: %s" f e
-      | Ok (Some _) -> ()  (* the recorded bug is still detected *)
-      | Ok None -> Alcotest.failf "%s: injected mutation no longer detected" f)
+      | Ok (None, _) -> Alcotest.failf "%s: records no mutation" f
+      | Ok (Some _, Some _) -> ()  (* the recorded bug is still detected *)
+      | Ok (Some _, None) -> Alcotest.failf "%s: injected mutation no longer detected" f)
     files
 
 let test_fuzz_smoke () =

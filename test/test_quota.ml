@@ -55,7 +55,7 @@ let quota_world ?(seed = "quota tests") () =
   let disk =
     Result.get_ok
       (Disk_server.create w.W.net ~me:disk_p ~my_key:disk_key ~kdc:w.W.kdc_name ~bank:bank_p
-         ~escrow_account:"disk" ())
+         ~escrow_account:"disk")
   in
   Disk_server.install disk;
   { w; alice; alice_rsa; bob; bob_rsa; bank; bank_name = bank_p; disk; disk_name = disk_p }
@@ -186,6 +186,162 @@ let test_conservation () =
   ignore (Disk_server.write_file qw.w.W.net ~creds ~path:"c" "ccc");
   Alcotest.(check int) "blocks conserved" t0 (total ())
 
+(* The accounting server draws on a presented proxy with one verb and one
+   decision, keeping the running total per grant. The disk server stands
+   in as the holder and draws at the bank directly. *)
+
+let holder_bank_creds qw =
+  W.credentials_for qw.w ~tgt:(W.login qw.w qw.disk_name) qw.bank_name
+
+let grant_to_disk qw limit =
+  let now = W.now qw.w in
+  Standing.grant ~drbg:(Sim.Net.drbg qw.w.W.net) ~now ~expires:(now + (24 * W.hour))
+    ~owner:qw.alice ~owner_key:qw.alice_rsa
+    ~account:(Accounting_server.account qw.bank "alice")
+    ~holder:qw.disk_name ~currency:blocks ~limit ()
+
+let draw qw creds authority amount =
+  Accounting_server.standing_debit qw.w.W.net ~creds ~authority ~to_account:"disk" ~amount
+
+let test_redelegation_shares_limit () =
+  let qw = quota_world () in
+  let authority = grant_to_disk qw 3 in
+  let creds = holder_bank_creds qw in
+  let disk_rsa = Crypto.Rsa.generate (Sim.Net.drbg qw.w.W.net) ~bits:512 in
+  Directory.add_public qw.w.W.dir qw.disk_name disk_rsa.Crypto.Rsa.pub;
+  (* Before each draw the holder re-delegates the authority to itself: a
+     fresh chain, but the same grant. *)
+  let redelegated () =
+    let now = W.now qw.w in
+    match
+      Proxy.delegate_keyless ~drbg:(Sim.Net.drbg qw.w.W.net) ~now ~expires:(now + W.hour)
+        ~intermediate:qw.disk_name ~intermediate_key:disk_rsa
+        ~restrictions:[ Restriction.Grantee ([ qw.disk_name ], 1) ]
+        authority.Standing.authority
+    with
+    | Ok proxy -> { authority with Standing.authority = proxy }
+    | Error e -> Alcotest.fail e
+  in
+  (match draw qw creds (redelegated ()) 3 with
+  | Ok total -> Alcotest.(check int) "the grant's running total" 3 total
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun label ->
+      match draw qw creds (redelegated ()) 3 with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: a re-delegated chain drew past the grant's limit" label)
+    [ "second draw"; "third draw" ];
+  Alcotest.(check int) "alice paid the limit once" 7 (balance qw "alice");
+  Alcotest.(check int) "escrow holds the limit" 3 (balance qw "disk")
+
+let test_proxy_transfer_is_gone () =
+  let qw = quota_world () in
+  let authority = grant_to_disk qw 3 in
+  let creds = holder_bank_creds qw in
+  let presented =
+    { Guard.pres = Proxy.presentation authority.Standing.authority; pres_proof = None }
+  in
+  (match
+     Secure_rpc.call qw.w.W.net ~creds
+       (Wire.L
+          [ Wire.S "proxy-transfer"; Guard.presented_to_wire presented; Wire.S "alice";
+            Wire.S "disk"; Wire.S blocks; Wire.I 2 ])
+   with
+  | Error e ->
+      Alcotest.(check string) "unknown verb" "accounting: unknown operation \"proxy-transfer\"" e
+  | Ok _ -> Alcotest.fail "proxy-transfer was answered");
+  Alcotest.(check int) "alice untouched" 10 (balance qw "alice");
+  Alcotest.(check int) "escrow untouched" 0 (balance qw "disk")
+
+let test_one_decision_per_draw () =
+  let qw = quota_world () in
+  let authority = grant_to_disk qw 3 in
+  let creds = holder_bank_creds qw in
+  let m = Sim.Net.metrics qw.w.W.net in
+  List.iter
+    (fun amount ->
+      let before = Sim.Metrics.get m "guard.decisions" in
+      (match draw qw creds authority amount with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check int) "one guard decision" 1 (Sim.Metrics.get m "guard.decisions" - before))
+    [ 1; 2 ]
+
+let test_refused_draw_grants_nothing () =
+  let qw = quota_world () in
+  let authority = grant_to_disk qw 3 in
+  let creds = holder_bank_creds qw in
+  ignore (Result.get_ok (draw qw creds authority 2));
+  let granted () =
+    List.length
+      (List.filter
+         (fun (e : Sim.Trace.entry) ->
+           String.starts_with ~prefix:"granted debit" e.Sim.Trace.event)
+         (Sim.Trace.entries (Sim.Net.trace qw.w.W.net)))
+  in
+  let before = granted () in
+  (match draw qw creds authority 2 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "drew past the limit");
+  Alcotest.(check int) "no granted debit traced" 0 (granted () - before);
+  Alcotest.(check int) "alice paid 2" 8 (balance qw "alice")
+
+let test_copied_serial_keeps_its_own_budget () =
+  let qw = quota_world () in
+  let authority = grant_to_disk qw 3 in
+  let creds = holder_bank_creds qw in
+  (* Bob signs a grant of his own under the serial of alice's authority:
+     a serial is unique only per grantor. *)
+  let serial =
+    match authority.Standing.authority.Proxy.flavor with
+    | Proxy.Public_key (c :: _) -> c.Proxy_cert.pk_body.Proxy_cert.serial
+    | _ -> Alcotest.fail "a standing authority is a public-key chain"
+  in
+  let now = W.now qw.w in
+  let bobs_cert =
+    Proxy_cert.sign_pk ~key:qw.bob_rsa ~signer:Proxy_cert.By_grantor_key ~proxy_pub:None
+      { Proxy_cert.grantor = qw.bob;
+        serial;
+        issued_at = now;
+        expires = now + W.hour;
+        restrictions =
+          [ Restriction.Grantee ([ qw.disk_name ], 1);
+            Restriction.Quota (blocks, 10);
+            Restriction.Issued_for [ qw.bank_name ];
+            Restriction.Authorized [ { Restriction.target = "bob"; ops = [ "debit" ] } ] ] }
+  in
+  let bobs =
+    { authority with
+      Standing.drawn_from = Accounting_server.account qw.bank "bob";
+      authority = { Proxy.flavor = Proxy.Public_key [ bobs_cert ]; key = Proxy.No_key } }
+  in
+  ignore (Result.get_ok (draw qw creds bobs 3));
+  (match draw qw creds authority 3 with
+  | Ok total -> Alcotest.(check int) "alice's grant untouched by bob's" 3 total
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "bob paid his own draw" 1 (balance qw "bob");
+  Alcotest.(check int) "alice paid hers" 7 (balance qw "alice")
+
+let test_unused_presentation_refused () =
+  let qw = quota_world () in
+  let authority = grant_to_disk qw 3 in
+  (* Bob copies alice's authority, which names the disk server, and
+     presents it to move blocks between two accounts of his own: his own
+     right on "bob" would grant the decision without the proxy. *)
+  let bob_bank = W.credentials_for qw.w ~tgt:(W.login qw.w qw.bob) qw.bank_name in
+  Result.get_ok (Accounting_server.open_account qw.w.W.net ~creds:bob_bank ~name:"bob-2");
+  let copied = { authority with Standing.drawn_from = Accounting_server.account qw.bank "bob" } in
+  (match
+     Accounting_server.standing_debit qw.w.W.net ~creds:bob_bank ~authority:copied
+       ~to_account:"bob-2" ~amount:3
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a draw the presented proxy did not authorize went through");
+  Alcotest.(check int) "bob's blocks stay put" 4 (balance qw "bob");
+  match draw qw (holder_bank_creds qw) authority 3 with
+  | Ok total -> Alcotest.(check int) "alice's grant untouched" 3 total
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "quota"
     [ ( "disk quotas",
@@ -195,4 +351,13 @@ let () =
           ("overwrite releases first", `Slow, test_overwrite_releases_first);
           ("user isolation", `Slow, test_user_isolation);
           ("forged authority rejected", `Slow, test_forged_authority_rejected);
-          ("conservation", `Slow, test_conservation) ] ) ]
+          ("conservation", `Slow, test_conservation) ] );
+      ( "presented-proxy debit",
+        [ ("re-delegation shares the grant's limit", `Slow, test_redelegation_shares_limit);
+          ("proxy-transfer is not a verb", `Slow, test_proxy_transfer_is_gone);
+          ("one guard decision per draw", `Slow, test_one_decision_per_draw);
+          ("a refused draw grants nothing", `Slow, test_refused_draw_grants_nothing);
+          ("a copied serial keeps its own budget", `Slow,
+           test_copied_serial_keeps_its_own_budget);
+          ("a presentation that did not authorize is refused", `Slow,
+           test_unused_presentation_refused) ] ) ]

@@ -552,7 +552,7 @@ let load_cmd =
       (m "crypto.rsa_verify") (m "verify_cache.hits") (m "verify_cache.misses");
     Printf.printf "  pipelining:     %d batch call(s), %d coalesced, %d item(s)\n"
       (m "rpc.batch.calls") (m "rpc.batch.coalesced") (m "rpc.batch.items");
-    Printf.printf "  replication:    %d ship(s) (%d replies, %d ops), %d read skip(s)\n"
+    Printf.printf "  replication:    %d ship(s) (%d replies, %d changes), %d read skip(s)\n"
       (m "cluster.repl_shipped") (m "cluster.repl_replies_shipped") (m "cluster.repl_ops_shipped")
       (m "cluster.repl_read_skips");
     Printf.printf "  spans:          %d\n" o.span_count

@@ -1,9 +1,14 @@
 let escrow_account = "cashier-escrow"
 
 (* Lifetime of what this server signs: endorsements, certification
-   proxies, cashier's checks, and the accept-once records mirrored on a
-   standby. *)
+   proxies and cashier's checks. *)
 let proxy_lifetime_us = 24 * 3600 * 1_000_000
+
+(* Every movement of the state a replica mirrors, in one ordered list. *)
+type change =
+  | Ledger of Ledger.op
+  | Guard of Guard.change
+  | Drawn of string * int  (* grant key, its new running total *)
 
 type t = {
   net : Sim.Net.t;
@@ -19,11 +24,13 @@ type t = {
   collect_retry : Sim.Retry.policy option;
   drawn : (string, int) Hashtbl.t;
       (* running total drawn on each grant, keyed by [grant_key] *)
+  mutable journal : (change -> unit) option;
   mutable on_redeem : (string -> unit) list;
       (* fired in order with the check number whenever a check is paid
-         here: the replication feed a standby mirrors accept-once records
-         from, plus any counters added after it *)
+         here (scenario counters) *)
 }
+
+let note t c = match t.journal with None -> () | Some j -> j c
 
 let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cache ?revocation () =
   match Granter.create net ~me ~my_key ~kdc with
@@ -47,6 +54,7 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cach
           routes = Hashtbl.create 4;
           collect_retry;
           drawn = Hashtbl.create 16;
+          journal = None;
           on_redeem = [];
         }
       in
@@ -56,7 +64,16 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?verify_cach
       | Error _ -> assert false);
       Acl.add (Guard.acl guard) ~target:escrow_account
         { Acl.subject = Acl.Principal_is me; rights = [ "debit" ]; restrictions = [] };
+      Ledger.set_journal ledger (Some (fun op -> note t (Ledger op)));
+      Guard.set_journal guard (Some (fun c -> note t (Guard c)));
       Ok t
+
+let set_journal t j = t.journal <- j
+
+(* The running totals move only here, so the journal sees each new value. *)
+let set_drawn t key total =
+  Hashtbl.replace t.drawn key total;
+  note t (Drawn (key, total))
 
 let me t = t.me
 let ledger t = t.ledger
@@ -363,7 +380,7 @@ let handle t ctx payload =
               in
               let* () = Ledger.debit t.ledger ~name:from_ ~currency amount in
               let* () = Ledger.credit t.ledger ~name:to_ ~currency amount in
-              Hashtbl.replace t.drawn key total;
+              set_drawn t key total;
               if draw then
                 trace t "standing draw: %d %s from %S to %S (cumulative %d)" amount currency
                   from_ to_ total
@@ -388,44 +405,52 @@ let handle t ctx payload =
 let install t =
   Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
 
-(* Standby side of replication: mirror the primary's journalled ledger
-   ops (plus the ACL entry an account opening installs, and the
-   accept-once record a check redemption consumes) without re-running any
-   handler. The [drawn] table for standing authorities is not replicated —
-   standing draws against a failed-over shard restart their cumulative
-   count. *)
-let apply_replicated t ?(seq = []) ~ops ~redeemed () =
+(* The one codec for everything a replica mirrors. *)
+let change_to_wire c =
+  let open Wire in
+  match c with
+  | Ledger (Ledger.Op_open (owner, name)) -> L [ S "open"; Principal.to_wire owner; S name ]
+  | Ledger (Ledger.Op_credit (name, cur, n)) -> L [ S "credit"; S name; S cur; I n ]
+  | Ledger (Ledger.Op_debit (name, cur, n)) -> L [ S "debit"; S name; S cur; I n ]
+  | Ledger (Ledger.Op_hold_put (name, id, cur, n)) -> L [ S "hold"; S name; S id; S cur; I n ]
+  | Ledger (Ledger.Op_take (name, id)) -> L [ S "take"; S name; S id ]
+  | Guard (Guard.Accept_once { id; expires; tag }) -> L [ S "once"; S id; I expires; S tag ]
+  | Guard (Guard.Seq_progress { key; progress; expires; tag }) ->
+      L [ S "seq"; S key; I progress; I expires; S tag ]
+  | Drawn (key, total) -> L [ S "drawn"; S key; I total ]
+
+let change_of_wire v =
+  let open Wire in
+  match v with
+  | L [ S "open"; owner; S name ] ->
+      Result.map (fun owner -> Ledger (Ledger.Op_open (owner, name))) (Principal.of_wire owner)
+  | L [ S "credit"; S name; S cur; I n ] -> Ok (Ledger (Ledger.Op_credit (name, cur, n)))
+  | L [ S "debit"; S name; S cur; I n ] -> Ok (Ledger (Ledger.Op_debit (name, cur, n)))
+  | L [ S "hold"; S name; S id; S cur; I n ] -> Ok (Ledger (Ledger.Op_hold_put (name, id, cur, n)))
+  | L [ S "take"; S name; S id ] -> Ok (Ledger (Ledger.Op_take (name, id)))
+  | L [ S "once"; S id; I expires; S tag ] -> Ok (Guard (Guard.Accept_once { id; expires; tag }))
+  | L [ S "seq"; S key; I progress; I expires; S tag ] ->
+      Ok (Guard (Guard.Seq_progress { key; progress; expires; tag }))
+  | L [ S "drawn"; S key; I total ] -> Ok (Drawn (key, total))
+  | _ -> Error "replication: malformed change"
+
+(* Standby side of replication: apply the primary's changes in the order
+   they happened, without re-running any handler. An opened account also
+   gets the ACL entry the primary's handler installed. *)
+let apply_replicated t changes =
   let now = Sim.Net.now t.net in
-  let rec apply_ops = function
-    | [] -> Ok ()
-    | op :: rest -> (
+  let apply = function
+    | Ledger op ->
         (match op with
         | Ledger.Op_open (owner, name) ->
             Acl.add (Guard.acl t.guard) ~target:name
               { Acl.subject = Acl.Principal_is owner; rights = [ "debit" ]; restrictions = [] }
         | _ -> ());
-        match Ledger.apply t.ledger op with
-        | Ok () -> apply_ops rest
-        | Error e -> Error (Printf.sprintf "replica diverged: %s" e))
+        Result.map_error (Printf.sprintf "replica diverged: %s") (Ledger.apply t.ledger op)
+    | Guard c -> Ok (Guard.apply_change t.guard ~now c)
+    | Drawn (key, total) -> Ok (set_drawn t key total)
   in
-  match apply_ops ops with
-  | Error _ as e -> e
-  | Ok () ->
-      List.iter
-        (fun number ->
-          ignore
-            (Replay_cache.record (Guard.replay_cache t.guard) ~now
-               ~expires:(now + proxy_lifetime_us) number))
-        redeemed;
-      (* Mirrored sequence progress lands directly in the tracker: the
-         replication channel already authenticated the primary, and the
-         max-monotone store makes re-applied batches harmless. *)
-      List.iter
-        (fun (key, progress, expires, tag) ->
-          Seq_tracker.set_progress (Guard.seq_tracker t.guard) ~now ~expires ~tag key
-            progress)
-        seq;
-      Ok ()
+  List.fold_left (fun acc c -> Result.bind acc (fun () -> apply c)) (Ok ()) changes
 
 (* --- client side --- *)
 

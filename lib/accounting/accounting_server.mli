@@ -86,24 +86,33 @@ val settle : t -> presenter:Principal.t -> Check.t -> (int, string) result
 
 val add_redemption_observer : t -> (string -> unit) -> unit
 (** Add an observer fired with the check number each time a check is paid
-    here, after those added before it. Observers compose: a counter added
-    later never displaces the replication feed that mirrors accept-once
-    records to a standby. *)
+    here, after those added before it: a scenario's redemption counter.
+    Replication does not read it ({!set_journal}). *)
 
-val apply_replicated :
-  t ->
-  ?seq:(string * int * int * string) list ->
-  ops:Ledger.op list ->
-  redeemed:string list ->
-  unit ->
-  (unit, string) result
-(** Standby side of replication: replay the primary's journalled ledger
-    ops (mirroring the ACL entry an [Op_open] installs) and record redeemed
-    check numbers in the guard's accept-once cache, without re-running any
-    handler. [seq] mirrors the primary's sequence-progress movements as
-    [(key, progress, expires, grantor-tag)] entries straight into the
-    guard's {!Seq_tracker} (max-monotone, so re-application is harmless).
-    Standing-authority cumulative draws are not replicated. *)
+(** {2 Replication} *)
+
+(** One movement of the state a replica mirrors: a ledger primitive, an
+    accept-once record or sequence step of the guard
+    ({!Guard.change}), or a grant's new running total of presented-proxy
+    draws (its key and total). *)
+type change = Ledger of Ledger.op | Guard of Guard.change | Drawn of string * int
+
+val set_journal : t -> (change -> unit) option -> unit
+(** Install (or clear) the journal hook, fired with every change in the
+    order the changes happen here, whichever handler, client or direct
+    {!ledger} call made them. A cluster primary's hook feeds its standby. *)
+
+val change_to_wire : change -> Wire.t
+val change_of_wire : Wire.t -> (change, string) result
+
+val apply_replicated : t -> change list -> (unit, string) result
+(** Standby side of replication: apply the primary's changes in order,
+    without re-running any handler. An [Op_open] also installs the
+    owner's ACL entry; an accept-once record keeps the primary's expiry
+    and grantor tag, so a grantor-epoch bulletin sheds it here too;
+    progress is max-monotone and a total is overwritten, so re-applying
+    either is harmless. [Error] when a ledger op does not apply (the
+    replica diverged). *)
 
 (** {2 Client operations} — each an authenticated exchange. [creds] are the
     caller's credentials for the accounting server. [?retry] and [?via],
@@ -189,8 +198,8 @@ val cashier_check :
     caps the cumulative draw; a release may not return more than is drawn.
     A request the decision grants without the presented proxy (on the
     caller's own rights) is refused, so nobody moves a grant's total by
-    presenting copied certificates. The totals live on this server only
-    ({!apply_replicated}). *)
+    presenting copied certificates. Each new total is a journalled
+    {!change}, so a standby keeps counting where its primary stopped. *)
 
 val proxy_debit :
   ?retry:Sim.Retry.policy -> ?via:string list ->

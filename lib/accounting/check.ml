@@ -7,15 +7,17 @@ type t = {
   proxy : Proxy.t;
 }
 
+let restrictions ~number ~account ~payee ~currency ~amount =
+  [ Restriction.Grantee ([ payee ], 1);
+    Restriction.Accept_once number;
+    Restriction.Quota (currency, amount);
+    Restriction.Issued_for [ account.Principal.Account.server ];
+    Restriction.Authorized
+      [ { Restriction.target = account.Principal.Account.account; ops = [ "debit" ] } ] ]
+
 let terms ~drbg ~account ~payee ~currency ~amount =
   let number = Crypto.Sha256.to_hex (Crypto.Drbg.generate drbg 12) in
-  ( number,
-    [ Restriction.Grantee ([ payee ], 1);
-      Restriction.Accept_once number;
-      Restriction.Quota (currency, amount);
-      Restriction.Issued_for [ account.Principal.Account.server ];
-      Restriction.Authorized
-        [ { Restriction.target = account.Principal.Account.account; ops = [ "debit" ] } ] ] )
+  (number, restrictions ~number ~account ~payee ~currency ~amount)
 
 let write ~drbg ~now ~expires ~payor ~payor_key ~account ~payee ~currency ~amount () =
   let number, restrictions = terms ~drbg ~account ~payee ~currency ~amount in
@@ -52,5 +54,15 @@ let of_wire v =
   let* drawn_on = Result.bind (field v 4) Principal.Account.of_wire in
   let* pw = field v 5 in
   let* proxy = Proxy.transfer_of_wire pw in
+  (* The five wrapper fields travel unsigned: they must restate exactly
+     what the payor signed in the head certificate. *)
+  let signed =
+    match proxy.Proxy.flavor with
+    | Proxy.Public_key ({ Proxy_cert.pk_body = head; _ } :: _) -> head.Proxy_cert.restrictions
+    | Proxy.Public_key [] | Proxy.Conventional _ | Proxy.Hybrid _ -> []
+  in
+  let wrapper = restrictions ~number ~account:drawn_on ~payee ~currency ~amount in
   if amount <= 0 then Error "check: non-positive amount"
+  else if not (List.equal Restriction.equal signed wrapper) then
+    Error "check: the wrapper does not match the signed terms"
   else Ok { number; currency; amount; payee; drawn_on; proxy }

@@ -58,4 +58,9 @@ val endorse :
     proxy extension naming [next]. *)
 
 val to_wire : t -> Wire.t
+
 val of_wire : Wire.t -> (t, string) result
+(** Refuses a check whose [number], [currency], [amount], [payee] and
+    [drawn_on] are not exactly the restrictions {!terms} signs in the
+    chain's head certificate: the wrapper travels unsigned, and the drawee
+    debits and looks up holds by it. *)

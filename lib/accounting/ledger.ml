@@ -175,40 +175,3 @@ let apply t op =
           record t (Op_hold_put (name, id, currency, amount)))
         (find t name)
   | Op_take (name, id) -> Result.map ignore (take_hold t ~name ~id)
-
-let op_to_wire = function
-  | Op_open (owner, name) -> Wire.L [ Wire.S "open"; Principal.to_wire owner; Wire.S name ]
-  | Op_credit (name, currency, amount) ->
-      Wire.L [ Wire.S "credit"; Wire.S name; Wire.S currency; Wire.I amount ]
-  | Op_debit (name, currency, amount) ->
-      Wire.L [ Wire.S "debit"; Wire.S name; Wire.S currency; Wire.I amount ]
-  | Op_hold_put (name, id, currency, amount) ->
-      Wire.L [ Wire.S "hold"; Wire.S name; Wire.S id; Wire.S currency; Wire.I amount ]
-  | Op_take (name, id) -> Wire.L [ Wire.S "take"; Wire.S name; Wire.S id ]
-
-let op_of_wire v =
-  let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  match tag with
-  | "open" ->
-      let* owner = Result.bind (field v 1) Principal.of_wire in
-      let* name = Result.bind (field v 2) to_string in
-      Ok (Op_open (owner, name))
-  | "credit" | "debit" ->
-      let* name = Result.bind (field v 1) to_string in
-      let* currency = Result.bind (field v 2) to_string in
-      let* amount = Result.bind (field v 3) to_int in
-      Ok
-        (if tag = "credit" then Op_credit (name, currency, amount)
-         else Op_debit (name, currency, amount))
-  | "hold" ->
-      let* name = Result.bind (field v 1) to_string in
-      let* id = Result.bind (field v 2) to_string in
-      let* currency = Result.bind (field v 3) to_string in
-      let* amount = Result.bind (field v 4) to_int in
-      Ok (Op_hold_put (name, id, currency, amount))
-  | "take" ->
-      let* name = Result.bind (field v 1) to_string in
-      let* id = Result.bind (field v 2) to_string in
-      Ok (Op_take (name, id))
-  | other -> Error (Printf.sprintf "ledger op: unknown tag %S" other)

@@ -36,9 +36,6 @@ val set_journal : t -> (op -> unit) option -> unit
 val apply : t -> op -> (unit, string) result
 (** Replay one journalled operation (replica side). *)
 
-val op_to_wire : op -> Wire.t
-val op_of_wire : Wire.t -> (op, string) result
-
 val open_account : t -> owner:Principal.t -> name:string -> (unit, string) result
 val exists : t -> name:string -> bool
 val owner : t -> name:string -> Principal.t option

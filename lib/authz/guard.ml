@@ -2,6 +2,10 @@ let log_src = Logs.Src.create "authz.guard" ~doc:"end-server authorization decis
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type change =
+  | Accept_once of { id : string; expires : int; tag : string }
+  | Seq_progress of { key : string; progress : int; expires : int; tag : string }
+
 type t = {
   net : Sim.Net.t;
   me : Principal.t;
@@ -13,8 +17,7 @@ type t = {
   seq : Seq_tracker.t;
   verify_cache : Verify_cache.t;
   revocation : Revocation.t option;
-  mutable seq_observer :
-    (key:string -> progress:int -> expires:int -> tag:string -> unit) option;
+  mutable journal : (change -> unit) option;
   mutable seq_forward :
     (server:Principal.t -> key:string -> progress:int -> expires:int -> tag:string -> unit)
     option;
@@ -49,7 +52,7 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa ?verify_cache ?
     seq = Seq_tracker.create ~on_evict:(incr "seq_tracker.evictions") ();
     verify_cache;
     revocation;
-    seq_observer = None;
+    journal = None;
     seq_forward = None;
   }
 
@@ -57,10 +60,26 @@ let me t = t.me
 let acl t = t.acl
 let replay_cache t = t.replay
 let seq_tracker t = t.seq
-let set_seq_observer t f = t.seq_observer <- f
+let set_journal t j = t.journal <- j
 let set_seq_forward t f = t.seq_forward <- f
 let verify_cache t = t.verify_cache
 let revocation t = t.revocation
+
+let note t c = match t.journal with None -> () | Some j -> j c
+
+(* Accept-once records and sequence progress move only through here (and
+   through [Seq_tracker.advance] in [decide]), so the journal sees every
+   movement in order. A record that is already live did not move. *)
+let apply_change t ~now c =
+  let moved =
+    match c with
+    | Accept_once { id; expires; tag } ->
+        Result.is_ok (Replay_cache.record t.replay ~now ~expires ~tag id)
+    | Seq_progress { key; progress; expires; tag } ->
+        Seq_tracker.set_progress t.seq ~now ~expires ~tag key progress;
+        true
+  in
+  if moved then note t c
 
 type presented = { pres : Proxy.presentation; pres_proof : Presentation.proof option }
 
@@ -282,12 +301,9 @@ let import_seq_progress t ~caller ~key ~progress ~expires ~tag =
               (Printf.sprintf "seq-advance refused: %s did not run step %d"
                  (Principal.to_string caller) (progress - 1))
         | Some _ ->
-            Seq_tracker.set_progress t.seq ~now:(Sim.Net.now t.net) ~expires ~tag key
-              progress;
+            apply_change t ~now:(Sim.Net.now t.net)
+              (Seq_progress { key; progress; expires; tag });
             Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.imports";
-            (match t.seq_observer with
-            | Some f -> f ~key ~progress ~expires ~tag
-            | None -> ());
             Ok ())
 
 let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(proxies = [])
@@ -378,14 +394,9 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(pro
           let used, via_groups = contributors entry.Acl.subject in
           List.iter
             (fun u ->
+              let tag = Principal.to_string u.u_grantor in
               List.iter
-                (fun id ->
-                  match
-                    Replay_cache.record t.replay ~now ~expires:u.u_expires
-                      ~tag:(Principal.to_string u.u_grantor) id
-                  with
-                  | Ok () -> ()
-                  | Error _ -> () (* already checked by accept_once_seen *))
+                (fun id -> apply_change t ~now (Accept_once { id; expires = u.u_expires; tag }))
                 (accept_once_ids u.u_restrictions))
             used;
           (* Advance each distinct sequence a used chain carries: its check
@@ -409,9 +420,8 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(pro
                           Seq_tracker.advance t.seq ~now ~expires:u.u_expires ~tag key
                         in
                         Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
-                        (match t.seq_observer with
-                        | Some f -> f ~key ~progress:k ~expires:u.u_expires ~tag
-                        | None -> ());
+                        note t
+                          (Seq_progress { key; progress = k; expires = u.u_expires; tag });
                         match t.seq_forward with
                         | Some f when k < List.length steps -> (
                             (* The next step belongs to another server: hand

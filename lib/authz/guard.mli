@@ -66,12 +66,26 @@ val seq_tracker : t -> Seq_tracker.t
     revoked grantor's progress alongside its accept-once records (tallying
     ["seq_tracker.shed"]). *)
 
-val set_seq_observer :
-  t -> (key:string -> progress:int -> expires:int -> tag:string -> unit) option -> unit
-(** Observer fired whenever sequence progress moves here — after a granted
-    decision advances a step and after {!import_seq_progress} accepts a
-    forwarded one. The replication feed: a cluster primary journals these
-    so its standby's tracker survives a failover. *)
+(** A movement of the guard's server-side state, as data: an accept-once
+    record with the expiry and grantor tag it was recorded under, or a
+    sequence's new progress. *)
+type change =
+  | Accept_once of { id : string; expires : int; tag : string }
+  | Seq_progress of { key : string; progress : int; expires : int; tag : string }
+
+val set_journal : t -> (change -> unit) option -> unit
+(** Install (or clear) the journal hook, fired with each change in the
+    order it happens: a granted {!decide} consuming an accept-once
+    identifier or advancing a sequence step, and {!import_seq_progress}
+    accepting a forwarded step. {!Accounting_server} installs it to feed
+    its replication journal. *)
+
+val apply_change : t -> now:int -> change -> unit
+(** Apply one change here (a standby mirroring its primary) and journal
+    it. An accept-once record keeps its expiry and tag, so
+    {!apply_bulletin} sheds it like a record made here; one already live
+    is left alone. Progress is max-monotone, so re-applying a change is
+    harmless. *)
 
 val set_seq_forward :
   t ->
@@ -96,7 +110,7 @@ val import_seq_progress :
     must be the server named by the step the new progress claims was just
     completed — only the server that granted step [progress - 1] may attest
     it. Storage is max-monotone, so retransmissions and replica replays are
-    harmless. Tallies ["seq_tracker.imports"] and fires the observer. *)
+    harmless. Tallies ["seq_tracker.imports"] and journals the change. *)
 
 val apply_bulletin : t -> Revocation.bulletin -> (bool, string) result
 (** Feed one signed bulletin to the guard's revocation state. [Ok true]

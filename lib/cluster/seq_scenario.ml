@@ -106,8 +106,11 @@ let run cfg =
   (* -- cross-server handover: fs forwards earned progress to the bank -- *)
   let fs_bank = creds_for fs_p bank_p in
   let advanced_key = ref None in
-  Guard.set_seq_observer (File_server.guard fs)
-    (Some (fun ~key ~progress:_ ~expires:_ ~tag:_ -> advanced_key := Some key));
+  Guard.set_journal (File_server.guard fs)
+    (Some
+       (function
+       | Guard.Seq_progress { key; _ } -> advanced_key := Some key
+       | Guard.Accept_once _ -> ()));
   Guard.set_seq_forward (File_server.guard fs)
     (Some
        (fun ~server:_ ~key ~progress ~expires ~tag ->

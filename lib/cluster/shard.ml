@@ -9,15 +9,17 @@
    shard is honoured by either replica, and a client that fails over
    re-sends the *same* request bytes to the standby.
 
-   Replication is replay-log shipping: the primary journals every ledger
-   primitive its handler executes plus every check number it redeems, and
-   [on_handled] — which fires after the handler and the response-cache
-   insert but *before* the reply is transmitted — ships the batch, together
-   with the request's authenticator digest and sealed reply, to the standby
-   over an ordinary authenticated Secure_rpc exchange. Ordering gives the
-   guarantee: any reply a client ever saw was already replicated, so the
-   standby can answer that client's retransmission from its seeded response
-   cache without executing the request a second time.
+   Replication is replay-log shipping: the primary's accounting server
+   journals every change to the state a replica mirrors (ledger
+   primitives, accept-once records, sequence progress, grant totals) as
+   one ordered list, and [on_handled] — which fires after the handler and
+   the response-cache insert but *before* the reply is transmitted — ships
+   the pending changes, together with the request's authenticator digest
+   and sealed reply, to the standby over an ordinary authenticated
+   Secure_rpc exchange. Ordering gives the guarantee: any reply a client
+   ever saw was already replicated, so the standby can answer that
+   client's retransmission from its seeded response cache without
+   executing the request a second time.
 
    The standby refuses fresh work ("standby: not primary") until it either
    observes the primary down or has already promoted itself; promotion is
@@ -37,19 +39,15 @@ type t = {
   standby : replica;
   repl_creds : Ticket.credentials;
   repl_retry : Sim.Retry.policy option;
-  pending_ops : Ledger.op list ref;  (* newest first *)
-  pending_redeems : string list ref;  (* newest first *)
-  pending_seq : (string * int * int * string) list ref;
-      (* unshipped sequence-progress movements (key, progress, expires,
-         grantor tag), newest first *)
-  pending_triples : (string * int * string) list ref;
+  mutable changes : Accounting_server.change list;  (* unshipped, newest first *)
+  mutable replies : (string * int * string) list;
       (* unshipped (auth_id, expires, sealed reply) triples, newest first *)
   mutable promoted : bool;
 }
 
 let ( let* ) = Result.bind
 
-let journal_fn t op = t.pending_ops := op :: !(t.pending_ops)
+let journal t c = t.changes <- c :: t.changes
 
 let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
     ?revocation_authority ?staleness_bound_us ~primary_node ~standby_node () =
@@ -87,25 +85,12 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
                   cache = Secure_rpc.create_cache () };
       repl_creds;
       repl_retry;
-      pending_ops = ref [];
-      pending_redeems = ref [];
-      pending_seq = ref [];
-      pending_triples = ref [];
+      changes = [];
+      replies = [];
       promoted = false;
     }
   in
-  Ledger.set_journal (Accounting_server.ledger primary_server) (Some (journal_fn t));
-  Accounting_server.add_redemption_observer primary_server (fun n ->
-      t.pending_redeems := n :: !(t.pending_redeems));
-  (* Sequence progress is server-side authorization state just like the
-     accept-once records: every movement on the primary — a granted
-     sequence step or an imported cross-server handover — journals here so
-     the standby's tracker survives a failover. *)
-  Guard.set_seq_observer
-    (Accounting_server.guard primary_server)
-    (Some
-       (fun ~key ~progress ~expires ~tag ->
-         t.pending_seq := (key, progress, expires, tag) :: !(t.pending_seq)));
+  Accounting_server.set_journal primary_server (Some (journal t));
   Ok t
 
 let logical t = t.logical
@@ -120,41 +105,21 @@ let primary_down t = Sim.Net.is_down t.net t.primary.node
 let authoritative t =
   if t.promoted || primary_down t then t.standby.server else t.primary.server
 
-(* Ship every unshipped journal batch and reply triple in ONE replication
-   exchange. On failure everything is put back so the next handled request
-   re-ships it: the replication request that carries it then is a fresh
-   authenticator, and the standby applies each op exactly once (a
+(* Ship every unshipped change and reply triple in ONE replication
+   exchange. On failure both are put back so the next handled request
+   re-ships them: the replication request that carries them then is a
+   fresh authenticator, and the standby applies each change exactly once (a
    *retransmission* of the same bulk dedups on the standby's own response
    cache instead). *)
 let ship_now t =
-  let ops = List.rev !(t.pending_ops) in
-  let redeems = List.rev !(t.pending_redeems) in
-  let seq = List.rev !(t.pending_seq) in
-  let triples = List.rev !(t.pending_triples) in
-  t.pending_ops := [];
-  t.pending_redeems := [];
-  t.pending_seq := [];
-  t.pending_triples := [];
+  let changes = List.rev t.changes and replies = List.rev t.replies in
+  t.changes <- [];
+  t.replies <- [];
   let payload =
     Wire.L
-      ([
-         Wire.S "x-replicate-bulk";
-         Wire.L
-           (List.map (fun (a, e, r) -> Wire.L [ Wire.S a; Wire.I e; Wire.S r ]) triples);
-         Wire.L (List.map Ledger.op_to_wire ops);
-         Wire.L (List.map (fun n -> Wire.S n) redeems);
-       ]
-      (* The sequence-progress field is optional and appended only when
-         non-empty, so runs without sequences ship byte-identical bulks
-         (and an older standby parses them unchanged). *)
-      @
-      match seq with
-      | [] -> []
-      | _ ->
-          [ Wire.L
-              (List.map
-                 (fun (k, p, e, tg) -> Wire.L [ Wire.S k; Wire.I p; Wire.I e; Wire.S tg ])
-                 seq) ])
+      [ Wire.S "x-replicate-bulk";
+        Wire.L (List.map (fun (a, e, r) -> Wire.L [ Wire.S a; Wire.I e; Wire.S r ]) replies);
+        Wire.L (List.map Accounting_server.change_to_wire changes) ]
   in
   let metrics = Sim.Net.metrics t.net in
   match
@@ -163,35 +128,30 @@ let ship_now t =
   with
   | Ok _ ->
       Sim.Metrics.incr metrics "cluster.repl_shipped";
-      Sim.Metrics.add metrics "cluster.repl_ops_shipped" (List.length ops);
-      Sim.Metrics.add metrics "cluster.repl_replies_shipped" (List.length triples)
+      Sim.Metrics.add metrics "cluster.repl_ops_shipped" (List.length changes);
+      Sim.Metrics.add metrics "cluster.repl_replies_shipped" (List.length replies)
   | Error _ ->
       Sim.Metrics.incr metrics "cluster.repl_failures";
-      t.pending_ops := !(t.pending_ops) @ List.rev ops;
-      t.pending_redeems := !(t.pending_redeems) @ List.rev redeems;
-      t.pending_seq := !(t.pending_seq) @ List.rev seq;
-      t.pending_triples := !(t.pending_triples) @ List.rev triples
+      t.changes <- t.changes @ List.rev changes;
+      t.replies <- t.replies @ List.rev replies
 
 (* Per-handled-request replication, fired by [on_handled] after the
    handler ran and the reply is cached but before it is transmitted, so
    every reply a client saw is already at the standby. Two kinds of
    request ship less:
 
-   - a request that journalled nothing (a balance read), with no failed
-     ship pending, ships nothing and seeds nothing: re-executing it on a
+   - a request that changed nothing (a balance read), with no failed ship
+     pending, ships nothing and seeds nothing: re-executing it on a
      failed-over retransmission is idempotent, so replicating its reply
      bought nothing ("cluster.repl_read_skips");
    - a pipelined [Secure_rpc.call_batch] request journals all its items'
-     ops under ONE authenticator/reply, so they ride one ship instead of
-     one per op. *)
+     changes under ONE authenticator/reply, so they ride one ship instead
+     of one per item. *)
 let ship t ~auth_id ~expires ~reply =
-  let mutating =
-    !(t.pending_ops) <> [] || !(t.pending_redeems) <> [] || !(t.pending_seq) <> []
-  in
-  if (not mutating) && !(t.pending_triples) = [] then
+  if t.changes = [] && t.replies = [] then
     Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_read_skips"
   else begin
-    t.pending_triples := (auth_id, expires, reply) :: !(t.pending_triples);
+    t.replies <- (auth_id, expires, reply) :: t.replies;
     ship_now t
   end
 
@@ -200,45 +160,26 @@ let apply_replication t ctx v =
     Error "replication: caller is not this shard"
   else
     let open Wire in
-    let* triples_w = Result.bind (field v 1) to_list in
-    let* ops_w = Result.bind (field v 2) to_list in
-    let* redeems_w = Result.bind (field v 3) to_list in
-    let* triples =
-      map_all
-        (fun w ->
-          let* auth_id = Result.bind (field w 0) to_string in
-          let* expires = Result.bind (field w 1) to_int in
-          let* reply = Result.bind (field w 2) to_string in
-          Ok (auth_id, expires, reply))
-        triples_w
+    let* replies =
+      Result.bind (Result.bind (field v 1) to_list)
+        (map_all (fun w ->
+             let* auth_id = Result.bind (field w 0) to_string in
+             let* expires = Result.bind (field w 1) to_int in
+             let* reply = Result.bind (field w 2) to_string in
+             Ok (auth_id, expires, reply)))
     in
-    let* ops = map_all Ledger.op_of_wire ops_w in
-    let* redeemed = map_all to_string redeems_w in
-    (* Optional trailing field: bulks from runs without sequence traffic
-       (and from older primaries) simply omit it. *)
-    let* seq =
-      match field v 4 with
-      | Error _ -> Ok []
-      | Ok w ->
-          let* seq_w = to_list w in
-          map_all
-            (fun sw ->
-              let* key = Result.bind (field sw 0) to_string in
-              let* progress = Result.bind (field sw 1) to_int in
-              let* expires = Result.bind (field sw 2) to_int in
-              let* tag = Result.bind (field sw 3) to_string in
-              Ok (key, progress, expires, tag))
-            seq_w
+    let* changes =
+      Result.bind (Result.bind (field v 2) to_list) (map_all Accounting_server.change_of_wire)
     in
-    let* () = Accounting_server.apply_replicated t.standby.server ~seq ~ops ~redeemed () in
+    let* () = Accounting_server.apply_replicated t.standby.server changes in
     let now = Sim.Net.now t.net in
     List.iter
       (fun (auth_id, expires, reply) ->
         Secure_rpc.seed_response t.standby.cache ~now ~auth_id ~expires ~reply)
-      triples;
+      replies;
     Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_applied";
     Sim.Metrics.add (Sim.Net.metrics t.net) "cluster.repl_replies_seeded"
-      (List.length triples);
+      (List.length replies);
     Ok (S "replicated")
 
 let standby_handle t ctx payload =
@@ -275,10 +216,10 @@ let install t =
    suppressed for the duration so setup minting is not double-applied when
    the first real request ships the replay log. *)
 let mint t ~name ~currency amount =
-  let pl = Accounting_server.ledger t.primary.server in
-  Ledger.set_journal pl None;
-  let r = Ledger.mint pl ~name ~currency amount in
-  Ledger.set_journal pl (Some (journal_fn t));
+  let primary = t.primary.server in
+  Accounting_server.set_journal primary None;
+  let r = Ledger.mint (Accounting_server.ledger primary) ~name ~currency amount in
+  Accounting_server.set_journal primary (Some (journal t));
   let* () = r in
   Ledger.mint (Accounting_server.ledger t.standby.server) ~name ~currency amount
 

@@ -2,6 +2,10 @@
     one logical identity and long-term key.
 
     Failover ordering guarantees (see DESIGN.md §12):
+    - the standby learns the primary's state from one ordered list of
+      {!Accounting_server.change}s (ledger primitives, accept-once records
+      with their expiry and grantor tag, sequence progress, grant totals),
+      fed by the primary's {!Accounting_server.set_journal} hook;
     - replication ships {e before} the primary's reply is transmitted, so
       every reply a client saw is already at the standby;
     - the standby's response cache is seeded with the primary's sealed
@@ -31,9 +35,10 @@ val create :
     and [standby_node] are their distinct physical network names.
     [repl_retry] governs the primary->standby replication exchange.
 
-    Every mutating request ships its journal entries and sealed reply in
-    one ["x-replicate-bulk"] exchange before the reply is released.
-    Requests that journalled nothing (reads) skip shipping entirely —
+    Every request that changed state ships its pending changes and sealed
+    reply in one ["x-replicate-bulk"] exchange before the reply is
+    released (["cluster.repl_ops_shipped"] counts the changes).
+    Requests that changed nothing (reads) skip shipping entirely —
     re-executing one on a failed-over retransmission is idempotent
     (["cluster.repl_read_skips"]). Pipelined batches
     ({!Secure_rpc.call_batch}) journal all their items under one

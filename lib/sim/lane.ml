@@ -45,7 +45,10 @@ let run_chunk ~step ~epoch ~inboxes indices =
       (lane, step ~epoch ~lane ~inbox))
     indices
 
-let run ?(max_epochs = 10_000) ~domains ~lanes ~min_epochs ~step () =
+(* A run that never drains stops here. *)
+let max_epochs = 10_000
+
+let run ~domains ~lanes ~min_epochs ~step () =
   if lanes < 1 then invalid_arg "Lane.run: at least one lane";
   if domains < 1 then invalid_arg "Lane.run: at least one domain";
   if min_epochs < 0 then invalid_arg "Lane.run: min_epochs must be non-negative";

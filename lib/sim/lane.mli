@@ -15,8 +15,8 @@ type outcome = {
   epochs_run : int;
   delivered : int;  (** cross-lane messages delivered over the whole run *)
   stranded : int;
-      (** messages still in flight when [max_epochs] cut the run short; 0 on
-          a clean drain *)
+      (** messages still in flight when the 10_000-epoch cap cut the run
+          short; 0 on a clean drain *)
 }
 
 val seed_for : seed:string -> string -> string
@@ -24,7 +24,6 @@ val seed_for : seed:string -> string -> string
     ["lane:" ^ seed ^ ":" ^ shard_id]. *)
 
 val run :
-  ?max_epochs:int ->
   domains:int ->
   lanes:int ->
   min_epochs:int ->
@@ -33,7 +32,7 @@ val run :
   outcome
 (** [run ~domains ~lanes ~min_epochs ~step ()] drives [lanes] lanes for at
     least [min_epochs] epochs and then keeps going until no cross-lane
-    messages are in flight (or [max_epochs], default 10_000, is reached).
+    messages are in flight (or 10_000 epochs have run).
     [step ~epoch ~lane ~inbox] receives the lane's mailbox as
     [(source_lane, payload)] pairs in canonical order and returns an outbox
     of [(destination_lane, payload)] pairs. Payloads are opaque strings so

@@ -1,17 +1,20 @@
-type backoff = { base_us : int; factor : float; cap_us : int; jitter : float }
+type backoff = { base_us : int; factor : float; jitter : float }
 
-let backoff ?(base_us = 1_000) ?(factor = 2.0) ?(cap_us = 60_000) ?(jitter = 0.25) () =
-  if base_us < 0 || cap_us < 0 then invalid_arg "Retry.backoff: negative delay";
+(* Ceiling on the deterministic part of every back-off delay. *)
+let cap_us = 60_000
+
+let backoff ?(base_us = 1_000) ?(factor = 2.0) ?(jitter = 0.25) () =
+  if base_us < 0 then invalid_arg "Retry.backoff: negative delay";
   if factor < 1.0 then invalid_arg "Retry.backoff: factor below 1";
   if jitter < 0.0 then invalid_arg "Retry.backoff: negative jitter";
-  { base_us; factor; cap_us; jitter }
+  { base_us; factor; jitter }
 
 let default_backoff = backoff ()
 
 let delay_us bo ~drbg ~attempt =
   if attempt < 1 then invalid_arg "Retry.delay_us: attempt is 1-based";
   let raw = float_of_int bo.base_us *. (bo.factor ** float_of_int (attempt - 1)) in
-  let capped = min raw (float_of_int bo.cap_us) in
+  let capped = min raw (float_of_int cap_us) in
   let base = int_of_float capped in
   let spread = int_of_float (capped *. bo.jitter) in
   base + if spread > 0 then Crypto.Drbg.uniform_int drbg (spread + 1) else 0
@@ -23,7 +26,7 @@ let policy ?(retries = 4) ?(timeout_us = 10_000) ?(backoff = default_backoff) ()
   if timeout_us < 0 then invalid_arg "Retry.policy: negative timeout";
   { retries; timeout_us; bo = backoff }
 
-let run ~clock ~drbg ?metrics ?(should_retry = Net.transient_error) p f =
+let run ~clock ~drbg ?metrics p f =
   let count name = match metrics with Some m -> Metrics.incr m name | None -> () in
   let t0 = Clock.now clock in
   count "rpc.calls";
@@ -37,7 +40,7 @@ let run ~clock ~drbg ?metrics ?(should_retry = Net.transient_error) p f =
     match f () with
     | Ok _ as ok -> finish ok
     | Error e as error ->
-        if not (should_retry e) then finish error
+        if not (Net.transient_error e) then finish error
         else if attempt > p.retries then begin
           (* Out of budget: give up immediately. Only attempts that are
              followed by a retransmission wait out their timeout — charging

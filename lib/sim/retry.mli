@@ -15,12 +15,12 @@
 type backoff = {
   base_us : int;  (** delay before the first retransmission *)
   factor : float;  (** multiplier per further retransmission *)
-  cap_us : int;  (** ceiling on the deterministic part of the delay *)
   jitter : float;  (** extra uniform delay, as a fraction of the delay *)
 }
 
-val backoff : ?base_us:int -> ?factor:float -> ?cap_us:int -> ?jitter:float -> unit -> backoff
-(** Defaults: 1000us base, doubling, 60ms cap, 0.25 jitter. *)
+val backoff : ?base_us:int -> ?factor:float -> ?jitter:float -> unit -> backoff
+(** Defaults: 1000us base, doubling, 0.25 jitter. The deterministic part
+    of every delay is capped at 60ms. *)
 
 type policy = {
   retries : int;  (** retransmissions after the first attempt *)
@@ -35,16 +35,14 @@ val run :
   clock:Clock.t ->
   drbg:Crypto.Drbg.t ->
   ?metrics:Metrics.t ->
-  ?should_retry:(string -> bool) ->
   policy ->
   (unit -> ('a, string) result) ->
   ('a, string) result
 (** Run one logical call with at-most-[1 + retries] attempts.
-    [should_retry] (default {!Net.transient_error}) decides which errors are
-    environmental; a non-retryable error returns immediately. Every
-    retryable failure advances the clock by [timeout_us] (the wait that
-    detected it), and each retransmission additionally waits out the
-    backoff delay.
+    {!Net.transient_error} decides which errors are environmental; any
+    other error returns immediately. Every retryable failure advances the
+    clock by [timeout_us] (the wait that detected it), and each
+    retransmission additionally waits out the backoff delay.
 
     With [metrics]: increments ["rpc.calls"], ["rpc.retries"] (one per
     retransmission), ["rpc.gave_up"] (logical calls that exhausted their

@@ -358,6 +358,30 @@ let test_tampered_amount () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "inflated check cleared"
 
+let test_rewritten_currency () =
+  (* The wrapper's fields travel beside the signed chain, and a Quota
+     bounds only its own currency: a 60 usd check rewritten to 900 eur must
+     not clear in eur. *)
+  let bw = bank_world () in
+  let eur_balance bank name =
+    Ledger.balance (Accounting_server.ledger bank) ~name ~currency:"eur"
+  in
+  ignore
+    (Ledger.mint (Accounting_server.ledger bw.bank2) ~name:"carol-checking" ~currency:"eur"
+       1000);
+  let check = write_check bw ~amount:60 () in
+  let rewritten = { check with Check.currency = "eur"; amount = 900 } in
+  let creds = creds_for bw bw.shop bw.bank1_name in
+  (match
+     Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check:rewritten
+       ~to_account:"shop-till"
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a usd check cleared in eur");
+  Alcotest.(check int) "carol's eur untouched" 1000 (eur_balance bw.bank2 "carol-checking");
+  Alcotest.(check int) "shop got no eur" 0 (eur_balance bw.bank1 "shop-till");
+  Alcotest.(check (pair int int)) "usd untouched" (1000, 0) (balances bw)
+
 let test_stolen_check () =
   (* Eve intercepts a check payable to shop and tries to deposit it into her
      own account at bank1. *)
@@ -513,6 +537,7 @@ let () =
           ("bounced check", `Slow, test_bounced_check);
           ("forged check", `Slow, test_forged_check);
           ("tampered amount", `Slow, test_tampered_amount);
+          ("rewritten currency", `Slow, test_rewritten_currency);
           ("stolen check", `Slow, test_stolen_check);
           ("expired check", `Slow, test_expired_check) ] );
       ( "certified+cashier",

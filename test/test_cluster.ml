@@ -58,7 +58,7 @@ type cw = {
   endpoints : (string * Router.endpoint) list;
 }
 
-let mk_cluster ~seed ids =
+let mk_cluster ?revocation_authority ~seed ids =
   let w = World.create ~seed () in
   let net = w.World.net in
   let retry = Sim.Retry.policy ~retries:8 ~timeout_us:10_000 () in
@@ -70,8 +70,8 @@ let mk_cluster ~seed ids =
           ok_or id
             (Shard.create net ~me:p ~my_key:key ~kdc:w.World.kdc_name ~signing_key:rsa
                ~lookup:(fun q -> Directory.public w.World.dir q)
-               ~collect_retry:retry ~repl_retry:retry ~primary_node:(id ^ "-a")
-               ~standby_node:(id ^ "-b") ())
+               ~collect_retry:retry ~repl_retry:retry ?revocation_authority
+               ~primary_node:(id ^ "-a") ~standby_node:(id ^ "-b") ())
         in
         Shard.install s;
         (id, s))
@@ -246,18 +246,28 @@ let test_failover_exactly_once () =
   Alcotest.(check int) "fresh deposit clears on the standby" 50 paid2;
   Alcotest.(check bool) "promoted" true (Shard.promoted shard)
 
+(* A one-shard cluster where alice (1000 usd) and shop hold accounts. *)
+let one_shard_bank ?revocation_authority ~seed () =
+  let cw = mk_cluster ?revocation_authority ~seed [ "bank-0" ] in
+  let alice = mk_actor cw "alice" and shop = mk_actor cw "shop" in
+  ok_or "alice" (Router.open_account (mk_router cw alice) ~name:alice.name);
+  let r_shop = mk_router cw shop in
+  ok_or "shop" (Router.open_account r_shop ~name:shop.name);
+  let _, shard = List.hd cw.shards in
+  ok_or "mint" (Shard.mint shard ~name:alice.name ~currency:usd 1_000);
+  (cw, shard, alice, shop, r_shop)
+
+let alice_balance shard (alice : actor) =
+  Ledger.balance
+    (Accounting_server.ledger (Shard.authoritative shard))
+    ~name:alice.name ~currency:usd
+
 (* A second redemption observer on the primary — a scenario's redemption
    counter — must not displace the one the shard journals accept-once
    records through: the standby must still bounce a check the dead
    primary already paid. *)
 let test_counting_observer_keeps_replication () =
-  let cw = mk_cluster ~seed:"observer" [ "bank-0" ] in
-  let alice = mk_actor cw "alice" and shop = mk_actor cw "shop" in
-  let r_alice = mk_router cw alice and r_shop = mk_router cw shop in
-  ok_or "alice" (Router.open_account r_alice ~name:alice.name);
-  ok_or "shop" (Router.open_account r_shop ~name:shop.name);
-  let _, shard = List.hd cw.shards in
-  ok_or "mint" (Shard.mint shard ~name:alice.name ~currency:usd 1_000);
+  let cw, shard, alice, shop, r_shop = one_shard_bank ~seed:"observer" () in
   let counted = ref 0 in
   Accounting_server.add_redemption_observer (Shard.primary_server shard) (fun _ -> incr counted);
   let check = write_check cw alice ~payee:shop.principal ~amount:100 in
@@ -268,10 +278,101 @@ let test_counting_observer_keeps_replication () =
   (match deposit () with
   | Ok _ -> Alcotest.fail "the promoted standby paid the same check again"
   | Error _ -> ());
-  Alcotest.(check int) "alice debited once" 900
-    (Ledger.balance
-       (Accounting_server.ledger (Shard.authoritative shard))
-       ~name:alice.name ~currency:usd)
+  Alcotest.(check int) "alice debited once" 900 (alice_balance shard alice)
+
+(* [holder] draws on a presented proxy over [payor_account] into its own
+   account, down the shard's replica list like any client call. *)
+let proxy_draw cw shard (holder : actor) =
+  let creds =
+    World.credentials_for cw.w ~tgt:(World.login cw.w holder.principal) (Shard.logical shard)
+  in
+  fun ~proxy ~payor_account ~amount ->
+    Accounting_server.proxy_debit
+      ~retry:(Sim.Retry.policy ~retries:8 ~timeout_us:10_000 ())
+      ~via:[ Shard.primary_node shard; Shard.standby_node shard ]
+      cw.net ~creds
+      ~presented:{ Guard.pres = Proxy.presentation proxy; pres_proof = None }
+      ~payor_account ~to_account:holder.name ~currency:usd ~amount
+
+let expect_refused ~needle what = function
+  | Ok _ -> Alcotest.fail (what ^ " was granted")
+  | Error e ->
+      if not (Sim.Span.contains_substring ~needle e) then
+        Alcotest.failf "%s refused for the wrong reason: %s" what e
+
+(* A grant's running total is replicated state: the promoted standby goes
+   on counting where the primary stopped. *)
+let test_failover_keeps_grant_total () =
+  let cw, shard, alice, shop, _ = one_shard_bank ~seed:"grant-total" () in
+  let now = World.now cw.w in
+  let authority =
+    Standing.grant ~drbg:(Sim.Net.drbg cw.net) ~now ~expires:(now + (24 * World.hour))
+      ~owner:alice.principal ~owner_key:alice.rsa
+      ~account:(Accounting_server.account (Shard.primary_server shard) alice.name)
+      ~holder:shop.principal ~currency:usd ~limit:100 ()
+  in
+  let draw =
+    proxy_draw cw shard shop ~proxy:authority.Standing.authority ~payor_account:alice.name
+  in
+  Alcotest.(check int) "first draw at the primary" 60 (ok_or "draw" (draw ~amount:60));
+  Sim.Net.set_down cw.net ~name:(Shard.primary_node shard);
+  expect_refused ~needle:"quota: 120 usd exceeds limit 100" "a second 60 at the standby"
+    (draw ~amount:60);
+  Alcotest.(check bool) "promoted" true (Shard.promoted shard);
+  Alcotest.(check int) "alice drawn once" 940 (alice_balance shard alice)
+
+(* An accept-once identifier consumed by a presented-proxy draw on the
+   primary stays consumed at the promoted standby. *)
+let test_failover_keeps_accept_once () =
+  let cw, shard, alice, shop, _ = one_shard_bank ~seed:"accept-once" () in
+  let now = World.now cw.w in
+  let voucher =
+    Proxy.grant_keyless ~drbg:(Sim.Net.drbg cw.net) ~now ~expires:(now + (24 * World.hour))
+      ~grantor:alice.principal ~grantor_key:alice.rsa
+      ~restrictions:
+        [ Restriction.Grantee ([ shop.principal ], 1);
+          Restriction.Accept_once "voucher-1";
+          Restriction.Issued_for [ Shard.logical shard ];
+          Restriction.Authorized [ { Restriction.target = alice.name; ops = [ "debit" ] } ] ]
+      ()
+  in
+  let draw = proxy_draw cw shard shop ~proxy:voucher ~payor_account:alice.name in
+  Alcotest.(check int) "drawn at the primary" 30 (ok_or "draw" (draw ~amount:30));
+  Sim.Net.set_down cw.net ~name:(Shard.primary_node shard);
+  expect_refused ~needle:"accept-once" "the voucher again at the standby" (draw ~amount:30);
+  Alcotest.(check int) "alice drawn once" 970 (alice_balance shard alice)
+
+(* A mirrored accept-once record carries the primary's grantor tag, so a
+   grantor-epoch bulletin sheds it on both replicas alike. *)
+let test_bulletin_sheds_on_both_replicas () =
+  let ra_p = Principal.make ~realm:"ATHENA" "revoker" in
+  let ra_rsa = Crypto.Rsa.generate (Crypto.Drbg.create ~seed:"revoker") ~bits:512 in
+  let cw, shard, alice, shop, r_shop =
+    one_shard_bank ~revocation_authority:(ra_p, ra_rsa.Crypto.Rsa.pub) ~seed:"shed" ()
+  in
+  let check = write_check cw alice ~payee:shop.principal ~amount:100 in
+  Alcotest.(check int) "paid" 100
+    (ok_or "deposit"
+       (Router.deposit r_shop ~endorser_key:shop.rsa ~check ~to_account:shop.name));
+  let seen server =
+    Replay_cache.seen
+      (Guard.replay_cache (Accounting_server.guard server))
+      ~now:(World.now cw.w) check.Check.number
+  in
+  let replicas =
+    [ ("primary", Shard.primary_server shard); ("standby", Shard.standby_server shard) ]
+  in
+  List.iter
+    (fun (r, s) -> Alcotest.(check bool) (r ^ " recorded the check") true (seen s))
+    replicas;
+  let now = World.now cw.w in
+  let bulletin =
+    Revocation.sign ~key:ra_rsa ~issuer:ra_p ~epoch:1 ~issued_at:now
+      [ Revocation.By_grantor_epoch { grantor = alice.principal; not_before = now + 1 } ]
+  in
+  Alcotest.(check bool) "bulletin applied" true
+    (ok_or "bulletin" (Shard.apply_bulletin shard bulletin));
+  List.iter (fun (r, s) -> Alcotest.(check bool) (r ^ " shed the record") false (seen s)) replicas
 
 (* --- the full scenario --- *)
 
@@ -358,7 +459,10 @@ let prop_ledger_invariants =
       let l2 = Ledger.create () in
       List.iter
         (fun op ->
-          match Ledger.apply l2 (ok_or "op round-trip" (Ledger.op_of_wire (Ledger.op_to_wire op))) with
+          let c = Accounting_server.Ledger op in
+          if Accounting_server.change_of_wire (Accounting_server.change_to_wire c) <> Ok c then
+            QCheck.Test.fail_report "op round-trip";
+          match Ledger.apply l2 op with
           | Ok _ -> ()
           | Error e -> QCheck.Test.fail_reportf "journal replay refused: %s" e)
         (List.rev !journal);
@@ -434,6 +538,9 @@ let () =
         [ ("exactly-once across a mid-reply crash", `Slow, test_failover_exactly_once);
           ("a counting observer keeps replication", `Quick,
            test_counting_observer_keeps_replication);
+          ("a grant's running total survives", `Quick, test_failover_keeps_grant_total);
+          ("an accept-once draw survives", `Quick, test_failover_keeps_accept_once);
+          ("a bulletin sheds on both replicas", `Quick, test_bulletin_sheds_on_both_replicas);
           ("seq counts each failover once", `Quick, test_seq_failovers_counted_once) ] );
       ( "scenario",
         [ ("conservation + determinism under crash", `Slow,

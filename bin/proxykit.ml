@@ -911,11 +911,14 @@ let run_campaign ?mutation ?(require_coverage = false) ~seed_base ~n_seeds ~per_
     | None -> "")
     rate;
   (* The clean smoke must reach what it claims to check: sequence
-     restrictions, and conventional-link opens answered by the verify
-     cache, so the cache differential covers link memoization. *)
-  if require_coverage then
+     restrictions, and conventional-link opens and held bindings answered
+     by the verify cache, so the cache differential covers both memos. *)
+  if require_coverage then begin
     Printf.printf "mbt: %d conventional-link open(s) answered by the verify caches (cache on)\n"
       stats.Mbt.Runner.link_hits;
+    Printf.printf "mbt: %d presentation(s) reused a held binding (cache on)\n"
+      stats.Mbt.Runner.binding_hits
+  end;
   let gate ok what =
     if require_coverage && not ok then Printf.printf "mbt: FAIL — the campaign %s\n" what;
     ok || not require_coverage
@@ -924,7 +927,10 @@ let run_campaign ?mutation ?(require_coverage = false) ~seed_base ~n_seeds ~per_
   let links_ok =
     gate (stats.Mbt.Runner.link_hits > 0) "served no conventional link from the verify cache"
   in
-  let covered = seq_ok && links_ok in
+  let bindings_ok =
+    gate (stats.Mbt.Runner.binding_hits > 0) "reused no held binding"
+  in
+  let covered = seq_ok && links_ok && bindings_ok in
   match (finding, mutation) with
   | None, None ->
       if covered then

@@ -84,18 +84,17 @@ let () =
       (Authz_server.request_authorization w.World.net ~creds:creds_authz ~end_server:farm_p
          ~target:"build-job" ~operation:"run" ())
   in
-  let present op ?spend () =
-    Guard.present ~proxy ~time:(Sim.Net.now w.World.net) ~server:farm_p ~operation:op
-      ~target:"build-job" ?spend ()
-  in
+  (* The guards here are called directly, with no RPC: carol's login
+     ticket stands in for the ticket her requests would ride, and each
+     proxy she presents is bound to it. *)
+  let ticket = Ticket.digest tgt_c.Ticket.ticket_blob in
+  let presented = Guard.bind ~server:farm_p ~ticket proxy in
   Demo.outcome "farm accepts: run build-job (20 cpu-minutes)"
-    (Guard.decide farm ~operation:"run" ~target:"build-job" ~presenter:carol
-       ~proxies:[ present "run" ~spend:("cpu-minutes", 20) () ]
-       ~spend:("cpu-minutes", 20) ());
+    (Guard.decide farm ~operation:"run" ~target:"build-job" ~presenter:carol ~ticket
+       ~proxies:[ presented ] ~spend:("cpu-minutes", 20) ());
   Demo.expect_err "farm refuses: 5000 cpu-minutes exceeds the copied quota"
-    (Guard.decide farm ~operation:"run" ~target:"build-job" ~presenter:carol
-       ~proxies:[ present "run" ~spend:("cpu-minutes", 5000) () ]
-       ~spend:("cpu-minutes", 5000) ());
+    (Guard.decide farm ~operation:"run" ~target:"build-job" ~presenter:carol ~ticket
+       ~proxies:[ presented ] ~spend:("cpu-minutes", 5000) ());
   Demo.expect_err "farm refuses dave (authorization server never granted him a proxy)"
     (Guard.decide farm ~operation:"run" ~target:"build-job" ~presenter:dave ());
 
@@ -108,8 +107,7 @@ let () =
          ~end_server:door_p ())
   in
   let gpresented =
-    Guard.present ~proxy:gproxy ~time:(Sim.Net.now w.World.net) ~server:door_p
-      ~operation:"assert-membership" ~target:"operators" ()
+    Guard.bind ~server:door_p ~ticket:(Ticket.digest tgt_d.Ticket.ticket_blob) gproxy
   in
   Demo.outcome "door opens for dave"
     (Guard.decide door ~operation:"open" ~target:"machine-room" ~presenter:dave
@@ -128,12 +126,9 @@ let () =
       (Capability.mint_via_kdc w.World.net ~kdc:w.World.kdc_name ~tgt:tgt_hr ~end_server:payroll_p
          ~target:"layoff-script" ~ops:[ "execute" ] ())
   in
-  let hr_presented =
-    Guard.present ~proxy:hr_proxy ~time:(Sim.Net.now w.World.net) ~server:payroll_p
-      ~operation:"execute" ~target:"layoff-script" ()
-  in
+  let hr_presented = Guard.bind ~server:payroll_p ~ticket hr_proxy in
   Demo.outcome "carol + hr concurrence executes"
-    (Guard.decide payroll ~operation:"execute" ~target:"layoff-script" ~presenter:carol
+    (Guard.decide payroll ~operation:"execute" ~target:"layoff-script" ~presenter:carol ~ticket
        ~proxies:[ hr_presented ] ());
 
   Demo.section "Summary";

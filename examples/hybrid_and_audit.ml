@@ -28,19 +28,19 @@ let () =
       ~my_rsa:fs_rsa ~acl ()
   in
   let now () = Sim.Net.now w.World.net in
-  let try_read proxy label =
-    let presented =
-      Guard.present ~proxy ~time:(now ()) ~server:fs_name ~operation:"read" ~target:"report.txt"
-        ()
-    in
-    Demo.outcome label
-      (Guard.decide guard ~operation:"read" ~target:"report.txt" ~proxies:[ presented ] ())
-  in
 
   Demo.section "One model, three realizations";
   (* Conventional: rooted in alice's ticket for the file server. *)
   let tgt = World.login w alice in
   let creds = World.credentials_for w ~tgt fs_name in
+  (* Each read is decided as if it rode alice's ticket: the bearer proxy
+     is bound to that ticket. *)
+  let try_read proxy label =
+    Demo.outcome label
+      (Guard.decide guard ~operation:"read" ~target:"report.txt"
+         ~ticket:(Ticket.digest creds.Ticket.ticket_blob)
+         ~proxies:[ Guard.present ~creds proxy ] ())
+  in
   let conventional =
     Proxy.grant_conventional ~drbg:(Sim.Net.drbg w.World.net) ~now:(now ())
       ~expires:(now () + World.hour) ~grantor:alice ~session_key:creds.Ticket.session_key

@@ -115,7 +115,7 @@ let validate_and_debit t ~presenter (check : Check.t) =
       ]
   @@ fun () ->
   let presented =
-    { Guard.pres = Proxy.presentation check.Check.proxy; pres_proof = None }
+    { Guard.pres = Proxy.presentation check.Check.proxy; pres_binding = None }
   in
   let payor_account = check.Check.drawn_on.Principal.Account.account in
   match
@@ -346,7 +346,8 @@ let handle t ctx payload =
       (* A draw on a presented delegate proxy (quota allocation, Section 4)
          or its release. The grant's running total is read before the one
          decision, so a draw's spend is the cumulative total and every
-         Quota on the chain caps it. *)
+         Quota on the chain caps it. A Quota bounds only its own currency,
+         so a draw in a currency no Quota names is refused. *)
       let* presented = Result.bind (field payload 1) Guard.presented_of_wire in
       let* payor_account = Result.bind (field payload 2) to_string in
       let* account = Result.bind (field payload 3) to_string in
@@ -361,7 +362,7 @@ let handle t ctx payload =
             let total = if draw then already + amount else already - amount in
             let* decision =
               Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter:client
-                ~proxies:[ presented ]
+                ~ticket:ctx.Secure_rpc.rpc_ticket ~proxies:[ presented ]
                 ?spend:(if draw then Some (currency, total) else None)
                 ()
             in
@@ -370,6 +371,9 @@ let handle t ctx payload =
                whose certificates anyone can copy. *)
             if decision.Guard.acting_for = [] then
               Error (verb ^ ": the presented proxy did not authorize the request")
+            else if draw && not (List.mem_assoc currency decision.Guard.quotas) then
+              Error
+                (Printf.sprintf "proxy-debit: no Quota on the presented chain names %s" currency)
             else if total < 0 then
               Error
                 (Printf.sprintf "proxy-release: only %d %s drawn, cannot release %d" already
@@ -518,23 +522,20 @@ let cashier_check net ~creds ~from_account ~payee ~currency ~amount =
   | Error e -> Error e
   | Ok reply -> Check.of_wire reply
 
-let proxy_call verb ?retry ?via net ~creds ~presented ~payor_account ~account ~currency
-    ~amount =
+let proxy_call verb ?retry ?via net ~creds ~proxy ~payor_account ~account ~currency ~amount =
   Result.bind
     (Secure_rpc.call net ~creds ?retry ?via
        (Wire.L
-          [ Wire.S verb; Guard.presented_to_wire presented; Wire.S payor_account;
-            Wire.S account; Wire.S currency; Wire.I amount ]))
+          [ Wire.S verb; Guard.presented_to_wire (Guard.present ~creds proxy);
+            Wire.S payor_account; Wire.S account; Wire.S currency; Wire.I amount ]))
     Wire.to_int
 
-let proxy_debit ?retry ?via net ~creds ~presented ~payor_account ~to_account ~currency
-    ~amount =
-  proxy_call "proxy-debit" ?retry ?via net ~creds ~presented ~payor_account
-    ~account:to_account ~currency ~amount
+let proxy_debit ?retry ?via net ~creds ~proxy ~payor_account ~to_account ~currency ~amount =
+  proxy_call "proxy-debit" ?retry ?via net ~creds ~proxy ~payor_account ~account:to_account
+    ~currency ~amount
 
 let standing_call verb net ~creds ~(authority : Standing.t) ~account ~amount =
-  proxy_call verb net ~creds
-    ~presented:{ Guard.pres = Proxy.presentation authority.Standing.authority; pres_proof = None }
+  proxy_call verb net ~creds ~proxy:authority.Standing.authority
     ~payor_account:authority.Standing.drawn_from.Principal.Account.account ~account
     ~currency:authority.Standing.currency ~amount
 

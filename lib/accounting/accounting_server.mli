@@ -195,7 +195,10 @@ val cashier_check :
     for conventional ones), so every chain derived from one grant, its
     holder's re-delegations included, shares one budget. A draw's decision
     spends the running total plus the amount, so each Quota on the chain
-    caps the cumulative draw; a release may not return more than is drawn.
+    caps the cumulative draw. A Quota bounds only its own currency, so a
+    draw in a currency that no Quota on the contributing chain names is
+    refused (every {!Standing.grant} carries one); a release may not return
+    more than is drawn.
     A request the decision grants without the presented proxy (on the
     caller's own rights) is refused, so nobody moves a grant's total by
     presenting copied certificates. Each new total is a journalled
@@ -205,17 +208,17 @@ val proxy_debit :
   ?retry:Sim.Retry.policy -> ?via:string list ->
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  presented:Guard.presented ->
+  proxy:Proxy.t ->
   payor_account:string ->
   to_account:string ->
   currency:string ->
   amount:int ->
   (int, string) result
 (** Draw [amount] of [currency] from [payor_account], authorized by
-    [presented], into [to_account], owned by the caller (the
-    ["proxy-debit"] verb). Returns the grant's new running total. A
-    stateful {!Restriction.Sequence} on the chain advances once per granted
-    draw. *)
+    [proxy] ({!Guard.present}ed with [creds]), into [to_account], owned by
+    the caller (the ["proxy-debit"] verb). Returns the grant's new running
+    total. A stateful {!Restriction.Sequence} on the chain advances once
+    per granted draw. *)
 
 val standing_debit :
   Sim.Net.t ->

@@ -33,7 +33,7 @@ let handle t ctx payload =
   in
   let* _decision =
     Guard.decide t.guard ~operation:op ~target:path ~presenter:ctx.Secure_rpc.rpc_client
-      ~proxies ~group_proxies ()
+      ~ticket:ctx.Secure_rpc.rpc_ticket ~proxies ~group_proxies ()
   in
   match op with
   | "read" -> (
@@ -58,8 +58,7 @@ let handle t ctx payload =
 let install t =
   Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
 
-let attach net ~proxy ~server ~operation ~path =
-  Guard.present ~proxy ~time:(Sim.Net.now net) ~server ~operation ~target:path ()
+let attach _net ~proxy ~server:_ ~operation:_ ~path:_ = proxy
 
 let request net ~creds ?retry ~proxies ~group_proxies ~op ~path ~data () =
   let payload =
@@ -67,8 +66,8 @@ let request net ~creds ?retry ~proxies ~group_proxies ~op ~path ~data () =
       [ Wire.S op;
         Wire.S path;
         Wire.S data;
-        Wire.L (List.map Guard.presented_to_wire proxies);
-        Wire.L (List.map Guard.presented_to_wire group_proxies) ]
+        Guard.presentations ~creds proxies;
+        Guard.presentations ~creds group_proxies ]
   in
   Secure_rpc.call net ~creds ?retry payload
 

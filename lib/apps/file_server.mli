@@ -3,8 +3,9 @@
 
     Authorization is the guard's: direct ACL entries, capabilities
     (restricted bearer proxies), group proxies, and authorization-server
-    proxies all work, alone or combined. Clients attach presentations to
-    each authenticated request. *)
+    proxies all work, alone or combined. Clients pass proxies to each
+    authenticated request, which carries their certificates and their
+    session bindings ({!Guard.present}), never their keys. *)
 
 type t
 
@@ -49,8 +50,8 @@ val read :
   Sim.Net.t ->
   creds:Ticket.credentials ->
   ?retry:Sim.Retry.policy ->
-  ?proxies:Guard.presented list ->
-  ?group_proxies:Guard.presented list ->
+  ?proxies:Proxy.t list ->
+  ?group_proxies:Proxy.t list ->
   path:string ->
   unit ->
   (string, string) result
@@ -58,8 +59,8 @@ val read :
 val write :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?proxies:Guard.presented list ->
-  ?group_proxies:Guard.presented list ->
+  ?proxies:Proxy.t list ->
+  ?group_proxies:Proxy.t list ->
   path:string ->
   string ->
   (unit, string) result
@@ -67,8 +68,8 @@ val write :
 val stat :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?proxies:Guard.presented list ->
-  ?group_proxies:Guard.presented list ->
+  ?proxies:Proxy.t list ->
+  ?group_proxies:Proxy.t list ->
   path:string ->
   unit ->
   (int, string) result
@@ -78,8 +79,8 @@ val open_ :
   Sim.Net.t ->
   creds:Ticket.credentials ->
   ?retry:Sim.Retry.policy ->
-  ?proxies:Guard.presented list ->
-  ?group_proxies:Guard.presented list ->
+  ?proxies:Proxy.t list ->
+  ?group_proxies:Proxy.t list ->
   path:string ->
   unit ->
   (unit, string) result
@@ -93,6 +94,8 @@ val attach :
   server:Principal.t ->
   operation:string ->
   path:string ->
-  Guard.presented
-(** Build the presentation for one file operation (binds the proof to
-    server/operation/path at the current virtual time). *)
+  Proxy.t
+(** [proxy] itself. A presentation needs no per-request work: the request
+    that carries the proxy binds it to its own ticket once ({!Guard.present})
+    and its authenticator covers the operation and path. Kept so callers
+    that prepare a presentation apart from the request need not change. *)

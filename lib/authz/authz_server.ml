@@ -29,7 +29,8 @@ let handle t ctx payload =
     let* evidence = Wire.map_all Guard.presented_of_wire ew in
     let client = ctx.Secure_rpc.rpc_client in
     match
-      Guard.decide t.guard ~operation ~target ~presenter:client ~group_proxies:evidence ()
+      Guard.decide t.guard ~operation ~target ~presenter:client
+        ~ticket:ctx.Secure_rpc.rpc_ticket ~group_proxies:evidence ()
     with
     | Error e ->
         Error
@@ -89,7 +90,7 @@ let request_authorization net ~creds ~end_server ~target ~operation ?(delegate =
         Wire.S target;
         Wire.S operation;
         Wire.I (if delegate then 1 else 0);
-        Wire.L (List.map Guard.presented_to_wire evidence) ]
+        Guard.presentations ~creds evidence ]
   in
   match Secure_rpc.call net ~creds payload with
   | Error e -> Error e

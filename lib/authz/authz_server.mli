@@ -37,7 +37,7 @@ val request_authorization :
   target:string ->
   operation:string ->
   ?delegate:bool ->
-  ?evidence:Guard.presented list ->
+  ?evidence:Proxy.t list ->
   unit ->
   (Proxy.t, string) result
 (** Figure 3 messages 1-2: ask the authorization server (named by [creds])

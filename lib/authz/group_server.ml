@@ -82,7 +82,7 @@ let handle t ctx payload =
        entry, or a nested Group entry proven by the attached evidence. *)
     match
       Guard.decide t.guard ~operation:membership_right ~target:group ~presenter:client
-        ~group_proxies:evidence ()
+        ~ticket:ctx.Secure_rpc.rpc_ticket ~group_proxies:evidence ()
     with
     | Error e ->
         Error (Printf.sprintf "group: %s is not a member of %s (%s)"
@@ -117,7 +117,7 @@ let request_membership_proxy net ~creds ~group ~end_server ?(evidence = []) () =
       [ Wire.S "assert";
         Wire.S group;
         Principal.to_wire end_server;
-        Wire.L (List.map Guard.presented_to_wire evidence) ]
+        Guard.presentations ~creds evidence ]
   in
   match Secure_rpc.call net ~creds payload with
   | Error e -> Error e

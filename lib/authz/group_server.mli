@@ -63,7 +63,7 @@ val request_membership_proxy :
   creds:Ticket.credentials ->
   group:string ->
   end_server:Principal.t ->
-  ?evidence:Guard.presented list ->
+  ?evidence:Proxy.t list ->
   unit ->
   (Proxy.t, string) result
 (** Obtain a proxy asserting membership of [group] for presentation at

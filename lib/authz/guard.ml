@@ -23,9 +23,6 @@ type t = {
     option;
 }
 
-(* Clock skew tolerated on a possession proof's timestamp. *)
-let max_skew_us = 5 * 60 * 1_000_000
-
 let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa ?verify_cache ?revocation
     ~acl () =
   let decrypt =
@@ -81,33 +78,49 @@ let apply_change t ~now c =
   in
   if moved then note t c
 
-type presented = { pres : Proxy.presentation; pres_proof : Presentation.proof option }
+type presented = { pres : Proxy.presentation; pres_binding : string option }
 
 let presented_to_wire p =
-  let proof =
-    match p.pres_proof with None -> Wire.L [] | Some pr -> Presentation.proof_to_wire pr
-  in
-  Wire.L [ Proxy.presentation_to_wire p.pres; proof ]
+  let binding = match p.pres_binding with None -> Wire.L [] | Some b -> Wire.S b in
+  Wire.L [ Proxy.presentation_to_wire p.pres; binding ]
 
 let presented_of_wire v =
   let open Wire in
   let* pw = field v 0 in
   let* pres = Proxy.presentation_of_wire pw in
-  let* proof_w = field v 1 in
-  match proof_w with
-  | Wire.L [] -> Ok { pres; pres_proof = None }
-  | _ ->
-      let* proof = Presentation.proof_of_wire proof_w in
-      Ok { pres; pres_proof = Some proof }
+  match field v 1 with
+  | Ok (Wire.L []) -> Ok { pres; pres_binding = None }
+  | Ok (Wire.S b) -> Ok { pres; pres_binding = Some b }
+  | Ok _ | Error _ -> Error "presented proxy: malformed binding"
 
-let present ~proxy ~time ~server ~operation ?(target = "") ?spend () =
-  let req = Restriction.request ~server ~time ~operation ~target ?spend () in
+let bind ~server ~ticket proxy =
   {
     pres = Proxy.presentation proxy;
-    pres_proof =
-      Presentation.prove ~key:proxy.Proxy.key ~time
-        ~request_digest:(Presentation.digest_request req);
+    pres_binding = Presentation.bind proxy.Proxy.key ~server ~ticket;
   }
+
+(* The holder's bindings are keyed by the proxy key that made them: each
+   certificate mints a fresh key, so the key names the chain. *)
+let present ~creds proxy =
+  let id =
+    match proxy.Proxy.key with
+    | Proxy.Sym k -> Some k
+    | Proxy.Keypair kp -> Some (Crypto.Rsa.public_to_bytes kp.Crypto.Rsa.pub)
+    | Proxy.No_key -> None
+  in
+  match Option.map (fun id -> (id, Hashtbl.find_opt creds.Ticket.cred_bindings id)) id with
+  | None -> { pres = Proxy.presentation proxy; pres_binding = None }
+  | Some (_, Some b) -> { pres = Proxy.presentation proxy; pres_binding = Some b }
+  | Some (id, None) ->
+      let p =
+        bind ~server:creds.Ticket.cred_service
+          ~ticket:(Ticket.digest creds.Ticket.ticket_blob) proxy
+      in
+      Option.iter (Hashtbl.replace creds.Ticket.cred_bindings id) p.pres_binding;
+      p
+
+let presentations ~creds proxies =
+  Wire.L (List.map (fun p -> presented_to_wire (present ~creds p)) proxies)
 
 let restrictions_of_auth_data auth_data =
   List.map
@@ -131,6 +144,7 @@ type decision = {
   acting_for : Principal.t list;
   via_groups : Principal.Group.t list;
   serials_used : string list;
+  quotas : (Restriction.currency * int) list;
 }
 
 (* Everything the guard learned about one successfully verified and
@@ -230,7 +244,7 @@ let apply_bulletin t bulletin =
 
 (* Verify a presented proxy and check it authorizes [req]; [Ok usable] if it
    contributes its grantor's authority to the request. *)
-let evaluate t ~req (p : presented) =
+let evaluate t ~req ~ticket (p : presented) =
   match
     let now = req.Restriction.time in
     Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
@@ -240,7 +254,8 @@ let evaluate t ~req (p : presented) =
   | Error e -> Error e
   | Ok verified -> (
       match
-        Verifier.authorize verified ~req ~proof:p.pres_proof ~max_skew:max_skew_us
+        Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache verified ~req ~ticket
+          ~binding:p.pres_binding
       with
       | Error e -> Error e
       | Ok () ->
@@ -306,8 +321,8 @@ let import_seq_progress t ~caller ~key ~progress ~expires ~tag =
             Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.imports";
             Ok ())
 
-let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(proxies = [])
-    ?(group_proxies = []) ?spend () =
+let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?ticket
+    ?(proxies = []) ?(group_proxies = []) ?spend () =
   let sp = Sim.Net.spans t.net in
   Sim.Span.with_span sp ~actor:(Principal.to_string t.me) ~kind:"guard.decide"
     ~attrs:[ ("operation", operation); ("target", target) ]
@@ -329,7 +344,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(pro
                 ~target:g.Principal.Group.group ~presenters
                 ~claimed_memberships:[ g.Principal.Group.group ] ~accept_once_seen:seen ()
             in
-            match evaluate t ~req gp with
+            match evaluate t ~req ~ticket gp with
             | Ok u when Principal.equal u.u_grantor g.Principal.Group.server -> Some (g, u)
             | Ok _ | Error _ -> None)
           (candidate_groups t))
@@ -344,7 +359,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(pro
       ~sequence_progress:(fun key -> Seq_tracker.progress t.seq ~now key)
       ()
   in
-  let contributions = List.map (fun p -> evaluate t ~req p) proxies in
+  let contributions = List.map (fun p -> evaluate t ~req ~ticket p) proxies in
   let usable = List.filter_map Result.to_option contributions in
   let facts =
     {
@@ -441,6 +456,13 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?(pro
               acting_for = List.map (fun u -> u.u_grantor) used;
               via_groups;
               serials_used = List.concat_map (fun u -> u.u_serials) used;
+              quotas =
+                List.concat_map
+                  (fun u ->
+                    List.filter_map
+                      (function Restriction.Quota (c, n) -> Some (c, n) | _ -> None)
+                      u.u_restrictions)
+                  used;
             }
           in
           Log.debug (fun m ->

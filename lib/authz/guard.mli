@@ -15,7 +15,15 @@
     Capabilities, centrally-administered authorization, and plain ACLs are
     all the same decision: a capability is a bearer proxy whose grantor the
     ACL names; delegating to an authorization server is one ACL entry naming
-    that server. *)
+    that server.
+
+    A bearer proxy proves possession once per session: its final proxy key
+    signs or MACs a binding to this server and the ticket the request
+    rides ({!present}, {!Presentation}), and the request's authenticator,
+    which covers the payload, is the per-request proof ([Secure_rpc]). The
+    guard checks the binding against the ticket the request rode
+    ({!decide}'s [ticket]), memoized in its verify cache; restrictions,
+    windows, revocation and accept-once run on every request. *)
 
 type t
 
@@ -127,25 +135,32 @@ val apply_bulletin : t -> Revocation.bulletin -> (bool, string) result
     ["revocation.bulletins_applied"], ["verify_cache.generation_bumps"],
     ["verify_cache.invalidations"], ["replay_cache.shed"]. *)
 
-(** A proxy as it arrives at the server: certificates plus (for bearer
-    proxies) a proof of possession bound to this request. *)
-type presented = { pres : Proxy.presentation; pres_proof : Presentation.proof option }
+(** A proxy as a request carries it: its certificates plus, for a proxy
+    with a key, the binding of that key to the session the request rides
+    ({!Presentation}). The request's authenticator covers both, so neither
+    can be swapped on the wire. *)
+type presented = { pres : Proxy.presentation; pres_binding : string option }
 
 val presented_to_wire : presented -> Wire.t
 val presented_of_wire : Wire.t -> (presented, string) result
 
-val present :
-  proxy:Proxy.t ->
-  time:int ->
-  server:Principal.t ->
-  operation:string ->
-  ?target:string ->
-  ?spend:string * int ->
-  unit ->
-  presented
-(** Client side: build the presentation for a specific request. The proof
-    binds server/operation/target/spend, so it cannot be replayed for
-    anything else. A key-less proxy gets no proof: it has no proxy key. *)
+val present : creds:Ticket.credentials -> Proxy.t -> presented
+(** Client side: present [proxy] on requests made with [creds]. The binding
+    names [creds]' service and ticket; it is made the first time this
+    proxy key is presented with these credentials (one HMAC, or one RSA
+    sign) and kept in them ([cred_bindings]), so every later request over
+    the same ticket reuses it. A key-less proxy gets no binding. Client
+    wrappers ([File_server.read], [Accounting_server.proxy_debit], ...)
+    call this themselves. *)
+
+val presentations : creds:Ticket.credentials -> Proxy.t list -> Wire.t
+(** The wire list of [proxies] on a request made with [creds], each
+    {!present}ed. *)
+
+val bind : server:Principal.t -> ticket:string -> Proxy.t -> presented
+(** {!present}'s binding, made afresh and kept nowhere, for a session named
+    by its {!Ticket.digest} [ticket] at [server]: what a caller of
+    {!decide} that makes no RPC presents. *)
 
 type decision = {
   granted_by : Acl.subject;  (** the ACL entry that matched *)
@@ -153,6 +168,9 @@ type decision = {
       (** proxy grantors whose authority contributed *)
   via_groups : Principal.Group.t list;  (** memberships that contributed *)
   serials_used : string list;  (** certificate serials (audit trail) *)
+  quotas : (Restriction.currency * int) list;
+      (** the top-level [Quota] restrictions of the proxies that
+          contributed *)
 }
 
 val decide :
@@ -161,14 +179,21 @@ val decide :
   ?target:string ->
   ?presenter:Principal.t ->
   ?extra_presenters:Principal.t list ->
+  ?ticket:string ->
   ?proxies:presented list ->
   ?group_proxies:presented list ->
   ?spend:string * int ->
   unit ->
   (decision, string) result
-(** Evaluate one request. On success, accept-once identifiers carried by
-    the proxies that contributed are recorded in the replay cache (a second
-    presentation of the same check bounces). *)
+(** Evaluate one request. [ticket] is the {!Ticket.digest} of the ticket
+    the request rode ([Secure_rpc.server_context]'s [rpc_ticket]): a bearer
+    proxy contributes only if its binding names this server and that
+    ticket, and with no [ticket] no bearer proxy contributes. A binding's
+    check is memoized in the verify cache, so after the first request
+    over a ticket it costs one lookup; the chain's windows, restrictions
+    and revocation still run on every request. On success, accept-once
+    identifiers carried by the proxies that contributed are recorded in
+    the replay cache (a second presentation of the same check bounces). *)
 
 val restrictions_of_auth_data : Wire.t list -> Restriction.t list
 (** Decode ticket/authenticator authorization-data into restrictions;

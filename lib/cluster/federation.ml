@@ -282,11 +282,7 @@ let run cfg =
   let membership_read_ok =
     let proxy = Drive.ok_or "u0 membership" (assert_eng member_creds.(0)) in
     let u0_fs = cross_creds wa u0 ~remote:wb ~target:fs_p in
-    let presented =
-      Guard.present ~proxy ~time:(Sim.Net.now net) ~server:fs_p ~operation:"assert-membership"
-        ~target:"eng" ()
-    in
-    File_server.read net ~creds:u0_fs ~group_proxies:[ presented ] ~path:"/eng/wiki" ()
+    File_server.read net ~creds:u0_fs ~group_proxies:[ proxy ] ~path:"/eng/wiki" ()
     = Ok "engineering wiki"
   in
   let non_member_refused =

@@ -470,11 +470,11 @@ type seq_lane = {
   sl_bank_p : Principal.t;
   (* fs-side client state for pair sl_id *)
   sl_bob_fs_creds : Ticket.credentials;
-  sl_presented_fs : Guard.presented;
+  sl_proxy_fs : Proxy.t;
   sl_seq_out : (string * int * int * string) list ref;  (** captured by the hook *)
   (* bank-side client state for pair (sl_id - 1 + n) mod n *)
   sl_bob_bank_creds : Ticket.credentials;
-  sl_presented_bank : Guard.presented;
+  sl_proxy_bank : Proxy.t;
   sl_alice_account : string;
   sl_bob_account : string;
   sl_fs_of_pair : Principal.t;  (** the import caller: that pair's fs *)
@@ -576,7 +576,9 @@ let setup_seq cfg =
       let proxy =
         Proxy.grant_pk ~drbg:(Sim.Net.drbg net) ~now ~expires:(now + (24 * World.hour))
           ~grantor:alice_i ~grantor_key:alice_i_rsa
-          ~restrictions:[ Restriction.Grantee ([ bob_i ], 1); Restriction.Sequence steps ]
+          ~restrictions:
+            [ Restriction.Grantee ([ bob_i ], 1); Restriction.Sequence steps;
+              Restriction.Quota (usd, 1_000) ]
           ()
       in
       (* every credential fetch happens on the quiet network — World raises
@@ -591,25 +593,26 @@ let setup_seq cfg =
         sl_bank = bank;
         sl_bank_p = bank_p;
         sl_bob_fs_creds = bob_fs_creds;
-        sl_presented_fs = { Guard.pres = Proxy.presentation proxy; pres_proof = None };
+        sl_proxy_fs = proxy;
         sl_seq_out = seq_out;
         sl_bob_bank_creds = bob_bank_creds;
-        sl_presented_bank = { Guard.pres = Proxy.presentation proxy; pres_proof = None };
+        sl_proxy_bank = proxy;
         sl_alice_account = alice_account;
         sl_bob_account = bob_account;
         sl_fs_of_pair = fst fs_enrolled.(p);
         sl_gates = Hashtbl.create 8;
       })
 
-(* The bank-side presentation for pair p is held by lane p (which granted
-   it); lane (p+1) debits with it. The presentation is immutable, so the
-   cross-lane read is safe — it is shared data, not shared state. *)
+(* The bank-side proxy for pair p is held by lane p (which granted it);
+   lane (p+1) debits with it, binding it to its own ticket in its own
+   credentials. The proxy is immutable, so the cross-lane read is safe —
+   it is shared data, not shared state. *)
 let fixup_seq_presentations lanes_arr =
   let n = Array.length lanes_arr in
   Array.map
     (fun st ->
       let p = (st.sl_id - 1 + n) mod n in
-      { st with sl_presented_bank = lanes_arr.(p).sl_presented_fs })
+      { st with sl_proxy_bank = lanes_arr.(p).sl_proxy_fs })
     lanes_arr
 
 let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
@@ -645,7 +648,7 @@ let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
       and via = [ Shard.primary_node st.sl_bank; Shard.standby_node st.sl_bank ] in
       let debit () =
         Accounting_server.proxy_debit ~retry ~via net ~creds:st.sl_bob_bank_creds
-          ~presented:st.sl_presented_bank ~payor_account:st.sl_alice_account
+          ~proxy:st.sl_proxy_bank ~payor_account:st.sl_alice_account
           ~to_account:st.sl_bob_account ~currency:usd ~amount:seq_amount
       in
       (match epoch with
@@ -656,13 +659,13 @@ let seq_step cfg lanes_arr ~epoch ~lane ~inbox =
           let open_ok =
             Result.is_ok
               (File_server.open_ net ~creds:st.sl_bob_fs_creds ~retry
-                 ~proxies:[ st.sl_presented_fs ] ~path:"/contract" ())
+                 ~proxies:[ st.sl_proxy_fs ] ~path:"/contract" ())
           in
           gate st "in-order open granted" open_ok;
           gate st "reopen denied: step consumed"
             (Result.is_error
                (File_server.open_ net ~creds:st.sl_bob_fs_creds ~retry
-                  ~proxies:[ st.sl_presented_fs ] ~path:"/contract" ()));
+                  ~proxies:[ st.sl_proxy_fs ] ~path:"/contract" ()));
           List.iter
             (fun (key, progress, expires, tag) ->
               emit ((lane + 1) mod n)

@@ -99,10 +99,11 @@ let run cfg =
   let proxy =
     Proxy.grant_pk ~drbg ~now ~expires:(now + (24 * World.hour)) ~grantor:alice
       ~grantor_key:alice_rsa
-      ~restrictions:[ Restriction.Grantee ([ bob ], 1); Restriction.Sequence steps ]
+      ~restrictions:
+        [ Restriction.Grantee ([ bob ], 1); Restriction.Sequence steps;
+          Restriction.Quota (usd, 1_000) ]
       ()
   in
-  let presented = { Guard.pres = Proxy.presentation proxy; pres_proof = None } in
   (* -- cross-server handover: fs forwards earned progress to the bank -- *)
   let fs_bank = creds_for fs_p bank_p in
   let advanced_key = ref None in
@@ -132,7 +133,7 @@ let run cfg =
          Sim.Fault.crash crashed_node ~at:crash_at ();
        ]);
   let debit () =
-    Accounting_server.proxy_debit ~retry ~via net ~creds:bob_bank ~presented
+    Accounting_server.proxy_debit ~retry ~via net ~creds:bob_bank ~proxy
       ~payor_account:"alice" ~to_account:"bob" ~currency:usd ~amount
   in
   (* 1. Out-of-order attack: debit before open must bounce. *)
@@ -143,12 +144,12 @@ let run cfg =
         is released. *)
   let open_ok =
     Result.is_ok
-      (File_server.open_ net ~creds:bob_fs ~retry ~proxies:[ presented ] ~path:"/contract" ())
+      (File_server.open_ net ~creds:bob_fs ~retry ~proxies:[ proxy ] ~path:"/contract" ())
   in
   (* 3. The open step is consumed: presenting it again must bounce. *)
   let reopen_denied =
     Result.is_error
-      (File_server.open_ net ~creds:bob_fs ~retry ~proxies:[ presented ] ~path:"/contract" ())
+      (File_server.open_ net ~creds:bob_fs ~retry ~proxies:[ proxy ] ~path:"/contract" ())
   in
   let standby_progress_before_crash =
     match !advanced_key with

@@ -31,15 +31,15 @@ let short_serial s =
   done;
   Buffer.contents b
 
-(* One memo rule for both kinds of entry ({!Verify_cache}). Without a
+(* One memo rule for every kind of entry ({!Verify_cache}). Without a
    cache, [compute] runs and tallies [cost]. With one, a hit tallies
    "verify_cache.hits" and nothing else; a miss tallies
    "verify_cache.misses" plus exactly what the uncached path tallies, and
    only a success is recorded. So a tampered certificate (different bytes,
    hence a different key) misses and fails every time. The cache only
-   short-circuits the RSA operation or the AEAD open: time windows,
-   revocation, restrictions and proofs of possession are re-checked by the
-   callers on every presentation. *)
+   short-circuits the RSA operation, the HMAC or the AEAD open: time
+   windows, revocation and restrictions are re-checked by the callers on
+   every presentation. *)
 let memoized ?cache ~tally ~cost ~find ~record compute =
   match cache with
   | None ->
@@ -333,7 +333,27 @@ let verify ~open_base ~lookup ?(decrypt = no_decrypt) ?me ?tally ?cache ?revocat
   | Proxy.Hybrid (head, blobs) ->
       verify_hybrid ~lookup ~decrypt ?me ?tally ?cache ?revocation ?hook ~now (head, blobs)
 
-let authorize verified ~req ~proof ~max_skew =
+(* A binding's verdict is memoized like a certificate's: after the first
+   request over a ticket, every later one costs one cache lookup. *)
+let check_binding ?cache ~tally ~now commitment ~server ~ticket binding =
+  let signed_bytes = Presentation.signed_bytes ~server ~ticket in
+  let memo ~cost ~key verify =
+    let k = Verify_cache.binding_key ~signed_bytes ~binding ~key in
+    memoized ?cache ~tally ~cost
+      ~find:(fun c -> if Verify_cache.check c ~now k then Some () else None)
+      ~record:(fun c () -> Verify_cache.record c ~now k)
+      (fun () -> if verify () then Ok () else Error "session binding: invalid")
+  in
+  match commitment with
+  | Presentation.No_commit -> Error "session binding: a key-less proxy has no proxy key"
+  | Presentation.Pk_commit pub ->
+      memo ~cost:"crypto.rsa_verify" ~key:(Crypto.Rsa.public_to_bytes pub) (fun () ->
+          Crypto.Rsa.verify pub ~msg:signed_bytes ~signature:binding)
+  | Presentation.Sym_commit k ->
+      memo ~cost:"crypto.mac" ~key:k (fun () ->
+          Crypto.Hmac.verify ~key:k ~msg:signed_bytes ~tag:binding)
+
+let authorize ?(tally = no_tally) ?cache verified ~req ~ticket ~binding =
   let open Wire in
   let* () =
     if verified.expires <= req.Restriction.time then Error "proxy expired" else Ok ()
@@ -356,14 +376,15 @@ let authorize verified ~req ~proof ~max_skew =
   match Proxy.classify verified.restrictions with
   | `Delegate _ ->
       (* Identity-based: the Grantee restriction already validated the
-         presenters; a proof of possession is welcome but not required. *)
+         presenters; a binding is welcome but not checked. *)
       Ok ()
   | `Bearer -> (
-      match proof with
-      | None -> Error "bearer proxy requires proof of possession"
-      | Some p ->
-          Presentation.check verified.commitment p ~now:req.Restriction.time ~max_skew
-            ~request_digest:(Presentation.digest_request req))
+      match (binding, ticket) with
+      | None, _ -> Error "bearer proxy requires proof of possession"
+      | Some _, None -> Error "session binding: the request rode no ticket"
+      | Some b, Some ticket ->
+          check_binding ?cache ~tally ~now:req.Restriction.time verified.commitment
+            ~server:req.Restriction.server ~ticket b)
 
 (* Cross-realm public-key resolution: route each principal's lookup to its
    home realm's directory. Federation never merges key directories — realm

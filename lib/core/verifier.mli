@@ -119,7 +119,7 @@ val verify :
     ["crypto.rsa_verify"] or ["crypto.open"], a miss tallies both
     ["verify_cache.misses"] and the usual crypto counter — so the
     cache-miss metering is exactly the uncached metering. Time windows,
-    restrictions, proofs and signer-key lookups are never cached: a
+    restrictions and signer-key lookups are never cached: a
     signature verdict is keyed by the key [lookup] returns now, so a chain
     signed by a key its principal no longer holds misses and fails its RSA
     check, and a link by the key it is sealed under, so blobs moved under
@@ -134,16 +134,22 @@ val verify :
     revoked link. *)
 
 val authorize :
+  ?tally:(string -> unit) ->
+  ?cache:Verify_cache.t ->
   verified ->
   req:Restriction.request ->
-  proof:Presentation.proof option ->
-  max_skew:int ->
+  ticket:string option ->
+  binding:string option ->
   (unit, string) result
-(** Full decision: expiry, every restriction, and the flavor-appropriate
-    proof. A bearer proxy without a valid proof of possession is refused; a
-    delegate proxy is refused unless the grantee quorum is among the
-    authenticated presenters (which {!Restriction.check} enforces via the
-    [Grantee] restriction). *)
+(** Full decision: expiry, every restriction, and the flavor-appropriate proof.
+    A bearer proxy is refused unless [binding] is its proxy key's binding
+    ({!Presentation.bind}) to [req.server] and [ticket], the SHA-256 of the
+    ticket blob the request rode ([None]: it rode none); a delegate proxy is
+    refused unless the grantee quorum is among the authenticated presenters
+    (which {!Restriction.check} enforces via the [Grantee] restriction), and its
+    binding is not checked. The binding's RSA verify (["crypto.rsa_verify"]) or
+    HMAC (["crypto.mac"]) is memoized in [cache] by the {!verify} rule, under
+    {!Verify_cache.binding_key}; expiry and restrictions run on every call. *)
 
 val lookup_by_realm :
   (string * (Principal.t -> Crypto.Rsa.public option)) list ->

@@ -1,6 +1,6 @@
 (* Each remembered success is an entry in one [Expiring] table, living
-   [ttl_us] from when it was recorded: a signature verdict, or an opened
-   conventional link with what opening it gave. The table owns purging and
+   [ttl_us] from when it was recorded: a signature or binding verdict, or
+   an opened conventional link with what opening it gave. The table owns purging and
    eviction, and this module keeps the counts. *)
 
 type entry = Verified | Link of Proxy_cert.body * string
@@ -12,6 +12,7 @@ type t = {
   evictions : int ref;  (* bumped by the table's eviction hook *)
   mutable hits : int;
   mutable link_hits : int;
+  mutable binding_hits : int;
   mutable misses : int;
   mutable invalidations : int;
 }
@@ -19,13 +20,17 @@ type t = {
 type stats = {
   hits : int;
   link_hits : int;
+  binding_hits : int;
   misses : int;
   evictions : int;
   invalidations : int;
   size : int;
 }
 
-let default_capacity = 1024
+(* Room for every link and every binding of a server's working set: a
+   chain presented over one ticket holds one entry per link plus one for
+   its binding. *)
+let default_capacity = 2048
 let default_ttl_us = 3_600_000_000 (* matches Pki.Resolver's default TTL *)
 
 let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us) ?(on_evict = ignore)
@@ -43,17 +48,20 @@ let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us) ?(on_evict 
              on_evict ())
            ())
   in
-  { table; ttl_us; on_invalidate; evictions; hits = 0; link_hits = 0; misses = 0;
-    invalidations = 0 }
+  { table; ttl_us; on_invalidate; evictions; hits = 0; link_hits = 0; binding_hits = 0;
+    misses = 0; invalidations = 0 }
 
 (* Length-framed, so ("ab","c") and ("a","bc") cannot key the same entry;
-   the leading tag keeps the two kinds of key apart. *)
+   the leading tag keeps the kinds of key apart. *)
 let frame s =
   let n = String.length s in
   String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ s
 
 let key ~signed_bytes ~signature ~signer =
   String.concat "" [ "S"; frame signed_bytes; frame signature; frame signer ]
+
+let binding_key ~signed_bytes ~binding ~key =
+  String.concat "" [ "B"; frame signed_bytes; frame binding; frame key ]
 
 let link_key ~sealing_key blob = String.concat "" [ "L"; frame sealing_key; blob ]
 
@@ -68,6 +76,7 @@ let check t ~now k =
   match lookup t ~now k with
   | Some Verified ->
       t.hits <- t.hits + 1;
+      if k.[0] = 'B' then t.binding_hits <- t.binding_hits + 1;
       true
   | Some (Link _) | None ->
       t.misses <- t.misses + 1;
@@ -107,6 +116,7 @@ let stats (t : t) =
   {
     hits = t.hits;
     link_hits = t.link_hits;
+    binding_hits = t.binding_hits;
     misses = t.misses;
     evictions = !(t.evictions);
     invalidations = t.invalidations;

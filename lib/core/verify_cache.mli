@@ -10,6 +10,12 @@
       without the cache and k with it; M holders sharing a depth-k prefix
       cost k+M. The key is the length-framed (signed bytes, signature,
       verifying key) string itself;
+    - {e binding verdicts}: a session binding ({!Presentation}) rides every
+      request over its ticket, so it is checked once, by an RSA verify or
+      an HMAC (about 5 SHA-256 compressions), and answered from here
+      after. The key is the length-framed (signed bytes, binding, verifying
+      key) string, where the verifying key is the RSA public key's bytes
+      or the symmetric proxy key;
     - {e opened conventional links}: a conventional certificate is an AEAD
       box under the previous proxy key (the base session key for the
       head), and opening it costs a key preparation (8 SHA-256
@@ -18,8 +24,8 @@
       the value is the certificate body and the next proxy key it
       carries.
 
-    A one-byte tag starts each key, so a link key can never equal a
-    signature key. Keys are the bytes themselves, not a digest: hashing a
+    A one-byte tag starts each key, so keys of different kinds can never
+    be equal. Keys are the bytes themselves, not a digest: hashing a
     250-byte blob would take 5 SHA-256 compressions, over half of what a
     preparation costs.
 
@@ -65,6 +71,7 @@ type t
 type stats = {
   hits : int;  (** of both kinds *)
   link_hits : int;  (** the hits that answered a conventional-link open *)
+  binding_hits : int;  (** the hits that answered a session binding's check *)
   misses : int;
   evictions : int;
   invalidations : int;
@@ -78,7 +85,8 @@ val create :
   ?on_invalidate:(unit -> unit) ->
   unit ->
   t
-(** Defaults: capacity 1024 entries, TTL one simulated hour. [on_evict]
+(** Defaults: capacity 2048 entries (room for each link of a server's
+    working set plus one binding per chain), TTL one simulated hour. [on_evict]
     fires once per capacity eviction (not on TTL expiry); [on_invalidate]
     fires once per entry dropped by {!bump_generation}. A [capacity] of 0
     creates a {e disabled} cache that keeps no table: {!check} and
@@ -89,6 +97,11 @@ val create :
 val key : signed_bytes:string -> signature:string -> signer:string -> string
 (** Cache key for a signature verdict: a tag, then the length-framed
     signed bytes, signature and serialized verifying key, as they are. *)
+
+val binding_key : signed_bytes:string -> binding:string -> key:string -> string
+(** Cache key for a binding verdict, under its own tag: the length-framed
+    signed bytes, binding and verifying key. {!check} counts a hit on it as
+    a binding hit. *)
 
 val check : t -> now:int -> string -> bool
 (** [check t ~now key] is [true] when this verification succeeded before

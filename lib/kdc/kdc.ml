@@ -206,7 +206,7 @@ let handle_tgs t fields =
                 ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key) auth_blob
             with
             | Error e -> err ("tgs: " ^ e)
-            | Ok auth ->
+            | Ok (auth, _) ->
                 if not (Principal.equal auth.Ticket.auth_client tgt.Ticket.client) then
                   err "tgs: authenticator client mismatch"
                 else if abs (auth.Ticket.timestamp - now) > max_skew_us then
@@ -285,6 +285,7 @@ module Client = struct
                     cred_service = service;
                     cred_expires = expires;
                     cred_auth_data = auth_data;
+                    cred_bindings = Hashtbl.create 8;
                   })
 
   let fresh_nonce_int net =

@@ -1,8 +1,12 @@
-type server_context = { rpc_client : Principal.t; rpc_auth_data : Wire.t list }
+type server_context = {
+  rpc_client : Principal.t;
+  rpc_auth_data : Wire.t list;
+  rpc_ticket : string;
+}
 
 let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
 
-(* Response cache over authenticator blobs: within the freshness window an
+(* Response cache over authenticator tags: within the freshness window an
    identical authenticator is a retransmission (or a replay), and the
    handler must not run again — accept-once restrictions, check-number
    redemption, and ledger mutations fire exactly once under at-least-once
@@ -11,7 +15,10 @@ let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
    exactly what a retrying legitimate client needs. An {!Expiring} table:
    when full, expired entries are purged; if every entry is still live,
    the soonest-to-expire response is dropped (its retransmission window
-   closes first) and "rpc.cache_evictions" ticks.
+   closes first) and "rpc.cache_evictions" ticks. The key is the
+   authenticator's AEAD tag: the payload is its associated data, so the
+   tag names the authenticator and the request together, and [serve] has
+   checked it before the lookup.
 
    The cache is a first-class value so a standby replica can hold one and
    have it seeded by replication: a client that fails over after the
@@ -30,6 +37,12 @@ let seed_response cache ~now ~auth_id ~expires ~reply =
 
 let cached cache ~auth_id = Expiring.mem cache auth_id
 
+(* What an authenticator covers: the encoded payload, then the trace
+   context's encoding when the envelope carries one. The payload is
+   self-delimiting, so the two cannot be re-split. *)
+let covered payload ctx =
+  match ctx with None -> payload | Some c -> payload ^ Wire.encode c
+
 let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_handled
     handler =
   let metrics = Sim.Net.metrics net in
@@ -47,19 +60,22 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
       else
         let* ticket_blob = Result.bind (field v 1) to_string in
         let* auth_blob = Result.bind (field v 2) to_string in
-        let* payload = field v 3 in
+        let* payload = Result.bind (field v 3) to_string in
         (* Optional trace context (field 4, present only when the caller
-           runs traced): ids only — never trusted for authorization. *)
+           runs traced): ids only, never trusted for authorization, but
+           covered by the authenticator like the payload, so a tap cannot
+           re-parent the request under another trace. *)
+        let ctx = Result.to_option (field v 4) in
         let remote =
-          match field v 4 with
-          | Ok (L [ S tr; S sp ]) -> Some { Sim.Span.ctx_trace = tr; ctx_span = sp }
+          match ctx with
+          | Some (L [ S tr; S sp ]) -> Some { Sim.Span.ctx_trace = tr; ctx_span = sp }
           | _ -> None
         in
-        Ok (ticket_blob, auth_blob, payload, remote)
+        Ok (ticket_blob, auth_blob, covered payload ctx, payload, remote)
     in
     match parsed with
     | Error e -> err e
-    | Ok (ticket_blob, auth_blob, payload, remote) ->
+    | Ok (ticket_blob, auth_blob, covers, payload, remote) ->
         Sim.Span.with_span (Sim.Net.spans net) ~actor:(Principal.to_string me)
           ~kind:"rpc.serve" ?parent:remote
           (fun () ->
@@ -67,7 +83,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
           Ticket.open_held tickets ~now ~tally:(Sim.Metrics.incr metrics) ticket_blob
         with
         | Error e -> err e
-        | Ok { Ticket.ticket; session } ->
+        | Ok { Ticket.ticket; session; digest } ->
             if not (Principal.equal ticket.Ticket.service me) then
               err "ticket is for a different service"
             else if ticket.Ticket.expires <= now then err "ticket expired"
@@ -76,15 +92,14 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                  authenticator open and reply seal under it. *)
               let session = Lazy.force session in
               Sim.Metrics.incr metrics "crypto.open";
-              match Ticket.open_authenticator ~session_key:session auth_blob with
+              match Ticket.open_authenticator ~session_key:session ~covers auth_blob with
               | Error e -> err e
-              | Ok auth ->
+              | Ok (auth, auth_id) ->
                   if not (Principal.equal auth.Ticket.auth_client ticket.Ticket.client) then
                     err "authenticator does not match ticket"
                   else if abs (auth.Ticket.timestamp - now) > max_skew_us then
                     err "authenticator outside freshness window"
                   else begin
-                    let auth_id = Crypto.Sha256.digest auth_blob in
                     match Expiring.find cache ~now auth_id with
                     | Some cached_reply ->
                         Sim.Metrics.incr metrics "rpc.dedup";
@@ -95,6 +110,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                             rpc_client = ticket.Ticket.client;
                             rpc_auth_data =
                               ticket.Ticket.authorization_data @ auth.Ticket.auth_data;
+                            rpc_ticket = digest;
                           }
                         in
                         let reply_key =
@@ -108,8 +124,9 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                           | Error e -> Wire.L [ Wire.S "err"; Wire.S e ]
                         in
                         let body =
-                          match payload with
-                          | Wire.L [ Wire.S "x-batch"; Wire.L items ] ->
+                          match Wire.decode payload with
+                          | Error e -> Wire.L [ Wire.S "err"; Wire.S e ]
+                          | Ok (Wire.L [ Wire.S "x-batch"; Wire.L items ]) ->
                               (* Pipelined request: N payloads authenticated,
                                  deduplicated, sealed and cached as ONE
                                  exchange. Items run in order against the
@@ -128,7 +145,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                                   Wire.S "ok";
                                   Wire.L [ Wire.S "x-batch-resp"; Wire.L (List.map run_one items) ];
                                 ]
-                          | _ -> run_one payload
+                          | Ok payload -> run_one payload
                         in
                         Sim.Metrics.incr metrics "crypto.seal";
                         let sealed =
@@ -176,26 +193,28 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
       auth_data = [];
     }
   in
-  let auth_blob =
-    Ticket.seal_authenticator ~session_key:creds.Ticket.cred_session
-      ~nonce:(Sim.Net.fresh_nonce net) authenticator
-  in
   (* When this call runs inside a span, the envelope grows a fifth field
      carrying (trace_id, span_id) of the *call* span: the request bytes are
      built once and reused verbatim by every retransmission (the response
      cache depends on that), so per-attempt ids cannot ride along — the
      server's span parents to the call, attempts are its siblings beneath.
-     Untraced runs produce byte-identical envelopes to before. *)
-  let ctx_fields =
-    match Sim.Span.context sp with
-    | None -> []
-    | Some c -> [ Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_span ] ]
+     Untraced runs carry no fifth field. *)
+  let ctx =
+    Option.map
+      (fun c -> Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_span ])
+      (Sim.Span.context sp)
+  in
+  (* The payload travels as the exact bytes the authenticator covers. *)
+  let payload = Wire.encode payload in
+  let auth_blob =
+    Ticket.seal_authenticator ~session_key:creds.Ticket.cred_session
+      ~nonce:(Sim.Net.fresh_nonce net) ~covers:(covered payload ctx) authenticator
   in
   let request =
     Wire.encode
       (Wire.L
-         ([ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S auth_blob; payload ]
-         @ ctx_fields))
+         ([ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S auth_blob; Wire.S payload ]
+         @ Option.to_list ctx))
   in
   (* Retransmissions reuse the exact request bytes: the same authenticator
      keys the server's response cache, so a retried request is answered from

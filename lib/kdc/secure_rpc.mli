@@ -5,21 +5,36 @@
     client's authenticated identity and the session key, and seals its
     response under the session key (or the authenticator's subkey). Every
     service in the system — authorization server, group server, accounting
-    servers, end-servers — speaks this. *)
+    servers, end-servers — speaks this.
+
+    The authenticator covers the request, in the manner of RFC 4120's
+    authenticator checksum: the client seals it with the encoded payload
+    (and the trace context, when one rides along) as its AEAD associated
+    data, and the envelope carries those exact bytes. A tap that rewrites
+    any of them makes the authenticator fail to open, so the server
+    refuses the request before its response cache or handler sees it.
+    This holds for every verb, for [x-batch] wrappers as a whole, and for
+    the replication a shard primary ships to its standby. *)
 
 type server_context = {
   rpc_client : Principal.t;  (** authenticated identity of the caller *)
   rpc_auth_data : Wire.t list;
       (** restrictions carried by the caller's ticket + authenticator *)
+  rpc_ticket : string;
+      (** {!Ticket.digest} of the ticket the request rode, computed once
+          per held ticket: the session a presented proxy's binding must
+          name ([Guard.decide]'s [ticket]) *)
 }
 
 type cache
-(** A response cache (authenticator digest -> sealed reply, an
-    {!Expiring} table) as a first-class value, so shard replicas can share
-    or seed one another's: replication ships each handled request's
-    [auth_id]/reply pair to the standby, whose seeded cache then answers a
-    failed-over client's retransmission without executing the request a
-    second time. *)
+(** A response cache (authenticator tag -> sealed reply, an {!Expiring}
+    table) as a first-class value, so shard replicas can share or seed one
+    another's: replication ships each handled request's [auth_id]/reply
+    pair to the standby, whose seeded cache then answers a failed-over
+    client's retransmission without executing the request a second time.
+    The tag is the authenticator's AEAD tag, which covers the payload, so
+    one key names the authenticator and the request together, and primary
+    and standby derive the same one. *)
 
 val create_cache : ?capacity:int -> unit -> cache
 (** Default capacity 4096; at capacity, expired entries are purged, then
@@ -30,7 +45,7 @@ val seed_response : cache -> now:int -> auth_id:string -> expires:int -> reply:s
     a re-shipped replication batch cannot push out another live reply. *)
 
 val cached : cache -> auth_id:string -> bool
-(** Is a response recorded under this authenticator digest? Replication
+(** Is a response recorded under this authenticator tag? Replication
     assertions and eviction-order regression tests; not a freshness check
     (an expired entry still answers [true] until it is purged). *)
 
@@ -44,14 +59,15 @@ val serve :
   ?on_handled:(auth_id:string -> expires:int -> reply:string -> unit) ->
   (server_context -> Wire.t -> (Wire.t, string) result) ->
   unit
-(** Register the service on the network. The handler sees only
-    authenticated requests; ticket/authenticator failures are answered with
-    in-band errors before it runs. A repeated authenticator within the skew
-    window — a client retransmission or an adversarial replay — does {e not}
-    re-run the handler: the original sealed response is returned from an
-    internal response cache, giving exactly-once handler execution under
-    at-least-once delivery. (A replayer gains nothing: the cached response
-    is sealed under the session key.)
+(** Register the service on the network. The handler sees only authenticated
+    requests; ticket/authenticator failures, including a payload the
+    authenticator does not cover, are answered with in-band errors before the
+    response cache is consulted or the handler runs. A repeated authenticator
+    within the skew window — a client retransmission or an adversarial replay —
+    does {e not} re-run the handler: the original sealed response is returned
+    from an internal response cache, giving exactly-once handler execution under
+    at-least-once delivery. (A replayer gains nothing: the cached response is
+    sealed under the session key.)
 
     [my_key] is held as a {!Ticket.holder}, once per [serve]: the key is
     prepared once, and each ticket blob is opened and its session key
@@ -80,7 +96,7 @@ val serve :
     net's ["rpc.cache_evictions"] metric ticks.
 
     [on_handled] fires after each request the handler {e actually ran}
-    (cache hits excluded) with the authenticator digest, the cache expiry,
+    (cache hits excluded) with the authenticator tag, the cache expiry,
     and the sealed reply bytes — the feed a primary ships to its standby. *)
 
 val call :

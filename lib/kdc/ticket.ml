@@ -38,7 +38,9 @@ let open_ ~service_key blob =
       | None -> Error "ticket: seal verification failed"
       | Some plaintext -> Result.bind (Wire.decode plaintext) body_of_wire)
 
-type opened = { ticket : body; session : Crypto.Aead.key Lazy.t }
+let digest blob = Crypto.Sha256.digest blob
+
+type opened = { ticket : body; session : Crypto.Aead.key Lazy.t; digest : string }
 type holder = { service_key : Crypto.Aead.key; opened : opened Expiring.t }
 
 let held_tickets = 1024
@@ -55,7 +57,13 @@ let open_held h ~now ~tally blob =
       tally "crypto.open";
       Result.map
         (fun ticket ->
-          let o = { ticket; session = lazy (Crypto.Aead.prepare ticket.session_key) } in
+          let o =
+            {
+              ticket;
+              session = lazy (Crypto.Aead.prepare ticket.session_key);
+              digest = digest blob;
+            }
+          in
           if ticket.expires > now then Expiring.add h.opened ~now ~expires:ticket.expires blob o;
           o)
         (open_ ~service_key:h.service_key blob)
@@ -83,17 +91,22 @@ let authenticator_of_wire v =
   let subkey = if subkey_raw = "" then None else Some subkey_raw in
   Ok { auth_client; timestamp; subkey; auth_data }
 
-let seal_authenticator ~session_key ~nonce a =
+(* What an authenticator covers is its AEAD associated data, after a fixed
+   label: a request it did not cover fails the open like a forged seal. *)
+let seal_authenticator ~session_key ~nonce ?(covers = "") a =
   let plaintext = Wire.encode (authenticator_to_wire a) in
-  Crypto.Aead.encode (Crypto.Aead.seal_prepared session_key ~ad:"authenticator" ~nonce plaintext)
+  Crypto.Aead.encode
+    (Crypto.Aead.seal_prepared session_key ~ad:("authenticator" ^ covers) ~nonce plaintext)
 
-let open_authenticator ~session_key blob =
+let open_authenticator ~session_key ?(covers = "") blob =
   match Crypto.Aead.decode blob with
   | None -> Error "authenticator: malformed blob"
   | Some box -> (
-      match Crypto.Aead.open_prepared session_key ~ad:"authenticator" box with
+      match Crypto.Aead.open_prepared session_key ~ad:("authenticator" ^ covers) box with
       | None -> Error "authenticator: seal verification failed"
-      | Some plaintext -> Result.bind (Wire.decode plaintext) authenticator_of_wire)
+      | Some plaintext ->
+          Result.map (fun a -> (a, box.Crypto.Aead.tag))
+            (Result.bind (Wire.decode plaintext) authenticator_of_wire))
 
 type credentials = {
   ticket_blob : string;
@@ -103,6 +116,7 @@ type credentials = {
   cred_service : Principal.t;
   cred_expires : int;
   cred_auth_data : Wire.t list;
+  cred_bindings : (string, string) Hashtbl.t;
 }
 
 let credentials_to_wire c =
@@ -131,4 +145,5 @@ let credentials_of_wire v =
       cred_service;
       cred_expires;
       cred_auth_data;
+      cred_bindings = Hashtbl.create 8;
     }

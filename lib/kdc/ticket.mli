@@ -36,12 +36,17 @@ val open_ : service_key:Crypto.Aead.key -> string -> (body, string) result
     [Secure_rpc.serve] and [Guard.create] each hold one; the KDC opens
     every ticket it is shown, so a rekey takes effect at once. *)
 
+val digest : string -> string
+(** SHA-256 of a ticket blob: the name a possession binding gives the
+    session it belongs to ([Presentation], [Guard.present]). *)
+
 type opened = {
   ticket : body;
   session : Crypto.Aead.key Lazy.t;
       (** [ticket.session_key] prepared on first use: a server that seals
           and opens under it prepares it once per ticket, one that never
           does prepares nothing *)
+  digest : string;  (** {!digest} of the blob, computed once per held ticket *)
 }
 
 type holder
@@ -71,10 +76,19 @@ type authenticator = {
 }
 
 val seal_authenticator :
-  session_key:Crypto.Aead.key -> nonce:string -> authenticator -> string
+  session_key:Crypto.Aead.key -> nonce:string -> ?covers:string -> authenticator -> string
+(** [covers] (default empty) is sealed as the authenticator's associated
+    data: [Secure_rpc] passes the request's encoded payload, so the
+    authenticator vouches for that payload and nothing else. *)
 
 val open_authenticator :
-  session_key:Crypto.Aead.key -> string -> (authenticator, string) result
+  session_key:Crypto.Aead.key ->
+  ?covers:string ->
+  string ->
+  (authenticator * string, string) result
+(** Opens only under the [covers] it was sealed with; a rewritten [covers]
+    fails like a forged seal. Returns the authenticator and its AEAD tag,
+    which names the authenticator and what it covers together. *)
 
 (** Client-held credentials: the sealed ticket plus the session key. *)
 type credentials = {
@@ -89,6 +103,11 @@ type credentials = {
   cred_expires : int;
   cred_auth_data : Wire.t list;
       (** client's copy of the restrictions carried by the ticket *)
+  cred_bindings : (string, string) Hashtbl.t;
+      (** possession bindings made over this ticket, by proxy key, made
+          and read by [Guard.present]: each names this ticket, so they live
+          and die with the credentials that hold it. Empty where
+          credentials are built *)
 }
 
 val credentials_to_wire : credentials -> Wire.t

@@ -16,7 +16,9 @@ type mutation =
       (** certificates requested as already-expired are minted with a long
           lifetime instead *)
   | Misbind_proof
-      (** proofs of possession are bound to the wrong request digest *)
+      (** the presenter's possession bindings are made over another user's
+          ticket: a bearer presentation names a session its request did
+          not ride *)
   | Ignore_bulletin
       (** revocation bulletins are dropped on the floor instead of applied —
           a revoked chain keeps verifying, the revoke-vs-present ordering the
@@ -219,9 +221,12 @@ let head_serial u ~grantor (proxy : Proxy.t) =
           | Ok (body, _) -> body.Proxy_cert.serial
           | Error e -> failwith ("mbt: open conventional head: " ^ e)))
 
-(* The run, and how many conventional-link opens its verify caches
-   answered. *)
-let run ?mutation ~cache ~seed (prog : Program.t) : Program.run * int =
+(* What a run's verify caches answered: conventional-link opens, and
+   session bindings checked before (a presenter reusing a held binding). *)
+type hits = { link_hits : int; binding_hits : int }
+
+(* The run, and its verify caches' hits. *)
+let run ?mutation ~cache ~seed (prog : Program.t) : Program.run * hits =
   let kp = Lazy.force pool in
   let u = build ~cache ~seed in
   let drbg = Sim.Net.drbg u.net in
@@ -289,16 +294,20 @@ let run ?mutation ~cache ~seed (prog : Program.t) : Program.run * int =
             O_done)
     | Present { slot; presenter; verb; target } -> (
         let path = target_name target in
-        let operation = match verb with `Read -> "read" | `Write -> "write" in
         let proxies =
-          match nth_mod !slots slot with
-          | None -> []
-          | Some (proxy, _) ->
-              let bound_op = if mutation = Some Misbind_proof then "stat" else operation in
-              [ Guard.present ~proxy ~time:(Sim.Net.now u.net) ~server:u.fs_name
-                  ~operation:bound_op ~target:path () ]
+          match nth_mod !slots slot with None -> [] | Some (proxy, _) -> [ proxy ]
         in
         let creds = u.fs_creds.(presenter) in
+        let creds =
+          if mutation = Some Misbind_proof then begin
+            (* Hold the next user's bindings, each made over that user's
+               ticket, in place of the presenter's own. *)
+            let other = u.fs_creds.((presenter + 1) mod n_users) in
+            List.iter (fun p -> ignore (Guard.present ~creds:other p)) proxies;
+            { creds with Ticket.cred_bindings = other.Ticket.cred_bindings }
+          end
+          else creds
+        in
         let granted =
           match verb with
           | `Read -> Result.is_ok (File_server.read u.net ~creds ~proxies ~path ())
@@ -346,11 +355,8 @@ let run ?mutation ~cache ~seed (prog : Program.t) : Program.run * int =
         with
         | Error _ -> O_group (false, false)
         | Ok proxy ->
-            let presented =
-              { Guard.pres = Proxy.presentation proxy; pres_proof = None }
-            in
             let read =
-              File_server.read u.net ~creds:u.fs_creds.(member) ~group_proxies:[ presented ]
+              File_server.read u.net ~creds:u.fs_creds.(member) ~group_proxies:[ proxy ]
                 ~path:(target_name Shared) ()
             in
             O_group (true, Result.is_ok read))
@@ -379,7 +385,9 @@ let run ?mutation ~cache ~seed (prog : Program.t) : Program.run * int =
   let balances =
     Array.init n_users (fun i -> Ledger.balance ledger ~name:(uname i) ~currency)
   in
-  let link_hits =
-    List.fold_left (fun n c -> n + (Verify_cache.stats c).Verify_cache.link_hits) 0 u.caches
-  in
-  ({ outcomes; balances }, link_hits)
+  let sum hits = List.fold_left (fun n c -> n + hits (Verify_cache.stats c)) 0 u.caches in
+  ( { outcomes; balances },
+    {
+      link_hits = sum (fun s -> s.Verify_cache.link_hits);
+      binding_hits = sum (fun s -> s.Verify_cache.binding_hits);
+    } )

@@ -40,8 +40,9 @@ let sample_restrictions u0 u1 fs =
 
 (* Each seed: (name, encoded value, typed re-decoder).  The re-decoder is the
    round-trip obligation for the *valid* encoding and the never-crash
-   obligation for mutants. *)
-let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
+   obligation for mutants.  [build] also returns the binding negatives
+   (name, value), refused by the ["presented-session"] re-decoder. *)
+let build () =
   let kp = Lazy.force Exec.pool in
   let drbg = Crypto.Drbg.create ~seed:"mbt-fuzz-seeds" in
   let u0 = Principal.make ~realm "u0" in
@@ -110,8 +111,59 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
     | Ok c -> c
     | Error e -> failwith ("fuzz seeds: endorse: " ^ e)
   in
-  let presented =
-    Guard.present ~proxy:pk2 ~time:now ~server:fs ~operation:"read" ~target:"u0.dat" ()
+  (* A session at fs: tickets sealed under fs's key (a live one, another
+     live one, one already expired) and a bearer proxy to present over
+     them. *)
+  let fs_key = Crypto.Aead.prepare (Crypto.Drbg.generate drbg 32) in
+  let ticket ~expires =
+    Ticket.seal ~service_key:fs_key ~nonce:(Crypto.Drbg.generate drbg 12)
+      { Ticket.client = u1; service = fs; session_key = Crypto.Drbg.generate drbg 32;
+        auth_time = now; expires; authorization_data = [] }
+  in
+  let live = ticket ~expires in
+  let other_ticket = ticket ~expires in
+  let expired_ticket = ticket ~expires:now in
+  let presented = Guard.bind ~server:fs ~ticket:(Ticket.digest live) pk2 in
+  let bearer =
+    Proxy.grant_pk ~drbg ~now ~expires ~grantor:u0 ~grantor_key:kp.Exec.pk_users.(0)
+      ~restrictions:
+        [ Restriction.Authorized [ { Restriction.target = "u0.dat"; ops = [ "read" ] } ] ]
+      ()
+  in
+  (* The proxy presented with the ticket its request rides. *)
+  let session ?(server = fs) ?(key = bearer.Proxy.key) ~bound_to rides =
+    Wire.L
+      [ Guard.presented_to_wire
+          (Guard.bind ~server ~ticket:(Ticket.digest bound_to) { bearer with Proxy.key });
+        Wire.S rides ]
+  in
+  (* What fs's guard checks of such a pair at [now]: the ticket opens
+     under fs's key, names fs and is live, the chain verifies, and the
+     binding names fs and that very ticket. *)
+  let lookup p = if Principal.equal p u0 then Some kp.Exec.pk_users.(0).Crypto.Rsa.pub else None in
+  let session_check v =
+    let open Wire in
+    let* presented = Result.bind (field v 0) Guard.presented_of_wire in
+    let* blob = Result.bind (field v 1) to_string in
+    let* t = Ticket.open_ ~service_key:fs_key blob in
+    if not (Principal.equal t.Ticket.service fs) then Error "ticket is for a different service"
+    else if t.Ticket.expires <= now then Error "ticket expired"
+    else
+      let* verified =
+        Verifier.verify ~open_base:(fun _ -> Error "no base tickets") ~lookup ~now
+          presented.Guard.pres
+      in
+      Verifier.authorize verified
+        ~req:(Restriction.request ~server:fs ~time:now ~operation:"read" ~target:"u0.dat" ())
+        ~ticket:(Some (Ticket.digest blob)) ~binding:presented.Guard.pres_binding
+  in
+  let negatives =
+    [
+      ("other-ticket", session ~bound_to:other_ticket live);
+      ("other-server", session ~server:bank ~bound_to:live live);
+      ("expired-ticket", session ~bound_to:expired_ticket expired_ticket);
+      ("other-key", session ~key:(Proxy.Keypair kp.Exec.pk_users.(1)) ~bound_to:live live);
+    ]
   in
   let bulletin =
     Revocation.sign ~key:kp.Exec.pk_authority ~issuer:(Principal.make ~realm "revoker")
@@ -173,7 +225,11 @@ let seeds () : (string * Wire.t * (Wire.t -> (unit, string) result)) list =
       ign Proxy_cert.pk_cert_of_wire );
     ("check-keyless", Check.to_wire keyless, ign Check.of_wire);
     ("check-keyless-endorsed", Check.to_wire keyless_endorsed, ign Check.of_wire);
-  ]
+    ("presented-session", session ~bound_to:live live, session_check);
+  ],
+  negatives
+
+let seeds () = fst (build ())
 
 (* --- mutations --- *)
 
@@ -350,7 +406,7 @@ let length_bomb bytes ~sub =
   Bytes.to_string bomb
 
 let save_corpus ~dir =
-  let seeds = seeds () in
+  let seeds, binding_negatives = build () in
   let write path contents =
     let oc = open_out path in
     output_string oc contents;
@@ -444,7 +500,16 @@ let save_corpus ~dir =
   write
     (Filename.concat dir "neg-keyless-no-grantee-pk-cert.hex")
     (Program.to_hex (Wire.encode (Proxy_cert.pk_cert_to_wire no_grantee)));
+  (* Session bindings: each well-formed, each refused by the session
+     check, for the reason its name gives. *)
+  List.iter
+    (fun (name, v) ->
+      write
+        (Filename.concat dir ("neg-binding-" ^ name ^ "-presented-session.hex"))
+        (Program.to_hex (Wire.encode v)))
+    binding_negatives;
   (4 * List.length seeds) + List.length json_crashers + 4 + 4 + 1
+  + List.length binding_negatives
 
 type corpus_result = { files : int; failures : (string * string) list }
 

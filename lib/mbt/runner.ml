@@ -22,11 +22,11 @@ type finding = {
    1. cached and uncached executions must agree bit for bit (the
       cache-coherence differential of the PR 2 caching layer);
    2. the uncached execution must agree with the pure reference model.
-   Also returns how many conventional-link opens the cached execution's
-   verify caches answered, the evidence that the differential reached
-   them. *)
+   Also returns what the cached execution's verify caches answered
+   (conventional-link opens, held bindings), the evidence that the
+   differential reached them. *)
 let check_counted ?mutation ~seed prog =
-  let cached, link_hits = Exec.run ?mutation ~cache:true ~seed prog in
+  let cached, hits = Exec.run ?mutation ~cache:true ~seed prog in
   let uncached, _ = Exec.run ?mutation ~cache:false ~seed prog in
   let finding =
     match first_divergence cached uncached with
@@ -51,11 +51,11 @@ let check_counted ?mutation ~seed prog =
               }
         | None -> None)
   in
-  (finding, link_hits)
+  (finding, hits)
 
 let check ?mutation ~seed prog = fst (check_counted ?mutation ~seed prog)
 
-type stats = { programs : int; ops : int; seq_ops : int; link_hits : int }
+type stats = { programs : int; ops : int; seq_ops : int; link_hits : int; binding_hits : int }
 
 (* Operations carrying a sequence spec anywhere in their restrictions —
    the campaign coverage counter the smoke gate insists is nonzero. *)
@@ -72,7 +72,8 @@ let op_has_seq = function
    finding.  The world seed of program [i] under campaign seed [s] is
    ["s/i"], so any finding replays in isolation. *)
 let campaign ?mutation ?(progress = fun _ -> ()) ~seeds ~per_seed () =
-  let programs = ref 0 and ops = ref 0 and seq_ops = ref 0 and link_hits = ref 0 in
+  let programs = ref 0 and ops = ref 0 and seq_ops = ref 0 in
+  let link_hits = ref 0 and binding_hits = ref 0 in
   let finding = ref None in
   (try
      List.iter
@@ -86,7 +87,8 @@ let campaign ?mutation ?(progress = fun _ -> ()) ~seeds ~per_seed () =
            seq_ops := !seq_ops + List.length (List.filter op_has_seq prog);
            progress !programs;
            let found, hits = check_counted ?mutation ~seed:world_seed prog in
-           link_hits := !link_hits + hits;
+           link_hits := !link_hits + hits.Exec.link_hits;
+           binding_hits := !binding_hits + hits.Exec.binding_hits;
            match found with
            | Some f ->
                finding := Some f;
@@ -95,7 +97,14 @@ let campaign ?mutation ?(progress = fun _ -> ()) ~seeds ~per_seed () =
          done)
        seeds
    with Exit -> ());
-  (!finding, { programs = !programs; ops = !ops; seq_ops = !seq_ops; link_hits = !link_hits })
+  ( !finding,
+    {
+      programs = !programs;
+      ops = !ops;
+      seq_ops = !seq_ops;
+      link_hits = !link_hits;
+      binding_hits = !binding_hits;
+    } )
 
 (* Shrink a finding to a (locally) minimal program that still disagrees —
    under the same world seed and the same injected mutation. *)

@@ -48,3 +48,29 @@ let credentials_for w ~tgt service =
 
 let now w = Sim.Net.now w.net
 let hour = 3_600_000_000
+
+(* What a guard called directly, with no RPC in between, takes as the
+   ticket its request rode: the proxies such a test presents are bound to
+   it ([Guard.bind]). *)
+let ticket = Ticket.digest "a ticket no request carried"
+
+(* A tap that knows the Secure_rpc envelope: [rewrite_request f raw]
+   decodes the request, replaces its payload [p] with [f p] and re-encodes
+   every length, as an attacker on the wire would; bytes that are not a
+   request pass through unchanged. *)
+let rewrite_request f raw =
+  match Wire.decode raw with
+  | Ok (Wire.L (Wire.S "secure" :: ticket :: auth :: Wire.S payload :: rest)) -> (
+      match Wire.decode payload with
+      | Ok p ->
+          Wire.encode
+            (Wire.L (Wire.S "secure" :: ticket :: auth :: Wire.S (Wire.encode (f p)) :: rest))
+      | Error _ -> raw)
+  | _ -> raw
+
+(* The payload of a captured request. *)
+let request_payload raw =
+  match Wire.decode raw with
+  | Ok (Wire.L (Wire.S "secure" :: _ :: _ :: Wire.S payload :: _)) ->
+      Result.to_option (Wire.decode payload)
+  | _ -> None

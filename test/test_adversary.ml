@@ -119,10 +119,7 @@ let test_bitflips_never_authorize () =
       (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt ~end_server:fw.fs_name
          ~target:"f" ~ops:[ "read" ] ())
   in
-  let presented =
-    Guard.present ~proxy:cap ~time:(W.now fw.w) ~server:fw.fs_name ~operation:"write" ~target:"f"
-      ()
-  in
+  let presented = Guard.bind ~server:fw.fs_name ~ticket:W.ticket cap in
   let bytes = Wire.encode (Guard.presented_to_wire presented) in
   let tamper_positions =
     (* every 7th byte to keep runtime sane, plus the first and last *)
@@ -145,7 +142,7 @@ let test_bitflips_never_authorize () =
                 Guard.decide
                   (Guard.create fw.w.W.net ~me:fw.fs_name
                      ~my_key:(W.key_of fw.w fw.fs_name)
-                     ~acl:(File_server.acl fw.fs) ())
+                     ~acl:(File_server.acl fw.fs) ()) ~ticket:W.ticket
                   ~operation:"write" ~target:"f" ~proxies:[ p ] ()
               with
               | Error _ -> ()
@@ -222,7 +219,8 @@ let test_check_fuzz_never_pays () =
                (accept-once); any clearing must be for the true amount. *)
             if amount <> 10 then Alcotest.failf "trial %d cleared wrong amount %d" trial amount)
   done;
-  let shop_balance = Ledger.balance (Accounting_server.ledger fw.bank) ~name:"shop" ~currency:"usd" in
+  let shop_balance = Ledger.balance (Accounting_server.ledger fw.bank) ~name:"shop"
+      ~currency:"usd" in
   let alice_balance =
     Ledger.balance (Accounting_server.ledger fw.bank) ~name:"alice" ~currency:"usd"
   in
@@ -259,6 +257,83 @@ let test_response_substitution () =
         (Principal.equal creds.Ticket.cred_service fw.bank_name));
   Sim.Net.clear_tap fw.w.W.net
 
+(* Bob reads with alice's capability over his own ticket. Eve copies his
+   presentation, binding included, off the wire and sends it 60 s later
+   over her own ticket: the binding names bob's ticket, so the file
+   server refuses her. *)
+let test_copied_binding_refused () =
+  let fw = full_world () in
+  let net = fw.w.W.net in
+  let cap =
+    Result.get_ok
+      (Capability.mint_via_kdc net ~kdc:fw.w.W.kdc_name ~tgt:(W.login fw.w fw.alice)
+         ~end_server:fw.fs_name ~target:"f" ~ops:[ "read" ] ())
+  in
+  let creds name =
+    let p, _ = W.enrol fw.w name in
+    W.credentials_for fw.w ~tgt:(W.login fw.w p) fw.fs_name
+  in
+  let bob = creds "bob" and eve = creds "eve" in
+  let captured = ref None in
+  Sim.Net.set_tap net (fun ~dir ~src:_ ~dst:_ payload ->
+      (match dir with `Request when !captured = None -> captured := Some payload | _ -> ());
+      Sim.Net.Deliver);
+  Alcotest.(check (result string string)) "bob reads" (Ok "payload")
+    (File_server.read net ~creds:bob ~proxies:[ cap ] ~path:"f" ());
+  Sim.Net.clear_tap net;
+  let copied =
+    match Option.bind !captured W.request_payload with
+    | Some (Wire.L [ _; _; _; proxies; _ ]) -> proxies
+    | _ -> Alcotest.fail "no presentation on the wire"
+  in
+  Sim.Clock.advance (Sim.Net.clock net) 60_000_000;
+  match
+    Secure_rpc.call net ~creds:eve
+      (Wire.L [ Wire.S "read"; Wire.S "f"; Wire.S ""; copied; Wire.L [] ])
+  with
+  | Ok _ -> Alcotest.fail "eve read the file with bob's copied binding"
+  | Error e ->
+      Alcotest.(check string) "refused at the binding"
+        "access denied: no ACL entry permits read on \"f\" (no presented proxy was usable: \
+         session binding: invalid)"
+        e
+
+(* A tap rewrites alice's transfer of 10 usd to disk into 900 usd to
+   mallory. The authenticator covers the payload, so the bank refuses the
+   request before its handler runs and no balance moves. *)
+let test_rewritten_transfer_refused () =
+  let fw = full_world () in
+  let net = fw.w.W.net in
+  let ledger = Accounting_server.ledger fw.bank in
+  ignore (Ledger.mint ledger ~name:"alice" ~currency:"usd" 900);
+  List.iter
+    (fun name ->
+      let p, _ = W.enrol fw.w name in
+      let creds = W.credentials_for fw.w ~tgt:(W.login fw.w p) fw.bank_name in
+      Result.get_ok (Accounting_server.open_account net ~creds ~name))
+    [ "disk"; "mallory" ];
+  let creds = W.credentials_for fw.w ~tgt:(W.login fw.w fw.alice) fw.bank_name in
+  let redirect = function
+    | Wire.L [ Wire.S "transfer"; from_; Wire.S "disk"; cur; Wire.I 10 ] ->
+        Wire.L [ Wire.S "transfer"; from_; Wire.S "mallory"; cur; Wire.I 900 ]
+    | p -> p
+  in
+  Sim.Net.set_tap net (fun ~dir ~src:_ ~dst:_ payload ->
+      match dir with
+      | `Request -> Sim.Net.Replace (W.rewrite_request redirect payload)
+      | `Response -> Sim.Net.Deliver);
+  let moved =
+    Accounting_server.transfer net ~creds ~from_:"alice" ~to_:"disk" ~currency:"usd" ~amount:10
+  in
+  Sim.Net.clear_tap net;
+  Alcotest.(check (result unit string)) "rewritten transfer refused"
+    (Error "authenticator: seal verification failed") moved;
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check int) (name ^ " unchanged") want
+        (Ledger.balance ledger ~name ~currency:"usd"))
+    [ ("alice", 1_000); ("disk", 0); ("mallory", 0) ]
+
 let () =
   Alcotest.run "adversary"
     [ ( "robustness",
@@ -267,4 +342,8 @@ let () =
           ("bitflips never authorize", `Slow, test_bitflips_never_authorize);
           ("MITM on live flows", `Slow, test_mitm_on_live_flows);
           ("fuzzed checks never overpay", `Slow, test_check_fuzz_never_pays);
-          ("response substitution", `Slow, test_response_substitution) ] ) ]
+          ("response substitution", `Slow, test_response_substitution) ] );
+      ( "bound requests",
+        [ ("a copied binding is refused under another ticket", `Slow,
+           test_copied_binding_refused);
+          ("a rewritten transfer is refused", `Slow, test_rewritten_transfer_refused) ] ) ]

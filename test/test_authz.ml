@@ -33,11 +33,12 @@ let kernel_cost f =
     c.rsa_verify; c.rsa_keygen ]
 
 (* Exact kernel cost of a call, credentials in hand and server up. In
-   the first call the client seals an authenticator and opens the reply;
-   the server opens the ticket, prepares its session key (8
-   compressions), opens the authenticator, digests it for the response
-   cache and seals the reply. The server keeps the opened ticket and the
-   prepared key, so every later call skips the ticket open and the
+   the first call the client seals an authenticator over the payload and
+   opens the reply; the server opens the ticket, digests it (the session
+   a binding names), prepares its session key (8 compressions), opens the
+   authenticator, keys the response cache by its tag and seals the reply.
+   The server keeps the opened ticket, its digest and the prepared key, so
+   every later call skips the ticket open, the digest and the
    preparation. Seal nonces are counted per net, so no call draws from a
    DRBG; drawing its two nonces would cost 2 draws and 20 compressions
    more. *)
@@ -52,9 +53,9 @@ let test_secure_rpc_warm_cost () =
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   in
-  Alcotest.(check (list int)) "cold: compressions, blocks, draws, rsa" [ 26; 6; 0; 0; 0; 0 ]
+  Alcotest.(check (list int)) "cold: compressions, blocks, draws, rsa" [ 27; 6; 0; 0; 0; 0 ]
     (kernel_cost call);
-  Alcotest.(check (list int)) "warm: compressions, blocks, draws, rsa" [ 14; 4; 0; 0; 0; 0 ]
+  Alcotest.(check (list int)) "warm: compressions, blocks, draws, rsa" [ 12; 4; 0; 0; 0; 0 ]
     (kernel_cost call);
   Alcotest.(check int) "the warm call's ticket came from the table" 1
     (Sim.Metrics.get (Sim.Net.metrics w.W.net) "ticket_cache.hits")
@@ -241,9 +242,12 @@ let test_secure_rpc_future_stamp_replay () =
       Ok (Wire.I !hits));
   let tgt = W.login w alice in
   let creds = W.credentials_for w ~tgt svc in
+  (* The envelope carries the payload's exact bytes, and the authenticator
+     covers them. *)
+  let payload = Wire.encode (Wire.I 0) in
   let ahead =
     Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare creds.Ticket.session_key)
-      ~nonce:(Sim.Net.fresh_nonce w.W.net)
+      ~nonce:(Sim.Net.fresh_nonce w.W.net) ~covers:payload
       { Ticket.auth_client = alice;
         timestamp = Sim.Net.now w.W.net + (skew / 2);
         subkey = None;
@@ -251,7 +255,7 @@ let test_secure_rpc_future_stamp_replay () =
   in
   let raw =
     Wire.encode
-      (Wire.L [ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S ahead; Wire.I 0 ])
+      (Wire.L [ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S ahead; Wire.S payload ])
   in
   let send () =
     match Sim.Net.rpc w.W.net ~src:"alice" ~dst:(Principal.to_string svc) raw with
@@ -312,12 +316,9 @@ let test_capability_flow () =
       (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt ~end_server:fw.fileserver
          ~target:"file1" ~ops:[ "read" ] ())
   in
-  let now = W.now fw.w in
-  let presented =
-    Guard.present ~proxy:cap ~time:now ~server:fw.fileserver ~operation:"read" ~target:"file1" ()
-  in
+  let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket cap in
   (match
-     Guard.decide fw.guard ~operation:"read" ~target:"file1" ~presenter:fw.bob
+     Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1" ~presenter:fw.bob
        ~proxies:[ presented ] ()
    with
   | Ok d ->
@@ -326,22 +327,16 @@ let test_capability_flow () =
         (Principal.equal (List.hd d.Guard.acting_for) fw.alice)
   | Error e -> Alcotest.fail e);
   (* The same capability does not authorize writing. *)
-  let presented_w =
-    Guard.present ~proxy:cap ~time:now ~server:fw.fileserver ~operation:"write" ~target:"file1" ()
-  in
   (match
-     Guard.decide fw.guard ~operation:"write" ~target:"file1" ~presenter:fw.bob
-       ~proxies:[ presented_w ] ()
+     Guard.decide fw.guard ~ticket:W.ticket ~operation:"write" ~target:"file1" ~presenter:fw.bob
+       ~proxies:[ presented ] ()
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "write granted through a read capability");
   (* Nor reading another file. *)
-  let presented_2 =
-    Guard.present ~proxy:cap ~time:now ~server:fw.fileserver ~operation:"read" ~target:"file2" ()
-  in
   match
-    Guard.decide fw.guard ~operation:"read" ~target:"file2" ~presenter:fw.bob
-      ~proxies:[ presented_2 ] ()
+    Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file2" ~presenter:fw.bob
+      ~proxies:[ presented ] ()
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "capability leaked to another object"
@@ -356,11 +351,9 @@ let test_guard_short_key () =
       (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt:(W.login fw.w fw.alice)
          ~end_server:fw.fileserver ~target:"file1" ~ops:[ "read" ] ())
   in
-  let presented =
-    Guard.present ~proxy:cap ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  match Guard.decide guard ~operation:"read" ~target:"file1" ~proxies:[ presented ] () with
+  let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket cap in
+  match Guard.decide guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ presented ] () with
   | Error e ->
       Alcotest.(check string) "refused at the base ticket"
         "access denied: no ACL entry permits read on \"file1\" (no presented proxy was usable: \
@@ -378,11 +371,9 @@ let test_capability_anonymous_bearer () =
       (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt ~end_server:fw.fileserver
          ~target:"file1" ~ops:[ "read" ] ())
   in
-  let presented =
-    Guard.present ~proxy:cap ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ presented ] () with
+  let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket cap in
+  match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ presented ] () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
@@ -399,25 +390,23 @@ let test_capability_narrowing () =
       (Capability.narrow ~drbg:(Sim.Net.drbg fw.w.W.net) ~now:(W.now fw.w)
          ~expires:(W.now fw.w + W.hour) ~target:"file1" ~ops:[ "stat" ] cap)
   in
-  let now = W.now fw.w in
-  let ok_stat =
-    Guard.present ~proxy:narrowed ~time:now ~server:fw.fileserver ~operation:"stat"
-      ~target:"file1" ()
-  in
-  (match Guard.decide fw.guard ~operation:"stat" ~target:"file1" ~proxies:[ ok_stat ] () with
+  let ok_stat = Guard.bind ~server:fw.fileserver ~ticket:W.ticket narrowed in
+  (match Guard.decide fw.guard ~ticket:W.ticket ~operation:"stat" ~target:"file1"
+      ~proxies:[ ok_stat ] () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let try_read =
-    Guard.present ~proxy:narrowed ~time:now ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ try_read ] () with
+  let try_read = Guard.bind ~server:fw.fileserver ~ticket:W.ticket narrowed in
+  match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ try_read ] () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "narrowed capability still reads"
 
 let test_stolen_presentation_useless () =
-  (* The eavesdropper captures a full presentation (certs + proof) and tries
-     to use it for a different operation: the proof binding stops it. *)
+  (* The eavesdropper captures a full presentation (certificates and
+     binding) and presents it on a request of her own, which rides her own
+     ticket: the binding names the ticket it was made for, so it proves
+     nothing there. (Rewriting the captured request itself is the
+     authenticator's to stop; see test_proxy "proof binds request".) *)
   let fw = fileserver_world () in
   let tgt = W.login fw.w fw.alice in
   let cap =
@@ -425,16 +414,18 @@ let test_stolen_presentation_useless () =
       (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt ~end_server:fw.fileserver
          ~target:"file1" ~ops:[] ())
   in
-  let now = W.now fw.w in
-  let presented =
-    Guard.present ~proxy:cap ~time:now ~server:fw.fileserver ~operation:"read" ~target:"file1" ()
-  in
-  (* Mallory reuses the captured certificates + proof for "delete". *)
+  let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket cap in
+  let mallorys_ticket = Ticket.digest "mallory's own ticket" in
   match
-    Guard.decide fw.guard ~operation:"delete" ~target:"file1" ~proxies:[ presented ] ()
+    Guard.decide fw.guard ~ticket:mallorys_ticket ~operation:"delete" ~target:"file1"
+      ~proxies:[ presented ] ()
   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "captured presentation replayed for another operation"
+  | Error e ->
+      Alcotest.(check string) "refused at the binding"
+        "access denied: no ACL entry permits delete on \"file1\" (no presented proxy was \
+         usable: session binding: invalid)"
+        e
+  | Ok _ -> Alcotest.fail "captured presentation used over another ticket"
 
 let test_revocation_via_grantor () =
   (* Removing alice from the ACL kills every capability she granted. *)
@@ -445,15 +436,14 @@ let test_revocation_via_grantor () =
       (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt ~end_server:fw.fileserver
          ~target:"file1" ~ops:[ "read" ] ())
   in
-  let presented =
-    Guard.present ~proxy:cap ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  (match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ presented ] () with
+  let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket cap in
+  (match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ presented ] () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   Acl.remove_subject (Guard.acl fw.guard) ~target:"file1" (Acl.Principal_is fw.alice);
-  match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ presented ] () with
+  match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ presented ] () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "capability survived revocation of its grantor"
 
@@ -466,11 +456,9 @@ let test_expired_capability () =
          ~target:"file1" ~ops:[ "read" ] ~lifetime_us:W.hour ())
   in
   Sim.Clock.advance (Sim.Net.clock fw.w.W.net) (2 * W.hour);
-  let presented =
-    Guard.present ~proxy:cap ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ presented ] () with
+  let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket cap in
+  match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ presented ] () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expired capability accepted"
 
@@ -508,22 +496,17 @@ let test_authz_server_flow () =
          ~target:"job42" ~operation:"run" ())
   in
   (* Message 3: present to the end-server. *)
-  let now = W.now w in
-  let presented =
-    Guard.present ~proxy ~time:now ~server:appserver ~operation:"run" ~target:"job42" ()
-  in
-  (match Guard.decide guard ~operation:"run" ~target:"job42" ~presenter:carol ~proxies:[ presented ] () with
+  let presented = Guard.bind ~server:appserver ~ticket:W.ticket proxy in
+  (match Guard.decide guard ~ticket:W.ticket ~operation:"run" ~target:"job42" ~presenter:carol
+      ~proxies:[ presented ] () with
   | Ok d ->
       Alcotest.(check bool) "acting for authz server" true
         (List.exists (Principal.equal authz) d.Guard.acting_for)
   | Error e -> Alcotest.fail e);
   (* The copied quota restriction is live: an over-quota spend fails. *)
-  let presented_big =
-    Guard.present ~proxy ~time:now ~server:appserver ~operation:"run" ~target:"job42"
-      ~spend:("pages", 100) ()
-  in
+  let presented_big = Guard.bind ~server:appserver ~ticket:W.ticket proxy in
   (match
-     Guard.decide guard ~operation:"run" ~target:"job42" ~presenter:carol
+     Guard.decide guard ~ticket:W.ticket ~operation:"run" ~target:"job42" ~presenter:carol
        ~proxies:[ presented_big ] ~spend:("pages", 100) ()
    with
   | Error _ -> ()
@@ -563,19 +546,19 @@ let test_authz_server_delegate_mode () =
       (Authz_server.request_authorization w.W.net ~creds ~end_server:appserver ~target:"job"
          ~operation:"run" ~delegate:true ())
   in
-  let presented =
-    Guard.present ~proxy ~time:(W.now w) ~server:appserver ~operation:"run" ~target:"job" ()
-  in
+  let presented = Guard.bind ~server:appserver ~ticket:W.ticket proxy in
   (* Carol herself: fine. *)
   (match
-     Guard.decide guard ~operation:"run" ~target:"job" ~presenter:carol ~proxies:[ presented ] ()
+     Guard.decide guard ~ticket:W.ticket ~operation:"run" ~target:"job" ~presenter:carol
+         ~proxies:[ presented ] ()
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (* Eve presenting the same (stolen, including key) delegate proxy: the
      grantee restriction stops her. *)
   match
-    Guard.decide guard ~operation:"run" ~target:"job" ~presenter:eve ~proxies:[ presented ] ()
+    Guard.decide guard ~ticket:W.ticket ~operation:"run" ~target:"job" ~presenter:eve
+        ~proxies:[ presented ] ()
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "delegate proxy used by a non-grantee"
@@ -622,13 +605,10 @@ let test_group_membership_flow () =
       (Group_server.request_membership_proxy g.gw.W.net ~creds ~group:"admins"
          ~end_server:g.doorserver ())
   in
-  let now = W.now g.gw in
-  let presented =
-    Guard.present ~proxy:gproxy ~time:now ~server:g.doorserver ~operation:"assert-membership"
-      ~target:"admins" ()
-  in
+  let presented = Guard.bind ~server:g.doorserver ~ticket:W.ticket gproxy in
   (match
-     Guard.decide g.gguard ~operation:"open" ~target:"machine-room" ~presenter:g.alice
+     Guard.decide g.gguard ~ticket:W.ticket ~operation:"open" ~target:"machine-room"
+         ~presenter:g.alice
        ~group_proxies:[ presented ] ()
    with
   | Ok d ->
@@ -650,12 +630,9 @@ let test_group_proxy_bound_to_member () =
       (Group_server.request_membership_proxy g.gw.W.net ~creds ~group:"admins"
          ~end_server:g.doorserver ())
   in
-  let presented =
-    Guard.present ~proxy:gproxy ~time:(W.now g.gw) ~server:g.doorserver
-      ~operation:"assert-membership" ~target:"admins" ()
-  in
+  let presented = Guard.bind ~server:g.doorserver ~ticket:W.ticket gproxy in
   match
-    Guard.decide g.gguard ~operation:"open" ~target:"machine-room" ~presenter:g.bob
+    Guard.decide g.gguard ~ticket:W.ticket ~operation:"open" ~target:"machine-room" ~presenter:g.bob
       ~group_proxies:[ presented ] ()
   with
   | Error _ -> ()
@@ -711,12 +688,9 @@ let test_compound_concurrence () =
       (Capability.mint_via_kdc w.W.net ~kdc:w.W.kdc_name ~tgt:tgt_host ~end_server:svc
          ~target:"missile" ~ops:[ "launch" ] ())
   in
-  let presented =
-    Guard.present ~proxy:host_proxy ~time:(W.now w) ~server:svc ~operation:"launch"
-      ~target:"missile" ()
-  in
+  let presented = Guard.bind ~server:svc ~ticket:W.ticket host_proxy in
   match
-    Guard.decide guard ~operation:"launch" ~target:"missile" ~presenter:alice
+    Guard.decide guard ~ticket:W.ticket ~operation:"launch" ~target:"missile" ~presenter:alice
       ~proxies:[ presented ] ()
   with
   | Ok d -> Alcotest.(check int) "host authority used" 1 (List.length d.Guard.acting_for)
@@ -740,20 +714,22 @@ let test_cascade_through_guard () =
       (Capability.narrow ~drbg:(Sim.Net.drbg fw.w.W.net) ~now ~expires:(now + W.hour)
          ~target:"file1" ~ops:[ "read" ] cap)
   in
-  let presented =
-    Guard.present ~proxy:narrowed ~time:now ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ presented ] () with
+  let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket narrowed in
+  match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ presented ] () with
   | Ok d -> Alcotest.(check int) "two serials in audit" 2 (List.length d.Guard.serials_used)
   | Error e -> Alcotest.fail e
 
 (* Exact kernel cost of presenting a depth-2 capability through a file
-   server, attach and read, twice. The first presentation opens bob's
-   ticket at the server, alice's base ticket at the guard and both
-   certificates; the server keeps all four opens, so the second one
-   redoes none of them (two ticket-table hits, two link hits) and still
-   checks every window, the head grantor and the proof of possession. *)
+   server, attach and read, twice. The first presentation makes bob's
+   binding (his ticket's digest and one HMAC), opens bob's ticket at the
+   server, alice's base ticket at the guard and both certificates, and
+   checks the binding; the client keeps the binding and the server all
+   four opens and the binding's verdict, so the second one redoes none of
+   them (two ticket-table hits, two link hits and a binding hit) and still
+   checks every window and the head grantor. What both pay on top of the
+   call itself is the authenticator covering the payload, mostly the two
+   sealed certificates. *)
 let test_capability_presentation_cost () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
@@ -787,11 +763,11 @@ let test_capability_presentation_cost () =
     | Error e -> Alcotest.fail e
   in
   let metric name = Sim.Metrics.get (Sim.Net.metrics w.W.net) name in
-  Alcotest.(check (list int)) "first: compressions, blocks, draws, rsa" [ 70; 18; 0; 0; 0; 0 ]
+  Alcotest.(check (list int)) "first: compressions, blocks, draws, rsa" [ 97; 18; 0; 0; 0; 0 ]
     (kernel_cost present);
-  Alcotest.(check (list int)) "second: compressions, blocks, draws, rsa" [ 28; 4; 0; 0; 0; 0 ]
+  Alcotest.(check (list int)) "second: compressions, blocks, draws, rsa" [ 36; 4; 0; 0; 0; 0 ]
     (kernel_cost present);
-  Alcotest.(check (list int)) "ticket-table hits, link hits, link misses" [ 2; 2; 2 ]
+  Alcotest.(check (list int)) "ticket-table hits, verify-cache hits, misses" [ 2; 3; 3 ]
     [ metric "ticket_cache.hits"; metric "verify_cache.hits"; metric "verify_cache.misses" ]
 
 (* --- accept-once through the guard --- *)
@@ -807,19 +783,15 @@ let test_accept_once_consumed () =
       ~restrictions:
         [ R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ]; R.Accept_once "voucher-7" ]
   in
-  let p1 =
-    Guard.present ~proxy:once ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  (match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ p1 ] () with
+  let p1 = Guard.bind ~server:fw.fileserver ~ticket:W.ticket once in
+  (match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ p1 ] () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (* Second use of the same accept-once identifier bounces. *)
-  let p2 =
-    Guard.present ~proxy:once ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
-  in
-  match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ p2 ] () with
+  let p2 = Guard.bind ~server:fw.fileserver ~ticket:W.ticket once in
+  match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ p2 ] () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accept-once proxy accepted twice"
 
@@ -838,24 +810,25 @@ let test_accept_once_unused_not_consumed () =
         [ R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ]; R.Accept_once "spare" ]
   in
   let present () =
-    Guard.present ~proxy:once ~time:(W.now fw.w) ~server:fw.fileserver ~operation:"read"
-      ~target:"file1" ()
+    Guard.bind ~server:fw.fileserver ~ticket:W.ticket once
   in
   (* Alice presents her own proxy alongside her own identity: granted via
      identity, proxy untouched. *)
   (match
-     Guard.decide fw.guard ~operation:"read" ~target:"file1" ~presenter:fw.alice
+     Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1" ~presenter:fw.alice
        ~proxies:[ present () ] ()
    with
   | Ok d -> Alcotest.(check int) "granted directly, no proxy used" 0 (List.length d.Guard.acting_for)
   | Error e -> Alcotest.fail e);
   (* The accept-once id is still fresh: an anonymous bearer can use the
      proxy once. *)
-  (match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ present () ] () with
+  (match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ present () ] () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (* ...and exactly once. *)
-  match Guard.decide fw.guard ~operation:"read" ~target:"file1" ~proxies:[ present () ] () with
+  match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+      ~proxies:[ present () ] () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accept-once consumed twice"
 

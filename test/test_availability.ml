@@ -133,11 +133,10 @@ let test_group_removal_vs_live_proxy () =
   Group_server.remove_member gsrv ~group:"ops" alice;
   (* The live proxy still asserts membership... *)
   let present () =
-    Guard.present ~proxy:gproxy ~time:(W.now w) ~server:door_p ~operation:"assert-membership"
-      ~target:"ops" ()
+    Guard.bind ~server:door_p ~ticket:W.ticket gproxy
   in
   (match
-     Guard.decide door ~operation:"open" ~target:"rack" ~presenter:alice
+     Guard.decide door ~ticket:W.ticket ~operation:"open" ~target:"rack" ~presenter:alice
        ~group_proxies:[ present () ] ()
    with
   | Ok _ -> ()
@@ -151,7 +150,7 @@ let test_group_removal_vs_live_proxy () =
   (* ...and expiry ends it. *)
   Sim.Clock.advance (Sim.Net.clock w.W.net) (2 * W.hour);
   match
-    Guard.decide door ~operation:"open" ~target:"rack" ~presenter:alice
+    Guard.decide door ~ticket:W.ticket ~operation:"open" ~target:"rack" ~presenter:alice
       ~group_proxies:[ present () ] ()
   with
   | Error _ -> ()

@@ -181,6 +181,45 @@ let test_replication_mirrors_state () =
   Alcotest.(check bool) "replication happened" true
     (Sim.Metrics.get (Sim.Net.metrics cw.net) "cluster.repl_applied" > 0)
 
+(* A tap rewrites the credit in the primary's first replication ship
+   from 10 usd into 1,000,010 usd. The authenticator covers the shipped
+   payload, so the standby refuses the ship; the primary keeps the
+   changes and the next ship carries them, and then the replicas agree. *)
+let test_rewritten_ship_refused () =
+  let cw = mk_cluster ~seed:"repl-tamper" [ "bank-0" ] in
+  let alice = mk_actor cw "alice" and bob = mk_actor cw "bob" in
+  let r_alice = mk_router cw alice and r_bob = mk_router cw bob in
+  ok_or "alice" (Router.open_account r_alice ~name:alice.name);
+  ok_or "bob" (Router.open_account r_bob ~name:bob.name);
+  let _, shard = List.hd cw.shards in
+  ok_or "mint" (Shard.mint shard ~name:alice.name ~currency:usd 1_000);
+  ok_or "mint" (Shard.mint shard ~name:bob.name ~currency:usd 1_000);
+  let rec inflate = function
+    | Wire.L [ Wire.S "credit"; Wire.S name; Wire.S cur; Wire.I 10 ] when name = bob.name ->
+        Wire.L [ Wire.S "credit"; Wire.S name; Wire.S cur; Wire.I 1_000_010 ]
+    | Wire.L items -> Wire.L (List.map inflate items)
+    | v -> v
+  in
+  let rewrites = ref 0 in
+  Sim.Net.set_tap cw.net (fun ~dir ~src:_ ~dst payload ->
+      match dir with
+      | `Request when dst = Shard.standby_node shard && !rewrites = 0 ->
+          incr rewrites;
+          Sim.Net.Replace (Testkit.rewrite_request inflate payload)
+      | _ -> Sim.Net.Deliver);
+  ok_or "transfer" (Router.transfer r_alice ~from_:alice.name ~to_:bob.name ~currency:usd
+      ~amount:10);
+  Sim.Net.clear_tap cw.net;
+  let bob_on server = Ledger.balance (Accounting_server.ledger server) ~name:bob.name
+      ~currency:usd in
+  Alcotest.(check int) "one ship rewritten" 1 !rewrites;
+  Alcotest.(check int) "the primary credited 10" 1_010 (bob_on (Shard.primary_server shard));
+  Alcotest.(check int) "the standby applied nothing" 1_000 (bob_on (Shard.standby_server shard));
+  ok_or "transfer" (Router.transfer r_bob ~from_:bob.name ~to_:alice.name ~currency:usd ~amount:1);
+  check_replicas_agree (List.hd cw.shards);
+  Alcotest.(check int) "the standby agrees after the next ship" 1_009
+    (bob_on (Shard.standby_server shard))
+
 (* --- failover --- *)
 
 (* The sharpest exactly-once case: the primary executes a deposit, ships it
@@ -224,7 +263,8 @@ let test_failover_exactly_once () =
     (Sim.Metrics.get m "rpc.dedup" >= 1);
   (* The standby is now authoritative; the money moved exactly once. *)
   let auth = Accounting_server.ledger (Shard.authoritative shard) in
-  Alcotest.(check int) "alice debited once" 900 (Ledger.balance auth ~name:alice.name ~currency:usd);
+  Alcotest.(check int) "alice debited once" 900 (Ledger.balance auth ~name:alice.name
+    ~currency:usd);
   Alcotest.(check int) "shop credited once" 100 (Ledger.balance auth ~name:shop.name ~currency:usd);
   (match Invariant.check before [ auth ] with
   | Ok () -> ()
@@ -290,9 +330,7 @@ let proxy_draw cw shard (holder : actor) =
     Accounting_server.proxy_debit
       ~retry:(Sim.Retry.policy ~retries:8 ~timeout_us:10_000 ())
       ~via:[ Shard.primary_node shard; Shard.standby_node shard ]
-      cw.net ~creds
-      ~presented:{ Guard.pres = Proxy.presentation proxy; pres_proof = None }
-      ~payor_account ~to_account:holder.name ~currency:usd ~amount
+      cw.net ~creds ~proxy ~payor_account ~to_account:holder.name ~currency:usd ~amount
 
 let expect_refused ~needle what = function
   | Ok _ -> Alcotest.fail (what ^ " was granted")
@@ -332,6 +370,7 @@ let test_failover_keeps_accept_once () =
       ~restrictions:
         [ Restriction.Grantee ([ shop.principal ], 1);
           Restriction.Accept_once "voucher-1";
+          Restriction.Quota (usd, 30);
           Restriction.Issued_for [ Shard.logical shard ];
           Restriction.Authorized [ { Restriction.target = alice.name; ops = [ "debit" ] } ] ]
       ()
@@ -409,12 +448,14 @@ let gen_op =
    two ops that move value out of this ledger, e.g. to a clearing peer). *)
 let apply_op l flow (kind, acct, acct2, cur, amount) =
   match kind with
-  | 0 -> if Ledger.mint l ~name:acct ~currency:cur amount = Ok () then flow := (cur, amount) :: !flow
+  | 0 -> if Ledger.mint l ~name:acct
+    ~currency:cur amount = Ok () then flow := (cur, amount) :: !flow
   | 1 ->
       if Ledger.debit l ~name:acct ~currency:cur amount = Ok () then
         flow := (cur, -amount) :: !flow
   | 2 -> ignore (Ledger.transfer l ~from_:acct ~to_:acct2 ~currency:cur amount)
-  | 3 -> ignore (Ledger.hold l ~name:acct ~id:(Printf.sprintf "h-%s-%d" acct amount) ~currency:cur amount)
+  | 3 -> ignore (Ledger.hold l ~name:acct ~id:(Printf.sprintf "h-%s-%d" acct amount)
+    ~currency:cur amount)
   | 4 -> ignore (Ledger.release_hold l ~name:acct ~id:(Printf.sprintf "h-%s-%d" acct amount))
   | _ -> (
       match Ledger.take_hold l ~name:acct ~id:(Printf.sprintf "h-%s-%d" acct amount) with
@@ -533,7 +574,8 @@ let () =
           ("empty shard set rejected", `Quick, test_ring_empty_rejected) ] );
       ( "replication",
         [ ("standby mirrors the primary", `Slow, test_replication_mirrors_state);
-          ("random op mix through one shard", `Slow, test_random_ops_through_shard) ] );
+          ("random op mix through one shard", `Slow, test_random_ops_through_shard);
+          ("a rewritten ship is refused", `Slow, test_rewritten_ship_refused) ] );
       ( "failover",
         [ ("exactly-once across a mid-reply crash", `Slow, test_failover_exactly_once);
           ("a counting observer keeps replication", `Quick,

@@ -57,25 +57,18 @@ let alice_badge nw =
       (Group_server.request_membership_proxy nw.w.W.net ~creds:creds_eng ~group:"engineers"
          ~end_server:nw.site_name ())
   in
-  let evidence =
-    Guard.present ~proxy:eng_proxy ~time:(W.now nw.w) ~server:nw.site_name
-      ~operation:"assert-membership" ~target:"engineers" ()
-  in
-  let creds_site = W.credentials_for nw.w ~tgt nw.site_name in
+    let creds_site = W.credentials_for nw.w ~tgt nw.site_name in
   Group_server.request_membership_proxy nw.w.W.net ~creds:creds_site ~group:"badge-holders"
-    ~end_server:nw.door_name ~evidence:[ evidence ] ()
+    ~end_server:nw.door_name ~evidence:[ eng_proxy ] ()
 
 let test_nested_membership () =
   let nw = nested_world () in
   match alice_badge nw with
   | Error e -> Alcotest.fail e
   | Ok badge -> (
-      let presented =
-        Guard.present ~proxy:badge ~time:(W.now nw.w) ~server:nw.door_name
-          ~operation:"assert-membership" ~target:"badge-holders" ()
-      in
+      let presented = Guard.bind ~server:nw.door_name ~ticket:W.ticket badge in
       match
-        Guard.decide nw.door ~operation:"open" ~target:"gate" ~presenter:nw.alice
+        Guard.decide nw.door ~ticket:W.ticket ~operation:"open" ~target:"gate" ~presenter:nw.alice
           ~group_proxies:[ presented ] ()
       with
       | Ok d -> Alcotest.(check int) "one group used" 1 (List.length d.Guard.via_groups)
@@ -114,14 +107,10 @@ let test_nested_nonmember_refused () =
       (Group_server.request_membership_proxy nw.w.W.net ~creds:creds_eng_a ~group:"engineers"
          ~end_server:nw.site_name ())
   in
-  let evidence =
-    Guard.present ~proxy:eng_proxy ~time:(W.now nw.w) ~server:nw.site_name
-      ~operation:"assert-membership" ~target:"engineers" ()
-  in
-  let creds_site_b = W.credentials_for nw.w ~tgt nw.site_name in
+    let creds_site_b = W.credentials_for nw.w ~tgt nw.site_name in
   match
     Group_server.request_membership_proxy nw.w.W.net ~creds:creds_site_b ~group:"badge-holders"
-      ~end_server:nw.door_name ~evidence:[ evidence ] ()
+      ~end_server:nw.door_name ~evidence:[ eng_proxy ] ()
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bob rode alice's evidence"
@@ -155,7 +144,8 @@ let test_authz_with_group_entry () =
   in
   Authz_server.install authz;
   let acl = Acl.create () in
-  Acl.add acl ~target:"*" { Acl.subject = Acl.Principal_is authz_p; rights = []; restrictions = [] };
+  Acl.add acl
+      ~target:"*" { Acl.subject = Acl.Principal_is authz_p; rights = []; restrictions = [] };
   let app_guard = Guard.create w.W.net ~me:app_p ~my_key:app_key ~acl () in
   (* Alice: group proxy (for the AUTHZ server) -> authorization proxy (for
      the app). *)
@@ -166,24 +156,18 @@ let test_authz_with_group_entry () =
       (Group_server.request_membership_proxy w.W.net ~creds:creds_g ~group:"operators"
          ~end_server:authz_p ())
   in
-  let evidence =
-    Guard.present ~proxy:gproxy ~time:(W.now w) ~server:authz_p
-      ~operation:"assert-membership" ~target:"operators" ()
-  in
-  let creds_a = W.credentials_for w ~tgt authz_p in
+    let creds_a = W.credentials_for w ~tgt authz_p in
   let proxy =
     match
       Authz_server.request_authorization w.W.net ~creds:creds_a ~end_server:app_p
-        ~target:"reactor" ~operation:"scram" ~evidence:[ evidence ] ()
+        ~target:"reactor" ~operation:"scram" ~evidence:[ gproxy ] ()
     with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let presented =
-    Guard.present ~proxy ~time:(W.now w) ~server:app_p ~operation:"scram" ~target:"reactor" ()
-  in
+  let presented = Guard.bind ~server:app_p ~ticket:W.ticket proxy in
   (match
-     Guard.decide app_guard ~operation:"scram" ~target:"reactor" ~presenter:alice
+     Guard.decide app_guard ~ticket:W.ticket ~operation:"scram" ~target:"reactor" ~presenter:alice
        ~proxies:[ presented ] ()
    with
   | Ok _ -> ()

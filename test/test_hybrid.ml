@@ -38,9 +38,9 @@ let verify ?(decrypt = decrypt_server) ?me proxy =
 let req ?(operation = "read") ?(target = "obj") () =
   R.request ~server ~time:100 ~operation ~target ()
 
-let prove proxy r =
-  Presentation.prove ~key:proxy.Proxy.key ~time:100
-    ~request_digest:(Presentation.digest_request r)
+(* The ticket the requests ride, and a proxy key's binding to it. *)
+let ticket = Crypto.Sha256.digest "the ticket the requests ride"
+let bind proxy = Presentation.bind proxy.Proxy.key ~server ~ticket
 
 let test_grant_verify () =
   let proxy = grant () in
@@ -49,16 +49,15 @@ let test_grant_verify () =
   | Ok v ->
       Alcotest.(check bool) "grantor" true (Principal.equal v.Verifier.grantor alice);
       Alcotest.(check int) "chain of 1" 1 v.Verifier.chain_length;
-      (* Possession proof is a cheap HMAC under the recovered sym key. *)
+      (* The binding is a cheap HMAC under the recovered sym key. *)
       let r = req () in
       Alcotest.(check bool) "authorize with PoP" true
-        (Verifier.authorize v ~req:r ~proof:(prove proxy r) ~max_skew:1_000_000 = Ok ());
+        (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind proxy) = Ok ());
       Alcotest.(check bool) "restriction enforced" true
         (Result.is_error
            (Verifier.authorize v
               ~req:(req ~operation:"write" ())
-              ~proof:(prove proxy (req ~operation:"write" ()))
-              ~max_skew:1_000_000))
+              ~ticket:(Some ticket) ~binding:(bind proxy)))
 
 let test_only_named_server_can_use () =
   let proxy = grant () in
@@ -105,7 +104,8 @@ let test_tampered_ciphertext () =
   Bytes.set bad_key 3 (Char.chr (Char.code (Bytes.get bad_key 3) lxor 1));
   let tampered = { head with Proxy_cert.h_enc_key = Bytes.to_string bad_key } in
   Alcotest.(check bool) "ciphertext tamper breaks the signature" true
-    (Result.is_error (Verifier.verify_hybrid ~lookup ~decrypt:decrypt_server ~now:100 (tampered, blobs)))
+    (Result.is_error (Verifier.verify_hybrid ~lookup ~decrypt:decrypt_server
+      ~now:100 (tampered, blobs)))
 
 let test_cascade () =
   let proxy = grant () in
@@ -122,14 +122,10 @@ let test_cascade () =
       Alcotest.(check int) "expiry tightens" (t_exp / 2) v.Verifier.expires;
       let r = req () in
       Alcotest.(check bool) "new key proves" true
-        (Verifier.authorize v ~req:r ~proof:(prove narrowed r) ~max_skew:1_000_000 = Ok ());
-      let stale_proof =
-        Presentation.prove ~key:proxy.Proxy.key ~time:100
-          ~request_digest:(Presentation.digest_request r)
-      in
+        (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind narrowed) = Ok ());
       Alcotest.(check bool) "old key refused" true
         (Result.is_error
-           (Verifier.authorize v ~req:r ~proof:stale_proof ~max_skew:1_000_000));
+           (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind proxy)));
       (* Cross-flavor cascading is refused. *)
       Alcotest.(check bool) "restrict_conventional refuses hybrid" true
         (Result.is_error
@@ -159,7 +155,7 @@ let test_wire_roundtrip () =
       let v = Result.get_ok (verify proxy') in
       let r = req () in
       Alcotest.(check bool) "transferred key proves" true
-        (Verifier.authorize v ~req:r ~proof:(prove proxy' r) ~max_skew:1_000_000 = Ok ())
+        (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind proxy') = Ok ())
   | Error e -> Alcotest.fail e
 
 let test_guard_integration () =
@@ -167,7 +163,8 @@ let test_guard_integration () =
      other; one without refuses them. *)
   let net = Sim.Net.create ~seed:"hybrid guard" () in
   let acl = Acl.create () in
-  Acl.add acl ~target:"obj" { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+  Acl.add acl
+      ~target:"obj" { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
   let guard_with =
     Guard.create net ~me:server ~my_key:(Sim.Net.fresh_key net) ~lookup_pub:lookup
       ~my_rsa:server_rsa ~acl ()
@@ -176,14 +173,14 @@ let test_guard_integration () =
     Guard.create net ~me:server ~my_key:(Sim.Net.fresh_key net) ~lookup_pub:lookup ~acl ()
   in
   let proxy = grant () in
-  let presented =
-    Guard.present ~proxy ~time:100 ~server ~operation:"read" ~target:"obj" ()
-  in
-  (match Guard.decide guard_with ~operation:"read" ~target:"obj" ~proxies:[ presented ] () with
+  let presented = Guard.bind ~server ~ticket:Testkit.ticket proxy in
+  (match Guard.decide guard_with ~ticket:Testkit.ticket ~operation:"read" ~target:"obj"
+      ~proxies:[ presented ] () with
   | Ok d -> Alcotest.(check bool) "acting for alice" true
       (List.exists (Principal.equal alice) d.Guard.acting_for)
   | Error e -> Alcotest.fail e);
-  match Guard.decide guard_without ~operation:"read" ~target:"obj" ~proxies:[ presented ] () with
+  match Guard.decide guard_without ~ticket:Testkit.ticket ~operation:"read" ~target:"obj"
+      ~proxies:[ presented ] () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "guard without a decryption key accepted a hybrid proxy"
 

@@ -71,7 +71,7 @@ let test_authenticator_roundtrip () =
     Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare sk) ~nonce:(Net.fresh_nonce w.net) a
   in
   (match Ticket.open_authenticator ~session_key:(Crypto.Aead.prepare sk) blob with
-  | Ok a' ->
+  | Ok (a', _) ->
       Alcotest.(check int) "timestamp" 42 a'.Ticket.timestamp;
       Alcotest.(check bool) "subkey" true (a'.Ticket.subkey = a.Ticket.subkey)
   | Error e -> Alcotest.fail e);
@@ -81,7 +81,7 @@ let test_authenticator_roundtrip () =
       no_sub
   in
   match Ticket.open_authenticator ~session_key:(Crypto.Aead.prepare sk) blob2 with
-  | Ok a' -> Alcotest.(check bool) "no subkey" true (a'.Ticket.subkey = None)
+  | Ok (a', _) -> Alcotest.(check bool) "no subkey" true (a'.Ticket.subkey = None)
   | Error e -> Alcotest.fail e
 
 let test_as_exchange () =

@@ -247,6 +247,25 @@ let test_fuzz_corpus () =
   Alcotest.(check bool) "corpus committed" true (r.Mbt.Fuzz.files >= 40);
   Alcotest.(check int) "corpus replays clean" 0 (List.length r.Mbt.Fuzz.failures)
 
+(* The session negatives are refused, each for the reason its name
+   gives, and the valid session they were made from is accepted. *)
+let test_binding_negatives () =
+  let seeds, negatives = Mbt.Fuzz.build () in
+  let check =
+    match List.find_opt (fun (name, _, _) -> name = "presented-session") seeds with
+    | Some (_, valid, check) ->
+        Alcotest.(check (result unit string)) "the valid session" (Ok ()) (check valid);
+        check
+    | None -> Alcotest.fail "no presented-session seed"
+  in
+  Alcotest.(check (list (pair string (result unit string))))
+    "each negative refused"
+    [ ("other-ticket", Error "session binding: invalid");
+      ("other-server", Error "session binding: invalid");
+      ("expired-ticket", Error "ticket expired");
+      ("other-key", Error "session binding: invalid") ]
+    (List.map (fun (name, v) -> (name, check v)) negatives)
+
 let test_fuzz_corpus_regenerates () =
   (* The corpus is append-only: regenerating it from the seeds reproduces
      every committed file byte for byte and writes no file that is not
@@ -296,4 +315,5 @@ let () =
           ("committed repros replay", `Slow, test_repro_corpus);
           ("fuzz smoke", `Quick, test_fuzz_smoke);
           ("fuzz corpus replays", `Quick, test_fuzz_corpus);
+          ("binding negatives refused", `Quick, test_binding_negatives);
           ("fuzz corpus regenerates", `Quick, test_fuzz_corpus_regenerates) ] ) ]

@@ -45,12 +45,14 @@ let verify_c ?base_restrictions proxy =
     | Proxy.Conventional c -> c
     | Proxy.Public_key _ | Proxy.Hybrid _ -> Alcotest.fail "expected conventional")
 
-let prove proxy request =
-  Presentation.prove ~key:proxy.Proxy.key ~time:100
-    ~request_digest:(Presentation.digest_request request)
+(* The ticket the requests ride, and a proxy key's binding to it: a
+   bearer proxy's proof of possession. *)
+let ticket = Crypto.Sha256.digest "the ticket the requests ride"
+let bind ?(server = server) ?(ticket = ticket) proxy =
+  Presentation.bind proxy.Proxy.key ~server ~ticket
 
-let authorize ?(max_skew = 300_000_000) verified ~req:r ~proof =
-  Verifier.authorize verified ~req:r ~proof ~max_skew
+let authorize ?(ticket = ticket) verified ~req:r ~binding =
+  Verifier.authorize verified ~req:r ~ticket:(Some ticket) ~binding
 
 (* --- conventional --- *)
 
@@ -64,50 +66,119 @@ let test_grant_and_verify () =
       Alcotest.(check int) "one restriction" 1 (List.length v.Verifier.restrictions);
       Alcotest.(check int) "expiry" t_exp v.Verifier.expires;
       let r = req () in
-      Alcotest.(check bool) "authorized with proof" true
-        (authorize v ~req:r ~proof:(prove proxy r) = Ok ())
+      Alcotest.(check bool) "authorized with its binding" true
+        (authorize v ~req:r ~binding:(bind proxy) = Ok ())
 
 let test_bearer_requires_possession () =
   let proxy = grant () in
   let v = Result.get_ok (verify_c proxy) in
   let r = req () in
-  (match authorize v ~req:r ~proof:None with
+  (match authorize v ~req:r ~binding:None with
   | Error e -> Alcotest.(check string) "no proof" "bearer proxy requires proof of possession" e
   | Ok () -> Alcotest.fail "accepted without possession proof");
-  (* A proof made with a different key must fail. *)
-  let wrong = Proxy.Sym (Crypto.Drbg.generate drbg 32) in
-  let bad = Presentation.prove ~key:wrong ~time:100 ~request_digest:(Presentation.digest_request r) in
-  Alcotest.(check bool) "wrong key rejected" true
-    (Result.is_error (authorize v ~req:r ~proof:bad))
+  (* A binding made with a different key must fail. *)
+  let wrong = { proxy with Proxy.key = Proxy.Sym (Crypto.Drbg.generate drbg 32) } in
+  Alcotest.(check (result unit string)) "wrong key rejected" (Error "session binding: invalid")
+    (authorize v ~req:r ~binding:(bind wrong))
 
-let test_proof_binds_request () =
-  (* A proof captured for one request cannot authorize a different one. *)
-  let proxy = grant ~restrictions:[] () in
-  let v = Result.get_ok (verify_c proxy) in
-  let r1 = req () in
-  let proof = prove proxy r1 in
-  let r2 = req ~operation:"delete" () in
-  Alcotest.(check bool) "rebinding rejected" true
-    (Result.is_error (authorize v ~req:r2 ~proof))
-
-let test_proof_freshness () =
+(* A binding names one server and one ticket; over any other it proves
+   nothing. *)
+let test_binding_names_session () =
   let proxy = grant ~restrictions:[] () in
   let v = Result.get_ok (verify_c proxy) in
   let r = req () in
-  let stale =
-    Presentation.prove ~key:proxy.Proxy.key ~time:(-hour)
-      ~request_digest:(Presentation.digest_request r)
+  Alcotest.(check (result unit string)) "its own session" (Ok ())
+    (authorize v ~req:r ~binding:(bind proxy));
+  let other = Crypto.Sha256.digest "another ticket" in
+  Alcotest.(check (result unit string)) "another ticket" (Error "session binding: invalid")
+    (authorize ~ticket:other v ~req:r ~binding:(bind proxy));
+  Alcotest.(check (result unit string)) "another server" (Error "session binding: invalid")
+    (authorize v ~req:r ~binding:(bind ~server:(p "elsewhere") proxy));
+  Alcotest.(check (result unit string)) "no ticket"
+    (Error "session binding: the request rode no ticket")
+    (Verifier.authorize v ~req:r ~ticket:None ~binding:(bind proxy))
+
+(* Bob reads file1 with alice's capability over his own ticket; the
+   binding rides every request. *)
+type capability_world = {
+  cw : Testkit.world;
+  bob_creds : Ticket.credentials;
+  fs_name : Principal.t;
+  cap : Proxy.t;
+}
+
+let capability_world () =
+  let cw = Testkit.create ~seed:"capability on the wire" () in
+  let alice, _ = Testkit.enrol cw "alice" in
+  let bob, _ = Testkit.enrol cw "bob" in
+  let fs_name, fs_key = Testkit.enrol cw "files" in
+  let acl = Acl.create () in
+  Acl.add acl
+      ~target:"file1" { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+  let fs = File_server.create cw.Testkit.net ~me:fs_name ~my_key:fs_key ~acl () in
+  File_server.install fs;
+  File_server.put_direct fs ~path:"file1" "contents";
+  let cap =
+    Result.get_ok
+      (Capability.mint_via_kdc cw.Testkit.net ~kdc:cw.Testkit.kdc_name
+         ~tgt:(Testkit.login cw alice) ~end_server:fs_name ~target:"file1" ~ops:[] ())
   in
-  match authorize v ~req:r ~proof:stale with
-  | Error e -> Alcotest.(check string) "stale" "proof of possession: stale timestamp" e
-  | Ok () -> Alcotest.fail "stale proof accepted"
+  let bob_creds = Testkit.credentials_for cw ~tgt:(Testkit.login cw bob) fs_name in
+  { cw; bob_creds; fs_name; cap }
+
+let bob_reads cw =
+  File_server.read cw.cw.Testkit.net ~creds:cw.bob_creds ~proxies:[ cw.cap ] ~path:"file1" ()
+
+(* The binding names a session, not a request: what keeps a captured
+   request from being turned into another is the authenticator, which
+   covers the payload. A tap that rewrites bob's read into a write leaves
+   the binding intact and is still refused before the handler runs. *)
+let test_proof_binds_request () =
+  let cw = capability_world () in
+  let net = cw.cw.Testkit.net in
+  let into_write = function
+    | Wire.L [ Wire.S "read"; path; _; proxies; groups ] ->
+        Wire.L [ Wire.S "write"; path; Wire.S "HACKED"; proxies; groups ]
+    | p -> p
+  in
+  Sim.Net.set_tap net (fun ~dir ~src:_ ~dst:_ payload ->
+      match dir with
+      | `Request -> Sim.Net.Replace (Testkit.rewrite_request into_write payload)
+      | `Response -> Sim.Net.Deliver);
+  let rewritten = bob_reads cw in
+  Sim.Net.clear_tap net;
+  Alcotest.(check (result string string)) "rewritten operation refused"
+    (Error "authenticator: seal verification failed") rewritten;
+  Alcotest.(check (result string string)) "file unchanged" (Ok "contents") (bob_reads cw)
+
+(* Freshness is the authenticator's and the ticket's: a captured request
+   replayed past the skew window is refused, and so is every request once
+   the ticket it rides has expired. *)
+let test_proof_freshness () =
+  let cw = capability_world () in
+  let net = cw.cw.Testkit.net in
+  let captured = ref None in
+  Sim.Net.set_tap net (fun ~dir ~src:_ ~dst:_ payload ->
+      (match dir with `Request when !captured = None -> captured := Some payload | _ -> ());
+      Sim.Net.Deliver);
+  Alcotest.(check (result string string)) "bob reads" (Ok "contents") (bob_reads cw);
+  Sim.Net.clear_tap net;
+  Sim.Clock.advance (Sim.Net.clock net) (6 * 60 * 1_000_000);
+  let replay = Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string cw.fs_name)
+      (Option.get !captured) in
+  Alcotest.(check (result string string)) "stale replay refused"
+    (Ok (Wire.encode (Wire.L [ Wire.S "err"; Wire.S "authenticator outside freshness window" ])))
+    replay;
+  Sim.Clock.advance (Sim.Net.clock net) (cw.bob_creds.Ticket.cred_expires - Sim.Net.now net);
+  Alcotest.(check (result string string)) "expired ticket refused" (Error "ticket expired")
+    (bob_reads cw)
 
 let test_restriction_enforced () =
   let proxy = grant () in
   let v = Result.get_ok (verify_c proxy) in
   let r = req ~operation:"write" () in
   Alcotest.(check bool) "write refused" true
-    (Result.is_error (authorize v ~req:r ~proof:(prove proxy r)))
+    (Result.is_error (authorize v ~req:r ~binding:(bind proxy)))
 
 let test_base_restrictions_apply () =
   (* Restrictions attached to the login credentials themselves (Section 6.3)
@@ -117,7 +188,7 @@ let test_base_restrictions_apply () =
   let v = Result.get_ok (verify_c ~base_restrictions:quota proxy) in
   let r = { (req ()) with R.spend = Some ("pages", 5) } in
   Alcotest.(check bool) "base quota enforced" true
-    (Result.is_error (authorize v ~req:r ~proof:(prove proxy r)))
+    (Result.is_error (authorize v ~req:r ~binding:(bind proxy)))
 
 let test_cascade_accumulates () =
   let proxy = grant ~restrictions:[ read_file1 ] () in
@@ -142,13 +213,9 @@ let test_cascade_accumulates () =
          longer suffice. *)
       let r = req () in
       Alcotest.(check bool) "final key works" true
-        (authorize v ~req:r ~proof:(prove step2 r) = Ok ());
-      let old_proof =
-        Presentation.prove ~key:proxy.Proxy.key ~time:100
-          ~request_digest:(Presentation.digest_request r)
-      in
+        (authorize v ~req:r ~binding:(bind step2) = Ok ());
       Alcotest.(check bool) "head key no longer proves" true
-        (Result.is_error (authorize v ~req:r ~proof:old_proof))
+        (Result.is_error (authorize v ~req:r ~binding:(bind proxy)))
 
 let test_cascade_cannot_remove () =
   (* Deriving can only add restrictions: the original Authorized stays in
@@ -162,7 +229,7 @@ let test_cascade_cannot_remove () =
   let v = Result.get_ok (verify_c widened) in
   let r = req ~target:"file2" ~operation:"read" () in
   Alcotest.(check bool) "file2 still refused (intersection, not union)" true
-    (Result.is_error (authorize v ~req:r ~proof:(prove widened r)))
+    (Result.is_error (authorize v ~req:r ~binding:(bind widened)))
 
 let test_wrong_session_key_fails () =
   let stranger_key = Crypto.Drbg.generate drbg 32 in
@@ -200,13 +267,13 @@ let test_delegate_proxy () =
   let v = Result.get_ok (verify_c proxy) in
   (* Bob authenticated himself to the end-server: no PoP needed. *)
   let r = req ~presenters:[ bob ] () in
-  Alcotest.(check bool) "named delegate passes" true (authorize v ~req:r ~proof:None = Ok ());
+  Alcotest.(check bool) "named delegate passes" true (authorize v ~req:r ~binding:None = Ok ());
   let r_carol = req ~presenters:[ p "carol" ] () in
   Alcotest.(check bool) "stranger refused" true
-    (Result.is_error (authorize v ~req:r_carol ~proof:None));
+    (Result.is_error (authorize v ~req:r_carol ~binding:None));
   let r_nobody = req () in
   Alcotest.(check bool) "anonymous refused" true
-    (Result.is_error (authorize v ~req:r_nobody ~proof:None))
+    (Result.is_error (authorize v ~req:r_nobody ~binding:None))
 
 let test_presentation_excludes_key () =
   let proxy = grant () in
@@ -237,7 +304,7 @@ let test_transfer_roundtrip () =
       let v = Result.get_ok (verify_c proxy') in
       let r = req () in
       Alcotest.(check bool) "transferred key still proves" true
-        (authorize v ~req:r ~proof:(prove proxy' r) = Ok ())
+        (authorize v ~req:r ~binding:(bind proxy') = Ok ())
 
 (* --- public key --- *)
 
@@ -266,7 +333,7 @@ let test_pk_grant_verify () =
   | Ok v ->
       Alcotest.(check bool) "grantor" true (Principal.equal v.Verifier.grantor alice);
       let r = req () in
-      Alcotest.(check bool) "authorized" true (authorize v ~req:r ~proof:(prove proxy r) = Ok ())
+      Alcotest.(check bool) "authorized" true (authorize v ~req:r ~binding:(bind proxy) = Ok ())
 
 let test_pk_unknown_grantor () =
   let mallory_kp = Crypto.Rsa.generate drbg ~bits:pk_bits in
@@ -300,13 +367,9 @@ let test_pk_bearer_cascade () =
       Alcotest.(check int) "restrictions add" 2 (List.length v.Verifier.restrictions);
       let r = req () in
       Alcotest.(check bool) "new key proves" true
-        (authorize v ~req:r ~proof:(prove cascaded r) = Ok ());
-      let old_proof =
-        Presentation.prove ~key:proxy.Proxy.key ~time:100
-          ~request_digest:(Presentation.digest_request r)
-      in
+        (authorize v ~req:r ~binding:(bind cascaded) = Ok ());
       Alcotest.(check bool) "old key refused" true
-        (Result.is_error (authorize v ~req:r ~proof:old_proof))
+        (Result.is_error (authorize v ~req:r ~binding:(bind proxy)))
 
 let test_pk_delegate_cascade () =
   (* Alice grants to bob as a named delegate; bob extends the chain signing
@@ -334,7 +397,7 @@ let test_pk_delegate_cascade () =
       | Proxy.Conventional _ | Proxy.Hybrid _ -> Alcotest.fail "pk expected");
       let r = req () in
       Alcotest.(check bool) "possession of final key suffices with grantee still satisfied" true
-        (authorize v ~req:{ r with R.presenters = [ bob ] } ~proof:(prove extended r) = Ok ())
+        (authorize v ~req:{ r with R.presenters = [ bob ] } ~binding:(bind extended) = Ok ())
 
 let test_pk_delegate_cascade_requires_naming () =
   (* Carol (not a named grantee) cannot extend a delegate chain under her
@@ -472,7 +535,7 @@ let test_refresh_keeps_key_presence () =
 
 let test_keyless_check_clears () =
   (* A check written and endorsed twice carries no key material anywhere,
-     gets no proof of possession, and still clears at the drawee, which
+     gets no binding, and still clears at the drawee, which
      verifies all three signatures. *)
   let payee_bank = p "payee-bank" in
   let bank_kp = Crypto.Rsa.generate drbg ~bits:512 in
@@ -496,18 +559,10 @@ let test_keyless_check_clears () =
   Alcotest.(check bool) "no key material held" true (proxy.Proxy.key = Proxy.No_key);
   Alcotest.(check bool) "transfer encodes no key" true
     (Wire.field (Proxy.transfer_to_wire proxy) 1 = Ok (Wire.L [ Wire.S "no-key" ]));
-  let presented =
-    Guard.present ~proxy ~time:100 ~server ~operation:"debit" ~target:"alice"
-      ~spend:("usd", 25) ()
-  in
-  Alcotest.(check bool) "no proof of possession" true (presented.Guard.pres_proof = None);
+  let presented = Guard.bind ~server ~ticket:Testkit.ticket proxy in
+  Alcotest.(check bool) "no binding" true (presented.Guard.pres_binding = None);
   let v = Result.get_ok (Verifier.verify_pk ~lookup ~now:100 (pk_certs proxy)) in
   Alcotest.(check bool) "no commitment" true (v.Verifier.commitment = Presentation.No_commit);
-  let forged = { Presentation.pop_time = 100; pop_sig = "" } in
-  Alcotest.(check (result unit string)) "no proof accepted"
-    (Error "proof of possession: a key-less proxy has no proxy key")
-    (Presentation.check v.Verifier.commitment forged ~now:100 ~max_skew:1
-       ~request_digest:"");
   let net = Sim.Net.create ~seed:"key-less check" () in
   let acl = Acl.create () in
   Acl.add acl ~target:"alice"
@@ -517,9 +572,18 @@ let test_keyless_check_clears () =
       ()
   in
   let debit () =
-    Guard.decide guard ~operation:"debit" ~target:"alice" ~presenter:payee_bank
+    Guard.decide guard ~ticket:Testkit.ticket ~operation:"debit" ~target:"alice"
+        ~presenter:payee_bank
       ~extra_presenters:[ server ] ~proxies:[ presented ] ~spend:("usd", 25) ()
   in
+  (* A forged binding does not make the key-less chain a bearer one: it
+     still authorizes only its named grantee. *)
+  Alcotest.(check bool) "a forged binding grants nothing" true
+    (Result.is_error
+       (Guard.decide guard ~ticket:Testkit.ticket ~operation:"debit" ~target:"alice"
+          ~presenter:bob
+          ~proxies:[ { presented with Guard.pres_binding = Some "forged" } ]
+          ~spend:("usd", 25) ()));
   Alcotest.(check bool) "clears at the drawee" true (Result.is_ok (debit ()));
   Alcotest.(check bool) "and only once" true (Result.is_error (debit ()))
 
@@ -671,6 +735,7 @@ let () =
         [ ("grant and verify", `Quick, test_grant_and_verify);
           ("bearer requires possession", `Quick, test_bearer_requires_possession);
           ("proof binds request", `Quick, test_proof_binds_request);
+          ("binding names its session", `Quick, test_binding_names_session);
           ("proof freshness", `Quick, test_proof_freshness);
           ("restriction enforced", `Quick, test_restriction_enforced);
           ("base restrictions apply", `Quick, test_base_restrictions_apply);

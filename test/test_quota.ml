@@ -238,9 +238,7 @@ let test_proxy_transfer_is_gone () =
   let qw = quota_world () in
   let authority = grant_to_disk qw 3 in
   let creds = holder_bank_creds qw in
-  let presented =
-    { Guard.pres = Proxy.presentation authority.Standing.authority; pres_proof = None }
-  in
+  let presented = Guard.present ~creds authority.Standing.authority in
   (match
      Secure_rpc.call qw.w.W.net ~creds
        (Wire.L
@@ -342,6 +340,27 @@ let test_unused_presentation_refused () =
   | Ok total -> Alcotest.(check int) "alice's grant untouched" 3 total
   | Error e -> Alcotest.fail e
 
+(* A Quota bounds only its own currency: a 3-block authority presented
+   for 900 usd is refused, and alice's dollars stay put. *)
+let test_quota_names_its_currency () =
+  let qw = quota_world () in
+  let authority = grant_to_disk qw 3 in
+  let ledger = Accounting_server.ledger qw.bank in
+  Result.get_ok (Ledger.mint ledger ~name:"alice" ~currency:"usd" 1_000);
+  (match
+     Accounting_server.proxy_debit qw.w.W.net ~creds:(holder_bank_creds qw)
+       ~proxy:authority.Standing.authority ~payor_account:"alice" ~to_account:"disk"
+       ~currency:"usd" ~amount:900
+   with
+  | Error e ->
+      Alcotest.(check string) "refused" "proxy-debit: no Quota on the presented chain names usd" e
+  | Ok _ -> Alcotest.fail "a 3-block authority drew 900 usd");
+  Alcotest.(check int) "alice keeps her dollars" 1_000
+    (Ledger.balance ledger ~name:"alice" ~currency:"usd");
+  match draw qw (holder_bank_creds qw) authority 3 with
+  | Ok total -> Alcotest.(check int) "blocks still draw" 3 total
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "quota"
     [ ( "disk quotas",
@@ -360,4 +379,5 @@ let () =
           ("a copied serial keeps its own budget", `Slow,
            test_copied_serial_keeps_its_own_budget);
           ("a presentation that did not authorize is refused", `Slow,
-           test_unused_presentation_refused) ] ) ]
+           test_unused_presentation_refused);
+          ("a Quota bounds only its own currency", `Slow, test_quota_names_its_currency) ] ) ]

@@ -193,10 +193,9 @@ let test_guard_bulletin_invalidates_and_meters () =
   in
   let proxy = grant () in
   let decide () =
-    let presented =
-      Guard.present ~proxy ~time:(Sim.Net.now net) ~server:fs ~operation:"read" ~target:"file1" ()
-    in
-    Guard.decide guard ~operation:"read" ~target:"file1" ~presenter:(p "carol")
+    let presented = Guard.bind ~server:fs ~ticket:Testkit.ticket proxy in
+    Guard.decide guard ~ticket:Testkit.ticket ~operation:"read" ~target:"file1"
+        ~presenter:(p "carol")
       ~proxies:[ presented ] ()
   in
   Alcotest.(check bool) "granted while clean" true (Result.is_ok (decide ()));
@@ -250,10 +249,9 @@ let test_shed_frees_reissued_accept_once () =
       ()
   in
   let decide proxy =
-    let presented =
-      Guard.present ~proxy ~time:(Sim.Net.now net) ~server:fs ~operation:"read" ~target:"file1" ()
-    in
-    Guard.decide guard ~operation:"read" ~target:"file1" ~presenter:(p "carol")
+    let presented = Guard.bind ~server:fs ~ticket:Testkit.ticket proxy in
+    Guard.decide guard ~ticket:Testkit.ticket ~operation:"read" ~target:"file1"
+        ~presenter:(p "carol")
       ~proxies:[ presented ] ()
   in
   let original = issue ~now:0 () in

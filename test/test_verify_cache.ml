@@ -39,7 +39,8 @@ let grant_chain ?(expires = t_exp) ~depth () =
 
 let with_tally f =
   let counts = Hashtbl.create 8 in
-  let tally name = Hashtbl.replace counts name (1 + Option.value ~default:0 (Hashtbl.find_opt counts name)) in
+  let tally name = Hashtbl.replace counts name (1 + Option.value
+      ~default:0 (Hashtbl.find_opt counts name)) in
   let result = f tally in
   (result, fun name -> Option.value ~default:0 (Hashtbl.find_opt counts name))
 
@@ -306,16 +307,15 @@ let test_rebind_guard_default_cache () =
       ()
   in
   let decide () =
-    let presented =
-      Guard.present ~proxy ~time:(Sim.Net.now net) ~server:fs ~operation:"read" ~target:"file1" ()
-    in
-    Guard.decide guard ~operation:"read" ~target:"file1" ~presenter:(p "carol")
-      ~proxies:[ presented ] ()
+    let presented = Guard.bind ~server:fs ~ticket:Testkit.ticket proxy in
+    Guard.decide guard ~ticket:Testkit.ticket ~operation:"read" ~target:"file1"
+      ~presenter:(p "carol") ~proxies:[ presented ] ()
   in
   let metric name = Sim.Metrics.get (Sim.Net.metrics net) name in
   Alcotest.(check bool) "granted under the bound key" true (Result.is_ok (decide ()));
+  (* The certificate's signature and the binding's are both remembered. *)
   Alcotest.(check bool) "re-presentation hits" true
-    (Result.is_ok (decide ()) && metric "verify_cache.hits" = 1);
+    (Result.is_ok (decide ()) && metric "verify_cache.hits" = 2);
   rebind alice (Crypto.Rsa.generate drbg ~bits:512);
   let rsa = metric "crypto.rsa_verify" in
   (match decide () with
@@ -325,7 +325,7 @@ let test_rebind_guard_default_cache () =
         "access denied: no ACL entry permits read on \"file1\" (no presented proxy was usable: \
          pk proxy-cert: bad signature)"
         e);
-  Alcotest.(check int) "no hit after rebinding" 1 (metric "verify_cache.hits");
+  Alcotest.(check int) "no hit after rebinding" 2 (metric "verify_cache.hits");
   Alcotest.(check int) "one RSA verify" (rsa + 1) (metric "crypto.rsa_verify")
 
 (* --- Conventional links: the open is remembered, never the checks --- *)

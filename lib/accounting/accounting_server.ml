@@ -1,5 +1,7 @@
 let escrow_account = "cashier-escrow"
 
+let ( let* ) = Result.bind
+
 (* Lifetime of what this server signs: endorsements, certification
    proxies and cashier's checks. *)
 let proxy_lifetime_us = 24 * 3600 * 1_000_000
@@ -9,6 +11,79 @@ type change =
   | Ledger of Ledger.op
   | Guard of Guard.change
   | Drawn of string * int  (* grant key, its new running total *)
+
+type request =
+  | Open_account of { name : string }
+  | Balance of { name : string; currency : string }
+  | Transfer of { from_ : string; to_ : string; currency : string; amount : int }
+  | Deposit of { check : Check.t; to_account : string }
+  | Collect of Check.t
+  | Certify of Check.t
+  | Cashier of { from_account : string; payee : Principal.t; currency : string; amount : int }
+  | Seq_advance of { key : string; progress : int; expires : int; tag : string }
+  | Proxy_draw of {
+      release : bool;
+      presented : Guard.presented;
+      payor_account : string;
+      account : string;
+      currency : string;
+      amount : int;
+    }
+  | Apply_bulletin of Revocation.bulletin
+
+(* The one codec for every request: each layout is written once here, and
+   [request_of_wire] accepts exactly these shapes, so a request with a
+   missing, mistyped or trailing field is refused. *)
+let request_to_wire r =
+  let open Wire in
+  match r with
+  | Open_account { name } -> L [ S "open-account"; S name ]
+  | Balance { name; currency } -> L [ S "balance"; S name; S currency ]
+  | Transfer { from_; to_; currency; amount } ->
+      L [ S "transfer"; S from_; S to_; S currency; I amount ]
+  | Deposit { check; to_account } -> L [ S "deposit"; Check.to_wire check; S to_account ]
+  | Collect check -> L [ S "collect"; Check.to_wire check ]
+  | Certify check -> L [ S "certify"; Check.to_wire check ]
+  | Cashier { from_account; payee; currency; amount } ->
+      L [ S "cashier"; S from_account; Principal.to_wire payee; S currency; I amount ]
+  | Seq_advance { key; progress; expires; tag } ->
+      L [ S "seq-advance"; S key; I progress; I expires; S tag ]
+  | Proxy_draw { release; presented; payor_account; account; currency; amount } ->
+      L
+        [ S (if release then "proxy-release" else "proxy-debit");
+          Guard.presented_to_wire presented; S payor_account; S account; S currency; I amount ]
+  | Apply_bulletin b -> L [ S "apply-bulletin"; Revocation.to_wire b ]
+
+let request_of_wire v =
+  let open Wire in
+  match v with
+  | L [ S "open-account"; S name ] -> Ok (Open_account { name })
+  | L [ S "balance"; S name; S currency ] -> Ok (Balance { name; currency })
+  | L [ S "transfer"; S from_; S to_; S currency; I amount ] ->
+      Ok (Transfer { from_; to_; currency; amount })
+  | L [ S "deposit"; check; S to_account ] ->
+      let* check = Check.of_wire check in
+      Ok (Deposit { check; to_account })
+  | L [ S "collect"; check ] -> Result.map (fun c -> Collect c) (Check.of_wire check)
+  | L [ S "certify"; check ] -> Result.map (fun c -> Certify c) (Check.of_wire check)
+  | L [ S "cashier"; S from_account; payee; S currency; I amount ] ->
+      let* payee = Principal.of_wire payee in
+      Ok (Cashier { from_account; payee; currency; amount })
+  | L [ S "seq-advance"; S key; I progress; I expires; S tag ] ->
+      Ok (Seq_advance { key; progress; expires; tag })
+  | L
+      [ S (("proxy-debit" | "proxy-release") as verb); presented; S payor_account; S account;
+        S currency; I amount ] ->
+      let* presented = Guard.presented_of_wire presented in
+      let release = verb = "proxy-release" in
+      Ok (Proxy_draw { release; presented; payor_account; account; currency; amount })
+  | L [ S "apply-bulletin"; b ] -> Result.map (fun b -> Apply_bulletin b) (Revocation.of_wire b)
+  | L (S (( "open-account" | "balance" | "transfer" | "deposit" | "collect" | "certify"
+           | "cashier" | "seq-advance" | "proxy-debit" | "proxy-release" | "apply-bulletin" )
+           as verb) :: _) ->
+      Error (Printf.sprintf "accounting: malformed %s request" verb)
+  | L (S other :: _) -> Error (Printf.sprintf "accounting: unknown operation %S" other)
+  | _ -> Error "accounting: malformed request"
 
 type t = {
   net : Sim.Net.t;
@@ -184,7 +259,7 @@ let forward_collect t (check : Check.t) =
              the transport fails over between its replicas. *)
           match
             Secure_rpc.call t.net ~creds ?retry:t.collect_retry ~via
-              (Wire.L [ Wire.S "collect"; Check.to_wire endorsed ])
+              (request_to_wire (Collect endorsed))
           with
           | Error e -> Error e
           | Ok reply -> Result.bind (Wire.to_int reply) (fun amount -> Ok amount)))
@@ -212,10 +287,8 @@ let grant_key (presented : Guard.presented) ~currency =
   in
   Wire.encode (Wire.L (Wire.S currency :: head))
 
-let handle t ctx payload =
-  let open Wire in
+let handle t ctx request =
   let client = ctx.Secure_rpc.rpc_client in
-  let* tag = Result.bind (field payload 0) to_string in
   let transport ~operation ?target ?spend () =
     Guard.transport_ok ~me:t.me ~now:(Sim.Net.now t.net)
       ~auth_data:ctx.Secure_rpc.rpc_auth_data ~operation ?target ?spend ()
@@ -226,42 +299,32 @@ let handle t ctx payload =
     | Some _ -> Error (Printf.sprintf "%s does not own account %S" (Principal.to_string client) name)
     | None -> Error (Printf.sprintf "no such account %S" name)
   in
-  match tag with
-  | "open-account" ->
-      let* name = Result.bind (field payload 1) to_string in
+  match request with
+  | Open_account { name } ->
       let* () = Ledger.open_account t.ledger ~owner:client ~name in
       Acl.add (Guard.acl t.guard) ~target:name
         { Acl.subject = Acl.Principal_is client; rights = [ "debit" ]; restrictions = [] };
       trace t "opened account %S for %s" name (Principal.to_string client);
       Ok (Wire.L [])
-  | "balance" ->
-      let* name = Result.bind (field payload 1) to_string in
-      let* currency = Result.bind (field payload 2) to_string in
+  | Balance { name; currency } ->
       let* () = transport ~operation:"balance" ~target:name () in
       owner_only name (fun () ->
           Ok
             (Wire.L
                [ Wire.I (Ledger.balance t.ledger ~name ~currency);
                  Wire.I (Ledger.held t.ledger ~name ~currency) ]))
-  | "transfer" ->
-      let* from_ = Result.bind (field payload 1) to_string in
-      let* to_ = Result.bind (field payload 2) to_string in
-      let* currency = Result.bind (field payload 3) to_string in
-      let* amount = Result.bind (field payload 4) to_int in
+  | Transfer { from_; to_; currency; amount } ->
       let* () = transport ~operation:"transfer" ~target:from_ ~spend:(currency, amount) () in
       owner_only from_ (fun () ->
           let* () = Ledger.transfer t.ledger ~from_ ~to_ ~currency amount in
           trace t "transfer %d %s: %S -> %S" amount currency from_ to_;
           Ok (Wire.L []))
-  | "deposit" ->
+  | Deposit { check; to_account } ->
       Sim.Metrics.incr (Sim.Net.metrics t.net) "accounting.deposits";
-      let* cw = field payload 1 in
-      let* check = Check.of_wire cw in
       Sim.Span.with_span (Sim.Net.spans t.net) ~actor:(Principal.to_string t.me)
         ~kind:"acct.deposit"
         ~attrs:[ ("check", check.Check.number); ("client", Principal.to_string client) ]
       @@ fun () ->
-      let* to_account = Result.bind (field payload 2) to_string in
       let* () =
         transport ~operation:"deposit" ~target:to_account
           ~spend:(check.Check.currency, check.Check.amount) ()
@@ -274,19 +337,15 @@ let handle t ctx payload =
           trace t "deposited check %s: %d %s into %S" check.Check.number amount
             check.Check.currency to_account;
           Ok (Wire.I amount))
-  | "collect" ->
+  | Collect check ->
       Sim.Metrics.incr (Sim.Net.metrics t.net) "accounting.collects";
-      let* cw = field payload 1 in
-      let* check = Check.of_wire cw in
       Sim.Span.with_span (Sim.Net.spans t.net) ~actor:(Principal.to_string t.me)
         ~kind:"acct.collect"
         ~attrs:[ ("check", check.Check.number); ("client", Principal.to_string client) ]
       @@ fun () ->
       let* amount = settle t ~presenter:client check in
       Ok (Wire.I amount)
-  | "certify" ->
-      let* cw = field payload 1 in
-      let* check = Check.of_wire cw in
+  | Certify check ->
       let name = check.Check.drawn_on.Principal.Account.account in
       if not (Principal.equal check.Check.drawn_on.Principal.Account.server t.me) then
         Error "certify: check is not drawn on this server"
@@ -309,11 +368,7 @@ let handle t ctx payload =
             trace t "certified check %s for %d %s" check.Check.number check.Check.amount
               check.Check.currency;
             Ok (Proxy.transfer_to_wire proxy))
-  | "cashier" ->
-      let* from_account = Result.bind (field payload 1) to_string in
-      let* payee = Result.bind (field payload 2) Principal.of_wire in
-      let* currency = Result.bind (field payload 3) to_string in
-      let* amount = Result.bind (field payload 4) to_int in
+  | Cashier { from_account; payee; currency; amount } ->
       let* () = transport ~operation:"cashier" ~target:from_account ~spend:(currency, amount) () in
       owner_only from_account (fun () ->
           let* () =
@@ -328,37 +383,27 @@ let handle t ctx payload =
           trace t "cashier's check %s: %d %s for %s" check.Check.number amount currency
             (Principal.to_string payee);
           Ok (Check.to_wire check))
-  | "seq-advance" ->
+  | Seq_advance { key; progress; expires; tag } ->
       (* Cross-server sequence progress handover: the guard re-derives the
          sequence from the self-describing key and only accepts the push
          when the authenticated caller is the server that ran the attested
          step (see {!Guard.import_seq_progress}). *)
-      let* key = Result.bind (field payload 1) to_string in
-      let* progress = Result.bind (field payload 2) to_int in
-      let* expires = Result.bind (field payload 3) to_int in
-      let* stag = Result.bind (field payload 4) to_string in
-      let* () =
-        Guard.import_seq_progress t.guard ~caller:client ~key ~progress ~expires ~tag:stag
-      in
+      let* () = Guard.import_seq_progress t.guard ~caller:client ~key ~progress ~expires ~tag in
       trace t "sequence progress %d imported from %s" progress (Principal.to_string client);
       Ok (Wire.L [])
-  | ("proxy-debit" | "proxy-release") as verb ->
+  | Proxy_draw { release; presented; payor_account; account; currency; amount } ->
       (* A draw on a presented delegate proxy (quota allocation, Section 4)
          or its release. The grant's running total is read before the one
          decision, so a draw's spend is the cumulative total and every
          Quota on the chain caps it. A Quota bounds only its own currency,
          so a draw in a currency no Quota names is refused. *)
-      let* presented = Result.bind (field payload 1) Guard.presented_of_wire in
-      let* payor_account = Result.bind (field payload 2) to_string in
-      let* account = Result.bind (field payload 3) to_string in
-      let* currency = Result.bind (field payload 4) to_string in
-      let* amount = Result.bind (field payload 5) to_int in
+      let verb = if release then "proxy-release" else "proxy-debit" in
       if amount <= 0 then Error (verb ^ ": amount must be positive")
       else
         owner_only account (fun () ->
             let key = grant_key presented ~currency in
             let already = Option.value (Hashtbl.find_opt t.drawn key) ~default:0 in
-            let draw = verb = "proxy-debit" in
+            let draw = not release in
             let total = if draw then already + amount else already - amount in
             let* decision =
               Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter:client
@@ -392,22 +437,20 @@ let handle t ctx payload =
                 trace t "standing release: %d %s back to %S (cumulative %d)" amount currency
                   to_ total;
               Ok (Wire.I total))
-  | "apply-bulletin" ->
+  | Apply_bulletin b ->
       (* Bulletins are self-authenticating (authority-signed, monotonic
          epoch), so any authenticated caller may deliver one — the push leg
          of distribution. Replays and stale bulletins are ignored, not
          errors, so a duplicated push is harmless. *)
-      let* bw = field payload 1 in
-      let* b = Revocation.of_wire bw in
       let* advanced = Guard.apply_bulletin t.guard b in
       if advanced then
         trace t "revocation bulletin epoch %d applied (pushed by %s)" b.Revocation.epoch
           (Principal.to_string client);
       Ok (Wire.I (if advanced then 1 else 0))
-  | other -> Error (Printf.sprintf "accounting: unknown operation %S" other)
 
 let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload ->
+      Result.bind (request_of_wire payload) (handle t ctx))
 
 (* The one codec for everything a replica mirrors. *)
 let change_to_wire c =
@@ -463,102 +506,70 @@ let apply_replicated t changes =
    cache guarantees the ledger mutation happens exactly once however often
    the message is re-sent. *)
 
+let call ?retry ?via ?on_failover net ~creds request =
+  Secure_rpc.call net ~creds ?retry ?via ?on_failover (request_to_wire request)
+
 let open_account ?retry ?via ?on_failover net ~creds ~name =
-  match
-    Secure_rpc.call net ~creds ?retry ?via ?on_failover
-      (Wire.L [ Wire.S "open-account"; Wire.S name ])
-  with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
+  Result.map ignore (call ?retry ?via ?on_failover net ~creds (Open_account { name }))
 
 let balance ?retry ?via ?on_failover net ~creds ~name ~currency =
-  let open Wire in
-  match
-    Secure_rpc.call net ~creds ?retry ?via ?on_failover
-      (Wire.L [ Wire.S "balance"; Wire.S name; Wire.S currency ])
-  with
+  match call ?retry ?via ?on_failover net ~creds (Balance { name; currency }) with
+  | Ok (Wire.L [ Wire.I available; Wire.I held ]) -> Ok (available, held)
+  | Ok _ -> Error "balance: malformed reply"
   | Error e -> Error e
-  | Ok reply ->
-      let* available = Result.bind (field reply 0) to_int in
-      let* held = Result.bind (field reply 1) to_int in
-      Ok (available, held)
 
 let transfer ?retry ?via ?on_failover net ~creds ~from_ ~to_ ~currency ~amount =
-  match
-    Secure_rpc.call net ~creds ?retry ?via ?on_failover
-      (Wire.L [ Wire.S "transfer"; Wire.S from_; Wire.S to_; Wire.S currency; Wire.I amount ])
-  with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
+  Result.map ignore
+    (call ?retry ?via ?on_failover net ~creds (Transfer { from_; to_; currency; amount }))
 
 let deposit ?retry ?via ?on_failover net ~creds ~endorser_key ~check ~to_account =
   let now = Sim.Net.now net in
   let bank = creds.Ticket.cred_service in
-  match
+  let* endorsed =
     Check.endorse ~drbg:(Sim.Net.drbg net) ~now ~expires:(now + proxy_lifetime_us)
       ~endorser:creds.Ticket.cred_client ~endorser_key ~next:bank check
-  with
-  | Error e -> Error e
-  | Ok endorsed -> (
-      match
-        Secure_rpc.call net ~creds ?retry ?via ?on_failover
-          (Wire.L [ Wire.S "deposit"; Check.to_wire endorsed; Wire.S to_account ])
-      with
-      | Error e -> Error e
-      | Ok reply -> Wire.to_int reply)
+  in
+  Result.bind
+    (call ?retry ?via ?on_failover net ~creds (Deposit { check = endorsed; to_account }))
+    Wire.to_int
 
 let certify net ~creds ~check =
-  match Secure_rpc.call net ~creds (Wire.L [ Wire.S "certify"; Check.to_wire check ]) with
-  | Error e -> Error e
-  | Ok reply -> Proxy.transfer_of_wire reply
+  Result.bind (call net ~creds (Certify check)) Proxy.transfer_of_wire
 
 let cashier_check net ~creds ~from_account ~payee ~currency ~amount =
-  match
-    Secure_rpc.call net ~creds
-      (Wire.L
-         [ Wire.S "cashier"; Wire.S from_account; Principal.to_wire payee; Wire.S currency;
-           Wire.I amount ])
-  with
-  | Error e -> Error e
-  | Ok reply -> Check.of_wire reply
-
-let proxy_call verb ?retry ?via net ~creds ~proxy ~payor_account ~account ~currency ~amount =
   Result.bind
-    (Secure_rpc.call net ~creds ?retry ?via
-       (Wire.L
-          [ Wire.S verb; Guard.presented_to_wire (Guard.present ~creds proxy);
-            Wire.S payor_account; Wire.S account; Wire.S currency; Wire.I amount ]))
+    (call net ~creds (Cashier { from_account; payee; currency; amount }))
+    Check.of_wire
+
+let proxy_call ~release ?retry ?via net ~creds ~proxy ~payor_account ~account ~currency ~amount =
+  Result.bind
+    (call ?retry ?via net ~creds
+       (Proxy_draw
+          { release; presented = Guard.present ~creds proxy; payor_account; account; currency;
+            amount }))
     Wire.to_int
 
 let proxy_debit ?retry ?via net ~creds ~proxy ~payor_account ~to_account ~currency ~amount =
-  proxy_call "proxy-debit" ?retry ?via net ~creds ~proxy ~payor_account ~account:to_account
+  proxy_call ~release:false ?retry ?via net ~creds ~proxy ~payor_account ~account:to_account
     ~currency ~amount
 
-let standing_call verb net ~creds ~(authority : Standing.t) ~account ~amount =
-  proxy_call verb net ~creds ~proxy:authority.Standing.authority
+let standing_call ~release net ~creds ~(authority : Standing.t) ~account ~amount =
+  proxy_call ~release net ~creds ~proxy:authority.Standing.authority
     ~payor_account:authority.Standing.drawn_from.Principal.Account.account ~account
     ~currency:authority.Standing.currency ~amount
 
 let standing_debit net ~creds ~authority ~to_account ~amount =
-  standing_call "proxy-debit" net ~creds ~authority ~account:to_account ~amount
+  standing_call ~release:false net ~creds ~authority ~account:to_account ~amount
 
 let standing_release net ~creds ~authority ~from_account ~amount =
-  standing_call "proxy-release" net ~creds ~authority ~account:from_account ~amount
+  standing_call ~release:true net ~creds ~authority ~account:from_account ~amount
 
 let seq_advance ?retry ?via net ~creds ~key ~progress ~expires ~tag =
-  match
-    Secure_rpc.call net ~creds ?retry ?via
-      (Wire.L [ Wire.S "seq-advance"; Wire.S key; Wire.I progress; Wire.I expires; Wire.S tag ])
-  with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
+  Result.map ignore (call ?retry ?via net ~creds (Seq_advance { key; progress; expires; tag }))
 
 let push_bulletin ?via net ~creds b =
-  match
-    Secure_rpc.call net ~creds ?via (Wire.L [ Wire.S "apply-bulletin"; Revocation.to_wire b ])
-  with
-  | Error e -> Error e
-  | Ok reply -> Result.map (fun n -> n = 1) (Wire.to_int reply)
+  Result.bind (call ?via net ~creds (Apply_bulletin b)) (fun reply ->
+      Result.map (fun n -> n = 1) (Wire.to_int reply))
 
 let verify_certification ~lookup ~now ~server ~check_number proxy =
   match proxy.Proxy.flavor with

@@ -70,11 +70,39 @@ val warm : t -> drawee:Principal.t -> (unit, string) result
     drawn on [drawee], so no KDC exchange happens on the clearing path
     later — a standby warms its routes before any fault plan goes in. *)
 
+(** {2 Requests}
+
+    One constructor per verb. {!request_to_wire} lays each out once, as [L
+    [S verb; fields...]] in constructor order; {!request_of_wire} accepts
+    exactly those shapes and refuses any other ("accounting: malformed
+    <verb> request", "accounting: unknown operation ..."). *)
+type request =
+  | Open_account of { name : string }
+  | Balance of { name : string; currency : string }
+  | Transfer of { from_ : string; to_ : string; currency : string; amount : int }
+  | Deposit of { check : Check.t; to_account : string }
+  | Collect of Check.t  (** a bank forwards a check toward its drawee *)
+  | Certify of Check.t
+  | Cashier of { from_account : string; payee : Principal.t; currency : string; amount : int }
+  | Seq_advance of { key : string; progress : int; expires : int; tag : string }
+  | Proxy_draw of {
+      release : bool;  (** ["proxy-release"] when true, else ["proxy-debit"] *)
+      presented : Guard.presented;
+      payor_account : string;
+      account : string;
+      currency : string;
+      amount : int;
+    }
+  | Apply_bulletin of Revocation.bulletin  (** passes a standby's promotion gate *)
+
+val request_to_wire : request -> Wire.t
+val request_of_wire : Wire.t -> (request, string) result
+
 val handle :
-  t -> Secure_rpc.server_context -> Wire.t -> (Wire.t, string) result
-(** The request handler behind {!install}, exposed so cluster shards can
-    wrap it (promotion gating, replication taps) and register it under a
-    physical node name via {!Secure_rpc.serve}. *)
+  t -> Secure_rpc.server_context -> request -> (Wire.t, string) result
+(** The handler behind {!install} (which decodes first), exposed so shards
+    can wrap it (promotion gating, replication taps) and register it under
+    a physical node name via {!Secure_rpc.serve}. *)
 
 val settle : t -> presenter:Principal.t -> Check.t -> (int, string) result
 (** Clear a presented check at this server: if it is drawn on an account

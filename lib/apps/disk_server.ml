@@ -66,10 +66,8 @@ let release_existing t ~client ~path =
 let handle t ctx payload =
   let open Wire in
   let client = ctx.Secure_rpc.rpc_client in
-  let* op = Result.bind (field payload 0) to_string in
-  match op with
-  | "attach" -> (
-      let* sw = field payload 1 in
+  match payload with
+  | L [ S "attach"; sw ] -> (
       let* authority = Standing.of_wire sw in
       if not (Principal.equal authority.Standing.holder t.me) then
         Error "authority does not name this disk server as holder"
@@ -79,9 +77,7 @@ let handle t ctx payload =
         Hashtbl.replace t.authorities (Principal.to_string client) authority;
         Ok (Wire.L [])
       end)
-  | "write" -> (
-      let* path = Result.bind (field payload 1) to_string in
-      let* content = Result.bind (field payload 2) to_string in
+  | L [ S "write"; S path; S content ] -> (
       let blocks = blocks_of content in
       let* () = release_existing t ~client ~path in
       match charge t ~owner:client ~blocks with
@@ -93,14 +89,12 @@ let handle t ctx payload =
             (Printf.sprintf "stored %S (%d blocks) for %s" path blocks
                (Principal.to_string client));
           Ok (Wire.I blocks))
-  | "read" -> (
-      let* path = Result.bind (field payload 1) to_string in
+  | L [ S "read"; S path ] -> (
       match Hashtbl.find_opt t.files path with
       | Some f when Principal.equal f.file_owner client -> Ok (Wire.S f.content)
       | Some _ -> Error "not your file"
       | None -> Error (Printf.sprintf "no such file %S" path))
-  | "delete" -> (
-      let* path = Result.bind (field payload 1) to_string in
+  | L [ S "delete"; S path ] -> (
       match Hashtbl.find_opt t.files path with
       | Some f when Principal.equal f.file_owner client ->
           let* () = refund t ~owner:client ~blocks:f.blocks in
@@ -108,24 +102,23 @@ let handle t ctx payload =
           Ok (Wire.I f.blocks)
       | Some _ -> Error "not your file"
       | None -> Error (Printf.sprintf "no such file %S" path))
-  | "usage" ->
+  | L [ S "usage" ] ->
       let used =
         Hashtbl.fold
           (fun _ f acc -> if Principal.equal f.file_owner client then acc + f.blocks else acc)
           t.files 0
       in
       Ok (Wire.I used)
-  | other -> Error (Printf.sprintf "disk-server: unknown operation %S" other)
+  | L (S (("attach" | "write" | "read" | "delete" | "usage") as op) :: _) ->
+      Error (Printf.sprintf "disk-server: malformed %s request" op)
+  | L (S other :: _) -> Error (Printf.sprintf "disk-server: unknown operation %S" other)
+  | _ -> Error "disk-server: malformed request"
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (handle t)
 
 let attach net ~creds ~authority =
-  match
-    Secure_rpc.call net ~creds (Wire.L [ Wire.S "attach"; Standing.to_wire authority ])
-  with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
+  Result.map ignore
+    (Secure_rpc.call net ~creds (Wire.L [ Wire.S "attach"; Standing.to_wire authority ]))
 
 let write_file net ~creds ~path content =
   Result.bind

@@ -18,13 +18,14 @@ let get_direct t ~path = Hashtbl.find_opt t.files path
 
 let handle t ctx payload =
   let open Wire in
-  let* op = Result.bind (field payload 0) to_string in
-  let* path = Result.bind (field payload 1) to_string in
-  let* data = Result.bind (field payload 2) to_string in
-  let* pw = Result.bind (field payload 3) to_list in
-  let* proxies = Wire.map_all Guard.presented_of_wire pw in
-  let* gw = Result.bind (field payload 4) to_list in
-  let* group_proxies = Wire.map_all Guard.presented_of_wire gw in
+  let* op, path, data, proxies, group_proxies =
+    match payload with
+    | L [ S op; S path; S data; L pw; L gw ] ->
+        let* proxies = map_all Guard.presented_of_wire pw in
+        let* group_proxies = map_all Guard.presented_of_wire gw in
+        Ok (op, path, data, proxies, group_proxies)
+    | _ -> Error "file-server: malformed request"
+  in
   (* Restrictions riding on the caller's own ticket bind first (a
      restricted TGS proxy reaches us as ordinary credentials). *)
   let* () =
@@ -55,8 +56,7 @@ let handle t ctx payload =
       | None -> Error (Printf.sprintf "no such file %S" path))
   | other -> Error (Printf.sprintf "file-server: unknown operation %S" other)
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (handle t)
 
 let attach _net ~proxy ~server:_ ~operation:_ ~path:_ = proxy
 

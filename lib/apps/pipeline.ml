@@ -21,37 +21,36 @@ let count_words s =
 
 let handle t ctx payload =
   let open Wire in
-  let* op = Result.bind (field payload 0) to_string in
-  if op <> "word-count" then Error (Printf.sprintf "pipeline: unknown operation %S" op)
-  else
-    let* path = Result.bind (field payload 1) to_string in
-    let* pw = field payload 2 in
-    let* capability = Proxy.transfer_of_wire pw in
-    let now = Sim.Net.now t.net in
-    let drbg = Sim.Net.drbg t.net in
-    (* Cascade step: narrow the received capability to exactly what the
-       subordinate request needs — this file, read only, one use. *)
-    let once = Crypto.Sha256.to_hex (Crypto.Drbg.generate drbg 8) in
-    let* narrowed =
-      Proxy.restrict_conventional ~drbg ~now ~expires:(now + 3_600_000_000) ~grantor:t.me
-        ~restrictions:
-          [ Restriction.Authorized [ { Restriction.target = path; ops = [ "read" ] } ];
-            Restriction.Accept_once ("pipeline-" ^ once) ]
-        capability
-    in
-    let* creds = Granter.credentials_for t.granter t.fileserver in
-    let presented =
-      File_server.attach t.net ~proxy:narrowed ~server:t.fileserver ~operation:"read" ~path
-    in
-    let* content = File_server.read t.net ~creds ~proxies:[ presented ] ~path () in
-    Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
-      ~actor:(Principal.to_string t.me)
-      (Printf.sprintf "word-count %S for %s" path
-         (Principal.to_string ctx.Secure_rpc.rpc_client));
-    Ok (Wire.I (count_words content))
+  match payload with
+  | L [ S "word-count"; S path; pw ] ->
+      let* capability = Proxy.transfer_of_wire pw in
+      let now = Sim.Net.now t.net in
+      let drbg = Sim.Net.drbg t.net in
+      (* Cascade step: narrow the received capability to exactly what the
+         subordinate request needs — this file, read only, one use. *)
+      let once = Crypto.Sha256.to_hex (Crypto.Drbg.generate drbg 8) in
+      let* narrowed =
+        Proxy.restrict_conventional ~drbg ~now ~expires:(now + 3_600_000_000) ~grantor:t.me
+          ~restrictions:
+            [ Restriction.Authorized [ { Restriction.target = path; ops = [ "read" ] } ];
+              Restriction.Accept_once ("pipeline-" ^ once) ]
+          capability
+      in
+      let* creds = Granter.credentials_for t.granter t.fileserver in
+      let presented =
+        File_server.attach t.net ~proxy:narrowed ~server:t.fileserver ~operation:"read" ~path
+      in
+      let* content = File_server.read t.net ~creds ~proxies:[ presented ] ~path () in
+      Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
+        ~actor:(Principal.to_string t.me)
+        (Printf.sprintf "word-count %S for %s" path
+           (Principal.to_string ctx.Secure_rpc.rpc_client));
+      Ok (Wire.I (count_words content))
+  | L (S "word-count" :: _) -> Error "pipeline: malformed word-count request"
+  | L (S op :: _) -> Error (Printf.sprintf "pipeline: unknown operation %S" op)
+  | _ -> Error "pipeline: malformed request"
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (handle t)
 
 let word_count net ~creds ~path ~capability =
   let payload =

@@ -38,19 +38,12 @@ let deposit_check t check =
       Accounting_server.deposit t.net ~creds ~endorser_key:t.signing_key ~check
         ~to_account:t.account
 
-let handle t ctx payload =
+let handle t payload =
   let open Wire in
-  let* op = Result.bind (field payload 0) to_string in
-  match op with
-  | "price" ->
-      let* len = Result.bind (field payload 1) to_int in
-      Ok (Wire.I (pages_of_length len * price_per_page))
-  | "print" -> (
-      let* document = Result.bind (field payload 1) to_string in
-      let* content = Result.bind (field payload 2) to_string in
-      let* cw = field payload 3 in
+  match payload with
+  | L [ S "price"; I len ] -> Ok (Wire.I (pages_of_length len * price_per_page))
+  | L [ S "print"; S document; S content; cw; cert_w ] -> (
       let* check = Check.of_wire cw in
-      let* cert_w = field payload 4 in
       let pages = pages_of_length (String.length content) in
       let cost = pages * price_per_page in
       if check.Check.amount < cost then
@@ -93,12 +86,12 @@ let handle t ctx payload =
             | Error e ->
                 trace t "job %S unpaid: %s" document e;
                 Error (Printf.sprintf "check did not clear: %s" e)))
-  | other ->
-      ignore ctx;
-      Error (Printf.sprintf "print-server: unknown operation %S" other)
+  | L (S (("price" | "print") as op) :: _) ->
+      Error (Printf.sprintf "print-server: malformed %s request" op)
+  | L (S other :: _) -> Error (Printf.sprintf "print-server: unknown operation %S" other)
+  | _ -> Error "print-server: malformed request"
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun _ -> handle t)
 
 let price net ~creds ~content_length =
   Result.bind (Secure_rpc.call net ~creds (Wire.L [ Wire.S "price"; Wire.I content_length ]))

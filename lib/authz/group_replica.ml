@@ -61,50 +61,52 @@ let refresh t =
 
 let handle t ctx payload =
   let open Wire in
-  let* tag = Result.bind (field payload 0) to_string in
-  if tag <> "assert" then Error (Printf.sprintf "group-replica: unknown operation %S" tag)
-  else
-    let* group = Result.bind (field payload 1) to_string in
-    let* end_server = Result.bind (field payload 2) Principal.of_wire in
-    let client = ctx.Secure_rpc.rpc_client in
-    let now = Sim.Net.now t.net in
-    (* Membership is decided from the replicated table alone — nested-group
-       evidence would need the origin's full database, which a replica does
-       not hold. Fail closed when the snapshot is past its bound. *)
-    match Membership.check t.replica ~now ~group client with
-    | Error e ->
-        metrics_incr t
-          (if Membership.stale t.replica ~now then "membership.replica_stale_denials"
-           else "membership.replica_denials");
-        Error (Printf.sprintf "group-replica: %s" e)
-    | Ok () ->
-        metrics_incr t "membership.replica_hits";
-        let inherited =
-          match Guard.restrictions_of_auth_data ctx.Secure_rpc.rpc_auth_data with
-          | [] -> []
-          | rs -> Restriction.propagate ~issued_for:[ end_server ] rs
-        in
-        (* The proxy names the group under the REPLICA's identity: servers
-           in this realm list [replica$group] on their ACLs, trusting their
-           local replica rather than a foreign grantor (node identity). *)
-        let restrictions =
-          Restriction.Authorized
-            [ { Restriction.target = group; ops = [ "assert-membership"; membership_right ] } ]
-          :: Restriction.Group_membership [ group ]
-          :: Restriction.Grantee ([ client ], 1)
-          :: inherited
-        in
-        let expires = Sim.Net.now t.net + proxy_lifetime_us in
-        let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in
-        Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
-          ~actor:(Principal.to_string t.me)
-          (Printf.sprintf "replica membership proxy: %s in %s for %s (epoch %d)"
-             (Principal.to_string client) group
-             (Principal.to_string end_server)
-             (Membership.epoch t.replica));
-        Ok (Proxy.transfer_to_wire proxy)
+  let* group, end_server =
+    match payload with
+    | L [ S "assert"; S group; end_server; L _evidence ] ->
+        Result.map (fun e -> (group, e)) (Principal.of_wire end_server)
+    | L (S "assert" :: _) -> Error "group-replica: malformed assert request"
+    | L (S tag :: _) -> Error (Printf.sprintf "group-replica: unknown operation %S" tag)
+    | _ -> Error "group-replica: malformed request"
+  in
+  let client = ctx.Secure_rpc.rpc_client in
+  let now = Sim.Net.now t.net in
+  (* Membership is decided from the replicated table alone — nested-group
+     evidence would need the origin's full database, which a replica does
+     not hold. Fail closed when the snapshot is past its bound. *)
+  match Membership.check t.replica ~now ~group client with
+  | Error e ->
+      metrics_incr t
+        (if Membership.stale t.replica ~now then "membership.replica_stale_denials"
+         else "membership.replica_denials");
+      Error (Printf.sprintf "group-replica: %s" e)
+  | Ok () ->
+      metrics_incr t "membership.replica_hits";
+      let inherited =
+        match Guard.restrictions_of_auth_data ctx.Secure_rpc.rpc_auth_data with
+        | [] -> []
+        | rs -> Restriction.propagate ~issued_for:[ end_server ] rs
+      in
+      (* The proxy names the group under the REPLICA's identity: servers
+         in this realm list [replica$group] on their ACLs, trusting their
+         local replica rather than a foreign grantor (node identity). *)
+      let restrictions =
+        Restriction.Authorized
+          [ { Restriction.target = group; ops = [ "assert-membership"; membership_right ] } ]
+        :: Restriction.Group_membership [ group ]
+        :: Restriction.Grantee ([ client ], 1)
+        :: inherited
+      in
+      let expires = Sim.Net.now t.net + proxy_lifetime_us in
+      let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in
+      Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
+        ~actor:(Principal.to_string t.me)
+        (Printf.sprintf "replica membership proxy: %s in %s for %s (epoch %d)"
+           (Principal.to_string client) group
+           (Principal.to_string end_server)
+           (Membership.epoch t.replica));
+      Ok (Proxy.transfer_to_wire proxy)
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (handle t)
 
 let group_name t local = Principal.Group.make ~server:t.me local

@@ -63,53 +63,59 @@ let publish t =
         (Membership.sign ~key ~issuer:t.me ~epoch:t.publish_epoch
            ~issued_at:(Sim.Net.now t.net) (table t))
 
+let assert_membership t ctx ~group ~end_server ~evidence =
+  let ( let* ) = Result.bind in
+  let client = ctx.Secure_rpc.rpc_client in
+  (* Membership is an ordinary guard decision: a direct Principal_is
+     entry, or a nested Group entry proven by the attached evidence. *)
+  match
+    Guard.decide t.guard ~operation:membership_right ~target:group ~presenter:client
+      ~ticket:ctx.Secure_rpc.rpc_ticket ~group_proxies:evidence ()
+  with
+  | Error e ->
+      Error
+        (Printf.sprintf "group: %s is not a member of %s (%s)" (Principal.to_string client)
+           group e)
+  | Ok _ ->
+      let inherited =
+        match Guard.restrictions_of_auth_data ctx.Secure_rpc.rpc_auth_data with
+        | [] -> []
+        | rs -> Restriction.propagate ~issued_for:[ end_server ] rs
+      in
+      let restrictions =
+        Restriction.Authorized
+          [ { Restriction.target = group; ops = [ "assert-membership"; membership_right ] } ]
+        :: Restriction.Group_membership [ group ]
+        :: Restriction.Grantee ([ client ], 1)
+        :: inherited
+      in
+      let expires = Sim.Net.now t.net + t.proxy_lifetime_us in
+      let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in
+      Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
+        ~actor:(Principal.to_string t.me)
+        (Printf.sprintf "membership proxy: %s in %s for %s" (Principal.to_string client) group
+           (Principal.to_string end_server));
+      Ok (Proxy.transfer_to_wire proxy)
+
 let handle t ctx payload =
   let open Wire in
-  let* tag = Result.bind (field payload 0) to_string in
-  if tag = "snapshot" then
-    (* Any authenticated principal may pull the signed table: the snapshot
-       is self-authenticating, so possession discloses nothing a replica
-       could not already learn by asserting memberships one by one. *)
-    Result.map Membership.to_wire (publish t)
-  else if tag <> "assert" then Error (Printf.sprintf "group: unknown operation %S" tag)
-  else
-    let* group = Result.bind (field payload 1) to_string in
-    let* end_server = Result.bind (field payload 2) Principal.of_wire in
-    let* ew = Result.bind (field payload 3) to_list in
-    let* evidence = Wire.map_all Guard.presented_of_wire ew in
-    let client = ctx.Secure_rpc.rpc_client in
-    (* Membership is an ordinary guard decision: a direct Principal_is
-       entry, or a nested Group entry proven by the attached evidence. *)
-    match
-      Guard.decide t.guard ~operation:membership_right ~target:group ~presenter:client
-        ~ticket:ctx.Secure_rpc.rpc_ticket ~group_proxies:evidence ()
-    with
-    | Error e ->
-        Error (Printf.sprintf "group: %s is not a member of %s (%s)"
-             (Principal.to_string client) group e)
-    | Ok _ ->
-        let inherited =
-          match Guard.restrictions_of_auth_data ctx.Secure_rpc.rpc_auth_data with
-          | [] -> []
-          | rs -> Restriction.propagate ~issued_for:[ end_server ] rs
-        in
-        let restrictions =
-          Restriction.Authorized
-            [ { Restriction.target = group; ops = [ "assert-membership"; membership_right ] } ]
-          :: Restriction.Group_membership [ group ]
-          :: Restriction.Grantee ([ client ], 1)
-          :: inherited
-        in
-        let expires = Sim.Net.now t.net + t.proxy_lifetime_us in
-        let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in
-        Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
-          ~actor:(Principal.to_string t.me)
-          (Printf.sprintf "membership proxy: %s in %s for %s" (Principal.to_string client) group
-             (Principal.to_string end_server));
-        Ok (Proxy.transfer_to_wire proxy)
+  match payload with
+  | L [ S "snapshot" ] ->
+      (* Any authenticated principal may pull the signed table: the
+         snapshot is self-authenticating, so possession discloses nothing
+         a replica could not already learn by asserting memberships one by
+         one. *)
+      Result.map Membership.to_wire (publish t)
+  | L [ S "assert"; S group; end_server; L ew ] ->
+      let* end_server = Principal.of_wire end_server in
+      let* evidence = map_all Guard.presented_of_wire ew in
+      assert_membership t ctx ~group ~end_server ~evidence
+  | L (S (("snapshot" | "assert") as tag) :: _) ->
+      Error (Printf.sprintf "group: malformed %s request" tag)
+  | L (S tag :: _) -> Error (Printf.sprintf "group: unknown operation %S" tag)
+  | _ -> Error "group: malformed request"
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (handle t)
 
 let request_membership_proxy net ~creds ~group ~end_server ?(evidence = []) () =
   let payload =
@@ -119,11 +125,7 @@ let request_membership_proxy net ~creds ~group ~end_server ?(evidence = []) () =
         Principal.to_wire end_server;
         Guard.presentations ~creds evidence ]
   in
-  match Secure_rpc.call net ~creds payload with
-  | Error e -> Error e
-  | Ok reply -> Proxy.transfer_of_wire reply
+  Result.bind (Secure_rpc.call net ~creds payload) Proxy.transfer_of_wire
 
 let fetch_snapshot net ~creds () =
-  match Secure_rpc.call net ~creds (Wire.L [ Wire.S "snapshot" ]) with
-  | Error e -> Error e
-  | Ok reply -> Membership.of_wire reply
+  Result.bind (Secure_rpc.call net ~creds (Wire.L [ Wire.S "snapshot" ])) Membership.of_wire

@@ -20,10 +20,8 @@ let revocation t = t.revocation
 
 let handle t ctx payload =
   let open Wire in
-  let* tag = Result.bind (field payload 0) to_string in
-  match tag with
-  | "refresh" -> (
-      let* pw = field payload 1 in
+  match payload with
+  | L [ S "refresh"; pw ] -> (
       let* pres = Proxy.presentation_of_wire pw in
       match pres with
       | Proxy.Conventional _ | Proxy.Hybrid _ ->
@@ -71,10 +69,11 @@ let handle t ctx payload =
                      body'.Proxy_cert.expires);
                 Ok (Proxy_cert.pk_cert_to_wire cert')
           end)
-  | other -> Error (Printf.sprintf "refresher: unknown operation %S" other)
+  | L (S "refresh" :: _) -> Error "refresher: malformed refresh request"
+  | L (S other :: _) -> Error (Printf.sprintf "refresher: unknown operation %S" other)
+  | _ -> Error "refresher: malformed request"
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (handle t)
 
 let refresh net ~creds (proxy : Proxy.t) =
   match proxy.Proxy.flavor with
@@ -82,12 +81,10 @@ let refresh net ~creds (proxy : Proxy.t) =
       Error "refresh: only public-key chains can be refreshed"
   | Proxy.Public_key [] -> Error "refresh: empty certificate chain"
   | Proxy.Public_key (old_head :: tail) ->
-      let* reply =
-        Secure_rpc.call net ~creds
-          (Wire.L
-             [ Wire.S "refresh"; Proxy.presentation_to_wire (Proxy.presentation proxy) ])
+      let payload =
+        Wire.L [ Wire.S "refresh"; Proxy.presentation_to_wire (Proxy.presentation proxy) ]
       in
-      let* head = Proxy_cert.pk_cert_of_wire reply in
+      let* head = Result.bind (Secure_rpc.call net ~creds payload) Proxy_cert.pk_cert_of_wire in
       (* The proxy key is unchanged, present or absent — splicing in a head
          bound to a different key, or adding or dropping one, would orphan
          the held secret or the cascade. *)

@@ -79,13 +79,11 @@ let revoke_grantor_epoch t ~grantor ?not_before () =
 let handle t ctx payload =
   let open Wire in
   let caller = ctx.Secure_rpc.rpc_client in
-  let* tag = Result.bind (field payload 0) to_string in
-  match tag with
-  | "fetch" ->
+  match payload with
+  | L [ S "fetch" ] ->
       Sim.Metrics.incr (Sim.Net.metrics t.net) "revocation.fetches";
       Ok (Revocation.to_wire t.current)
-  | "revoke-cert" ->
-      let* cw = field payload 1 in
+  | L [ S "revoke-cert"; cw ] ->
       let* cert = Proxy_cert.pk_cert_of_wire cw in
       let body = cert.Proxy_cert.pk_body in
       if not (Principal.equal body.Proxy_cert.grantor caller) then
@@ -109,41 +107,32 @@ let handle t ctx payload =
         let b = revoke_serial t body.Proxy_cert.serial in
         Ok (Wire.I b.Revocation.epoch)
       end
-  | "revoke-grantor" ->
-      let not_before =
-        match Result.bind (field payload 1) to_int with
-        | Ok nb -> nb
-        | Error _ -> Sim.Net.now t.net
-      in
-      let b = revoke_grantor_epoch t ~grantor:caller ~not_before () in
-      Ok (Wire.I b.Revocation.epoch)
-  | other -> Error (Printf.sprintf "revocation-authority: unknown operation %S" other)
+  | L (S "revoke-grantor" :: ([] | [ I _ ] as rest)) ->
+      let not_before = match rest with [ I nb ] -> Some nb | _ -> None in
+      Ok (Wire.I (revoke_grantor_epoch t ~grantor:caller ?not_before ()).Revocation.epoch)
+  | L (S (("fetch" | "revoke-cert" | "revoke-grantor") as tag) :: _) ->
+      Error (Printf.sprintf "revocation-authority: malformed %s request" tag)
+  | L (S other :: _) -> Error (Printf.sprintf "revocation-authority: unknown operation %S" other)
+  | _ -> Error "revocation-authority: malformed request"
 
-let install t =
-  Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (fun ctx payload -> handle t ctx payload)
+let install t = Secure_rpc.serve t.net ~me:t.me ~my_key:t.my_key (handle t)
 
 (* --- client side --- *)
 
 let fetch net ~creds =
-  let* reply = Secure_rpc.call net ~creds (Wire.L [ Wire.S "fetch" ]) in
-  Revocation.of_wire reply
+  Result.bind (Secure_rpc.call net ~creds (Wire.L [ Wire.S "fetch" ])) Revocation.of_wire
 
 let sync net ~creds guard =
   let* b = fetch net ~creds in
   Guard.apply_bulletin guard b
 
 let revoke_cert net ~creds cert =
-  let* reply =
-    Secure_rpc.call net ~creds
-      (Wire.L [ Wire.S "revoke-cert"; Proxy_cert.pk_cert_to_wire cert ])
-  in
-  Wire.to_int reply
+  Result.bind
+    (Secure_rpc.call net ~creds (Wire.L [ Wire.S "revoke-cert"; Proxy_cert.pk_cert_to_wire cert ]))
+    Wire.to_int
 
 let revoke_grantor net ~creds ?not_before () =
-  let payload =
-    match not_before with
-    | None -> Wire.L [ Wire.S "revoke-grantor" ]
-    | Some nb -> Wire.L [ Wire.S "revoke-grantor"; Wire.I nb ]
-  in
-  let* reply = Secure_rpc.call net ~creds payload in
-  Wire.to_int reply
+  let not_before = Option.to_list (Option.map (fun nb -> Wire.I nb) not_before) in
+  Result.bind
+    (Secure_rpc.call net ~creds (Wire.L (Wire.S "revoke-grantor" :: not_before)))
+    Wire.to_int

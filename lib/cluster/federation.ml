@@ -50,14 +50,44 @@ type outcome = {
 let parse_err reply =
   match Wire.decode reply with
   | Error e -> "undecodable reply: " ^ e
-  | Ok v -> (
-      match Result.bind (Wire.field v 0) Wire.to_string with
-      | Ok "err" -> (
-          match Result.bind (Wire.field v 1) Wire.to_string with
-          | Ok m -> m
-          | Error e -> "malformed error reply: " ^ e)
-      | Ok _ -> "<accepted>"
-      | Error e -> e)
+  | Ok (Wire.L [ Wire.S "err"; Wire.S m ]) -> m
+  | Ok _ -> "<accepted>"
+
+(* A TGS request built by hand, as a client that skips its library's
+   checks would send it, its authenticator [auth] sealed under [session]:
+   the KDC's in-band error, or "<accepted>". *)
+let raw_tgs net ~src ~kdc ~tgt ~session ~auth ~target ~nonce =
+  let authenticator =
+    Ticket.seal_authenticator ~session_key:session ~nonce:(Sim.Net.fresh_nonce net) auth
+  in
+  let request =
+    Wire.encode (Kdc.request_to_wire (Kdc.Tgs_req { tgt; authenticator; target; nonce }))
+  in
+  match Sim.Net.rpc net ~src ~dst:(Principal.to_string kdc) request with
+  | Error e -> "transport: " ^ e
+  | Ok reply -> parse_err reply
+
+(* Mallory's TGT for [client], sealed under the inter-realm [key] as a
+   peer KDC would seal it, presented to [kdc] for [target]. *)
+let forged_tgs net ~key ~client ~kdc ~target ~nonce =
+  let session_key = Sim.Net.fresh_key net in
+  let now = Sim.Net.now net in
+  let body =
+    {
+      Ticket.client;
+      service = kdc;
+      session_key;
+      auth_time = now;
+      expires = now + World.hour;
+      authorization_data = [];
+    }
+  in
+  let tgt =
+    Ticket.seal ~service_key:(Crypto.Aead.prepare key) ~nonce:(Sim.Net.fresh_nonce net) body
+  in
+  raw_tgs net ~src:"mallory" ~kdc ~tgt ~session:(Crypto.Aead.prepare session_key)
+    ~auth:{ Ticket.auth_client = client; timestamp = now; subkey = None; auth_data = [] }
+    ~target ~nonce
 
 let run cfg =
   let wa = World.create ~seed:cfg.seed ~realm:"realm-a" () in
@@ -127,38 +157,8 @@ let run cfg =
   File_server.install fs2;
   (* --- forged inter-realm TGTs (the tentpole hole) --- *)
   let forge ~client_realm =
-    let mallory = Principal.make ~realm:client_realm "mallory" in
-    let session_key = Sim.Net.fresh_key net in
-    let now = Sim.Net.now net in
-    let body =
-      {
-        Ticket.client = mallory;
-        service = wb.World.kdc_name;
-        session_key;
-        auth_time = now;
-        expires = now + World.hour;
-        authorization_data = [];
-      }
-    in
-    let blob =
-      Ticket.seal ~service_key:(Crypto.Aead.prepare key_bc) ~nonce:(Sim.Net.fresh_nonce net)
-        body
-    in
-    let auth =
-      { Ticket.auth_client = mallory; timestamp = now; subkey = None; auth_data = [] }
-    in
-    let auth_blob =
-      Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare session_key)
-        ~nonce:(Sim.Net.fresh_nonce net) auth
-    in
-    let request =
-      Wire.encode
-        (Wire.L
-           [ Wire.S "tgs"; Wire.S blob; Wire.S auth_blob; Principal.to_wire fs_p; Wire.I 7 ])
-    in
-    match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string wb.World.kdc_name) request with
-    | Error e -> "transport: " ^ e
-    | Ok reply -> parse_err reply
+    forged_tgs net ~key:key_bc ~client:(Principal.make ~realm:client_realm "mallory")
+      ~kdc:wb.World.kdc_name ~target:fs_p ~nonce:7
   in
   (* The C<->B key may only speak for realm C's principals: forging a
      realm-A client or one of B's own users must name the mismatch. *)
@@ -177,36 +177,16 @@ let run cfg =
   (* --- malformed TGS subkey, both sides --- *)
   let tgt_dana = World.login wb dana in
   let subkey_server_error =
-    let now = Sim.Net.now net in
-    let auth =
-      {
-        Ticket.auth_client = dana;
-        timestamp = now;
-        subkey = Some "short-subkey";
-        auth_data = [];
-      }
-    in
-    let auth_blob =
-      Ticket.seal_authenticator ~session_key:tgt_dana.Ticket.cred_session
-        ~nonce:(Sim.Net.fresh_nonce net) auth
-    in
-    let request =
-      Wire.encode
-        (Wire.L
-           [
-             Wire.S "tgs";
-             Wire.S tgt_dana.Ticket.ticket_blob;
-             Wire.S auth_blob;
-             Principal.to_wire fs_p;
-             Wire.I 8;
-           ])
-    in
-    match
-      Sim.Net.rpc net ~src:(Principal.to_string dana)
-        ~dst:(Principal.to_string wb.World.kdc_name) request
-    with
-    | Error e -> "transport: " ^ e
-    | Ok reply -> parse_err reply
+    raw_tgs net ~src:(Principal.to_string dana) ~kdc:wb.World.kdc_name
+      ~tgt:tgt_dana.Ticket.ticket_blob ~session:tgt_dana.Ticket.cred_session
+      ~auth:
+        {
+          Ticket.auth_client = dana;
+          timestamp = Sim.Net.now net;
+          subkey = Some "short-subkey";
+          auth_data = [];
+        }
+      ~target:fs_p ~nonce:8
   in
   let subkey_client_error =
     match
@@ -405,42 +385,9 @@ let forged_probe_lane st =
   let key_y = Sim.Net.fresh_key net in
   Kdc.add_cross_realm w.World.kdc ~peer_realm:"peer-x" ~key:(Sim.Net.fresh_key net);
   Kdc.add_cross_realm w.World.kdc ~peer_realm:"peer-y" ~key:key_y;
-  let mallory = Principal.make ~realm:"peer-x" "mallory" in
-  let session_key = Sim.Net.fresh_key net in
-  let now = Sim.Net.now net in
-  let body =
-    {
-      Ticket.client = mallory;
-      service = w.World.kdc_name;
-      session_key;
-      auth_time = now;
-      expires = now + World.hour;
-      authorization_data = [];
-    }
-  in
-  let blob =
-    Ticket.seal ~service_key:(Crypto.Aead.prepare key_y) ~nonce:(Sim.Net.fresh_nonce net) body
-  in
-  let auth = { Ticket.auth_client = mallory; timestamp = now; subkey = None; auth_data = [] } in
-  let auth_blob =
-    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare session_key)
-      ~nonce:(Sim.Net.fresh_nonce net) auth
-  in
-  let request =
-    Wire.encode
-      (Wire.L
-         [
-           Wire.S "tgs";
-           Wire.S blob;
-           Wire.S auth_blob;
-           Principal.to_wire w.World.kdc_name;
-           Wire.I 9;
-         ])
-  in
   let err =
-    match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string w.World.kdc_name) request with
-    | Error e -> "transport: " ^ e
-    | Ok reply -> parse_err reply
+    forged_tgs net ~key:key_y ~client:(Principal.make ~realm:"peer-x" "mallory")
+      ~kdc:w.World.kdc_name ~target:w.World.kdc_name ~nonce:9
   in
   st.f_forged_refused <-
     err = "tgs: cross-realm TGT client realm peer-x does not match trusting realm peer-y";
@@ -456,13 +403,15 @@ let snapshot_message st snap =
        ])
 
 let apply_message st payload =
-  let open Wire in
   let parsed =
-    let* v = Wire.decode payload in
-    let* origin = Result.bind (field v 0) Principal.of_wire in
-    let* pub_bytes = Result.bind (field v 1) to_string in
-    let* snap = Result.bind (field v 2) Membership.of_wire in
-    Ok (origin, pub_bytes, snap)
+    let open Wire in
+    match Wire.decode payload with
+    | Ok (L [ origin; S pub_bytes; snap ]) ->
+        let* origin = Principal.of_wire origin in
+        let* snap = Membership.of_wire snap in
+        Ok (origin, pub_bytes, snap)
+    | Ok _ -> Error "malformed snapshot message"
+    | Error e -> Error e
   in
   match parsed with
   | Error e -> logf st "snapshot decode failed: %s" e

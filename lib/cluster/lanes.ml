@@ -425,7 +425,8 @@ let one_op cfg lanes_arr st ~emit =
 let shop_sweep cfg st =
   let net = st.cl_world.World.net in
   let creds = st.cl_shop_creds in
-  let item = Wire.L [ Wire.S "balance"; Wire.S st.cl_shop_account; Wire.S usd ] in
+  let balance = Accounting_server.Balance { name = st.cl_shop_account; currency = usd } in
+  let item = Accounting_server.request_to_wire balance in
   ignore
     (Secure_rpc.call_batch net ~creds ~retry:(retry cfg) ~via:(bank_via st)
        [ item; item; item; item ])

@@ -155,22 +155,18 @@ let ship t ~auth_id ~expires ~reply =
     ship_now t
   end
 
-let apply_replication t ctx v =
+let apply_replication t ctx ~replies ~changes =
   if not (Principal.equal ctx.Secure_rpc.rpc_client t.logical) then
     Error "replication: caller is not this shard"
   else
-    let open Wire in
     let* replies =
-      Result.bind (Result.bind (field v 1) to_list)
-        (map_all (fun w ->
-             let* auth_id = Result.bind (field w 0) to_string in
-             let* expires = Result.bind (field w 1) to_int in
-             let* reply = Result.bind (field w 2) to_string in
-             Ok (auth_id, expires, reply)))
+      Wire.map_all
+        (function
+          | Wire.L [ Wire.S auth_id; Wire.I expires; Wire.S reply ] -> Ok (auth_id, expires, reply)
+          | _ -> Error "replication: malformed reply record")
+        replies
     in
-    let* changes =
-      Result.bind (Result.bind (field v 2) to_list) (map_all Accounting_server.change_of_wire)
-    in
+    let* changes = Wire.map_all Accounting_server.change_of_wire changes in
     let* () = Accounting_server.apply_replicated t.standby.server changes in
     let now = Sim.Net.now t.net in
     List.iter
@@ -180,35 +176,37 @@ let apply_replication t ctx v =
     Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_applied";
     Sim.Metrics.add (Sim.Net.metrics t.net) "cluster.repl_replies_seeded"
       (List.length replies);
-    Ok (S "replicated")
+    Ok (Wire.S "replicated")
 
 let standby_handle t ctx payload =
   match payload with
-  | Wire.L (Wire.S "x-replicate-bulk" :: _) -> apply_replication t ctx payload
-  | Wire.L (Wire.S "apply-bulletin" :: _) ->
+  | Wire.L [ Wire.S "x-replicate-bulk"; Wire.L replies; Wire.L changes ] ->
+      apply_replication t ctx ~replies ~changes
+  | _ -> (
+      let* request = Accounting_server.request_of_wire payload in
+      match request with
       (* Revocation bulletins bypass the promotion gate: a standby that
          refused them would fail open the moment it promoted. The bulletin
          is self-authenticating, so accepting it here grants nothing. *)
-      Accounting_server.handle t.standby.server ctx payload
-  | _ ->
-      if t.promoted || primary_down t then begin
-        if not t.promoted then begin
-          t.promoted <- true;
-          Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.promotions";
-          Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
-            ~actor:t.standby.node
-            (Printf.sprintf "promoted to primary for %s"
-               (Principal.to_string t.logical))
-        end;
-        Accounting_server.handle t.standby.server ctx payload
-      end
-      else Error "standby: not primary"
+      | Accounting_server.Apply_bulletin _ -> Accounting_server.handle t.standby.server ctx request
+      | _ when not (t.promoted || primary_down t) -> Error "standby: not primary"
+      | _ ->
+          if not t.promoted then begin
+            t.promoted <- true;
+            Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.promotions";
+            Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
+              ~actor:t.standby.node
+              (Printf.sprintf "promoted to primary for %s" (Principal.to_string t.logical))
+          end;
+          Accounting_server.handle t.standby.server ctx request)
 
 let install t =
   Secure_rpc.serve t.net ~me:t.logical ~my_key:t.key ~node:t.primary.node
     ~cache:t.primary.cache
     ~on_handled:(fun ~auth_id ~expires ~reply -> ship t ~auth_id ~expires ~reply)
-    (Accounting_server.handle t.primary.server);
+    (fun ctx payload ->
+      Result.bind (Accounting_server.request_of_wire payload)
+        (Accounting_server.handle t.primary.server ctx));
   Secure_rpc.serve t.net ~me:t.logical ~my_key:t.key ~node:t.standby.node
     ~cache:t.standby.cache (standby_handle t)
 

@@ -146,147 +146,158 @@ let check_preauth t ~client_key blob =
                   Error "as: pre-authentication timestamp outside window"
                 else Ok ()))
 
-let handle_as t fields =
-  let open Wire in
-  let parsed =
-    let* client = Result.bind (field fields 1) Principal.of_wire in
-    let* service = Result.bind (field fields 2) Principal.of_wire in
-    let* nonce = Result.bind (field fields 3) to_int in
-    let* auth_data = Result.bind (field fields 4) to_list in
-    let preauth =
-      match Result.bind (field fields 5) to_string with Ok s -> s | Error _ -> ""
-    in
-    Ok (client, service, nonce, auth_data, preauth)
-  in
-  match parsed with
-  | Error e -> err ("as: " ^ e)
-  | Ok (client, service, nonce, auth_data, preauth) -> (
-      metrics_incr t "kdc.as_req";
-      match Directory.symmetric t.directory client with
-      | None -> err (Printf.sprintf "unknown client %s" (Principal.to_string client))
-      | Some client_key -> (
-          match check_preauth t ~client_key preauth with
-          | Error e -> err e
-          | Ok () ->
-              let expires = Sim.Net.now t.net + lifetime_us in
-              issue t ~client ~service ~auth_data ~expires ~nonce ~reply_key:client_key
-                ~reply_ad:"as-rep"))
+type request =
+  | As_req of {
+      client : Principal.t;
+      service : Principal.t;
+      nonce : int;
+      auth_data : Wire.t list;
+      preauth : string option;
+    }
+  | Tgs_req of { tgt : string; authenticator : string; target : Principal.t; nonce : int }
 
-let handle_tgs t fields =
+let request_to_wire r =
   let open Wire in
-  let parsed =
-    let* tgt_blob = Result.bind (field fields 1) to_string in
-    let* auth_blob = Result.bind (field fields 2) to_string in
-    let* target = Result.bind (field fields 3) Principal.of_wire in
-    let* nonce = Result.bind (field fields 4) to_int in
-    Ok (tgt_blob, auth_blob, target, nonce)
-  in
-  match parsed with
+  match r with
+  | As_req { client; service; nonce; auth_data; preauth } ->
+      L
+        ([ S "as"; Principal.to_wire client; Principal.to_wire service; I nonce; L auth_data ]
+        @ Option.to_list (Option.map (fun p -> S p) preauth))
+  | Tgs_req { tgt; authenticator; target; nonce } ->
+      L [ S "tgs"; S tgt; S authenticator; Principal.to_wire target; I nonce ]
+
+let request_of_wire v =
+  let open Wire in
+  match v with
+  | L (S "as" :: client :: service :: I nonce :: L auth_data :: ([] | [ S _ ] as preauth)) ->
+      let* client = Principal.of_wire client in
+      let* service = Principal.of_wire service in
+      let preauth = match preauth with [ S p ] -> Some p | _ -> None in
+      Ok (As_req { client; service; nonce; auth_data; preauth })
+  | L [ S "tgs"; S tgt; S authenticator; target; I nonce ] ->
+      let* target = Principal.of_wire target in
+      Ok (Tgs_req { tgt; authenticator; target; nonce })
+  | L (S (("as" | "tgs") as op) :: _) -> Error (op ^ ": malformed request")
+  | L (S other :: _) -> Error (Printf.sprintf "unknown operation %S" other)
+  | _ -> Error "malformed request"
+
+let handle_as t ~client ~service ~nonce ~auth_data ~preauth =
+  metrics_incr t "kdc.as_req";
+  match Directory.symmetric t.directory client with
+  | None -> err (Printf.sprintf "unknown client %s" (Principal.to_string client))
+  | Some client_key -> (
+      match check_preauth t ~client_key (Option.value preauth ~default:"") with
+      | Error e -> err e
+      | Ok () ->
+          let expires = Sim.Net.now t.net + lifetime_us in
+          issue t ~client ~service ~auth_data ~expires ~nonce ~reply_key:client_key
+            ~reply_ad:"as-rep")
+
+let handle_tgs t ~tgt:tgt_blob ~authenticator ~target ~nonce =
+  metrics_incr t "kdc.tgs_req";
+  match open_tgt t tgt_blob with
   | Error e -> err ("tgs: " ^ e)
-  | Ok (tgt_blob, auth_blob, target, nonce) -> (
-      metrics_incr t "kdc.tgs_req";
-      match open_tgt t tgt_blob with
-      | Error e -> err ("tgs: " ^ e)
-      | Ok (tgt, origin) ->
-          (match origin with
-          | `Local -> ()
-          | `Cross peer -> (
-              metrics_incr t "kdc.tgs_cross";
-              Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
-                ~actor:(Principal.to_string t.name)
-                (Printf.sprintf "cross-realm TGT accepted: client=%s trusting=%s"
-                   (Principal.to_string tgt.Ticket.client) peer)));
-          let now = Sim.Net.now t.net in
-          if not (Principal.equal tgt.Ticket.service t.name) then err "tgs: ticket is not a TGT"
-          else if tgt.Ticket.expires <= now then err "tgs: TGT expired"
-          else begin
-            metrics_incr t "crypto.open";
-            match
-              Ticket.open_authenticator
-                ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key) auth_blob
-            with
-            | Error e -> err ("tgs: " ^ e)
-            | Ok (auth, _) ->
-                if not (Principal.equal auth.Ticket.auth_client tgt.Ticket.client) then
-                  err "tgs: authenticator client mismatch"
-                else if abs (auth.Ticket.timestamp - now) > max_skew_us then
-                  err "tgs: authenticator too old"
-                else begin
-                  (* Restrictions are additive: union of TGT's and the
-                     authenticator's, never fewer. *)
-                  let auth_data = tgt.Ticket.authorization_data @ auth.Ticket.auth_data in
-                  let expires = min tgt.Ticket.expires (now + lifetime_us) in
-                  (* The client decrypts the reply under the subkey it sent,
-                     so silently falling back to the session key here would
-                     surface as an opaque decrypt failure on its side.
-                     Refuse malformed subkeys with a clean error instead. *)
-                  match auth.Ticket.subkey with
-                  | Some k when String.length k <> 32 -> err "tgs: subkey must be 32 bytes"
-                  | (Some _ | None) as subkey ->
-                      let reply_key =
-                        Option.value subkey ~default:tgt.Ticket.session_key
-                      in
-                      issue t ~client:tgt.Ticket.client ~service:target ~auth_data ~expires
-                        ~nonce ~reply_key ~reply_ad:"tgs-rep"
-                end
-          end)
+  | Ok (tgt, origin) ->
+      (match origin with
+      | `Local -> ()
+      | `Cross peer -> (
+          metrics_incr t "kdc.tgs_cross";
+          Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
+            ~actor:(Principal.to_string t.name)
+            (Printf.sprintf "cross-realm TGT accepted: client=%s trusting=%s"
+               (Principal.to_string tgt.Ticket.client) peer)));
+      let now = Sim.Net.now t.net in
+      if not (Principal.equal tgt.Ticket.service t.name) then err "tgs: ticket is not a TGT"
+      else if tgt.Ticket.expires <= now then err "tgs: TGT expired"
+      else begin
+        metrics_incr t "crypto.open";
+        match
+          Ticket.open_authenticator
+            ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key) authenticator
+        with
+        | Error e -> err ("tgs: " ^ e)
+        | Ok (auth, _) ->
+            if not (Principal.equal auth.Ticket.auth_client tgt.Ticket.client) then
+              err "tgs: authenticator client mismatch"
+            else if abs (auth.Ticket.timestamp - now) > max_skew_us then
+              err "tgs: authenticator too old"
+            else begin
+              (* Restrictions are additive: union of TGT's and the
+                 authenticator's, never fewer. *)
+              let auth_data = tgt.Ticket.authorization_data @ auth.Ticket.auth_data in
+              let expires = min tgt.Ticket.expires (now + lifetime_us) in
+              (* The client decrypts the reply under the subkey it sent,
+                 so silently falling back to the session key here would
+                 surface as an opaque decrypt failure on its side.
+                 Refuse malformed subkeys with a clean error instead. *)
+              match auth.Ticket.subkey with
+              | Some k when String.length k <> 32 -> err "tgs: subkey must be 32 bytes"
+              | (Some _ | None) as subkey ->
+                  let reply_key = Option.value subkey ~default:tgt.Ticket.session_key in
+                  issue t ~client:tgt.Ticket.client ~service:target ~auth_data ~expires ~nonce
+                    ~reply_key ~reply_ad:"tgs-rep"
+            end
+      end
 
 let handle t request =
   (* Ambient parentage: the sim is synchronous, so this span nests under
      the client's kdc.as/kdc.tgs span without any envelope plumbing. *)
   let sp = Sim.Net.spans t.net in
   Sim.Span.with_span sp ~actor:(Principal.to_string t.name) ~kind:"kdc.serve" @@ fun () ->
-  match Wire.decode request with
-  | Error e -> err ("malformed request: " ^ e)
-  | Ok v -> (
-      match Result.bind (Wire.field v 0) Wire.to_string with
-      | Ok "as" ->
-          Sim.Span.add_attr sp "op" "as";
-          handle_as t v
-      | Ok "tgs" ->
-          Sim.Span.add_attr sp "op" "tgs";
-          handle_tgs t v
-      | Ok other -> err (Printf.sprintf "unknown operation %S" other)
-      | Error e -> err e)
+  let decoded = Result.map_error (( ^ ) "malformed request: ") (Wire.decode request) in
+  match Result.bind decoded request_of_wire with
+  | Error e -> err e
+  | Ok (As_req { client; service; nonce; auth_data; preauth }) ->
+      Sim.Span.add_attr sp "op" "as";
+      handle_as t ~client ~service ~nonce ~auth_data ~preauth
+  | Ok (Tgs_req { tgt; authenticator; target; nonce }) ->
+      Sim.Span.add_attr sp "op" "tgs";
+      handle_tgs t ~tgt ~authenticator ~target ~nonce
 
 let install t = Sim.Net.register t.net ~name:(Principal.to_string t.name) (handle t)
 
 module Client = struct
-  let parse_reply ~reply_key ~reply_ad ~expected_nonce ~client reply =
+  (* A reply for a service other than the one asked for is refused
+     (RFC 4120 §3.1.5, §3.3.4): the TGS target travels outside the
+     authenticator, so a tap could otherwise swap the service. *)
+  let parse_reply ~reply_key ~reply_ad ~expected_nonce ~client ~service reply =
     let open Wire in
-    let* v = Wire.decode reply in
-    let* status = Result.bind (field v 0) to_string in
-    if status = "err" then
-      let* msg = Result.bind (field v 1) to_string in
-      Error msg
-    else
-      let* ticket_blob = Result.bind (field v 1) to_string in
-      let* sealed = Result.bind (field v 2) to_string in
+    let* ticket_blob, sealed =
+      match Wire.decode reply with
+      | Ok (L [ S "ok"; S ticket_blob; S sealed ]) -> Ok (ticket_blob, sealed)
+      | Ok (L [ S "err"; S msg ]) -> Error msg
+      | Ok _ -> Error "reply: malformed"
+      | Error e -> Error e
+    in
+    let* plaintext =
       match Crypto.Aead.decode sealed with
       | None -> Error "reply: malformed encrypted part"
-      | Some box -> (
-          match Crypto.Aead.open_prepared reply_key ~ad:reply_ad box with
-          | None -> Error "reply: cannot decrypt (wrong key?)"
-          | Some plaintext ->
-              let* part = Wire.decode plaintext in
-              let* session_key = Result.bind (field part 0) to_string in
-              let* nonce = Result.bind (field part 1) to_int in
-              let* expires = Result.bind (field part 2) to_int in
-              let* service = Result.bind (field part 3) Principal.of_wire in
-              let* auth_data = Result.bind (field part 4) to_list in
-              if nonce <> expected_nonce then Error "reply: nonce mismatch (replay?)"
-              else
-                Ok
-                  {
-                    Ticket.ticket_blob;
-                    session_key;
-                    cred_session = Crypto.Aead.prepare session_key;
-                    cred_client = client;
-                    cred_service = service;
-                    cred_expires = expires;
-                    cred_auth_data = auth_data;
-                    cred_bindings = Hashtbl.create 8;
-                  })
+      | Some box ->
+          Option.to_result ~none:"reply: cannot decrypt (wrong key?)"
+            (Crypto.Aead.open_prepared reply_key ~ad:reply_ad box)
+    in
+    match Wire.decode plaintext with
+    | Ok (L [ S session_key; I nonce; I expires; sealed_for; L auth_data ]) ->
+        let* sealed_for = Principal.of_wire sealed_for in
+        if nonce <> expected_nonce then Error "reply: nonce mismatch (replay?)"
+        else if not (Principal.equal sealed_for service) then
+          Error
+            (Printf.sprintf "reply: asked for %s, got credentials for %s"
+               (Principal.to_string service) (Principal.to_string sealed_for))
+        else
+          Ok
+            {
+              Ticket.ticket_blob;
+              session_key;
+              cred_session = Crypto.Aead.prepare session_key;
+              cred_client = client;
+              cred_service = sealed_for;
+              cred_expires = expires;
+              cred_auth_data = auth_data;
+              cred_bindings = Hashtbl.create 8;
+            }
+    | Ok _ -> Error "reply: malformed encrypted part"
+    | Error e -> Error e
 
   let fresh_nonce_int net =
     let b = Crypto.Drbg.generate (Sim.Net.drbg net) 6 in
@@ -308,19 +319,13 @@ module Client = struct
     in
     let request =
       Wire.encode
-        (Wire.L
-           [ Wire.S "as";
-             Principal.to_wire client;
-             Principal.to_wire service;
-             Wire.I nonce;
-             Wire.L auth_data;
-             Wire.S preauth ])
+        (request_to_wire (As_req { client; service; nonce; auth_data; preauth = Some preauth }))
     in
     match Sim.Net.rpc net ~src:(Principal.to_string client) ~dst:(Principal.to_string kdc) request with
     | Error e -> Error e
     | Ok reply ->
         parse_reply ~reply_key:(Crypto.Aead.prepare client_key) ~reply_ad:"as-rep"
-          ~expected_nonce:nonce ~client reply
+          ~expected_nonce:nonce ~client ~service reply
 
   let derive net ~kdc ~tgt ~target ?subkey ?(auth_data = []) () =
     Sim.Span.with_span (Sim.Net.spans net)
@@ -349,12 +354,8 @@ module Client = struct
     in
     let request =
       Wire.encode
-        (Wire.L
-           [ Wire.S "tgs";
-             Wire.S tgt.Ticket.ticket_blob;
-             Wire.S auth_blob;
-             Principal.to_wire target;
-             Wire.I nonce ])
+        (request_to_wire
+           (Tgs_req { tgt = tgt.Ticket.ticket_blob; authenticator = auth_blob; target; nonce }))
     in
     let src = Principal.to_string tgt.Ticket.cred_client in
     match Sim.Net.rpc net ~src ~dst:(Principal.to_string kdc) request with
@@ -366,5 +367,5 @@ module Client = struct
           | None -> tgt.Ticket.cred_session
         in
         parse_reply ~reply_key ~reply_ad:"tgs-rep" ~expected_nonce:nonce
-          ~client:tgt.Ticket.cred_client reply
+          ~client:tgt.Ticket.cred_client ~service:target reply
 end

@@ -38,6 +38,30 @@ val install : t -> unit
 (** Register the request handler on the network under
     [Principal.to_string (name t)]. *)
 
+(** {2 Requests}
+
+    RFC 4120's KRB_AS_REQ and KRB_TGS_REQ. {!request_to_wire} lays each out
+    once, as [L [S "as" | S "tgs"; fields...]] in constructor order;
+    {!request_of_wire} accepts exactly those shapes and refuses any other
+    ("as: malformed request", "tgs: malformed request"). *)
+type request =
+  | As_req of {
+      client : Principal.t;
+      service : Principal.t;  (** the KDC's own name asks for a TGT *)
+      nonce : int;
+      auth_data : Wire.t list;
+      preauth : string option;  (** [None] omits the field; the KDC reads it as [Some ""] *)
+    }
+  | Tgs_req of {
+      tgt : string;
+      authenticator : string;  (** sealed under the TGT's session key *)
+      target : Principal.t;  (** outside the authenticator, so {!Client} checks the reply *)
+      nonce : int;
+    }
+
+val request_to_wire : request -> Wire.t
+val request_of_wire : Wire.t -> (request, string) result
+
 (** {2 Cross-realm trust}
 
     Two realms that share an inter-realm key can authenticate each other's
@@ -65,7 +89,8 @@ module Client : sig
     unit ->
     (Ticket.credentials, string) result
   (** AS exchange: obtain credentials for [service] (use the KDC's own name
-      as [service] to get a ticket-granting ticket). *)
+      as [service] to get a ticket-granting ticket). A reply for another
+      service is refused ("reply: asked for X, got credentials for Y"). *)
 
   val derive :
     Sim.Net.t ->
@@ -78,5 +103,6 @@ module Client : sig
     (Ticket.credentials, string) result
   (** TGS exchange: derive credentials for [target] from a TGT, optionally
       adding restrictions ([auth_data]) and nominating a fresh [subkey] that
-      will protect the reply (the proxy-key slot). *)
+      will protect the reply (the proxy-key slot). The target rides outside
+      the authenticator, so a reply for another service is refused. *)
 end

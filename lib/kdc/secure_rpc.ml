@@ -4,7 +4,18 @@ type server_context = {
   rpc_ticket : string;
 }
 
-let err msg = Wire.encode (Wire.L [ Wire.S "err"; Wire.S msg ])
+(* A handler's outcome as [serve] seals it, for one request or for each
+   item of a batch; a refusal before the handler travels unsealed. *)
+let status_to_wire = function
+  | Ok reply -> Wire.L [ Wire.S "ok"; reply ]
+  | Error msg -> Wire.L [ Wire.S "err"; Wire.S msg ]
+
+let err msg = Wire.encode (status_to_wire (Error msg))
+
+let status_of_wire = function
+  | Wire.L [ Wire.S "ok"; reply ] -> Ok reply
+  | Wire.L [ Wire.S "err"; Wire.S msg ] -> Error msg
+  | _ -> Error "response: malformed status"
 
 (* Response cache over authenticator tags: within the freshness window an
    identical authenticator is a retransmission (or a replay), and the
@@ -37,11 +48,14 @@ let seed_response cache ~now ~auth_id ~expires ~reply =
 
 let cached cache ~auth_id = Expiring.mem cache auth_id
 
+(* The trace context an envelope may carry: ids only. *)
+let ctx_to_wire c = Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_span ]
+
 (* What an authenticator covers: the encoded payload, then the trace
    context's encoding when the envelope carries one. The payload is
    self-delimiting, so the two cannot be re-split. *)
 let covered payload ctx =
-  match ctx with None -> payload | Some c -> payload ^ Wire.encode c
+  match ctx with None -> payload | Some c -> payload ^ Wire.encode (ctx_to_wire c)
 
 let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_handled
     handler =
@@ -53,29 +67,22 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
   let handle request =
     let now = Sim.Net.now net in
     let open Wire in
+    (* The trace context (present only when the caller runs traced) is
+       never trusted for authorization, but the authenticator covers it
+       like the payload, so a tap cannot re-parent the request under
+       another trace. *)
     let parsed =
-      let* v = Wire.decode request in
-      let* tag = Result.bind (field v 0) to_string in
-      if tag <> "secure" then Error "not a secure-rpc request"
-      else
-        let* ticket_blob = Result.bind (field v 1) to_string in
-        let* auth_blob = Result.bind (field v 2) to_string in
-        let* payload = Result.bind (field v 3) to_string in
-        (* Optional trace context (field 4, present only when the caller
-           runs traced): ids only, never trusted for authorization, but
-           covered by the authenticator like the payload, so a tap cannot
-           re-parent the request under another trace. *)
-        let ctx = Result.to_option (field v 4) in
-        let remote =
-          match ctx with
-          | Some (L [ S tr; S sp ]) -> Some { Sim.Span.ctx_trace = tr; ctx_span = sp }
-          | _ -> None
-        in
-        Ok (ticket_blob, auth_blob, covered payload ctx, payload, remote)
+      match Wire.decode request with
+      | Ok (L [ S "secure"; S ticket_blob; S auth_blob; S payload ]) ->
+          Ok (ticket_blob, auth_blob, payload, None)
+      | Ok (L [ S "secure"; S ticket_blob; S auth_blob; S payload; L [ S tr; S sp ] ]) ->
+          Ok (ticket_blob, auth_blob, payload, Some { Sim.Span.ctx_trace = tr; ctx_span = sp })
+      | Ok _ -> Error "not a secure-rpc request"
+      | Error e -> Error e
     in
     match parsed with
     | Error e -> err e
-    | Ok (ticket_blob, auth_blob, covers, payload, remote) ->
+    | Ok (ticket_blob, auth_blob, payload, remote) ->
         Sim.Span.with_span (Sim.Net.spans net) ~actor:(Principal.to_string me)
           ~kind:"rpc.serve" ?parent:remote
           (fun () ->
@@ -92,7 +99,10 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                  authenticator open and reply seal under it. *)
               let session = Lazy.force session in
               Sim.Metrics.incr metrics "crypto.open";
-              match Ticket.open_authenticator ~session_key:session ~covers auth_blob with
+              match
+                Ticket.open_authenticator ~session_key:session ~covers:(covered payload remote)
+                  auth_blob
+              with
               | Error e -> err e
               | Ok (auth, auth_id) ->
                   if not (Principal.equal auth.Ticket.auth_client ticket.Ticket.client) then
@@ -113,19 +123,10 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                             rpc_ticket = digest;
                           }
                         in
-                        let reply_key =
-                          match auth.Ticket.subkey with
-                          | Some k when String.length k = 32 -> Crypto.Aead.prepare k
-                          | Some _ | None -> session
-                        in
-                        let run_one item =
-                          match handler ctx item with
-                          | Ok reply -> Wire.L [ Wire.S "ok"; reply ]
-                          | Error e -> Wire.L [ Wire.S "err"; Wire.S e ]
-                        in
+                        let run_one item = status_to_wire (handler ctx item) in
                         let body =
                           match Wire.decode payload with
-                          | Error e -> Wire.L [ Wire.S "err"; Wire.S e ]
+                          | Error e -> status_to_wire (Error e)
                           | Ok (Wire.L [ Wire.S "x-batch"; Wire.L items ]) ->
                               (* Pipelined request: N payloads authenticated,
                                  deduplicated, sealed and cached as ONE
@@ -140,17 +141,16 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                               Sim.Metrics.incr metrics "rpc.batch.requests";
                               Sim.Metrics.add metrics "rpc.batch.items"
                                 (List.length items);
-                              Wire.L
-                                [
-                                  Wire.S "ok";
-                                  Wire.L [ Wire.S "x-batch-resp"; Wire.L (List.map run_one items) ];
-                                ]
+                              status_to_wire
+                                (Ok
+                                   (Wire.L
+                                      [ Wire.S "x-batch-resp"; Wire.L (List.map run_one items) ]))
                           | Ok payload -> run_one payload
                         in
                         Sim.Metrics.incr metrics "crypto.seal";
                         let sealed =
                           Crypto.Aead.encode
-                            (Crypto.Aead.seal_prepared reply_key ~ad:"secure-rpc-resp"
+                            (Crypto.Aead.seal_prepared session ~ad:"secure-rpc-resp"
                                ~nonce:(Sim.Net.fresh_nonce net) (Wire.encode body))
                         in
                         let reply = Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ]) in
@@ -199,11 +199,7 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
      cache depends on that), so per-attempt ids cannot ride along — the
      server's span parents to the call, attempts are its siblings beneath.
      Untraced runs carry no fifth field. *)
-  let ctx =
-    Option.map
-      (fun c -> Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_span ])
-      (Sim.Span.context sp)
-  in
+  let ctx = Sim.Span.context sp in
   (* The payload travels as the exact bytes the authenticator covers. *)
   let payload = Wire.encode payload in
   let auth_blob =
@@ -214,7 +210,7 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
     Wire.encode
       (Wire.L
          ([ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S auth_blob; Wire.S payload ]
-         @ Option.to_list ctx))
+         @ Option.to_list (Option.map ctx_to_wire ctx)))
   in
   (* Retransmissions reuse the exact request bytes: the same authenticator
      keys the server's response cache, so a retried request is answered from
@@ -270,14 +266,10 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
   match exchange_all () with
   | Error e -> Error e
   | Ok reply -> (
-      let* v = Wire.decode reply in
-      let* tag = Result.bind (field v 0) to_string in
-      match tag with
-      | "err" ->
-          let* msg = Result.bind (field v 1) to_string in
-          Error msg
-      | "sealed" -> (
-          let* sealed = Result.bind (field v 1) to_string in
+      match Wire.decode reply with
+      | Error e -> Error e
+      | Ok (L [ S "err"; S msg ]) -> Error msg
+      | Ok (L [ S "sealed"; S sealed ]) -> (
           Sim.Metrics.incr metrics "crypto.open";
           match Crypto.Aead.decode sealed with
           | None -> Error "response: malformed seal"
@@ -286,16 +278,8 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
                 Crypto.Aead.open_prepared creds.Ticket.cred_session ~ad:"secure-rpc-resp" box
               with
               | None -> Error "response: seal verification failed"
-              | Some plaintext -> (
-                  let* body = Wire.decode plaintext in
-                  let* status = Result.bind (field body 0) to_string in
-                  match status with
-                  | "ok" -> field body 1
-                  | "err" ->
-                      let* msg = Result.bind (field body 1) to_string in
-                      Error msg
-                  | other -> Error (Printf.sprintf "response: unknown status %S" other))))
-      | other -> Error (Printf.sprintf "response: unknown tag %S" other))
+              | Some plaintext -> Result.bind (Wire.decode plaintext) status_of_wire))
+      | Ok _ -> Error "response: malformed")
 
 (* Pipelining: N payloads ride one ticket/authenticator exchange — one
    client seal, one server open+seal, one round trip — instead of N. The
@@ -306,7 +290,6 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
    transport-level failure (or an authentication refusal) fails the batch
    as a whole; per-item handler errors come back in-order inside [Ok]. *)
 let call_batch net ~creds ?retry ?via payloads =
-  let open Wire in
   match payloads with
   | [] -> Ok []
   | _ -> (
@@ -319,15 +302,5 @@ let call_batch net ~creds ?retry ?via payloads =
       with
       | Error e -> Error e
       | Ok (Wire.L [ Wire.S "x-batch-resp"; Wire.L results ]) when List.length results = n ->
-          Ok
-            (List.map
-               (fun r ->
-                 let* status = Result.bind (field r 0) to_string in
-                 match status with
-                 | "ok" -> field r 1
-                 | "err" ->
-                     let* msg = Result.bind (field r 1) to_string in
-                     Error msg
-                 | other -> Error (Printf.sprintf "batch item: unknown status %S" other))
-               results)
+          Ok (List.map status_of_wire results)
       | Ok _ -> Error "batch response: shape mismatch")

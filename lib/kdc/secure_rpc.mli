@@ -3,7 +3,7 @@
     The standard Kerberos application exchange: the client sends its ticket
     and a fresh authenticator with the request; the server learns the
     client's authenticated identity and the session key, and seals its
-    response under the session key (or the authenticator's subkey). Every
+    response under the session key. Every
     service in the system — authorization server, group server, accounting
     servers, end-servers — speaks this.
 
@@ -76,9 +76,9 @@ val serve :
     answered, which tally no ["crypto.open"] for the ticket). The
     ticket's service and expiry are still checked on every request, so a
     misaddressed or expired ticket is refused as if opened afresh. The
-    session key serves both the authenticator open and the reply seal; an
-    authenticator carrying a 32-byte subkey gets its reply sealed under
-    that subkey instead. A [my_key] that is not 32 bytes opens nothing:
+    session key serves both the authenticator open and the reply seal,
+    which {!call} opens under [cred_session]. A [my_key] that is not 32
+    bytes opens nothing:
     every request is answered ["ticket: seal verification failed"].
 
     [node] is the network registration name (default: the service

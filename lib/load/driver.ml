@@ -330,7 +330,8 @@ let run cfg =
     incr sweeps;
     if cfg.pipeline then begin
       let payloads =
-        List.map (fun n -> Wire.L [ Wire.S "balance"; Wire.S n; Wire.S usd ]) sweep_accounts
+        let balance name = Accounting_server.Balance { name; currency = usd } in
+        List.map (fun n -> Accounting_server.request_to_wire (balance n)) sweep_accounts
       in
       let sh = shard sweep_shard in
       match

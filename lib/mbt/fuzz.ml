@@ -177,6 +177,14 @@ let build () =
       ~epoch:2 ~issued_at:now
       [ ("eng", [ u0; u1 ]); ("ops", [ fs ]) ]
   in
+  (* What the KDC requests carry sealed is opaque to their codec: one
+     stand-in, drawn last so every earlier seed's bytes stay put. *)
+  let sealed = Crypto.Drbg.generate drbg 64 in
+  let as_req preauth =
+    Kdc.As_req
+      { client = u0; service = fs; nonce = 7;
+        auth_data = [ Restriction.to_wire (List.hd restrictions) ]; preauth }
+  in
   let head_cert (p : Proxy.t) =
     match p.Proxy.flavor with
     | Proxy.Public_key (c :: _) -> c
@@ -188,6 +196,10 @@ let build () =
     | _ -> assert false
   in
   let ign f v = Result.map ignore (f v) in
+  let acct name r =
+    (name, Accounting_server.request_to_wire r, ign Accounting_server.request_of_wire)
+  in
+  let kdc name r = (name, Kdc.request_to_wire r, ign Kdc.request_of_wire) in
   [
     ("principal", Principal.to_wire u0, ign Principal.of_wire);
     ("restriction", Restriction.to_wire (List.hd restrictions), ign Restriction.of_wire);
@@ -226,10 +238,30 @@ let build () =
     ("check-keyless", Check.to_wire keyless, ign Check.of_wire);
     ("check-keyless-endorsed", Check.to_wire keyless_endorsed, ign Check.of_wire);
     ("presented-session", session ~bound_to:live live, session_check);
+    acct "acct-deposit" (Accounting_server.Deposit { check = keyless_endorsed; to_account = "u1" });
+    acct "acct-draw"
+      (Accounting_server.Proxy_draw
+         { release = false; presented; payor_account = "u0"; account = "u1"; currency = "usd";
+           amount = 5 });
+    acct "acct-bulletin" (Accounting_server.Apply_bulletin bulletin);
+    kdc "as-preauth" (as_req (Some sealed));
+    kdc "as-bare" (as_req None);
+    kdc "tgs-req" (Kdc.Tgs_req { tgt = live; authenticator = sealed; target = fs; nonce = 8 });
   ],
   negatives
 
 let seeds () = fst (build ())
+
+(* One request per request codec with a trailing extra field: the codecs
+   accept exact shapes only, so each decoder must refuse its entry. *)
+let trailing_negatives seeds =
+  List.filter_map
+    (fun (name, v, _) ->
+      match v with
+      | Wire.L items when List.mem name [ "acct-deposit"; "tgs-req" ] ->
+          Some (name, Wire.L (items @ [ Wire.S "trailing" ]))
+      | _ -> None)
+    seeds
 
 (* --- mutations --- *)
 
@@ -508,8 +540,14 @@ let save_corpus ~dir =
         (Filename.concat dir ("neg-binding-" ^ name ^ "-presented-session.hex"))
         (Program.to_hex (Wire.encode v)))
     binding_negatives;
+  List.iter
+    (fun (name, v) ->
+      write
+        (Filename.concat dir ("neg-trailing-" ^ name ^ ".hex"))
+        (Program.to_hex (Wire.encode v)))
+    (trailing_negatives seeds);
   (4 * List.length seeds) + List.length json_crashers + 4 + 4 + 1
-  + List.length binding_negatives
+  + List.length binding_negatives + List.length (trailing_negatives seeds)
 
 type corpus_result = { files : int; failures : (string * string) list }
 

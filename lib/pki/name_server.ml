@@ -30,14 +30,11 @@ let lookup net ~server ~ca_pub ~caller who =
   | Ok reply -> (
       let open Wire in
       let parsed =
-        let* v = Wire.decode reply in
-        let* status = Result.bind (field v 0) to_string in
-        if status = "err" then
-          let* msg = Result.bind (field v 1) to_string in
-          Error msg
-        else
-          let* cw = field v 1 in
-          Ca.cert_of_wire cw
+        match Wire.decode reply with
+        | Ok (L [ S "ok"; cw ]) -> Ca.cert_of_wire cw
+        | Ok (L [ S "err"; S msg ]) -> Error msg
+        | Ok _ -> Error "name-server: malformed reply"
+        | Error e -> Error e
       in
       match parsed with
       | Error e -> Error e

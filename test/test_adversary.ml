@@ -313,10 +313,12 @@ let test_rewritten_transfer_refused () =
       Result.get_ok (Accounting_server.open_account net ~creds ~name))
     [ "disk"; "mallory" ];
   let creds = W.credentials_for fw.w ~tgt:(W.login fw.w fw.alice) fw.bank_name in
-  let redirect = function
-    | Wire.L [ Wire.S "transfer"; from_; Wire.S "disk"; cur; Wire.I 10 ] ->
-        Wire.L [ Wire.S "transfer"; from_; Wire.S "mallory"; cur; Wire.I 900 ]
-    | p -> p
+  let redirect p =
+    match Accounting_server.request_of_wire p with
+    | Ok (Accounting_server.Transfer ({ to_ = "disk"; amount = 10; _ } as r)) ->
+        Accounting_server.request_to_wire
+          (Accounting_server.Transfer { r with to_ = "mallory"; amount = 900 })
+    | _ -> p
   in
   Sim.Net.set_tap net (fun ~dir ~src:_ ~dst:_ payload ->
       match dir with

@@ -22,14 +22,30 @@ let capture f =
   Sys.remove tmp;
   (r, out)
 
-(* What a smoke checks, minus the printing. *)
-let check_entry (e : _ Drive.entry) () =
+(* The SHA-256 of each entry's digest, committed as "<hex>  <name>" lines
+   (sha256sum's format). A rerun only shows that one build reproduces
+   itself; the pin also fails a change that moves any byte of an entry's
+   output while every gated integer holds. An intended change replaces
+   the line with the hash the failure prints. *)
+let pinned =
+  In_channel.with_open_text "drive_digests.expected" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i ->
+             Some (String.sub line (i + 2) (String.length line - i - 2), String.sub line 0 i)
+         | None -> None)
+
+(* What a smoke checks, minus the printing, plus the pinned digest. *)
+let check_entry (e : _ Drive.entry) name () =
   let o = e.run () in
   List.iter
     (fun (label, holds) -> Alcotest.(check bool) (e.label ^ ": " ^ label) true holds)
     (e.gates o @ e.smoke_gates o);
-  let name, rerun = e.reference in
-  Alcotest.(check string) (e.label ^ ": digest vs " ^ name) (e.digest o) (e.digest (rerun ()))
+  let ref_name, rerun = e.reference in
+  Alcotest.(check string) (e.label ^ ": digest vs " ^ ref_name) (e.digest o) (e.digest (rerun ()));
+  Alcotest.(check (option string)) (name ^ ": pinned digest") (List.assoc_opt name pinned)
+    (Some (Crypto.Sha256.hex_digest (e.digest o)))
 
 let lanes flavor =
   {
@@ -120,4 +136,4 @@ let () =
         [ ("a false gate exits 1 and is named", `Quick, test_false_gate_fails);
           ("a digest mismatch exits 1", `Quick, test_digest_mismatch_fails);
           ("all gates holding exits 0", `Quick, test_all_hold_passes) ] );
-      ("entries", List.map (fun (name, f) -> Alcotest.test_case name `Slow f) entries) ]
+      ("entries", List.map (fun (name, f) -> Alcotest.test_case name `Slow (f name)) entries) ]

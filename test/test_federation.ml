@@ -361,7 +361,8 @@ let forged_tgs_error net ~key ~client ~kdc ~target =
   in
   let request =
     Wire.encode
-      (Wire.L [ Wire.S "tgs"; Wire.S blob; Wire.S auth_blob; Principal.to_wire target; Wire.I 3 ])
+      (Kdc.request_to_wire
+         (Kdc.Tgs_req { tgt = blob; authenticator = auth_blob; target; nonce = 3 }))
   in
   match Sim.Net.rpc net ~src:(Principal.to_string client) ~dst:(Principal.to_string kdc) request with
   | Error e -> Alcotest.fail ("transport: " ^ e)
@@ -461,9 +462,9 @@ let test_subkey_server_refuses_wire () =
   in
   let request =
     Wire.encode
-      (Wire.L
-         [ Wire.S "tgs"; Wire.S tgt.Ticket.ticket_blob; Wire.S auth_blob; Principal.to_wire svc;
-           Wire.I 4 ])
+      (Kdc.request_to_wire
+         (Kdc.Tgs_req
+            { tgt = tgt.Ticket.ticket_blob; authenticator = auth_blob; target = svc; nonce = 4 }))
   in
   match
     Sim.Net.rpc w.W.net ~src:(Principal.to_string alice) ~dst:(Principal.to_string w.W.kdc_name)

@@ -227,6 +227,36 @@ let test_tampered_request_rejected () =
   | Ok _ -> Alcotest.fail "tampered exchange should not yield credentials");
   Net.clear_tap w.net
 
+(* The TGS target rides outside the authenticator, so a tap can swap it
+   and the KDC issues a ticket for the other service: the client refuses a
+   reply for a service it did not ask for (RFC 4120 §3.3.4). *)
+let test_rewritten_target_refused () =
+  let w = setup () in
+  let printer = p "printer" in
+  Directory.add_symmetric w.dir printer (Net.fresh_key w.net);
+  let tgt = Result.get_ok (authenticate w w.kdc_name) in
+  let rewrites = ref 0 in
+  let retarget raw =
+    match Result.bind (Wire.decode raw) Kdc.request_of_wire with
+    | Ok (Kdc.Tgs_req r) ->
+        incr rewrites;
+        Wire.encode (Kdc.request_to_wire (Kdc.Tgs_req { r with target = printer }))
+    | Ok (Kdc.As_req _) | Error _ -> raw
+  in
+  Net.set_tap w.net (fun ~dir ~src:_ ~dst:_ payload ->
+      match dir with `Request -> Net.Replace (retarget payload) | `Response -> Net.Deliver);
+  let derived = Kdc.Client.derive w.net ~kdc:w.kdc_name ~tgt ~target:w.fileserver () in
+  Net.clear_tap w.net;
+  Alcotest.(check int) "one request rewritten" 1 !rewrites;
+  match derived with
+  | Ok c ->
+      Alcotest.failf "accepted credentials for %s" (Principal.to_string c.Ticket.cred_service)
+  | Error e ->
+      Alcotest.(check string) "refused"
+        (Printf.sprintf "reply: asked for %s, got credentials for %s"
+           (Principal.to_string w.fileserver) (Principal.to_string printer))
+        e
+
 let test_preauth_required () =
   (* A KDC demanding pre-authentication refuses requests that do not prove
      knowledge of the client key up front. *)
@@ -246,11 +276,12 @@ let test_preauth_required () =
   | Error e -> Alcotest.fail e);
   (* A raw AS request without the preauth field is refused. *)
   let nonce = 42 in
-  let bare =
+  let as_req preauth =
     Wire.encode
-      (Wire.L
-         [ Wire.S "as"; Principal.to_wire alice; Principal.to_wire fs; Wire.I nonce; Wire.L [] ])
+      (Kdc.request_to_wire
+         (Kdc.As_req { client = alice; service = fs; nonce; auth_data = []; preauth }))
   in
+  let bare = as_req None in
   (match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) bare with
   | Error e -> Alcotest.fail e
   | Ok reply ->
@@ -265,12 +296,7 @@ let test_preauth_required () =
          (Wire.encode (Wire.I (-10 * 60 * 1_000_000))))
   in
   Sim.Clock.advance (Net.clock net) (60 * 60 * 1_000_000);
-  let with_stale =
-    Wire.encode
-      (Wire.L
-         [ Wire.S "as"; Principal.to_wire alice; Principal.to_wire fs; Wire.I nonce; Wire.L [];
-           Wire.S stale_preauth ])
-  in
+  let with_stale = as_req (Some stale_preauth) in
   match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) with_stale with
   | Error e -> Alcotest.fail e
   | Ok reply ->
@@ -373,6 +399,7 @@ let () =
       ( "adversary",
         [ ("reply opaque to others", `Quick, test_reply_not_readable_by_others);
           ("tampered request rejected", `Quick, test_tampered_request_rejected);
+          ("rewritten TGS target refused", `Quick, test_rewritten_target_refused);
           ("pre-authentication", `Quick, test_preauth_required) ] );
       ("determinism", [ ("seeded runs agree", `Quick, test_determinism) ]);
       ("properties", props) ]

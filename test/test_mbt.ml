@@ -266,6 +266,67 @@ let test_binding_negatives () =
       ("other-key", Error "session binding: invalid") ]
     (List.map (fun (name, v) -> (name, check v)) negatives)
 
+(* The request seeds decode and re-encode to the same value, and the same
+   requests with a trailing field are refused: each verb has one shape. *)
+let test_request_codecs () =
+  let seeds, _ = Mbt.Fuzz.build () in
+  let seed name =
+    match List.find_opt (fun (n, _, _) -> n = name) seeds with
+    | Some (_, v, re) -> (v, re)
+    | None -> Alcotest.fail ("no seed " ^ name)
+  in
+  let exact of_wire to_wire name =
+    let v = fst (seed name) in
+    match of_wire v with
+    | Ok r -> Alcotest.(check bool) (name ^ " re-encodes") true (Wire.equal v (to_wire r))
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+  in
+  List.iter
+    (exact Accounting_server.request_of_wire Accounting_server.request_to_wire)
+    [ "acct-deposit"; "acct-draw"; "acct-bulletin" ];
+  List.iter (exact Kdc.request_of_wire Kdc.request_to_wire) [ "as-preauth"; "as-bare"; "tgs-req" ];
+  (* Every other verb, from the seeds' check, proxy and bulletin. *)
+  let module A = Accounting_server in
+  let decode name = Result.get_ok (A.request_of_wire (fst (seed name))) in
+  let check, presented, bulletin =
+    match (decode "acct-deposit", decode "acct-draw", decode "acct-bulletin") with
+    | A.Deposit { check; _ }, A.Proxy_draw { presented; _ }, A.Apply_bulletin b ->
+        (check, presented, b)
+    | _ -> Alcotest.fail "request seeds decode to other verbs"
+  in
+  List.iter
+    (fun r ->
+      let v = A.request_to_wire r in
+      Alcotest.(check bool) "verb re-encodes" true
+        (Result.fold ~ok:(fun r -> Wire.equal v (A.request_to_wire r)) ~error:(fun _ -> false)
+           (A.request_of_wire v)))
+    [ A.Open_account { name = "a" };
+      A.Balance { name = "a"; currency = "usd" };
+      A.Transfer { from_ = "a"; to_ = "b"; currency = "usd"; amount = 3 };
+      A.Collect check;
+      A.Certify check;
+      A.Cashier { from_account = "a"; payee = check.Check.payee; currency = "usd"; amount = 3 };
+      A.Seq_advance { key = "k"; progress = 1; expires = 2; tag = "t" };
+      A.Proxy_draw
+        { release = true; presented; payor_account = "a"; account = "b"; currency = "usd";
+          amount = 1 };
+      A.Apply_bulletin bulletin ];
+  Alcotest.(check (list (result unit string)))
+    "malformed and unknown requests"
+    [ Error "accounting: malformed transfer request";
+      Error "accounting: unknown operation \"proxy-transfer\"";
+      Error "accounting: malformed request";
+      Error "unknown operation \"krb-priv\"" ]
+    [ Result.map ignore (A.request_of_wire (Wire.L [ Wire.S "transfer"; Wire.S "a" ]));
+      Result.map ignore (A.request_of_wire (Wire.L [ Wire.S "proxy-transfer" ]));
+      Result.map ignore (A.request_of_wire (Wire.S "transfer"));
+      Result.map ignore (Kdc.request_of_wire (Wire.L [ Wire.S "krb-priv" ])) ];
+  Alcotest.(check (list (pair string (result unit string))))
+    "a trailing field is refused"
+    [ ("acct-deposit", Error "accounting: malformed deposit request");
+      ("tgs-req", Error "tgs: malformed request") ]
+    (List.map (fun (name, v) -> (name, snd (seed name) v)) (Mbt.Fuzz.trailing_negatives seeds))
+
 let test_fuzz_corpus_regenerates () =
   (* The corpus is append-only: regenerating it from the seeds reproduces
      every committed file byte for byte and writes no file that is not
@@ -316,4 +377,5 @@ let () =
           ("fuzz smoke", `Quick, test_fuzz_smoke);
           ("fuzz corpus replays", `Quick, test_fuzz_corpus);
           ("binding negatives refused", `Quick, test_binding_negatives);
+          ("request codecs take exact shapes", `Quick, test_request_codecs);
           ("fuzz corpus regenerates", `Quick, test_fuzz_corpus_regenerates) ] ) ]

@@ -42,7 +42,7 @@ let selftest () =
   let box = Crypto.Aead.seal ~key ~nonce "sealed payload" in
   check "AEAD roundtrip" (Crypto.Aead.open_ ~key box = Some "sealed payload");
   check "AEAD tamper detection"
-    (Crypto.Aead.open_ ~key { box with Crypto.Aead.tag = String.make 32 '\x00' } = None);
+    (Crypto.Aead.open_ ~key { box with Crypto.Aead.tag = String.make 16 '\x00' } = None);
   let drbg = Crypto.Drbg.create ~seed:"selftest" in
   let rsa = Crypto.Rsa.generate drbg ~bits:512 in
   let signature = Crypto.Rsa.sign rsa "message" in

@@ -149,8 +149,9 @@ let fig1 () =
 
 (* One request at each service layer, then a span rollup per layer: which
    protocol step each message, byte and crypto op lands in. The kernel
-   columns are the SHA-256 compressions and ChaCha20 blocks the same
-   request cost ([Crypto.Cost]), so per-layer kernel work is gated. *)
+   columns are the SHA-256 compressions, ChaCha20 blocks and Poly1305
+   blocks the same request cost ([Crypto.Cost]), so per-layer kernel work
+   is gated. *)
 let fig2 () =
   let usd = "usd" in
   let layers = ref [] and phases = ref [] in
@@ -166,7 +167,8 @@ let fig2 () =
           ("crypto_ops", crypto_ops deltas);
           ("sim_latency_us", lat);
           ("sha256_compressions", kernels.Crypto.Cost.sha256_compressions);
-          ("chacha20_blocks", kernels.Crypto.Cost.chacha20_blocks) ]
+          ("chacha20_blocks", kernels.Crypto.Cost.chacha20_blocks);
+          ("poly1305_blocks", kernels.Crypto.Cost.poly1305_blocks) ]
       :: !layers;
     phases := !phases @ span_phase_rows ~layer:phase net
   in

@@ -54,11 +54,12 @@ let parse_err reply =
   | Ok _ -> "<accepted>"
 
 (* A TGS request built by hand, as a client that skips its library's
-   checks would send it, its authenticator [auth] sealed under [session]:
-   the KDC's in-band error, or "<accepted>". *)
+   checks would send it, its authenticator [auth] sealed under [session]
+   over the request body: the KDC's in-band error, or "<accepted>". *)
 let raw_tgs net ~src ~kdc ~tgt ~session ~auth ~target ~nonce =
   let authenticator =
-    Ticket.seal_authenticator ~session_key:session ~nonce:(Sim.Net.fresh_nonce net) auth
+    Ticket.seal_authenticator ~session_key:session ~nonce:(Sim.Net.fresh_nonce net)
+      ~covers:(Kdc.tgs_covers ~target ~nonce) auth
   in
   let request =
     Wire.encode (Kdc.request_to_wire (Kdc.Tgs_req { tgt; authenticator; target; nonce }))

@@ -18,15 +18,15 @@
       or the symmetric proxy key;
     - {e opened conventional links}: a conventional certificate is an AEAD
       box under the previous proxy key (the base session key for the
-      head), and opening it costs a key preparation (8 SHA-256
-      compressions), a MAC over the box and a decode. The key is the
-      length-framed sealing key followed by the exact certificate blob;
-      the value is the certificate body and the next proxy key it
-      carries.
+      head), and opening it costs a key preparation (4 SHA-256
+      compressions), a ChaCha20-Poly1305 open of the box and a decode.
+      The key is the length-framed sealing key followed by the exact
+      certificate blob; the value is the certificate body and the next
+      proxy key it carries.
 
     A one-byte tag starts each key, so keys of different kinds can never
     be equal. Keys are the bytes themselves, not a digest: hashing a
-    250-byte blob would take 5 SHA-256 compressions, over half of what a
+    250-byte blob would take 5 SHA-256 compressions, more than a
     preparation costs.
 
     What is deliberately {e not} cached:

@@ -1,17 +1,24 @@
-(** Authenticated encryption: ChaCha20 + HMAC-SHA256, encrypt-then-MAC.
+(** Authenticated encryption: ChaCha20-Poly1305 (RFC 8439 §2.8) under a
+    subkey derived from the key by HMAC-SHA256.
 
     Sealed boxes carry session keys inside Kerberos-style tickets and proxy
-    keys between grantor and grantee. The MAC covers nonce, associated data,
-    and ciphertext, so any tampering with a sealed certificate is detected
-    before decryption. *)
+    keys between grantor and grantee. The 16-byte Poly1305 tag covers the
+    associated data and the ciphertext under a one-time key drawn from
+    ChaCha20 block 0 under the nonce, so any tampering with a sealed
+    certificate, its associated data or its nonce is detected before
+    decryption. A nonce must never repeat under one key: two boxes under
+    the same key and nonce expose the keystream and the one-time MAC key,
+    and with it a forgery. *)
 
 type sealed = { nonce : string; ciphertext : string; tag : string }
 
 (** {2 Prepared keys}
 
-    A 32-byte key drives two subkeys, one for the cipher and one for the
-    MAC; deriving them costs 8 SHA-256 compressions. A prepared key holds
-    both, so whoever keeps a key for many messages derives them once: a
+    A 32-byte key never keys the cipher itself, since proxy keys also key
+    HMAC session bindings: it drives one subkey, HMAC(key, "aead-encrypt"),
+    under which ChaCha20 runs and each box's one-time MAC key is drawn.
+    Deriving it costs 4 SHA-256 compressions. A prepared key holds it, so
+    whoever keeps a key for many messages derives it once: a
     server its long-term key and, per ticket it has opened, that ticket's
     session key ([Ticket.holder], held by [Secure_rpc.serve] and
     [Guard.create]), client credentials their session key
@@ -48,6 +55,8 @@ val open_ : key:string -> ?ad:string -> sealed -> string option
 (** [open_ ~key ~ad box] returns the plaintext iff the tag verifies. *)
 
 val encode : sealed -> string
-(** Flat wire encoding (nonce || tag || ciphertext). *)
+(** Flat wire encoding (nonce || tag || ciphertext): 28 bytes more than
+    the plaintext. *)
 
 val decode : string -> sealed option
+(** [None] under 28 bytes, the smallest box (an empty plaintext). *)

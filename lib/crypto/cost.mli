@@ -1,5 +1,6 @@
 (** What the crypto kernels have done on the calling domain: SHA-256
-    compressions, ChaCha20 blocks, {!Drbg.generate} calls, and RSA
+    compressions, ChaCha20 blocks, Poly1305 blocks (16 bytes each, a
+    padded or partial one included), {!Drbg.generate} calls, and RSA
     signatures, verifications and key generations (possession proofs
     included, since they call {!Rsa.sign} and {!Rsa.verify}).
 
@@ -10,6 +11,7 @@
 type t = {
   sha256_compressions : int;
   chacha20_blocks : int;
+  poly1305_blocks : int;
   drbg_draws : int;
   rsa_sign : int;
   rsa_verify : int;

@@ -14,6 +14,7 @@
 type t = {
   mutable compressions : int;
   mutable blocks : int;
+  mutable poly_blocks : int;
   mutable draws : int;
   mutable signs : int;
   mutable verifies : int;
@@ -26,6 +27,7 @@ let key =
       {
         compressions = 0;
         blocks = 0;
+        poly_blocks = 0;
         draws = 0;
         signs = 0;
         verifies = 0;

@@ -1,0 +1,26 @@
+(** Poly1305 one-time authenticator (RFC 8439 §2.5).
+
+    A Poly1305 key authenticates one message: two messages under one key
+    let an observer forge a third. {!Aead} therefore derives a fresh key
+    per box from ChaCha20 block 0 under the box's nonce (RFC 8439 §2.6).
+    Nothing here keeps state between MACs, so any number of domains may
+    run them at once. *)
+
+val mac : key:string -> string -> string
+(** [mac ~key msg] is the 16-byte tag of [msg] under the 32-byte one-time
+    [key]. Raises [Invalid_argument] if [key] is not 32 bytes. *)
+
+(** {2 Streaming, for the AEAD construction} *)
+
+type t
+(** One MAC in progress. *)
+
+val start : key:string -> t
+(** As {!mac}, the key is 32 bytes. *)
+
+val pad16 : t -> string -> unit
+(** Absorb a string zero-padded to a multiple of 16 bytes (RFC 8439
+    §2.8's [pad16]); a string already a multiple of 16 gets no padding. *)
+
+val finish : t -> string
+(** The 16-byte tag of everything absorbed. Use a state once. *)

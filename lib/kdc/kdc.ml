@@ -181,6 +181,12 @@ let request_of_wire v =
   | L (S other :: _) -> Error (Printf.sprintf "unknown operation %S" other)
   | _ -> Error "malformed request"
 
+(* A TGS authenticator covers the request body it rides with, the target
+   and the request nonce (the authenticator checksum of RFC 4120
+   §3.3.1-3.3.2), so a tap that rewrites either makes the KDC refuse the
+   request before it issues anything. *)
+let tgs_covers ~target ~nonce = Wire.encode (Wire.L [ Principal.to_wire target; Wire.I nonce ])
+
 let handle_as t ~client ~service ~nonce ~auth_data ~preauth =
   metrics_incr t "kdc.as_req";
   match Directory.symmetric t.directory client with
@@ -213,7 +219,8 @@ let handle_tgs t ~tgt:tgt_blob ~authenticator ~target ~nonce =
         metrics_incr t "crypto.open";
         match
           Ticket.open_authenticator
-            ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key) authenticator
+            ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key)
+            ~covers:(tgs_covers ~target ~nonce) authenticator
         with
         | Error e -> err ("tgs: " ^ e)
         | Ok (auth, _) ->
@@ -258,8 +265,8 @@ let install t = Sim.Net.register t.net ~name:(Principal.to_string t.name) (handl
 
 module Client = struct
   (* A reply for a service other than the one asked for is refused
-     (RFC 4120 §3.1.5, §3.3.4): the TGS target travels outside the
-     authenticator, so a tap could otherwise swap the service. *)
+     (RFC 4120 §3.1.5, §3.3.4): an AS request's service travels under no
+     seal, so a tap could otherwise swap it. *)
   let parse_reply ~reply_key ~reply_ad ~expected_nonce ~client ~service reply =
     let open Wire in
     let* ticket_blob, sealed =
@@ -350,7 +357,7 @@ module Client = struct
     in
     let auth_blob =
       Ticket.seal_authenticator ~session_key:tgt.Ticket.cred_session
-        ~nonce:(Sim.Net.fresh_nonce net) authenticator
+        ~nonce:(Sim.Net.fresh_nonce net) ~covers:(tgs_covers ~target ~nonce) authenticator
     in
     let request =
       Wire.encode

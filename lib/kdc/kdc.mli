@@ -54,13 +54,22 @@ type request =
     }
   | Tgs_req of {
       tgt : string;
-      authenticator : string;  (** sealed under the TGT's session key *)
-      target : Principal.t;  (** outside the authenticator, so {!Client} checks the reply *)
+      authenticator : string;
+          (** sealed under the TGT's session key, covering {!tgs_covers} *)
+      target : Principal.t;
       nonce : int;
     }
 
 val request_to_wire : request -> Wire.t
 val request_of_wire : Wire.t -> (request, string) result
+
+val tgs_covers : target:Principal.t -> nonce:int -> string
+(** What a TGS request's authenticator covers ([Ticket.seal_authenticator
+    ~covers]): the encoded target and request nonce, RFC 4120's
+    authenticator checksum over the request body. The KDC opens the
+    authenticator under the target and nonce the request carries, so a
+    rewritten one is refused ("tgs: authenticator: seal verification
+    failed") before any ticket is issued. *)
 
 (** {2 Cross-realm trust}
 
@@ -103,6 +112,7 @@ module Client : sig
     (Ticket.credentials, string) result
   (** TGS exchange: derive credentials for [target] from a TGT, optionally
       adding restrictions ([auth_data]) and nominating a fresh [subkey] that
-      will protect the reply (the proxy-key slot). The target rides outside
-      the authenticator, so a reply for another service is refused. *)
+      will protect the reply (the proxy-key slot). The authenticator covers
+      the target and nonce ({!tgs_covers}), and a reply for another service
+      is refused as well. *)
 end

@@ -414,13 +414,17 @@ let json_crashers =
     ("json-escape-negative", {|{"a": "\u-123"}|});
   ]
 
-let corpus_decoder seeds fname =
-  List.find_map
-    (fun (name, _, re) ->
-      let suffix = name ^ ".hex" in
-      let sl = String.length suffix and fl = String.length fname in
-      if fl >= sl && String.sub fname (fl - sl) sl = suffix then Some re else None)
-    seeds
+(* The seed that wrote [fname]: the one with the longest name that ends
+   it, so a seed whose name ends another's (["draw"], ["acct-draw"])
+   never takes the other's files, whatever the seed order. *)
+let corpus_seed seeds fname =
+  List.fold_left
+    (fun best ((name, _, _) as seed) ->
+      let longer =
+        match best with Some (b, _, _) -> String.length name > String.length b | None -> true
+      in
+      if longer && String.ends_with ~suffix:(name ^ ".hex") fname then Some seed else best)
+    None seeds
 
 (* Wire encoding is compositional, so an encoded list is a substring of
    the encoded value holding it, its u32 count right after the list tag:
@@ -582,9 +586,9 @@ let replay_corpus ~dir =
           | Ok `Err -> if must_be_valid then fail fname "valid corpus entry failed to decode"
           | Ok `Ok -> (
               let w = Result.get_ok (Wire.decode bytes) in
-              match corpus_decoder seeds fname with
+              match corpus_seed seeds fname with
               | None -> ()
-              | Some re -> (
+              | Some (_, _, re) -> (
                   match no_crash "typed-decode" fname bytes (fun () -> re w) with
                   | Error c -> fail fname ("typed decoder raised: " ^ c.c_exn)
                   | Ok `Err ->

@@ -29,19 +29,21 @@ let kernel_cost f =
   let before = Crypto.Cost.read () in
   f ();
   let c = Crypto.Cost.diff ~before ~after:(Crypto.Cost.read ()) in
-  [ c.Crypto.Cost.sha256_compressions; c.chacha20_blocks; c.drbg_draws; c.rsa_sign;
-    c.rsa_verify; c.rsa_keygen ]
+  [ c.Crypto.Cost.sha256_compressions; c.chacha20_blocks; c.poly1305_blocks; c.drbg_draws;
+    c.rsa_sign; c.rsa_verify; c.rsa_keygen ]
 
 (* Exact kernel cost of a call, credentials in hand and server up. In
    the first call the client seals an authenticator over the payload and
    opens the reply; the server opens the ticket, digests it (the session
-   a binding names), prepares its session key (8 compressions), opens the
+   a binding names), prepares its session key (4 compressions), opens the
    authenticator, keys the response cache by its tag and seals the reply.
-   The server keeps the opened ticket, its digest and the prepared key, so
-   every later call skips the ticket open, the digest and the
-   preparation. Seal nonces are counted per net, so no call draws from a
-   DRBG; drawing its two nonces would cost 2 draws and 20 compressions
-   more. *)
+   Each seal or open is one ChaCha20 block for its MAC key, the keystream
+   blocks and the Poly1305 blocks of its associated data, ciphertext and
+   lengths; no SHA-256. The server keeps the opened ticket, its digest and
+   the prepared key, so every later call skips the ticket open, the
+   digest and the preparation, and makes no compression at all. Seal
+   nonces are counted per net, so no call draws from a DRBG; drawing its
+   two nonces would cost 2 draws and 20 compressions more. *)
 let test_secure_rpc_warm_cost () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
@@ -53,9 +55,11 @@ let test_secure_rpc_warm_cost () =
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   in
-  Alcotest.(check (list int)) "cold: compressions, blocks, draws, rsa" [ 27; 6; 0; 0; 0; 0 ]
+  Alcotest.(check (list int))
+    "cold: compressions, blocks, poly1305 blocks, draws, rsa" [ 7; 11; 32; 0; 0; 0; 0 ]
     (kernel_cost call);
-  Alcotest.(check (list int)) "warm: compressions, blocks, draws, rsa" [ 12; 4; 0; 0; 0; 0 ]
+  Alcotest.(check (list int))
+    "warm: compressions, blocks, poly1305 blocks, draws, rsa" [ 0; 8; 22; 0; 0; 0; 0 ]
     (kernel_cost call);
   Alcotest.(check int) "the warm call's ticket came from the table" 1
     (Sim.Metrics.get (Sim.Net.metrics w.W.net) "ticket_cache.hits")
@@ -727,9 +731,10 @@ let test_cascade_through_guard () =
    checks the binding; the client keeps the binding and the server all
    four opens and the binding's verdict, so the second one redoes none of
    them (two ticket-table hits, two link hits and a binding hit) and still
-   checks every window and the head grantor. What both pay on top of the
-   call itself is the authenticator covering the payload, mostly the two
-   sealed certificates. *)
+   checks every window and the head grantor: no compression, and the
+   call's four seals and opens. What both pay on top of the call itself
+   is the authenticator covering the payload, mostly the two sealed
+   certificates: 112 Poly1305 blocks against a warm echo call's 22. *)
 let test_capability_presentation_cost () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
@@ -763,9 +768,11 @@ let test_capability_presentation_cost () =
     | Error e -> Alcotest.fail e
   in
   let metric name = Sim.Metrics.get (Sim.Net.metrics w.W.net) name in
-  Alcotest.(check (list int)) "first: compressions, blocks, draws, rsa" [ 97; 18; 0; 0; 0; 0 ]
+  Alcotest.(check (list int))
+    "first: compressions, blocks, poly1305 blocks, draws, rsa" [ 31; 26; 164; 0; 0; 0; 0 ]
     (kernel_cost present);
-  Alcotest.(check (list int)) "second: compressions, blocks, draws, rsa" [ 36; 4; 0; 0; 0; 0 ]
+  Alcotest.(check (list int))
+    "second: compressions, blocks, poly1305 blocks, draws, rsa" [ 0; 8; 112; 0; 0; 0; 0 ]
     (kernel_cost present);
   Alcotest.(check (list int)) "ticket-table hits, verify-cache hits, misses" [ 2; 3; 3 ]
     [ metric "ticket_cache.hits"; metric "verify_cache.hits"; metric "verify_cache.misses" ]

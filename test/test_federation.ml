@@ -357,7 +357,7 @@ let forged_tgs_error net ~key ~client ~kdc ~target =
   let auth = { Ticket.auth_client = client; timestamp = now; subkey = None; auth_data = [] } in
   let auth_blob =
     Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare session_key)
-      ~nonce:(Sim.Net.fresh_nonce net) auth
+      ~nonce:(Sim.Net.fresh_nonce net) ~covers:(Kdc.tgs_covers ~target ~nonce:3) auth
   in
   let request =
     Wire.encode
@@ -458,7 +458,7 @@ let test_subkey_server_refuses_wire () =
   in
   let auth_blob =
     Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare tgt.Ticket.session_key)
-      ~nonce:(Sim.Net.fresh_nonce w.W.net) auth
+      ~nonce:(Sim.Net.fresh_nonce w.W.net) ~covers:(Kdc.tgs_covers ~target:svc ~nonce:4) auth
   in
   let request =
     Wire.encode

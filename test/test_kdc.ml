@@ -227,9 +227,9 @@ let test_tampered_request_rejected () =
   | Ok _ -> Alcotest.fail "tampered exchange should not yield credentials");
   Net.clear_tap w.net
 
-(* The TGS target rides outside the authenticator, so a tap can swap it
-   and the KDC issues a ticket for the other service: the client refuses a
-   reply for a service it did not ask for (RFC 4120 §3.3.4). *)
+(* The TGS authenticator covers the target and the request nonce, so a
+   tap that swaps the target makes the KDC itself refuse the request, and
+   it issues no ticket for the other service (RFC 4120 §3.3.1-3.3.2). *)
 let test_rewritten_target_refused () =
   let w = setup () in
   let printer = p "printer" in
@@ -248,14 +248,15 @@ let test_rewritten_target_refused () =
   let derived = Kdc.Client.derive w.net ~kdc:w.kdc_name ~tgt ~target:w.fileserver () in
   Net.clear_tap w.net;
   Alcotest.(check int) "one request rewritten" 1 !rewrites;
-  match derived with
+  (match derived with
   | Ok c ->
       Alcotest.failf "accepted credentials for %s" (Principal.to_string c.Ticket.cred_service)
   | Error e ->
-      Alcotest.(check string) "refused"
-        (Printf.sprintf "reply: asked for %s, got credentials for %s"
-           (Principal.to_string w.fileserver) (Principal.to_string printer))
-        e
+      Alcotest.(check string) "the KDC refused" "tgs: authenticator: seal verification failed" e);
+  Alcotest.(check bool) "no ticket issued for printer" true
+    (Sim.Trace.find (Net.trace w.net) ~actor:(Principal.to_string w.kdc_name)
+       ~substring:("service=" ^ Principal.to_string printer)
+     = None)
 
 let test_preauth_required () =
   (* A KDC demanding pre-authentication refuses requests that do not prove

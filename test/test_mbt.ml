@@ -327,6 +327,60 @@ let test_request_codecs () =
       ("tgs-req", Error "tgs: malformed request") ]
     (List.map (fun (name, v) -> (name, snd (seed name) v)) (Mbt.Fuzz.trailing_negatives seeds))
 
+(* A corpus file replays under the seed that wrote it. Two synthetic
+   seeds, one name ending the other, resolve in either order; and every
+   committed file resolves to its writer, read from its name: a valid
+   file's seed, a mutant's seed index, a negative's name after its kind. *)
+let test_corpus_seed_resolution () =
+  let resolve seeds f = Option.map (fun (n, _, _) -> n) (Mbt.Fuzz.corpus_seed seeds f) in
+  let synthetic =
+    [ ("draw", Wire.S "", fun _ -> Ok ()); ("acct-draw", Wire.S "", fun _ -> Ok ()) ]
+  in
+  List.iter
+    (fun seeds ->
+      Alcotest.(check (list (option string)))
+        "synthetic seeds"
+        [ Some "acct-draw"; Some "acct-draw"; Some "draw"; Some "draw"; None ]
+        (List.map (resolve seeds)
+           [ "valid-acct-draw.hex"; "mutant-12-acct-draw.hex"; "valid-draw.hex";
+             "mutant-00-draw.hex"; "valid-drawn.hex" ]))
+    [ synthetic; List.rev synthetic ];
+  let seeds, negatives = Mbt.Fuzz.build () in
+  let after prefix f =
+    if String.starts_with ~prefix f then
+      Some (String.sub f (String.length prefix) (String.length f - String.length prefix))
+    else None
+  in
+  let neg_kinds =
+    [ "neg-truncated-"; "neg-lenbomb-"; "neg-trailing-"; "neg-dupstep-"; "neg-empty-";
+      "neg-keyless-no-grantee-" ]
+    @ List.map (fun (n, _) -> "neg-binding-" ^ n ^ "-") negatives
+  in
+  let writer f =
+    let base = Filename.chop_suffix f ".hex" in
+    match (after "valid-" base, after "mutant-" base) with
+    | Some name, _ -> Some name
+    | None, Some rest ->
+        (* mutant-<seed index><k>-<name>, k a single digit *)
+        let digits = List.hd (String.split_on_char '-' rest) in
+        let i = int_of_string (String.sub digits 0 (String.length digits - 1)) in
+        let name, _, _ = List.nth seeds i in
+        Some name
+    | None, None -> List.find_map (fun prefix -> after prefix base) neg_kinds
+  in
+  let files =
+    Sys.readdir "fuzz_corpus" |> Array.to_list
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".hex" && not (String.starts_with ~prefix:"json-" f))
+    |> List.sort compare
+  in
+  List.iter
+    (fun f ->
+      match writer f with
+      | None -> Alcotest.failf "%s: no writer in its name" f
+      | Some name -> Alcotest.(check (option string)) f (Some name) (resolve seeds f))
+    files
+
 let test_fuzz_corpus_regenerates () =
   (* The corpus is append-only: regenerating it from the seeds reproduces
      every committed file byte for byte and writes no file that is not
@@ -378,4 +432,5 @@ let () =
           ("fuzz corpus replays", `Quick, test_fuzz_corpus);
           ("binding negatives refused", `Quick, test_binding_negatives);
           ("request codecs take exact shapes", `Quick, test_request_codecs);
-          ("fuzz corpus regenerates", `Quick, test_fuzz_corpus_regenerates) ] ) ]
+          ("fuzz corpus regenerates", `Quick, test_fuzz_corpus_regenerates);
+          ("corpus files resolve to their seeds", `Quick, test_corpus_seed_resolution) ] ) ]

@@ -16,6 +16,19 @@ echo "== tests =="
 # here.
 dune runtest
 
+echo "== AEAD vectors from an independent implementation =="
+# test/aead_vectors.py rebuilds the boxes test_crypto opens and reseals
+# with Python's `cryptography`; they must come out byte for byte as
+# committed in test/aead_vectors.txt.
+if python3 -c 'import cryptography' 2>/dev/null; then
+    AEAD_VECTORS=$(mktemp)
+    python3 test/aead_vectors.py "$AEAD_VECTORS"
+    cmp "$AEAD_VECTORS" test/aead_vectors.txt
+    rm -f "$AEAD_VECTORS"
+else
+    echo "skip: python3 cannot import cryptography"
+fi
+
 echo "== chaos smoke matrix =="
 run_chaos () {
     echo "-- proxykit chaos $*"

@@ -1,22 +1,20 @@
-(* RFC 8439 ChaCha20. Words are 32-bit values held in native ints, masked
-   after each addition, so a block allocates nothing: the state is built
-   once per message and each block's keystream lands in one reused
-   64-byte buffer. *)
+(* RFC 8439 ChaCha20. The input state is 16 32-bit words in a native-int
+   array, built once per message. A block copies it into 16 Int32 local
+   refs, runs the 20 rounds over them, and XORs each finished word into
+   the output four bytes at a time. ocamlopt keeps Int32 let-bindings and
+   refs that never escape unboxed, in registers or stack slots, so a block
+   allocates nothing. A word stored in an array, a record or a closure, or
+   passed to a function that is not inlined, would be boxed: a block would
+   allocate again. So the rounds are written out over the locals rather
+   than through a quarter-round helper, and a word leaves them as a native
+   int. *)
 
 let mask = 0xffffffff
-let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
-(* [x] is always a 16-word working state and the indices are constants
-   below 16. *)
-let[@inline] quarter x a b c d =
-  Array.unsafe_set x a ((Array.unsafe_get x a + Array.unsafe_get x b) land mask);
-  Array.unsafe_set x d (rotl (Array.unsafe_get x d lxor Array.unsafe_get x a) 16);
-  Array.unsafe_set x c ((Array.unsafe_get x c + Array.unsafe_get x d) land mask);
-  Array.unsafe_set x b (rotl (Array.unsafe_get x b lxor Array.unsafe_get x c) 12);
-  Array.unsafe_set x a ((Array.unsafe_get x a + Array.unsafe_get x b) land mask);
-  Array.unsafe_set x d (rotl (Array.unsafe_get x d lxor Array.unsafe_get x a) 8);
-  Array.unsafe_set x c ((Array.unsafe_get x c + Array.unsafe_get x d) land mask);
-  Array.unsafe_set x b (rotl (Array.unsafe_get x b lxor Array.unsafe_get x c) 7)
+external ( +% ) : int32 -> int32 -> int32 = "%int32_add"
+external ( ^% ) : int32 -> int32 -> int32 = "%int32_xor"
+
+let[@inline] rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
 
 let word_le s off = Int32.to_int (String.get_int32_le s off) land mask
 
@@ -38,50 +36,114 @@ let state ~key ~nonce ~counter =
   done;
   st
 
-(* Write the keystream block of [st] into [ks], using [x] (16 words) as the
-   working state. *)
-let keystream st x ks =
-  Array.blit st 0 x 0 16;
+(* XOR keystream word [w] (its low 32 bits) into the bytes of [msg] from
+   [pos] up to [stop], four at most, writing them to [out]. *)
+let[@inline] xor_word msg out pos stop w =
+  if pos + 4 <= stop then
+    Bytes.set_int32_le out pos (String.get_int32_le msg pos ^% Int32.of_int w)
+  else
+    for i = 0 to stop - pos - 1 do
+      Bytes.unsafe_set out (pos + i)
+        (Char.unsafe_chr
+           (Char.code (String.unsafe_get msg (pos + i)) lxor ((w lsr (8 * i)) land 0xff)))
+    done
+
+(* XOR the keystream block of [st] into the bytes of [msg] from [off] up
+   to [stop], 64 at most, writing them to [out]. *)
+let xor_block st msg out off stop =
+  let x0 = ref (Int32.of_int (Array.unsafe_get st 0))
+  and x1 = ref (Int32.of_int (Array.unsafe_get st 1))
+  and x2 = ref (Int32.of_int (Array.unsafe_get st 2))
+  and x3 = ref (Int32.of_int (Array.unsafe_get st 3))
+  and x4 = ref (Int32.of_int (Array.unsafe_get st 4))
+  and x5 = ref (Int32.of_int (Array.unsafe_get st 5))
+  and x6 = ref (Int32.of_int (Array.unsafe_get st 6))
+  and x7 = ref (Int32.of_int (Array.unsafe_get st 7))
+  and x8 = ref (Int32.of_int (Array.unsafe_get st 8))
+  and x9 = ref (Int32.of_int (Array.unsafe_get st 9))
+  and x10 = ref (Int32.of_int (Array.unsafe_get st 10))
+  and x11 = ref (Int32.of_int (Array.unsafe_get st 11))
+  and x12 = ref (Int32.of_int (Array.unsafe_get st 12))
+  and x13 = ref (Int32.of_int (Array.unsafe_get st 13))
+  and x14 = ref (Int32.of_int (Array.unsafe_get st 14))
+  and x15 = ref (Int32.of_int (Array.unsafe_get st 15)) in
   for _ = 1 to 10 do
-    quarter x 0 4 8 12;
-    quarter x 1 5 9 13;
-    quarter x 2 6 10 14;
-    quarter x 3 7 11 15;
-    quarter x 0 5 10 15;
-    quarter x 1 6 11 12;
-    quarter x 2 7 8 13;
-    quarter x 3 4 9 14
+    (* Columns: quarter rounds (0 4 8 12) (1 5 9 13) (2 6 10 14) (3 7 11 15). *)
+    x0 := !x0 +% !x4; x12 := rotl (!x12 ^% !x0) 16;
+    x8 := !x8 +% !x12; x4 := rotl (!x4 ^% !x8) 12;
+    x0 := !x0 +% !x4; x12 := rotl (!x12 ^% !x0) 8;
+    x8 := !x8 +% !x12; x4 := rotl (!x4 ^% !x8) 7;
+    x1 := !x1 +% !x5; x13 := rotl (!x13 ^% !x1) 16;
+    x9 := !x9 +% !x13; x5 := rotl (!x5 ^% !x9) 12;
+    x1 := !x1 +% !x5; x13 := rotl (!x13 ^% !x1) 8;
+    x9 := !x9 +% !x13; x5 := rotl (!x5 ^% !x9) 7;
+    x2 := !x2 +% !x6; x14 := rotl (!x14 ^% !x2) 16;
+    x10 := !x10 +% !x14; x6 := rotl (!x6 ^% !x10) 12;
+    x2 := !x2 +% !x6; x14 := rotl (!x14 ^% !x2) 8;
+    x10 := !x10 +% !x14; x6 := rotl (!x6 ^% !x10) 7;
+    x3 := !x3 +% !x7; x15 := rotl (!x15 ^% !x3) 16;
+    x11 := !x11 +% !x15; x7 := rotl (!x7 ^% !x11) 12;
+    x3 := !x3 +% !x7; x15 := rotl (!x15 ^% !x3) 8;
+    x11 := !x11 +% !x15; x7 := rotl (!x7 ^% !x11) 7;
+    (* Diagonals: (0 5 10 15) (1 6 11 12) (2 7 8 13) (3 4 9 14). *)
+    x0 := !x0 +% !x5; x15 := rotl (!x15 ^% !x0) 16;
+    x10 := !x10 +% !x15; x5 := rotl (!x5 ^% !x10) 12;
+    x0 := !x0 +% !x5; x15 := rotl (!x15 ^% !x0) 8;
+    x10 := !x10 +% !x15; x5 := rotl (!x5 ^% !x10) 7;
+    x1 := !x1 +% !x6; x12 := rotl (!x12 ^% !x1) 16;
+    x11 := !x11 +% !x12; x6 := rotl (!x6 ^% !x11) 12;
+    x1 := !x1 +% !x6; x12 := rotl (!x12 ^% !x1) 8;
+    x11 := !x11 +% !x12; x6 := rotl (!x6 ^% !x11) 7;
+    x2 := !x2 +% !x7; x13 := rotl (!x13 ^% !x2) 16;
+    x8 := !x8 +% !x13; x7 := rotl (!x7 ^% !x8) 12;
+    x2 := !x2 +% !x7; x13 := rotl (!x13 ^% !x2) 8;
+    x8 := !x8 +% !x13; x7 := rotl (!x7 ^% !x8) 7;
+    x3 := !x3 +% !x4; x14 := rotl (!x14 ^% !x3) 16;
+    x9 := !x9 +% !x14; x4 := rotl (!x4 ^% !x9) 12;
+    x3 := !x3 +% !x4; x14 := rotl (!x14 ^% !x3) 8;
+    x9 := !x9 +% !x14; x4 := rotl (!x4 ^% !x9) 7
   done;
-  for i = 0 to 15 do
-    Bytes.set_int32_le ks (4 * i) (Int32.of_int (Array.unsafe_get x i + Array.unsafe_get st i))
-  done
+  (* A finished word is its local plus its input word; only the low 32
+     bits of the native-int sum are written. *)
+  xor_word msg out off stop (Int32.to_int !x0 + Array.unsafe_get st 0);
+  xor_word msg out (off + 4) stop (Int32.to_int !x1 + Array.unsafe_get st 1);
+  xor_word msg out (off + 8) stop (Int32.to_int !x2 + Array.unsafe_get st 2);
+  xor_word msg out (off + 12) stop (Int32.to_int !x3 + Array.unsafe_get st 3);
+  xor_word msg out (off + 16) stop (Int32.to_int !x4 + Array.unsafe_get st 4);
+  xor_word msg out (off + 20) stop (Int32.to_int !x5 + Array.unsafe_get st 5);
+  xor_word msg out (off + 24) stop (Int32.to_int !x6 + Array.unsafe_get st 6);
+  xor_word msg out (off + 28) stop (Int32.to_int !x7 + Array.unsafe_get st 7);
+  xor_word msg out (off + 32) stop (Int32.to_int !x8 + Array.unsafe_get st 8);
+  xor_word msg out (off + 36) stop (Int32.to_int !x9 + Array.unsafe_get st 9);
+  xor_word msg out (off + 40) stop (Int32.to_int !x10 + Array.unsafe_get st 10);
+  xor_word msg out (off + 44) stop (Int32.to_int !x11 + Array.unsafe_get st 11);
+  xor_word msg out (off + 48) stop (Int32.to_int !x12 + Array.unsafe_get st 12);
+  xor_word msg out (off + 52) stop (Int32.to_int !x13 + Array.unsafe_get st 13);
+  xor_word msg out (off + 56) stop (Int32.to_int !x14 + Array.unsafe_get st 14);
+  xor_word msg out (off + 60) stop (Int32.to_int !x15 + Array.unsafe_get st 15)
 
 (* Each call adds its block count to the domain's {!Cost} tally. *)
 let count_blocks n =
   let kern = Kernel.get () in
   kern.Kernel.blocks <- kern.Kernel.blocks + n
 
+(* The keystream is the block XORed over 64 zero bytes, in place. *)
 let block ~key ~nonce ~counter =
   count_blocks 1;
-  let ks = Bytes.create 64 in
-  keystream (state ~key ~nonce ~counter) (Array.make 16 0) ks;
+  let st = state ~key ~nonce ~counter and ks = Bytes.make 64 '\000' in
+  xor_block st (Bytes.unsafe_to_string ks) ks 0 64;
   Bytes.unsafe_to_string ks
 
 let encrypt ~key ~nonce ?(counter = 1) msg =
   let len = String.length msg in
   let out = Bytes.create len in
   if len > 0 then begin
-    let st = state ~key ~nonce ~counter and x = Array.make 16 0 and ks = Bytes.create 64 in
+    let st = state ~key ~nonce ~counter in
     let blocks = (len + 63) / 64 in
     count_blocks blocks;
     for b = 0 to blocks - 1 do
       st.(12) <- (counter + b) land mask;
-      keystream st x ks;
-      let off = 64 * b in
-      for i = 0 to min 64 (len - off) - 1 do
-        Bytes.unsafe_set out (off + i)
-          (Char.unsafe_chr (Char.code (String.unsafe_get msg (off + i)) lxor Char.code (Bytes.unsafe_get ks i)))
-      done
+      xor_block st msg out (64 * b) len
     done
   end;
   Bytes.unsafe_to_string out

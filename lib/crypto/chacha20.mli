@@ -6,9 +6,11 @@
 
 val block : key:string -> nonce:string -> counter:int -> string
 (** [block ~key ~nonce ~counter] is the 64-byte keystream block. [key] must
-    be 32 bytes and [nonce] 12 bytes; raises [Invalid_argument] otherwise. *)
+    be 32 bytes and [nonce] 12 bytes; raises [Invalid_argument] otherwise.
+    The counter is a 32-bit word: only its low 32 bits are used. *)
 
 val encrypt : key:string -> nonce:string -> ?counter:int -> string -> string
 (** XOR the message with the keystream starting at block [counter]
     (default 1, per RFC 8439 AEAD convention). Encryption and decryption are
-    the same operation. *)
+    the same operation. The block counter wraps: a message whose blocks run
+    past counter 0xffffffff continues at block 0. *)

@@ -8,13 +8,16 @@ nonce || tag || ciphertext. This script rebuilds each box with Python's
 library against the RFC 8439 §2.8.2 example. test_crypto opens every box
 and reseals every plaintext to the same bytes.
 
-Run from the repository root:  python3 test/aead_vectors.py
-It is not run by `dune runtest`; the vector file it writes is committed.
+Run from the repository root:  python3 test/aead_vectors.py [OUT]
+It writes OUT (default test/aead_vectors.txt). It is not run by
+`dune runtest`; the vector file it writes is committed, and ci.sh
+regenerates it to a temporary file and compares the two byte for byte.
 """
 
 import hashlib
 import hmac
 import random
+import sys
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
@@ -43,7 +46,7 @@ def field(b):
     return b.hex() if b else "-"
 
 
-def main():
+def main(out=OUT):
     rfc8439_example()
     rng = random.Random(8439)
     draw = lambda n: bytes(rng.randrange(256) for _ in range(n))
@@ -56,10 +59,10 @@ def main():
     for ad_len, pt_len in shapes:
         key, nonce, ad, pt = draw(32), draw(12), draw(ad_len), draw(pt_len)
         lines.append(" ".join(field(x) for x in (key, nonce, ad, pt, box(key, nonce, ad, pt))))
-    with open(OUT, "w") as f:
+    with open(out, "w") as f:
         f.write("\n".join(lines) + "\n")
-    print(f"wrote {len(shapes)} vectors to {OUT}")
+    print(f"wrote {len(shapes)} vectors to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

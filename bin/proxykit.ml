@@ -723,30 +723,6 @@ let write_artifact ~what path content =
     Printf.printf "trace: wrote %s to %s (%d bytes)\n" what path (String.length content)
   end
 
-(* Per-kind rollup of span counts and summed self costs. *)
-let kind_rollup spans =
-  let order = ref [] in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      let k = s.Sim.Span.sp_kind in
-      let count, costs =
-        match Hashtbl.find_opt tbl k with
-        | Some row -> row
-        | None ->
-            let row = (ref 0, Hashtbl.create 8) in
-            Hashtbl.add tbl k row;
-            order := k :: !order;
-            row
-      in
-      incr count;
-      List.iter
-        (fun (c, v) ->
-          Hashtbl.replace costs c (v + Option.value ~default:0 (Hashtbl.find_opt costs c)))
-        s.Sim.Span.sp_costs)
-    spans;
-  List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !order
-
 let print_summary scenario (o : Tracing.outcome) =
   let spans = o.spans in
   Printf.printf "trace %s: %d/%d request(s) ok — %d span(s), %d actor(s), max depth %d%s\n"
@@ -758,11 +734,11 @@ let print_summary scenario (o : Tracing.outcome) =
   Printf.printf "  %-16s %6s %6s %8s %8s %10s\n" "kind" "count" "msgs" "bytes" "rsa.vfy"
     "cache.hits";
   List.iter
-    (fun (kind, (count, costs)) ->
-      let get name = Option.value ~default:0 (Hashtbl.find_opt costs name) in
-      Printf.printf "  %-16s %6d %6d %8d %8d %10d\n" kind !count (get "net.messages")
+    (fun (kind, count, costs) ->
+      let get name = Option.value ~default:0 (List.assoc_opt name costs) in
+      Printf.printf "  %-16s %6d %6d %8d %8d %10d\n" kind count (get "net.messages")
         (get "net.bytes") (get "crypto.rsa_verify") (get "verify_cache.hits"))
-    (kind_rollup spans)
+    (Sim.Span.by_kind spans)
 
 let print_top spans n =
   let dur s = s.Sim.Span.sp_end - s.Sim.Span.sp_start in

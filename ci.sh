@@ -13,7 +13,8 @@ dune build
 echo "== tests =="
 # Also runs every examples/*.exe and diffs its stdout against the
 # committed .expected transcript (examples/dune); a failing example fails
-# here.
+# here. So do `proxykit selftest` and `proxykit inspect` on three
+# committed corpus values (test/cli/dune).
 dune runtest
 
 echo "== AEAD vectors from an independent implementation =="

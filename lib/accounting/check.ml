@@ -47,22 +47,21 @@ let to_wire c =
 
 let of_wire v =
   let open Wire in
-  let* number = Result.bind (field v 0) to_string in
-  let* currency = Result.bind (field v 1) to_string in
-  let* amount = Result.bind (field v 2) to_int in
-  let* payee = Result.bind (field v 3) Principal.of_wire in
-  let* drawn_on = Result.bind (field v 4) Principal.Account.of_wire in
-  let* pw = field v 5 in
-  let* proxy = Proxy.transfer_of_wire pw in
-  (* The five wrapper fields travel unsigned: they must restate exactly
-     what the payor signed in the head certificate. *)
-  let signed =
-    match proxy.Proxy.flavor with
-    | Proxy.Public_key ({ Proxy_cert.pk_body = head; _ } :: _) -> head.Proxy_cert.restrictions
-    | Proxy.Public_key [] | Proxy.Conventional _ | Proxy.Hybrid _ -> []
-  in
-  let wrapper = restrictions ~number ~account:drawn_on ~payee ~currency ~amount in
-  if amount <= 0 then Error "check: non-positive amount"
-  else if not (List.equal Restriction.equal signed wrapper) then
-    Error "check: the wrapper does not match the signed terms"
-  else Ok { number; currency; amount; payee; drawn_on; proxy }
+  match v with
+  | L [ S number; S currency; I amount; payee; drawn_on; proxy ] ->
+      let* payee = Principal.of_wire payee in
+      let* drawn_on = Principal.Account.of_wire drawn_on in
+      let* proxy = Proxy.transfer_of_wire proxy in
+      (* The five wrapper fields travel unsigned: they must restate exactly
+         what the payor signed in the head certificate. *)
+      let signed =
+        match proxy.Proxy.flavor with
+        | Proxy.Public_key ({ Proxy_cert.pk_body = head; _ } :: _) -> head.Proxy_cert.restrictions
+        | Proxy.Public_key [] | Proxy.Conventional _ | Proxy.Hybrid _ -> []
+      in
+      let wrapper = restrictions ~number ~account:drawn_on ~payee ~currency ~amount in
+      if amount <= 0 then Error "check: non-positive amount"
+      else if not (List.equal Restriction.equal signed wrapper) then
+        Error "check: the wrapper does not match the signed terms"
+      else Ok { number; currency; amount; payee; drawn_on; proxy }
+  | _ -> Error "check: malformed"

@@ -29,11 +29,11 @@ let to_wire t =
 
 let of_wire v =
   let open Wire in
-  let* currency = Result.bind (field v 0) to_string in
-  let* limit = Result.bind (field v 1) to_int in
-  let* holder = Result.bind (field v 2) Principal.of_wire in
-  let* drawn_from = Result.bind (field v 3) Principal.Account.of_wire in
-  let* pw = field v 4 in
-  let* authority = Proxy.transfer_of_wire pw in
-  if limit <= 0 then Error "standing authority: non-positive limit"
-  else Ok { currency; limit; holder; drawn_from; authority }
+  match v with
+  | L [ S currency; I limit; holder; drawn_from; authority ] ->
+      let* holder = Principal.of_wire holder in
+      let* drawn_from = Principal.Account.of_wire drawn_from in
+      let* authority = Proxy.transfer_of_wire authority in
+      if limit <= 0 then Error "standing authority: non-positive limit"
+      else Ok { currency; limit; holder; drawn_from; authority }
+  | _ -> Error "standing authority: malformed"

@@ -86,12 +86,11 @@ let presented_to_wire p =
 
 let presented_of_wire v =
   let open Wire in
-  let* pw = field v 0 in
-  let* pres = Proxy.presentation_of_wire pw in
-  match field v 1 with
-  | Ok (Wire.L []) -> Ok { pres; pres_binding = None }
-  | Ok (Wire.S b) -> Ok { pres; pres_binding = Some b }
-  | Ok _ | Error _ -> Error "presented proxy: malformed binding"
+  match v with
+  | L [ pres; (L [] | S _ as binding) ] ->
+      let* pres = Proxy.presentation_of_wire pres in
+      Ok { pres; pres_binding = (match binding with S b -> Some b | _ -> None) }
+  | _ -> Error "presented proxy: malformed"
 
 let bind ~server ~ticket proxy =
   {

@@ -71,8 +71,8 @@ let revoke_serial t serial =
   trace t "revoked certificate serial %s" (String.sub serial 0 (min 8 (String.length serial)));
   add_entry t (Revocation.By_serial serial)
 
-let revoke_grantor_epoch t ~grantor ?not_before () =
-  let not_before = Option.value not_before ~default:(Sim.Net.now t.net) in
+let revoke_grantor_epoch t ~grantor =
+  let not_before = Sim.Net.now t.net in
   trace t "revoked grantor %s before %d" (Principal.to_string grantor) not_before;
   add_entry t (Revocation.By_grantor_epoch { grantor; not_before })
 
@@ -107,9 +107,8 @@ let handle t ctx payload =
         let b = revoke_serial t body.Proxy_cert.serial in
         Ok (Wire.I b.Revocation.epoch)
       end
-  | L (S "revoke-grantor" :: ([] | [ I _ ] as rest)) ->
-      let not_before = match rest with [ I nb ] -> Some nb | _ -> None in
-      Ok (Wire.I (revoke_grantor_epoch t ~grantor:caller ?not_before ()).Revocation.epoch)
+  | L [ S "revoke-grantor" ] ->
+      Ok (Wire.I (revoke_grantor_epoch t ~grantor:caller).Revocation.epoch)
   | L (S (("fetch" | "revoke-cert" | "revoke-grantor") as tag) :: _) ->
       Error (Printf.sprintf "revocation-authority: malformed %s request" tag)
   | L (S other :: _) -> Error (Printf.sprintf "revocation-authority: unknown operation %S" other)
@@ -131,8 +130,5 @@ let revoke_cert net ~creds cert =
     (Secure_rpc.call net ~creds (Wire.L [ Wire.S "revoke-cert"; Proxy_cert.pk_cert_to_wire cert ]))
     Wire.to_int
 
-let revoke_grantor net ~creds ?not_before () =
-  let not_before = Option.to_list (Option.map (fun nb -> Wire.I nb) not_before) in
-  Result.bind
-    (Secure_rpc.call net ~creds (Wire.L (Wire.S "revoke-grantor" :: not_before)))
-    Wire.to_int
+let revoke_grantor net ~creds =
+  Result.bind (Secure_rpc.call net ~creds (Wire.L [ Wire.S "revoke-grantor" ])) Wire.to_int

@@ -61,11 +61,6 @@ val revoke_cert :
     certificates whose body names the authenticated caller as grantor.
     Returns the new epoch. *)
 
-val revoke_grantor :
-  Sim.Net.t ->
-  creds:Ticket.credentials ->
-  ?not_before:int ->
-  unit ->
-  (int, string) result
-(** Revoke every certificate the {e caller} issued before [not_before]
-    (default: the authority's current time). Returns the new epoch. *)
+val revoke_grantor : Sim.Net.t -> creds:Ticket.credentials -> (int, string) result
+(** Revoke every certificate the {e caller} issued before the authority's
+    current time. Returns the new epoch. *)

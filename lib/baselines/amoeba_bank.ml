@@ -33,36 +33,22 @@ let handle t request =
     | Ok v -> Wire.encode (Wire.L [ Wire.S "ok"; v ])
     | Error e -> Wire.encode (Wire.L [ Wire.S "err"; Wire.S e ])
   in
-  let parsed =
-    let* v = Wire.decode request in
-    let* op = Result.bind (field v 0) to_string in
-    Ok (op, v)
-  in
   reply
-    (match parsed with
-    | Error e -> Error e
-    | Ok ("transfer", v) ->
-        let* from_ = Result.bind (field v 1) to_string in
-        let* to_ = Result.bind (field v 2) to_string in
-        let* currency = Result.bind (field v 3) to_string in
-        let* amount = Result.bind (field v 4) to_int in
-        if not (Hashtbl.mem t.accounts from_ && Hashtbl.mem t.accounts to_) then
-          Error "unknown account"
-        else
-          let* () = debit t ~account:from_ ~currency amount in
-          mint t ~account:to_ ~currency amount;
-          Ok (Wire.L [])
-    | Ok ("balance", v) ->
-        let* account = Result.bind (field v 1) to_string in
-        let* currency = Result.bind (field v 2) to_string in
-        Ok (Wire.I (balance_direct t ~account ~currency))
-    | Ok ("withdraw", v) ->
-        let* account = Result.bind (field v 1) to_string in
-        let* currency = Result.bind (field v 2) to_string in
-        let* amount = Result.bind (field v 3) to_int in
-        let* () = debit t ~account ~currency amount in
-        Ok (Wire.L [])
-    | Ok (op, _) -> Error (Printf.sprintf "unknown operation %S" op))
+    (let* v = Wire.decode request in
+     match v with
+     | L [ S "transfer"; S from_; S to_; S currency; I amount ] ->
+         if not (Hashtbl.mem t.accounts from_ && Hashtbl.mem t.accounts to_) then
+           Error "unknown account"
+         else
+           let* () = debit t ~account:from_ ~currency amount in
+           mint t ~account:to_ ~currency amount;
+           Ok (Wire.L [])
+     | L [ S "balance"; S account; S currency ] ->
+         Ok (Wire.I (balance_direct t ~account ~currency))
+     | L [ S "withdraw"; S account; S currency; I amount ] ->
+         let* () = debit t ~account ~currency amount in
+         Ok (Wire.L [])
+     | _ -> Error "amoeba: malformed request")
 
 let install t = Sim.Net.register t.net ~name:(Principal.to_string t.name) (handle t)
 
@@ -70,13 +56,12 @@ let call net ~bank ~caller payload =
   let open Wire in
   match Sim.Net.rpc net ~src:caller ~dst:(Principal.to_string bank) (Wire.encode payload) with
   | Error e -> Error e
-  | Ok reply ->
+  | Ok reply -> (
       let* v = Wire.decode reply in
-      let* tag = Result.bind (field v 0) to_string in
-      if tag = "ok" then field v 1
-      else
-        let* msg = Result.bind (field v 1) to_string in
-        Error msg
+      match v with
+      | L [ S "ok"; result ] -> Ok result
+      | L [ S "err"; S msg ] -> Error msg
+      | _ -> Error "amoeba: malformed reply")
 
 let transfer net ~bank ~caller ~from_ ~to_ ~currency ~amount =
   Result.map ignore

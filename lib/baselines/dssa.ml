@@ -30,14 +30,12 @@ let handle t request =
   let open Wire in
   let parsed =
     let* v = Wire.decode request in
-    let* owner = Result.bind (field v 0) Principal.of_wire in
-    let* rs = Result.bind (field v 1) to_list in
-    let* rights =
-      List.fold_right
-        (fun r acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (to_string r)))
-        rs (Ok [])
-    in
-    Ok (owner, rights)
+    match v with
+    | L [ owner; L rights ] ->
+        let* owner = Principal.of_wire owner in
+        let* rights = map_all to_string rights in
+        Ok (owner, rights)
+    | _ -> Error "dssa: malformed request"
   in
   match parsed with
   | Error e -> Wire.encode (Wire.L [ Wire.S "err"; Wire.S e ])
@@ -77,21 +75,17 @@ let create_role net ~ca ~caller ~owner ~rights =
   | Ok reply -> (
       let open Wire in
       let* v = Wire.decode reply in
-      let* tag = Result.bind (field v 0) to_string in
-      if tag = "err" then
-        let* msg = Result.bind (field v 1) to_string in
-        Error msg
-      else
-        let* role = Result.bind (field v 1) Principal.of_wire in
-        let* pub_bytes = Result.bind (field v 2) to_string in
-        let* role_sig = Result.bind (field v 3) to_string in
-        let* d_bytes = Result.bind (field v 4) to_string in
-        match Crypto.Rsa.public_of_bytes pub_bytes with
-        | None -> Error "malformed role key"
-        | Some role_pub ->
-            Ok
-              ( { role; role_owner = owner; role_rights = rights; role_pub; role_sig },
-                { Crypto.Rsa.pub = role_pub; d = Bignum.Nat.of_bytes_be d_bytes; crt = None } ))
+      match v with
+      | L [ S "err"; S msg ] -> Error msg
+      | L [ S "ok"; role; S pub_bytes; S role_sig; S d_bytes ] -> (
+          let* role = Principal.of_wire role in
+          match Crypto.Rsa.public_of_bytes pub_bytes with
+          | None -> Error "malformed role key"
+          | Some role_pub ->
+              Ok
+                ( { role; role_owner = owner; role_rights = rights; role_pub; role_sig },
+                  { Crypto.Rsa.pub = role_pub; d = Bignum.Nat.of_bytes_be d_bytes; crt = None } ))
+      | _ -> Error "dssa: malformed reply")
 
 type delegation = { deleg_role : role_cert; deleg_to : Principal.t; deleg_sig : string }
 

@@ -42,15 +42,12 @@ let handle t request =
   let open Wire in
   let parsed =
     let* v = Wire.decode request in
-    let* caller = Result.bind (field v 0) Principal.of_wire in
-    let* bearer = Result.bind (field v 1) to_int in
-    let* ps = Result.bind (field v 2) to_list in
-    let* privileges =
-      List.fold_right
-        (fun x acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (to_string x)))
-        ps (Ok [])
-    in
-    Ok (caller, bearer = 1, privileges)
+    match v with
+    | L [ caller; I bearer; L privileges ] ->
+        let* caller = Principal.of_wire caller in
+        let* privileges = map_all to_string privileges in
+        Ok (caller, bearer = 1, privileges)
+    | _ -> Error "pac: malformed request"
   in
   match parsed with
   | Error e -> Wire.encode (Wire.L [ Wire.S "err"; Wire.S e ])
@@ -91,31 +88,21 @@ let request net ~authority ~caller ?(bearer = false) ~privileges () =
       payload
   with
   | Error e -> Error e
-  | Ok reply ->
+  | Ok reply -> (
       let open Wire in
       let* v = Wire.decode reply in
-      let* tag = Result.bind (field v 0) to_string in
-      if tag = "err" then
-        let* msg = Result.bind (field v 1) to_string in
-        Error msg
-      else
-        let* bearer_flag = Result.bind (field v 1) to_int in
-        let* ps = Result.bind (field v 2) to_list in
-        let* pac_privileges =
-          List.fold_right
-            (fun x acc ->
-              Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (to_string x)))
-            ps (Ok [])
-        in
-        let* pac_expires = Result.bind (field v 3) to_int in
-        let* pac_sig = Result.bind (field v 4) to_string in
-        Ok
-          {
-            pac_subject = (if bearer_flag = 1 then None else Some caller);
-            pac_privileges;
-            pac_expires;
-            pac_sig;
-          }
+      match v with
+      | L [ S "err"; S msg ] -> Error msg
+      | L [ S "ok"; I bearer_flag; L pac_privileges; I pac_expires; S pac_sig ] ->
+          let* pac_privileges = map_all to_string pac_privileges in
+          Ok
+            {
+              pac_subject = (if bearer_flag = 1 then None else Some caller);
+              pac_privileges;
+              pac_expires;
+              pac_sig;
+            }
+      | _ -> Error "pac: malformed reply")
 
 let verify ~authority_pub ~now ~presenter pac =
   let msg =

@@ -27,9 +27,11 @@ let handle t request =
   let open Wire in
   let parsed =
     let* v = Wire.decode request in
-    let* group = Result.bind (field v 0) to_string in
-    let* p = Result.bind (field v 1) Principal.of_wire in
-    Ok (group, p)
+    match v with
+    | L [ S group; p ] ->
+        let* p = Principal.of_wire p in
+        Ok (group, p)
+    | _ -> Error "grapevine: malformed request"
   in
   match parsed with
   | Error e -> Wire.encode (Wire.L [ Wire.S "err"; Wire.S e ])
@@ -47,13 +49,10 @@ let is_member net ~server ~caller ~group p =
   let request = Wire.encode (Wire.L [ Wire.S group; Principal.to_wire p ]) in
   match Sim.Net.rpc net ~src:caller ~dst:(Principal.to_string server) request with
   | Error e -> Error e
-  | Ok reply ->
+  | Ok reply -> (
       let open Wire in
       let* v = Wire.decode reply in
-      let* tag = Result.bind (field v 0) to_string in
-      if tag = "err" then
-        let* msg = Result.bind (field v 1) to_string in
-        Error msg
-      else
-        let* flag = Result.bind (field v 1) to_int in
-        Ok (flag = 1)
+      match v with
+      | L [ S "err"; S msg ] -> Error msg
+      | L [ S "ok"; I flag ] -> Ok (flag = 1)
+      | _ -> Error "grapevine: malformed reply")

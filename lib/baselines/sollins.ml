@@ -54,24 +54,16 @@ let link_to_wire l =
 
 let link_of_wire v =
   let open Wire in
-  let* link_from = Result.bind (field v 0) Principal.of_wire in
-  let* link_to = Result.bind (field v 1) Principal.of_wire in
-  let* rs = Result.bind (field v 2) to_list in
-  let* link_restrictions =
-    List.fold_right
-      (fun r acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (to_string r)))
-      rs (Ok [])
-  in
-  let* link_mac = Result.bind (field v 3) to_string in
-  Ok { link_from; link_to; link_restrictions; link_mac }
+  match v with
+  | L [ link_from; link_to; L link_restrictions; S link_mac ] ->
+      let* link_from = Principal.of_wire link_from in
+      let* link_to = Principal.of_wire link_to in
+      let* link_restrictions = map_all to_string link_restrictions in
+      Ok { link_from; link_to; link_restrictions; link_mac }
+  | _ -> Error "passport link: malformed"
 
 let passport_to_wire p = Wire.L (List.map link_to_wire p)
-
-let passport_of_wire v =
-  Result.bind (Wire.to_list v) (fun links ->
-      List.fold_right
-        (fun l acc -> Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (link_of_wire l)))
-        links (Ok []))
+let passport_of_wire v = Result.bind (Wire.to_list v) (Wire.map_all link_of_wire)
 
 (* Server-side validation: every MAC must check out under the sender's
    shared key, and each link must hand off to the next link's sender. *)
@@ -124,20 +116,13 @@ let verify_online net ~server ~caller passport =
   let request = Wire.encode (passport_to_wire passport) in
   match Sim.Net.rpc net ~src:caller ~dst:(Principal.to_string server) request with
   | Error e -> Error e
-  | Ok reply ->
+  | Ok reply -> (
       let open Wire in
       let* v = Wire.decode reply in
-      let* tag = Result.bind (field v 0) to_string in
-      if tag = "err" then
-        let* msg = Result.bind (field v 1) to_string in
-        Error msg
-      else
-        let* originator = Result.bind (field v 1) Principal.of_wire in
-        let* rs = Result.bind (field v 2) to_list in
-        let* restrictions =
-          List.fold_right
-            (fun r acc ->
-              Result.bind acc (fun tl -> Result.map (fun h -> h :: tl) (to_string r)))
-            rs (Ok [])
-        in
-        Ok (originator, restrictions)
+      match v with
+      | L [ S "err"; S msg ] -> Error msg
+      | L [ S "ok"; originator; L restrictions ] ->
+          let* originator = Principal.of_wire originator in
+          let* restrictions = map_all to_string restrictions in
+          Ok (originator, restrictions)
+      | _ -> Error "sollins: malformed reply")

@@ -74,31 +74,17 @@ let span_phase_rows ~layer net =
   | Some c ->
       let spans = Sim.Span.spans c in
       Sim.Span.clear c;
-      let order = ref [] in
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun s ->
-          let k = s.Sim.Span.sp_kind in
-          if not (Hashtbl.mem tbl k) then begin
-            Hashtbl.add tbl k (ref 0, ref 0, ref 0, ref 0);
-            order := k :: !order
-          end;
-          let n, msgs, bytes, cops = Hashtbl.find tbl k in
-          incr n;
-          List.iter
-            (fun (name, v) ->
-              if name = "net.messages" then msgs := !msgs + v
-              else if name = "net.bytes" then bytes := !bytes + v
-              else if String.length name >= 7 && String.sub name 0 7 = "crypto." then
-                cops := !cops + v)
-            s.Sim.Span.sp_costs)
-        spans;
-      List.rev_map
-        (fun k ->
-          let n, msgs, bytes, cops = Hashtbl.find tbl k in
+      List.map
+        (fun (k, n, costs) ->
+          let sum p =
+            List.fold_left (fun acc (name, v) -> if p name then acc + v else acc) 0 costs
+          in
           row (layer ^ ": " ^ k)
-            [ ("count", !n); ("messages", !msgs); ("bytes", !bytes); ("crypto_ops", !cops) ])
-        !order
+            [ ("count", n);
+              ("messages", sum (String.equal "net.messages"));
+              ("bytes", sum (String.equal "net.bytes"));
+              ("crypto_ops", sum (String.starts_with ~prefix:"crypto.")) ])
+        (Sim.Span.by_kind spans)
 
 let expect_ok = function Ok v -> v | Error e -> failwith e
 

@@ -257,7 +257,7 @@ let run cfg =
       | _ -> failwith "Revocation_storm.run: expected a public-key proxy")
     gina_proxies;
   ignore
-    (Drive.ok_or "revoke-grantor" (Revocation_authority.revoke_grantor net ~creds:gina_auth ()));
+    (Drive.ok_or "revoke-grantor" (Revocation_authority.revoke_grantor net ~creds:gina_auth));
   (* The connected server syncs and the epoch jump retires its cache. *)
   ignore (Drive.ok_or "storm sync archive" (sync_fs fresh_auth fresh_fs));
   let fresh_denials = ref 0 in

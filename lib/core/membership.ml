@@ -19,10 +19,11 @@ let group_to_wire (g, members) =
 
 let group_of_wire v =
   let open Wire in
-  let* g = Result.bind (field v 0) to_string in
-  let* mw = Result.bind (field v 1) to_list in
-  let* members = map_all Principal.of_wire mw in
-  Ok (g, members)
+  match v with
+  | L [ S g; L members ] ->
+      let* members = map_all Principal.of_wire members in
+      Ok (g, members)
+  | _ -> Error "membership group: malformed"
 
 type view = (string, (string, unit) Hashtbl.t) Hashtbl.t (* group -> member set *)
 type report = { fresh : int }

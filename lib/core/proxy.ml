@@ -158,24 +158,18 @@ let presentation_to_wire = function
 
 let presentation_of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  match tag with
-  | "conventional" ->
-      let* base = Result.bind (field v 1) to_string in
-      let* blobs = Result.bind (field v 2) to_list in
-      let* cert_blobs = Wire.map_all to_string blobs in
+  match v with
+  | L [ S "conventional"; S base; L blobs ] ->
+      let* cert_blobs = map_all to_string blobs in
       Ok (Conventional { base; cert_blobs })
-  | "public-key" ->
-      let* certs = Result.bind (field v 1) to_list in
-      let* certs = Wire.map_all Proxy_cert.pk_cert_of_wire certs in
+  | L [ S "public-key"; L certs ] ->
+      let* certs = map_all Proxy_cert.pk_cert_of_wire certs in
       Ok (Public_key certs)
-  | "hybrid" ->
-      let* hw = field v 1 in
-      let* head = Proxy_cert.hybrid_cert_of_wire hw in
-      let* bw = Result.bind (field v 2) to_list in
-      let* blobs = Wire.map_all to_string bw in
+  | L [ S "hybrid"; head; L blobs ] ->
+      let* head = Proxy_cert.hybrid_cert_of_wire head in
+      let* blobs = map_all to_string blobs in
       Ok (Hybrid (head, blobs))
-  | other -> Error (Printf.sprintf "presentation: unknown flavor %S" other)
+  | _ -> Error "presentation: malformed"
 
 (* The RSA private key transfers as (n, e, d); a key-less proxy transfers
    no key at all. *)
@@ -190,27 +184,23 @@ let material_to_wire = function
 
 let material_of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  match tag with
-  | "sym" ->
-      let* k = Result.bind (field v 1) to_string in
-      Ok (Sym k)
-  | "no-key" -> Ok No_key
-  | "keypair" -> (
-      let* pub_bytes = Result.bind (field v 1) to_string in
-      let* d_bytes = Result.bind (field v 2) to_string in
+  match v with
+  | L [ S "sym"; S k ] -> Ok (Sym k)
+  | L [ S "no-key" ] -> Ok No_key
+  | L [ S "keypair"; S pub_bytes; S d_bytes ] -> (
       match Crypto.Rsa.public_of_bytes pub_bytes with
       | None -> Error "material: malformed public part"
       | Some pub ->
           Ok (Keypair { Crypto.Rsa.pub; d = Bignum.Nat.of_bytes_be d_bytes; crt = None }))
-  | other -> Error (Printf.sprintf "material: unknown tag %S" other)
+  | _ -> Error "material: malformed"
 
 let transfer_to_wire t = Wire.L [ presentation_to_wire t.flavor; material_to_wire t.key ]
 
 let transfer_of_wire v =
   let open Wire in
-  let* pw = field v 0 in
-  let* flavor = presentation_of_wire pw in
-  let* mw = field v 1 in
-  let* key = material_of_wire mw in
-  Ok { flavor; key }
+  match v with
+  | L [ flavor; key ] ->
+      let* flavor = presentation_of_wire flavor in
+      let* key = material_of_wire key in
+      Ok { flavor; key }
+  | _ -> Error "proxy transfer: malformed"

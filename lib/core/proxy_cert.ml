@@ -16,13 +16,12 @@ let body_to_wire b =
 
 let body_of_wire v =
   let open Wire in
-  let* grantor = Result.bind (field v 0) Principal.of_wire in
-  let* serial = Result.bind (field v 1) to_string in
-  let* issued_at = Result.bind (field v 2) to_int in
-  let* expires = Result.bind (field v 3) to_int in
-  let* rw = field v 4 in
-  let* restrictions = Restriction.list_of_wire rw in
-  Ok { grantor; serial; issued_at; expires; restrictions }
+  match v with
+  | L [ grantor; S serial; I issued_at; I expires; restrictions ] ->
+      let* grantor = Principal.of_wire grantor in
+      let* restrictions = Restriction.list_of_wire restrictions in
+      Ok { grantor; serial; issued_at; expires; restrictions }
+  | _ -> Error "proxy-cert body: malformed"
 
 let seal_conventional ~sealing_key ~nonce ~proxy_key body =
   let plaintext = Wire.encode (Wire.L [ body_to_wire body; Wire.S proxy_key ]) in
@@ -34,13 +33,14 @@ let open_conventional ~sealing_key blob =
   | Some box -> (
       match Crypto.Aead.open_ ~key:sealing_key ~ad:"proxy-cert" box with
       | None -> Error "proxy-cert: seal verification failed"
-      | Some plaintext ->
+      | Some plaintext -> (
           let open Wire in
-          let* v = Wire.decode plaintext in
-          let* bw = field v 0 in
-          let* body = body_of_wire bw in
-          let* proxy_key = Result.bind (field v 1) to_string in
-          Ok (body, proxy_key))
+          let* v = decode plaintext in
+          match v with
+          | L [ body; S proxy_key ] ->
+              let* body = body_of_wire body in
+              Ok (body, proxy_key)
+          | _ -> Error "proxy-cert: malformed"))
 
 type pk_signer = By_grantor_key | By_proxy_key | By_principal of Principal.t
 
@@ -51,14 +51,13 @@ let pk_signer_to_wire = function
 
 let pk_signer_of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  match tag with
-  | "grantor-key" -> Ok By_grantor_key
-  | "proxy-key" -> Ok By_proxy_key
-  | "principal" ->
-      let* p = Result.bind (field v 1) Principal.of_wire in
+  match v with
+  | L [ S "grantor-key" ] -> Ok By_grantor_key
+  | L [ S "proxy-key" ] -> Ok By_proxy_key
+  | L [ S "principal"; p ] ->
+      let* p = Principal.of_wire p in
       Ok (By_principal p)
-  | other -> Error (Printf.sprintf "pk-signer: unknown tag %S" other)
+  | _ -> Error "pk-signer: malformed"
 
 type pk_cert = {
   pk_body : body;
@@ -114,15 +113,15 @@ let pk_cert_to_wire c =
 
 let pk_cert_of_wire v =
   let open Wire in
-  let* bw = field v 0 in
-  let* pk_body = body_of_wire bw in
-  let* proxy_pub = Result.bind (field v 1) proxy_pub_of_wire in
-  let* sw = field v 2 in
-  let* pk_signer = pk_signer_of_wire sw in
-  let* signature = Result.bind (field v 3) to_string in
-  let c = { pk_body; proxy_pub; pk_signer; signature } in
-  let* () = keyless_names_grantee c in
-  Ok c
+  match v with
+  | L [ pk_body; proxy_pub; pk_signer; S signature ] ->
+      let* pk_body = body_of_wire pk_body in
+      let* proxy_pub = proxy_pub_of_wire proxy_pub in
+      let* pk_signer = pk_signer_of_wire pk_signer in
+      let c = { pk_body; proxy_pub; pk_signer; signature } in
+      let* () = keyless_names_grantee c in
+      Ok c
+  | _ -> Error "pk proxy-cert: malformed"
 
 type hybrid_cert = {
   h_body : body;
@@ -165,9 +164,9 @@ let hybrid_cert_to_wire c =
 
 let hybrid_cert_of_wire v =
   let open Wire in
-  let* bw = field v 0 in
-  let* h_body = body_of_wire bw in
-  let* h_end_server = Result.bind (field v 1) Principal.of_wire in
-  let* h_enc_key = Result.bind (field v 2) to_string in
-  let* h_signature = Result.bind (field v 3) to_string in
-  Ok { h_body; h_end_server; h_enc_key; h_signature }
+  match v with
+  | L [ h_body; h_end_server; S h_enc_key; S h_signature ] ->
+      let* h_body = body_of_wire h_body in
+      let* h_end_server = Principal.of_wire h_end_server in
+      Ok { h_body; h_end_server; h_enc_key; h_signature }
+  | _ -> Error "hybrid proxy-cert: malformed"

@@ -128,74 +128,58 @@ let rec to_wire = function
 
 let rec of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  match tag with
-  | "grantee" ->
-      let* ps = Result.bind (field v 1) to_list in
-      let* ps = Wire.map_all Principal.of_wire ps in
-      let* q = Result.bind (field v 2) to_int in
+  match v with
+  | L [ S "grantee"; L ps; I q ] ->
+      let* ps = map_all Principal.of_wire ps in
       if q < 1 then Error "grantee: quorum must be at least 1" else Ok (Grantee (ps, q))
-  | "for-use-by-group" ->
-      let* gs = Result.bind (field v 1) to_list in
-      let* gs = Wire.map_all Principal.Group.of_wire gs in
-      let* q = Result.bind (field v 2) to_int in
+  | L [ S "for-use-by-group"; L gs; I q ] ->
+      let* gs = map_all Principal.Group.of_wire gs in
       if q < 1 then Error "for-use-by-group: quorum must be at least 1"
       else Ok (For_use_by_group (gs, q))
-  | "issued-for" ->
-      let* ss = Result.bind (field v 1) to_list in
-      let* ss = Wire.map_all Principal.of_wire ss in
+  | L [ S "issued-for"; L ss ] ->
+      let* ss = map_all Principal.of_wire ss in
       Ok (Issued_for ss)
-  | "quota" ->
-      let* c = Result.bind (field v 1) to_string in
-      let* n = Result.bind (field v 2) to_int in
-      if n < 0 then Error "quota: negative limit" else Ok (Quota (c, n))
-  | "authorized" ->
-      let* es = Result.bind (field v 1) to_list in
-      let entry e =
-        let* target = Result.bind (field e 0) to_string in
-        let* ops = Result.bind (field e 1) to_list in
-        let* ops = Wire.map_all to_string ops in
-        Ok { target; ops }
+  | L [ S "quota"; S c; I n ] -> if n < 0 then Error "quota: negative limit" else Ok (Quota (c, n))
+  | L [ S "authorized"; L es ] ->
+      let entry = function
+        | L [ S target; L ops ] ->
+            let* ops = map_all to_string ops in
+            Ok { target; ops }
+        | _ -> Error "authorized: malformed entry"
       in
-      let* es = Wire.map_all entry es in
+      let* es = map_all entry es in
       Ok (Authorized es)
-  | "group-membership" ->
-      let* gs = Result.bind (field v 1) to_list in
-      let* gs = Wire.map_all to_string gs in
+  | L [ S "group-membership"; L gs ] ->
+      let* gs = map_all to_string gs in
       Ok (Group_membership gs)
-  | "accept-once" ->
-      let* id = Result.bind (field v 1) to_string in
-      Ok (Accept_once id)
-  | "sequence" ->
-      let* steps_w = Result.bind (field v 1) to_list in
-      let step w =
-        let* step_op = Result.bind (field w 0) to_string in
-        let* sv = Result.bind (field w 1) to_list in
-        let* step_server =
-          match sv with
-          | [] -> Ok None
-          | [ p ] -> Result.map Option.some (Principal.of_wire p)
-          | _ -> Error "sequence: malformed step server"
-        in
-        let* tv = Result.bind (field w 2) to_list in
-        let* step_target =
-          match tv with
-          | [] -> Ok None
-          | [ s ] -> Result.map Option.some (to_string s)
-          | _ -> Error "sequence: malformed step target"
-        in
-        Ok { step_op; step_server; step_target }
+  | L [ S "accept-once"; S id ] -> Ok (Accept_once id)
+  | L [ S "sequence"; L steps ] ->
+      let step = function
+        | L [ S step_op; L ([] | [ _ ] as sv); L ([] | [ S _ ] as tv) ] ->
+            let* step_server =
+              match sv with
+              | [ p ] -> Result.map Option.some (Principal.of_wire p)
+              | _ -> Ok None
+            in
+            let step_target = match tv with [ S tg ] -> Some tg | _ -> None in
+            Ok { step_op; step_server; step_target }
+        | _ -> Error "sequence: malformed step"
       in
-      let* steps = Wire.map_all step steps_w in
+      let* steps = map_all step steps in
       let* () = seq_validate steps in
       Ok (Sequence steps)
-  | "limit-restriction" ->
-      let* ss = Result.bind (field v 1) to_list in
-      let* ss = Wire.map_all Principal.of_wire ss in
-      let* rs = Result.bind (field v 2) to_list in
-      let* rs = Wire.map_all of_wire rs in
+  | L [ S "limit-restriction"; L ss; L rs ] ->
+      let* ss = map_all Principal.of_wire ss in
+      let* rs = map_all of_wire rs in
       Ok (Limit_restriction (ss, rs))
-  | other -> Ok (Unknown other)
+  | L
+      (S
+         (( "grantee" | "for-use-by-group" | "issued-for" | "quota" | "authorized"
+          | "group-membership" | "accept-once" | "sequence" | "limit-restriction" ) as tag)
+      :: _) ->
+      Error (tag ^ ": malformed")
+  | L (S other :: _) -> Ok (Unknown other)
+  | _ -> Error "restriction: malformed"
 
 let list_to_wire rs = Wire.L (List.map to_wire rs)
 let list_of_wire v = Result.bind (Wire.to_list v) (Wire.map_all of_wire)
@@ -242,13 +226,14 @@ let seq_key ~head canon = Wire.encode (Wire.L [ Wire.S head; Wire.S canon ])
 let seq_key_parse key =
   let open Wire in
   let* v = decode key in
-  let* head = Result.bind (field v 0) to_string in
-  let* canon = Result.bind (field v 1) to_string in
-  let* cv = decode canon in
-  let* r = of_wire cv in
-  match r with
-  | Sequence steps -> Ok (head, steps)
-  | _ -> Error "sequence key does not carry a sequence restriction"
+  match v with
+  | L [ S head; S canon ] -> (
+      let* cv = decode canon in
+      let* r = of_wire cv in
+      match r with
+      | Sequence steps -> Ok (head, steps)
+      | _ -> Error "sequence key does not carry a sequence restriction")
+  | _ -> Error "sequence key: malformed"
 
 let tighten_sequence ~keep steps =
   let keep = max 1 (min keep (List.length steps)) in

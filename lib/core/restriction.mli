@@ -55,6 +55,10 @@ val pp : Format.formatter -> t -> unit
 
 val to_wire : t -> Wire.t
 val of_wire : Wire.t -> (t, string) result
+(** Accepts each known tag only in the shape {!to_wire} writes it, and
+    refuses it in any other; an unrecognized tag decodes to [Unknown tag]
+    whatever follows it. *)
+
 val list_to_wire : t list -> Wire.t
 val list_of_wire : Wire.t -> (t list, string) result
 

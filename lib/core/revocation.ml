@@ -9,16 +9,12 @@ let entry_to_wire = function
 
 let entry_of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  match tag with
-  | "serial" ->
-      let* s = Result.bind (field v 1) to_string in
-      Ok (By_serial s)
-  | "grantor-epoch" ->
-      let* grantor = Result.bind (field v 1) Principal.of_wire in
-      let* not_before = Result.bind (field v 2) to_int in
+  match v with
+  | L [ S "serial"; S s ] -> Ok (By_serial s)
+  | L [ S "grantor-epoch"; grantor; I not_before ] ->
+      let* grantor = Principal.of_wire grantor in
       Ok (By_grantor_epoch { grantor; not_before })
-  | other -> Error (Printf.sprintf "revocation entry: unknown kind %S" other)
+  | _ -> Error "revocation entry: malformed"
 
 type view = {
   serials : (string, unit) Hashtbl.t;

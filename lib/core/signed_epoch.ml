@@ -153,17 +153,14 @@ end = struct
 
   let of_wire v =
     let open Wire in
-    let* tag = Result.bind (field v 0) to_string in
-    if tag <> K.tag then Error ("not a " ^ noun)
-    else
-      let* issuer = Result.bind (field v 1) Principal.of_wire in
-      let* epoch = Result.bind (field v 2) to_int in
-      let* issued_at = Result.bind (field v 3) to_int in
-      let* items_w = Result.bind (field v 4) to_list in
-      let* items = map_all K.item_of_wire items_w in
-      let* signature = Result.bind (field v 5) to_string in
-      if epoch < 1 then Error (noun ^ ": epoch must be positive")
-      else Ok { issuer; epoch; issued_at; items; signature }
+    match v with
+    | L [ S tag; issuer; I epoch; I issued_at; L items; S signature ] when tag = K.tag ->
+        let* issuer = Principal.of_wire issuer in
+        let* items = map_all K.item_of_wire items in
+        if epoch < 1 then Error (noun ^ ": epoch must be positive")
+        else Ok { issuer; epoch; issued_at; items; signature }
+    | L (S tag :: _) when tag <> K.tag -> Error ("not a " ^ noun)
+    | _ -> Error (noun ^ ": malformed")
 
   type t = {
     from : Principal.t;

@@ -18,10 +18,12 @@ let[@inline] rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_lo
 
 let word_le s off = Int32.to_int (String.get_int32_le s off) land mask
 
-(* The 16-word input state; word 12 is the block counter. *)
-let state ~key ~nonce ~counter =
-  if String.length key <> 32 then invalid_arg "Chacha20.block: key must be 32 bytes";
-  if String.length nonce <> 12 then invalid_arg "Chacha20.block: nonce must be 12 bytes";
+(* The 16-word input state; word 12 is the block counter. A wrong-length
+   key or nonce raises [Invalid_argument] naming [fn]; [encrypt] builds
+   the state first, so an empty message is checked too. *)
+let state fn ~key ~nonce ~counter =
+  if String.length key <> 32 then invalid_arg (fn ^ ": key must be 32 bytes");
+  if String.length nonce <> 12 then invalid_arg (fn ^ ": nonce must be 12 bytes");
   let st = Array.make 16 0 in
   st.(0) <- 0x61707865;
   st.(1) <- 0x3320646e;
@@ -130,20 +132,18 @@ let count_blocks n =
 (* The keystream is the block XORed over 64 zero bytes, in place. *)
 let block ~key ~nonce ~counter =
   count_blocks 1;
-  let st = state ~key ~nonce ~counter and ks = Bytes.make 64 '\000' in
+  let st = state "Chacha20.block" ~key ~nonce ~counter and ks = Bytes.make 64 '\000' in
   xor_block st (Bytes.unsafe_to_string ks) ks 0 64;
   Bytes.unsafe_to_string ks
 
 let encrypt ~key ~nonce ?(counter = 1) msg =
+  let st = state "Chacha20.encrypt" ~key ~nonce ~counter in
   let len = String.length msg in
   let out = Bytes.create len in
-  if len > 0 then begin
-    let st = state ~key ~nonce ~counter in
-    let blocks = (len + 63) / 64 in
-    count_blocks blocks;
-    for b = 0 to blocks - 1 do
-      st.(12) <- (counter + b) land mask;
-      xor_block st msg out (64 * b) len
-    done
-  end;
+  let blocks = (len + 63) / 64 in
+  count_blocks blocks;
+  for b = 0 to blocks - 1 do
+    st.(12) <- (counter + b) land mask;
+    xor_block st msg out (64 * b) len
+  done;
   Bytes.unsafe_to_string out

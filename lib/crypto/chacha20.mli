@@ -13,4 +13,6 @@ val encrypt : key:string -> nonce:string -> ?counter:int -> string -> string
 (** XOR the message with the keystream starting at block [counter]
     (default 1, per RFC 8439 AEAD convention). Encryption and decryption are
     the same operation. The block counter wraps: a message whose blocks run
-    past counter 0xffffffff continues at block 0. *)
+    past counter 0xffffffff continues at block 0. [key] must be 32 bytes and
+    [nonce] 12 bytes, even for an empty message; raises [Invalid_argument]
+    otherwise. *)

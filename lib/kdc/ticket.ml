@@ -18,13 +18,12 @@ let body_to_wire b =
 
 let body_of_wire v =
   let open Wire in
-  let* client = Result.bind (field v 0) Principal.of_wire in
-  let* service = Result.bind (field v 1) Principal.of_wire in
-  let* session_key = Result.bind (field v 2) to_string in
-  let* auth_time = Result.bind (field v 3) to_int in
-  let* expires = Result.bind (field v 4) to_int in
-  let* authorization_data = Result.bind (field v 5) to_list in
-  Ok { client; service; session_key; auth_time; expires; authorization_data }
+  match v with
+  | L [ client; service; S session_key; I auth_time; I expires; L authorization_data ] ->
+      let* client = Principal.of_wire client in
+      let* service = Principal.of_wire service in
+      Ok { client; service; session_key; auth_time; expires; authorization_data }
+  | _ -> Error "ticket: malformed"
 
 let seal ~service_key ~nonce body =
   let plaintext = Wire.encode (body_to_wire body) in
@@ -84,12 +83,12 @@ let authenticator_to_wire a =
 
 let authenticator_of_wire v =
   let open Wire in
-  let* auth_client = Result.bind (field v 0) Principal.of_wire in
-  let* timestamp = Result.bind (field v 1) to_int in
-  let* subkey_raw = Result.bind (field v 2) to_string in
-  let* auth_data = Result.bind (field v 3) to_list in
-  let subkey = if subkey_raw = "" then None else Some subkey_raw in
-  Ok { auth_client; timestamp; subkey; auth_data }
+  match v with
+  | L [ auth_client; I timestamp; S subkey; L auth_data ] ->
+      let* auth_client = Principal.of_wire auth_client in
+      let subkey = if subkey = "" then None else Some subkey in
+      Ok { auth_client; timestamp; subkey; auth_data }
+  | _ -> Error "authenticator: malformed"
 
 (* What an authenticator covers is its AEAD associated data, after a fixed
    label: a request it did not cover fails the open like a forged seal. *)
@@ -130,20 +129,21 @@ let credentials_to_wire c =
 
 let credentials_of_wire v =
   let open Wire in
-  let* ticket_blob = Result.bind (field v 0) to_string in
-  let* session_key = Result.bind (field v 1) to_string in
-  let* cred_client = Result.bind (field v 2) Principal.of_wire in
-  let* cred_service = Result.bind (field v 3) Principal.of_wire in
-  let* cred_expires = Result.bind (field v 4) to_int in
-  let* cred_auth_data = Result.bind (field v 5) to_list in
-  Ok
-    {
-      ticket_blob;
-      session_key;
-      cred_session = Crypto.Aead.prepare session_key;
-      cred_client;
-      cred_service;
-      cred_expires;
-      cred_auth_data;
-      cred_bindings = Hashtbl.create 8;
-    }
+  match v with
+  | L
+      [ S ticket_blob; S session_key; cred_client; cred_service; I cred_expires;
+        L cred_auth_data ] ->
+      let* cred_client = Principal.of_wire cred_client in
+      let* cred_service = Principal.of_wire cred_service in
+      Ok
+        {
+          ticket_blob;
+          session_key;
+          cred_session = Crypto.Aead.prepare session_key;
+          cred_client;
+          cred_service;
+          cred_expires;
+          cred_auth_data;
+          cred_bindings = Hashtbl.create 8;
+        }
+  | _ -> Error "credentials: malformed"

@@ -174,11 +174,10 @@ let target_to_wire = function
 
 let target_of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_int in
-  match tag with
-  | 0 -> Result.map (fun i -> File i) (Result.bind (field v 1) to_int)
-  | 1 -> Ok Shared
-  | n -> Error (Printf.sprintf "mbt: bad target tag %d" n)
+  match v with
+  | L [ I 0; I i ] -> Ok (File i)
+  | L [ I 1 ] -> Ok Shared
+  | _ -> Error "mbt: malformed target"
 
 let rec rspec_to_wire = function
   | R_grantee us -> Wire.L [ Wire.S "g"; Wire.L (List.map (fun u -> Wire.I u) us) ]
@@ -200,44 +199,40 @@ let rec rspec_to_wire = function
 
 let rec rspec_of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  match tag with
-  | "g" ->
-      let* us = Result.bind (field v 1) to_list in
-      let* us = Wire.map_all to_int us in
+  match v with
+  | L [ S "g"; L us ] ->
+      let* us = map_all to_int us in
       Ok (R_grantee us)
-  | "i" ->
-      let* ss = Result.bind (field v 1) to_list in
-      let* ss = Wire.map_all server_of_wire ss in
+  | L [ S "i"; L ss ] ->
+      let* ss = map_all server_of_wire ss in
       Ok (R_issued_for ss)
-  | "q" -> Result.map (fun n -> R_quota n) (Result.bind (field v 1) to_int)
-  | "a" ->
-      let* es = Result.bind (field v 1) to_list in
-      let entry e =
-        let* t = Result.bind (field e 0) target_of_wire in
-        let* ops = Result.bind (field e 1) to_list in
-        let* ops = Wire.map_all to_string ops in
-        Ok (t, ops)
+  | L [ S "q"; I n ] -> Ok (R_quota n)
+  | L [ S "a"; L es ] ->
+      let entry = function
+        | L [ t; L ops ] ->
+            let* t = target_of_wire t in
+            let* ops = map_all to_string ops in
+            Ok (t, ops)
+        | _ -> Error "mbt: malformed authorized entry"
       in
-      let* es = Wire.map_all entry es in
+      let* es = map_all entry es in
       Ok (R_authorized es)
-  | "o" -> Result.map (fun n -> R_accept_once n) (Result.bind (field v 1) to_int)
-  | "l" ->
-      let* s = Result.bind (field v 1) server_of_wire in
-      let* rs = Result.bind (field v 2) to_list in
-      let* rs = Wire.map_all rspec_of_wire rs in
+  | L [ S "o"; I n ] -> Ok (R_accept_once n)
+  | L [ S "l"; s; L rs ] ->
+      let* s = server_of_wire s in
+      let* rs = map_all rspec_of_wire rs in
       Ok (R_limit (s, rs))
-  | "s" ->
-      let* steps = Result.bind (field v 1) to_list in
-      let step s =
-        let* op = Result.bind (field s 0) to_string in
-        let* t = Result.bind (field s 1) target_of_wire in
-        Ok (op, t)
+  | L [ S "s"; L steps ] ->
+      let step = function
+        | L [ S op; t ] ->
+            let* t = target_of_wire t in
+            Ok (op, t)
+        | _ -> Error "mbt: malformed sequence step"
       in
-      let* steps = Wire.map_all step steps in
+      let* steps = map_all step steps in
       Ok (R_sequence steps)
-  | "u" -> Ok R_unknown
-  | other -> Error (Printf.sprintf "mbt: bad rspec tag %S" other)
+  | L [ S "u" ] -> Ok R_unknown
+  | _ -> Error "mbt: malformed rspec"
 
 let rs_to_wire rs = Wire.L (List.map rspec_to_wire rs)
 let rs_of_wire v = Result.bind (Wire.to_list v) (Wire.map_all rspec_of_wire)
@@ -268,12 +263,8 @@ let op_to_wire = function
 
 let op_of_wire v =
   let open Wire in
-  let* tag = Result.bind (field v 0) to_string in
-  let int i = Result.bind (field v i) to_int in
-  match tag with
-  | "grant" ->
-      let* grantor = int 1 in
-      let* f = int 2 in
+  match v with
+  | L [ S "grant"; I grantor; I f; I e; rs ] ->
       let* flavor =
         match f with
         | 0 -> Ok Conv
@@ -281,48 +272,29 @@ let op_of_wire v =
         | 2 -> Ok Hybrid
         | n -> Error (Printf.sprintf "mbt: bad flavor %d" n)
       in
-      let* e = int 3 in
-      let* rs = Result.bind (field v 4) rs_of_wire in
+      let* rs = rs_of_wire rs in
       Ok (Grant { grantor; flavor; expired = e <> 0; rs })
-  | "derive" ->
-      let* slot = int 1 in
-      let* e = int 2 in
-      let* rs = Result.bind (field v 3) rs_of_wire in
-      let* dw = Result.bind (field v 4) to_list in
-      let* delegate =
-        match dw with
-        | [] -> Ok None
-        | [ d ] -> Result.map (fun d -> Some d) (to_int d)
-        | _ -> Error "mbt: bad delegate"
-      in
+  | L [ S "derive"; I slot; I e; rs; L ([] | [ I _ ] as delegate) ] ->
+      let* rs = rs_of_wire rs in
+      let delegate = match delegate with [ I d ] -> Some d | _ -> None in
       Ok (Derive { slot; expired = e <> 0; rs; delegate })
-  | "present" ->
-      let* slot = int 1 in
-      let* presenter = int 2 in
-      let* vb = int 3 in
+  | L [ S "present"; I slot; I presenter; I vb; target ] ->
       let* verb =
         match vb with
         | 0 -> Ok `Read
         | 1 -> Ok `Write
         | n -> Error (Printf.sprintf "mbt: bad verb %d" n)
       in
-      let* target = Result.bind (field v 4) target_of_wire in
+      let* target = target_of_wire target in
       Ok (Present { slot; presenter; verb; target })
-  | "revoke" -> Result.map (fun owner -> Revoke { owner }) (int 1)
-  | "revoke-proxy" -> Result.map (fun slot -> Revoke_proxy { slot }) (int 1)
-  | "add-member" -> Result.map (fun member -> Add_member { member }) (int 1)
-  | "remove-member" -> Result.map (fun member -> Remove_member { member }) (int 1)
-  | "assert-group" -> Result.map (fun member -> Assert_group { member }) (int 1)
-  | "write-check" ->
-      let* payor = int 1 in
-      let* payee = int 2 in
-      let* amount = int 3 in
-      Ok (Write_check { payor; payee; amount })
-  | "deposit" ->
-      let* cslot = int 1 in
-      let* depositor = int 2 in
-      Ok (Deposit { cslot; depositor })
-  | other -> Error (Printf.sprintf "mbt: unknown op tag %S" other)
+  | L [ S "revoke"; I owner ] -> Ok (Revoke { owner })
+  | L [ S "revoke-proxy"; I slot ] -> Ok (Revoke_proxy { slot })
+  | L [ S "add-member"; I member ] -> Ok (Add_member { member })
+  | L [ S "remove-member"; I member ] -> Ok (Remove_member { member })
+  | L [ S "assert-group"; I member ] -> Ok (Assert_group { member })
+  | L [ S "write-check"; I payor; I payee; I amount ] -> Ok (Write_check { payor; payee; amount })
+  | L [ S "deposit"; I cslot; I depositor ] -> Ok (Deposit { cslot; depositor })
+  | _ -> Error "mbt: malformed op"
 
 let magic = "mbt-program"
 let version = 1
@@ -331,15 +303,11 @@ let to_wire (p : t) =
   Wire.L [ Wire.S magic; Wire.I version; Wire.L (List.map op_to_wire p) ]
 
 let of_wire v : (t, string) result =
-  let open Wire in
-  let* m = Result.bind (field v 0) to_string in
-  if m <> magic then Error "mbt: not a program"
-  else
-    let* ver = Result.bind (field v 1) to_int in
-    if ver <> version then Error (Printf.sprintf "mbt: unsupported program version %d" ver)
-    else
-      let* ops = Result.bind (field v 2) to_list in
-      Wire.map_all op_of_wire ops
+  match v with
+  | Wire.L [ Wire.S m; Wire.I ver; Wire.L ops ] when m = magic ->
+      if ver <> version then Error (Printf.sprintf "mbt: unsupported program version %d" ver)
+      else Wire.map_all op_of_wire ops
+  | _ -> Error "mbt: not a program"
 
 (* --- hex helpers (repro files are hex so they survive editors and diffs) --- *)
 

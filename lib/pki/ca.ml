@@ -22,13 +22,13 @@ let binding_to_wire b =
 
 let binding_of_wire v =
   let open Wire in
-  let* subject = Result.bind (field v 0) Principal.of_wire in
-  let* pub_bytes = Result.bind (field v 1) to_string in
-  let* issued_at = Result.bind (field v 2) to_int in
-  let* expires = Result.bind (field v 3) to_int in
-  match Crypto.Rsa.public_of_bytes pub_bytes with
-  | None -> Error "ca: malformed public key"
-  | Some subject_pub -> Ok { subject; subject_pub; issued_at; expires }
+  match v with
+  | L [ subject; S pub_bytes; I issued_at; I expires ] -> (
+      let* subject = Principal.of_wire subject in
+      match Crypto.Rsa.public_of_bytes pub_bytes with
+      | None -> Error "ca: malformed public key"
+      | Some subject_pub -> Ok { subject; subject_pub; issued_at; expires })
+  | _ -> Error "ca: malformed binding"
 
 let issue t ~now ~lifetime subject subject_pub =
   let binding = { subject; subject_pub; issued_at = now; expires = now + lifetime } in
@@ -47,7 +47,8 @@ let cert_to_wire c = Wire.L [ binding_to_wire c.binding; Wire.S c.signature ]
 
 let cert_of_wire v =
   let open Wire in
-  let* bw = field v 0 in
-  let* binding = binding_of_wire bw in
-  let* signature = Result.bind (field v 1) to_string in
-  Ok { binding; signature }
+  match v with
+  | L [ binding; S signature ] ->
+      let* binding = binding_of_wire binding in
+      Ok { binding; signature }
+  | _ -> Error "ca: malformed certificate"

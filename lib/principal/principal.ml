@@ -24,12 +24,11 @@ let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let to_wire t = Wire.L [ Wire.S t.realm; Wire.S t.name ]
 
-let of_wire v =
-  let open Wire in
-  let* realm = Result.bind (field v 0) to_string in
-  let* name = Result.bind (field v 1) to_string in
-  if valid_part realm && valid_part name then Ok { realm; name }
-  else Error "principal: empty or malformed part"
+let of_wire = function
+  | Wire.L [ Wire.S realm; Wire.S name ] ->
+      if valid_part realm && valid_part name then Ok { realm; name }
+      else Error "principal: empty or malformed part"
+  | _ -> Error "principal: malformed"
 
 module Group = struct
   type principal = t
@@ -46,9 +45,11 @@ module Group = struct
 
   let of_wire v =
     let open Wire in
-    let* server = Result.bind (field v 0) of_wire in
-    let* group = Result.bind (field v 1) Wire.to_string in
-    if group = "" then Error "group: empty name" else Ok { server; group }
+    match v with
+    | L [ server; S group ] ->
+        let* server = of_wire server in
+        if group = "" then Error "group: empty name" else Ok { server; group }
+    | _ -> Error "group: malformed"
 end
 
 module Account = struct
@@ -66,7 +67,9 @@ module Account = struct
 
   let of_wire v =
     let open Wire in
-    let* server = Result.bind (field v 0) of_wire in
-    let* account = Result.bind (field v 1) Wire.to_string in
-    if account = "" then Error "account: empty name" else Ok { server; account }
+    match v with
+    | L [ server; S account ] ->
+        let* server = of_wire server in
+        if account = "" then Error "account: empty name" else Ok { server; account }
+    | _ -> Error "account: malformed"
 end

@@ -210,6 +210,16 @@ let cost_total spans =
   Hashtbl.fold (fun k v acc -> if v <> 0 then (k, v) :: acc else acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let by_kind spans =
+  let kinds =
+    List.fold_left (fun acc s -> if List.mem s.sp_kind acc then acc else s.sp_kind :: acc) [] spans
+  in
+  List.rev_map
+    (fun k ->
+      let of_kind = List.filter (fun s -> String.equal s.sp_kind k) spans in
+      (k, List.length of_kind, cost_total of_kind))
+    kinds
+
 let max_depth spans =
   let by_id = Hashtbl.create (List.length spans) in
   List.iter (fun s -> Hashtbl.replace by_id s.sp_id s) spans;

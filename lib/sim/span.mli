@@ -79,6 +79,10 @@ val cost_total : span list -> (string * int) list
 (** Sum of self costs — equals the global metrics diff over the traced
     region when every tick happened inside some span. *)
 
+val by_kind : span list -> (string * int * (string * int) list) list
+(** Per span kind, in order of first appearance: the kind, how many spans
+    have it, and the {!cost_total} of those spans. *)
+
 val max_depth : span list -> int
 (** Longest parent chain resolvable within the list. *)
 

@@ -106,11 +106,6 @@ let to_int = function I n -> Ok n | S _ | L _ -> Error "expected int"
 let to_string = function S s -> Ok s | I _ | L _ -> Error "expected bytes"
 let to_list = function L l -> Ok l | I _ | S _ -> Error "expected list"
 
-let field v i =
-  match v with
-  | L l -> ( match List.nth_opt l i with Some x -> Ok x | None -> Error "missing field")
-  | I _ | S _ -> Error "expected list"
-
 let ( let* ) = Result.bind
 
 let map_all f items =

@@ -22,15 +22,15 @@ val pp : Format.formatter -> t -> unit
 
 (** {2 Reading helpers}
 
-    Total accessors used by message parsers; all return [Result] so protocol
-    handlers can reject malformed adversarial input uniformly. *)
+    A decoder matches its structure's one exact shape against the
+    constructors above, so a missing, mistyped or extra field falls through
+    to its [Error]. These total accessors read what a shape leaves open,
+    such as the elements of a list of any length; all return [Result] so
+    protocol handlers can reject malformed adversarial input uniformly. *)
 
 val to_int : t -> (int, string) result
 val to_string : t -> (string, string) result
 val to_list : t -> (t list, string) result
-
-val field : t -> int -> (t, string) result
-(** [field v i] is the [i]th element when [v] is a list. *)
 
 val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
 

@@ -358,6 +358,23 @@ let test_tampered_amount () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "inflated check cleared"
 
+(* A check has one shape: a field appended to it, to its payee or to the
+   account it is drawn on is refused, not dropped. *)
+let test_check_trailing_field () =
+  let bw = bank_world () in
+  let v = Check.to_wire (write_check bw ()) in
+  Alcotest.(check bool) "unmodified decodes" true (Result.is_ok (Check.of_wire v));
+  let extra = function Wire.L items -> Wire.L (items @ [ Wire.S "extra" ]) | w -> w in
+  let at i f = function
+    | Wire.L items -> Wire.L (List.mapi (fun j w -> if j = i then f w else w) items)
+    | w -> w
+  in
+  List.iter
+    (fun (where, w) ->
+      Alcotest.(check bool) (where ^ " extended") false (Wire.equal v w);
+      Alcotest.(check bool) (where ^ " refused") true (Result.is_error (Check.of_wire w)))
+    [ ("check", extra v); ("payee", at 3 extra v); ("drawn-on account", at 4 extra v) ]
+
 let test_rewritten_currency () =
   (* The wrapper's fields travel beside the signed chain, and a Quota
      bounds only its own currency: a 60 usd check rewritten to 900 eur must
@@ -537,6 +554,7 @@ let () =
           ("bounced check", `Slow, test_bounced_check);
           ("forged check", `Slow, test_forged_check);
           ("tampered amount", `Slow, test_tampered_amount);
+          ("trailing field refused", `Slow, test_check_trailing_field);
           ("rewritten currency", `Slow, test_rewritten_currency);
           ("stolen check", `Slow, test_stolen_check);
           ("expired check", `Slow, test_expired_check) ] );

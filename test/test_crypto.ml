@@ -464,7 +464,20 @@ let test_chacha20_args () =
   Alcotest.(check_raises "bad key" (Invalid_argument "Chacha20.block: key must be 32 bytes")
       (fun () -> ignore (Chacha20.block ~key:"short" ~nonce:(String.make 12 '\x00') ~counter:0)));
   Alcotest.(check_raises "bad nonce" (Invalid_argument "Chacha20.block: nonce must be 12 bytes")
-      (fun () -> ignore (Chacha20.block ~key:(String.make 32 '\x00') ~nonce:"x" ~counter:0)))
+      (fun () -> ignore (Chacha20.block ~key:(String.make 32 '\x00') ~nonce:"x" ~counter:0)));
+  let key = String.make 32 '\x00' and nonce = String.make 12 '\x00' in
+  (* [encrypt] checks both lengths before it looks at the message, so an
+     empty message under a short key or nonce raises too. *)
+  List.iter
+    (fun msg ->
+      Alcotest.(check_raises "encrypt, bad key"
+          (Invalid_argument "Chacha20.encrypt: key must be 32 bytes")
+          (fun () -> ignore (Chacha20.encrypt ~key:"short" ~nonce msg)));
+      Alcotest.(check_raises "encrypt, bad nonce"
+          (Invalid_argument "Chacha20.encrypt: nonce must be 12 bytes")
+          (fun () -> ignore (Chacha20.encrypt ~key ~nonce:"x" msg))))
+    [ ""; "m" ];
+  Alcotest.(check string) "empty message" "" (Chacha20.encrypt ~key ~nonce "")
 
 (* Every length from 0 to 200 bytes: each residue mod 4 (the byte tail
    after the last whole word), zero to four blocks, every partial block,

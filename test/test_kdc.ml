@@ -205,9 +205,11 @@ let test_reply_not_readable_by_others () =
   | None -> Alcotest.fail "no reply captured"
   | Some reply ->
       (* Replaying the whole reply bytes as mallory: decryption must fail. *)
-      let open Wire in
-      let v = Result.get_ok (decode reply) in
-      let sealed = Result.get_ok (Result.bind (field v 2) to_string) in
+      let sealed =
+        match Wire.decode reply with
+        | Ok (Wire.L [ Wire.S "ok"; Wire.S _; Wire.S sealed ]) -> sealed
+        | _ -> Alcotest.fail "malformed AS reply"
+      in
       let box = Option.get (Crypto.Aead.decode sealed) in
       Alcotest.(check bool) "sealed part opaque" true
         (Crypto.Aead.open_ ~key:(Net.fresh_key w.net) ~ad:"as-rep" box = None)
@@ -286,10 +288,8 @@ let test_preauth_required () =
   (match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) bare with
   | Error e -> Alcotest.fail e
   | Ok reply ->
-      let open Wire in
-      let v = Result.get_ok (decode reply) in
-      let tag = Result.get_ok (Result.bind (field v 0) to_string) in
-      Alcotest.(check string) "refused" "err" tag);
+      Alcotest.(check bool) "refused" true
+        (match Wire.decode reply with Ok (Wire.L [ Wire.S "err"; Wire.S _ ]) -> true | _ -> false));
   (* A stale pre-authentication timestamp is refused. *)
   let stale_preauth =
     Crypto.Aead.encode
@@ -301,10 +301,8 @@ let test_preauth_required () =
   match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) with_stale with
   | Error e -> Alcotest.fail e
   | Ok reply ->
-      let open Wire in
-      let v = Result.get_ok (decode reply) in
-      let tag = Result.get_ok (Result.bind (field v 0) to_string) in
-      Alcotest.(check string) "stale refused" "err" tag
+      Alcotest.(check bool) "stale refused" true
+        (match Wire.decode reply with Ok (Wire.L [ Wire.S "err"; Wire.S _ ]) -> true | _ -> false)
 
 let test_determinism () =
   let run () =

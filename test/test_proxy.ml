@@ -433,6 +433,42 @@ let test_pk_cert_wire_roundtrip () =
       | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "single pk cert expected"
 
+(* The grantor signs the re-encoded fields, so a decoder that dropped an
+   appended field would verify bytes the grantor never signed: a field
+   appended to the certificate, its body, its signer, its grantor or a
+   restriction is refused. *)
+let test_pk_cert_trailing_fields () =
+  let cert =
+    match (grant_pk ~restrictions:[ R.Quota ("usd", 5) ] ()).Proxy.flavor with
+    | Proxy.Public_key [ cert ] -> cert
+    | _ -> Alcotest.fail "single pk cert expected"
+  in
+  let v = Proxy_cert.pk_cert_to_wire cert in
+  let extra = function Wire.L items -> Wire.L (items @ [ Wire.S "extra" ]) | w -> w in
+  let in_body f = function
+    | Wire.L [ body; pub; signer; signature ] -> Wire.L [ f body; pub; signer; signature ]
+    | w -> w
+  in
+  Alcotest.(check bool) "unmodified decodes" true (Result.is_ok (Proxy_cert.pk_cert_of_wire v));
+  List.iter
+    (fun (level, w) ->
+      Alcotest.(check bool) (level ^ " extended") false (Wire.equal v w);
+      Alcotest.(check bool) (level ^ " refused") true
+        (Result.is_error (Proxy_cert.pk_cert_of_wire w)))
+    [ ("certificate", extra v);
+      ("body", in_body extra v);
+      ( "signer",
+        match v with
+        | Wire.L [ body; pub; signer; signature ] -> Wire.L [ body; pub; extra signer; signature ]
+        | w -> w );
+      ("grantor", in_body (function Wire.L (g :: rest) -> Wire.L (extra g :: rest) | w -> w) v);
+      ( "quota",
+        in_body
+          (function
+            | Wire.L [ g; s; i; e; Wire.L [ q ] ] -> Wire.L [ g; s; i; e; Wire.L [ extra q ] ]
+            | w -> w)
+          v ) ]
+
 (* --- key-less delegate certificates --- *)
 
 let keyless_no_grantee = "pk proxy-cert: key-less certificate names no grantee"
@@ -558,7 +594,9 @@ let test_keyless_check_clears () =
     (List.for_all (fun c -> c.Proxy_cert.proxy_pub = None) (pk_certs proxy));
   Alcotest.(check bool) "no key material held" true (proxy.Proxy.key = Proxy.No_key);
   Alcotest.(check bool) "transfer encodes no key" true
-    (Wire.field (Proxy.transfer_to_wire proxy) 1 = Ok (Wire.L [ Wire.S "no-key" ]));
+    (match Proxy.transfer_to_wire proxy with
+    | Wire.L [ _; Wire.L [ Wire.S "no-key" ] ] -> true
+    | _ -> false);
   let presented = Guard.bind ~server ~ticket:Testkit.ticket proxy in
   Alcotest.(check bool) "no binding" true (presented.Guard.pres_binding = None);
   let v = Result.get_ok (Verifier.verify_pk ~lookup ~now:100 (pk_certs proxy)) in
@@ -755,7 +793,8 @@ let () =
           ("bearer cascade", `Slow, test_pk_bearer_cascade);
           ("delegate cascade", `Slow, test_pk_delegate_cascade);
           ("delegate must be named", `Slow, test_pk_delegate_cascade_requires_naming);
-          ("cert wire roundtrip", `Slow, test_pk_cert_wire_roundtrip) ] );
+          ("cert wire roundtrip", `Slow, test_pk_cert_wire_roundtrip);
+          ("cert trailing fields refused", `Slow, test_pk_cert_trailing_fields) ] );
       ( "key-less",
         [ ("needs a grantee", `Quick, test_keyless_needs_grantee);
           ("key slot is signed", `Quick, test_keyless_key_slot_signed);

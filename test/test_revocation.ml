@@ -66,6 +66,33 @@ let test_bulletin_forgery_refused () =
   Alcotest.(check bool) "epoch splice refused" true
     (Result.is_error (Revocation.verify ra_kp.Crypto.Rsa.pub bumped))
 
+(* A bulletin has one shape: a field after its signature or inside an
+   entry is refused, not dropped. *)
+let test_bulletin_trailing_fields () =
+  let v =
+    Revocation.to_wire
+      (sign
+         [ Revocation.By_serial "abc123";
+           Revocation.By_grantor_epoch { grantor = gina; not_before = 42 } ])
+  in
+  Alcotest.(check bool) "unmodified decodes" true (Result.is_ok (Revocation.of_wire v));
+  let extra = function Wire.L items -> Wire.L (items @ [ Wire.S "extra" ]) | w -> w in
+  let in_entries f = function
+    | Wire.L [ tag; issuer; epoch; issued_at; Wire.L entries; signature ] ->
+        Wire.L [ tag; issuer; epoch; issued_at; Wire.L (List.map f entries); signature ]
+    | w -> w
+  in
+  List.iter
+    (fun (where, w) ->
+      Alcotest.(check bool) (where ^ " extended") false (Wire.equal v w);
+      Alcotest.(check bool) (where ^ " refused") true (Result.is_error (Revocation.of_wire w)))
+    [ ("after the signature", extra v);
+      ("inside an entry", in_entries extra v);
+      ( "inside a grantor",
+        in_entries
+          (function Wire.L [ t; g; nb ] -> Wire.L [ t; extra g; nb ] | w -> w)
+          v ) ]
+
 let test_apply_is_monotonic () =
   let t = subscriber () in
   let b2 = sign ~epoch:2 ~issued_at:100 [ Revocation.By_serial "s1" ] in
@@ -340,6 +367,7 @@ let () =
     [ ( "bulletins",
         [ ("roundtrip", `Quick, test_bulletin_roundtrip);
           ("forgery refused", `Quick, test_bulletin_forgery_refused);
+          ("trailing fields refused", `Quick, test_bulletin_trailing_fields);
           ("apply is monotonic", `Quick, test_apply_is_monotonic) ] );
       ( "semantics",
         [ ("by serial and grantor epoch", `Quick, test_revoked_by_serial_and_epoch);

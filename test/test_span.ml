@@ -293,7 +293,25 @@ let test_f4_invariants () =
   Alcotest.(check (list (pair string int)))
     "span self costs sum to the global delta" o.Tracing.delta
     (Sim.Span.cost_total spans);
-  check bool "delta is non-trivial" true (List.length o.Tracing.delta > 5)
+  check bool "delta is non-trivial" true (List.length o.Tracing.delta > 5);
+  (* The per-kind rollup: kinds in order of first appearance, each span
+     counted once, and the kinds' costs adding up to the whole. *)
+  let rollup = Sim.Span.by_kind spans in
+  Alcotest.(check (list string))
+    "rollup in first-appearance order"
+    (List.fold_left (fun acc k -> if List.mem k acc then acc else acc @ [ k ]) [] kinds)
+    (List.map (fun (k, _, _) -> k) rollup);
+  Alcotest.(check (list int))
+    "rollup counts" (List.map (fun (k, _, _) -> count k) rollup)
+    (List.map (fun (_, n, _) -> n) rollup);
+  let of_kinds name =
+    List.fold_left
+      (fun acc (_, _, costs) -> acc + Option.value ~default:0 (List.assoc_opt name costs))
+      0 rollup
+  in
+  Alcotest.(check (list (pair string int)))
+    "rollup costs add up to the delta" o.Tracing.delta
+    (List.map (fun (name, _) -> (name, of_kinds name)) o.Tracing.delta)
 
 let test_f4_deterministic () =
   let run () = Tracing.run_f4 ~seed:"f4-det" ~requests:2 ~plan:(f4_plan "chaos") () in

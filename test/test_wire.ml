@@ -87,13 +87,11 @@ let test_depth_bomb () =
   | Error e -> Alcotest.fail e
 
 let test_accessors () =
-  let v = Wire.L [ Wire.I 7; Wire.S "s" ] in
-  Alcotest.(check (result int string)) "to_int" (Ok 7) (Result.bind (Wire.field v 0) Wire.to_int);
-  Alcotest.(check (result string string)) "to_string" (Ok "s")
-    (Result.bind (Wire.field v 1) Wire.to_string);
-  Alcotest.(check bool) "missing field" true (Result.is_error (Wire.field v 2));
+  Alcotest.(check (result int string)) "to_int" (Ok 7) (Wire.to_int (Wire.I 7));
+  Alcotest.(check (result string string)) "to_string" (Ok "s") (Wire.to_string (Wire.S "s"));
+  Alcotest.(check bool) "to_list" true (Wire.to_list (Wire.L [ Wire.I 1 ]) = Ok [ Wire.I 1 ]);
   Alcotest.(check bool) "wrong type" true (Result.is_error (Wire.to_int (Wire.S "x")));
-  Alcotest.(check bool) "field of scalar" true (Result.is_error (Wire.field (Wire.I 1) 0))
+  Alcotest.(check bool) "list of scalar" true (Result.is_error (Wire.to_list (Wire.I 1)))
 
 let gen_wire =
   QCheck.Gen.(

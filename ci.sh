@@ -137,7 +137,12 @@ rm -rf "$BENCH_SMOKE_DIR"
 
 echo "== repository benchmark self-test =="
 # perfbench's own tests: its output checks, and its guards that the
-# authz workloads evict exactly once per op while bank never evicts.
+# authz workloads evict exactly once per op while bank never evicts. Each
+# eviction raises the floor of the evicted reply's client, in that
+# client's own timestamps, so no fresh request reads as forgotten: the
+# authz workloads still evict one reply per op and refuse none. Their
+# clients share one clock; test_authz covers a lagging client and a
+# forward-stamped flood.
 dune build @perfbench/perfbench-test
 
 echo "== OK =="

@@ -13,8 +13,8 @@ type t = {
   lookup_pub : Principal.t -> Crypto.Rsa.public option;
   decrypt : string -> string option;
   acl : Acl.t;
-  replay : Replay_cache.t;
-  seq : Seq_tracker.t;
+  accepted : unit Expiring.t;  (* accept-once identifiers (Section 7.7) *)
+  progress : int Expiring.t;  (* Sequence progress, by Restriction.seq_key *)
   verify_cache : Verify_cache.t;
   revocation : Revocation.t option;
   mutable journal : (change -> unit) option;
@@ -38,6 +38,7 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa ?verify_cache ?
           ~on_invalidate:(incr "verify_cache.invalidations")
           ()
   in
+  let guarantees counter = Expiring.create ~on_evict:(incr counter) ~capacity:(1 lsl 17) () in
   {
     net;
     me;
@@ -45,8 +46,8 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa ?verify_cache ?
     lookup_pub;
     decrypt;
     acl;
-    replay = Replay_cache.create ~on_evict:(incr "replay_cache.evictions") ();
-    seq = Seq_tracker.create ~on_evict:(incr "seq_tracker.evictions") ();
+    accepted = guarantees "replay_cache.evictions";
+    progress = guarantees "seq_tracker.evictions";
     verify_cache;
     revocation;
     journal = None;
@@ -55,8 +56,8 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa ?verify_cache ?
 
 let me t = t.me
 let acl t = t.acl
-let replay_cache t = t.replay
-let seq_tracker t = t.seq
+let accepted t = t.accepted
+let progress t = t.progress
 let set_journal t j = t.journal <- j
 let set_seq_forward t f = t.seq_forward <- f
 let verify_cache t = t.verify_cache
@@ -64,16 +65,24 @@ let revocation t = t.revocation
 
 let note t c = match t.journal with None -> () | Some j -> j c
 
-(* Accept-once records and sequence progress move only through here (and
-   through [Seq_tracker.advance] in [decide]), so the journal sees every
-   movement in order. A record that is already live did not move. *)
+let steps_done t ~now key = Option.value (Expiring.find t.progress ~now key) ~default:0
+
+(* Accept-once records and sequence progress move only through here, so
+   the journal sees every movement in order. An accept-once record that is
+   already live did not move. Progress is max-monotone: concurrent
+   advancement, replicated imports and retransmitted forwards can only
+   move a sequence forward, and re-advancing a live key updates it in
+   place. *)
 let apply_change t ~now c =
   let moved =
     match c with
     | Accept_once { id; expires; tag } ->
-        Result.is_ok (Replay_cache.record t.replay ~now ~expires ~tag id)
+        let fresh = Option.is_none (Expiring.find t.accepted ~now id) in
+        if fresh then Expiring.add t.accepted ~now ~expires ~tag id ();
+        fresh
     | Seq_progress { key; progress; expires; tag } ->
-        Seq_tracker.set_progress t.seq ~now ~expires ~tag key progress;
+        if progress > steps_done t ~now key then
+          Expiring.add t.progress ~now ~expires ~tag key progress;
         true
   in
   if moved then note t c
@@ -147,12 +156,17 @@ type decision = {
 }
 
 (* Everything the guard learned about one successfully verified and
-   authorized proxy. *)
+   authorized proxy. Its accept-once and sequence records live until
+   [u_until], the head certificate's expiry, not the chain's: a later link
+   is the presenter's to write, and a short one must not let the record
+   lapse while the grant still verifies through a longer one. *)
 type usable = {
   u_grantor : Principal.t;
   u_restrictions : Restriction.t list;
-  u_expires : int;
+  u_until : int;
   u_serials : string list;
+  u_sequences : (string * Restriction.seq_step list) list;
+      (* each top-level sequence under its progress key *)
 }
 
 let tally t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
@@ -230,8 +244,8 @@ let apply_bulletin t bulletin =
               if n > 0 then Sim.Metrics.add (Sim.Net.metrics t.net) counter n;
               n
             in
-            let shed = shed_killed "replay_cache.shed" (Replay_cache.shed t.replay) in
-            ignore (shed_killed "seq_tracker.shed" (Seq_tracker.shed t.seq));
+            let shed = shed_killed "replay_cache.shed" (Expiring.shed t.accepted) in
+            ignore (shed_killed "seq_tracker.shed" (Expiring.shed t.progress));
             Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
               ~actor:(Principal.to_string t.me)
               (Printf.sprintf
@@ -241,11 +255,41 @@ let apply_bulletin t bulletin =
           end;
           Ok true)
 
+let accept_once_ids restrictions =
+  List.filter_map
+    (function Restriction.Accept_once id -> Some id | _ -> None)
+    restrictions
+
+(* Like accept-once consumption, sequence advancement reads only the
+   chain's top-level restrictions: a limit-scoped sequence is checked by
+   the servers it names but never advanced here. *)
+let top_sequences restrictions =
+  List.filter_map
+    (function Restriction.Sequence steps -> Some steps | _ -> None)
+    restrictions
+
+(* A usable proxy whose accept-once identifier or sequence progress may
+   have been evicted while live cannot be shown unspent, so it is refused
+   (fail closed), whatever else would let it through. The floor read is
+   its grantor's, the tag its records are kept under. *)
+let remembered t ~now u =
+  let tag = Principal.to_string u.u_grantor in
+  let forgotten table key =
+    match Expiring.lookup table ~now ~expires:u.u_until ~tag key with
+    | Expiring.Forgotten -> true
+    | Expiring.Live _ | Expiring.Absent -> false
+  in
+  if List.exists (forgotten t.accepted) (accept_once_ids u.u_restrictions) then
+    Error "accept-once: record forgotten under capacity pressure"
+  else if List.exists (fun (key, _) -> forgotten t.progress key) u.u_sequences then
+    Error "sequence: progress forgotten under capacity pressure"
+  else Ok u
+
 (* Verify a presented proxy and check it authorizes [req]; [Ok usable] if it
    contributes its grantor's authority to the request. *)
 let evaluate t ~req ~ticket (p : presented) =
+  let now = req.Restriction.time in
   match
-    let now = req.Restriction.time in
     Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
       ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
       ?hook:(span_hook t) ~now p.pres
@@ -258,12 +302,21 @@ let evaluate t ~req ~ticket (p : presented) =
       with
       | Error e -> Error e
       | Ok () ->
-          Ok
+          let restrictions = verified.Verifier.restrictions in
+          remembered t ~now
             {
               u_grantor = verified.Verifier.grantor;
-              u_restrictions = verified.Verifier.restrictions;
-              u_expires = verified.Verifier.expires;
+              u_restrictions = restrictions;
+              u_until = verified.Verifier.head_expires;
               u_serials = verified.Verifier.serials;
+              u_sequences =
+                (match verified.Verifier.serials with
+                | [] -> []
+                | head :: _ ->
+                    List.map
+                      (fun steps ->
+                        (Restriction.seq_key ~head (Restriction.seq_canonical steps), steps))
+                      (top_sequences restrictions));
             })
 
 (* Groups named in the ACL that this group proxy could possibly assert. *)
@@ -281,19 +334,6 @@ let candidate_groups t =
         (Acl.entries_for t.acl ~target)
       |> List.concat)
     (Acl.targets t.acl)
-
-let accept_once_ids restrictions =
-  List.filter_map
-    (function Restriction.Accept_once id -> Some id | _ -> None)
-    restrictions
-
-(* Like accept-once consumption, sequence advancement reads only the
-   chain's top-level restrictions: a limit-scoped sequence is checked by
-   the servers it names but never advanced here. *)
-let top_sequences restrictions =
-  List.filter_map
-    (function Restriction.Sequence steps -> Some steps | _ -> None)
-    restrictions
 
 (* Cross-server progress import (the receiving half of [seq_forward]): the
    key is self-describing, so we re-derive the sequence it claims to
@@ -330,7 +370,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
   let result =
   let now = Sim.Net.now t.net in
   let presenters = Option.to_list presenter @ extra_presenters in
-  let seen id = Replay_cache.seen t.replay ~now id in
+  let seen id = Option.is_some (Expiring.find t.accepted ~now id) in
   (* Pass 1: which groups do the group proxies prove?  A group proxy is used
      with operation "assert-membership" on the group's local name. *)
   let asserted =
@@ -355,7 +395,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
   let req =
     Restriction.request ~server:t.me ~time:now ~operation ~target ~presenters ~groups_asserted
       ?spend ~accept_once_seen:seen
-      ~sequence_progress:(fun key -> Seq_tracker.progress t.seq ~now key)
+      ~sequence_progress:(steps_done t ~now)
       ()
   in
   let contributions = List.map (fun p -> evaluate t ~req ~ticket p) proxies in
@@ -410,7 +450,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
             (fun u ->
               let tag = Principal.to_string u.u_grantor in
               List.iter
-                (fun id -> apply_change t ~now (Accept_once { id; expires = u.u_expires; tag }))
+                (fun id -> apply_change t ~now (Accept_once { id; expires = u.u_until; tag }))
                 (accept_once_ids u.u_restrictions))
             used;
           (* Advance each distinct sequence a used chain carries: its check
@@ -420,34 +460,27 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
           let advanced = ref [] in
           List.iter
             (fun u ->
-              match u.u_serials with
-              | [] -> ()
-              | head :: _ ->
-                  List.iter
-                    (fun steps ->
-                      let canon = Restriction.seq_canonical steps in
-                      let key = Restriction.seq_key ~head canon in
-                      if not (List.mem key !advanced) then begin
-                        advanced := key :: !advanced;
-                        let tag = Principal.to_string u.u_grantor in
-                        let k =
-                          Seq_tracker.advance t.seq ~now ~expires:u.u_expires ~tag key
-                        in
-                        Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
-                        note t
-                          (Seq_progress { key; progress = k; expires = u.u_expires; tag });
-                        match t.seq_forward with
-                        | Some f when k < List.length steps -> (
-                            (* The next step belongs to another server: hand
-                               the progress over so the sequence can continue
-                               there. *)
-                            match (List.nth steps k).Restriction.step_server with
-                            | Some s when not (Principal.equal s t.me) ->
-                                f ~server:s ~key ~progress:k ~expires:u.u_expires ~tag
-                            | Some _ | None -> ())
-                        | Some _ | None -> ()
-                      end)
-                    (top_sequences u.u_restrictions))
+              List.iter
+                (fun (key, steps) ->
+                  if not (List.mem key !advanced) then begin
+                    advanced := key :: !advanced;
+                    let tag = Principal.to_string u.u_grantor in
+                    let k = steps_done t ~now key + 1 in
+                    apply_change t ~now
+                      (Seq_progress { key; progress = k; expires = u.u_until; tag });
+                    Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
+                    match t.seq_forward with
+                    | Some f when k < List.length steps -> (
+                        (* The next step belongs to another server: hand the
+                           progress over so the sequence can continue
+                           there. *)
+                        match (List.nth steps k).Restriction.step_server with
+                        | Some s when not (Principal.equal s t.me) ->
+                            f ~server:s ~key ~progress:k ~expires:u.u_until ~tag
+                        | Some _ | None -> ())
+                    | Some _ | None -> ()
+                  end)
+                u.u_sequences)
             used;
           let decision =
             {

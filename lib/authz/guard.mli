@@ -62,17 +62,29 @@ val create :
 
 val me : t -> Principal.t
 val acl : t -> Acl.t
-val replay_cache : t -> Replay_cache.t
 val verify_cache : t -> Verify_cache.t
 val revocation : t -> Revocation.t option
 
-val seq_tracker : t -> Seq_tracker.t
-(** The guard's {!Restriction.Sequence} progress state, keyed per presented
-    chain head ({!Restriction.seq_key}), tagged by grantor. Each granted
-    decision advances every distinct sequence the contributing chains carry
-    (tallying ["seq_tracker.advances"]); {!apply_bulletin} sheds a freshly
-    revoked grantor's progress alongside its accept-once records (tallying
-    ["seq_tracker.shed"]). *)
+val accepted : t -> unit Expiring.t
+(** The accept-once identifiers consumed here (Section 7.7), each tagged by
+    its grantor. Like {!progress}, a table of guarantees: 131072 entries,
+    each kept until the head certificate of the chain that carried it
+    expires ({!Verifier.verified}'s [head_expires]), and evicting a live
+    one ticks ["replay_cache.evictions"] and raises its grantor's floor
+    ({!Expiring.lookup}). A presentation whose identifier reads
+    [Forgotten] under its grantor is refused, as is one whose sequence
+    progress does; another grantor's presentations are untouched. Both
+    tables change only through {!apply_change}; these accessors are for
+    reading them. *)
+
+val progress : t -> int Expiring.t
+(** The guard's {!Restriction.Sequence} progress: steps granted per
+    presented chain head and sequence ({!Restriction.seq_key}), tagged by
+    grantor (evictions tick ["seq_tracker.evictions"]). Each granted
+    decision advances every distinct sequence the contributing chains
+    carry (tallying ["seq_tracker.advances"]); {!apply_bulletin} sheds a
+    freshly revoked grantor's progress alongside its accept-once records
+    (tallying ["seq_tracker.shed"]). *)
 
 (** A movement of the guard's server-side state, as data: an accept-once
     record with the expiry and grantor tag it was recorded under, or a
@@ -89,8 +101,9 @@ val set_journal : t -> (change -> unit) option -> unit
     its replication journal. *)
 
 val apply_change : t -> now:int -> change -> unit
-(** Apply one change here (a standby mirroring its primary) and journal
-    it. An accept-once record keeps its expiry and tag, so
+(** Apply one change here and journal it: the one path by which
+    {!decide}, {!import_seq_progress} and a standby mirroring its primary
+    move either table. An accept-once record keeps its expiry and tag, so
     {!apply_bulletin} sheds it like a record made here; one already live
     is left alone. Progress is max-monotone, so re-applying a change is
     harmless. *)
@@ -127,7 +140,7 @@ val apply_bulletin : t -> Revocation.bulletin -> (bool, string) result
     signature or opened link of a revoked chain can be re-hit, and the
     accept-once replay
     records of every grantor newly killed by a [By_grantor_epoch] entry
-    are shed ({!Replay_cache.shed}) — their credentials can no longer
+    are shed ({!Expiring.shed}) — their credentials can no longer
     verify, and a re-issued credential reusing an identifier must not
     collide with the dead grant's record. [Ok false] means a replayed or
     out-of-order old bulletin was ignored. [Error] means the bulletin
@@ -193,7 +206,8 @@ val decide :
     over a ticket it costs one lookup; the chain's windows, restrictions
     and revocation still run on every request. On success, accept-once
     identifiers carried by the proxies that contributed are recorded in
-    the replay cache (a second presentation of the same check bounces). *)
+    {!accepted} (a second presentation of the same check bounces), and
+    their sequences advance in {!progress}. *)
 
 val restrictions_of_auth_data : Wire.t list -> Restriction.t list
 (** Decode ticket/authenticator authorization-data into restrictions;

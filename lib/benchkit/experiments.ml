@@ -840,15 +840,17 @@ let c3 () =
 (* ------------------------------------------------------------------ *)
 
 let a1 () =
+  let accepted capacity : unit Expiring.t = Expiring.create ~capacity () in
   let population size =
-    let cache = Replay_cache.create () in
+    let cache = accepted (1 lsl 17) in
     for i = 1 to size do
-      ignore (Replay_cache.record cache ~now:0 ~expires:max_int (string_of_int i))
+      Expiring.add cache ~now:0 ~expires:max_int (string_of_int i) ()
     done;
+    let seen id = Option.is_some (Expiring.find cache ~now:0 id) in
     (* Every duplicate must be caught. *)
     let caught = ref 0 in
     for j = 1 to size do
-      if Replay_cache.seen cache ~now:0 (string_of_int j) then incr caught
+      if seen (string_of_int j) then incr caught
     done;
     let i = ref 0 in
     row
@@ -857,38 +859,56 @@ let a1 () =
       ~floats:
         (Benchout.time "probe_ns" (fun () ->
              incr i;
-             Replay_cache.seen cache ~now:0 (string_of_int (!i mod (2 * size)))))
+             seen (string_of_int (!i mod (2 * size)))))
   in
   let populations = List.map population [ 100; 1_000; 10_000; 100_000 ] in
 
+  (* The floor, read back over ids 1..n, each inserted with expiry
+     [expires i]: every evicted id must read forgotten, so
+     [evicted_forgotten] must equal the evictions. *)
+  let floor_ints table ~expires n =
+    let forgotten i =
+      Expiring.lookup table ~now:0 ~expires:(expires i) (string_of_int i) = Expiring.Forgotten
+    in
+    [ ("evicted_forgotten", List.length (List.filter forgotten (List.init n succ))) ]
+  in
+
   (* Capacity study: flood a small bounded cache with live (never-expiring)
      identifiers. Occupancy stays at the bound; every insertion past it
-     evicts the soonest-expiring entry. *)
+     evicts the soonest-expiring entry, so the evictions are the inserted
+     ids no longer held. *)
   let capacity = 1_000 and flood = 2_500 in
-  let evictions = ref 0 in
-  let bounded = Replay_cache.create ~capacity ~on_evict:(fun () -> incr evictions) () in
+  let bounded = accepted capacity in
+  let flood_expiry i = max_int - i in
   for i = 1 to flood do
-    ignore (Replay_cache.record bounded ~now:0 ~expires:(max_int - i) (string_of_int i))
+    Expiring.add bounded ~now:0 ~expires:(flood_expiry i) (string_of_int i) ()
   done;
   let flooded =
     row
       (Printf.sprintf "flood capacity=%d inserted=%d" capacity flood)
-      [ ("capacity", capacity);
-        ("inserted", flood);
-        ("evictions", !evictions);
-        ("final_size", Replay_cache.size bounded) ]
+      ([ ("capacity", capacity);
+         ("inserted", flood);
+         ("evictions", flood - Expiring.size bounded);
+         ("final_size", Expiring.size bounded) ]
+      @ floor_ints bounded ~expires:flood_expiry flood)
   in
 
   (* Capacity pressure: fill a table with live identifiers, then insert
      1000 more — each must evict exactly one. insert_ns times a further
-     insert at capacity. The response cache ticks no hook outside [serve],
-     so its evictions are the seeded replies no longer cached. *)
-  let pressure name capacity insert ~evictions ~size =
+     insert at capacity. As in the flood, the evictions are the inserted
+     ids no longer held. *)
+  let pressure name table value =
+    let capacity = Expiring.capacity table in
     let n = capacity + 1_000 in
+    let insert i = Expiring.add table ~now:0 ~expires:max_int (string_of_int i) value in
     for i = 1 to n do
       insert i
     done;
-    let ints = [ ("capacity", capacity); ("evictions", evictions n); ("final_size", size n) ] in
+    let ints =
+      [ ("capacity", capacity); ("evictions", n - Expiring.size table);
+        ("final_size", Expiring.size table) ]
+      @ floor_ints table ~expires:(fun _ -> max_int) n
+    in
     let next = ref n in
     row
       (Printf.sprintf "pressure %s capacity=%d" name capacity)
@@ -898,28 +918,12 @@ let a1 () =
              incr next;
              insert !next))
   in
-  let replay_pressure capacity =
-    let evicted = ref 0 in
-    let c = Replay_cache.create ~capacity ~on_evict:(fun () -> incr evicted) () in
-    pressure "replay-cache" capacity
-      (fun i -> ignore (Replay_cache.record c ~now:0 ~expires:max_int (string_of_int i)))
-      ~evictions:(fun _ -> !evicted) ~size:(fun _ -> Replay_cache.size c)
-  in
-  let response_pressure () =
-    let c = Secure_rpc.create_cache () in
-    let kept n =
-      List.length
-        (List.filter (fun i -> Secure_rpc.cached c ~auth_id:(string_of_int i)) (List.init n succ))
-    in
-    pressure "response-cache" 4096
-      (fun i ->
-        Secure_rpc.seed_response c ~now:0 ~auth_id:(string_of_int i) ~expires:max_int ~reply:"")
-      ~evictions:(fun n -> n - kept n) ~size:kept
-  in
   populations
   @ [ flooded ]
-  @ List.map replay_pressure [ 1 lsl 10; 1 lsl 12; 1 lsl 14; 1 lsl 17 ]
-  @ [ response_pressure () ]
+  @ List.map
+      (fun capacity -> pressure "replay-cache" (accepted capacity) ())
+      [ 1 lsl 10; 1 lsl 12; 1 lsl 14; 1 lsl 17 ]
+  @ [ pressure "response-cache" (Secure_rpc.create_cache ()) "" ]
 
 (* ------------------------------------------------------------------ *)
 (* A3: TGS proxies (Sec 6.3) vs per-server capabilities               *)

@@ -155,9 +155,10 @@ let run cfg =
     match !advanced_key with
     | None -> 0
     | Some key ->
-        Seq_tracker.progress
-          (Guard.seq_tracker (Accounting_server.guard (Shard.standby_server bank)))
-          ~now:(Sim.Net.now net) key
+        Option.value ~default:0
+          (Expiring.find
+             (Guard.progress (Accounting_server.guard (Shard.standby_server bank)))
+             ~now:(Sim.Net.now net) key)
   in
   (* 4. Let virtual time reach the crash: harmless owner reads against the
         bank until the fault plan has taken the primary down. *)

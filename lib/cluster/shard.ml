@@ -14,8 +14,8 @@
    primitives, accept-once records, sequence progress, grant totals) as
    one ordered list, and [on_handled] — which fires after the handler and
    the response-cache insert but *before* the reply is transmitted — ships
-   the pending changes, together with the request's authenticator digest
-   and sealed reply, to the standby over an ordinary authenticated
+   the pending changes, together with the request's authenticator digest,
+   client and sealed reply, to the standby over an ordinary authenticated
    Secure_rpc exchange. Ordering gives the guarantee: any reply a client
    ever saw was already replicated, so the standby can answer that
    client's retransmission from its seeded response cache without
@@ -40,8 +40,8 @@ type t = {
   repl_creds : Ticket.credentials;
   repl_retry : Sim.Retry.policy option;
   mutable changes : Accounting_server.change list;  (* unshipped, newest first *)
-  mutable replies : (string * int * string) list;
-      (* unshipped (auth_id, expires, sealed reply) triples, newest first *)
+  mutable replies : (string * string * int * string) list;
+      (* unshipped (auth_id, client, expires, sealed reply), newest first *)
   mutable promoted : bool;
 }
 
@@ -105,7 +105,7 @@ let primary_down t = Sim.Net.is_down t.net t.primary.node
 let authoritative t =
   if t.promoted || primary_down t then t.standby.server else t.primary.server
 
-(* Ship every unshipped change and reply triple in ONE replication
+(* Ship every unshipped change and reply record in ONE replication
    exchange. On failure both are put back so the next handled request
    re-ships them: the replication request that carries them then is a
    fresh authenticator, and the standby applies each change exactly once (a
@@ -118,7 +118,10 @@ let ship_now t =
   let payload =
     Wire.L
       [ Wire.S "x-replicate-bulk";
-        Wire.L (List.map (fun (a, e, r) -> Wire.L [ Wire.S a; Wire.I e; Wire.S r ]) replies);
+        Wire.L
+          (List.map
+             (fun (a, c, e, r) -> Wire.L [ Wire.S a; Wire.S c; Wire.I e; Wire.S r ])
+             replies);
         Wire.L (List.map Accounting_server.change_to_wire changes) ]
   in
   let metrics = Sim.Net.metrics t.net in
@@ -147,11 +150,11 @@ let ship_now t =
    - a pipelined [Secure_rpc.call_batch] request journals all its items'
      changes under ONE authenticator/reply, so they ride one ship instead
      of one per item. *)
-let ship t ~auth_id ~expires ~reply =
+let ship t ~auth_id ~client ~expires ~reply =
   if t.changes = [] && t.replies = [] then
     Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_read_skips"
   else begin
-    t.replies <- (auth_id, expires, reply) :: t.replies;
+    t.replies <- (auth_id, client, expires, reply) :: t.replies;
     ship_now t
   end
 
@@ -162,16 +165,19 @@ let apply_replication t ctx ~replies ~changes =
     let* replies =
       Wire.map_all
         (function
-          | Wire.L [ Wire.S auth_id; Wire.I expires; Wire.S reply ] -> Ok (auth_id, expires, reply)
+          | Wire.L [ Wire.S auth_id; Wire.S client; Wire.I expires; Wire.S reply ] ->
+              Ok (auth_id, client, expires, reply)
           | _ -> Error "replication: malformed reply record")
         replies
     in
     let* changes = Wire.map_all Accounting_server.change_of_wire changes in
     let* () = Accounting_server.apply_replicated t.standby.server changes in
     let now = Sim.Net.now t.net in
+    (* Tagged by client as on the primary: an eviction here raises only
+       that client's floor. *)
     List.iter
-      (fun (auth_id, expires, reply) ->
-        Secure_rpc.seed_response t.standby.cache ~now ~auth_id ~expires ~reply)
+      (fun (auth_id, client, expires, reply) ->
+        Expiring.add t.standby.cache ~now ~expires ~tag:client auth_id reply)
       replies;
     Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_applied";
     Sim.Metrics.add (Sim.Net.metrics t.net) "cluster.repl_replies_seeded"
@@ -203,7 +209,7 @@ let standby_handle t ctx payload =
 let install t =
   Secure_rpc.serve t.net ~me:t.logical ~my_key:t.key ~node:t.primary.node
     ~cache:t.primary.cache
-    ~on_handled:(fun ~auth_id ~expires ~reply -> ship t ~auth_id ~expires ~reply)
+    ~on_handled:(fun ~auth_id ~client ~expires ~reply -> ship t ~auth_id ~client ~expires ~reply)
     (fun ctx payload ->
       Result.bind (Accounting_server.request_of_wire payload)
         (Accounting_server.handle t.primary.server ctx));

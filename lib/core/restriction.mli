@@ -115,8 +115,8 @@ val seq_canonical : seq_step list -> string
 
 val seq_key : head:string -> string -> string
 (** [seq_key ~head canon] scopes a canonical sequence under a presented
-    chain's head certificate serial — the progress-tracker key. Keyed like
-    {!Replay_cache} accept-once state: per chain head, so revocation
+    chain's head certificate serial — the progress-tracker key. Kept like
+    the guard's accept-once records: per chain head, so revocation
     shedding (by grantor tag) and verify-cache invalidation compose, and
     every chain derived from one grant shares one progress line. *)
 

@@ -9,6 +9,7 @@ type verified = {
   grantor : Principal.t;
   restrictions : Restriction.t list;
   expires : int;
+  head_expires : int;
   commitment : Presentation.commitment;
   chain_length : int;
   serials : string list;
@@ -108,12 +109,13 @@ let check_revocation ?revocation ~tally (body : Proxy_cert.body) =
 (* Walk conventionally sealed certificates from [start_key]: each is sealed
    under the previous proxy key (the base session key, or a hybrid head's
    recovered key) and carries the next. Links are numbered from
-   [first_idx], and [check_head] vets the first body. *)
+   [first_idx], and [check_head] vets the first body. Link 0, when walked,
+   is the chain's head, and its expiry replaces [head_expires]. *)
 let walk_links ?cache ~tally ?revocation ~hook ~now ~flavor ~first_idx
-    ?(check_head = fun _ -> Ok ()) ~start_key ~acc ~serials ~expires blobs =
+    ?(check_head = fun _ -> Ok ()) ~start_key ~acc ~serials ~head_expires ~expires blobs =
   let open Wire in
-  let rec go key acc serials expires idx = function
-    | [] -> Ok (key, acc, List.rev serials, expires)
+  let rec go key acc serials head_expires expires idx = function
+    | [] -> Ok (key, acc, List.rev serials, head_expires, expires)
     | blob :: rest ->
         let* body, proxy_key =
           hook.wrap ~name:"verify.cert"
@@ -128,10 +130,11 @@ let walk_links ?cache ~tally ?revocation ~hook ~now ~flavor ~first_idx
         go proxy_key
           (acc @ body.Proxy_cert.restrictions)
           (body.Proxy_cert.serial :: serials)
+          (if idx = 0 then body.Proxy_cert.expires else head_expires)
           (min expires body.Proxy_cert.expires)
           (idx + 1) rest
   in
-  go start_key acc (List.rev serials) expires first_idx blobs
+  go start_key acc (List.rev serials) head_expires expires first_idx blobs
 
 let verify_conventional ~open_base ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~now
     (chain : Proxy.conventional_chain) =
@@ -146,16 +149,17 @@ let verify_conventional ~open_base ?(tally = no_tally) ?cache ?revocation ?(hook
       if Principal.equal body.Proxy_cert.grantor base.base_client then Ok ()
       else Error "head certificate grantor does not match base credentials"
     in
-    let* key, restrictions, serials, expires =
+    let* key, restrictions, serials, head_expires, expires =
       walk_links ?cache ~tally ?revocation ~hook ~now ~flavor:"conventional" ~first_idx:0
         ~check_head ~start_key:base.base_session_key ~acc:base.base_restrictions ~serials:[]
-        ~expires:base.base_expires chain.Proxy.cert_blobs
+        ~head_expires:base.base_expires ~expires:base.base_expires chain.Proxy.cert_blobs
     in
     Ok
       {
         grantor = base.base_client;
         restrictions;
         expires;
+        head_expires;
         commitment = Presentation.Sym_commit key;
         chain_length = List.length chain.Proxy.cert_blobs;
         serials;
@@ -218,6 +222,7 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~
                 grantor = head.Proxy_cert.pk_body.Proxy_cert.grantor;
                 restrictions = acc_restrictions @ pending_grantees;
                 expires;
+                head_expires = head.Proxy_cert.pk_body.Proxy_cert.expires;
                 commitment =
                   (match last.Proxy_cert.proxy_pub with
                   | Some pub -> Presentation.Pk_commit pub
@@ -306,11 +311,12 @@ let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
         tally "crypto.rsa_decrypt";
         Proxy_cert.open_hybrid_key ~decrypt head)
   in
-  let* final_key, restrictions, serials, expires =
+  let* final_key, restrictions, serials, head_expires, expires =
     walk_links ?cache ~tally ?revocation ~hook ~now ~flavor:"hybrid-cascade" ~first_idx:1
       ~start_key:head_key
       ~acc:head.Proxy_cert.h_body.Proxy_cert.restrictions
       ~serials:[ head.Proxy_cert.h_body.Proxy_cert.serial ]
+      ~head_expires:head.Proxy_cert.h_body.Proxy_cert.expires
       ~expires:head.Proxy_cert.h_body.Proxy_cert.expires blobs
   in
   Ok
@@ -318,6 +324,7 @@ let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
       grantor;
       restrictions;
       expires;
+      head_expires;
       commitment = Presentation.Sym_commit final_key;
       chain_length = 1 + List.length blobs;
       serials;

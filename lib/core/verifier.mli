@@ -25,6 +25,10 @@ type verified = {
   grantor : Principal.t;  (** the authority at the head of the chain *)
   restrictions : Restriction.t list;  (** the full, additive set *)
   expires : int;  (** the tightest expiry along the chain *)
+  head_expires : int;
+      (** the head certificate's expiry: every chain through that head,
+          however extended, expires by then. What the guard records its
+          accept-once and sequence state until. *)
   commitment : Presentation.commitment;
   chain_length : int;
   serials : string list;  (** certificate serials, head first (audit) *)

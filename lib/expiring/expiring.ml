@@ -20,11 +20,14 @@ type 'v t = {
   capacity : int;
   on_evict : unit -> unit;
   mutable next_seq : int;
+  floors : (string option, int) Hashtbl.t;  (* per tag, the greatest expiry evicted live *)
+  mutable floors_limit : int;  (* sweep the floors when there are this many *)
 }
 
 let create ?(on_evict = ignore) ~capacity () =
   if capacity < 1 then invalid_arg "Expiring.create: capacity must be positive";
-  { entries = Hashtbl.create 64; heap = [||]; capacity; on_evict; next_seq = 0 }
+  { entries = Hashtbl.create 64; heap = [||]; capacity; on_evict; next_seq = 0;
+    floors = Hashtbl.create 8; floors_limit = capacity }
 
 let size t = Hashtbl.length t.entries
 let capacity t = t.capacity
@@ -89,6 +92,27 @@ let find t ~now key =
       None
   | None -> None
 
+type 'v status = Live of 'v | Absent | Forgotten
+
+let lookup t ~now ~expires ?tag key =
+  match find t ~now key with
+  | Some v -> Live v
+  | None -> (
+      match Hashtbl.find_opt t.floors tag with
+      | Some floor when now < expires && expires <= floor -> Forgotten
+      | _ -> Absent)
+
+(* A floor at or below [now] refuses nothing, so the floors are swept
+   when their count reaches a limit that then doubles past the survivors:
+   amortised O(1), and at most twice the floors in force (or capacity). *)
+let raise_floor t ~now victim =
+  if Hashtbl.length t.floors >= t.floors_limit then begin
+    Hashtbl.filter_map_inplace (fun _ f -> if f > now then Some f else None) t.floors;
+    t.floors_limit <- max t.capacity (2 * Hashtbl.length t.floors)
+  end;
+  let floor = Option.value (Hashtbl.find_opt t.floors victim.tag) ~default:min_int in
+  Hashtbl.replace t.floors victim.tag (max floor victim.expires)
+
 let mem t key = Hashtbl.mem t.entries key
 
 let rec purge t ~now =
@@ -109,7 +133,9 @@ let add ?on_evict t ~now ~expires ?tag key value =
       restore t e
   | None ->
       if size t >= t.capacity then begin
-        remove t t.heap.(0);
+        let victim = t.heap.(0) in
+        raise_floor t ~now victim;
+        remove t victim;
         (Option.value on_evict ~default:t.on_evict) ()
       end;
       let seq = t.next_seq in
@@ -125,4 +151,6 @@ let shed t ~tag =
 
 let clear t =
   Hashtbl.reset t.entries;
-  t.heap <- [||]
+  t.heap <- [||];
+  Hashtbl.reset t.floors;
+  t.floors_limit <- t.capacity

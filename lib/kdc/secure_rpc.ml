@@ -23,13 +23,16 @@ let status_of_wire = function
    redemption, and ledger mutations fire exactly once under at-least-once
    delivery. The duplicate gets the original sealed response back: useless
    to an eavesdropping replayer (sealed under the session key), and
-   exactly what a retrying legitimate client needs. An {!Expiring} table:
-   when full, expired entries are purged; if every entry is still live,
-   the soonest-to-expire response is dropped (its retransmission window
-   closes first) and "rpc.cache_evictions" ticks. The key is the
-   authenticator's AEAD tag: the payload is its associated data, so the
-   tag names the authenticator and the request together, and [serve] has
-   checked it before the lookup.
+   exactly what a retrying legitimate client needs. An {!Expiring} table
+   whose entries are tagged by the ticket's client: when full, expired
+   entries are purged; if every entry is still live, the soonest-to-expire
+   response is dropped, "rpc.cache_evictions" ticks and its client's
+   floor rises, so that authenticator is refused rather than run again.
+   Only that client's floor moves, and it moves in the client's own
+   timestamps, so one client's flood never refuses another's fresh
+   requests. The key is the authenticator's AEAD tag: the payload is its
+   associated data, so the tag names the authenticator and the request
+   together, and [serve] has checked it before the lookup.
 
    The cache is a first-class value so a standby replica can hold one and
    have it seeded by replication: a client that fails over after the
@@ -37,16 +40,7 @@ let status_of_wire = function
    original sealed reply from the standby instead of a second execution. *)
 type cache = string Expiring.t
 
-let create_cache ?(capacity = 4096) () =
-  if capacity < 1 then invalid_arg "Secure_rpc.create_cache: capacity must be positive";
-  Expiring.create ~capacity ()
-
-(* Seeding never ticks "rpc.cache_evictions": that counter is the served
-   traffic's. *)
-let seed_response cache ~now ~auth_id ~expires ~reply =
-  Expiring.add cache ~now ~expires auth_id reply
-
-let cached cache ~auth_id = Expiring.mem cache auth_id
+let create_cache ?(capacity = 4096) () = Expiring.create ~capacity ()
 
 (* The trace context an envelope may carry: ids only. *)
 let ctx_to_wire c = Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_span ]
@@ -110,11 +104,21 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                   else if abs (auth.Ticket.timestamp - now) > max_skew_us then
                     err "authenticator outside freshness window"
                   else begin
-                    match Expiring.find cache ~now auth_id with
-                    | Some cached_reply ->
+                    (* The authenticator stays fresh until timestamp +
+                       skew and its reply is cached exactly that long, so
+                       the expiry depends on the client's clock alone: the
+                       lookup passes the one the reply was cached with,
+                       and a client whose timestamps only increase never
+                       reaches its own floor. *)
+                    let client = Principal.to_string ticket.Ticket.client in
+                    let expires = auth.Ticket.timestamp + 1 + max_skew_us in
+                    match Expiring.lookup cache ~now ~expires ~tag:client auth_id with
+                    | Expiring.Live cached_reply ->
                         Sim.Metrics.incr metrics "rpc.dedup";
                         cached_reply
-                    | None ->
+                    | Expiring.Forgotten ->
+                        err "authenticator forgotten under capacity pressure: not run again"
+                    | Expiring.Absent ->
                         let ctx =
                           {
                             rpc_client = ticket.Ticket.client;
@@ -154,17 +158,14 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                                ~nonce:(Sim.Net.fresh_nonce net) (Wire.encode body))
                         in
                         let reply = Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ]) in
-                        (* Cache for as long as the authenticator passes
-                           the freshness check: a client clock ahead of
-                           ours stays fresh until timestamp + skew. *)
-                        let expires = max now (auth.Ticket.timestamp + 1) + max_skew_us in
-                        Expiring.add ~on_evict:count_eviction cache ~now ~expires auth_id reply;
+                        Expiring.add ~on_evict:count_eviction cache ~now ~expires ~tag:client
+                          auth_id reply;
                         (* The handler really ran (not a cache hit): feed the
                            replication hook, reply bytes included, so a
                            standby can answer this client's retransmissions
                            verbatim. *)
                         (match on_handled with
-                        | Some f -> f ~auth_id ~expires ~reply
+                        | Some f -> f ~auth_id ~client ~expires ~reply
                         | None -> ());
                         reply
                   end

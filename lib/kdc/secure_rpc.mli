@@ -26,28 +26,23 @@ type server_context = {
           name ([Guard.decide]'s [ticket]) *)
 }
 
-type cache
-(** A response cache (authenticator tag -> sealed reply, an {!Expiring}
-    table) as a first-class value, so shard replicas can share or seed one
-    another's: replication ships each handled request's [auth_id]/reply
-    pair to the standby, whose seeded cache then answers a failed-over
-    client's retransmission without executing the request a second time.
-    The tag is the authenticator's AEAD tag, which covers the payload, so
-    one key names the authenticator and the request together, and primary
-    and standby derive the same one. *)
+type cache = string Expiring.t
+(** A response cache: authenticator tag -> sealed reply, a first-class
+    value so shard replicas can share or seed one another's. Each reply is
+    tagged ({!Expiring.add}) with [Principal.to_string] of the ticket's
+    client, so evicting it raises that client's floor alone. Replication
+    ships each handled request's [auth_id], client tag, expiry and reply
+    to the standby, which {!Expiring.add}s it under that tag (re-seeding
+    a live key updates it in place and evicts nothing, so a re-shipped
+    batch cannot push out another live reply); the seeded cache then
+    answers a failed-over client's retransmission without executing the
+    request a second time. The key is the authenticator's AEAD tag, which
+    covers the payload, so one key names the authenticator and the
+    request together, and primary and standby derive the same one. *)
 
 val create_cache : ?capacity:int -> unit -> cache
 (** Default capacity 4096; at capacity, expired entries are purged, then
     the soonest-to-expire live entry is evicted. *)
-
-val seed_response : cache -> now:int -> auth_id:string -> expires:int -> reply:string -> unit
-(** Re-seeding a live [auth_id] updates it in place and evicts nothing, so
-    a re-shipped replication batch cannot push out another live reply. *)
-
-val cached : cache -> auth_id:string -> bool
-(** Is a response recorded under this authenticator tag? Replication
-    assertions and eviction-order regression tests; not a freshness check
-    (an expired entry still answers [true] until it is purged). *)
 
 val serve :
   Sim.Net.t ->
@@ -56,7 +51,7 @@ val serve :
   ?node:string ->
   ?max_skew_us:int ->
   ?cache:cache ->
-  ?on_handled:(auth_id:string -> expires:int -> reply:string -> unit) ->
+  ?on_handled:(auth_id:string -> client:string -> expires:int -> reply:string -> unit) ->
   (server_context -> Wire.t -> (Wire.t, string) result) ->
   unit
 (** Register the service on the network. The handler sees only authenticated
@@ -67,7 +62,13 @@ val serve :
     does {e not} re-run the handler: the original sealed response is returned
     from an internal response cache, giving exactly-once handler execution under
     at-least-once delivery. (A replayer gains nothing: the cached response is
-    sealed under the session key.)
+    sealed under the session key.) If capacity pressure evicted that response
+    while live, the repeat reads as forgotten ({!Expiring.lookup} under its
+    client's tag, with expiry [timestamp + 1 + max_skew_us]) and is refused
+    before the handler: at most once, never twice. That floor is the
+    client's own, in its own timestamps: no other client's flood refuses
+    its fresh requests, and if its timestamps only increase, however far
+    its clock lags, it is refused only a repeat of an evicted request.
 
     [my_key] is held as a {!Ticket.holder}, once per [serve]: the key is
     prepared once, and each ticket blob is opened and its session key
@@ -90,14 +91,16 @@ val serve :
     seeded by replication, or one of another capacity); otherwise an
     internal {!create_cache} one is used. A reply is cached until the
     authenticator could no longer pass the freshness check — [max_skew_us]
-    past the later of now and its timestamp — so a client clock running
-    ahead cannot outlive its cache entry. At capacity, expired entries are
+    past its timestamp — so a client clock running ahead cannot outlive
+    its cache entry. At capacity, expired entries are
     purged; if all are live, the soonest-to-expire one is evicted and the
-    net's ["rpc.cache_evictions"] metric ticks.
+    net's ["rpc.cache_evictions"] metric ticks (seeding a standby's cache
+    ticks nothing: the counter is the served traffic's).
 
     [on_handled] fires after each request the handler {e actually ran}
-    (cache hits excluded) with the authenticator tag, the cache expiry,
-    and the sealed reply bytes — the feed a primary ships to its standby. *)
+    (cache hits excluded) with the authenticator tag, the client tag the
+    reply is cached under, the cache expiry, and the sealed reply bytes —
+    the feed a primary ships to its standby. *)
 
 val call :
   Sim.Net.t ->

@@ -27,9 +27,10 @@ type mutation =
       (** a Sequence restriction is lowered to a stateless Authorized set of
           its steps — any step usable in any order, any number of times *)
   | Reset_progress_on_retry
-      (** the guard's sequence tracker is wiped after every presentation, as
-          if retry handling reset earned progress — in-order second steps
-          that the model grants are denied by the stack *)
+      (** the guard's sequence progress table is wiped after every
+          presentation, as if retry handling reset earned progress — in-order
+          second steps that the model grants are denied by the stack, and an
+          exhausted sequence can run again *)
 
 let mutation_name = function
   | Drop_derived_restriction -> "drop-derived-restriction"
@@ -314,7 +315,7 @@ let run ?mutation ~cache ~seed (prog : Program.t) : Program.run * hits =
           | `Write -> Result.is_ok (File_server.write u.net ~creds ~proxies ~path "mbt write")
         in
         if mutation = Some Reset_progress_on_retry then
-          Seq_tracker.clear (Guard.seq_tracker (File_server.guard u.fs));
+          Expiring.clear (Guard.progress (File_server.guard u.fs));
         O_ok granted)
     | Revoke { owner } ->
         Acl.remove_subject (File_server.acl u.fs) ~target:(target_name (File owner))

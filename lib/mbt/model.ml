@@ -54,7 +54,7 @@ type state = {
   bank_seen : (int, unit) Hashtbl.t;  (** consumed check numbers at the bank *)
   seq_progress : (int * (string * target) list, int) Hashtbl.t;
       (** sequence progress, keyed (chain head, steps) — the pure mirror of
-          the guard's [Seq_tracker] keyed on head serial + canonical form *)
+          the guard's progress table keyed on head serial + canonical form *)
   balances : int array;
 }
 

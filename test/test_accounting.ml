@@ -169,12 +169,24 @@ let creds_for bw who bank =
   let tgt = W.login bw.w who in
   W.credentials_for bw.w ~tgt bank
 
-let write_check bw ?(amount = 100) ?(currency = usd) () =
+let write_check bw ?(amount = 100) ?(currency = usd)
+    ?(account = Accounting_server.account bw.bank2 "carol-checking") () =
   let now = W.now bw.w in
   Check.write ~drbg:(Sim.Net.drbg bw.w.W.net) ~now ~expires:(now + (24 * W.hour))
-    ~payor:bw.carol ~payor_key:bw.carol_rsa
-    ~account:(Accounting_server.account bw.bank2 "carol-checking") ~payee:bw.shop ~currency
-    ~amount ()
+    ~payor:bw.carol ~payor_key:bw.carol_rsa ~account ~payee:bw.shop ~currency ~amount ()
+
+(* Carol also banks at bank1, the shop's bank, with 500 usd in
+   "carol-local". *)
+let open_carol_local bw =
+  let creds_c1 = creds_for bw bw.carol bw.bank1_name in
+  (match Accounting_server.open_account bw.w.W.net ~creds:creds_c1 ~name:"carol-local" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  ignore (Ledger.mint (Accounting_server.ledger bw.bank1) ~name:"carol-local" ~currency:usd 500);
+  Accounting_server.account bw.bank1 "carol-local"
+
+let carol_local bw =
+  Ledger.balance (Accounting_server.ledger bw.bank1) ~name:"carol-local" ~currency:usd
 
 let balances bw =
   ( Ledger.balance (Accounting_server.ledger bw.bank2) ~name:"carol-checking" ~currency:usd,
@@ -237,18 +249,8 @@ let test_same_bank_check () =
   (* Carol also banks at bank1: check clears without any inter-server
      message. *)
   let bw = bank_world () in
-  let creds_c1 = creds_for bw bw.carol bw.bank1_name in
-  (match Accounting_server.open_account bw.w.W.net ~creds:creds_c1 ~name:"carol-local" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  ignore (Ledger.mint (Accounting_server.ledger bw.bank1) ~name:"carol-local" ~currency:usd 500);
-  let now = W.now bw.w in
-  let check =
-    Check.write ~drbg:(Sim.Net.drbg bw.w.W.net) ~now ~expires:(now + (24 * W.hour))
-      ~payor:bw.carol ~payor_key:bw.carol_rsa
-      ~account:(Accounting_server.account bw.bank1 "carol-local") ~payee:bw.shop ~currency:usd
-      ~amount:50 ()
-  in
+  let account = open_carol_local bw in
+  let check = write_check bw ~amount:50 ~account () in
   let collects_before = Sim.Metrics.get (Sim.Net.metrics bw.w.W.net) "accounting.collects" in
   let creds = creds_for bw bw.shop bw.bank1_name in
   (match
@@ -259,8 +261,7 @@ let test_same_bank_check () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "no inter-server collect" collects_before
     (Sim.Metrics.get (Sim.Net.metrics bw.w.W.net) "accounting.collects");
-  Alcotest.(check int) "paid locally" 450
-    (Ledger.balance (Accounting_server.ledger bw.bank1) ~name:"carol-local" ~currency:usd)
+  Alcotest.(check int) "paid locally" 450 (carol_local bw)
 
 let test_intermediary_chain () =
   (* Route bank1 -> bank3 -> bank2: one extra endorsement and collect hop
@@ -309,6 +310,121 @@ let test_double_deposit_rejected () =
   let carol_b, shop_b = balances bw in
   Alcotest.(check int) "debited once" 940 carol_b;
   Alcotest.(check int) "credited once" 60 shop_b
+
+(* --- guarantee records: a paid check or a spent step stays spent --- *)
+
+(* Section 7.7 keeps a check number "until the expiration time on the
+   check", not the chain it was deposited on: the depositor writes that
+   chain's last link, and a 1 s endorsement must not let the number lapse
+   while the check still clears under a longer one. *)
+let test_lapsed_endorsement_pays_once () =
+  let bw = bank_world () in
+  let account = open_carol_local bw in
+  let check = write_check bw ~amount:50 ~account () in
+  let creds = creds_for bw bw.shop bw.bank1_name in
+  let now = W.now bw.w in
+  let endorsed =
+    Result.get_ok
+      (Check.endorse ~drbg:(Sim.Net.drbg bw.w.W.net) ~now ~expires:(now + 1_000_000)
+         ~endorser:bw.shop ~endorser_key:bw.shop_rsa ~next:bw.bank1_name check)
+  in
+  (match
+     Secure_rpc.call bw.w.W.net ~creds
+       (Accounting_server.request_to_wire
+          (Accounting_server.Deposit { check = endorsed; to_account = "shop-till" }))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "paid under the short endorsement" 450 (carol_local bw);
+  Sim.Clock.advance (Sim.Net.clock bw.w.W.net) 2_000_000;
+  (match
+     Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check
+       ~to_account:"shop-till"
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a paid check was paid again under a fresh endorsement");
+  Alcotest.(check int) "debited once" 450 (carol_local bw)
+
+(* A full accept-once table evicts the record that expires first. Pushing
+   a paid check's number out with 2^17 longer-lived records must not make
+   the check payable again: the drawee cannot prove the number unused, so
+   it refuses. *)
+let test_flood_pays_once () =
+  let bw = bank_world () in
+  let check = write_check bw ~amount:60 () in
+  let creds = creds_for bw bw.shop bw.bank1_name in
+  let deposit () =
+    Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check
+      ~to_account:"shop-till"
+  in
+  (match deposit () with Ok _ -> () | Error e -> Alcotest.fail e);
+  let guard = Accounting_server.guard bw.bank2 in
+  let now = W.now bw.w in
+  for i = 1 to 1 lsl 17 do
+    Guard.apply_change guard ~now
+      (Guard.Accept_once { id = Printf.sprintf "flood-%d" i; expires = max_int; tag = "flood" })
+  done;
+  Alcotest.(check int) "the paid number was evicted" 1
+    (Sim.Metrics.get (Sim.Net.metrics bw.w.W.net) "replay_cache.evictions");
+  (match deposit () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an evicted check number was paid again");
+  let carol_b, shop_b = balances bw in
+  Alcotest.(check int) "debited once" 940 carol_b;
+  Alcotest.(check int) "credited once" 60 shop_b
+
+(* Sequence progress is kept until the grant's head certificate expires,
+   so a short derived link cannot take the progress it earned with it:
+   once the link lapses, the grant itself finds [open -> debit] spent. *)
+let test_lapsed_link_reruns_no_sequence () =
+  let bw = bank_world () in
+  ignore (open_carol_local bw);
+  let net = bw.w.W.net and drbg = Sim.Net.drbg bw.w.W.net in
+  let fs_p, fs_key = W.enrol bw.w "files" in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"/contract"
+    { Acl.subject = Acl.Principal_is bw.carol; rights = [ "open" ]; restrictions = [] };
+  let fs = File_server.create net ~me:fs_p ~my_key:fs_key ~lookup_pub:bw.lookup ~acl () in
+  File_server.install fs;
+  File_server.put_direct fs ~path:"/contract" "terms";
+  let fs_bank = creds_for bw fs_p bw.bank1_name in
+  Guard.set_seq_forward (File_server.guard fs)
+    (Some
+       (fun ~server:_ ~key ~progress ~expires ~tag ->
+         Result.get_ok
+           (Accounting_server.seq_advance net ~creds:fs_bank ~key ~progress ~expires ~tag)));
+  let now = W.now bw.w in
+  let steps =
+    [ { Restriction.step_op = "open"; step_server = Some fs_p; step_target = Some "/contract" };
+      { Restriction.step_op = "debit";
+        step_server = Some bw.bank1_name;
+        step_target = Some "carol-local" } ]
+  in
+  let grant =
+    Proxy.grant_pk ~drbg ~now ~expires:(now + (24 * W.hour)) ~grantor:bw.carol
+      ~grantor_key:bw.carol_rsa
+      ~restrictions:
+        [ Restriction.Grantee ([ bw.shop ], 1); Restriction.Sequence steps;
+          Restriction.Quota (usd, 1_000) ]
+      ()
+  in
+  let link =
+    Result.get_ok
+      (Proxy.restrict_pk ~drbg ~now ~expires:(now + 1_000_000)
+         ~restrictions:[ Restriction.Quota (usd, 100) ] grant)
+  in
+  let shop_fs = creds_for bw bw.shop fs_p and shop_bank = creds_for bw bw.shop bw.bank1_name in
+  let open_ proxy = File_server.open_ net ~creds:shop_fs ~proxies:[ proxy ] ~path:"/contract" () in
+  let debit proxy =
+    Accounting_server.proxy_debit net ~creds:shop_bank ~proxy ~payor_account:"carol-local"
+      ~to_account:"shop-till" ~currency:usd ~amount:100
+  in
+  Alcotest.(check bool) "open under the link" true (Result.is_ok (open_ link));
+  Alcotest.(check bool) "debit under the link" true (Result.is_ok (debit link));
+  Sim.Clock.advance (Sim.Net.clock net) 2_000_000;
+  Alcotest.(check bool) "the grant cannot open again" true (Result.is_error (open_ grant));
+  Alcotest.(check bool) "nor debit again" true (Result.is_error (debit grant));
+  Alcotest.(check int) "debited once" 400 (carol_local bw)
 
 let test_bounced_check () =
   let bw = bank_world () in
@@ -558,6 +674,10 @@ let () =
           ("rewritten currency", `Slow, test_rewritten_currency);
           ("stolen check", `Slow, test_stolen_check);
           ("expired check", `Slow, test_expired_check) ] );
+      ( "guarantee records",
+        [ ("lapsed endorsement pays once", `Slow, test_lapsed_endorsement_pays_once);
+          ("flooded accept-once table pays once", `Slow, test_flood_pays_once);
+          ("lapsed link re-runs no sequence", `Slow, test_lapsed_link_reruns_no_sequence) ] );
       ( "certified+cashier",
         [ ("certified check", `Slow, test_certified_check);
           ("cashier's check", `Slow, test_cashier_check) ] );

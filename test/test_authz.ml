@@ -220,16 +220,57 @@ let test_secure_rpc_cache_eviction () =
   Sim.Net.clear_tap w.W.net;
   Alcotest.(check int) "handler ran three times" 3 !hits;
   Alcotest.(check int) "one eviction at capacity 2" 1 (evictions ());
-  (* The evicted entry's retransmission window has closed: replaying the
-     first raw request re-runs the handler instead of hitting the cache. *)
+  (* The evicted reply is gone while its authenticator is still fresh:
+     replaying the first raw request reads forgotten and is refused before
+     the handler, so it does not run a second time. *)
   (match !first with
   | None -> Alcotest.fail "nothing captured"
   | Some raw -> (
       match Sim.Net.rpc w.W.net ~src:"mallory" ~dst:(Principal.to_string svc) raw with
-      | Ok _ -> Alcotest.(check int) "evicted request re-executes" 4 !hits
+      | Ok reply ->
+          Alcotest.(check bool) "evicted request refused, not re-executed" true
+            (match Wire.decode reply with
+            | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) ->
+                String.starts_with ~prefix:"authenticator forgotten" e
+            | _ -> false);
+          Alcotest.(check int) "handler still ran three times" 3 !hits
       | Error e -> Alcotest.fail e));
-  Alcotest.(check int) "second eviction from the re-insert" 2 (evictions ());
+  Alcotest.(check int) "no re-insert, no second eviction" 1 (evictions ());
   Alcotest.(check int) "no dedup hits" 0 (Sim.Metrics.get (Sim.Net.metrics w.W.net) "rpc.dedup")
+
+(* The raw request a client whose clock reads [timestamp] would send: the
+   envelope carries the payload's exact bytes, and the authenticator
+   covers them. *)
+let stamped_request w ~creds ~timestamp payload =
+  let payload = Wire.encode payload in
+  let auth =
+    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare creds.Ticket.session_key)
+      ~nonce:(Sim.Net.fresh_nonce w.W.net) ~covers:payload
+      { Ticket.auth_client = creds.Ticket.cred_client; timestamp; subkey = None; auth_data = [] }
+  in
+  Wire.encode
+    (Wire.L [ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S auth; Wire.S payload ])
+
+(* Deliver raw request bytes; [Ok ()] when the server answered with a
+   sealed reply, [Error] carrying its in-band refusal otherwise. *)
+let deliver w ~svc raw =
+  match Sim.Net.rpc w.W.net ~src:"client" ~dst:(Principal.to_string svc) raw with
+  | Error e -> Alcotest.fail e
+  | Ok reply -> (
+      match Wire.decode reply with
+      | Ok (Wire.L [ Wire.S "sealed"; Wire.S _ ]) -> Ok ()
+      | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) -> Error e
+      | _ -> Alcotest.fail "malformed reply")
+
+let counting_service w ~skew ~capacity =
+  let svc, svc_key = W.enrol w "svc" in
+  let hits = ref 0 in
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~max_skew_us:skew
+    ~cache:(Secure_rpc.create_cache ~capacity ())
+    (fun _ _ ->
+      incr hits;
+      Ok (Wire.I !hits));
+  (svc, hits)
 
 (* A client clock running ahead of the server's: the authenticator stays
    fresh until its own timestamp + skew, so its cached reply must live that
@@ -238,36 +279,11 @@ let test_secure_rpc_cache_eviction () =
 let test_secure_rpc_future_stamp_replay () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
-  let svc, svc_key = W.enrol w "svc" in
   let skew = 1_000_000 in
-  let hits = ref 0 in
-  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~max_skew_us:skew
-    ~cache:(Secure_rpc.create_cache ~capacity:2 ())
-    (fun _ _ ->
-      incr hits;
-      Ok (Wire.I !hits));
-  let tgt = W.login w alice in
-  let creds = W.credentials_for w ~tgt svc in
-  (* The envelope carries the payload's exact bytes, and the authenticator
-     covers them. *)
-  let payload = Wire.encode (Wire.I 0) in
-  let ahead =
-    Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare creds.Ticket.session_key)
-      ~nonce:(Sim.Net.fresh_nonce w.W.net) ~covers:payload
-      { Ticket.auth_client = alice;
-        timestamp = Sim.Net.now w.W.net + (skew / 2);
-        subkey = None;
-        auth_data = [] }
-  in
-  let raw =
-    Wire.encode
-      (Wire.L [ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S ahead; Wire.S payload ])
-  in
-  let send () =
-    match Sim.Net.rpc w.W.net ~src:"alice" ~dst:(Principal.to_string svc) raw with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e
-  in
+  let svc, hits = counting_service w ~skew ~capacity:2 in
+  let creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+  let raw = stamped_request w ~creds ~timestamp:(Sim.Net.now w.W.net + (skew / 2)) (Wire.I 0) in
+  let send () = Result.iter_error Alcotest.fail (deliver w ~svc raw) in
   let call i =
     match Secure_rpc.call w.W.net ~creds (Wire.I i) with
     | Ok _ -> ()
@@ -282,6 +298,67 @@ let test_secure_rpc_future_stamp_replay () =
   Alcotest.(check int) "handler ran once per distinct request" 3 !hits;
   Alcotest.(check int) "the replay was served from the cache" 1
     (Sim.Metrics.get (Sim.Net.metrics w.W.net) "rpc.dedup")
+
+let forgotten = function
+  | Error e -> String.starts_with ~prefix:"authenticator forgotten" e
+  | Ok () -> false
+
+(* One client floods the cache with requests stamped at the far edge of
+   the freshness window, until its own replies are evicted. Only its floor
+   rises: another client's calls keep running, while a replay of an
+   evicted flood request is still refused. *)
+let test_secure_rpc_flood_spares_other_clients () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" and mallory, _ = W.enrol w "mallory" in
+  let skew = 1_000_000 in
+  let svc, hits = counting_service w ~skew ~capacity:2 in
+  let mallory_creds = W.credentials_for w ~tgt:(W.login w mallory) svc in
+  let alice_creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+  let edge = Sim.Net.now w.W.net + skew - 1 in
+  let flood =
+    List.init 3 (fun i -> stamped_request w ~creds:mallory_creds ~timestamp:edge (Wire.I i))
+  in
+  List.iter (fun raw -> Result.iter_error Alcotest.fail (deliver w ~svc raw)) flood;
+  Alcotest.(check int) "the flood evicted one of its own replies" 1
+    (Sim.Metrics.get (Sim.Net.metrics w.W.net) "rpc.cache_evictions");
+  for i = 1 to 4 do
+    match Secure_rpc.call w.W.net ~creds:alice_creds (Wire.I i) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail ("alice refused after mallory's flood: " ^ e)
+  done;
+  Alcotest.(check bool) "the evicted flood request is refused" true
+    (forgotten (deliver w ~svc (List.hd flood)));
+  Alcotest.(check int) "every distinct request ran once" 7 !hits
+
+(* A client whose clock lags far behind the cache's turnover: each of its
+   replies is the soonest to expire, so the cache evicts them first, yet
+   its timestamps only increase, so none of its fresh requests reaches
+   its floor. A replay of an evicted one still does. *)
+let test_secure_rpc_lagging_client_served () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" and bob, _ = W.enrol w "bob" in
+  let skew = 1_000_000 in
+  let svc, hits = counting_service w ~skew ~capacity:2 in
+  let alice_creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+  let bob_creds = W.credentials_for w ~tgt:(W.login w bob) svc in
+  let lagging i =
+    stamped_request w ~creds:alice_creds ~timestamp:(Sim.Net.now w.W.net - (skew / 2)) (Wire.I i)
+  in
+  let first = lagging 0 in
+  Result.iter_error Alcotest.fail (deliver w ~svc first);
+  for i = 1 to 4 do
+    (match Secure_rpc.call w.W.net ~creds:bob_creds (Wire.I i) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail ("bob refused: " ^ e));
+    match deliver w ~svc (lagging i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Printf.sprintf "lagging alice refused at call %d: %s" i e)
+  done;
+  Alcotest.(check int) "the cache turned over" 7
+    (Sim.Metrics.get (Sim.Net.metrics w.W.net) "rpc.cache_evictions");
+  Alcotest.(check bool) "a replay of alice's evicted first request is refused" true
+    (forgotten (deliver w ~svc first));
+  Alcotest.(check int) "every distinct request ran once" 9 !hits
 
 (* --- guard + capabilities --- *)
 
@@ -804,6 +881,46 @@ let test_accept_once_consumed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accept-once proxy accepted twice"
 
+(* Each grantor's accept-once records have their own floor. A flood that
+   pushes out one of alice's live records makes her unspent vouchers that
+   expire no later unprovable, so they are refused; bob's are not hers,
+   and a voucher of his that expires just as soon is still accepted. *)
+let test_accept_once_flood_spares_other_grantors () =
+  let fw = fileserver_world () in
+  Acl.add (Guard.acl fw.guard) ~target:"file1"
+    { Acl.subject = Acl.Principal_is fw.bob; rights = []; restrictions = [] };
+  let now = W.now fw.w in
+  let voucher grantor id =
+    let creds = W.credentials_for fw.w ~tgt:(W.login fw.w grantor) fw.fileserver in
+    Guard.bind ~server:fw.fileserver ~ticket:W.ticket
+      (Proxy.grant_conventional ~drbg:(Sim.Net.drbg fw.w.W.net) ~now ~expires:(now + W.hour)
+         ~grantor ~session_key:creds.Ticket.session_key ~base:creds.Ticket.ticket_blob
+         ~restrictions:
+           [ R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ]; R.Accept_once id ])
+  in
+  let read p =
+    Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1" ~proxies:[ p ] ()
+  in
+  let spent = voucher fw.alice "alice-1" in
+  Result.iter_error Alcotest.fail (Result.map ignore (read spent));
+  for i = 1 to 1 lsl 17 do
+    Guard.apply_change fw.guard ~now
+      (Guard.Accept_once { id = Printf.sprintf "flood-%d" i; expires = max_int; tag = "flood" })
+  done;
+  Alcotest.(check int) "alice's record was evicted" 1
+    (Sim.Metrics.get (Sim.Net.metrics fw.w.W.net) "replay_cache.evictions");
+  (match read (voucher fw.bob "bob-1") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("bob's voucher refused after a flood that evicted alice's: " ^ e));
+  List.iter
+    (fun (what, p) ->
+      match read p with
+      | Error e ->
+          Alcotest.(check bool) (what ^ " refused as forgotten") true
+            (String.ends_with ~suffix:"record forgotten under capacity pressure)" e)
+      | Ok _ -> Alcotest.fail (what ^ " accepted"))
+    [ ("alice's spent voucher", spent); ("alice's unspent voucher", voucher fw.alice "alice-2") ]
+
 let test_accept_once_unused_not_consumed () =
   (* When the presenter's own identity satisfies the ACL, an attached
      accept-once proxy contributed nothing and must NOT be consumed: the
@@ -854,7 +971,11 @@ let () =
           ("replay absorbed, handler once", `Quick, test_secure_rpc_replay_absorbed);
           ("response cache bounded", `Quick, test_secure_rpc_cache_eviction);
           ("future-stamped replay answered from cache", `Quick,
-           test_secure_rpc_future_stamp_replay) ] );
+           test_secure_rpc_future_stamp_replay);
+          ("one client's flood refuses no other client", `Quick,
+           test_secure_rpc_flood_spares_other_clients);
+          ("a lagging client is served while the cache turns over", `Quick,
+           test_secure_rpc_lagging_client_served) ] );
       ( "guard+capabilities",
         [ ("direct identity", `Quick, test_guard_direct_identity);
           ("capability flow", `Quick, test_capability_flow);
@@ -867,6 +988,8 @@ let () =
           ("cascade through guard", `Quick, test_cascade_through_guard);
           ("depth-2 presentation kernel cost", `Quick, test_capability_presentation_cost);
           ("accept-once consumed", `Quick, test_accept_once_consumed);
+          ("a flood's floor is its victims' grantors' alone", `Slow,
+           test_accept_once_flood_spares_other_grantors);
           ("unused accept-once not consumed", `Quick, test_accept_once_unused_not_consumed) ] );
       ( "authorization-server",
         [ ("figure-3 flow", `Quick, test_authz_server_flow);

@@ -116,17 +116,14 @@ let test_lost_response_without_retries () =
 (* --- replay cache boundary: an entry is dead at exactly its expiry --- *)
 
 let test_replay_cache_boundary () =
-  let rc = Replay_cache.create () in
-  (match Replay_cache.record rc ~now:0 ~expires:10 "check-1" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  check "live strictly before expiry" true (Replay_cache.seen rc ~now:9 "check-1");
-  check "dead at exactly expires = now" false (Replay_cache.seen rc ~now:10 "check-1");
+  let rc = Expiring.create ~capacity:(1 lsl 17) () in
+  let status ~now = Expiring.lookup rc ~now ~expires:10 "check-1" in
+  Expiring.add rc ~now:0 ~expires:10 "check-1" ();
+  check "live strictly before expiry" true (status ~now:9 = Expiring.Live ());
+  check "dead at exactly expires = now" true (status ~now:10 = Expiring.Absent);
   (* And once expired, the number can be recorded again. *)
-  (match Replay_cache.record rc ~now:10 ~expires:20 "check-1" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("re-record after expiry: " ^ e));
-  check "live again" true (Replay_cache.seen rc ~now:15 "check-1")
+  Expiring.add rc ~now:10 ~expires:20 "check-1" ();
+  check "live again" true (Expiring.find rc ~now:15 "check-1" = Some ())
 
 let () =
   Alcotest.run "chaos"

@@ -394,9 +394,10 @@ let test_bulletin_sheds_on_both_replicas () =
     (ok_or "deposit"
        (Router.deposit r_shop ~endorser_key:shop.rsa ~check ~to_account:shop.name));
   let seen server =
-    Replay_cache.seen
-      (Guard.replay_cache (Accounting_server.guard server))
-      ~now:(World.now cw.w) check.Check.number
+    Option.is_some
+      (Expiring.find
+         (Guard.accepted (Accounting_server.guard server))
+         ~now:(World.now cw.w) check.Check.number)
   in
   let replicas =
     [ ("primary", Shard.primary_server shard); ("standby", Shard.standby_server shard) ]
@@ -412,6 +413,40 @@ let test_bulletin_sheds_on_both_replicas () =
   Alcotest.(check bool) "bulletin applied" true
     (ok_or "bulletin" (Shard.apply_bulletin shard bulletin));
   List.iter (fun (r, s) -> Alcotest.(check bool) (r ^ " shed the record") false (seen s)) replicas
+
+(* The standby seeds each replicated reply under its client's tag, so
+   when capacity pressure evicts a seeded reply, that client's
+   retransmission after a failover reads forgotten and is refused: the
+   transfer it carries does not run a second time. *)
+let test_failover_evicted_seed_refused () =
+  let cw, shard, alice, shop, r_shop = one_shard_bank ~seed:"evicted seed" () in
+  let primary = Shard.primary_node shard in
+  let captured = ref None in
+  Sim.Net.set_tap cw.net (fun ~dir ~src ~dst payload ->
+      if dir = `Request && src = Principal.to_string alice.principal && dst = primary then
+        captured := Some payload;
+      Sim.Net.Deliver);
+  ok_or "transfer"
+    (Router.transfer (mk_router cw alice) ~from_:alice.name ~to_:shop.name ~currency:usd
+       ~amount:10);
+  Sim.Net.clear_tap cw.net;
+  (* Each replicated request seeds one reply and caches its replication
+     exchange at the standby, so 4096 of them push alice's seed out of its
+     default 4096 entries. *)
+  for i = 1 to 4096 do
+    ok_or "open" (Router.open_account r_shop ~name:(Printf.sprintf "flood-%d" i))
+  done;
+  Sim.Net.set_down cw.net ~name:primary;
+  let raw = Option.get !captured in
+  (match Sim.Net.rpc cw.net ~src:"alice" ~dst:(Shard.standby_node shard) raw with
+  | Ok reply ->
+      Alcotest.(check bool) "the retransmission reads forgotten" true
+        (match Wire.decode reply with
+        | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) ->
+            String.starts_with ~prefix:"authenticator forgotten" e
+        | _ -> false)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "alice debited once" 990 (alice_balance shard alice)
 
 (* --- the full scenario --- *)
 
@@ -583,7 +618,9 @@ let () =
           ("a grant's running total survives", `Quick, test_failover_keeps_grant_total);
           ("an accept-once draw survives", `Quick, test_failover_keeps_accept_once);
           ("a bulletin sheds on both replicas", `Quick, test_bulletin_sheds_on_both_replicas);
-          ("seq counts each failover once", `Quick, test_seq_failovers_counted_once) ] );
+          ("seq counts each failover once", `Quick, test_seq_failovers_counted_once);
+          ("an evicted seed is refused, not re-run", `Slow, test_failover_evicted_seed_refused)
+        ] );
       ( "scenario",
         [ ("conservation + determinism under crash", `Slow,
            test_scenario_conservation_and_determinism) ] );

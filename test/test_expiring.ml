@@ -2,9 +2,12 @@
    capacities, few keys and many equal expiries, compared after every op. *)
 
 (* The reference keeps the fold-based purge and soonest-(expiry, seq)
-   eviction that Replay_cache, Seq_tracker and the Secure_rpc response
-   cache each carried before they shared Expiring, arranged into the same
-   add rule. *)
+   eviction that the accept-once cache, the sequence tracker and the
+   Secure_rpc response cache each carried before they shared Expiring,
+   arranged into the same add rule, plus a floor per tag: the greatest
+   expiry a live entry under that tag was evicted with. It keeps every
+   floor it ever raised; Expiring sweeps those [now] has passed, which no
+   lookup can tell apart. *)
 module Oracle = struct
   type t = {
     entries : (string, int * int * int * string option) Hashtbl.t;
@@ -12,9 +15,11 @@ module Oracle = struct
     capacity : int;
     mutable next_seq : int;
     mutable evictions : int;
+    mutable floors : (string option * int) list;
   }
 
-  let create ~capacity = { entries = Hashtbl.create 8; capacity; next_seq = 0; evictions = 0 }
+  let create ~capacity =
+    { entries = Hashtbl.create 8; capacity; next_seq = 0; evictions = 0; floors = [] }
 
   let find t ~now key =
     match Hashtbl.find_opt t.entries key with
@@ -44,9 +49,20 @@ module Oracle = struct
         t.entries None
     with
     | None -> ()
-    | Some (key, _, _) ->
+    | Some (key, expires, _) ->
+        let _, _, _, tag = Hashtbl.find t.entries key in
         Hashtbl.remove t.entries key;
-        t.evictions <- t.evictions + 1
+        t.evictions <- t.evictions + 1;
+        let floor = Option.value (List.assoc_opt tag t.floors) ~default:expires in
+        t.floors <- (tag, max expires floor) :: List.remove_assoc tag t.floors
+
+  let lookup t ~now ~expires ?tag key =
+    match find t ~now key with
+    | Some v -> Expiring.Live v
+    | None -> (
+        match List.assoc_opt tag t.floors with
+        | Some floor when now < expires && expires <= floor -> Expiring.Forgotten
+        | Some _ | None -> Expiring.Absent)
 
   let add t ~now ~expires ?tag key v =
     purge t ~now;
@@ -66,13 +82,16 @@ module Oracle = struct
     List.iter (Hashtbl.remove t.entries) doomed;
     List.length doomed
 
-  let clear t = Hashtbl.reset t.entries
+  let clear t =
+    Hashtbl.reset t.entries;
+    t.floors <- []
   let size t = Hashtbl.length t.entries
 end
 
 type op =
   | Add of { key : int; ttl : int; tag : int option; value : int }
   | Find of int
+  | Lookup of { key : int; ttl : int; tag : int option }
   | Tick of int  (** advance [now] *)
   | Shed of int
   | Purge
@@ -84,6 +103,9 @@ let show_op = function
         (match tag with Some g -> "g" ^ string_of_int g | None -> "-")
         value
   | Find k -> Printf.sprintf "find k%d" k
+  | Lookup { key; ttl; tag } ->
+      Printf.sprintf "lookup k%d ttl=%d tag=%s" key ttl
+        (match tag with Some g -> "g" ^ string_of_int g | None -> "-")
   | Tick d -> Printf.sprintf "tick %d" d
   | Shed g -> Printf.sprintf "shed g%d" g
   | Purge -> "purge"
@@ -99,6 +121,10 @@ let gen_op =
             (fun key ttl tag value -> Add { key; ttl; tag; value })
             (int_bound 9) (int_bound 4) (opt (int_bound 2)) (int_bound 99) );
         (4, map (fun k -> Find k) (int_bound 9));
+        ( 4,
+          map3
+            (fun key ttl tag -> Lookup { key; ttl; tag })
+            (int_bound 9) (int_bound 4) (opt (int_bound 2)) );
         (3, map (fun d -> Tick d) (int_bound 2));
         (1, map (fun g -> Shed g) (int_bound 2));
         (1, return Purge);
@@ -128,6 +154,10 @@ let prop_matches_oracle =
                 Oracle.add o ~now:!now ~expires:(!now + ttl) ?tag (key k) value;
                 true
             | Find k -> Expiring.find t ~now:!now (key k) = Oracle.find o ~now:!now (key k)
+            | Lookup { key = k; ttl; tag = g } ->
+                let expires = !now + ttl and tag = Option.map tag g in
+                Expiring.lookup t ~now:!now ~expires ?tag (key k)
+                = Oracle.lookup o ~now:!now ~expires ?tag (key k)
             | Tick d ->
                 now := !now + d;
                 true

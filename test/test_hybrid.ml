@@ -120,6 +120,7 @@ let test_cascade () =
       Alcotest.(check int) "chain of 2" 2 v.Verifier.chain_length;
       Alcotest.(check int) "restrictions accumulate" 2 (List.length v.Verifier.restrictions);
       Alcotest.(check int) "expiry tightens" (t_exp / 2) v.Verifier.expires;
+      Alcotest.(check int) "head expiry is the head's" t_exp v.Verifier.head_expires;
       let r = req () in
       Alcotest.(check bool) "new key proves" true
         (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind narrowed) = Ok ());

@@ -102,23 +102,30 @@ let test_metrics_snapshot_ignores_hash_history () =
 
 (* --- eviction tie-breaks: insertion order, not hash order --- *)
 
+(* An evicted live entry reads forgotten, not unseen: every entry here
+   expires at 100, so the floor the eviction raised covers it. *)
+let check_forgotten table key =
+  Alcotest.(check bool) "oldest insertion evicted" false (Expiring.mem table key);
+  Alcotest.(check bool) "and reads forgotten" true
+    (Expiring.lookup table ~now:1 ~expires:100 key = Expiring.Forgotten)
+
 let test_replay_cache_evicts_oldest_on_tie () =
   let evictions = ref 0 in
-  let c = Replay_cache.create ~capacity:3 ~on_evict:(fun () -> incr evictions) () in
-  let record id = Result.get_ok (Replay_cache.record c ~now:0 ~expires:100 id) in
+  let c = Expiring.create ~capacity:3 ~on_evict:(fun () -> incr evictions) () in
+  let record id = Expiring.add c ~now:0 ~expires:100 id () in
   record "a";
   record "b";
   record "c";
   record "d" (* all expiries equal: the tie must break toward oldest-inserted *);
   Alcotest.(check int) "one eviction" 1 !evictions;
-  Alcotest.(check bool) "oldest insertion evicted" false (Replay_cache.seen c ~now:1 "a");
+  check_forgotten c "a";
   List.iter
-    (fun id -> Alcotest.(check bool) (id ^ " survives") true (Replay_cache.seen c ~now:1 id))
+    (fun id -> Alcotest.(check bool) (id ^ " survives") true (Expiring.find c ~now:1 id = Some ()))
     [ "b"; "c"; "d" ]
 
 let test_seq_tracker_evicts_oldest_on_tie () =
-  let t = Seq_tracker.create ~capacity:3 () in
-  let set key k = Seq_tracker.set_progress t ~now:0 ~expires:100 key k in
+  let t = Expiring.create ~capacity:3 () in
+  let set key k = Expiring.add t ~now:0 ~expires:100 key k in
   set "s-a" 1;
   set "s-b" 1;
   set "s-c" 1;
@@ -126,25 +133,22 @@ let test_seq_tracker_evicts_oldest_on_tie () =
      the same logical sequence, not a fresh one, so it stays oldest. *)
   set "s-a" 2;
   set "s-d" 1;
-  Alcotest.(check int) "oldest insertion evicted" 0 (Seq_tracker.progress t ~now:1 "s-a");
+  check_forgotten t "s-a";
   List.iter
     (fun key ->
-      Alcotest.(check int) (key ^ " survives") 1 (Seq_tracker.progress t ~now:1 key))
+      Alcotest.(check (option int)) (key ^ " survives") (Some 1) (Expiring.find t ~now:1 key))
     [ "s-b"; "s-c"; "s-d" ]
 
 let test_rpc_cache_evicts_oldest_on_tie () =
   let c = Secure_rpc.create_cache ~capacity:3 () in
-  let seed auth_id =
-    Secure_rpc.seed_response c ~now:0 ~auth_id ~expires:100 ~reply:("r-" ^ auth_id)
-  in
+  let seed auth_id = Expiring.add c ~now:0 ~expires:100 auth_id ("r-" ^ auth_id) in
   seed "a";
   seed "b";
   seed "c";
   seed "d";
-  Alcotest.(check bool) "oldest insertion evicted" false (Secure_rpc.cached c ~auth_id:"a");
+  check_forgotten c "a";
   List.iter
-    (fun id ->
-      Alcotest.(check bool) (id ^ " survives") true (Secure_rpc.cached c ~auth_id:id))
+    (fun id -> Alcotest.(check bool) (id ^ " survives") true (Expiring.mem c id))
     [ "b"; "c"; "d" ]
 
 (* A failed replication ship is re-queued whole, so the standby can be
@@ -153,15 +157,12 @@ let test_rpc_cache_evicts_oldest_on_tie () =
    retransmission execute twice. *)
 let test_rpc_cache_reseed_evicts_nothing () =
   let c = Secure_rpc.create_cache ~capacity:2 () in
-  let seed auth_id =
-    Secure_rpc.seed_response c ~now:0 ~auth_id ~expires:100 ~reply:("r-" ^ auth_id)
-  in
+  let seed auth_id = Expiring.add c ~now:0 ~expires:100 auth_id ("r-" ^ auth_id) in
   seed "a";
   seed "b";
   seed "b";
   List.iter
-    (fun id ->
-      Alcotest.(check bool) (id ^ " still cached") true (Secure_rpc.cached c ~auth_id:id))
+    (fun id -> Alcotest.(check bool) (id ^ " still cached") true (Expiring.mem c id))
     [ "a"; "b" ]
 
 (* --- the accounting lanes: determinism across domain counts --- *)

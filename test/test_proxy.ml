@@ -208,6 +208,7 @@ let test_cascade_accumulates () =
       Alcotest.(check int) "chain length 3" 3 v.Verifier.chain_length;
       Alcotest.(check int) "restrictions union" 3 (List.length v.Verifier.restrictions);
       Alcotest.(check int) "tightest expiry wins" (t_exp / 2) v.Verifier.expires;
+      Alcotest.(check int) "head expiry is the head's" t_exp v.Verifier.head_expires;
       Alcotest.(check int) "serials recorded" 3 (List.length v.Verifier.serials);
       (* The final key is the one that proves possession; earlier keys no
          longer suffice. *)
@@ -631,21 +632,41 @@ let test_classify () =
   | `Delegate ps -> Alcotest.(check int) "grantees union" 2 (List.length ps)
   | `Bearer -> Alcotest.fail "expected delegate"
 
-(* --- replay cache --- *)
+(* --- accept-once records --- *)
 
+(* Record-if-absent: [Guard.apply_change] journals an accept-once record
+   only when it moved, so a live identifier is never recorded twice. *)
 let test_replay_cache () =
-  let cache = Replay_cache.create () in
-  Alcotest.(check bool) "fresh unseen" false (Replay_cache.seen cache ~now:0 "c1");
-  Alcotest.(check bool) "record" true (Replay_cache.record cache ~now:0 ~expires:100 "c1" = Ok ());
-  Alcotest.(check bool) "now seen" true (Replay_cache.seen cache ~now:50 "c1");
-  Alcotest.(check bool) "double record fails" true
-    (Result.is_error (Replay_cache.record cache ~now:50 ~expires:100 "c1"));
-  Alcotest.(check bool) "expired forgets" false (Replay_cache.seen cache ~now:101 "c1");
-  Alcotest.(check bool) "re-record after expiry" true
-    (Replay_cache.record cache ~now:101 ~expires:200 "c1" = Ok ());
-  ignore (Replay_cache.record cache ~now:101 ~expires:110 "c2");
-  Replay_cache.purge cache ~now:150;
-  Alcotest.(check int) "purged" 1 (Replay_cache.size cache)
+  let w = Testkit.create ~seed:"accept-once records" () in
+  let me, my_key = Testkit.enrol w "guard" in
+  let guard = Guard.create w.Testkit.net ~me ~my_key ~acl:(Acl.create ()) () in
+  let recorded = ref 0 in
+  Guard.set_journal guard (Some (fun _ -> incr recorded));
+  let record ~now ~expires id =
+    let before = !recorded in
+    Guard.apply_change guard ~now (Guard.Accept_once { id; expires; tag = "g" });
+    !recorded > before
+  in
+  let cache = Guard.accepted guard in
+  let seen ~now id = Option.is_some (Expiring.find cache ~now id) in
+  Alcotest.(check bool) "fresh unseen" false (seen ~now:0 "c1");
+  Alcotest.(check bool) "record" true (record ~now:0 ~expires:100 "c1");
+  Alcotest.(check bool) "now seen" true (seen ~now:50 "c1");
+  Alcotest.(check bool) "double record fails" false (record ~now:50 ~expires:100 "c1");
+  Alcotest.(check bool) "expired forgets" false (seen ~now:101 "c1");
+  Alcotest.(check bool) "re-record after expiry" true (record ~now:101 ~expires:200 "c1");
+  ignore (record ~now:101 ~expires:110 "c2");
+  Expiring.purge cache ~now:150;
+  Alcotest.(check int) "purged" 1 (Expiring.size cache);
+  (* Sequence progress moves through the same path, max-monotone. *)
+  let advance progress =
+    Guard.apply_change guard ~now:150
+      (Guard.Seq_progress { key = "s"; progress; expires = 300; tag = "g" })
+  in
+  advance 2;
+  advance 1;
+  Alcotest.(check (option int)) "progress never rewinds" (Some 2)
+    (Expiring.find (Guard.progress guard) ~now:150 "s")
 
 (* --- properties --- *)
 

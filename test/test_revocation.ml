@@ -284,7 +284,7 @@ let test_shed_frees_reissued_accept_once () =
   let original = issue ~now:0 () in
   Alcotest.(check bool) "original check accepted" true (Result.is_ok (decide original));
   Alcotest.(check bool) "identifier recorded" true
-    (Replay_cache.seen (Guard.replay_cache guard) ~now:(Sim.Net.now net) check_no);
+    (Option.is_some (Expiring.find (Guard.accepted guard) ~now:(Sim.Net.now net) check_no));
   Alcotest.(check bool) "second presentation bounces" true (Result.is_error (decide original));
   (* Gina is revoked by grantor epoch; her accept-once records are shed
      with her. *)
@@ -297,7 +297,7 @@ let test_shed_frees_reissued_accept_once () =
   Alcotest.(check bool) "records shed and metered" true
     (Sim.Metrics.get (Sim.Net.metrics net) "replay_cache.shed" > 0);
   Alcotest.(check bool) "identifier no longer held" false
-    (Replay_cache.seen (Guard.replay_cache guard) ~now:(Sim.Net.now net) check_no);
+    (Option.is_some (Expiring.find (Guard.accepted guard) ~now:(Sim.Net.now net) check_no));
   Alcotest.(check bool) "revoked check refused" true (Result.is_error (decide original));
   (* The re-issued check — same number, fresh post-revocation grant — must
      not collide with the dead record... *)

@@ -167,33 +167,40 @@ let test_capacity_bound_and_evictions () =
   Alcotest.(check bool) "live entry kept" true (Verify_cache.check small ~now:120 (k 2));
   Alcotest.(check bool) "new entry kept" true (Verify_cache.check small ~now:120 (k 3))
 
-(* --- Replay_cache bounds (satellite: audit the long-lived caches) --- *)
+(* --- accept-once table bounds (the long-lived caches) --- *)
 
 let test_replay_cache_bound () =
   let evictions = ref 0 in
   let cap = 8 in
-  let rc = Replay_cache.create ~capacity:cap ~on_evict:(fun () -> incr evictions) () in
+  let rc = Expiring.create ~capacity:cap ~on_evict:(fun () -> incr evictions) () in
+  let expiry i = 1000 + i and id i = Printf.sprintf "check-%d" i in
+  let status i = Expiring.lookup rc ~now:0 ~expires:(expiry i) (id i) in
   (* Fill with live entries, then flood: the cache must stay bounded and
      evict the soonest-expiring identifier. *)
   for i = 1 to 30 do
-    match Replay_cache.record rc ~now:0 ~expires:(1000 + i) (Printf.sprintf "check-%d" i) with
-    | Ok () -> Alcotest.(check bool) "bounded" true (Replay_cache.size rc <= cap)
-    | Error e -> Alcotest.fail e
+    Expiring.add rc ~now:0 ~expires:(expiry i) (id i) ();
+    Alcotest.(check bool) "bounded" true (Expiring.size rc <= cap)
   done;
-  Alcotest.(check int) "size = capacity" cap (Replay_cache.size rc);
+  Alcotest.(check int) "size = capacity" cap (Expiring.size rc);
   Alcotest.(check int) "flood evictions" (30 - cap) !evictions;
   (* Soonest-expiry-first: the longest-lived identifiers survive, so the
      replay window stays closed for the checks that matter longest. *)
-  Alcotest.(check bool) "longest-lived still seen" true (Replay_cache.seen rc ~now:0 "check-30");
-  Alcotest.(check bool) "soonest-expiring dropped" false (Replay_cache.seen rc ~now:0 "check-1");
+  Alcotest.(check bool) "longest-lived still seen" true (status 30 = Expiring.Live ());
+  (* An evicted identifier is not unseen: it reads forgotten, and so does
+     any new one that would expire no later than it. *)
+  Alcotest.(check bool) "soonest-expiring dropped" true (status 1 = Expiring.Forgotten);
+  Alcotest.(check bool) "a later expiry reads absent" true
+    (Expiring.lookup rc ~now:0 ~expires:2000 "check-new" = Expiring.Absent);
   (* Expired entries are purged before anything live is evicted. *)
-  let rc2 = Replay_cache.create ~capacity:2 ~on_evict:(fun () -> incr evictions) () in
+  let rc2 = Expiring.create ~capacity:2 ~on_evict:(fun () -> incr evictions) () in
   let before = !evictions in
-  Result.get_ok (Replay_cache.record rc2 ~now:0 ~expires:10 "stale");
-  Result.get_ok (Replay_cache.record rc2 ~now:0 ~expires:1000 "live");
-  Result.get_ok (Replay_cache.record rc2 ~now:500 ~expires:1000 "new");
+  Expiring.add rc2 ~now:0 ~expires:10 "stale" ();
+  Expiring.add rc2 ~now:0 ~expires:1000 "live" ();
+  Expiring.add rc2 ~now:500 ~expires:1000 "new" ();
   Alcotest.(check int) "no eviction when purge suffices" before !evictions;
-  Alcotest.(check bool) "live entry kept" true (Replay_cache.seen rc2 ~now:500 "live")
+  Alcotest.(check bool) "live entry kept" true (Expiring.find rc2 ~now:500 "live" = Some ());
+  Alcotest.(check bool) "an expired entry is not forgotten" true
+    (Expiring.lookup rc2 ~now:500 ~expires:10 "stale" = Expiring.Absent)
 
 (* --- Retirement on revocation (bump_generation) --- *)
 

@@ -20,7 +20,10 @@ type entry = {
   subject : subject;
   rights : string list;  (** permitted operations; [[]] means all *)
   restrictions : Restriction.t list;
-      (** copied into proxies granted on the strength of this entry *)
+      (** copied into proxies granted on the strength of this entry, and
+          checked, with no records kept, against each request the entry
+          permits: an [Accept_once] or [Sequence] there refuses it (fail
+          closed) *)
 }
 
 type t

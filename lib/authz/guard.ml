@@ -65,14 +65,13 @@ let revocation t = t.revocation
 
 let note t c = match t.journal with None -> () | Some j -> j c
 
-let steps_done t ~now key = Option.value (Expiring.find t.progress ~now key) ~default:0
-
-(* Accept-once records and sequence progress move only through here, so
-   the journal sees every movement in order. An accept-once record that is
-   already live did not move. Progress is max-monotone: concurrent
-   advancement, replicated imports and retransmitted forwards can only
-   move a sequence forward, and re-advancing a live key updates it in
-   place. *)
+(* Accept-once records and sequence progress move only through here, and
+   the journal sees each change that moved a table, in order. An
+   accept-once record that is already live does not move. Progress is
+   max-monotone: concurrent advancement, replicated imports and
+   retransmitted forwards can only move a sequence forward, a change at
+   or behind the line does not move it, and re-advancing a live key
+   updates it in place. *)
 let apply_change t ~now c =
   let moved =
     match c with
@@ -81,9 +80,9 @@ let apply_change t ~now c =
         if fresh then Expiring.add t.accepted ~now ~expires ~tag id ();
         fresh
     | Seq_progress { key; progress; expires; tag } ->
-        if progress > steps_done t ~now key then
-          Expiring.add t.progress ~now ~expires ~tag key progress;
-        true
+        let ahead = progress > Option.value (Expiring.find t.progress ~now key) ~default:0 in
+        if ahead then Expiring.add t.progress ~now ~expires ~tag key progress;
+        ahead
   in
   if moved then note t c
 
@@ -143,8 +142,8 @@ let transport_ok ~me ~now ~auth_data ~operation ?(target = "") ?spend () =
   | [] -> Ok ()
   | rs ->
       let req = Restriction.request ~server:me ~time:now ~operation ~target ?spend () in
-      (match Restriction.check_all rs req with
-      | Ok () -> Ok ()
+      (match Restriction.check_all ~held:Restriction.no_state rs req with
+      | Ok _ -> Ok ()
       | Error e -> Error (Printf.sprintf "refused by credential restriction: %s" e))
 
 type decision = {
@@ -156,17 +155,12 @@ type decision = {
 }
 
 (* Everything the guard learned about one successfully verified and
-   authorized proxy. Its accept-once and sequence records live until
-   [u_until], the head certificate's expiry, not the chain's: a later link
-   is the presenter's to write, and a short one must not let the record
-   lapse while the grant still verifies through a longer one. *)
+   authorized proxy, and what a grant it contributes to writes. *)
 type usable = {
   u_grantor : Principal.t;
   u_restrictions : Restriction.t list;
-  u_until : int;
   u_serials : string list;
-  u_sequences : (string * Restriction.seq_step list) list;
-      (* each top-level sequence under its progress key *)
+  u_changes : change list;  (* what [held] checked, in order *)
 }
 
 let tally t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
@@ -255,35 +249,35 @@ let apply_bulletin t bulletin =
           end;
           Ok true)
 
-let accept_once_ids restrictions =
-  List.filter_map
-    (function Restriction.Accept_once id -> Some id | _ -> None)
-    restrictions
-
-(* Like accept-once consumption, sequence advancement reads only the
-   chain's top-level restrictions: a limit-scoped sequence is checked by
-   the servers it names but never advanced here. *)
-let top_sequences restrictions =
-  List.filter_map
-    (function Restriction.Sequence steps -> Some steps | _ -> None)
-    restrictions
-
-(* A usable proxy whose accept-once identifier or sequence progress may
-   have been evicted while live cannot be shown unspent, so it is refused
-   (fail closed), whatever else would let it through. The floor read is
-   its grantor's, the tag its records are kept under. *)
-let remembered t ~now u =
-  let tag = Principal.to_string u.u_grantor in
-  let forgotten table key =
-    match Expiring.lookup table ~now ~expires:u.u_until ~tag key with
-    | Expiring.Forgotten -> true
-    | Expiring.Live _ | Expiring.Absent -> false
-  in
-  if List.exists (forgotten t.accepted) (accept_once_ids u.u_restrictions) then
-    Error "accept-once: record forgotten under capacity pressure"
-  else if List.exists (fun (key, _) -> forgotten t.progress key) u.u_sequences then
-    Error "sequence: progress forgotten under capacity pressure"
-  else Ok u
+(* The guard's [held] for one verified chain: one lookup per stateful
+   restriction, under the grantor's tag and the head certificate's expiry
+   (a later link is the presenter's to write, and a short one must not let
+   a record lapse while the grant still verifies through a longer one). A
+   live record is a replay, or for a sequence the progress the request
+   must follow. A record that may have been evicted while live cannot be
+   shown unspent, so it is refused (fail closed). An absent one passes.
+   What it returns is the change a grant writes. *)
+let held t ~req (v : Verifier.verified) stateful =
+  let now = req.Restriction.time and expires = v.Verifier.head_expires in
+  let tag = Principal.to_string v.Verifier.grantor in
+  match stateful with
+  | Restriction.Once id -> (
+      match Expiring.lookup t.accepted ~now ~expires ~tag id with
+      | Expiring.Live () -> Error (Printf.sprintf "accept-once: %s already used" id)
+      | Expiring.Forgotten -> Error "accept-once: record forgotten under capacity pressure"
+      | Expiring.Absent -> Ok (Accept_once { id; expires; tag }))
+  | Restriction.Steps steps -> (
+      let head = match v.Verifier.serials with head :: _ -> head | [] -> "" in
+      let key = Restriction.seq_key ~head (Restriction.seq_canonical steps) in
+      let next done_ =
+        Result.map
+          (fun () -> Seq_progress { key; progress = done_ + 1; expires; tag })
+          (Restriction.seq_next steps ~done_ req)
+      in
+      match Expiring.lookup t.progress ~now ~expires ~tag key with
+      | Expiring.Live done_ -> next done_
+      | Expiring.Forgotten -> Error "sequence: progress forgotten under capacity pressure"
+      | Expiring.Absent -> next 0)
 
 (* Verify a presented proxy and check it authorizes [req]; [Ok usable] if it
    contributes its grantor's authority to the request. *)
@@ -297,26 +291,17 @@ let evaluate t ~req ~ticket (p : presented) =
   | Error e -> Error e
   | Ok verified -> (
       match
-        Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache verified ~req ~ticket
-          ~binding:p.pres_binding
+        Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req verified)
+          verified ~req ~ticket ~binding:p.pres_binding
       with
       | Error e -> Error e
-      | Ok () ->
-          let restrictions = verified.Verifier.restrictions in
-          remembered t ~now
+      | Ok changes ->
+          Ok
             {
               u_grantor = verified.Verifier.grantor;
-              u_restrictions = restrictions;
-              u_until = verified.Verifier.head_expires;
+              u_restrictions = verified.Verifier.restrictions;
               u_serials = verified.Verifier.serials;
-              u_sequences =
-                (match verified.Verifier.serials with
-                | [] -> []
-                | head :: _ ->
-                    List.map
-                      (fun steps ->
-                        (Restriction.seq_key ~head (Restriction.seq_canonical steps), steps))
-                      (top_sequences restrictions));
+              u_changes = changes;
             })
 
 (* Groups named in the ACL that this group proxy could possibly assert. *)
@@ -360,6 +345,20 @@ let import_seq_progress t ~caller ~key ~progress ~expires ~tag =
             Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.imports";
             Ok ())
 
+(* After a step is granted here, hand the new progress to the server the
+   sequence's next step names, when that is another server. The key is
+   self-describing, so the steps come back out of it. *)
+let forward t ~key ~progress ~expires ~tag =
+  match t.seq_forward with
+  | None -> ()
+  | Some f -> (
+      match Restriction.seq_key_parse key with
+      | Ok (_, steps) when progress < List.length steps -> (
+          match (List.nth steps progress).Restriction.step_server with
+          | Some s when not (Principal.equal s t.me) -> f ~server:s ~key ~progress ~expires ~tag
+          | Some _ | None -> ())
+      | Ok _ | Error _ -> ())
+
 let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?ticket
     ?(proxies = []) ?(group_proxies = []) ?spend () =
   let sp = Sim.Net.spans t.net in
@@ -370,7 +369,6 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
   let result =
   let now = Sim.Net.now t.net in
   let presenters = Option.to_list presenter @ extra_presenters in
-  let seen id = Option.is_some (Expiring.find t.accepted ~now id) in
   (* Pass 1: which groups do the group proxies prove?  A group proxy is used
      with operation "assert-membership" on the group's local name. *)
   let asserted =
@@ -381,7 +379,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
             let req =
               Restriction.request ~server:t.me ~time:now ~operation:"assert-membership"
                 ~target:g.Principal.Group.group ~presenters
-                ~claimed_memberships:[ g.Principal.Group.group ] ~accept_once_seen:seen ()
+                ~claimed_memberships:[ g.Principal.Group.group ] ()
             in
             match evaluate t ~req ~ticket gp with
             | Ok u when Principal.equal u.u_grantor g.Principal.Group.server -> Some (g, u)
@@ -394,9 +392,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
      operation? *)
   let req =
     Restriction.request ~server:t.me ~time:now ~operation ~target ~presenters ~groups_asserted
-      ?spend ~accept_once_seen:seen
-      ~sequence_progress:(steps_done t ~now)
-      ()
+      ?spend ()
   in
   let contributions = List.map (fun p -> evaluate t ~req ~ticket p) proxies in
   let usable = List.filter_map Result.to_option contributions in
@@ -425,11 +421,11 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
       Error (Printf.sprintf "access denied: no ACL entry permits %s on %S%s" operation target detail)
   | Some entry -> (
       (* Enforce any restrictions recorded on the ACL entry itself. *)
-      match Restriction.check_all entry.Acl.restrictions req with
+      match Restriction.check_all ~held:Restriction.no_state entry.Acl.restrictions req with
       | Error e -> Error (Printf.sprintf "access denied by ACL entry restriction: %s" e)
-      | Ok () ->
+      | Ok _ ->
           (* Work out which proxies actually contributed to satisfying the
-             entry, and consume their accept-once identifiers. *)
+             entry, and write what their [held] checked. *)
           let rec contributors subject =
             match subject with
             | Acl.Anyone -> ([], [])
@@ -446,41 +442,23 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
                 (List.concat_map fst parts, List.concat_map snd parts)
           in
           let used, via_groups = contributors entry.Acl.subject in
-          List.iter
-            (fun u ->
-              let tag = Principal.to_string u.u_grantor in
-              List.iter
-                (fun id -> apply_change t ~now (Accept_once { id; expires = u.u_until; tag }))
-                (accept_once_ids u.u_restrictions))
-            used;
-          (* Advance each distinct sequence a used chain carries: its check
-             just matched this operation at the current step, so the step is
-             consumed. Keys dedup across chains — derivations of one grant
-             share a head serial and must advance once, not once per copy. *)
+          (* Accept-once records, and one step of each distinct sequence
+             line: chains derived from one grant share a head serial, so a
+             line they share advances once, not once per copy. *)
           let advanced = ref [] in
           List.iter
             (fun u ->
               List.iter
-                (fun (key, steps) ->
-                  if not (List.mem key !advanced) then begin
-                    advanced := key :: !advanced;
-                    let tag = Principal.to_string u.u_grantor in
-                    let k = steps_done t ~now key + 1 in
-                    apply_change t ~now
-                      (Seq_progress { key; progress = k; expires = u.u_until; tag });
-                    Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
-                    match t.seq_forward with
-                    | Some f when k < List.length steps -> (
-                        (* The next step belongs to another server: hand the
-                           progress over so the sequence can continue
-                           there. *)
-                        match (List.nth steps k).Restriction.step_server with
-                        | Some s when not (Principal.equal s t.me) ->
-                            f ~server:s ~key ~progress:k ~expires:u.u_until ~tag
-                        | Some _ | None -> ())
-                    | Some _ | None -> ()
-                  end)
-                u.u_sequences)
+                (function
+                  | Accept_once _ as c -> apply_change t ~now c
+                  | Seq_progress { key; progress; expires; tag } as c ->
+                      if not (List.mem key !advanced) then begin
+                        advanced := key :: !advanced;
+                        apply_change t ~now c;
+                        Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
+                        forward t ~key ~progress ~expires ~tag
+                      end)
+                u.u_changes)
             used;
           let decision =
             {

@@ -81,10 +81,11 @@ val progress : t -> int Expiring.t
 (** The guard's {!Restriction.Sequence} progress: steps granted per
     presented chain head and sequence ({!Restriction.seq_key}), tagged by
     grantor (evictions tick ["seq_tracker.evictions"]). Each granted
-    decision advances every distinct sequence the contributing chains
-    carry (tallying ["seq_tracker.advances"]); {!apply_bulletin} sheds a
-    freshly revoked grantor's progress alongside its accept-once records
-    (tallying ["seq_tracker.shed"]). *)
+    decision advances, by one step, every distinct sequence line it
+    checked on the contributing chains (tallying
+    ["seq_tracker.advances"]); {!apply_bulletin} sheds a freshly revoked
+    grantor's progress alongside its accept-once records (tallying
+    ["seq_tracker.shed"]). *)
 
 (** A movement of the guard's server-side state, as data: an accept-once
     record with the expiry and grantor tag it was recorded under, or a
@@ -94,19 +95,20 @@ type change =
   | Seq_progress of { key : string; progress : int; expires : int; tag : string }
 
 val set_journal : t -> (change -> unit) option -> unit
-(** Install (or clear) the journal hook, fired with each change in the
-    order it happens: a granted {!decide} consuming an accept-once
-    identifier or advancing a sequence step, and {!import_seq_progress}
-    accepting a forwarded step. {!Accounting_server} installs it to feed
-    its replication journal. *)
+(** Install (or clear) the journal hook, fired with each change that moves
+    a table, in the order it happens: a granted {!decide} consuming an
+    accept-once identifier or advancing a sequence step, and
+    {!import_seq_progress} accepting a forwarded step.
+    {!Accounting_server} installs it to feed its replication journal. *)
 
 val apply_change : t -> now:int -> change -> unit
-(** Apply one change here and journal it: the one path by which
-    {!decide}, {!import_seq_progress} and a standby mirroring its primary
-    move either table. An accept-once record keeps its expiry and tag, so
-    {!apply_bulletin} sheds it like a record made here; one already live
-    is left alone. Progress is max-monotone, so re-applying a change is
-    harmless. *)
+(** Apply one change here, and journal it if it moved a table: the one
+    path by which {!decide}, {!import_seq_progress} and a standby mirroring
+    its primary move either table. An accept-once record keeps its expiry
+    and tag, so {!apply_bulletin} sheds it like a record made here; one
+    already live is left alone. Progress is max-monotone: a change at or
+    behind a sequence's line leaves it alone, so re-applying a change is
+    harmless and journals nothing. *)
 
 val set_seq_forward :
   t ->
@@ -131,7 +133,8 @@ val import_seq_progress :
     must be the server named by the step the new progress claims was just
     completed — only the server that granted step [progress - 1] may attest
     it. Storage is max-monotone, so retransmissions and replica replays are
-    harmless. Tallies ["seq_tracker.imports"] and journals the change. *)
+    harmless. Tallies ["seq_tracker.imports"] and applies the change with
+    {!apply_change}. *)
 
 val apply_bulletin : t -> Revocation.bulletin -> (bool, string) result
 (** Feed one signed bulletin to the guard's revocation state. [Ok true]
@@ -204,10 +207,17 @@ val decide :
     ticket, and with no [ticket] no bearer proxy contributes. A binding's
     check is memoized in the verify cache, so after the first request
     over a ticket it costs one lookup; the chain's windows, restrictions
-    and revocation still run on every request. On success, accept-once
-    identifiers carried by the proxies that contributed are recorded in
-    {!accepted} (a second presentation of the same check bounces), and
-    their sequences advance in {!progress}. *)
+    and revocation still run on every request.
+
+    Each [Accept_once] and [Sequence] that applies here
+    ({!Restriction.check_all}), on every presented chain, group proxies
+    included, costs one {!Expiring.lookup} in {!accepted} or {!progress},
+    before the proof of possession: a live record is a replay, or the
+    step the request must match; a [Forgotten] one is refused; an absent
+    one passes. On success the decision writes what it checked, for the
+    chains that contributed: a second presentation of the same check
+    bounces, and each distinct sequence line advances one step. The ACL
+    entry's own restrictions keep no records ({!Restriction.no_state}). *)
 
 val restrictions_of_auth_data : Wire.t list -> Restriction.t list
 (** Decode ticket/authenticator authorization-data into restrictions;
@@ -226,4 +236,6 @@ val transport_ok :
     ticket's authorization-data) against this request. This is what makes
     "the initial authentication ... itself the granting of a proxy"
     (Section 6.3) real: a server must refuse a request that the transport
-    credentials' restrictions forbid, whoever else vouches for it. *)
+    credentials' restrictions forbid, whoever else vouches for it. No
+    record is kept for credentials ({!Restriction.no_state}): an
+    [Accept_once] or [Sequence] among them refuses the request. *)

@@ -193,25 +193,17 @@ type request = {
   groups_asserted : Principal.Group.t list;
   claimed_memberships : string list;
   spend : (currency * int) option;
-  accept_once_seen : string -> bool;
-  sequence_progress : string -> int;
 }
 
 let request ~server ~time ~operation ?(target = "") ?(presenters = []) ?(groups_asserted = [])
-    ?(claimed_memberships = []) ?spend ?(accept_once_seen = fun _ -> false)
-    ?(sequence_progress = fun _ -> 0) () =
-  {
-    server;
-    time;
-    operation;
-    target;
-    presenters;
-    groups_asserted;
-    claimed_memberships;
-    spend;
-    accept_once_seen;
-    sequence_progress;
-  }
+    ?(claimed_memberships = []) ?spend () =
+  { server; time; operation; target; presenters; groups_asserted; claimed_memberships; spend }
+
+type stateful = Once of string | Steps of seq_step list
+
+let no_state = function
+  | Once id -> Error (Printf.sprintf "accept-once: %s cannot be recorded here" id)
+  | Steps _ -> Error "sequence: progress cannot be recorded here"
 
 (* The canonical form of a sequence is its own wire encoding: two sequences
    share progress state iff their encodings are byte-identical. *)
@@ -239,86 +231,79 @@ let tighten_sequence ~keep steps =
   let keep = max 1 (min keep (List.length steps)) in
   List.filteri (fun i _ -> i < keep) steps
 
-let rec check r req =
-  match r with
-  | Grantee (ps, q) ->
-      let present = List.filter (fun p -> List.exists (Principal.equal p) req.presenters) ps in
-      if List.length present >= q then Ok ()
-      else
-        Error
-          (Printf.sprintf "grantee: %d of the named principals present, %d required"
-             (List.length present) q)
-  | For_use_by_group (gs, q) ->
-      let asserted =
-        List.filter (fun g -> List.exists (Principal.Group.equal g) req.groups_asserted) gs
-      in
-      if List.length asserted >= q then Ok ()
-      else
-        Error
-          (Printf.sprintf "for-use-by-group: %d of the named groups asserted, %d required"
-             (List.length asserted) q)
-  | Issued_for ss ->
-      if List.exists (Principal.equal req.server) ss then Ok ()
-      else
-        Error
-          (Printf.sprintf "issued-for: %s may not accept this proxy"
-             (Principal.to_string req.server))
-  | Quota (c, limit) -> (
-      match req.spend with
-      | Some (c', amount) when c = c' ->
-          if amount <= limit then Ok ()
-          else Error (Printf.sprintf "quota: %d %s exceeds limit %d" amount c limit)
-      | Some _ | None -> Ok ())
-  | Authorized entries ->
-      let permits (e : authorized_entry) =
-        e.target = req.target && (e.ops = [] || List.mem req.operation e.ops)
-      in
-      if List.exists permits entries then Ok ()
-      else
-        Error
-          (Printf.sprintf "authorized: %s on %S not in the authorized list" req.operation
-             req.target)
-  | Group_membership gs ->
-      let outside = List.filter (fun g -> not (List.mem g gs)) req.claimed_memberships in
-      if outside = [] then Ok ()
-      else Error (Printf.sprintf "group-membership: %s not covered" (String.concat "," outside))
-  | Accept_once id ->
-      if req.accept_once_seen id then Error (Printf.sprintf "accept-once: %s already used" id)
-      else Ok ()
-  | Sequence steps -> (
-      match seq_validate steps with
-      | Error e -> Error e
-      | Ok () ->
-          let len = List.length steps in
-          let k = req.sequence_progress (seq_canonical steps) in
-          if k >= len then
-            Error (Printf.sprintf "sequence: all %d steps already consumed" len)
-          else
-            let st = List.nth steps k in
-            if st.step_op <> req.operation then
-              Error
-                (Printf.sprintf "sequence: step %d permits %s, not %s" k st.step_op
-                   req.operation)
-            else if
-              match st.step_server with
-              | Some s -> not (Principal.equal s req.server)
-              | None -> false
-            then
-              Error
-                (Printf.sprintf "sequence: step %d is not for server %s" k
-                   (Principal.to_string req.server))
-            else if
-              match st.step_target with Some tg -> tg <> req.target | None -> false
-            then
-              Error
-                (Printf.sprintf "sequence: step %d is not for target %S" k req.target)
-            else Ok ())
-  | Limit_restriction (ss, rs) ->
-      if List.exists (Principal.equal req.server) ss then check_all rs req else Ok ()
-  | Unknown tag -> Error (Printf.sprintf "unknown restriction type %S" tag)
+let seq_next steps ~done_:k req =
+  let len = List.length steps in
+  if k >= len then Error (Printf.sprintf "sequence: all %d steps already consumed" len)
+  else
+    let st = List.nth steps k in
+    if st.step_op <> req.operation then
+      Error (Printf.sprintf "sequence: step %d permits %s, not %s" k st.step_op req.operation)
+    else if
+      match st.step_server with Some s -> not (Principal.equal s req.server) | None -> false
+    then
+      Error
+        (Printf.sprintf "sequence: step %d is not for server %s" k
+           (Principal.to_string req.server))
+    else if match st.step_target with Some tg -> tg <> req.target | None -> false then
+      Error (Printf.sprintf "sequence: step %d is not for target %S" k req.target)
+    else Ok ()
 
-and check_all rs req =
-  List.fold_left (fun acc r -> Result.bind acc (fun () -> check r req)) (Ok ()) rs
+(* One pass over the list, in order, first refusal wins. A limit naming
+   this server splices its restrictions in where it stands, so a stateful
+   restriction reaches [held] wherever it binds, at any depth. *)
+let check_all ~held rs req =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | Grantee (ps, q) :: rest ->
+        let present = List.filter (fun p -> List.exists (Principal.equal p) req.presenters) ps in
+        if List.length present >= q then go acc rest
+        else
+          Error
+            (Printf.sprintf "grantee: %d of the named principals present, %d required"
+               (List.length present) q)
+    | For_use_by_group (gs, q) :: rest ->
+        let asserted =
+          List.filter (fun g -> List.exists (Principal.Group.equal g) req.groups_asserted) gs
+        in
+        if List.length asserted >= q then go acc rest
+        else
+          Error
+            (Printf.sprintf "for-use-by-group: %d of the named groups asserted, %d required"
+               (List.length asserted) q)
+    | Issued_for ss :: rest ->
+        if List.exists (Principal.equal req.server) ss then go acc rest
+        else
+          Error
+            (Printf.sprintf "issued-for: %s may not accept this proxy"
+               (Principal.to_string req.server))
+    | Quota (c, limit) :: rest -> (
+        match req.spend with
+        | Some (c', amount) when c = c' && amount > limit ->
+            Error (Printf.sprintf "quota: %d %s exceeds limit %d" amount c limit)
+        | Some _ | None -> go acc rest)
+    | Authorized entries :: rest ->
+        let permits (e : authorized_entry) =
+          e.target = req.target && (e.ops = [] || List.mem req.operation e.ops)
+        in
+        if List.exists permits entries then go acc rest
+        else
+          Error
+            (Printf.sprintf "authorized: %s on %S not in the authorized list" req.operation
+               req.target)
+    | Group_membership gs :: rest ->
+        let outside = List.filter (fun g -> not (List.mem g gs)) req.claimed_memberships in
+        if outside = [] then go acc rest
+        else Error (Printf.sprintf "group-membership: %s not covered" (String.concat "," outside))
+    | Accept_once id :: rest -> decided acc rest (held (Once id))
+    | Sequence steps :: rest -> (
+        match seq_validate steps with
+        | Error _ as e -> e
+        | Ok () -> decided acc rest (held (Steps steps)))
+    | Limit_restriction (ss, inner) :: rest ->
+        go acc (if List.exists (Principal.equal req.server) ss then inner @ rest else rest)
+    | Unknown tag :: _ -> Error (Printf.sprintf "unknown restriction type %S" tag)
+  and decided acc rest = function Ok v -> go (v :: acc) rest | Error _ as e -> e in
+  go [] rs
 
 let grantees rs = List.concat_map (function Grantee (ps, _) -> ps | _ -> []) rs
 

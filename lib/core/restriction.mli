@@ -3,7 +3,7 @@
     A restriction is a typed subfield of a proxy certificate. Restrictions
     are {e additive}: deriving a proxy may only append restrictions, never
     remove or weaken them (Section 6.2). Unknown restriction types decode
-    into {!Unknown} and always fail {!check} — a server that does not
+    into {!Unknown} and always fail {!check_all} — a server that does not
     understand a restriction must reject rather than ignore it. *)
 
 type currency = string
@@ -37,10 +37,11 @@ type t =
       (** grantee is a member of only these of the group server's groups
           (7.6) *)
   | Accept_once of string
-      (** single-use identifier, e.g. a check number (7.7) *)
+      (** single-use identifier, e.g. a check number (7.7); {e stateful}:
+          the server records it ({!check_all}'s [held]) *)
   | Sequence of seq_step list
       (** context-aware permission sequence: operations are permitted only
-          in the stated order, one grant per step, with progress tracked
+          in the stated order, one grant per step, with progress recorded
           server-side per presented chain head (cf. Section 7's typed
           catalogue; sequences make a restriction {e stateful}). A sequence
           must be non-empty with pairwise-distinct steps; malformed
@@ -77,17 +78,6 @@ type request = {
       (** local group names this proxy is being used to assert *)
   spend : (currency * int) option;
       (** resource amount the operation would consume *)
-  accept_once_seen : string -> bool;
-      (** replay-cache lookup supplied by the server *)
-  sequence_progress : string -> int;
-      (** progress-tracker lookup supplied by the server: given a sequence's
-          canonical form ({!seq_canonical}), how many of its steps have
-          already been granted under the presented chain. The default
-          ([fun _ -> 0]) means "no progress": only a sequence's first step
-          can ever pass, and nothing advances — fail closed for call sites
-          that track no state. {!Verifier.authorize} composes the presented
-          chain's head serial into the lookup ({!seq_key}), so the raw
-          canonical form never reaches the tracker unscoped. *)
 }
 
 val request :
@@ -99,8 +89,6 @@ val request :
   ?groups_asserted:Principal.Group.t list ->
   ?claimed_memberships:string list ->
   ?spend:currency * int ->
-  ?accept_once_seen:(string -> bool) ->
-  ?sequence_progress:(string -> int) ->
   unit ->
   request
 
@@ -131,11 +119,31 @@ val tighten_sequence : keep:int -> seq_step list -> seq_step list
     tightens, while reordering or extending would widen and is simply not
     expressible through this function. *)
 
-val check : t -> request -> (unit, string) result
-(** Does this single restriction permit the request? *)
+(** A restriction whose verdict depends on what the server has already
+    granted: an accept-once identifier (Section 7.7) or a sequence's
+    steps. *)
+type stateful = Once of string | Steps of seq_step list
 
-val check_all : t list -> request -> (unit, string) result
-(** All restrictions must pass (first failure reported). *)
+val check_all :
+  held:(stateful -> ('a, string) result) -> t list -> request -> ('a list, string) result
+(** Do the restrictions permit the request? They are decided in order and
+    the first refusal is reported. Every stateless restriction is decided
+    here. Each [Accept_once] and each [Sequence] (once {!seq_validate}
+    passes) that applies at [req.server] goes to [held] in its place in
+    the list. A restriction applies there when it is at top level, or
+    inside a [Limit_restriction] that names the server, at any depth.
+    [held] decides it from the server's records. [Ok] carries what [held]
+    returned, in order: what a server that grants the request must
+    record. *)
+
+val no_state : stateful -> ('a, string) result
+(** The [held] of a caller that keeps no records: it refuses every
+    stateful restriction (fail closed). *)
+
+val seq_next : seq_step list -> done_:int -> request -> (unit, string) result
+(** Is the request step [done_] of a valid sequence, the next one once
+    [done_] steps have been granted? Past the end the sequence is
+    exhausted and everything is refused. *)
 
 val grantees : t list -> Principal.t list
 (** The union, in order, of every top-level [Grantee] list: non-empty

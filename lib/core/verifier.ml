@@ -360,38 +360,28 @@ let check_binding ?cache ~tally ~now commitment ~server ~ticket binding =
       memo ~cost:"crypto.mac" ~key:k (fun () ->
           Crypto.Hmac.verify ~key:k ~msg:signed_bytes ~tag:binding)
 
-let authorize ?(tally = no_tally) ?cache verified ~req ~ticket ~binding =
+let authorize ?(tally = no_tally) ?cache ~held verified ~req ~ticket ~binding =
   let open Wire in
   let* () =
     if verified.expires <= req.Restriction.time then Error "proxy expired" else Ok ()
   in
-  (* Sequence progress is tracked per presented chain head: scope the
-     server-supplied lookup under this chain's head serial before any
-     restriction consults it, so two grants carrying byte-identical
-     sequences advance independently. *)
-  let req =
-    match verified.serials with
-    | [] -> req
-    | head :: _ ->
-        {
-          req with
-          Restriction.sequence_progress =
-            (fun canon -> req.Restriction.sequence_progress (Restriction.seq_key ~head canon));
-        }
-  in
-  let* () = Restriction.check_all verified.restrictions req in
+  let* records = Restriction.check_all ~held verified.restrictions req in
   match Proxy.classify verified.restrictions with
   | `Delegate _ ->
       (* Identity-based: the Grantee restriction already validated the
          presenters; a binding is welcome but not checked. *)
-      Ok ()
+      Ok records
   | `Bearer -> (
       match (binding, ticket) with
       | None, _ -> Error "bearer proxy requires proof of possession"
       | Some _, None -> Error "session binding: the request rode no ticket"
-      | Some b, Some ticket ->
-          check_binding ?cache ~tally ~now:req.Restriction.time verified.commitment
-            ~server:req.Restriction.server ~ticket b)
+      | Some b, Some ticket -> (
+          match
+            check_binding ?cache ~tally ~now:req.Restriction.time verified.commitment
+              ~server:req.Restriction.server ~ticket b
+          with
+          | Ok () -> Ok records
+          | Error _ as e -> e))
 
 (* Cross-realm public-key resolution: route each principal's lookup to its
    home realm's directory. Federation never merges key directories — realm

@@ -140,20 +140,24 @@ val verify :
 val authorize :
   ?tally:(string -> unit) ->
   ?cache:Verify_cache.t ->
+  held:(Restriction.stateful -> ('a, string) result) ->
   verified ->
   req:Restriction.request ->
   ticket:string option ->
   binding:string option ->
-  (unit, string) result
-(** Full decision: expiry, every restriction, and the flavor-appropriate proof.
+  ('a list, string) result
+(** Full decision: expiry, every restriction ({!Restriction.check_all},
+    which hands each stateful one that applies at [req.server] to [held]),
+    then the flavor-appropriate proof. [Ok] carries what [held] returned.
     A bearer proxy is refused unless [binding] is its proxy key's binding
     ({!Presentation.bind}) to [req.server] and [ticket], the SHA-256 of the
     ticket blob the request rode ([None]: it rode none); a delegate proxy is
     refused unless the grantee quorum is among the authenticated presenters
-    (which {!Restriction.check} enforces via the [Grantee] restriction), and its
-    binding is not checked. The binding's RSA verify (["crypto.rsa_verify"]) or
-    HMAC (["crypto.mac"]) is memoized in [cache] by the {!verify} rule, under
-    {!Verify_cache.binding_key}; expiry and restrictions run on every call. *)
+    (the [Grantee] restriction), and its binding is not checked. The
+    binding's RSA verify (["crypto.rsa_verify"]) or HMAC (["crypto.mac"]) is
+    memoized in [cache] by the {!verify} rule, under
+    {!Verify_cache.binding_key}; expiry and restrictions run on every
+    call. *)
 
 val lookup_by_realm :
   (string * (Principal.t -> Crypto.Rsa.public option)) list ->

@@ -154,9 +154,11 @@ let build () =
             Verifier.verify ~open_base:(fun _ -> Error "no base tickets") ~lookup ~now
               presented.Guard.pres
           in
-          Verifier.authorize verified
-            ~req:(Restriction.request ~server:fs ~time:now ~operation:"read" ~target:"u0.dat" ())
-            ~ticket:(Some (Ticket.digest blob)) ~binding:presented.Guard.pres_binding
+          Result.map ignore
+            (Verifier.authorize ~held:Restriction.no_state verified
+               ~req:
+                 (Restriction.request ~server:fs ~time:now ~operation:"read" ~target:"u0.dat" ())
+               ~ticket:(Some (Ticket.digest blob)) ~binding:presented.Guard.pres_binding)
     | _ -> Error "session: malformed"
   in
   let negatives =

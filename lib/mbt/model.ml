@@ -10,9 +10,10 @@
    - restriction accumulation (additive concatenation for conventional and
      hybrid cascades; the pending/discharge rule for public-key delegate
      cascades);
-   - restriction satisfaction ([Restriction.check]);
+   - restriction satisfaction ([Restriction.check_all]);
    - the guard's decision procedure (ACL entry matching, proxy contribution,
-     accept-once consumption only for proxies that contributed);
+     accept-once and sequence records written only for proxies that
+     contributed, wherever the restriction applies at the file server);
    - check clearing at the accounting server (endorsement by the payee,
      accept-once consumed before the debit, bounce on insufficient funds).
 
@@ -58,7 +59,7 @@ type state = {
   balances : int array;
 }
 
-(* --- restriction satisfaction (mirrors Restriction.check) --- *)
+(* --- restriction satisfaction (mirrors Restriction.check_all) --- *)
 
 type mreq = {
   q_server : server;
@@ -70,8 +71,7 @@ type mreq = {
   q_seq : (string * target) list -> int;
       (** current progress of a sequence presented on this chain; the
           Present interpreter closes this over the chain's head identity,
-          exactly as the verifier wraps the request's progress function
-          with the head serial *)
+          exactly as the guard keys progress by head serial *)
 }
 
 let rec distinct_steps = function
@@ -145,13 +145,13 @@ let chain_restrictions (p : mproxy) =
    restrictions, so [pending] entering each step is exactly what the real
    verifier consults; the head enters with [pending = []] and [`Auto]. *)
 
-let top_accept_once rs =
-  List.filter_map (function R_accept_once n -> Some n | _ -> None) rs
-
-(* Sequences nested under a Limit_restriction are checked but never
-   advanced, mirroring the guard's top-level-only advancement rule. *)
-let top_sequences rs =
-  List.filter_map (function R_sequence s -> Some s | _ -> None) rs
+(* The restrictions that bind at [server]: the top level, and inside every
+   limit naming it, at any depth. The accept-once ids and sequences among
+   them are the ones the guard records. *)
+let rec applies server rs =
+  List.concat_map
+    (function R_limit (s, inner) -> if s = server then applies server inner else [] | r -> [ r ])
+    rs
 
 let nth_mod l i = match l with [] -> None | _ -> Some (List.nth l (i mod List.length l))
 
@@ -243,27 +243,21 @@ let run (prog : Program.t) : Program.run =
                       in
                       let usable = proxy.m_grantor = owner && rcheck_all req rs in
                       if usable then begin
-                        (* The proxy contributed, so its (top-level)
-                           accept-once identifiers are consumed. *)
-                        List.iter
-                          (fun n -> Hashtbl.replace st.fs_seen n ())
-                          (top_accept_once rs);
-                        (* ... and each distinct top-level sequence advances
-                           by exactly one step, however often it appears on
-                           the chain. *)
+                        (* The proxy contributed, so each accept-once id
+                           that applies here is consumed, and each distinct
+                           sequence that applies here advances by exactly
+                           one step, however often it appears on the
+                           chain. *)
                         let advanced = ref [] in
                         List.iter
-                          (fun steps ->
-                            if not (List.mem steps !advanced) then begin
-                              advanced := steps :: !advanced;
-                              let key = (proxy.m_root, steps) in
-                              let k =
-                                Option.value (Hashtbl.find_opt st.seq_progress key)
-                                  ~default:0
-                              in
-                              Hashtbl.replace st.seq_progress key (k + 1)
-                            end)
-                          (top_sequences rs)
+                          (function
+                            | R_accept_once n -> Hashtbl.replace st.fs_seen n ()
+                            | R_sequence steps when not (List.mem steps !advanced) ->
+                                advanced := steps :: !advanced;
+                                let key = (proxy.m_root, steps) in
+                                Hashtbl.replace st.seq_progress key (req.q_seq steps + 1)
+                            | _ -> ())
+                          (applies Fs rs)
                       end;
                       O_ok usable)))
     | Revoke { owner } ->

@@ -721,6 +721,45 @@ let test_group_proxy_bound_to_member () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bob asserted alice's membership"
 
+(* A group proxy's sequence is read from the guard's progress like any
+   other chain's, and written when the membership is used: a one-step
+   sequence lets the membership open the door once. *)
+let test_group_proxy_sequence_runs_once () =
+  let g = group_world () in
+  let tgt = W.login g.gw g.alice in
+  let creds = W.credentials_for g.gw ~tgt g.gserver_name in
+  let gproxy =
+    Result.get_ok
+      (Group_server.request_membership_proxy g.gw.W.net ~creds ~group:"admins"
+         ~end_server:g.doorserver ())
+  in
+  let once =
+    Result.get_ok
+      (Proxy.restrict_conventional ~drbg:(Sim.Net.drbg g.gw.W.net) ~now:(W.now g.gw)
+         ~expires:(W.now g.gw + W.hour)
+         ~restrictions:
+           [ R.Sequence
+               [ { R.step_op = "assert-membership"; step_server = None; step_target = None } ] ]
+         gproxy)
+  in
+  let journal = ref [] in
+  Guard.set_journal g.gguard (Some (fun c -> journal := !journal @ [ c ]));
+  let open_door () =
+    Result.map ignore
+      (Guard.decide g.gguard ~ticket:W.ticket ~operation:"open" ~target:"machine-room"
+         ~presenter:g.alice
+         ~group_proxies:[ Guard.bind ~server:g.doorserver ~ticket:W.ticket once ] ())
+  in
+  Alcotest.(check (result unit string)) "first use" (Ok ()) (open_door ());
+  let progress () =
+    List.map (function Guard.Seq_progress { progress; _ } -> progress | Guard.Accept_once _ -> -1)
+      !journal
+  in
+  Alcotest.(check (list int)) "its one step is recorded" [ 1 ] (progress ());
+  Alcotest.(check (result unit string)) "second use: the step is spent"
+    (Error "access denied: no ACL entry permits open on \"machine-room\"") (open_door ());
+  Alcotest.(check (list int)) "and nothing more is written" [ 1 ] (progress ())
+
 let test_group_nonmember_refused () =
   let g = group_world () in
   let tgt = W.login g.gw g.bob in
@@ -921,6 +960,52 @@ let test_accept_once_flood_spares_other_grantors () =
       | Ok _ -> Alcotest.fail (what ^ " accepted"))
     [ ("alice's spent voucher", spent); ("alice's unspent voucher", voucher fw.alice "alice-2") ]
 
+(* A stateful restriction binds wherever it applies: inside a
+   Limit_restriction naming this server it is recorded like a top-level
+   one, so a second use is refused, while one scoped to another server is
+   not this server's to record. *)
+let limit_scoped_read fw restrictions =
+  let creds = W.credentials_for fw.w ~tgt:(W.login fw.w fw.alice) fw.fileserver in
+  let proxy =
+    Proxy.grant_conventional ~drbg:(Sim.Net.drbg fw.w.W.net) ~now:(W.now fw.w)
+      ~expires:(W.now fw.w + W.hour) ~grantor:fw.alice ~session_key:creds.Ticket.session_key
+      ~base:creds.Ticket.ticket_blob
+      ~restrictions:(R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] :: restrictions)
+  in
+  fun () ->
+    Result.map ignore
+      (Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+         ~proxies:[ Guard.bind ~server:fw.fileserver ~ticket:W.ticket proxy ] ())
+
+let unusable why =
+  Error
+    ("access denied: no ACL entry permits read on \"file1\" (no presented proxy was usable: "
+    ^ why ^ ")")
+
+let test_limit_scoped_accept_once () =
+  let fw = fileserver_world () in
+  let scoped server id =
+    limit_scoped_read fw [ R.Limit_restriction ([ server ], [ R.Accept_once id ]) ]
+  in
+  let read = scoped fw.fileserver "v-9" in
+  Alcotest.(check (result unit string)) "first use" (Ok ()) (read ());
+  Alcotest.(check (result unit string)) "second use"
+    (unusable "accept-once: v-9 already used") (read ());
+  let elsewhere = Principal.make ~realm:fw.w.W.realm "elsewhere" in
+  let away = scoped elsewhere "v-10" in
+  Alcotest.(check (result unit string)) "scoped away: first" (Ok ()) (away ());
+  Alcotest.(check (result unit string)) "scoped away: second" (Ok ()) (away ())
+
+let test_limit_scoped_sequence () =
+  let fw = fileserver_world () in
+  let one_read = { R.step_op = "read"; step_server = None; step_target = None } in
+  let read =
+    limit_scoped_read fw [ R.Limit_restriction ([ fw.fileserver ], [ R.Sequence [ one_read ] ]) ]
+  in
+  Alcotest.(check (result unit string)) "first use" (Ok ()) (read ());
+  Alcotest.(check (result unit string)) "second use"
+    (unusable "sequence: all 1 steps already consumed") (read ())
+
 let test_accept_once_unused_not_consumed () =
   (* When the presenter's own identity satisfies the ACL, an attached
      accept-once proxy contributed nothing and must NOT be consumed: the
@@ -990,7 +1075,9 @@ let () =
           ("accept-once consumed", `Quick, test_accept_once_consumed);
           ("a flood's floor is its victims' grantors' alone", `Slow,
            test_accept_once_flood_spares_other_grantors);
-          ("unused accept-once not consumed", `Quick, test_accept_once_unused_not_consumed) ] );
+          ("unused accept-once not consumed", `Quick, test_accept_once_unused_not_consumed);
+          ("limit-scoped accept-once consumed once", `Quick, test_limit_scoped_accept_once);
+          ("limit-scoped sequence runs once", `Quick, test_limit_scoped_sequence) ] );
       ( "authorization-server",
         [ ("figure-3 flow", `Quick, test_authz_server_flow);
           ("delegate mode", `Quick, test_authz_server_delegate_mode) ] );
@@ -998,5 +1085,6 @@ let () =
         [ ("membership flow", `Quick, test_group_membership_flow);
           ("proxy bound to member", `Quick, test_group_proxy_bound_to_member);
           ("non-member refused", `Quick, test_group_nonmember_refused);
+          ("a group proxy's sequence runs once", `Quick, test_group_proxy_sequence_runs_once);
           ("removal blocks new proxies", `Quick, test_group_removal_blocks_new_proxies) ] );
       ("compound", [ ("user+host concurrence", `Quick, test_compound_concurrence) ]) ]

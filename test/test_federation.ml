@@ -100,6 +100,29 @@ let test_tgs_proxy_transfer_encoding () =
       | Ok _ -> ()
       | Error e -> Alcotest.fail e)
 
+(* The restrictions a TGS proxy carries are checked where no record is
+   kept ([Guard.transport_ok]), so an accept-once identifier among them is
+   refused on every use (fail closed), never honoured and then forgotten. *)
+let test_tgs_proxy_accept_once_fails_closed () =
+  let tw = tgs_world () in
+  let tgt = W.login tw.w tw.alice in
+  let proxy_tgt =
+    Result.get_ok
+      (Tgs_proxy.grant tw.w.W.net ~kdc:tw.w.W.kdc_name ~tgt
+         ~restrictions:(R.Accept_once "tgs-once" :: read_only_report) ())
+  in
+  let creds =
+    Result.get_ok (Tgs_proxy.use tw.w.W.net ~kdc:tw.w.W.kdc_name ~proxy_tgt ~service:tw.fs1)
+  in
+  let refused =
+    Error "refused by credential restriction: accept-once: tgs-once cannot be recorded here"
+  in
+  List.iter
+    (fun use ->
+      Alcotest.(check (result string string)) use refused
+        (File_server.read tw.w.W.net ~creds ~path:"report.txt" ()))
+    [ "first use"; "second use" ]
+
 let test_transport_restrictions_on_accounting () =
   (* A TGS proxy with a spending quota: the grantee can move small amounts
      from alice's account but not large ones. *)
@@ -644,6 +667,7 @@ let () =
         [ ("spans end-servers", `Quick, test_tgs_proxy_spans_servers);
           ("cannot widen", `Quick, test_tgs_proxy_cannot_widen);
           ("transfer encoding", `Quick, test_tgs_proxy_transfer_encoding);
+          ("accept-once fails closed", `Quick, test_tgs_proxy_accept_once_fails_closed);
           ("quota binds accounting ops", `Slow, test_transport_restrictions_on_accounting) ] );
       ( "cross-realm",
         [ ("access across realms", `Quick, test_cross_realm_access);

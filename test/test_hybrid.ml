@@ -52,10 +52,11 @@ let test_grant_verify () =
       (* The binding is a cheap HMAC under the recovered sym key. *)
       let r = req () in
       Alcotest.(check bool) "authorize with PoP" true
-        (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind proxy) = Ok ());
+        (Verifier.authorize ~held:R.no_state v ~req:r ~ticket:(Some ticket) ~binding:(bind proxy)
+         = Ok []);
       Alcotest.(check bool) "restriction enforced" true
         (Result.is_error
-           (Verifier.authorize v
+           (Verifier.authorize ~held:R.no_state v
               ~req:(req ~operation:"write" ())
               ~ticket:(Some ticket) ~binding:(bind proxy)))
 
@@ -123,10 +124,13 @@ let test_cascade () =
       Alcotest.(check int) "head expiry is the head's" t_exp v.Verifier.head_expires;
       let r = req () in
       Alcotest.(check bool) "new key proves" true
-        (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind narrowed) = Ok ());
+        (Verifier.authorize ~held:R.no_state v ~req:r ~ticket:(Some ticket)
+           ~binding:(bind narrowed)
+         = Ok []);
       Alcotest.(check bool) "old key refused" true
         (Result.is_error
-           (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind proxy)));
+           (Verifier.authorize ~held:R.no_state v ~req:r ~ticket:(Some ticket)
+              ~binding:(bind proxy)));
       (* Cross-flavor cascading is refused. *)
       Alcotest.(check bool) "restrict_conventional refuses hybrid" true
         (Result.is_error
@@ -155,8 +159,12 @@ let test_wire_roundtrip () =
   | Ok proxy' ->
       let v = Result.get_ok (verify proxy') in
       let r = req () in
+      (* The chain carries [Accept_once "x"]: a server that has recorded
+         nothing passes it, and gets back the record to write. *)
       Alcotest.(check bool) "transferred key proves" true
-        (Verifier.authorize v ~req:r ~ticket:(Some ticket) ~binding:(bind proxy') = Ok ())
+        (Verifier.authorize ~held:(fun s -> Ok s) v ~req:r ~ticket:(Some ticket)
+           ~binding:(bind proxy')
+         = Ok [ R.Once "x" ])
   | Error e -> Alcotest.fail e
 
 let test_guard_integration () =

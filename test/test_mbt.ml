@@ -78,6 +78,21 @@ let test_accept_once () =
       P.Present { slot = 0; presenter = 0; verb = `Read; target = P.File 1 };
       P.Present { slot = 0; presenter = 0; verb = `Read; target = P.File 1 } ]
     ~outcomes:[ P.O_done; P.O_ok true; P.O_ok true; P.O_ok false ]
+    ~balances:[| 100; 100; 100 |];
+  (* An id inside a limit naming fs applies there like a top-level one; one
+     scoped to another server is not fs's to record. *)
+  let twice rs =
+    [ P.Grant { grantor = 1; flavor = P.Conv; expired = false; rs };
+      P.Present { slot = 0; presenter = 0; verb = `Read; target = P.File 1 };
+      P.Present { slot = 0; presenter = 0; verb = `Read; target = P.File 1 } ]
+  in
+  scenario "a limit-scoped accept-once is consumed once"
+    (twice [ P.R_limit (P.Fs, [ P.R_accept_once 7 ]) ])
+    ~outcomes:[ P.O_done; P.O_ok true; P.O_ok false ]
+    ~balances:[| 100; 100; 100 |];
+  scenario "an accept-once scoped to another server is not consumed at fs"
+    (twice [ P.R_limit (P.Bank, [ P.R_accept_once 7 ]) ])
+    ~outcomes:[ P.O_done; P.O_ok true; P.O_ok true ]
     ~balances:[| 100; 100; 100 |]
 
 let test_checks_and_deposits () =
@@ -153,6 +168,14 @@ let test_sequence_steps () =
       P.Present { slot = 1; presenter = 0; verb = `Write; target = P.File 1 };
       P.Present { slot = 0; presenter = 0; verb = `Write; target = P.File 1 } ]
     ~outcomes:[ P.O_done; P.O_done; P.O_ok true; P.O_ok false; P.O_ok true ]
+    ~balances:[| 100; 100; 100 |];
+  scenario "a limit-scoped one-step sequence runs once"
+    [ P.Grant
+        { grantor = 1; flavor = P.Pk; expired = false;
+          rs = [ P.R_limit (P.Fs, [ P.R_sequence [ ("read", P.File 1) ] ]) ] };
+      P.Present { slot = 0; presenter = 0; verb = `Read; target = P.File 1 };
+      P.Present { slot = 0; presenter = 0; verb = `Read; target = P.File 1 } ]
+    ~outcomes:[ P.O_done; P.O_ok true; P.O_ok false ]
     ~balances:[| 100; 100; 100 |]
 
 (* --- generated campaigns --- *)

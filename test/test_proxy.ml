@@ -51,8 +51,11 @@ let ticket = Crypto.Sha256.digest "the ticket the requests ride"
 let bind ?(server = server) ?(ticket = ticket) proxy =
   Presentation.bind proxy.Proxy.key ~server ~ticket
 
+(* None of these chains carries a stateful restriction, so a verifier
+   that keeps no records decides them. *)
 let authorize ?(ticket = ticket) verified ~req:r ~binding =
-  Verifier.authorize verified ~req:r ~ticket:(Some ticket) ~binding
+  Result.map ignore
+    (Verifier.authorize ~held:R.no_state verified ~req:r ~ticket:(Some ticket) ~binding)
 
 (* --- conventional --- *)
 
@@ -96,7 +99,8 @@ let test_binding_names_session () =
     (authorize v ~req:r ~binding:(bind ~server:(p "elsewhere") proxy));
   Alcotest.(check (result unit string)) "no ticket"
     (Error "session binding: the request rode no ticket")
-    (Verifier.authorize v ~req:r ~ticket:None ~binding:(bind proxy))
+    (Result.map ignore
+       (Verifier.authorize ~held:R.no_state v ~req:r ~ticket:None ~binding:(bind proxy)))
 
 (* Bob reads file1 with alice's capability over his own ticket; the
    binding rides every request. *)
@@ -634,8 +638,9 @@ let test_classify () =
 
 (* --- accept-once records --- *)
 
-(* Record-if-absent: [Guard.apply_change] journals an accept-once record
-   only when it moved, so a live identifier is never recorded twice. *)
+(* Record-if-absent: [Guard.apply_change] journals a change only when it
+   moved a table, so a live identifier is never recorded twice and a
+   sequence line is never journaled at or behind where it stands. *)
 let test_replay_cache () =
   let w = Testkit.create ~seed:"accept-once records" () in
   let me, my_key = Testkit.enrol w "guard" in
@@ -658,13 +663,17 @@ let test_replay_cache () =
   ignore (record ~now:101 ~expires:110 "c2");
   Expiring.purge cache ~now:150;
   Alcotest.(check int) "purged" 1 (Expiring.size cache);
-  (* Sequence progress moves through the same path, max-monotone. *)
+  (* Sequence progress moves through the same path, max-monotone, and is
+     journaled only when it moves the line. *)
   let advance progress =
+    let before = !recorded in
     Guard.apply_change guard ~now:150
-      (Guard.Seq_progress { key = "s"; progress; expires = 300; tag = "g" })
+      (Guard.Seq_progress { key = "s"; progress; expires = 300; tag = "g" });
+    !recorded > before
   in
-  advance 2;
-  advance 1;
+  Alcotest.(check bool) "advance journals" true (advance 2);
+  Alcotest.(check bool) "a step behind the line journals nothing" false (advance 1);
+  Alcotest.(check bool) "nor does the line itself" false (advance 2);
   Alcotest.(check (option int)) "progress never rewinds" (Some 2)
     (Expiring.find (Guard.progress guard) ~now:150 "s")
 

@@ -18,8 +18,20 @@ let restriction = Alcotest.testable R.pp R.equal
 
 let base_req = R.request ~server ~time:100 ~operation:"read" ~target:"file1" ()
 
-let check_ok r req = Alcotest.(check bool) "passes" true (R.check r req = Ok ())
-let check_fails r req = Alcotest.(check bool) "fails" true (Result.is_error (R.check r req))
+(* A server's records as [check_all]'s [held]: the accept-once ids it has
+   seen, and how many steps of every sequence it has granted. *)
+let records ?(seen = []) ?(done_ = 0) req = function
+  | R.Once id ->
+      if List.mem id seen then Error (Printf.sprintf "accept-once: %s already used" id) else Ok ()
+  | R.Steps steps -> R.seq_next steps ~done_ req
+
+let verdict ?seen ?done_ r req = R.check_all ~held:(records ?seen ?done_ req) [ r ] req
+
+let check_ok ?seen ?done_ r req =
+  Alcotest.(check bool) "passes" true (Result.is_ok (verdict ?seen ?done_ r req))
+
+let check_fails ?seen ?done_ r req =
+  Alcotest.(check bool) "fails" true (Result.is_error (verdict ?seen ?done_ r req))
 
 let test_grantee () =
   let r = R.Grantee ([ alice; bob ], 1) in
@@ -72,8 +84,12 @@ let test_group_membership () =
 let test_accept_once () =
   let r = R.Accept_once "check-42" in
   check_ok r base_req;
-  check_fails r { base_req with R.accept_once_seen = (fun id -> id = "check-42") };
-  check_ok r { base_req with R.accept_once_seen = (fun id -> id = "check-43") }
+  check_fails ~seen:[ "check-42" ] r base_req;
+  check_ok ~seen:[ "check-43" ] r base_req;
+  (* A caller that keeps no records refuses it (fail closed). *)
+  Alcotest.(check (result (list unit) string))
+    "no state" (Error "accept-once: check-42 cannot be recorded here")
+    (R.check_all ~held:R.no_state [ r ] base_req)
 
 let test_limit_restriction () =
   let inner = R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] in
@@ -88,22 +104,22 @@ let test_limit_restriction () =
 
 let step ?server ?target op = { R.step_op = op; step_server = server; step_target = target }
 
-let seq_req ?(progress = fun _ -> 0) ~operation ~target () =
-  R.request ~server ~time:100 ~operation ~target ~sequence_progress:progress ()
+let seq_req ~operation ~target () = R.request ~server ~time:100 ~operation ~target ()
 
 let test_sequence_order () =
   let steps = [ step "open" ~target:"file1"; step "read" ~target:"file1" ] in
   let r = R.Sequence steps in
-  let at k = fun _ -> k in
   (* Step 0 permits only "open" on file1. *)
   check_ok r (seq_req ~operation:"open" ~target:"file1" ());
   check_fails r (seq_req ~operation:"read" ~target:"file1" ());
   check_fails r (seq_req ~operation:"open" ~target:"file2" ());
   (* After one advance, only "read" is next; "open" is consumed. *)
-  check_ok r (seq_req ~progress:(at 1) ~operation:"read" ~target:"file1" ());
-  check_fails r (seq_req ~progress:(at 1) ~operation:"open" ~target:"file1" ());
+  check_ok ~done_:1 r (seq_req ~operation:"read" ~target:"file1" ());
+  check_fails ~done_:1 r (seq_req ~operation:"open" ~target:"file1" ());
   (* Exhausted: everything is denied. *)
-  check_fails r (seq_req ~progress:(at 2) ~operation:"read" ~target:"file1" ());
+  Alcotest.(check (result unit string))
+    "exhausted" (Error "sequence: all 2 steps already consumed")
+    (R.seq_next steps ~done_:2 (seq_req ~operation:"read" ~target:"file1" ()));
   (* A step naming a server binds the step to it. *)
   let r2 = R.Sequence [ step "open" ~server:other_server ] in
   check_fails r2 (seq_req ~operation:"open" ~target:"file1" ());
@@ -114,15 +130,22 @@ let test_sequence_order () =
   check_ok r4 (seq_req ~operation:"open" ~target:"anything" ())
 
 let test_sequence_degenerate_fails_closed () =
-  (* Empty and duplicate-step sequences are unusable however they arise. *)
-  check_fails (R.Sequence []) (seq_req ~operation:"open" ~target:"file1" ());
+  (* Empty and duplicate-step sequences are unusable however they arise,
+     and are refused before any record is read. *)
+  let req = seq_req ~operation:"open" ~target:"file1" () in
+  let unread _ = Alcotest.fail "a degenerate sequence reached held" in
+  Alcotest.(check (result (list unit) string))
+    "empty" (Error "sequence: empty step list")
+    (R.check_all ~held:unread [ R.Sequence [] ] req);
   let s = step "open" ~target:"file1" in
-  check_fails (R.Sequence [ s; s ]) (seq_req ~operation:"open" ~target:"file1" ())
+  Alcotest.(check (result (list unit) string))
+    "duplicate" (Error "sequence: duplicate step")
+    (R.check_all ~held:unread [ R.Sequence [ s; s ] ] req)
 
 let test_sequence_wire_form_pinned () =
   (* The exact wire form, pinned: a pre-sequence verifier sees the head tag
      [S "sequence"], does not recognize it, decodes the whole value as
-     [Unknown "sequence"] — and [check] fails that closed.  A proxy carrying
+     [Unknown "sequence"] — and [check_all] fails that closed.  A proxy carrying
      a sequence is therefore unusable at servers that predate the tag, never
      silently stateless. *)
   let steps = [ step "open" ~server ~target:"file1"; step "read" ] in
@@ -176,10 +199,11 @@ let test_unknown_fails_closed () =
 
 let test_check_all () =
   let rs = [ R.Issued_for [ server ]; R.Quota ("pages", 5) ] in
-  Alcotest.(check bool) "all pass" true (R.check_all rs base_req = Ok ());
+  let check_all = R.check_all ~held:R.no_state in
+  Alcotest.(check bool) "all pass" true (check_all rs base_req = Ok []);
   Alcotest.(check bool) "one fails" true
-    (Result.is_error (R.check_all rs { base_req with R.spend = Some ("pages", 6) }));
-  Alcotest.(check bool) "empty list passes" true (R.check_all [] base_req = Ok ())
+    (Result.is_error (check_all rs { base_req with R.spend = Some ("pages", 6) }));
+  Alcotest.(check bool) "empty list passes" true (check_all [] base_req = Ok [])
 
 let all_restrictions =
   [ R.Grantee ([ alice; bob ], 2);
@@ -310,7 +334,7 @@ let prop_wire_roundtrip =
 
 let prop_check_total =
   QCheck.Test.make ~name:"check never raises" ~count:300 arb_restriction (fun r ->
-      match R.check r base_req with Ok () | Error _ -> true)
+      match R.check_all ~held:R.no_state [ r ] base_req with Ok _ | Error _ -> true)
 
 let prop_propagate_monotone =
   QCheck.Test.make ~name:"propagate never invents permissions" ~count:300
@@ -340,7 +364,8 @@ let prop_tighten_prefix =
       && List.for_all2 R.seq_step_equal final (R.tighten_sequence ~keep:m steps))
 
 (* Progress is prefix-monotone: drive a random interleaving of step attempts
-   (including out-of-order and repeated ones) through check + advance; the
+   (including out-of-order and repeated ones) through check + advance, with
+   [held] returning the progress a grant writes, as the guard's does; the
    granted operations are always exactly the in-order prefix of the
    sequence, and every out-of-turn attempt is denied. *)
 let prop_progress_prefix_monotone =
@@ -354,20 +379,84 @@ let prop_progress_prefix_monotone =
       List.iter
         (fun a ->
           let operation = Printf.sprintf "s%d" a in
-          let req = seq_req ~progress:(fun _ -> !progress) ~operation ~target:"t" () in
-          match R.check r req with
-          | Ok () ->
+          let req = seq_req ~operation ~target:"t" () in
+          let held = function
+            | R.Steps steps ->
+                Result.map (fun () -> !progress + 1) (R.seq_next steps ~done_:!progress req)
+            | R.Once _ -> Error "no accept-once here"
+          in
+          match R.check_all ~held [ r ] req with
+          | Ok [ next ] ->
               granted := !granted @ [ operation ];
-              incr progress
-          | Error _ -> ())
+              progress := next
+          | Ok _ | Error _ -> ())
         attempts;
       let k = List.length !granted in
       k <= n && !granted = List.init k (fun i -> Printf.sprintf "s%d" i))
 
+(* Random trees of stateful leaves, passing stateless ones and limits
+   naming this server, another one, or both. *)
+let gen_held_tree =
+  QCheck.Gen.(
+    sized @@ fix (fun self n ->
+        let leaf =
+          oneof
+            [ map (fun id -> R.Accept_once id) string_small;
+              map
+                (fun n -> R.Sequence (List.init (1 + n) (fun i -> step (Printf.sprintf "s%d" i))))
+                (int_bound 2);
+              return (R.Issued_for [ server ]);
+              return (R.Quota ("pages", 1)) ]
+        in
+        if n <= 0 then leaf
+        else
+          frequency
+            [ (3, leaf);
+              ( 1,
+                map2
+                  (fun ss rs -> R.Limit_restriction (ss, rs))
+                  (oneofl [ [ server ]; [ other_server ]; [ other_server; server ] ])
+                  (list_size (int_bound 3) (self (n / 2))) ) ]))
+
+(* [check_all] hands [held] each Accept_once and Sequence leaf reachable
+   through limits naming the server, once, in order, and no leaf under a
+   limit naming only another server. *)
+let prop_held_reaches_what_applies =
+  let rec applies = function
+    | R.Accept_once id -> [ R.Once id ]
+    | R.Sequence steps -> [ R.Steps steps ]
+    | R.Limit_restriction (ss, rs) ->
+        if List.exists (Principal.equal server) ss then List.concat_map applies rs else []
+    | _ -> []
+  in
+  let same a b =
+    match (a, b) with
+    | R.Once x, R.Once y -> x = y
+    | R.Steps x, R.Steps y -> List.length x = List.length y && List.for_all2 R.seq_step_equal x y
+    | _ -> false
+  in
+  QCheck.Test.make ~name:"held sees exactly the stateful leaves that apply" ~count:300
+    (QCheck.make
+       ~print:(Format.asprintf "%a" (Format.pp_print_list R.pp))
+       QCheck.Gen.(list_size (int_bound 4) gen_held_tree))
+    (fun rs ->
+      let calls = ref [] in
+      let held s =
+        calls := !calls @ [ s ];
+        Ok s
+      in
+      let expected = List.concat_map applies rs in
+      match R.check_all ~held rs base_req with
+      | Ok returned ->
+          List.length !calls = List.length expected
+          && List.for_all2 same !calls expected
+          && List.for_all2 same returned expected
+      | Error _ -> false)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_wire_roundtrip; prop_check_total; prop_propagate_monotone; prop_tighten_prefix;
-      prop_progress_prefix_monotone ]
+      prop_progress_prefix_monotone; prop_held_reaches_what_applies ]
 
 (* --- combination matrix: limit-restriction wrapping each type, quorum
    edges, unsatisfiable forms --- *)
@@ -384,13 +473,16 @@ let test_limit_wraps_each_type () =
       (R.Quota ("pages", 1), { base_req with R.spend = Some ("pages", 2) });
       (R.Authorized [ { R.target = "other"; ops = [] } ], base_req);
       (R.Group_membership [ "a" ], { base_req with R.claimed_memberships = [ "b" ] });
-      (R.Accept_once "id", { base_req with R.accept_once_seen = (fun _ -> true) });
+      (R.Accept_once "id", base_req);
+      (R.Sequence [ step "open" ], base_req);
       (R.Unknown "x", base_req) ]
   in
+  (* The server has seen "id", so the accept-once row fails where it
+     applies. *)
   List.iter
     (fun (r, req) ->
-      check_fails (wrapped r) req;
-      check_ok (away r) req)
+      check_fails ~seen:[ "id" ] (wrapped r) req;
+      check_ok ~seen:[ "id" ] (away r) req)
     failing_reqs
 
 let test_nested_limit () =

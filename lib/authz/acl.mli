@@ -54,5 +54,4 @@ val find_permitting : t -> target:string -> operation:string -> facts -> entry o
 (** First entry whose subject is satisfied and whose rights cover
     [operation]. *)
 
-val subject_equal : subject -> subject -> bool
 val pp_subject : Format.formatter -> subject -> unit

@@ -2,8 +2,7 @@ type t = {
   net : Sim.Net.t;
   me : Principal.t;
   my_key : string;
-  database : Acl.t;
-  guard : Guard.t; (* decision engine over [database] *)
+  guard : Guard.t; (* decision engine over the database *)
   granter : Granter.t;
 }
 
@@ -14,7 +13,7 @@ let create net ~me ~my_key ~kdc ~database ?lookup_pub () =
   | Error e -> Error e
   | Ok granter ->
       let guard = Guard.create net ~me ~my_key ?lookup_pub ~acl:database () in
-      Ok { net; me; my_key; database; guard; granter }
+      Ok { net; me; my_key; guard; granter }
 
 let handle t ctx payload =
   let open Wire in
@@ -38,16 +37,6 @@ let handle t ctx payload =
         (Printf.sprintf "authz: %s is not authorized for %s on %S (%s)"
            (Principal.to_string client) operation target e)
   | Ok decision ->
-      (* Copy the matched entry's restrictions into the proxy (3.5). *)
-      let entry_restrictions =
-        match
-          List.find_opt
-            (fun (e : Acl.entry) -> Acl.subject_equal e.Acl.subject decision.Guard.granted_by)
-            (Acl.entries_for t.database ~target)
-        with
-        | Some entry -> entry.Acl.restrictions
-        | None -> []
-      in
       (* Restrictions already attached to the client's credentials
          propagate into the issued proxy (Section 7.9), scoped to the
          end-server it is being issued for. *)
@@ -56,9 +45,10 @@ let handle t ctx payload =
         | [] -> []
         | rs -> Restriction.propagate ~issued_for:[ end_server ] rs
       in
+      (* The matched entry's restrictions are copied into the proxy (3.5). *)
       let restrictions =
         Restriction.Authorized [ { Restriction.target; ops = [ operation ] } ]
-        :: (entry_restrictions @ inherited)
+        :: (decision.Guard.granted_by.Acl.restrictions @ inherited)
       in
       let restrictions =
         if delegate <> 0 then Restriction.Grantee ([ client ], 1) :: restrictions

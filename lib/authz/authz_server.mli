@@ -9,9 +9,11 @@
     {e group} entries: per Section 3.3, "if the end-server's authorization
     database is maintained by an authorization server, then the client would
     present the group proxy to the authorization server", which then returns
-    an authorization proxy. The restrictions field of the matching entry is
-    copied into the granted proxy (Section 3.5), and restrictions attached
-    to the client's own credentials propagate per Section 7.9. *)
+    an authorization proxy. The restrictions of the entry that matched
+    ({!Guard.decision}'s [granted_by]; another entry naming the same client
+    is not consulted) are copied into the granted proxy (Section 3.5), and
+    restrictions attached to the client's own credentials propagate per
+    Section 7.9. *)
 
 type t
 
@@ -45,5 +47,5 @@ val request_authorization :
     [delegate:true] the proxy is usable only by the requesting client; the
     default is the figure's bearer proxy whose key is returned sealed under
     the session key. [evidence] carries group proxies supporting a
-    group-based database entry, presented for "assert-membership" at the
-    authorization server. *)
+    group-based database entry, each proving its group at the authorization
+    server. *)

@@ -7,8 +7,6 @@ type t = {
   replica : Membership.t;
 }
 
-let membership_right = "member"
-
 let proxy_lifetime_us = 2 * 3600 * 1_000_000
 
 let create net ~me ~my_key ~kdc ~origin ~origin_pub ?staleness_bound_us () =
@@ -91,11 +89,7 @@ let handle t ctx payload =
          in this realm list [replica$group] on their ACLs, trusting their
          local replica rather than a foreign grantor (node identity). *)
       let restrictions =
-        Restriction.Authorized
-          [ { Restriction.target = group; ops = [ "assert-membership"; membership_right ] } ]
-        :: Restriction.Group_membership [ group ]
-        :: Restriction.Grantee ([ client ], 1)
-        :: inherited
+        Restriction.membership ~group ~member:client @ inherited
       in
       let expires = Sim.Net.now t.net + proxy_lifetime_us in
       let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in

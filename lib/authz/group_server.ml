@@ -13,8 +13,6 @@ type t = {
   mutable publish_epoch : int;
 }
 
-let membership_right = "member"
-
 let create net ~me ~my_key ~kdc ?lookup_pub ?verify_cache ?signing_key
     ?(proxy_lifetime_us = 2 * 3600 * 1_000_000) () =
   match Granter.create net ~me ~my_key ~kdc with
@@ -29,7 +27,7 @@ let me t = t.me
 
 let add_entry t ~group subject =
   Acl.add (Guard.acl t.guard) ~target:group
-    { Acl.subject; rights = [ membership_right ]; restrictions = [] }
+    { Acl.subject; rights = [ Restriction.membership_right ]; restrictions = [] }
 
 let add_member t ~group p = add_entry t ~group (Acl.Principal_is p)
 let add_group_member t ~group g = add_entry t ~group (Acl.Group g)
@@ -69,7 +67,7 @@ let assert_membership t ctx ~group ~end_server ~evidence =
   (* Membership is an ordinary guard decision: a direct Principal_is
      entry, or a nested Group entry proven by the attached evidence. *)
   match
-    Guard.decide t.guard ~operation:membership_right ~target:group ~presenter:client
+    Guard.decide t.guard ~operation:Restriction.membership_right ~target:group ~presenter:client
       ~ticket:ctx.Secure_rpc.rpc_ticket ~group_proxies:evidence ()
   with
   | Error e ->
@@ -83,11 +81,7 @@ let assert_membership t ctx ~group ~end_server ~evidence =
         | rs -> Restriction.propagate ~issued_for:[ end_server ] rs
       in
       let restrictions =
-        Restriction.Authorized
-          [ { Restriction.target = group; ops = [ "assert-membership"; membership_right ] } ]
-        :: Restriction.Group_membership [ group ]
-        :: Restriction.Grantee ([ client ], 1)
-        :: inherited
+        Restriction.membership ~group ~member:client @ inherited
       in
       let expires = Sim.Net.now t.net + t.proxy_lifetime_us in
       let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in

@@ -3,11 +3,11 @@
     Grants proxies that "delegate the right to assert membership in a
     particular group". A group's global name composes the group server's
     principal with the local group name; the same group server may maintain
-    many groups. Issued proxies carry [Group_membership] (limiting which
-    groups the proxy asserts), an [Authorized] entry for the
-    assert-membership operation, and a [Grantee] naming the member — the
-    end-server "verifies the authenticity of the proxy and the identity of
-    the client".
+    many groups. Issued proxies carry {!Restriction.membership}: a
+    [Group_membership] naming the group the proxy proves, an [Authorized]
+    entry for the assert-membership operation, and a [Grantee] naming the
+    member — the end-server "verifies the authenticity of the proxy and the
+    identity of the client".
 
     The membership database is the standard ACL abstraction (Section 3.5),
     so a group may contain {e other groups} — including groups on other
@@ -68,8 +68,7 @@ val request_membership_proxy :
   (Proxy.t, string) result
 (** Obtain a proxy asserting membership of [group] for presentation at
     [end_server]. [evidence] carries membership proxies for nested groups,
-    each presented for operation "assert-membership" at {e this} group
-    server. *)
+    each proving its group at {e this} group server. *)
 
 val fetch_snapshot :
   Sim.Net.t ->

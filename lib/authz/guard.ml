@@ -147,21 +147,17 @@ let transport_ok ~me ~now ~auth_data ~operation ?(target = "") ?spend () =
       | Error e -> Error (Printf.sprintf "refused by credential restriction: %s" e))
 
 type decision = {
-  granted_by : Acl.subject;
+  granted_by : Acl.entry;
   acting_for : Principal.t list;
   via_groups : Principal.Group.t list;
   serials_used : string list;
   quotas : (Restriction.currency * int) list;
 }
 
-(* Everything the guard learned about one successfully verified and
-   authorized proxy, and what a grant it contributes to writes. *)
-type usable = {
-  u_grantor : Principal.t;
-  u_restrictions : Restriction.t list;
-  u_serials : string list;
-  u_changes : change list;  (* what [held] checked, in order *)
-}
+(* A verified chain that answered one question (a group it claims, or the
+   request), and what a grant it contributes to writes: what [held]
+   checked, in order. *)
+type usable = { chain : Verifier.verified; changes : change list }
 
 let tally t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
 
@@ -279,47 +275,6 @@ let held t ~req (v : Verifier.verified) stateful =
       | Expiring.Forgotten -> Error "sequence: progress forgotten under capacity pressure"
       | Expiring.Absent -> next 0)
 
-(* Verify a presented proxy and check it authorizes [req]; [Ok usable] if it
-   contributes its grantor's authority to the request. *)
-let evaluate t ~req ~ticket (p : presented) =
-  let now = req.Restriction.time in
-  match
-    Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
-      ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
-      ?hook:(span_hook t) ~now p.pres
-  with
-  | Error e -> Error e
-  | Ok verified -> (
-      match
-        Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req verified)
-          verified ~req ~ticket ~binding:p.pres_binding
-      with
-      | Error e -> Error e
-      | Ok changes ->
-          Ok
-            {
-              u_grantor = verified.Verifier.grantor;
-              u_restrictions = verified.Verifier.restrictions;
-              u_serials = verified.Verifier.serials;
-              u_changes = changes;
-            })
-
-(* Groups named in the ACL that this group proxy could possibly assert. *)
-let candidate_groups t =
-  List.concat_map
-    (fun target ->
-      List.filter_map
-        (fun (e : Acl.entry) ->
-          let rec groups_of = function
-            | Acl.Group g -> [ g ]
-            | Acl.Compound subs -> List.concat_map groups_of subs
-            | Acl.Principal_is _ | Acl.Anyone -> []
-          in
-          match groups_of e.Acl.subject with [] -> None | gs -> Some gs)
-        (Acl.entries_for t.acl ~target)
-      |> List.concat)
-    (Acl.targets t.acl)
-
 (* Cross-server progress import (the receiving half of [seq_forward]): the
    key is self-describing, so we re-derive the sequence it claims to
    advance and insist the authenticated [caller] is the server the
@@ -369,36 +324,48 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
   let result =
   let now = Sim.Net.now t.net in
   let presenters = Option.to_list presenter @ extra_presenters in
-  (* Pass 1: which groups do the group proxies prove?  A group proxy is used
-     with operation "assert-membership" on the group's local name. *)
-  let asserted =
+  let verify (p : presented) =
+    Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
+      ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
+      ?hook:(span_hook t) ~now p.pres
+  in
+  let authorize ~req (p : presented) v =
+    Result.map
+      (fun changes -> { chain = v; changes })
+      (Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req v) v ~req
+         ~ticket ~binding:p.pres_binding)
+  in
+  (* A group proxy proves the groups it names, at its grantor's server:
+     it is verified once, then asked once per group it claims. *)
+  let memberships =
     List.concat_map
       (fun gp ->
-        List.filter_map
-          (fun (g : Principal.Group.t) ->
-            let req =
-              Restriction.request ~server:t.me ~time:now ~operation:"assert-membership"
-                ~target:g.Principal.Group.group ~presenters
-                ~claimed_memberships:[ g.Principal.Group.group ] ()
-            in
-            match evaluate t ~req ~ticket gp with
-            | Ok u when Principal.equal u.u_grantor g.Principal.Group.server -> Some (g, u)
-            | Ok _ | Error _ -> None)
-          (candidate_groups t))
+        match verify gp with
+        | Error e -> [ Error e ]
+        | Ok v ->
+            List.map
+              (fun group ->
+                let req =
+                  Restriction.request ~server:t.me ~time:now
+                    ~operation:Restriction.assert_membership ~target:group ~presenters ()
+                in
+                Result.map
+                  (fun u -> (Principal.Group.make ~server:v.Verifier.grantor group, u))
+                  (authorize ~req gp v))
+              (Restriction.claimed_groups v.Verifier.restrictions))
       group_proxies
   in
+  let asserted = List.filter_map Result.to_option memberships in
   let groups_asserted = List.map fst asserted in
-  (* Pass 2: which grantors do the regular proxies contribute for this
-     operation? *)
   let req =
     Restriction.request ~server:t.me ~time:now ~operation ~target ~presenters ~groups_asserted
       ?spend ()
   in
-  let contributions = List.map (fun p -> evaluate t ~req ~ticket p) proxies in
+  let contributions = List.map (fun p -> Result.bind (verify p) (authorize ~req p)) proxies in
   let usable = List.filter_map Result.to_option contributions in
   let facts =
     {
-      Acl.principals = presenters @ List.map (fun u -> u.u_grantor) usable;
+      Acl.principals = presenters @ List.map (fun u -> u.chain.Verifier.grantor) usable;
       groups = groups_asserted;
     }
   in
@@ -408,14 +375,13 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
           m "%s: DENY %s on %S (presenters=%d proxies=%d/%d usable groups=%d)"
             (Principal.to_string t.me) operation target (List.length presenters)
             (List.length usable) (List.length proxies) (List.length groups_asserted));
+      (* A refusal is cited only when nothing of its kind was usable: a
+         group proxy's only when no group was asserted either. *)
+      let refusal = function Error e -> Some e | Ok _ -> None in
+      let group_refusals = if asserted = [] then List.filter_map refusal memberships else [] in
       let detail =
-        match (proxies, contributions) with
-        | _ :: _, _ when usable = [] ->
-            let first_error =
-              List.find_map (function Error e -> Some e | Ok _ -> None) contributions
-            in
-            Printf.sprintf " (no presented proxy was usable: %s)"
-              (Option.value first_error ~default:"?")
+        match List.filter_map refusal contributions @ group_refusals with
+        | e :: _ when usable = [] -> Printf.sprintf " (no presented proxy was usable: %s)" e
         | _ -> ""
       in
       Error (Printf.sprintf "access denied: no ACL entry permits %s on %S%s" operation target detail)
@@ -432,7 +398,8 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
             | Acl.Principal_is p ->
                 if List.exists (Principal.equal p) presenters then ([], [])
                 else
-                  (Option.to_list (List.find_opt (fun u -> Principal.equal u.u_grantor p) usable), [])
+                  let from_p u = Principal.equal u.chain.Verifier.grantor p in
+                  (Option.to_list (List.find_opt from_p usable), [])
             | Acl.Group g -> (
                 match List.find_opt (fun (g', _) -> Principal.Group.equal g g') asserted with
                 | Some (_, u) -> ([ u ], [ g ])
@@ -458,20 +425,20 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
                         Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
                         forward t ~key ~progress ~expires ~tag
                       end)
-                u.u_changes)
+                u.changes)
             used;
           let decision =
             {
-              granted_by = entry.Acl.subject;
-              acting_for = List.map (fun u -> u.u_grantor) used;
+              granted_by = entry;
+              acting_for = List.map (fun u -> u.chain.Verifier.grantor) used;
               via_groups;
-              serials_used = List.concat_map (fun u -> u.u_serials) used;
+              serials_used = List.concat_map (fun u -> u.chain.Verifier.serials) used;
               quotas =
                 List.concat_map
                   (fun u ->
                     List.filter_map
                       (function Restriction.Quota (c, n) -> Some (c, n) | _ -> None)
-                      u.u_restrictions)
+                      u.chain.Verifier.restrictions)
                   used;
             }
           in

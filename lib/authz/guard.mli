@@ -6,8 +6,9 @@
     - the caller's authenticated identity (from the secure-RPC ticket),
     - any restricted proxies presented (each contributing its grantor's
       authority, limited by its restrictions),
-    - any group proxies presented (each proving membership in groups
-      maintained by the granting group server),
+    - any group proxies presented (each proving membership in the groups
+      its [Group_membership] restrictions name, at the server that granted
+      it: {!Restriction.claimed_groups}),
     - compound ACL entries requiring several of the above to concur,
     - the server's accept-once replay cache, and
     - per-entry restrictions recorded in the ACL itself.
@@ -179,7 +180,9 @@ val bind : server:Principal.t -> ticket:string -> Proxy.t -> presented
     {!decide} that makes no RPC presents. *)
 
 type decision = {
-  granted_by : Acl.subject;  (** the ACL entry that matched *)
+  granted_by : Acl.entry;
+      (** the ACL entry that matched: an authorization server copies its
+          restrictions into the proxy it grants *)
   acting_for : Principal.t list;
       (** proxy grantors whose authority contributed *)
   via_groups : Principal.Group.t list;  (** memberships that contributed *)
@@ -208,6 +211,20 @@ val decide :
     check is memoized in the verify cache, so after the first request
     over a ticket it costs one lookup; the chain's windows, restrictions
     and revocation still run on every request.
+
+    Each presented proxy is verified once ({!Verifier.verify}) and then
+    authorized ({!Verifier.authorize}) once per question it answers. A
+    group proxy answers one per group it claims
+    ({!Restriction.claimed_groups}): an {!Restriction.assert_membership}
+    request on that group's local name, which, if granted, asserts the
+    group at the proxy's grantor. A regular proxy answers the request
+    itself, with those groups as its [groups_asserted], and contributes its
+    grantor. The first ACL entry that the presenters, the contributing
+    grantors and the asserted groups satisfy grants the request
+    ({!Acl.find_permitting}). When none does and no regular proxy
+    contributed, the denial names the first refusal of a regular proxy,
+    or, when no group was asserted either, of a group proxy:
+    ["... (no presented proxy was usable: <why>)"].
 
     Each [Accept_once] and [Sequence] that applies here
     ({!Restriction.check_all}), on every presented chain, group proxies

@@ -151,7 +151,8 @@ let rec of_wire v =
       Ok (Authorized es)
   | L [ S "group-membership"; L gs ] ->
       let* gs = map_all to_string gs in
-      Ok (Group_membership gs)
+      if List.mem "" gs then Error "group-membership: empty group name"
+      else Ok (Group_membership gs)
   | L [ S "accept-once"; S id ] -> Ok (Accept_once id)
   | L [ S "sequence"; L steps ] ->
       let step = function
@@ -191,13 +192,26 @@ type request = {
   target : string;
   presenters : Principal.t list;
   groups_asserted : Principal.Group.t list;
-  claimed_memberships : string list;
   spend : (currency * int) option;
 }
 
 let request ~server ~time ~operation ?(target = "") ?(presenters = []) ?(groups_asserted = [])
-    ?(claimed_memberships = []) ?spend () =
-  { server; time; operation; target; presenters; groups_asserted; claimed_memberships; spend }
+    ?spend () =
+  { server; time; operation; target; presenters; groups_asserted; spend }
+
+let assert_membership = "assert-membership"
+let membership_right = "member"
+
+let membership ~group ~member =
+  [ Authorized [ { target = group; ops = [ assert_membership; membership_right ] } ];
+    Group_membership [ group ];
+    Grantee ([ member ], 1) ]
+
+let claimed_groups rs =
+  List.fold_left
+    (fun acc g -> if g = "" || List.mem g acc then acc else acc @ [ g ])
+    []
+    (List.concat_map (function Group_membership gs -> gs | _ -> []) rs)
 
 type stateful = Once of string | Steps of seq_step list
 
@@ -291,9 +305,8 @@ let check_all ~held rs req =
             (Printf.sprintf "authorized: %s on %S not in the authorized list" req.operation
                req.target)
     | Group_membership gs :: rest ->
-        let outside = List.filter (fun g -> not (List.mem g gs)) req.claimed_memberships in
-        if outside = [] then go acc rest
-        else Error (Printf.sprintf "group-membership: %s not covered" (String.concat "," outside))
+        if req.operation <> assert_membership || List.mem req.target gs then go acc rest
+        else Error (Printf.sprintf "group-membership: %s not covered" req.target)
     | Accept_once id :: rest -> decided acc rest (held (Once id))
     | Sequence steps :: rest -> (
         match seq_validate steps with

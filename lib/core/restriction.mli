@@ -35,7 +35,9 @@ type t =
       (** complete list of accessible objects/operations (7.5) *)
   | Group_membership of string list
       (** grantee is a member of only these of the group server's groups
-          (7.6) *)
+          (7.6), which the proxy proves at its grantor ({!claimed_groups});
+          refuses an {!assert_membership} request on any other. Every name
+          is non-empty on the wire, as a group name is ({!Principal.Group}) *)
   | Accept_once of string
       (** single-use identifier, e.g. a check number (7.7); {e stateful}:
           the server records it ({!check_all}'s [held]) *)
@@ -69,13 +71,13 @@ type request = {
   server : Principal.t;  (** the end-server evaluating the proxy *)
   time : int;  (** virtual time of evaluation *)
   operation : string;
-  target : string;  (** object of the operation ("" if none) *)
+  target : string;
+      (** object of the operation ("" if none); for {!assert_membership},
+          the local name of the group asserted *)
   presenters : Principal.t list;
       (** principals that authenticated alongside the presentation *)
   groups_asserted : Principal.Group.t list;
       (** group memberships proven by accompanying group proxies *)
-  claimed_memberships : string list;
-      (** local group names this proxy is being used to assert *)
   spend : (currency * int) option;
       (** resource amount the operation would consume *)
 }
@@ -87,10 +89,27 @@ val request :
   ?target:string ->
   ?presenters:Principal.t list ->
   ?groups_asserted:Principal.Group.t list ->
-  ?claimed_memberships:string list ->
   ?spend:currency * int ->
   unit ->
   request
+
+val assert_membership : string
+(** The operation a membership proxy is exercised for, on the local name
+    of the group it asserts. *)
+
+val membership_right : string
+(** The right a group server's table grants each member of a group, and
+    that a membership proxy carries beside {!assert_membership}. *)
+
+val membership : group:string -> member:Principal.t -> t list
+(** A membership proxy's restrictions, as group servers and replicas write
+    them (Section 3.3): [Authorized] for {!assert_membership} and
+    {!membership_right} on [group], [Group_membership [group]],
+    [Grantee ([member], 1)]. *)
+
+val claimed_groups : t list -> string list
+(** The group names the top-level [Group_membership] restrictions list, in
+    order, each once. An empty name, which names no group, is skipped. *)
 
 val seq_step_equal : seq_step -> seq_step -> bool
 

@@ -646,6 +646,50 @@ let test_authz_server_delegate_mode () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "delegate proxy used by a non-grantee"
 
+(* Two entries for carol on one target: the proxy granted for "run"
+   carries the "run" entry's quota, not the restrictions of the first
+   entry naming carol. *)
+let test_authz_server_copies_matched_entry () =
+  let w = world () in
+  let carol, _ = W.enrol w "carol" in
+  let authz, authz_key = W.enrol w "authz" in
+  let appserver, app_key = W.enrol w "appserver" in
+  let db = Acl.create () in
+  Acl.add db ~target:"job42"
+    { Acl.subject = Acl.Principal_is carol; rights = [ "read" ]; restrictions = [] };
+  Acl.add db ~target:"job42"
+    {
+      Acl.subject = Acl.Principal_is carol;
+      rights = [ "run" ];
+      restrictions = [ R.Quota ("pages", 10) ];
+    };
+  let server =
+    Result.get_ok
+      (Authz_server.create w.W.net ~me:authz ~my_key:authz_key ~kdc:w.W.kdc_name ~database:db ())
+  in
+  Authz_server.install server;
+  let acl = Acl.create () in
+  Acl.add acl ~target:"*" { Acl.subject = Acl.Principal_is authz; rights = []; restrictions = [] };
+  let guard = Guard.create w.W.net ~me:appserver ~my_key:app_key ~acl () in
+  let creds = W.credentials_for w ~tgt:(W.login w carol) authz in
+  let proxy =
+    Result.get_ok
+      (Authz_server.request_authorization w.W.net ~creds ~end_server:appserver ~target:"job42"
+         ~operation:"run" ())
+  in
+  let run pages =
+    Result.map ignore
+      (Guard.decide guard ~ticket:W.ticket ~operation:"run" ~target:"job42" ~presenter:carol
+         ~proxies:[ Guard.bind ~server:appserver ~ticket:W.ticket proxy ]
+         ~spend:("pages", pages) ())
+  in
+  Alcotest.(check (result unit string)) "10 pages" (Ok ()) (run 10);
+  Alcotest.(check (result unit string)) "100 pages: the run entry's quota"
+    (Error
+       "access denied: no ACL entry permits run on \"job42\" (no presented proxy was usable: \
+        quota: 100 pages exceeds limit 10)")
+    (run 100)
+
 (* --- group server (Sec. 3.3) --- *)
 
 type group_world = {
@@ -723,7 +767,8 @@ let test_group_proxy_bound_to_member () =
 
 (* A group proxy's sequence is read from the guard's progress like any
    other chain's, and written when the membership is used: a one-step
-   sequence lets the membership open the door once. *)
+   sequence lets the membership open the door once, and the second
+   denial says why. *)
 let test_group_proxy_sequence_runs_once () =
   let g = group_world () in
   let tgt = W.login g.gw g.alice in
@@ -739,7 +784,7 @@ let test_group_proxy_sequence_runs_once () =
          ~expires:(W.now g.gw + W.hour)
          ~restrictions:
            [ R.Sequence
-               [ { R.step_op = "assert-membership"; step_server = None; step_target = None } ] ]
+               [ { R.step_op = R.assert_membership; step_server = None; step_target = None } ] ]
          gproxy)
   in
   let journal = ref [] in
@@ -757,8 +802,146 @@ let test_group_proxy_sequence_runs_once () =
   in
   Alcotest.(check (list int)) "its one step is recorded" [ 1 ] (progress ());
   Alcotest.(check (result unit string)) "second use: the step is spent"
-    (Error "access denied: no ACL entry permits open on \"machine-room\"") (open_door ());
+    (Error
+       "access denied: no ACL entry permits open on \"machine-room\" (no presented proxy was \
+        usable: sequence: all 1 steps already consumed)")
+    (open_door ());
   Alcotest.(check (list int)) "and nothing more is written" [ 1 ] (progress ())
+
+(* A for-use-by-group proxy (Section 7.2) is usable with a membership
+   proof for its group, whether or not any ACL entry names that group: the
+   membership proxy says which group it proves. bob's capability for the
+   rack names only "ops"; alice is in both groups, and the door's ACL
+   names only "admins". *)
+let test_for_use_by_group_unnamed_in_acl () =
+  let g = group_world () in
+  Group_server.add_member g.gserver ~group:"ops" g.alice;
+  Acl.add (Guard.acl g.gguard) ~target:"rack"
+    { Acl.subject = Acl.Principal_is g.bob; rights = [ "open" ]; restrictions = [] };
+  let cap =
+    Result.get_ok
+      (Capability.mint_via_kdc g.gw.W.net ~kdc:g.gw.W.kdc_name ~tgt:(W.login g.gw g.bob)
+         ~end_server:g.doorserver ~target:"rack" ~ops:[ "open" ] ())
+  in
+  let for_ops =
+    Result.get_ok
+      (Proxy.restrict_conventional ~drbg:(Sim.Net.drbg g.gw.W.net) ~now:(W.now g.gw)
+         ~expires:(W.now g.gw + W.hour)
+         ~restrictions:[ R.For_use_by_group ([ Group_server.group_name g.gserver "ops" ], 1) ]
+         cap)
+  in
+  let creds = W.credentials_for g.gw ~tgt:(W.login g.gw g.alice) g.gserver_name in
+  let open_rack group =
+    let gproxy =
+      Result.get_ok
+        (Group_server.request_membership_proxy g.gw.W.net ~creds ~group
+           ~end_server:g.doorserver ())
+    in
+    let bind = Guard.bind ~server:g.doorserver ~ticket:W.ticket in
+    Result.map ignore
+      (Guard.decide g.gguard ~ticket:W.ticket ~operation:"open" ~target:"rack"
+         ~presenter:g.alice ~proxies:[ bind for_ops ] ~group_proxies:[ bind gproxy ] ())
+  in
+  Alcotest.(check (result unit string)) "with an ops proof" (Ok ()) (open_rack "ops");
+  Alcotest.(check (result unit string)) "with an admins proof"
+    (Error
+       "access denied: no ACL entry permits open on \"rack\" (no presented proxy was usable: \
+        for-use-by-group: 0 of the named groups asserted, 1 required)")
+    (open_rack "admins")
+
+(* A group proxy is verified once per decision, however many groups the
+   ACL names: warm, its one base ticket and one link come from the tables,
+   before and after eight groups are added on other targets. *)
+let test_group_proxy_verified_once () =
+  let g = group_world () in
+  let creds = W.credentials_for g.gw ~tgt:(W.login g.gw g.alice) g.gserver_name in
+  let gproxy =
+    Result.get_ok
+      (Group_server.request_membership_proxy g.gw.W.net ~creds ~group:"admins"
+         ~end_server:g.doorserver ())
+  in
+  let presented = Guard.bind ~server:g.doorserver ~ticket:W.ticket gproxy in
+  let metrics = Sim.Net.metrics g.gw.W.net in
+  let hits () =
+    [ Sim.Metrics.get metrics "verify_cache.hits"; Sim.Metrics.get metrics "ticket_cache.hits" ]
+  in
+  let open_door () =
+    let before = hits () in
+    (match
+       Guard.decide g.gguard ~ticket:W.ticket ~operation:"open" ~target:"machine-room"
+         ~presenter:g.alice ~group_proxies:[ presented ] ()
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    List.map2 ( - ) (hits ()) before
+  in
+  ignore (open_door ());
+  Alcotest.(check (list int)) "verify and ticket hits, one group named" [ 1; 1 ] (open_door ());
+  for i = 1 to 8 do
+    Acl.add (Guard.acl g.gguard)
+      ~target:(Printf.sprintf "room-%d" i)
+      {
+        Acl.subject = Acl.Group (Group_server.group_name g.gserver (Printf.sprintf "team-%d" i));
+        rights = [ "open" ];
+        restrictions = [];
+      }
+  done;
+  Alcotest.(check (list int)) "verify and ticket hits, nine groups named" [ 1; 1 ] (open_door ())
+
+(* The empty name is no group: a self-granted proxy listing it in its
+   group-membership restriction, presented as a group proxy, is refused
+   with the decoder's reason, and the guard raises nothing. *)
+let test_group_proxy_empty_name_refused () =
+  let g = group_world () in
+  let creds = W.credentials_for g.gw ~tgt:(W.login g.gw g.alice) g.doorserver in
+  let forged =
+    Proxy.grant_conventional ~drbg:(Sim.Net.drbg g.gw.W.net) ~now:(W.now g.gw)
+      ~expires:(W.now g.gw + W.hour) ~grantor:g.alice ~session_key:creds.Ticket.session_key
+      ~base:creds.Ticket.ticket_blob ~restrictions:[ R.Group_membership [ "" ] ]
+  in
+  Alcotest.(check (result unit string)) "denied"
+    (Error
+       "access denied: no ACL entry permits open on \"machine-room\" (no presented proxy was \
+        usable: group-membership: empty group name)")
+    (Result.map ignore
+       (Guard.decide g.gguard ~ticket:W.ticket ~operation:"open" ~target:"machine-room"
+          ~presenter:g.alice
+          ~group_proxies:[ Guard.bind ~server:g.doorserver ~ticket:W.ticket forged ]
+          ()))
+
+(* A group proxy's refusal is cited only when no group was asserted: beside
+   a valid admins proof, a proof issued for another server says nothing
+   about why the ACL denies. *)
+let test_group_refusal_cited_without_groups () =
+  let g = group_world () in
+  let creds = W.credentials_for g.gw ~tgt:(W.login g.gw g.alice) g.gserver_name in
+  let admins =
+    Result.get_ok
+      (Group_server.request_membership_proxy g.gw.W.net ~creds ~group:"admins"
+         ~end_server:g.doorserver ())
+  in
+  let elsewhere =
+    Result.get_ok
+      (Proxy.restrict_conventional ~drbg:(Sim.Net.drbg g.gw.W.net) ~now:(W.now g.gw)
+         ~expires:(W.now g.gw + W.hour) ~restrictions:[ R.Issued_for [ g.bob ] ] admins)
+  in
+  let decide operation group_proxies =
+    Result.map ignore
+      (Guard.decide g.gguard ~ticket:W.ticket ~operation ~target:"machine-room"
+         ~presenter:g.alice
+         ~group_proxies:(List.map (Guard.bind ~server:g.doorserver ~ticket:W.ticket) group_proxies)
+         ())
+  in
+  Alcotest.(check (result unit string)) "alone: its refusal is cited"
+    (Error
+       (Printf.sprintf
+          "access denied: no ACL entry permits open on \"machine-room\" (no presented proxy was \
+           usable: issued-for: %s may not accept this proxy)"
+          (Principal.to_string g.doorserver)))
+    (decide "open" [ elsewhere ]);
+  Alcotest.(check (result unit string)) "beside a valid proof: not cited"
+    (Error "access denied: no ACL entry permits close on \"machine-room\"")
+    (decide "close" [ admins; elsewhere ])
 
 let test_group_nonmember_refused () =
   let g = group_world () in
@@ -1080,11 +1263,20 @@ let () =
           ("limit-scoped sequence runs once", `Quick, test_limit_scoped_sequence) ] );
       ( "authorization-server",
         [ ("figure-3 flow", `Quick, test_authz_server_flow);
-          ("delegate mode", `Quick, test_authz_server_delegate_mode) ] );
+          ("delegate mode", `Quick, test_authz_server_delegate_mode);
+          ("two entries for one subject: the matched one is copied", `Quick,
+           test_authz_server_copies_matched_entry) ] );
       ( "group-server",
         [ ("membership flow", `Quick, test_group_membership_flow);
           ("proxy bound to member", `Quick, test_group_proxy_bound_to_member);
           ("non-member refused", `Quick, test_group_nonmember_refused);
           ("a group proxy's sequence runs once", `Quick, test_group_proxy_sequence_runs_once);
+          ("for-use-by-group needs no ACL entry naming the group", `Quick,
+           test_for_use_by_group_unnamed_in_acl);
+          ("a group proxy is verified once per decision", `Quick, test_group_proxy_verified_once);
+          ("an empty group name is refused, not raised", `Quick,
+           test_group_proxy_empty_name_refused);
+          ("a group refusal is cited only without groups", `Quick,
+           test_group_refusal_cited_without_groups);
           ("removal blocks new proxies", `Quick, test_group_removal_blocks_new_proxies) ] );
       ("compound", [ ("user+host concurrence", `Quick, test_compound_concurrence) ]) ]

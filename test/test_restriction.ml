@@ -75,11 +75,18 @@ let test_authorized () =
   check_ok all_ops { base_req with R.operation = "delete" };
   check_fails (R.Authorized []) base_req
 
+(* The request a membership proxy answers when it asserts group [g]. *)
+let asserting g = { base_req with R.operation = R.assert_membership; target = g }
+
 let test_group_membership () =
   let r = R.Group_membership [ "admins" ] in
   check_ok r base_req;
-  check_ok r { base_req with R.claimed_memberships = [ "admins" ] };
-  check_fails r { base_req with R.claimed_memberships = [ "admins"; "wheel" ] }
+  check_ok r (asserting "admins");
+  check_fails r (asserting "wheel");
+  (* The groups a proxy claims: each named once, the empty name never. *)
+  Alcotest.(check (list string)) "claimed groups" [ "ops"; "wheel" ]
+    (R.claimed_groups
+       (R.membership ~group:"ops" ~member:server @ [ R.Group_membership [ ""; "ops"; "wheel" ] ]))
 
 let test_accept_once () =
   let r = R.Accept_once "check-42" in
@@ -251,7 +258,10 @@ let test_wire_rejects_garbage () =
   Alcotest.(check bool) "bad quorum" true
     (Result.is_error (R.of_wire (Wire.L [ Wire.S "grantee"; Wire.L []; Wire.I 0 ])));
   Alcotest.(check bool) "negative quota" true
-    (Result.is_error (R.of_wire (Wire.L [ Wire.S "quota"; Wire.S "c"; Wire.I (-1) ])))
+    (Result.is_error (R.of_wire (Wire.L [ Wire.S "quota"; Wire.S "c"; Wire.I (-1) ])));
+  Alcotest.(check (result reject string)) "empty group name"
+    (Error "group-membership: empty group name")
+    (R.of_wire (Wire.L [ Wire.S "group-membership"; Wire.L [ Wire.S "a"; Wire.S "" ] ]))
 
 (* A list with several malformed entries reports the first one's error. *)
 let test_wire_list_first_error_wins () =
@@ -306,7 +316,10 @@ let gen_restriction =
               map (fun ss -> R.Issued_for ss) (list_size (int_range 1 3) gen_principal);
               map2 (fun c v -> R.Quota (c, v)) (oneofl [ "usd"; "pages"; "cpu" ]) (int_bound 1000);
               map (fun id -> R.Accept_once id) string_small;
-              map (fun gs -> R.Group_membership gs) (list_size (int_bound 3) string_small);
+              (* Group names are non-empty, as the decoder requires. *)
+              map
+                (fun gs -> R.Group_membership gs)
+                (list_size (int_bound 3) (map (fun s -> "g" ^ s) string_small));
               map
                 (fun ts -> R.Authorized (List.map (fun t -> { R.target = t; ops = [] }) ts))
                 (list_size (int_bound 3) string_small);
@@ -472,7 +485,7 @@ let test_limit_wraps_each_type () =
       (R.Issued_for [ other_server ], base_req);
       (R.Quota ("pages", 1), { base_req with R.spend = Some ("pages", 2) });
       (R.Authorized [ { R.target = "other"; ops = [] } ], base_req);
-      (R.Group_membership [ "a" ], { base_req with R.claimed_memberships = [ "b" ] });
+      (R.Group_membership [ "a" ], asserting "b");
       (R.Accept_once "id", base_req);
       (R.Sequence [ step "open" ], base_req);
       (R.Unknown "x", base_req) ]
@@ -508,7 +521,7 @@ let test_unsatisfiable_forms () =
   check_fails (R.Issued_for []) base_req;
   check_fails (R.Authorized []) base_req;
   (* An empty group-membership restriction forbids asserting anything. *)
-  check_fails (R.Group_membership []) { base_req with R.claimed_memberships = [ "a" ] };
+  check_fails (R.Group_membership []) (asserting "a");
   check_ok (R.Group_membership []) base_req
 
 let () =

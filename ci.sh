@@ -152,4 +152,20 @@ echo "== repository benchmark self-test =="
 # forward-stamped flood.
 dune build @perfbench/perfbench-test
 
+echo "== allocation =="
+# Printed, not gated: the bytes each benchmark workload allocates per op
+# (gc.alloc_bytes_per_op), from one short traced run at seed 1, the
+# figure a change that cuts copies reports before and after. A run this
+# short can end before perfbench has two host-speed samples, and then
+# exits with an error; the step says so and goes on.
+for wl in authz-conv authz-pk bank; do
+    python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 1 | tail -n 1 |
+        python3 -c 'import json, sys
+try:
+    v = json.load(sys.stdin)["metrics"]["gc.alloc_bytes_per_op"]["value"]
+    print(f"{sys.argv[1]}: {v / 1000:.1f} KB/op")
+except ValueError:
+    print(f"{sys.argv[1]}: no figure (the run failed)")' "$wl"
+done
+
 echo "== OK =="

@@ -58,8 +58,8 @@ let rec subject_satisfied subject facts =
   | Group g -> List.exists (Principal.Group.equal g) facts.groups
   | Compound subs -> List.for_all (fun s -> subject_satisfied s facts) subs
 
-let find_permitting t ~target ~operation facts =
-  List.find_opt
+let permitting t ~target ~operation facts =
+  List.filter
     (fun e ->
       (e.rights = [] || List.mem operation e.rights) && subject_satisfied e.subject facts)
     (entries_for t ~target)

@@ -50,8 +50,9 @@ type facts = {
   groups : Principal.Group.t list;  (** memberships proven by group proxies *)
 }
 
-val find_permitting : t -> target:string -> operation:string -> facts -> entry option
-(** First entry whose subject is satisfied and whose rights cover
-    [operation]. *)
+val permitting : t -> target:string -> operation:string -> facts -> entry list
+(** Every entry whose subject is satisfied and whose rights cover
+    [operation], in {!entries_for}'s order. An entry's own restrictions
+    are its user's to check: a guard tries them in this order. *)
 
 val pp_subject : Format.formatter -> subject -> unit

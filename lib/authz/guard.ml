@@ -369,8 +369,8 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
       groups = groups_asserted;
     }
   in
-  match Acl.find_permitting t.acl ~target ~operation facts with
-  | None ->
+  match Acl.permitting t.acl ~target ~operation facts with
+  | [] ->
       Log.debug (fun m ->
           m "%s: DENY %s on %S (presenters=%d proxies=%d/%d usable groups=%d)"
             (Principal.to_string t.me) operation target (List.length presenters)
@@ -385,11 +385,19 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
         | _ -> ""
       in
       Error (Printf.sprintf "access denied: no ACL entry permits %s on %S%s" operation target detail)
-  | Some entry -> (
-      (* Enforce any restrictions recorded on the ACL entry itself. *)
-      match Restriction.check_all ~held:Restriction.no_state entry.Acl.restrictions req with
+  | first :: others -> (
+      (* The first entry whose own restrictions pass grants; when none
+         does, the first one's refusal is the reason. *)
+      let check e = Restriction.check_all ~held:Restriction.no_state e.Acl.restrictions req in
+      let passes e = Result.is_ok (check e) in
+      let chosen =
+        match check first with
+        | Ok _ -> Ok first
+        | Error e -> Option.to_result ~none:e (List.find_opt passes others)
+      in
+      match chosen with
       | Error e -> Error (Printf.sprintf "access denied by ACL entry restriction: %s" e)
-      | Ok _ ->
+      | Ok entry ->
           (* Work out which proxies actually contributed to satisfying the
              entry, and write what their [held] checked. *)
           let rec contributors subject =

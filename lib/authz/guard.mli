@@ -181,7 +181,8 @@ val bind : server:Principal.t -> ticket:string -> Proxy.t -> presented
 
 type decision = {
   granted_by : Acl.entry;
-      (** the ACL entry that matched: an authorization server copies its
+      (** the ACL entry that granted, the first permitting one whose own
+          restrictions pass: an authorization server copies its
           restrictions into the proxy it grants *)
   acting_for : Principal.t list;
       (** proxy grantors whose authority contributed *)
@@ -220,10 +221,12 @@ val decide :
     group at the proxy's grantor. A regular proxy answers the request
     itself, with those groups as its [groups_asserted], and contributes its
     grantor. The first ACL entry that the presenters, the contributing
-    grantors and the asserted groups satisfy grants the request
-    ({!Acl.find_permitting}). When none does and no regular proxy
-    contributed, the denial names the first refusal of a regular proxy,
-    or, when no group was asserted either, of a group proxy:
+    grantors and the asserted groups satisfy, and whose own restrictions
+    pass, grants the request ({!Acl.permitting}); when every such entry's
+    restrictions refuse, the first one's refusal is the reason. When no
+    entry is satisfied and no regular proxy contributed, the denial names
+    the first refusal of a regular proxy, or, when no group was asserted
+    either, of a group proxy:
     ["... (no presented proxy was usable: <why>)"].
 
     Each [Accept_once] and [Sequence] that applies here

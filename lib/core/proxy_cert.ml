@@ -25,22 +25,20 @@ let body_of_wire v =
 
 let seal_conventional ~sealing_key ~nonce ~proxy_key body =
   let plaintext = Wire.encode (Wire.L [ body_to_wire body; Wire.S proxy_key ]) in
-  Crypto.Aead.encode (Crypto.Aead.seal ~key:sealing_key ~ad:"proxy-cert" ~nonce plaintext)
+  Crypto.Aead.seal ~key:sealing_key ~ad:"proxy-cert" ~nonce plaintext
 
 let open_conventional ~sealing_key blob =
-  match Crypto.Aead.decode blob with
-  | None -> Error "proxy-cert: malformed blob"
-  | Some box -> (
-      match Crypto.Aead.open_ ~key:sealing_key ~ad:"proxy-cert" box with
-      | None -> Error "proxy-cert: seal verification failed"
-      | Some plaintext -> (
-          let open Wire in
-          let* v = decode plaintext in
-          match v with
-          | L [ body; S proxy_key ] ->
-              let* body = body_of_wire body in
-              Ok (body, proxy_key)
-          | _ -> Error "proxy-cert: malformed"))
+  match Crypto.Aead.open_ ~key:sealing_key ~ad:"proxy-cert" blob with
+  | Error `Malformed -> Error "proxy-cert: malformed blob"
+  | Error `Bad_tag -> Error "proxy-cert: seal verification failed"
+  | Ok plaintext -> (
+      let open Wire in
+      let* v = decode plaintext in
+      match v with
+      | L [ body; S proxy_key ] ->
+          let* body = body_of_wire body in
+          Ok (body, proxy_key)
+      | _ -> Error "proxy-cert: malformed")
 
 type pk_signer = By_grantor_key | By_proxy_key | By_principal of Principal.t
 

@@ -1,5 +1,3 @@
-type sealed = { nonce : string; ciphertext : string; tag : string }
-
 (* RFC 8439 §2.8 ChaCha20-Poly1305 under a subkey, HMAC(key,
    "aead-encrypt"): proxy keys also key HMAC session bindings, so no raw
    key ever keys the cipher. Read-only once built. *)
@@ -8,47 +6,55 @@ type key = Key of string | Wrong_length
 let prepare key =
   if String.length key <> 32 then Wrong_length else Key (Hmac.mac ~key "aead-encrypt")
 
-(* The one-time Poly1305 key is the first half of keystream block 0, and
+(* A box is nonce (12 bytes) ‖ tag (16) ‖ ciphertext. *)
+let overhead = 28
+
+let tag box = String.sub box 12 16
+
+(* Write to [dst] from [at] the tag over [ad] and [box]'s ciphertext. The
+   one-time Poly1305 key is the first half of keystream block 0, and
    encryption starts at block 1. The MAC covers ad and ciphertext, each
    zero-padded to 16 bytes, then both lengths as 64-bit little-endian. *)
-let tag enc ~nonce ~ad ciphertext =
+let mac enc ~nonce ~ad box dst at =
   let otk = String.sub (Chacha20.block ~key:enc ~nonce ~counter:0) 0 32 in
   let st = Poly1305.start ~key:otk in
-  Poly1305.pad16 st ad;
-  Poly1305.pad16 st ciphertext;
+  let ad_len = String.length ad and ct_len = String.length box - overhead in
+  Poly1305.pad16 st ad 0 ad_len;
+  Poly1305.pad16 st box overhead ct_len;
   let lengths = Bytes.create 16 in
-  Bytes.set_int64_le lengths 0 (Int64.of_int (String.length ad));
-  Bytes.set_int64_le lengths 8 (Int64.of_int (String.length ciphertext));
-  Poly1305.pad16 st (Bytes.unsafe_to_string lengths);
-  Poly1305.finish st
+  Bytes.set_int64_le lengths 0 (Int64.of_int ad_len);
+  Bytes.set_int64_le lengths 8 (Int64.of_int ct_len);
+  Poly1305.pad16 st (Bytes.unsafe_to_string lengths) 0 16;
+  Poly1305.finish st dst at
 
 let seal_prepared key ?(ad = "") ~nonce plaintext =
   match key with
   | Wrong_length -> invalid_arg "Aead.seal: key must be 32 bytes"
   | Key enc ->
       if String.length nonce <> 12 then invalid_arg "Aead.seal: nonce must be 12 bytes";
-      let ciphertext = Chacha20.encrypt ~key:enc ~nonce plaintext in
-      { nonce; ciphertext; tag = tag enc ~nonce ~ad ciphertext }
+      let len = String.length plaintext in
+      let box = Bytes.create (overhead + len) in
+      Bytes.blit_string nonce 0 box 0 12;
+      Chacha20.encrypt_into ~key:enc ~nonce ~counter:1 plaintext 0 box overhead len;
+      (* [mac] reads the ciphertext through this view before it writes the tag. *)
+      mac enc ~nonce ~ad (Bytes.unsafe_to_string box) box 12;
+      Bytes.unsafe_to_string box
 
 let open_prepared key ?(ad = "") box =
-  match key with
-  | Key enc when String.length box.nonce = 12 ->
-      if Ct.equal_string (tag enc ~nonce:box.nonce ~ad box.ciphertext) box.tag then
-        Some (Chacha20.encrypt ~key:enc ~nonce:box.nonce box.ciphertext)
-      else None
-  | Key _ | Wrong_length -> None
+  if String.length box < overhead then Error `Malformed
+  else
+    match key with
+    | Wrong_length -> Error `Bad_tag
+    | Key enc ->
+        let nonce = String.sub box 0 12 and want = Bytes.create 16 in
+        mac enc ~nonce ~ad box want 0;
+        if Ct.equal_string (Bytes.unsafe_to_string want) (tag box) then begin
+          let len = String.length box - overhead in
+          let plaintext = Bytes.create len in
+          Chacha20.encrypt_into ~key:enc ~nonce ~counter:1 box overhead plaintext 0 len;
+          Ok (Bytes.unsafe_to_string plaintext)
+        end
+        else Error `Bad_tag
 
 let seal ~key ?ad ~nonce plaintext = seal_prepared (prepare key) ?ad ~nonce plaintext
 let open_ ~key ?ad box = open_prepared (prepare key) ?ad box
-
-let encode box = box.nonce ^ box.tag ^ box.ciphertext
-
-let decode s =
-  if String.length s < 28 then None
-  else
-    Some
-      {
-        nonce = String.sub s 0 12;
-        tag = String.sub s 12 16;
-        ciphertext = String.sub s 28 (String.length s - 28);
-      }

@@ -8,9 +8,15 @@
     certificate, its associated data or its nonce is detected before
     decryption. A nonce must never repeat under one key: two boxes under
     the same key and nonce expose the keystream and the one-time MAC key,
-    and with it a forgery. *)
+    and with it a forgery.
 
-type sealed = { nonce : string; ciphertext : string; tag : string }
+    A box is one string, its own wire form: the 12-byte nonce, the 16-byte
+    tag, then the ciphertext. A seal encrypts and tags straight into it,
+    and an open reads it by offset. *)
+
+val tag : string -> string
+(** The tag of a box that opened: it names the box, its associated data
+    and its key together. *)
 
 (** {2 Prepared keys}
 
@@ -31,32 +37,27 @@ type key
 
 val prepare : string -> key
 (** Never raises. A raw key that is not 32 bytes gives a key under which
-    {!open_prepared} returns [None] and {!seal_prepared} raises, as
+    {!open_prepared} opens nothing and {!seal_prepared} raises, as
     {!open_} and {!seal} do with that raw key. *)
 
-val seal_prepared : key -> ?ad:string -> nonce:string -> string -> sealed
+val seal_prepared : key -> ?ad:string -> nonce:string -> string -> string
 (** [seal_prepared (prepare key) ~ad ~nonce plaintext = seal ~key ~ad ~nonce
     plaintext]. Raises [Invalid_argument "Aead.seal: key must be 32 bytes"]
     for a key prepared from another length, and on a nonce that is not 12
     bytes. *)
 
-val open_prepared : key -> ?ad:string -> sealed -> string option
+val open_prepared : key -> ?ad:string -> string -> (string, [ `Malformed | `Bad_tag ]) result
 (** [open_prepared (prepare key) ~ad box = open_ ~key ~ad box]. *)
 
 (** {2 Raw keys}
 
     For keys used once: each call prepares [key] and drops it. *)
 
-val seal : key:string -> ?ad:string -> nonce:string -> string -> sealed
-(** [seal ~key ~ad ~nonce plaintext]. [key] is 32 bytes, [nonce] 12 bytes.
-    [ad] is authenticated but not encrypted. *)
+val seal : key:string -> ?ad:string -> nonce:string -> string -> string
+(** [seal ~key ~ad ~nonce plaintext] is the box, 28 bytes longer than
+    [plaintext]. [key] is 32 bytes, [nonce] 12 bytes. [ad] is
+    authenticated but not encrypted. *)
 
-val open_ : key:string -> ?ad:string -> sealed -> string option
-(** [open_ ~key ~ad box] returns the plaintext iff the tag verifies. *)
-
-val encode : sealed -> string
-(** Flat wire encoding (nonce || tag || ciphertext): 28 bytes more than
-    the plaintext. *)
-
-val decode : string -> sealed option
-(** [None] under 28 bytes, the smallest box (an empty plaintext). *)
+val open_ : key:string -> ?ad:string -> string -> (string, [ `Malformed | `Bad_tag ]) result
+(** [open_ ~key ~ad box] is the plaintext iff the tag verifies; [`Malformed]
+    under 28 bytes, the smallest box (an empty plaintext). *)

@@ -38,21 +38,21 @@ let state fn ~key ~nonce ~counter =
   done;
   st
 
-(* XOR keystream word [w] (its low 32 bits) into the bytes of [msg] from
-   [pos] up to [stop], four at most, writing them to [out]. *)
-let[@inline] xor_word msg out pos stop w =
-  if pos + 4 <= stop then
-    Bytes.set_int32_le out pos (String.get_int32_le msg pos ^% Int32.of_int w)
+(* XOR keystream word [w] (its low 32 bits) into the [n] bytes of [src]
+   from [si], four at most and none when [n] <= 0, writing them to [dst]
+   from [di]. *)
+let[@inline] xor_word src si dst di n w =
+  if n >= 4 then Bytes.set_int32_le dst di (String.get_int32_le src si ^% Int32.of_int w)
   else
-    for i = 0 to stop - pos - 1 do
-      Bytes.unsafe_set out (pos + i)
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set dst (di + i)
         (Char.unsafe_chr
-           (Char.code (String.unsafe_get msg (pos + i)) lxor ((w lsr (8 * i)) land 0xff)))
+           (Char.code (String.unsafe_get src (si + i)) lxor ((w lsr (8 * i)) land 0xff)))
     done
 
-(* XOR the keystream block of [st] into the bytes of [msg] from [off] up
-   to [stop], 64 at most, writing them to [out]. *)
-let xor_block st msg out off stop =
+(* XOR the keystream block of [st] into the [n] bytes of [src] from [si],
+   64 at most, writing them to [dst] from [di]. *)
+let xor_block st src si dst di n =
   let x0 = ref (Int32.of_int (Array.unsafe_get st 0))
   and x1 = ref (Int32.of_int (Array.unsafe_get st 1))
   and x2 = ref (Int32.of_int (Array.unsafe_get st 2))
@@ -107,22 +107,22 @@ let xor_block st msg out off stop =
   done;
   (* A finished word is its local plus its input word; only the low 32
      bits of the native-int sum are written. *)
-  xor_word msg out off stop (Int32.to_int !x0 + Array.unsafe_get st 0);
-  xor_word msg out (off + 4) stop (Int32.to_int !x1 + Array.unsafe_get st 1);
-  xor_word msg out (off + 8) stop (Int32.to_int !x2 + Array.unsafe_get st 2);
-  xor_word msg out (off + 12) stop (Int32.to_int !x3 + Array.unsafe_get st 3);
-  xor_word msg out (off + 16) stop (Int32.to_int !x4 + Array.unsafe_get st 4);
-  xor_word msg out (off + 20) stop (Int32.to_int !x5 + Array.unsafe_get st 5);
-  xor_word msg out (off + 24) stop (Int32.to_int !x6 + Array.unsafe_get st 6);
-  xor_word msg out (off + 28) stop (Int32.to_int !x7 + Array.unsafe_get st 7);
-  xor_word msg out (off + 32) stop (Int32.to_int !x8 + Array.unsafe_get st 8);
-  xor_word msg out (off + 36) stop (Int32.to_int !x9 + Array.unsafe_get st 9);
-  xor_word msg out (off + 40) stop (Int32.to_int !x10 + Array.unsafe_get st 10);
-  xor_word msg out (off + 44) stop (Int32.to_int !x11 + Array.unsafe_get st 11);
-  xor_word msg out (off + 48) stop (Int32.to_int !x12 + Array.unsafe_get st 12);
-  xor_word msg out (off + 52) stop (Int32.to_int !x13 + Array.unsafe_get st 13);
-  xor_word msg out (off + 56) stop (Int32.to_int !x14 + Array.unsafe_get st 14);
-  xor_word msg out (off + 60) stop (Int32.to_int !x15 + Array.unsafe_get st 15)
+  xor_word src si dst di n (Int32.to_int !x0 + Array.unsafe_get st 0);
+  xor_word src (si + 4) dst (di + 4) (n - 4) (Int32.to_int !x1 + Array.unsafe_get st 1);
+  xor_word src (si + 8) dst (di + 8) (n - 8) (Int32.to_int !x2 + Array.unsafe_get st 2);
+  xor_word src (si + 12) dst (di + 12) (n - 12) (Int32.to_int !x3 + Array.unsafe_get st 3);
+  xor_word src (si + 16) dst (di + 16) (n - 16) (Int32.to_int !x4 + Array.unsafe_get st 4);
+  xor_word src (si + 20) dst (di + 20) (n - 20) (Int32.to_int !x5 + Array.unsafe_get st 5);
+  xor_word src (si + 24) dst (di + 24) (n - 24) (Int32.to_int !x6 + Array.unsafe_get st 6);
+  xor_word src (si + 28) dst (di + 28) (n - 28) (Int32.to_int !x7 + Array.unsafe_get st 7);
+  xor_word src (si + 32) dst (di + 32) (n - 32) (Int32.to_int !x8 + Array.unsafe_get st 8);
+  xor_word src (si + 36) dst (di + 36) (n - 36) (Int32.to_int !x9 + Array.unsafe_get st 9);
+  xor_word src (si + 40) dst (di + 40) (n - 40) (Int32.to_int !x10 + Array.unsafe_get st 10);
+  xor_word src (si + 44) dst (di + 44) (n - 44) (Int32.to_int !x11 + Array.unsafe_get st 11);
+  xor_word src (si + 48) dst (di + 48) (n - 48) (Int32.to_int !x12 + Array.unsafe_get st 12);
+  xor_word src (si + 52) dst (di + 52) (n - 52) (Int32.to_int !x13 + Array.unsafe_get st 13);
+  xor_word src (si + 56) dst (di + 56) (n - 56) (Int32.to_int !x14 + Array.unsafe_get st 14);
+  xor_word src (si + 60) dst (di + 60) (n - 60) (Int32.to_int !x15 + Array.unsafe_get st 15)
 
 (* Each call adds its block count to the domain's {!Cost} tally. *)
 let count_blocks n =
@@ -133,17 +133,22 @@ let count_blocks n =
 let block ~key ~nonce ~counter =
   count_blocks 1;
   let st = state "Chacha20.block" ~key ~nonce ~counter and ks = Bytes.make 64 '\000' in
-  xor_block st (Bytes.unsafe_to_string ks) ks 0 64;
+  xor_block st (Bytes.unsafe_to_string ks) 0 ks 0 64;
   Bytes.unsafe_to_string ks
 
-let encrypt ~key ~nonce ?(counter = 1) msg =
+let encrypt_into ~key ~nonce ~counter src src_off dst dst_off len =
   let st = state "Chacha20.encrypt" ~key ~nonce ~counter in
-  let len = String.length msg in
-  let out = Bytes.create len in
+  if len < 0 || src_off < 0 || src_off > String.length src - len || dst_off < 0
+     || dst_off > Bytes.length dst - len
+  then invalid_arg "Chacha20.encrypt_into: range outside its buffer";
   let blocks = (len + 63) / 64 in
   count_blocks blocks;
   for b = 0 to blocks - 1 do
     st.(12) <- (counter + b) land mask;
-    xor_block st msg out (64 * b) len
-  done;
+    xor_block st src (src_off + (64 * b)) dst (dst_off + (64 * b)) (len - (64 * b))
+  done
+
+let encrypt ~key ~nonce ?(counter = 1) msg =
+  let out = Bytes.create (String.length msg) in
+  encrypt_into ~key ~nonce ~counter msg 0 out 0 (String.length msg);
   Bytes.unsafe_to_string out

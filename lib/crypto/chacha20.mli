@@ -16,3 +16,9 @@ val encrypt : key:string -> nonce:string -> ?counter:int -> string -> string
     past counter 0xffffffff continues at block 0. [key] must be 32 bytes and
     [nonce] 12 bytes, even for an empty message; raises [Invalid_argument]
     otherwise. *)
+
+val encrypt_into :
+  key:string -> nonce:string -> counter:int -> string -> int -> Bytes.t -> int -> int -> unit
+(** [encrypt_into ~key ~nonce ~counter src src_off dst dst_off len] is
+    {!encrypt} of [len] bytes of [src] from [src_off], written to [dst] from
+    [dst_off]. Raises [Invalid_argument] also on a range outside its buffer. *)

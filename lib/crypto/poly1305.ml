@@ -82,40 +82,42 @@ let count n =
   let kern = Kernel.get () in
   kern.Kernel.poly_blocks <- kern.Kernel.poly_blocks + n
 
-(* Every whole block of [s]; the number of them. *)
-let whole st s =
-  let n = String.length s / 16 in
+(* Every whole block of [len] bytes of [s] from [off]; their number. *)
+let whole st s off len =
+  let n = len / 16 in
   for i = 0 to n - 1 do
-    let off = 16 * i in
-    block st (word s off) (word s (off + 4)) (word s (off + 8)) (word s (off + 12)) hibit
+    let o = off + (16 * i) in
+    block st (word s o) (word s (o + 4)) (word s (o + 8)) (word s (o + 12)) hibit
   done;
   n
 
-(* The last [String.length s mod 16] bytes of [s], zero-filled to a block:
-   RFC 8439's pad16 when [one] is false (counted as a whole block), the
-   tail of a raw message when it is (a 1 byte after the data, no 2^128). *)
-let tail st s ~one =
-  let n = String.length s land 15 in
+(* The last [len mod 16] of those bytes, zero-filled to a block: RFC
+   8439's pad16 when [one] is false (counted as a whole block), the tail
+   of a raw message when it is (a 1 byte after the data, no 2^128). *)
+let tail st s off len ~one =
+  let n = len land 15 in
   let b = st.last in
   Bytes.fill b 0 16 '\000';
-  Bytes.blit_string s (String.length s - n) b 0 n;
+  Bytes.blit_string s (off + len - n) b 0 n;
   if one then Bytes.set b n '\001';
   block st (bword b 0) (bword b 4) (bword b 8) (bword b 12) (if one then 0 else hibit)
 
-let absorb st s ~one =
-  let n = whole st s in
-  if String.length s land 15 = 0 then count n
+let absorb st s off len ~one =
+  if len < 0 || off < 0 || off > String.length s - len then
+    invalid_arg "Poly1305: range outside its string";
+  let n = whole st s off len in
+  if len land 15 = 0 then count n
   else begin
-    tail st s ~one;
+    tail st s off len ~one;
     count (n + 1)
   end
 
-let pad16 st s = absorb st s ~one:false
+let pad16 st s off len = absorb st s off len ~one:false
 
 (* [h] where [keep] is all ones, [g] where it is zero, without a branch. *)
 let[@inline] pick keep h g = (h land keep) lor (g land lnot keep)
 
-let finish st =
+let finish st dst at =
   (* Carry h fully: each limb under 2^26, except that h1 may reach 2^26. *)
   let h1 = st.h1 in
   let h2 = st.h2 + (h1 lsr 26) and h1 = h1 land m26 in
@@ -138,14 +140,14 @@ let finish st =
   let f1 = (f0 lsr 32) + (h2 lsl 20) + word key 20 in
   let f2 = (f1 lsr 32) + (h3 lsl 14) + word key 24 in
   let f3 = (f2 lsr 32) + (h4 lsl 8) + word key 28 in
-  let tag = Bytes.create 16 in
-  Bytes.set_int32_le tag 0 (Int32.of_int (f0 land m32));
-  Bytes.set_int32_le tag 4 (Int32.of_int (f1 land m32));
-  Bytes.set_int32_le tag 8 (Int32.of_int (f2 land m32));
-  Bytes.set_int32_le tag 12 (Int32.of_int (f3 land m32));
-  Bytes.unsafe_to_string tag
+  Bytes.set_int32_le dst at (Int32.of_int (f0 land m32));
+  Bytes.set_int32_le dst (at + 4) (Int32.of_int (f1 land m32));
+  Bytes.set_int32_le dst (at + 8) (Int32.of_int (f2 land m32));
+  Bytes.set_int32_le dst (at + 12) (Int32.of_int (f3 land m32))
 
 let mac ~key msg =
   let st = start ~key in
-  absorb st msg ~one:true;
-  finish st
+  absorb st msg 0 (String.length msg) ~one:true;
+  let tag = Bytes.create 16 in
+  finish st tag 0;
+  Bytes.unsafe_to_string tag

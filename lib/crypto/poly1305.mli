@@ -18,9 +18,11 @@ type t
 val start : key:string -> t
 (** As {!mac}, the key is 32 bytes. *)
 
-val pad16 : t -> string -> unit
-(** Absorb a string zero-padded to a multiple of 16 bytes (RFC 8439
-    §2.8's [pad16]); a string already a multiple of 16 gets no padding. *)
+val pad16 : t -> string -> int -> int -> unit
+(** [pad16 st s off len] absorbs [len] bytes of [s] from [off], zero-padded
+    to a multiple of 16 bytes (RFC 8439 §2.8's [pad16]). Raises
+    [Invalid_argument] on a range outside [s]. *)
 
-val finish : t -> string
-(** The 16-byte tag of everything absorbed. Use a state once. *)
+val finish : t -> Bytes.t -> int -> unit
+(** [finish st dst at] writes the 16-byte tag of everything absorbed to
+    [dst] from [at]. Use a state once. *)

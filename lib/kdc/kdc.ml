@@ -117,8 +117,7 @@ let issue t ~client ~service ~auth_data ~expires ~nonce ~reply_key ~reply_ad =
       in
       metrics_incr t "crypto.seal";
       let sealed =
-        Crypto.Aead.encode
-          (Crypto.Aead.seal ~key:reply_key ~ad:reply_ad ~nonce:(Sim.Net.fresh_nonce t.net) enc_part)
+        Crypto.Aead.seal ~key:reply_key ~ad:reply_ad ~nonce:(Sim.Net.fresh_nonce t.net) enc_part
       in
       Sim.Trace.record (Sim.Net.trace t.net) ~time:now
         ~actor:(Principal.to_string t.name)
@@ -133,18 +132,16 @@ let check_preauth t ~client_key blob =
   if blob = "" then
     if t.require_preauth then Error "as: pre-authentication required" else Ok ()
   else
-    match Crypto.Aead.decode blob with
-    | None -> Error "as: malformed pre-authentication"
-    | Some box -> (
-        match Crypto.Aead.open_ ~key:client_key ~ad:"preauth" box with
-        | None -> Error "as: pre-authentication failed"
-        | Some plaintext -> (
-            match Result.bind (Wire.decode plaintext) Wire.to_int with
-            | Error _ -> Error "as: malformed pre-authentication timestamp"
-            | Ok ts ->
-                if abs (ts - Sim.Net.now t.net) > max_skew_us then
-                  Error "as: pre-authentication timestamp outside window"
-                else Ok ()))
+    match Crypto.Aead.open_ ~key:client_key ~ad:"preauth" blob with
+    | Error `Malformed -> Error "as: malformed pre-authentication"
+    | Error `Bad_tag -> Error "as: pre-authentication failed"
+    | Ok plaintext -> (
+        match Result.bind (Wire.decode plaintext) Wire.to_int with
+        | Error _ -> Error "as: malformed pre-authentication timestamp"
+        | Ok ts ->
+            if abs (ts - Sim.Net.now t.net) > max_skew_us then
+              Error "as: pre-authentication timestamp outside window"
+            else Ok ())
 
 type request =
   | As_req of {
@@ -277,11 +274,10 @@ module Client = struct
       | Error e -> Error e
     in
     let* plaintext =
-      match Crypto.Aead.decode sealed with
-      | None -> Error "reply: malformed encrypted part"
-      | Some box ->
-          Option.to_result ~none:"reply: cannot decrypt (wrong key?)"
-            (Crypto.Aead.open_prepared reply_key ~ad:reply_ad box)
+      match Crypto.Aead.open_prepared reply_key ~ad:reply_ad sealed with
+      | Error `Malformed -> Error "reply: malformed encrypted part"
+      | Error `Bad_tag -> Error "reply: cannot decrypt (wrong key?)"
+      | Ok _ as opened -> opened
     in
     match Wire.decode plaintext with
     | Ok (L [ S session_key; I nonce; I expires; sealed_for; L auth_data ]) ->
@@ -320,9 +316,8 @@ module Client = struct
          the KDC decide (it will refuse when preauth is required). *)
       if String.length client_key <> 32 then ""
       else
-        Crypto.Aead.encode
-          (Crypto.Aead.seal ~key:client_key ~ad:"preauth" ~nonce:(Sim.Net.fresh_nonce net)
-             (Wire.encode (Wire.I (Sim.Net.now net))))
+        Crypto.Aead.seal ~key:client_key ~ad:"preauth" ~nonce:(Sim.Net.fresh_nonce net)
+          (Wire.encode (Wire.I (Sim.Net.now net)))
     in
     let request =
       Wire.encode

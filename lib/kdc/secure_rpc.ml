@@ -153,9 +153,8 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                         in
                         Sim.Metrics.incr metrics "crypto.seal";
                         let sealed =
-                          Crypto.Aead.encode
-                            (Crypto.Aead.seal_prepared session ~ad:"secure-rpc-resp"
-                               ~nonce:(Sim.Net.fresh_nonce net) (Wire.encode body))
+                          Crypto.Aead.seal_prepared session ~ad:"secure-rpc-resp"
+                            ~nonce:(Sim.Net.fresh_nonce net) (Wire.encode body)
                         in
                         let reply = Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ]) in
                         Expiring.add ~on_evict:count_eviction cache ~now ~expires ~tag:client
@@ -272,14 +271,11 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
       | Ok (L [ S "err"; S msg ]) -> Error msg
       | Ok (L [ S "sealed"; S sealed ]) -> (
           Sim.Metrics.incr metrics "crypto.open";
-          match Crypto.Aead.decode sealed with
-          | None -> Error "response: malformed seal"
-          | Some box -> (
-              match
-                Crypto.Aead.open_prepared creds.Ticket.cred_session ~ad:"secure-rpc-resp" box
-              with
-              | None -> Error "response: seal verification failed"
-              | Some plaintext -> Result.bind (Wire.decode plaintext) status_of_wire))
+          let session = creds.Ticket.cred_session in
+          match Crypto.Aead.open_prepared session ~ad:"secure-rpc-resp" sealed with
+          | Error `Malformed -> Error "response: malformed seal"
+          | Error `Bad_tag -> Error "response: seal verification failed"
+          | Ok plaintext -> Result.bind (Wire.decode plaintext) status_of_wire)
       | Ok _ -> Error "response: malformed")
 
 (* Pipelining: N payloads ride one ticket/authenticator exchange — one

@@ -27,15 +27,13 @@ let body_of_wire v =
 
 let seal ~service_key ~nonce body =
   let plaintext = Wire.encode (body_to_wire body) in
-  Crypto.Aead.encode (Crypto.Aead.seal_prepared service_key ~ad:"ticket" ~nonce plaintext)
+  Crypto.Aead.seal_prepared service_key ~ad:"ticket" ~nonce plaintext
 
 let open_ ~service_key blob =
-  match Crypto.Aead.decode blob with
-  | None -> Error "ticket: malformed blob"
-  | Some box -> (
-      match Crypto.Aead.open_prepared service_key ~ad:"ticket" box with
-      | None -> Error "ticket: seal verification failed"
-      | Some plaintext -> Result.bind (Wire.decode plaintext) body_of_wire)
+  match Crypto.Aead.open_prepared service_key ~ad:"ticket" blob with
+  | Error `Malformed -> Error "ticket: malformed blob"
+  | Error `Bad_tag -> Error "ticket: seal verification failed"
+  | Ok plaintext -> Result.bind (Wire.decode plaintext) body_of_wire
 
 let digest blob = Crypto.Sha256.digest blob
 
@@ -94,18 +92,16 @@ let authenticator_of_wire v =
    label: a request it did not cover fails the open like a forged seal. *)
 let seal_authenticator ~session_key ~nonce ?(covers = "") a =
   let plaintext = Wire.encode (authenticator_to_wire a) in
-  Crypto.Aead.encode
-    (Crypto.Aead.seal_prepared session_key ~ad:("authenticator" ^ covers) ~nonce plaintext)
+  Crypto.Aead.seal_prepared session_key ~ad:("authenticator" ^ covers) ~nonce plaintext
 
 let open_authenticator ~session_key ?(covers = "") blob =
-  match Crypto.Aead.decode blob with
-  | None -> Error "authenticator: malformed blob"
-  | Some box -> (
-      match Crypto.Aead.open_prepared session_key ~ad:("authenticator" ^ covers) box with
-      | None -> Error "authenticator: seal verification failed"
-      | Some plaintext ->
-          Result.map (fun a -> (a, box.Crypto.Aead.tag))
-            (Result.bind (Wire.decode plaintext) authenticator_of_wire))
+  match Crypto.Aead.open_prepared session_key ~ad:("authenticator" ^ covers) blob with
+  | Error `Malformed -> Error "authenticator: malformed blob"
+  | Error `Bad_tag -> Error "authenticator: seal verification failed"
+  | Ok plaintext ->
+      Result.map
+        (fun a -> (a, Crypto.Aead.tag blob))
+        (Result.bind (Wire.decode plaintext) authenticator_of_wire)
 
 type credentials = {
   ticket_blob : string;

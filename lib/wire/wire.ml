@@ -5,31 +5,37 @@
 
 type t = I of int | S of string | L of t list
 
-let rec encode_into buf v =
+(* Encoding sizes the value, then writes one buffer of that size, each
+   length before its content (DER's definite-length form, X.690 §8.1.3). *)
+let rec size = function
+  | I _ -> 9
+  | S s -> 5 + String.length s
+  | L items -> List.fold_left (fun n v -> n + size v) 5 items
+
+(* Write [v] at [pos]; the offset just past it. *)
+let rec write b pos v =
   match v with
   | I n ->
-      Buffer.add_char buf '\x01';
-      for i = 7 downto 0 do
-        Buffer.add_char buf (Char.chr ((n asr (8 * i)) land 0xff))
-      done
+      Bytes.set b pos '\x01';
+      Bytes.set_int64_be b (pos + 1) (Int64.of_int n);
+      pos + 9
   | S s ->
-      Buffer.add_char buf '\x02';
-      add_u32 buf (String.length s);
-      Buffer.add_string buf s
+      let n = String.length s in
+      Bytes.set b pos '\x02';
+      Bytes.set_int32_be b (pos + 1) (Int32.of_int n);
+      Bytes.blit_string s 0 b (pos + 5) n;
+      pos + 5 + n
   | L items ->
-      Buffer.add_char buf '\x03';
-      add_u32 buf (List.length items);
-      List.iter (encode_into buf) items
+      Bytes.set b pos '\x03';
+      Bytes.set_int32_be b (pos + 1) (Int32.of_int (List.length items));
+      write_all b (pos + 5) items
 
-and add_u32 buf n =
-  for i = 3 downto 0 do
-    Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xff))
-  done
+and write_all b pos = function [] -> pos | v :: rest -> write_all b (write b pos v) rest
 
 let encode v =
-  let buf = Buffer.create 64 in
-  encode_into buf v;
-  Buffer.contents buf
+  let b = Bytes.create (size v) in
+  ignore (write b 0 v);
+  Bytes.unsafe_to_string b
 
 exception Bad of string
 
@@ -41,44 +47,30 @@ let max_depth = 64
 let decode s =
   let len = String.length s in
   let pos = ref 0 in
-  let byte () =
-    if !pos >= len then raise (Bad "truncated");
-    let c = Char.code s.[!pos] in
-    incr pos;
-    c
+  (* The offset of the next [n] bytes, which the input must hold. *)
+  let take n =
+    let p = !pos in
+    if n > len - p then raise (Bad "truncated");
+    pos := p + n;
+    p
   in
-  let u32 () =
-    let a = byte () in
-    let b = byte () in
-    let c = byte () in
-    let d = byte () in
-    (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
-  in
+  let u32 () = Int32.to_int (String.get_int32_be s (take 4)) land 0xffffffff in
   let rec value depth =
     if depth > max_depth then raise (Bad "nesting too deep");
-    match byte () with
-    | 0x01 ->
-        (* Sign-extend the leading byte, then accumulate the remaining 7. *)
-        let b0 = byte () in
-        let n = ref (if b0 >= 0x80 then b0 - 256 else b0) in
-        for _ = 1 to 7 do
-          n := (!n lsl 8) lor byte ()
-        done;
-        I !n
-    | 0x02 ->
+    match s.[take 1] with
+    | '\x01' -> I (Int64.to_int (String.get_int64_be s (take 8)))
+    | '\x02' ->
         let n = u32 () in
         if n > len - !pos then raise (Bad "string length exceeds input");
-        let str = String.sub s !pos n in
-        pos := !pos + n;
-        S str
-    | 0x03 ->
+        S (String.sub s (take n) n)
+    | '\x03' ->
         let n = u32 () in
         if n > len - !pos then raise (Bad "list count exceeds input");
         let rec items k acc =
           if k = 0 then List.rev acc else items (k - 1) (value (depth + 1) :: acc)
         in
         L (items n [])
-    | t -> raise (Bad (Printf.sprintf "unknown tag 0x%02x" t))
+    | t -> raise (Bad (Printf.sprintf "unknown tag 0x%02x" (Char.code t)))
   in
   match value 0 with
   | v -> if !pos = len then Ok v else Error "trailing bytes"

@@ -13,9 +13,11 @@ type t =
   | L of t list  (** heterogeneous sequence *)
 
 val encode : t -> string
+(** Sizes the value, then writes one string of exactly that size. *)
 
 val decode : string -> (t, string) result
-(** Rejects trailing bytes, truncated values, oversized lengths. *)
+(** Reads each tag, length and int as one word at its offset. Rejects
+    trailing bytes, truncated values, oversized lengths. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

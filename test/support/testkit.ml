@@ -74,3 +74,23 @@ let request_payload raw =
   | Ok (Wire.L (Wire.S "secure" :: _ :: _ :: Wire.S payload :: _)) ->
       Result.to_option (Wire.decode payload)
   | _ -> None
+
+(* The bytes one call of [f] allocates, averaged over 20 calls after one
+   warm-up. A block over 256 words is allocated straight in the major
+   heap, where [Gc.minor_words] never sees it, so the count adds the
+   major heap's words less those promoted from the minor heap (counted
+   there already). The minor words come from [Gc.minor_words]: on OCaml
+   5.1, [Gc.counters] undercounts the words of the current minor heap. *)
+let alloc_bytes_per_call f =
+  ignore (f ());
+  let calls = 20 in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor0 = Gc.minor_words () and direct0 = direct () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let words = Gc.minor_words () -. minor0 +. (direct () -. direct0) in
+  words *. float (Sys.word_size / 8) /. float calls

@@ -390,6 +390,40 @@ let test_guard_direct_identity () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bob has no entry"
 
+(* Two entries for carol's "run" on one target: the first is issued for
+   another server, so the second, unrestricted, grants. When every
+   entry's restrictions refuse, the first entry's refusal is the
+   reason. *)
+let test_later_acl_entry_grants () =
+  let w = world () in
+  let carol, _ = W.enrol w "carol" in
+  let other, _ = W.enrol w "other" in
+  let jobserver, key = W.enrol w "jobserver" in
+  let acl = Acl.create () in
+  let elsewhere =
+    {
+      Acl.subject = Acl.Principal_is carol;
+      rights = [ "run" ];
+      restrictions = [ R.Issued_for [ other ] ];
+    }
+  in
+  let here = { elsewhere with Acl.restrictions = [] } in
+  Acl.add acl ~target:"job" elsewhere;
+  Acl.add acl ~target:"job" here;
+  Acl.add acl ~target:"batch" elsewhere;
+  Acl.add acl ~target:"batch" { elsewhere with Acl.restrictions = [ R.Quota ("pages", 1) ] };
+  let guard = Guard.create w.W.net ~me:jobserver ~my_key:key ~acl () in
+  (match Guard.decide guard ~operation:"run" ~target:"job" ~presenter:carol () with
+  | Ok d -> Alcotest.(check bool) "granted by the second entry" true (d.Guard.granted_by = here)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (result unit string)) "no entry passes: the first one's refusal"
+    (Error
+       "access denied by ACL entry restriction: issued-for: example.org/jobserver may not \
+        accept this proxy")
+    (Result.map ignore
+       (Guard.decide guard ~operation:"run" ~target:"batch" ~presenter:carol
+          ~spend:("pages", 5) ()))
+
 let test_capability_flow () =
   let fw = fileserver_world () in
   let tgt = W.login fw.w fw.alice in
@@ -1246,6 +1280,7 @@ let () =
            test_secure_rpc_lagging_client_served) ] );
       ( "guard+capabilities",
         [ ("direct identity", `Quick, test_guard_direct_identity);
+          ("a later ACL entry grants when the first refuses", `Quick, test_later_acl_entry_grants);
           ("capability flow", `Quick, test_capability_flow);
           ("anonymous bearer", `Quick, test_capability_anonymous_bearer);
           ("short guard key refuses the base ticket", `Quick, test_guard_short_key);

@@ -306,12 +306,11 @@ end
 
 (* RFC 8439 §2.8 under the subkey HMAC(key, "aead-encrypt"), its MAC input
    concatenated: ad and ciphertext each zero-padded to 16 bytes, then
-   both lengths as 64-bit little-endian. *)
+   both lengths as 64-bit little-endian. A box is nonce ‖ tag ‖
+   ciphertext, built by concatenation and split by copies. *)
 module Ref_aead = struct
   module Hmac = Ref_hmac
   module Chacha20 = Ref_chacha20
-
-  type sealed = Aead.sealed = { nonce : string; ciphertext : string; tag : string }
 
   let enc_key key = Hmac.mac ~key "aead-encrypt"
 
@@ -328,15 +327,17 @@ module Ref_aead = struct
     if String.length nonce <> 12 then invalid_arg "Aead.seal: nonce must be 12 bytes";
     let enc = enc_key key in
     let ciphertext = Chacha20.encrypt ~key:enc ~nonce plaintext in
-    { nonce; ciphertext; tag = tag ~enc ~nonce ~ad ciphertext }
+    nonce ^ tag ~enc ~nonce ~ad ciphertext ^ ciphertext
 
   let open_ ~key ?(ad = "") box =
-    if String.length key <> 32 || String.length box.nonce <> 12 then None
+    if String.length box < 28 then Error `Malformed
+    else if String.length key <> 32 then Error `Bad_tag
     else begin
-      let enc = enc_key key in
-      if Ct.equal_string (tag ~enc ~nonce:box.nonce ~ad box.ciphertext) box.tag then
-        Some (Chacha20.encrypt ~key:enc ~nonce:box.nonce box.ciphertext)
-      else None
+      let enc = enc_key key and nonce = String.sub box 0 12 in
+      let ciphertext = String.sub box 28 (String.length box - 28) in
+      if Ct.equal_string (tag ~enc ~nonce ~ad ciphertext) (String.sub box 12 16) then
+        Ok (Chacha20.encrypt ~key:enc ~nonce ciphertext)
+      else Error `Bad_tag
     end
 end
 
@@ -570,26 +571,35 @@ let test_drbg_uniform () =
 
 let aead_key = Sha256.digest "test key material"
 
+let opened =
+  let refusal f r =
+    Format.pp_print_string f (match r with `Malformed -> "malformed" | `Bad_tag -> "bad tag")
+  in
+  Alcotest.(result string (testable refusal ( = )))
+
 let test_aead_roundtrip () =
   let nonce = String.make 12 '\x07' in
   let box = Aead.seal ~key:aead_key ~ad:"header" ~nonce "attack at dawn" in
-  (match Aead.open_ ~key:aead_key ~ad:"header" box with
-  | Some pt -> Alcotest.(check string) "roundtrip" "attack at dawn" pt
-  | None -> Alcotest.fail "expected successful open");
-  Alcotest.(check bool) "wrong ad fails" true (Aead.open_ ~key:aead_key ~ad:"other" box = None);
-  Alcotest.(check bool) "wrong key fails" true
-    (Aead.open_ ~key:(Sha256.digest "wrong") ~ad:"header" box = None)
+  Alcotest.check opened "roundtrip" (Ok "attack at dawn")
+    (Aead.open_ ~key:aead_key ~ad:"header" box);
+  Alcotest.check opened "wrong ad fails" (Error `Bad_tag)
+    (Aead.open_ ~key:aead_key ~ad:"other" box);
+  Alcotest.check opened "wrong key fails" (Error `Bad_tag)
+    (Aead.open_ ~key:(Sha256.digest "wrong") ~ad:"header" box)
 
+(* A box is its own wire form: the nonce, the tag, then the ciphertext,
+   which is the plaintext under ChaCha20 from block 1. *)
 let test_aead_encode () =
   let nonce = String.make 12 '\x02' in
   let box = Aead.seal ~key:aead_key ~nonce "wire me" in
-  (match Aead.decode (Aead.encode box) with
-  | Some box' -> (
-      match Aead.open_ ~key:aead_key box' with
-      | Some pt -> Alcotest.(check string) "decode roundtrip" "wire me" pt
-      | None -> Alcotest.fail "open after decode")
-  | None -> Alcotest.fail "decode");
-  Alcotest.(check bool) "short decode fails" true (Aead.decode "short" = None)
+  Alcotest.(check string) "nonce" nonce (String.sub box 0 12);
+  Alcotest.(check string) "tag" (String.sub box 12 16) (Aead.tag box);
+  Alcotest.(check string) "ciphertext"
+    (Chacha20.encrypt ~key:(Hmac.mac ~key:aead_key "aead-encrypt") ~nonce "wire me")
+    (String.sub box 28 7);
+  Alcotest.check opened "opens" (Ok "wire me") (Aead.open_ ~key:aead_key box);
+  Alcotest.check opened "a short box is malformed" (Error `Malformed)
+    (Aead.open_ ~key:aead_key "short")
 
 (* Vectors written by test/aead_vectors.py with Python's [cryptography]
    (ChaCha20Poly1305 under HMAC(key, "aead-encrypt")): every box opens to
@@ -611,15 +621,14 @@ let test_aead_vectors () =
               (String.length pt)
           in
           Alcotest.(check string) (name ^ ": seal") (Sha256.to_hex wire)
-            (Sha256.to_hex (Aead.encode (Aead.seal ~key ~ad ~nonce pt)));
-          Alcotest.(check (option string)) (name ^ ": open") (Some pt)
-            (Option.bind (Aead.decode wire) (Aead.open_ ~key ~ad))
+            (Sha256.to_hex (Aead.seal ~key ~ad ~nonce pt));
+          Alcotest.check opened (name ^ ": open") (Ok pt) (Aead.open_ ~key ~ad wire)
       | _ -> Alcotest.failf "malformed vector line %d" i)
     lines
 
-(* One bit flipped anywhere in the tag, the ciphertext, the associated
-   data or the nonce, and the box no longer opens. A box under 28 bytes
-   does not decode. *)
+(* One bit flipped anywhere in the box (its nonce, its tag or its
+   ciphertext) or in the associated data, and the box no longer opens. A
+   string under 28 bytes is no box. *)
 let test_aead_tamper () =
   let key = aead_key and nonce = String.init 12 (fun i -> Char.chr (i + 1)) in
   let ad = "associated" and pt = String.init 70 (fun i -> Char.chr (i * 7 land 0xff)) in
@@ -629,29 +638,27 @@ let test_aead_tamper () =
     Bytes.set b (bit / 8) (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
     Bytes.to_string b
   in
-  let each_bit s f =
-    for bit = 0 to (8 * String.length s) - 1 do
+  let each_bit s ~from ~len f =
+    for bit = 8 * from to (8 * (from + len)) - 1 do
       f bit (flip s bit)
     done
   in
-  let refused what bit opened =
-    if opened <> None then Alcotest.failf "%s bit %d flipped: opened" what bit
+  let refused what bit r =
+    if r <> Error `Bad_tag then Alcotest.failf "%s bit %d flipped: not refused" what bit
   in
-  Alcotest.(check (option string)) "untouched opens" (Some pt) (Aead.open_ ~key ~ad box);
-  each_bit box.Aead.tag (fun bit tag ->
-      refused "tag" bit (Aead.open_ ~key ~ad { box with Aead.tag }));
-  each_bit box.Aead.ciphertext (fun bit ciphertext ->
-      refused "ciphertext" bit (Aead.open_ ~key ~ad { box with Aead.ciphertext }));
-  each_bit ad (fun bit ad -> refused "ad" bit (Aead.open_ ~key ~ad box));
-  each_bit box.Aead.nonce (fun bit nonce ->
-      refused "nonce" bit (Aead.open_ ~key ~ad { box with Aead.nonce }));
-  let wire = Aead.encode box in
+  Alcotest.check opened "untouched opens" (Ok pt) (Aead.open_ ~key ~ad box);
   Alcotest.(check int) "box is 28 bytes over the plaintext" (String.length pt + 28)
-    (String.length wire);
-  Alcotest.(check bool) "27 bytes do not decode" true (Aead.decode (String.sub wire 0 27) = None);
-  let empty = Aead.encode (Aead.seal ~key ~nonce "") in
-  Alcotest.(check (option string)) "28 bytes: the empty plaintext" (Some "")
-    (Option.bind (Aead.decode empty) (Aead.open_ ~key))
+    (String.length box);
+  List.iter
+    (fun (what, from, len) ->
+      each_bit box ~from ~len (fun bit box -> refused what bit (Aead.open_ ~key ~ad box)))
+    [ ("nonce", 0, 12); ("tag", 12, 16); ("ciphertext", 28, String.length pt) ];
+  each_bit ad ~from:0 ~len:(String.length ad) (fun bit ad ->
+      refused "ad" bit (Aead.open_ ~key ~ad box));
+  Alcotest.check opened "27 bytes are malformed" (Error `Malformed)
+    (Aead.open_ ~key ~ad (String.sub box 0 27));
+  Alcotest.check opened "28 bytes: the empty plaintext" (Ok "")
+    (Aead.open_ ~key (Aead.seal ~key ~nonce ""))
 
 (* Boxes sealed by the construction before this one (ChaCha20 under the
    same subkey, HMAC-SHA256 tags of 32 bytes under a second subkey),
@@ -661,8 +668,8 @@ let test_aead_refuses_old_format () =
   List.iter
     (fun (ad, wire) ->
       let wire = hex wire in
-      Alcotest.(check (option string)) (Printf.sprintf "%d-byte box" (String.length wire)) None
-        (Option.bind (Aead.decode wire) (Aead.open_ ~key ~ad)))
+      Alcotest.check opened (Printf.sprintf "%d-byte box" (String.length wire)) (Error `Bad_tag)
+        (Aead.open_ ~key ~ad wire))
     [ ( "",
         "0000000000000000000000000c2b947ebfea1f5edb98921b209800a8c68f0a786b74f5d477293e8c2f2870a1" );
       ( "header",
@@ -689,8 +696,8 @@ let test_aead_prepared_reuse () =
       (fun ((nonce, ad, pt) as m) ->
         let box = fresh m in
         let name = Printf.sprintf "round %d, %d bytes" round (String.length pt) in
-        Alcotest.(check bool) (name ^ ": seal") true (Aead.seal_prepared k ~ad ~nonce pt = box);
-        Alcotest.(check (option string)) (name ^ ": open") (Some pt) (Aead.open_prepared k ~ad box))
+        Alcotest.(check string) (name ^ ": seal") box (Aead.seal_prepared k ~ad ~nonce pt);
+        Alcotest.check opened (name ^ ": open") (Ok pt) (Aead.open_prepared k ~ad box))
       messages
   done
 
@@ -705,8 +712,8 @@ let test_aead_wrong_length () =
     (fun raw ->
       let name = Printf.sprintf "%d-byte key" (String.length raw) in
       let k = Aead.prepare raw in
-      Alcotest.(check (option string)) (name ^ ": open_prepared") None (Aead.open_prepared k box);
-      Alcotest.(check (option string)) (name ^ ": open_") None (Aead.open_ ~key:raw box);
+      Alcotest.check opened (name ^ ": open_prepared") (Error `Bad_tag) (Aead.open_prepared k box);
+      Alcotest.check opened (name ^ ": open_") (Error `Bad_tag) (Aead.open_ ~key:raw box);
       Alcotest.check_raises (name ^ ": seal_prepared") refused (fun () ->
           ignore (Aead.seal_prepared k ~nonce "payload"));
       Alcotest.check_raises (name ^ ": seal") refused (fun () ->
@@ -898,7 +905,7 @@ let prop_aead_roundtrip =
       let d = Drbg.create ~seed:("nonce" ^ ad ^ pt) in
       let nonce = Drbg.generate d 12 in
       let box = Aead.seal ~key:aead_key ~ad ~nonce pt in
-      Aead.open_ ~key:aead_key ~ad box = Some pt)
+      Aead.open_ ~key:aead_key ~ad box = Ok pt)
 
 let prop_chacha_involution =
   QCheck.Test.make ~name:"chacha encrypt is an involution" ~count:200 QCheck.string (fun pt ->
@@ -986,10 +993,10 @@ let prop_aead_vs_ref =
         match flip with
         | None -> box
         | Some i ->
-            let b = Bytes.of_string (Aead.encode box) in
+            let b = Bytes.of_string box in
             let i = i mod Bytes.length b in
             Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
-            Option.get (Aead.decode (Bytes.to_string b))
+            Bytes.to_string b
       in
       let want = Ref_aead.seal ~key ~ad ~nonce pt and opened = Ref_aead.open_ ~key ~ad received in
       box = want
@@ -1112,24 +1119,20 @@ let test_cost_domain_local () =
    multiplications and allocates about 19 KB (45 KB while each multiply
    built a closure), so a multiply that allocates even its scratch per
    call fails the 64 KB bound. A seal of 1 KB under a prepared AEAD key
-   allocates about 1.7 KB, most of it the ciphertext; deriving the subkey
-   adds about 0.7 KB, which the cost pins catch (a prepared seal makes no
-   compression). A MAC of 100 B under a prepared HMAC key copies two
+   allocates about 1.7 KB: the 1,072 B box it encrypts and tags in
+   place, two ChaCha20 input states, the block-0 keystream and the
+   Poly1305 state. An open allocates about 1.8 KB, the plaintext and the
+   same working state. A second copy of the kilobyte, such as a
+   ciphertext built apart and then joined to its nonce and tag, fails
+   the 2 KB bound. Deriving the subkey adds about 0.7 KB, which the cost
+   pins catch (a prepared seal makes no compression). A MAC of 100 B under a prepared HMAC key copies two
    SHA-256 contexts and allocates about 480 B; a context that carried its
    own 64-word schedule made that 1536 B, past the 1 KB bound. A Poly1305
    MAC allocates its state, one block buffer and its tag, 200 B whatever
    the length; a block that boxed its four word loads would allocate over
-   6 KB at 64 blocks. Bytecode boxes regardless, so the gate runs on
-   native code only. *)
-
-let minor_bytes_per_call f =
-  ignore (f ());
-  let calls = 20 in
-  let before = Gc.minor_words () in
-  for _ = 1 to calls do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Gc.minor_words () -. before) *. float (Sys.word_size / 8) /. float calls
+   6 KB at 64 blocks. A block over 256 words skips the minor heap, so
+   the count includes the major heap's ({!Testkit.alloc_bytes_per_call}).
+   Bytecode boxes regardless, so the gate runs on native code only. *)
 
 let test_allocation_gate () =
   if Sys.backend_type = Sys.Native then begin
@@ -1137,10 +1140,11 @@ let test_allocation_gate () =
     let kb = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
     let key = String.make 32 'k' and nonce = String.make 12 'n' in
     let prepared = Aead.prepare key and mac_key = Hmac.prepare key in
+    let box = Aead.seal_prepared prepared ~nonce kb in
     let msg100 = String.sub kb 0 100 in
     List.iter
       (fun (name, bound, f) ->
-        let used = minor_bytes_per_call f in
+        let used = Testkit.alloc_bytes_per_call f in
         Alcotest.(check bool) (Printf.sprintf "%s: %.0f B per call <= %d" name used bound) true
           (used <= float bound))
       [ ("Sha256.digest 1 KB", 4096, fun () -> Sha256.digest kb);
@@ -1148,9 +1152,10 @@ let test_allocation_gate () =
         ("Hmac.mac", 4096, fun () -> Hmac.mac ~key "aead-mac");
         ("Hmac.mac_prepared 100 B", 1024, fun () -> Hmac.mac_prepared mac_key msg100);
         ("Poly1305.mac 1 KB", 1024, fun () -> Poly1305.mac ~key kb);
-        ("Aead.seal 1 KB", 32768, fun () -> (Aead.seal ~key ~nonce kb).Aead.tag);
-        ("Aead.seal_prepared 1 KB", 4096,
-         fun () -> (Aead.seal_prepared prepared ~nonce kb).Aead.tag);
+        ("Aead.seal 1 KB", 4096, fun () -> Aead.seal ~key ~nonce kb);
+        ("Aead.seal_prepared 1 KB", 2048, fun () -> Aead.seal_prepared prepared ~nonce kb);
+        ("Aead.open_prepared 1 KB", 2048,
+         fun () -> Result.get_ok (Aead.open_prepared prepared box));
         ("Rsa.sign 512-bit", 65536, fun () -> Rsa.sign rsa_key "allocation gate") ]
   end
 

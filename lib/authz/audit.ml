@@ -68,12 +68,3 @@ let pp_link fmt l =
 
 let pp_chain fmt chain =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_link fmt chain
-
-let find_grants trace ~serial_prefix =
-  List.filter
-    (fun (e : Sim.Trace.entry) ->
-      let hay = e.Sim.Trace.event in
-      let nn = String.length serial_prefix and nh = String.length hay in
-      let rec at i = i + nn <= nh && (String.sub hay i nn = serial_prefix || at (i + 1)) in
-      nn > 0 && at 0)
-    (Sim.Trace.entries trace)

@@ -24,7 +24,3 @@ val identified_intermediates : Proxy.presentation -> Principal.t list
     contrast between the two cascade styles. *)
 
 val pp_chain : Format.formatter -> link list -> unit
-
-val find_grants : Sim.Trace.t -> serial_prefix:string -> Sim.Trace.entry list
-(** Search a server trace for decisions that used a certificate whose
-    serial starts with [serial_prefix]. *)

@@ -453,13 +453,17 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
           Log.debug (fun m ->
               m "%s: GRANT %s on %S via %s" (Principal.to_string t.me) operation target
                 (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject));
-          Sim.Trace.record (Sim.Net.trace t.net) ~time:now ~actor:(Principal.to_string t.me)
-            (Printf.sprintf "granted %s on %S to %s via [%s]%s" operation target
-               (match presenter with Some p -> Principal.to_string p | None -> "<anonymous>")
-               (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject)
-               (match decision.acting_for with
-               | [] -> ""
-               | ps -> " acting-for " ^ String.concat "," (List.map Principal.to_string ps)));
+          (* Who was granted, and on whose authority, rides on this span; an
+             untraced grant formats none of it ([add_attr] would still
+             evaluate its arguments). *)
+          if Option.is_some sp then begin
+            Sim.Span.add_attr sp "presenter"
+              (match presenter with Some p -> Principal.to_string p | None -> "<anonymous>");
+            Sim.Span.add_attr sp "granted_by"
+              (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject);
+            Sim.Span.add_attr sp "acting_for"
+              (String.concat "," (List.map Principal.to_string decision.acting_for))
+          end;
           Ok decision)
   in
   Sim.Span.add_attr sp "verdict" (match result with Ok _ -> "grant" | Error _ -> "deny");

@@ -237,7 +237,15 @@ val decide :
     one passes. On success the decision writes what it checked, for the
     chains that contributed: a second presentation of the same check
     bounces, and each distinct sequence line advances one step. The ACL
-    entry's own restrictions keep no records ({!Restriction.no_state}). *)
+    entry's own restrictions keep no records ({!Restriction.no_state}).
+
+    On a traced net ({!Sim.Net.spans}) each decision is a ["guard.decide"]
+    span with attributes [operation] and [target]; a grant adds
+    [presenter] (["<anonymous>"] without one), [granted_by] (the entry's
+    subject, as {!Acl.pp_subject} prints it) and [acting_for] (the
+    contributing grantors, comma-separated, empty when none); last comes
+    [verdict], ["grant"] or ["deny"]. An untraced decision formats none of
+    them, and no decision writes to the audit trail ({!Sim.Trace}). *)
 
 val restrictions_of_auth_data : Wire.t list -> Restriction.t list
 (** Decode ticket/authenticator authorization-data into restrictions;

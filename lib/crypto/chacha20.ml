@@ -18,10 +18,13 @@ let[@inline] rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_lo
 
 let word_le s off = Int32.to_int (String.get_int32_le s off) land mask
 
-(* The 16-word input state; word 12 is the block counter. A wrong-length
-   key or nonce raises [Invalid_argument] naming [fn]; [encrypt] builds
-   the state first, so an empty message is checked too. *)
-let state fn ~key ~nonce ~counter =
+type t = int array
+
+(* The 16-word input state; word 12, the block counter, is set by
+   [xor_into] before each block. A wrong-length key or nonce raises
+   [Invalid_argument] naming [fn]; [encrypt] builds the state first, so an
+   empty message is checked too. *)
+let state fn ~key ~nonce =
   if String.length key <> 32 then invalid_arg (fn ^ ": key must be 32 bytes");
   if String.length nonce <> 12 then invalid_arg (fn ^ ": nonce must be 12 bytes");
   let st = Array.make 16 0 in
@@ -32,11 +35,12 @@ let state fn ~key ~nonce ~counter =
   for i = 0 to 7 do
     st.(4 + i) <- word_le key (4 * i)
   done;
-  st.(12) <- counter land mask;
   for i = 0 to 2 do
     st.(13 + i) <- word_le nonce (4 * i)
   done;
   st
+
+let start ~key ~nonce = state "Chacha20.start" ~key ~nonce
 
 (* XOR keystream word [w] (its low 32 bits) into the [n] bytes of [src]
    from [si], four at most and none when [n] <= 0, writing them to [dst]
@@ -129,18 +133,10 @@ let count_blocks n =
   let kern = Kernel.get () in
   kern.Kernel.blocks <- kern.Kernel.blocks + n
 
-(* The keystream is the block XORed over 64 zero bytes, in place. *)
-let block ~key ~nonce ~counter =
-  count_blocks 1;
-  let st = state "Chacha20.block" ~key ~nonce ~counter and ks = Bytes.make 64 '\000' in
-  xor_block st (Bytes.unsafe_to_string ks) 0 ks 0 64;
-  Bytes.unsafe_to_string ks
-
-let encrypt_into ~key ~nonce ~counter src src_off dst dst_off len =
-  let st = state "Chacha20.encrypt" ~key ~nonce ~counter in
+let xor_into st ~counter src src_off dst dst_off len =
   if len < 0 || src_off < 0 || src_off > String.length src - len || dst_off < 0
      || dst_off > Bytes.length dst - len
-  then invalid_arg "Chacha20.encrypt_into: range outside its buffer";
+  then invalid_arg "Chacha20.xor_into: range outside its buffer";
   let blocks = (len + 63) / 64 in
   count_blocks blocks;
   for b = 0 to blocks - 1 do
@@ -148,7 +144,14 @@ let encrypt_into ~key ~nonce ~counter src src_off dst dst_off len =
     xor_block st src (src_off + (64 * b)) dst (dst_off + (64 * b)) (len - (64 * b))
   done
 
+(* The keystream is the block XORed over 64 zero bytes, in place. *)
+let block ~key ~nonce ~counter =
+  let ks = Bytes.make 64 '\000' in
+  xor_into (state "Chacha20.block" ~key ~nonce) ~counter (Bytes.unsafe_to_string ks) 0 ks 0 64;
+  Bytes.unsafe_to_string ks
+
 let encrypt ~key ~nonce ?(counter = 1) msg =
-  let out = Bytes.create (String.length msg) in
-  encrypt_into ~key ~nonce ~counter msg 0 out 0 (String.length msg);
+  let st = state "Chacha20.encrypt" ~key ~nonce and len = String.length msg in
+  let out = Bytes.create len in
+  xor_into st ~counter msg 0 out 0 len;
   Bytes.unsafe_to_string out

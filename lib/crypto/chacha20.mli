@@ -17,8 +17,17 @@ val encrypt : key:string -> nonce:string -> ?counter:int -> string -> string
     [nonce] 12 bytes, even for an empty message; raises [Invalid_argument]
     otherwise. *)
 
-val encrypt_into :
-  key:string -> nonce:string -> counter:int -> string -> int -> Bytes.t -> int -> int -> unit
-(** [encrypt_into ~key ~nonce ~counter src src_off dst dst_off len] is
-    {!encrypt} of [len] bytes of [src] from [src_off], written to [dst] from
-    [dst_off]. Raises [Invalid_argument] also on a range outside its buffer. *)
+(** {2 One state per message} *)
+
+type t
+(** The input state of one key and nonce, for one message at a time:
+    {!xor_into} sets its block counter before each block. *)
+
+val start : key:string -> nonce:string -> t
+(** Raises [Invalid_argument] on a key that is not 32 bytes or a nonce
+    that is not 12. *)
+
+val xor_into : t -> counter:int -> string -> int -> Bytes.t -> int -> int -> unit
+(** [xor_into st ~counter src src_off dst dst_off len] is {!encrypt} of
+    [len] bytes of [src] from [src_off] under [st], written to [dst] from
+    [dst_off]. Raises [Invalid_argument] on a range outside its buffer. *)

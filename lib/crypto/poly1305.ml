@@ -114,6 +114,10 @@ let absorb st s off len ~one =
 
 let pad16 st s off len = absorb st s off len ~one:false
 
+let lengths st a b =
+  block st (a land m32) ((a lsr 32) land m32) (b land m32) ((b lsr 32) land m32) hibit;
+  count 1
+
 (* [h] where [keep] is all ones, [g] where it is zero, without a branch. *)
 let[@inline] pick keep h g = (h land keep) lor (g land lnot keep)
 

@@ -23,6 +23,11 @@ val pad16 : t -> string -> int -> int -> unit
     to a multiple of 16 bytes (RFC 8439 §2.8's [pad16]). Raises
     [Invalid_argument] on a range outside [s]. *)
 
+val lengths : t -> int -> int -> unit
+(** [lengths st a b] absorbs one block, [a] then [b] as 64-bit
+    little-endian numbers: the block of lengths RFC 8439 §2.8 ends its MAC
+    input with. [a] and [b] are not negative. *)
+
 val finish : t -> Bytes.t -> int -> unit
 (** [finish st dst at] writes the 16-byte tag of everything absorbed to
     [dst] from [at]. Use a state once. *)

@@ -70,6 +70,7 @@ let test_file_server_capability () =
 
 let test_pipeline_cascade () =
   let aw = app_world () in
+  Sim.Net.enable_tracing aw.w.W.net;
   let pl_name, pl_key = W.enrol aw.w "pipeline" in
   let pl =
     Result.get_ok
@@ -87,12 +88,18 @@ let test_pipeline_cascade () =
   (match Pipeline.word_count aw.w.W.net ~creds:creds_pl ~path:"report.txt" ~capability:cap with
   | Ok n -> Alcotest.(check int) "nine words" 9 n
   | Error e -> Alcotest.fail e);
-  (* The file server saw a depth-2 chain: the trace records the access as
-     granted via alice's authority. *)
-  Alcotest.(check bool) "fileserver traced grant" true
-    (Sim.Trace.find (Sim.Net.trace aw.w.W.net) ~actor:(Principal.to_string aw.fs_name)
-       ~substring:"acting-for"
-    <> None);
+  (* The file server saw a depth-2 chain: its decide span records the access
+     as granted via alice's authority. *)
+  let decides =
+    List.filter
+      (fun (s : Sim.Span.span) ->
+        s.Sim.Span.sp_kind = "guard.decide"
+        && s.Sim.Span.sp_actor = Principal.to_string aw.fs_name)
+      (Sim.Span.spans (Option.get (Sim.Net.spans aw.w.W.net)))
+  in
+  Alcotest.(check (list (option string))) "fileserver traced grant"
+    [ Some (Principal.to_string aw.alice) ]
+    (List.map (fun (s : Sim.Span.span) -> List.assoc_opt "acting_for" s.Sim.Span.sp_attrs) decides);
   (* A capability for a different file does not let the pipeline read this
      one. *)
   File_server.put_direct aw.fs ~path:"secret.txt" "classified";

@@ -75,18 +75,10 @@ let test_conventional_chain_is_opaque () =
        (fun (l : Audit.link) -> l.Audit.restriction_count = None)
        (List.tl chain))
 
-let test_trace_search () =
-  let trace = Sim.Trace.create () in
-  Sim.Trace.record trace ~time:1 ~actor:"fs" "granted read via serial deadbeef12345678";
-  Sim.Trace.record trace ~time:2 ~actor:"fs" "granted write via serial cafebabe00000000";
-  Alcotest.(check int) "finds one" 1 (List.length (Audit.find_grants trace ~serial_prefix:"deadbeef"));
-  Alcotest.(check int) "finds none" 0 (List.length (Audit.find_grants trace ~serial_prefix:"feedface"))
-
 let () =
   Alcotest.run "audit"
     [ ( "audit",
         [ ("delegate chain identifies intermediates", `Slow,
            test_delegate_chain_identifies_intermediates);
           ("bearer chain is anonymous", `Slow, test_bearer_chain_is_anonymous);
-          ("conventional chain is opaque", `Quick, test_conventional_chain_is_opaque);
-          ("trace search", `Quick, test_trace_search) ] ) ]
+          ("conventional chain is opaque", `Quick, test_conventional_chain_is_opaque) ] ) ]

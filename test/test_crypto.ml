@@ -478,7 +478,12 @@ let test_chacha20_args () =
           (Invalid_argument "Chacha20.encrypt: nonce must be 12 bytes")
           (fun () -> ignore (Chacha20.encrypt ~key ~nonce:"x" msg))))
     [ ""; "m" ];
-  Alcotest.(check string) "empty message" "" (Chacha20.encrypt ~key ~nonce "")
+  Alcotest.(check string) "empty message" "" (Chacha20.encrypt ~key ~nonce "");
+  Alcotest.(check_raises "start, bad key" (Invalid_argument "Chacha20.start: key must be 32 bytes")
+      (fun () -> ignore (Chacha20.start ~key:"short" ~nonce)));
+  Alcotest.(check_raises "xor_into, range outside"
+      (Invalid_argument "Chacha20.xor_into: range outside its buffer")
+      (fun () -> Chacha20.xor_into (Chacha20.start ~key ~nonce) ~counter:0 "abc" 1 (Bytes.create 3) 0 3))
 
 (* Every length from 0 to 200 bytes: each residue mod 4 (the byte tail
    after the last whole word), zero to four blocks, every partial block,
@@ -504,7 +509,18 @@ let test_chacha20_vs_ref () =
         (Printf.sprintf "block at counter %#x" counter)
         (Sha256.to_hex (Ref_chacha20.block ~key ~nonce ~counter))
         (Sha256.to_hex (Chacha20.block ~key ~nonce ~counter)))
-    [ 0; 1; 0xfffffffe; 0xffffffff ]
+    [ 0; 1; 0xfffffffe; 0xffffffff ];
+  (* One state, used as an AEAD seal uses it: the message from block 1,
+     then the first half of block 0. *)
+  let st = Chacha20.start ~key ~nonce and out = Bytes.create 200 and otk = Bytes.create 32 in
+  Chacha20.xor_into st ~counter:1 msg 0 out 0 200;
+  Chacha20.xor_into st ~counter:0 (String.make 32 '\000') 0 otk 0 32;
+  Alcotest.(check string) "one state: message from block 1"
+    (Sha256.to_hex (Ref_chacha20.encrypt ~key ~nonce ~counter:1 msg))
+    (Sha256.to_hex (Bytes.to_string out));
+  Alcotest.(check string) "one state: then block 0"
+    (Sha256.to_hex (String.sub (Ref_chacha20.block ~key ~nonce ~counter:0) 0 32))
+    (Sha256.to_hex (Bytes.to_string otk))
 
 (* --- Poly1305: RFC 8439 section 2.5.2 vector --- *)
 
@@ -1119,13 +1135,17 @@ let test_cost_domain_local () =
    multiplications and allocates about 19 KB (45 KB while each multiply
    built a closure), so a multiply that allocates even its scratch per
    call fails the 64 KB bound. A seal of 1 KB under a prepared AEAD key
-   allocates about 1.7 KB: the 1,072 B box it encrypts and tags in
-   place, two ChaCha20 input states, the block-0 keystream and the
-   Poly1305 state. An open allocates about 1.8 KB, the plaintext and the
-   same working state. A second copy of the kilobyte, such as a
-   ciphertext built apart and then joined to its nonce and tag, fails
-   the 2 KB bound. Deriving the subkey adds about 0.7 KB, which the cost
-   pins catch (a prepared seal makes no compression). A MAC of 100 B under a prepared HMAC key copies two
+   allocates about 1,426 B: the 1,072 B box it encrypts and tags in
+   place, one ChaCha20 input state, the 32-byte one-time key written
+   straight from block 0, and the Poly1305 state. An open allocates
+   about 1,570 B, the plaintext, the nonce, the tags and the same working
+   state. A second ChaCha20 input state (136 B) fails the 1,536 B and
+   1,664 B bounds, and so does drawing the one-time key as a 64-byte
+   block and a 32-byte copy of it with a 16-byte buffer for the lengths
+   (1,674 B and 1,818 B), or a second copy of the kilobyte, such as a
+   ciphertext built apart and then joined to its nonce and tag. Deriving
+   the subkey adds about 0.7 KB, which the cost pins catch (a prepared
+   seal makes no compression). A MAC of 100 B under a prepared HMAC key copies two
    SHA-256 contexts and allocates about 480 B; a context that carried its
    own 64-word schedule made that 1536 B, past the 1 KB bound. A Poly1305
    MAC allocates its state, one block buffer and its tag, 200 B whatever
@@ -1153,8 +1173,8 @@ let test_allocation_gate () =
         ("Hmac.mac_prepared 100 B", 1024, fun () -> Hmac.mac_prepared mac_key msg100);
         ("Poly1305.mac 1 KB", 1024, fun () -> Poly1305.mac ~key kb);
         ("Aead.seal 1 KB", 4096, fun () -> Aead.seal ~key ~nonce kb);
-        ("Aead.seal_prepared 1 KB", 2048, fun () -> Aead.seal_prepared prepared ~nonce kb);
-        ("Aead.open_prepared 1 KB", 2048,
+        ("Aead.seal_prepared 1 KB", 1536, fun () -> Aead.seal_prepared prepared ~nonce kb);
+        ("Aead.open_prepared 1 KB", 1664,
          fun () -> Result.get_ok (Aead.open_prepared prepared box));
         ("Rsa.sign 512-bit", 65536, fun () -> Rsa.sign rsa_key "allocation gate") ]
   end

@@ -267,21 +267,26 @@ let test_one_decision_per_draw () =
 
 let test_refused_draw_grants_nothing () =
   let qw = quota_world () in
+  Sim.Net.enable_tracing qw.w.W.net;
   let authority = grant_to_disk qw 3 in
   let creds = holder_bank_creds qw in
-  ignore (Result.get_ok (draw qw creds authority 2));
+  (* The bank's granted debit decisions, as its decide spans record them. *)
   let granted () =
     List.length
       (List.filter
-         (fun (e : Sim.Trace.entry) ->
-           String.starts_with ~prefix:"granted debit" e.Sim.Trace.event)
-         (Sim.Trace.entries (Sim.Net.trace qw.w.W.net)))
+         (fun (s : Sim.Span.span) ->
+           s.Sim.Span.sp_kind = "guard.decide"
+           && s.Sim.Span.sp_actor = Principal.to_string qw.bank_name
+           && List.assoc_opt "operation" s.Sim.Span.sp_attrs = Some "debit"
+           && List.assoc_opt "verdict" s.Sim.Span.sp_attrs = Some "grant")
+         (Sim.Span.spans (Option.get (Sim.Net.spans qw.w.W.net))))
   in
-  let before = granted () in
+  ignore (Result.get_ok (draw qw creds authority 2));
+  Alcotest.(check int) "the first draw's debit traced" 1 (granted ());
   (match draw qw creds authority 2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "drew past the limit");
-  Alcotest.(check int) "no granted debit traced" 0 (granted () - before);
+  Alcotest.(check int) "no granted debit traced" 1 (granted ());
   Alcotest.(check int) "alice paid 2" 8 (balance qw "alice")
 
 let test_copied_serial_keeps_its_own_budget () =

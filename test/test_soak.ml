@@ -175,8 +175,60 @@ let test_soak_deterministic () =
   Alcotest.(check (list (pair string int))) "identical metrics snapshots" m1 m2;
   Alcotest.(check bool) "snapshot non-trivial" true (List.length m1 > 3)
 
+(* What a server keeps per request expires or is bounded: after the
+   response cache is full, a conventional capability read leaves nothing
+   behind. Live words after a full major GC are read at N and again at 4N
+   further reads; they may grow by 1 word per read, and grew by none when
+   the bound was set. One formatted audit line kept per grant grows them
+   by 24. *)
+let test_live_state_per_request () =
+  let w = W.create ~seed:"soak-live" () in
+  let owner, _ = W.enrol w "owner" in
+  let worker, _ = W.enrol w "worker" in
+  let fs_name, fs_key = W.enrol w "fs" in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"obj" { Acl.subject = Acl.Principal_is owner; rights = []; restrictions = [] };
+  let fs = File_server.create w.W.net ~me:fs_name ~my_key:fs_key ~acl () in
+  File_server.install fs;
+  File_server.put_direct fs ~path:"obj" "data";
+  let owner_creds = W.credentials_for w ~tgt:(W.login w owner) fs_name in
+  let worker_creds = W.credentials_for w ~tgt:(W.login w worker) fs_name in
+  let cap =
+    Capability.mint ~drbg:(Sim.Net.drbg w.W.net) ~now:(W.now w)
+      ~expires:(W.now w + (24 * W.hour))
+      ~grantor:owner ~session_key:owner_creds.Ticket.session_key
+      ~base:owner_creds.Ticket.ticket_blob ~target:"obj" ~ops:[ "read" ]
+  in
+  let reads n =
+    for _ = 1 to n do
+      let proxies =
+        [ File_server.attach w.W.net ~proxy:cap ~server:fs_name ~operation:"read" ~path:"obj" ]
+      in
+      match File_server.read w.W.net ~creds:worker_creds ~proxies ~path:"obj" () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* Past the response cache's 4096 entries: each read now evicts one. *)
+  reads 4500;
+  let n = 1000 in
+  reads n;
+  let before = live () in
+  reads (4 * n);
+  let after = live () in
+  (* A last read keeps the world live through the second reading. *)
+  reads 1;
+  let per_read = float (after - before) /. float (4 * n) in
+  Alcotest.(check bool) (Printf.sprintf "%.2f live words per read <= 1" per_read) true
+    (per_read <= 1.)
+
 let () =
   Alcotest.run "soak"
     [ ( "soak",
         [ ("mixed load invariants", `Slow, test_soak_invariants);
-          ("bit-for-bit determinism", `Slow, test_soak_deterministic) ] ) ]
+          ("bit-for-bit determinism", `Slow, test_soak_deterministic);
+          ("live state per request", `Slow, test_live_state_per_request) ] ) ]

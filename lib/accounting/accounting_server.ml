@@ -181,88 +181,98 @@ let trace t fmt =
    endorsement chain ends at us). On success the funds are moved out of the
    payor's account (or out of a certified hold). *)
 let validate_and_debit t ~presenter (check : Check.t) =
-  Sim.Span.with_span (Sim.Net.spans t.net) ~actor:(Principal.to_string t.me) ~kind:"acct.debit"
-    ~attrs:
-      [
-        ("check", check.Check.number);
-        ("amount", string_of_int check.Check.amount);
-        ("currency", check.Check.currency);
-      ]
-  @@ fun () ->
-  let presented =
-    { Guard.pres = Proxy.presentation check.Check.proxy; pres_binding = None }
-  in
-  let payor_account = check.Check.drawn_on.Principal.Account.account in
-  match
-    Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter
-      ~extra_presenters:[ t.me ] ~proxies:[ presented ]
-      ~spend:(check.Check.currency, check.Check.amount) ()
-  with
-  | Error e -> Error (Printf.sprintf "check %s refused: %s" check.Check.number e)
-  | Ok _decision -> (
-      match Ledger.find_hold t.ledger ~name:payor_account ~id:check.Check.number with
-      | Some (held_currency, held_amount) ->
-          if held_currency <> check.Check.currency || held_amount < check.Check.amount then
-            Error "certified hold does not cover the check"
-          else begin
-            (match Ledger.take_hold t.ledger ~name:payor_account ~id:check.Check.number with
-            | Ok _ -> ()
-            | Error _ -> assert false);
-            (* Any certified surplus returns to the payor. *)
-            if held_amount > check.Check.amount then
-              ignore
-                (Ledger.credit t.ledger ~name:payor_account ~currency:held_currency
-                   (held_amount - check.Check.amount));
-            trace t "paid certified check %s: %d %s from %S" check.Check.number
-              check.Check.amount check.Check.currency payor_account;
-            redeemed t check.Check.number;
-            Ok check.Check.amount
-          end
-      | None -> (
-          match
-            Ledger.debit t.ledger ~name:payor_account ~currency:check.Check.currency
-              check.Check.amount
-          with
-          | Error e -> Error (Printf.sprintf "check %s bounced: %s" check.Check.number e)
-          | Ok () ->
-              trace t "paid check %s: %d %s from %S" check.Check.number check.Check.amount
-                check.Check.currency payor_account;
+  let debit () =
+    let presented =
+      { Guard.pres = Proxy.presentation check.Check.proxy; pres_binding = None }
+    in
+    let payor_account = check.Check.drawn_on.Principal.Account.account in
+    match
+      Guard.decide t.guard ~operation:"debit" ~target:payor_account ~presenter
+        ~extra_presenters:[ t.me ] ~proxies:[ presented ]
+        ~spend:(check.Check.currency, check.Check.amount) ()
+    with
+    | Error e -> Error (Printf.sprintf "check %s refused: %s" check.Check.number e)
+    | Ok _decision -> (
+        match Ledger.find_hold t.ledger ~name:payor_account ~id:check.Check.number with
+        | Some (held_currency, held_amount) ->
+            if held_currency <> check.Check.currency || held_amount < check.Check.amount then
+              Error "certified hold does not cover the check"
+            else begin
+              (match Ledger.take_hold t.ledger ~name:payor_account ~id:check.Check.number with
+              | Ok _ -> ()
+              | Error _ -> assert false);
+              (* Any certified surplus returns to the payor. *)
+              if held_amount > check.Check.amount then
+                ignore
+                  (Ledger.credit t.ledger ~name:payor_account ~currency:held_currency
+                     (held_amount - check.Check.amount));
+              trace t "paid certified check %s: %d %s from %S" check.Check.number
+                check.Check.amount check.Check.currency payor_account;
               redeemed t check.Check.number;
-              Ok check.Check.amount))
+              Ok check.Check.amount
+            end
+        | None -> (
+            match
+              Ledger.debit t.ledger ~name:payor_account ~currency:check.Check.currency
+                check.Check.amount
+            with
+            | Error e -> Error (Printf.sprintf "check %s bounced: %s" check.Check.number e)
+            | Ok () ->
+                trace t "paid check %s: %d %s from %S" check.Check.number check.Check.amount
+                  check.Check.currency payor_account;
+                redeemed t check.Check.number;
+                Ok check.Check.amount))
+  in
+  (* Untraced, the span's actor and attributes are never built. *)
+  match Sim.Net.spans t.net with
+  | None -> debit ()
+  | Some _ as sp ->
+      Sim.Span.with_span sp ~actor:(Principal.to_string t.me) ~kind:"acct.debit"
+        ~attrs:
+          [
+            ("check", check.Check.number);
+            ("amount", string_of_int check.Check.amount);
+            ("currency", check.Check.currency);
+          ]
+        debit
 
 (* Forward a check toward its drawee: endorse to the next hop and send a
    collect request (Figure 5's E2 and beyond). *)
 let forward_collect t (check : Check.t) =
   let drawee = check.Check.drawn_on.Principal.Account.server in
   let hop, via = next_hop t drawee in
-  Sim.Span.with_span (Sim.Net.spans t.net) ~actor:(Principal.to_string t.me)
-    ~kind:"acct.forward"
-    ~attrs:[ ("check", check.Check.number); ("hop", Principal.to_string hop) ]
-  @@ fun () ->
-  let now = Sim.Net.now t.net in
-  match
-    Check.endorse ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + proxy_lifetime_us)
-      ~endorser:t.me ~endorser_key:t.signing_key ~next:hop check
-  with
-  | Error e -> Error e
-  | Ok endorsed -> (
-      Sim.Metrics.incr (Sim.Net.metrics t.net) "accounting.endorsements";
-      match Granter.credentials_for t.granter hop with
-      | Error e -> Error e
-      | Ok creds -> (
-          (* The inter-bank hop retries under its configured policy: a lost
-             collect response would otherwise strand money debited at the
-             drawee but never credited downstream. Retransmissions reuse the
-             same authenticator, so the remote response cache makes the
-             collect fire exactly once. A routed hop may name physical
-             replicas ([via]): the endorsement targets the logical bank,
-             the transport fails over between its replicas. *)
-          match
-            Secure_rpc.call t.net ~creds ?retry:t.collect_retry ~via
-              (request_to_wire (Collect endorsed))
-          with
-          | Error e -> Error e
-          | Ok reply -> Result.bind (Wire.to_int reply) (fun amount -> Ok amount)))
+  let forward () =
+    let now = Sim.Net.now t.net in
+    match
+      Check.endorse ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + proxy_lifetime_us)
+        ~endorser:t.me ~endorser_key:t.signing_key ~next:hop check
+    with
+    | Error e -> Error e
+    | Ok endorsed -> (
+        Sim.Metrics.incr (Sim.Net.metrics t.net) "accounting.endorsements";
+        match Granter.credentials_for t.granter hop with
+        | Error e -> Error e
+        | Ok creds -> (
+            (* The inter-bank hop retries under its configured policy: a lost
+               collect response would otherwise strand money debited at the
+               drawee but never credited downstream. Retransmissions reuse the
+               same authenticator, so the remote response cache makes the
+               collect fire exactly once. A routed hop may name physical
+               replicas ([via]): the endorsement targets the logical bank,
+               the transport fails over between its replicas. *)
+            match
+              Secure_rpc.call t.net ~creds ?retry:t.collect_retry ~via
+                (request_to_wire (Collect endorsed))
+            with
+            | Error e -> Error e
+            | Ok reply -> Result.bind (Wire.to_int reply) (fun amount -> Ok amount)))
+  in
+  match Sim.Net.spans t.net with
+  | None -> forward ()
+  | Some _ as sp ->
+      Sim.Span.with_span sp ~actor:(Principal.to_string t.me) ~kind:"acct.forward"
+        ~attrs:[ ("check", check.Check.number); ("hop", Principal.to_string hop) ]
+        forward
 
 let settle t ~presenter (check : Check.t) =
   if Principal.equal check.Check.drawn_on.Principal.Account.server t.me then
@@ -286,6 +296,16 @@ let grant_key (presented : Guard.presented) ~currency =
     | Proxy.Public_key [] | Proxy.Conventional _ -> []
   in
   Wire.encode (Wire.L (Wire.S currency :: head))
+
+(* A deposit's or a collect's span; untraced, its actor and attributes
+   are never built. *)
+let check_span t ~kind ~client (check : Check.t) f =
+  match Sim.Net.spans t.net with
+  | None -> f ()
+  | Some _ as sp ->
+      Sim.Span.with_span sp ~actor:(Principal.to_string t.me) ~kind
+        ~attrs:[ ("check", check.Check.number); ("client", Principal.to_string client) ]
+        f
 
 let handle t ctx request =
   let client = ctx.Secure_rpc.rpc_client in
@@ -321,30 +341,24 @@ let handle t ctx request =
           Ok (Wire.L []))
   | Deposit { check; to_account } ->
       Sim.Metrics.incr (Sim.Net.metrics t.net) "accounting.deposits";
-      Sim.Span.with_span (Sim.Net.spans t.net) ~actor:(Principal.to_string t.me)
-        ~kind:"acct.deposit"
-        ~attrs:[ ("check", check.Check.number); ("client", Principal.to_string client) ]
-      @@ fun () ->
-      let* () =
-        transport ~operation:"deposit" ~target:to_account
-          ~spend:(check.Check.currency, check.Check.amount) ()
-      in
-      owner_only to_account (fun () ->
-          let* amount = settle t ~presenter:client check in
+      check_span t ~kind:"acct.deposit" ~client check (fun () ->
           let* () =
-            Ledger.credit t.ledger ~name:to_account ~currency:check.Check.currency amount
+            transport ~operation:"deposit" ~target:to_account
+              ~spend:(check.Check.currency, check.Check.amount) ()
           in
-          trace t "deposited check %s: %d %s into %S" check.Check.number amount
-            check.Check.currency to_account;
-          Ok (Wire.I amount))
+          owner_only to_account (fun () ->
+              let* amount = settle t ~presenter:client check in
+              let* () =
+                Ledger.credit t.ledger ~name:to_account ~currency:check.Check.currency amount
+              in
+              trace t "deposited check %s: %d %s into %S" check.Check.number amount
+                check.Check.currency to_account;
+              Ok (Wire.I amount)))
   | Collect check ->
       Sim.Metrics.incr (Sim.Net.metrics t.net) "accounting.collects";
-      Sim.Span.with_span (Sim.Net.spans t.net) ~actor:(Principal.to_string t.me)
-        ~kind:"acct.collect"
-        ~attrs:[ ("check", check.Check.number); ("client", Principal.to_string client) ]
-      @@ fun () ->
-      let* amount = settle t ~presenter:client check in
-      Ok (Wire.I amount)
+      check_span t ~kind:"acct.collect" ~client check (fun () ->
+          let* amount = settle t ~presenter:client check in
+          Ok (Wire.I amount))
   | Certify check ->
       let name = check.Check.drawn_on.Principal.Account.account in
       if not (Principal.equal check.Check.drawn_on.Principal.Account.server t.me) then

@@ -317,154 +317,160 @@ let forward t ~key ~progress ~expires ~tag =
 let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?ticket
     ?(proxies = []) ?(group_proxies = []) ?spend () =
   let sp = Sim.Net.spans t.net in
-  Sim.Span.with_span sp ~actor:(Principal.to_string t.me) ~kind:"guard.decide"
-    ~attrs:[ ("operation", operation); ("target", target) ]
-  @@ fun () ->
-  Sim.Metrics.incr (Sim.Net.metrics t.net) "guard.decisions";
-  let result =
-  let now = Sim.Net.now t.net in
-  let presenters = Option.to_list presenter @ extra_presenters in
-  let verify (p : presented) =
-    Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
-      ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
-      ?hook:(span_hook t) ~now p.pres
+  let run () =
+    Sim.Metrics.incr (Sim.Net.metrics t.net) "guard.decisions";
+    let result =
+    let now = Sim.Net.now t.net in
+    let presenters = Option.to_list presenter @ extra_presenters in
+    let verify (p : presented) =
+      Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
+        ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
+        ?hook:(span_hook t) ~now p.pres
+    in
+    let authorize ~req (p : presented) v =
+      Result.map
+        (fun changes -> { chain = v; changes })
+        (Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req v) v ~req
+           ~ticket ~binding:p.pres_binding)
+    in
+    (* A group proxy proves the groups it names, at its grantor's server:
+       it is verified once, then asked once per group it claims. *)
+    let memberships =
+      List.concat_map
+        (fun gp ->
+          match verify gp with
+          | Error e -> [ Error e ]
+          | Ok v ->
+              List.map
+                (fun group ->
+                  let req =
+                    Restriction.request ~server:t.me ~time:now
+                      ~operation:Restriction.assert_membership ~target:group ~presenters ()
+                  in
+                  Result.map
+                    (fun u -> (Principal.Group.make ~server:v.Verifier.grantor group, u))
+                    (authorize ~req gp v))
+                (Restriction.claimed_groups v.Verifier.restrictions))
+        group_proxies
+    in
+    let asserted = List.filter_map Result.to_option memberships in
+    let groups_asserted = List.map fst asserted in
+    let req =
+      Restriction.request ~server:t.me ~time:now ~operation ~target ~presenters ~groups_asserted
+        ?spend ()
+    in
+    let contributions = List.map (fun p -> Result.bind (verify p) (authorize ~req p)) proxies in
+    let usable = List.filter_map Result.to_option contributions in
+    let facts =
+      {
+        Acl.principals = presenters @ List.map (fun u -> u.chain.Verifier.grantor) usable;
+        groups = groups_asserted;
+      }
+    in
+    match Acl.permitting t.acl ~target ~operation facts with
+    | [] ->
+        Log.debug (fun m ->
+            m "%s: DENY %s on %S (presenters=%d proxies=%d/%d usable groups=%d)"
+              (Principal.to_string t.me) operation target (List.length presenters)
+              (List.length usable) (List.length proxies) (List.length groups_asserted));
+        (* A refusal is cited only when nothing of its kind was usable: a
+           group proxy's only when no group was asserted either. *)
+        let refusal = function Error e -> Some e | Ok _ -> None in
+        let group_refusals = if asserted = [] then List.filter_map refusal memberships else [] in
+        let detail =
+          match List.filter_map refusal contributions @ group_refusals with
+          | e :: _ when usable = [] -> Printf.sprintf " (no presented proxy was usable: %s)" e
+          | _ -> ""
+        in
+        Error (Printf.sprintf "access denied: no ACL entry permits %s on %S%s" operation target detail)
+    | first :: others -> (
+        (* The first entry whose own restrictions pass grants; when none
+           does, the first one's refusal is the reason. *)
+        let check e = Restriction.check_all ~held:Restriction.no_state e.Acl.restrictions req in
+        let passes e = Result.is_ok (check e) in
+        let chosen =
+          match check first with
+          | Ok _ -> Ok first
+          | Error e -> Option.to_result ~none:e (List.find_opt passes others)
+        in
+        match chosen with
+        | Error e -> Error (Printf.sprintf "access denied by ACL entry restriction: %s" e)
+        | Ok entry ->
+            (* Work out which proxies actually contributed to satisfying the
+               entry, and write what their [held] checked. *)
+            let rec contributors subject =
+              match subject with
+              | Acl.Anyone -> ([], [])
+              | Acl.Principal_is p ->
+                  if List.exists (Principal.equal p) presenters then ([], [])
+                  else
+                    let from_p u = Principal.equal u.chain.Verifier.grantor p in
+                    (Option.to_list (List.find_opt from_p usable), [])
+              | Acl.Group g -> (
+                  match List.find_opt (fun (g', _) -> Principal.Group.equal g g') asserted with
+                  | Some (_, u) -> ([ u ], [ g ])
+                  | None -> ([], []))
+              | Acl.Compound subs ->
+                  let parts = List.map contributors subs in
+                  (List.concat_map fst parts, List.concat_map snd parts)
+            in
+            let used, via_groups = contributors entry.Acl.subject in
+            (* Accept-once records, and one step of each distinct sequence
+               line: chains derived from one grant share a head serial, so a
+               line they share advances once, not once per copy. *)
+            let advanced = ref [] in
+            List.iter
+              (fun u ->
+                List.iter
+                  (function
+                    | Accept_once _ as c -> apply_change t ~now c
+                    | Seq_progress { key; progress; expires; tag } as c ->
+                        if not (List.mem key !advanced) then begin
+                          advanced := key :: !advanced;
+                          apply_change t ~now c;
+                          Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
+                          forward t ~key ~progress ~expires ~tag
+                        end)
+                  u.changes)
+              used;
+            let decision =
+              {
+                granted_by = entry;
+                acting_for = List.map (fun u -> u.chain.Verifier.grantor) used;
+                via_groups;
+                serials_used = List.concat_map (fun u -> u.chain.Verifier.serials) used;
+                quotas =
+                  List.concat_map
+                    (fun u ->
+                      List.filter_map
+                        (function Restriction.Quota (c, n) -> Some (c, n) | _ -> None)
+                        u.chain.Verifier.restrictions)
+                    used;
+              }
+            in
+            Log.debug (fun m ->
+                m "%s: GRANT %s on %S via %s" (Principal.to_string t.me) operation target
+                  (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject));
+            (* Who was granted, and on whose authority, rides on this span; an
+               untraced grant formats none of it ([add_attr] would still
+               evaluate its arguments). *)
+            if Option.is_some sp then begin
+              Sim.Span.add_attr sp "presenter"
+                (match presenter with Some p -> Principal.to_string p | None -> "<anonymous>");
+              Sim.Span.add_attr sp "granted_by"
+                (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject);
+              Sim.Span.add_attr sp "acting_for"
+                (String.concat "," (List.map Principal.to_string decision.acting_for))
+            end;
+            Ok decision)
+    in
+    Sim.Span.add_attr sp "verdict" (match result with Ok _ -> "grant" | Error _ -> "deny");
+    result
   in
-  let authorize ~req (p : presented) v =
-    Result.map
-      (fun changes -> { chain = v; changes })
-      (Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req v) v ~req
-         ~ticket ~binding:p.pres_binding)
-  in
-  (* A group proxy proves the groups it names, at its grantor's server:
-     it is verified once, then asked once per group it claims. *)
-  let memberships =
-    List.concat_map
-      (fun gp ->
-        match verify gp with
-        | Error e -> [ Error e ]
-        | Ok v ->
-            List.map
-              (fun group ->
-                let req =
-                  Restriction.request ~server:t.me ~time:now
-                    ~operation:Restriction.assert_membership ~target:group ~presenters ()
-                in
-                Result.map
-                  (fun u -> (Principal.Group.make ~server:v.Verifier.grantor group, u))
-                  (authorize ~req gp v))
-              (Restriction.claimed_groups v.Verifier.restrictions))
-      group_proxies
-  in
-  let asserted = List.filter_map Result.to_option memberships in
-  let groups_asserted = List.map fst asserted in
-  let req =
-    Restriction.request ~server:t.me ~time:now ~operation ~target ~presenters ~groups_asserted
-      ?spend ()
-  in
-  let contributions = List.map (fun p -> Result.bind (verify p) (authorize ~req p)) proxies in
-  let usable = List.filter_map Result.to_option contributions in
-  let facts =
-    {
-      Acl.principals = presenters @ List.map (fun u -> u.chain.Verifier.grantor) usable;
-      groups = groups_asserted;
-    }
-  in
-  match Acl.permitting t.acl ~target ~operation facts with
-  | [] ->
-      Log.debug (fun m ->
-          m "%s: DENY %s on %S (presenters=%d proxies=%d/%d usable groups=%d)"
-            (Principal.to_string t.me) operation target (List.length presenters)
-            (List.length usable) (List.length proxies) (List.length groups_asserted));
-      (* A refusal is cited only when nothing of its kind was usable: a
-         group proxy's only when no group was asserted either. *)
-      let refusal = function Error e -> Some e | Ok _ -> None in
-      let group_refusals = if asserted = [] then List.filter_map refusal memberships else [] in
-      let detail =
-        match List.filter_map refusal contributions @ group_refusals with
-        | e :: _ when usable = [] -> Printf.sprintf " (no presented proxy was usable: %s)" e
-        | _ -> ""
-      in
-      Error (Printf.sprintf "access denied: no ACL entry permits %s on %S%s" operation target detail)
-  | first :: others -> (
-      (* The first entry whose own restrictions pass grants; when none
-         does, the first one's refusal is the reason. *)
-      let check e = Restriction.check_all ~held:Restriction.no_state e.Acl.restrictions req in
-      let passes e = Result.is_ok (check e) in
-      let chosen =
-        match check first with
-        | Ok _ -> Ok first
-        | Error e -> Option.to_result ~none:e (List.find_opt passes others)
-      in
-      match chosen with
-      | Error e -> Error (Printf.sprintf "access denied by ACL entry restriction: %s" e)
-      | Ok entry ->
-          (* Work out which proxies actually contributed to satisfying the
-             entry, and write what their [held] checked. *)
-          let rec contributors subject =
-            match subject with
-            | Acl.Anyone -> ([], [])
-            | Acl.Principal_is p ->
-                if List.exists (Principal.equal p) presenters then ([], [])
-                else
-                  let from_p u = Principal.equal u.chain.Verifier.grantor p in
-                  (Option.to_list (List.find_opt from_p usable), [])
-            | Acl.Group g -> (
-                match List.find_opt (fun (g', _) -> Principal.Group.equal g g') asserted with
-                | Some (_, u) -> ([ u ], [ g ])
-                | None -> ([], []))
-            | Acl.Compound subs ->
-                let parts = List.map contributors subs in
-                (List.concat_map fst parts, List.concat_map snd parts)
-          in
-          let used, via_groups = contributors entry.Acl.subject in
-          (* Accept-once records, and one step of each distinct sequence
-             line: chains derived from one grant share a head serial, so a
-             line they share advances once, not once per copy. *)
-          let advanced = ref [] in
-          List.iter
-            (fun u ->
-              List.iter
-                (function
-                  | Accept_once _ as c -> apply_change t ~now c
-                  | Seq_progress { key; progress; expires; tag } as c ->
-                      if not (List.mem key !advanced) then begin
-                        advanced := key :: !advanced;
-                        apply_change t ~now c;
-                        Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
-                        forward t ~key ~progress ~expires ~tag
-                      end)
-                u.changes)
-            used;
-          let decision =
-            {
-              granted_by = entry;
-              acting_for = List.map (fun u -> u.chain.Verifier.grantor) used;
-              via_groups;
-              serials_used = List.concat_map (fun u -> u.chain.Verifier.serials) used;
-              quotas =
-                List.concat_map
-                  (fun u ->
-                    List.filter_map
-                      (function Restriction.Quota (c, n) -> Some (c, n) | _ -> None)
-                      u.chain.Verifier.restrictions)
-                  used;
-            }
-          in
-          Log.debug (fun m ->
-              m "%s: GRANT %s on %S via %s" (Principal.to_string t.me) operation target
-                (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject));
-          (* Who was granted, and on whose authority, rides on this span; an
-             untraced grant formats none of it ([add_attr] would still
-             evaluate its arguments). *)
-          if Option.is_some sp then begin
-            Sim.Span.add_attr sp "presenter"
-              (match presenter with Some p -> Principal.to_string p | None -> "<anonymous>");
-            Sim.Span.add_attr sp "granted_by"
-              (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject);
-            Sim.Span.add_attr sp "acting_for"
-              (String.concat "," (List.map Principal.to_string decision.acting_for))
-          end;
-          Ok decision)
-  in
-  Sim.Span.add_attr sp "verdict" (match result with Ok _ -> "grant" | Error _ -> "deny");
-  result
+  (* Untraced, the span's actor and attributes are never built. *)
+  match sp with
+  | None -> run ()
+  | Some _ ->
+      Sim.Span.with_span sp ~actor:(Principal.to_string t.me) ~kind:"guard.decide"
+        ~attrs:[ ("operation", operation); ("target", target) ]
+        run

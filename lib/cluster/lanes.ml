@@ -75,12 +75,13 @@ let usd = "usd"
 let ( let* ) = Result.bind
 
 (* Public keys cross lane boundaries only as deep copies: the Nat words
-   behind a shared key would otherwise be reachable from several domains.
-   Reads would be safe (they are immutable after creation), but copying
-   keeps the no-shared-state invariant unconditional. *)
-let copy_pub (p : Crypto.Rsa.public) =
-  let copy n = Bignum.Nat.of_bytes_be (Bignum.Nat.to_bytes_be n) in
-  { Crypto.Rsa.n = copy p.Crypto.Rsa.n; e = copy p.Crypto.Rsa.e }
+   and bytes behind a shared key would otherwise be reachable from several
+   domains. Reads would be safe (they are immutable after creation), but
+   copying keeps the no-shared-state invariant unconditional. The copy
+   goes through the codec, from a fresh copy of the key's bytes. *)
+let copy_pub p =
+  let bytes = Crypto.Rsa.public_to_bytes p in
+  Option.get (Crypto.Rsa.public_of_bytes (String.sub bytes 0 (String.length bytes)))
 
 let lane_world cfg i =
   World.create ~seed:(Sim.Lane.seed_for ~seed:cfg.seed (string_of_int i)) ()

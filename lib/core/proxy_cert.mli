@@ -66,7 +66,11 @@ val pk_signed_bytes : pk_cert -> string
     so a cascade position cannot be forged by re-tagging). The key slot
     holds the public key's bytes, or the empty list for a key-less
     certificate, so adding or removing a key breaks the signature; a keyed
-    certificate's bytes are those of the original keyed-only format. *)
+    certificate's bytes are those of the original keyed-only format. The
+    key's bytes are the ones it was made with or arrived as (a decoded key
+    keeps its input, and {!Crypto.Rsa.public_of_bytes} reads one shape
+    only), so the signature covers the bytes received and no number is
+    converted. *)
 
 val keyless_names_grantee : pk_cert -> (unit, string) result
 (** A key-less certificate must name a grantee in its own restrictions:

@@ -19,10 +19,9 @@ let no_tally _ = ()
 
 (* The core stays independent of the simulation layer, so span
    instrumentation arrives as an abstract wrapper: the guard passes one
-   that opens a [Sim.Span] child per certificate; the default runs bare. *)
+   that opens a [Sim.Span] child per certificate. With none, each link
+   runs bare and its span attributes are never built. *)
 type span_hook = { wrap : 'a. name:string -> attrs:(string * string) list -> (unit -> 'a) -> 'a }
-
-let no_hook = { wrap = (fun ~name:_ ~attrs:_ f -> f ()) }
 
 let short_serial s =
   let n = min 4 (String.length s) in
@@ -111,21 +110,26 @@ let check_revocation ?revocation ~tally (body : Proxy_cert.body) =
    recovered key) and carries the next. Links are numbered from
    [first_idx], and [check_head] vets the first body. Link 0, when walked,
    is the chain's head, and its expiry replaces [head_expires]. *)
-let walk_links ?cache ~tally ?revocation ~hook ~now ~flavor ~first_idx
+let walk_links ?cache ~tally ?revocation ?hook ~now ~flavor ~first_idx
     ?(check_head = fun _ -> Ok ()) ~start_key ~acc ~serials ~head_expires ~expires blobs =
   let open Wire in
   let rec go key acc serials head_expires expires idx = function
     | [] -> Ok (key, acc, List.rev serials, head_expires, expires)
     | blob :: rest ->
+        let link () =
+          let* body, proxy_key = open_link ?cache ~tally ~now ~sealing_key:key blob in
+          let* () = check_window ~now body in
+          let* () = check_revocation ?revocation ~tally body in
+          let* () = if idx = first_idx then check_head body else Ok () in
+          Ok (body, proxy_key)
+        in
         let* body, proxy_key =
-          hook.wrap ~name:"verify.cert"
-            ~attrs:[ ("flavor", flavor); ("index", string_of_int idx) ]
-            (fun () ->
-              let* body, proxy_key = open_link ?cache ~tally ~now ~sealing_key:key blob in
-              let* () = check_window ~now body in
-              let* () = check_revocation ?revocation ~tally body in
-              let* () = if idx = first_idx then check_head body else Ok () in
-              Ok (body, proxy_key))
+          match hook with
+          | None -> link ()
+          | Some h ->
+              h.wrap ~name:"verify.cert"
+                ~attrs:[ ("flavor", flavor); ("index", string_of_int idx) ]
+                link
         in
         go proxy_key
           (acc @ body.Proxy_cert.restrictions)
@@ -136,7 +140,7 @@ let walk_links ?cache ~tally ?revocation ~hook ~now ~flavor ~first_idx
   in
   go start_key acc (List.rev serials) head_expires expires first_idx blobs
 
-let verify_conventional ~open_base ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~now
+let verify_conventional ~open_base ?(tally = no_tally) ?cache ?revocation ?hook ~now
     (chain : Proxy.conventional_chain) =
   let open Wire in
   let* () = stale_gate ?revocation ~tally ~now () in
@@ -150,7 +154,7 @@ let verify_conventional ~open_base ?(tally = no_tally) ?cache ?revocation ?(hook
       else Error "head certificate grantor does not match base credentials"
     in
     let* key, restrictions, serials, head_expires, expires =
-      walk_links ?cache ~tally ?revocation ~hook ~now ~flavor:"conventional" ~first_idx:0
+      walk_links ?cache ~tally ?revocation ?hook ~now ~flavor:"conventional" ~first_idx:0
         ~check_head ~start_key:base.base_session_key ~acc:base.base_restrictions ~serials:[]
         ~head_expires:base.base_expires ~expires:base.base_expires chain.Proxy.cert_blobs
     in
@@ -165,7 +169,7 @@ let verify_conventional ~open_base ?(tally = no_tally) ?cache ?revocation ?(hook
         serials;
       }
 
-let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~now certs =
+let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?hook ~now certs =
   let open Wire in
   let* () = stale_gate ?revocation ~tally ~now () in
   match certs with
@@ -235,25 +239,30 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~
                to the resolver, nesting its span underneath), the signature
                check (RSA or cache hit), and the window check — so the span's
                costs say exactly what this link of the cascade charged. *)
+            let link () =
+              let* () = Proxy_cert.keyless_names_grantee cert in
+              let* pub = signer_key ~prev cert in
+              let* () =
+                verify_signature ?cache ~tally ~now ~pub
+                  ~signed_bytes:(Proxy_cert.pk_signed_bytes cert)
+                  ~signature:cert.Proxy_cert.signature
+                  (fun () -> Proxy_cert.verify_pk_signature pub cert)
+              in
+              let* () = check_window ~now cert.Proxy_cert.pk_body in
+              check_revocation ?revocation ~tally cert.Proxy_cert.pk_body
+            in
             let* () =
-              hook.wrap ~name:"verify.cert"
-                ~attrs:
-                  [
-                    ("flavor", "pk");
-                    ("index", string_of_int idx);
-                    ("serial", short_serial cert.Proxy_cert.pk_body.Proxy_cert.serial);
-                  ]
-                (fun () ->
-                  let* () = Proxy_cert.keyless_names_grantee cert in
-                  let* pub = signer_key ~prev cert in
-                  let* () =
-                    verify_signature ?cache ~tally ~now ~pub
-                      ~signed_bytes:(Proxy_cert.pk_signed_bytes cert)
-                      ~signature:cert.Proxy_cert.signature
-                      (fun () -> Proxy_cert.verify_pk_signature pub cert)
-                  in
-                  let* () = check_window ~now cert.Proxy_cert.pk_body in
-                  check_revocation ?revocation ~tally cert.Proxy_cert.pk_body)
+              match hook with
+              | None -> link ()
+              | Some h ->
+                  h.wrap ~name:"verify.cert"
+                    ~attrs:
+                      [
+                        ("flavor", "pk");
+                        ("index", string_of_int idx);
+                        ("serial", short_serial cert.Proxy_cert.pk_body.Proxy_cert.serial);
+                      ]
+                    link
             in
             let discharged =
               match cert.Proxy_cert.pk_signer with
@@ -273,7 +282,7 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?(hook = no_hook) ~
       walk None [] [] [] max_int 0 certs
 
 let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
-    ?(hook = no_hook) ~now ((head, blobs) : Proxy_cert.hybrid_cert * string list) =
+    ?hook ~now ((head, blobs) : Proxy_cert.hybrid_cert * string list) =
   let open Wire in
   let grantor = head.Proxy_cert.h_body.Proxy_cert.grantor in
   let* () = stale_gate ?revocation ~tally ~now () in
@@ -291,28 +300,33 @@ let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
     | None ->
         Error (Printf.sprintf "no public key known for grantor %s" (Principal.to_string grantor))
   in
+  let open_head () =
+    let* () =
+      verify_signature ?cache ~tally ~now ~pub:grantor_pub
+        ~signed_bytes:(Proxy_cert.hybrid_signed_bytes head)
+        ~signature:head.Proxy_cert.h_signature
+        (fun () -> Proxy_cert.verify_hybrid_signature grantor_pub head)
+    in
+    let* () = check_window ~now head.Proxy_cert.h_body in
+    let* () = check_revocation ?revocation ~tally head.Proxy_cert.h_body in
+    tally "crypto.rsa_decrypt";
+    Proxy_cert.open_hybrid_key ~decrypt head
+  in
   let* head_key =
-    hook.wrap ~name:"verify.cert"
-      ~attrs:
-        [
-          ("flavor", "hybrid-head");
-          ("index", "0");
-          ("serial", short_serial head.Proxy_cert.h_body.Proxy_cert.serial);
-        ]
-      (fun () ->
-        let* () =
-          verify_signature ?cache ~tally ~now ~pub:grantor_pub
-            ~signed_bytes:(Proxy_cert.hybrid_signed_bytes head)
-            ~signature:head.Proxy_cert.h_signature
-            (fun () -> Proxy_cert.verify_hybrid_signature grantor_pub head)
-        in
-        let* () = check_window ~now head.Proxy_cert.h_body in
-        let* () = check_revocation ?revocation ~tally head.Proxy_cert.h_body in
-        tally "crypto.rsa_decrypt";
-        Proxy_cert.open_hybrid_key ~decrypt head)
+    match hook with
+    | None -> open_head ()
+    | Some h ->
+        h.wrap ~name:"verify.cert"
+          ~attrs:
+            [
+              ("flavor", "hybrid-head");
+              ("index", "0");
+              ("serial", short_serial head.Proxy_cert.h_body.Proxy_cert.serial);
+            ]
+          open_head
   in
   let* final_key, restrictions, serials, head_expires, expires =
-    walk_links ?cache ~tally ?revocation ~hook ~now ~flavor:"hybrid-cascade" ~first_idx:1
+    walk_links ?cache ~tally ?revocation ?hook ~now ~flavor:"hybrid-cascade" ~first_idx:1
       ~start_key:head_key
       ~acc:head.Proxy_cert.h_body.Proxy_cert.restrictions
       ~serials:[ head.Proxy_cert.h_body.Proxy_cert.serial ]

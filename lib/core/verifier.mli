@@ -39,7 +39,8 @@ type span_hook = { wrap : 'a. name:string -> attrs:(string * string) list -> (un
     [wrap ~name:"verify.cert" ~attrs] around each link of the chain (attrs
     carry the flavor, chain index, and serial). The core has no simulation
     dependency; [Authz.Guard] passes a wrapper that opens a [Sim.Span]
-    child so each certificate's RSA/cache cost lands on its own span. *)
+    child so each certificate's RSA/cache cost lands on its own span.
+    Without a hook a link runs bare, and its attributes are never built. *)
 
 val verify_conventional :
   open_base:(string -> (base_info, string) result) ->

@@ -1,10 +1,17 @@
 module N = Bignum.Nat
 
-type public = { n : N.t; e : N.t }
+type public = { n : N.t; e : N.t; encoded : string }
 type crt = { p : N.t; q : N.t; dp : N.t; dq : N.t; qinv : N.t }
 type private_ = { pub : public; d : N.t; crt : crt option }
 
 let e65537 = N.of_int 65537
+
+let be32 k = String.init 4 (fun i -> Char.chr ((k lsr (8 * (3 - i))) land 0xff))
+
+(* A key's canonical encoding, made once with the key. *)
+let make_public n e =
+  let nb = N.to_bytes_be n and eb = N.to_bytes_be e in
+  { n; e; encoded = String.concat "" [ be32 (String.length nb); nb; be32 (String.length eb); eb ] }
 
 let generate drbg ~bits =
   if bits < 128 then invalid_arg "Rsa.generate: modulus must be at least 128 bits";
@@ -35,7 +42,7 @@ let generate drbg ~bits =
                     qinv;
                   }
           in
-          { pub = { n; e = e65537 }; d; crt }
+          { pub = make_public n e65537; d; crt }
     end
   in
   keypair ()
@@ -146,31 +153,32 @@ let decrypt key ciphertext =
     end
   end
 
-let public_to_bytes pub =
-  let nb = N.to_bytes_be pub.n and eb = N.to_bytes_be pub.e in
-  let len4 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) in
-  String.concat "" [ len4 (String.length nb); nb; len4 (String.length eb); eb ]
+let public_to_bytes pub = pub.encoded
 
+(* One shape only: two length fields that cover the input exactly, around
+   a modulus and an exponent that are each non-empty with no leading zero
+   byte. Every other reading of the same numbers is refused, so the key
+   keeps the very bytes it arrived as. *)
 let public_of_bytes s =
-  let read4 off =
-    if off + 4 > String.length s then None
-    else
-      Some
-        ((Char.code s.[off] lsl 24)
-        lor (Char.code s.[off + 1] lsl 16)
-        lor (Char.code s.[off + 2] lsl 8)
-        lor Char.code s.[off + 3])
+  let len = String.length s in
+  let read32 off =
+    (Char.code s.[off] lsl 24)
+    lor (Char.code s.[off + 1] lsl 16)
+    lor (Char.code s.[off + 2] lsl 8)
+    lor Char.code s.[off + 3]
   in
-  match read4 0 with
-  | None -> None
-  | Some nlen -> (
-      if 4 + nlen > String.length s then None
+  let canonical off k = k > 0 && s.[off] <> '\x00' in
+  if len < 10 then None
+  else
+    let nlen = read32 0 in
+    if not (nlen <= len - 10 && canonical 4 nlen) then None
+    else
+      let elen = read32 (4 + nlen) in
+      if not (8 + nlen + elen = len && canonical (8 + nlen) elen) then None
       else
-        let nb = String.sub s 4 nlen in
-        match read4 (4 + nlen) with
-        | None -> None
-        | Some elen ->
-            if 8 + nlen + elen > String.length s then None
-            else
-              let eb = String.sub s (8 + nlen) elen in
-              Some { n = N.of_bytes_be nb; e = N.of_bytes_be eb })
+        Some
+          {
+            n = N.of_bytes_be (String.sub s 4 nlen);
+            e = N.of_bytes_be (String.sub s (8 + nlen) elen);
+            encoded = s;
+          }

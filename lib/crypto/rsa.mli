@@ -7,7 +7,15 @@
     randomized for encryption); modulus size is a parameter so benches can
     sweep it. *)
 
-type public = { n : Bignum.Nat.t; e : Bignum.Nat.t }
+type public = private {
+  n : Bignum.Nat.t;
+  e : Bignum.Nat.t;
+  encoded : string;
+      (** {!public_to_bytes}, made once where the key is made
+          ({!generate}) or read ({!public_of_bytes}) *)
+}
+(** Private, so that a key's bytes always agree with its numbers: the only
+    keys are those the two constructors return. *)
 
 type crt = {
   p : Bignum.Nat.t;
@@ -49,5 +57,14 @@ val encrypt : Drbg.t -> public -> string -> string option
 val decrypt : private_ -> string -> string option
 
 val modulus_bytes : public -> int
+
 val public_to_bytes : public -> string
+(** [be32 |n|, n, be32 |e|, e], each number in minimal big-endian bytes.
+    The key carries it, so this allocates nothing. *)
+
 val public_of_bytes : string -> public option
+(** The inverse of {!public_to_bytes}, on its one shape only: the two
+    length fields cover the input exactly, and [n] and [e] are non-empty
+    with no leading zero byte. Anything else, such as trailing bytes or a
+    zero-padded modulus, is [None]. The key keeps the input as its
+    encoding. *)

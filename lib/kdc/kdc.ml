@@ -247,16 +247,21 @@ let handle t request =
   (* Ambient parentage: the sim is synchronous, so this span nests under
      the client's kdc.as/kdc.tgs span without any envelope plumbing. *)
   let sp = Sim.Net.spans t.net in
-  Sim.Span.with_span sp ~actor:(Principal.to_string t.name) ~kind:"kdc.serve" @@ fun () ->
-  let decoded = Result.map_error (( ^ ) "malformed request: ") (Wire.decode request) in
-  match Result.bind decoded request_of_wire with
-  | Error e -> err e
-  | Ok (As_req { client; service; nonce; auth_data; preauth }) ->
-      Sim.Span.add_attr sp "op" "as";
-      handle_as t ~client ~service ~nonce ~auth_data ~preauth
-  | Ok (Tgs_req { tgt; authenticator; target; nonce }) ->
-      Sim.Span.add_attr sp "op" "tgs";
-      handle_tgs t ~tgt ~authenticator ~target ~nonce
+  let serve () =
+    let decoded = Result.map_error (( ^ ) "malformed request: ") (Wire.decode request) in
+    match Result.bind decoded request_of_wire with
+    | Error e -> err e
+    | Ok (As_req { client; service; nonce; auth_data; preauth }) ->
+        Sim.Span.add_attr sp "op" "as";
+        handle_as t ~client ~service ~nonce ~auth_data ~preauth
+    | Ok (Tgs_req { tgt; authenticator; target; nonce }) ->
+        Sim.Span.add_attr sp "op" "tgs";
+        handle_tgs t ~tgt ~authenticator ~target ~nonce
+  in
+  (* Untraced, the span's actor is never built. *)
+  match sp with
+  | None -> serve ()
+  | Some _ -> Sim.Span.with_span sp ~actor:(Principal.to_string t.name) ~kind:"kdc.serve" serve
 
 let install t = Sim.Net.register t.net ~name:(Principal.to_string t.name) (handle t)
 
@@ -307,67 +312,75 @@ module Client = struct
     String.fold_left (fun acc c -> (acc lsl 8) lor Char.code c) 0 b
 
   let authenticate net ~kdc ~client ~client_key ~service ?(auth_data = []) () =
-    Sim.Span.with_span (Sim.Net.spans net) ~actor:(Principal.to_string client) ~kind:"kdc.as"
-      ~attrs:[ ("service", Principal.to_string service) ]
-    @@ fun () ->
-    let nonce = fresh_nonce_int net in
-    let preauth =
-      (* A malformed local key cannot pre-authenticate; send nothing and let
-         the KDC decide (it will refuse when preauth is required). *)
-      if String.length client_key <> 32 then ""
-      else
-        Crypto.Aead.seal ~key:client_key ~ad:"preauth" ~nonce:(Sim.Net.fresh_nonce net)
-          (Wire.encode (Wire.I (Sim.Net.now net)))
+    let exchange () =
+      let nonce = fresh_nonce_int net in
+      let preauth =
+        (* A malformed local key cannot pre-authenticate; send nothing and let
+           the KDC decide (it will refuse when preauth is required). *)
+        if String.length client_key <> 32 then ""
+        else
+          Crypto.Aead.seal ~key:client_key ~ad:"preauth" ~nonce:(Sim.Net.fresh_nonce net)
+            (Wire.encode (Wire.I (Sim.Net.now net)))
+      in
+      let request =
+        Wire.encode
+          (request_to_wire (As_req { client; service; nonce; auth_data; preauth = Some preauth }))
+      in
+      match Sim.Net.rpc net ~src:(Principal.to_string client) ~dst:(Principal.to_string kdc) request with
+      | Error e -> Error e
+      | Ok reply ->
+          parse_reply ~reply_key:(Crypto.Aead.prepare client_key) ~reply_ad:"as-rep"
+            ~expected_nonce:nonce ~client ~service reply
     in
-    let request =
-      Wire.encode
-        (request_to_wire (As_req { client; service; nonce; auth_data; preauth = Some preauth }))
-    in
-    match Sim.Net.rpc net ~src:(Principal.to_string client) ~dst:(Principal.to_string kdc) request with
-    | Error e -> Error e
-    | Ok reply ->
-        parse_reply ~reply_key:(Crypto.Aead.prepare client_key) ~reply_ad:"as-rep"
-          ~expected_nonce:nonce ~client ~service reply
+    match Sim.Net.spans net with
+    | None -> exchange ()
+    | Some _ as sp ->
+        Sim.Span.with_span sp ~actor:(Principal.to_string client) ~kind:"kdc.as"
+          ~attrs:[ ("service", Principal.to_string service) ]
+          exchange
 
   let derive net ~kdc ~tgt ~target ?subkey ?(auth_data = []) () =
-    Sim.Span.with_span (Sim.Net.spans net)
-      ~actor:(Principal.to_string tgt.Ticket.cred_client)
-      ~kind:"kdc.tgs"
-      ~attrs:[ ("target", Principal.to_string target) ]
-    @@ fun () ->
-    match subkey with
-    | Some k when String.length k <> 32 ->
-        (* The KDC would refuse it anyway; failing here names the actual
-           problem instead of a downstream decrypt error. *)
-        Error "derive: subkey must be 32 bytes"
-    | _ ->
-    let nonce = fresh_nonce_int net in
-    let authenticator =
-      {
-        Ticket.auth_client = tgt.Ticket.cred_client;
-        timestamp = Sim.Net.now net;
-        subkey;
-        auth_data;
-      }
+    let exchange () =
+      match subkey with
+      | Some k when String.length k <> 32 ->
+          (* The KDC would refuse it anyway; failing here names the actual
+             problem instead of a downstream decrypt error. *)
+          Error "derive: subkey must be 32 bytes"
+      | _ ->
+      let nonce = fresh_nonce_int net in
+      let authenticator =
+        {
+          Ticket.auth_client = tgt.Ticket.cred_client;
+          timestamp = Sim.Net.now net;
+          subkey;
+          auth_data;
+        }
+      in
+      let auth_blob =
+        Ticket.seal_authenticator ~session_key:tgt.Ticket.cred_session
+          ~nonce:(Sim.Net.fresh_nonce net) ~covers:(tgs_covers ~target ~nonce) authenticator
+      in
+      let request =
+        Wire.encode
+          (request_to_wire
+             (Tgs_req { tgt = tgt.Ticket.ticket_blob; authenticator = auth_blob; target; nonce }))
+      in
+      let src = Principal.to_string tgt.Ticket.cred_client in
+      match Sim.Net.rpc net ~src ~dst:(Principal.to_string kdc) request with
+      | Error e -> Error e
+      | Ok reply ->
+          let reply_key =
+            match subkey with
+            | Some k -> Crypto.Aead.prepare k
+            | None -> tgt.Ticket.cred_session
+          in
+          parse_reply ~reply_key ~reply_ad:"tgs-rep" ~expected_nonce:nonce
+            ~client:tgt.Ticket.cred_client ~service:target reply
     in
-    let auth_blob =
-      Ticket.seal_authenticator ~session_key:tgt.Ticket.cred_session
-        ~nonce:(Sim.Net.fresh_nonce net) ~covers:(tgs_covers ~target ~nonce) authenticator
-    in
-    let request =
-      Wire.encode
-        (request_to_wire
-           (Tgs_req { tgt = tgt.Ticket.ticket_blob; authenticator = auth_blob; target; nonce }))
-    in
-    let src = Principal.to_string tgt.Ticket.cred_client in
-    match Sim.Net.rpc net ~src ~dst:(Principal.to_string kdc) request with
-    | Error e -> Error e
-    | Ok reply ->
-        let reply_key =
-          match subkey with
-          | Some k -> Crypto.Aead.prepare k
-          | None -> tgt.Ticket.cred_session
-        in
-        parse_reply ~reply_key ~reply_ad:"tgs-rep" ~expected_nonce:nonce
-          ~client:tgt.Ticket.cred_client ~service:target reply
+    match Sim.Net.spans net with
+    | None -> exchange ()
+    | Some _ as sp ->
+        Sim.Span.with_span sp ~actor:(Principal.to_string tgt.Ticket.cred_client) ~kind:"kdc.tgs"
+          ~attrs:[ ("target", Principal.to_string target) ]
+          exchange
 end

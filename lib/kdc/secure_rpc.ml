@@ -54,7 +54,8 @@ let covered payload ctx =
 let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_handled
     handler =
   let metrics = Sim.Net.metrics net in
-  let node = Option.value node ~default:(Principal.to_string me) in
+  let actor = Principal.to_string me in
+  let node = Option.value node ~default:actor in
   let tickets = Ticket.holder my_key in
   let cache = match cache with Some c -> c | None -> create_cache () in
   let count_eviction () = Sim.Metrics.incr metrics "rpc.cache_evictions" in
@@ -77,8 +78,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
     match parsed with
     | Error e -> err e
     | Ok (ticket_blob, auth_blob, payload, remote) ->
-        Sim.Span.with_span (Sim.Net.spans net) ~actor:(Principal.to_string me)
-          ~kind:"rpc.serve" ?parent:remote
+        Sim.Span.with_span (Sim.Net.spans net) ~actor ~kind:"rpc.serve" ?parent:remote
           (fun () ->
         match
           Ticket.open_held tickets ~now ~tally:(Sim.Metrics.incr metrics) ticket_blob
@@ -182,101 +182,111 @@ let call net ~creds ?retry ?(via = []) ?on_failover payload =
   in
   let dst = targets.(0) in
   let sp = Sim.Net.spans net in
-  Sim.Span.with_span sp ~actor:src ~kind:"rpc.call" ~attrs:[ ("dst", dst) ] @@ fun () ->
-  let metrics = Sim.Net.metrics net in
-  Sim.Metrics.incr metrics "crypto.seal";
-  let authenticator =
-    {
-      Ticket.auth_client = creds.Ticket.cred_client;
-      timestamp = Sim.Net.now net;
-      subkey = None;
-      auth_data = [];
-    }
-  in
-  (* When this call runs inside a span, the envelope grows a fifth field
-     carrying (trace_id, span_id) of the *call* span: the request bytes are
-     built once and reused verbatim by every retransmission (the response
-     cache depends on that), so per-attempt ids cannot ride along — the
-     server's span parents to the call, attempts are its siblings beneath.
-     Untraced runs carry no fifth field. *)
-  let ctx = Sim.Span.context sp in
-  (* The payload travels as the exact bytes the authenticator covers. *)
-  let payload = Wire.encode payload in
-  let auth_blob =
-    Ticket.seal_authenticator ~session_key:creds.Ticket.cred_session
-      ~nonce:(Sim.Net.fresh_nonce net) ~covers:(covered payload ctx) authenticator
-  in
-  let request =
-    Wire.encode
-      (Wire.L
-         ([ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S auth_blob; Wire.S payload ]
-         @ Option.to_list (Option.map ctx_to_wire ctx)))
-  in
-  (* Retransmissions reuse the exact request bytes: the same authenticator
-     keys the server's response cache, so a retried request is answered from
-     that cache instead of re-running the handler (or being rejected as a
-     replay). Only transient transport failures retry; in-band service
-     errors return immediately.
+  let run () =
+    let metrics = Sim.Net.metrics net in
+    Sim.Metrics.incr metrics "crypto.seal";
+    let authenticator =
+      {
+        Ticket.auth_client = creds.Ticket.cred_client;
+        timestamp = Sim.Net.now net;
+        subkey = None;
+        auth_data = [];
+      }
+    in
+    (* When this call runs inside a span, the envelope grows a fifth field
+       carrying (trace_id, span_id) of the *call* span: the request bytes are
+       built once and reused verbatim by every retransmission (the response
+       cache depends on that), so per-attempt ids cannot ride along — the
+       server's span parents to the call, attempts are its siblings beneath.
+       Untraced runs carry no fifth field. *)
+    let ctx = Sim.Span.context sp in
+    (* The payload travels as the exact bytes the authenticator covers. *)
+    let payload = Wire.encode payload in
+    let auth_blob =
+      Ticket.seal_authenticator ~session_key:creds.Ticket.cred_session
+        ~nonce:(Sim.Net.fresh_nonce net) ~covers:(covered payload ctx) authenticator
+    in
+    let request =
+      Wire.encode
+        (Wire.L
+           ([ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S auth_blob; Wire.S payload ]
+           @ Option.to_list (Option.map ctx_to_wire ctx)))
+    in
+    (* Retransmissions reuse the exact request bytes: the same authenticator
+       keys the server's response cache, so a retried request is answered from
+       that cache instead of re-running the handler (or being rejected as a
+       replay). Only transient transport failures retry; in-band service
+       errors return immediately.
 
-     [via] lists physical destinations for the same logical service (shard
-     replicas sharing the ticket's service identity): when the current
-     target is observably down, or the whole retry budget against it is
-     exhausted with a transient error, the call moves to the next target —
-     still the same request bytes, so a standby whose response cache was
-     seeded by replication answers an already-executed request instead of
-     running it twice. *)
-  let target = ref 0 in
-  let fail_over () =
-    if !target + 1 >= Array.length targets then false
-    else begin
-      let from_ = targets.(!target) in
-      incr target;
-      let to_ = targets.(!target) in
-      Sim.Metrics.incr metrics "cluster.failovers";
-      Sim.Span.with_span sp ~actor:src ~kind:"cluster.failover"
-        ~attrs:[ ("from", from_); ("to", to_) ]
-        (fun () -> ());
-      (match on_failover with Some f -> f ~from_ ~to_ | None -> ());
-      true
-    end
+       [via] lists physical destinations for the same logical service (shard
+       replicas sharing the ticket's service identity): when the current
+       target is observably down, or the whole retry budget against it is
+       exhausted with a transient error, the call moves to the next target —
+       still the same request bytes, so a standby whose response cache was
+       seeded by replication answers an already-executed request instead of
+       running it twice. *)
+    let target = ref 0 in
+    let fail_over () =
+      if !target + 1 >= Array.length targets then false
+      else begin
+        let from_ = targets.(!target) in
+        incr target;
+        let to_ = targets.(!target) in
+        Sim.Metrics.incr metrics "cluster.failovers";
+        if Option.is_some sp then
+          Sim.Span.with_span sp ~actor:src ~kind:"cluster.failover"
+            ~attrs:[ ("from", from_); ("to", to_) ]
+            (fun () -> ());
+        (match on_failover with Some f -> f ~from_ ~to_ | None -> ());
+        true
+      end
+    in
+    let attempt = ref 0 in
+    let send () =
+      (* Don't burn an attempt on a target already known to be down. *)
+      if Sim.Net.is_down net targets.(!target) then ignore (fail_over ());
+      incr attempt;
+      let d = targets.(!target) in
+      let rpc () = Sim.Net.rpc net ~src ~dst:d request in
+      match sp with
+      | None -> rpc ()
+      | Some _ ->
+          Sim.Span.with_span sp ~actor:src ~kind:"rpc.attempt"
+            ~attrs:[ ("dst", d); ("n", string_of_int !attempt) ]
+            rpc
+    in
+    let exchange =
+      match retry with
+      | None -> send
+      | Some p ->
+          fun () ->
+            Sim.Retry.run ~clock:(Sim.Net.clock net) ~drbg:(Sim.Net.retry_drbg net) ~metrics p
+              send
+    in
+    let rec exchange_all () =
+      match exchange () with
+      | Error e when Sim.Net.transient_error e && fail_over () -> exchange_all ()
+      | r -> r
+    in
+    match exchange_all () with
+    | Error e -> Error e
+    | Ok reply -> (
+        match Wire.decode reply with
+        | Error e -> Error e
+        | Ok (L [ S "err"; S msg ]) -> Error msg
+        | Ok (L [ S "sealed"; S sealed ]) -> (
+            Sim.Metrics.incr metrics "crypto.open";
+            let session = creds.Ticket.cred_session in
+            match Crypto.Aead.open_prepared session ~ad:"secure-rpc-resp" sealed with
+            | Error `Malformed -> Error "response: malformed seal"
+            | Error `Bad_tag -> Error "response: seal verification failed"
+            | Ok plaintext -> Result.bind (Wire.decode plaintext) status_of_wire)
+        | Ok _ -> Error "response: malformed")
   in
-  let attempt = ref 0 in
-  let send () =
-    (* Don't burn an attempt on a target already known to be down. *)
-    if Sim.Net.is_down net targets.(!target) then ignore (fail_over ());
-    incr attempt;
-    let d = targets.(!target) in
-    Sim.Span.with_span sp ~actor:src ~kind:"rpc.attempt"
-      ~attrs:[ ("dst", d); ("n", string_of_int !attempt) ]
-      (fun () -> Sim.Net.rpc net ~src ~dst:d request)
-  in
-  let exchange =
-    match retry with
-    | None -> send
-    | Some p ->
-        fun () ->
-          Sim.Retry.run ~clock:(Sim.Net.clock net) ~drbg:(Sim.Net.retry_drbg net) ~metrics p
-            send
-  in
-  let rec exchange_all () =
-    match exchange () with
-    | Error e when Sim.Net.transient_error e && fail_over () -> exchange_all ()
-    | r -> r
-  in
-  match exchange_all () with
-  | Error e -> Error e
-  | Ok reply -> (
-      match Wire.decode reply with
-      | Error e -> Error e
-      | Ok (L [ S "err"; S msg ]) -> Error msg
-      | Ok (L [ S "sealed"; S sealed ]) -> (
-          Sim.Metrics.incr metrics "crypto.open";
-          let session = creds.Ticket.cred_session in
-          match Crypto.Aead.open_prepared session ~ad:"secure-rpc-resp" sealed with
-          | Error `Malformed -> Error "response: malformed seal"
-          | Error `Bad_tag -> Error "response: seal verification failed"
-          | Ok plaintext -> Result.bind (Wire.decode plaintext) status_of_wire)
-      | Ok _ -> Error "response: malformed")
+  (* Untraced, no span label is built. *)
+  match sp with
+  | None -> run ()
+  | Some _ -> Sim.Span.with_span sp ~actor:src ~kind:"rpc.call" ~attrs:[ ("dst", dst) ] run
 
 (* Pipelining: N payloads ride one ticket/authenticator exchange — one
    client seal, one server open+seal, one round trip — instead of N. The

@@ -541,6 +541,25 @@ let save_corpus ~dir =
   write
     (Filename.concat dir "neg-keyless-no-grantee-pk-cert.hex")
     (Program.to_hex (Wire.encode (Proxy_cert.pk_cert_to_wire no_grantee)));
+  (* The pk-cert seed with its proxy key spelled in other bytes: a trailing
+     byte, and a modulus padded with a leading zero. The numbers and the
+     signature are unchanged, but the signature covers the key's bytes as
+     they arrive, so [Proxy_cert.pk_cert_of_wire] must refuse both. *)
+  let pk_cert = List.find (fun (n, _, _) -> n = "pk-cert") seeds in
+  let respell name f =
+    match pk_cert with
+    | _, Wire.L [ body; Wire.S key; signer; signature ], _ ->
+        write
+          (Filename.concat dir ("neg-keybytes-" ^ name ^ "-pk-cert.hex"))
+          (Program.to_hex (Wire.encode (Wire.L [ body; Wire.S (f key); signer; signature ])))
+    | _ -> failwith "fuzz corpus: unexpected pk-cert shape"
+  in
+  respell "trailing" (fun key -> key ^ "\x00");
+  respell "leadzero" (fun key ->
+      let nlen = Int32.to_int (String.get_int32_be key 0) in
+      let be32 = Bytes.create 4 in
+      Bytes.set_int32_be be32 0 (Int32.of_int (nlen + 1));
+      Bytes.to_string be32 ^ "\x00" ^ String.sub key 4 (String.length key - 4));
   (* Session bindings: each well-formed, each refused by the session
      check, for the reason its name gives. *)
   List.iter
@@ -555,7 +574,7 @@ let save_corpus ~dir =
         (Filename.concat dir ("neg-trailing-" ^ name ^ ".hex"))
         (Program.to_hex (Wire.encode v)))
     (trailing_negatives seeds);
-  (4 * List.length seeds) + List.length json_crashers + 4 + 4 + 1
+  (4 * List.length seeds) + List.length json_crashers + 4 + 4 + 1 + 2
   + List.length binding_negatives + List.length (trailing_negatives seeds)
 
 type corpus_result = { files : int; failures : (string * string) list }

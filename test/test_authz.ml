@@ -1112,6 +1112,57 @@ let test_capability_presentation_cost () =
   Alcotest.(check (list int)) "ticket-table hits, verify-cache hits, misses" [ 2; 3; 3 ]
     [ metric "ticket_cache.hits"; metric "verify_cache.hits"; metric "verify_cache.misses" ]
 
+(* What a warm, untraced decision over a depth-2 public-key bearer chain
+   allocates, when both links and the binding are verify-cache hits. Each
+   link re-encodes the bytes its signature covers and keys the cache by
+   them and by its signer's key bytes, and the binding is keyed by the
+   proxy key's bytes: the keys carry those bytes, so none is converted
+   from its numbers (five conversions, about 1.9 KB). An untraced net
+   opens no span, so neither the decision's span nor any certificate's
+   builds its attributes (a link's four-byte serial alone was four
+   [Printf.sprintf] calls). The decision allocates about 9.5 KB, under a
+   10 KB bound; it allocated about 14.8 KB while keys were converted and
+   attributes built. *)
+let test_pk_decide_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let w = world () in
+    let drbg = Crypto.Drbg.create ~seed:"pk decide allocation" in
+    let alice, _ = W.enrol w "alice" in
+    let bob, _ = W.enrol w "bob" in
+    let fileserver, fs_key = W.enrol w "fileserver" in
+    let alice_kp = Crypto.Rsa.generate drbg ~bits:512 in
+    let acl = Acl.create () in
+    Acl.add acl ~target:"file1"
+      { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+    let lookup_pub p = if Principal.equal p alice then Some alice_kp.Crypto.Rsa.pub else None in
+    let guard = Guard.create w.W.net ~me:fileserver ~my_key:fs_key ~lookup_pub ~acl () in
+    let now = W.now w and read_file1 = R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] in
+    let chain =
+      Result.get_ok
+        (Proxy.restrict_pk ~drbg ~now ~expires:(now + W.hour) ~restrictions:[]
+           (Proxy.grant_pk ~drbg ~now ~expires:(now + W.hour) ~grantor:alice ~grantor_key:alice_kp
+              ~restrictions:[ read_file1 ] ()))
+    in
+    let presented = Guard.bind ~server:fileserver ~ticket:W.ticket chain in
+    let decide () =
+      match
+        Guard.decide guard ~ticket:W.ticket ~operation:"read" ~target:"file1" ~presenter:bob
+          ~proxies:[ presented ] ()
+      with
+      | Ok d -> d
+      | Error e -> Alcotest.fail e
+    in
+    ignore (decide ());
+    let metric name = Sim.Metrics.get (Sim.Net.metrics w.W.net) name in
+    let hits = metric "verify_cache.hits" and misses = metric "verify_cache.misses" in
+    let used = Testkit.alloc_bytes_per_call decide in
+    Alcotest.(check (list int)) "every link and the binding hit; nothing missed" [ 3 * 21; 0 ]
+      [ metric "verify_cache.hits" - hits; metric "verify_cache.misses" - misses ];
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f B per decision <= 10,240" used)
+      true (used <= 10240.)
+  end
+
 (* --- accept-once through the guard --- *)
 
 let test_accept_once_consumed () =
@@ -1290,6 +1341,7 @@ let () =
           ("expiry", `Quick, test_expired_capability);
           ("cascade through guard", `Quick, test_cascade_through_guard);
           ("depth-2 presentation kernel cost", `Quick, test_capability_presentation_cost);
+          ("a warm public-key decision's allocation", `Quick, test_pk_decide_allocation);
           ("accept-once consumed", `Quick, test_accept_once_consumed);
           ("a flood's floor is its victims' grantors' alone", `Slow,
            test_accept_once_flood_spares_other_grantors);

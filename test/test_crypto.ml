@@ -782,6 +782,31 @@ let test_rsa_pub_encoding () =
         (Rsa.verify pub ~msg:"check encoding" ~signature);
       Alcotest.(check bool) "truncated fails" true (Rsa.public_of_bytes "\x00\x00" = None)
 
+(* Key bytes take one shape: a decoded key keeps the bytes it arrived as,
+   and a signature covers them, so any other spelling of the same numbers
+   must be refused rather than read as the same key. *)
+let test_rsa_pub_encoding_exact () =
+  let be32 k = String.init 4 (fun i -> Char.chr ((k lsr (8 * (3 - i))) land 0xff)) in
+  let encode n e = String.concat "" [ be32 (String.length n); n; be32 (String.length e); e ] in
+  let n = Bignum.Nat.to_bytes_be key.Rsa.pub.Rsa.n and e = "\x01\x00\x01" in
+  let wire = encode n e in
+  Alcotest.(check string) "the key's bytes are its canonical encoding" wire
+    (Rsa.public_to_bytes key.Rsa.pub);
+  Alcotest.(check (option string)) "canonical bytes round-trip" (Some wire)
+    (Option.map Rsa.public_to_bytes (Rsa.public_of_bytes wire));
+  List.iter
+    (fun (what, bytes) ->
+      Alcotest.(check bool) (what ^ " refused") true (Rsa.public_of_bytes bytes = None))
+    [ ("a trailing byte", wire ^ "\x00");
+      ("a leading zero in n", encode ("\x00" ^ n) e);
+      ("a leading zero in e", encode n ("\x00" ^ e));
+      ("an empty n", encode "" e);
+      ("an empty e", encode n "");
+      ("an n length past the end",
+       be32 (String.length wire) ^ String.sub wire 4 (String.length wire - 4));
+      ("a truncated e", String.sub wire 0 (String.length wire - 1));
+      ("the empty string", "") ]
+
 let test_rsa_pub_encoding_linear () =
   (* Key bytes arrive from the wire before any signature is checked, so
      decoding and re-encoding them must allocate in proportion to their
@@ -1150,9 +1175,12 @@ let test_cost_domain_local () =
    own 64-word schedule made that 1536 B, past the 1 KB bound. A Poly1305
    MAC allocates its state, one block buffer and its tag, 200 B whatever
    the length; a block that boxed its four word loads would allocate over
-   6 KB at 64 blocks. A block over 256 words skips the minor heap, so
-   the count includes the major heap's ({!Testkit.alloc_bytes_per_call}).
-   Bytecode boxes regardless, so the gate runs on native code only. *)
+   6 KB at 64 blocks. A public key carries its encoding, so
+   [Rsa.public_to_bytes] allocates nothing; converting a 512-bit key's
+   two numbers on each call allocated 386 B. A block over 256 words skips
+   the minor heap, so the count includes the major heap's
+   ({!Testkit.alloc_bytes_per_call}). Bytecode boxes regardless, so the
+   gate runs on native code only. *)
 
 let test_allocation_gate () =
   if Sys.backend_type = Sys.Native then begin
@@ -1176,7 +1204,14 @@ let test_allocation_gate () =
         ("Aead.seal_prepared 1 KB", 1536, fun () -> Aead.seal_prepared prepared ~nonce kb);
         ("Aead.open_prepared 1 KB", 1664,
          fun () -> Result.get_ok (Aead.open_prepared prepared box));
-        ("Rsa.sign 512-bit", 65536, fun () -> Rsa.sign rsa_key "allocation gate") ]
+        ("Rsa.sign 512-bit", 65536, fun () -> Rsa.sign rsa_key "allocation gate") ];
+    (* Reading the counters allocates a few bytes itself, so "nothing" is
+       what a call that returns an existing string reads. *)
+    let nothing = Testkit.alloc_bytes_per_call (fun () -> kb) in
+    let used = Testkit.alloc_bytes_per_call (fun () -> Rsa.public_to_bytes rsa_key.Rsa.pub) in
+    Alcotest.(check bool)
+      (Printf.sprintf "Rsa.public_to_bytes: %.0f B per call, as for nothing (%.0f B)" used nothing)
+      true (used <= nothing)
   end
 
 let () =
@@ -1217,6 +1252,7 @@ let () =
           ("encrypt/decrypt", `Slow, test_rsa_encrypt);
           ("public key encoding", `Slow, test_rsa_pub_encoding);
           ("public key encoding is linear", `Quick, test_rsa_pub_encoding_linear);
+          ("public key bytes take one shape", `Quick, test_rsa_pub_encoding_exact);
           ("crt byte-identical", `Slow, test_rsa_crt_byte_identical);
           ("crt fault guard", `Slow, test_rsa_crt_fault_guard);
           ("crt unguarded fault rejected", `Slow, test_rsa_crt_unguarded_fault_rejected);

@@ -401,7 +401,7 @@ let test_corpus_seed_resolution () =
   in
   let neg_kinds =
     [ "neg-truncated-"; "neg-lenbomb-"; "neg-trailing-"; "neg-dupstep-"; "neg-empty-";
-      "neg-keyless-no-grantee-" ]
+      "neg-keyless-no-grantee-"; "neg-keybytes-trailing-"; "neg-keybytes-leadzero-" ]
     @ List.map (fun (n, _) -> "neg-binding-" ^ n ^ "-") negatives
   in
   let writer f =

@@ -35,6 +35,20 @@ let test_cert_wire () =
         (Result.is_ok (Ca.verify ~ca_pub:(Ca.ca_pub ca) ~now:500 cert'))
   | Error e -> Alcotest.fail e
 
+(* The CA signs the subject key's bytes as they arrive, so a key with a
+   trailing byte, the same numbers in other bytes, is refused at decode. *)
+let test_cert_key_bytes_exact () =
+  let ca = make_ca () in
+  let cert = Ca.issue ca ~now:0 ~lifetime:1000 alice alice_kp.Crypto.Rsa.pub in
+  let padded =
+    match Ca.cert_to_wire cert with
+    | Wire.L [ Wire.L [ subject; Wire.S key; issued; expires ]; signature ] ->
+        Wire.L [ Wire.L [ subject; Wire.S (key ^ "\x00"); issued; expires ]; signature ]
+    | _ -> Alcotest.fail "unexpected certificate shape"
+  in
+  Alcotest.(check (result unit string)) "trailing key byte" (Error "ca: malformed public key")
+    (Result.map ignore (Ca.cert_of_wire padded))
+
 let test_name_server () =
   let net = Sim.Net.create ~seed:"pki net" () in
   let ca = make_ca () in
@@ -156,7 +170,9 @@ let test_resolver_metrics () =
 let () =
   Alcotest.run "pki"
     [ ( "ca",
-        [ ("issue/verify", `Slow, test_issue_verify); ("wire", `Slow, test_cert_wire) ] );
+        [ ("issue/verify", `Slow, test_issue_verify);
+          ("wire", `Slow, test_cert_wire);
+          ("subject key bytes take one shape", `Slow, test_cert_key_bytes_exact) ] );
       ( "name-server",
         [ ("lookup/revoke", `Slow, test_name_server);
           ("tamper detected", `Slow, test_name_server_tamper) ] );

@@ -474,6 +474,37 @@ let test_pk_cert_trailing_fields () =
             | w -> w)
           v ) ]
 
+(* The signature covers the proxy key's bytes as they arrived, so the key
+   slot takes one spelling only: a trailing byte, or a modulus padded with
+   a leading zero, names the same numbers in other bytes and is refused at
+   decode. *)
+let test_pk_cert_key_bytes_exact () =
+  let cert =
+    match (grant_pk ()).Proxy.flavor with
+    | Proxy.Public_key [ cert ] -> cert
+    | _ -> Alcotest.fail "single pk cert expected"
+  in
+  let with_key f =
+    match Proxy_cert.pk_cert_to_wire cert with
+    | Wire.L [ body; Wire.S key; signer; signature ] ->
+        Wire.L [ body; Wire.S (f key); signer; signature ]
+    | _ -> Alcotest.fail "keyed pk cert expected"
+  in
+  let be32 k = String.init 4 (fun i -> Char.chr ((k lsr (8 * (3 - i))) land 0xff)) in
+  let lead_zero key =
+    let nlen = Int32.to_int (String.get_int32_be key 0) in
+    be32 (nlen + 1) ^ "\x00" ^ String.sub key 4 (String.length key - 4)
+  in
+  Alcotest.(check bool) "as signed, it verifies" true
+    (Result.is_ok
+       (Result.bind (Proxy_cert.pk_cert_of_wire (with_key Fun.id)) (fun c ->
+            Verifier.verify_pk ~lookup ~now:100 [ c ])));
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (result unit string)) what (Error "pk proxy-cert: malformed proxy key")
+        (Result.map ignore (Proxy_cert.pk_cert_of_wire (with_key f))))
+    [ ("a trailing byte", fun key -> key ^ "\x00"); ("a leading zero in the modulus", lead_zero) ]
+
 (* --- key-less delegate certificates --- *)
 
 let keyless_no_grantee = "pk proxy-cert: key-less certificate names no grantee"
@@ -824,7 +855,8 @@ let () =
           ("delegate cascade", `Slow, test_pk_delegate_cascade);
           ("delegate must be named", `Slow, test_pk_delegate_cascade_requires_naming);
           ("cert wire roundtrip", `Slow, test_pk_cert_wire_roundtrip);
-          ("cert trailing fields refused", `Slow, test_pk_cert_trailing_fields) ] );
+          ("cert trailing fields refused", `Slow, test_pk_cert_trailing_fields);
+          ("proxy key bytes take one shape", `Quick, test_pk_cert_key_bytes_exact) ] );
       ( "key-less",
         [ ("needs a grantee", `Quick, test_keyless_needs_grantee);
           ("key slot is signed", `Quick, test_keyless_key_slot_signed);

@@ -21,8 +21,8 @@ let handle t ctx payload =
   let* op, path, data, proxies, group_proxies =
     match payload with
     | L [ S op; S path; S data; L pw; L gw ] ->
-        let* proxies = map_all Guard.presented_of_wire pw in
-        let* group_proxies = map_all Guard.presented_of_wire gw in
+        let* proxies = map_all (Guard.decode_presented t.guard) pw in
+        let* group_proxies = map_all (Guard.decode_presented t.guard) gw in
         Ok (op, path, data, proxies, group_proxies)
     | _ -> Error "file-server: malformed request"
   in

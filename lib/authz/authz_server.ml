@@ -21,7 +21,7 @@ let handle t ctx payload =
     match payload with
     | L [ S "authorize"; end_server; S target; S operation; I delegate; L ew ] ->
         let* end_server = Principal.of_wire end_server in
-        let* evidence = map_all Guard.presented_of_wire ew in
+        let* evidence = map_all (Guard.decode_presented t.guard) ew in
         Ok (end_server, target, operation, delegate, evidence)
     | L (S "authorize" :: _) -> Error "authz: malformed authorize request"
     | L (S tag :: _) -> Error (Printf.sprintf "authz: unknown operation %S" tag)

@@ -102,7 +102,7 @@ let handle t ctx payload =
       Result.map Membership.to_wire (publish t)
   | L [ S "assert"; S group; end_server; L ew ] ->
       let* end_server = Principal.of_wire end_server in
-      let* evidence = map_all Guard.presented_of_wire ew in
+      let* evidence = map_all (Guard.decode_presented t.guard) ew in
       assert_membership t ctx ~group ~end_server ~evidence
   | L (S (("snapshot" | "assert") as tag) :: _) ->
       Error (Printf.sprintf "group: malformed %s request" tag)

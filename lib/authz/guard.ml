@@ -92,13 +92,19 @@ let presented_to_wire p =
   let binding = match p.pres_binding with None -> Wire.L [] | Some b -> Wire.S b in
   Wire.L [ Proxy.presentation_to_wire p.pres; binding ]
 
-let presented_of_wire v =
+let presented_of_wire_with ~pk_cert v =
   let open Wire in
   match v with
   | L [ pres; (L [] | S _ as binding) ] ->
-      let* pres = Proxy.presentation_of_wire pres in
+      let* pres = Proxy.presentation_of_wire_with ~pk_cert pres in
       Ok { pres; pres_binding = (match binding with S b -> Some b | _ -> None) }
   | _ -> Error "presented proxy: malformed"
+
+let presented_of_wire = presented_of_wire_with ~pk_cert:Proxy_cert.pk_cert_of_wire
+
+let decode_presented t =
+  presented_of_wire_with
+    ~pk_cert:(Verify_cache.decode_cert t.verify_cache ~now:(Sim.Net.now t.net))
 
 let bind ~server ~ticket proxy =
   {

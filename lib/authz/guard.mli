@@ -51,8 +51,9 @@ val create :
     verification memo cache; by default each guard gets its own,
     wired to the net's metrics ("verify_cache.hits"/"misses"/"evictions"/
     "invalidations", and "replay_cache.evictions" for the accept-once
-    cache). The cache memoizes RSA checks and conventional-link opens
-    only: every presentation still resolves each signer's key through
+    cache). The cache memoizes RSA checks, conventional-link opens and
+    the decodes of {!decode_presented} only: every presentation still
+    resolves each signer's key through
     [lookup_pub], so rebinding a principal to a new key denies chains
     signed under the old one, and still checks every window, revocation
     and restriction.
@@ -160,6 +161,14 @@ type presented = { pres : Proxy.presentation; pres_binding : string option }
 
 val presented_to_wire : presented -> Wire.t
 val presented_of_wire : Wire.t -> (presented, string) result
+
+val decode_presented : t -> Wire.t -> (presented, string) result
+(** {!presented_of_wire} as this guard receives it: each public-key
+    certificate is decoded through the guard's verify cache
+    ({!Verify_cache.decode_cert}), so a certificate it has verified and
+    decoded before comes back as the same value, parsed and re-encoded
+    nothing. A server decodes the presentations it hands to {!decide}
+    this way. *)
 
 val present : creds:Ticket.credentials -> Proxy.t -> presented
 (** Client side: present [proxy] on requests made with [creds]. The binding

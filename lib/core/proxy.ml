@@ -156,20 +156,22 @@ let presentation_to_wire = function
           Proxy_cert.hybrid_cert_to_wire head;
           Wire.L (List.map (fun b -> Wire.S b) blobs) ]
 
-let presentation_of_wire v =
+let presentation_of_wire_with ~pk_cert v =
   let open Wire in
   match v with
   | L [ S "conventional"; S base; L blobs ] ->
       let* cert_blobs = map_all to_string blobs in
       Ok (Conventional { base; cert_blobs })
   | L [ S "public-key"; L certs ] ->
-      let* certs = map_all Proxy_cert.pk_cert_of_wire certs in
+      let* certs = map_all pk_cert certs in
       Ok (Public_key certs)
   | L [ S "hybrid"; head; L blobs ] ->
       let* head = Proxy_cert.hybrid_cert_of_wire head in
       let* blobs = map_all to_string blobs in
       Ok (Hybrid (head, blobs))
   | _ -> Error "presentation: malformed"
+
+let presentation_of_wire = presentation_of_wire_with ~pk_cert:Proxy_cert.pk_cert_of_wire
 
 (* The RSA private key transfers as (n, e, d); a key-less proxy transfers
    no key at all. *)

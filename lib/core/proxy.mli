@@ -177,6 +177,14 @@ val presentation : t -> presentation
 val presentation_to_wire : presentation -> Wire.t
 val presentation_of_wire : Wire.t -> (presentation, string) result
 
+val presentation_of_wire_with :
+  pk_cert:(Wire.t -> (Proxy_cert.pk_cert, string) result) ->
+  Wire.t ->
+  (presentation, string) result
+(** {!presentation_of_wire}, decoding each public-key certificate with
+    [pk_cert]: a guard passes its verify cache's
+    [Verify_cache.decode_cert]. *)
+
 val transfer_to_wire : t -> Wire.t
 (** Full grantor→grantee transfer encoding {e including} the secret material;
     must only ever travel inside a sealed channel. *)

@@ -57,13 +57,13 @@ let memoized ?cache ~tally ~cost ~find ~record compute =
           Result.iter (record c) r;
           r)
 
-let verify_signature ?cache ~tally ~now ~pub ~signed_bytes ~signature verify =
-  let key () =
-    Verify_cache.key ~signed_bytes ~signature ~signer:(Crypto.Rsa.public_to_bytes pub)
-  in
+(* A verdict is recorded over the bytes the signature covers and the
+   signer key's own bytes. *)
+let verify_signature ?cache ~tally ~now ~check ~pub ~signed_bytes ~signature verify =
+  let signer = Crypto.Rsa.public_to_bytes pub in
   memoized ?cache ~tally ~cost:"crypto.rsa_verify"
-    ~find:(fun c -> if Verify_cache.check c ~now (key ()) then Some () else None)
-    ~record:(fun c () -> Verify_cache.record c ~now (key ()))
+    ~find:(fun c -> if check c ~signer then Some () else None)
+    ~record:(fun c () -> Verify_cache.record c ~now ~signed_bytes:(signed_bytes ()) ~signature ~signer)
     verify
 
 let open_link ?cache ~tally ~now ~sealing_key blob =
@@ -244,7 +244,8 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?hook ~now certs =
               let* pub = signer_key ~prev cert in
               let* () =
                 verify_signature ?cache ~tally ~now ~pub
-                  ~signed_bytes:(Proxy_cert.pk_signed_bytes cert)
+                  ~check:(fun c ~signer -> Verify_cache.check_cert c ~now ~signer cert)
+                  ~signed_bytes:(fun () -> Proxy_cert.pk_signed_bytes cert)
                   ~signature:cert.Proxy_cert.signature
                   (fun () -> Proxy_cert.verify_pk_signature pub cert)
               in
@@ -301,10 +302,13 @@ let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
         Error (Printf.sprintf "no public key known for grantor %s" (Principal.to_string grantor))
   in
   let open_head () =
+    let signed_bytes = Proxy_cert.hybrid_signed_bytes head
+    and signature = head.Proxy_cert.h_signature in
     let* () =
       verify_signature ?cache ~tally ~now ~pub:grantor_pub
-        ~signed_bytes:(Proxy_cert.hybrid_signed_bytes head)
-        ~signature:head.Proxy_cert.h_signature
+        ~check:(fun c ~signer -> Verify_cache.check c ~now ~signed_bytes ~signature ~signer)
+        ~signed_bytes:(fun () -> signed_bytes)
+        ~signature
         (fun () -> Proxy_cert.verify_hybrid_signature grantor_pub head)
     in
     let* () = check_window ~now head.Proxy_cert.h_body in
@@ -359,10 +363,10 @@ let verify ~open_base ~lookup ?(decrypt = no_decrypt) ?me ?tally ?cache ?revocat
 let check_binding ?cache ~tally ~now commitment ~server ~ticket binding =
   let signed_bytes = Presentation.signed_bytes ~server ~ticket in
   let memo ~cost ~key verify =
-    let k = Verify_cache.binding_key ~signed_bytes ~binding ~key in
     memoized ?cache ~tally ~cost
-      ~find:(fun c -> if Verify_cache.check c ~now k then Some () else None)
-      ~record:(fun c () -> Verify_cache.record c ~now k)
+      ~find:(fun c ->
+        if Verify_cache.check_binding c ~now ~signed_bytes ~binding ~key then Some () else None)
+      ~record:(fun c () -> Verify_cache.record_binding c ~now ~signed_bytes ~binding ~key)
       (fun () -> if verify () then Ok () else Error "session binding: invalid")
   in
   match commitment with

@@ -125,10 +125,12 @@ val verify :
     ["verify_cache.misses"] and the usual crypto counter — so the
     cache-miss metering is exactly the uncached metering. Time windows,
     restrictions and signer-key lookups are never cached: a
-    signature verdict is keyed by the key [lookup] returns now, so a chain
-    signed by a key its principal no longer holds misses and fails its RSA
-    check, and a link by the key it is sealed under, so blobs moved under
-    another base ticket miss and fail their open.
+    signature verdict hits only under the key [lookup] returns now, so a
+    chain signed by a key its principal no longer holds misses and fails
+    its RSA check, and a link is keyed by the key it is sealed under, so
+    blobs moved under another base ticket miss and fail their open. A
+    public-key certificate the cache decoded ({!Verify_cache.decode_cert})
+    is known by identity, so its hit re-encodes nothing.
 
     When [revocation] is given, every certificate body on the walk is
     checked against the local bulletin state (tallying
@@ -156,8 +158,8 @@ val authorize :
     refused unless the grantee quorum is among the authenticated presenters
     (the [Grantee] restriction), and its binding is not checked. The
     binding's RSA verify (["crypto.rsa_verify"]) or HMAC (["crypto.mac"]) is
-    memoized in [cache] by the {!verify} rule, under
-    {!Verify_cache.binding_key}; expiry and restrictions run on every
+    memoized in [cache] by the {!verify} rule
+    ({!Verify_cache.check_binding}); expiry and restrictions run on every
     call. *)
 
 val lookup_by_realm :

@@ -1,9 +1,19 @@
 (* Each remembered success is an entry in one [Expiring] table, living
    [ttl_us] from when it was recorded: a signature or binding verdict, or
-   an opened conventional link with what opening it gave. The table owns purging and
-   eviction, and this module keeps the counts. *)
+   an opened conventional link with what opening it gave. The table owns
+   purging and eviction, and this module keeps the counts. *)
 
-type entry = Verified | Link of Proxy_cert.body * string
+(* A verdict is found by its signature and holds what the signature was
+   checked over and under. [decoded] is a public-key certificate a guard
+   decoded whose signed bytes are [signed], with the wire value it came
+   from: an equal wire value is that certificate again. *)
+type entry =
+  | Verdict of {
+      signed : string;
+      signer : string;
+      mutable decoded : (Wire.t * Proxy_cert.pk_cert) option;
+    }
+  | Link of Proxy_cert.body * string
 
 type t = {
   table : entry Expiring.t option;  (* [None]: capacity 0, caching off *)
@@ -51,17 +61,12 @@ let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us) ?(on_evict 
   { table; ttl_us; on_invalidate; evictions; hits = 0; link_hits = 0; binding_hits = 0;
     misses = 0; invalidations = 0 }
 
-(* Length-framed, so ("ab","c") and ("a","bc") cannot key the same entry;
-   the leading tag keeps the kinds of key apart. *)
+(* A one-byte tag keeps the kinds of key apart. A link's key is its
+   sealing key, length-framed so that no other split of the same string
+   names another (key, blob) pair, then the exact blob. *)
 let frame s =
   let n = String.length s in
   String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ s
-
-let key ~signed_bytes ~signature ~signer =
-  String.concat "" [ "S"; frame signed_bytes; frame signature; frame signer ]
-
-let binding_key ~signed_bytes ~binding ~key =
-  String.concat "" [ "B"; frame signed_bytes; frame binding; frame key ]
 
 let link_key ~sealing_key blob = String.concat "" [ "L"; frame sealing_key; blob ]
 
@@ -72,17 +77,57 @@ let remember t ~now k entry =
   | Some table -> Expiring.add table ~now ~expires:(now + t.ttl_us) k entry
   | None -> ()
 
-let check t ~now k =
-  match lookup t ~now k with
-  | Some Verified ->
-      t.hits <- t.hits + 1;
-      if k.[0] = 'B' then t.binding_hits <- t.binding_hits + 1;
-      true
-  | Some (Link _) | None ->
-      t.misses <- t.misses + 1;
-      false
+let count (t : t) ~binding hit =
+  if hit then begin
+    t.hits <- t.hits + 1;
+    if binding then t.binding_hits <- t.binding_hits + 1
+  end
+  else t.misses <- t.misses + 1;
+  hit
 
-let record t ~now k = remember t ~now k Verified
+(* A signature is where to look, never a proof: the entry must say the
+   same signer checked the same bytes. *)
+let holds ~signed_bytes ~signer = function
+  | Some (Verdict v) -> String.equal v.signer signer && String.equal v.signed signed_bytes
+  | Some (Link _) | None -> false
+
+let check t ~now ~signed_bytes ~signature ~signer =
+  count t ~binding:false (holds ~signed_bytes ~signer (lookup t ~now ("S" ^ signature)))
+
+let record t ~now ~signed_bytes ~signature ~signer =
+  remember t ~now ("S" ^ signature) (Verdict { signed = signed_bytes; signer; decoded = None })
+
+let check_binding t ~now ~signed_bytes ~binding ~key =
+  count t ~binding:true (holds ~signed_bytes ~signer:key (lookup t ~now ("B" ^ binding)))
+
+let record_binding t ~now ~signed_bytes ~binding ~key =
+  remember t ~now ("B" ^ binding) (Verdict { signed = signed_bytes; signer = key; decoded = None })
+
+(* The very certificate the entry decoded has the entry's signed bytes, so
+   only the signer is compared; any other is re-encoded and compared. *)
+let check_cert t ~now ~signer (cert : Proxy_cert.pk_cert) =
+  count t ~binding:false
+    (match lookup t ~now ("S" ^ cert.Proxy_cert.signature) with
+    | Some (Verdict { decoded = Some (_, c); signer = s; _ }) when c == cert -> String.equal s signer
+    | Some (Verdict v) ->
+        String.equal v.signer signer && String.equal v.signed (Proxy_cert.pk_signed_bytes cert)
+    | Some (Link _) | None -> false)
+
+let decode_cert t ~now w =
+  let fresh () = Proxy_cert.pk_cert_of_wire w in
+  match w with
+  | Wire.L [ _; _; _; Wire.S signature ] -> (
+      match lookup t ~now ("S" ^ signature) with
+      | Some (Verdict { decoded = Some (w', c); _ }) when Wire.equal w' w -> Ok c
+      | Some (Verdict ({ decoded = None; _ } as v)) ->
+          let r = fresh () in
+          (match r with
+          | Ok c when String.equal v.signed (Proxy_cert.pk_signed_bytes c) ->
+              v.decoded <- Some (w, c)
+          | Ok _ | Error _ -> ());
+          r
+      | Some (Verdict _ | Link _) | None -> fresh ())
+  | _ -> fresh ()
 
 let find_link t ~now ~sealing_key blob =
   match lookup t ~now (link_key ~sealing_key blob) with
@@ -90,7 +135,7 @@ let find_link t ~now ~sealing_key blob =
       t.hits <- t.hits + 1;
       t.link_hits <- t.link_hits + 1;
       Some (body, proxy_key)
-  | Some Verified | None ->
+  | Some (Verdict _) | None ->
       t.misses <- t.misses + 1;
       None
 

@@ -5,6 +5,15 @@
    array rather than a persistent set keeps the per-entry cost to one
    record and one slot, and allocates nothing per insert beyond them. *)
 
+(* Keys are strings: one [String.equal] per probe, not a polymorphic
+   compare, in the generic table's buckets ([Hashtbl.hash]). *)
+module Keys = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type 'v entry = {
   key : string;
   mutable value : 'v;
@@ -15,7 +24,7 @@ type 'v entry = {
 }
 
 type 'v t = {
-  entries : (string, 'v entry) Hashtbl.t;
+  entries : 'v entry Keys.t;
   mutable heap : 'v entry array;  (* slots [0, size) hold the heap *)
   capacity : int;
   on_evict : unit -> unit;
@@ -26,10 +35,10 @@ type 'v t = {
 
 let create ?(on_evict = ignore) ~capacity () =
   if capacity < 1 then invalid_arg "Expiring.create: capacity must be positive";
-  { entries = Hashtbl.create 64; heap = [||]; capacity; on_evict; next_seq = 0;
+  { entries = Keys.create 64; heap = [||]; capacity; on_evict; next_seq = 0;
     floors = Hashtbl.create 8; floors_limit = capacity }
 
-let size t = Hashtbl.length t.entries
+let size t = Keys.length t.entries
 let capacity t = t.capacity
 let precedes a b = a.expires < b.expires || (a.expires = b.expires && a.seq < b.seq)
 
@@ -61,7 +70,7 @@ let restore t e =
   sift_up t e.slot e
 
 let remove t e =
-  Hashtbl.remove t.entries e.key;
+  Keys.remove t.entries e.key;
   let n = size t in
   if n = 0 then t.heap <- [||]
   else begin
@@ -81,11 +90,11 @@ let insert t e =
     Array.blit t.heap 0 grown 0 n;
     t.heap <- grown
   end;
-  Hashtbl.replace t.entries e.key e;
+  Keys.replace t.entries e.key e;
   sift_up t n e
 
 let find t ~now key =
-  match Hashtbl.find_opt t.entries key with
+  match Keys.find_opt t.entries key with
   | Some e when e.expires > now -> Some e.value
   | Some e ->
       remove t e;
@@ -113,7 +122,7 @@ let raise_floor t ~now victim =
   let floor = Option.value (Hashtbl.find_opt t.floors victim.tag) ~default:min_int in
   Hashtbl.replace t.floors victim.tag (max floor victim.expires)
 
-let mem t key = Hashtbl.mem t.entries key
+let mem t key = Keys.mem t.entries key
 
 let rec purge t ~now =
   if size t > 0 && t.heap.(0).expires <= now then begin
@@ -123,7 +132,7 @@ let rec purge t ~now =
 
 let add ?on_evict t ~now ~expires ?tag key value =
   purge t ~now;
-  match Hashtbl.find_opt t.entries key with
+  match Keys.find_opt t.entries key with
   | Some e ->
       (* Still present after the purge, so live: the same logical entry,
          updated in place. *)
@@ -144,13 +153,13 @@ let add ?on_evict t ~now ~expires ?tag key value =
 
 let shed t ~tag =
   let doomed =
-    Hashtbl.fold (fun _ e acc -> if e.tag = Some tag then e :: acc else acc) t.entries []
+    Keys.fold (fun _ e acc -> if e.tag = Some tag then e :: acc else acc) t.entries []
   in
   List.iter (remove t) doomed;
   List.length doomed
 
 let clear t =
-  Hashtbl.reset t.entries;
+  Keys.reset t.entries;
   t.heap <- [||];
   Hashtbl.reset t.floors;
   t.floors_limit <- t.capacity

@@ -75,13 +75,13 @@ let request_payload raw =
       Result.to_option (Wire.decode payload)
   | _ -> None
 
-(* The bytes one call of [f] allocates, averaged over 20 calls after one
+(* The words one call of [f] allocates, averaged over 20 calls after one
    warm-up. A block over 256 words is allocated straight in the major
    heap, where [Gc.minor_words] never sees it, so the count adds the
    major heap's words less those promoted from the minor heap (counted
    there already). The minor words come from [Gc.minor_words]: on OCaml
    5.1, [Gc.counters] undercounts the words of the current minor heap. *)
-let alloc_bytes_per_call f =
+let words_per_call f =
   ignore (f ());
   let calls = 20 in
   let direct () =
@@ -93,4 +93,10 @@ let alloc_bytes_per_call f =
     ignore (Sys.opaque_identity (f ()))
   done;
   let words = Gc.minor_words () -. minor0 +. (direct () -. direct0) in
-  words *. float (Sys.word_size / 8) /. float calls
+  words /. float calls
+
+(* The bytes one call of [f] allocates. Reading the counters boxes a few
+   floats of its own, the same for every [f], so what a call that
+   allocates nothing reads is subtracted: such a call reads 0 B. *)
+let alloc_bytes_per_call f =
+  (words_per_call f -. words_per_call (fun () -> ())) *. float (Sys.word_size / 8)

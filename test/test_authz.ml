@@ -1113,15 +1113,17 @@ let test_capability_presentation_cost () =
     [ metric "ticket_cache.hits"; metric "verify_cache.hits"; metric "verify_cache.misses" ]
 
 (* What a warm, untraced decision over a depth-2 public-key bearer chain
-   allocates, when both links and the binding are verify-cache hits. Each
-   link re-encodes the bytes its signature covers and keys the cache by
-   them and by its signer's key bytes, and the binding is keyed by the
-   proxy key's bytes: the keys carry those bytes, so none is converted
-   from its numbers (five conversions, about 1.9 KB). An untraced net
-   opens no span, so neither the decision's span nor any certificate's
-   builds its attributes (a link's four-byte serial alone was four
-   [Printf.sprintf] calls). The decision allocates about 9.5 KB, under a
-   10 KB bound; it allocated about 14.8 KB while keys were converted and
+   allocates, when both links and the binding are verify-cache hits. The
+   certificates were not decoded through the guard, so each link
+   re-encodes the bytes its signature covers and compares them, and its
+   signer's key bytes, with the verdict its signature finds; the keys
+   carry those bytes, so none is converted from its numbers (five
+   conversions, about 1.9 KB). An untraced net opens no span, so neither
+   the decision's span nor any certificate's builds its attributes (a
+   link's four-byte serial alone was four [Printf.sprintf] calls). The
+   decision allocates about 6.7 KB, under a 10 KB bound: 9.5 KB while
+   each verdict was keyed by all three strings framed into one and each
+   counter was looked up twice, 14.8 KB while keys were converted and
    attributes built. *)
 let test_pk_decide_allocation () =
   if Sys.backend_type = Sys.Native then begin
@@ -1161,6 +1163,54 @@ let test_pk_decide_allocation () =
     Alcotest.(check bool)
       (Printf.sprintf "%.0f B per decision <= 10,240" used)
       true (used <= 10240.)
+  end
+
+(* What a warm, untraced read through a file server allocates when it
+   presents a depth-2 public-key bearer chain, client and server: the
+   call, both seals and opens, and the decision. The server decodes the
+   chain through its guard's verify cache, so a certificate whose verdict
+   holds its decoded form is not parsed again (no key read, no bytes
+   re-encoded) and both links hit by identity. About 24.4 KB, under a
+   26 KB bound; 31.1 KB while each read parsed both certificates and keyed
+   their verdicts by what they cover. *)
+let test_pk_read_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let w = world () in
+    let drbg = Crypto.Drbg.create ~seed:"pk read allocation" in
+    let alice, _ = W.enrol w "alice" in
+    let bob, _ = W.enrol w "bob" in
+    let fs_name, fs_key = W.enrol w "fileserver" in
+    let alice_kp = Crypto.Rsa.generate drbg ~bits:512 in
+    let acl = Acl.create () in
+    Acl.add acl ~target:"file1"
+      { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+    let lookup_pub p = if Principal.equal p alice then Some alice_kp.Crypto.Rsa.pub else None in
+    let fs = File_server.create w.W.net ~me:fs_name ~my_key:fs_key ~lookup_pub ~acl () in
+    File_server.install fs;
+    File_server.put_direct fs ~path:"file1" "contents";
+    let now = W.now w and read_file1 = R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] in
+    let chain =
+      Result.get_ok
+        (Proxy.restrict_pk ~drbg ~now ~expires:(now + W.hour) ~restrictions:[]
+           (Proxy.grant_pk ~drbg ~now ~expires:(now + W.hour) ~grantor:alice ~grantor_key:alice_kp
+              ~restrictions:[ read_file1 ] ()))
+    in
+    let creds = W.credentials_for w ~tgt:(W.login w bob) fs_name in
+    let read () =
+      match File_server.read w.W.net ~creds ~proxies:[ chain ] ~path:"file1" () with
+      | Ok "contents" -> ()
+      | Ok other -> Alcotest.failf "read %S" other
+      | Error e -> Alcotest.fail e
+    in
+    read ();
+    let metric name = Sim.Metrics.get (Sim.Net.metrics w.W.net) name in
+    let hits = metric "verify_cache.hits" and misses = metric "verify_cache.misses" in
+    let used = Testkit.alloc_bytes_per_call read in
+    Alcotest.(check (list int)) "every link and the binding hit; nothing missed" [ 3 * 21; 0 ]
+      [ metric "verify_cache.hits" - hits; metric "verify_cache.misses" - misses ];
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f B per read <= 26,624" used)
+      true (used <= 26624.)
   end
 
 (* --- accept-once through the guard --- *)
@@ -1342,6 +1392,7 @@ let () =
           ("cascade through guard", `Quick, test_cascade_through_guard);
           ("depth-2 presentation kernel cost", `Quick, test_capability_presentation_cost);
           ("a warm public-key decision's allocation", `Quick, test_pk_decide_allocation);
+          ("a warm public-key read's allocation", `Quick, test_pk_read_allocation);
           ("accept-once consumed", `Quick, test_accept_once_consumed);
           ("a flood's floor is its victims' grantors' alone", `Slow,
            test_accept_once_flood_spares_other_grantors);

@@ -92,32 +92,36 @@ let test_metrics_diff_large () =
 
 (* ---------------- Verify_cache refresh (bugfix regression) -------------- *)
 
+(* A verdict on signature [s]; the bytes and signer are the same for all. *)
+let record c ~now s = Verify_cache.record c ~now ~signed_bytes:"m" ~signature:s ~signer:"k"
+let cached c ~now s = Verify_cache.check c ~now ~signed_bytes:"m" ~signature:s ~signer:"k"
+
 let test_verify_cache_refresh_survives () =
   (* A hot, repeatedly refreshed entry must not be the first evicted: the
      bug left the refreshed entry's original queue position in place, so
      eviction removed the hottest key first. *)
   let c = Verify_cache.create ~capacity:4 () in
-  Verify_cache.record c ~now:0 "hot";
-  Verify_cache.record c ~now:1 "b";
-  Verify_cache.record c ~now:2 "c";
-  Verify_cache.record c ~now:3 "d";
-  Verify_cache.record c ~now:4 "hot" (* refresh: now newest, b is oldest *);
-  Verify_cache.record c ~now:5 "e" (* evicts b, not hot *);
-  check bool "refreshed entry survives" true (Verify_cache.check c ~now:6 "hot");
-  check bool "oldest unrefreshed evicted" false (Verify_cache.check c ~now:6 "b");
-  check bool "c still cached" true (Verify_cache.check c ~now:6 "c")
+  record c ~now:0 "hot";
+  record c ~now:1 "b";
+  record c ~now:2 "c";
+  record c ~now:3 "d";
+  record c ~now:4 "hot" (* refresh: now newest, b is oldest *);
+  record c ~now:5 "e" (* evicts b, not hot *);
+  check bool "refreshed entry survives" true (cached c ~now:6 "hot");
+  check bool "oldest unrefreshed evicted" false (cached c ~now:6 "b");
+  check bool "c still cached" true (cached c ~now:6 "c")
 
 let test_verify_cache_refresh_churn () =
   (* Under full-capacity churn with periodic refreshes, the hot key always
      survives — even when refreshes land at an unchanged virtual timestamp
      (the sequence number, not the clock, must break the tie). *)
   let c = Verify_cache.create ~capacity:4 () in
-  Verify_cache.record c ~now:0 "hot";
+  record c ~now:0 "hot";
   for i = 1 to 40 do
-    Verify_cache.record c ~now:i (Printf.sprintf "churn%d" i);
-    if i mod 2 = 0 then Verify_cache.record c ~now:i "hot";
+    record c ~now:i (Printf.sprintf "churn%d" i);
+    if i mod 2 = 0 then record c ~now:i "hot";
     check bool (Printf.sprintf "hot alive after %d inserts" i) true
-      (Verify_cache.check c ~now:i "hot")
+      (cached c ~now:i "hot")
   done;
   check int "size stays bounded" 4 (Verify_cache.size c);
   let s = Verify_cache.stats c in

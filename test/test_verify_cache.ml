@@ -17,7 +17,7 @@ let t_exp = 10 * hour
 let alice_kp = Crypto.Rsa.generate drbg ~bits:512
 let lookup q = if Principal.equal q alice then Some alice_kp.Crypto.Rsa.pub else None
 
-let grant_chain ?(expires = t_exp) ~depth () =
+let grant_proxy ?(expires = t_exp) ~depth () =
   let proxy =
     Proxy.grant_pk ~drbg ~now:0 ~expires ~grantor:alice ~grantor_key:alice_kp ~proxy_bits:512
       ~restrictions:[ R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] ]
@@ -32,8 +32,10 @@ let grant_chain ?(expires = t_exp) ~depth () =
                 ~restrictions:[ R.Quota ("pages", n) ] proxy))
           (n - 1)
   in
-  let proxy = extend proxy depth in
-  match proxy.Proxy.flavor with
+  extend proxy depth
+
+let grant_chain ?expires ~depth () =
+  match (grant_proxy ?expires ~depth ()).Proxy.flavor with
   | Proxy.Public_key certs -> certs
   | _ -> Alcotest.fail "expected public-key chain"
 
@@ -136,14 +138,17 @@ let test_capacity_bound_and_evictions () =
   let evictions = ref 0 in
   let cap = 4 in
   let cache = Verify_cache.create ~capacity:cap ~on_evict:(fun () -> incr evictions) () in
+  (* Verdict [i]: certificate [i]'s bytes under its own signature. *)
+  let check cache ~now i =
+    Verify_cache.check cache ~now ~signed_bytes:(Printf.sprintf "cert-%d" i)
+      ~signature:(Printf.sprintf "sig-%d" i) ~signer:"key"
+  and record cache ~now i =
+    Verify_cache.record cache ~now ~signed_bytes:(Printf.sprintf "cert-%d" i)
+      ~signature:(Printf.sprintf "sig-%d" i) ~signer:"key"
+  in
   for i = 1 to 25 do
-    let k =
-      Verify_cache.key
-        ~signed_bytes:(Printf.sprintf "cert-%d" i)
-        ~signature:"sig" ~signer:"key"
-    in
-    Alcotest.(check bool) "fresh entry misses" false (Verify_cache.check cache ~now:i k);
-    Verify_cache.record cache ~now:i k;
+    Alcotest.(check bool) "fresh entry misses" false (check cache ~now:i i);
+    record cache ~now:i i;
     Alcotest.(check bool) "bounded" true (Verify_cache.size cache <= cap)
   done;
   Alcotest.(check int) "size = capacity" cap (Verify_cache.size cache);
@@ -151,21 +156,18 @@ let test_capacity_bound_and_evictions () =
   Alcotest.(check int) "stats agree" (25 - cap) (Verify_cache.stats cache).Verify_cache.evictions;
   (* One TTL for every entry, so soonest-expiring is oldest-recorded: the
      survivors are the newest four. *)
-  let k i =
-    Verify_cache.key ~signed_bytes:(Printf.sprintf "cert-%d" i) ~signature:"sig" ~signer:"key"
-  in
-  Alcotest.(check bool) "oldest evicted" false (Verify_cache.check cache ~now:26 (k 1));
-  Alcotest.(check bool) "newest retained" true (Verify_cache.check cache ~now:26 (k 25));
+  Alcotest.(check bool) "oldest evicted" false (check cache ~now:26 1);
+  Alcotest.(check bool) "newest retained" true (check cache ~now:26 25);
   (* At capacity with one entry past its TTL, a new record purges the
      expired entry and evicts nothing live. *)
   let small = Verify_cache.create ~capacity:2 ~ttl_us:100 () in
-  Verify_cache.record small ~now:0 (k 1);
-  Verify_cache.record small ~now:50 (k 2);
-  Verify_cache.record small ~now:120 (k 3);
+  record small ~now:0 1;
+  record small ~now:50 2;
+  record small ~now:120 3;
   Alcotest.(check int) "purge, no eviction" 0 (Verify_cache.stats small).Verify_cache.evictions;
   Alcotest.(check int) "still at capacity" 2 (Verify_cache.size small);
-  Alcotest.(check bool) "live entry kept" true (Verify_cache.check small ~now:120 (k 2));
-  Alcotest.(check bool) "new entry kept" true (Verify_cache.check small ~now:120 (k 3))
+  Alcotest.(check bool) "live entry kept" true (check small ~now:120 2);
+  Alcotest.(check bool) "new entry kept" true (check small ~now:120 3)
 
 (* --- accept-once table bounds (the long-lived caches) --- *)
 
@@ -207,9 +209,15 @@ let test_replay_cache_bound () =
 let test_bump_generation_exact () =
   let invalidated = ref 0 in
   let cache = Verify_cache.create ~on_invalidate:(fun () -> incr invalidated) () in
-  let k i = Verify_cache.key ~signed_bytes:(Printf.sprintf "c%d" i) ~signature:"s" ~signer:"k" in
+  let check ~now i =
+    Verify_cache.check cache ~now ~signed_bytes:(Printf.sprintf "c%d" i)
+      ~signature:(Printf.sprintf "s%d" i) ~signer:"k"
+  and record ~now i =
+    Verify_cache.record cache ~now ~signed_bytes:(Printf.sprintf "c%d" i)
+      ~signature:(Printf.sprintf "s%d" i) ~signer:"k"
+  in
   for i = 1 to 5 do
-    Verify_cache.record cache ~now:0 (k i)
+    record ~now:0 i
   done;
   Alcotest.(check int) "five live" 5 (Verify_cache.size cache);
   Alcotest.(check int) "first bump retires all five" 5 (Verify_cache.bump_generation cache);
@@ -219,7 +227,7 @@ let test_bump_generation_exact () =
     (Verify_cache.stats cache).Verify_cache.invalidations;
   (* Retired entries are gone: lookups miss, and the miss does not
      resurrect anything. *)
-  Alcotest.(check bool) "retired entry misses" false (Verify_cache.check cache ~now:1 (k 1));
+  Alcotest.(check bool) "retired entry misses" false (check ~now:1 1);
   (* Bumping an empty cache retires and charges nothing. *)
   for _ = 1 to 100 do
     Alcotest.(check int) "empty bump is free" 0 (Verify_cache.bump_generation cache)
@@ -228,8 +236,8 @@ let test_bump_generation_exact () =
     (Verify_cache.stats cache).Verify_cache.invalidations;
   (* Entries recorded after a bump live normally and are charged exactly
      on the next one. *)
-  Verify_cache.record cache ~now:2 (k 9);
-  Alcotest.(check bool) "new entry hits" true (Verify_cache.check cache ~now:2 (k 9));
+  record ~now:2 9;
+  Alcotest.(check bool) "new entry hits" true (check ~now:2 9);
   Alcotest.(check int) "next bump retires exactly the new entry" 1
     (Verify_cache.bump_generation cache);
   Alcotest.(check int) "total invalidations exact" 6
@@ -436,6 +444,181 @@ let test_link_other_base_misses () =
   Alcotest.(check (list int)) "one miss, one open, no hit" [ 1; 1; 0 ]
     [ count "verify_cache.misses"; count "crypto.open"; count "verify_cache.hits" ]
 
+(* --- Decoded certificates: a guard parses a verified certificate once --- *)
+
+(* A file server's guard, keyed by a directory that can rebind alice, and
+   what it is handed: a proxy presented to it, as wire. *)
+type decoding = {
+  guard : Guard.t;
+  rebind : Principal.t -> Crypto.Rsa.private_ -> unit;
+  metric : string -> int;
+  wire : Proxy.t -> Wire.t;
+}
+
+let decoding () =
+  let net = Sim.Net.create ~seed:"verify-cache-decode" () in
+  let fs = p "fileserver" in
+  let lookup, rebind = directory [ (alice, alice_kp) ] in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"file1"
+    { Acl.subject = Acl.Principal_is alice; rights = [ "read" ]; restrictions = [] };
+  let guard = Guard.create net ~me:fs ~my_key:"k" ~lookup_pub:lookup ~acl () in
+  {
+    guard;
+    rebind;
+    metric = Sim.Metrics.get (Sim.Net.metrics net);
+    wire = (fun proxy -> Guard.presented_to_wire (Guard.bind ~server:fs ~ticket:Testkit.ticket proxy));
+  }
+
+let decode d wire =
+  match Guard.decode_presented d.guard wire with
+  | Ok ({ Guard.pres = Proxy.Public_key certs; _ } as presented) -> (presented, certs)
+  | Ok _ -> Alcotest.fail "expected a public-key presentation"
+  | Error e -> Alcotest.fail e
+
+(* Decode what the guard is handed, decide on it, and say what the
+   decision cost: (hits, misses, RSA verifies). *)
+let decide d wire =
+  let before = List.map d.metric [ "verify_cache.hits"; "verify_cache.misses"; "crypto.rsa_verify" ] in
+  let r =
+    Result.bind (Guard.decode_presented d.guard wire) (fun presented ->
+        Guard.decide d.guard ~ticket:Testkit.ticket ~operation:"read" ~target:"file1"
+          ~presenter:(p "carol") ~proxies:[ presented ] ())
+  in
+  let after = List.map d.metric [ "verify_cache.hits"; "verify_cache.misses"; "crypto.rsa_verify" ] in
+  (Result.map ignore r, List.map2 ( - ) after before)
+
+let granted label (r, cost) want =
+  (match r with Ok () -> () | Error e -> Alcotest.failf "%s: %s" label e);
+  Alcotest.(check (list int)) (label ^ ": hits, misses, RSA verifies") want cost
+
+let bad_signature label (r, cost) want =
+  (match r with
+  | Ok () -> Alcotest.failf "%s: granted" label
+  | Error e ->
+      Alcotest.(check string) (label ^ ": denial")
+        "access denied: no ACL entry permits read on \"file1\" (no presented proxy was usable: \
+         pk proxy-cert: bad signature)"
+        e);
+  Alcotest.(check (list int)) (label ^ ": hits, misses, RSA verifies") want cost
+
+let same_certs a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+let test_decoded_once () =
+  let d = decoding () in
+  let wire = d.wire (grant_proxy ~depth:2 ()) in
+  (* Nothing is verified yet, so nothing is kept: each decode is afresh. *)
+  let _, cold = decode d wire in
+  Alcotest.(check bool) "cold decodes are fresh" false (same_certs cold (snd (decode d wire)));
+  granted "first presentation" (decide d wire) [ 0; 3; 3 ];
+  (* The first decode after the verdicts keeps its certificates, and the
+     next returns those very values: decoding counts nothing. *)
+  let _, first = decode d wire in
+  let _, second = decode d wire in
+  Alcotest.(check bool) "a warm decode returns the same certificates" true
+    (same_certs first second);
+  Alcotest.(check bool) "and not the cold ones" false (same_certs cold second);
+  Alcotest.(check (list int)) "decoding counts no hit and no miss" [ 0; 3 ]
+    [ d.metric "verify_cache.hits"; d.metric "verify_cache.misses" ];
+  granted "warm presentation" (decide d wire) [ 3; 0; 0 ]
+
+let test_copied_signature_misses () =
+  let d = decoding () in
+  let proxy = grant_proxy ~depth:2 () in
+  let wire = d.wire proxy in
+  granted "cold" (decide d wire) [ 0; 3; 3 ];
+  let presented, certs = decode d wire in
+  let head, tail = match certs with h :: t -> (h, t) | [] -> Alcotest.fail "empty chain" in
+  let present certs =
+    Guard.presented_to_wire { presented with Guard.pres = Proxy.Public_key certs }
+  in
+  (* The head's signature on a body that lives one microsecond longer. *)
+  let body = head.Proxy_cert.pk_body in
+  let forged =
+    { head with Proxy_cert.pk_body = { body with Proxy_cert.expires = body.Proxy_cert.expires + 1 } }
+  in
+  bad_signature "copied onto another body" (decide d (present (forged :: tail))) [ 0; 1; 1 ];
+  granted "genuine after a copied signature" (decide d wire) [ 3; 0; 0 ];
+  (* The tail under another head of alice's: the guard hands back the very
+     certificate it kept, and its verdict's signer is the first head's
+     proxy key, not this one's. *)
+  let other_head =
+    match (grant_proxy ~depth:1 ()).Proxy.flavor with
+    | Proxy.Public_key [ h ] -> h
+    | _ -> Alcotest.fail "expected a one-certificate chain"
+  in
+  let _, moved = decode d (present (other_head :: tail)) in
+  Alcotest.(check bool) "the tail decodes to the kept certificate" true
+    (same_certs (List.tl moved) (List.tl (snd (decode d wire))));
+  bad_signature "under another signer" (decide d (present (other_head :: tail))) [ 0; 2; 2 ];
+  granted "genuine after another signer" (decide d wire) [ 3; 0; 0 ];
+  (* alice's key rebound: the kept head is known by identity, and its
+     signer is compared all the same. *)
+  d.rebind alice (Crypto.Rsa.generate drbg ~bits:512);
+  bad_signature "under a rebound key" (decide d wire) [ 0; 1; 1 ];
+  d.rebind alice alice_kp;
+  granted "genuine once the key is back" (decide d wire) [ 3; 0; 0 ]
+
+let test_bump_drops_decoded () =
+  let d = decoding () in
+  let wire = d.wire (grant_proxy ~depth:2 ()) in
+  granted "cold" (decide d wire) [ 0; 3; 3 ];
+  let _, kept = decode d wire in
+  Alcotest.(check bool) "kept" true (same_certs kept (snd (decode d wire)));
+  Alcotest.(check int) "two links and a binding retired" 3
+    (Verify_cache.bump_generation (Guard.verify_cache d.guard));
+  let _, after = decode d wire in
+  Alcotest.(check bool) "no certificate survives the bump" false
+    (List.exists2 ( == ) kept after);
+  granted "re-verified in full" (decide d wire) [ 0; 3; 3 ]
+
+(* Over the fuzz harness's mutants of its pk-certificate seed, decoding
+   through a cache that keeps the seed's decoded certificate, or through
+   one that holds only its verdict, gives what decoding afresh gives: an
+   equal certificate, or the same error. The seed still decodes to its
+   kept certificate after each. *)
+let prop_decode_agrees =
+  let seed = lazy (
+    let seeds, _ = Mbt.Fuzz.build () in
+    let _, genuine, _ = List.find (fun (name, _, _) -> name = "pk-cert") seeds in
+    let cert = Result.get_ok (Proxy_cert.pk_cert_of_wire genuine) in
+    let verdict () =
+      let cache = Verify_cache.create () in
+      Verify_cache.record cache ~now:0 ~signed_bytes:(Proxy_cert.pk_signed_bytes cert)
+        ~signature:cert.Proxy_cert.signature ~signer:"u0's key";
+      cache
+    in
+    let warm = verdict () in
+    let kept = Result.get_ok (Verify_cache.decode_cert warm ~now:0 genuine) in
+    (genuine, verdict, warm, kept))
+  in
+  let same a b =
+    match (a, b) with
+    | Ok a, Ok b -> Wire.equal (Proxy_cert.pk_cert_to_wire a) (Proxy_cert.pk_cert_to_wire b)
+    | Error a, Error b -> String.equal a b
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  QCheck.Test.make ~name:"warm and fresh decodes agree on mutants" ~count:1000 QCheck.int
+    (fun i ->
+      let genuine, verdict, warm, kept = Lazy.force seed in
+      let mutant =
+        Mbt.Fuzz.mutate (Crypto.Drbg.create ~seed:(string_of_int i)) (Wire.encode genuine)
+      in
+      match Wire.decode mutant with
+      | Error _ -> true
+      | Ok v ->
+          let fresh = Proxy_cert.pk_cert_of_wire v and cold = verdict () in
+          let keeps cache =
+            match Verify_cache.decode_cert cache ~now:0 genuine with
+            | Ok c -> c == kept
+            | Error _ -> false
+          in
+          same (Verify_cache.decode_cert warm ~now:0 v) fresh
+          && same (Verify_cache.decode_cert cold ~now:0 v) fresh
+          && same (Verify_cache.decode_cert cold ~now:0 v) fresh
+          && keeps warm
+          && same (Verify_cache.decode_cert cold ~now:0 genuine) (Ok kept))
+
 let () =
   Alcotest.run "verify_cache"
     [ ( "memoized verification",
@@ -454,4 +637,9 @@ let () =
         [ ("revoked serial refused after a hit", `Quick, test_link_revoked_after_hit);
           ("ended window refused after a hit", `Quick, test_link_window_after_hit);
           ("another base ticket misses", `Quick, test_link_other_base_misses) ] );
+      ( "decoded certificates",
+        [ ("a warm guard decodes a certificate once", `Quick, test_decoded_once);
+          ("a copied signature misses", `Quick, test_copied_signature_misses);
+          ("bump_generation drops decoded certificates", `Quick, test_bump_drops_decoded);
+          QCheck_alcotest.to_alcotest prop_decode_agrees ] );
       ("replay cache", [ ("bounded under flood", `Quick, test_replay_cache_bound) ]) ]

@@ -156,18 +156,27 @@ dune build @perfbench/perfbench-test
 
 echo "== allocation =="
 # Printed, not gated: the bytes each benchmark workload allocates per op
-# (gc.alloc_bytes_per_op), from one short traced run at seed 1, the
-# figure a change that cuts copies reports before and after. A run this
-# short can end before perfbench has two host-speed samples, and then
-# exits with an error; the step says so and goes on.
+# (gc.alloc_bytes_per_op), from one short traced run at seed 1, and its
+# peak heap (heap_peak_mb), from one short untraced run at seed 1: the
+# figures a change that cuts copies or kept state reports before and
+# after. A run this short can end before perfbench has two host-speed
+# samples, and then exits with an error; the step says so and goes on.
+# figure WORKLOAD METRIC SCALE UNIT prints METRIC / SCALE from the
+# perfbench result on standard input.
+figure () {
+    python3 -c 'import json, sys
+wl, name, scale, unit = sys.argv[1], sys.argv[2], float(sys.argv[3]), sys.argv[4]
+try:
+    v = json.load(sys.stdin)["metrics"][name]["value"]
+    print(f"{wl}: {v / scale:.1f} {unit}")
+except ValueError:
+    print(f"{wl}: no figure (the run failed)")' "$@"
+}
 for wl in authz-conv authz-pk bank; do
     python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 1 | tail -n 1 |
-        python3 -c 'import json, sys
-try:
-    v = json.load(sys.stdin)["metrics"]["gc.alloc_bytes_per_op"]["value"]
-    print(f"{sys.argv[1]}: {v / 1000:.1f} KB/op")
-except ValueError:
-    print(f"{sys.argv[1]}: no figure (the run failed)")' "$wl"
+        figure "$wl" gc.alloc_bytes_per_op 1000 KB/op
+    python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 0 | tail -n 1 |
+        figure "$wl" heap_peak_mb 1 "MB peak heap"
 done
 
 echo "== OK =="

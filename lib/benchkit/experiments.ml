@@ -866,9 +866,10 @@ let a1 () =
   (* The floor, read back over ids 1..n, each inserted with expiry
      [expires i]: every evicted id must read forgotten, so
      [evicted_forgotten] must equal the evictions. *)
-  let floor_ints table ~expires n =
+  let floor_ints ?tag table ~expires n =
     let forgotten i =
-      Expiring.lookup table ~now:0 ~expires:(expires i) (string_of_int i) = Expiring.Forgotten
+      Expiring.lookup table ~now:0 ~expires:(expires i) ?tag (string_of_int i)
+      = Expiring.Forgotten
     in
     [ ("evicted_forgotten", List.length (List.filter forgotten (List.init n succ))) ]
   in
@@ -896,18 +897,18 @@ let a1 () =
   (* Capacity pressure: fill a table with live identifiers, then insert
      1000 more — each must evict exactly one. insert_ns times a further
      insert at capacity. As in the flood, the evictions are the inserted
-     ids no longer held. *)
-  let pressure name table value =
+     ids no longer held; [add] inserts under [tag], never to expire. *)
+  let pressure name ?tag table add =
     let capacity = Expiring.capacity table in
     let n = capacity + 1_000 in
-    let insert i = Expiring.add table ~now:0 ~expires:max_int (string_of_int i) value in
+    let insert i = add table (string_of_int i) in
     for i = 1 to n do
       insert i
     done;
     let ints =
       [ ("capacity", capacity); ("evictions", n - Expiring.size table);
         ("final_size", Expiring.size table) ]
-      @ floor_ints table ~expires:(fun _ -> max_int) n
+      @ floor_ints ?tag table ~expires:(fun _ -> max_int) n
     in
     let next = ref n in
     row
@@ -921,9 +922,12 @@ let a1 () =
   populations
   @ [ flooded ]
   @ List.map
-      (fun capacity -> pressure "replay-cache" (accepted capacity) ())
+      (fun capacity ->
+        pressure "replay-cache" (accepted capacity) (fun table id ->
+            Expiring.add table ~now:0 ~expires:max_int id ()))
       [ 1 lsl 10; 1 lsl 12; 1 lsl 14; 1 lsl 17 ]
-  @ [ pressure "response-cache" (Secure_rpc.create_cache ()) "" ]
+  @ [ pressure "response-cache" ~tag:"client" (Secure_rpc.create_cache ()) (fun cache auth_id ->
+          Secure_rpc.seed cache ~now:0 ~expires:max_int ~client:"client" ~auth_id "") ]
 
 (* ------------------------------------------------------------------ *)
 (* A3: TGS proxies (Sec 6.3) vs per-server capabilities               *)

@@ -177,7 +177,7 @@ let apply_replication t ctx ~replies ~changes =
        that client's floor. *)
     List.iter
       (fun (auth_id, client, expires, reply) ->
-        Expiring.add t.standby.cache ~now ~expires ~tag:client auth_id reply)
+        Secure_rpc.seed t.standby.cache ~now ~expires ~client ~auth_id reply)
       replies;
     Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_applied";
     Sim.Metrics.add (Sim.Net.metrics t.net) "cluster.repl_replies_seeded"

@@ -359,24 +359,26 @@ let verify ~open_base ~lookup ?(decrypt = no_decrypt) ?me ?tally ?cache ?revocat
       verify_hybrid ~lookup ~decrypt ?me ?tally ?cache ?revocation ?hook ~now (head, blobs)
 
 (* A binding's verdict is memoized like a certificate's: after the first
-   request over a ticket, every later one costs one cache lookup. *)
+   request over a ticket, every later one costs one cache lookup, which
+   compares what the binding binds. The signed bytes are encoded only for
+   a real check. *)
 let check_binding ?cache ~tally ~now commitment ~server ~ticket binding =
-  let signed_bytes = Presentation.signed_bytes ~server ~ticket in
   let memo ~cost ~key verify =
     memoized ?cache ~tally ~cost
       ~find:(fun c ->
-        if Verify_cache.check_binding c ~now ~signed_bytes ~binding ~key then Some () else None)
-      ~record:(fun c () -> Verify_cache.record_binding c ~now ~signed_bytes ~binding ~key)
-      (fun () -> if verify () then Ok () else Error "session binding: invalid")
+        if Verify_cache.check_binding c ~now ~server ~ticket ~binding ~key then Some () else None)
+      ~record:(fun c () -> Verify_cache.record_binding c ~now ~server ~ticket ~binding ~key)
+      (fun () ->
+        if verify (Presentation.signed_bytes ~server ~ticket) then Ok ()
+        else Error "session binding: invalid")
   in
   match commitment with
   | Presentation.No_commit -> Error "session binding: a key-less proxy has no proxy key"
   | Presentation.Pk_commit pub ->
-      memo ~cost:"crypto.rsa_verify" ~key:(Crypto.Rsa.public_to_bytes pub) (fun () ->
-          Crypto.Rsa.verify pub ~msg:signed_bytes ~signature:binding)
+      memo ~cost:"crypto.rsa_verify" ~key:(Crypto.Rsa.public_to_bytes pub) (fun msg ->
+          Crypto.Rsa.verify pub ~msg ~signature:binding)
   | Presentation.Sym_commit k ->
-      memo ~cost:"crypto.mac" ~key:k (fun () ->
-          Crypto.Hmac.verify ~key:k ~msg:signed_bytes ~tag:binding)
+      memo ~cost:"crypto.mac" ~key:k (fun msg -> Crypto.Hmac.verify ~key:k ~msg ~tag:binding)
 
 let authorize ?(tally = no_tally) ?cache ~held verified ~req ~ticket ~binding =
   let open Wire in

@@ -6,14 +6,18 @@
 (* A verdict is found by its signature and holds what the signature was
    checked over and under. [decoded] is a public-key certificate a guard
    decoded whose signed bytes are [signed], with the wire value it came
-   from: an equal wire value is that certificate again. *)
+   from: an equal wire value is that certificate again. A binding is
+   found by the binding and holds what it binds: the server, the ticket
+   digest and the verifying key. A link is found by its box's tag and
+   holds the sealing key and the box, with what opening it gave. *)
 type entry =
   | Verdict of {
       signed : string;
       signer : string;
       mutable decoded : (Wire.t * Proxy_cert.pk_cert) option;
     }
-  | Link of Proxy_cert.body * string
+  | Binding of { server : Principal.t; ticket : string; key : string }
+  | Link of { sealing_key : string; blob : string; body : Proxy_cert.body; proxy_key : string }
 
 type t = {
   table : entry Expiring.t option;  (* [None]: capacity 0, caching off *)
@@ -61,15 +65,8 @@ let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us) ?(on_evict 
   { table; ttl_us; on_invalidate; evictions; hits = 0; link_hits = 0; binding_hits = 0;
     misses = 0; invalidations = 0 }
 
-(* A one-byte tag keeps the kinds of key apart. A link's key is its
-   sealing key, length-framed so that no other split of the same string
-   names another (key, blob) pair, then the exact blob. *)
-let frame s =
-  let n = String.length s in
-  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ s
-
-let link_key ~sealing_key blob = String.concat "" [ "L"; frame sealing_key; blob ]
-
+(* A one-byte tag keeps the kinds of key apart: "S" and a signature, "B"
+   and a binding, "L" and a sealed link's 16-byte Poly1305 tag. *)
 let lookup t ~now k = match t.table with Some table -> Expiring.find table ~now k | None -> None
 
 let remember t ~now k entry =
@@ -85,23 +82,26 @@ let count (t : t) ~binding hit =
   else t.misses <- t.misses + 1;
   hit
 
-(* A signature is where to look, never a proof: the entry must say the
-   same signer checked the same bytes. *)
-let holds ~signed_bytes ~signer = function
-  | Some (Verdict v) -> String.equal v.signer signer && String.equal v.signed signed_bytes
-  | Some (Link _) | None -> false
-
+(* A signature, a binding or a tag is where to look, never a proof: the
+   entry must hold the same bytes checked under the same key. *)
 let check t ~now ~signed_bytes ~signature ~signer =
-  count t ~binding:false (holds ~signed_bytes ~signer (lookup t ~now ("S" ^ signature)))
+  count t ~binding:false
+    (match lookup t ~now ("S" ^ signature) with
+    | Some (Verdict v) -> String.equal v.signer signer && String.equal v.signed signed_bytes
+    | Some (Binding _ | Link _) | None -> false)
 
 let record t ~now ~signed_bytes ~signature ~signer =
   remember t ~now ("S" ^ signature) (Verdict { signed = signed_bytes; signer; decoded = None })
 
-let check_binding t ~now ~signed_bytes ~binding ~key =
-  count t ~binding:true (holds ~signed_bytes ~signer:key (lookup t ~now ("B" ^ binding)))
+let check_binding t ~now ~server ~ticket ~binding ~key =
+  count t ~binding:true
+    (match lookup t ~now ("B" ^ binding) with
+    | Some (Binding b) ->
+        String.equal b.key key && String.equal b.ticket ticket && Principal.equal b.server server
+    | Some (Verdict _ | Link _) | None -> false)
 
-let record_binding t ~now ~signed_bytes ~binding ~key =
-  remember t ~now ("B" ^ binding) (Verdict { signed = signed_bytes; signer = key; decoded = None })
+let record_binding t ~now ~server ~ticket ~binding ~key =
+  remember t ~now ("B" ^ binding) (Binding { server; ticket; key })
 
 (* The very certificate the entry decoded has the entry's signed bytes, so
    only the signer is compared; any other is re-encoded and compared. *)
@@ -111,7 +111,7 @@ let check_cert t ~now ~signer (cert : Proxy_cert.pk_cert) =
     | Some (Verdict { decoded = Some (_, c); signer = s; _ }) when c == cert -> String.equal s signer
     | Some (Verdict v) ->
         String.equal v.signer signer && String.equal v.signed (Proxy_cert.pk_signed_bytes cert)
-    | Some (Link _) | None -> false)
+    | Some (Binding _ | Link _) | None -> false)
 
 let decode_cert t ~now w =
   let fresh () = Proxy_cert.pk_cert_of_wire w in
@@ -126,21 +126,25 @@ let decode_cert t ~now w =
               v.decoded <- Some (w, c)
           | Ok _ | Error _ -> ());
           r
-      | Some (Verdict _ | Link _) | None -> fresh ())
+      | Some (Verdict _ | Binding _ | Link _) | None -> fresh ())
   | _ -> fresh ()
 
+(* A box too short to carry a tag never opened, so it is not looked up. *)
+let link_key blob = "L" ^ Crypto.Aead.tag blob
+let has_tag blob = String.length blob >= Crypto.Aead.overhead
+
 let find_link t ~now ~sealing_key blob =
-  match lookup t ~now (link_key ~sealing_key blob) with
-  | Some (Link (body, proxy_key)) ->
+  match if has_tag blob then lookup t ~now (link_key blob) else None with
+  | Some (Link l) when String.equal l.blob blob && String.equal l.sealing_key sealing_key ->
       t.hits <- t.hits + 1;
       t.link_hits <- t.link_hits + 1;
-      Some (body, proxy_key)
-  | Some (Verdict _) | None ->
+      Some (l.body, l.proxy_key)
+  | Some (Verdict _ | Binding _ | Link _) | None ->
       t.misses <- t.misses + 1;
       None
 
 let record_link t ~now ~sealing_key blob (body, proxy_key) =
-  remember t ~now (link_key ~sealing_key blob) (Link (body, proxy_key))
+  remember t ~now (link_key blob) (Link { sealing_key; blob; body; proxy_key })
 
 let size t = match t.table with Some table -> Expiring.size table | None -> 0
 

@@ -16,20 +16,25 @@
     - {e binding verdicts}: a session binding ({!Presentation}) rides every
       request over its ticket, so it is checked once, by an RSA verify or
       an HMAC (about 5 SHA-256 compressions), and answered from here
-      after. It is found by the binding and holds the signed bytes and the
-      verifying key: the RSA public key's bytes or the symmetric proxy
-      key;
+      after. It is found by the binding and holds what the binding binds:
+      the server, the ticket digest and the verifying key (the RSA public
+      key's bytes or the symmetric proxy key). A hit compares those three,
+      so it is the same test as comparing the signed bytes
+      ({!Presentation.signed_bytes}), which are encoded only on a miss;
     - {e opened conventional links}: a conventional certificate is an AEAD
       box under the previous proxy key (the base session key for the
       head), and opening it costs a key preparation (4 SHA-256
       compressions), a ChaCha20-Poly1305 open of the box and a decode.
-      The key is the length-framed sealing key followed by the exact
-      certificate blob; the value is the certificate body and the next
-      proxy key it carries.
+      It is found by the box's 16-byte Poly1305 tag and holds the sealing
+      key and the exact box, with the certificate body and the next proxy
+      key opening it gave. A hit compares the sealing key and the box, so
+      it is the same test as a key made of both.
 
     A one-byte tag starts each key, so keys of different kinds can never
-    be equal. Keys are bytes, not a digest: hashing a 250-byte blob would
-    take 5 SHA-256 compressions, more than a preparation costs.
+    be equal. A key is never a digest: hashing a 250-byte blob would take
+    5 SHA-256 compressions, more than a preparation costs. Whoever holds a
+    key can steer a Poly1305 tag, so two boxes can share one: the later
+    replaces the earlier, and the earlier then misses and is opened again.
 
     {b Decoded certificates.} A guard decodes the public-key certificates
     it is handed through its cache ({!decode_cert}). The first time it
@@ -58,7 +63,8 @@
       found, or is found over other bytes) and fails the real
       verification every time; a certificate that copies a remembered
       signature onto another body does too, and leaves the genuine
-      verdict in place.
+      verdict in place, and so does a link box that carries a remembered
+      box's tag over other bytes.
 
     Entries live in one {!Expiring} table, expiring [ttl_us] after they are
     recorded (defaulting to [Pki.Resolver]'s TTL): a cached verification
@@ -123,11 +129,15 @@ val record : t -> now:int -> signed_bytes:string -> signature:string -> signer:s
     re-recording a live signature replaces its verdict in place, refreshes
     its TTL and evicts nothing. Only call on success. *)
 
-val check_binding : t -> now:int -> signed_bytes:string -> binding:string -> key:string -> bool
-(** {!check} for a session binding, under its own tag; a hit counts as a
-    binding hit too. *)
+val check_binding :
+  t -> now:int -> server:Principal.t -> ticket:string -> binding:string -> key:string -> bool
+(** [true] when [binding] was verified before, under exactly [key], over
+    exactly [server] and the ticket digest [ticket], and the verdict is
+    within its TTL. Counts as {!check} does; a hit counts as a binding hit
+    too. *)
 
-val record_binding : t -> now:int -> signed_bytes:string -> binding:string -> key:string -> unit
+val record_binding :
+  t -> now:int -> server:Principal.t -> ticket:string -> binding:string -> key:string -> unit
 (** {!record} for a session binding. *)
 
 val check_cert : t -> now:int -> signer:string -> Proxy_cert.pk_cert -> bool
@@ -147,7 +157,8 @@ val find_link :
   t -> now:int -> sealing_key:string -> string -> (Proxy_cert.body * string) option
 (** What {!Proxy_cert.open_conventional} gave for this exact blob under
     this exact sealing key, if it opened before and the entry is within
-    its TTL. Counts a hit (and a link hit) or a miss, as {!check} does. *)
+    its TTL. Counts a hit (and a link hit) or a miss, as {!check} does; a
+    blob too short to be a box misses. *)
 
 val record_link :
   t -> now:int -> sealing_key:string -> string -> Proxy_cert.body * string -> unit

@@ -18,6 +18,10 @@ val tag : string -> string
 (** The tag of a box that opened: it names the box, its associated data
     and its key together. *)
 
+val overhead : int
+(** 28: the nonce and tag a box adds to its plaintext, so the length of
+    the shortest box. *)
+
 (** {2 Prepared keys}
 
     A 32-byte key never keys the cipher itself, since proxy keys also key

@@ -21,26 +21,44 @@ let status_of_wire = function
    identical authenticator is a retransmission (or a replay), and the
    handler must not run again — accept-once restrictions, check-number
    redemption, and ledger mutations fire exactly once under at-least-once
-   delivery. The duplicate gets the original sealed response back: useless
-   to an eavesdropping replayer (sealed under the session key), and
-   exactly what a retrying legitimate client needs. An {!Expiring} table
-   whose entries are tagged by the ticket's client: when full, expired
-   entries are purged; if every entry is still live, the soonest-to-expire
-   response is dropped, "rpc.cache_evictions" ticks and its client's
-   floor rises, so that authenticator is refused rather than run again.
-   Only that client's floor moves, and it moves in the client's own
-   timestamps, so one client's flood never refuses another's fresh
-   requests. The key is the authenticator's AEAD tag: the payload is its
-   associated data, so the tag names the authenticator and the request
-   together, and [serve] has checked it before the lookup.
+   delivery. What the server remembers is what it answered: the reply
+   body it sealed, with the digest of the ticket it answered over. A
+   duplicate under that ticket gets the body sealed again under the
+   session key, with a fresh nonce: useless to an eavesdropping replayer,
+   and exactly what a retrying legitimate client needs. A body is the
+   handler's own value, so a read's reply points at the stored bytes
+   rather than holding a sealed copy of them. Whoever holds a session key
+   can steer an authenticator's Poly1305 tag onto another session's
+   entry, so a hit under another ticket is refused: a body is sealed
+   only for the session it answered. An {!Expiring} table whose entries
+   are tagged by the ticket's client: when full, expired entries are
+   purged; if every entry is still live, the soonest-to-expire reply is
+   dropped, "rpc.cache_evictions" ticks and its client's floor rises, so
+   that authenticator is refused rather than run again. Only that
+   client's floor moves, and it moves in the client's own timestamps, so
+   one client's flood never refuses another's fresh requests. The key is
+   the authenticator's AEAD tag: the payload is its associated data, so
+   the tag names the authenticator and the request together, and [serve]
+   has checked it before the lookup.
 
    The cache is a first-class value so a standby replica can hold one and
    have it seeded by replication: a client that fails over after the
    primary executed its request but died before answering gets the
-   original sealed reply from the standby instead of a second execution. *)
-type cache = string Expiring.t
+   original sealed reply from the standby instead of a second execution.
+   A standby is not shipped the ticket a reply was sealed under, so it
+   cannot open the reply, and a replication payload is authenticated but
+   not encrypted, so it is seeded with the sealed bytes and returns them
+   verbatim. *)
+type entry =
+  | Answered of { ticket : string; body : Wire.t }
+  | Seeded of string
+
+type cache = entry Expiring.t
 
 let create_cache ?(capacity = 4096) () = Expiring.create ~capacity ()
+
+let seed cache ~now ~expires ~client ~auth_id reply =
+  Expiring.add cache ~now ~expires ~tag:client auth_id (Seeded reply)
 
 (* The trace context an envelope may carry: ids only. *)
 let ctx_to_wire c = Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_span ]
@@ -59,6 +77,14 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
   let tickets = Ticket.holder my_key in
   let cache = match cache with Some c -> c | None -> create_cache () in
   let count_eviction () = Sim.Metrics.incr metrics "rpc.cache_evictions" in
+  let seal session body =
+    Sim.Metrics.incr metrics "crypto.seal";
+    let sealed =
+      Crypto.Aead.seal_prepared session ~ad:"secure-rpc-resp" ~nonce:(Sim.Net.fresh_nonce net)
+        (Wire.encode body)
+    in
+    Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ])
+  in
   let handle request =
     let now = Sim.Net.now net in
     let open Wire in
@@ -113,9 +139,14 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                     let client = Principal.to_string ticket.Ticket.client in
                     let expires = auth.Ticket.timestamp + 1 + max_skew_us in
                     match Expiring.lookup cache ~now ~expires ~tag:client auth_id with
-                    | Expiring.Live cached_reply ->
+                    | Expiring.Live (Answered a) when String.equal a.ticket digest ->
                         Sim.Metrics.incr metrics "rpc.dedup";
-                        cached_reply
+                        seal session a.body
+                    | Expiring.Live (Answered _) ->
+                        err "authenticator tag belongs to another session: not answered"
+                    | Expiring.Live (Seeded reply) ->
+                        Sim.Metrics.incr metrics "rpc.dedup";
+                        reply
                     | Expiring.Forgotten ->
                         err "authenticator forgotten under capacity pressure: not run again"
                     | Expiring.Absent ->
@@ -139,9 +170,9 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                                  one failing item never poisons the rest.
                                  The coalesced reply is cached under the
                                  single authenticator, so a retransmitted
-                                 batch is answered verbatim — the handler
-                                 runs exactly once per item however often
-                                 the batch is re-sent or fails over. *)
+                                 batch is answered from the cache — the
+                                 handler runs exactly once per item however
+                                 often the batch is re-sent or fails over. *)
                               Sim.Metrics.incr metrics "rpc.batch.requests";
                               Sim.Metrics.add metrics "rpc.batch.items"
                                 (List.length items);
@@ -151,18 +182,13 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                                       [ Wire.S "x-batch-resp"; Wire.L (List.map run_one items) ]))
                           | Ok payload -> run_one payload
                         in
-                        Sim.Metrics.incr metrics "crypto.seal";
-                        let sealed =
-                          Crypto.Aead.seal_prepared session ~ad:"secure-rpc-resp"
-                            ~nonce:(Sim.Net.fresh_nonce net) (Wire.encode body)
-                        in
-                        let reply = Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ]) in
+                        let reply = seal session body in
                         Expiring.add ~on_evict:count_eviction cache ~now ~expires ~tag:client
-                          auth_id reply;
+                          auth_id (Answered { ticket = digest; body });
                         (* The handler really ran (not a cache hit): feed the
-                           replication hook, reply bytes included, so a
-                           standby can answer this client's retransmissions
-                           verbatim. *)
+                           replication hook the sealed reply, so a standby
+                           can answer this client's retransmissions with
+                           the very bytes it was sent. *)
                         (match on_handled with
                         | Some f -> f ~auth_id ~client ~expires ~reply
                         | None -> ());

@@ -14,7 +14,13 @@
     any of them makes the authenticator fail to open, so the server
     refuses the request before its response cache or handler sees it.
     This holds for every verb, for [x-batch] wrappers as a whole, and for
-    the replication a shard primary ships to its standby. *)
+    the replication a shard primary ships to its standby.
+
+    A server remembers each request it handled, until its authenticator
+    goes stale, by the reply body it sealed and the ticket it answered
+    over, and answers a retransmission under that ticket by sealing the
+    body again: the handler runs once per request however often it is
+    re-sent. *)
 
 type server_context = {
   rpc_client : Principal.t;  (** authenticated identity of the caller *)
@@ -26,23 +32,41 @@ type server_context = {
           name ([Guard.decide]'s [ticket]) *)
 }
 
-type cache = string Expiring.t
-(** A response cache: authenticator tag -> sealed reply, a first-class
-    value so shard replicas can share or seed one another's. Each reply is
+type entry
+(** What a response cache remembers about one handled request. At the
+    server that ran the handler, the reply body it sealed (the handler's
+    own value: a read's reply points at the stored bytes) and the
+    {!Ticket.digest} of the ticket it answered over; at a standby, the
+    sealed reply its primary shipped ({!seed}). Only this module builds
+    one. *)
+
+type cache = entry Expiring.t
+(** A response cache: authenticator tag -> {!entry}, a first-class value
+    so shard replicas can share or seed one another's. Each entry is
     tagged ({!Expiring.add}) with [Principal.to_string] of the ticket's
-    client, so evicting it raises that client's floor alone. Replication
-    ships each handled request's [auth_id], client tag, expiry and reply
-    to the standby, which {!Expiring.add}s it under that tag (re-seeding
-    a live key updates it in place and evicts nothing, so a re-shipped
-    batch cannot push out another live reply); the seeded cache then
-    answers a failed-over client's retransmission without executing the
-    request a second time. The key is the authenticator's AEAD tag, which
-    covers the payload, so one key names the authenticator and the
-    request together, and primary and standby derive the same one. *)
+    client, so evicting it raises that client's floor alone. The key is
+    the authenticator's AEAD tag, which covers the payload, so one key
+    names the authenticator and the request together, and primary and
+    standby derive the same one. *)
 
 val create_cache : ?capacity:int -> unit -> cache
 (** Default capacity 4096; at capacity, expired entries are purged, then
     the soonest-to-expire live entry is evicted. *)
+
+val seed :
+  cache -> now:int -> expires:int -> client:string -> auth_id:string -> string -> unit
+(** [seed cache ~now ~expires ~client ~auth_id reply] remembers the sealed
+    [reply] a primary sent for the request whose authenticator tag is
+    [auth_id] ({!serve}'s [on_handled] feed, shipped by replication), under
+    the [client] tag, until [expires]; the cache then answers that
+    request's retransmission with [reply], byte for byte, without running
+    the handler. A standby is seeded with sealed bytes because it is not
+    shipped the ticket they were sealed under, so it cannot open them,
+    and because a replication payload is authenticated but not
+    encrypted: shipping bodies would put replies on the wire in the
+    clear. Re-seeding a live key updates it in place and evicts nothing,
+    so a re-shipped batch cannot push out another live reply; an eviction
+    ticks no metric (the counter is the served traffic's). *)
 
 val serve :
   Sim.Net.t ->
@@ -59,10 +83,15 @@ val serve :
     authenticator does not cover, are answered with in-band errors before the
     response cache is consulted or the handler runs. A repeated authenticator
     within the skew window — a client retransmission or an adversarial replay —
-    does {e not} re-run the handler: the original sealed response is returned
-    from an internal response cache, giving exactly-once handler execution under
-    at-least-once delivery. (A replayer gains nothing: the cached response is
-    sealed under the session key.) If capacity pressure evicted that response
+    does {e not} re-run the handler: the cached reply body is sealed again
+    under the session key with a fresh nonce (one more ["crypto.seal"];
+    ["rpc.dedup"] ticks), giving exactly-once handler execution under
+    at-least-once delivery. (A replayer gains nothing: the reply is sealed
+    under the session key.) A cached body is sealed only under the ticket it
+    answered: an authenticator from another ticket whose tag equals a cached
+    one (a Poly1305 tag can be steered by whoever holds the key it is made
+    under) is refused, ["authenticator tag belongs to another session: not
+    answered"], and runs no handler. If capacity pressure evicted that response
     while live, the repeat reads as forgotten ({!Expiring.lookup} under its
     client's tag, with expiry [timestamp + 1 + max_skew_us]) and is refused
     before the handler: at most once, never twice. That floor is the
@@ -88,7 +117,7 @@ val serve :
     honoured by either replica.
 
     [cache] supplies an externally owned response cache (a standby's,
-    seeded by replication, or one of another capacity); otherwise an
+    seeded by replication ({!seed}), or one of another capacity); otherwise an
     internal {!create_cache} one is used. A reply is cached until the
     authenticator could no longer pass the freshness check — [max_skew_us]
     past its timestamp — so a client clock running ahead cannot outlive
@@ -99,8 +128,8 @@ val serve :
 
     [on_handled] fires after each request the handler {e actually ran}
     (cache hits excluded) with the authenticator tag, the client tag the
-    reply is cached under, the cache expiry, and the sealed reply bytes —
-    the feed a primary ships to its standby. *)
+    reply is cached under, the cache expiry, and the sealed reply bytes
+    sent — the feed a primary ships to its standby, which {!seed}s them. *)
 
 val call :
   Sim.Net.t ->

@@ -360,6 +360,181 @@ let test_secure_rpc_lagging_client_served () =
     (forgotten (deliver w ~svc first));
   Alcotest.(check int) "every distinct request ran once" 9 !hits
 
+(* Deliver raw request bytes and open the sealed reply under [creds]'
+   session key: its plaintext and the box it came in. *)
+let sealed_reply w ~svc ~creds raw =
+  match Sim.Net.rpc w.W.net ~src:"client" ~dst:(Principal.to_string svc) raw with
+  | Error e -> Alcotest.fail e
+  | Ok reply -> (
+      match Wire.decode reply with
+      | Ok (Wire.L [ Wire.S "sealed"; Wire.S box ]) -> (
+          match Crypto.Aead.open_prepared creds.Ticket.cred_session ~ad:"secure-rpc-resp" box with
+          | Ok plaintext -> (plaintext, box)
+          | Error _ -> Alcotest.fail "the reply does not open under the session key")
+      | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) -> Alcotest.fail ("refused: " ^ e)
+      | _ -> Alcotest.fail "malformed reply")
+
+(* A retransmission is answered by sealing the remembered body again: a
+   new box under the session key, with a fresh nonce, that opens to the
+   same plaintext. The handler runs once; the replay costs one seal. *)
+let test_secure_rpc_replay_sealed_again () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let svc, svc_key = W.enrol w "svc" in
+  let runs = ref 0 in
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key (fun _ _ ->
+      incr runs;
+      Ok (Wire.I !runs));
+  let creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+  let raw = stamped_request w ~creds ~timestamp:(W.now w) (Wire.S "op") in
+  let metric = Sim.Metrics.get (Sim.Net.metrics w.W.net) in
+  let first, first_box = sealed_reply w ~svc ~creds raw in
+  let seals = metric "crypto.seal" in
+  let again, again_box = sealed_reply w ~svc ~creds raw in
+  Alcotest.(check int) "the replay sealed once more" (seals + 1) (metric "crypto.seal");
+  Alcotest.(check string) "the same plaintext" first again;
+  Alcotest.(check bool) "in a new box" false (String.equal first_box again_box);
+  Alcotest.(check bool) "under a fresh nonce" false
+    (String.equal (String.sub first_box 0 12) (String.sub again_box 0 12));
+  Alcotest.(check (list int)) "handler runs, dedup hits" [ 1; 1 ] [ !runs; metric "rpc.dedup" ]
+
+(* A full response cache of replies to reads of one stored file holds a
+   few dozen words per reply, whatever the file's size: an entry keeps
+   the body the handler returned, which points at the stored bytes, not a
+   sealed copy of them (one such copy of a 2 KB reply is over 250
+   words). *)
+let test_secure_rpc_cache_keeps_bodies () =
+  let words_per_entry size =
+    let w = world () in
+    let alice, _ = W.enrol w "alice" in
+    let svc, svc_key = W.enrol w "svc" in
+    let stored = String.make size 'x' and n = 128 in
+    let cache = Secure_rpc.create_cache ~capacity:n () in
+    Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~cache (fun _ _ -> Ok (Wire.S stored));
+    let creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+    let read i =
+      match Secure_rpc.call w.W.net ~creds (Wire.I i) with
+      | Ok (Wire.S s) when String.equal s stored -> ()
+      | Ok _ -> Alcotest.fail "not the stored bytes"
+      | Error e -> Alcotest.fail e
+    in
+    let live () =
+      Gc.full_major ();
+      (Gc.stat ()).Gc.live_words
+    in
+    read 0;
+    let before = live () in
+    for i = 1 to n - 1 do
+      read i
+    done;
+    let after = live () in
+    Alcotest.(check int) "the cache is full" n (Expiring.size cache);
+    (* A last read keeps the world live through the second reading. *)
+    read n;
+    float (after - before) /. float (n - 1)
+  in
+  List.iter
+    (fun size ->
+      let words = words_per_entry size in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f words per cached %d-byte reply <= 64" words size)
+        true (words <= 64.))
+    [ 2_048; 16_384 ]
+
+(* The authenticator request a client holding [creds] would send at
+   [timestamp], with its Poly1305 tag steered onto [target] ({!W.steer_ad}):
+   its payload is a string whose 16 free bytes are chosen for that. *)
+let steered_request w ~creds ~timestamp target =
+  let session = creds.Ticket.cred_session in
+  let auth =
+    { Ticket.auth_client = creds.Ticket.cred_client; timestamp; subkey = None; auth_data = [] }
+  in
+  (* The authenticator's associated data is this label, then the payload. *)
+  let label = "authenticator" in
+  let ad = label ^ Wire.encode (Wire.S (String.make 48 '-')) in
+  let rec attempt tries =
+    let nonce = Sim.Net.fresh_nonce w.W.net in
+    let box = Ticket.seal_authenticator ~session_key:session ~nonce auth in
+    let ciphertext =
+      String.sub box Crypto.Aead.overhead (String.length box - Crypto.Aead.overhead)
+    in
+    match W.steer_ad ~key:creds.Ticket.session_key ~nonce ~ad ~at:32 ~ciphertext target with
+    | None when tries < 32 -> attempt (tries + 1)
+    | None -> Alcotest.fail "no nonce steered the tag"
+    | Some ad ->
+        let payload = String.sub ad (String.length label) (String.length ad - String.length label) in
+        let blob = Ticket.seal_authenticator ~session_key:session ~nonce ~covers:payload auth in
+        Alcotest.(check bool) "the tag is steered" true (String.equal (Crypto.Aead.tag blob) target);
+        Wire.encode
+          (Wire.L [ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S blob; Wire.S payload ])
+  in
+  attempt 0
+
+let auth_tag raw =
+  match Wire.decode raw with
+  | Ok (Wire.L (Wire.S "secure" :: _ :: Wire.S auth :: _)) -> Crypto.Aead.tag auth
+  | _ -> Alcotest.fail "not a request"
+
+(* Mallory holds her own session key, so she can steer the tag of an
+   authenticator she seals onto the tag of alice's request, which keys
+   alice's cached reply. The cache finds alice's entry and refuses: a
+   body is sealed only under the ticket it answered. Before or after
+   alice's retransmission, mallory's request is refused and runs no
+   handler, and alice's retransmission still gets her own reply. Sent
+   first, mallory's request is her own and runs as hers; alice's, with
+   the same tag, is then refused, not handed mallory's reply. *)
+let test_secure_rpc_steered_tag_refused () =
+  let scenario order =
+    let w = world () in
+    let alice, _ = W.enrol w "alice" and mallory, _ = W.enrol w "mallory" in
+    let svc, svc_key = W.enrol w "svc" in
+    let runs = ref [] in
+    Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key (fun ctx payload ->
+        let client = Principal.to_string ctx.Secure_rpc.rpc_client in
+        runs := (client, payload) :: !runs;
+        Ok (Wire.L [ Wire.S client; payload ]));
+    let alice_creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+    let mallory_creds = W.credentials_for w ~tgt:(W.login w mallory) svc in
+    let raw = stamped_request w ~creds:alice_creds ~timestamp:(W.now w) (Wire.S "alice's") in
+    let forged = steered_request w ~creds:mallory_creds ~timestamp:(W.now w) (auth_tag raw) in
+    (* A sealed answer fails the test, saying whether its sender can read it. *)
+    let refused label ~creds raw =
+      match Sim.Net.rpc w.W.net ~src:"client" ~dst:(Principal.to_string svc) raw with
+      | Error e -> Alcotest.fail e
+      | Ok reply -> (
+          match Wire.decode reply with
+          | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) ->
+              Alcotest.(check string) label
+                "authenticator tag belongs to another session: not answered" e
+          | Ok (Wire.L [ Wire.S "sealed"; Wire.S box ]) ->
+              Alcotest.failf "%s: answered, %s" label
+                (match
+                   Crypto.Aead.open_prepared creds.Ticket.cred_session ~ad:"secure-rpc-resp" box
+                 with
+                | Ok plaintext -> "and its sender opened " ^ String.escaped plaintext
+                | Error _ -> "under a key its sender does not hold")
+          | _ -> Alcotest.fail "malformed reply")
+    in
+    let alice_runs = [ (Principal.to_string alice, Wire.S "alice's") ] in
+    match order with
+    | `Forged_first ->
+        ignore (sealed_reply w ~svc ~creds:mallory_creds forged);
+        refused "alice's request after mallory's" ~creds:alice_creds raw;
+        Alcotest.(check bool) "the handler ran once, as mallory's" true
+          (match !runs with [ (client, _) ] -> client = Principal.to_string mallory | _ -> false)
+    | (`Forged_before_retransmission | `Forged_after_retransmission) as order ->
+        let first, _ = sealed_reply w ~svc ~creds:alice_creds raw in
+        let retransmit () =
+          let again, _ = sealed_reply w ~svc ~creds:alice_creds raw in
+          Alcotest.(check string) "alice's retransmission gets her reply" first again
+        in
+        if order = `Forged_after_retransmission then retransmit ();
+        refused "the forged request" ~creds:mallory_creds forged;
+        if order = `Forged_before_retransmission then retransmit ();
+        Alcotest.(check bool) "the handler ran once, for alice" true (!runs = alice_runs)
+  in
+  List.iter scenario [ `Forged_before_retransmission; `Forged_after_retransmission; `Forged_first ]
+
 (* --- guard + capabilities --- *)
 
 type fs_world = {
@@ -1165,6 +1340,55 @@ let test_pk_decide_allocation () =
       true (used <= 10240.)
   end
 
+(* What a warm, untraced decision over a depth-2 conventional capability
+   allocates, when both links and the binding are verify-cache hits. A
+   link is found by its box's 16-byte tag and compared with the sealing
+   key and the box it holds, and the binding by the binding, compared
+   with the server, ticket digest and proxy key it holds, so no key is
+   framed and no signed bytes are encoded. About 4.9 KB, under a 5 KB
+   bound; 5.9 KB while each link was found by its framed sealing key and
+   box and each binding hit encoded its signed bytes. *)
+let test_conv_decide_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let w = world () in
+    let alice, _ = W.enrol w "alice" in
+    let bob, _ = W.enrol w "bob" in
+    let fs_name, fs_key = W.enrol w "fileserver" in
+    let acl = Acl.create () in
+    Acl.add acl ~target:"file1"
+      { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+    let guard = Guard.create w.W.net ~me:fs_name ~my_key:fs_key ~acl () in
+    let cap =
+      Result.get_ok
+        (Capability.mint_via_kdc w.W.net ~kdc:w.W.kdc_name ~tgt:(W.login w alice)
+           ~end_server:fs_name ~target:"file1" ~ops:[ "read"; "stat" ] ())
+    in
+    let now = W.now w in
+    let narrowed =
+      Result.get_ok
+        (Capability.narrow ~drbg:(Sim.Net.drbg w.W.net) ~now ~expires:(now + W.hour)
+           ~target:"file1" ~ops:[ "read" ] cap)
+    in
+    let presented = Guard.bind ~server:fs_name ~ticket:W.ticket narrowed in
+    let decide () =
+      match
+        Guard.decide guard ~ticket:W.ticket ~operation:"read" ~target:"file1" ~presenter:bob
+          ~proxies:[ presented ] ()
+      with
+      | Ok d -> d
+      | Error e -> Alcotest.fail e
+    in
+    ignore (decide ());
+    let metric name = Sim.Metrics.get (Sim.Net.metrics w.W.net) name in
+    let hits = metric "verify_cache.hits" and misses = metric "verify_cache.misses" in
+    let used = Testkit.alloc_bytes_per_call decide in
+    Alcotest.(check (list int)) "every link and the binding hit; nothing missed" [ 3 * 21; 0 ]
+      [ metric "verify_cache.hits" - hits; metric "verify_cache.misses" - misses ];
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f B per decision <= 5,120" used)
+      true (used <= 5120.)
+  end
+
 (* What a warm, untraced read through a file server allocates when it
    presents a depth-2 public-key bearer chain, client and server: the
    call, both seals and opens, and the decision. The server decodes the
@@ -1378,7 +1602,11 @@ let () =
           ("one client's flood refuses no other client", `Quick,
            test_secure_rpc_flood_spares_other_clients);
           ("a lagging client is served while the cache turns over", `Quick,
-           test_secure_rpc_lagging_client_served) ] );
+           test_secure_rpc_lagging_client_served);
+          ("a replay is sealed again", `Quick, test_secure_rpc_replay_sealed_again);
+          ("a full cache keeps bodies, not sealed copies", `Quick,
+           test_secure_rpc_cache_keeps_bodies);
+          ("a steered tag is refused", `Quick, test_secure_rpc_steered_tag_refused) ] );
       ( "guard+capabilities",
         [ ("direct identity", `Quick, test_guard_direct_identity);
           ("a later ACL entry grants when the first refuses", `Quick, test_later_acl_entry_grants);
@@ -1393,6 +1621,7 @@ let () =
           ("depth-2 presentation kernel cost", `Quick, test_capability_presentation_cost);
           ("a warm public-key decision's allocation", `Quick, test_pk_decide_allocation);
           ("a warm public-key read's allocation", `Quick, test_pk_read_allocation);
+          ("a warm conventional decision's allocation", `Quick, test_conv_decide_allocation);
           ("accept-once consumed", `Quick, test_accept_once_consumed);
           ("a flood's floor is its victims' grantors' alone", `Slow,
            test_accept_once_flood_spares_other_grantors);

@@ -103,11 +103,12 @@ let test_metrics_snapshot_ignores_hash_history () =
 (* --- eviction tie-breaks: insertion order, not hash order --- *)
 
 (* An evicted live entry reads forgotten, not unseen: every entry here
-   expires at 100, so the floor the eviction raised covers it. *)
-let check_forgotten table key =
+   expires at 100, so the floor the eviction raised under its [tag]
+   covers it. *)
+let check_forgotten ?tag table key =
   Alcotest.(check bool) "oldest insertion evicted" false (Expiring.mem table key);
   Alcotest.(check bool) "and reads forgotten" true
-    (Expiring.lookup table ~now:1 ~expires:100 key = Expiring.Forgotten)
+    (Expiring.lookup table ~now:1 ~expires:100 ?tag key = Expiring.Forgotten)
 
 let test_replay_cache_evicts_oldest_on_tie () =
   let evictions = ref 0 in
@@ -141,12 +142,14 @@ let test_seq_tracker_evicts_oldest_on_tie () =
 
 let test_rpc_cache_evicts_oldest_on_tie () =
   let c = Secure_rpc.create_cache ~capacity:3 () in
-  let seed auth_id = Expiring.add c ~now:0 ~expires:100 auth_id ("r-" ^ auth_id) in
+  let seed auth_id =
+    Secure_rpc.seed c ~now:0 ~expires:100 ~client:"client" ~auth_id ("r-" ^ auth_id)
+  in
   seed "a";
   seed "b";
   seed "c";
   seed "d";
-  check_forgotten c "a";
+  check_forgotten ~tag:"client" c "a";
   List.iter
     (fun id -> Alcotest.(check bool) (id ^ " survives") true (Expiring.mem c id))
     [ "b"; "c"; "d" ]
@@ -157,7 +160,9 @@ let test_rpc_cache_evicts_oldest_on_tie () =
    retransmission execute twice. *)
 let test_rpc_cache_reseed_evicts_nothing () =
   let c = Secure_rpc.create_cache ~capacity:2 () in
-  let seed auth_id = Expiring.add c ~now:0 ~expires:100 auth_id ("r-" ^ auth_id) in
+  let seed auth_id =
+    Secure_rpc.seed c ~now:0 ~expires:100 ~client:"client" ~auth_id ("r-" ^ auth_id)
+  in
   seed "a";
   seed "b";
   seed "b";

@@ -444,6 +444,39 @@ let test_link_other_base_misses () =
   Alcotest.(check (list int)) "one miss, one open, no hit" [ 1; 1; 0 ]
     [ count "verify_cache.misses"; count "crypto.open"; count "verify_cache.hits" ]
 
+(* A link is found by its box's tag, and a hit compares the sealing key
+   and the box the entry holds. A box that carries the remembered tag
+   over other ciphertext finds that entry and misses, and its open fails;
+   so does a box too short to carry a tag. The genuine chain still hits. *)
+let test_link_copied_tag_misses () =
+  let chain = conventional_chain ~expires:t_exp in
+  let cache = Verify_cache.create () in
+  ignore (warm ~cache chain);
+  let head, tail =
+    match chain.Proxy.cert_blobs with [ h; t ] -> (h, t) | _ -> Alcotest.fail "expected two links"
+  in
+  let last = String.length tail - 1 in
+  let flipped =
+    String.mapi (fun i c -> if i = last then Char.chr (Char.code c lxor 1) else c) tail
+  in
+  Alcotest.(check string) "the same tag" (Crypto.Aead.tag tail) (Crypto.Aead.tag flipped);
+  let refused label blob want =
+    let r, count = verify_conv ~cache ~now:300 { chain with Proxy.cert_blobs = [ head; blob ] } in
+    (match r with
+    | Ok _ -> Alcotest.failf "%s: granted" label
+    | Error e -> Alcotest.(check string) label want e);
+    Alcotest.(check (list int)) (label ^ ": hits, misses, opens") [ 1; 1; 1 ]
+      [ count "verify_cache.hits"; count "verify_cache.misses"; count "crypto.open" ]
+  in
+  refused "another ciphertext under the remembered tag" flipped
+    "proxy-cert: seal verification failed";
+  refused "a box too short for a tag" (String.sub tail 0 (Crypto.Aead.overhead - 1))
+    "proxy-cert: malformed blob";
+  let r, count = verify_conv ~cache ~now:400 chain in
+  Alcotest.(check bool) "the genuine chain verifies" true (Result.is_ok r);
+  Alcotest.(check (list int)) "from two hits" [ 2; 0 ]
+    [ count "verify_cache.hits"; count "verify_cache.misses" ]
+
 (* --- Decoded certificates: a guard parses a verified certificate once --- *)
 
 (* A file server's guard, keyed by a directory that can rebind alice, and
@@ -619,6 +652,51 @@ let prop_decode_agrees =
           && keeps warm
           && same (Verify_cache.decode_cert cold ~now:0 genuine) (Ok kept))
 
+(* --- Session bindings: a verdict holds what the binding binds --- *)
+
+(* A binding's verdict holds the server, the ticket digest and the proxy
+   key, and a hit compares all three. The binding a client made for one
+   server over one ticket, presented over another ticket, or to another
+   server that shares the cache, finds that verdict, misses, and is
+   refused by the real check; the genuine presentation still hits. *)
+let test_binding_elsewhere_misses () =
+  let net = Sim.Net.create ~seed:"verify-cache-binding" () in
+  let cache = Verify_cache.create () in
+  let lookup, _ = directory [ (alice, alice_kp) ] in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"file1"
+    { Acl.subject = Acl.Principal_is alice; rights = [ "read" ]; restrictions = [] };
+  let guard name =
+    Guard.create net ~me:(p name) ~my_key:"k" ~lookup_pub:lookup ~verify_cache:cache ~acl ()
+  in
+  let fileserver = guard "fileserver" and elsewhere = guard "elsewhere" in
+  let presented = Guard.bind ~server:(p "fileserver") ~ticket:Testkit.ticket (grant_proxy ~depth:1 ()) in
+  let metric = Sim.Metrics.get (Sim.Net.metrics net) in
+  let decide guard ~ticket =
+    let counts () = List.map metric [ "verify_cache.hits"; "verify_cache.misses"; "crypto.rsa_verify" ] in
+    let before = counts () in
+    let r =
+      Guard.decide guard ~ticket ~operation:"read" ~target:"file1" ~presenter:(p "carol")
+        ~proxies:[ presented ] ()
+    in
+    (Result.map ignore r, List.map2 ( - ) (counts ()) before)
+  in
+  let refused label (r, cost) =
+    (match r with
+    | Ok () -> Alcotest.failf "%s: granted" label
+    | Error e ->
+        Alcotest.(check string) (label ^ ": denial")
+          "access denied: no ACL entry permits read on \"file1\" (no presented proxy was usable: \
+           session binding: invalid)"
+          e);
+    Alcotest.(check (list int)) (label ^ ": hits, misses, RSA verifies") [ 1; 1; 1 ] cost
+  in
+  granted "cold" (decide fileserver ~ticket:Testkit.ticket) [ 0; 2; 2 ];
+  granted "warm" (decide fileserver ~ticket:Testkit.ticket) [ 2; 0; 0 ];
+  refused "over another ticket" (decide fileserver ~ticket:(Ticket.digest "another ticket"));
+  refused "at another server" (decide elsewhere ~ticket:Testkit.ticket);
+  granted "genuine after both" (decide fileserver ~ticket:Testkit.ticket) [ 2; 0; 0 ]
+
 let () =
   Alcotest.run "verify_cache"
     [ ( "memoized verification",
@@ -636,7 +714,10 @@ let () =
       ( "conventional links",
         [ ("revoked serial refused after a hit", `Quick, test_link_revoked_after_hit);
           ("ended window refused after a hit", `Quick, test_link_window_after_hit);
-          ("another base ticket misses", `Quick, test_link_other_base_misses) ] );
+          ("another base ticket misses", `Quick, test_link_other_base_misses);
+          ("a copied tag misses", `Quick, test_link_copied_tag_misses) ] );
+      ( "session bindings",
+        [ ("another ticket or server misses", `Quick, test_binding_elsewhere_misses) ] );
       ( "decoded certificates",
         [ ("a warm guard decodes a certificate once", `Quick, test_decoded_once);
           ("a copied signature misses", `Quick, test_copied_signature_misses);

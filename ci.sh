@@ -157,10 +157,12 @@ dune build @perfbench/perfbench-test
 echo "== allocation =="
 # Printed, not gated: the bytes each benchmark workload allocates per op
 # (gc.alloc_bytes_per_op), from one short traced run at seed 1, and its
-# peak heap (heap_peak_mb), from one short untraced run at seed 1: the
-# figures a change that cuts copies or kept state reports before and
-# after. A run this short can end before perfbench has two host-speed
-# samples, and then exits with an error; the step says so and goes on.
+# peak heap (heap_peak_mb), from one untraced run at seed 1 of the
+# benchmark's own length, 20 s of nominal work: the figures a change that
+# cuts copies or kept state reports before and after. A 2 s run's peak is
+# mostly its set-up's, so it cannot show what the ops keep. A short run
+# can end before perfbench has two host-speed samples, and then exits
+# with an error; the step says so and goes on.
 # figure WORKLOAD METRIC SCALE UNIT prints METRIC / SCALE from the
 # perfbench result on standard input.
 figure () {
@@ -175,7 +177,7 @@ except ValueError:
 for wl in authz-conv authz-pk bank; do
     python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 1 | tail -n 1 |
         figure "$wl" gc.alloc_bytes_per_op 1000 KB/op
-    python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 0 | tail -n 1 |
+    python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 20 --trace 0 | tail -n 1 |
         figure "$wl" heap_peak_mb 1 "MB peak heap"
 done
 

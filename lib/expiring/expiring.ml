@@ -3,7 +3,8 @@
    popped off the top and the eviction victim is the root. Each entry
    knows its heap slot, so any entry can be unlinked in O(log n). A heap
    array rather than a persistent set keeps the per-entry cost to one
-   record and one slot, and allocates nothing per insert beyond them. *)
+   record and one slot, and allocates nothing per insert beyond them; a
+   full table reuses the record it evicts. *)
 
 (* Keys are strings: one [String.equal] per probe, not a polymorphic
    compare, in the generic table's buckets ([Hashtbl.hash]). *)
@@ -15,10 +16,10 @@ module Keys = Hashtbl.Make (struct
 end)
 
 type 'v entry = {
-  key : string;
+  mutable key : string;
   mutable value : 'v;
   mutable expires : int;
-  seq : int;
+  mutable seq : int;
   mutable tag : string option;
   mutable slot : int;
 }
@@ -119,7 +120,7 @@ let raise_floor t ~now victim =
     Hashtbl.filter_map_inplace (fun _ f -> if f > now then Some f else None) t.floors;
     t.floors_limit <- max t.capacity (2 * Hashtbl.length t.floors)
   end;
-  let floor = Option.value (Hashtbl.find_opt t.floors victim.tag) ~default:min_int in
+  let floor = match Hashtbl.find t.floors victim.tag with f -> f | exception Not_found -> min_int in
   Hashtbl.replace t.floors victim.tag (max floor victim.expires)
 
 let mem t key = Keys.mem t.entries key
@@ -141,15 +142,26 @@ let add ?on_evict t ~now ~expires ?tag key value =
       e.tag <- tag;
       restore t e
   | None ->
-      if size t >= t.capacity then begin
-        let victim = t.heap.(0) in
-        raise_floor t ~now victim;
-        remove t victim;
-        (Option.value on_evict ~default:t.on_evict) ()
-      end;
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      insert t { key; value; expires; seq; tag; slot = 0 }
+      let e =
+        if size t < t.capacity then { key; value; expires; seq = 0; tag; slot = 0 }
+        else begin
+          let victim = t.heap.(0) in
+          raise_floor t ~now victim;
+          remove t victim;
+          (Option.value on_evict ~default:t.on_evict) ();
+          (* The victim has left the table and the heap, its floor is
+             raised, and no caller holds a record: it becomes the new
+             entry. *)
+          victim.key <- key;
+          victim.value <- value;
+          victim.expires <- expires;
+          victim.tag <- tag;
+          victim
+        end
+      in
+      e.seq <- t.next_seq;
+      t.next_seq <- t.next_seq + 1;
+      insert t e
 
 let shed t ~tag =
   let doomed =

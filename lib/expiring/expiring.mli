@@ -16,8 +16,10 @@
     - {!find} drops an expired entry;
     - {!add} first purges the expired entries. A {e new} key then evicts
       the (expiry, seq) minimum if the table is still full, raises the
-      floor of the victim's tag to the victim's expiry, and fires the
-      eviction hook;
+      floor of the victim's tag to the victim's expiry, fires the
+      eviction hook, and only then refills the victim's record with the
+      new entry: no caller ever holds a record, so a full table makes
+      none;
     - re-adding a {e live} key replaces its value, expiry and tag in
       place, keeps its seq, and evicts nothing.
 

@@ -21,17 +21,19 @@ let status_of_wire = function
    identical authenticator is a retransmission (or a replay), and the
    handler must not run again — accept-once restrictions, check-number
    redemption, and ledger mutations fire exactly once under at-least-once
-   delivery. What the server remembers is what it answered: the reply
-   body it sealed, with the digest of the ticket it answered over. A
-   duplicate under that ticket gets the body sealed again under the
-   session key, with a fresh nonce: useless to an eavesdropping replayer,
-   and exactly what a retrying legitimate client needs. A body is the
+   delivery. What the server remembers is what the handler decided: its
+   reply or its refusal, with the digest of the ticket it answered over.
+   A duplicate under that ticket gets that outcome wrapped in its status
+   and sealed again under the session key, with a fresh nonce: the
+   plaintext first sent, useless to an eavesdropping replayer, and
+   exactly what a retrying legitimate client needs. A reply is the
    handler's own value, so a read's reply points at the stored bytes
    rather than holding a sealed copy of them. Whoever holds a session key
    can steer an authenticator's Poly1305 tag onto another session's
-   entry, so a hit under another ticket is refused: a body is sealed
+   entry, so a hit under another ticket is refused: an outcome is sealed
    only for the session it answered. An {!Expiring} table whose entries
-   are tagged by the ticket's client: when full, expired entries are
+   are tagged by the ticket's client, boxed once per held ticket
+   ([Ticket.opened]'s [client_tag]): when full, expired entries are
    purged; if every entry is still live, the soonest-to-expire reply is
    dropped, "rpc.cache_evictions" ticks and its client's floor rises, so
    that authenticator is refused rather than run again. Only that
@@ -50,7 +52,8 @@ let status_of_wire = function
    not encrypted, so it is seeded with the sealed bytes and returns them
    verbatim. *)
 type entry =
-  | Answered of { ticket : string; body : Wire.t }
+  | Answered of { ticket : string; reply : Wire.t }
+  | Refused of { ticket : string; error : string }
   | Seeded of string
 
 type cache = entry Expiring.t
@@ -76,12 +79,12 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
   let node = Option.value node ~default:actor in
   let tickets = Ticket.holder my_key in
   let cache = match cache with Some c -> c | None -> create_cache () in
-  let count_eviction () = Sim.Metrics.incr metrics "rpc.cache_evictions" in
-  let seal session body =
+  let count_eviction = Some (fun () -> Sim.Metrics.incr metrics "rpc.cache_evictions") in
+  let seal session outcome =
     Sim.Metrics.incr metrics "crypto.seal";
     let sealed =
       Crypto.Aead.seal_prepared session ~ad:"secure-rpc-resp" ~nonce:(Sim.Net.fresh_nonce net)
-        (Wire.encode body)
+        (Wire.encode (status_to_wire outcome))
     in
     Wire.encode (Wire.L [ Wire.S "sealed"; Wire.S sealed ])
   in
@@ -110,7 +113,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
           Ticket.open_held tickets ~now ~tally:(Sim.Metrics.incr metrics) ticket_blob
         with
         | Error e -> err e
-        | Ok { Ticket.ticket; session; digest } ->
+        | Ok { Ticket.ticket; session; digest; client_tag } ->
             if not (Principal.equal ticket.Ticket.service me) then
               err "ticket is for a different service"
             else if ticket.Ticket.expires <= now then err "ticket expired"
@@ -136,13 +139,15 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                        lookup passes the one the reply was cached with,
                        and a client whose timestamps only increase never
                        reaches its own floor. *)
-                    let client = Principal.to_string ticket.Ticket.client in
                     let expires = auth.Ticket.timestamp + 1 + max_skew_us in
-                    match Expiring.lookup cache ~now ~expires ~tag:client auth_id with
+                    match Expiring.lookup cache ~now ~expires ?tag:client_tag auth_id with
                     | Expiring.Live (Answered a) when String.equal a.ticket digest ->
                         Sim.Metrics.incr metrics "rpc.dedup";
-                        seal session a.body
-                    | Expiring.Live (Answered _) ->
+                        seal session (Ok a.reply)
+                    | Expiring.Live (Refused r) when String.equal r.ticket digest ->
+                        Sim.Metrics.incr metrics "rpc.dedup";
+                        seal session (Error r.error)
+                    | Expiring.Live (Answered _ | Refused _) ->
                         err "authenticator tag belongs to another session: not answered"
                     | Expiring.Live (Seeded reply) ->
                         Sim.Metrics.incr metrics "rpc.dedup";
@@ -159,9 +164,9 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                           }
                         in
                         let run_one item = status_to_wire (handler ctx item) in
-                        let body =
+                        let outcome =
                           match Wire.decode payload with
-                          | Error e -> status_to_wire (Error e)
+                          | Error e -> Error e
                           | Ok (Wire.L [ Wire.S "x-batch"; Wire.L items ]) ->
                               (* Pipelined request: N payloads authenticated,
                                  deduplicated, sealed and cached as ONE
@@ -176,23 +181,24 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                               Sim.Metrics.incr metrics "rpc.batch.requests";
                               Sim.Metrics.add metrics "rpc.batch.items"
                                 (List.length items);
-                              status_to_wire
-                                (Ok
-                                   (Wire.L
-                                      [ Wire.S "x-batch-resp"; Wire.L (List.map run_one items) ]))
-                          | Ok payload -> run_one payload
+                              Ok (Wire.L [ Wire.S "x-batch-resp"; Wire.L (List.map run_one items) ])
+                          | Ok payload -> handler ctx payload
                         in
-                        let reply = seal session body in
-                        Expiring.add ~on_evict:count_eviction cache ~now ~expires ~tag:client
-                          auth_id (Answered { ticket = digest; body });
+                        let sealed = seal session outcome in
+                        Expiring.add ?on_evict:count_eviction cache ~now ~expires ?tag:client_tag
+                          auth_id
+                          (match outcome with
+                          | Ok reply -> Answered { ticket = digest; reply }
+                          | Error error -> Refused { ticket = digest; error });
                         (* The handler really ran (not a cache hit): feed the
                            replication hook the sealed reply, so a standby
                            can answer this client's retransmissions with
                            the very bytes it was sent. *)
                         (match on_handled with
-                        | Some f -> f ~auth_id ~client ~expires ~reply
+                        | Some f ->
+                            f ~auth_id ~client:(Option.get client_tag) ~expires ~reply:sealed
                         | None -> ());
-                        reply
+                        sealed
                   end
             end)
   in

@@ -17,10 +17,11 @@
     the replication a shard primary ships to its standby.
 
     A server remembers each request it handled, until its authenticator
-    goes stale, by the reply body it sealed and the ticket it answered
-    over, and answers a retransmission under that ticket by sealing the
-    body again: the handler runs once per request however often it is
-    re-sent. *)
+    goes stale, by the handler's outcome (its reply or its refusal) and
+    the ticket it answered over, and answers a retransmission under that
+    ticket by sealing the outcome again, in the status it was first
+    sealed in: the handler runs once per request however often it is
+    re-sent, and every answer carries the same plaintext. *)
 
 type server_context = {
   rpc_client : Principal.t;  (** authenticated identity of the caller *)
@@ -34,8 +35,9 @@ type server_context = {
 
 type entry
 (** What a response cache remembers about one handled request. At the
-    server that ran the handler, the reply body it sealed (the handler's
-    own value: a read's reply points at the stored bytes) and the
+    server that ran the handler, the handler's outcome, without the
+    ok/err status it is sealed in: its reply (the handler's own value: a
+    read's reply points at the stored bytes) or its refusal, with the
     {!Ticket.digest} of the ticket it answered over; at a standby, the
     sealed reply its primary shipped ({!seed}). Only this module builds
     one. *)
@@ -44,10 +46,11 @@ type cache = entry Expiring.t
 (** A response cache: authenticator tag -> {!entry}, a first-class value
     so shard replicas can share or seed one another's. Each entry is
     tagged ({!Expiring.add}) with [Principal.to_string] of the ticket's
-    client, so evicting it raises that client's floor alone. The key is
-    the authenticator's AEAD tag, which covers the payload, so one key
-    names the authenticator and the request together, and primary and
-    standby derive the same one. *)
+    client, boxed once per held ticket ({!Ticket.opened}'s
+    [client_tag]), so evicting it raises that client's floor alone. The
+    key is the authenticator's AEAD tag, which covers the payload, so one
+    key names the authenticator and the request together, and primary
+    and standby derive the same one. *)
 
 val create_cache : ?capacity:int -> unit -> cache
 (** Default capacity 4096; at capacity, expired entries are purged, then
@@ -83,18 +86,19 @@ val serve :
     authenticator does not cover, are answered with in-band errors before the
     response cache is consulted or the handler runs. A repeated authenticator
     within the skew window — a client retransmission or an adversarial replay —
-    does {e not} re-run the handler: the cached reply body is sealed again
-    under the session key with a fresh nonce (one more ["crypto.seal"];
-    ["rpc.dedup"] ticks), giving exactly-once handler execution under
-    at-least-once delivery. (A replayer gains nothing: the reply is sealed
-    under the session key.) A cached body is sealed only under the ticket it
-    answered: an authenticator from another ticket whose tag equals a cached
-    one (a Poly1305 tag can be steered by whoever holds the key it is made
-    under) is refused, ["authenticator tag belongs to another session: not
-    answered"], and runs no handler. If capacity pressure evicted that response
-    while live, the repeat reads as forgotten ({!Expiring.lookup} under its
-    client's tag, with expiry [timestamp + 1 + max_skew_us]) and is refused
-    before the handler: at most once, never twice. That floor is the
+    does {e not} re-run the handler: the cached reply or refusal is sealed
+    again, in its status, under the session key with a fresh nonce (one
+    more ["crypto.seal"]; ["rpc.dedup"] ticks), giving exactly-once handler
+    execution under at-least-once delivery. (A replayer gains nothing: the
+    reply is sealed under the session key.) A cached outcome is sealed only
+    under the ticket it answered: an authenticator from another ticket
+    whose tag equals a cached one (a Poly1305 tag can be steered by whoever
+    holds the key it is made under) is refused, ["authenticator tag belongs
+    to another session: not answered"], and runs no handler. If capacity
+    pressure evicted that response while live, the repeat reads as
+    forgotten ({!Expiring.lookup} under its client's tag, with expiry
+    [timestamp + 1 + max_skew_us]) and is refused before the handler: at
+    most once, never twice. That floor is the
     client's own, in its own timestamps: no other client's flood refuses
     its fresh requests, and if its timestamps only increase, however far
     its clock lags, it is refused only a repeat of an evicted request.

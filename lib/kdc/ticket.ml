@@ -37,7 +37,12 @@ let open_ ~service_key blob =
 
 let digest blob = Crypto.Sha256.digest blob
 
-type opened = { ticket : body; session : Crypto.Aead.key Lazy.t; digest : string }
+type opened = {
+  ticket : body;
+  session : Crypto.Aead.key Lazy.t;
+  digest : string;
+  client_tag : string option;
+}
 type holder = { service_key : Crypto.Aead.key; opened : opened Expiring.t }
 
 let held_tickets = 1024
@@ -59,6 +64,7 @@ let open_held h ~now ~tally blob =
               ticket;
               session = lazy (Crypto.Aead.prepare ticket.session_key);
               digest = digest blob;
+              client_tag = Some (Principal.to_string ticket.client);
             }
           in
           if ticket.expires > now then Expiring.add h.opened ~now ~expires:ticket.expires blob o;

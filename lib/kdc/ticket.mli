@@ -47,6 +47,11 @@ type opened = {
           and opens under it prepares it once per ticket, one that never
           does prepares nothing *)
   digest : string;  (** {!digest} of the blob, computed once per held ticket *)
+  client_tag : string option;
+      (** [Some] of [Principal.to_string ticket.client], made once per held
+          ticket: the tag [Secure_rpc] files each of this client's replies
+          under ([Expiring.add ?tag]), so a request builds neither the
+          name nor its [Some] *)
 }
 
 type holder

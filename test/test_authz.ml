@@ -398,11 +398,37 @@ let test_secure_rpc_replay_sealed_again () =
     (String.equal (String.sub first_box 0 12) (String.sub again_box 0 12));
   Alcotest.(check (list int)) "handler runs, dedup hits" [ 1; 1 ] [ !runs; metric "rpc.dedup" ]
 
-(* A full response cache of replies to reads of one stored file holds a
-   few dozen words per reply, whatever the file's size: an entry keeps
-   the body the handler returned, which points at the stored bytes, not a
-   sealed copy of them (one such copy of a 2 KB reply is over 250
-   words). *)
+(* A refusal is remembered as a reply is: a retransmission of a request
+   the handler refused gets the same refusal, the plaintext first sealed,
+   in a new box. The handler runs once; the retransmission costs one
+   seal. *)
+let test_secure_rpc_refusal_sealed_again () =
+  let w = world () in
+  let alice, _ = W.enrol w "alice" in
+  let svc, svc_key = W.enrol w "svc" in
+  let runs = ref 0 in
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key (fun _ _ ->
+      incr runs;
+      Error (Printf.sprintf "refusal %d" !runs));
+  let creds = W.credentials_for w ~tgt:(W.login w alice) svc in
+  let raw = stamped_request w ~creds ~timestamp:(W.now w) (Wire.S "op") in
+  let metric = Sim.Metrics.get (Sim.Net.metrics w.W.net) in
+  let first, first_box = sealed_reply w ~svc ~creds raw in
+  Alcotest.(check string) "the refusal, in its status"
+    (Wire.encode (Wire.L [ Wire.S "err"; Wire.S "refusal 1" ]))
+    first;
+  let seals = metric "crypto.seal" in
+  let again, again_box = sealed_reply w ~svc ~creds raw in
+  Alcotest.(check int) "the retransmission sealed once more" (seals + 1) (metric "crypto.seal");
+  Alcotest.(check string) "the same plaintext" first again;
+  Alcotest.(check bool) "in a new box" false (String.equal first_box again_box);
+  Alcotest.(check (list int)) "handler runs, dedup hits" [ 1; 1 ] [ !runs; metric "rpc.dedup" ]
+
+(* A full response cache of replies to reads of one stored file holds
+   about twenty words per reply, whatever the file's size: an entry keeps
+   the reply the handler returned, which points at the stored bytes, not
+   a sealed copy of them (one such copy of a 2 KB reply is over 250
+   words), and files it under the tag its held ticket boxed once. *)
 let test_secure_rpc_cache_keeps_bodies () =
   let words_per_entry size =
     let w = world () in
@@ -437,8 +463,8 @@ let test_secure_rpc_cache_keeps_bodies () =
     (fun size ->
       let words = words_per_entry size in
       Alcotest.(check bool)
-        (Printf.sprintf "%.1f words per cached %d-byte reply <= 64" words size)
-        true (words <= 64.))
+        (Printf.sprintf "%.1f words per cached %d-byte reply <= 24" words size)
+        true (words <= 24.))
     [ 2_048; 16_384 ]
 
 (* The authenticator request a client holding [creds] would send at
@@ -1604,6 +1630,7 @@ let () =
           ("a lagging client is served while the cache turns over", `Quick,
            test_secure_rpc_lagging_client_served);
           ("a replay is sealed again", `Quick, test_secure_rpc_replay_sealed_again);
+          ("a refusal is sealed again", `Quick, test_secure_rpc_refusal_sealed_again);
           ("a full cache keeps bodies, not sealed copies", `Quick,
            test_secure_rpc_cache_keeps_bodies);
           ("a steered tag is refused", `Quick, test_secure_rpc_steered_tag_refused) ] );

@@ -187,7 +187,30 @@ let test_per_call_hook () =
   Expiring.add ~on_evict:(fun () -> incr call_hook) t ~now:0 ~expires:100 "b" ();
   Alcotest.(check (pair int int)) "only the per-call hook fired" (0, 1) (!table_hook, !call_hook)
 
+(* A full table refills the record its victim leaves, so an add that
+   evicts allocates only the new key's bucket cell (4 words) in the hash
+   table: the keys are made beforehand and the tag is boxed once, as a
+   response cache's held ticket boxes its client's. *)
+let test_full_add_allocation () =
+  let capacity = 64 in
+  let t = Expiring.create ~capacity () in
+  let keys = Array.init (4 * capacity) (fun i -> "k" ^ string_of_int i) in
+  let tag = Some "client" and n = ref 0 in
+  let add () =
+    Expiring.add t ~now:0 ~expires:(1_000 + !n) ?tag keys.(!n mod Array.length keys) !n;
+    incr n
+  in
+  for _ = 1 to capacity do
+    add ()
+  done;
+  let bytes = Testkit.alloc_bytes_per_call add in
+  Alcotest.(check int) "the table stayed full" capacity (Expiring.size t);
+  Alcotest.(check bool) (Printf.sprintf "%.0f B per evicting add <= 32" bytes) true (bytes <= 32.)
+
 let () =
   Alcotest.run "expiring"
-    [ ("rule", [ ("per-call eviction hook", `Quick, test_per_call_hook) ]);
+    [ ( "rule",
+        [ ("per-call eviction hook", `Quick, test_per_call_hook);
+          ("an add that evicts allocates only its bucket cell", `Quick,
+           test_full_add_allocation) ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_matches_oracle ]) ]

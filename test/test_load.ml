@@ -205,6 +205,43 @@ let test_call_batch_exactly_once () =
   Alcotest.(check int) "one item per payload, both rounds"
     8 (Sim.Metrics.get (Net.metrics w.World.net) "rpc.batch.items")
 
+(* Drop the first reply instead: every item ran and the coalesced reply
+   is cached, so the retransmission is answered from the cache, with
+   every item's reply and no item run again. *)
+let test_call_batch_reply_dropped () =
+  let w = World.create ~seed:"batch-rpc-reply" () in
+  let echo, echo_key = World.enrol w "echo" in
+  let executions = ref 0 in
+  let reply = function
+    | Wire.I 2 -> Error "item 2 refused"
+    | payload -> Ok (Wire.L [ Wire.S "echoed"; payload ])
+  in
+  Secure_rpc.serve w.World.net ~me:echo ~my_key:echo_key (fun _ctx payload ->
+      incr executions;
+      reply payload);
+  let alice, _ = World.enrol w "alice" in
+  let creds = World.credentials_for w ~tgt:(World.login w alice) echo in
+  let dropped = ref false in
+  Net.set_tap w.World.net (fun ~dir ~src ~dst:_ _payload ->
+      if dir = `Response && Principal.to_string echo = src && not !dropped then begin
+        dropped := true;
+        Net.Drop
+      end
+      else Net.Deliver);
+  let payloads = List.init 4 (fun i -> Wire.I i) in
+  let r =
+    Secure_rpc.call_batch w.World.net ~creds
+      ~retry:(Sim.Retry.policy ~retries:4 ~timeout_us:10_000 ()) payloads
+  in
+  Net.clear_tap w.World.net;
+  Alcotest.(check bool) "reply was dropped once" true !dropped;
+  Alcotest.(check bool) "every item's reply, in its place, one a refusal" true
+    (r = Ok (List.map reply payloads));
+  let metric = Sim.Metrics.get (Net.metrics w.World.net) in
+  Alcotest.(check int) "each item executed exactly once" 4 !executions;
+  Alcotest.(check (list int)) "one batch handled, one answered from the cache" [ 1; 1 ]
+    [ metric "rpc.batch.requests"; metric "rpc.dedup" ]
+
 let test_call_batch_empty_is_free () =
   let w = World.create ~seed:"batch-empty" () in
   let echo, echo_key = World.enrol w "echo" in
@@ -252,6 +289,8 @@ let () =
         [
           Alcotest.test_case "exactly-once under a dropped request" `Quick
             test_call_batch_exactly_once;
+          Alcotest.test_case "exactly-once under a dropped reply" `Quick
+            test_call_batch_reply_dropped;
           Alcotest.test_case "empty batch never touches the network" `Quick
             test_call_batch_empty_is_free;
         ] );

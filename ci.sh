@@ -11,12 +11,14 @@ echo "== build =="
 dune build
 
 echo "== size =="
-# Printed, not gated: the lines of lib/ (.ml and .mli) and the optional
-# parameters its interfaces declare, the two figures a simplification
-# reports before and after; and the places lib/ still appends to the
-# unbounded audit trail, which bounded server state drives to zero.
+# Printed, not gated: the lines of lib/ (.ml and .mli), the optional
+# parameters its interfaces declare and the values they export, the
+# figures a simplification reports before and after; and the places lib/
+# still appends to the unbounded audit trail, which bounded server state
+# drives to zero.
 echo "lib lines: $(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 echo "lib optional parameters: $(cat lib/*/*.mli | grep -o '?[a-z_0-9]*:' | wc -l)"
+echo "lib exported values: $(cat lib/*/*.mli | grep -c '^ *val ')"
 echo "lib trail record sites: $(cat lib/*/*.ml | grep -o 'Sim\.Trace\.record' | wc -l)"
 
 echo "== tests =="

@@ -150,7 +150,6 @@ let set_drawn t key total =
   Hashtbl.replace t.drawn key total;
   note t (Drawn (key, total))
 
-let me t = t.me
 let ledger t = t.ledger
 let guard t = t.guard
 let apply_bulletin t b = Guard.apply_bulletin t.guard b

@@ -41,7 +41,6 @@ val create :
     hours. *)
 
 val install : t -> unit
-val me : t -> Principal.t
 
 val guard : t -> Guard.t
 (** The underlying guard — e.g. to read its revocation state or caches. *)

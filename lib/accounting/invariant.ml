@@ -10,7 +10,6 @@ let grand_totals ledgers =
     currencies
 
 let capture = grand_totals
-let totals s = s
 
 let check before ledgers =
   let after = grand_totals ledgers in

@@ -15,9 +15,6 @@ type snapshot
 val capture : Ledger.t list -> snapshot
 (** Per-currency grand totals (available + held) across all the ledgers. *)
 
-val totals : snapshot -> (string * int) list
-(** The captured [(currency, total)] pairs, sorted by currency. *)
-
 val check : snapshot -> Ledger.t list -> (unit, string) result
 (** Recompute the totals over the union of currencies (captured plus any
     that have appeared since) and compare. [Error] names every currency

@@ -5,9 +5,9 @@ type account = {
 }
 
 (* The primitive mutations, as data: everything a replica needs to rebuild
-   this ledger's state. Compound operations (transfer, hold, release_hold)
-   journal as their primitive steps, so replaying the journal in order
-   reconstructs the exact balances and holds. *)
+   this ledger's state. Compound operations (transfer, hold) journal as
+   their primitive steps, so replaying the journal in order reconstructs
+   the exact balances and holds. *)
 type op =
   | Op_open of Principal.t * string
   | Op_credit of string * string * int
@@ -34,7 +34,6 @@ let open_account t ~owner ~name =
     Ok ()
   end
 
-let exists t ~name = Hashtbl.mem t.accounts name
 let owner t ~name = Option.map (fun a -> a.acct_owner) (Hashtbl.find_opt t.accounts name)
 let accounts t = Hashtbl.fold (fun k _ acc -> k :: acc) t.accounts [] |> List.sort compare
 
@@ -131,19 +130,6 @@ let take_hold t ~name ~id =
           record t (Op_take (name, id));
           Ok (currency, amount))
 
-let release_hold t ~name ~id =
-  Result.bind (take_hold t ~name ~id) (fun (currency, amount) ->
-      match credit t ~name ~currency amount with
-      | Ok () -> Ok ()
-      | Error e ->
-          (* Restore the hold rather than lose the money. *)
-          (match Hashtbl.find_opt t.accounts name with
-          | Some a ->
-              Hashtbl.add a.holds id (currency, amount);
-              record t (Op_hold_put (name, id, currency, amount))
-          | None -> ());
-          Error e)
-
 let currencies t =
   let seen = Hashtbl.create 8 in
   Hashtbl.iter
@@ -161,8 +147,7 @@ let total t ~currency =
 (* --- journal replay (replication) --- *)
 
 (* [Op_hold_put] only installs the hold record: the matching debit was
-   journalled separately by [hold], and the compensation path in
-   [release_hold] re-installs a hold without touching the balance. *)
+   journalled separately by [hold]. *)
 let apply t op =
   match op with
   | Op_open (owner, name) -> open_account t ~owner ~name

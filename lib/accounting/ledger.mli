@@ -37,7 +37,6 @@ val apply : t -> op -> (unit, string) result
 (** Replay one journalled operation (replica side). *)
 
 val open_account : t -> owner:Principal.t -> name:string -> (unit, string) result
-val exists : t -> name:string -> bool
 val owner : t -> name:string -> Principal.t option
 val accounts : t -> string list
 
@@ -68,9 +67,6 @@ val hold :
 val take_hold : t -> name:string -> id:string -> (string * int, string) result
 (** Consume a hold entirely (the certified check cleared); returns its
     currency and amount. *)
-
-val release_hold : t -> name:string -> id:string -> (unit, string) result
-(** Return held funds to the available balance. *)
 
 val find_hold : t -> name:string -> id:string -> (string * int) option
 

@@ -26,8 +26,6 @@ let create net ~me ~my_key ~kdc ~bank ~escrow_account =
           authorities = Hashtbl.create 8;
         }
 
-let me t = t.me
-
 let blocks_of content = max 1 ((String.length content + block_bytes - 1) / block_bytes)
 
 let bank_creds t = Granter.credentials_for t.granter t.bank

@@ -22,7 +22,6 @@ val create :
     drawn from users accumulate there. A block is 512 bytes. *)
 
 val install : t -> unit
-val me : t -> Principal.t
 val blocks_currency : string
 
 (** {2 Client operations} *)

@@ -10,7 +10,6 @@ let create net ~me ~my_key ?lookup_pub ?my_rsa ?verify_cache ?revocation ~acl ()
   let guard = Guard.create net ~me ~my_key ?lookup_pub ?my_rsa ?verify_cache ?revocation ~acl () in
   { net; me; my_key; guard; files = Hashtbl.create 16 }
 
-let me t = t.me
 let acl t = Guard.acl t.guard
 let guard t = t.guard
 let put_direct t ~path content = Hashtbl.replace t.files path content
@@ -76,14 +75,14 @@ let read net ~creds ?retry ?(proxies = []) ?(group_proxies = []) ~path () =
     (request net ~creds ?retry ~proxies ~group_proxies ~op:"read" ~path ~data:"" ())
     Wire.to_string
 
-let write net ~creds ?(proxies = []) ?(group_proxies = []) ~path data =
-  Result.map ignore (request net ~creds ~proxies ~group_proxies ~op:"write" ~path ~data ())
+let write net ~creds ?(proxies = []) ~path data =
+  Result.map ignore (request net ~creds ~proxies ~group_proxies:[] ~op:"write" ~path ~data ())
 
-let stat net ~creds ?(proxies = []) ?(group_proxies = []) ~path () =
+let stat net ~creds ~path () =
   Result.bind
-    (request net ~creds ~proxies ~group_proxies ~op:"stat" ~path ~data:"" ())
+    (request net ~creds ~proxies:[] ~group_proxies:[] ~op:"stat" ~path ~data:"" ())
     Wire.to_int
 
-let open_ net ~creds ?retry ?(proxies = []) ?(group_proxies = []) ~path () =
+let open_ net ~creds ?retry ?(proxies = []) ~path () =
   Result.map ignore
-    (request net ~creds ?retry ~proxies ~group_proxies ~op:"open" ~path ~data:"" ())
+    (request net ~creds ?retry ~proxies ~group_proxies:[] ~op:"open" ~path ~data:"" ())

@@ -27,7 +27,6 @@ val create :
     attaches local bulletin state (see {!Guard.create}). *)
 
 val install : t -> unit
-val me : t -> Principal.t
 val acl : t -> Acl.t
 
 val guard : t -> Guard.t
@@ -60,7 +59,6 @@ val write :
   Sim.Net.t ->
   creds:Ticket.credentials ->
   ?proxies:Proxy.t list ->
-  ?group_proxies:Proxy.t list ->
   path:string ->
   string ->
   (unit, string) result
@@ -68,19 +66,16 @@ val write :
 val stat :
   Sim.Net.t ->
   creds:Ticket.credentials ->
-  ?proxies:Proxy.t list ->
-  ?group_proxies:Proxy.t list ->
   path:string ->
   unit ->
   (int, string) result
-(** Size in bytes. *)
+(** Size in bytes, by the ticket's own rights (no proxy). *)
 
 val open_ :
   Sim.Net.t ->
   creds:Ticket.credentials ->
   ?retry:Sim.Retry.policy ->
   ?proxies:Proxy.t list ->
-  ?group_proxies:Proxy.t list ->
   path:string ->
   unit ->
   (unit, string) result

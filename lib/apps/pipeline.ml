@@ -11,8 +11,6 @@ let create net ~me ~my_key ~kdc ~fileserver =
   | Error e -> Error e
   | Ok granter -> Ok { net; me; my_key; fileserver; granter }
 
-let me t = t.me
-
 let count_words s =
   String.split_on_char ' ' s
   |> List.concat_map (String.split_on_char '\n')

@@ -19,7 +19,6 @@ val create :
   (t, string) result
 
 val install : t -> unit
-val me : t -> Principal.t
 
 val word_count :
   Sim.Net.t ->

@@ -19,7 +19,6 @@ let create net ~me ~my_key ~kdc ~bank ~account ~signing_key ~lookup =
   | Ok granter ->
       Ok { net; me; my_key; bank; account; signing_key; lookup; granter; pages_printed = 0 }
 
-let me t = t.me
 let pages_printed t = t.pages_printed
 
 let pages_of_length len = max 1 ((len + page_bytes - 1) / page_bytes)

@@ -27,7 +27,6 @@ val create :
     is 1000 bytes and costs 2 usd. *)
 
 val install : t -> unit
-val me : t -> Principal.t
 val pages_printed : t -> int
 
 val price :

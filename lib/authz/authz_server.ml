@@ -8,11 +8,11 @@ type t = {
 
 let proxy_lifetime_us = 2 * 3600 * 1_000_000
 
-let create net ~me ~my_key ~kdc ~database ?lookup_pub () =
+let create net ~me ~my_key ~kdc ~database () =
   match Granter.create net ~me ~my_key ~kdc with
   | Error e -> Error e
   | Ok granter ->
-      let guard = Guard.create net ~me ~my_key ?lookup_pub ~acl:database () in
+      let guard = Guard.create net ~me ~my_key ~acl:database () in
       Ok { net; me; my_key; guard; granter }
 
 let handle t ctx payload =

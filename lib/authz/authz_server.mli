@@ -23,7 +23,6 @@ val create :
   my_key:string ->
   kdc:Principal.t ->
   database:Acl.t ->
-  ?lookup_pub:(Principal.t -> Crypto.Rsa.public option) ->
   unit ->
   (t, string) result
 (** The proxies it grants live 2 hours. *)

@@ -4,8 +4,9 @@ let mint ~drbg ~now ~expires ~grantor ~session_key ~base ~target ~ops =
   Proxy.grant_conventional ~drbg ~now ~expires ~grantor ~session_key ~base
     ~restrictions:[ restriction ~target ~ops ]
 
-let mint_via_kdc net ~kdc ~tgt ~end_server ~target ~ops ?(lifetime_us = 2 * 3600 * 1_000_000) ()
-    =
+let lifetime_us = 2 * 3600 * 1_000_000
+
+let mint_via_kdc net ~kdc ~tgt ~end_server ~target ~ops () =
   match Kdc.Client.derive net ~kdc ~tgt ~target:end_server () with
   | Error e -> Error e
   | Ok creds ->

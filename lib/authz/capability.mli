@@ -25,12 +25,12 @@ val mint_via_kdc :
   end_server:Principal.t ->
   target:string ->
   ops:string list ->
-  ?lifetime_us:int ->
   unit ->
   (Proxy.t, string) result
 (** Convenience: derive fresh credentials for [end_server] through the TGS,
     then mint. This is how a user turns "I can read file1" into a
-    transferable read capability for file1. *)
+    transferable read capability for file1. The capability lives 2 hours,
+    or until the derived ticket expires if that is sooner. *)
 
 val narrow :
   drbg:Crypto.Drbg.t ->

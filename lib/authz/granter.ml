@@ -14,8 +14,6 @@ let create net ~me ~my_key ~kdc =
   | Error e -> Error (Printf.sprintf "%s: cannot obtain TGT: %s" (Principal.to_string me) e)
   | Ok tgt -> Ok { net; me; kdc; tgt; my_key; cache = Hashtbl.create 8 }
 
-let me t = t.me
-
 let refresh_tgt t =
   if t.tgt.Ticket.cred_expires <= Sim.Net.now t.net + margin_us then
     match

@@ -14,8 +14,6 @@ val create :
   Sim.Net.t -> me:Principal.t -> my_key:string -> kdc:Principal.t -> (t, string) result
 (** Authenticates to the KDC for a TGT; fails if the KDC refuses. *)
 
-val me : t -> Principal.t
-
 val credentials_for : t -> Principal.t -> (Ticket.credentials, string) result
 (** Ticket for an end-server, derived through the TGS on first use and
     cached until its expiry nears. A target in another realm is reached

@@ -25,8 +25,6 @@ let create net ~me ~my_key ~kdc ~origin ~origin_pub ?staleness_bound_us () =
               ~now:(Sim.Net.now net) ();
         }
 
-let me t = t.me
-let origin t = t.origin
 let epoch t = Membership.epoch t.replica
 let stale t = Membership.stale t.replica ~now:(Sim.Net.now t.net)
 

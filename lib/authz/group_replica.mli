@@ -39,9 +39,6 @@ val install : t -> unit
     replicated table. Nested-group evidence is not accepted — a replica
     attests only direct memberships from the snapshot. *)
 
-val me : t -> Principal.t
-val origin : t -> Principal.t
-
 val epoch : t -> int
 (** Epoch of the last applied snapshot (0 before the first). *)
 

@@ -3,7 +3,6 @@ type t = {
   me : Principal.t;
   my_key : string;
   granter : Granter.t;
-  proxy_lifetime_us : int;
   (* Membership database: one ACL whose targets are group names and whose
      entries are the members (principals or nested groups). *)
   guard : Guard.t;
@@ -13,15 +12,16 @@ type t = {
   mutable publish_epoch : int;
 }
 
-let create net ~me ~my_key ~kdc ?lookup_pub ?verify_cache ?signing_key
-    ?(proxy_lifetime_us = 2 * 3600 * 1_000_000) () =
+let proxy_lifetime_us = 2 * 3600 * 1_000_000
+
+let create net ~me ~my_key ~kdc ?lookup_pub ?verify_cache ?signing_key () =
   match Granter.create net ~me ~my_key ~kdc with
   | Error e -> Error e
   | Ok granter ->
       let guard =
         Guard.create net ~me ~my_key ?lookup_pub ?verify_cache ~acl:(Acl.create ()) ()
       in
-      Ok { net; me; my_key; granter; proxy_lifetime_us; guard; signing_key; publish_epoch = 0 }
+      Ok { net; me; my_key; granter; guard; signing_key; publish_epoch = 0 }
 
 let me t = t.me
 
@@ -83,7 +83,7 @@ let assert_membership t ctx ~group ~end_server ~evidence =
       let restrictions =
         Restriction.membership ~group ~member:client @ inherited
       in
-      let expires = Sim.Net.now t.net + t.proxy_lifetime_us in
+      let expires = Sim.Net.now t.net + proxy_lifetime_us in
       let* proxy = Granter.grant t.granter ~end_server ~expires ~restrictions in
       Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
         ~actor:(Principal.to_string t.me)

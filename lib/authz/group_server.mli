@@ -25,12 +25,12 @@ val create :
   ?lookup_pub:(Principal.t -> Crypto.Rsa.public option) ->
   ?verify_cache:Verify_cache.t ->
   ?signing_key:Crypto.Rsa.private_ ->
-  ?proxy_lifetime_us:int ->
   unit ->
   (t, string) result
 (** [verify_cache] overrides the membership guard's signature-verification
     memo cache (capacity 0 disables caching). [signing_key] enables
-    snapshot publication ({!publish}) for cross-realm replicas. *)
+    snapshot publication ({!publish}) for cross-realm replicas. The
+    membership proxies it grants live 2 hours. *)
 
 val install : t -> unit
 val me : t -> Principal.t
@@ -40,20 +40,15 @@ val add_group_member : t -> group:string -> Principal.Group.t -> unit
 (** Nest another group (possibly maintained by a different group server). *)
 
 val remove_member : t -> group:string -> Principal.t -> unit
-val members : t -> group:string -> Principal.t list
-(** Direct principal members only. *)
 
 val group_name : t -> string -> Principal.Group.t
 (** The global name of one of this server's groups. *)
 
-val table : t -> (string * Principal.t list) list
-(** The full membership table (direct principal members per group). Nested
-    [Group] entries are not flattened: a snapshot attests only memberships
-    this server vouches for directly. *)
-
 val publish : t -> (Membership.snapshot, string) result
-(** Sign an epoch-stamped copy of {!table} for replicas in other realms
-    (Grapevine-style replication); each publication advances the epoch.
+(** Sign an epoch-stamped copy of the membership table (direct principal
+    members per group; nested [Group] entries are not flattened) for
+    replicas in other realms (Grapevine-style replication); each
+    publication advances the epoch.
     [Error] without a [signing_key]. Also served remotely as the
     ["snapshot"] verb ({!fetch_snapshot}). *)
 

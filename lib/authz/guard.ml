@@ -54,14 +54,12 @@ let create net ~me ~my_key ?(lookup_pub = fun _ -> None) ?my_rsa ?verify_cache ?
     seq_forward = None;
   }
 
-let me t = t.me
 let acl t = t.acl
 let accepted t = t.accepted
 let progress t = t.progress
 let set_journal t j = t.journal <- j
 let set_seq_forward t f = t.seq_forward <- f
 let verify_cache t = t.verify_cache
-let revocation t = t.revocation
 
 let note t c = match t.journal with None -> () | Some j -> j c
 

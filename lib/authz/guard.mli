@@ -62,10 +62,8 @@ val create :
     current. Without it the guard never revokes (the pre-bulletin
     behavior). *)
 
-val me : t -> Principal.t
 val acl : t -> Acl.t
 val verify_cache : t -> Verify_cache.t
-val revocation : t -> Revocation.t option
 
 val accepted : t -> unit Expiring.t
 (** The accept-once identifiers consumed here (Section 7.7), each tagged by

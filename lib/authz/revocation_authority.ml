@@ -30,7 +30,6 @@ let create net ~me ~my_key ~signing_key ?(lookup = fun _ -> None) () =
       Revocation.sign ~key:signing_key ~issuer:me ~epoch:1 ~issued_at:(Sim.Net.now net) [];
   }
 
-let me t = t.me
 let epoch t = t.epoch
 let bulletin t = t.current
 

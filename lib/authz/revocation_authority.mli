@@ -31,7 +31,6 @@ val create :
 val install : t -> unit
 (** Serve ["fetch"], ["revoke-cert"] and ["revoke-grantor"]. *)
 
-val me : t -> Principal.t
 val epoch : t -> int
 val bulletin : t -> Revocation.bulletin
 

@@ -7,11 +7,3 @@ let use net ~kdc ~proxy_tgt ~service = Kdc.Client.derive net ~kdc ~tgt:proxy_tgt
 
 let restrictions_of (creds : Ticket.credentials) =
   Guard.restrictions_of_auth_data creds.Ticket.cred_auth_data
-
-(* Short-TTL companion: the grantee holds a restricted TGT that is about to
-   expire; the grantor re-derives a fresh one carrying the same
-   restrictions. The restrictions come from the *old* credential's
-   authorization-data (fail-closed decoding), so a refresh can never widen
-   what was granted. *)
-let refresh net ~kdc ~tgt ~old () =
-  grant net ~kdc ~tgt ~restrictions:(restrictions_of old) ()

@@ -33,16 +33,3 @@ val use :
 
 val restrictions_of : Ticket.credentials -> Restriction.t list
 (** The restrictions the credentials carry (fail-closed decoding). *)
-
-val refresh :
-  Sim.Net.t ->
-  kdc:Principal.t ->
-  tgt:Ticket.credentials ->
-  old:Ticket.credentials ->
-  unit ->
-  (Ticket.credentials, string) result
-(** Grantor side of short-TTL TGS proxies: derive a fresh restricted TGT
-    carrying exactly the restrictions of [old] (read from its
-    authorization-data, fail-closed). The grantor re-runs this shortly
-    before each expiry and hands the result to the grantee, so aggressive
-    TTLs stay survivable without ever widening the grant. *)

@@ -1,5 +1,5 @@
 type pac = {
-  pac_subject : Principal.t option;
+  pac_subject : Principal.t;
   pac_privileges : string list;
   pac_expires : int;
   pac_sig : string;
@@ -34,7 +34,7 @@ let entitle t p privilege =
 let signed_bytes ~subject ~privileges ~expires =
   Wire.encode
     (Wire.L
-       [ (match subject with None -> Wire.L [] | Some p -> Principal.to_wire p);
+       [ Principal.to_wire subject;
          Wire.L (List.map (fun s -> Wire.S s) privileges);
          Wire.I expires ])
 
@@ -43,15 +43,15 @@ let handle t request =
   let parsed =
     let* v = Wire.decode request in
     match v with
-    | L [ caller; I bearer; L privileges ] ->
+    | L [ caller; L privileges ] ->
         let* caller = Principal.of_wire caller in
         let* privileges = map_all to_string privileges in
-        Ok (caller, bearer = 1, privileges)
+        Ok (caller, privileges)
     | _ -> Error "pac: malformed request"
   in
   match parsed with
   | Error e -> Wire.encode (Wire.L [ Wire.S "err"; Wire.S e ])
-  | Ok (caller, bearer, privileges) ->
+  | Ok (caller, privileges) ->
       let entitled =
         match Hashtbl.find_opt t.entitlements (Principal.to_string caller) with
         | None -> []
@@ -60,14 +60,14 @@ let handle t request =
       if not (List.for_all (fun p -> List.mem p entitled) privileges) then
         Wire.encode (Wire.L [ Wire.S "err"; Wire.S "not entitled" ])
       else begin
-        let subject = if bearer then None else Some caller in
         let expires = Sim.Net.now t.net + t.lifetime_us in
         Sim.Metrics.incr (Sim.Net.metrics t.net) "crypto.rsa_sign";
-        let signature = Crypto.Rsa.sign t.key (signed_bytes ~subject ~privileges ~expires) in
+        let signature =
+          Crypto.Rsa.sign t.key (signed_bytes ~subject:caller ~privileges ~expires)
+        in
         Wire.encode
           (Wire.L
              [ Wire.S "ok";
-               Wire.I (if bearer then 1 else 0);
                Wire.L (List.map (fun s -> Wire.S s) privileges);
                Wire.I expires;
                Wire.S signature ])
@@ -75,12 +75,11 @@ let handle t request =
 
 let install t = Sim.Net.register t.net ~name:(Principal.to_string t.name) (handle t)
 
-let request net ~authority ~caller ?(bearer = false) ~privileges () =
+let request net ~authority ~caller ~privileges () =
   let payload =
     Wire.encode
       (Wire.L
          [ Principal.to_wire caller;
-           Wire.I (if bearer then 1 else 0);
            Wire.L (List.map (fun s -> Wire.S s) privileges) ])
   in
   match
@@ -93,15 +92,9 @@ let request net ~authority ~caller ?(bearer = false) ~privileges () =
       let* v = Wire.decode reply in
       match v with
       | L [ S "err"; S msg ] -> Error msg
-      | L [ S "ok"; I bearer_flag; L pac_privileges; I pac_expires; S pac_sig ] ->
+      | L [ S "ok"; L pac_privileges; I pac_expires; S pac_sig ] ->
           let* pac_privileges = map_all to_string pac_privileges in
-          Ok
-            {
-              pac_subject = (if bearer_flag = 1 then None else Some caller);
-              pac_privileges;
-              pac_expires;
-              pac_sig;
-            }
+          Ok { pac_subject = caller; pac_privileges; pac_expires; pac_sig }
       | _ -> Error "pac: malformed reply")
 
 let verify ~authority_pub ~now ~presenter pac =
@@ -113,7 +106,6 @@ let verify ~authority_pub ~now ~presenter pac =
     Error "pac: bad signature"
   else if pac.pac_expires <= now then Error "pac: expired"
   else
-    match (pac.pac_subject, presenter) with
-    | None, _ -> Ok pac.pac_privileges
-    | Some s, Some p when Principal.equal s p -> Ok pac.pac_privileges
-    | Some _, _ -> Error "pac: named subject does not match presenter"
+    match presenter with
+    | Some p when Principal.equal pac.pac_subject p -> Ok pac.pac_privileges
+    | _ -> Error "pac: named subject does not match presenter"

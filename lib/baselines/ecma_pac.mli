@@ -6,7 +6,8 @@
     principal possess certain privileges." A PAC resembles an
     authorization-server proxy, but it is not derivable: holders cannot add
     restrictions themselves, so every narrowing requires another round-trip
-    to the privilege authority — the contrast the C3/C4 bench quantifies. *)
+    to the privilege authority — the contrast the C3/C4 bench quantifies.
+    Only the named-principal form is modelled: each PAC names its caller. *)
 
 type t
 (** The privilege attribute authority. *)
@@ -19,7 +20,7 @@ val entitle : t -> Principal.t -> string -> unit
 (** Record that a principal may be certified for a privilege. *)
 
 type pac = {
-  pac_subject : Principal.t option;  (** [None] = bearer PAC *)
+  pac_subject : Principal.t;
   pac_privileges : string list;
   pac_expires : int;
   pac_sig : string;
@@ -29,7 +30,6 @@ val request :
   Sim.Net.t ->
   authority:Principal.t ->
   caller:Principal.t ->
-  ?bearer:bool ->
   privileges:string list ->
   unit ->
   (pac, string) result
@@ -43,5 +43,4 @@ val verify :
   presenter:Principal.t option ->
   pac ->
   (string list, string) result
-(** Offline validation; a named-subject PAC requires the matching
-    presenter. *)
+(** Offline validation; the presenter must be the PAC's subject. *)

@@ -34,16 +34,12 @@ val sub : t -> t -> t
 (** [sub a b] is [a - b]. Raises {!Underflow} if [b > a]. *)
 
 val mul : t -> t -> t
-(** Product. Schoolbook below {!karatsuba_threshold} limbs, Karatsuba
-    above it. *)
+(** Product. Schoolbook below 27 limbs, Karatsuba above. *)
 
 val mul_schoolbook : t -> t -> t
 (** The quadratic reference multiplier. Always agrees with {!mul}; exposed
     so property tests can cross-check the Karatsuba split and benches can
     measure the crossover. *)
-
-val karatsuba_threshold : int
-(** Limb count at which {!mul} switches to Karatsuba. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. Raises [Division_by_zero] if [b] is

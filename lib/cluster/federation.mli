@@ -40,10 +40,6 @@ type outcome = {
   digest : string;  (** metrics snapshot and audit trail *)
 }
 
-val run : config -> outcome
-(** Raises [Failure] only on scaffolding errors (setup steps that the
-    scenario itself never gates on). *)
-
 val entry : config -> outcome Drive.entry
 
 (** {2 Lane-parallel variant: one realm per lane}

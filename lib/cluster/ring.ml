@@ -26,8 +26,6 @@ let create shards =
   Array.sort (fun (a, _) (b, _) -> String.compare a b) points;
   { points; shards }
 
-let shards t = t.shards
-
 let lookup t key =
   let h = Crypto.Sha256.digest key in
   let n = Array.length t.points in

@@ -12,9 +12,6 @@ val create : string list -> t
     irrelevant). 32 virtual points per shard smooth the key distribution.
     Raises [Invalid_argument] on an empty list. *)
 
-val shards : t -> string list
-(** Sorted shard ids. *)
-
 val lookup : t -> string -> string
 (** Owning shard id for a key (an account name). Total. *)
 

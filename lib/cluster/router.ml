@@ -27,6 +27,37 @@ type t = {
 
 let ( let* ) = Result.bind
 
+(* Every ordered pair of shards, in list order: the drawer's clearing
+   route names the drawee's logical identity and reaches it through both
+   replicas, and both of the drawer's replicas fetch their clearing
+   credentials now, before any fault plan can starve them. *)
+let mesh shards =
+  let link (_, s1) (_, s2) =
+    if Principal.equal (Shard.logical s1) (Shard.logical s2) then Ok ()
+    else begin
+      Shard.set_route s1 ~drawee:(Shard.logical s2)
+        ~via:[ Shard.primary_node s2; Shard.standby_node s2 ]
+        ~next_hop:(Shard.logical s2) ();
+      Shard.warm s1 ~drawee:(Shard.logical s2)
+    end
+  in
+  let* () =
+    List.fold_left
+      (fun acc s1 ->
+        List.fold_left (fun acc s2 -> Result.bind acc (fun () -> link s1 s2)) acc shards)
+      (Ok ()) shards
+  in
+  Ok
+    (List.map
+       (fun (id, s) ->
+         ( id,
+           {
+             ep_logical = Shard.logical s;
+             ep_primary = Shard.primary_node s;
+             ep_standby = Shard.standby_node s;
+           } ))
+       shards)
+
 let create net ~ring ~endpoints ~creds_for ?retry () =
   let tbl = Hashtbl.create 8 in
   List.iter (fun (sid, ep) -> Hashtbl.replace tbl sid ep) endpoints;

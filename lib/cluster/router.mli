@@ -12,6 +12,14 @@ type endpoint = {
   ep_standby : string;  (** standby replica's network node *)
 }
 
+val mesh : (string * Shard.t) list -> ((string * endpoint) list, string) result
+(** The clearing mesh of a cluster's installed shards, keyed by shard id:
+    for every ordered pair of distinct shards, route the drawer's
+    clearing to the drawee through both of its replicas and warm that
+    route's credentials on both of the drawer's replicas, pair by pair in
+    list order; then list every shard's endpoint, in list order. The
+    first warm-up that fails is the error. *)
+
 type t
 
 val create :

@@ -96,33 +96,7 @@ let run cfg =
   in
   let shard id = List.assoc id shards in
   let ring = Ring.create shard_ids in
-  (* Clearing routes + credential warm-up, every ordered shard pair: the
-     endorsement names the logical drawee, the transport knows its physical
-     replicas, and both replicas of every shard hold clearing credentials
-     before any fault fires. *)
-  List.iter
-    (fun (_, s1) ->
-      List.iter
-        (fun (_, s2) ->
-          if not (Principal.equal (Shard.logical s1) (Shard.logical s2)) then begin
-            Shard.set_route s1 ~drawee:(Shard.logical s2)
-              ~via:[ Shard.primary_node s2; Shard.standby_node s2 ]
-              ~next_hop:(Shard.logical s2) ();
-            Drive.ok_or "warm" (Shard.warm s1 ~drawee:(Shard.logical s2))
-          end)
-        shards)
-    shards;
-  let endpoints =
-    List.map
-      (fun (id, s) ->
-        ( id,
-          {
-            Router.ep_logical = Shard.logical s;
-            ep_primary = Shard.primary_node s;
-            ep_standby = Shard.standby_node s;
-          } ))
-      shards
-  in
+  let endpoints = Drive.ok_or "warm" (Router.mesh shards) in
   (* -- actors -- *)
   let mk_actor name =
     let principal, _ = World.enrol w name in

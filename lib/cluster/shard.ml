@@ -21,6 +21,12 @@
    client's retransmission from its seeded response cache without
    executing the request a second time.
 
+   Each change applies once at the standby. The journal numbers its
+   changes, a batch names the position of its first, and the standby
+   answers with how many it has applied. A ship whose answer was lost is
+   shipped again from the same position, and the standby skips the
+   changes it already holds.
+
    The standby refuses fresh work ("standby: not primary") until it either
    observes the primary down or has already promoted itself; promotion is
    sticky, so a primary that flaps cannot re-split the shard's brain. *)
@@ -42,6 +48,10 @@ type t = {
   mutable changes : Accounting_server.change list;  (* unshipped, newest first *)
   mutable replies : (string * string * int * string) list;
       (* unshipped (auth_id, client, expires, sealed reply), newest first *)
+  mutable acked : int;
+      (* the standby's journal position by its last answer: the position
+         of the oldest unshipped change *)
+  mutable applied : int;  (* journal changes the standby has applied *)
   mutable promoted : bool;
 }
 
@@ -87,6 +97,8 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
       repl_retry;
       changes = [];
       replies = [];
+      acked = 0;
+      applied = 0;
       promoted = false;
     }
   in
@@ -106,11 +118,12 @@ let authoritative t =
   if t.promoted || primary_down t then t.standby.server else t.primary.server
 
 (* Ship every unshipped change and reply record in ONE replication
-   exchange. On failure both are put back so the next handled request
-   re-ships them: the replication request that carries them then is a
-   fresh authenticator, and the standby applies each change exactly once (a
-   *retransmission* of the same bulk dedups on the standby's own response
-   cache instead). *)
+   exchange, with the journal position of the first change. On failure both
+   are put back so the next handled request re-ships them, under a fresh
+   authenticator, from the same position: the standby may have applied
+   them and lost only its answer, so it skips the changes below its own
+   position and applies each change exactly once (a *retransmission* of
+   the same bulk dedups on the standby's own response cache instead). *)
 let ship_now t =
   let changes = List.rev t.changes and replies = List.rev t.replies in
   t.changes <- [];
@@ -118,6 +131,7 @@ let ship_now t =
   let payload =
     Wire.L
       [ Wire.S "x-replicate-bulk";
+        Wire.I t.acked;
         Wire.L
           (List.map
              (fun (a, c, e, r) -> Wire.L [ Wire.S a; Wire.S c; Wire.I e; Wire.S r ])
@@ -129,11 +143,12 @@ let ship_now t =
     Secure_rpc.call t.net ~creds:t.repl_creds ?retry:t.repl_retry ~via:[ t.standby.node ]
       payload
   with
-  | Ok _ ->
+  | Ok (Wire.I position) ->
+      t.acked <- position;
       Sim.Metrics.incr metrics "cluster.repl_shipped";
       Sim.Metrics.add metrics "cluster.repl_ops_shipped" (List.length changes);
       Sim.Metrics.add metrics "cluster.repl_replies_shipped" (List.length replies)
-  | Error _ ->
+  | Ok _ | Error _ ->
       Sim.Metrics.incr metrics "cluster.repl_failures";
       t.changes <- t.changes @ List.rev changes;
       t.replies <- t.replies @ List.rev replies
@@ -158,9 +173,10 @@ let ship t ~auth_id ~client ~expires ~reply =
     ship_now t
   end
 
-let apply_replication t ctx ~replies ~changes =
+let apply_replication t ctx ~first ~replies ~changes =
   if not (Principal.equal ctx.Secure_rpc.rpc_client t.logical) then
     Error "replication: caller is not this shard"
+  else if first > t.applied then Error "replication: journal gap"
   else
     let* replies =
       Wire.map_all
@@ -171,7 +187,9 @@ let apply_replication t ctx ~replies ~changes =
         replies
     in
     let* changes = Wire.map_all Accounting_server.change_of_wire changes in
-    let* () = Accounting_server.apply_replicated t.standby.server changes in
+    let fresh = List.filteri (fun i _ -> first + i >= t.applied) changes in
+    let* () = Accounting_server.apply_replicated t.standby.server fresh in
+    t.applied <- t.applied + List.length fresh;
     let now = Sim.Net.now t.net in
     (* Tagged by client as on the primary: an eviction here raises only
        that client's floor. *)
@@ -182,12 +200,12 @@ let apply_replication t ctx ~replies ~changes =
     Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_applied";
     Sim.Metrics.add (Sim.Net.metrics t.net) "cluster.repl_replies_seeded"
       (List.length replies);
-    Ok (Wire.S "replicated")
+    Ok (Wire.I t.applied)
 
 let standby_handle t ctx payload =
   match payload with
-  | Wire.L [ Wire.S "x-replicate-bulk"; Wire.L replies; Wire.L changes ] ->
-      apply_replication t ctx ~replies ~changes
+  | Wire.L [ Wire.S "x-replicate-bulk"; Wire.I first; Wire.L replies; Wire.L changes ] ->
+      apply_replication t ctx ~first ~replies ~changes
   | _ -> (
       let* request = Accounting_server.request_of_wire payload in
       match request with

@@ -8,6 +8,10 @@
       fed by the primary's {!Accounting_server.set_journal} hook;
     - replication ships {e before} the primary's reply is transmitted, so
       every reply a client saw is already at the standby;
+    - each change applies once: a batch carries the journal position of
+      its first change, the standby applies only the changes past its
+      own position and answers with that position, which the primary
+      records as the start of its next batch;
     - the standby's response cache is seeded with the primary's sealed
       replies, so a failed-over retransmission is answered without a second
       execution (exactly-once across replicas);
@@ -43,7 +47,8 @@ val create :
     (["cluster.repl_read_skips"]). Pipelined batches
     ({!Secure_rpc.call_batch}) journal all their items under one
     authenticator and thus one ship. A failed ship re-rides the next
-    handled request.
+    handled request, from the same journal position, so a batch the
+    standby applied but whose answer was lost is not applied twice.
     [revocation_authority] subscribes {e each replica independently} to
     that authority's bulletins (its own {!Revocation.t}, aged by its own
     deliveries), so a partition isolating one physical node drives only

@@ -66,8 +66,6 @@ type snapshot = artifact
 let sign ~key ~issuer ~epoch ~issued_at groups =
   sign ~key ~issuer ~epoch ~issued_at (canonicalize groups)
 
-let groups t = List.sort compare (Hashtbl.fold (fun g _ acc -> g :: acc) (view t) [])
-
 let member t ~group p =
   match Hashtbl.find_opt (view t) group with
   | None -> false

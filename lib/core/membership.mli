@@ -39,9 +39,6 @@ include Signed_epoch.S with type item := group and type report := report
 
 type snapshot = artifact
 
-val groups : t -> string list
-(** Group names held, sorted. *)
-
 val member : t -> group:string -> Principal.t -> bool
 (** Raw table lookup; does {e not} consider staleness. *)
 

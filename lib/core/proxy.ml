@@ -64,11 +64,12 @@ let grant_hybrid ~drbg ~now ~expires ~grantor ~grantor_key ~end_server ~end_serv
   | Error e -> Error e
   | Ok cert -> Ok { flavor = Hybrid (cert, []); key = Sym proxy_key }
 
-let restrict_hybrid ~drbg ~now ~expires ?(grantor = anonymous_intermediate) ~restrictions t =
+let restrict_hybrid ~drbg ~now ~expires ~restrictions t =
   match (t.flavor, t.key) with
   | Hybrid (head, blobs), Sym current_key ->
       let blob, proxy_key =
-        seal_cascade ~drbg ~now ~expires ~grantor ~restrictions ~current_key
+        seal_cascade ~drbg ~now ~expires ~grantor:anonymous_intermediate ~restrictions
+          ~current_key
       in
       Ok { flavor = Hybrid (head, blobs @ [ blob ]); key = Sym proxy_key }
   | (Conventional _ | Public_key _), _ -> Error "restrict_hybrid: not a hybrid proxy"
@@ -111,12 +112,11 @@ let grant_keyless ~drbg ~now ~expires ~grantor ~grantor_key ~restrictions () =
   grant_with ~name:"grant_keyless" ~drbg ~now ~expires ~grantor ~grantor_key ~proxy_bits:None
     ~restrictions
 
-let restrict_pk ~drbg ~now ~expires ?(grantor = anonymous_intermediate)
-    ?(proxy_bits = default_proxy_bits) ~restrictions t =
+let restrict_pk ~drbg ~now ~expires ?(proxy_bits = default_proxy_bits) ~restrictions t =
   match (t.flavor, t.key) with
   | Public_key certs, Keypair current ->
-      extend_pk ~drbg ~now ~expires ~grantor ~signing_key:current ~signer:Proxy_cert.By_proxy_key
-        ~proxy_bits:(Some proxy_bits) ~restrictions certs
+      extend_pk ~drbg ~now ~expires ~grantor:anonymous_intermediate ~signing_key:current
+        ~signer:Proxy_cert.By_proxy_key ~proxy_bits:(Some proxy_bits) ~restrictions certs
   | Public_key _, No_key -> Error "restrict_pk: a key-less proxy has no proxy key to sign with"
   | (Conventional _ | Hybrid _), _ -> Error "restrict_pk: not a public-key proxy"
   | Public_key _, Sym _ -> Error "restrict_pk: inconsistent key material"

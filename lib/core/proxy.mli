@@ -103,14 +103,14 @@ val restrict_pk :
   drbg:Crypto.Drbg.t ->
   now:int ->
   expires:int ->
-  ?grantor:Principal.t ->
   ?proxy_bits:int ->
   restrictions:Restriction.t list ->
   t ->
   (t, string) result
 (** Bearer cascade: the new certificate is signed with the current {e proxy}
-    key, so no intermediate identity is revealed. Fails on a key-less
-    proxy, which holds no key to sign with. *)
+    key and granted by the anonymous marker [cascade/intermediate], so no
+    intermediate identity is revealed. Fails on a key-less proxy, which
+    holds no key to sign with. *)
 
 val delegate_pk :
   drbg:Crypto.Drbg.t ->
@@ -160,12 +160,12 @@ val restrict_hybrid :
   drbg:Crypto.Drbg.t ->
   now:int ->
   expires:int ->
-  ?grantor:Principal.t ->
   restrictions:Restriction.t list ->
   t ->
   (t, string) result
 (** Cascade a hybrid proxy: subsequent certificates are conventional seals
-    under the current symmetric proxy key. *)
+    under the current symmetric proxy key, each granted by the anonymous
+    marker [cascade/intermediate]. *)
 
 (** {2 Presentation payloads} *)
 

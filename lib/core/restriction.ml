@@ -241,10 +241,6 @@ let seq_key_parse key =
       | _ -> Error "sequence key does not carry a sequence restriction")
   | _ -> Error "sequence key: malformed"
 
-let tighten_sequence ~keep steps =
-  let keep = max 1 (min keep (List.length steps)) in
-  List.filteri (fun i _ -> i < keep) steps
-
 let seq_next steps ~done_:k req =
   let len = List.length steps in
   if k >= len then Error (Printf.sprintf "sequence: all %d steps already consumed" len)

@@ -113,9 +113,6 @@ val claimed_groups : t list -> string list
 
 val seq_step_equal : seq_step -> seq_step -> bool
 
-val seq_validate : seq_step list -> (unit, string) result
-(** [Ok ()] iff the step list is non-empty with pairwise-distinct steps. *)
-
 val seq_canonical : seq_step list -> string
 (** Canonical form of a sequence — its own wire encoding. Two sequences
     share progress state iff their canonical forms are byte-identical. *)
@@ -132,12 +129,6 @@ val seq_key_parse : string -> (string * seq_step list, string) result
     key is self-describing, so a server receiving forwarded progress can
     re-validate the sequence it claims to advance. *)
 
-val tighten_sequence : keep:int -> seq_step list -> seq_step list
-(** Keep only the first [keep] steps (clamped to [1 .. length]) — the only
-    sequence transformation a delegate may apply: dropping trailing steps
-    tightens, while reordering or extending would widen and is simply not
-    expressible through this function. *)
-
 (** A restriction whose verdict depends on what the server has already
     granted: an accept-once identifier (Section 7.7) or a sequence's
     steps. *)
@@ -147,13 +138,13 @@ val check_all :
   held:(stateful -> ('a, string) result) -> t list -> request -> ('a list, string) result
 (** Do the restrictions permit the request? They are decided in order and
     the first refusal is reported. Every stateless restriction is decided
-    here. Each [Accept_once] and each [Sequence] (once {!seq_validate}
-    passes) that applies at [req.server] goes to [held] in its place in
-    the list. A restriction applies there when it is at top level, or
-    inside a [Limit_restriction] that names the server, at any depth.
-    [held] decides it from the server's records. [Ok] carries what [held]
-    returned, in order: what a server that grants the request must
-    record. *)
+    here. Each [Accept_once] and each [Sequence] (once its step list is
+    non-empty with pairwise-distinct steps) that applies at [req.server]
+    goes to [held] in its place in the list. A restriction applies there
+    when it is at top level, or inside a [Limit_restriction] that names
+    the server, at any depth. [held] decides it from the server's
+    records. [Ok] carries what [held] returned, in order: what a server
+    that grants the request must record. *)
 
 val no_state : stateful -> ('a, string) result
 (** The [held] of a caller that keeps no records: it refuses every

@@ -84,5 +84,3 @@ let revoked t (body : Proxy_cert.body) =
              (Principal.to_string body.Proxy_cert.grantor)
              not_before)
     | Some _ | None -> Ok ()
-
-let check t ~now body = Result.bind (gate t ~now) (fun () -> revoked t body)

@@ -15,7 +15,7 @@
       honored for at most one staleness window;
     - {b fail closed beyond the bound}: once [now - as_of] exceeds the
       bound (e.g. the server is partitioned away from the authority),
-      {!check} refuses {e every} proxy presentation, revoked or not, until
+      the verifier refuses {e every} proxy presentation, revoked or not, until
       a fresh bulletin arrives. Direct-ACL requests carry no proxies and
       are unaffected, and accept-once replay state is kept throughout.
 
@@ -53,6 +53,3 @@ type bulletin = artifact
 val revoked : t -> Proxy_cert.body -> (unit, string) result
 (** Is this certificate body on the list? [Error] names the matching entry
     kind. Does {e not} consider staleness. *)
-
-val check : t -> now:int -> Proxy_cert.body -> (unit, string) result
-(** The verifier-facing gate: fail closed when {!stale}, else {!revoked}. *)

@@ -21,7 +21,6 @@ type entry =
 
 type t = {
   table : entry Expiring.t option;  (* [None]: capacity 0, caching off *)
-  ttl_us : int;
   on_invalidate : unit -> unit;
   evictions : int ref;  (* bumped by the table's eviction hook *)
   mutable hits : int;
@@ -45,12 +44,10 @@ type stats = {
    chain presented over one ticket holds one entry per link plus one for
    its binding. *)
 let default_capacity = 2048
-let default_ttl_us = 3_600_000_000 (* matches Pki.Resolver's default TTL *)
+let ttl_us = 3_600_000_000 (* matches Pki.Resolver's TTL *)
 
-let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us) ?(on_evict = ignore)
-    ?(on_invalidate = ignore) () =
+let create ?(capacity = default_capacity) ?(on_evict = ignore) ?(on_invalidate = ignore) () =
   if capacity < 0 then invalid_arg "Verify_cache.create: capacity must be non-negative";
-  if ttl_us < 1 then invalid_arg "Verify_cache.create: ttl must be positive";
   let evictions = ref 0 in
   let table =
     if capacity = 0 then None
@@ -62,7 +59,7 @@ let create ?(capacity = default_capacity) ?(ttl_us = default_ttl_us) ?(on_evict 
              on_evict ())
            ())
   in
-  { table; ttl_us; on_invalidate; evictions; hits = 0; link_hits = 0; binding_hits = 0;
+  { table; on_invalidate; evictions; hits = 0; link_hits = 0; binding_hits = 0;
     misses = 0; invalidations = 0 }
 
 (* A one-byte tag keeps the kinds of key apart: "S" and a signature, "B"
@@ -71,7 +68,7 @@ let lookup t ~now k = match t.table with Some table -> Expiring.find table ~now 
 
 let remember t ~now k entry =
   match t.table with
-  | Some table -> Expiring.add table ~now ~expires:(now + t.ttl_us) k entry
+  | Some table -> Expiring.add table ~now ~expires:(now + ttl_us) k entry
   | None -> ()
 
 let count (t : t) ~binding hit =

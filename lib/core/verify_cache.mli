@@ -66,8 +66,8 @@
       verdict in place, and so does a link box that carries a remembered
       box's tag over other bytes.
 
-    Entries live in one {!Expiring} table, expiring [ttl_us] after they are
-    recorded (defaulting to [Pki.Resolver]'s TTL): a cached verification
+    Entries live in one {!Expiring} table, expiring one simulated hour
+    after they are recorded ([Pki.Resolver]'s TTL): a cached verification
     asserts "this key signed these bytes", and the binding of that key to a
     principal is only as fresh as the resolver's cache, so both expire on
     the same clock. The table's rule decides what goes under capacity
@@ -102,13 +102,12 @@ type stats = {
 
 val create :
   ?capacity:int ->
-  ?ttl_us:int ->
   ?on_evict:(unit -> unit) ->
   ?on_invalidate:(unit -> unit) ->
   unit ->
   t
-(** Defaults: capacity 2048 entries (room for each link of a server's
-    working set plus one binding per chain), TTL one simulated hour. [on_evict]
+(** Default capacity: 2048 entries (room for each link of a server's
+    working set plus one binding per chain). [on_evict]
     fires once per capacity eviction (not on TTL expiry); [on_invalidate]
     fires once per entry dropped by {!bump_generation}. A [capacity] of 0
     creates a {e disabled} cache that keeps no table: every check and
@@ -123,7 +122,7 @@ val check : t -> now:int -> signed_bytes:string -> signature:string -> signer:st
     entry is dropped and counts as a miss. *)
 
 val record : t -> now:int -> signed_bytes:string -> signature:string -> signer:string -> unit
-(** Remember a successful verification until [now + ttl_us], by the
+(** Remember a successful verification for one simulated hour, by the
     {!Expiring} rule: a new signature first purges expired entries, then
     evicts the soonest-expiring one if the table is still full;
     re-recording a live signature replaces its verdict in place, refreshes

@@ -48,7 +48,7 @@ let traced_loop net ~actor ~name ~requests ~one =
    the chain (one verify.cert span per link, resolver lookups nested). The
    tap drops the first request to the file server, forcing a retry child
    under the first request's rpc.call. *)
-let run_f4 ?(seed = "trace-f4") ?(requests = 3) ?(depth = 3) ?capacity ?plan () =
+let run_f4 ?(seed = "trace-f4") ?(requests = 3) ?(depth = 3) ?plan () =
   let w = World.create ~seed () in
   let net = w.World.net in
   let drbg = Sim.Net.drbg net in
@@ -91,7 +91,7 @@ let run_f4 ?(seed = "trace-f4") ?(requests = 3) ?(depth = 3) ?capacity ?plan () 
   in
   let proxy = cascade granted 1 in
   let tgt = World.login w bob in
-  Sim.Net.enable_tracing ?capacity net;
+  Sim.Net.enable_tracing net;
   Option.iter (Sim.Net.install_fault_plan net) plan;
   (* Injected loss: exactly one dropped request to the file server, so the
      first request's rpc.call provably shows a retry child. *)
@@ -125,7 +125,7 @@ let run_f4 ?(seed = "trace-f4") ?(requests = 3) ?(depth = 3) ?capacity ?plan () 
    deposits it at bank-b, which endorses and forwards a collect to bank-a,
    where the guard validates the endorsement chain and debits. Spans cross
    four actors: bob, bank-b, bank-a, and the KDC. *)
-let run_f5 ?(seed = "trace-f5") ?(requests = 2) ?capacity ?plan () =
+let run_f5 ?(seed = "trace-f5") ?(requests = 2) () =
   let w = World.create ~seed () in
   let net = w.World.net in
   let currency = "usd" in
@@ -159,8 +159,7 @@ let run_f5 ?(seed = "trace-f5") ?(requests = 2) ?capacity ?plan () =
   (match Accounting_server.open_account net ~creds:creds_b ~name:"bob" with
   | Ok () -> ()
   | Error e -> failwith e);
-  Sim.Net.enable_tracing ?capacity net;
-  Option.iter (Sim.Net.install_fault_plan net) plan;
+  Sim.Net.enable_tracing net;
   let one i =
     let now = World.now w in
     let check =

@@ -23,7 +23,6 @@ val run_f4 :
   ?seed:string ->
   ?requests:int ->
   ?depth:int ->
-  ?capacity:int ->
   ?plan:Sim.Fault.plan ->
   unit ->
   outcome
@@ -37,8 +36,6 @@ val run_f4 :
 val run_f5 :
   ?seed:string ->
   ?requests:int ->
-  ?capacity:int ->
-  ?plan:Sim.Fault.plan ->
   unit ->
   outcome
 (** Inter-bank check clearing (paper Figure 5 shape): alice's checks,

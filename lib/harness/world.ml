@@ -17,8 +17,8 @@ let create_in net ?(realm = "example.org") () =
   Kdc.install kdc;
   { net; dir; kdc; kdc_name; realm }
 
-let create ?(seed = "world") ?(realm = "example.org") ?default_latency_us () =
-  let net = Sim.Net.create ~seed ?default_latency_us () in
+let create ?(seed = "world") ?(realm = "example.org") () =
+  let net = Sim.Net.create ~seed () in
   create_in net ~realm ()
 
 let enrol w name =
@@ -27,9 +27,9 @@ let enrol w name =
   Directory.add_symmetric w.dir p key;
   (p, key)
 
-let enrol_pk w ?(bits = 512) name =
+let enrol_pk w name =
   let p, key = enrol w name in
-  let rsa = Crypto.Rsa.generate (Sim.Net.drbg w.net) ~bits in
+  let rsa = Crypto.Rsa.generate (Sim.Net.drbg w.net) ~bits:512 in
   Directory.add_public w.dir p rsa.Crypto.Rsa.pub;
   (p, key, rsa)
 

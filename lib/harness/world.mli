@@ -12,7 +12,7 @@ type t = {
   realm : string;
 }
 
-val create : ?seed:string -> ?realm:string -> ?default_latency_us:int -> unit -> t
+val create : ?seed:string -> ?realm:string -> unit -> t
 
 val create_in : Sim.Net.t -> ?realm:string -> unit -> t
 (** Build a realm (fresh directory + KDC) on an existing network — the
@@ -22,8 +22,8 @@ val create_in : Sim.Net.t -> ?realm:string -> unit -> t
 val enrol : t -> string -> Principal.t * string
 (** Register a principal with a fresh long-term symmetric key. *)
 
-val enrol_pk : t -> ?bits:int -> string -> Principal.t * string * Crypto.Rsa.private_
-(** Additionally generate and publish an RSA key pair (default 512 bits). *)
+val enrol_pk : t -> string -> Principal.t * string * Crypto.Rsa.private_
+(** Additionally generate and publish a 512-bit RSA key pair. *)
 
 val lookup : t -> Principal.t -> Crypto.Rsa.public option
 val login : t -> Principal.t -> Ticket.credentials

@@ -7,15 +7,12 @@ type t = {
 }
 
 let lifetime_us = 8 * 3600 * 1_000_000
-let max_skew_us = 5 * 60 * 1_000_000
 
 let create net ~name ~directory ?(require_preauth = false) () =
   (match Directory.symmetric directory name with
   | Some _ -> ()
   | None -> invalid_arg "Kdc.create: KDC key not registered in directory");
   { net; name; directory; require_preauth; cross_keys = Hashtbl.create 4 }
-
-let name t = t.name
 
 let add_cross_realm t ~peer_realm ~key = Hashtbl.replace t.cross_keys peer_realm key
 
@@ -139,7 +136,7 @@ let check_preauth t ~client_key blob =
         match Result.bind (Wire.decode plaintext) Wire.to_int with
         | Error _ -> Error "as: malformed pre-authentication timestamp"
         | Ok ts ->
-            if abs (ts - Sim.Net.now t.net) > max_skew_us then
+            if abs (ts - Sim.Net.now t.net) > Ticket.max_skew_us then
               Error "as: pre-authentication timestamp outside window"
             else Ok ())
 
@@ -223,7 +220,7 @@ let handle_tgs t ~tgt:tgt_blob ~authenticator ~target ~nonce =
         | Ok (auth, _) ->
             if not (Principal.equal auth.Ticket.auth_client tgt.Ticket.client) then
               err "tgs: authenticator client mismatch"
-            else if abs (auth.Ticket.timestamp - now) > max_skew_us then
+            else if abs (auth.Ticket.timestamp - now) > Ticket.max_skew_us then
               err "tgs: authenticator too old"
             else begin
               (* Restrictions are additive: union of TGT's and the

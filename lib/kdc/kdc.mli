@@ -27,16 +27,14 @@ val create :
   t
 (** The KDC's own long-term key must already be registered in [directory]
     under [name]; raises [Invalid_argument] otherwise. Tickets live 8
-    simulated hours; the clock skew tolerance is 5 minutes.
+    simulated hours; the clock skew tolerance is {!Ticket.max_skew_us}.
     With [require_preauth] the AS refuses requests that do not prove
     knowledge of the client key with a fresh sealed timestamp (stops the
     offline-guessing oracle); the bundled client always pre-authenticates. *)
 
-val name : t -> Principal.t
-
 val install : t -> unit
-(** Register the request handler on the network under
-    [Principal.to_string (name t)]. *)
+(** Register the request handler on the network under the KDC's own
+    name. *)
 
 (** {2 Requests}
 

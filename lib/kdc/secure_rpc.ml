@@ -72,8 +72,7 @@ let ctx_to_wire c = Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_
 let covered payload ctx =
   match ctx with None -> payload | Some c -> payload ^ Wire.encode (ctx_to_wire c)
 
-let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_handled
-    handler =
+let serve net ~me ~my_key ?node ?cache ?on_handled handler =
   let metrics = Sim.Net.metrics net in
   let actor = Principal.to_string me in
   let node = Option.value node ~default:actor in
@@ -130,7 +129,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
               | Ok (auth, auth_id) ->
                   if not (Principal.equal auth.Ticket.auth_client ticket.Ticket.client) then
                     err "authenticator does not match ticket"
-                  else if abs (auth.Ticket.timestamp - now) > max_skew_us then
+                  else if abs (auth.Ticket.timestamp - now) > Ticket.max_skew_us then
                     err "authenticator outside freshness window"
                   else begin
                     (* The authenticator stays fresh until timestamp +
@@ -139,7 +138,7 @@ let serve net ~me ~my_key ?node ?(max_skew_us = 5 * 60 * 1_000_000) ?cache ?on_h
                        lookup passes the one the reply was cached with,
                        and a client whose timestamps only increase never
                        reaches its own floor. *)
-                    let expires = auth.Ticket.timestamp + 1 + max_skew_us in
+                    let expires = auth.Ticket.timestamp + 1 + Ticket.max_skew_us in
                     match Expiring.lookup cache ~now ~expires ?tag:client_tag auth_id with
                     | Expiring.Live (Answered a) when String.equal a.ticket digest ->
                         Sim.Metrics.incr metrics "rpc.dedup";

@@ -76,14 +76,15 @@ val serve :
   me:Principal.t ->
   my_key:string ->
   ?node:string ->
-  ?max_skew_us:int ->
   ?cache:cache ->
   ?on_handled:(auth_id:string -> client:string -> expires:int -> reply:string -> unit) ->
   (server_context -> Wire.t -> (Wire.t, string) result) ->
   unit
 (** Register the service on the network. The handler sees only authenticated
     requests; ticket/authenticator failures, including a payload the
-    authenticator does not cover, are answered with in-band errors before the
+    authenticator does not cover or a timestamp further than
+    {!Ticket.max_skew_us} from the server's clock (the one freshness
+    margin, the KDC's too), are answered with in-band errors before the
     response cache is consulted or the handler runs. A repeated authenticator
     within the skew window — a client retransmission or an adversarial replay —
     does {e not} re-run the handler: the cached reply or refusal is sealed
@@ -97,11 +98,11 @@ val serve :
     to another session: not answered"], and runs no handler. If capacity
     pressure evicted that response while live, the repeat reads as
     forgotten ({!Expiring.lookup} under its client's tag, with expiry
-    [timestamp + 1 + max_skew_us]) and is refused before the handler: at
-    most once, never twice. That floor is the
-    client's own, in its own timestamps: no other client's flood refuses
-    its fresh requests, and if its timestamps only increase, however far
-    its clock lags, it is refused only a repeat of an evicted request.
+    [timestamp + 1 + Ticket.max_skew_us]) and is refused before the
+    handler: at most once, never twice. That floor is the client's own,
+    in its own timestamps: no other client's flood refuses its fresh
+    requests, and if its timestamps only increase, however far its clock
+    lags, it is refused only a repeat of an evicted request.
 
     [my_key] is held as a {!Ticket.holder}, once per [serve]: the key is
     prepared once, and each ticket blob is opened and its session key
@@ -123,9 +124,9 @@ val serve :
     [cache] supplies an externally owned response cache (a standby's,
     seeded by replication ({!seed}), or one of another capacity); otherwise an
     internal {!create_cache} one is used. A reply is cached until the
-    authenticator could no longer pass the freshness check — [max_skew_us]
-    past its timestamp — so a client clock running ahead cannot outlive
-    its cache entry. At capacity, expired entries are
+    authenticator could no longer pass the freshness check —
+    {!Ticket.max_skew_us} past its timestamp — so a client clock running
+    ahead cannot outlive its cache entry. At capacity, expired entries are
     purged; if all are live, the soonest-to-expire one is evicted and the
     net's ["rpc.cache_evictions"] metric ticks (seeding a standby's cache
     ticks nothing: the counter is the served traffic's).

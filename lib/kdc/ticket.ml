@@ -78,6 +78,8 @@ type authenticator = {
   auth_data : Wire.t list;
 }
 
+let max_skew_us = 5 * 60 * 1_000_000
+
 let authenticator_to_wire a =
   Wire.L
     [ Principal.to_wire a.auth_client;

@@ -80,6 +80,12 @@ type authenticator = {
   auth_data : Wire.t list;  (** restrictions to add *)
 }
 
+val max_skew_us : int
+(** The freshness margin, 5 minutes: the KDC and every [Secure_rpc]
+    server refuse an authenticator (or a pre-authentication timestamp)
+    further than this from their own clock, and a server keeps each
+    reply until its authenticator has gone this far stale. *)
+
 val seal_authenticator :
   session_key:Crypto.Aead.key -> nonce:string -> ?covers:string -> authenticator -> string
 (** [covers] (default empty) is sealed as the authenticator's associated

@@ -102,29 +102,7 @@ let run cfg =
   in
   let shard id = List.assoc id shards in
   let ring = Ring.create shard_ids in
-  List.iter
-    (fun (_, s1) ->
-      List.iter
-        (fun (_, s2) ->
-          if not (Principal.equal (Shard.logical s1) (Shard.logical s2)) then begin
-            Shard.set_route s1 ~drawee:(Shard.logical s2)
-              ~via:[ Shard.primary_node s2; Shard.standby_node s2 ]
-              ~next_hop:(Shard.logical s2) ();
-            Drive.ok_or "warm" (Shard.warm s1 ~drawee:(Shard.logical s2))
-          end)
-        shards)
-    shards;
-  let endpoints =
-    List.map
-      (fun (id, s) ->
-        ( id,
-          {
-            Router.ep_logical = Shard.logical s;
-            ep_primary = Shard.primary_node s;
-            ep_standby = Shard.standby_node s;
-          } ))
-      shards
-  in
+  let endpoints = Drive.ok_or "warm" (Router.mesh shards) in
   let router_for principal =
     let creds_for logical =
       try
@@ -435,9 +413,8 @@ type cascade = {
   c_sig_misses : int;
 }
 
-let cascade_study ?(depth = 8) ?(holders = 16) ?(repeats = 3) ~seed () =
-  if depth < 1 || holders < 1 || repeats < 1 then
-    invalid_arg "Driver.cascade_study: depth/holders/repeats must be positive";
+let cascade_study ~seed () =
+  let depth = 8 and holders = 16 and repeats = 3 in
   let drbg = Crypto.Drbg.create ~seed in
   let grantor = Principal.make ~realm:"load" "cascade-root" in
   let kp = Crypto.Rsa.generate drbg ~bits:512 in

@@ -78,10 +78,10 @@ val entry : config -> outcome Drive.entry
 
 (** {1 The cascade study}
 
-    The controlled experiment behind the per-signature cache: [holders]
-    chains sharing one depth-[depth] prefix (a cascaded grant re-delegated
-    to M holders), each verified [repeats] times, under three strategies.
-    RSA totals are exact and deterministic:
+    The controlled experiment behind the per-signature cache: [holders] =
+    16 chains sharing one prefix of [depth] = 8 certificates (a cascaded
+    grant re-delegated to M holders), each verified [repeats] = 3 times,
+    under three strategies. RSA totals are exact and deterministic:
 
     - uncached: [(depth+1) * holders * repeats];
     - whole-chain memoization (one memo entry per full presentation —
@@ -103,5 +103,4 @@ type cascade = {
   c_sig_misses : int;
 }
 
-val cascade_study : ?depth:int -> ?holders:int -> ?repeats:int -> seed:string -> unit -> cascade
-(** Defaults: depth 8, holders 16, repeats 3. *)
+val cascade_study : seed:string -> unit -> cascade

@@ -28,15 +28,13 @@ let zipf_sample z drbg =
 
 type pool = {
   p_drbg : Crypto.Drbg.t;
-  p_bits : int;
   mutable p_free : Crypto.Rsa.private_ list;
   mutable p_generated : int;
   mutable p_live : int;
 }
 
-let pool ?(bits = 512) ~seed () =
-  { p_drbg = Crypto.Drbg.create ~seed; p_bits = bits; p_free = []; p_generated = 0;
-    p_live = 0 }
+let pool ~seed () =
+  { p_drbg = Crypto.Drbg.create ~seed; p_free = []; p_generated = 0; p_live = 0 }
 
 let acquire p =
   p.p_live <- p.p_live + 1;
@@ -46,7 +44,7 @@ let acquire p =
       k
   | [] ->
       p.p_generated <- p.p_generated + 1;
-      Crypto.Rsa.generate p.p_drbg ~bits:p.p_bits
+      Crypto.Rsa.generate p.p_drbg ~bits:512
 
 let release p k =
   if List.memq k p.p_free then

@@ -36,11 +36,10 @@ val zipf_sample : zipf -> Crypto.Drbg.t -> int
 
 type pool
 
-val pool : ?bits:int -> seed:string -> unit -> pool
-(** Keys are generated (lazily, on first acquire that finds the free list
-    empty) from a dedicated DRBG seeded [seed], so the key sequence does
-    not depend on what else the simulation draws. [bits] defaults to
-    512. *)
+val pool : seed:string -> unit -> pool
+(** 512-bit keys are generated (lazily, on first acquire that finds the
+    free list empty) from a dedicated DRBG seeded [seed], so the key
+    sequence does not depend on what else the simulation draws. *)
 
 val acquire : pool -> Crypto.Rsa.private_
 (** Take a key: reuse the most recently released one, else generate. A

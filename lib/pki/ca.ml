@@ -10,7 +10,6 @@ type cert = { binding : binding; signature : string }
 type t = { name : Principal.t; key : Crypto.Rsa.private_ }
 
 let create drbg ~name ~bits = { name; key = Crypto.Rsa.generate drbg ~bits }
-let ca_name t = t.name
 let ca_pub t = t.key.Crypto.Rsa.pub
 
 let binding_to_wire b =

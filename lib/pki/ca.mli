@@ -19,7 +19,6 @@ type t
 val create : Crypto.Drbg.t -> name:Principal.t -> bits:int -> t
 (** Generate the CA's own key pair. *)
 
-val ca_name : t -> Principal.t
 val ca_pub : t -> Crypto.Rsa.public
 
 val issue : t -> now:int -> lifetime:int -> Principal.t -> Crypto.Rsa.public -> cert

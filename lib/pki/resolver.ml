@@ -5,12 +5,13 @@ type t = {
   name_server : Principal.t;
   ca_pub : Crypto.Rsa.public;
   caller : string;
-  ttl_us : int;
   cache : (string, entry) Hashtbl.t;
 }
 
-let create net ~name_server ~ca_pub ~caller ?(ttl_us = 3_600_000_000) () =
-  { net; name_server; ca_pub; caller; ttl_us; cache = Hashtbl.create 16 }
+let ttl_us = 3_600_000_000
+
+let create net ~name_server ~ca_pub ~caller () =
+  { net; name_server; ca_pub; caller; cache = Hashtbl.create 16 }
 
 let tick t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
 
@@ -21,7 +22,7 @@ let lookup t p =
   @@ fun () ->
   let now = Sim.Net.now t.net in
   match Hashtbl.find_opt t.cache key with
-  | Some e when e.fetched_at + t.ttl_us > now ->
+  | Some e when e.fetched_at + ttl_us > now ->
       tick t "resolver.hits";
       Sim.Span.add_attr sp "outcome" "hit";
       Some e.pub

@@ -14,10 +14,9 @@ val create :
   name_server:Principal.t ->
   ca_pub:Crypto.Rsa.public ->
   caller:string ->
-  ?ttl_us:int ->
   unit ->
   t
-(** Default TTL: 1 simulated hour. *)
+(** The TTL is one simulated hour. *)
 
 val lookup : t -> Principal.t -> Crypto.Rsa.public option
 (** The shape services expect; failures (unknown, revoked, network) read as

@@ -21,5 +21,3 @@ let add_symmetric t p key = (entry t p).sym <- Some key
 let symmetric t p = Option.bind (Map.find_opt p t.entries) (fun e -> e.sym)
 let add_public t p pub = (entry t p).pub <- Some pub
 let public t p = Option.bind (Map.find_opt p t.entries) (fun e -> e.pub)
-let remove t p = t.entries <- Map.remove p t.entries
-let principals t = Map.bindings t.entries |> List.map fst

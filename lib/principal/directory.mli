@@ -13,9 +13,3 @@ val symmetric : t -> Principal.t -> string option
 
 val add_public : t -> Principal.t -> Crypto.Rsa.public -> unit
 val public : t -> Principal.t -> Crypto.Rsa.public option
-
-val remove : t -> Principal.t -> unit
-(** Drop all keys for a principal (models deregistration). *)
-
-val principals : t -> Principal.t list
-(** All registered principals, sorted. *)

@@ -1,6 +1,6 @@
 type t = { mutable now : int }
 
-let create ?(start = 0) () = { now = start }
+let create () = { now = 0 }
 let now t = t.now
 
 let advance t us =

@@ -7,7 +7,9 @@
 
 type t
 
-val create : ?start:int -> unit -> t
+val create : unit -> t
+(** A clock at the epoch, 0. *)
+
 val now : t -> int
 val advance : t -> int -> unit
 (** [advance t us] moves time forward; raises [Invalid_argument] on a

@@ -1,9 +1,7 @@
-type dir = [ `Request | `Response | `Both ]
-
 type directive =
-  | Drop of { src : string option; dst : string option; dir : dir; p : float }
-  | Duplicate of { src : string option; dst : string option; dir : dir; p : float }
-  | Jitter of { src : string option; dst : string option; dir : dir; max_us : int }
+  | Drop of { p : float }
+  | Duplicate of { p : float }
+  | Jitter of { max_us : int }
   | Crash of { node : string; at : int; until : int option }
   | Partition of { a : string list; b : string list; at : int; until : int option }
 
@@ -13,8 +11,8 @@ let check_p p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Fault: probability must be in [0,1]"
 
 let check_directive = function
-  | Drop { p; _ } | Duplicate { p; _ } -> check_p p
-  | Jitter { max_us; _ } -> if max_us < 0 then invalid_arg "Fault.jitter: negative"
+  | Drop { p } | Duplicate { p } -> check_p p
+  | Jitter { max_us } -> if max_us < 0 then invalid_arg "Fault.jitter: negative"
   | Crash { at; until; _ } -> (
       match until with
       | Some u when u < at -> invalid_arg "Fault.crash: until before at"
@@ -28,16 +26,9 @@ let plan ~seed directives =
   List.iter check_directive directives;
   { p_seed = seed; p_directives = directives }
 
-let directives p = p.p_directives
-let seed p = p.p_seed
-
-let extend p extra =
-  List.iter check_directive extra;
-  { p with p_directives = p.p_directives @ extra }
-
-let drop ?src ?dst ?(dir = `Both) p = Drop { src; dst; dir; p }
-let duplicate ?src ?dst ?(dir = `Both) p = Duplicate { src; dst; dir; p }
-let jitter ?src ?dst ?(dir = `Both) max_us = Jitter { src; dst; dir; max_us }
+let drop p = Drop { p }
+let duplicate p = Duplicate { p }
+let jitter max_us = Jitter { max_us }
 let crash node ~at ?until () = Crash { node; at; until }
 let partition ~a ~b ~at ?until () = Partition { a; b; at; until }
 
@@ -65,11 +56,6 @@ let partitioned rt ~now ~src ~dst =
       | _ -> false)
     rt.rt_plan.p_directives
 
-let matches ~rule_src ~rule_dst ~rule_dir ~dir ~src ~dst =
-  (match rule_src with None -> true | Some s -> s = src)
-  && (match rule_dst with None -> true | Some d -> d = dst)
-  && (match rule_dir with `Both -> true | (`Request | `Response) as d -> d = dir)
-
 (* One coin flip with probability [p], quantized to a millionth. Drawing
    through [uniform_int] keeps the DRBG byte stream identical across runs
    with the same plan and workload. *)
@@ -78,20 +64,17 @@ let flip rt p =
 
 type outcome = { o_drop : bool; o_duplicate : bool; o_jitter_us : int }
 
-let transit rt ~dir ~src ~dst =
+let transit rt =
   List.fold_left
     (fun acc d ->
       match d with
-      | Drop { src = rs; dst = rd; dir = rdir; p }
-        when matches ~rule_src:rs ~rule_dst:rd ~rule_dir:rdir ~dir ~src ~dst ->
+      | Drop { p } ->
           let hit = flip rt p in
           { acc with o_drop = acc.o_drop || hit }
-      | Duplicate { src = rs; dst = rd; dir = rdir; p }
-        when matches ~rule_src:rs ~rule_dst:rd ~rule_dir:rdir ~dir ~src ~dst ->
+      | Duplicate { p } ->
           let hit = flip rt p in
           { acc with o_duplicate = acc.o_duplicate || hit }
-      | Jitter { src = rs; dst = rd; dir = rdir; max_us }
-        when matches ~rule_src:rs ~rule_dst:rd ~rule_dir:rdir ~dir ~src ~dst ->
+      | Jitter { max_us } ->
           let extra = if max_us = 0 then 0 else Crypto.Drbg.uniform_int rt.rt_drbg (max_us + 1) in
           { acc with o_jitter_us = acc.o_jitter_us + extra }
       | _ -> acc)

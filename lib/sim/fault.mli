@@ -1,11 +1,11 @@
 (** Deterministic fault injection for the simulated network.
 
     A {e fault plan} is a declarative description of how the environment
-    misbehaves: per-link probabilistic message drop and duplication, extra
-    latency jitter, node crash/restart schedules, and partitions. Plans are
-    data — they compose by list concatenation — and every probabilistic
-    decision is drawn from an HMAC-DRBG seeded from the plan's seed, so a
-    chaos run is reproducible bit-for-bit from [(plan, workload)].
+    misbehaves: probabilistic message drop and duplication, extra latency
+    jitter, node crash/restart schedules, and partitions. Plans are data —
+    they compose by list concatenation — and every probabilistic decision
+    is drawn from an HMAC-DRBG seeded from the plan's seed, so a chaos run
+    is reproducible bit-for-bit from [(plan, workload)].
 
     Plans model the {e environment} and install alongside the adversary tap
     in {!Net} (the tap models an attacker, and runs first — an attacker acts
@@ -16,17 +16,15 @@
     its state across restart, matching the paper's accounting servers that
     persist accept-once records (Section 7.7). *)
 
-type dir = [ `Request | `Response | `Both ]
-
 type directive =
-  | Drop of { src : string option; dst : string option; dir : dir; p : float }
-      (** Lose a matching message with probability [p]. [None] matches any
-          endpoint. *)
-  | Duplicate of { src : string option; dst : string option; dir : dir; p : float }
-      (** Deliver a matching message twice with probability [p] — the
-          receiver processes both copies (at-least-once delivery). *)
-  | Jitter of { src : string option; dst : string option; dir : dir; max_us : int }
-      (** Add uniform extra latency in [[0, max_us]] to matching messages. *)
+  | Drop of { p : float }
+      (** Lose a message, request or response, with probability [p]. *)
+  | Duplicate of { p : float }
+      (** Deliver a message twice with probability [p]: a duplicated request
+          is processed twice (at-least-once delivery), a duplicated response
+          is absorbed by the client. *)
+  | Jitter of { max_us : int }
+      (** Add uniform extra latency in [[0, max_us]] to every message. *)
   | Crash of { node : string; at : int; until : int option }
       (** [node] is unreachable from virtual time [at] (inclusive) to
           [until] (exclusive); [None] means it never restarts. *)
@@ -39,17 +37,11 @@ val plan : seed:string -> directive list -> plan
 (** Build a plan. The [seed] drives an independent DRBG, so installing a
     plan does not perturb the key/nonce stream of the world under test. *)
 
-val directives : plan -> directive list
-val seed : plan -> string
-
-val extend : plan -> directive list -> plan
-(** Compose: the extra directives apply after the existing ones. *)
-
 (* -- convenience constructors -- *)
 
-val drop : ?src:string -> ?dst:string -> ?dir:dir -> float -> directive
-val duplicate : ?src:string -> ?dst:string -> ?dir:dir -> float -> directive
-val jitter : ?src:string -> ?dst:string -> ?dir:dir -> int -> directive
+val drop : float -> directive
+val duplicate : float -> directive
+val jitter : int -> directive
 val crash : string -> at:int -> ?until:int -> unit -> directive
 val partition : a:string list -> b:string list -> at:int -> ?until:int -> unit -> directive
 
@@ -66,7 +58,7 @@ val partitioned : runtime -> now:int -> src:string -> dst:string -> bool
 
 type outcome = { o_drop : bool; o_duplicate : bool; o_jitter_us : int }
 
-val transit : runtime -> dir:[ `Request | `Response ] -> src:string -> dst:string -> outcome
+val transit : runtime -> outcome
 (** Evaluate the drop/duplicate/jitter rules for one message in flight,
-    consuming DRBG draws for each matching probabilistic rule. Drop wins
-    over duplicate when both fire. *)
+    consuming DRBG draws for each probabilistic rule. Drop wins over
+    duplicate when both fire. *)

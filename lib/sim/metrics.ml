@@ -54,18 +54,10 @@ let dist t name = Option.map ( ! ) (Names.find_opt t.dists name)
 
 let mean d = if d.count = 0 then 0. else float_of_int d.sum /. float_of_int d.count
 
-let reset t =
-  Names.reset t.counters;
-  Names.reset t.dists
-
 let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-let to_list t =
-  Names.fold (fun k r acc -> if !r <> 0 then (k, !r) :: acc else acc) t.counters []
-  |> sorted
-
-(* Unlike [to_list], snapshots keep zero-valued counters: a counter that was
-   live in [before] and is 0 in [after] must still show up in [diff]. *)
+(* Snapshots keep zero-valued counters: a counter that was live in
+   [before] and is 0 in [after] must still show up in [diff]. *)
 let snapshot t = Names.fold (fun k r acc -> (k, !r) :: acc) t.counters [] |> sorted
 
 (* Hashtable-backed: per-span delta snapshotting calls this thousands of
@@ -80,28 +72,16 @@ let diff ~before ~after =
     before;
   Names.fold (fun k d l -> if d <> 0 then (k, d) :: l else l) acc [] |> sorted
 
-(* Lane-merge: fold [src] into [into] in canonical (sorted) key order. The
-   default sums shared keys — the right semantics for per-lane counters of
-   the same global quantity ("net.messages" across lanes). [`Fail] asserts
-   the key sets are disjoint instead, for merges where an overlap would
-   mean two lanes mutated what should have been lane-private state. *)
-let merge_into ?(on_conflict = `Sum) ~into src =
+(* Lane-merge: fold [src] into [into] in canonical (sorted) key order,
+   summing shared keys — the right semantics for per-lane counters of the
+   same global quantity ("net.messages" across lanes). *)
+let merge_into ~into src =
   check_owner into;
-  List.iter
-    (fun (k, v) ->
-      (match (on_conflict, Names.find_opt into.counters k) with
-      | `Fail, Some r when !r <> 0 && v <> 0 ->
-          failwith (Printf.sprintf "Sim.Metrics.merge_into: key %S present in both" k)
-      | _ -> ());
-      bump into k v)
-    (snapshot src);
+  List.iter (fun (k, v) -> bump into k v) (snapshot src);
   List.iter
     (fun (k, d) ->
       match Names.find_opt into.dists k with
       | Some r ->
-          (match on_conflict with
-          | `Fail -> failwith (Printf.sprintf "Sim.Metrics.merge_into: dist %S present in both" k)
-          | `Sum -> ());
           r := { count = !r.count + d.count; sum = !r.sum + d.sum; max = max !r.max d.max }
       | None -> Names.add into.dists k (ref d))
     (Names.fold (fun k r acc -> (k, !r) :: acc) src.dists [] |> sorted)

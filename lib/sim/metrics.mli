@@ -25,11 +25,6 @@ val observe : t -> string -> int -> unit
 val dist : t -> string -> dist option
 val mean : dist -> float
 
-val reset : t -> unit
-
-val to_list : t -> (string * int) list
-(** All non-zero counters, sorted by name (display form). *)
-
 val snapshot : t -> (string * int) list
 (** All counters {e including zeros}, sorted by name — the form [diff]
     wants, so a counter reset to 0 between snapshots still shows up. *)
@@ -48,9 +43,7 @@ val guard_here : t -> unit
 val unguard : t -> unit
 (** Lift the {!guard_here} pin (e.g. before a barrier-side merge). *)
 
-val merge_into : ?on_conflict:[ `Sum | `Fail ] -> into:t -> t -> unit
+val merge_into : into:t -> t -> unit
 (** Fold the second table into [into], walking keys in canonical (sorted)
     order so the merged table is independent of either table's hash
-    layout. [`Sum] (default) adds shared counters and pools shared
-    distribution cells; [`Fail] raises on any key live in both — for
-    merges of lane-private namespaces where an overlap is a bug. *)
+    layout. Shared counters add and shared distribution cells pool. *)

@@ -16,13 +16,12 @@ type t = {
   mutable spans : Span.t option;
   nodes : (string, string -> string) Hashtbl.t;
   latency : (string * string, int) Hashtbl.t;
-  default_latency_us : int;
   mutable tap : (dir:[ `Request | `Response ] -> src:string -> dst:string -> string -> tap_action) option;
   mutable fault : Fault.runtime option;
   down : (string, unit) Hashtbl.t;
 }
 
-let create ?(seed = "proxykit") ?(default_latency_us = 500) () =
+let create ?(seed = "proxykit") () =
   {
     seed;
     clock = Clock.create ();
@@ -35,7 +34,6 @@ let create ?(seed = "proxykit") ?(default_latency_us = 500) () =
     spans = None;
     nodes = Hashtbl.create 16;
     latency = Hashtbl.create 16;
-    default_latency_us;
     tap = None;
     fault = None;
     down = Hashtbl.create 4;
@@ -73,10 +71,13 @@ let unregister t ~name = Hashtbl.remove t.nodes name
 
 let set_latency t ~src ~dst us = Hashtbl.replace t.latency (src, dst) us
 
+(* One-way, per message, on every link [set_latency] has not set. *)
+let default_latency_us = 500
+
 let link_latency t src dst =
   match Hashtbl.find_opt t.latency (src, dst) with
   | Some us -> us
-  | None -> t.default_latency_us
+  | None -> default_latency_us
 
 let set_tap t f = t.tap <- Some f
 let clear_tap t = t.tap <- None
@@ -136,7 +137,7 @@ let transmit t ~dir ~src ~dst payload =
       match t.fault with
       | None -> Some (payload', false)
       | Some rt ->
-          let o = Fault.transit rt ~dir ~src ~dst in
+          let o = Fault.transit rt in
           if o.Fault.o_jitter_us > 0 then begin
             Metrics.add t.metrics "fault.jitter_us" o.Fault.o_jitter_us;
             Clock.advance t.clock o.Fault.o_jitter_us

@@ -17,8 +17,9 @@
 
 type t
 
-val create : ?seed:string -> ?default_latency_us:int -> unit -> t
-(** [default_latency_us] is the one-way per-message latency (default 500). *)
+val create : ?seed:string -> unit -> t
+(** Every link's one-way latency is 500 us until {!set_latency} sets
+    another. *)
 
 val clock : t -> Clock.t
 val drbg : t -> Crypto.Drbg.t

@@ -1,30 +1,24 @@
-type backoff = { base_us : int; factor : float; jitter : float }
-
-(* Ceiling on the deterministic part of every back-off delay. *)
+(* The back-off before retransmission [attempt]: 1ms doubling per further
+   retransmission, its deterministic part capped at 60ms, plus a uniform
+   jitter of up to a quarter of it. *)
+let base_us = 1_000
+let factor = 2.0
+let jitter = 0.25
 let cap_us = 60_000
 
-let backoff ?(base_us = 1_000) ?(factor = 2.0) ?(jitter = 0.25) () =
-  if base_us < 0 then invalid_arg "Retry.backoff: negative delay";
-  if factor < 1.0 then invalid_arg "Retry.backoff: factor below 1";
-  if jitter < 0.0 then invalid_arg "Retry.backoff: negative jitter";
-  { base_us; factor; jitter }
-
-let default_backoff = backoff ()
-
-let delay_us bo ~drbg ~attempt =
-  if attempt < 1 then invalid_arg "Retry.delay_us: attempt is 1-based";
-  let raw = float_of_int bo.base_us *. (bo.factor ** float_of_int (attempt - 1)) in
+let delay_us ~drbg ~attempt =
+  let raw = float_of_int base_us *. (factor ** float_of_int (attempt - 1)) in
   let capped = min raw (float_of_int cap_us) in
   let base = int_of_float capped in
-  let spread = int_of_float (capped *. bo.jitter) in
+  let spread = int_of_float (capped *. jitter) in
   base + if spread > 0 then Crypto.Drbg.uniform_int drbg (spread + 1) else 0
 
-type policy = { retries : int; timeout_us : int; bo : backoff }
+type policy = { retries : int; timeout_us : int }
 
-let policy ?(retries = 4) ?(timeout_us = 10_000) ?(backoff = default_backoff) () =
+let policy ?(retries = 4) ?(timeout_us = 10_000) () =
   if retries < 0 then invalid_arg "Retry.policy: negative retries";
   if timeout_us < 0 then invalid_arg "Retry.policy: negative timeout";
-  { retries; timeout_us; bo = backoff }
+  { retries; timeout_us }
 
 let run ~clock ~drbg ?metrics p f =
   let count name = match metrics with Some m -> Metrics.incr m name | None -> () in
@@ -54,7 +48,7 @@ let run ~clock ~drbg ?metrics p f =
              learns about it by waiting out its timeout. *)
           Clock.advance clock p.timeout_us;
           count "rpc.retries";
-          Clock.advance clock (delay_us p.bo ~drbg ~attempt);
+          Clock.advance clock (delay_us ~drbg ~attempt);
           go (attempt + 1)
         end
   in

@@ -12,24 +12,13 @@
     [Secure_rpc.call] hands in {!Net.retry_drbg}, a stream of its own, so
     draws of keys and other values never move a retry delay. *)
 
-type backoff = {
-  base_us : int;  (** delay before the first retransmission *)
-  factor : float;  (** multiplier per further retransmission *)
-  jitter : float;  (** extra uniform delay, as a fraction of the delay *)
-}
-
-val backoff : ?base_us:int -> ?factor:float -> ?jitter:float -> unit -> backoff
-(** Defaults: 1000us base, doubling, 0.25 jitter. The deterministic part
-    of every delay is capped at 60ms. *)
-
 type policy = {
   retries : int;  (** retransmissions after the first attempt *)
   timeout_us : int;  (** how long the client waits out a silent failure *)
-  bo : backoff;
 }
 
-val policy : ?retries:int -> ?timeout_us:int -> ?backoff:backoff -> unit -> policy
-(** Defaults: 4 retries, 10ms timeout, [backoff ()]. *)
+val policy : ?retries:int -> ?timeout_us:int -> unit -> policy
+(** Defaults: 4 retries, 10ms timeout. *)
 
 val run :
   clock:Clock.t ->
@@ -42,7 +31,9 @@ val run :
     {!Net.transient_error} decides which errors are environmental; any
     other error returns immediately. Every retryable failure advances the
     clock by [timeout_us] (the wait that detected it), and each
-    retransmission additionally waits out the backoff delay.
+    retransmission additionally waits out the backoff delay: 1ms before
+    the first, doubling for each further one, capped at 60ms, plus a
+    uniform jitter of up to a quarter of that delay.
 
     With [metrics]: increments ["rpc.calls"], ["rpc.retries"] (one per
     retransmission), ["rpc.gave_up"] (logical calls that exhausted their

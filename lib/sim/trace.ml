@@ -12,6 +12,4 @@ let contains_substring hay needle = Span.contains_substring ~needle hay
 let find t ~actor ~substring =
   List.find_opt (fun e -> e.actor = actor && contains_substring e.event substring) (entries t)
 
-let clear t = t.rev_entries <- []
-
 let pp_entry fmt e = Format.fprintf fmt "[%8dus] %-20s %s" e.time e.actor e.event

@@ -18,5 +18,4 @@ val entries : t -> entry list
 (** In recording order. *)
 
 val find : t -> actor:string -> substring:string -> entry option
-val clear : t -> unit
 val pp_entry : Format.formatter -> entry -> unit

@@ -262,10 +262,10 @@ let deliver w ~svc raw =
       | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) -> Error e
       | _ -> Alcotest.fail "malformed reply")
 
-let counting_service w ~skew ~capacity =
+let counting_service w ~capacity =
   let svc, svc_key = W.enrol w "svc" in
   let hits = ref 0 in
-  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key ~max_skew_us:skew
+  Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key
     ~cache:(Secure_rpc.create_cache ~capacity ())
     (fun _ _ ->
       incr hits;
@@ -279,8 +279,8 @@ let counting_service w ~skew ~capacity =
 let test_secure_rpc_future_stamp_replay () =
   let w = world () in
   let alice, _ = W.enrol w "alice" in
-  let skew = 1_000_000 in
-  let svc, hits = counting_service w ~skew ~capacity:2 in
+  let skew = Ticket.max_skew_us in
+  let svc, hits = counting_service w ~capacity:2 in
   let creds = W.credentials_for w ~tgt:(W.login w alice) svc in
   let raw = stamped_request w ~creds ~timestamp:(Sim.Net.now w.W.net + (skew / 2)) (Wire.I 0) in
   let send () = Result.iter_error Alcotest.fail (deliver w ~svc raw) in
@@ -310,8 +310,8 @@ let forgotten = function
 let test_secure_rpc_flood_spares_other_clients () =
   let w = world () in
   let alice, _ = W.enrol w "alice" and mallory, _ = W.enrol w "mallory" in
-  let skew = 1_000_000 in
-  let svc, hits = counting_service w ~skew ~capacity:2 in
+  let skew = Ticket.max_skew_us in
+  let svc, hits = counting_service w ~capacity:2 in
   let mallory_creds = W.credentials_for w ~tgt:(W.login w mallory) svc in
   let alice_creds = W.credentials_for w ~tgt:(W.login w alice) svc in
   let edge = Sim.Net.now w.W.net + skew - 1 in
@@ -337,8 +337,8 @@ let test_secure_rpc_flood_spares_other_clients () =
 let test_secure_rpc_lagging_client_served () =
   let w = world () in
   let alice, _ = W.enrol w "alice" and bob, _ = W.enrol w "bob" in
-  let skew = 1_000_000 in
-  let svc, hits = counting_service w ~skew ~capacity:2 in
+  let skew = Ticket.max_skew_us in
+  let svc, hits = counting_service w ~capacity:2 in
   let alice_creds = W.credentials_for w ~tgt:(W.login w alice) svc in
   let bob_creds = W.credentials_for w ~tgt:(W.login w bob) svc in
   let lagging i =
@@ -771,9 +771,9 @@ let test_expired_capability () =
   let cap =
     Result.get_ok
       (Capability.mint_via_kdc fw.w.W.net ~kdc:fw.w.W.kdc_name ~tgt ~end_server:fw.fileserver
-         ~target:"file1" ~ops:[ "read" ] ~lifetime_us:W.hour ())
+         ~target:"file1" ~ops:[ "read" ] ())
   in
-  Sim.Clock.advance (Sim.Net.clock fw.w.W.net) (2 * W.hour);
+  Sim.Clock.advance (Sim.Net.clock fw.w.W.net) (3 * W.hour);
   let presented = Guard.bind ~server:fw.fileserver ~ticket:W.ticket cap in
   match Guard.decide fw.guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
       ~proxies:[ presented ] () with

@@ -115,8 +115,7 @@ let test_group_removal_vs_live_proxy () =
   let door_p, door_key = W.enrol w "door" in
   let gsrv =
     Result.get_ok
-      (Group_server.create w.W.net ~me:gsrv_p ~my_key:gsrv_key ~kdc:w.W.kdc_name
-         ~proxy_lifetime_us:W.hour ())
+      (Group_server.create w.W.net ~me:gsrv_p ~my_key:gsrv_key ~kdc:w.W.kdc_name ())
   in
   Group_server.install gsrv;
   Group_server.add_member gsrv ~group:"ops" alice;
@@ -147,8 +146,8 @@ let test_group_removal_vs_live_proxy () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "removed member re-certified");
-  (* ...and expiry ends it. *)
-  Sim.Clock.advance (Sim.Net.clock w.W.net) (2 * W.hour);
+  (* ...and expiry, 2 hours after issue, ends it. *)
+  Sim.Clock.advance (Sim.Net.clock w.W.net) (3 * W.hour);
   match
     Guard.decide door ~ticket:W.ticket ~operation:"open" ~target:"rack" ~presenter:alice
       ~group_proxies:[ present () ] ()

@@ -109,12 +109,6 @@ let test_cascade_exact_rsa_accounting () =
   Alcotest.(check int) "whole-chain memo: (depth+1)*M" 144 c.Driver.c_rsa_whole_chain;
   Alcotest.(check int) "per-signature: depth+M" 24 c.Driver.c_rsa_per_signature
 
-let test_cascade_scales_with_shape () =
-  let c = Driver.cascade_study ~depth:4 ~holders:3 ~repeats:2 ~seed:"test-cascade-small" () in
-  Alcotest.(check int) "uncached 5*3*2" 30 c.Driver.c_rsa_uncached;
-  Alcotest.(check int) "whole-chain 5*3" 15 c.Driver.c_rsa_whole_chain;
-  Alcotest.(check int) "per-signature 4+3" 7 c.Driver.c_rsa_per_signature
-
 (* --- The driver: small end-to-end runs --- *)
 
 let small cfg_seed ~batched =
@@ -275,8 +269,6 @@ let () =
         [
           Alcotest.test_case "exact RSA accounting at default shape" `Quick
             test_cascade_exact_rsa_accounting;
-          Alcotest.test_case "accounting scales with depth/holders/repeats" `Quick
-            test_cascade_scales_with_shape;
         ] );
       ( "driver",
         [

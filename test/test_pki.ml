@@ -102,8 +102,7 @@ let test_resolver_caching () =
   Name_server.install ns;
   Name_server.publish ns (Ca.issue ca ~now:0 ~lifetime:max_int alice alice_kp.Crypto.Rsa.pub);
   let resolver =
-    Resolver.create net ~name_server:ns_name ~ca_pub:(Ca.ca_pub ca) ~caller:"guard"
-      ~ttl_us:1_000_000 ()
+    Resolver.create net ~name_server:ns_name ~ca_pub:(Ca.ca_pub ca) ~caller:"guard" ()
   in
   let messages () = Sim.Metrics.get (Sim.Net.metrics net) "net.messages" in
   let m0 = messages () in
@@ -115,7 +114,7 @@ let test_resolver_caching () =
   (* After the TTL the binding refreshes — and revocation takes effect. *)
   Name_server.revoke ns alice;
   Alcotest.(check bool) "still cached within TTL" true (Resolver.lookup resolver alice <> None);
-  Sim.Clock.advance (Sim.Net.clock net) 2_000_000;
+  Sim.Clock.advance (Sim.Net.clock net) (2 * 3_600_000_000);
   Alcotest.(check bool) "revocation visible after TTL" true (Resolver.lookup resolver alice = None);
   Alcotest.(check int) "entry dropped" 0 (Resolver.cached resolver);
   (* Unknown principals resolve to None without raising. *)
@@ -146,8 +145,7 @@ let test_resolver_metrics () =
   Name_server.install ns;
   Name_server.publish ns (Ca.issue ca ~now:0 ~lifetime:max_int alice alice_kp.Crypto.Rsa.pub);
   let resolver =
-    Resolver.create net ~name_server:ns_name ~ca_pub:(Ca.ca_pub ca) ~caller:"guard"
-      ~ttl_us:1_000_000 ()
+    Resolver.create net ~name_server:ns_name ~ca_pub:(Ca.ca_pub ca) ~caller:"guard" ()
   in
   let count name = Sim.Metrics.get (Sim.Net.metrics net) name in
   ignore (Resolver.lookup resolver alice);
@@ -158,7 +156,7 @@ let test_resolver_metrics () =
   Alcotest.(check int) "warm lookups hit" 2 (count "resolver.hits");
   Alcotest.(check int) "no extra misses" 1 (count "resolver.misses");
   Alcotest.(check int) "nothing expired yet" 0 (count "resolver.expired");
-  Sim.Clock.advance (Sim.Net.clock net) 2_000_000;
+  Sim.Clock.advance (Sim.Net.clock net) (2 * 3_600_000_000);
   ignore (Resolver.lookup resolver alice);
   Alcotest.(check int) "TTL expiry counted" 1 (count "resolver.expired");
   Alcotest.(check int) "expiry is also a miss" 2 (count "resolver.misses");

@@ -187,16 +187,6 @@ let test_sequence_wire_rejects_degenerate () =
     (Result.is_error
        (R.of_wire (Wire.L [ Wire.S "sequence"; Wire.L [ Wire.I 3 ] ])))
 
-let test_tighten_sequence () =
-  let steps = [ step "a"; step "b"; step "c" ] in
-  Alcotest.(check int) "keep 2" 2 (List.length (R.tighten_sequence ~keep:2 steps));
-  (* Clamped: a delegate can neither extend nor empty the sequence. *)
-  Alcotest.(check int) "keep 9 clamps" 3 (List.length (R.tighten_sequence ~keep:9 steps));
-  Alcotest.(check int) "keep 0 clamps" 1 (List.length (R.tighten_sequence ~keep:0 steps));
-  Alcotest.(check bool) "prefix" true
-    (List.for_all2 R.seq_step_equal (R.tighten_sequence ~keep:2 steps)
-       [ step "a"; step "b" ])
-
 let test_unknown_fails_closed () =
   check_fails (R.Unknown "hologram") base_req;
   (* An unknown restriction arriving off the wire must also fail. *)
@@ -363,19 +353,6 @@ let prop_propagate_monotone =
           | _ -> List.exists (R.equal r) rs)
         out)
 
-(* Tightening is additive-only: however a delegate chains tighten_sequence
-   calls, the result is a non-empty prefix of the original — never reordered,
-   never extended, never widened back after a narrowing. *)
-let prop_tighten_prefix =
-  QCheck.Test.make ~name:"sequence tightening stays a prefix" ~count:300
-    QCheck.(pair (int_range 1 5) (list_of_size (QCheck.Gen.int_bound 6) (int_range (-3) 9)))
-    (fun (n, keeps) ->
-      let steps = List.init n (fun i -> step (Printf.sprintf "s%d" i)) in
-      let final = List.fold_left (fun acc k -> R.tighten_sequence ~keep:k acc) steps keeps in
-      let m = List.length final in
-      m >= 1 && m <= n
-      && List.for_all2 R.seq_step_equal final (R.tighten_sequence ~keep:m steps))
-
 (* Progress is prefix-monotone: drive a random interleaving of step attempts
    (including out-of-order and repeated ones) through check + advance, with
    [held] returning the progress a grant writes, as the guard's does; the
@@ -468,7 +445,7 @@ let prop_held_reaches_what_applies =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_wire_roundtrip; prop_check_total; prop_propagate_monotone; prop_tighten_prefix;
+    [ prop_wire_roundtrip; prop_check_total; prop_propagate_monotone;
       prop_progress_prefix_monotone; prop_held_reaches_what_applies ]
 
 (* --- combination matrix: limit-restriction wrapping each type, quorum
@@ -537,7 +514,6 @@ let () =
           ("limit-restriction", `Quick, test_limit_restriction);
           ("sequence order", `Quick, test_sequence_order);
           ("sequence degenerate fails closed", `Quick, test_sequence_degenerate_fails_closed);
-          ("tighten sequence", `Quick, test_tighten_sequence);
           ("unknown fails closed", `Quick, test_unknown_fails_closed);
           ("check_all", `Quick, test_check_all);
           ("limit wraps each type", `Quick, test_limit_wraps_each_type);

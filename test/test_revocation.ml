@@ -151,17 +151,17 @@ let test_revoked_by_serial_and_epoch () =
 let test_stale_fails_closed () =
   let bound = 10 * minute in
   let t = subscriber ~staleness_bound_us:bound ~now:0 () in
-  let body = head_body (grant ()) in
+  let certs = certs_of (grant ()) in
+  let verify ~now = Verifier.verify_pk ~lookup ~revocation:t ~now certs in
   Alcotest.(check bool) "fresh at creation" false (Revocation.stale t ~now:bound);
-  Alcotest.(check bool) "inside bound: clean cert passes" true
-    (Result.is_ok (Revocation.check t ~now:bound body));
+  Alcotest.(check bool) "inside bound: clean chain passes" true
+    (Result.is_ok (verify ~now:bound));
   Alcotest.(check bool) "past bound: stale" true (Revocation.stale t ~now:(bound + 1));
-  Alcotest.(check bool) "past bound: even a clean cert is refused" true
-    (Result.is_error (Revocation.check t ~now:(bound + 1) body));
+  Alcotest.(check bool) "past bound: even a clean chain is refused" true
+    (Result.is_error (verify ~now:(bound + 1)));
   (* A heartbeat refreshes the anchor and reopens service. *)
   let _ = Result.get_ok (Revocation.apply t (sign ~epoch:2 ~issued_at:(bound + 1) [])) in
-  Alcotest.(check bool) "heartbeat unstales" true
-    (Result.is_ok (Revocation.check t ~now:(2 * bound) body))
+  Alcotest.(check bool) "heartbeat unstales" true (Result.is_ok (verify ~now:(2 * bound)))
 
 (* --- verify-cache invalidation --- *)
 

@@ -106,8 +106,8 @@ let test_tampered_cert_never_hits () =
 
 let test_ttl_expiry_reverifies () =
   let certs = grant_chain ~depth:1 () in
-  let ttl = 1000 in
-  let cache = Verify_cache.create ~ttl_us:ttl () in
+  let ttl = hour in
+  let cache = Verify_cache.create () in
   Alcotest.(check bool) "verifies" true
     (Result.is_ok (Verifier.verify_pk ~lookup ~cache ~now:100 certs));
   let (within, count_within) =
@@ -127,7 +127,7 @@ let test_expired_cert_refused_despite_warm_cache () =
      entry is still "fresh" when the certificate itself has expired — the
      time-window check must refuse anyway. *)
   let certs = grant_chain ~expires:1000 ~depth:1 () in
-  let cache = Verify_cache.create ~ttl_us:hour () in
+  let cache = Verify_cache.create () in
   Alcotest.(check bool) "within window ok" true
     (Result.is_ok (Verifier.verify_pk ~lookup ~cache ~now:100 certs));
   match Verifier.verify_pk ~lookup ~cache ~now:2000 certs with
@@ -160,14 +160,14 @@ let test_capacity_bound_and_evictions () =
   Alcotest.(check bool) "newest retained" true (check cache ~now:26 25);
   (* At capacity with one entry past its TTL, a new record purges the
      expired entry and evicts nothing live. *)
-  let small = Verify_cache.create ~capacity:2 ~ttl_us:100 () in
+  let small = Verify_cache.create ~capacity:2 () in
   record small ~now:0 1;
-  record small ~now:50 2;
-  record small ~now:120 3;
+  record small ~now:(hour / 2) 2;
+  record small ~now:(hour + 20) 3;
   Alcotest.(check int) "purge, no eviction" 0 (Verify_cache.stats small).Verify_cache.evictions;
   Alcotest.(check int) "still at capacity" 2 (Verify_cache.size small);
-  Alcotest.(check bool) "live entry kept" true (check small ~now:120 2);
-  Alcotest.(check bool) "new entry kept" true (check small ~now:120 3)
+  Alcotest.(check bool) "live entry kept" true (check small ~now:(hour + 20) 2);
+  Alcotest.(check bool) "new entry kept" true (check small ~now:(hour + 20) 3)
 
 (* --- accept-once table bounds (the long-lived caches) --- *)
 

@@ -164,8 +164,10 @@ echo "== allocation =="
 # cuts copies or kept state reports before and after. A 2 s run's peak is
 # mostly its set-up's, so it cannot show what the ops keep. A short run
 # can end before perfbench has two host-speed samples, and then exits
-# with an error; the step says so and goes on.
-# figure WORKLOAD METRIC SCALE UNIT prints METRIC / SCALE from the
+# with an error; the step says so and goes on. The authz-conv traced run
+# also gives the RSA-512 sign, verify and keygen times, the figures a
+# bignum or RSA change quotes before and after.
+# figure LABEL METRIC SCALE UNIT prints METRIC / SCALE from the
 # perfbench result on standard input.
 figure () {
     python3 -c 'import json, sys
@@ -177,8 +179,13 @@ except ValueError:
     print(f"{wl}: no figure (the run failed)")' "$@"
 }
 for wl in authz-conv authz-pk bank; do
-    python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 1 | tail -n 1 |
-        figure "$wl" gc.alloc_bytes_per_op 1000 KB/op
+    traced=$(python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+    echo "$traced" | figure "$wl" gc.alloc_bytes_per_op 1000 KB/op
+    if [ "$wl" = authz-conv ]; then
+        echo "$traced" | figure "$wl crypto.rsa512_sign_us" crypto.rsa512_sign_us 1 us
+        echo "$traced" | figure "$wl crypto.rsa512_verify_us" crypto.rsa512_verify_us 1 us
+        echo "$traced" | figure "$wl crypto.rsa512_keygen_ms" crypto.rsa512_keygen_ms 1 ms
+    fi
     python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 20 --trace 0 | tail -n 1 |
         figure "$wl" heap_peak_mb 1 "MB peak heap"
 done

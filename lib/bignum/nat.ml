@@ -103,14 +103,11 @@ let mul_schoolbook a b =
     normalize r
   end
 
+let rec int_bits v = if v = 0 then 0 else 1 + int_bits (v lsr 1)
+
 let bit_length a =
   let n = Array.length a in
-  if n = 0 then 0
-  else begin
-    let top = a.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
-  end
+  if n = 0 then 0 else ((n - 1) * limb_bits) + int_bits a.(n - 1)
 
 let bit a i =
   let limb = i / limb_bits and off = i mod limb_bits in
@@ -290,42 +287,73 @@ let mod_pow_naive b e m =
 
 (* --- Montgomery arithmetic (odd moduli) ---------------------------------
 
-   Operands live as fixed-width arrays of exactly [n = len m] limbs. The
-   multiplier scans products column by column, in the finely integrated
-   product-scanning order of Koç, Acar and Kaliski (1996): column k sums
-   every x_j*y_(k-j) and q_j*m_(k-j) in one native int before it takes the
-   low limb and carries the rest into column k+1. Columns 0..n-1 each fix
-   the quotient limb q_k that clears their low limb; columns n..2n-1 are
-   the limbs of the result, which is below 2m.
+   The kernel works on limbs of its own width w, which it takes from the
+   modulus: n = ceil(bits(m) / w) limbs, each an [int array] of exactly n
+   entries. The multiplier scans products column by column, in the
+   finely integrated product-scanning order of Koç, Acar and Kaliski
+   (1996): column k sums every x_j*y_(k-j) and q_j*m_(k-j) in one native
+   int before it takes the low limb and carries the rest into column
+   k+1. Columns 0..n-1 each fix the quotient limb q_k that clears their
+   low limb; columns n..2n-1 are the limbs of the result, which is below
+   2m.
 
-   Headroom: a limb product is at most (2^26-1)^2 and a column holds at
-   most 2n of them. If every column sum is at most B = 2n(2^26-1)2^26, a
-   carry is at most B/2^26 = 2n(2^26-1), so the next sum is at most
-   2n(2^26-1) + 2n(2^26-1)^2 = B again. B <= max_int = 2^62-1 exactly when
-   n <= 512 (at n = 512, B = 2^62 - 2^36); wider moduli (above 13312 bits)
-   take [mod_pow_naive]. *)
+   Headroom: a limb product is at most (2^w-1)^2 and a column holds at
+   most 2n of them. If every column sum is at most B = 2n(2^w-1)2^w, a
+   carry is at most B/2^w = 2n(2^w-1), so the next sum is at most
+   2n(2^w-1) + 2n(2^w-1)^2 = B again. A sum is only ever masked
+   ([land]) and shifted ([lsr]), so it reads as an unsigned 63-bit
+   number and needs B < 2^63, which n < 2^(62-2w) guarantees:
+   B < 2n*4^w <= 2^63. The width is the widest of 29, 28, 27 and 26 bits
+   that meets this bound: 29 bits up to 15 limbs (435-bit moduli), 28 up
+   to 63 (1,764 bits), 27 up to 255 (6,885 bits) and 26 up to 1,023
+   (26,598 bits). Wider moduli take [mod_pow_naive]. *)
 
-let mont_max_limbs = 512
+let mont_width bits =
+  let rec pick w =
+    if w < 26 then None
+    else if (bits + w - 1) / w < 1 lsl (62 - (2 * w)) then Some w
+    else pick (w - 1)
+  in
+  pick 29
 
-(* -m^{-1} mod 2^26 by Newton lifting: for odd m0, x = m0 is an inverse
-   mod 8; each step doubles the number of correct low bits. *)
-let mont_neg_inv m0 =
-  let x = ref m0 in
-  for _ = 1 to 4 do
-    let t = (m0 * !x) land limb_mask in
-    x := !x * ((2 - t) land limb_mask) land limb_mask
+(* [a]'s limbs of [from] bits repacked as [n] limbs of [into] bits, low
+   limbs first: the number itself when it fits in [into * n] bits. *)
+let repack ~from ~into n a =
+  let mask = (1 lsl into) - 1 and la = Array.length a in
+  let r = Array.make n 0 in
+  let acc = ref 0 and bits = ref 0 and i = ref 0 in
+  for j = 0 to n - 1 do
+    while !bits < into && !i < la do
+      acc := !acc lor (a.(!i) lsl !bits);
+      bits := !bits + from;
+      incr i
+    done;
+    r.(j) <- !acc land mask;
+    acc := !acc lsr into;
+    bits := !bits - into
   done;
-  (base - !x) land limb_mask
+  r
 
-(* dst <- x * y / R mod m, with R = 2^(26n) and m' = -m^{-1} mod 2^26.
-   x, y, dst and the quotient scratch q are n-limb arrays; dst may alias x
-   or y, because column n+k writes limb k and later columns read only
-   limbs above k. With the widths checked once, every inner index stays
-   below n, so the inner loops skip the bounds checks. *)
-let mont_mul m m' q x y dst =
+(* Limbs of w bits back to a normalized [t]. *)
+let of_width ~width a =
+  let top = ref (Array.length a - 1) in
+  while !top >= 0 && a.(!top) = 0 do
+    decr top
+  done;
+  let bits = if !top < 0 then 0 else (!top * width) + int_bits a.(!top) in
+  repack ~from:width ~into:limb_bits ((bits + limb_bits - 1) / limb_bits) a
+
+(* dst <- x * y / R mod m, with R = 2^(w n) and m' = -m^{-1} mod 2^w.
+   x, y, dst and the quotient q are n-limb arrays, x and y below
+   m; dst may alias x or y, because column n+k writes limb k and later
+   columns read only limbs above k. With the widths checked once, every
+   inner index stays below n, so the inner loops skip the bounds checks;
+   they never read w. *)
+let mont_mul ~width ~neg_inv m q x y dst =
   let n = Array.length m in
   if Array.length x <> n || Array.length y <> n || Array.length dst <> n || Array.length q <> n
   then invalid_arg "Nat.mod_pow: Montgomery operand width";
+  let mask = (1 lsl width) - 1 in
   let c = ref 0 in
   for k = 0 to n - 1 do
     let s = ref (!c + (x.(k) * y.(0))) in
@@ -335,9 +363,9 @@ let mont_mul m m' q x y dst =
         + (Array.unsafe_get x j * Array.unsafe_get y (k - j))
         + (Array.unsafe_get q j * Array.unsafe_get m (k - j))
     done;
-    let qk = !s * m' land limb_mask in
+    let qk = !s * neg_inv land mask in
     q.(k) <- qk;
-    c := (!s + (qk * m.(0))) lsr limb_bits
+    c := (!s + (qk * m.(0))) lsr width
   done;
   for k = n to (2 * n) - 2 do
     let s = ref !c in
@@ -347,93 +375,124 @@ let mont_mul m m' q x y dst =
         + (Array.unsafe_get x j * Array.unsafe_get y (k - j))
         + (Array.unsafe_get q j * Array.unsafe_get m (k - j))
     done;
-    dst.(k - n) <- !s land limb_mask;
-    c := !s lsr limb_bits
+    dst.(k - n) <- !s land mask;
+    c := !s lsr width
   done;
-  dst.(n - 1) <- !c land limb_mask;
+  dst.(n - 1) <- !c land mask;
   (* One conditional subtraction brings the result below m. *)
   let i = ref (n - 1) in
   while !i >= 0 && dst.(!i) = m.(!i) do
     decr i
   done;
-  if !c > limb_mask || !i < 0 || dst.(!i) > m.(!i) then begin
+  if !c lsr width <> 0 || !i < 0 || dst.(!i) > m.(!i) then begin
     let borrow = ref 0 in
     for j = 0 to n - 1 do
       let d = dst.(j) - m.(j) - !borrow in
-      if d < 0 then begin
-        dst.(j) <- d + base;
-        borrow := 1
-      end
-      else begin
-        dst.(j) <- d;
-        borrow := 0
-      end
+      dst.(j) <- d land mask;
+      borrow := if d < 0 then 1 else 0
     done
   end
 
-let mod_pow_mont b e m =
-  let n = Array.length m in
-  let m' = mont_neg_inv m.(0) in
-  let pad x =
-    let r = Array.make n 0 in
-    Array.blit x 0 r 0 (Array.length x);
-    r
-  in
-  (* One quotient scratch shared by every multiplication in this call. *)
-  let q = Array.make n 0 in
-  let mmul x y dst = mont_mul m m' q x y dst in
-  (* R^2 mod m converts into the Montgomery domain; R = base^n. *)
-  let r2 = pad (rem (shift_left one (2 * n * limb_bits)) m) in
-  let nbits = bit_length e in
-  (* Sliding window: precompute the odd powers b^1, b^3, ..., b^(2^w - 1)
-     in Montgomery form; larger exponents amortize bigger tables. *)
-  let w = if nbits <= 64 then 2 else if nbits <= 256 then 4 else 5 in
-  let tbl = Array.init (1 lsl (w - 1)) (fun _ -> Array.make n 0) in
-  mmul (pad b) r2 tbl.(0);
-  let b2 = Array.make n 0 in
-  mmul tbl.(0) tbl.(0) b2;
-  for i = 1 to Array.length tbl - 1 do
-    mmul tbl.(i - 1) b2 tbl.(i)
+type mont = {
+  modulus : t;
+  width : int;
+  limbs : int array;  (* the modulus in limbs of [width] bits *)
+  neg_inv : int;  (* -m^{-1} mod 2^width *)
+  r2 : int array;  (* R^2 mod m in the same limbs, R = 2^(width * n) *)
+}
+
+(* -m^{-1} mod 2^w by Newton lifting: for odd m0, x = m0 is an inverse
+   mod 8, and each step doubles the number of correct low bits. *)
+let mont_neg_inv ~width m0 =
+  let mask = (1 lsl width) - 1 in
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * ((2 - (m0 * !x)) land mask) land mask
   done;
-  let acc = Array.make n 0 in
-  mmul (pad one) r2 acc (* 1 in Montgomery form *);
-  let i = ref (nbits - 1) in
-  while !i >= 0 do
-    if not (bit e !i) then begin
-      mmul acc acc acc;
-      decr i
-    end
+  (mask + 1 - !x) land mask
+
+let mont m =
+  let bits = bit_length m in
+  match mont_width bits with
+  | Some width when is_odd m && bits > 1 ->
+      let n = (bits + width - 1) / width in
+      let limbs = repack ~from:limb_bits ~into:width n m in
+      Some
+        {
+          modulus = m;
+          width;
+          limbs;
+          neg_inv = mont_neg_inv ~width limbs.(0);
+          r2 = repack ~from:limb_bits ~into:width n (rem (shift_left one (2 * width * n)) m);
+        }
+  | _ -> None
+
+let mont_pow c b e =
+  if is_zero e then one
+  else
+    let b = rem b c.modulus in
+    if is_zero b then zero
     else begin
-      (* Take the longest window ending in a set bit: bits i..l, l >= 0. *)
-      let l = ref (max (!i - w + 1) 0) in
-      while not (bit e !l) do
-        incr l
+      let { width; limbs = m; neg_inv; r2; _ } = c in
+      let n = Array.length m in
+      let q = Array.make n 0 in
+      let mmul x y dst = mont_mul ~width ~neg_inv m q x y dst in
+      let nbits = bit_length e in
+      (* Sliding window: precompute the odd powers b^1, b^3, ...,
+         b^(2^win - 1) in Montgomery form; larger exponents amortize
+         bigger tables, and a public exponent such as 65537 needs b
+         alone. *)
+      let win =
+        if nbits <= 20 then 1 else if nbits <= 64 then 2 else if nbits <= 256 then 4 else 5
+      in
+      let tbl = Array.init (1 lsl (win - 1)) (fun _ -> Array.make n 0) in
+      mmul (repack ~from:limb_bits ~into:width n b) r2 tbl.(0);
+      if win > 1 then begin
+        let b2 = Array.make n 0 in
+        mmul tbl.(0) tbl.(0) b2;
+        for i = 1 to Array.length tbl - 1 do
+          mmul tbl.(i - 1) b2 tbl.(i)
+        done
+      end;
+      let acc = Array.make n 0 in
+      let i = ref (nbits - 1) and first = ref true in
+      while !i >= 0 do
+        if not (bit e !i) then begin
+          mmul acc acc acc;
+          decr i
+        end
+        else begin
+          (* Take the longest window ending in a set bit: bits i..l, l >= 0. *)
+          let l = ref (max (!i - win + 1) 0) in
+          while not (bit e !l) do
+            incr l
+          done;
+          let v = ref 0 in
+          for k = !i downto !l do
+            v := (!v lsl 1) lor (if bit e k then 1 else 0)
+          done;
+          let power = tbl.((!v - 1) / 2) in
+          (* The top window sets the accumulator to its power. *)
+          if !first then Array.blit power 0 acc 0 n
+          else begin
+            for _ = !l to !i do
+              mmul acc acc acc
+            done;
+            mmul acc power acc
+          end;
+          first := false;
+          i := !l - 1
+        end
       done;
-      let v = ref 0 in
-      for k = !i downto !l do
-        v := (!v lsl 1) lor (if bit e k then 1 else 0)
-      done;
-      for _ = !l to !i do
-        mmul acc acc acc
-      done;
-      mmul acc tbl.((!v - 1) / 2) acc;
-      i := !l - 1
+      let onep = Array.make n 0 in
+      onep.(0) <- 1;
+      mmul acc onep acc (* back out of the Montgomery domain *);
+      of_width ~width acc
     end
-  done;
-  let onep = Array.make n 0 in
-  onep.(0) <- 1;
-  mmul acc onep acc (* back out of the Montgomery domain *);
-  normalize (Array.copy acc)
 
 let mod_pow b e m =
   if is_zero m then raise Division_by_zero;
-  if equal m one then zero
-  else if is_even m || Array.length m > mont_max_limbs then mod_pow_naive b e m
-  else if is_zero e then one
-  else begin
-    let b = rem b m in
-    if is_zero b then zero else mod_pow_mont b e m
-  end
+  match mont m with Some c -> mont_pow c b e | None -> mod_pow_naive b e m
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 

@@ -2,7 +2,9 @@
 
     Numbers are immutable. The representation uses base-[2^26] limbs so every
     intermediate product of two limbs fits comfortably in a native 63-bit
-    integer. This module is the substrate for the RSA realization of
+    integer, which {!rem_int}'s divisors and the long division rely on;
+    the Montgomery kernel of {!mod_pow} converts to limbs of its own width
+    ({!type-mont}). This module is the substrate for the RSA realization of
     public-key proxies (the paper's Figure 6); it replaces [zarith], which is
     not available in this environment. *)
 
@@ -63,13 +65,34 @@ val bit_length : t -> int
 
 val mod_pow : t -> t -> t -> t
 (** [mod_pow base exp m] is [base^exp mod m]. Raises [Division_by_zero] if
-    [m] is zero. Odd moduli of up to 512 limbs (13312 bits) take the
-    Montgomery/sliding-window fast path: each Montgomery product scans its
-    columns in the finely integrated product-scanning order, summing every
-    limb product of a column in one native int and carrying once per
-    column, with no division in the loop. 512 limbs is the widest modulus
-    whose column sums stay below [max_int]. Even moduli and wider ones
-    fall back to {!mod_pow_naive}. *)
+    [m] is zero. An odd modulus that {!mont} takes goes through
+    {!mont_pow}, under constants built for this call; even moduli and
+    wider ones fall back to {!mod_pow_naive}. *)
+
+type mont
+(** The Montgomery constants of one odd modulus m, for a kernel with limbs
+    of its own width w: m in n = ceil(bits(m) / w) limbs of w bits,
+    [-m^-1 mod 2^w], and [R^2 mod m] with [R = 2^(w n)]. Each Montgomery
+    product scans its columns in the finely integrated product-scanning
+    order, summing every limb product of a column in one native int that
+    it only masks and shifts, so the sum reads as an unsigned 63-bit
+    number; a column of 2n products of w-bit limbs stays below 2^63 when
+    [n < 2^(62 - 2w)]. w is the widest of 29, 28, 27 and 26 bits that
+    meets that bound: 29 bits up to 15 limbs (435-bit moduli), 28 up to
+    63 (1,764 bits), 27 up to 255 (6,885 bits) and 26 up to 1,023 (26,598
+    bits). Immutable once made, so one value serves several domains. *)
+
+val mont : t -> mont option
+(** [mont m] is the constants of [m] when [m] is odd, above 1 and at most
+    26,598 bits; [None] otherwise. Making them costs one division. *)
+
+val mont_pow : mont -> t -> t -> t
+(** [mont_pow c base exp] is [base^exp mod m], for [Some c = mont m]: the same
+    result as {!mod_pow}, with no division when [base < m]. It converts
+    [base] into w-bit limbs, raises it with a sliding window over [exp]
+    (one bit for exponents of at most 20 bits, such as 65537; 2, 4 or 5
+    bits for wider ones) and allocates its workspace, the table of odd
+    powers, the accumulator and the quotient limbs, per call. *)
 
 val mod_pow_naive : t -> t -> t -> t
 (** The reference square-and-multiply with a full division per step —

@@ -13,9 +13,18 @@ type public = private {
   encoded : string;
       (** {!public_to_bytes}, made once where the key is made
           ({!generate}) or read ({!public_of_bytes}) *)
+  mont : Bignum.Nat.mont option;
+      (** [n]'s Montgomery constants ({!Bignum.Nat.mont}), in keys
+          {!generate} makes, so that no signature check or fault check
+          under them divides to rebuild them. A key {!public_of_bytes}
+          reads has none: a decoded certificate key holds no more memory
+          than its bytes and numbers, and each exponentiation under it
+          builds its own. *)
 }
 (** Private, so that a key's bytes always agree with its numbers: the only
-    keys are those the two constructors return. *)
+    keys are those the two constructors return. The constants are not
+    part of a key's identity (a key and its decoded copy differ in them),
+    so compare keys by {!public_to_bytes}, not with [=]. *)
 
 type crt = {
   p : Bignum.Nat.t;
@@ -23,10 +32,13 @@ type crt = {
   dp : Bignum.Nat.t;  (** [d mod (p-1)] *)
   dq : Bignum.Nat.t;  (** [d mod (q-1)] *)
   qinv : Bignum.Nat.t;  (** [q^-1 mod p] *)
+  p_mont : Bignum.Nat.mont option;  (** [p]'s Montgomery constants *)
+  q_mont : Bignum.Nat.mont option;  (** [q]'s Montgomery constants *)
 }
 (** Chinese-remainder parameters for the private operation: two half-width
     exponentiations recombined by Garner's formula, roughly 4x cheaper than
-    a full [c^d mod n]. *)
+    a full [c^d mod n]. {!generate} fills in the constants of [p] and [q],
+    so each half exponentiates with no division. *)
 
 type private_ = { pub : public; d : Bignum.Nat.t; crt : crt option }
 (** [crt = None] (e.g. a key parsed from the wire without its factors)
@@ -34,7 +46,8 @@ type private_ = { pub : public; d : Bignum.Nat.t; crt : crt option }
 
 val generate : Drbg.t -> bits:int -> private_
 (** Generate a key pair with a modulus of [bits] bits ([bits >= 128],
-    public exponent 65537). The CRT parameters are filled in. *)
+    public exponent 65537). The CRT parameters are filled in, and the
+    Montgomery constants of [n], [p] and [q] with them. *)
 
 val sign : private_ -> string -> string
 (** [sign key msg] signs SHA-256([msg]); the signature is
@@ -49,6 +62,15 @@ val sign_reference : private_ -> string -> string
     tests and before/after benches. *)
 
 val verify : public -> msg:string -> signature:string -> bool
+(** [verify pub ~msg ~signature] checks a {!sign} signature. A key outside
+    BoringSSL's verifying bounds, an odd [n] of at most 4,096 bits and an
+    odd [e] with [3 <= e < 2^33], verifies nothing: [verify] returns
+    [false] before any exponentiation and counts no verify in
+    {!Cost}. A key reaches a verifier inside the certificate that names
+    it, before any signature vouches for it: under a 512-bit modulus a
+    64 KB exponent cost 0.43 s a verify, and a 16 KB modulus 1.2 s. Every
+    key this repo makes (e = 65537, at most 1,024 bits) is inside the
+    bounds. *)
 
 val encrypt : Drbg.t -> public -> string -> string option
 (** PKCS#1 v1.5 type-2 encryption. [None] if the message is too long for

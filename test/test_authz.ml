@@ -1463,6 +1463,59 @@ let test_pk_read_allocation () =
       true (used <= 26624.)
   end
 
+(* Any registered principal can grant a public-key proxy whose
+   certificate binds whatever key bytes it likes, and a server then
+   verifies the next link under that key. A key outside the verifier's
+   bounds, here alice's modulus with a 64 KB exponent (one verify under
+   it cost about 0.4 s, and a refused chain is not remembered), is
+   refused before any exponentiation: the server refuses the chain having
+   verified one signature, the grantor's link. *)
+let test_hostile_proxy_key_refused () =
+  let w = world () in
+  let drbg = Crypto.Drbg.create ~seed:"hostile proxy key" in
+  let alice, _ = W.enrol w "alice" in
+  let bob, _ = W.enrol w "bob" in
+  let fs_name, fs_key = W.enrol w "fileserver" in
+  let alice_kp = Crypto.Rsa.generate drbg ~bits:512 in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"file1"
+    { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+  let lookup_pub p = if Principal.equal p alice then Some alice_kp.Crypto.Rsa.pub else None in
+  let fs = File_server.create w.W.net ~me:fs_name ~my_key:fs_key ~lookup_pub ~acl () in
+  File_server.install fs;
+  File_server.put_direct fs ~path:"file1" "contents";
+  let now = W.now w and read_file1 = R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] in
+  let hostile =
+    let be32 k = String.init 4 (fun i -> Char.chr ((k lsr (8 * (3 - i))) land 0xff)) in
+    let nb = Bignum.Nat.to_bytes_be alice_kp.Crypto.Rsa.pub.Crypto.Rsa.n in
+    let eb = String.make 65536 '\xff' in
+    Option.get
+      (Crypto.Rsa.public_of_bytes
+         (String.concat "" [ be32 (String.length nb); nb; be32 (String.length eb); eb ]))
+  in
+  let body serial grantor restrictions =
+    { Proxy_cert.grantor; serial; issued_at = now; expires = now + W.hour; restrictions }
+  in
+  let head =
+    Proxy_cert.sign_pk ~key:alice_kp ~signer:Proxy_cert.By_grantor_key ~proxy_pub:(Some hostile)
+      (body "hostile-1" alice [ read_file1 ])
+  in
+  (* Nobody can sign under the hostile key; any 64 bytes stand in. *)
+  let holder = Crypto.Rsa.generate drbg ~bits:512 in
+  let link =
+    Proxy_cert.sign_pk ~key:holder ~signer:Proxy_cert.By_proxy_key
+      ~proxy_pub:(Some holder.Crypto.Rsa.pub) (body "hostile-2" bob [])
+  in
+  let chain = { Proxy.flavor = Proxy.Public_key [ head; link ]; key = Proxy.Keypair holder } in
+  let creds = W.credentials_for w ~tgt:(W.login w bob) fs_name in
+  let cost =
+    kernel_cost (fun () ->
+        match File_server.read w.W.net ~creds ~proxies:[ chain ] ~path:"file1" () with
+        | Ok _ -> Alcotest.fail "a chain through a hostile key was honoured"
+        | Error _ -> ())
+  in
+  Alcotest.(check int) "one RSA verify, the grantor's link" 1 (List.nth cost 5)
+
 (* --- accept-once through the guard --- *)
 
 let test_accept_once_consumed () =
@@ -1648,6 +1701,7 @@ let () =
           ("depth-2 presentation kernel cost", `Quick, test_capability_presentation_cost);
           ("a warm public-key decision's allocation", `Quick, test_pk_decide_allocation);
           ("a warm public-key read's allocation", `Quick, test_pk_read_allocation);
+          ("a hostile proxy key is refused unverified", `Quick, test_hostile_proxy_key_refused);
           ("a warm conventional decision's allocation", `Quick, test_conv_decide_allocation);
           ("accept-once consumed", `Quick, test_accept_once_consumed);
           ("a flood's floor is its victims' grantors' alone", `Slow,

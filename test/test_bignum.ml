@@ -314,6 +314,28 @@ let prop_montgomery_vs_naive =
       QCheck.assume (not (N.is_zero m));
       N.equal (N.mod_pow b e m) (N.mod_pow_naive b e m))
 
+(* Odd moduli of 200 to 1,100 bits, top bit set, with a base and an
+   exponent as wide as the modulus: the kernel's 29- and 28-bit widths
+   with random limbs, and exponents long enough for the 4- and 5-bit
+   windows. *)
+let wide_gen =
+  QCheck.Gen.(
+    int_range 200 1100 >>= fun bits ->
+    let draw = string_size ~gen:char (return ((bits + 7) / 8)) >|= fun s ->
+      N.rem (N.of_bytes_be s) (N.shift_left N.one bits)
+    in
+    triple draw draw draw >|= fun (b, e, m) ->
+    let m = N.add (N.shift_left N.one (bits - 1)) (N.rem m (N.shift_left N.one (bits - 1))) in
+    (b, e, if N.is_even m then N.add m N.one else m))
+
+let prop_montgomery_wide =
+  QCheck.Test.make ~name:"mod_pow = mod_pow_naive, 200-1,100-bit odd moduli, full exponents"
+    ~count:30
+    (QCheck.make
+       ~print:(fun (b, e, m) -> String.concat ", " (List.map N.to_string [ b; e; m ]))
+       wide_gen)
+    (fun (b, e, m) -> N.equal (N.mod_pow b e m) (N.mod_pow_naive b e m))
+
 let prop_divmod_huge =
   QCheck.Test.make ~name:"divmod reconstruction on huge operands" ~count:150
     (QCheck.pair arb_huge arb_modulus)
@@ -373,19 +395,49 @@ let test_fast_path_edges () =
   let odd_huge = if N.is_even huge then N.add huge N.one else huge in
   Alcotest.check nat "mod_pow all-aliased" (N.mod_pow_naive odd_huge odd_huge odd_huge)
     (N.mod_pow odd_huge odd_huge odd_huge);
-  (* All-ones moduli m = 2^(26k) - 1 with base m - 2: the limbs sit at or
-     next to their maximum, so the Montgomery columns sum near-maximal
-     products. 512 limbs is the widest modulus the kernel takes; 513 falls
-     back to the reference path. *)
+  (* All-ones moduli m = 2^(w k) - 1 with base m - 2. R is a power of
+     two, so the base enters the Montgomery domain as -2R mod m, which is
+     m with one bit cleared, and the first squaring multiplies limbs at
+     or next to their maximum: its x*y column sums come near
+     n(2^w - 1)^2. The kernel takes its limb width w from the modulus:
+     the widest of 29, 28, 27 and 26 bits whose column sums stay below
+     2^63. The second list is each width's first and last limb count, k
+     limbs of w bits, all ones: 29 bits for 1 to 15 limbs (9 is an
+     RSA-512 CRT half), 28 for 16 to 63, 27 for 66 to 255 and 26 for 265
+     to 1,023. 26,598 bits is the widest modulus the kernel takes; one
+     bit more falls back to the reference path. The first list is
+     2^(26k) - 1 up to 512 limbs, the edge of the 26-bit kernel this one
+     replaced. *)
   let e = N.sub (N.shift_left N.one 64) N.one in
+  let all_ones bits = N.sub (N.shift_left N.one bits) N.one in
+  let check what m =
+    let b = N.sub m N.two in
+    Alcotest.check nat what (N.mod_pow_naive b e m) (N.mod_pow b e m)
+  in
   List.iter
-    (fun k ->
-      let m = N.sub (N.shift_left N.one (26 * k)) N.one in
-      let b = N.sub m N.two in
-      Alcotest.check nat
-        (Printf.sprintf "all-ones modulus, %d limbs" k)
-        (N.mod_pow_naive b e m) (N.mod_pow b e m))
+    (fun k -> check (Printf.sprintf "all-ones modulus, %d limbs of 26 bits" k) (all_ones (26 * k)))
     [ 1; 2; 10; 20; 40; 79; 512; 513 ];
+  (* Beside each all-ones modulus, 2^(w k) - 2^w + 1: every w-bit limb at
+     its maximum but the lowest, which is 1, so -m^-1 mod 2^w = 2^w - 1
+     and the quotient half of each column is large too. The third list is
+     the edges of a bound on an unsigned 64-bit column sum,
+     n < 2^(63-2w): 29 bits to 31 limbs, 28 to 127, 27 to 511. This kernel
+     takes them at narrower widths; a copy that took them at w got the
+     second family wrong at 29 x 31, 28 x 127 and 27 x 511. *)
+  let low_one w bits = N.add (N.sub (N.shift_left N.one bits) (N.shift_left N.one w)) N.one in
+  List.iter
+    (fun (w, k) ->
+      check (Printf.sprintf "all-ones modulus, %d limbs of %d bits" k w) (all_ones (w * k));
+      if k > 1 then check (Printf.sprintf "2^%d - 2^%d + 1" (w * k) w) (low_one w (w * k)))
+    [ (29, 1); (29, 9); (29, 15); (28, 16); (28, 63); (27, 66); (27, 255); (26, 265); (26, 1023);
+      (29, 18); (29, 31); (28, 32); (28, 127); (27, 128); (27, 511) ];
+  check "all-ones modulus, 26,599 bits" (all_ones 26599);
+  Alcotest.(check (list bool))
+    "constants for odd moduli of 3 to 26,598 bits only"
+    [ true; true; false; false; false; false ]
+    (List.map
+       (fun m -> N.mont m <> None)
+       [ N.of_int 3; all_ones 26598; all_ones 26599; N.one; N.of_int 10; N.zero ]);
   Alcotest.(check_raises "rem_int divisor above 2^36"
       (Invalid_argument "Nat.rem_int: divisor out of range")
       (fun () -> ignore (N.rem_int big_a ((1 lsl 36) + 1))));
@@ -400,12 +452,39 @@ let test_fast_path_edges () =
         (N.mul_schoolbook x y) (N.mul x y))
     around
 
+(* Allocation per exponentiation, on native code (bytecode boxes
+   regardless), with exponents as wide as the modulus. A call builds its
+   modulus's constants (one division for R^2 mod m), converts its base
+   and allocates the kernel's workspace: the odd powers, the
+   accumulator, the quotient limbs and the result. That reads 3,328 B
+   at 256 bits and 7,080 B at 512 (3,328 B and 7,456 B with the 26-bit
+   kernel). A Montgomery product allocates nothing: one that boxed a
+   64-bit column sum (24 B) per column would add about 130 KB at 256
+   bits, where an exponentiation makes some 316 products of 17 columns. *)
+let test_mod_pow_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let d = Crypto.Drbg.create ~seed:"mod_pow allocation" in
+    List.iter
+      (fun (bits, bound) ->
+        let draw () = N.of_bytes_be (Crypto.Drbg.generate d (bits / 8)) in
+        let top = N.shift_left N.one (bits - 1) in
+        let m = N.add top (N.rem (draw ()) top) in
+        let m = if N.is_even m then N.add m N.one else m in
+        let b = N.rem (draw ()) m and e = draw () in
+        let used = Testkit.alloc_bytes_per_call (fun () -> N.mod_pow b e m) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d-bit mod_pow: %.0f B per call <= %d" bits used bound)
+          true (used <= float bound))
+      [ (256, 4096); (512, 8192) ]
+  end
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_add_commutative; prop_mul_commutative; prop_mul_distributes;
       prop_divmod_invariant; prop_matches_int; prop_bytes_roundtrip; prop_bytes_vs_fold;
       prop_string_roundtrip; prop_shift_mul; prop_modinv; prop_modpow_small;
-      prop_karatsuba_vs_schoolbook; prop_montgomery_vs_naive; prop_divmod_huge;
+      prop_karatsuba_vs_schoolbook; prop_montgomery_vs_naive; prop_montgomery_wide;
+      prop_divmod_huge;
       prop_trial_division; prop_rem_int ]
 
 let suite =
@@ -420,6 +499,7 @@ let suite =
     ("mod_pow", `Quick, test_mod_pow);
     ("gcd/modinv", `Quick, test_gcd_modinv);
     ("fast-path edges", `Quick, test_fast_path_edges);
+    ("mod_pow allocation", `Quick, test_mod_pow_allocation);
     ("known primes", `Quick, test_primes_known);
     ("trial division below 2^16", `Quick, test_trial_division_small);
     ("prime generation", `Slow, test_prime_generation);

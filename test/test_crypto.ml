@@ -824,6 +824,48 @@ let test_rsa_pub_encoding_linear () =
     true
     (used < 32. *. float n)
 
+(* A key reaches a verifier inside the certificate that names it, before
+   any signature vouches for it, so [verify] refuses a key outside
+   BoringSSL's bounds (an odd n of at most 4,096 bits, an odd e with
+   3 <= e < 2^33) before any exponentiation, and counts no verify. The
+   64 KB exponent cost about 0.4 s a verify before the bounds. Keys inside
+   them, up to a 4,096-bit modulus with a 33-bit exponent, count one
+   verify each, as before. *)
+let test_rsa_verify_bounds () =
+  let be32 k = String.init 4 (fun i -> Char.chr ((k lsr (8 * (3 - i))) land 0xff)) in
+  let encode n e = String.concat "" [ be32 (String.length n); n; be32 (String.length e); e ] in
+  let n = Bignum.Nat.to_bytes_be key.Rsa.pub.Rsa.n and e65537 = "\x01\x00\x01" in
+  let msg = "bounded keys" in
+  let verifies what nb eb =
+    let pub = Option.get (Rsa.public_of_bytes (encode nb eb)) in
+    let signature = String.make (Rsa.modulus_bytes pub - 1) '\x00' ^ "\x02" in
+    let before = Cost.read () in
+    let ok = Rsa.verify pub ~msg ~signature in
+    Alcotest.(check bool) (what ^ ": no signature verifies") false ok;
+    (Cost.diff ~before ~after:(Cost.read ())).Cost.rsa_verify
+  in
+  let last_byte_xor s x =
+    String.mapi (fun i c -> if i = String.length s - 1 then Char.chr (Char.code c lxor x) else c) s
+  in
+  let wide bytes = "\x80" ^ String.make (bytes - 2) '\x5a' ^ "\x01" in
+  List.iter
+    (fun (what, nb, eb) ->
+      Alcotest.(check int) (what ^ ": refused, no verify counted") 0 (verifies what nb eb))
+    [ ("a 64 KB exponent", n, String.make 65536 '\xff');
+      ("an even exponent", n, "\x01\x00\x00");
+      ("a 34-bit exponent", n, "\x02\x00\x00\x00\x01");
+      ("an even modulus", last_byte_xor n 1, e65537);
+      ("a 4,104-bit modulus", wide 513, e65537) ];
+  (* The decoder takes no one-byte exponent, so e = 1 (like e = 3) never
+     reaches a verifier through key bytes; the bound refuses it anyway. *)
+  Alcotest.(check bool) "e = 1: no key" true (Rsa.public_of_bytes (encode n "\x01") = None);
+  List.iter
+    (fun (what, nb, eb) ->
+      Alcotest.(check int) (what ^ ": one verify counted") 1 (verifies what nb eb))
+    [ ("e = 257", n, "\x01\x01");
+      ("a 33-bit exponent", n, "\x01\xff\xff\xff\xff");
+      ("a 4,096-bit modulus", wide 512, "\x01\xff\xff\xff\xff") ]
+
 (* --- RSA-CRT compatibility ---
 
    The CRT fast path must be a pure optimisation: for any key the signature
@@ -1156,13 +1198,18 @@ let test_cost_domain_local () =
    least 24 B for each of the 16 blocks, past the 1536 B bound. The SHA-256
    and HMAC bounds sit several times above what the call allocates now and
    several times below what boxed Int32 words cost (38.7 KB and 10.3 KB
-   per call). A 512-bit RSA signature runs about 660 Montgomery
-   multiplications and allocates about 19 KB (45 KB while each multiply
-   built a closure), so a multiply that allocates even its scratch per
-   call fails the 64 KB bound. A seal of 1 KB under a prepared AEAD key
-   allocates about 1,426 B: the 1,072 B box it encrypts and tags in
-   place, one ChaCha20 input state, the 32-byte one-time key written
-   straight from block 0, and the Poly1305 state. An open allocates
+   per call). A 512-bit RSA signature under a generated key runs about
+   660 Montgomery multiplications and allocates about 9.4 KB: each of its
+   three exponentiations (two CRT halves and the fault check) converts
+   its operand and allocates its workspace, under constants the key
+   holds. A verify allocates about 2.1 KB. Rebuilding the constants per
+   call, one division for R^2 mod m each, made them 17.1 KB and 5.9 KB,
+   past the 12 KB and 3 KB bounds, and a multiply that boxed one 24 B
+   column sum per column would add some 270 KB to a signature. A seal of
+   1 KB under a prepared AEAD key allocates about 1,426 B: the 1,072 B
+   box it encrypts and tags in place, one ChaCha20 input state, the
+   32-byte one-time key written straight from block 0, and the Poly1305
+   state. An open allocates
    about 1,570 B, the plaintext, the nonce, the tags and the same working
    state. A second ChaCha20 input state (136 B) fails the 1,536 B and
    1,664 B bounds, and so does drawing the one-time key as a 64-byte
@@ -1186,6 +1233,7 @@ let test_cost_domain_local () =
 let test_allocation_gate () =
   if Sys.backend_type = Sys.Native then begin
     let rsa_key = key in
+    let rsa_sig = Rsa.sign rsa_key "allocation gate" in
     let kb = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
     let key = String.make 32 'k' and nonce = String.make 12 'n' in
     let prepared = Aead.prepare key and mac_key = Hmac.prepare key in
@@ -1205,7 +1253,10 @@ let test_allocation_gate () =
         ("Aead.seal_prepared 1 KB", 1536, fun () -> Aead.seal_prepared prepared ~nonce kb);
         ("Aead.open_prepared 1 KB", 1664,
          fun () -> Result.get_ok (Aead.open_prepared prepared box));
-        ("Rsa.sign 512-bit", 65536, fun () -> Rsa.sign rsa_key "allocation gate") ];
+        ("Rsa.sign 512-bit", 12288, fun () -> Rsa.sign rsa_key "allocation gate");
+        ("Rsa.verify 512-bit", 3072,
+         fun () ->
+           Bool.to_string (Rsa.verify rsa_key.Rsa.pub ~msg:"allocation gate" ~signature:rsa_sig)) ];
     Alcotest.(check (float 0.)) "Rsa.public_to_bytes: B per call" 0.
       (Testkit.alloc_bytes_per_call (fun () -> Rsa.public_to_bytes rsa_key.Rsa.pub))
   end
@@ -1249,6 +1300,7 @@ let () =
           ("public key encoding", `Slow, test_rsa_pub_encoding);
           ("public key encoding is linear", `Quick, test_rsa_pub_encoding_linear);
           ("public key bytes take one shape", `Quick, test_rsa_pub_encoding_exact);
+          ("verify refuses keys outside its bounds", `Quick, test_rsa_verify_bounds);
           ("crt byte-identical", `Slow, test_rsa_crt_byte_identical);
           ("crt fault guard", `Slow, test_rsa_crt_fault_guard);
           ("crt unguarded fault rejected", `Slow, test_rsa_crt_unguarded_fault_rejected);

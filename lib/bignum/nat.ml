@@ -306,7 +306,16 @@ let mod_pow_naive b e m =
    B < 2n*4^w <= 2^63. The width is the widest of 29, 28, 27 and 26 bits
    that meets this bound: 29 bits up to 15 limbs (435-bit moduli), 28 up
    to 63 (1,764 bits), 27 up to 255 (6,885 bits) and 26 up to 1,023
-   (26,598 bits). Wider moduli take [mod_pow_naive]. *)
+   (26,598 bits). Wider moduli take [mod_pow_naive].
+
+   The squaring walks the same columns, but a column's x-products come
+   in symmetric pairs x_i*x_(k-i) = x_(k-i)*x_i, so it sums each pair
+   once, i < k-i, and adds that sum twice, with the square x_(k/2)^2 of
+   an even column once; it pairs the quotient products q_i*m_(k-i) and
+   q_(k-i)*m_i in the same iteration. A column thus adds exactly the
+   products the multiply adds for y = x, all non-negative, so every
+   partial sum is at most the multiply's column total and the bound B,
+   and the width rule above holds for it unchanged. *)
 
 let mont_width bits =
   let rec pick w =
@@ -343,6 +352,26 @@ let of_width ~width a =
   let bits = if !top < 0 then 0 else (!top * width) + int_bits a.(!top) in
   repack ~from:width ~into:limb_bits ((bits + limb_bits - 1) / limb_bits) a
 
+(* The last column of a Montgomery product: its carry c gives the top
+   limb of dst, which is then below 2m, and one conditional subtraction
+   brings it below m. *)
+let mont_finish ~width m dst c =
+  let n = Array.length m in
+  let mask = (1 lsl width) - 1 in
+  dst.(n - 1) <- c land mask;
+  let i = ref (n - 1) in
+  while !i >= 0 && dst.(!i) = m.(!i) do
+    decr i
+  done;
+  if c lsr width <> 0 || !i < 0 || dst.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = dst.(j) - m.(j) - !borrow in
+      dst.(j) <- d land mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+
 (* dst <- x * y / R mod m, with R = 2^(w n) and m' = -m^{-1} mod 2^w.
    x, y, dst and the quotient q are n-limb arrays, x and y below
    m; dst may alias x or y, because column n+k writes limb k and later
@@ -378,20 +407,73 @@ let mont_mul ~width ~neg_inv m q x y dst =
     dst.(k - n) <- !s land mask;
     c := !s lsr width
   done;
-  dst.(n - 1) <- !c land mask;
-  (* One conditional subtraction brings the result below m. *)
-  let i = ref (n - 1) in
-  while !i >= 0 && dst.(!i) = m.(!i) do
-    decr i
+  mont_finish ~width m dst !c
+
+(* dst <- x^2 / R mod m: [mont_mul] with y = x, each symmetric pair of a
+   column summed once. Column k sums the pairs (i, k-i), i < k-i, in two
+   accumulators: x_i*x_(k-i) in [a], added twice, and
+   q_i*m_(k-i) + q_(k-i)*m_i in [s]; an even column adds
+   x_(k/2)^2 + q_(k/2)*m_(k/2) once. In columns 0..n-1 the pair (0, k)
+   leaves out q_k*m_0, which is added once q_k is fixed, as in
+   [mont_mul]. dst may alias x: column n+k writes limb k, and later
+   columns read only limbs above k (x_0 and m_0 are read once, before
+   column n). With the widths checked once, no access past them needs
+   a bounds check. *)
+let mont_sqr ~width ~neg_inv m q x dst =
+  let n = Array.length m in
+  if Array.length x <> n || Array.length dst <> n || Array.length q <> n then
+    invalid_arg "Nat.mod_pow: Montgomery operand width";
+  let mask = (1 lsl width) - 1 in
+  let x0 = x.(0) and m0 = m.(0) in
+  let s0 = x0 * x0 in
+  let q0 = s0 * neg_inv land mask in
+  q.(0) <- q0;
+  let c = ref ((s0 + (q0 * m0)) lsr width) in
+  for k = 1 to n - 1 do
+    let a = ref (x0 * Array.unsafe_get x k) in
+    let s = ref (!c + (q0 * Array.unsafe_get m k)) in
+    for i = 1 to (k - 1) lsr 1 do
+      a := !a + (Array.unsafe_get x i * Array.unsafe_get x (k - i));
+      s :=
+        !s
+        + (Array.unsafe_get q i * Array.unsafe_get m (k - i))
+        + (Array.unsafe_get q (k - i) * Array.unsafe_get m i)
+    done;
+    let s = !s + (!a lsl 1) in
+    let s =
+      if k land 1 = 0 then
+        let h = k lsr 1 in
+        s
+        + (Array.unsafe_get x h * Array.unsafe_get x h)
+        + (Array.unsafe_get q h * Array.unsafe_get m h)
+      else s
+    in
+    let qk = s * neg_inv land mask in
+    Array.unsafe_set q k qk;
+    c := (s + (qk * m0)) lsr width
   done;
-  if !c lsr width <> 0 || !i < 0 || dst.(!i) > m.(!i) then begin
-    let borrow = ref 0 in
-    for j = 0 to n - 1 do
-      let d = dst.(j) - m.(j) - !borrow in
-      dst.(j) <- d land mask;
-      borrow := if d < 0 then 1 else 0
-    done
-  end
+  for k = n to (2 * n) - 2 do
+    let a = ref 0 and s = ref !c in
+    for i = k - n + 1 to (k - 1) lsr 1 do
+      a := !a + (Array.unsafe_get x i * Array.unsafe_get x (k - i));
+      s :=
+        !s
+        + (Array.unsafe_get q i * Array.unsafe_get m (k - i))
+        + (Array.unsafe_get q (k - i) * Array.unsafe_get m i)
+    done;
+    let s = !s + (!a lsl 1) in
+    let s =
+      if k land 1 = 0 then
+        let h = k lsr 1 in
+        s
+        + (Array.unsafe_get x h * Array.unsafe_get x h)
+        + (Array.unsafe_get q h * Array.unsafe_get m h)
+      else s
+    in
+    Array.unsafe_set dst (k - n) (s land mask);
+    c := s lsr width
+  done;
+  mont_finish ~width m dst !c
 
 type mont = {
   modulus : t;
@@ -449,7 +531,7 @@ let mont_pow c b e =
       mmul (repack ~from:limb_bits ~into:width n b) r2 tbl.(0);
       if win > 1 then begin
         let b2 = Array.make n 0 in
-        mmul tbl.(0) tbl.(0) b2;
+        mont_sqr ~width ~neg_inv m q tbl.(0) b2;
         for i = 1 to Array.length tbl - 1 do
           mmul tbl.(i - 1) b2 tbl.(i)
         done
@@ -458,7 +540,7 @@ let mont_pow c b e =
       let i = ref (nbits - 1) and first = ref true in
       while !i >= 0 do
         if not (bit e !i) then begin
-          mmul acc acc acc;
+          mont_sqr ~width ~neg_inv m q acc acc;
           decr i
         end
         else begin
@@ -476,7 +558,7 @@ let mont_pow c b e =
           if !first then Array.blit power 0 acc 0 n
           else begin
             for _ = !l to !i do
-              mmul acc acc acc
+              mont_sqr ~width ~neg_inv m q acc acc
             done;
             mmul acc power acc
           end;

@@ -80,7 +80,13 @@ type mont
     [n < 2^(62 - 2w)]. w is the widest of 29, 28, 27 and 26 bits that
     meets that bound: 29 bits up to 15 limbs (435-bit moduli), 28 up to
     63 (1,764 bits), 27 up to 255 (6,885 bits) and 26 up to 1,023 (26,598
-    bits). Immutable once made, so one value serves several domains. *)
+    bits). A Montgomery squaring scans the same columns but sums each
+    symmetric pair x_i*x_(k-i) once and adds it twice, with the quotient
+    products q_i*m_(k-i) and q_(k-i)*m_i paired in the same step: about
+    1.5n^2 limb products where a multiply makes 2n^2. Its columns add
+    exactly the non-negative products a multiply of x by x would, so
+    they meet the same bound and the widths hold for it unchanged.
+    Immutable once made, so one value serves several domains. *)
 
 val mont : t -> mont option
 (** [mont m] is the constants of [m] when [m] is odd, above 1 and at most
@@ -92,7 +98,11 @@ val mont_pow : mont -> t -> t -> t
     [base] into w-bit limbs, raises it with a sliding window over [exp]
     (one bit for exponents of at most 20 bits, such as 65537; 2, 4 or 5
     bits for wider ones) and allocates its workspace, the table of odd
-    powers, the accumulator and the quotient limbs, per call. *)
+    powers, the accumulator and the quotient limbs, per call. Every
+    squaring, the window's and the table's b^2, goes through the
+    Montgomery squaring, which allocates nothing; the window multiplies
+    and the conversions into and out of the Montgomery domain go through
+    the multiply. *)
 
 val mod_pow_naive : t -> t -> t -> t
 (** The reference square-and-multiply with a full division per step —

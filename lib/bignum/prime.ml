@@ -45,9 +45,10 @@ let random_nat_below rand n =
   try_once ()
 
 (* One Miller–Rabin round with witness [a] against odd [n] where
-   [n - 1 = d * 2^s]. Returns [true] if [n] passes (may be prime). *)
-let mr_round n n1 d s a =
-  let x = Nat.mod_pow a d n in
+   [n - 1 = d * 2^s], raising under [n]'s Montgomery constants [c] when
+   [Nat.mont] gave them. Returns [true] if [n] passes (may be prime). *)
+let mr_round c n n1 d s a =
+  let x = match c with Some c -> Nat.mont_pow c a d | None -> Nat.mod_pow a d n in
   if Nat.equal x Nat.one || Nat.equal x n1 then true
   else begin
     let rec squares x i =
@@ -71,12 +72,13 @@ let is_probably_prime ?(rounds = 24) rand n =
         let n1 = Nat.sub n Nat.one in
         let rec split d s = if Nat.is_even d then split (Nat.shift_right d 1) (s + 1) else (d, s) in
         let d, s = split n1 0 in
+        let c = Nat.mont n in
         let rec run k =
           if k = 0 then true
           else begin
             (* Witness in [2, n-2]. *)
             let a = Nat.add (random_nat_below rand (Nat.sub n (Nat.of_int 3))) Nat.two in
-            if mr_round n n1 d s a then run (k - 1) else false
+            if mr_round c n n1 d s a then run (k - 1) else false
           end
         in
         run rounds

@@ -208,7 +208,7 @@ let public_of_bytes s =
   if len < 10 then None
   else
     let nlen = read32 0 in
-    if not (nlen <= len - 10 && canonical 4 nlen) then None
+    if not (nlen <= len - 9 && canonical 4 nlen) then None
     else
       let elen = read32 (4 + nlen) in
       if not (8 + nlen + elen = len && canonical (8 + nlen) elen) then None

@@ -70,7 +70,11 @@ val verify : public -> msg:string -> signature:string -> bool
     it, before any signature vouches for it: under a 512-bit modulus a
     64 KB exponent cost 0.43 s a verify, and a 16 KB modulus 1.2 s. Every
     key this repo makes (e = 65537, at most 1,024 bits) is inside the
-    bounds. *)
+    bounds. A small exponent such as e = 3 is safe here: [verify] builds
+    the whole expected encoding and compares it with the recovered block
+    byte for byte ({!Ct.equal_string}), so Bleichenbacher's 2006 forgery
+    on e = 3, which needs a verifier that parses the padding and ignores
+    trailing bytes, finds nothing to exploit. *)
 
 val encrypt : Drbg.t -> public -> string -> string option
 (** PKCS#1 v1.5 type-2 encryption. [None] if the message is too long for

@@ -431,6 +431,38 @@ let test_fast_path_edges () =
       if k > 1 then check (Printf.sprintf "2^%d - 2^%d + 1" (w * k) w) (low_one w (w * k)))
     [ (29, 1); (29, 9); (29, 15); (28, 16); (28, 63); (27, 66); (27, 255); (26, 265); (26, 1023);
       (29, 18); (29, 31); (28, 32); (28, 127); (27, 128); (27, 511) ];
+  (* The squaring at the same edges, and at 1, 2 and 3 limbs: one limb
+     leaves every pair loop empty, and two and three limbs give odd and
+     even columns, with and without a pair beside the square. b = m - 1
+     is -1, whose Montgomery form has every limb large; b = 2 starts the
+     accumulator small. Each is raised to an exponent of 20, 64, 256 and
+     300 bits, one per window width (1, 2, 4 and 5 bits); the exponents
+     are sparse above their low 20 bits, so nearly every step is a
+     squaring. *)
+  let exponents =
+    List.map
+      (fun bits -> N.add (N.shift_left N.one (bits - 1)) (N.of_int 0x5a5a5))
+      [ 20; 64; 256; 300 ]
+  in
+  List.iter
+    (fun (w, k) ->
+      List.iter
+        (fun (what, m) ->
+          List.iter
+            (fun (base, b) ->
+              List.iter
+                (fun e ->
+                  Alcotest.check nat
+                    (Printf.sprintf "%s, b = %s, %d-bit exponent" what base (N.bit_length e))
+                    (N.mod_pow_naive b e m) (N.mod_pow b e m))
+                exponents)
+            [ ("m - 1", N.sub m N.one); ("2", N.two) ])
+        ((Printf.sprintf "all-ones modulus, %d limbs of %d bits" k w, all_ones (w * k))
+        ::
+        (if k > 1 then [ (Printf.sprintf "2^%d - 2^%d + 1" (w * k) w, low_one w (w * k)) ]
+         else [])))
+    [ (29, 1); (29, 2); (29, 3); (29, 15); (28, 16); (28, 63); (27, 66); (27, 255); (26, 265);
+      (26, 1023) ];
   check "all-ones modulus, 26,599 bits" (all_ones 26599);
   Alcotest.(check (list bool))
     "constants for odd moduli of 3 to 26,598 bits only"

@@ -159,6 +159,40 @@ let test_replication_mirrors_state () =
   Alcotest.(check bool) "replication happened" true
     (Sim.Metrics.get (Sim.Net.metrics cw.net) "cluster.repl_applied" > 0)
 
+(* The RSA work of one cross-shard deposit, as perfbench's bank makes
+   them: the payor signs the check; the payee endorses it to its bank,
+   which endorses it on to the drawee; the drawee verifies the three
+   signatures. No key is made. Pinned for the second deposit as well as
+   the first, so a sign or verify added to every deposit shows here. *)
+let test_deposit_rsa_budget () =
+  let cw = mk_cluster ~seed:"deposit budget" [ "bank-0"; "bank-1" ] in
+  let actors = List.map (mk_actor cw) [ "alice"; "bob"; "carol"; "dave" ] in
+  let payor = List.hd actors in
+  let shard_of a = Ring.lookup cw.ring a.name in
+  let payee = List.find (fun a -> shard_of a <> shard_of payor) actors in
+  let r_payor = mk_router cw payor and r_payee = mk_router cw payee in
+  ok_or "payor" (Router.open_account r_payor ~name:payor.name);
+  ok_or "payee" (Router.open_account r_payee ~name:payee.name);
+  ok_or "mint"
+    (Shard.mint (List.assoc (shard_of payor) cw.shards) ~name:payor.name ~currency:usd 1_000);
+  let rsa (c : Crypto.Cost.t) = (c.rsa_sign, c.rsa_verify, c.rsa_keygen) in
+  let counts = Alcotest.(triple int int int) in
+  List.iter
+    (fun amount ->
+      let before = Crypto.Cost.read () in
+      let check = write_check cw payor ~payee:payee.principal ~amount in
+      let written = Crypto.Cost.read () in
+      Alcotest.(check int) "deposited" amount
+        (ok_or "deposit"
+           (Router.deposit r_payee ~endorser_key:payee.rsa ~check ~to_account:payee.name));
+      let after = Crypto.Cost.read () in
+      Alcotest.check counts "the check: one sign" (1, 0, 0)
+        (rsa (Crypto.Cost.diff ~before ~after:written));
+      Alcotest.check counts "the deposit: two endorsements signed, three signatures verified"
+        (2, 3, 0)
+        (rsa (Crypto.Cost.diff ~before:written ~after)))
+    [ 25; 40 ]
+
 (* A tap rewrites the credit in the primary's first replication ship
    from 10 usd into 1,000,010 usd. The authenticator covers the shipped
    payload, so the standby refuses the ship; the primary keeps the
@@ -628,6 +662,7 @@ let () =
           ("random op mix through one shard", `Slow, test_random_ops_through_shard);
           ("a rewritten ship is refused", `Slow, test_rewritten_ship_refused);
           ("a re-shipped batch applies once", `Slow, test_lost_ack_applies_once) ] );
+      ("deposit", [ ("a cross-shard deposit's RSA work", `Quick, test_deposit_rsa_budget) ]);
       ( "failover",
         [ ("exactly-once across a mid-reply crash", `Slow, test_failover_exactly_once);
           ("a counting observer keeps replication", `Quick,

@@ -829,8 +829,8 @@ let test_rsa_pub_encoding_linear () =
    BoringSSL's bounds (an odd n of at most 4,096 bits, an odd e with
    3 <= e < 2^33) before any exponentiation, and counts no verify. The
    64 KB exponent cost about 0.4 s a verify before the bounds. Keys inside
-   them, up to a 4,096-bit modulus with a 33-bit exponent, count one
-   verify each, as before. *)
+   them, from e = 3 up to a 4,096-bit modulus with a 33-bit exponent,
+   count one verify each. *)
 let test_rsa_verify_bounds () =
   let be32 k = String.init 4 (fun i -> Char.chr ((k lsr (8 * (3 - i))) land 0xff)) in
   let encode n e = String.concat "" [ be32 (String.length n); n; be32 (String.length e); e ] in
@@ -855,14 +855,23 @@ let test_rsa_verify_bounds () =
       ("an even exponent", n, "\x01\x00\x00");
       ("a 34-bit exponent", n, "\x02\x00\x00\x00\x01");
       ("an even modulus", last_byte_xor n 1, e65537);
-      ("a 4,104-bit modulus", wide 513, e65537) ];
-  (* The decoder takes no one-byte exponent, so e = 1 (like e = 3) never
-     reaches a verifier through key bytes; the bound refuses it anyway. *)
-  Alcotest.(check bool) "e = 1: no key" true (Rsa.public_of_bytes (encode n "\x01") = None);
+      ("a 4,104-bit modulus", wide 513, e65537);
+      ("e = 1", n, "\x01") ];
+  (* One-byte exponents decode: e = 3 and e = 17 are inside the bounds,
+     and their keys keep the bytes they arrived as. *)
+  List.iter
+    (fun eb ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "e = %d: decoded and re-encoded" (Char.code eb.[0]))
+        (Some (encode n eb))
+        (Option.map Rsa.public_to_bytes (Rsa.public_of_bytes (encode n eb))))
+    [ "\x03"; "\x11" ];
   List.iter
     (fun (what, nb, eb) ->
       Alcotest.(check int) (what ^ ": one verify counted") 1 (verifies what nb eb))
-    [ ("e = 257", n, "\x01\x01");
+    [ ("e = 3", n, "\x03");
+      ("e = 17", n, "\x11");
+      ("e = 257", n, "\x01\x01");
       ("a 33-bit exponent", n, "\x01\xff\xff\xff\xff");
       ("a 4,096-bit modulus", wide 512, "\x01\xff\xff\xff\xff") ]
 

@@ -25,8 +25,11 @@ echo "== tests =="
 # Also runs every examples/*.exe and diffs its stdout against the
 # committed .expected transcript (examples/dune); a failing example fails
 # here. So do `proxykit selftest` and `proxykit inspect` on three
-# committed corpus values (test/cli/dune).
-dune runtest
+# committed corpus values (test/cli/dune). The suite takes 20-25 s on a
+# 2-vCPU host; ten times that fails the step, so a test that hangs (a
+# broken kernel once made keygen loop forever) fails CI instead of
+# stalling it.
+timeout 240 dune runtest
 
 echo "== AEAD vectors from an independent implementation =="
 # test/aead_vectors.py rebuilds the boxes test_crypto opens and reseals

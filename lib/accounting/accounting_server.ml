@@ -494,23 +494,19 @@ let change_of_wire v =
   | L [ S "drawn"; S key; I total ] -> Ok (Drawn (key, total))
   | _ -> Error "replication: malformed change"
 
-(* Standby side of replication: apply the primary's changes in the order
-   they happened, without re-running any handler. An opened account also
-   gets the ACL entry the primary's handler installed. *)
-let apply_replicated t changes =
-  let now = Sim.Net.now t.net in
-  let apply = function
-    | Ledger op ->
-        (match op with
-        | Ledger.Op_open (owner, name) ->
-            Acl.add (Guard.acl t.guard) ~target:name
-              { Acl.subject = Acl.Principal_is owner; rights = [ "debit" ]; restrictions = [] }
-        | _ -> ());
-        Result.map_error (Printf.sprintf "replica diverged: %s") (Ledger.apply t.ledger op)
-    | Guard c -> Ok (Guard.apply_change t.guard ~now c)
-    | Drawn (key, total) -> Ok (set_drawn t key total)
-  in
-  List.fold_left (fun acc c -> Result.bind acc (fun () -> apply c)) (Ok ()) changes
+(* Standby side of replication: apply one of the primary's changes,
+   without re-running any handler. An opened account also gets the ACL
+   entry the primary's handler installed. *)
+let apply_replicated t = function
+  | Ledger op ->
+      (match op with
+      | Ledger.Op_open (owner, name) ->
+          Acl.add (Guard.acl t.guard) ~target:name
+            { Acl.subject = Acl.Principal_is owner; rights = [ "debit" ]; restrictions = [] }
+      | _ -> ());
+      Result.map_error (Printf.sprintf "replica diverged: %s") (Ledger.apply t.ledger op)
+  | Guard c -> Ok (Guard.apply_change t.guard ~now:(Sim.Net.now t.net) c)
+  | Drawn (key, total) -> Ok (set_drawn t key total)
 
 (* --- client side --- *)
 

@@ -132,14 +132,14 @@ val set_journal : t -> (change -> unit) option -> unit
 val change_to_wire : change -> Wire.t
 val change_of_wire : Wire.t -> (change, string) result
 
-val apply_replicated : t -> change list -> (unit, string) result
-(** Standby side of replication: apply the primary's changes in order,
-    without re-running any handler. An [Op_open] also installs the
-    owner's ACL entry; an accept-once record keeps the primary's expiry
-    and grantor tag, so a grantor-epoch bulletin sheds it here too;
-    progress is max-monotone and a total is overwritten, so re-applying
-    either is harmless. [Error] when a ledger op does not apply (the
-    replica diverged). *)
+val apply_replicated : t -> change -> (unit, string) result
+(** Standby side of replication: apply one of the primary's changes, in
+    journal order, without re-running any handler. An [Op_open] also
+    installs the owner's ACL entry; an accept-once record keeps the
+    primary's expiry and grantor tag, so a grantor-epoch bulletin sheds
+    it here too; progress is max-monotone and a total is overwritten, so
+    re-applying either is harmless. [Error] when a ledger op does not
+    apply (the replica diverged). *)
 
 (** {2 Client operations} — each an authenticated exchange. [creds] are the
     caller's credentials for the accounting server. [?retry] and [?via],

@@ -926,8 +926,8 @@ let a1 () =
         pressure "replay-cache" (accepted capacity) (fun table id ->
             Expiring.add table ~now:0 ~expires:max_int id ()))
       [ 1 lsl 10; 1 lsl 12; 1 lsl 14; 1 lsl 17 ]
-  @ [ pressure "response-cache" ~tag:"client" (Secure_rpc.create_cache ()) (fun cache auth_id ->
-          Secure_rpc.seed cache ~now:0 ~expires:max_int ~client:"client" ~auth_id "") ]
+  @ [ pressure "response-cache" ~tag:"client" (Secure_rpc.create_cache ()) (fun cache key ->
+          Secure_rpc.seed cache ~now:0 ~expires:max_int ~client:"client" ~key "") ]
 
 (* ------------------------------------------------------------------ *)
 (* A3: TGS proxies (Sec 6.3) vs per-server capabilities               *)

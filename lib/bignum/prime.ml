@@ -84,16 +84,20 @@ let is_probably_prime ?(rounds = 24) rand n =
         run rounds
       end
 
+(* A working kernel finds a b-bit prime in about 0.35 b odd candidates, so
+   100 b of them without one means a broken kernel: fail, do not spin. *)
 let generate ?(rounds = 24) rand bits =
   if bits < 2 then invalid_arg "Prime.generate: need at least 2 bits";
   let top = Nat.shift_left Nat.one (bits - 1) in
-  let rec attempt () =
+  let rec attempt left =
+    if left = 0 then
+      Printf.ksprintf failwith "Prime.generate: no %d-bit prime in %d candidates" bits (100 * bits);
     let r = random_nat_bits rand (bits - 1) in
     (* Force the top bit and oddness. *)
     let candidate = Nat.add top r in
     let candidate = if Nat.is_even candidate then Nat.add candidate Nat.one else candidate in
     if Nat.bit_length candidate = bits && is_probably_prime ~rounds rand candidate
     then candidate
-    else attempt ()
+    else attempt (left - 1)
   in
-  attempt ()
+  attempt (100 * bits)

@@ -16,4 +16,5 @@ val random_nat_below : rand -> Nat.t -> Nat.t
 
 val generate : ?rounds:int -> rand -> int -> Nat.t
 (** [generate r bits] returns a probable prime with exactly [bits] bits (top
-    bit set, odd). Raises [Invalid_argument] if [bits < 2]. *)
+    bit set, odd). Raises [Invalid_argument] if [bits < 2], and [Failure]
+    after [100 * bits] candidates in a row fail, as under a broken kernel. *)

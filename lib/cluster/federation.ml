@@ -403,7 +403,7 @@ let snapshot_message st snap =
          Membership.to_wire snap;
        ])
 
-let apply_message st payload =
+let apply_message ~staleness_bound_us st payload =
   let parsed =
     let open Wire in
     match Wire.decode payload with
@@ -428,6 +428,7 @@ let apply_message st payload =
             in
             let sub =
               Membership.create ~issuer:origin ~issuer_pub:pub
+                ~staleness_bound_us
                 ~now:(Sim.Net.now st.f_world.World.net) ()
             in
             st.f_sub <- Some sub;
@@ -494,7 +495,7 @@ let run_lanes ?(lanes = 3) ~domains cfg =
   let step ~epoch ~lane ~inbox =
     let st = states.(lane) in
     let next = (lane + 1) mod lanes in
-    List.iter (fun (_src, payload) -> apply_message st payload) inbox;
+    List.iter (fun (_, m) -> apply_message ~staleness_bound_us:cfg.staleness_bound_us st m) inbox;
     match epoch with
     | 0 ->
         forged_probe_lane st;
@@ -510,7 +511,7 @@ let run_lanes ?(lanes = 3) ~domains cfg =
         (* Nothing more arrives: push the replica past its bound and pin
            the fail-closed refusal. *)
         let net = st.f_world.World.net in
-        Sim.Clock.advance (Sim.Net.clock net) (Membership.default_staleness_bound_us + minute);
+        Sim.Clock.advance (Sim.Net.clock net) (cfg.staleness_bound_us + minute);
         (match st.f_sub with
         | None -> logf st "no replica to staleness-check"
         | Some sub -> (

@@ -99,9 +99,7 @@ let run cfg =
   let endpoints = Drive.ok_or "warm" (Router.mesh shards) in
   (* -- actors -- *)
   let mk_actor name =
-    let principal, _ = World.enrol w name in
-    let rsa = Crypto.Rsa.generate drbg ~bits:512 in
-    Directory.add_public w.World.dir principal rsa.Crypto.Rsa.pub;
+    let principal, _, rsa = World.enrol_pk w name in
     { name; principal; rsa }
   in
   let router_for actor =

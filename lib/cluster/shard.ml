@@ -9,23 +9,23 @@
    shard is honoured by either replica, and a client that fails over
    re-sends the *same* request bytes to the standby.
 
-   Replication is replay-log shipping: the primary's accounting server
-   journals every change to the state a replica mirrors (ledger
-   primitives, accept-once records, sequence progress, grant totals) as
-   one ordered list, and [on_handled] — which fires after the handler and
-   the response-cache insert but *before* the reply is transmitted — ships
-   the pending changes, together with the request's authenticator digest,
-   client and sealed reply, to the standby over an ordinary authenticated
+   Replication is replay-log shipping from one ordered journal: the
+   changes the primary's accounting server makes to the state a replica
+   mirrors (ledger primitives, accept-once records, sequence progress,
+   grant totals), each request's followed by its sealed reply. [on_handled]
+   — which fires after the handler and the response-cache insert but
+   *before* the reply is transmitted — journals the reply and ships the
+   unshipped entries to the standby over an ordinary authenticated
    Secure_rpc exchange. Ordering gives the guarantee: any reply a client
    ever saw was already replicated, so the standby can answer that
    client's retransmission from its seeded response cache without
    executing the request a second time.
 
-   Each change applies once at the standby. The journal numbers its
-   changes, a batch names the position of its first, and the standby
+   Each entry applies once at the standby. The journal numbers its
+   entries, a batch names the position of its first, and the standby
    answers with how many it has applied. A ship whose answer was lost is
    shipped again from the same position, and the standby skips the
-   changes it already holds.
+   entries it already holds.
 
    The standby refuses fresh work ("standby: not primary") until it either
    observes the primary down or has already promoted itself; promotion is
@@ -37,6 +37,12 @@ type replica = {
   cache : Secure_rpc.cache;
 }
 
+(* A journal entry: a change, or a sealed reply under its response-cache
+   key and its client's tag. *)
+type entry =
+  | Change of Accounting_server.change
+  | Reply of { key : string; client : string; expires : int; reply : string }
+
 type t = {
   net : Sim.Net.t;
   logical : Principal.t;
@@ -45,19 +51,28 @@ type t = {
   standby : replica;
   repl_creds : Ticket.credentials;
   repl_retry : Sim.Retry.policy option;
-  mutable changes : Accounting_server.change list;  (* unshipped, newest first *)
-  mutable replies : (string * string * int * string) list;
-      (* unshipped (auth_id, client, expires, sealed reply), newest first *)
+  mutable unshipped : entry list;  (* newest first *)
   mutable acked : int;
       (* the standby's journal position by its last answer: the position
-         of the oldest unshipped change *)
-  mutable applied : int;  (* journal changes the standby has applied *)
+         of the oldest unshipped entry *)
+  mutable applied : int;  (* journal entries the standby has applied *)
   mutable promoted : bool;
 }
 
 let ( let* ) = Result.bind
 
-let journal t c = t.changes <- c :: t.changes
+let journal t c = t.unshipped <- Change c :: t.unshipped
+
+(* The journal's one codec. *)
+let entry_to_wire = function
+  | Change c -> Accounting_server.change_to_wire c
+  | Reply r ->
+      Wire.L [ Wire.S "reply"; Wire.S r.key; Wire.S r.client; Wire.I r.expires; Wire.S r.reply ]
+
+let entry_of_wire = function
+  | Wire.L [ Wire.S "reply"; Wire.S key; Wire.S client; Wire.I expires; Wire.S reply ] ->
+      Ok (Reply { key; client; expires; reply })
+  | v -> Result.map (fun c -> Change c) (Accounting_server.change_of_wire v)
 
 let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
     ?revocation_authority ?staleness_bound_us ~primary_node ~standby_node () =
@@ -95,8 +110,7 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
                   cache = Secure_rpc.create_cache () };
       repl_creds;
       repl_retry;
-      changes = [];
-      replies = [];
+      unshipped = [];
       acked = 0;
       applied = 0;
       promoted = false;
@@ -117,26 +131,19 @@ let primary_down t = Sim.Net.is_down t.net t.primary.node
 let authoritative t =
   if t.promoted || primary_down t then t.standby.server else t.primary.server
 
-(* Ship every unshipped change and reply record in ONE replication
-   exchange, with the journal position of the first change. On failure both
-   are put back so the next handled request re-ships them, under a fresh
-   authenticator, from the same position: the standby may have applied
-   them and lost only its answer, so it skips the changes below its own
-   position and applies each change exactly once (a *retransmission* of
-   the same bulk dedups on the standby's own response cache instead). *)
+(* Ship every unshipped entry in ONE replication exchange, with the
+   journal position of the first. On failure they are put back so the
+   next handled request re-ships them, under a fresh authenticator, from
+   the same position: the standby may have applied them and lost only its
+   answer, so it skips the entries below its own position and applies
+   each exactly once (a *retransmission* of the same bulk dedups on the
+   standby's own response cache instead). *)
 let ship_now t =
-  let changes = List.rev t.changes and replies = List.rev t.replies in
-  t.changes <- [];
-  t.replies <- [];
+  let shipped = t.unshipped in
+  t.unshipped <- [];
+  let entries = List.rev shipped in
   let payload =
-    Wire.L
-      [ Wire.S "x-replicate-bulk";
-        Wire.I t.acked;
-        Wire.L
-          (List.map
-             (fun (a, c, e, r) -> Wire.L [ Wire.S a; Wire.S c; Wire.I e; Wire.S r ])
-             replies);
-        Wire.L (List.map Accounting_server.change_to_wire changes) ]
+    Wire.L [ Wire.S "x-replicate-bulk"; Wire.I t.acked; Wire.L (List.map entry_to_wire entries) ]
   in
   let metrics = Sim.Net.metrics t.net in
   match
@@ -145,13 +152,15 @@ let ship_now t =
   with
   | Ok (Wire.I position) ->
       t.acked <- position;
+      let replies =
+        List.fold_left (fun n -> function Reply _ -> n + 1 | Change _ -> n) 0 entries
+      in
       Sim.Metrics.incr metrics "cluster.repl_shipped";
-      Sim.Metrics.add metrics "cluster.repl_ops_shipped" (List.length changes);
-      Sim.Metrics.add metrics "cluster.repl_replies_shipped" (List.length replies)
+      Sim.Metrics.add metrics "cluster.repl_ops_shipped" (List.length entries - replies);
+      Sim.Metrics.add metrics "cluster.repl_replies_shipped" replies
   | Ok _ | Error _ ->
       Sim.Metrics.incr metrics "cluster.repl_failures";
-      t.changes <- t.changes @ List.rev changes;
-      t.replies <- t.replies @ List.rev replies
+      t.unshipped <- t.unshipped @ shipped
 
 (* Per-handled-request replication, fired by [on_handled] after the
    handler ran and the reply is cached but before it is transmitted, so
@@ -165,47 +174,47 @@ let ship_now t =
    - a pipelined [Secure_rpc.call_batch] request journals all its items'
      changes under ONE authenticator/reply, so they ride one ship instead
      of one per item. *)
-let ship t ~auth_id ~client ~expires ~reply =
-  if t.changes = [] && t.replies = [] then
-    Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_read_skips"
+let ship t ~key ~client ~expires ~reply =
+  if t.unshipped = [] then Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_read_skips"
   else begin
-    t.replies <- (auth_id, client, expires, reply) :: t.replies;
+    t.unshipped <- Reply { key; client; expires; reply } :: t.unshipped;
     ship_now t
   end
 
-let apply_replication t ctx ~first ~replies ~changes =
+(* The standby applies a batch's entries in journal order, skipping those
+   below its position (applied before an answer was lost): a change to
+   its accounting server, a reply to its response cache, tagged by client
+   as on the primary, so an eviction here raises only that client's
+   floor. *)
+let apply_replication t ctx ~first entries =
   if not (Principal.equal ctx.Secure_rpc.rpc_client t.logical) then
     Error "replication: caller is not this shard"
   else if first > t.applied then Error "replication: journal gap"
   else
-    let* replies =
-      Wire.map_all
-        (function
-          | Wire.L [ Wire.S auth_id; Wire.S client; Wire.I expires; Wire.S reply ] ->
-              Ok (auth_id, client, expires, reply)
-          | _ -> Error "replication: malformed reply record")
-        replies
-    in
-    let* changes = Wire.map_all Accounting_server.change_of_wire changes in
-    let fresh = List.filteri (fun i _ -> first + i >= t.applied) changes in
-    let* () = Accounting_server.apply_replicated t.standby.server fresh in
-    t.applied <- t.applied + List.length fresh;
+    let* entries = Wire.map_all entry_of_wire entries in
+    let fresh = List.filteri (fun i _ -> first + i >= t.applied) entries in
     let now = Sim.Net.now t.net in
-    (* Tagged by client as on the primary: an eviction here raises only
-       that client's floor. *)
-    List.iter
-      (fun (auth_id, client, expires, reply) ->
-        Secure_rpc.seed t.standby.cache ~now ~expires ~client ~auth_id reply)
-      replies;
-    Sim.Metrics.incr (Sim.Net.metrics t.net) "cluster.repl_applied";
-    Sim.Metrics.add (Sim.Net.metrics t.net) "cluster.repl_replies_seeded"
-      (List.length replies);
+    let metrics = Sim.Net.metrics t.net in
+    let apply acc entry =
+      let* () = acc in
+      let* () =
+        match entry with
+        | Change c -> Accounting_server.apply_replicated t.standby.server c
+        | Reply r ->
+            Secure_rpc.seed t.standby.cache ~now ~expires:r.expires ~client:r.client ~key:r.key
+              r.reply;
+            Ok (Sim.Metrics.incr metrics "cluster.repl_replies_seeded")
+      in
+      Ok (t.applied <- t.applied + 1)
+    in
+    let* () = List.fold_left apply (Ok ()) fresh in
+    Sim.Metrics.incr metrics "cluster.repl_applied";
     Ok (Wire.I t.applied)
 
 let standby_handle t ctx payload =
   match payload with
-  | Wire.L [ Wire.S "x-replicate-bulk"; Wire.I first; Wire.L replies; Wire.L changes ] ->
-      apply_replication t ctx ~first ~replies ~changes
+  | Wire.L [ Wire.S "x-replicate-bulk"; Wire.I first; Wire.L entries ] ->
+      apply_replication t ctx ~first entries
   | _ -> (
       let* request = Accounting_server.request_of_wire payload in
       match request with
@@ -227,7 +236,7 @@ let standby_handle t ctx payload =
 let install t =
   Secure_rpc.serve t.net ~me:t.logical ~my_key:t.key ~node:t.primary.node
     ~cache:t.primary.cache
-    ~on_handled:(fun ~auth_id ~client ~expires ~reply -> ship t ~auth_id ~client ~expires ~reply)
+    ~on_handled:(ship t)
     (fun ctx payload ->
       Result.bind (Accounting_server.request_of_wire payload)
         (Accounting_server.handle t.primary.server ctx));

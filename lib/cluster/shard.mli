@@ -2,19 +2,21 @@
     one logical identity and long-term key.
 
     Failover ordering guarantees (see DESIGN.md §12):
-    - the standby learns the primary's state from one ordered list of
+    - the standby learns the primary's state from one ordered journal of
       {!Accounting_server.change}s (ledger primitives, accept-once records
       with their expiry and grantor tag, sequence progress, grant totals),
-      fed by the primary's {!Accounting_server.set_journal} hook;
+      fed by the primary's {!Accounting_server.set_journal} hook, each
+      request's changes followed by its sealed reply;
     - replication ships {e before} the primary's reply is transmitted, so
       every reply a client saw is already at the standby;
-    - each change applies once: a batch carries the journal position of
-      its first change, the standby applies only the changes past its
+    - each entry applies once: a batch carries the journal position of
+      its first entry, the standby applies only the entries past its
       own position and answers with that position, which the primary
       records as the start of its next batch;
-    - the standby's response cache is seeded with the primary's sealed
-      replies, so a failed-over retransmission is answered without a second
-      execution (exactly-once across replicas);
+    - the standby's response cache is seeded with those replies, keyed by
+      ticket and authenticator tag as at the primary, so a failed-over
+      retransmission is answered without a second execution
+      (exactly-once across replicas) and no other session reads them;
     - the standby refuses fresh work until it observes the primary down,
       and promotion is sticky thereafter. *)
 
@@ -39,9 +41,9 @@ val create :
     and [standby_node] are their distinct physical network names.
     [repl_retry] governs the primary->standby replication exchange.
 
-    Every request that changed state ships its pending changes and sealed
-    reply in one ["x-replicate-bulk"] exchange before the reply is
-    released (["cluster.repl_ops_shipped"] counts the changes).
+    Every request that changed state ships its pending entries, its
+    sealed reply last, in one ["x-replicate-bulk"] exchange before the
+    reply is released (["cluster.repl_ops_shipped"] counts the changes).
     Requests that changed nothing (reads) skip shipping entirely —
     re-executing one on a failed-over retransmission is idempotent
     (["cluster.repl_read_skips"]). Pipelined batches

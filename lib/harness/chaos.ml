@@ -48,17 +48,13 @@ let run cfg =
   let net = w.World.net in
   let drbg = Sim.Net.drbg net in
   let mk_actor name =
-    let principal, _ = World.enrol w name in
-    let rsa = Crypto.Rsa.generate drbg ~bits:512 in
-    Directory.add_public w.World.dir principal rsa.Crypto.Rsa.pub;
+    let principal, _, rsa = World.enrol_pk w name in
     { name; principal; rsa }
   in
   let retry = Sim.Retry.policy ~retries:cfg.retries ~timeout_us:cfg.timeout_us () in
   let paid = Drive.tally () in
   let mk_bank name =
-    let p, key = World.enrol w name in
-    let rsa = Crypto.Rsa.generate drbg ~bits:512 in
-    Directory.add_public w.World.dir p rsa.Crypto.Rsa.pub;
+    let p, key, rsa = World.enrol_pk w name in
     let b =
       Drive.ok_or name
         (Accounting_server.create net ~me:p ~my_key:key ~kdc:w.World.kdc_name

@@ -2,17 +2,16 @@ type t = {
   net : Sim.Net.t;
   name : Principal.t;
   directory : Directory.t;
-  require_preauth : bool;
   cross_keys : (string, string) Hashtbl.t; (* peer realm -> inter-realm key *)
 }
 
 let lifetime_us = 8 * 3600 * 1_000_000
 
-let create net ~name ~directory ?(require_preauth = false) () =
+let create net ~name ~directory () =
   (match Directory.symmetric directory name with
   | Some _ -> ()
   | None -> invalid_arg "Kdc.create: KDC key not registered in directory");
-  { net; name; directory; require_preauth; cross_keys = Hashtbl.create 4 }
+  { net; name; directory; cross_keys = Hashtbl.create 4 }
 
 let add_cross_realm t ~peer_realm ~key = Hashtbl.replace t.cross_keys peer_realm key
 
@@ -122,12 +121,11 @@ let issue t ~client ~service ~auth_data ~expires ~nonce ~reply_key ~reply_ad =
            (Principal.to_string client) (Principal.to_string service) (List.length auth_data));
       ok [ Wire.S blob; Wire.S sealed ]
 
-(* Pre-authentication (the PA-ENC-TIMESTAMP analogue): a fresh timestamp
-   sealed under the client's long-term key, proving the requester knows the
-   key before the KDC issues anything. *)
+(* Pre-authentication (the PA-ENC-TIMESTAMP analogue), always required: a
+   fresh timestamp sealed under the client's long-term key, proving the
+   requester knows the key before the KDC seals anything under it. *)
 let check_preauth t ~client_key blob =
-  if blob = "" then
-    if t.require_preauth then Error "as: pre-authentication required" else Ok ()
+  if blob = "" then Error "as: pre-authentication required"
   else
     match Crypto.Aead.open_ ~key:client_key ~ad:"preauth" blob with
     | Error `Malformed -> Error "as: malformed pre-authentication"
@@ -312,8 +310,7 @@ module Client = struct
     let exchange () =
       let nonce = fresh_nonce_int net in
       let preauth =
-        (* A malformed local key cannot pre-authenticate; send nothing and let
-           the KDC decide (it will refuse when preauth is required). *)
+        (* A malformed local key cannot pre-authenticate: the KDC refuses. *)
         if String.length client_key <> 32 then ""
         else
           Crypto.Aead.seal ~key:client_key ~ad:"preauth" ~nonce:(Sim.Net.fresh_nonce net)

@@ -18,19 +18,14 @@
 
 type t
 
-val create :
-  Sim.Net.t ->
-  name:Principal.t ->
-  directory:Directory.t ->
-  ?require_preauth:bool ->
-  unit ->
-  t
+val create : Sim.Net.t -> name:Principal.t -> directory:Directory.t -> unit -> t
 (** The KDC's own long-term key must already be registered in [directory]
     under [name]; raises [Invalid_argument] otherwise. Tickets live 8
     simulated hours; the clock skew tolerance is {!Ticket.max_skew_us}.
-    With [require_preauth] the AS refuses requests that do not prove
-    knowledge of the client key with a fresh sealed timestamp (stops the
-    offline-guessing oracle); the bundled client always pre-authenticates. *)
+    The AS refuses a request that does not prove knowledge of the client
+    key with a fresh sealed timestamp (["as: pre-authentication
+    required"] when it carries none), so it is no offline-guessing
+    oracle; the bundled client always pre-authenticates. *)
 
 val install : t -> unit
 (** Register the request handler on the network under the KDC's own

@@ -17,51 +17,43 @@ let status_of_wire = function
   | Wire.L [ Wire.S "err"; Wire.S msg ] -> Error msg
   | _ -> Error "response: malformed status"
 
-(* Response cache over authenticator tags: within the freshness window an
-   identical authenticator is a retransmission (or a replay), and the
-   handler must not run again — accept-once restrictions, check-number
-   redemption, and ledger mutations fire exactly once under at-least-once
-   delivery. What the server remembers is what the handler decided: its
-   reply or its refusal, with the digest of the ticket it answered over.
-   A duplicate under that ticket gets that outcome wrapped in its status
-   and sealed again under the session key, with a fresh nonce: the
-   plaintext first sent, useless to an eavesdropping replayer, and
-   exactly what a retrying legitimate client needs. A reply is the
-   handler's own value, so a read's reply points at the stored bytes
-   rather than holding a sealed copy of them. Whoever holds a session key
-   can steer an authenticator's Poly1305 tag onto another session's
-   entry, so a hit under another ticket is refused: an outcome is sealed
-   only for the session it answered. An {!Expiring} table whose entries
-   are tagged by the ticket's client, boxed once per held ticket
-   ([Ticket.opened]'s [client_tag]): when full, expired entries are
-   purged; if every entry is still live, the soonest-to-expire reply is
-   dropped, "rpc.cache_evictions" ticks and its client's floor rises, so
-   that authenticator is refused rather than run again. Only that
-   client's floor moves, and it moves in the client's own timestamps, so
-   one client's flood never refuses another's fresh requests. The key is
-   the authenticator's AEAD tag: the payload is its associated data, so
-   the tag names the authenticator and the request together, and [serve]
-   has checked it before the lookup.
+(* Response cache: within the freshness window an identical
+   authenticator is a retransmission (or a replay), and the handler must
+   not run again — accept-once restrictions, check-number redemption, and
+   ledger mutations fire exactly once under at-least-once delivery. The
+   server remembers what the handler decided, its reply or its refusal,
+   and seals it again in its status for a duplicate, under the session
+   key with a fresh nonce: the plaintext first sent, useless to an
+   eavesdropping replayer. A reply is the handler's own value, so a
+   read's reply points at the stored bytes, not at a sealed copy.
 
-   The cache is a first-class value so a standby replica can hold one and
-   have it seeded by replication: a client that fails over after the
-   primary executed its request but died before answering gets the
-   original sealed reply from the standby instead of a second execution.
-   A standby is not shipped the ticket a reply was sealed under, so it
-   cannot open the reply, and a replication payload is authenticated but
-   not encrypted, so it is seeded with the sealed bytes and returns them
-   verbatim. *)
-type entry =
-  | Answered of { ticket : string; reply : Wire.t }
-  | Refused of { ticket : string; error : string }
-  | Seeded of string
+   The key is the ticket's [session_id] (16 bytes of its digest, taken
+   once per held ticket), then the authenticator's 16-byte AEAD tag,
+   which covers the payload and which [serve] has checked before the
+   lookup. Whoever holds a session key can steer a Poly1305 tag onto
+   another session's, but not the ticket half, so a hit is always the
+   session's own.
+
+   An {!Expiring} table, each entry tagged by the ticket's client
+   ([Ticket.opened]'s [client_tag]): when full, expired entries are
+   purged, then the soonest-to-expire live reply is dropped,
+   "rpc.cache_evictions" ticks and that client's floor alone rises, in
+   its own timestamps, so the evicted authenticator is refused rather
+   than run again and no other client's fresh request is.
+
+   A standby's cache is seeded by replication under the same key with the
+   sealed reply its primary sent, returned verbatim (it holds no ticket
+   to open it under, and a replication payload is authenticated but not
+   encrypted): a client that fails over after the primary ran its request
+   gets that reply, not a second execution. *)
+type entry = Answered of Wire.t | Refused of string | Seeded of string
 
 type cache = entry Expiring.t
 
 let create_cache ?(capacity = 4096) () = Expiring.create ~capacity ()
 
-let seed cache ~now ~expires ~client ~auth_id reply =
-  Expiring.add cache ~now ~expires ~tag:client auth_id (Seeded reply)
+let seed cache ~now ~expires ~client ~key reply =
+  Expiring.add cache ~now ~expires ~tag:client key (Seeded reply)
 
 (* The trace context an envelope may carry: ids only. *)
 let ctx_to_wire c = Wire.L [ Wire.S c.Sim.Span.ctx_trace; Wire.S c.Sim.Span.ctx_span ]
@@ -112,7 +104,7 @@ let serve net ~me ~my_key ?node ?cache ?on_handled handler =
           Ticket.open_held tickets ~now ~tally:(Sim.Metrics.incr metrics) ticket_blob
         with
         | Error e -> err e
-        | Ok { Ticket.ticket; session; digest; client_tag } ->
+        | Ok { Ticket.ticket; session; digest; session_id; client_tag } ->
             if not (Principal.equal ticket.Ticket.service me) then
               err "ticket is for a different service"
             else if ticket.Ticket.expires <= now then err "ticket expired"
@@ -126,7 +118,7 @@ let serve net ~me ~my_key ?node ?cache ?on_handled handler =
                   auth_blob
               with
               | Error e -> err e
-              | Ok (auth, auth_id) ->
+              | Ok (auth, auth_tag) ->
                   if not (Principal.equal auth.Ticket.auth_client ticket.Ticket.client) then
                     err "authenticator does not match ticket"
                   else if abs (auth.Ticket.timestamp - now) > Ticket.max_skew_us then
@@ -139,15 +131,14 @@ let serve net ~me ~my_key ?node ?cache ?on_handled handler =
                        and a client whose timestamps only increase never
                        reaches its own floor. *)
                     let expires = auth.Ticket.timestamp + 1 + Ticket.max_skew_us in
-                    match Expiring.lookup cache ~now ~expires ?tag:client_tag auth_id with
-                    | Expiring.Live (Answered a) when String.equal a.ticket digest ->
+                    let key = session_id ^ auth_tag in
+                    match Expiring.lookup cache ~now ~expires ?tag:client_tag key with
+                    | Expiring.Live (Answered reply) ->
                         Sim.Metrics.incr metrics "rpc.dedup";
-                        seal session (Ok a.reply)
-                    | Expiring.Live (Refused r) when String.equal r.ticket digest ->
+                        seal session (Ok reply)
+                    | Expiring.Live (Refused error) ->
                         Sim.Metrics.incr metrics "rpc.dedup";
-                        seal session (Error r.error)
-                    | Expiring.Live (Answered _ | Refused _) ->
-                        err "authenticator tag belongs to another session: not answered"
+                        seal session (Error error)
                     | Expiring.Live (Seeded reply) ->
                         Sim.Metrics.incr metrics "rpc.dedup";
                         reply
@@ -185,17 +176,15 @@ let serve net ~me ~my_key ?node ?cache ?on_handled handler =
                         in
                         let sealed = seal session outcome in
                         Expiring.add ?on_evict:count_eviction cache ~now ~expires ?tag:client_tag
-                          auth_id
-                          (match outcome with
-                          | Ok reply -> Answered { ticket = digest; reply }
-                          | Error error -> Refused { ticket = digest; error });
+                          key
+                          (match outcome with Ok reply -> Answered reply | Error e -> Refused e);
                         (* The handler really ran (not a cache hit): feed the
                            replication hook the sealed reply, so a standby
                            can answer this client's retransmissions with
                            the very bytes it was sent. *)
                         (match on_handled with
                         | Some f ->
-                            f ~auth_id ~client:(Option.get client_tag) ~expires ~reply:sealed
+                            f ~key ~client:(Option.get client_tag) ~expires ~reply:sealed
                         | None -> ());
                         sealed
                   end

@@ -17,11 +17,11 @@
     the replication a shard primary ships to its standby.
 
     A server remembers each request it handled, until its authenticator
-    goes stale, by the handler's outcome (its reply or its refusal) and
-    the ticket it answered over, and answers a retransmission under that
-    ticket by sealing the outcome again, in the status it was first
-    sealed in: the handler runs once per request however often it is
-    re-sent, and every answer carries the same plaintext. *)
+    goes stale, by the handler's outcome (its reply or its refusal),
+    under a key that names the ticket and the request together, and
+    answers a retransmission by sealing the outcome again, in the status
+    it was first sealed in: the handler runs once per request however
+    often it is re-sent, and every answer carries the same plaintext. *)
 
 type server_context = {
   rpc_client : Principal.t;  (** authenticated identity of the caller *)
@@ -37,39 +37,38 @@ type entry
 (** What a response cache remembers about one handled request. At the
     server that ran the handler, the handler's outcome, without the
     ok/err status it is sealed in: its reply (the handler's own value: a
-    read's reply points at the stored bytes) or its refusal, with the
-    {!Ticket.digest} of the ticket it answered over; at a standby, the
-    sealed reply its primary shipped ({!seed}). Only this module builds
-    one. *)
+    read's reply points at the stored bytes) or its refusal; at a
+    standby, the sealed reply its primary shipped ({!seed}). Only this
+    module builds one. *)
 
 type cache = entry Expiring.t
-(** A response cache: authenticator tag -> {!entry}, a first-class value
-    so shard replicas can share or seed one another's. Each entry is
-    tagged ({!Expiring.add}) with [Principal.to_string] of the ticket's
-    client, boxed once per held ticket ({!Ticket.opened}'s
-    [client_tag]), so evicting it raises that client's floor alone. The
-    key is the authenticator's AEAD tag, which covers the payload, so one
-    key names the authenticator and the request together, and primary
-    and standby derive the same one. *)
+(** A response cache: request key -> {!entry}, a first-class value so
+    shard replicas can share or seed one another's. A key is the ticket's
+    {!Ticket.opened} [session_id], then the authenticator's 16-byte AEAD
+    tag, which covers the payload: it names the session and the request
+    together, and primary and standby derive the same one. Each entry is
+    tagged ({!Expiring.add}) with the client's name, boxed once per held
+    ticket ({!Ticket.opened}'s [client_tag]), so evicting it raises that
+    client's floor alone. *)
 
 val create_cache : ?capacity:int -> unit -> cache
 (** Default capacity 4096; at capacity, expired entries are purged, then
     the soonest-to-expire live entry is evicted. *)
 
-val seed :
-  cache -> now:int -> expires:int -> client:string -> auth_id:string -> string -> unit
-(** [seed cache ~now ~expires ~client ~auth_id reply] remembers the sealed
-    [reply] a primary sent for the request whose authenticator tag is
-    [auth_id] ({!serve}'s [on_handled] feed, shipped by replication), under
-    the [client] tag, until [expires]; the cache then answers that
-    request's retransmission with [reply], byte for byte, without running
-    the handler. A standby is seeded with sealed bytes because it is not
-    shipped the ticket they were sealed under, so it cannot open them,
-    and because a replication payload is authenticated but not
-    encrypted: shipping bodies would put replies on the wire in the
-    clear. Re-seeding a live key updates it in place and evicts nothing,
-    so a re-shipped batch cannot push out another live reply; an eviction
-    ticks no metric (the counter is the served traffic's). *)
+val seed : cache -> now:int -> expires:int -> client:string -> key:string -> string -> unit
+(** [seed cache ~now ~expires ~client ~key reply] remembers the sealed
+    [reply] a primary sent for the request whose cache key is [key]
+    ({!serve}'s [on_handled] feed, shipped by replication), under the
+    [client] tag, until [expires]; the cache then answers that request's
+    retransmission with [reply], byte for byte, without running the
+    handler. A request over another ticket has another key, so it never
+    reads a seeded reply, whatever its authenticator's tag. A standby is
+    seeded with sealed bytes because it is not shipped the ticket they
+    were sealed under, so it cannot open them, and because a replication
+    payload is authenticated but not encrypted: shipping bodies would put
+    replies on the wire in the clear. Re-seeding a live key updates it in
+    place and evicts nothing; an eviction ticks no metric (the counter is
+    the served traffic's). *)
 
 val serve :
   Sim.Net.t ->
@@ -77,7 +76,7 @@ val serve :
   my_key:string ->
   ?node:string ->
   ?cache:cache ->
-  ?on_handled:(auth_id:string -> client:string -> expires:int -> reply:string -> unit) ->
+  ?on_handled:(key:string -> client:string -> expires:int -> reply:string -> unit) ->
   (server_context -> Wire.t -> (Wire.t, string) result) ->
   unit
 (** Register the service on the network. The handler sees only authenticated
@@ -91,18 +90,18 @@ val serve :
     again, in its status, under the session key with a fresh nonce (one
     more ["crypto.seal"]; ["rpc.dedup"] ticks), giving exactly-once handler
     execution under at-least-once delivery. (A replayer gains nothing: the
-    reply is sealed under the session key.) A cached outcome is sealed only
-    under the ticket it answered: an authenticator from another ticket
-    whose tag equals a cached one (a Poly1305 tag can be steered by whoever
-    holds the key it is made under) is refused, ["authenticator tag belongs
-    to another session: not answered"], and runs no handler. If capacity
-    pressure evicted that response while live, the repeat reads as
-    forgotten ({!Expiring.lookup} under its client's tag, with expiry
+    reply is sealed under the session key.) If capacity pressure evicted
+    that response while live, the repeat reads as forgotten
+    ({!Expiring.lookup} under its client's tag, with expiry
     [timestamp + 1 + Ticket.max_skew_us]) and is refused before the
     handler: at most once, never twice. That floor is the client's own,
     in its own timestamps: no other client's flood refuses its fresh
     requests, and if its timestamps only increase, however far its clock
-    lags, it is refused only a repeat of an evicted request.
+    lags, it is refused only a repeat of an evicted request. The cache
+    key names the ticket as well as the authenticator's tag, so a request
+    over another ticket whose tag equals a cached one (whoever holds a
+    session key can steer a Poly1305 tag) misses and runs as its
+    sender's.
 
     [my_key] is held as a {!Ticket.holder}, once per [serve]: the key is
     prepared once, and each ticket blob is opened and its session key
@@ -113,8 +112,8 @@ val serve :
     misaddressed or expired ticket is refused as if opened afresh. The
     session key serves both the authenticator open and the reply seal,
     which {!call} opens under [cred_session]. A [my_key] that is not 32
-    bytes opens nothing:
-    every request is answered ["ticket: seal verification failed"].
+    bytes opens nothing: every request is answered ["ticket: seal
+    verification failed"].
 
     [node] is the network registration name (default: the service
     principal). Shard replicas register the {e same} logical identity [me]
@@ -132,9 +131,10 @@ val serve :
     ticks nothing: the counter is the served traffic's).
 
     [on_handled] fires after each request the handler {e actually ran}
-    (cache hits excluded) with the authenticator tag, the client tag the
+    (cache hits excluded) with the request's cache key, the client tag the
     reply is cached under, the cache expiry, and the sealed reply bytes
-    sent — the feed a primary ships to its standby, which {!seed}s them. *)
+    sent — the feed a primary journals for its standby, which {!seed}s
+    them. *)
 
 val call :
   Sim.Net.t ->

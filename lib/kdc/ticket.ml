@@ -41,6 +41,7 @@ type opened = {
   ticket : body;
   session : Crypto.Aead.key Lazy.t;
   digest : string;
+  session_id : string;
   client_tag : string option;
 }
 type holder = { service_key : Crypto.Aead.key; opened : opened Expiring.t }
@@ -59,11 +60,13 @@ let open_held h ~now ~tally blob =
       tally "crypto.open";
       Result.map
         (fun ticket ->
+          let digest = digest blob in
           let o =
             {
               ticket;
               session = lazy (Crypto.Aead.prepare ticket.session_key);
-              digest = digest blob;
+              digest;
+              session_id = String.sub digest 0 16;
               client_tag = Some (Principal.to_string ticket.client);
             }
           in

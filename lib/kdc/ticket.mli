@@ -47,6 +47,9 @@ type opened = {
           and opens under it prepares it once per ticket, one that never
           does prepares nothing *)
   digest : string;  (** {!digest} of the blob, computed once per held ticket *)
+  session_id : string;
+      (** [digest]'s first 16 bytes, taken once per held ticket: the half of
+          each [Secure_rpc] response-cache key that names the session *)
   client_tag : string option;
       (** [Some] of [Principal.to_string ticket.client], made once per held
           ticket: the tag [Secure_rpc] files each of this client's replies

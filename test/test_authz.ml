@@ -467,49 +467,13 @@ let test_secure_rpc_cache_keeps_bodies () =
         true (words <= 24.))
     [ 2_048; 16_384 ]
 
-(* The authenticator request a client holding [creds] would send at
-   [timestamp], with its Poly1305 tag steered onto [target] ({!W.steer_ad}):
-   its payload is a string whose 16 free bytes are chosen for that. *)
-let steered_request w ~creds ~timestamp target =
-  let session = creds.Ticket.cred_session in
-  let auth =
-    { Ticket.auth_client = creds.Ticket.cred_client; timestamp; subkey = None; auth_data = [] }
-  in
-  (* The authenticator's associated data is this label, then the payload. *)
-  let label = "authenticator" in
-  let ad = label ^ Wire.encode (Wire.S (String.make 48 '-')) in
-  let rec attempt tries =
-    let nonce = Sim.Net.fresh_nonce w.W.net in
-    let box = Ticket.seal_authenticator ~session_key:session ~nonce auth in
-    let ciphertext =
-      String.sub box Crypto.Aead.overhead (String.length box - Crypto.Aead.overhead)
-    in
-    match W.steer_ad ~key:creds.Ticket.session_key ~nonce ~ad ~at:32 ~ciphertext target with
-    | None when tries < 32 -> attempt (tries + 1)
-    | None -> Alcotest.fail "no nonce steered the tag"
-    | Some ad ->
-        let payload = String.sub ad (String.length label) (String.length ad - String.length label) in
-        let blob = Ticket.seal_authenticator ~session_key:session ~nonce ~covers:payload auth in
-        Alcotest.(check bool) "the tag is steered" true (String.equal (Crypto.Aead.tag blob) target);
-        Wire.encode
-          (Wire.L [ Wire.S "secure"; Wire.S creds.Ticket.ticket_blob; Wire.S blob; Wire.S payload ])
-  in
-  attempt 0
-
-let auth_tag raw =
-  match Wire.decode raw with
-  | Ok (Wire.L (Wire.S "secure" :: _ :: Wire.S auth :: _)) -> Crypto.Aead.tag auth
-  | _ -> Alcotest.fail "not a request"
-
 (* Mallory holds her own session key, so she can steer the tag of an
-   authenticator she seals onto the tag of alice's request, which keys
-   alice's cached reply. The cache finds alice's entry and refuses: a
-   body is sealed only under the ticket it answered. Before or after
-   alice's retransmission, mallory's request is refused and runs no
-   handler, and alice's retransmission still gets her own reply. Sent
-   first, mallory's request is her own and runs as hers; alice's, with
-   the same tag, is then refused, not handed mallory's reply. *)
-let test_secure_rpc_steered_tag_refused () =
+   authenticator she seals onto the tag of alice's request ({!W.steer_ad}).
+   The response cache keys a request by its ticket as well as its tag, so
+   mallory's request misses alice's entry, whichever comes first: it runs
+   once, as hers, and gets her own reply, and alice's request runs once,
+   its retransmission answered with alice's reply. *)
+let test_secure_rpc_steered_tag_misses () =
   let scenario order =
     let w = world () in
     let alice, _ = W.enrol w "alice" and mallory, _ = W.enrol w "mallory" in
@@ -517,47 +481,47 @@ let test_secure_rpc_steered_tag_refused () =
     let runs = ref [] in
     Secure_rpc.serve w.W.net ~me:svc ~my_key:svc_key (fun ctx payload ->
         let client = Principal.to_string ctx.Secure_rpc.rpc_client in
-        runs := (client, payload) :: !runs;
+        runs := client :: !runs;
         Ok (Wire.L [ Wire.S client; payload ]));
     let alice_creds = W.credentials_for w ~tgt:(W.login w alice) svc in
     let mallory_creds = W.credentials_for w ~tgt:(W.login w mallory) svc in
     let raw = stamped_request w ~creds:alice_creds ~timestamp:(W.now w) (Wire.S "alice's") in
-    let forged = steered_request w ~creds:mallory_creds ~timestamp:(W.now w) (auth_tag raw) in
-    (* A sealed answer fails the test, saying whether its sender can read it. *)
-    let refused label ~creds raw =
-      match Sim.Net.rpc w.W.net ~src:"client" ~dst:(Principal.to_string svc) raw with
-      | Error e -> Alcotest.fail e
-      | Ok reply -> (
-          match Wire.decode reply with
-          | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) ->
-              Alcotest.(check string) label
-                "authenticator tag belongs to another session: not answered" e
-          | Ok (Wire.L [ Wire.S "sealed"; Wire.S box ]) ->
-              Alcotest.failf "%s: answered, %s" label
-                (match
-                   Crypto.Aead.open_prepared creds.Ticket.cred_session ~ad:"secure-rpc-resp" box
-                 with
-                | Ok plaintext -> "and its sender opened " ^ String.escaped plaintext
-                | Error _ -> "under a key its sender does not hold")
-          | _ -> Alcotest.fail "malformed reply")
+    let forged =
+      W.steered_request w.W.net ~creds:mallory_creds ~timestamp:(W.now w)
+        ~payload:(fun free -> Wire.S free) (W.auth_tag raw)
     in
-    let alice_runs = [ (Principal.to_string alice, Wire.S "alice's") ] in
-    match order with
+    (* The client a reply names, opened under its sender's key. *)
+    let answered_for ~creds raw =
+      match Wire.decode (fst (sealed_reply w ~svc ~creds raw)) with
+      | Ok (Wire.L [ Wire.S "ok"; Wire.L [ Wire.S client; _ ] ]) -> client
+      | _ -> Alcotest.fail "not a reply"
+    in
+    let alice_sends label =
+      Alcotest.(check string) label (Principal.to_string alice)
+        (answered_for ~creds:alice_creds raw)
+    in
+    let mallory_sends () =
+      Alcotest.(check string) "mallory gets her own reply" (Principal.to_string mallory)
+        (answered_for ~creds:mallory_creds forged)
+    in
+    (match order with
     | `Forged_first ->
-        ignore (sealed_reply w ~svc ~creds:mallory_creds forged);
-        refused "alice's request after mallory's" ~creds:alice_creds raw;
-        Alcotest.(check bool) "the handler ran once, as mallory's" true
-          (match !runs with [ (client, _) ] -> client = Principal.to_string mallory | _ -> false)
-    | (`Forged_before_retransmission | `Forged_after_retransmission) as order ->
-        let first, _ = sealed_reply w ~svc ~creds:alice_creds raw in
-        let retransmit () =
-          let again, _ = sealed_reply w ~svc ~creds:alice_creds raw in
-          Alcotest.(check string) "alice's retransmission gets her reply" first again
-        in
-        if order = `Forged_after_retransmission then retransmit ();
-        refused "the forged request" ~creds:mallory_creds forged;
-        if order = `Forged_before_retransmission then retransmit ();
-        Alcotest.(check bool) "the handler ran once, for alice" true (!runs = alice_runs)
+        mallory_sends ();
+        alice_sends "alice's request after mallory's gets her reply";
+        alice_sends "and so does its retransmission"
+    | `Forged_before_retransmission ->
+        alice_sends "alice's request gets her reply";
+        mallory_sends ();
+        alice_sends "and so does its retransmission"
+    | `Forged_after_retransmission ->
+        alice_sends "alice's request gets her reply";
+        alice_sends "and so does its retransmission";
+        mallory_sends ());
+    Alcotest.(check (list string)) "the handler ran once for each sender"
+      [ Principal.to_string alice; Principal.to_string mallory ]
+      (List.sort String.compare !runs);
+    Alcotest.(check int) "the retransmission answered from the cache" 1
+      (Sim.Metrics.get (Sim.Net.metrics w.W.net) "rpc.dedup")
   in
   List.iter scenario [ `Forged_before_retransmission; `Forged_after_retransmission; `Forged_first ]
 
@@ -1686,7 +1650,7 @@ let () =
           ("a refusal is sealed again", `Quick, test_secure_rpc_refusal_sealed_again);
           ("a full cache keeps bodies, not sealed copies", `Quick,
            test_secure_rpc_cache_keeps_bodies);
-          ("a steered tag is refused", `Quick, test_secure_rpc_steered_tag_refused) ] );
+          ("a steered tag misses", `Quick, test_secure_rpc_steered_tag_misses) ] );
       ( "guard+capabilities",
         [ ("direct identity", `Quick, test_guard_direct_identity);
           ("a later ACL entry grants when the first refuses", `Quick, test_later_acl_entry_grants);

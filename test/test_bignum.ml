@@ -151,6 +151,15 @@ let test_prime_generation () =
   Alcotest.(check bool) "probably prime" true
     (Bignum.Prime.is_probably_prime ~rounds:16 test_rand p)
 
+(* A byte source of zeros makes every candidate 2^(b-1) + 1, which 3
+   divides for even b, so no prime is found: generation gives up after
+   100 b candidates, naming the size, rather than looping. *)
+let test_prime_generation_gives_up () =
+  let zeros n = String.make n '\000' in
+  Alcotest.check_raises "no prime"
+    (Failure "Prime.generate: no 64-bit prime in 6400 candidates")
+    (fun () -> ignore (Bignum.Prime.generate zeros 64))
+
 let test_random_below () =
   let bound = N.of_int 1000 in
   for _ = 1 to 50 do
@@ -535,6 +544,7 @@ let suite =
     ("known primes", `Quick, test_primes_known);
     ("trial division below 2^16", `Quick, test_trial_division_small);
     ("prime generation", `Slow, test_prime_generation);
+    ("prime generation gives up", `Quick, test_prime_generation_gives_up);
     ("random below", `Quick, test_random_below) ]
   @ List.map (fun (n, s, f) -> (n, s, f)) props
 

@@ -81,9 +81,7 @@ let mk_cluster ?revocation_authority ~seed ids =
   { w; net; ring = Ring.create ids; shards; endpoints }
 
 let mk_actor cw name =
-  let principal, _ = World.enrol cw.w name in
-  let rsa = Crypto.Rsa.generate (Sim.Net.drbg cw.net) ~bits:512 in
-  Directory.add_public cw.w.World.dir principal rsa.Crypto.Rsa.pub;
+  let principal, _, rsa = World.enrol_pk cw.w name in
   { name; principal; rsa }
 
 let mk_router cw actor =
@@ -234,11 +232,12 @@ let test_rewritten_ship_refused () =
 
 (* Every response from the standby is dropped during a transfer of 10:
    the standby applied the ship, but the primary never hears so, puts the
-   changes back and ships them again with the next transfer, under a new
-   authenticator. Each batch carries the journal position of its first
-   change and the standby applies only what is past its own position, so
-   the transfer applies once there too: after the primary crashes, the
-   promoted standby reads the primary's figures. *)
+   transfer's changes and reply back and ships them again with the next
+   transfer, under a new authenticator. Each batch carries the journal
+   position of its first entry and the standby applies only what is past
+   its own position, so the transfer applies once there too and its reply
+   is seeded once: after the primary crashes, the promoted standby reads
+   the primary's figures. *)
 let test_lost_ack_applies_once () =
   let cw = mk_cluster ~seed:"repl-lost-ack" [ "bank-0" ] in
   let alice = mk_actor cw "alice" and bob = mk_actor cw "bob" in
@@ -259,6 +258,8 @@ let test_lost_ack_applies_once () =
   Alcotest.(check bool) "the ship failed" true
     (Sim.Metrics.get (Sim.Net.metrics cw.net) "cluster.repl_failures" > 0);
   transfer 1;
+  Alcotest.(check int) "one reply seeded per request that changed state" 4
+    (Sim.Metrics.get (Sim.Net.metrics cw.net) "cluster.repl_replies_seeded");
   let primary = Accounting_server.ledger (Shard.primary_server shard) in
   Alcotest.(check (pair int int)) "the primary's balances" (989, 11)
     ( Ledger.balance primary ~name:alice.name ~currency:usd,
@@ -499,6 +500,55 @@ let test_failover_evicted_seed_refused () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "alice debited once" 990 (alice_balance shard alice)
 
+(* Mallory steers her authenticator's tag onto that of alice's transfer,
+   whose reply the standby holds, and sends her request straight to the
+   standby while the primary is up. The standby keys the seeded reply by
+   alice's ticket as well as its tag, so mallory's request misses it and
+   meets the promotion gate: she is refused, under her own session key,
+   while alice's own retransmission still gets her sealed reply. *)
+let test_standby_steered_tag_refused () =
+  let cw, shard, alice, shop, _ = one_shard_bank ~seed:"standby steer" () in
+  let mallory = mk_actor cw "mallory" in
+  let primary = Shard.primary_node shard in
+  let alice_node = Principal.to_string alice.principal in
+  let request = ref None and reply = ref None in
+  Sim.Net.set_tap cw.net (fun ~dir ~src ~dst payload ->
+      (match dir with
+      | `Request when src = alice_node && dst = primary -> request := Some payload
+      | `Response when src = primary && dst = alice_node -> reply := Some payload
+      | _ -> ());
+      Sim.Net.Deliver);
+  ok_or "transfer"
+    (Router.transfer (mk_router cw alice) ~from_:alice.name ~to_:shop.name ~currency:usd
+       ~amount:10);
+  Sim.Net.clear_tap cw.net;
+  let standby = Shard.standby_node shard in
+  Alcotest.(check bool) "alice's retransmission gets her sealed reply at the standby" true
+    (Result.to_option (Sim.Net.rpc cw.net ~src:alice_node ~dst:standby (Option.get !request))
+    = !reply);
+  let creds =
+    World.credentials_for cw.w ~tgt:(World.login cw.w mallory.principal) (Shard.logical shard)
+  in
+  let forged =
+    Testkit.steered_request cw.net ~creds ~timestamp:(World.now cw.w)
+      ~payload:(fun free -> Wire.L [ Wire.S "open-account"; Wire.S free ])
+      (Testkit.auth_tag (Option.get !request))
+  in
+  (match Sim.Net.rpc cw.net ~src:"mallory" ~dst:standby forged with
+  | Error e -> Alcotest.fail e
+  | Ok answer -> (
+      if Some answer = !reply then Alcotest.fail "the standby answered with alice's sealed reply";
+      match Wire.decode answer with
+      | Ok (Wire.L [ Wire.S "sealed"; Wire.S box ]) ->
+          Alcotest.(check (result string string)) "refused under mallory's session"
+            (Ok (Wire.encode (Wire.L [ Wire.S "err"; Wire.S "standby: not primary" ])))
+            (Result.map_error
+               (fun _ -> "does not open under mallory's key")
+               (Crypto.Aead.open_prepared creds.Ticket.cred_session ~ad:"secure-rpc-resp" box))
+      | _ -> Alcotest.fail "malformed answer"));
+  Alcotest.(check bool) "the standby is not promoted" false (Shard.promoted shard);
+  Alcotest.(check int) "alice debited once" 990 (alice_balance shard alice)
+
 (* --- the full scenario --- *)
 
 let test_scenario_conservation_and_determinism () =
@@ -671,8 +721,8 @@ let () =
           ("an accept-once draw survives", `Quick, test_failover_keeps_accept_once);
           ("a bulletin sheds on both replicas", `Quick, test_bulletin_sheds_on_both_replicas);
           ("seq counts each failover once", `Quick, test_seq_failovers_counted_once);
-          ("an evicted seed is refused, not re-run", `Slow, test_failover_evicted_seed_refused)
-        ] );
+          ("an evicted seed is refused, not re-run", `Slow, test_failover_evicted_seed_refused);
+          ("a steered tag at the standby is refused", `Quick, test_standby_steered_tag_refused) ] );
       ( "scenario",
         [ ("conservation + determinism under crash", `Slow,
            test_scenario_conservation_and_determinism) ] );

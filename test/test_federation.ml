@@ -635,6 +635,27 @@ let test_membership_fail_closed_when_stale () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("fresh snapshot did not restore service: " ^ e)
 
+(* The federation run's lane variant gives each realm's membership
+   replica the configured staleness bound and ages it just past it:
+   every lane's stale check fails closed naming that bound. *)
+let test_lanes_honour_staleness_bound () =
+  let bound = 5 * 60 * 1_000_000 in
+  let e =
+    Cluster.Federation.lanes_entry ~domains:1
+      { Cluster.Federation.default with staleness_bound_us = bound }
+  in
+  let o = e.Drive.run () in
+  Alcotest.(check bool) "stale replicas fail closed" true
+    (List.assoc "stale replicas fail closed" o.Cluster.Federation.l_gates);
+  let lines = String.split_on_char '\n' o.Cluster.Federation.l_digest in
+  let stale = List.filter (String.starts_with ~prefix:"stale check:") lines in
+  Alcotest.(check int) "one stale check per lane" 3 (List.length stale);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (line ^ " names the bound") true
+        (contains line (Printf.sprintf "bound %dus)" bound)))
+    stale
+
 let test_lookup_by_realm_fails_closed () =
   (* Same short name enrolled in two realms with different keys: the routed
      lookup must resolve each against its own realm's directory, and an
@@ -691,4 +712,5 @@ let () =
         [ ("snapshot sign/verify/wire", `Quick, test_snapshot_sign_verify_wire);
           ("apply ordering and authenticity", `Quick, test_snapshot_apply_ordering);
           ("fail closed when stale", `Quick, test_membership_fail_closed_when_stale);
+          ("lane replicas keep the configured bound", `Quick, test_lanes_honour_staleness_bound);
           ("realm-routed key lookup fails closed", `Quick, test_lookup_by_realm_fails_closed) ] ) ]

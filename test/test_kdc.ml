@@ -260,8 +260,8 @@ let test_rewritten_target_refused () =
      = None)
 
 let test_preauth_required () =
-  (* A KDC demanding pre-authentication refuses requests that do not prove
-     knowledge of the client key up front. *)
+  (* The KDC refuses requests that do not prove knowledge of the client
+     key up front. *)
   let net = Sim.Net.create ~seed:"preauth" () in
   let dir = Directory.create () in
   let kdc_name = p "kdc" in
@@ -270,25 +270,30 @@ let test_preauth_required () =
   Directory.add_symmetric dir kdc_name (Net.fresh_key net);
   Directory.add_symmetric dir alice alice_key;
   Directory.add_symmetric dir fs (Net.fresh_key net);
-  let kdc = Kdc.create net ~name:kdc_name ~directory:dir ~require_preauth:true () in
+  let kdc = Kdc.create net ~name:kdc_name ~directory:dir () in
   Kdc.install kdc;
   (* The genuine client pre-authenticates automatically. *)
   (match Kdc.Client.authenticate net ~kdc:kdc_name ~client:alice ~client_key:alice_key ~service:fs () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  (* A raw AS request without the preauth field is refused. *)
+  (* A raw AS request without the preauth field, or with an empty one, is
+     refused. *)
   let nonce = 42 in
   let as_req preauth =
     Wire.encode
       (Kdc.request_to_wire
          (Kdc.As_req { client = alice; service = fs; nonce; auth_data = []; preauth }))
   in
-  let bare = as_req None in
-  (match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) bare with
-  | Error e -> Alcotest.fail e
-  | Ok reply ->
-      Alcotest.(check bool) "refused" true
-        (match Wire.decode reply with Ok (Wire.L [ Wire.S "err"; Wire.S _ ]) -> true | _ -> false));
+  List.iter
+    (fun (label, preauth) ->
+      match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) (as_req preauth) with
+      | Error e -> Alcotest.fail e
+      | Ok reply ->
+          Alcotest.(check bool) label true
+            (match Wire.decode reply with
+            | Ok (Wire.L [ Wire.S "err"; Wire.S "as: pre-authentication required" ]) -> true
+            | _ -> false))
+    [ ("no preauth refused", None); ("empty preauth refused", Some "") ];
   (* A stale pre-authentication timestamp is refused. *)
   let stale_preauth =
     Crypto.Aead.seal ~key:alice_key ~ad:"preauth" ~nonce:(Net.fresh_nonce net)

@@ -137,9 +137,7 @@ let test_seq_tracker_evicts_oldest_on_tie () =
 
 let test_rpc_cache_evicts_oldest_on_tie () =
   let c = Secure_rpc.create_cache ~capacity:3 () in
-  let seed auth_id =
-    Secure_rpc.seed c ~now:0 ~expires:100 ~client:"client" ~auth_id ("r-" ^ auth_id)
-  in
+  let seed key = Secure_rpc.seed c ~now:0 ~expires:100 ~client:"client" ~key ("r-" ^ key) in
   seed "a";
   seed "b";
   seed "c";
@@ -149,15 +147,12 @@ let test_rpc_cache_evicts_oldest_on_tie () =
     (fun id -> Alcotest.(check bool) (id ^ " survives") true (Expiring.mem c id))
     [ "b"; "c"; "d" ]
 
-(* A failed replication ship is re-queued whole, so the standby can be
-   seeded with a reply it already holds. Re-seeding must update it in
-   place: evicting another live reply would let that client's failed-over
-   retransmission execute twice. *)
+(* Seeding a reply the cache already holds updates it in place: evicting
+   another live reply would let that client's failed-over retransmission
+   execute twice. *)
 let test_rpc_cache_reseed_evicts_nothing () =
   let c = Secure_rpc.create_cache ~capacity:2 () in
-  let seed auth_id =
-    Secure_rpc.seed c ~now:0 ~expires:100 ~client:"client" ~auth_id ("r-" ^ auth_id)
-  in
+  let seed key = Secure_rpc.seed c ~now:0 ~expires:100 ~client:"client" ~key ("r-" ^ key) in
   seed "a";
   seed "b";
   seed "b";

@@ -164,7 +164,10 @@ echo "== allocation =="
 # (gc.alloc_bytes_per_op), from one short traced run at seed 1, and its
 # peak heap (heap_peak_mb), from one untraced run at seed 1 of the
 # benchmark's own length, 20 s of nominal work: the figures a change that
-# cuts copies or kept state reports before and after. A 2 s run's peak is
+# cuts copies or kept state reports before and after. The same untraced
+# run also gives the messages and wire bytes per op (msgs_per_op,
+# wire_bytes_per_op), the figures a change to what travels quotes; they
+# are exact, so one run shows them. A 2 s run's peak is
 # mostly its set-up's, so it cannot show what the ops keep. A short run
 # can end before perfbench has two host-speed samples, and then exits
 # with an error; the step says so and goes on. The authz-conv traced run
@@ -189,8 +192,10 @@ for wl in authz-conv authz-pk bank; do
         echo "$traced" | figure "$wl crypto.rsa512_verify_us" crypto.rsa512_verify_us 1 us
         echo "$traced" | figure "$wl crypto.rsa512_keygen_ms" crypto.rsa512_keygen_ms 1 ms
     fi
-    python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 20 --trace 0 | tail -n 1 |
-        figure "$wl" heap_peak_mb 1 "MB peak heap"
+    untraced=$(python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 20 --trace 0 | tail -n 1)
+    echo "$untraced" | figure "$wl" heap_peak_mb 1 "MB peak heap"
+    echo "$untraced" | figure "$wl" msgs_per_op 1 "messages/op"
+    echo "$untraced" | figure "$wl" wire_bytes_per_op 1 "wire B/op"
 done
 
 echo "== OK =="

@@ -112,7 +112,7 @@ let () =
   balances "hold placed";
   let verdict =
     Accounting_server.verify_certification ~lookup ~now:(Sim.Net.now w.World.net)
-      ~server:first_bank_p ~check_number:big_order.Check.number certification
+      ~server:first_bank_p ~presenter:shop ~check_number:big_order.Check.number certification
   in
   Demo.outcome "shop verifies the certification OFFLINE (no bank round-trip)" verdict;
   ignore

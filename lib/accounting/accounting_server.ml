@@ -370,10 +370,11 @@ let handle t ctx request =
             in
             let now = Sim.Net.now t.net in
             let proxy =
-              Proxy.grant_pk ~drbg:(Sim.Net.drbg t.net) ~now ~expires:(now + proxy_lifetime_us)
-                ~grantor:t.me ~grantor_key:t.signing_key
+              Proxy.grant_keyless ~drbg:(Sim.Net.drbg t.net) ~now
+                ~expires:(now + proxy_lifetime_us) ~grantor:t.me ~grantor_key:t.signing_key
                 ~restrictions:
-                  [ Restriction.Authorized
+                  [ Restriction.Grantee ([ check.Check.payee ], 1);
+                    Restriction.Authorized
                       [ { Restriction.target = "certified:" ^ check.Check.number;
                           ops = [ "verify" ] } ] ]
                 ()
@@ -580,7 +581,7 @@ let push_bulletin ?via net ~creds b =
   Result.bind (call ?via net ~creds (Apply_bulletin b)) (fun reply ->
       Result.map (fun n -> n = 1) (Wire.to_int reply))
 
-let verify_certification ~lookup ~now ~server ~check_number proxy =
+let verify_certification ~lookup ~now ~server ~presenter ~check_number proxy =
   match proxy.Proxy.flavor with
   | Proxy.Conventional _ | Proxy.Hybrid _ -> Error "certification proxy must be public-key"
   | Proxy.Public_key certs -> (
@@ -592,7 +593,7 @@ let verify_certification ~lookup ~now ~server ~check_number proxy =
           else
             let req =
               Restriction.request ~server ~time:now ~operation:"verify"
-                ~target:("certified:" ^ check_number) ()
+                ~target:("certified:" ^ check_number) ~presenters:[ presenter ] ()
             in
             Result.map ignore
               (Restriction.check_all ~held:Restriction.no_state verified.Verifier.restrictions

@@ -197,7 +197,7 @@ val certify :
   (Proxy.t, string) result
 (** Place a hold covering [check] (which the caller has drawn on its account
     at this server) and return the certification proxy asserting that funds
-    are guaranteed. *)
+    are guaranteed: a key-less grant to the check's payee. *)
 
 val cashier_check :
   Sim.Net.t ->
@@ -300,10 +300,12 @@ val verify_certification :
   lookup:(Principal.t -> Crypto.Rsa.public option) ->
   now:int ->
   server:Principal.t ->
+  presenter:Principal.t ->
   check_number:string ->
   Proxy.t ->
   (unit, string) result
 (** End-server side: check that a certification proxy really was issued by
-    [server] for [check_number] and is still valid. *)
+    [server] for [check_number], is still valid, and names [presenter]
+    (the check's payee, who presents it as itself) as its grantee. *)
 
 val escrow_account : string

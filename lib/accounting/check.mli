@@ -5,14 +5,16 @@
     payable to [S], is a public-key delegate proxy signed by [C] whose
     restrictions read: grantee [S]; accept-once (the check number); quota
     (currency, face amount — "the payee transfers up to that limit");
-    issued-for [$2]; authorized to debit [A]. An endorsement is a delegate
-    cascade step: the current holder signs an extension naming the next
-    holder, leaving the paper's audit trail. Every holder exercises the
-    check by authenticating as itself, so each certificate is key-less
-    ({!Proxy.grant_keyless}, {!Proxy.delegate_keyless}) and a check in
-    transit carries no private key. *)
+    issued-for [$2]; authorized to debit [A] ({!Standing.restrictions}). An
+    endorsement is a delegate cascade step: the current holder signs an
+    extension naming the next holder, leaving the paper's audit trail.
+    Every holder exercises the check by authenticating as itself, so each
+    certificate is key-less ({!Proxy.grant_keyless},
+    {!Proxy.delegate_keyless}) and a check in transit carries no private
+    key. A check is its signed chain: its terms are read from the head
+    certificate the payor signed. *)
 
-type t = {
+type t = private {
   number : string;  (** globally unique check number *)
   currency : string;
   amount : int;  (** face value: the transfer ceiling *)
@@ -57,10 +59,11 @@ val endorse :
 (** "dep ckno to $1" — a restricted (for-deposit) endorsement is a delegate
     proxy extension naming [next]. *)
 
+val of_proxy : Proxy.t -> (t, string) result
+(** {!Standing.read}, refusing a chain that signs no check number. *)
+
 val to_wire : t -> Wire.t
+(** The chain's presentation, no more. *)
 
 val of_wire : Wire.t -> (t, string) result
-(** Refuses a check whose [number], [currency], [amount], [payee] and
-    [drawn_on] are not exactly the restrictions {!terms} signs in the
-    chain's head certificate: the wrapper travels unsigned, and the drawee
-    debits and looks up holds by it. *)
+(** A presentation read by {!of_proxy}, held with no key material. *)

@@ -6,34 +6,48 @@ type t = {
   authority : Proxy.t;
 }
 
-let grant ~drbg ~now ~expires ~owner ~owner_key ~account ~holder ~currency ~limit () =
-  let restrictions =
-    [ Restriction.Grantee ([ holder ], 1);
-      Restriction.Quota (currency, limit);
-      Restriction.Issued_for [ account.Principal.Account.server ];
-      Restriction.Authorized
-        [ { Restriction.target = account.Principal.Account.account; ops = [ "debit" ] } ] ]
+let restrictions ~number ~holder ~(account : Principal.Account.t) ~currency ~limit =
+  (Restriction.Grantee ([ holder ], 1)
+  :: Option.to_list (Option.map (fun n -> Restriction.Accept_once n) number))
+  @ [ Restriction.Quota (currency, limit);
+      Restriction.Issued_for [ account.server ];
+      Restriction.Authorized [ { Restriction.target = account.account; ops = [ "debit" ] } ] ]
+
+(* Each pattern is one of the two shapes [restrictions] writes. *)
+let read (authority : Proxy.t) =
+  let open Restriction in
+  let terms number holder currency limit server account =
+    if limit <= 0 then Error "debit grant: non-positive amount"
+    else if account = "" then Error "debit grant: empty account name"
+    else
+      let drawn_from = Principal.Account.make ~server account in
+      Ok (number, { currency; limit; holder; drawn_from; authority })
   in
+  match authority.Proxy.flavor with
+  | Proxy.Public_key ({ Proxy_cert.pk_body = { Proxy_cert.restrictions = head; _ }; _ } :: _) -> (
+      match head with
+      | [ Grantee ([ h ], 1); Accept_once n; Quota (c, l); Issued_for [ s ];
+          Authorized [ { target; ops = [ "debit" ] } ] ] -> terms (Some n) h c l s target
+      | [ Grantee ([ h ], 1); Quota (c, l); Issued_for [ s ];
+          Authorized [ { target; ops = [ "debit" ] } ] ] -> terms None h c l s target
+      | _ -> Error "debit grant: the head certificate signs other terms")
+  | _ -> Error "debit grant: not a public-key chain"
+
+let grant ~drbg ~now ~expires ~owner ~owner_key ~account ~holder ~currency ~limit () =
+  let restrictions = restrictions ~number:None ~holder ~account ~currency ~limit in
   let authority =
     Proxy.grant_keyless ~drbg ~now ~expires ~grantor:owner ~grantor_key:owner_key ~restrictions ()
   in
   { currency; limit; holder; drawn_from = account; authority }
 
-let to_wire t =
-  Wire.L
-    [ Wire.S t.currency;
-      Wire.I t.limit;
-      Principal.to_wire t.holder;
-      Principal.Account.to_wire t.drawn_from;
-      Proxy.transfer_to_wire t.authority ]
+let of_proxy proxy =
+  match read proxy with
+  | Ok (None, t) -> Ok t
+  | Ok (Some _, _) -> Error "standing authority: a check number is signed"
+  | Error e -> Error ("standing authority: " ^ e)
+
+let to_wire t = Proxy.presentation_to_wire t.authority.Proxy.flavor
 
 let of_wire v =
-  let open Wire in
-  match v with
-  | L [ S currency; I limit; holder; drawn_from; authority ] ->
-      let* holder = Principal.of_wire holder in
-      let* drawn_from = Principal.Account.of_wire drawn_from in
-      let* authority = Proxy.transfer_of_wire authority in
-      if limit <= 0 then Error "standing authority: non-positive limit"
-      else Ok { currency; limit; holder; drawn_from; authority }
-  | _ -> Error "standing authority: malformed"
+  Result.bind (Proxy.presentation_of_wire v) (fun flavor ->
+      of_proxy { Proxy.flavor; key = Proxy.No_key })

@@ -9,15 +9,29 @@
     grantor's account repeatedly, up to a {e cumulative} ceiling the
     accounting server tracks per grant, shared by every chain derived from
     it (see {!Accounting_server.proxy_debit}). Releases return funds and
-    replenish the remaining quota. *)
+    replenish the remaining quota. An authority is its signed chain: its
+    fields are read from the head certificate the owner signed. *)
 
-type t = {
+type t = private {
   currency : string;
   limit : int;  (** cumulative ceiling *)
   holder : Principal.t;  (** the resource server allowed to draw *)
   drawn_from : Principal.Account.t;
   authority : Proxy.t;  (** the signed delegate proxy *)
 }
+
+val restrictions :
+  number:string option -> holder:Principal.t -> account:Principal.Account.t ->
+  currency:string -> limit:int -> Restriction.t list
+(** The debit-grant shape {!grant} signs, in this order: [Grantee
+    ([holder], 1)]; [Accept_once number], on a check only ({!Check});
+    [Quota (currency, limit)]; [Issued_for] the account's server;
+    [Authorized] ["debit"] on the account. *)
+
+val read : Proxy.t -> (string option * t, string) result
+(** The number and terms a public-key chain's head certificate signs,
+    when its restrictions are exactly {!restrictions} of them with a
+    positive limit; an error for any other chain. *)
 
 val grant :
   drbg:Crypto.Drbg.t ->
@@ -34,5 +48,11 @@ val grant :
 (** Sign the authority key-less: the holder draws on it by authenticating
     as itself. *)
 
+val of_proxy : Proxy.t -> (t, string) result
+(** {!read}, refusing a chain that signs a check number. *)
+
 val to_wire : t -> Wire.t
+(** The chain's presentation, no more. *)
+
 val of_wire : Wire.t -> (t, string) result
+(** A presentation read by {!of_proxy}, held with no key material. *)

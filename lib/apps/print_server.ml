@@ -62,7 +62,7 @@ let handle t payload =
             let* () =
               Accounting_server.verify_certification ~lookup:t.lookup
                 ~now:(Sim.Net.now t.net)
-                ~server:check.Check.drawn_on.Principal.Account.server
+                ~server:check.Check.drawn_on.Principal.Account.server ~presenter:t.me
                 ~check_number:check.Check.number proxy
             in
             t.pages_printed <- t.pages_printed + pages;

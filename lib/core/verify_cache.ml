@@ -127,7 +127,7 @@ let decode_cert t ~now w =
   | _ -> fresh ()
 
 (* A box too short to carry a tag never opened, so it is not looked up. *)
-let link_key blob = "L" ^ Crypto.Aead.tag blob
+let link_key blob = Crypto.Aead.tag ~prefix:"L" blob
 let has_tag blob = String.length blob >= Crypto.Aead.overhead
 
 let find_link t ~now ~sealing_key blob =

@@ -9,7 +9,10 @@ let prepare key =
 (* A box is nonce (12 bytes) ‖ tag (16) ‖ ciphertext. *)
 let overhead = 28
 
-let tag box = String.sub box 12 16
+let tag ~prefix box =
+  let k = Bytes.extend (Bytes.unsafe_of_string prefix) 0 16 in
+  Bytes.blit_string box 12 k (String.length prefix) 16;
+  Bytes.unsafe_to_string k
 
 (* Write to [dst] from [at] the tag over [ad] and [box]'s ciphertext. The
    one-time Poly1305 key is the first half of keystream block 0 of [st],
@@ -48,7 +51,7 @@ let open_prepared key ?(ad = "") box =
         let st = Chacha20.start ~key:enc ~nonce:(String.sub box 0 12) in
         let want = Bytes.create 16 in
         mac st ~ad box want 0;
-        if Ct.equal_string (Bytes.unsafe_to_string want) (tag box) then begin
+        if Ct.equal_string (Bytes.unsafe_to_string want) (tag ~prefix:"" box) then begin
           let len = String.length box - overhead in
           let plaintext = Bytes.create len in
           Chacha20.xor_into st ~counter:1 box overhead plaintext 0 len;

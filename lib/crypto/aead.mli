@@ -14,9 +14,10 @@
     tag, then the ciphertext. A seal encrypts and tags straight into it,
     and an open reads it by offset. *)
 
-val tag : string -> string
-(** The tag of a box that opened: it names the box, its associated data
-    and its key together. *)
+val tag : prefix:string -> string -> string
+(** [prefix] then the 16-byte tag of a box that opened, in one allocation:
+    the tag names the box, its associated data and its key together, so
+    it keys tables of boxes. *)
 
 val overhead : int
 (** 28: the nonce and tag a box adds to its plaintext, so the length of

@@ -144,7 +144,7 @@ type request =
       service : Principal.t;
       nonce : int;
       auth_data : Wire.t list;
-      preauth : string option;
+      preauth : string;
     }
   | Tgs_req of { tgt : string; authenticator : string; target : Principal.t; nonce : int }
 
@@ -152,19 +152,16 @@ let request_to_wire r =
   let open Wire in
   match r with
   | As_req { client; service; nonce; auth_data; preauth } ->
-      L
-        ([ S "as"; Principal.to_wire client; Principal.to_wire service; I nonce; L auth_data ]
-        @ Option.to_list (Option.map (fun p -> S p) preauth))
+      L [ S "as"; Principal.to_wire client; Principal.to_wire service; I nonce; L auth_data; S preauth ]
   | Tgs_req { tgt; authenticator; target; nonce } ->
       L [ S "tgs"; S tgt; S authenticator; Principal.to_wire target; I nonce ]
 
 let request_of_wire v =
   let open Wire in
   match v with
-  | L (S "as" :: client :: service :: I nonce :: L auth_data :: ([] | [ S _ ] as preauth)) ->
+  | L [ S "as"; client; service; I nonce; L auth_data; S preauth ] ->
       let* client = Principal.of_wire client in
       let* service = Principal.of_wire service in
-      let preauth = match preauth with [ S p ] -> Some p | _ -> None in
       Ok (As_req { client; service; nonce; auth_data; preauth })
   | L [ S "tgs"; S tgt; S authenticator; target; I nonce ] ->
       let* target = Principal.of_wire target in
@@ -184,7 +181,7 @@ let handle_as t ~client ~service ~nonce ~auth_data ~preauth =
   match Directory.symmetric t.directory client with
   | None -> err (Printf.sprintf "unknown client %s" (Principal.to_string client))
   | Some client_key -> (
-      match check_preauth t ~client_key (Option.value preauth ~default:"") with
+      match check_preauth t ~client_key preauth with
       | Error e -> err e
       | Ok () ->
           let expires = Sim.Net.now t.net + lifetime_us in
@@ -215,7 +212,7 @@ let handle_tgs t ~tgt:tgt_blob ~authenticator ~target ~nonce =
             ~covers:(tgs_covers ~target ~nonce) authenticator
         with
         | Error e -> err ("tgs: " ^ e)
-        | Ok (auth, _) ->
+        | Ok auth ->
             if not (Principal.equal auth.Ticket.auth_client tgt.Ticket.client) then
               err "tgs: authenticator client mismatch"
             else if abs (auth.Ticket.timestamp - now) > Ticket.max_skew_us then
@@ -318,7 +315,7 @@ module Client = struct
       in
       let request =
         Wire.encode
-          (request_to_wire (As_req { client; service; nonce; auth_data; preauth = Some preauth }))
+          (request_to_wire (As_req { client; service; nonce; auth_data; preauth }))
       in
       match Sim.Net.rpc net ~src:(Principal.to_string client) ~dst:(Principal.to_string kdc) request with
       | Error e -> Error e

@@ -43,7 +43,7 @@ type request =
       service : Principal.t;  (** the KDC's own name asks for a TGT *)
       nonce : int;
       auth_data : Wire.t list;
-      preauth : string option;  (** [None] omits the field; the KDC reads it as [Some ""] *)
+      preauth : string;  (** sealed timestamp; the KDC refuses [""] *)
     }
   | Tgs_req of {
       tgt : string;

@@ -118,7 +118,7 @@ let serve net ~me ~my_key ?node ?cache ?on_handled handler =
                   auth_blob
               with
               | Error e -> err e
-              | Ok (auth, auth_tag) ->
+              | Ok auth ->
                   if not (Principal.equal auth.Ticket.auth_client ticket.Ticket.client) then
                     err "authenticator does not match ticket"
                   else if abs (auth.Ticket.timestamp - now) > Ticket.max_skew_us then
@@ -131,7 +131,7 @@ let serve net ~me ~my_key ?node ?cache ?on_handled handler =
                        and a client whose timestamps only increase never
                        reaches its own floor. *)
                     let expires = auth.Ticket.timestamp + 1 + Ticket.max_skew_us in
-                    let key = session_id ^ auth_tag in
+                    let key = Crypto.Aead.tag ~prefix:session_id auth_blob in
                     match Expiring.lookup cache ~now ~expires ?tag:client_tag key with
                     | Expiring.Live (Answered reply) ->
                         Sim.Metrics.incr metrics "rpc.dedup";

@@ -110,9 +110,7 @@ let open_authenticator ~session_key ?(covers = "") blob =
   | Error `Malformed -> Error "authenticator: malformed blob"
   | Error `Bad_tag -> Error "authenticator: seal verification failed"
   | Ok plaintext ->
-      Result.map
-        (fun a -> (a, Crypto.Aead.tag blob))
-        (Result.bind (Wire.decode plaintext) authenticator_of_wire)
+      Result.bind (Wire.decode plaintext) authenticator_of_wire
 
 type credentials = {
   ticket_blob : string;

@@ -99,10 +99,10 @@ val open_authenticator :
   session_key:Crypto.Aead.key ->
   ?covers:string ->
   string ->
-  (authenticator * string, string) result
+  (authenticator, string) result
 (** Opens only under the [covers] it was sealed with; a rewritten [covers]
-    fails like a forged seal. Returns the authenticator and its AEAD tag,
-    which names the authenticator and what it covers together. *)
+    fails like a forged seal. The blob's AEAD tag ({!Crypto.Aead.tag})
+    then names the authenticator and what it covers together. *)
 
 (** Client-held credentials: the sealed ticket plus the session key. *)
 type credentials = {

@@ -63,13 +63,4 @@ module Account = struct
   let to_string t = to_string t.server ^ ":" ^ t.account
   let equal a b = equal a.server b.server && a.account = b.account
   let pp fmt t = Format.pp_print_string fmt (to_string t)
-  let to_wire t = Wire.L [ to_wire t.server; Wire.S t.account ]
-
-  let of_wire v =
-    let open Wire in
-    match v with
-    | L [ server; S account ] ->
-        let* server = of_wire server in
-        if account = "" then Error "account: empty name" else Ok { server; account }
-    | _ -> Error "account: malformed"
 end

@@ -43,6 +43,4 @@ module Account : sig
   val to_string : t -> string
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
-  val to_wire : t -> Wire.t
-  val of_wire : Wire.t -> (t, string) result
 end

@@ -444,22 +444,42 @@ let test_forged_check () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "forged signature cleared"
 
+(* [v] with every subterm equal to [from] replaced by [to_]: a tap that
+   rewrites a signed term in flight. *)
+let rec rewrite ~from ~to_ v =
+  if Wire.equal v from then to_
+  else match v with Wire.L items -> Wire.L (List.map (rewrite ~from ~to_) items) | w -> w
+
+(* A check on the wire with its signed Quota rewritten: it decodes to the
+   rewritten terms, and the drawee refuses the payor's broken signature. *)
+let rewritten_quota check ~from:(c, n) ~to_:(c', n') =
+  let w =
+    rewrite ~from:(Restriction.to_wire (Restriction.Quota (c, n)))
+      ~to_:(Restriction.to_wire (Restriction.Quota (c', n'))) (Check.to_wire check)
+  in
+  match Check.of_wire w with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
 let test_tampered_amount () =
-  (* The quota restriction in the signed certificate caps the transfer: a
-     tampered face value larger than the signed quota is refused. *)
+  (* The face value is the Quota the payor signed: a check whose signed
+     amount is raised in flight fails the payor's signature. *)
   let bw = bank_world () in
   let check = write_check bw ~amount:10 () in
-  let inflated = { check with Check.amount = 900 } in
+  let inflated = rewritten_quota check ~from:(usd, 10) ~to_:(usd, 900) in
+  Alcotest.(check int) "the inflated amount is what travels" 900 inflated.Check.amount;
   let creds = creds_for bw bw.shop bw.bank1_name in
-  match
-    Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check:inflated
-      ~to_account:"shop-till"
-  with
+  (match
+     Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check:inflated
+       ~to_account:"shop-till"
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "inflated check cleared"
+  | Ok _ -> Alcotest.fail "inflated check cleared");
+  Alcotest.(check (pair int int)) "nothing moved" (1000, 0) (balances bw)
 
-(* A check has one shape: a field appended to it, to its payee or to the
-   account it is drawn on is refused, not dropped. *)
+(* A check has one shape, its chain's presentation: a field appended to
+   it, to its certificate list or to its head certificate is refused, not
+   dropped. *)
 let test_check_trailing_field () =
   let bw = bank_world () in
   let v = Check.to_wire (write_check bw ()) in
@@ -473,12 +493,13 @@ let test_check_trailing_field () =
     (fun (where, w) ->
       Alcotest.(check bool) (where ^ " extended") false (Wire.equal v w);
       Alcotest.(check bool) (where ^ " refused") true (Result.is_error (Check.of_wire w)))
-    [ ("check", extra v); ("payee", at 3 extra v); ("drawn-on account", at 4 extra v) ]
+    [ ("check", extra v); ("certificate list", at 1 extra v);
+      ("head certificate", at 1 (at 0 extra) v) ]
 
 let test_rewritten_currency () =
-  (* The wrapper's fields travel beside the signed chain, and a Quota
-     bounds only its own currency: a 60 usd check rewritten to 900 eur must
-     not clear in eur. *)
+  (* A Quota bounds only its own currency, and the check's currency is
+     the one its payor signed: a 60 usd check rewritten in flight to 900
+     eur fails the payor's signature and clears in no currency. *)
   let bw = bank_world () in
   let eur_balance bank name =
     Ledger.balance (Accounting_server.ledger bank) ~name ~currency:"eur"
@@ -487,7 +508,8 @@ let test_rewritten_currency () =
     (Ledger.mint (Accounting_server.ledger bw.bank2) ~name:"carol-checking" ~currency:"eur"
        1000);
   let check = write_check bw ~amount:60 () in
-  let rewritten = { check with Check.currency = "eur"; amount = 900 } in
+  let rewritten = rewritten_quota check ~from:(usd, 60) ~to_:("eur", 900) in
+  Alcotest.(check string) "eur is what travels" "eur" rewritten.Check.currency;
   let creds = creds_for bw bw.shop bw.bank1_name in
   (match
      Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check:rewritten
@@ -498,6 +520,88 @@ let test_rewritten_currency () =
   Alcotest.(check int) "carol's eur untouched" 1000 (eur_balance bw.bank2 "carol-checking");
   Alcotest.(check int) "shop got no eur" 0 (eur_balance bw.bank1 "shop-till");
   Alcotest.(check (pair int int)) "usd untouched" (1000, 0) (balances bw)
+
+(* A check is its signed chain: a written, an endorsed and a cashier's
+   check each encode to their chain's presentation and nothing else, and
+   decode to the terms they were written with. *)
+let test_check_is_its_chain () =
+  let bw = bank_world () in
+  let now = W.now bw.w in
+  let carol_checking = Accounting_server.account bw.bank2 "carol-checking" in
+  let written = write_check bw ~amount:70 () in
+  let endorsed =
+    Result.get_ok
+      (Check.endorse ~drbg:(Sim.Net.drbg bw.w.W.net) ~now ~expires:(now + W.hour)
+         ~endorser:bw.shop ~endorser_key:bw.shop_rsa ~next:bw.bank1_name written)
+  in
+  let cashier =
+    Result.get_ok
+      (Accounting_server.cashier_check bw.w.W.net ~creds:(creds_for bw bw.carol bw.bank2_name)
+         ~from_account:"carol-checking" ~payee:bw.shop ~currency:usd ~amount:300)
+  in
+  let terms (c : Check.t) =
+    ( c.Check.number,
+      (c.Check.currency, c.Check.amount),
+      (Principal.to_string c.Check.payee, Principal.Account.to_string c.Check.drawn_on) )
+  in
+  let payee = Principal.to_string bw.shop in
+  List.iter
+    (fun (label, (c : Check.t), (money, names)) ->
+      let v = Check.to_wire c in
+      Alcotest.(check bool) (label ^ ": the presentation, no more") true
+        (Wire.equal v (Proxy.presentation_to_wire (Proxy.presentation c.Check.proxy)));
+      match Check.of_wire v with
+      | Ok d ->
+          Alcotest.(check (triple string (pair string int) (pair string string)))
+            (label ^ ": the terms it was written with") (c.Check.number, money, names)
+            (terms d)
+      | Error e -> Alcotest.fail (label ^ ": " ^ e))
+    [ ("written", written, ((usd, 70), (payee, Principal.Account.to_string carol_checking)));
+      ("endorsed", endorsed, ((usd, 70), (payee, Principal.Account.to_string carol_checking)));
+      ( "cashier's",
+        cashier,
+        ( (usd, 300),
+          ( payee,
+            Principal.Account.to_string
+              (Accounting_server.account bw.bank2 Accounting_server.escrow_account) ) ) ) ]
+
+(* A check's head must sign exactly the terms [Check.terms] writes: one
+   that differs from them in any one place is no check. *)
+let test_head_signs_exactly_the_terms () =
+  let bw = bank_world () in
+  let drbg = Sim.Net.drbg bw.w.W.net in
+  let now = W.now bw.w in
+  let account = Accounting_server.account bw.bank2 "carol-checking" in
+  let number, terms = Check.terms ~drbg ~account ~payee:bw.shop ~currency:usd ~amount:10 in
+  let signed restrictions =
+    Check.of_proxy
+      (Proxy.grant_keyless ~drbg ~now ~expires:(now + W.hour) ~grantor:bw.carol
+         ~grantor_key:bw.carol_rsa ~restrictions ())
+  in
+  (match signed terms with
+  | Ok c -> Alcotest.(check (pair string int)) "the terms" (number, 10) (c.Check.number, c.Check.amount)
+  | Error e -> Alcotest.fail e);
+  let grantee, once, quota, issued, debit =
+    match terms with
+    | [ g; o; q; i; d ] -> (g, o, q, i, d)
+    | _ -> Alcotest.fail "a check signs five restrictions"
+  in
+  let without r = List.filter (fun r' -> r' != r) terms in
+  List.iter
+    (fun (label, restrictions) ->
+      Alcotest.(check bool) (label ^ " refused") true (Result.is_error (signed restrictions)))
+    [ ("a restriction added", terms @ [ Restriction.Issued_for [ bw.bank1_name ] ]);
+      ("the number removed", without once);
+      ("the quota removed", without quota);
+      ("the server removed", without issued);
+      ("the debit removed", without debit);
+      ("reordered", [ grantee; quota; once; issued; debit ]);
+      ("two grantees", Restriction.Grantee ([ bw.shop; bw.carol ], 1) :: List.tl terms);
+      ( "another op",
+        [ grantee; once; quota; issued;
+          Restriction.Authorized
+            [ { Restriction.target = "carol-checking"; ops = [ "debit"; "read" ] } ] ] );
+      ("a zero amount", [ grantee; once; Restriction.Quota (usd, 0); issued; debit ]) ]
 
 let test_stolen_check () =
   (* Eve intercepts a check payable to shop and tries to deposit it into her
@@ -554,14 +658,14 @@ let test_certified_check () =
   (* The end-server (shop) verifies the certification offline. *)
   (match
      Accounting_server.verify_certification ~lookup:bw.lookup ~now:(W.now bw.w)
-       ~server:bw.bank2_name ~check_number:check.Check.number cert_proxy
+       ~server:bw.bank2_name ~presenter:bw.shop ~check_number:check.Check.number cert_proxy
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* A certification for a different check number does not verify. *)
   (match
      Accounting_server.verify_certification ~lookup:bw.lookup ~now:(W.now bw.w)
-       ~server:bw.bank2_name ~check_number:"some-other-check" cert_proxy
+       ~server:bw.bank2_name ~presenter:bw.shop ~check_number:"some-other-check" cert_proxy
    with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "certification proxy verified for the wrong check");
@@ -586,6 +690,26 @@ let test_certified_check () =
       Alcotest.(check int) "available after" 800 available;
       Alcotest.(check int) "hold consumed" 0 held
   | Error e -> Alcotest.fail e
+
+(* A certification is a key-less grant to the check's payee: certifying
+   makes no key pair, and only the payee can present the guarantee. *)
+let test_certification_names_the_payee () =
+  let bw = bank_world () in
+  let check = write_check bw ~amount:50 () in
+  let creds_c = creds_for bw bw.carol bw.bank2_name in
+  let before = Crypto.Cost.read () in
+  let cert_proxy = Result.get_ok (Accounting_server.certify bw.w.W.net ~creds:creds_c ~check) in
+  let cost = Crypto.Cost.diff ~before ~after:(Crypto.Cost.read ()) in
+  Alcotest.(check (pair int int)) "no keygen, one signature" (0, 1)
+    (cost.Crypto.Cost.rsa_keygen, cost.Crypto.Cost.rsa_sign);
+  Alcotest.(check bool) "no key material" true (cert_proxy.Proxy.key = Proxy.No_key);
+  let verify presenter =
+    Accounting_server.verify_certification ~lookup:bw.lookup ~now:(W.now bw.w)
+      ~server:bw.bank2_name ~presenter ~check_number:check.Check.number cert_proxy
+  in
+  Alcotest.(check (result unit string)) "the payee" (Ok ()) (verify bw.shop);
+  Alcotest.(check bool) "the payor refused" true (Result.is_error (verify bw.carol));
+  Alcotest.(check bool) "the payee's bank refused" true (Result.is_error (verify bw.bank1_name))
 
 let test_cashier_check () =
   let bw = bank_world () in
@@ -656,12 +780,15 @@ let () =
           ("trailing field refused", `Slow, test_check_trailing_field);
           ("rewritten currency", `Slow, test_rewritten_currency);
           ("stolen check", `Slow, test_stolen_check);
-          ("expired check", `Slow, test_expired_check) ] );
+          ("expired check", `Slow, test_expired_check);
+          ("a check is its chain", `Slow, test_check_is_its_chain);
+          ("the head signs exactly the terms", `Slow, test_head_signs_exactly_the_terms) ] );
       ( "guarantee records",
         [ ("lapsed endorsement pays once", `Slow, test_lapsed_endorsement_pays_once);
           ("flooded accept-once table pays once", `Slow, test_flood_pays_once);
           ("lapsed link re-runs no sequence", `Slow, test_lapsed_link_reruns_no_sequence) ] );
       ( "certified+cashier",
         [ ("certified check", `Slow, test_certified_check);
-          ("cashier's check", `Slow, test_cashier_check) ] );
+          ("cashier's check", `Slow, test_cashier_check);
+          ("a certification names the payee", `Slow, test_certification_names_the_payee) ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_conservation ]) ]

@@ -71,7 +71,7 @@ let test_authenticator_roundtrip () =
     Ticket.seal_authenticator ~session_key:(Crypto.Aead.prepare sk) ~nonce:(Net.fresh_nonce w.net) a
   in
   (match Ticket.open_authenticator ~session_key:(Crypto.Aead.prepare sk) blob with
-  | Ok (a', _) ->
+  | Ok a' ->
       Alcotest.(check int) "timestamp" 42 a'.Ticket.timestamp;
       Alcotest.(check bool) "subkey" true (a'.Ticket.subkey = a.Ticket.subkey)
   | Error e -> Alcotest.fail e);
@@ -81,7 +81,7 @@ let test_authenticator_roundtrip () =
       no_sub
   in
   match Ticket.open_authenticator ~session_key:(Crypto.Aead.prepare sk) blob2 with
-  | Ok (a', _) -> Alcotest.(check bool) "no subkey" true (a'.Ticket.subkey = None)
+  | Ok a' -> Alcotest.(check bool) "no subkey" true (a'.Ticket.subkey = None)
   | Error e -> Alcotest.fail e
 
 let test_as_exchange () =
@@ -276,31 +276,37 @@ let test_preauth_required () =
   (match Kdc.Client.authenticate net ~kdc:kdc_name ~client:alice ~client_key:alice_key ~service:fs () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  (* A raw AS request without the preauth field, or with an empty one, is
-     refused. *)
+  (* A raw AS request without the preauth field is malformed, and one
+     with an empty field is refused. *)
   let nonce = 42 in
   let as_req preauth =
-    Wire.encode
-      (Kdc.request_to_wire
-         (Kdc.As_req { client = alice; service = fs; nonce; auth_data = []; preauth }))
+    Kdc.request_to_wire (Kdc.As_req { client = alice; service = fs; nonce; auth_data = []; preauth })
+  in
+  let without_field =
+    match as_req "" with
+    | Wire.L items -> Wire.L (List.filteri (fun i _ -> i < List.length items - 1) items)
+    | w -> w
   in
   List.iter
-    (fun (label, preauth) ->
-      match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) (as_req preauth) with
+    (fun (label, request, expected) ->
+      match
+        Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) (Wire.encode request)
+      with
       | Error e -> Alcotest.fail e
       | Ok reply ->
           Alcotest.(check bool) label true
             (match Wire.decode reply with
-            | Ok (Wire.L [ Wire.S "err"; Wire.S "as: pre-authentication required" ]) -> true
+            | Ok (Wire.L [ Wire.S "err"; Wire.S e ]) -> e = expected
             | _ -> false))
-    [ ("no preauth refused", None); ("empty preauth refused", Some "") ];
+    [ ("no preauth refused", without_field, "as: malformed request");
+      ("empty preauth refused", as_req "", "as: pre-authentication required") ];
   (* A stale pre-authentication timestamp is refused. *)
   let stale_preauth =
     Crypto.Aead.seal ~key:alice_key ~ad:"preauth" ~nonce:(Net.fresh_nonce net)
       (Wire.encode (Wire.I (-10 * 60 * 1_000_000)))
   in
   Sim.Clock.advance (Net.clock net) (60 * 60 * 1_000_000);
-  let with_stale = as_req (Some stale_preauth) in
+  let with_stale = Wire.encode (as_req stale_preauth) in
   match Sim.Net.rpc net ~src:"mallory" ~dst:(Principal.to_string kdc_name) with_stale with
   | Error e -> Alcotest.fail e
   | Ok reply ->

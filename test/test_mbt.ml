@@ -270,6 +270,33 @@ let test_fuzz_corpus () =
   Alcotest.(check bool) "corpus committed" true (r.Mbt.Fuzz.files >= 40);
   Alcotest.(check int) "corpus replays clean" 0 (List.length r.Mbt.Fuzz.failures)
 
+(* The committed check seeds, keyed and key-less, endorsed or not, are
+   their chains alone and decode to the terms they were written with: 25
+   usd from u0's account at the bank, payable to u1, an endorsement
+   keeping its check's number. *)
+let test_check_seeds_decode_to_their_terms () =
+  let decode name =
+    let hex = In_channel.with_open_text ("fuzz_corpus/valid-" ^ name ^ ".hex") input_line in
+    match Result.bind (Result.bind (Mbt.Program.of_hex hex) Wire.decode) Check.of_wire with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+  in
+  let terms (c : Check.t) =
+    ( (c.Check.currency, c.Check.amount),
+      (Principal.to_string c.Check.payee, Principal.Account.to_string c.Check.drawn_on) )
+  in
+  List.iter
+    (fun (name, endorsed) ->
+      let c = decode name and e = decode endorsed in
+      List.iter
+        (fun (label, c) ->
+          Alcotest.(check (pair (pair string int) (pair string string)))
+            (label ^ ": the terms") (("usd", 25), ("example.org/u1", "example.org/bank:u0"))
+            (terms c))
+        [ (name, c); (endorsed, e) ];
+      Alcotest.(check string) (endorsed ^ ": the number") c.Check.number e.Check.number)
+    [ ("check", "check-endorsed"); ("check-keyless", "check-keyless-endorsed") ]
+
 (* The session negatives are refused, each for the reason its name
    gives, and the valid session they were made from is accepted. *)
 let test_binding_negatives () =
@@ -344,8 +371,8 @@ let test_request_codecs () =
       Result.map ignore (A.request_of_wire (Wire.L [ Wire.S "proxy-transfer" ]));
       Result.map ignore (A.request_of_wire (Wire.S "transfer"));
       Result.map ignore (Kdc.request_of_wire (Wire.L [ Wire.S "krb-priv" ])) ];
-  (* Every seed but "as-bare" (one more field makes it "as-preauth") has a
-     trailing-field negative, refused by the seed's own decoder. *)
+  (* Every seed has a trailing-field negative, refused by the seed's own
+     decoder. *)
   Alcotest.(check (list (pair string (result unit string))))
     "a trailing field is refused"
     [ ("principal", Error "principal: malformed");
@@ -358,20 +385,21 @@ let test_request_codecs () =
       ("presentation-conv", Error "presentation: malformed");
       ("presentation-hybrid", Error "presentation: malformed");
       ("presented", Error "presented proxy: malformed");
-      ("check", Error "check: malformed");
-      ("check-endorsed", Error "check: malformed");
+      ("check", Error "presentation: malformed");
+      ("check-endorsed", Error "presentation: malformed");
       ("rev-entry", Error "revocation entry: malformed");
       ("rev-bulletin", Error "revocation bulletin: malformed");
       ("restriction-seq", Error "sequence: malformed");
       ("membership-snapshot", Error "membership snapshot: malformed");
       ("pk-cert-keyless", Error "pk proxy-cert: malformed");
-      ("check-keyless", Error "check: malformed");
-      ("check-keyless-endorsed", Error "check: malformed");
+      ("check-keyless", Error "presentation: malformed");
+      ("check-keyless-endorsed", Error "presentation: malformed");
       ("presented-session", Error "session: malformed");
       ("acct-deposit", Error "accounting: malformed deposit request");
       ("acct-draw", Error "accounting: malformed proxy-debit request");
       ("acct-bulletin", Error "accounting: malformed apply-bulletin request");
       ("as-preauth", Error "as: malformed request");
+      ("as-bare", Error "as: malformed request");
       ("tgs-req", Error "tgs: malformed request") ]
     (List.map (fun (name, v) -> (name, snd (seed name) v)) (Mbt.Fuzz.trailing_negatives seeds))
 
@@ -481,4 +509,6 @@ let () =
           ("binding negatives refused", `Quick, test_binding_negatives);
           ("request codecs take exact shapes", `Quick, test_request_codecs);
           ("fuzz corpus regenerates", `Quick, test_fuzz_corpus_regenerates);
-          ("corpus files resolve to their seeds", `Quick, test_corpus_seed_resolution) ] ) ]
+          ("corpus files resolve to their seeds", `Quick, test_corpus_seed_resolution);
+          ("committed check seeds decode to their terms", `Quick,
+           test_check_seeds_decode_to_their_terms) ] ) ]

@@ -48,9 +48,8 @@ let test_group () =
 let test_account () =
   let a = P.Account.make ~server:alice "savings" in
   Alcotest.(check string) "global name" "isi.edu/alice:savings" (P.Account.to_string a);
-  match P.Account.of_wire (P.Account.to_wire a) with
-  | Ok a' -> Alcotest.(check bool) "roundtrip" true (P.Account.equal a a')
-  | Error e -> Alcotest.fail e
+  Alcotest.(check bool) "same name different server differs" false
+    (P.Account.equal a (P.Account.make ~server:bob "savings"))
 
 let test_directory () =
   let d = Directory.create () in

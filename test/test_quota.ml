@@ -173,6 +173,46 @@ let test_forged_authority_rejected () =
   | Error _ -> Alcotest.(check int) "alice untouched" 10 (balance qw "alice")
   | Ok _ -> Alcotest.fail "forged authority drew from alice"
 
+(* An authority is the chain its owner signed, and the disk server reads
+   its holder and currency from the head: one signed to another holder, or
+   in another currency, is refused at attach, before any write reaches
+   the bank. So is an unsigned wrapper naming the disk server and blocks
+   around a chain signed to the printer in usd. *)
+let test_attach_reads_the_head () =
+  let qw = quota_world () in
+  let printer = Principal.make ~realm:qw.disk_name.Principal.realm "printer" in
+  let signed ~holder ~currency =
+    let now = W.now qw.w in
+    Standing.grant ~drbg:(Sim.Net.drbg qw.w.W.net) ~now ~expires:(now + W.hour)
+      ~owner:qw.alice ~owner_key:qw.alice_rsa
+      ~account:(Accounting_server.account qw.bank "alice") ~holder ~currency ~limit:10 ()
+  in
+  let creds = W.credentials_for qw.w ~tgt:(W.login qw.w qw.alice) qw.disk_name in
+  let attach authority = Disk_server.attach qw.w.W.net ~creds ~authority in
+  Alcotest.(check (result unit string)) "another holder"
+    (Error "authority does not name this disk server as holder")
+    (attach (signed ~holder:printer ~currency:blocks));
+  Alcotest.(check (result unit string)) "another currency"
+    (Error "authority currency must be \"blocks\"")
+    (attach (signed ~holder:qw.disk_name ~currency:"usd"));
+  let printers = signed ~holder:printer ~currency:"usd" in
+  Alcotest.(check string) "the holder is read from the head" "printer"
+    (Result.get_ok (Standing.of_wire (Standing.to_wire printers))).Standing.holder.Principal.name;
+  let wrapped =
+    Wire.L
+      [ Wire.S blocks; Wire.I 10; Principal.to_wire qw.disk_name;
+        Wire.L [ Principal.to_wire qw.bank_name; Wire.S "alice" ];
+        Proxy.transfer_to_wire printers.Standing.authority ]
+  in
+  Alcotest.(check bool) "a wrapper is refused" true
+    (Result.is_error (Secure_rpc.call qw.w.W.net ~creds (Wire.L [ Wire.S "attach"; wrapped ])));
+  (match Disk_server.write_file qw.w.W.net ~creds ~path:"a" "data" with
+  | Error e ->
+      Alcotest.(check string) "refused at the disk server"
+        "quota refused: no standing authority attached; call attach first" e
+  | Ok _ -> Alcotest.fail "a write was charged to an authority never attached");
+  Alcotest.(check int) "alice untouched" 10 (balance qw "alice")
+
 let test_conservation () =
   let qw = quota_world () in
   let creds = attach qw qw.alice qw.alice_rsa 10 in
@@ -219,7 +259,7 @@ let test_redelegation_shares_limit () =
         ~restrictions:[ Restriction.Grantee ([ qw.disk_name ], 1) ]
         authority.Standing.authority
     with
-    | Ok proxy -> { authority with Standing.authority = proxy }
+    | Ok proxy -> Result.get_ok (Standing.of_proxy proxy)
     | Error e -> Alcotest.fail e
   in
   (match draw qw creds (redelegated ()) 3 with
@@ -314,9 +354,8 @@ let test_copied_serial_keeps_its_own_budget () =
             Restriction.Authorized [ { Restriction.target = "bob"; ops = [ "debit" ] } ] ] }
   in
   let bobs =
-    { authority with
-      Standing.drawn_from = Accounting_server.account qw.bank "bob";
-      authority = { Proxy.flavor = Proxy.Public_key [ bobs_cert ]; key = Proxy.No_key } }
+    Result.get_ok
+      (Standing.of_proxy { Proxy.flavor = Proxy.Public_key [ bobs_cert ]; key = Proxy.No_key })
   in
   ignore (Result.get_ok (draw qw creds bobs 3));
   (match draw qw creds authority 3 with
@@ -333,10 +372,9 @@ let test_unused_presentation_refused () =
      right on "bob" would grant the decision without the proxy. *)
   let bob_bank = W.credentials_for qw.w ~tgt:(W.login qw.w qw.bob) qw.bank_name in
   Result.get_ok (Accounting_server.open_account qw.w.W.net ~creds:bob_bank ~name:"bob-2");
-  let copied = { authority with Standing.drawn_from = Accounting_server.account qw.bank "bob" } in
   (match
-     Accounting_server.standing_debit qw.w.W.net ~creds:bob_bank ~authority:copied
-       ~to_account:"bob-2" ~amount:3
+     Accounting_server.proxy_debit qw.w.W.net ~creds:bob_bank ~proxy:authority.Standing.authority
+       ~payor_account:"bob" ~to_account:"bob-2" ~currency:blocks ~amount:3
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a draw the presented proxy did not authorize went through");
@@ -375,7 +413,8 @@ let () =
           ("overwrite releases first", `Slow, test_overwrite_releases_first);
           ("user isolation", `Slow, test_user_isolation);
           ("forged authority rejected", `Slow, test_forged_authority_rejected);
-          ("conservation", `Slow, test_conservation) ] );
+          ("conservation", `Slow, test_conservation);
+          ("attach reads the signed head", `Slow, test_attach_reads_the_head) ] );
       ( "presented-proxy debit",
         [ ("re-delegation shares the grant's limit", `Slow, test_redelegation_shares_limit);
           ("proxy-transfer is not a verb", `Slow, test_proxy_transfer_is_gone);

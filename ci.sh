@@ -172,7 +172,9 @@ echo "== allocation =="
 # can end before perfbench has two host-speed samples, and then exits
 # with an error; the step says so and goes on. The authz-conv traced run
 # also gives the RSA-512 sign, verify and keygen times, the figures a
-# bignum or RSA change quotes before and after.
+# bignum or RSA change quotes before and after, and the untraced run
+# gives each workload's set-up time (setup_s), the end-to-end figure a
+# key-generation change moves.
 # figure LABEL METRIC SCALE UNIT prints METRIC / SCALE from the
 # perfbench result on standard input.
 figure () {
@@ -193,6 +195,7 @@ for wl in authz-conv authz-pk bank; do
         echo "$traced" | figure "$wl crypto.rsa512_keygen_ms" crypto.rsa512_keygen_ms 1 ms
     fi
     untraced=$(python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 20 --trace 0 | tail -n 1)
+    echo "$untraced" | figure "$wl" setup_s 0.001 "ms set-up"
     echo "$untraced" | figure "$wl" heap_peak_mb 1 "MB peak heap"
     echo "$untraced" | figure "$wl" msgs_per_op 1 "messages/op"
     echo "$untraced" | figure "$wl" wire_bytes_per_op 1 "wire B/op"

@@ -315,7 +315,16 @@ let mod_pow_naive b e m =
    q_(k-i)*m_i in the same iteration. A column thus adds exactly the
    products the multiply adds for y = x, all non-negative, so every
    partial sum is at most the multiply's column total and the bound B,
-   and the width rule above holds for it unchanged. *)
+   and the width rule above holds for it unchanged.
+
+   Odd moduli of 233 to 259 bits, every Miller-Rabin candidate and RSA
+   CRT half of a 512-bit key, take [Mont9] instead: the same multiply
+   and squaring for exactly 9 limbs of 29 bits, generated by
+   gen_mont9.ml as straight-line columns over limbs held in locals. They
+   add the same products per column, so the bound B holds. They reduce
+   lazily: with R = 2^261 > 4m, a product of x, y < 2m is
+   (xy + qm)/R < 4m^2/R + m < 2m, so no product takes the conditional
+   subtraction, and [mont_pow] takes it once, on its result. *)
 
 let mont_width bits =
   let rec pick w =
@@ -352,18 +361,16 @@ let of_width ~width a =
   let bits = if !top < 0 then 0 else (!top * width) + int_bits a.(!top) in
   repack ~from:width ~into:limb_bits ((bits + limb_bits - 1) / limb_bits) a
 
-(* The last column of a Montgomery product: its carry c gives the top
-   limb of dst, which is then below 2m, and one conditional subtraction
-   brings it below m. *)
-let mont_finish ~width m dst c =
+(* dst <- dst - m when dst >= m, for dst below 2m, with [over] set when
+   dst has a bit above its top limb. *)
+let sub_if_ge ~width ~over m dst =
   let n = Array.length m in
   let mask = (1 lsl width) - 1 in
-  dst.(n - 1) <- c land mask;
   let i = ref (n - 1) in
   while !i >= 0 && dst.(!i) = m.(!i) do
     decr i
   done;
-  if c lsr width <> 0 || !i < 0 || dst.(!i) > m.(!i) then begin
+  if over || !i < 0 || dst.(!i) > m.(!i) then begin
     let borrow = ref 0 in
     for j = 0 to n - 1 do
       let d = dst.(j) - m.(j) - !borrow in
@@ -371,6 +378,13 @@ let mont_finish ~width m dst c =
       borrow := if d < 0 then 1 else 0
     done
   end
+
+(* The last column of a Montgomery product: its carry c gives the top
+   limb of dst, which is then below 2m, and one conditional subtraction
+   brings it below m. *)
+let mont_finish ~width m dst c =
+  dst.(Array.length m - 1) <- c land ((1 lsl width) - 1);
+  sub_if_ge ~width ~over:(c lsr width <> 0) m dst
 
 (* dst <- x * y / R mod m, with R = 2^(w n) and m' = -m^{-1} mod 2^w.
    x, y, dst and the quotient q are n-limb arrays, x and y below
@@ -481,6 +495,7 @@ type mont = {
   limbs : int array;  (* the modulus in limbs of [width] bits *)
   neg_inv : int;  (* -m^{-1} mod 2^width *)
   r2 : int array;  (* R^2 mod m in the same limbs, R = 2^(width * n) *)
+  fixed : bool;  (* products go through [Mont9] and stay below 2m *)
 }
 
 (* -m^{-1} mod 2^w by Newton lifting: for odd m0, x = m0 is an inverse
@@ -506,8 +521,19 @@ let mont m =
           limbs;
           neg_inv = mont_neg_inv ~width limbs.(0);
           r2 = repack ~from:limb_bits ~into:width n (rem (shift_left one (2 * width * n)) m);
+          (* R > 4m, that is bits(m) <= w n - 2: 233 to 259 bits. *)
+          fixed = width = Mont9.width && n = Mont9.limbs && bits <= (width * n) - 2;
         }
   | _ -> None
+
+(* The products of [mont_pow], through the kernel [mont] picked. *)
+let mmul c q x y dst =
+  if c.fixed then Mont9.mul ~neg_inv:c.neg_inv c.limbs x y dst
+  else mont_mul ~width:c.width ~neg_inv:c.neg_inv c.limbs q x y dst
+
+let msqr c q x dst =
+  if c.fixed then Mont9.sqr ~neg_inv:c.neg_inv c.limbs x dst
+  else mont_sqr ~width:c.width ~neg_inv:c.neg_inv c.limbs q x dst
 
 let mont_pow c b e =
   if is_zero e then one
@@ -515,10 +541,9 @@ let mont_pow c b e =
     let b = rem b c.modulus in
     if is_zero b then zero
     else begin
-      let { width; limbs = m; neg_inv; r2; _ } = c in
+      let { width; limbs = m; r2; _ } = c in
       let n = Array.length m in
       let q = Array.make n 0 in
-      let mmul x y dst = mont_mul ~width ~neg_inv m q x y dst in
       let nbits = bit_length e in
       (* Sliding window: precompute the odd powers b^1, b^3, ...,
          b^(2^win - 1) in Montgomery form; larger exponents amortize
@@ -528,19 +553,19 @@ let mont_pow c b e =
         if nbits <= 20 then 1 else if nbits <= 64 then 2 else if nbits <= 256 then 4 else 5
       in
       let tbl = Array.init (1 lsl (win - 1)) (fun _ -> Array.make n 0) in
-      mmul (repack ~from:limb_bits ~into:width n b) r2 tbl.(0);
+      mmul c q (repack ~from:limb_bits ~into:width n b) r2 tbl.(0);
       if win > 1 then begin
         let b2 = Array.make n 0 in
-        mont_sqr ~width ~neg_inv m q tbl.(0) b2;
+        msqr c q tbl.(0) b2;
         for i = 1 to Array.length tbl - 1 do
-          mmul tbl.(i - 1) b2 tbl.(i)
+          mmul c q tbl.(i - 1) b2 tbl.(i)
         done
       end;
       let acc = Array.make n 0 in
       let i = ref (nbits - 1) and first = ref true in
       while !i >= 0 do
         if not (bit e !i) then begin
-          mont_sqr ~width ~neg_inv m q acc acc;
+          msqr c q acc acc;
           decr i
         end
         else begin
@@ -558,9 +583,9 @@ let mont_pow c b e =
           if !first then Array.blit power 0 acc 0 n
           else begin
             for _ = !l to !i do
-              mont_sqr ~width ~neg_inv m q acc acc
+              msqr c q acc acc
             done;
-            mmul acc power acc
+            mmul c q acc power acc
           end;
           first := false;
           i := !l - 1
@@ -568,7 +593,11 @@ let mont_pow c b e =
       done;
       let onep = Array.make n 0 in
       onep.(0) <- 1;
-      mmul acc onep acc (* back out of the Montgomery domain *);
+      (* Back out of the Montgomery domain: below m + 1 from an
+         accumulator below 2m, and m itself only when the result is 0,
+         which [Mont9] leaves unreduced. *)
+      mmul c q acc onep acc;
+      sub_if_ge ~width ~over:false m acc;
       of_width ~width acc
     end
 

@@ -86,7 +86,13 @@ type mont
     1.5n^2 limb products where a multiply makes 2n^2. Its columns add
     exactly the non-negative products a multiply of x by x would, so
     they meet the same bound and the widths hold for it unchanged.
-    Immutable once made, so one value serves several domains. *)
+    An odd modulus of 233 to 259 bits (9 limbs of 29 bits, so
+    [R = 2^261 > 4m]: a Miller–Rabin candidate or an RSA-512 CRT half)
+    gets the same multiply and squaring written out for exactly 9 limbs
+    held in locals, with lazy reduction: a product of operands below 2m
+    is below 2m, and no product takes the conditional subtraction. The
+    constants record which kernel they take. Immutable once made, so one
+    value serves several domains. *)
 
 val mont : t -> mont option
 (** [mont m] is the constants of [m] when [m] is odd, above 1 and at most
@@ -102,7 +108,9 @@ val mont_pow : mont -> t -> t -> t
     squaring, the window's and the table's b^2, goes through the
     Montgomery squaring, which allocates nothing; the window multiplies
     and the conversions into and out of the Montgomery domain go through
-    the multiply. *)
+    the multiply. Under the 9-limb kernel the powers stay below 2m, and
+    only the result, at most m after the conversion out, takes the
+    conditional subtraction. *)
 
 val mod_pow_naive : t -> t -> t -> t
 (** The reference square-and-multiply with a full division per step —

@@ -81,10 +81,9 @@ let creds t sid ep =
       Hashtbl.replace t.creds sid c;
       Ok c
 
-(* Resolve an account to (creds, ordered physical targets, failover mark)
-   and run [f] under a cluster.route span. *)
-let route t account f =
-  let sid = Ring.lookup t.ring account in
+(* Resolve an account on shard [sid] to (creds, ordered physical
+   targets, failover mark) and run [f] under a cluster.route span. *)
+let route t account sid f =
   match Hashtbl.find_opt t.endpoints sid with
   | None -> Error (Printf.sprintf "no endpoint for shard %S" sid)
   | Some ep ->
@@ -107,11 +106,11 @@ let route t account f =
             call
 
 let open_account t ~name =
-  route t name (fun ~creds ~via ~on_failover ->
+  route t name (shard_of t name) (fun ~creds ~via ~on_failover ->
       Accounting_server.open_account ?retry:t.retry ~via ~on_failover t.net ~creds ~name)
 
 let balance t ~name ~currency =
-  route t name (fun ~creds ~via ~on_failover ->
+  route t name (shard_of t name) (fun ~creds ~via ~on_failover ->
       Accounting_server.balance ?retry:t.retry ~via ~on_failover t.net ~creds ~name ~currency)
 
 let transfer t ~from_ ~to_ ~currency ~amount =
@@ -120,11 +119,11 @@ let transfer t ~from_ ~to_ ~currency ~amount =
     Error
       (Printf.sprintf "cross-shard transfer %S -> %S: move money by check" from_ to_)
   else
-    route t from_ (fun ~creds ~via ~on_failover ->
+    route t from_ s1 (fun ~creds ~via ~on_failover ->
         Accounting_server.transfer ?retry:t.retry ~via ~on_failover t.net ~creds ~from_ ~to_
           ~currency ~amount)
 
 let deposit t ~endorser_key ~check ~to_account =
-  route t to_account (fun ~creds ~via ~on_failover ->
+  route t to_account (shard_of t to_account) (fun ~creds ~via ~on_failover ->
       Accounting_server.deposit ?retry:t.retry ~via ~on_failover t.net ~creds ~endorser_key
         ~check ~to_account)

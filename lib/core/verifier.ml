@@ -23,13 +23,7 @@ let no_tally _ = ()
    runs bare and its span attributes are never built. *)
 type span_hook = { wrap : 'a. name:string -> attrs:(string * string) list -> (unit -> 'a) -> 'a }
 
-let short_serial s =
-  let n = min 4 (String.length s) in
-  let b = Buffer.create 8 in
-  for i = 0 to n - 1 do
-    Buffer.add_string b (Printf.sprintf "%02x" (Char.code s.[i]))
-  done;
-  Buffer.contents b
+let short_serial s = Crypto.Sha256.to_hex (String.sub s 0 (min 4 (String.length s)))
 
 (* One memo rule for every kind of entry ({!Verify_cache}). Without a
    cache, [compute] runs and tallies [cost]. With one, a hit tallies

@@ -141,9 +141,16 @@ let digest s =
   update ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code s.[i] in
+    Bytes.unsafe_set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set b ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
 
 let hex_digest s = to_hex (digest s)

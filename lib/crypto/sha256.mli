@@ -22,4 +22,5 @@ val hex_digest : string -> string
 (** One-shot hash rendered as 64 lowercase hex characters. *)
 
 val to_hex : string -> string
-(** Render arbitrary bytes as lowercase hex (utility shared by tests). *)
+(** Render arbitrary bytes as lowercase hex, two characters per byte, from
+    a digit table: certificate serials, check numbers and span ids. *)

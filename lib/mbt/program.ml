@@ -311,10 +311,7 @@ let of_wire v : (t, string) result =
 
 (* --- hex helpers (repro files are hex so they survive editors and diffs) --- *)
 
-let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+let to_hex = Crypto.Sha256.to_hex
 
 let of_hex s =
   let digit c =

@@ -55,15 +55,10 @@ let create ?(capacity = 65_536) ~seed ~clock ~metrics () =
     stack = [];
   }
 
-let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
 (* Ids come from a collector-private DRBG (seeded from the net seed, not the
    shared environment DRBG), so enabling tracing never perturbs the keys and
    nonces a run would otherwise draw — same trick as [Fault.runtime]. *)
-let mint t = hex (Crypto.Drbg.generate t.drbg 8)
+let mint t = Crypto.Sha256.to_hex (Crypto.Drbg.generate t.drbg 8)
 
 let push_ring t s =
   t.ring.(t.next) <- Some s;

@@ -323,13 +323,11 @@ let prop_montgomery_vs_naive =
       QCheck.assume (not (N.is_zero m));
       N.equal (N.mod_pow b e m) (N.mod_pow_naive b e m))
 
-(* Odd moduli of 200 to 1,100 bits, top bit set, with a base and an
-   exponent as wide as the modulus: the kernel's 29- and 28-bit widths
-   with random limbs, and exponents long enough for the 4- and 5-bit
-   windows. *)
-let wide_gen =
+(* Odd moduli of lo to hi bits, top bit set, with a base and an
+   exponent as wide as the modulus. *)
+let odd_modulus_gen lo hi =
   QCheck.Gen.(
-    int_range 200 1100 >>= fun bits ->
+    int_range lo hi >>= fun bits ->
     let draw = string_size ~gen:char (return ((bits + 7) / 8)) >|= fun s ->
       N.rem (N.of_bytes_be s) (N.shift_left N.one bits)
     in
@@ -337,12 +335,24 @@ let wide_gen =
     let m = N.add (N.shift_left N.one (bits - 1)) (N.rem m (N.shift_left N.one (bits - 1))) in
     (b, e, if N.is_even m then N.add m N.one else m))
 
+let arb_pow lo hi =
+  QCheck.make
+    ~print:(fun (b, e, m) -> String.concat ", " (List.map N.to_string [ b; e; m ]))
+    (odd_modulus_gen lo hi)
+
+(* The kernel's 29- and 28-bit widths with random limbs, and exponents
+   long enough for the 4- and 5-bit windows. *)
 let prop_montgomery_wide =
   QCheck.Test.make ~name:"mod_pow = mod_pow_naive, 200-1,100-bit odd moduli, full exponents"
-    ~count:30
-    (QCheck.make
-       ~print:(fun (b, e, m) -> String.concat ", " (List.map N.to_string [ b; e; m ]))
-       wide_gen)
+    ~count:30 (arb_pow 200 1100)
+    (fun (b, e, m) -> N.equal (N.mod_pow b e m) (N.mod_pow_naive b e m))
+
+(* The band of the fixed 9-limb kernel, which the wide property above
+   draws about once in 30 cases; most of these moduli are composite, as
+   most Miller-Rabin candidates are. *)
+let prop_montgomery_band =
+  QCheck.Test.make ~name:"mod_pow = mod_pow_naive, 233-259-bit odd moduli, full exponents"
+    ~count:200 (arb_pow 233 259)
     (fun (b, e, m) -> N.equal (N.mod_pow b e m) (N.mod_pow_naive b e m))
 
 let prop_divmod_huge =
@@ -453,25 +463,60 @@ let test_fast_path_edges () =
       (fun bits -> N.add (N.shift_left N.one (bits - 1)) (N.of_int 0x5a5a5))
       [ 20; 64; 256; 300 ]
   in
+  let powers what m bases =
+    List.iter
+      (fun (base, b) ->
+        List.iter
+          (fun e ->
+            Alcotest.check nat
+              (Printf.sprintf "%s, b = %s, %d-bit exponent" what base (N.bit_length e))
+              (N.mod_pow_naive b e m) (N.mod_pow b e m))
+          exponents)
+      bases
+  in
   List.iter
     (fun (w, k) ->
       List.iter
-        (fun (what, m) ->
-          List.iter
-            (fun (base, b) ->
-              List.iter
-                (fun e ->
-                  Alcotest.check nat
-                    (Printf.sprintf "%s, b = %s, %d-bit exponent" what base (N.bit_length e))
-                    (N.mod_pow_naive b e m) (N.mod_pow b e m))
-                exponents)
-            [ ("m - 1", N.sub m N.one); ("2", N.two) ])
+        (fun (what, m) -> powers what m [ ("m - 1", N.sub m N.one); ("2", N.two) ])
         ((Printf.sprintf "all-ones modulus, %d limbs of %d bits" k w, all_ones (w * k))
         ::
         (if k > 1 then [ (Printf.sprintf "2^%d - 2^%d + 1" (w * k) w, low_one w (w * k)) ]
          else [])))
     [ (29, 1); (29, 2); (29, 3); (29, 15); (28, 16); (28, 63); (27, 66); (27, 255); (26, 265);
       (26, 1023) ];
+  (* The fixed kernel's band and its neighbours: odd moduli of 233 to 259
+     bits, 9 limbs of 29 bits with R = 2^261 > 4m, take [Mont9], whose
+     lazy products stay below 2m; 232 bits (8 limbs) and 260 and 261 bits
+     (R <= 4m) stay on the column loops. Each all-ones and 2^k - 2^29 + 1
+     modulus is raised from b = m - 1, 2, m - 2 and floor(m/2) to the
+     four exponents. A copy that ran [Mont9] at 260 and 261 bits got 28
+     of those 64 cases wrong. *)
+  List.iter
+    (fun bits ->
+      List.iter
+        (fun (what, m) ->
+          powers what m
+            [ ("m - 1", N.sub m N.one); ("2", N.two); ("m - 2", N.sub m N.two);
+              ("floor(m/2)", N.shift_right m 1) ])
+        [ (Printf.sprintf "all-ones modulus, %d bits" bits, all_ones bits);
+          (Printf.sprintf "2^%d - 2^29 + 1" bits, low_one 29 bits) ])
+    [ 232; 233; 256; 259; 260; 261 ];
+  (* m = r^2 for odd r of about 128 bits, b = r: the result is 0, but the
+     lazy accumulator is m itself from the first square on, and only the
+     final conditional subtraction brings it to 0 (a copy without it got
+     all 12 cases wrong). *)
+  List.iter
+    (fun r ->
+      let m = N.mul r r in
+      List.iter
+        (fun e ->
+          Alcotest.check nat
+            (Printf.sprintf "r^2 modulus, %d bits, b = r, %d-bit exponent" (N.bit_length m)
+               (N.bit_length e))
+            N.zero (N.mod_pow r e m))
+        exponents)
+    [ N.add (N.shift_left N.one 127) (N.of_int 0x1234567);
+      N.sub (N.shift_left N.one 129) N.one; all_ones 117 ];
   check "all-ones modulus, 26,599 bits" (all_ones 26599);
   Alcotest.(check (list bool))
     "constants for odd moduli of 3 to 26,598 bits only"
@@ -497,11 +542,13 @@ let test_fast_path_edges () =
    regardless), with exponents as wide as the modulus. A call builds its
    modulus's constants (one division for R^2 mod m), converts its base
    and allocates the kernel's workspace: the odd powers, the
-   accumulator, the quotient limbs and the result. That reads 3,328 B
-   at 256 bits and 7,080 B at 512 (3,328 B and 7,456 B with the 26-bit
-   kernel). A Montgomery product allocates nothing: one that boxed a
-   64-bit column sum (24 B) per column would add about 130 KB at 256
-   bits, where an exponentiation makes some 316 products of 17 columns. *)
+   accumulator, the quotient limbs and the result. That reads 3,240 B
+   at 256 bits and 6,992 B at 512 on x86-64 (3,328 B and 7,456 B with
+   the 26-bit kernel). A Montgomery product allocates nothing: one that
+   boxed a 64-bit column sum (24 B) per column would add about 130 KB at
+   256 bits, where an exponentiation makes some 316 products of 17
+   columns. The 9-limb kernel's [Int64] locals are unboxed only while
+   none of them escapes, so this gate also guards them. *)
 let test_mod_pow_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let d = Crypto.Drbg.create ~seed:"mod_pow allocation" in
@@ -525,7 +572,7 @@ let props =
       prop_divmod_invariant; prop_matches_int; prop_bytes_roundtrip; prop_bytes_vs_fold;
       prop_string_roundtrip; prop_shift_mul; prop_modinv; prop_modpow_small;
       prop_karatsuba_vs_schoolbook; prop_montgomery_vs_naive; prop_montgomery_wide;
-      prop_divmod_huge;
+      prop_montgomery_band; prop_divmod_huge;
       prop_trial_division; prop_rem_int ]
 
 let suite =

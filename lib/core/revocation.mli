@@ -50,6 +50,12 @@ include Signed_epoch.S with type item := entry and type report := report
 
 type bulletin = artifact
 
+val short_serial : string -> string
+(** The first eight characters of a certificate serial (hex, from
+    {!Proxy.fresh_serial}): how a revocation denial ("certificate ...
+    is revoked") and the verifier's per-certificate spans name a
+    certificate. *)
+
 val revoked : t -> Proxy_cert.body -> (unit, string) result
 (** Is this certificate body on the list? [Error] names the matching entry
     kind. Does {e not} consider staleness. *)

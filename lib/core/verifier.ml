@@ -23,8 +23,6 @@ let no_tally _ = ()
    runs bare and its span attributes are never built. *)
 type span_hook = { wrap : 'a. name:string -> attrs:(string * string) list -> (unit -> 'a) -> 'a }
 
-let short_serial s = Crypto.Sha256.to_hex (String.sub s 0 (min 4 (String.length s)))
-
 (* One memo rule for every kind of entry ({!Verify_cache}). Without a
    cache, [compute] runs and tallies [cost]. With one, a hit tallies
    "verify_cache.hits" and nothing else; a miss tallies
@@ -255,7 +253,7 @@ let verify_pk ~lookup ?(tally = no_tally) ?cache ?revocation ?hook ~now certs =
                       [
                         ("flavor", "pk");
                         ("index", string_of_int idx);
-                        ("serial", short_serial cert.Proxy_cert.pk_body.Proxy_cert.serial);
+                        ("serial", Revocation.short_serial cert.Proxy_cert.pk_body.Proxy_cert.serial);
                       ]
                     link
             in
@@ -319,7 +317,7 @@ let verify_hybrid ~lookup ~decrypt ?me ?(tally = no_tally) ?cache ?revocation
             [
               ("flavor", "hybrid-head");
               ("index", "0");
-              ("serial", short_serial head.Proxy_cert.h_body.Proxy_cert.serial);
+              ("serial", Revocation.short_serial head.Proxy_cert.h_body.Proxy_cert.serial);
             ]
           open_head
   in

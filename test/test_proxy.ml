@@ -348,6 +348,33 @@ let test_pk_unknown_grantor () =
   in
   Alcotest.(check bool) "no key binding, no trust" true (Result.is_error (verify_pk proxy))
 
+(* A traced link's "serial" attribute is the first eight characters of
+   its certificate's serial, the text a revocation denial quotes, so a
+   span names the certificate it checked. *)
+let test_pk_span_serial () =
+  let certs =
+    match (grant_pk ()).Proxy.flavor with
+    | Proxy.Public_key certs -> certs
+    | Proxy.Conventional _ | Proxy.Hybrid _ -> Alcotest.fail "expected public-key"
+  in
+  let seen = ref [] in
+  let hook =
+    {
+      Verifier.wrap =
+        (fun ~name:_ ~attrs f ->
+          seen := List.assoc "serial" attrs :: !seen;
+          f ());
+    }
+  in
+  Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify_pk ~lookup ~hook ~now:100 certs));
+  Alcotest.(check int) "one span per certificate" (List.length certs) (List.length !seen);
+  List.iter2
+    (fun span cert ->
+      let serial = cert.Proxy_cert.pk_body.Proxy_cert.serial in
+      Alcotest.(check bool) (Printf.sprintf "span serial %S starts %S" span serial) true
+        (String.length span = 8 && String.starts_with ~prefix:span serial))
+    (List.rev !seen) certs
+
 let test_pk_signature_substitution () =
   (* Mallory signs a certificate claiming alice as grantor: the signature
      check against alice's real key must fail. *)
@@ -851,6 +878,7 @@ let () =
         [ ("grant and verify", `Slow, test_pk_grant_verify);
           ("unknown grantor", `Slow, test_pk_unknown_grantor);
           ("signature substitution", `Slow, test_pk_signature_substitution);
+          ("span serial names its certificate", `Slow, test_pk_span_serial);
           ("bearer cascade", `Slow, test_pk_bearer_cascade);
           ("delegate cascade", `Slow, test_pk_delegate_cascade);
           ("delegate must be named", `Slow, test_pk_delegate_cascade_requires_naming);

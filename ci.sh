@@ -44,6 +44,16 @@ else
     echo "skip: python3 cannot import cryptography"
 fi
 
+echo "== DRBG vectors from an independent implementation =="
+# test/drbg_vectors.py rebuilds the HMAC-DRBG draws test_crypto replays
+# with Python's standard hmac and hashlib alone (so this step never
+# skips); they must come out byte for byte as committed in
+# test/drbg_vectors.txt.
+DRBG_VECTORS=$(mktemp)
+python3 test/drbg_vectors.py "$DRBG_VECTORS"
+cmp "$DRBG_VECTORS" test/drbg_vectors.txt
+rm -f "$DRBG_VECTORS"
+
 echo "== chaos smoke matrix =="
 run_chaos () {
     echo "-- proxykit chaos $*"

@@ -608,26 +608,29 @@ let mod_pow b e m =
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
 let mod_inv a m =
-  (* Iterative extended Euclid keeping coefficients reduced mod m, so all
-     arithmetic stays on naturals. *)
+  (* Iterative extended Euclid on coefficient magnitudes. The coefficients
+     of a, x_(i+1) = x_(i-1) - q_i x_i from x_0 = 0 and x_1 = 1, alternate
+     in sign from x_1 on, so |x_(i+1)| = |x_(i-1)| + q_i |x_i| and the
+     step count's parity gives the sign at the end. Since
+     |x_i| r_(i-1) + |x_(i-1)| r_i = m, the coefficient returned, x_k with
+     r_(k-1) >= 2, is at most m / 2, so a negative one is m less it. *)
   if is_zero m then None
   else begin
     let a = rem a m in
     if is_zero a then (if equal m one then Some zero else None)
     else begin
       let r0 = ref m and r1 = ref a in
-      let x0 = ref zero and x1 = ref one in
+      let x0 = ref zero and x1 = ref one and positive = ref false in
       while not (is_zero !r1) do
         let q, r = divmod !r0 !r1 in
         r0 := !r1;
         r1 := r;
-        (* x_new = x0 - q*x1 (mod m) *)
-        let qx1 = rem (mul q !x1) m in
-        let x_new = rem (add !x0 (sub m qx1)) m in
+        let x_new = add !x0 (mul q !x1) in
         x0 := !x1;
-        x1 := x_new
+        x1 := x_new;
+        positive := not !positive
       done;
-      if equal !r0 one then Some !x0 else None
+      if not (equal !r0 one) then None else if !positive then Some !x0 else Some (sub m !x0)
     end
   end
 

@@ -1,48 +1,38 @@
-(* HMAC-DRBG with SHA-256: state is (key, v); update per SP 800-90A. *)
+(* HMAC-DRBG with SHA-256 per SP 800-90A. The state is (K, V) with K held
+   prepared: the raw key is only ever read to prepare it, so each new key
+   is prepared once, when it is made, and serves every MAC until the
+   next. *)
 
-type t = { mutable key : string; mutable v : string }
+type t = { mutable k : Hmac.key; mutable v : string }
 
-(* HMAC under the prepared key [k] of [v ‖ sep ‖ provided], streamed. *)
-let mac_v k v sep provided =
-  let inner = Hmac.start k in
-  Sha256.update inner v;
-  Sha256.update inner sep;
-  Sha256.update inner provided;
-  Hmac.finish k inner
+(* K = HMAC(K, V ‖ sep ‖ provided), then V = HMAC(K, V). *)
+let step t sep provided =
+  t.k <- Hmac.prepare (Hmac.mac_prepared t.k (t.v ^ sep ^ provided));
+  t.v <- Hmac.mac_prepared t.k t.v
 
-(* [k] is [t.key] prepared; each new key is prepared once for both of its
-   MACs. *)
-let update_prepared t k provided =
-  t.key <- mac_v k t.v "\x00" provided;
-  let k = Hmac.prepare t.key in
-  t.v <- Hmac.mac_prepared k t.v;
-  if provided <> "" then begin
-    t.key <- mac_v k t.v "\x01" provided;
-    t.v <- Hmac.mac ~key:t.key t.v
-  end
-
-let update t provided = update_prepared t (Hmac.prepare t.key) provided
+let update t provided =
+  step t "\x00" provided;
+  if provided <> "" then step t "\x01" provided
 
 let create ~seed =
-  let t = { key = String.make 32 '\x00'; v = String.make 32 '\x01' } in
+  let t = { k = Hmac.prepare (String.make 32 '\x00'); v = String.make 32 '\x01' } in
   update t seed;
   t
 
 let reseed t entropy = update t entropy
 
-(* One prepared key serves every output MAC and the first MAC of the
-   trailing update. *)
 let generate t n =
   let kern = Kernel.get () in
   kern.Kernel.draws <- kern.Kernel.draws + 1;
-  let k = Hmac.prepare t.key in
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    t.v <- Hmac.mac_prepared k t.v;
-    Buffer.add_string buf t.v
+  let out = Bytes.create n in
+  let pos = ref 0 in
+  while !pos < n do
+    t.v <- Hmac.mac_prepared t.k t.v;
+    Bytes.blit_string t.v 0 out !pos (min 32 (n - !pos));
+    pos := !pos + 32
   done;
-  update_prepared t k "";
-  Buffer.sub buf 0 n
+  update t "";
+  Bytes.unsafe_to_string out
 
 let rand t n = generate t n
 

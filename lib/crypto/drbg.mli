@@ -5,9 +5,12 @@
     primes, retry jitter, fault decisions — draws from a seeded DRBG, so
     whole experiment runs are reproducible bit-for-bit. AEAD seal nonces
     inside a simulated net are counted, not drawn
-    ([Sim.Net.fresh_nonce]): they only have to be unique per key. A draw of
-    1 to 32 bytes costs 10 SHA-256 compressions and counts as one draw in
-    {!Cost}. *)
+    ([Sim.Net.fresh_nonce]): they only have to be unique per key. The
+    generator keeps its key prepared ({!Hmac.prepare}), so a draw of 1 to
+    32 bytes costs 8 SHA-256 compressions: one output MAC, then an update
+    of two MACs and the next key's preparation. Each further 32 bytes
+    adds one MAC (2 compressions) and an empty draw costs 6. Each call
+    counts as one draw in {!Cost}. *)
 
 type t
 

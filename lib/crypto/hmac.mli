@@ -13,8 +13,11 @@ val verify : key:string -> msg:string -> tag:string -> bool
 
 (** {2 Prepared keys}
 
-    A prepared key has both pads absorbed, so the two key blocks are
-    hashed once however many messages it tags. *)
+    A prepared key is SHA-256's chaining words after the block key ⊕ ipad
+    and after key ⊕ opad (8 words each), so preparing costs two
+    compressions, once however many messages the key tags. A MAC then
+    hashes on from those words without building a context: a message of
+    at most 55 bytes is one inner and one outer compression. *)
 
 type key
 
@@ -22,10 +25,3 @@ val prepare : string -> key
 
 val mac_prepared : key -> string -> string
 (** [mac_prepared (prepare key) msg = mac ~key msg]. *)
-
-val start : key -> Sha256.ctx
-(** A fresh inner context for streaming a message with {!Sha256.update}. *)
-
-val finish : key -> Sha256.ctx -> string
-(** [finish k ctx] is the tag of the message streamed into [ctx], which
-    must come from [start k] and must not be used afterwards. *)

@@ -209,7 +209,6 @@ let big_nat_gen =
       (fun bytes -> N.of_bytes_be bytes)
       (string_size ~gen:char (int_range 0 40)))
 
-let arb_small = QCheck.make ~print:N.to_string small_nat_gen
 let arb_big = QCheck.make ~print:N.to_string big_nat_gen
 
 let prop_add_commutative =
@@ -271,14 +270,35 @@ let prop_shift_mul =
     (fun (a, k) ->
       N.equal (N.shift_left a k) (N.mul a (N.mod_pow N.two (N.of_int k) (N.shift_left N.one 200))))
 
+(* Pairs of one-limb operands, of operands up to 40 bytes, and of 256-bit
+   operands made coprime by dividing a by its common factor with m until
+   none is left (a keeps its top bit set, so it never reaches 0). *)
+let modinv_pair_gen =
+  let nat256 =
+    QCheck.Gen.map
+      (fun s -> N.of_bytes_be (String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lor 0x80) else c) s))
+      QCheck.Gen.(string_size ~gen:char (return 32))
+  in
+  let rec coprime (a, m) =
+    let g = N.gcd a m in
+    if N.equal g N.one then (a, m) else coprime (N.div a g, m)
+  in
+  QCheck.Gen.(
+    frequency
+      [ (1, pair small_nat_gen small_nat_gen); (1, pair big_nat_gen big_nat_gen);
+        (1, map coprime (pair nat256 nat256)) ])
+
 let prop_modinv =
-  QCheck.Test.make ~name:"mod_inv correct when defined" ~count:200
-    (QCheck.pair arb_small arb_small)
+  QCheck.Test.make ~name:"mod_inv correct when defined" ~count:300
+    (QCheck.make
+       ~print:(fun (a, m) -> Printf.sprintf "a = %s, m = %s" (N.to_string a) (N.to_string m))
+       modinv_pair_gen)
     (fun (a, m) ->
       QCheck.assume (N.compare m N.two >= 0);
+      let coprime = N.equal (N.gcd a m) N.one in
       match N.mod_inv a m with
-      | None -> not (N.equal (N.gcd a m) N.one) || N.is_zero (N.rem a m)
-      | Some x -> N.equal (N.rem (N.mul (N.rem a m) x) m) N.one)
+      | None -> not coprime
+      | Some x -> coprime && N.compare x m < 0 && N.equal (N.rem (N.mul (N.rem a m) x) m) N.one)
 
 let prop_modpow_small =
   QCheck.Test.make ~name:"mod_pow agrees with naive" ~count:100

@@ -574,6 +574,32 @@ let test_drbg_reseed () =
   Drbg.reseed a "extra entropy";
   Alcotest.(check bool) "reseed changes stream" true (Drbg.generate a 32 <> Drbg.generate b 32)
 
+(* test/drbg_vectors.py writes these lines with Python's own HMAC: a seed
+   starts a fresh generator, a draw must return the bytes given, and a
+   reseed feeds its entropy. *)
+let test_drbg_vectors () =
+  let field f = if f = "-" then "" else hex f in
+  let lines =
+    In_channel.with_open_text "drbg_vectors.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check bool) "vectors committed" true (List.length lines >= 30);
+  List.fold_left
+    (fun d line ->
+      match (String.split_on_char ' ' line, d) with
+      | [ "seed"; seed ], _ -> Some (Drbg.create ~seed:(field seed))
+      | [ "draw"; n; want ], Some d ->
+          Alcotest.(check string) line (Sha256.to_hex (field want))
+            (Sha256.to_hex (Drbg.generate d (int_of_string n)));
+          Some d
+      | [ "reseed"; entropy ], Some d ->
+          Drbg.reseed d (field entropy);
+          Some d
+      | _ -> Alcotest.failf "malformed vector line %S" line)
+    None lines
+  |> ignore
+
 let test_drbg_uniform () =
   let d = Drbg.create ~seed:"uniform" in
   for _ = 1 to 200 do
@@ -1133,10 +1159,11 @@ let props =
 (* --- Cost tally ---
 
    Exact kernel counts of single calls. Preparing an HMAC key and a MAC of
-   a short message under it are two compressions each: [Aead.prepare] is
-   a preparation and one MAC; a DRBG draw of up to 32 bytes is a
-   preparation, one output MAC and a trailing update of two MACs and a
-   preparation. A seal of 1 KB with no associated data is 16 ChaCha20
+   at most 55 bytes under it are two compressions each (a 56-byte message
+   pads into a second inner block, and so does each further 64 bytes):
+   [Aead.prepare] is a preparation and one MAC; a DRBG draw of up to 32
+   bytes is one output MAC under the key the generator keeps prepared and
+   a trailing update of two MACs and a preparation. A seal of 1 KB with no associated data is 16 ChaCha20
    blocks of keystream and one for the MAC key, and 64 Poly1305 blocks of
    ciphertext and one of lengths. *)
 
@@ -1158,11 +1185,20 @@ let test_cost_pins () =
     [ 0; 17; 65 ] [ c.Cost.sha256_compressions; c.Cost.chacha20_blocks; c.Cost.poly1305_blocks ];
   let c = cost_of (fun () -> Poly1305.mac ~key (String.sub kb 0 33)) in
   Alcotest.(check int) "Poly1305.mac 33 B: 3 blocks" 3 c.Cost.poly1305_blocks;
+  let c = cost_of (fun () -> Hmac.prepare key) in
+  Alcotest.(check int) "Hmac.prepare: 2 compressions" 2 c.Cost.sha256_compressions;
+  let mac_key = Hmac.prepare key in
+  List.iter
+    (fun (n, want) ->
+      let c = cost_of (fun () -> Hmac.mac_prepared mac_key (String.sub kb 0 n)) in
+      Alcotest.(check int) (Printf.sprintf "Hmac.mac_prepared %d B: %d compressions" n want) want
+        c.Cost.sha256_compressions)
+    [ (0, 2); (33, 2); (55, 2); (56, 3); (119, 3); (120, 4) ];
   let d = Drbg.create ~seed:"cost" in
   List.iter
     (fun n ->
       let c = cost_of (fun () -> Drbg.generate d n) in
-      Alcotest.(check int) (Printf.sprintf "generate %d: 10 compressions" n) 10
+      Alcotest.(check int) (Printf.sprintf "generate %d: 8 compressions" n) 8
         c.Cost.sha256_compressions;
       Alcotest.(check int) (Printf.sprintf "generate %d: one draw" n) 1 c.Cost.drbg_draws)
     [ 1; 12; 32 ];
@@ -1199,19 +1235,20 @@ let test_cost_domain_local () =
 
 (* --- Allocation gate ---
 
-   SHA-256 holds its words in native ints and ChaCha20 its 16 working
-   words in unboxed Int32 locals, so a compression or a block allocates
-   nothing. A 1 KB encryption allocates its 1040 B output and its 136 B
+   SHA-256 runs its rounds and ChaCha20 its 16 working words in unboxed
+   Int32 locals, so a compression or a block allocates nothing, and a
+   one-shot digest hashes in the domain's scratch and allocates only its
+   48 B result. A 1 KB encryption allocates its 1040 B output and its 136 B
    input state, 1176 B; with the working words in an array and a keystream
    buffer it was 1392 B. One boxed word or one closure per block adds at
    least 24 B for each of the 16 blocks, past the 1536 B bound. The SHA-256
    and HMAC bounds sit several times above what the call allocates now and
    several times below what boxed Int32 words cost (38.7 KB and 10.3 KB
    per call). A 512-bit RSA signature under a generated key runs about
-   660 Montgomery multiplications and allocates about 9.4 KB: each of its
+   660 Montgomery multiplications and allocates about 9.2 KB: each of its
    three exponentiations (two CRT halves and the fault check) converts
    its operand and allocates its workspace, under constants the key
-   holds. A verify allocates about 2.1 KB. Rebuilding the constants per
+   holds. A verify allocates about 1.9 KB. Rebuilding the constants per
    call, one division for R^2 mod m each, made them 17.1 KB and 5.9 KB,
    past the 12 KB and 3 KB bounds, and a multiply that boxed one 24 B
    column sum per column would add some 270 KB to a signature. A seal of
@@ -1226,9 +1263,16 @@ let test_cost_domain_local () =
    (1,674 B and 1,818 B), or a second copy of the kilobyte, such as a
    ciphertext built apart and then joined to its nonce and tag. Deriving
    the subkey adds about 0.7 KB, which the cost pins catch (a prepared
-   seal makes no compression). A MAC of 100 B under a prepared HMAC key copies two
-   SHA-256 contexts and allocates about 480 B; a context that carried its
-   own 64-word schedule made that 1536 B, past the 1 KB bound. A Poly1305
+   seal makes no compression). A MAC under a prepared HMAC key hashes on
+   from the key's chaining words in the domain's scratch block and
+   allocates only its 48 B tag, at 32 B as at 100 B; copying two SHA-256
+   contexts per MAC, as it once did, allocated about 480 B, past the
+   256 B bound, and contexts that carried their own 64-word schedules made
+   that 1536 B, past the 1 KB bound. A 32-byte DRBG draw allocates 392 B:
+   its output, four MAC results (the output block, the next key, the next
+   V, and V ‖ 0x00 built to be MACed) and the next prepared key (136 B).
+   Preparing the key afresh from contexts on every draw, and copying two
+   contexts per MAC, allocated 2,792 B, past the 512 B bound. A Poly1305
    MAC allocates its state, one block buffer and its tag, 200 B whatever
    the length; a block that boxed its four word loads would allocate over
    6 KB at 64 blocks. A public key carries its encoding, so
@@ -1247,7 +1291,8 @@ let test_allocation_gate () =
     let key = String.make 32 'k' and nonce = String.make 12 'n' in
     let prepared = Aead.prepare key and mac_key = Hmac.prepare key in
     let box = Aead.seal_prepared prepared ~nonce kb in
-    let msg100 = String.sub kb 0 100 in
+    let msg32 = String.sub kb 0 32 and msg100 = String.sub kb 0 100 in
+    let drbg = Drbg.create ~seed:"allocation gate" in
     List.iter
       (fun (name, bound, f) ->
         let used = Testkit.alloc_bytes_per_call f in
@@ -1256,7 +1301,9 @@ let test_allocation_gate () =
       [ ("Sha256.digest 1 KB", 4096, fun () -> Sha256.digest kb);
         ("Chacha20.encrypt 1 KB", 1536, fun () -> Chacha20.encrypt ~key ~nonce kb);
         ("Hmac.mac", 4096, fun () -> Hmac.mac ~key "aead-mac");
+        ("Hmac.mac_prepared 32 B", 256, fun () -> Hmac.mac_prepared mac_key msg32);
         ("Hmac.mac_prepared 100 B", 1024, fun () -> Hmac.mac_prepared mac_key msg100);
+        ("Drbg.generate 32", 512, fun () -> Drbg.generate drbg 32);
         ("Poly1305.mac 1 KB", 1024, fun () -> Poly1305.mac ~key kb);
         ("Aead.seal 1 KB", 4096, fun () -> Aead.seal ~key ~nonce kb);
         ("Aead.seal_prepared 1 KB", 1536, fun () -> Aead.seal_prepared prepared ~nonce kb);
@@ -1293,7 +1340,8 @@ let () =
       ( "drbg",
         [ ("deterministic", `Quick, test_drbg_deterministic);
           ("reseed", `Quick, test_drbg_reseed);
-          ("uniform", `Quick, test_drbg_uniform) ] );
+          ("uniform", `Quick, test_drbg_uniform);
+          ("committed DRBG vectors", `Quick, test_drbg_vectors) ] );
       ( "aead",
         [ ("roundtrip", `Quick, test_aead_roundtrip);
           ("tamper detection", `Quick, test_aead_tamper);

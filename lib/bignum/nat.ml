@@ -317,12 +317,16 @@ let mod_pow_naive b e m =
    partial sum is at most the multiply's column total and the bound B,
    and the width rule above holds for it unchanged.
 
-   Odd moduli of 233 to 259 bits, every Miller-Rabin candidate and RSA
-   CRT half of a 512-bit key, take [Mont9] instead: the same multiply
-   and squaring for exactly 9 limbs of 29 bits, generated by
-   gen_mont9.ml as straight-line columns over limbs held in locals. They
-   add the same products per column, so the bound B holds. They reduce
-   lazily: with R = 2^261 > 4m, a product of x, y < 2m is
+   Two limb counts take fixed kernels instead: the same multiply and
+   squaring written out by gen_mont.ml as straight-line columns over
+   limbs held in locals. [Mont9] takes odd moduli of 233 to 259 bits (9
+   limbs of 29 bits: every Miller-Rabin candidate and RSA CRT half of a
+   512-bit key), [Mont19] those of 505 to 530 bits (19 limbs of 28 bits:
+   a 512-bit key's modulus, so every verify and every sign's fault
+   check). They add the same products per column, so the bound B holds;
+   a column sums the products that are ready first and adds the carry
+   last, so only that add waits on the previous column. They reduce
+   lazily: with R = 2^(w n) > 4m, a product of x, y < 2m is
    (xy + qm)/R < 4m^2/R + m < 2m, so no product takes the conditional
    subtraction, and [mont_pow] takes it once, on its result. *)
 
@@ -489,13 +493,17 @@ let mont_sqr ~width ~neg_inv m q x dst =
   done;
   mont_finish ~width m dst !c
 
+(* The kernel a modulus's products take: the column loops, or [Mont9] or
+   [Mont19], whose products stay below 2m. *)
+type kernel = Loops | Fixed9 | Fixed19
+
 type mont = {
   modulus : t;
   width : int;
   limbs : int array;  (* the modulus in limbs of [width] bits *)
   neg_inv : int;  (* -m^{-1} mod 2^width *)
   r2 : int array;  (* R^2 mod m in the same limbs, R = 2^(width * n) *)
-  fixed : bool;  (* products go through [Mont9] and stay below 2m *)
+  kernel : kernel;
 }
 
 (* -m^{-1} mod 2^w by Newton lifting: for odd m0, x = m0 is an inverse
@@ -507,6 +515,15 @@ let mont_neg_inv ~width m0 =
     x := !x * ((2 - (m0 * !x)) land mask) land mask
   done;
   (mask + 1 - !x) land mask
+
+(* A fixed kernel takes a modulus of its own limbs when its lazy
+   reduction holds, R > 4m, that is bits(m) <= w n - 2: 233 to 259 bits
+   for [Mont9], 505 to 530 for [Mont19]. *)
+let kernel_for ~bits ~width n =
+  if bits > (width * n) - 2 then Loops
+  else if width = Mont9.width && n = Mont9.limbs then Fixed9
+  else if width = Mont19.width && n = Mont19.limbs then Fixed19
+  else Loops
 
 let mont m =
   let bits = bit_length m in
@@ -521,19 +538,23 @@ let mont m =
           limbs;
           neg_inv = mont_neg_inv ~width limbs.(0);
           r2 = repack ~from:limb_bits ~into:width n (rem (shift_left one (2 * width * n)) m);
-          (* R > 4m, that is bits(m) <= w n - 2: 233 to 259 bits. *)
-          fixed = width = Mont9.width && n = Mont9.limbs && bits <= (width * n) - 2;
+          kernel = kernel_for ~bits ~width n;
         }
   | _ -> None
 
-(* The products of [mont_pow], through the kernel [mont] picked. *)
+(* The products of [mont_pow], through the kernel [mont] picked; only
+   the loops read the quotient limbs [q]. *)
 let mmul c q x y dst =
-  if c.fixed then Mont9.mul ~neg_inv:c.neg_inv c.limbs x y dst
-  else mont_mul ~width:c.width ~neg_inv:c.neg_inv c.limbs q x y dst
+  match c.kernel with
+  | Fixed9 -> Mont9.mul ~neg_inv:c.neg_inv c.limbs x y dst
+  | Fixed19 -> Mont19.mul ~neg_inv:c.neg_inv c.limbs x y dst
+  | Loops -> mont_mul ~width:c.width ~neg_inv:c.neg_inv c.limbs q x y dst
 
 let msqr c q x dst =
-  if c.fixed then Mont9.sqr ~neg_inv:c.neg_inv c.limbs x dst
-  else mont_sqr ~width:c.width ~neg_inv:c.neg_inv c.limbs q x dst
+  match c.kernel with
+  | Fixed9 -> Mont9.sqr ~neg_inv:c.neg_inv c.limbs x dst
+  | Fixed19 -> Mont19.sqr ~neg_inv:c.neg_inv c.limbs x dst
+  | Loops -> mont_sqr ~width:c.width ~neg_inv:c.neg_inv c.limbs q x dst
 
 let mont_pow c b e =
   if is_zero e then one
@@ -543,7 +564,7 @@ let mont_pow c b e =
     else begin
       let { width; limbs = m; r2; _ } = c in
       let n = Array.length m in
-      let q = Array.make n 0 in
+      let q = if c.kernel = Loops then Array.make n 0 else [||] in
       let nbits = bit_length e in
       (* Sliding window: precompute the odd powers b^1, b^3, ...,
          b^(2^win - 1) in Montgomery form; larger exponents amortize
@@ -595,7 +616,7 @@ let mont_pow c b e =
       onep.(0) <- 1;
       (* Back out of the Montgomery domain: below m + 1 from an
          accumulator below 2m, and m itself only when the result is 0,
-         which [Mont9] leaves unreduced. *)
+         which the fixed kernels leave unreduced. *)
       mmul c q acc onep acc;
       sub_if_ge ~width ~over:false m acc;
       of_width ~width acc

@@ -86,13 +86,17 @@ type mont
     1.5n^2 limb products where a multiply makes 2n^2. Its columns add
     exactly the non-negative products a multiply of x by x would, so
     they meet the same bound and the widths hold for it unchanged.
-    An odd modulus of 233 to 259 bits (9 limbs of 29 bits, so
+    Two limb counts get the same multiply and squaring written out for
+    exactly their size, over limbs held in locals, each column summing
+    the products that are ready first and the previous column's carry
+    last: an odd modulus of 233 to 259 bits (9 limbs of 29 bits, so
     [R = 2^261 > 4m]: a Miller–Rabin candidate or an RSA-512 CRT half)
-    gets the same multiply and squaring written out for exactly 9 limbs
-    held in locals, with lazy reduction: a product of operands below 2m
-    is below 2m, and no product takes the conditional subtraction. The
-    constants record which kernel they take. Immutable once made, so one
-    value serves several domains. *)
+    and one of 505 to 530 bits (19 limbs of 28 bits, [R = 2^532 > 4m]:
+    an RSA-512 modulus or an RSA-1024 CRT half). Both reduce lazily: a
+    product of operands below 2m is below 2m, and no product takes the
+    conditional subtraction. The constants record which of the three
+    kernels they take: the column loops, 9 limbs or 19 limbs. Immutable
+    once made, so one value serves several domains. *)
 
 val mont : t -> mont option
 (** [mont m] is the constants of [m] when [m] is odd, above 1 and at most
@@ -104,13 +108,14 @@ val mont_pow : mont -> t -> t -> t
     [base] into w-bit limbs, raises it with a sliding window over [exp]
     (one bit for exponents of at most 20 bits, such as 65537; 2, 4 or 5
     bits for wider ones) and allocates its workspace, the table of odd
-    powers, the accumulator and the quotient limbs, per call. Every
-    squaring, the window's and the table's b^2, goes through the
-    Montgomery squaring, which allocates nothing; the window multiplies
-    and the conversions into and out of the Montgomery domain go through
-    the multiply. Under the 9-limb kernel the powers stay below 2m, and
-    only the result, at most m after the conversion out, takes the
-    conditional subtraction. *)
+    powers and the accumulator, per call, and the quotient limbs only
+    when the column loops run. Every squaring, the window's and the
+    table's b^2, goes through the Montgomery squaring, which allocates
+    nothing; the window multiplies and the conversions into and out of
+    the Montgomery domain go through the multiply. Under the 9- and
+    19-limb kernels the powers stay below 2m, and only the result, at
+    most m after the conversion out, takes the conditional
+    subtraction. *)
 
 val mod_pow_naive : t -> t -> t -> t
 (** The reference square-and-multiply with a full division per step —

@@ -3,18 +3,6 @@
     All hashing in the proxy system — certificate signatures, HMAC proxy
     keys, check digests — bottoms out here. *)
 
-type ctx
-
-val init : unit -> ctx
-val update : ctx -> string -> unit
-val finalize : ctx -> string
-(** [finalize ctx] returns the 32-byte digest. The context must not be used
-    afterwards. *)
-
-val copy : ctx -> ctx
-(** [copy ctx] is an independent context that has absorbed the same input,
-    so a shared prefix is hashed once. *)
-
 val digest : string -> string
 (** One-shot hash of a full message; 32 raw bytes. *)
 

@@ -1,11 +1,10 @@
-(* SHA-256 (FIPS 180-4) below the streaming context: the compression
-   function, and a whole message hashed on from given chaining words, on
-   which {!Sha256} and {!Hmac} build. Chaining words are 32-bit values in
-   the first eight cells of a native-int array. A compression copies them
-   into eight Int32 locals and runs the 64 rounds over those, unboxed as
-   in {!Chacha20}; the message schedule is the domain's in {!Kernel}, held
-   in native ints. Nothing here allocates, and every compression counts in
-   {!Cost}. *)
+(* SHA-256 (FIPS 180-4): the compression function, and a whole message
+   hashed on from given chaining words, on which {!Sha256} and {!Hmac}
+   build. Chaining words are 32-bit values in the first eight cells of a
+   native-int array. A compression copies them into eight Int32 locals
+   and runs the 64 rounds over those, unboxed as in {!Chacha20}; the
+   message schedule is the domain's in {!Kernel}, held in native ints.
+   Nothing here allocates, and every compression counts in {!Cost}. *)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;

@@ -375,6 +375,12 @@ let prop_montgomery_band =
     ~count:200 (arb_pow 233 259)
     (fun (b, e, m) -> N.equal (N.mod_pow b e m) (N.mod_pow_naive b e m))
 
+(* The band of the fixed 19-limb kernel, a 512-bit RSA modulus's. *)
+let prop_montgomery_band19 =
+  QCheck.Test.make ~name:"mod_pow = mod_pow_naive, 505-530-bit odd moduli, full exponents"
+    ~count:200 (arb_pow 505 530)
+    (fun (b, e, m) -> N.equal (N.mod_pow b e m) (N.mod_pow_naive b e m))
+
 let prop_divmod_huge =
   QCheck.Test.make ~name:"divmod reconstruction on huge operands" ~count:150
     (QCheck.pair arb_huge arb_modulus)
@@ -504,27 +510,31 @@ let test_fast_path_edges () =
          else [])))
     [ (29, 1); (29, 2); (29, 3); (29, 15); (28, 16); (28, 63); (27, 66); (27, 255); (26, 265);
       (26, 1023) ];
-  (* The fixed kernel's band and its neighbours: odd moduli of 233 to 259
-     bits, 9 limbs of 29 bits with R = 2^261 > 4m, take [Mont9], whose
-     lazy products stay below 2m; 232 bits (8 limbs) and 260 and 261 bits
-     (R <= 4m) stay on the column loops. Each all-ones and 2^k - 2^29 + 1
-     modulus is raised from b = m - 1, 2, m - 2 and floor(m/2) to the
-     four exponents. A copy that ran [Mont9] at 260 and 261 bits got 28
-     of those 64 cases wrong. *)
+  (* The fixed kernels' bands and their neighbours. Odd moduli of 233 to
+     259 bits, 9 limbs of 29 bits with R = 2^261 > 4m, take [Mont9]; 505
+     to 530 bits, 19 limbs of 28 bits with R = 2^532 > 4m, take [Mont19].
+     Their lazy products stay below 2m. 232 and 504 bits (8 and 18 limbs)
+     and 260, 261, 531 and 532 bits (R <= 4m) stay on the column loops.
+     Each all-ones and 2^k - 2^w + 1 modulus is raised from b = m - 1, 2,
+     m - 2 and floor(m/2) to the four exponents. A copy that ran [Mont9]
+     at 260 and 261 bits got 28 of its 64 cases wrong, and one that ran
+     [Mont19] at 531 and 532 bits 28 of its 64. *)
   List.iter
-    (fun bits ->
+    (fun (w, bits) ->
       List.iter
         (fun (what, m) ->
           powers what m
             [ ("m - 1", N.sub m N.one); ("2", N.two); ("m - 2", N.sub m N.two);
               ("floor(m/2)", N.shift_right m 1) ])
         [ (Printf.sprintf "all-ones modulus, %d bits" bits, all_ones bits);
-          (Printf.sprintf "2^%d - 2^29 + 1" bits, low_one 29 bits) ])
-    [ 232; 233; 256; 259; 260; 261 ];
-  (* m = r^2 for odd r of about 128 bits, b = r: the result is 0, but the
-     lazy accumulator is m itself from the first square on, and only the
-     final conditional subtraction brings it to 0 (a copy without it got
-     all 12 cases wrong). *)
+          (Printf.sprintf "2^%d - 2^%d + 1" bits w, low_one w bits) ])
+    (List.map (fun bits -> (29, bits)) [ 232; 233; 256; 259; 260; 261 ]
+    @ List.map (fun bits -> (28, bits)) [ 504; 505; 512; 530; 531; 532 ]);
+  (* m = r^2 for odd r of about 128 bits (the 9-limb band) and about 256
+     bits (the 19-limb band), b = r: the result is 0, but the lazy
+     accumulator is m itself from the first square on, and only the final
+     conditional subtraction brings it to 0 (a copy without it got all 24
+     cases wrong). *)
   List.iter
     (fun r ->
       let m = N.mul r r in
@@ -536,7 +546,8 @@ let test_fast_path_edges () =
             N.zero (N.mod_pow r e m))
         exponents)
     [ N.add (N.shift_left N.one 127) (N.of_int 0x1234567);
-      N.sub (N.shift_left N.one 129) N.one; all_ones 117 ];
+      N.sub (N.shift_left N.one 129) N.one; all_ones 117;
+      N.add (N.shift_left N.one 252) (N.of_int 0x1234567); all_ones 257; all_ones 265 ];
   check "all-ones modulus, 26,599 bits" (all_ones 26599);
   Alcotest.(check (list bool))
     "constants for odd moduli of 3 to 26,598 bits only"
@@ -562,13 +573,14 @@ let test_fast_path_edges () =
    regardless), with exponents as wide as the modulus. A call builds its
    modulus's constants (one division for R^2 mod m), converts its base
    and allocates the kernel's workspace: the odd powers, the
-   accumulator, the quotient limbs and the result. That reads 3,240 B
-   at 256 bits and 6,992 B at 512 on x86-64 (3,328 B and 7,456 B with
-   the 26-bit kernel). A Montgomery product allocates nothing: one that
-   boxed a 64-bit column sum (24 B) per column would add about 130 KB at
-   256 bits, where an exponentiation makes some 316 products of 17
-   columns. The 9-limb kernel's [Int64] locals are unboxed only while
-   none of them escapes, so this gate also guards them. *)
+   accumulator and the result (and the quotient limbs, on the column
+   loops only). That reads 3,160 B at 256 bits and 6,832 B at 512 on
+   x86-64, both on fixed kernels (3,240 B and 6,992 B while every call
+   allocated quotient limbs). A Montgomery product allocates nothing:
+   one that boxed a 64-bit column sum (24 B) per column would add about
+   130 KB at 256 bits, where an exponentiation makes some 316 products
+   of 17 columns. The fixed kernels' [Int64] locals are unboxed only
+   while none of them escapes, so this gate also guards them. *)
 let test_mod_pow_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let d = Crypto.Drbg.create ~seed:"mod_pow allocation" in
@@ -592,7 +604,7 @@ let props =
       prop_divmod_invariant; prop_matches_int; prop_bytes_roundtrip; prop_bytes_vs_fold;
       prop_string_roundtrip; prop_shift_mul; prop_modinv; prop_modpow_small;
       prop_karatsuba_vs_schoolbook; prop_montgomery_vs_naive; prop_montgomery_wide;
-      prop_montgomery_band; prop_divmod_huge;
+      prop_montgomery_band; prop_montgomery_band19; prop_divmod_huge;
       prop_trial_division; prop_rem_int ]
 
 let suite =

@@ -386,21 +386,6 @@ let test_sha256_vectors () =
     (fun (msg, want) -> Alcotest.(check string) "sha256" want (Sha256.hex_digest msg))
     cases
 
-let test_sha256_incremental () =
-  (* Streaming in odd-sized chunks must agree with one-shot. *)
-  let msg = String.init 3000 (fun i -> Char.chr (i mod 251)) in
-  let ctx = Sha256.init () in
-  let pos = ref 0 in
-  let sizes = [ 1; 63; 64; 65; 100; 7; 1000; 2000 ] in
-  List.iter
-    (fun n ->
-      let n = min n (String.length msg - !pos) in
-      Sha256.update ctx (String.sub msg !pos n);
-      pos := !pos + n)
-    sizes;
-  Sha256.update ctx (String.sub msg !pos (String.length msg - !pos));
-  Alcotest.(check string) "incremental = one-shot" (Sha256.digest msg) (Sha256.finalize ctx)
-
 (* --- HMAC-SHA256: RFC 4231 vectors --- *)
 
 let test_hmac_vectors () =
@@ -1053,26 +1038,6 @@ let prop_sha_vs_ref =
   QCheck.Test.make ~name:"sha256 = int32 reference" ~count:500 arb_msg (fun m ->
       Sha256.digest m = Ref_sha256.digest m)
 
-let prop_sha_split =
-  QCheck.Test.make ~name:"sha256 update at random split points, and copy" ~count:300
-    (QCheck.pair arb_msg QCheck.(small_list small_nat))
-    (fun (m, cuts) ->
-      let len = String.length m in
-      let cuts = List.sort compare (List.map (fun c -> c mod (len + 1)) cuts) in
-      let ctx = Sha256.init () in
-      let pos =
-        List.fold_left
-          (fun pos c ->
-            Sha256.update ctx (String.sub m pos (c - pos));
-            c)
-          0 cuts
-      in
-      let twin = Sha256.copy ctx and rest = String.sub m pos (len - pos) in
-      Sha256.update ctx rest;
-      Sha256.update twin rest;
-      let want = Ref_sha256.digest m in
-      Sha256.finalize ctx = want && Sha256.finalize twin = want)
-
 let prop_hmac_vs_ref =
   QCheck.Test.make ~name:"hmac = reference, keys 0-200 bytes" ~count:300
     (QCheck.pair
@@ -1153,7 +1118,7 @@ let prop_drbg_vs_ref =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sha_distinct; prop_aead_roundtrip; prop_chacha_involution; prop_ct_equal_iff;
-      prop_sha_vs_ref; prop_sha_split; prop_hmac_vs_ref; prop_chacha_vs_ref; prop_poly1305_vs_ref;
+      prop_sha_vs_ref; prop_hmac_vs_ref; prop_chacha_vs_ref; prop_poly1305_vs_ref;
       prop_aead_vs_ref; prop_drbg_vs_ref ]
 
 (* --- Cost tally ---
@@ -1245,10 +1210,10 @@ let test_cost_domain_local () =
    and HMAC bounds sit several times above what the call allocates now and
    several times below what boxed Int32 words cost (38.7 KB and 10.3 KB
    per call). A 512-bit RSA signature under a generated key runs about
-   660 Montgomery multiplications and allocates about 9.2 KB: each of its
+   660 Montgomery multiplications and allocates about 8.9 KB: each of its
    three exponentiations (two CRT halves and the fault check) converts
    its operand and allocates its workspace, under constants the key
-   holds. A verify allocates about 1.9 KB. Rebuilding the constants per
+   holds. A verify allocates about 1.8 KB. Rebuilding the constants per
    call, one division for R^2 mod m each, made them 17.1 KB and 5.9 KB,
    past the 12 KB and 3 KB bounds, and a multiply that boxed one 24 B
    column sum per column would add some 270 KB to a signature. A seal of
@@ -1319,9 +1284,7 @@ let test_allocation_gate () =
 
 let () =
   Alcotest.run "crypto"
-    [ ( "sha256",
-        [ ("vectors", `Quick, test_sha256_vectors);
-          ("incremental", `Quick, test_sha256_incremental) ] );
+    [ ("sha256", [ ("vectors", `Quick, test_sha256_vectors) ]);
       ( "hmac",
         [ ("rfc4231 vectors", `Quick, test_hmac_vectors); ("verify", `Quick, test_hmac_verify) ]
       );

@@ -968,12 +968,14 @@ let mbt smoke replay repros mutation_name seed_base n_seeds per_seed shrink_budg
               ~shrink_budget:120 ~save:None ())
           Mbt.Exec.mutations
       in
-      let repros_ok =
-        if Sys.file_exists "test/repros" && Sys.is_directory "test/repros" then
-          replay_repro_dir "test/repros"
-        else true
+      let replayed dir =
+        if Sys.file_exists dir && Sys.is_directory dir then replay_repro_dir dir else true
       in
-      clean && kills && repros_ok
+      (* test/regressions holds programs that record no mutation: each
+         reaches code the small clean campaign rarely does, and must agree. *)
+      let repros_ok = replayed "test/repros" in
+      let regressions_ok = replayed "test/regressions" in
+      clean && kills && repros_ok && regressions_ok
     end
     else
       match (replay, repros) with
@@ -989,7 +991,7 @@ let mbt_cmd =
     Arg.(value & flag
          & info [ "smoke" ]
              ~doc:"CI smoke: small clean campaign, one kill check per injected mutation, and a \
-                   replay of test/repros/")
+                   replay of test/repros/ and test/regressions/")
   in
   let replay =
     Arg.(value & opt (some string) None

@@ -57,10 +57,21 @@ python3 test/drbg_vectors.py "$DRBG_VECTORS"
 cmp "$DRBG_VECTORS" test/drbg_vectors.txt
 rm -f "$DRBG_VECTORS"
 
+# Every smoke below runs under `timeout`, as `dune runtest` does above: a
+# scenario that hangs fails CI instead of stalling it. `smoke LIMIT ARGS`
+# runs `proxykit ARGS` for at most LIMIT seconds, about ten times what the
+# smoke took on the slowest host measured (a 2-vCPU host, where mbt took
+# 8.9 s) and never under 10 s, since a sub-second smoke is mostly start-up.
+smoke () {
+    limit=$1
+    shift
+    timeout "$limit" dune exec --no-build bin/proxykit.exe -- "$@"
+}
+
 echo "== chaos smoke matrix =="
 run_chaos () {
     echo "-- proxykit chaos $*"
-    dune exec --no-build bin/proxykit.exe -- chaos "$@"
+    smoke 10 chaos "$@"
 }
 run_chaos --seed ci-calm   --drop 0.05 --duplicate 0.05 --no-crash
 run_chaos --seed ci-storm  --drop 0.25 --duplicate 0.10
@@ -72,20 +83,20 @@ echo "== cluster failover smoke =="
 # shard's primary mid-clearing; the run must keep value conserved with
 # exactly-once check redemption across the failover, and a same-seed rerun
 # must be byte-identical (metrics snapshot and trace).
-dune exec --no-build bin/proxykit.exe -- cluster --smoke
-dune exec --no-build bin/proxykit.exe -- cluster --smoke --seed ci-cluster --shards 2 --crash-buyer
+smoke 10 cluster --smoke
+smoke 10 cluster --smoke --seed ci-cluster --shards 2 --crash-buyer
 # Lane-parallel engine: the same seeded workload spread over 4 OCaml
 # domains must be byte-identical (metrics, trace, span JSONL) to the
 # single-domain schedule, with conservation, exactly-once redemption, and
 # a bulletin landing on every lane.
-dune exec --no-build bin/proxykit.exe -- cluster --smoke --domains 4
+smoke 20 cluster --smoke --domains 4
 
 echo "== model-based conformance smoke =="
 # Generated authorization programs run against the real stack (verify cache
 # on and off) and a pure reference model; any disagreement fails. The smoke
 # also checks each injected stack mutation is caught (the harness can kill
 # mutants) and replays the committed shrunk repros in test/repros/.
-dune exec --no-build bin/proxykit.exe -- mbt --smoke
+smoke 90 mbt --smoke
 
 echo "== permission-sequence smoke =="
 # Two-server context-aware sequence scenario: a stateful Sequence restriction
@@ -93,10 +104,10 @@ echo "== permission-sequence smoke =="
 # debit is denied, the in-order run clears exactly once, progress replicates
 # to the standby and survives a mid-sequence primary crash (the post-failover
 # debit succeeds without re-opening), and a same-seed rerun is byte-identical.
-dune exec --no-build bin/proxykit.exe -- seq --smoke
+smoke 10 seq --smoke
 # Lane-parallel variant: each lane pair runs the sequence across a lane
 # boundary; the 2-domain digest must match the single-domain schedule.
-dune exec --no-build bin/proxykit.exe -- seq --smoke --domains 2
+smoke 10 seq --smoke --domains 2
 
 echo "== revocation storm smoke =="
 # Seeded revocation-under-churn scenario: bulletins revoke live chains while
@@ -105,7 +116,7 @@ echo "== revocation storm smoke =="
 # heal, refreshed short-TTL chains must survive a grantor-epoch revocation,
 # bulletins must land on both bank replicas, and a same-seed rerun must be
 # byte-identical.
-dune exec --no-build bin/proxykit.exe -- revoke --smoke
+smoke 10 revoke --smoke
 
 echo "== cross-realm federation smoke =="
 # Three federated realms on one net: forged inter-realm TGTs (foreign and
@@ -115,11 +126,11 @@ echo "== cross-realm federation smoke =="
 # membership replica must serve through a partition of the origin realm,
 # fail closed past its staleness bound, recover on heal — byte-identical
 # on a same-seed rerun.
-dune exec --no-build bin/proxykit.exe -- federate --smoke
+smoke 10 federate --smoke
 # Lane-parallel variant: one realm per lane, signed membership snapshots
 # ringing between lanes; the 2-domain digest must be byte-identical to the
 # single-domain schedule.
-dune exec --no-build bin/proxykit.exe -- federate --smoke --domains 2
+smoke 10 federate --smoke --domains 2
 
 echo "== open-loop load smoke =="
 # Deterministic open-loop mixed workload from a lazily-materialized 100k
@@ -127,23 +138,23 @@ echo "== open-loop load smoke =="
 # engage (coalesced sweep batches, replication read-skips) and same-seed
 # reruns must be byte-identical — metrics, trace, and span JSONL — with
 # batching on and off.
-dune exec --no-build bin/proxykit.exe -- load --smoke
+smoke 90 load --smoke
 # Lane-parallel variant: the skewed, read-heavy lane mix on 4 domains must
 # match the single-domain schedule byte for byte.
-dune exec --no-build bin/proxykit.exe -- load --smoke --domains 4
+smoke 20 load --smoke --domains 4
 
 echo "== causal tracing smoke =="
 # A traced cascaded-authorization run must show >= 4 causally nested spans
 # across >= 3 actors with a retry child under the injected drop, per-span
 # self costs summing exactly to the global metrics diff, a valid Chrome
 # export, and byte-identical JSONL on a same-seed rerun.
-dune exec --no-build bin/proxykit.exe -- trace f4 --smoke
-dune exec --no-build bin/proxykit.exe -- trace f5 --smoke
+smoke 10 trace f4 --smoke
+smoke 10 trace f5 --smoke
 
 echo "== wire-codec fuzz smoke =="
 # Mutated encodings must never crash a decoder (fail closed), valid seeds
 # must round-trip, and the committed corpus in test/fuzz_corpus/ replays.
-dune exec --no-build bin/proxykit.exe -- fuzz --smoke
+smoke 10 fuzz --smoke
 
 echo "== bench smoke (logical metrics vs committed baseline) =="
 # Fast-mode runs regenerate BENCH_*.json into a scratch dir; bench-check
@@ -155,7 +166,7 @@ BENCH_IDS=$(dune exec --no-build bin/proxykit.exe -- bench --list | awk '{print 
 test -n "$BENCH_IDS"
 BENCH_SMOKE_DIR=$(mktemp -d)
 BENCH_FAST=1 BENCH_DIR="$BENCH_SMOKE_DIR" \
-    dune exec --no-build bin/proxykit.exe -- bench $BENCH_IDS
+    timeout 90 dune exec --no-build bin/proxykit.exe -- bench $BENCH_IDS
 for id in $(echo "$BENCH_IDS" | tr 'a-z' 'A-Z'); do
     dune exec --no-build bin/proxykit.exe -- bench-check \
         "bench/BENCH_$id.json" "$BENCH_SMOKE_DIR/BENCH_$id.json"

@@ -381,7 +381,7 @@ let handle t ctx request =
             in
             trace t "certified check %s for %d %s" check.Check.number check.Check.amount
               check.Check.currency;
-            Ok (Proxy.transfer_to_wire proxy))
+            Ok (Proxy.presentation_to_wire proxy.Proxy.flavor))
   | Cashier { from_account; payee; currency; amount } ->
       let* () = transport ~operation:"cashier" ~target:from_account ~spend:(currency, amount) () in
       owner_only from_account (fun () ->
@@ -544,7 +544,7 @@ let deposit ?retry ?via ?on_failover net ~creds ~endorser_key ~check ~to_account
     Wire.to_int
 
 let certify net ~creds ~check =
-  Result.bind (call net ~creds (Certify check)) Proxy.transfer_of_wire
+  Result.bind (call net ~creds (Certify check)) Proxy.keyless_of_wire
 
 let cashier_check net ~creds ~from_account ~payee ~currency ~amount =
   Result.bind

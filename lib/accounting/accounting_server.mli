@@ -197,7 +197,8 @@ val certify :
   (Proxy.t, string) result
 (** Place a hold covering [check] (which the caller has drawn on its account
     at this server) and return the certification proxy asserting that funds
-    are guaranteed: a key-less grant to the check's payee. *)
+    are guaranteed: a key-less grant to the check's payee. It travels as
+    its presentation, as a check does: there is no key to send. *)
 
 val cashier_check :
   Sim.Net.t ->

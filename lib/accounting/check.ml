@@ -37,6 +37,4 @@ let of_proxy proxy =
 
 let to_wire c = Proxy.presentation_to_wire c.proxy.Proxy.flavor
 
-let of_wire v =
-  Result.bind (Proxy.presentation_of_wire v) (fun flavor ->
-      of_proxy { Proxy.flavor; key = Proxy.No_key })
+let of_wire v = Result.bind (Proxy.keyless_of_wire v) of_proxy

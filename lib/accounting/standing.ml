@@ -48,6 +48,4 @@ let of_proxy proxy =
 
 let to_wire t = Proxy.presentation_to_wire t.authority.Proxy.flavor
 
-let of_wire v =
-  Result.bind (Proxy.presentation_of_wire v) (fun flavor ->
-      of_proxy { Proxy.flavor; key = Proxy.No_key })
+let of_wire v = Result.bind (Proxy.keyless_of_wire v) of_proxy

@@ -53,7 +53,7 @@ let handle t payload =
         let certification =
           match cert_w with
           | Wire.L [] -> Ok None
-          | v -> Result.map Option.some (Proxy.transfer_of_wire v)
+          | v -> Result.map Option.some (Proxy.keyless_of_wire v)
         in
         let* certification = certification in
         match certification with
@@ -98,7 +98,9 @@ let price net ~creds ~content_length =
 
 let print net ~creds ~document ~content ~check ?certification () =
   let cert_w =
-    match certification with None -> Wire.L [] | Some p -> Proxy.transfer_to_wire p
+    match certification with
+    | None -> Wire.L []
+    | Some p -> Proxy.presentation_to_wire p.Proxy.flavor
   in
   let payload =
     Wire.L [ Wire.S "print"; Wire.S document; Wire.S content; Check.to_wire check; cert_w ]

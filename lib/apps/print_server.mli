@@ -7,9 +7,9 @@
     - ordinary check: the server prints first, then endorses and deposits;
       a bounced check is the out-of-band problem the paper acknowledges
       (reported as an error, job traced as unpaid);
-    - certified check: the client attaches the certification proxy; the
-      server verifies the guarantee {e offline} before committing the
-      pages. *)
+    - certified check: the client attaches the certification proxy, as
+      its presentation (a certification is key-less); the server verifies
+      the guarantee {e offline} before committing the pages. *)
 
 type t
 

@@ -161,7 +161,7 @@ type decision = {
 (* A verified chain that answered one question (a group it claims, or the
    request), and what a grant it contributes to writes: what [held]
    checked, in order. *)
-type usable = { chain : Verifier.verified; changes : change list }
+type usable = { chain : Verifier.verified; changes : change list; presented : presented }
 
 let tally t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
 
@@ -249,6 +249,15 @@ let apply_bulletin t bulletin =
           end;
           Ok true)
 
+(* An accept-once id under its grantor's tag and its chain head's expiry:
+   a live record is a replay, and one that may have been evicted while
+   live cannot be shown unspent, so it is refused (fail closed). *)
+let unspent t ~now ~expires ~tag id =
+  match Expiring.lookup t.accepted ~now ~expires ~tag id with
+  | Expiring.Live () -> Error (Printf.sprintf "accept-once: %s already used" id)
+  | Expiring.Forgotten -> Error "accept-once: record forgotten under capacity pressure"
+  | Expiring.Absent -> Ok ()
+
 (* The guard's [held] for one verified chain: one lookup per stateful
    restriction, under the grantor's tag and the head certificate's expiry
    (a later link is the presenter's to write, and a short one must not let
@@ -261,11 +270,8 @@ let held t ~req (v : Verifier.verified) stateful =
   let now = req.Restriction.time and expires = v.Verifier.head_expires in
   let tag = Principal.to_string v.Verifier.grantor in
   match stateful with
-  | Restriction.Once id -> (
-      match Expiring.lookup t.accepted ~now ~expires ~tag id with
-      | Expiring.Live () -> Error (Printf.sprintf "accept-once: %s already used" id)
-      | Expiring.Forgotten -> Error "accept-once: record forgotten under capacity pressure"
-      | Expiring.Absent -> Ok (Accept_once { id; expires; tag }))
+  | Restriction.Once id ->
+      Result.map (fun () -> Accept_once { id; expires; tag }) (unspent t ~now ~expires ~tag id)
   | Restriction.Steps steps -> (
       let head = match v.Verifier.serials with head :: _ -> head | [] -> "" in
       let key = Restriction.seq_key ~head (Restriction.seq_canonical steps) in
@@ -278,6 +284,53 @@ let held t ~req (v : Verifier.verified) stateful =
       | Expiring.Live done_ -> next done_
       | Expiring.Forgotten -> Error "sequence: progress forgotten under capacity pressure"
       | Expiring.Absent -> next 0)
+
+(* The accept-once ids that apply at [me] in the certificates a signed
+   chain shows before any signature is checked, each with the index of
+   the certificate naming it: every certificate of a public-key chain,
+   and a hybrid's head (its cascade is sealed, as a conventional chain
+   is). A chain that names none allocates nothing. *)
+let rec pk_ids ~me i = function
+  | [] -> []
+  | (c : Proxy_cert.pk_cert) :: rest -> (
+      match Restriction.once_ids ~server:me c.Proxy_cert.pk_body.Proxy_cert.restrictions with
+      | [] -> pk_ids ~me (i + 1) rest
+      | ids -> List.map (fun id -> (i, id)) ids @ pk_ids ~me (i + 1) rest)
+
+let readable_ids t = function
+  | Proxy.Public_key certs -> pk_ids ~me:t.me 0 certs
+  | Proxy.Hybrid ({ Proxy_cert.h_body = b; _ }, _) ->
+      List.map (fun id -> (0, id)) (Restriction.once_ids ~server:t.me b.Proxy_cert.restrictions)
+  | Proxy.Conventional _ -> []
+
+(* Before a signed chain is verified, each id it names readably is looked
+   up as [held] will look it up once the chain verifies: under the head's
+   grantor and expiry, which verification takes from the same head. A
+   spent or forgotten id refuses the chain with [held]'s own reason, and
+   no signature is checked and nothing is looked up in the verify cache.
+   The stage only refuses and writes nothing: an absent id is decided
+   again by [held], after verification. *)
+let unspent_ids t ~now (p : presented) =
+  match (readable_ids t p.pres, p.pres) with
+  | [], _ | _, (Proxy.Public_key [] | Proxy.Conventional _) -> Ok ()
+  | ids, Proxy.Public_key ({ Proxy_cert.pk_body = head; _ } :: _)
+  | ids, Proxy.Hybrid ({ Proxy_cert.h_body = head; _ }, _) ->
+      let expires = head.Proxy_cert.expires in
+      let tag = Principal.to_string head.Proxy_cert.grantor in
+      List.fold_left
+        (fun acc (_, id) -> Result.bind acc (fun () -> unspent t ~now ~expires ~tag id))
+        (Ok ()) ids
+
+(* A chain whose grant spent an id it names readably keeps no verify-cache
+   entry from the certificate naming it on: [unspent_ids] now refuses every
+   chain through that certificate before a lookup, so none could be read.
+   The entries stayed in the cache while the decision ran, where another
+   chain of it could hit them, and the links before that certificate stay,
+   for other chains that share them. *)
+let forget_spent t (p : presented) =
+  match readable_ids t p.pres with
+  | (from, _) :: _ -> Verify_cache.forget t.verify_cache p.pres ~from ~binding:p.pres_binding
+  | [] -> ()
 
 (* Cross-server progress import (the receiving half of [seq_forward]): the
    key is self-describing, so we re-derive the sequence it claims to
@@ -327,13 +380,16 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
     let now = Sim.Net.now t.net in
     let presenters = Option.to_list presenter @ extra_presenters in
     let verify (p : presented) =
-      Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
-        ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
-        ?hook:(span_hook t) ~now p.pres
+      match unspent_ids t ~now p with
+      | Error _ as e -> e
+      | Ok () ->
+          Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
+            ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
+            ?hook:(span_hook t) ~now p.pres
     in
     let authorize ~req (p : presented) v =
       Result.map
-        (fun changes -> { chain = v; changes })
+        (fun changes -> { chain = v; changes; presented = p })
         (Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req v) v ~req
            ~ticket ~binding:p.pres_binding)
     in
@@ -437,6 +493,7 @@ let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?tick
                         end)
                   u.changes)
               used;
+            List.iter (fun u -> forget_spent t u.presented) used;
             let decision =
               {
                 granted_by = entry;

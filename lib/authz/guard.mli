@@ -246,6 +246,17 @@ val decide :
     bounces, and each distinct sequence line advances one step. The ACL
     entry's own restrictions keep no records ({!Restriction.no_state}).
 
+    A public-key or hybrid chain's accept-once ids are also looked up
+    before it is verified, from the certificates that can be read
+    unverified (every certificate of a public-key chain, a hybrid's
+    head; {!Restriction.once_ids}), under its head's grantor and expiry:
+    a live or forgotten id refuses the chain with the reason above, and
+    no signature is checked and nothing is looked up in the verify
+    cache. This stage writes nothing. A chain whose grant spends such an
+    id keeps no verify-cache entry from the certificate naming it on,
+    nor its binding's ({!Verify_cache.forget}, when the decision ends):
+    every chain through that certificate is refused here first.
+
     On a traced net ({!Sim.Net.spans}) each decision is a ["guard.decide"]
     span with attributes [operation] and [target]; a grant adds
     [presenter] (["<anonymous>"] without one), [granted_by] (the entry's

@@ -25,7 +25,11 @@
    entries, a batch names the position of its first, and the standby
    answers with how many it has applied. A ship whose answer was lost is
    shipped again from the same position, and the standby skips the
-   entries it already holds.
+   entries it already holds. The standby's response cache keeps its
+   seeded replies and the answer to the latest batch alone: a
+   retransmission of that batch is answered from it, and an older
+   batch's answer could never be asked for again, so handling a batch
+   drops the previous one's ([on_handled], [Expiring.remove]).
 
    The standby refuses fresh work ("standby: not primary") until it either
    observes the primary down or has already promoted itself; promotion is
@@ -56,6 +60,8 @@ type t = {
       (* the standby's journal position by its last answer: the position
          of the oldest unshipped entry *)
   mutable applied : int;  (* journal entries the standby has applied *)
+  mutable latest_batch : string option;
+      (* the standby's response-cache key of the last batch it handled *)
   mutable promoted : bool;
 }
 
@@ -113,6 +119,7 @@ let create net ~me ~my_key ~kdc ~signing_key ~lookup ?collect_retry ?repl_retry
       unshipped = [];
       acked = 0;
       applied = 0;
+      latest_batch = None;
       promoted = false;
     }
   in
@@ -124,6 +131,7 @@ let primary_node t = t.primary.node
 let standby_node t = t.standby.node
 let primary_server t = t.primary.server
 let standby_server t = t.standby.server
+let standby_cache t = t.standby.cache
 let promoted t = t.promoted
 
 let primary_down t = Sim.Net.is_down t.net t.primary.node
@@ -233,6 +241,20 @@ let standby_handle t ctx payload =
           end;
           Accounting_server.handle t.standby.server ctx request)
 
+(* The standby's cache keeps the answer to the latest batch only, beside
+   the replies it was seeded with. A duplicate of that batch is answered
+   from it; an older batch is never sent again under its authenticator (a
+   failed ship rides a fresh one, and positions apply it once), so its
+   answer could not be read. Only the shard itself is the replication
+   channel's client. *)
+let drop_older_batch t =
+  let self = Principal.to_string t.logical in
+  fun ~key ~client ~expires:_ ~reply:_ ->
+    if String.equal client self then begin
+      Option.iter (Expiring.remove t.standby.cache) t.latest_batch;
+      t.latest_batch <- Some key
+    end
+
 let install t =
   Secure_rpc.serve t.net ~me:t.logical ~my_key:t.key ~node:t.primary.node
     ~cache:t.primary.cache
@@ -241,7 +263,7 @@ let install t =
       Result.bind (Accounting_server.request_of_wire payload)
         (Accounting_server.handle t.primary.server ctx));
   Secure_rpc.serve t.net ~me:t.logical ~my_key:t.key ~node:t.standby.node
-    ~cache:t.standby.cache (standby_handle t)
+    ~cache:t.standby.cache ~on_handled:(drop_older_batch t) (standby_handle t)
 
 (* Provision funds on both replicas identically. The primary's journal is
    suppressed for the duration so setup minting is not double-applied when

@@ -16,7 +16,9 @@
     - the standby's response cache is seeded with those replies, keyed by
       ticket and authenticator tag as at the primary, so a failed-over
       retransmission is answered without a second execution
-      (exactly-once across replicas) and no other session reads them;
+      (exactly-once across replicas) and no other session reads them.
+      Beside them it keeps the answer to the latest replication batch
+      only, for a retransmission of that batch ({!standby_cache});
     - the standby refuses fresh work until it observes the primary down,
       and promotion is sticky thereafter. *)
 
@@ -64,6 +66,13 @@ val primary_node : t -> string
 val standby_node : t -> string
 val primary_server : t -> Accounting_server.t
 val standby_server : t -> Accounting_server.t
+
+val standby_cache : t -> Secure_rpc.cache
+(** The standby's response cache, to read: the replies replication seeded,
+    and the answer to the latest replication batch, kept for a duplicate
+    of that batch. An earlier batch's answer is dropped when the next
+    batch is handled ({!Expiring.remove}): the primary never sends a batch
+    again under its old authenticator once a later one has gone. *)
 
 val promoted : t -> bool
 (** Whether the standby has taken over. *)

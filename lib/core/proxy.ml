@@ -173,6 +173,8 @@ let presentation_of_wire_with ~pk_cert v =
 
 let presentation_of_wire = presentation_of_wire_with ~pk_cert:Proxy_cert.pk_cert_of_wire
 
+let keyless_of_wire v = Result.map (fun flavor -> { flavor; key = No_key }) (presentation_of_wire v)
+
 (* The RSA private key transfers as (n, e, d); a key-less proxy transfers
    no key at all. *)
 let material_to_wire = function

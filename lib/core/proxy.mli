@@ -177,6 +177,11 @@ val presentation : t -> presentation
 val presentation_to_wire : presentation -> Wire.t
 val presentation_of_wire : Wire.t -> (presentation, string) result
 
+val keyless_of_wire : Wire.t -> (t, string) result
+(** A presentation, held as a proxy with no key material ([No_key]): how a
+    key-less proxy travels (a check, a standing authority, a
+    certification), or a chain whose key stays with its holder. *)
+
 val presentation_of_wire_with :
   pk_cert:(Wire.t -> (Proxy_cert.pk_cert, string) result) ->
   Wire.t ->

@@ -314,6 +314,16 @@ let check_all ~held rs req =
   and decided acc rest = function Ok v -> go (v :: acc) rest | Error _ as e -> e in
   go [] rs
 
+(* The ids [check_all] would hand to [held] at [server], read without a
+   request: the same splice of a limit that names the server. A list that
+   names none allocates nothing. *)
+let rec once_ids ~server = function
+  | [] -> []
+  | Accept_once id :: rest -> id :: once_ids ~server rest
+  | Limit_restriction (ss, inner) :: rest when List.exists (Principal.equal server) ss ->
+      once_ids ~server (inner @ rest)
+  | _ :: rest -> once_ids ~server rest
+
 let grantees rs = List.concat_map (function Grantee (ps, _) -> ps | _ -> []) rs
 
 let propagate ~issued_for rs =

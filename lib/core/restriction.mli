@@ -146,6 +146,12 @@ val check_all :
     records. [Ok] carries what [held] returned, in order: what a server
     that grants the request must record. *)
 
+val once_ids : server:Principal.t -> t list -> string list
+(** The [Accept_once] identifiers that apply at [server], in order, as
+    {!check_all} finds them: at top level, or inside a [Limit_restriction]
+    that names the server, at any depth. {!check_all} hands each to
+    [held] unless an earlier restriction refuses first. *)
+
 val no_state : stateful -> ('a, string) result
 (** The [held] of a caller that keeps no records: it refuses every
     stateful restriction (fail closed). *)

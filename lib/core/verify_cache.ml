@@ -143,6 +143,22 @@ let find_link t ~now ~sealing_key blob =
 let record_link t ~now ~sealing_key blob (body, proxy_key) =
   remember t ~now (link_key blob) (Link { sealing_key; blob; body; proxy_key })
 
+(* The keys a walk of the chain from certificate [from] on, and its
+   binding's check, would look up. *)
+let forget t pres ~from ~binding =
+  match t.table with
+  | None -> ()
+  | Some table ->
+      let drop k = Expiring.remove table k in
+      (match pres with
+      | Proxy.Public_key certs ->
+          List.iteri (fun i c -> if i >= from then drop ("S" ^ c.Proxy_cert.signature)) certs
+      | Proxy.Hybrid (head, blobs) ->
+          if from = 0 then drop ("S" ^ head.Proxy_cert.h_signature);
+          List.iteri (fun i b -> if i + 1 >= from && has_tag b then drop (link_key b)) blobs
+      | Proxy.Conventional _ -> ());
+      Option.iter (fun b -> drop ("B" ^ b)) binding
+
 let size t = match t.table with Some table -> Expiring.size table | None -> 0
 
 (* A revocation, unlike TTL expiry (a freshness bound) or eviction (a space

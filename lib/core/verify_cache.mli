@@ -64,7 +64,13 @@
       verification every time; a certificate that copies a remembered
       signature onto another body does too, and leaves the genuine
       verdict in place, and so does a link box that carries a remembered
-      box's tag over other bytes.
+      box's tag over other bytes;
+    - spent chains — a public-key or hybrid chain whose grant consumed an
+      accept-once identifier one of its readable certificates names keeps
+      no entry from that certificate on ({!forget}): a guard refuses every
+      later presentation of it from its accept-once table, before any
+      lookup here, so such an entry could never be read. A paid check
+      keeps none of its verdicts.
 
     Entries live in one {!Expiring} table, expiring one simulated hour
     after they are recorded ([Pki.Resolver]'s TTL): a cached verification
@@ -163,6 +169,17 @@ val record_link :
   t -> now:int -> sealing_key:string -> string -> Proxy_cert.body * string -> unit
 (** Remember a successful open, by the same rule as {!record}. Only call
     on success. *)
+
+val forget : t -> Proxy.presentation -> from:int -> binding:string option -> unit
+(** Drop what the cache holds for a chain's certificates from index
+    [from] on (a public-key chain's certificates, or a hybrid's head, 0,
+    and its cascade links, 1 on; a conventional chain keeps its links)
+    and for its session [binding]: every entry its walk from there would
+    look up, recorded by this presentation or an earlier one. Counts
+    nothing and raises no floor ({!Expiring.remove}). [Authz.Guard] calls
+    it for a chain whose grant spent the accept-once identifier
+    certificate [from] names, so no chain through that certificate
+    reaches a lookup again. *)
 
 val bump_generation : t -> int
 (** Drop every entry, counting each as an invalidation, and return how

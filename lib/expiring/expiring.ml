@@ -70,7 +70,7 @@ let restore t e =
   sift_down t e.slot e;
   sift_up t e.slot e
 
-let remove t e =
+let unlink t e =
   Keys.remove t.entries e.key;
   let n = size t in
   if n = 0 then t.heap <- [||]
@@ -98,7 +98,7 @@ let find t ~now key =
   match Keys.find_opt t.entries key with
   | Some e when e.expires > now -> Some e.value
   | Some e ->
-      remove t e;
+      unlink t e;
       None
   | None -> None
 
@@ -124,10 +124,11 @@ let raise_floor t ~now victim =
   Hashtbl.replace t.floors victim.tag (max floor victim.expires)
 
 let mem t key = Keys.mem t.entries key
+let remove t key = Option.iter (unlink t) (Keys.find_opt t.entries key)
 
 let rec purge t ~now =
   if size t > 0 && t.heap.(0).expires <= now then begin
-    remove t t.heap.(0);
+    unlink t t.heap.(0);
     purge t ~now
   end
 
@@ -147,7 +148,7 @@ let add ?on_evict t ~now ~expires ?tag key value =
         else begin
           let victim = t.heap.(0) in
           raise_floor t ~now victim;
-          remove t victim;
+          unlink t victim;
           (Option.value on_evict ~default:t.on_evict) ();
           (* The victim has left the table and the heap, its floor is
              raised, and no caller holds a record: it becomes the new
@@ -167,7 +168,7 @@ let shed t ~tag =
   let doomed =
     Keys.fold (fun _ e acc -> if e.tag = Some tag then e :: acc else acc) t.entries []
   in
-  List.iter (remove t) doomed;
+  List.iter (unlink t) doomed;
   List.length doomed
 
 let clear t =

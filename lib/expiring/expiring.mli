@@ -21,7 +21,8 @@
       new entry: no caller ever holds a record, so a full table makes
       none;
     - re-adding a {e live} key replaces its value, expiry and tag in
-      place, keeps its seq, and evicts nothing.
+      place, keeps its seq, and evicts nothing;
+    - {!remove} drops one key and raises no floor.
 
     The floors are what a table that holds guarantees rather than memos
     needs: an evicted live entry is gone, but every key under its tag
@@ -66,6 +67,14 @@ val add :
     [on_evict] replaces the table's hook for this insertion: one response
     cache takes both served replies, whose evictions count, and
     replication seeding, whose evictions do not. *)
+
+val remove : 'v t -> string -> unit
+(** Drop the entry under a key, live or expired, if there is one. No
+    floor moves and no hook fires: the caller drops what it knows nobody
+    will ask for again, which is not an eviction. A standby's response
+    cache drops its previous replication batch's answer this way, and a
+    verify cache the entries of a chain that spent its accept-once
+    identifier. *)
 
 val purge : 'v t -> now:int -> unit
 (** Drop every entry whose expiry is [<= now]. *)

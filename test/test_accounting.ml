@@ -295,6 +295,75 @@ let test_double_deposit_rejected () =
   Alcotest.(check int) "debited once" 940 carol_b;
   Alcotest.(check int) "credited once" 60 shop_b
 
+(* A paid check's number is kept until the check expires (Section 7.7), so
+   its drawee refuses a re-deposit from its accept-once table alone. The
+   payee and its bank sign fresh endorsements, and the drawee checks no
+   signature and looks nothing up in its verify cache, which kept none of
+   the paid check's verdicts (two verifies and three lookups while it
+   kept them). The refusal reads as it always has. *)
+let test_redeposit_refused_unverified () =
+  let bw = bank_world () in
+  let check = write_check bw ~amount:60 () in
+  let creds = creds_for bw bw.shop bw.bank1_name in
+  let deposit () =
+    Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check
+      ~to_account:"shop-till"
+  in
+  Alcotest.(check (result int string)) "paid" (Ok 60) (deposit ());
+  let cache = Guard.verify_cache (Accounting_server.guard bw.bank2) in
+  Alcotest.(check int) "the drawee keeps no verdict of the paid check" 0
+    (Verify_cache.size cache);
+  let lookups () =
+    let s = Verify_cache.stats cache in
+    s.Verify_cache.hits + s.Verify_cache.misses
+  in
+  let looked = lookups () and before = Crypto.Cost.read () in
+  let again = deposit () in
+  let cost = Crypto.Cost.diff ~before ~after:(Crypto.Cost.read ()) in
+  Alcotest.(check (pair int int)) "two endorsements signed, nothing verified" (2, 0)
+    (cost.Crypto.Cost.rsa_sign, cost.Crypto.Cost.rsa_verify);
+  Alcotest.(check int) "no verify-cache lookup at the drawee" 0 (lookups () - looked);
+  let n = check.Check.number in
+  Alcotest.(check (result int string)) "refused as spent"
+    (Error
+       (Printf.sprintf
+          "check %s refused: access denied: no ACL entry permits debit on \"carol-checking\" (no \
+           presented proxy was usable: accept-once: %s already used)"
+          n n))
+    again;
+  Alcotest.(check (pair int int)) "paid once" (940, 60) (balances bw)
+
+(* A check forged under another key with a genuine check's number is
+   refused at its signature, and the pre-verification lookup of its
+   number writes nothing: the genuine check, deposited after it, pays
+   once. *)
+let test_forged_number_spends_nothing () =
+  let bw = bank_world () in
+  let eve, _ = W.enrol bw.w "eve" in
+  let eve_rsa = Crypto.Rsa.generate (Sim.Net.drbg bw.w.W.net) ~bits:512 in
+  Directory.add_public bw.w.W.dir eve eve_rsa.Crypto.Rsa.pub;
+  let check = write_check bw ~amount:60 () in
+  let now = W.now bw.w in
+  let forged =
+    Result.get_ok
+      (Check.of_proxy
+         (Proxy.grant_keyless ~drbg:(Sim.Net.drbg bw.w.W.net) ~now ~expires:(now + W.hour)
+            ~grantor:bw.carol ~grantor_key:eve_rsa
+            ~restrictions:
+              (Standing.restrictions ~number:(Some check.Check.number) ~holder:bw.shop
+                 ~account:check.Check.drawn_on ~currency:usd ~limit:60)
+            ()))
+  in
+  let creds = creds_for bw bw.shop bw.bank1_name in
+  let deposit check =
+    Accounting_server.deposit bw.w.W.net ~creds ~endorser_key:bw.shop_rsa ~check
+      ~to_account:"shop-till"
+  in
+  Alcotest.(check bool) "the forgery is refused" true (Result.is_error (deposit forged));
+  Alcotest.(check (result int string)) "the genuine check pays" (Ok 60) (deposit check);
+  Alcotest.(check bool) "once" true (Result.is_error (deposit check));
+  Alcotest.(check (pair int int)) "paid once" (940, 60) (balances bw)
+
 (* --- guarantee records: a paid check or a spent step stays spent --- *)
 
 (* Section 7.7 keeps a check number "until the expiration time on the
@@ -774,6 +843,8 @@ let () =
           ("same-bank clearing", `Slow, test_same_bank_check);
           ("intermediary chain", `Slow, test_intermediary_chain);
           ("double deposit rejected", `Slow, test_double_deposit_rejected);
+          ("a re-deposit is refused unverified", `Slow, test_redeposit_refused_unverified);
+          ("a forged number spends nothing", `Slow, test_forged_number_spends_nothing);
           ("bounced check", `Slow, test_bounced_check);
           ("forged check", `Slow, test_forged_check);
           ("tampered amount", `Slow, test_tampered_amount);

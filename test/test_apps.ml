@@ -216,12 +216,26 @@ let test_print_certified () =
     Result.get_ok (Accounting_server.certify prw.pw.W.net ~creds:creds_bank ~check)
   in
   let creds = W.credentials_for prw.pw ~tgt prw.printer_name in
+  let sent = ref None in
+  Sim.Net.set_tap prw.pw.W.net (fun ~dir ~src:_ ~dst raw ->
+      if dir = `Request && dst = Principal.to_string prw.printer_name then
+        sent := Testkit.request_payload raw;
+      Sim.Net.Deliver);
   (match
      Print_server.print prw.pw.W.net ~creds ~document:"note" ~content:"hi" ~check ~certification
        ()
    with
   | Ok pages -> Alcotest.(check int) "one page" 1 pages
   | Error e -> Alcotest.fail e);
+  Sim.Net.clear_tap prw.pw.W.net;
+  (* A certification is key-less, so it travels as its presentation: no
+     key slot rides the request. *)
+  (match !sent with
+  | Some (Wire.L [ Wire.S "print"; _; _; _; sent_certification ]) ->
+      Alcotest.(check bool) "the certification is sent as its presentation" true
+        (Wire.equal sent_certification
+           (Proxy.presentation_to_wire certification.Proxy.flavor))
+  | _ -> Alcotest.fail "no print request seen");
   let ledger = Accounting_server.ledger prw.bank in
   Alcotest.(check int) "cleared from hold" 98 (Ledger.balance ledger ~name:"carol" ~currency:usd);
   Alcotest.(check int) "no residual hold" 0 (Ledger.held ledger ~name:"carol" ~currency:usd)

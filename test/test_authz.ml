@@ -1591,6 +1591,114 @@ let test_limit_scoped_sequence () =
   Alcotest.(check (result unit string)) "second use"
     (unusable "sequence: all 1 steps already consumed") (read ())
 
+(* --- accept-once on a signed chain: a spent id is refused before any
+   signature is checked, and the chain that spent it keeps no verdict --- *)
+
+type signed_world = {
+  sw_guard : Guard.t;
+  grant : Principal.t -> R.t list -> Proxy.t;  (* a bearer grant to read file1 *)
+  restrict : Proxy.t -> R.t list -> Proxy.t;  (* a bearer link under a fresh key *)
+  read : Proxy.t -> (unit, string) result;
+  sw_alice : Principal.t;
+  sw_bob : Principal.t;
+}
+
+(* A guard that knows alice's and bob's keys; its ACL lets alice's
+   authority read file1. *)
+let signed_world () =
+  let w = world () in
+  let drbg = Crypto.Drbg.create ~seed:"signed vouchers" in
+  let alice, _ = W.enrol w "alice" in
+  let bob, _ = W.enrol w "bob" in
+  let fileserver, fs_key = W.enrol w "fileserver" in
+  let keys =
+    [ (alice, Crypto.Rsa.generate drbg ~bits:512); (bob, Crypto.Rsa.generate drbg ~bits:512) ]
+  in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"file1"
+    { Acl.subject = Acl.Principal_is alice; rights = []; restrictions = [] };
+  let lookup_pub p = Option.map (fun kp -> kp.Crypto.Rsa.pub) (List.assoc_opt p keys) in
+  let guard = Guard.create w.W.net ~me:fileserver ~my_key:fs_key ~lookup_pub ~acl () in
+  let now = W.now w in
+  let grant grantor rs =
+    Proxy.grant_pk ~drbg ~now ~expires:(now + W.hour) ~grantor
+      ~grantor_key:(List.assoc grantor keys)
+      ~restrictions:(R.Authorized [ { R.target = "file1"; ops = [ "read" ] } ] :: rs)
+      ()
+  in
+  let restrict proxy rs =
+    Result.get_ok (Proxy.restrict_pk ~drbg ~now ~expires:(now + W.hour) ~restrictions:rs proxy)
+  in
+  let read proxy =
+    Result.map ignore
+      (Guard.decide guard ~ticket:W.ticket ~operation:"read" ~target:"file1"
+         ~proxies:[ Guard.bind ~server:fileserver ~ticket:W.ticket proxy ] ())
+  in
+  { sw_guard = guard; grant; restrict; read; sw_alice = alice; sw_bob = bob }
+
+(* The verify-cache lookups (hits and misses) and RSA verifies [f] makes. *)
+let lookups_and_verifies sw f =
+  let cache = Guard.verify_cache sw.sw_guard in
+  let lookups () =
+    let s = Verify_cache.stats cache in
+    s.Verify_cache.hits + s.Verify_cache.misses
+  in
+  let before = lookups () in
+  let cost = kernel_cost f in
+  (lookups () - before, List.nth cost 5)
+
+(* A signed voucher's second use is refused from the accept-once table
+   alone, with the reason [held] gives: no signature is checked and
+   nothing is looked up in the verify cache (one lookup, a verdict hit,
+   while the spent chain kept its verdict and binding). *)
+let test_spent_signed_voucher_refused_unverified () =
+  let sw = signed_world () in
+  let voucher = sw.grant sw.sw_alice [ R.Accept_once "v-1" ] in
+  Alcotest.(check (result unit string)) "first use" (Ok ()) (sw.read voucher);
+  Alcotest.(check int) "the spent chain keeps no verdict and no binding" 0
+    (Verify_cache.size (Guard.verify_cache sw.sw_guard));
+  let r = ref (Ok ()) in
+  Alcotest.(check (pair int int)) "lookups, RSA verifies" (0, 0)
+    (lookups_and_verifies sw (fun () -> r := sw.read voucher));
+  Alcotest.(check (result unit string)) "refused as spent"
+    (unusable "accept-once: v-1 already used") !r
+
+(* The id rides a restriction of the grant: the certificate that names it
+   and the binding go, and the grant's own verdict stays for a sibling
+   chain that shares it. *)
+let test_spent_link_keeps_the_shared_head () =
+  let sw = signed_world () in
+  let grant = sw.grant sw.sw_alice [] in
+  let spender = sw.restrict grant [ R.Accept_once "v-2" ] in
+  let sibling = sw.restrict grant [] in
+  Alcotest.(check (result unit string)) "the spender reads" (Ok ()) (sw.read spender);
+  Alcotest.(check int) "only the grant's verdict is left" 1
+    (Verify_cache.size (Guard.verify_cache sw.sw_guard));
+  Alcotest.(check (pair int int)) "a re-use: no lookup, no verify" (0, 0)
+    (lookups_and_verifies sw (fun () -> ignore (sw.read spender)));
+  Alcotest.(check (pair int int))
+    "the sibling: its head hits, its link and binding are verified" (3, 2)
+    (lookups_and_verifies sw (fun () ->
+         Alcotest.(check (result unit string)) "the sibling reads" (Ok ()) (sw.read sibling)))
+
+(* A chain whose grant is refused spends nothing, so it keeps its verdict
+   and binding: presented again it makes no RSA verify, as before the
+   accept-once stage, and its id is still unspent when its grantor is
+   then allowed. *)
+let test_refused_grant_keeps_verdicts () =
+  let sw = signed_world () in
+  let voucher = sw.grant sw.sw_bob [ R.Accept_once "v-3" ] in
+  let denied = Error "access denied: no ACL entry permits read on \"file1\"" in
+  Alcotest.(check (result unit string)) "bob is not on the ACL" denied (sw.read voucher);
+  Alcotest.(check int) "its verdict and binding are kept" 2
+    (Verify_cache.size (Guard.verify_cache sw.sw_guard));
+  Alcotest.(check (pair int int)) "again: two hits, no verify" (2, 0)
+    (lookups_and_verifies sw (fun () ->
+         Alcotest.(check (result unit string)) "still refused" denied (sw.read voucher)));
+  Acl.add (Guard.acl sw.sw_guard) ~target:"file1"
+    { Acl.subject = Acl.Principal_is sw.sw_bob; rights = []; restrictions = [] };
+  Alcotest.(check (result unit string)) "its id was never spent" (Ok ()) (sw.read voucher)
+
 let test_accept_once_unused_not_consumed () =
   (* When the presenter's own identity satisfies the ACL, an attached
      accept-once proxy contributed nothing and must NOT be consumed: the
@@ -1672,7 +1780,12 @@ let () =
            test_accept_once_flood_spares_other_grantors);
           ("unused accept-once not consumed", `Quick, test_accept_once_unused_not_consumed);
           ("limit-scoped accept-once consumed once", `Quick, test_limit_scoped_accept_once);
-          ("limit-scoped sequence runs once", `Quick, test_limit_scoped_sequence) ] );
+          ("limit-scoped sequence runs once", `Quick, test_limit_scoped_sequence);
+          ("a spent signed voucher is refused unverified", `Quick,
+           test_spent_signed_voucher_refused_unverified);
+          ("a spent link keeps the head it shares", `Quick,
+           test_spent_link_keeps_the_shared_head);
+          ("a refused grant keeps its verdicts", `Quick, test_refused_grant_keeps_verdicts) ] );
       ( "authorization-server",
         [ ("figure-3 flow", `Quick, test_authz_server_flow);
           ("delegate mode", `Quick, test_authz_server_delegate_mode);

@@ -272,6 +272,52 @@ let test_lost_ack_applies_once () =
       Alcotest.(check int) "the promoted standby reads the primary's figure" 989 available
   | Error e -> Alcotest.fail e
 
+(* A standby's response cache keeps the replies it was seeded with, one
+   per request that changed state, and the answer to the latest batch
+   only: N transfers add N entries, not 2N. A retransmission of the
+   latest batch (its answer lost once) is still answered from the cache,
+   and applies nothing again. *)
+let test_standby_keeps_latest_batch () =
+  let cw = mk_cluster ~seed:"standby batch answer" [ "bank-0" ] in
+  let alice = mk_actor cw "alice" and bob = mk_actor cw "bob" in
+  let r_alice = mk_router cw alice and r_bob = mk_router cw bob in
+  ok_or "alice" (Router.open_account r_alice ~name:alice.name);
+  ok_or "bob" (Router.open_account r_bob ~name:bob.name);
+  let _, shard = List.hd cw.shards in
+  ok_or "mint" (Shard.mint shard ~name:alice.name ~currency:usd 1_000);
+  let metric name = Sim.Metrics.get (Sim.Net.metrics cw.net) name in
+  let cache = Shard.standby_cache shard in
+  let transfer () =
+    ok_or "transfer" (Router.transfer r_alice ~from_:alice.name ~to_:bob.name ~currency:usd
+        ~amount:1)
+  in
+  let size = Expiring.size cache in
+  let n = 6 in
+  for _ = 1 to n do
+    transfer ()
+  done;
+  Alcotest.(check int) "N transfers add N entries" n (Expiring.size cache - size);
+  Alcotest.(check int) "the seeded replies and one batch answer"
+    (metric "cluster.repl_replies_seeded" + 1) (Expiring.size cache);
+  let standby = Shard.standby_node shard in
+  let lost = ref false in
+  Sim.Net.set_tap cw.net (fun ~dir ~src ~dst:_ _ ->
+      if dir = `Response && src = standby && not !lost then begin
+        lost := true;
+        Sim.Net.Drop
+      end
+      else Sim.Net.Deliver);
+  let dedup = metric "rpc.dedup" and applied = metric "cluster.repl_applied" in
+  transfer ();
+  Sim.Net.clear_tap cw.net;
+  Alcotest.(check bool) "an answer was lost" true !lost;
+  Alcotest.(check (pair int int)) "the retransmission: answered from the cache, applied once"
+    (1, 1)
+    (metric "rpc.dedup" - dedup, metric "cluster.repl_applied" - applied);
+  Alcotest.(check int) "still one batch answer" (metric "cluster.repl_replies_seeded" + 1)
+    (Expiring.size cache);
+  check_replicas_agree (List.hd cw.shards)
+
 (* --- failover --- *)
 
 (* The sharpest exactly-once case: the primary executes a deposit, ships it
@@ -711,7 +757,8 @@ let () =
         [ ("standby mirrors the primary", `Slow, test_replication_mirrors_state);
           ("random op mix through one shard", `Slow, test_random_ops_through_shard);
           ("a rewritten ship is refused", `Slow, test_rewritten_ship_refused);
-          ("a re-shipped batch applies once", `Slow, test_lost_ack_applies_once) ] );
+          ("a re-shipped batch applies once", `Slow, test_lost_ack_applies_once);
+          ("a standby keeps the latest batch's answer", `Slow, test_standby_keeps_latest_batch) ] );
       ("deposit", [ ("a cross-shard deposit's RSA work", `Quick, test_deposit_rsa_budget) ]);
       ( "failover",
         [ ("exactly-once across a mid-reply crash", `Slow, test_failover_exactly_once);

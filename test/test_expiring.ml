@@ -82,6 +82,8 @@ module Oracle = struct
     List.iter (Hashtbl.remove t.entries) doomed;
     List.length doomed
 
+  let remove t key = Hashtbl.remove t.entries key
+
   let clear t =
     Hashtbl.reset t.entries;
     t.floors <- []
@@ -94,6 +96,7 @@ type op =
   | Lookup of { key : int; ttl : int; tag : int option }
   | Tick of int  (** advance [now] *)
   | Shed of int
+  | Remove of int
   | Purge
   | Clear
 
@@ -108,6 +111,7 @@ let show_op = function
         (match tag with Some g -> "g" ^ string_of_int g | None -> "-")
   | Tick d -> Printf.sprintf "tick %d" d
   | Shed g -> Printf.sprintf "shed g%d" g
+  | Remove k -> Printf.sprintf "remove k%d" k
   | Purge -> "purge"
   | Clear -> "clear"
 
@@ -127,6 +131,7 @@ let gen_op =
             (int_bound 9) (int_bound 4) (opt (int_bound 2)) );
         (3, map (fun d -> Tick d) (int_bound 2));
         (1, map (fun g -> Shed g) (int_bound 2));
+        (2, map (fun k -> Remove k) (int_bound 9));
         (1, return Purge);
         (1, return Clear) ])
 
@@ -162,6 +167,19 @@ let prop_matches_oracle =
                 now := !now + d;
                 true
             | Shed g -> Expiring.shed t ~tag:(tag g) = Oracle.shed o ~tag:(tag g)
+            | Remove k -> (
+                (* Asked for under its own tag and expiry, a removed live
+                   key reads as the reference says, which raised no floor
+                   for it: Absent, unless an eviction had already raised
+                   one over it. *)
+                let removed = Hashtbl.find_opt o.Oracle.entries (key k) in
+                Expiring.remove t (key k);
+                Oracle.remove o (key k);
+                match removed with
+                | Some (_, expires, _, tag) when expires > !now ->
+                    Expiring.lookup t ~now:!now ~expires ?tag (key k)
+                    = Oracle.lookup o ~now:!now ~expires ?tag (key k)
+                | Some _ | None -> true)
             | Purge ->
                 Expiring.purge t ~now:!now;
                 Oracle.purge o ~now:!now;

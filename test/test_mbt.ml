@@ -254,6 +254,25 @@ let test_repro_corpus () =
       | Ok (Some _, None) -> Alcotest.failf "%s: injected mutation no longer detected" f)
     files
 
+(* Programs that record no mutation, each reaching code the small clean
+   campaign rarely does: stack, cache and model must agree on them. *)
+let test_regression_corpus () =
+  let dir = "regressions" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".repro")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "regressions committed" true (files <> []);
+  List.iter
+    (fun f ->
+      match Mbt.Runner.replay (Filename.concat dir f) with
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok (None, None) -> ()
+      | Ok (Some _, _) -> Alcotest.failf "%s: records a mutation" f
+      | Ok (None, Some finding) -> Alcotest.failf "%s: %s" f finding.Mbt.Runner.f_detail)
+    files
+
 let test_fuzz_smoke () =
   let s = Mbt.Fuzz.run ~seed:"alc-fuzz" ~iters:400 in
   List.iter
@@ -504,6 +523,7 @@ let () =
       ( "codec and corpora",
         [ ("program wire roundtrip", `Quick, test_program_roundtrip);
           ("committed repros replay", `Slow, test_repro_corpus);
+          ("committed regression programs agree", `Slow, test_regression_corpus);
           ("fuzz smoke", `Quick, test_fuzz_smoke);
           ("fuzz corpus replays", `Quick, test_fuzz_corpus);
           ("binding negatives refused", `Quick, test_binding_negatives);

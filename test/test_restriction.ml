@@ -443,10 +443,26 @@ let prop_held_reaches_what_applies =
           && List.for_all2 same returned expected
       | Error _ -> false)
 
+(* A guard reads a signed chain's accept-once ids before verifying it:
+   [once_ids] names exactly the ids [check_all] hands [held], in order. *)
+let prop_once_ids_are_what_held_sees =
+  QCheck.Test.make ~name:"once_ids lists the accept-once ids held sees" ~count:300
+    (QCheck.make
+       ~print:(Format.asprintf "%a" (Format.pp_print_list R.pp))
+       QCheck.Gen.(list_size (int_bound 4) gen_held_tree))
+    (fun rs ->
+      let seen = ref [] in
+      let held s =
+        (match s with R.Once id -> seen := !seen @ [ id ] | R.Steps _ -> ());
+        Ok ()
+      in
+      Result.is_ok (R.check_all ~held rs base_req) && R.once_ids ~server rs = !seen)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_wire_roundtrip; prop_check_total; prop_propagate_monotone;
-      prop_progress_prefix_monotone; prop_held_reaches_what_applies ]
+      prop_progress_prefix_monotone; prop_held_reaches_what_applies;
+      prop_once_ids_are_what_held_sees ]
 
 (* --- combination matrix: limit-restriction wrapping each type, quorum
    edges, unsatisfiable forms --- *)

@@ -109,11 +109,7 @@ let demo seed verbose =
   in
   Printf.printf "alice minted a read capability for report.txt\n";
   let creds_b = World.credentials_for w ~tgt:(World.login w bob) fs_name in
-  let presented =
-    File_server.attach w.World.net ~proxy:cap ~server:fs_name ~operation:"read"
-      ~path:"report.txt"
-  in
-  (match File_server.read w.World.net ~creds:creds_b ~proxies:[ presented ] ~path:"report.txt" () with
+  (match File_server.read w.World.net ~creds:creds_b ~proxies:[ cap ] ~path:"report.txt" () with
   | Ok content -> Printf.printf "bob read through the capability: %S\n" content
   | Error e -> Printf.printf "unexpected failure: %s\n" e);
   (match File_server.read w.World.net ~creds:creds_b ~path:"report.txt" () with

@@ -24,6 +24,15 @@ echo "lib optional parameters: $(cat lib/*/*.mli | grep -o '?[a-z_0-9]*:' | wc -
 echo "lib exported values: $(cat lib/*/*.mli | grep -c '^ *val ')"
 echo "lib trail record sites: $(cat lib/*/*.ml | grep -o 'Sim\.Trace\.record' | wc -l)"
 
+echo "== choose stays pure =="
+# Acl.choose decides a request from the facts the guard gathered: it
+# reads no clock, no server table and no log, and checks no signature.
+# acl.ml names none of the modules that would let it.
+if grep -nE 'Sim\.|Crypto\.|Verifier|Verify_cache|Expiring|Logs' lib/authz/acl.ml; then
+    echo "lib/authz/acl.ml names a module Acl.choose must not use"
+    exit 1
+fi
+
 echo "== tests =="
 # Also runs every examples/*.exe and diffs its stdout against the
 # committed .expected transcript (examples/dune); a failing example fails

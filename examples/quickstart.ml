@@ -44,31 +44,25 @@ let () =
          ~target:"report.txt" ~ops:[ "read" ] ())
   in
   Demo.step "the capability's certificate chain crosses the network; its proxy key never does";
-  let attach op =
-    File_server.attach w.World.net ~proxy:cap ~server:fs_name ~operation:op ~path:"report.txt"
-  in
   let via_cap =
     Demo.expect_ok "bob reads with the capability"
-      (File_server.read w.World.net ~creds:creds_b ~proxies:[ attach "read" ] ~path:"report.txt"
-         ())
+      (File_server.read w.World.net ~creds:creds_b ~proxies:[ cap ] ~path:"report.txt" ())
   in
   Demo.step "bob got: %S" via_cap;
   Demo.expect_err "bob tries to WRITE with the read capability"
-    (File_server.write w.World.net ~creds:creds_b ~proxies:[ attach "write" ] ~path:"report.txt"
-       "defaced");
+    (File_server.write w.World.net ~creds:creds_b ~proxies:[ cap ] ~path:"report.txt" "defaced");
 
   Demo.section "An eavesdropper captures a presentation and replays it for another operation";
-  (* The capture is literally the presentation bob used; the proof of
-     possession is bound to (server, read, report.txt), so it cannot be
-     re-purposed. *)
-  let stolen = attach "read" in
+  (* The capture is the capability bob presented: its restrictions permit
+     only reads of report.txt, and the request's authenticator covers the
+     operation and path, so it cannot be re-purposed. *)
   Demo.expect_err "mallory replays the capture to delete the file"
-    (File_server.write w.World.net ~creds:creds_b ~proxies:[ stolen ] ~path:"report.txt" "");
+    (File_server.write w.World.net ~creds:creds_b ~proxies:[ cap ] ~path:"report.txt" "");
 
   Demo.section "Revocation: removing the grantor revokes every capability she issued";
   Acl.remove_subject (File_server.acl fs) ~target:"report.txt" (Acl.Principal_is alice);
   Demo.expect_err "bob's capability after revocation"
-    (File_server.read w.World.net ~creds:creds_b ~proxies:[ attach "read" ] ~path:"report.txt" ());
+    (File_server.read w.World.net ~creds:creds_b ~proxies:[ cap ] ~path:"report.txt" ());
 
   Demo.section "Summary";
   Demo.show_metrics w [ "net.messages"; "net.bytes"; "kdc.as_req"; "kdc.tgs_req" ];

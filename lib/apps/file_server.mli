@@ -92,5 +92,7 @@ val attach :
   Proxy.t
 (** [proxy] itself. A presentation needs no per-request work: the request
     that carries the proxy binds it to its own ticket once ({!Guard.present})
-    and its authenticator covers the operation and path. Kept so callers
-    that prepare a presentation apart from the request need not change. *)
+    and its authenticator covers the operation and path. Kept only because
+    the repository benchmark ([perfbench/]) times it as a layer of its own
+    ([authz.attach_pct]) and may change only with the benchmark; the
+    function, its calls and the metric go together then. *)

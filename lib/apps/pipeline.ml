@@ -35,10 +35,7 @@ let handle t ctx payload =
           capability
       in
       let* creds = Granter.credentials_for t.granter t.fileserver in
-      let presented =
-        File_server.attach t.net ~proxy:narrowed ~server:t.fileserver ~operation:"read" ~path
-      in
-      let* content = File_server.read t.net ~creds ~proxies:[ presented ] ~path () in
+      let* content = File_server.read t.net ~creds ~proxies:[ narrowed ] ~path () in
       Sim.Trace.record (Sim.Net.trace t.net) ~time:(Sim.Net.now t.net)
         ~actor:(Principal.to_string t.me)
         (Printf.sprintf "word-count %S for %s" path

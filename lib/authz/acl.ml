@@ -49,20 +49,42 @@ let entries_for t ~target =
 
 let targets t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort String.compare
 
-type facts = { principals : Principal.t list; groups : Principal.Group.t list }
+type 'c choice =
+  | Grant of { entry : entry; credited : 'c list; via_groups : Principal.Group.t list }
+  | No_entry
+  | Refused of string
 
-let rec subject_satisfied subject facts =
-  match subject with
-  | Anyone -> true
-  | Principal_is p -> List.exists (Principal.equal p) facts.principals
-  | Group g -> List.exists (Principal.Group.equal g) facts.groups
-  | Compound subs -> List.for_all (fun s -> subject_satisfied s facts) subs
+(* The first of [xs] whose [who] is [p]; unlike [List.find_opt], it builds no closure. *)
+let rec first_by who p = function
+  | [] -> None
+  | x :: rest -> if Principal.equal (who x) p then Some x else first_by who p rest
 
-let permitting t ~target ~operation facts =
-  List.filter
-    (fun e ->
-      (e.rights = [] || List.mem operation e.rights) && subject_satisfied e.subject facts)
-    (entries_for t ~target)
+(* One walk of [subject]: [None] if unsatisfied, else [acc] with its credits in front. *)
+let rec credit (req : Restriction.request) ~grantor ~chains ~groups subject acc =
+  match (subject, acc) with
+  | _, None | Anyone, _ -> acc
+  | Principal_is p, _ when Option.is_some (first_by Fun.id p req.presenters) -> acc
+  | Principal_is p, Some (cs, gs) -> (
+      match first_by grantor p chains with Some c -> Some (c :: cs, gs) | None -> None)
+  | Group g, Some (cs, gs) -> (
+      match List.find_opt (fun (h, _) -> Principal.Group.equal g h) groups with
+      | Some (_, c) -> Some (c :: cs, g :: gs)
+      | None -> None)
+  | Compound subs, Some _ -> List.fold_right (credit req ~grantor ~chains ~groups) subs acc
+
+let choose t (req : Restriction.request) ~grantor ~chains ~groups =
+  let rec first denial = function
+    | [] -> denial
+    | e :: rest when e.rights <> [] && not (List.mem req.operation e.rights) -> first denial rest
+    | e :: rest -> (
+        match credit req ~grantor ~chains ~groups e.subject (Some ([], [])) with
+        | None -> first denial rest
+        | Some (credited, via_groups) -> (
+            match Restriction.check_all ~held:Restriction.no_state e.restrictions req with
+            | Ok _ -> Grant { entry = e; credited; via_groups }
+            | Error r -> first (match denial with No_entry -> Refused r | _ -> denial) rest))
+  in
+  first No_entry (entries_for t ~target:req.target)
 
 let rec pp_subject fmt = function
   | Principal_is p -> Principal.pp fmt p

@@ -44,15 +44,29 @@ val entries_for : t -> target:string -> entry list
 
 val targets : t -> string list
 
-(** The facts available when testing whether a subject concurs. *)
-type facts = {
-  principals : Principal.t list;  (** authenticated identities *)
-  groups : Principal.Group.t list;  (** memberships proven by group proxies *)
-}
+type 'c choice =
+  | Grant of { entry : entry; credited : 'c list; via_groups : Principal.Group.t list }
+      (** [entry] grants, on the chains and groups that satisfied its
+          subject's leaves, in the subject's order *)
+  | No_entry  (** no entry that covers the operation is satisfied *)
+  | Refused of string  (** every satisfied entry's restrictions refuse: the first's reason *)
 
-val permitting : t -> target:string -> operation:string -> facts -> entry list
-(** Every entry whose subject is satisfied and whose rights cover
-    [operation], in {!entries_for}'s order. An entry's own restrictions
-    are its user's to check: a guard tries them in this order. *)
+val choose :
+  t ->
+  Restriction.request ->
+  grantor:('c -> Principal.t) ->
+  chains:'c list ->
+  groups:(Principal.Group.t * 'c) list ->
+  'c choice
+(** The ACL's decision of [req] (Section 3.5): the first of {!entries_for}
+    [req.target] whose rights cover [req.operation], whose subject is
+    satisfied and whose own restrictions pass with no records kept
+    ({!Restriction.no_state}). One walk decides a subject: a principal is
+    satisfied by one of [req.presenters], crediting nothing, or else by
+    the first of [chains] whose [grantor] it is, crediting that chain; a
+    group by the first of [groups] (each asserted group with the chain
+    that proved it) naming it, crediting that proof; a compound when
+    every part is; [Anyone] always. Pure: no clock, no server state, no
+    signature. *)
 
 val pp_subject : Format.formatter -> subject -> unit

@@ -159,9 +159,11 @@ type decision = {
 }
 
 (* A verified chain that answered one question (a group it claims, or the
-   request), and what a grant it contributes to writes: what [held]
-   checked, in order. *)
-type usable = { chain : Verifier.verified; changes : change list; presented : presented }
+   request), and what a grant that credits it writes: what [held] checked,
+   in order, and what the verify cache forgets ([unspent_ids]). *)
+type usable = { chain : Verifier.verified; changes : change list; spent : (presented * int) option }
+
+let grantor u = u.chain.Verifier.grantor
 
 let tally t name = Sim.Metrics.incr (Sim.Net.metrics t.net) name
 
@@ -309,28 +311,19 @@ let readable_ids t = function
    spent or forgotten id refuses the chain with [held]'s own reason, and
    no signature is checked and nothing is looked up in the verify cache.
    The stage only refuses and writes nothing: an absent id is decided
-   again by [held], after verification. *)
+   again by [held], after verification. [Ok] carries, when an id was
+   found, the chain and the first naming certificate's index ([commit]). *)
 let unspent_ids t ~now (p : presented) =
   match (readable_ids t p.pres, p.pres) with
-  | [], _ | _, (Proxy.Public_key [] | Proxy.Conventional _) -> Ok ()
-  | ids, Proxy.Public_key ({ Proxy_cert.pk_body = head; _ } :: _)
-  | ids, Proxy.Hybrid ({ Proxy_cert.h_body = head; _ }, _) ->
-      let expires = head.Proxy_cert.expires in
-      let tag = Principal.to_string head.Proxy_cert.grantor in
+  | [], _ | _, (Proxy.Public_key [] | Proxy.Conventional _) -> Ok None
+  | ( ((from, _) :: _ as ids),
+      ( Proxy.Public_key ({ Proxy_cert.pk_body = head; _ } :: _)
+      | Proxy.Hybrid ({ Proxy_cert.h_body = head; _ }, _) ) ) ->
+      let expires = head.Proxy_cert.expires and tag = Principal.to_string head.Proxy_cert.grantor in
       List.fold_left
         (fun acc (_, id) -> Result.bind acc (fun () -> unspent t ~now ~expires ~tag id))
         (Ok ()) ids
-
-(* A chain whose grant spent an id it names readably keeps no verify-cache
-   entry from the certificate naming it on: [unspent_ids] now refuses every
-   chain through that certificate before a lookup, so none could be read.
-   The entries stayed in the cache while the decision ran, where another
-   chain of it could hit them, and the links before that certificate stay,
-   for other chains that share them. *)
-let forget_spent t (p : presented) =
-  match readable_ids t p.pres with
-  | (from, _) :: _ -> Verify_cache.forget t.verify_cache p.pres ~from ~binding:p.pres_binding
-  | [] -> ()
+      |> Result.map (fun () -> Some (p, from))
 
 (* Cross-server progress import (the receiving half of [seq_forward]): the
    key is self-describing, so we re-derive the sequence it claims to
@@ -371,160 +364,130 @@ let forward t ~key ~progress ~expires ~tag =
           | Some _ | None -> ())
       | Ok _ | Error _ -> ())
 
+(* Gather: each presented chain verified once, after [unspent_ids], and
+   authorized once per question it answers: a group proxy first, once per
+   group it claims, at its grantor's server, then each request proxy, for
+   the request, which carries the groups asserted. It writes no guard
+   state. [cited] is the refusal a denial cites: a request proxy's when
+   none answered, or a group proxy's when no group was asserted either. *)
+type gathered = {
+  req : Restriction.request;
+  usable : usable list;
+  asserted : (Principal.Group.t * usable) list;
+  cited : string option;
+}
+
+let gather t ~now ~operation ~target ~presenters ~ticket ~spend ~proxies ~group_proxies =
+  let verify (p : presented) =
+    match unspent_ids t ~now p with
+    | Error e -> Error e
+    | Ok spent ->
+        Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
+          ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
+          ?hook:(span_hook t) ~now p.pres
+        |> Result.map (fun chain -> (chain, spent))
+  in
+  let authorize ~req (p : presented) (chain, spent) =
+    Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req chain) chain ~req
+      ~ticket ~binding:p.pres_binding
+    |> Result.map (fun changes -> { chain; changes; spent })
+  in
+  let memberships =
+    List.concat_map
+      (fun gp ->
+        match verify gp with
+        | Error e -> [ Error e ]
+        | Ok ((v, _) as verified) ->
+            let asserts group u = (Principal.Group.make ~server:v.Verifier.grantor group, u) in
+            List.map
+              (fun group ->
+                let req =
+                  Restriction.request ~server:t.me ~time:now
+                    ~operation:Restriction.assert_membership ~target:group ~presenters ()
+                in
+                Result.map (asserts group) (authorize ~req gp verified))
+              (Restriction.claimed_groups v.Verifier.restrictions))
+      group_proxies
+  in
+  let asserted = List.filter_map Result.to_option memberships in
+  let req =
+    Restriction.request ~server:t.me ~time:now ~operation ~target ~presenters
+      ~groups_asserted:(List.map fst asserted) ?spend ()
+  in
+  let answers = List.map (fun p -> Result.bind (verify p) (authorize ~req p)) proxies in
+  let usable = List.filter_map Result.to_option answers in
+  (* Nothing usable: every answer is a refusal; no group: every membership. *)
+  let cited =
+    match (usable, answers, asserted, memberships) with
+    | [], Error e :: _, _, _ | [], [], [], Error e :: _ -> Some e
+    | _ -> None
+  in
+  { req; usable; asserted; cited }
+
+(* Commit: a grant writes what the chains it credits checked, each
+   accept-once record and one step of each distinct sequence line, which
+   it forwards (chains from one grant share a head serial, so a line they
+   share advances once), and the verify cache forgets a chain from the
+   certificate naming an id it spent, which [unspent_ids] now refuses. *)
+let commit t ~now ~sp ~presenter ~proxies g = function
+  | Acl.Refused e -> Error (Printf.sprintf "access denied by ACL entry restriction: %s" e)
+  | Acl.No_entry ->
+      let { req = { operation; target; presenters; _ }; usable; asserted; cited } = g in
+      Log.debug (fun m ->
+          m "%s: DENY %s on %S (presenters=%d proxies=%d/%d usable groups=%d)"
+            (Principal.to_string t.me) operation target (List.length presenters)
+            (List.length usable) (List.length proxies) (List.length asserted));
+      Error
+        (Printf.sprintf "access denied: no ACL entry permits %s on %S%s" operation target
+           (match cited with Some e -> " (no presented proxy was usable: " ^ e ^ ")" | None -> ""))
+  | Acl.Grant { entry; credited; via_groups } ->
+      let lines = ref [] in
+      List.iter
+        (fun u ->
+          List.iter
+            (function
+              | Accept_once _ as c -> apply_change t ~now c
+              | Seq_progress { key; progress; expires; tag } as c when not (List.mem key !lines) ->
+                  lines := key :: !lines;
+                  apply_change t ~now c;
+                  tally t "seq_tracker.advances";
+                  forward t ~key ~progress ~expires ~tag
+              | Seq_progress _ -> ())
+            u.changes;
+          match u.spent with
+          | Some (p, from) ->
+              Verify_cache.forget t.verify_cache p.pres ~from ~binding:p.pres_binding
+          | None -> ())
+        credited;
+      let acting_for = List.map grantor credited in
+      Log.debug (fun m ->
+          m "%s: GRANT %s on %S via %s" (Principal.to_string t.me) g.req.operation g.req.target
+            (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject));
+      (* Who was granted, on whose authority, rides on this span; untraced,
+         none of it is formatted ([add_attr] would evaluate its arguments). *)
+      if Option.is_some sp then
+        List.iter
+          (fun (k, v) -> Sim.Span.add_attr sp k v)
+          [ ("presenter", Option.fold presenter ~none:"<anonymous>" ~some:Principal.to_string);
+            ("granted_by", Format.asprintf "%a" Acl.pp_subject entry.Acl.subject);
+            ("acting_for", String.concat "," (List.map Principal.to_string acting_for)) ];
+      let serials_used = List.concat_map (fun u -> u.chain.Verifier.serials) credited in
+      let quota = function Restriction.Quota (c, n) -> Some (c, n) | _ -> None in
+      let quotas =
+        List.concat_map (fun u -> List.filter_map quota u.chain.Verifier.restrictions) credited
+      in
+      Ok { granted_by = entry; acting_for; via_groups; serials_used; quotas }
+
 let decide t ~operation ?(target = "") ?presenter ?(extra_presenters = []) ?ticket
     ?(proxies = []) ?(group_proxies = []) ?spend () =
   let sp = Sim.Net.spans t.net in
   let run () =
-    Sim.Metrics.incr (Sim.Net.metrics t.net) "guard.decisions";
-    let result =
+    tally t "guard.decisions";
     let now = Sim.Net.now t.net in
     let presenters = Option.to_list presenter @ extra_presenters in
-    let verify (p : presented) =
-      match unspent_ids t ~now p with
-      | Error _ as e -> e
-      | Ok () ->
-          Verifier.verify ~open_base:(open_base t ~now) ~lookup:t.lookup_pub ~decrypt:t.decrypt
-            ~me:t.me ~tally:(tally t) ~cache:t.verify_cache ?revocation:t.revocation
-            ?hook:(span_hook t) ~now p.pres
-    in
-    let authorize ~req (p : presented) v =
-      Result.map
-        (fun changes -> { chain = v; changes; presented = p })
-        (Verifier.authorize ~tally:(tally t) ~cache:t.verify_cache ~held:(held t ~req v) v ~req
-           ~ticket ~binding:p.pres_binding)
-    in
-    (* A group proxy proves the groups it names, at its grantor's server:
-       it is verified once, then asked once per group it claims. *)
-    let memberships =
-      List.concat_map
-        (fun gp ->
-          match verify gp with
-          | Error e -> [ Error e ]
-          | Ok v ->
-              List.map
-                (fun group ->
-                  let req =
-                    Restriction.request ~server:t.me ~time:now
-                      ~operation:Restriction.assert_membership ~target:group ~presenters ()
-                  in
-                  Result.map
-                    (fun u -> (Principal.Group.make ~server:v.Verifier.grantor group, u))
-                    (authorize ~req gp v))
-                (Restriction.claimed_groups v.Verifier.restrictions))
-        group_proxies
-    in
-    let asserted = List.filter_map Result.to_option memberships in
-    let groups_asserted = List.map fst asserted in
-    let req =
-      Restriction.request ~server:t.me ~time:now ~operation ~target ~presenters ~groups_asserted
-        ?spend ()
-    in
-    let contributions = List.map (fun p -> Result.bind (verify p) (authorize ~req p)) proxies in
-    let usable = List.filter_map Result.to_option contributions in
-    let facts =
-      {
-        Acl.principals = presenters @ List.map (fun u -> u.chain.Verifier.grantor) usable;
-        groups = groups_asserted;
-      }
-    in
-    match Acl.permitting t.acl ~target ~operation facts with
-    | [] ->
-        Log.debug (fun m ->
-            m "%s: DENY %s on %S (presenters=%d proxies=%d/%d usable groups=%d)"
-              (Principal.to_string t.me) operation target (List.length presenters)
-              (List.length usable) (List.length proxies) (List.length groups_asserted));
-        (* A refusal is cited only when nothing of its kind was usable: a
-           group proxy's only when no group was asserted either. *)
-        let refusal = function Error e -> Some e | Ok _ -> None in
-        let group_refusals = if asserted = [] then List.filter_map refusal memberships else [] in
-        let detail =
-          match List.filter_map refusal contributions @ group_refusals with
-          | e :: _ when usable = [] -> Printf.sprintf " (no presented proxy was usable: %s)" e
-          | _ -> ""
-        in
-        Error (Printf.sprintf "access denied: no ACL entry permits %s on %S%s" operation target detail)
-    | first :: others -> (
-        (* The first entry whose own restrictions pass grants; when none
-           does, the first one's refusal is the reason. *)
-        let check e = Restriction.check_all ~held:Restriction.no_state e.Acl.restrictions req in
-        let passes e = Result.is_ok (check e) in
-        let chosen =
-          match check first with
-          | Ok _ -> Ok first
-          | Error e -> Option.to_result ~none:e (List.find_opt passes others)
-        in
-        match chosen with
-        | Error e -> Error (Printf.sprintf "access denied by ACL entry restriction: %s" e)
-        | Ok entry ->
-            (* Work out which proxies actually contributed to satisfying the
-               entry, and write what their [held] checked. *)
-            let rec contributors subject =
-              match subject with
-              | Acl.Anyone -> ([], [])
-              | Acl.Principal_is p ->
-                  if List.exists (Principal.equal p) presenters then ([], [])
-                  else
-                    let from_p u = Principal.equal u.chain.Verifier.grantor p in
-                    (Option.to_list (List.find_opt from_p usable), [])
-              | Acl.Group g -> (
-                  match List.find_opt (fun (g', _) -> Principal.Group.equal g g') asserted with
-                  | Some (_, u) -> ([ u ], [ g ])
-                  | None -> ([], []))
-              | Acl.Compound subs ->
-                  let parts = List.map contributors subs in
-                  (List.concat_map fst parts, List.concat_map snd parts)
-            in
-            let used, via_groups = contributors entry.Acl.subject in
-            (* Accept-once records, and one step of each distinct sequence
-               line: chains derived from one grant share a head serial, so a
-               line they share advances once, not once per copy. *)
-            let advanced = ref [] in
-            List.iter
-              (fun u ->
-                List.iter
-                  (function
-                    | Accept_once _ as c -> apply_change t ~now c
-                    | Seq_progress { key; progress; expires; tag } as c ->
-                        if not (List.mem key !advanced) then begin
-                          advanced := key :: !advanced;
-                          apply_change t ~now c;
-                          Sim.Metrics.incr (Sim.Net.metrics t.net) "seq_tracker.advances";
-                          forward t ~key ~progress ~expires ~tag
-                        end)
-                  u.changes)
-              used;
-            List.iter (fun u -> forget_spent t u.presented) used;
-            let decision =
-              {
-                granted_by = entry;
-                acting_for = List.map (fun u -> u.chain.Verifier.grantor) used;
-                via_groups;
-                serials_used = List.concat_map (fun u -> u.chain.Verifier.serials) used;
-                quotas =
-                  List.concat_map
-                    (fun u ->
-                      List.filter_map
-                        (function Restriction.Quota (c, n) -> Some (c, n) | _ -> None)
-                        u.chain.Verifier.restrictions)
-                    used;
-              }
-            in
-            Log.debug (fun m ->
-                m "%s: GRANT %s on %S via %s" (Principal.to_string t.me) operation target
-                  (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject));
-            (* Who was granted, and on whose authority, rides on this span; an
-               untraced grant formats none of it ([add_attr] would still
-               evaluate its arguments). *)
-            if Option.is_some sp then begin
-              Sim.Span.add_attr sp "presenter"
-                (match presenter with Some p -> Principal.to_string p | None -> "<anonymous>");
-              Sim.Span.add_attr sp "granted_by"
-                (Format.asprintf "%a" Acl.pp_subject entry.Acl.subject);
-              Sim.Span.add_attr sp "acting_for"
-                (String.concat "," (List.map Principal.to_string decision.acting_for))
-            end;
-            Ok decision)
-    in
+    let g = gather t ~now ~operation ~target ~presenters ~ticket ~spend ~proxies ~group_proxies in
+    let choice = Acl.choose t.acl g.req ~grantor ~chains:g.usable ~groups:g.asserted in
+    let result = commit t ~now ~sp ~presenter ~proxies g choice in
     Sim.Span.add_attr sp "verdict" (match result with Ok _ -> "grant" | Error _ -> "deny");
     result
   in

@@ -188,9 +188,8 @@ val bind : server:Principal.t -> ticket:string -> Proxy.t -> presented
 
 type decision = {
   granted_by : Acl.entry;
-      (** the ACL entry that granted, the first permitting one whose own
-          restrictions pass: an authorization server copies its
-          restrictions into the proxy it grants *)
+      (** the ACL entry that granted ({!Acl.choose}): an authorization
+          server copies its restrictions into the proxy it grants *)
   acting_for : Principal.t list;
       (** proxy grantors whose authority contributed *)
   via_groups : Principal.Group.t list;  (** memberships that contributed *)
@@ -218,44 +217,47 @@ val decide :
     ticket, and with no [ticket] no bearer proxy contributes. A binding's
     check is memoized in the verify cache, so after the first request
     over a ticket it costs one lookup; the chain's windows, restrictions
-    and revocation still run on every request.
+    and revocation still run on every request. A decision runs in three
+    stages, and only the last writes.
 
-    Each presented proxy is verified once ({!Verifier.verify}) and then
-    authorized ({!Verifier.authorize}) once per question it answers. A
-    group proxy answers one per group it claims
-    ({!Restriction.claimed_groups}): an {!Restriction.assert_membership}
-    request on that group's local name, which, if granted, asserts the
-    group at the proxy's grantor. A regular proxy answers the request
-    itself, with those groups as its [groups_asserted], and contributes its
-    grantor. The first ACL entry that the presenters, the contributing
-    grantors and the asserted groups satisfy, and whose own restrictions
-    pass, grants the request ({!Acl.permitting}); when every such entry's
+    {b Gather.} Each presented proxy is verified once ({!Verifier.verify})
+    and then authorized ({!Verifier.authorize}) once per question it
+    answers. Group proxies come first: each answers one question per group
+    it claims ({!Restriction.claimed_groups}), an
+    {!Restriction.assert_membership} request on that group's local name,
+    which, if granted, asserts the group at the proxy's grantor. Then each
+    regular proxy answers the request itself, with those groups as its
+    [groups_asserted], and contributes its grantor. Each [Accept_once] and
+    [Sequence] that applies here ({!Restriction.check_all}), on every
+    presented chain, group proxies included, costs one {!Expiring.lookup}
+    in {!accepted} or {!progress}, before the proof of possession: a live
+    record is a replay, or the step the request must match; a [Forgotten]
+    one is refused; an absent one passes. A public-key or hybrid chain's
+    accept-once ids are also looked up before it is verified, from the
+    certificates that can be read unverified (every certificate of a
+    public-key chain, a hybrid's head; {!Restriction.once_ids}), under its
+    head's grantor and expiry: a live or forgotten id refuses the chain
+    with the reason above, and no signature is checked and nothing is
+    looked up in the verify cache.
+
+    {b Choose} is {!Acl.choose}, pure: the first ACL entry whose rights
+    cover the operation, that the presenters, the contributing grantors
+    and the asserted groups satisfy, and whose own restrictions pass with
+    no records kept ({!Restriction.no_state}), grants the request, on the
+    chains and groups its subject names; when every such entry's
     restrictions refuse, the first one's refusal is the reason. When no
     entry is satisfied and no regular proxy contributed, the denial names
     the first refusal of a regular proxy, or, when no group was asserted
     either, of a group proxy:
     ["... (no presented proxy was usable: <why>)"].
 
-    Each [Accept_once] and [Sequence] that applies here
-    ({!Restriction.check_all}), on every presented chain, group proxies
-    included, costs one {!Expiring.lookup} in {!accepted} or {!progress},
-    before the proof of possession: a live record is a replay, or the
-    step the request must match; a [Forgotten] one is refused; an absent
-    one passes. On success the decision writes what it checked, for the
-    chains that contributed: a second presentation of the same check
-    bounces, and each distinct sequence line advances one step. The ACL
-    entry's own restrictions keep no records ({!Restriction.no_state}).
-
-    A public-key or hybrid chain's accept-once ids are also looked up
-    before it is verified, from the certificates that can be read
-    unverified (every certificate of a public-key chain, a hybrid's
-    head; {!Restriction.once_ids}), under its head's grantor and expiry:
-    a live or forgotten id refuses the chain with the reason above, and
-    no signature is checked and nothing is looked up in the verify
-    cache. This stage writes nothing. A chain whose grant spends such an
-    id keeps no verify-cache entry from the certificate naming it on,
-    nor its binding's ({!Verify_cache.forget}, when the decision ends):
-    every chain through that certificate is refused here first.
+    {b Commit} writes what a grant's credited chains checked: a second
+    presentation of the same check bounces, and each distinct sequence
+    line advances one step. A credited chain that spent an id it names
+    readably keeps no verify-cache entry from the certificate naming it
+    on, nor its binding's ({!Verify_cache.forget}): every chain through
+    that certificate is refused before verification from then on. A
+    denial writes nothing.
 
     On a traced net ({!Sim.Net.spans}) each decision is a ["guard.decide"]
     span with attributes [operation] and [target]; a grant adds

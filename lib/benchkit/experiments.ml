@@ -185,10 +185,7 @@ let fig2 () =
   let creds_b = World.credentials_for w ~tgt:tgt_b fs_name in
   layer ~name:"+ authorization (capability presentation)" ~phase:"+ authorization" w.World.net
     (fun () ->
-      let p =
-        File_server.attach w.World.net ~proxy:cap ~server:fs_name ~operation:"read" ~path:"f"
-      in
-      expect_ok (File_server.read w.World.net ~creds:creds_b ~proxies:[ p ] ~path:"f" ()));
+      expect_ok (File_server.read w.World.net ~creds:creds_b ~proxies:[ cap ] ~path:"f" ()));
 
   (* Layer 3: + group membership. *)
   let w = World.create ~seed:"f2c" () in

@@ -228,10 +228,7 @@ let run cfg =
            to_bob)
     in
     let dana_fs = World.credentials_for wb ~tgt:tgt_dana fs_p in
-    let presented =
-      File_server.attach net ~proxy:to_dana ~server:fs_p ~operation:"read" ~path:"/pub/spec"
-    in
-    File_server.read net ~creds:dana_fs ~proxies:[ presented ] ~path:"/pub/spec" ()
+    File_server.read net ~creds:dana_fs ~proxies:[ to_dana ] ~path:"/pub/spec" ()
     = Ok "the spec"
   in
   (* --- granter recovery after the C<->B link is rekeyed --- *)

@@ -199,10 +199,7 @@ let run cfg =
           Restriction.Accept_once "voucher-1" ]
       ()
   in
-  let read_with server creds fs_proxy path =
-    let presented = File_server.attach net ~proxy:fs_proxy ~server ~operation:"read" ~path in
-    File_server.read net ~creds ~proxies:[ presented ] ~path ()
-  in
+  let read_with creds fs_proxy path = File_server.read net ~creds ~proxies:[ fs_proxy ] ~path () in
   (* --- initial bulletin sync: both servers start fresh at epoch 1 --- *)
   let sync_fs creds fs =
     Revocation_authority.sync net ~creds (File_server.guard fs)
@@ -216,16 +213,16 @@ let run cfg =
     List.iteri
       (fun i p ->
         let path = Printf.sprintf "/g/doc-%d" (i + 1) in
-        if Result.is_ok (read_with fresh_p carol_fresh p path) then incr warm_reads;
-        if Result.is_ok (read_with stale_p carol_stale p path) then incr warm_reads)
+        if Result.is_ok (read_with carol_fresh p path) then incr warm_reads;
+        if Result.is_ok (read_with carol_stale p path) then incr warm_reads)
       gina_proxies;
-    if Result.is_ok (read_with fresh_p carol_fresh !hugh_proxy "/h/report") then
+    if Result.is_ok (read_with carol_fresh !hugh_proxy "/h/report") then
       incr warm_reads;
-    if Result.is_ok (read_with stale_p carol_stale !hugh_proxy "/h/report") then
+    if Result.is_ok (read_with carol_stale !hugh_proxy "/h/report") then
       incr warm_reads
   done;
   (* Spend the accept-once voucher at the soon-to-be-stale server. *)
-  if Result.is_ok (read_with stale_p carol_stale voucher "/h/report") then incr warm_reads;
+  if Result.is_ok (read_with carol_stale voucher "/h/report") then incr warm_reads;
   (* --- a short-TTL lease ages; carol refreshes it online --- *)
   advance (7 * minute);
   let refresh_ok =
@@ -263,7 +260,7 @@ let run cfg =
   let fresh_denials = ref 0 in
   List.iteri
     (fun i p ->
-      match read_with fresh_p carol_fresh p (Printf.sprintf "/g/doc-%d" (i + 1)) with
+      match read_with carol_fresh p (Printf.sprintf "/g/doc-%d" (i + 1)) with
       | Error _ -> incr fresh_denials
       | Ok _ -> ())
     gina_proxies;
@@ -273,7 +270,7 @@ let run cfg =
   let stale_window_served = ref 0 in
   List.iteri
     (fun i p ->
-      match read_with stale_p carol_stale p (Printf.sprintf "/g/doc-%d" (i + 1)) with
+      match read_with carol_stale p (Printf.sprintf "/g/doc-%d" (i + 1)) with
       | Ok _ -> incr stale_window_served
       | Error _ -> ())
     gina_proxies;
@@ -282,11 +279,11 @@ let run cfg =
   let stale_denials = ref 0 in
   List.iteri
     (fun i p ->
-      match read_with stale_p carol_stale p (Printf.sprintf "/g/doc-%d" (i + 1)) with
+      match read_with carol_stale p (Printf.sprintf "/g/doc-%d" (i + 1)) with
       | Error _ -> incr stale_denials
       | Ok _ -> ())
     gina_proxies;
-  (match read_with stale_p carol_stale !hugh_proxy "/h/report" with
+  (match read_with carol_stale !hugh_proxy "/h/report" with
   | Error _ -> incr stale_denials
   | Ok _ -> ());
   let direct_reads_while_stale = ref 0 in
@@ -323,12 +320,12 @@ let run cfg =
   let healed_denials = ref 0 in
   List.iteri
     (fun i p ->
-      match read_with stale_p carol_stale p (Printf.sprintf "/g/doc-%d" (i + 1)) with
+      match read_with carol_stale p (Printf.sprintf "/g/doc-%d" (i + 1)) with
       | Error _ -> incr healed_denials
       | Ok _ -> ())
     gina_proxies;
-  let healed_serves = Result.is_ok (read_with stale_p carol_stale !hugh_proxy "/h/report") in
-  let replay_refused = Result.is_error (read_with stale_p carol_stale voucher "/h/report") in
+  let healed_serves = Result.is_ok (read_with carol_stale !hugh_proxy "/h/report") in
+  let replay_refused = Result.is_error (read_with carol_stale voucher "/h/report") in
   (* --- the bulletin reaches both bank replicas; the revoked grantor's
      check bounces; money is conserved --- *)
   let final_bulletin = Revocation_authority.bulletin authority in

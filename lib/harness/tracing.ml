@@ -107,12 +107,9 @@ let run_f4 ?(seed = "trace-f4") ?(requests = 3) ?(depth = 3) ?plan () =
     match Kdc.Client.derive net ~kdc:w.World.kdc_name ~tgt ~target:fs_name () with
     | Error _ -> false
     | Ok creds -> (
-        let p =
-          File_server.attach net ~proxy ~server:fs_name ~operation:"read" ~path:"report.txt"
-        in
         match
           File_server.read net ~creds ~retry:(Sim.Retry.policy ~retries:3 ())
-            ~proxies:[ p ] ~path:"report.txt" ()
+            ~proxies:[ proxy ] ~path:"report.txt" ()
         with
         | Ok _ -> true
         | Error _ -> false)

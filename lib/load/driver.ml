@@ -245,13 +245,8 @@ let run cfg =
     match Hashtbl.find_opt proxies o with
     | Some ((p, _) :: _) ->
         incr presents;
-        let presented =
-          File_server.attach net ~proxy:p ~server:fs_name ~operation:"read"
-            ~path:(obj_of o)
-        in
         Result.map ignore
-          (File_server.read net ~creds:worker_creds ~retry ~proxies:[ presented ]
-             ~path:(obj_of o) ())
+          (File_server.read net ~creds:worker_creds ~retry ~proxies:[ p ] ~path:(obj_of o) ())
     | _ -> do_grant ()
   in
   let do_debit () =

@@ -1200,6 +1200,211 @@ let test_compound_concurrence () =
   | Ok d -> Alcotest.(check int) "host authority used" 1 (List.length d.Guard.acting_for)
   | Error e -> Alcotest.fail e
 
+(* Gather asks group proxies first: on a traced net, one decision that
+   presents a public-key membership proxy and a conventional request proxy
+   (bob's capability, usable only by a member of ops) verifies the
+   membership proxy's certificate before either of the capability's, all
+   under one guard.decide span whose last attribute is its verdict. *)
+let test_gather_asks_group_proxies_first () =
+  let w = world () in
+  Sim.Net.enable_tracing w.W.net;
+  let drbg = Crypto.Drbg.create ~seed:"gather order" in
+  let alice, _ = W.enrol w "alice" in
+  let bob, _ = W.enrol w "bob" in
+  let groups, _ = W.enrol w "groups" in
+  let door, door_key = W.enrol w "door" in
+  let groups_kp = Crypto.Rsa.generate drbg ~bits:512 in
+  let ops = Principal.Group.make ~server:groups "ops" in
+  let acl = Acl.create () in
+  Acl.add acl ~target:"rack"
+    { Acl.subject = Acl.Principal_is bob; rights = [ "open" ]; restrictions = [] };
+  let lookup_pub p = if Principal.equal p groups then Some groups_kp.Crypto.Rsa.pub else None in
+  let guard = Guard.create w.W.net ~me:door ~my_key:door_key ~lookup_pub ~acl () in
+  let now = W.now w in
+  let membership =
+    Proxy.grant_pk ~drbg ~now ~expires:(now + W.hour) ~grantor:groups ~grantor_key:groups_kp
+      ~restrictions:(R.membership ~group:"ops" ~member:alice) ()
+  in
+  let cap =
+    Result.get_ok
+      (Capability.mint_via_kdc w.W.net ~kdc:w.W.kdc_name ~tgt:(W.login w bob) ~end_server:door
+         ~target:"rack" ~ops:[ "open" ] ())
+  in
+  let for_ops =
+    Result.get_ok
+      (Proxy.restrict_conventional ~drbg:(Sim.Net.drbg w.W.net) ~now ~expires:(now + W.hour)
+         ~restrictions:[ R.For_use_by_group ([ ops ], 1) ] cap)
+  in
+  let bind = Guard.bind ~server:door ~ticket:W.ticket in
+  (match
+     Guard.decide guard ~ticket:W.ticket ~operation:"open" ~target:"rack" ~presenter:alice
+       ~proxies:[ bind for_ops ] ~group_proxies:[ bind membership ] ()
+   with
+  | Ok d ->
+      Alcotest.(check (list string))
+        "on bob's authority" [ Principal.to_string bob ]
+        (List.map Principal.to_string d.Guard.acting_for)
+  | Error e -> Alcotest.fail e);
+  let spans = Sim.Span.spans (Option.get (Sim.Net.spans w.W.net)) in
+  match List.filter (fun s -> s.Sim.Span.sp_kind = "guard.decide") spans with
+  | [ d ] ->
+      let certs =
+        List.filter
+          (fun s ->
+            s.Sim.Span.sp_kind = "verify.cert" && s.Sim.Span.sp_parent = Some d.Sim.Span.sp_id)
+          spans
+      in
+      Alcotest.(check (list (pair string string)))
+        "the membership proxy's certificate, then the capability's two"
+        [ ("pk", "0"); ("conventional", "0"); ("conventional", "1") ]
+        (List.map
+           (fun s ->
+             let attr k = List.assoc k s.Sim.Span.sp_attrs in
+             (attr "flavor", attr "index"))
+           certs);
+      Alcotest.(check (option (pair string string)))
+        "the decision's last attribute" (Some ("verdict", "grant"))
+        (List.nth_opt (List.rev d.Sim.Span.sp_attrs) 0)
+  | ds -> Alcotest.failf "%d guard.decide spans" (List.length ds)
+
+(* --- Acl.choose, against the rule it states --- *)
+
+(* A small universe: four principals, three groups at one group server,
+   and one server that evaluates the request. A chain is its grantor and
+   an id; a group's proof is the group server and an id of 100 or more. *)
+let choose_server = Principal.make ~realm:"r" "server"
+let choose_groups_server = Principal.make ~realm:"r" "groups"
+let choose_principals = Array.init 4 (fun i -> Principal.make ~realm:"r" (Printf.sprintf "p%d" i))
+
+let choose_groups =
+  Array.init 3 (fun i -> Principal.Group.make ~server:choose_groups_server (Printf.sprintf "g%d" i))
+
+let gen_choose =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ map (fun i -> Acl.Principal_is choose_principals.(i)) (int_bound 3);
+        map (fun i -> Acl.Group choose_groups.(i)) (int_bound 2);
+        return Acl.Anyone ]
+  in
+  let compound sub = map (fun subs -> Acl.Compound subs) (list_size (int_bound 3) sub) in
+  let subject =
+    frequency [ (4, leaf); (2, compound leaf); (1, compound (oneof [ leaf; compound leaf ])) ]
+  in
+  let rights = oneofl [ []; [ "read" ]; [ "write" ]; [ "read"; "write" ] ] in
+  let restrictions =
+    list_size
+      (frequency [ (2, return 0); (1, int_range 1 2) ])
+      (oneofl
+         [ R.Authorized [ { R.target = "obj"; ops = [ "read" ] } ];
+           R.Issued_for [ choose_server ];
+           R.Issued_for [ choose_principals.(0) ];
+           R.Grantee ([ choose_principals.(1) ], 1);
+           R.For_use_by_group ([ choose_groups.(0) ], 1);
+           R.Accept_once "entry-once" ])
+  in
+  let entry =
+    map3 (fun subject rights restrictions -> { Acl.subject; rights; restrictions }) subject rights
+      restrictions
+  in
+  let entries = list_size (int_bound 6) (pair (oneofl [ "obj"; "*"; "other" ]) entry) in
+  let presenters =
+    map
+      (fun keep -> List.filteri (fun i _ -> List.nth keep i = 0) (Array.to_list choose_principals))
+      (list_repeat 4 (int_bound 2))
+  in
+  let chains =
+    map
+      (List.mapi (fun id i -> (choose_principals.(i), id)))
+      (list_size (int_bound 4) (int_bound 3))
+  in
+  let groups =
+    map
+      (List.mapi (fun id i -> (choose_groups.(i), (choose_groups_server, 100 + id))))
+      (list_size (int_bound 3) (int_bound 2))
+  in
+  tup5 entries (oneofl [ "read"; "write" ]) presenters chains groups
+
+let print_choose (entries, operation, presenters, chains, groups) =
+  let entry (target, e) =
+    Format.asprintf "%s: %a [%s] %d restrictions" target Acl.pp_subject e.Acl.subject
+      (String.concat "," e.Acl.rights) (List.length e.Acl.restrictions)
+  in
+  String.concat "\n"
+    (List.map entry entries
+    @ [ "operation " ^ operation;
+        "presenters " ^ String.concat "," (List.map Principal.to_string presenters);
+        "chains "
+        ^ String.concat ","
+            (List.map (fun (p, id) -> Printf.sprintf "%s#%d" (Principal.to_string p) id) chains);
+        "groups "
+        ^ String.concat ","
+            (List.map
+               (fun (g, (_, id)) -> Printf.sprintf "%s#%d" g.Principal.Group.group id)
+               groups) ])
+
+(* [Acl.choose] against the rule it states, checked apart from its walk:
+   a grant's entry is the first covering entry the facts satisfy whose
+   restrictions pass; it credits, leaf by leaf in the subject's order, the
+   first chain granted by each non-presenter its [Principal_is] leaves
+   name and the proof of each of its [Group] leaves, and nothing else, so
+   a grant writes exactly the contributing chains' changes; a refusal is
+   the first satisfied entry's; and no entry is reported exactly when no
+   covering entry is satisfied. *)
+let prop_choose =
+  QCheck.Test.make ~name:"choose grants by the first satisfied entry and credits its leaves"
+    ~count:2000
+    (QCheck.make ~print:print_choose gen_choose)
+    (fun (entries, operation, presenters, chains, groups) ->
+      let acl = Acl.create () in
+      List.iter (fun (target, e) -> Acl.add acl ~target e) entries;
+      let req =
+        R.request ~server:choose_server ~time:0 ~operation ~target:"obj" ~presenters
+          ~groups_asserted:(List.map fst groups) ()
+      in
+      let presented p = List.exists (Principal.equal p) presenters in
+      let first_chain p = List.find_opt (fun (q, _) -> Principal.equal p q) chains in
+      let proof g =
+        Option.map snd (List.find_opt (fun (h, _) -> Principal.Group.equal g h) groups)
+      in
+      let rec satisfied = function
+        | Acl.Anyone -> true
+        | Acl.Principal_is p -> presented p || Option.is_some (first_chain p)
+        | Acl.Group g -> Option.is_some (proof g)
+        | Acl.Compound subs -> List.for_all satisfied subs
+      in
+      let rec leaves = function Acl.Compound subs -> List.concat_map leaves subs | s -> [ s ] in
+      let verdict e = R.check_all ~held:R.no_state e.Acl.restrictions req in
+      let eligible =
+        List.filter
+          (fun e ->
+            (e.Acl.rights = [] || List.mem operation e.Acl.rights) && satisfied e.Acl.subject)
+          (Acl.entries_for acl ~target:"obj")
+      in
+      let owed entry =
+        List.filter_map
+          (function
+            | Acl.Principal_is p when not (presented p) -> first_chain p
+            | Acl.Group g -> proof g
+            | _ -> None)
+          (leaves entry.Acl.subject)
+      in
+      let named entry =
+        List.filter_map (function Acl.Group g -> Some g | _ -> None) (leaves entry.Acl.subject)
+      in
+      match
+        ( Acl.choose acl req ~grantor:fst ~chains ~groups,
+          List.find_opt (fun e -> Result.is_ok (verdict e)) eligible,
+          eligible )
+      with
+      | Acl.Grant { entry; credited; via_groups }, Some first, _ ->
+          entry == first
+          && List.equal ( == ) credited (owed entry)
+          && List.equal Principal.Group.equal via_groups (named entry)
+      | Acl.Refused r, None, first :: _ -> verdict first = Error r
+      | Acl.No_entry, None, [] -> true
+      | (Acl.Grant _ | Acl.Refused _ | Acl.No_entry), _, _ -> false)
+
 (* --- cascaded authorization through the guard --- *)
 
 let test_cascade_through_guard () =
@@ -1803,5 +2008,7 @@ let () =
            test_group_proxy_empty_name_refused);
           ("a group refusal is cited only without groups", `Quick,
            test_group_refusal_cited_without_groups);
-          ("removal blocks new proxies", `Quick, test_group_removal_blocks_new_proxies) ] );
-      ("compound", [ ("user+host concurrence", `Quick, test_compound_concurrence) ]) ]
+          ("removal blocks new proxies", `Quick, test_group_removal_blocks_new_proxies);
+          ("gather asks group proxies first", `Quick, test_gather_asks_group_proxies_first) ] );
+      ("compound", [ ("user+host concurrence", `Quick, test_compound_concurrence) ]);
+      ("acl", List.map QCheck_alcotest.to_alcotest [ prop_choose ]) ]
